@@ -1,7 +1,7 @@
 //! Tracked performance baseline for the DES hot path.
 //!
-//! Runs a fixed three-workload basket and records wall-clock time and
-//! simulator events/sec for each item:
+//! Runs a fixed basket and records wall-clock time and simulator
+//! events/sec for each item:
 //!
 //! 1. `home2_replay_8s` — the home2 trace (lookup-heavy NFS) replayed on
 //!    8 servers under Cx; the headline events/sec number.
@@ -11,18 +11,11 @@
 //!    full recovery (log scan + resumption); wall-clock only, since the
 //!    run is dominated by fixed-size protocol work rather than a stream
 //!    of events.
-//! 4. `lair62b_full_replay` / `lair62b_full_replay_materialized` — the
-//!    11M-op lair62b trace replayed end-to-end through the streaming
-//!    intake and through an up-front materialized `Trace`. These two
-//!    record `peak_rss_kb` (VmHWM, reset between entries): the streamed
-//!    path must hold peak memory flat where the materialized path pays
-//!    for the whole op vector.
+//! 4. `lair62b_full_replay` — the 11M-op lair62b trace generated and
+//!    replayed end-to-end; its `peak_rss_kb` shows the streaming intake
+//!    holding memory flat at full scale.
 //!
-//! 5. `home2_replay_8s_p{N}` (with `--partitions N`) — the home2 replay
-//!    on the partitioned parallel kernel, measured at `p1` and `pN` on
-//!    the same streaming intake so the ratio isolates the kernel.
-//!
-//! 6. `home2_tcp_loopback_8s` / `home2_tcp_multiproc_8s` (with `--net
+//! 5. `home2_tcp_loopback_8s` / `home2_tcp_multiproc_8s` (with `--net
 //!    tcp`) — the home2 prefix on the real-socket runtime (`cx-net`,
 //!    DESIGN.md §9), in-process loopback and one-OS-process-per-server.
 //!    Wall-clock-only (the wire plane has no simulator event counter),
@@ -36,16 +29,16 @@
 //! Every entry records `peak_rss_kb` (VmHWM, reset per entry); wall-clock
 //! entries that complete client ops (the net modes) record `ops_per_sec`
 //! instead of a zero event rate. Results
-//! merge into `BENCH_PR10.json` at the repo root, keyed by `--label`
-//! (e.g. `--label before` / `--label after`), so optimization PRs commit
-//! both sides of the comparison with the same binary. After the table, a
-//! comparison against the most recent other `BENCH_PR*.json` prints
+//! merge into `--out` (default `target/bench.json`, untracked), keyed by
+//! `--label` (e.g. `--label before` / `--label after`), so an optimization
+//! PR measures both sides of the comparison with the same binary and names
+//! its own `BENCH_PR<n>.json` explicitly. After the table, a comparison
+//! against the most recent other `BENCH_PR*.json` at the repo root prints
 //! in-run, so drift is visible without waiting for the `ci.sh` gate.
 //!
 //! `--smoke` runs none of the basket: it replays the golden-digest
-//! scenario through both intakes plus `--partitions 1` and asserts the
-//! pinned digest, then cross-checks `--partitions 2` run totals against
-//! the single-threaded run — the fixed-seed CI gate (`ci.sh`).
+//! scenario and asserts the pinned digest — the fixed-seed CI gate
+//! (`ci.sh`).
 //!
 //! `--obs` runs the observability export instead of the basket: one home2
 //! replay with lifecycle recording on, dashboard to stdout, Perfetto
@@ -257,72 +250,23 @@ fn measure(name: &str, iters: u32, mut run: impl FnMut() -> (u64, u64)) -> Entry
 }
 
 /// Golden-digest gate: the pinned home2 scenario must replay to the
-/// digest `tests/determinism_and_recovery.rs` pins, through both the
-/// streaming and the materialized intake. Panics (non-zero exit) on any
-/// drift, so `ci.sh` catches behavioral changes before the full test
-/// suite even builds.
+/// digest `tests/determinism_and_recovery.rs` pins. Panics (non-zero
+/// exit) on any drift, so `ci.sh` catches behavioral changes before the
+/// full test suite even builds.
 fn smoke() {
     const GOLDEN_HOME2_DIGEST: u64 = 4_199_832_947_163_537_151;
-    let e = Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
+    let r = Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
         .servers(8)
         .protocol(Protocol::Cx)
-        .seed(42);
-    let streamed = e.run();
-    assert!(streamed.is_consistent(), "smoke: streamed run inconsistent");
+        .seed(42)
+        .run();
+    assert!(r.is_consistent(), "smoke: home2 replay inconsistent");
     assert_eq!(
-        streamed.stats.digest(),
+        r.stats.digest(),
         GOLDEN_HOME2_DIGEST,
-        "smoke: streamed-intake digest drifted from the golden pin"
+        "smoke: digest drifted from the golden pin"
     );
-    let trace = e.workload.build(&e.cfg);
-    let (stats, violations) = cx_core::run_trace(e.cfg.clone(), &trace);
-    assert!(
-        violations.is_empty(),
-        "smoke: materialized run inconsistent"
-    );
-    assert_eq!(
-        stats.digest(),
-        GOLDEN_HOME2_DIGEST,
-        "smoke: materialized-intake digest drifted from the golden pin"
-    );
-
-    // `--partitions 1` is contractually the plain single-threaded path.
-    let p1 = e.run_partitioned(1);
-    assert_eq!(
-        p1.stats.digest(),
-        GOLDEN_HOME2_DIGEST,
-        "smoke: --partitions 1 digest must be bit-identical to single-threaded"
-    );
-
-    // `--partitions 2`: the parallel kernel must preserve every
-    // tie-insensitive total (see DESIGN.md §8 — conflict-adjacent counters
-    // are tie-sensitive and checked with tolerance in the test suite).
-    let p2 = e.run_partitioned(2);
-    assert!(p2.is_consistent(), "smoke: partitioned run inconsistent");
-    let (a, b) = (&stats, &p2.stats);
-    assert_eq!(a.ops_total, b.ops_total, "smoke: p2 ops_total drifted");
-    assert_eq!(
-        b.ops_applied + b.ops_failed,
-        b.ops_total,
-        "smoke: p2 op accounting must close"
-    );
-    assert_eq!(a.cross_ops, b.cross_ops, "smoke: p2 cross_ops drifted");
-    assert_eq!(
-        a.latency.count, b.latency.count,
-        "smoke: p2 latency sample count drifted"
-    );
-    assert_eq!(
-        a.server_stats.subops_executed, b.server_stats.subops_executed,
-        "smoke: p2 sub-op total drifted"
-    );
-    assert_eq!(
-        a.server_stats.ops_committed, b.server_stats.ops_committed,
-        "smoke: p2 committed-op total drifted"
-    );
-    println!(
-        "smoke ok: home2 digest {GOLDEN_HOME2_DIGEST} on both intakes and \
-         --partitions 1; --partitions 2 totals cross-check clean"
-    );
+    println!("smoke ok: home2 digest {GOLDEN_HOME2_DIGEST}");
 }
 
 /// `--obs`: replay the home2 scenario once with the observability plane
@@ -731,34 +675,34 @@ fn check_against(report: &Report, label: &str, baseline_path: &str, tolerance: f
     );
 }
 
+/// Where the tracked `BENCH_PR*.json` history lives; reports are only
+/// written there when `--out` names one.
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
 /// Print an in-run comparison of this run's entries against the most
-/// recent *other* `BENCH_PR*.json` in the report directory, so drift is
+/// recent *other* `BENCH_PR*.json` at the repo root, so drift is
 /// visible the moment the basket finishes instead of only when the
 /// `ci.sh` gate fires. Best-effort: silently skips when no previous
 /// report exists.
 fn print_previous_comparison(entries: &[Entry], out: &str) {
-    let out_path = std::path::Path::new(out);
-    // `parent()` of a bare filename is `Some("")`, which read_dir rejects.
-    let dir = match out_path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => std::path::Path::new("."),
-    };
-    let mut candidates: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| {
-                    let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                    name.starts_with("BENCH_PR")
-                        && name.ends_with(".json")
-                        && p.file_name() != out_path.file_name()
-                })
-                .collect()
+    let out_name = std::path::Path::new(out).file_name();
+    // Highest PR number wins (numeric, so PR10 sorts after PR9).
+    let Some((_, prev_path)) = std::fs::read_dir(REPO_ROOT)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.file_name() != out_name)
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?;
+            let pr: u32 = name
+                .strip_prefix("BENCH_PR")?
+                .strip_suffix(".json")?
+                .parse()
+                .ok()?;
+            Some((pr, p))
         })
-        .unwrap_or_default();
-    // Lexicographic sort puts the highest PR number last for single-digit
-    // PRs; good enough for a human-facing drift hint.
-    candidates.sort();
-    let Some(prev_path) = candidates.pop() else {
+        .max_by_key(|(pr, _)| *pr)
+    else {
         return;
     };
     let Some(prev) = std::fs::read_to_string(&prev_path)
@@ -828,7 +772,7 @@ fn main() {
     let filter: Option<String> = args.value("--filter");
     let out: String = args
         .value("--out")
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json").into());
+        .unwrap_or_else(|| format!("{REPO_ROOT}/target/bench.json"));
     let wants = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
 
     let mut entries = Vec::new();
@@ -848,43 +792,6 @@ fn main() {
         }));
     }
 
-    // `--partitions N`: measure the partitioned (parallel) kernel against
-    // the single-threaded one on the same intake. Both sides stream the
-    // workload (generation interleaves with the replay identically), so
-    // the pN/p1 ratio isolates the kernel, not the intake.
-    if let Some(parts) = args.value::<u32>("--partitions") {
-        let e = Experiment::new(Workload::trace("home2").scale(scale))
-            .servers(8)
-            .protocol(Protocol::Cx);
-        for n in [1, parts] {
-            let name = format!("home2_replay_8s_p{n}");
-            if !wants(&name) {
-                continue;
-            }
-            entries.push(measure(&name, iters, || {
-                let r = e.run_partitioned(n);
-                assert!(r.is_consistent(), "partitioned home2 replay dirty");
-                (r.stats.events, r.stats.ops_total)
-            }));
-        }
-        let rate_of = |suffix: &str| {
-            entries
-                .iter()
-                .find(|en| en.name == format!("home2_replay_8s_p{suffix}"))
-                .map(|en| en.events_per_sec)
-        };
-        if let (Some(p1), Some(pn)) = (rate_of("1"), rate_of(&parts.to_string())) {
-            println!(
-                "home2 partitioned speedup: p{parts} {:.0} ev/s vs p1 {:.0} ev/s = {:.2}x \
-                 ({} hardware threads available)",
-                pn,
-                p1,
-                pn / p1,
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            );
-        }
-    }
-
     if wants("metarates_update_8s") {
         let e = Experiment::new(Workload::metarates(MetaratesMix::UpdateDominated))
             .servers(8)
@@ -897,29 +804,17 @@ fn main() {
         }));
     }
 
-    // The full-scale pair measures the end-to-end pipeline (generation +
-    // replay), one pass each, with the peak-RSS watermark reset before
-    // every entry. The streamed entry runs first so the materialized
-    // trace's footprint cannot inflate its high-water mark.
-    if wants("lair62b_full_replay") || wants("lair62b_full_replay_materialized") {
+    // Full scale measures the end-to-end pipeline (generation + replay)
+    // in one pass.
+    if wants("lair62b_full_replay") {
         let e = Experiment::new(Workload::trace("lair62b"))
             .servers(8)
             .protocol(Protocol::Cx);
-        if wants("lair62b_full_replay") {
-            entries.push(measure("lair62b_full_replay", 1, || {
-                let r = e.run();
-                assert!(r.is_consistent(), "lair62b streamed replay dirty");
-                (r.stats.events, r.stats.ops_total)
-            }));
-        }
-        if wants("lair62b_full_replay_materialized") {
-            entries.push(measure("lair62b_full_replay_materialized", 1, || {
-                let trace = e.workload.build(&e.cfg);
-                let (stats, violations) = cx_core::run_trace(e.cfg.clone(), &trace);
-                assert!(violations.is_empty(), "lair62b materialized replay dirty");
-                (stats.events, stats.ops_total)
-            }));
-        }
+        entries.push(measure("lair62b_full_replay", 1, || {
+            let r = e.run();
+            assert!(r.is_consistent(), "lair62b replay dirty");
+            (r.stats.events, r.stats.ops_total)
+        }));
     }
 
     // `--net tcp`: the home2 prefix on the real-socket runtime, loopback
@@ -933,19 +828,9 @@ fn main() {
     if args.value::<String>("--net").as_deref() == Some("tcp") {
         let net_scale = args.value("--net-scale").unwrap_or(0.002);
         let (net_cfg, net_trace) = net_scenario(8, net_scale);
-        // Wire-tuning sweep knobs (the EXPERIMENTS.md NetTuning table is
-        // produced with these): override the default cork deadline/size.
-        let cork_ns: Option<u64> = args.value("--cork-ns");
-        let cork_bytes: Option<usize> = args.value("--cork-bytes");
         let client_threads: Option<usize> = args.value("--client-threads");
         let net_opts = move || {
             let mut o = TcpOptions::default();
-            if let Some(ns) = cork_ns {
-                o.net.tuning.cork_deadline_ns = ns;
-            }
-            if let Some(b) = cork_bytes {
-                o.net.tuning.cork_bytes = b;
-            }
             if let Some(t) = client_threads {
                 o.client_threads = t;
             }
@@ -1081,28 +966,6 @@ fn main() {
             before,
             after,
             after / before
-        );
-    }
-
-    // And the memory headline: streamed vs materialized full-scale RSS.
-    let rss = |name: &str| {
-        report
-            .runs
-            .iter()
-            .find(|r| r.label == label)
-            .and_then(|r| r.entries.iter().find(|e| e.name == name))
-            .and_then(|e| e.peak_rss_kb)
-            .filter(|&kb| kb > 0)
-    };
-    if let (Some(st), Some(mat)) = (
-        rss("lair62b_full_replay"),
-        rss("lair62b_full_replay_materialized"),
-    ) {
-        println!(
-            "lair62b peak RSS: streamed {} KiB vs materialized {} KiB ({:.1}x lower)",
-            st,
-            mat,
-            mat as f64 / st as f64
         );
     }
 

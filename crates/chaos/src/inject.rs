@@ -5,7 +5,6 @@ use crate::plan::{CrashPoint, FaultPlan, NetAction};
 use cx_cluster::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use cx_protocol::Endpoint;
 use cx_types::{MsgKind, ServerId, SimTime};
-use cx_workloads::Trace;
 use std::collections::BTreeSet;
 
 /// Stateful interpreter: each net fault counts its matching messages and
@@ -26,12 +25,8 @@ pub struct PlanInjector {
 }
 
 impl PlanInjector {
-    pub fn new(plan: FaultPlan, trace: &Trace) -> Self {
-        Self::with_seeds(plan, &trace.seeds)
-    }
-
     /// Build from the bare seed list — the only part of the workload the
-    /// injector's oracle needs, so streamed workloads plug in directly.
+    /// injector's oracle needs.
     pub fn with_seeds(plan: FaultPlan, seeds: &[cx_workloads::SeedEntry]) -> Self {
         Self {
             net_seen: vec![0; plan.net.len()],

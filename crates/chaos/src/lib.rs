@@ -33,7 +33,4 @@ pub use explore::{explore, generate_plan, shrink, ExploreOutcome};
 pub use inject::PlanInjector;
 pub use oracle::{check_snapshot, ModelFs};
 pub use plan::{CrashFault, CrashPoint, FaultPlan, NetAction, NetFault, Partition};
-pub use runner::{
-    run_plan, run_plan_flight, run_plan_materialized, run_plan_obs, run_plan_partitioned, ChaosRun,
-    ChaosScenario, Repro,
-};
+pub use runner::{run_plan, run_plan_flight, run_plan_obs, ChaosRun, ChaosScenario, Repro};

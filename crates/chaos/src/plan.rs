@@ -99,34 +99,6 @@ impl FaultPlan {
         self.len() == 0
     }
 
-    /// Reject plans whose results would be order-dependent on the
-    /// partitioned (`parts > 1`) simulator.
-    ///
-    /// A net fault with an unpinned sender (`from: None`) counts "the
-    /// globally Nth matching message" — a counter fed by lock-interleaved
-    /// send hooks from every partition thread, so which message it hits
-    /// varies run to run. Rather than silently producing order-dependent
-    /// results (the PR6 caveat), partitioned entry points refuse such
-    /// plans up front with this error. Sender-pinned net faults count one
-    /// server's deterministic send order; partitions are virtual-time
-    /// windows; crash points arm on per-server counters — all fine.
-    pub fn check_partitionable(&self, parts: u32) -> Result<(), String> {
-        if parts <= 1 {
-            return Ok(());
-        }
-        for (i, f) in self.net.iter().enumerate() {
-            if f.from.is_none() {
-                return Err(format!(
-                    "net fault #{i} ({:?} nth={}) has an unpinned sender (from: None): \
-                     its global-Nth counter is order-dependent across {parts} partitions. \
-                     Pin `from` to a server, or run with --partitions 1.",
-                    f.kind, f.nth
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// The plan minus the fault at global index `i` (net faults first,
     /// then partitions, then crashes) — the shrinker's step.
     pub fn without(&self, i: usize) -> FaultPlan {

@@ -4,7 +4,7 @@ use crate::inject::PlanInjector;
 use crate::plan::FaultPlan;
 use cx_cluster::{ChaosOutcome, DesCluster, FlightRecorder, ObsSink};
 use cx_types::{ClusterConfig, Protocol, DUR_MS};
-use cx_workloads::{StreamTrace, Trace, TraceBuilder, TraceProfile};
+use cx_workloads::{StreamTrace, TraceBuilder, TraceProfile};
 use serde::{Deserialize, Serialize};
 
 /// Everything that determines a chaos run besides the fault plan. The
@@ -37,13 +37,8 @@ impl ChaosScenario {
     }
 
     /// The driving workload (CTH mix: mutation-heavy, lots of
-    /// cross-server creates).
-    pub fn trace(&self) -> Trace {
-        self.stream().materialize()
-    }
-
-    /// The same workload as a lazy stream (ops generated as the replay
-    /// pulls them).
+    /// cross-server creates) as a lazy stream: ops are generated as the
+    /// replay pulls them.
     pub fn stream(&self) -> StreamTrace {
         TraceBuilder::new(TraceProfile::by_name("CTH").expect("profile exists"))
             .scale(self.trace_scale)
@@ -71,8 +66,7 @@ pub struct ChaosRun {
     pub outcome: ChaosOutcome,
 }
 
-/// Execute `plan` under `scn` on the deterministic simulator, pulling
-/// the workload through the streaming intake (the default path).
+/// Execute `plan` under `scn` on the deterministic simulator.
 pub fn run_plan(scn: &ChaosScenario, plan: &FaultPlan) -> ChaosRun {
     run_plan_obs(scn, plan, ObsSink::Off)
 }
@@ -106,46 +100,6 @@ pub fn run_plan_flight(
         cluster = cluster.with_flight(fl);
     }
     finish(cluster.run_chaos())
-}
-
-/// [`run_plan_flight`] on the partitioned (parallel) simulator: the
-/// cluster splits over `parts` worker threads, while the plan's injector
-/// stays the single global fault authority behind one mutex
-/// (`cx_cluster::par`). `parts <= 1` is exactly [`run_plan_flight`].
-///
-/// Errors (without running) if the plan contains a matcher whose result
-/// would be order-dependent across partition threads — see
-/// [`FaultPlan::check_partitionable`].
-pub fn run_plan_partitioned(
-    scn: &ChaosScenario,
-    plan: &FaultPlan,
-    parts: u32,
-    obs: ObsSink,
-    flight: Option<FlightRecorder>,
-) -> Result<ChaosRun, String> {
-    plan.check_partitionable(parts)?;
-    let st = scn.stream();
-    let injector = PlanInjector::with_seeds(plan.clone(), &st.seeds);
-    Ok(finish(cx_cluster::run_chaos_partitioned(
-        scn.config(),
-        st,
-        parts,
-        Box::new(injector),
-        obs,
-        flight,
-    )))
-}
-
-/// Same plan over the fully materialized workload — kept as the
-/// regression twin proving streamed and materialized intakes replay
-/// fault schedules to byte-identical digests.
-pub fn run_plan_materialized(scn: &ChaosScenario, plan: &FaultPlan) -> ChaosRun {
-    let trace = scn.trace();
-    let injector = PlanInjector::new(plan.clone(), &trace);
-    let outcome = DesCluster::new(scn.config(), &trace)
-        .with_injector(Box::new(injector))
-        .run_chaos();
-    finish(outcome)
 }
 
 fn finish(outcome: ChaosOutcome) -> ChaosRun {

@@ -7,176 +7,15 @@
 //! tail. All must come out clean; the deliberately broken recovery must
 //! not.
 
-use cx_chaos::{
-    run_plan, run_plan_materialized, shrink, ChaosScenario, CrashFault, CrashPoint, FaultPlan,
-    NetAction, NetFault,
-};
-use cx_types::{MsgKind, Protocol, ServerId, DUR_MS};
+mod regression_plans;
+
+use cx_chaos::{run_plan, shrink, ChaosScenario, CrashPoint, FaultPlan, NetAction, NetFault};
+use cx_types::{MsgKind, Protocol, ServerId};
 use cx_wal::RecordFamily;
+use regression_plans::*;
 
 fn scenario() -> ChaosScenario {
     ChaosScenario::new(Protocol::Cx)
-}
-
-fn crash(server: u32, point: CrashPoint, torn: u64) -> CrashFault {
-    CrashFault {
-        server: ServerId(server),
-        point,
-        torn_extra_bytes: torn,
-        detection_ns: 30 * DUR_MS,
-        reboot_ns: 15 * DUR_MS,
-    }
-}
-
-fn delayed_votes_plan() -> FaultPlan {
-    FaultPlan {
-        net: (1..=3)
-            .flat_map(|n| {
-                [
-                    NetFault {
-                        kind: MsgKind::Vote,
-                        from: None,
-                        to: None,
-                        nth: n * 2,
-                        action: NetAction::Delay { ns: 3_000_000 },
-                    },
-                    NetFault {
-                        kind: MsgKind::SubOpResp,
-                        from: None,
-                        to: None,
-                        nth: n * 5,
-                        action: NetAction::Delay { ns: 2_000_000 },
-                    },
-                ]
-            })
-            .collect(),
-        ..FaultPlan::default()
-    }
-}
-
-fn participant_crash_plan() -> FaultPlan {
-    FaultPlan {
-        crashes: vec![crash(
-            2,
-            CrashPoint::WalAppend {
-                family: RecordFamily::Result,
-                nth: 6,
-            },
-            0,
-        )],
-        ..FaultPlan::default()
-    }
-}
-
-fn coordinator_crash_plan() -> FaultPlan {
-    FaultPlan {
-        crashes: vec![crash(
-            0,
-            CrashPoint::WalAppend {
-                family: RecordFamily::Commit,
-                nth: 1,
-            },
-            0,
-        )],
-        ..FaultPlan::default()
-    }
-}
-
-fn double_crash_plan() -> FaultPlan {
-    FaultPlan {
-        crashes: vec![
-            crash(
-                0,
-                CrashPoint::WalAppend {
-                    family: RecordFamily::Commit,
-                    nth: 1,
-                },
-                0,
-            ),
-            crash(
-                3,
-                CrashPoint::WalAppend {
-                    family: RecordFamily::Result,
-                    nth: 12,
-                },
-                0,
-            ),
-        ],
-        ..FaultPlan::default()
-    }
-}
-
-fn torn_tail_plan() -> FaultPlan {
-    FaultPlan {
-        crashes: vec![crash(
-            1,
-            CrashPoint::WalAppend {
-                family: RecordFamily::Result,
-                nth: 8,
-            },
-            300,
-        )],
-        ..FaultPlan::default()
-    }
-}
-
-fn mixed_faults_plan() -> FaultPlan {
-    FaultPlan {
-        net: vec![
-            NetFault {
-                kind: MsgKind::CommitReq,
-                from: None,
-                to: None,
-                nth: 2,
-                action: NetAction::Drop,
-            },
-            NetFault {
-                kind: MsgKind::VoteResult,
-                from: Some(ServerId(1)),
-                to: None,
-                nth: 4,
-                action: NetAction::Duplicate { ns: 500_000 },
-            },
-        ],
-        crashes: vec![crash(
-            2,
-            CrashPoint::WalAppend {
-                family: RecordFamily::Result,
-                nth: 6,
-            },
-            128,
-        )],
-        ..FaultPlan::default()
-    }
-}
-
-fn duplicate_storm_plan() -> FaultPlan {
-    FaultPlan {
-        net: vec![
-            NetFault {
-                kind: MsgKind::Vote,
-                from: None,
-                to: None,
-                nth: 1,
-                action: NetAction::Duplicate { ns: 250_000 },
-            },
-            NetFault {
-                kind: MsgKind::Ack,
-                from: None,
-                to: None,
-                nth: 3,
-                action: NetAction::Drop,
-            },
-            NetFault {
-                kind: MsgKind::CommitReq,
-                from: None,
-                to: None,
-                nth: 5,
-                action: NetAction::Delay { ns: 4_000_000 },
-            },
-        ],
-        ..FaultPlan::default()
-    }
 }
 
 /// Delaying VOTEs and sub-op responses exercises the disordered-delivery
@@ -293,29 +132,10 @@ fn broken_recovery_is_caught_and_shrinks_to_one_fault() {
 }
 
 /// Same seed + same plan ⇒ byte-identical event digest and identical
-/// findings — the property that makes repro files trustworthy.
+/// findings, for every regression plan — the property that makes repro
+/// files trustworthy.
 #[test]
-fn same_plan_replays_to_identical_digest() {
-    let plan = mixed_faults_plan();
-    let scn = scenario();
-    let a = run_plan(&scn, &plan);
-    let b = run_plan(&scn, &plan);
-    assert_eq!(a.digest, b.digest);
-    assert_eq!(a.failures, b.failures);
-    assert_eq!(
-        a.outcome.stats.faults.crashes,
-        b.outcome.stats.faults.crashes
-    );
-}
-
-/// The streaming intake is the default chaos path; the materialized twin
-/// must replay every regression plan to the same digest and the same
-/// findings. This is the fault-injected version of the clean-run intake
-/// parity pinned in `tests/determinism_and_recovery.rs` — faults key on
-/// message and WAL-append counts, so any intake-order drift would show
-/// up here first.
-#[test]
-fn every_regression_plan_replays_identically_on_both_intakes() {
+fn every_regression_plan_replays_to_identical_digest() {
     let plans: [(&str, FaultPlan); 7] = [
         ("delayed_votes", delayed_votes_plan()),
         ("participant_crash", participant_crash_plan()),
@@ -327,15 +147,13 @@ fn every_regression_plan_replays_identically_on_both_intakes() {
     ];
     let scn = scenario();
     for (name, plan) in &plans {
-        let streamed = run_plan(&scn, plan);
-        let materialized = run_plan_materialized(&scn, plan);
+        let a = run_plan(&scn, plan);
+        let b = run_plan(&scn, plan);
+        assert_eq!(a.digest, b.digest, "{name}: digests diverged");
+        assert_eq!(a.failures, b.failures, "{name}: findings diverged");
         assert_eq!(
-            streamed.digest, materialized.digest,
-            "{name}: intake digests diverged"
-        );
-        assert_eq!(
-            streamed.failures, materialized.failures,
-            "{name}: intake findings diverged"
+            a.outcome.stats.faults.crashes, b.outcome.stats.faults.crashes,
+            "{name}"
         );
     }
 }

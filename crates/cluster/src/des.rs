@@ -18,13 +18,12 @@
 
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::feed::OpFeed;
-use crate::par::{NetEnvelope, PartCtx};
 use crate::stats::{AckRecord, RecoveryCycle, RunStats, TimelineSample};
 use cx_mdstore::{GlobalView, Violation};
 use cx_obs::flow::MsgKind as FlowKind;
 use cx_obs::{FlightEvent, FlightRecorder, FlowNode, GaugeKind, ObsSink, Phase};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
-use cx_sim::{CrossEvent, FifoResource, Sim};
+use cx_sim::{FifoResource, Sim};
 use cx_simio::{Batch, Disk, DiskReq};
 use cx_types::{
     ClusterConfig, FileKind, FsOp, MsgKind, OpId, Payload, Placement, ProcId, Protocol, ServerId,
@@ -32,8 +31,6 @@ use cx_types::{
 };
 use cx_wal::RecordFamily;
 use cx_workloads::{SeedEntry, StreamTrace, Trace};
-use std::ops::Range;
-use std::sync::{Arc, Mutex};
 
 /// Client-side overhead between completing one op and issuing the next.
 const CLIENT_ISSUE_NS: u64 = 15 * DUR_US;
@@ -173,12 +170,8 @@ pub struct DesCluster {
     disks: Vec<Disk>,
     cpus: Vec<FifoResource>,
     procs: Vec<ProcRuntime>,
-    /// Shared op intake: per-process buffers over the workload stream.
-    /// Behind a mutex because partitioned runs pull from one feed across
-    /// threads; per-process subsequences are invariant under pull
-    /// interleaving (the feed contract), so sharing keeps determinism.
-    /// Single-threaded runs pay one uncontended lock per issued op.
-    feed: Arc<Mutex<OpFeed>>,
+    /// Op intake: per-process buffers over the workload stream.
+    feed: OpFeed,
     sim: Sim<Ev>,
     stats: RunStats,
     roots: Vec<cx_types::InodeNo>,
@@ -197,10 +190,8 @@ pub struct DesCluster {
     /// Stop the event loop at the first completed recovery cycle
     /// (`run_recovery_experiment` semantics).
     stop_after_first_cycle: bool,
-    /// The fault plane; `None` on uninstrumented runs. Arc+Mutex so
-    /// partitioned chaos runs share one injector (the global fault
-    /// authority) across worker threads.
-    injector: Option<Arc<Mutex<Box<dyn FaultInjector>>>>,
+    /// The fault plane; `None` on uninstrumented runs.
+    injector: Option<Box<dyn FaultInjector>>,
     /// Crash requested by the injector during the current event; executed
     /// once the event finishes dispatching (first request wins).
     pending_crash: Option<CrashCmd>,
@@ -231,12 +222,6 @@ pub struct DesCluster {
     /// so a post-mortem can be dumped after a crash, a stuck op, or a
     /// failed oracle check. `None` (the default) costs nothing.
     flight: Option<FlightRecorder>,
-    /// Partition context when this cluster instance is one worker of a
-    /// partitioned run (`crate::par`): which servers/procs are local, the
-    /// cross-partition mailbox, and the sync barrier. `None` — the
-    /// default — is the plain single-threaded cluster, bit-identical to
-    /// the pre-partitioning behavior.
-    part: Option<PartCtx>,
 }
 
 impl DesCluster {
@@ -257,79 +242,38 @@ impl DesCluster {
             total_ops_hint,
             ops,
         } = st;
-        let feed = Arc::new(Mutex::new(OpFeed::new(ops, processes, total_ops_hint)));
-        Self::build(cfg, processes, &seeds, roots, feed, None)
-    }
-
-    /// Shared constructor: the single-threaded path passes `part: None`;
-    /// `crate::par` builds P instances over one shared feed, each with its
-    /// own [`PartCtx`]. Only nodes local to the partition are seeded and
-    /// booted — remote engines exist (dense indexing stays trivial) but
-    /// never receive an event, hold no namespace rows, and merge as zero.
-    pub(crate) fn build(
-        cfg: ClusterConfig,
-        processes: u32,
-        seeds: &[SeedEntry],
-        roots: Vec<cx_types::InodeNo>,
-        feed: Arc<Mutex<OpFeed>>,
-        part: Option<PartCtx>,
-    ) -> Self {
+        let feed = OpFeed::new(ops, processes, total_ops_hint);
         let placement = Placement::new(cfg.servers);
         let mut servers: Vec<Box<dyn ServerEngine>> = (0..cfg.servers)
             .map(|i| cx_protocol::make_server(ServerId(i), &cfg))
             .collect();
 
-        let local_server = |s: ServerId| match &part {
-            Some(p) => p.pmap.server_part(s.0) == p.me,
-            None => true,
-        };
-        let local_proc = |i: u32| match &part {
-            Some(p) => p.pmap.proc_part(i) == p.me,
-            None => true,
-        };
-
-        // Seed the initial namespace (each row seeded exactly once across
-        // all partitions: rows live where their server is local).
-        for seed in seeds {
+        // Seed the initial namespace.
+        for seed in &seeds {
             match *seed {
                 SeedEntry::Dir { ino } => {
                     // directory partition rows exist on every server
-                    for (i, s) in servers.iter_mut().enumerate() {
-                        if local_server(ServerId(i as u32)) {
-                            s.store_mut().seed_inode(ino, FileKind::Directory, 1);
-                        }
+                    for s in servers.iter_mut() {
+                        s.store_mut().seed_inode(ino, FileKind::Directory, 1);
                     }
                 }
                 SeedEntry::File { parent, name, ino } => {
                     let ds = placement.dentry_server(parent, name);
-                    if local_server(ds) {
-                        servers[ds.0 as usize]
-                            .store_mut()
-                            .seed_dentry(parent, name, ino);
-                    }
+                    servers[ds.0 as usize]
+                        .store_mut()
+                        .seed_dentry(parent, name, ino);
                     let is = placement.inode_server(ino);
-                    if local_server(is) {
-                        servers[is.0 as usize]
-                            .store_mut()
-                            .seed_inode(ino, FileKind::Regular, 1);
-                    }
+                    servers[is.0 as usize]
+                        .store_mut()
+                        .seed_inode(ino, FileKind::Regular, 1);
                 }
             }
         }
 
-        let (starts_empty, total_hint) = {
-            let f = feed.lock().expect("op feed");
-            (
-                (0..processes)
-                    .map(|i| f.starts_empty(i))
-                    .collect::<Vec<_>>(),
-                f.total_hint(),
-            )
-        };
         let procs: Vec<ProcRuntime> = (0..processes)
             .map(|i| ProcRuntime {
                 id: ProcId::new(i, 0),
-                done: starts_empty[i as usize],
+                done: feed.starts_empty(i),
                 current: None,
                 current_meta: None,
                 issued_at: SimTime::ZERO,
@@ -337,16 +281,12 @@ impl DesCluster {
                 next_seq: 0,
             })
             .collect();
-        let active_procs = procs
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| !p.done && local_proc(*i as u32))
-            .count() as u32;
+        let active_procs = procs.iter().filter(|p| !p.done).count() as u32;
 
         let disks = (0..cfg.servers).map(|_| Disk::new(cfg.disk)).collect();
         let cpus = (0..cfg.servers).map(|_| FifoResource::new()).collect();
         let stats = RunStats::new(cfg.protocol, cfg.servers, processes);
-        let max_events = 800 * total_hint + 10_000_000;
+        let max_events = 800 * feed.total_hint() + 10_000_000;
 
         let n = cfg.servers as usize;
         Self {
@@ -380,30 +320,6 @@ impl DesCluster {
             scratch: Vec::with_capacity(16),
             obs: ObsSink::Off,
             flight: None,
-            part,
-        }
-    }
-
-    /// Dense indices of the servers this instance simulates (all of them
-    /// when not partitioned).
-    fn local_servers(&self) -> Range<usize> {
-        match &self.part {
-            Some(p) => p.pmap.server_range(p.me),
-            None => 0..self.servers.len(),
-        }
-    }
-
-    fn is_local_server(&self, s: u32) -> bool {
-        match &self.part {
-            Some(p) => p.pmap.server_part(s) == p.me,
-            None => true,
-        }
-    }
-
-    fn is_local_proc(&self, i: u32) -> bool {
-        match &self.part {
-            Some(p) => p.pmap.proc_part(i) == p.me,
-            None => true,
         }
     }
 
@@ -438,23 +354,15 @@ impl DesCluster {
     /// through it, and the per-op issue/ack logs the oracle needs are
     /// recorded. Use [`DesCluster::run_chaos`] afterwards.
     pub fn with_injector(mut self, injector: Box<dyn FaultInjector>) -> Self {
-        self.injector = Some(Arc::new(Mutex::new(injector)));
-        self.record_ops = true;
-        self
-    }
-
-    /// Share an already-wrapped injector (partitioned chaos runs: every
-    /// partition feeds the same global injector through its own lock
-    /// handle).
-    pub(crate) fn install_shared_injector(&mut self, injector: Arc<Mutex<Box<dyn FaultInjector>>>) {
         self.injector = Some(injector);
         self.record_ops = true;
+        self
     }
 
     /// Boot the servers and schedule the first client issues (process
     /// starts are staggered slightly to avoid artificial lockstep).
     fn boot(&mut self) {
-        for i in self.local_servers() {
+        for i in 0..self.servers.len() {
             let mut out = std::mem::take(&mut self.scratch);
             self.servers[i].on_start(SimTime::ZERO, &mut out);
             self.do_actions(Endpoint::Server(ServerId(i as u32)), &mut out);
@@ -464,11 +372,8 @@ impl DesCluster {
             self.probe_all(SimTime::ZERO);
             self.fire_pending_crash();
         }
-        // Staggers key off the *global* process index, so a partitioned
-        // boot issues each process at the same virtual time as the
-        // single-threaded one.
         for p in 0..self.procs.len() {
-            if !self.procs[p].done && self.is_local_proc(p as u32) {
+            if !self.procs[p].done {
                 self.sim
                     .schedule(p as u64 * 2 * DUR_US, 0, Ev::ProcIssue { proc: p as u32 });
             }
@@ -510,7 +415,7 @@ impl DesCluster {
     /// Natural drain finished; force the remaining lazy work.
     fn drain(&mut self) {
         for _ in 0..16 {
-            if self.local_quiesced() {
+            if self.quiesced() {
                 break;
             }
             self.quiesce_round();
@@ -518,10 +423,10 @@ impl DesCluster {
         }
     }
 
-    /// One forced-flush round over the local Up servers, plus the fault
-    /// probes a round may trigger.
+    /// One forced-flush round over the Up servers, plus the fault probes
+    /// a round may trigger.
     fn quiesce_round(&mut self) {
-        for i in self.local_servers() {
+        for i in 0..self.servers.len() {
             if !matches!(self.phases[i], SrvPhase::Up) {
                 continue; // a down server cannot be asked to flush
             }
@@ -537,10 +442,9 @@ impl DesCluster {
         }
     }
 
-    /// Whether every *local* server drained all pending protocol state
-    /// (equals the global check on unpartitioned runs).
-    pub(crate) fn local_quiesced(&self) -> bool {
-        self.in_fault == 0 && self.local_servers().all(|i| self.servers[i].is_quiesced())
+    /// Whether every server drained all pending protocol state.
+    fn quiesced(&self) -> bool {
+        self.in_fault == 0 && self.servers.iter().all(|s| s.is_quiesced())
     }
 
     /// Run a fault-injected replay to completion: like [`DesCluster::run`],
@@ -554,12 +458,11 @@ impl DesCluster {
         self.stats.drained = self.sim.now();
         // Faults can wedge clients forever (a dropped message with no
         // retransmission); surface that instead of hanging.
-        let in_flight: u64 = self.procs.iter().map(|p| p.current.is_some() as u64).sum();
-        let stuck = self.feed.lock().expect("op feed").remaining() + in_flight;
+        let stuck = self.feed.remaining() + self.in_flight();
         self.stats.ops_stuck = self.stats.ops_stuck.max(stuck);
         self.finalize();
 
-        let quiesced = self.local_quiesced();
+        let quiesced = self.quiesced();
         let view = GlobalView::merge(self.servers.iter().map(|s| s.store()));
         let violations = if quiesced {
             view.check(&self.roots)
@@ -567,8 +470,7 @@ impl DesCluster {
             Vec::new()
         };
         let mut oracle_report = Vec::new();
-        if let Some(inj) = self.injector.take() {
-            let mut inj = inj.lock().expect("injector");
+        if let Some(mut inj) = self.injector.take() {
             let snap = ClusterSnapshot {
                 stores: self.servers.iter().map(|s| s.store()).collect(),
                 acks: &self.acks,
@@ -606,188 +508,33 @@ impl DesCluster {
             }
             if self.sim.events_processed() > self.max_events {
                 // hang protection: record and bail
-                let in_flight: u64 = self.procs.iter().map(|p| p.current.is_some() as u64).sum();
-                self.stats.ops_stuck = self.feed.lock().expect("op feed").remaining() + in_flight;
+                self.stats.ops_stuck = self.feed.remaining() + self.in_flight();
                 break;
             }
         }
         self.stats.events = self.sim.events_processed();
     }
 
-    /// The partitioned event loop: conservative barrier windows.
-    ///
-    /// Each iteration (a *window*):
-    /// 1. every partition votes its local next-event time; the barrier
-    ///    reduces to the global minimum `gmin`. `u64::MAX` means the whole
-    ///    cluster is idle (cross-partition mail is always drained before
-    ///    the vote, so idle local queues imply no in-flight work) — done.
-    /// 2. each partition processes its local events in
-    ///    `[gmin, gmin + window)`. The window equals the minimum
-    ///    cross-partition message latency, so nothing sent inside the
-    ///    window can arrive before the *next* window's horizon — remote
-    ///    sends are simply buffered in the mailbox.
-    /// 3. a second barrier ends the posting phase; each partition then
-    ///    drains its mailbox in deterministic `(at, src, seq)` order.
-    ///
-    /// The horizon is agreed *before* processing (not derived from local
-    /// clocks) so partitions re-entering from a drain round with skewed
-    /// local times still process against one global window. The hang cap
-    /// turns into a collective abort: the capped partition records its
-    /// local in-flight ops and flags the barrier; every partition
-    /// observes the flag at the same phase and stops at the same window.
-    fn event_loop_windowed(&mut self) {
-        let (barrier, window) = {
-            let p = self.part.as_ref().expect("windowed loop needs a partition");
-            (Arc::clone(&p.barrier), p.window_ns)
-        };
-        loop {
-            let local_next = self.sim.peek_time().map_or(u64::MAX, |t| t.0);
-            let (gmin, abort) = barrier.wait_min(local_next);
-            if abort || gmin == u64::MAX {
-                break;
-            }
-            let horizon = SimTime(gmin.saturating_add(window));
-            while let Some((now, _, ev)) = self.sim.pop_before(horizon) {
-                if now >= self.next_sample {
-                    self.sample_timeline(now);
-                }
-                self.dispatch(now, ev);
-                if self.injector.is_some() {
-                    self.probe_all(now);
-                    self.fire_pending_crash();
-                }
-                self.check_fault_progress();
-                if self.sim.events_processed() > self.max_events {
-                    // Hang protection. Only local in-flight ops are
-                    // recorded here; the coordinator charges the shared
-                    // feed's remainder once, globally.
-                    let in_flight: u64 =
-                        self.procs.iter().map(|p| p.current.is_some() as u64).sum();
-                    self.stats.ops_stuck = in_flight;
-                    barrier.set_abort();
-                    break;
-                }
-            }
-            // Posting phase over everywhere; exchange this window's mail.
-            barrier.wait_min(u64::MAX);
-            self.drain_inbox();
-        }
-        self.stats.events = self.sim.events_processed();
-    }
-
-    /// Move this window's inbound cross-partition messages into the local
-    /// kernel, in the mailbox's deterministic merge order.
-    fn drain_inbox(&mut self) {
-        let Some(p) = self.part.as_mut() else { return };
-        let me = p.me;
-        let mailbox = Arc::clone(&p.mailbox);
-        let mut inbox = std::mem::take(&mut p.inbox);
-        mailbox.drain(me, &mut inbox);
-        for cev in inbox.drain(..) {
-            // Lookahead guarantee: every arrival is at or beyond the next
-            // window's horizon, so scheduling never clamps to `now`.
-            debug_assert!(cev.at >= self.sim.now(), "conservative lookahead violated");
-            let NetEnvelope { from, to, payload } = cev.msg;
-            match to {
-                Endpoint::Server(s) => self.sim.schedule_at(
-                    cev.at,
-                    0,
-                    Ev::ServerArrive {
-                        server: s.0,
-                        from,
-                        payload,
-                    },
-                ),
-                Endpoint::Proc(pid) => self.sim.schedule_at(
-                    cev.at,
-                    0,
-                    Ev::ProcDeliver {
-                        proc: pid.client.0,
-                        from,
-                        payload,
-                    },
-                ),
-            }
-        }
-        self.part.as_mut().expect("partitioned").inbox = inbox;
-    }
-
-    /// Partitioned counterpart of [`DesCluster::drain`]: rounds are
-    /// collective (a partition with nothing to flush still attends every
-    /// barrier), and each round's cross-partition quiesce traffic is
-    /// exchanged before the windowed loop runs it.
-    fn drain_partitioned(&mut self) {
-        let barrier = Arc::clone(&self.part.as_ref().expect("partitioned").barrier);
-        for _ in 0..16 {
-            let dirty = !self.local_quiesced();
-            let (g, abort) = barrier.wait_min(if dirty { 0 } else { u64::MAX });
-            if abort || g == u64::MAX {
-                break;
-            }
-            self.quiesce_round();
-            // All quiesce-generated mail must be posted (and drained)
-            // before any partition votes its next-event time.
-            let (_, abort) = barrier.wait_min(u64::MAX);
-            self.drain_inbox();
-            if abort {
-                break;
-            }
-            self.event_loop_windowed();
-        }
-    }
-
-    /// Drive one partition of a partitioned run to completion. Called on
-    /// a worker thread by `crate::par`; every barrier phase here lines up
-    /// with the same phase on every sibling partition.
-    pub(crate) fn run_partition(&mut self) {
-        assert!(self.part.is_some(), "run_partition needs a PartCtx");
-        self.boot();
-        self.event_loop_windowed();
-        self.drain_partitioned();
-        self.stats.drained = self.sim.now();
-        self.finalize();
-    }
-
-    /// Local client ops still in flight (coordinator-side stuck-op math).
-    pub(crate) fn local_in_flight(&self) -> u64 {
+    /// Client ops issued and not yet answered.
+    fn in_flight(&self) -> u64 {
         self.procs.iter().map(|p| p.current.is_some() as u64).sum()
     }
 
-    /// The partition's final stats, read by the coordinator merge.
-    pub(crate) fn stats_ref(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// Stores of the servers this partition owns, in global server order.
-    pub(crate) fn local_stores(&self) -> impl Iterator<Item = &cx_mdstore::MetaStore> {
-        self.local_servers().map(|i| self.servers[i].store())
-    }
-
-    /// Hand the per-op issue/ack logs to the coordinator (chaos oracle).
-    pub(crate) fn take_op_logs(&mut self) -> (Vec<AckRecord>, Vec<(OpId, FsOp)>) {
-        (
-            std::mem::take(&mut self.acks),
-            std::mem::take(&mut self.issued),
-        )
-    }
-
     fn sample_timeline(&mut self, now: SimTime) {
-        let range = self.local_servers();
         let (mut sum, mut max) = (0u64, 0u64);
-        for i in range.clone() {
-            let v = self.servers[i].valid_log_bytes();
+        for s in &self.servers {
+            let v = s.valid_log_bytes();
             sum += v;
             max = max.max(v);
         }
         self.stats.peak_valid_bytes = self.stats.peak_valid_bytes.max(max);
         self.stats.timeline.push(TimelineSample {
             at_secs: now.as_secs_f64(),
-            mean_bytes: sum / range.len().max(1) as u64,
+            mean_bytes: sum / self.servers.len().max(1) as u64,
             max_bytes: max,
         });
         if self.obs.enabled() {
-            for i in range {
-                let s = &self.servers[i];
+            for (i, s) in self.servers.iter().enumerate() {
                 let sid = i as u32;
                 self.obs
                     .gauge(now, sid, GaugeKind::ValidLogBytes, s.valid_log_bytes());
@@ -939,8 +686,7 @@ impl DesCluster {
         let now = self.sim.now();
         if let Some(plan) = self.legacy_plan {
             let idx = plan.server.0 as usize;
-            if self.is_local_server(plan.server.0)
-                && matches!(self.phases[idx], SrvPhase::Up)
+            if matches!(self.phases[idx], SrvPhase::Up)
                 && self.servers[idx].valid_log_bytes() >= plan.valid_bytes_target
             {
                 self.legacy_plan = None;
@@ -958,7 +704,7 @@ impl DesCluster {
         if self.in_fault == 0 {
             return;
         }
-        for idx in self.local_servers() {
+        for idx in 0..self.servers.len() {
             let SrvPhase::Recovering {
                 crashed_at,
                 valid_bytes,
@@ -995,11 +741,6 @@ impl DesCluster {
     /// but a shrunk plan may still carry a stale crash).
     fn crash_server(&mut self, now: SimTime, cmd: CrashCmd) {
         let idx = cmd.server.0 as usize;
-        // A shared (partitioned) injector hands the same CrashCmd to every
-        // partition; only the server's owner executes it.
-        if !self.is_local_server(cmd.server.0) {
-            return;
-        }
         if !matches!(self.phases[idx], SrvPhase::Up) || !self.servers[idx].supports_crash() {
             return;
         }
@@ -1042,11 +783,10 @@ impl DesCluster {
     /// Feed one protocol event to the injector; a requested crash is
     /// parked until the current event finishes dispatching.
     fn emit_fault(&mut self, now: SimTime, ev: FaultEvent) {
-        let Some(inj) = self.injector.as_ref() else {
+        let Some(inj) = self.injector.as_mut() else {
             return;
         };
-        let cmd = inj.lock().expect("injector").on_event(now, &ev);
-        if let Some(cmd) = cmd {
+        if let Some(cmd) = inj.on_event(now, &ev) {
             if self.pending_crash.is_none() {
                 self.pending_crash = Some(cmd);
             }
@@ -1058,7 +798,7 @@ impl DesCluster {
     /// [`FaultEvent`] per increment. Called after each event while an
     /// injector is installed.
     fn probe_all(&mut self, now: SimTime) {
-        for idx in self.local_servers() {
+        for idx in 0..self.servers.len() {
             let server = ServerId(idx as u32);
             if let Some(w) = self.servers[idx].wal() {
                 let (ap, du) = (w.appended_counts(), w.durable_counts());
@@ -1111,15 +851,9 @@ impl DesCluster {
         self.writebacks_seen[idx] = self.servers[idx].stats().writebacks;
     }
 
-    /// Run the injector's oracle after a recovery completed. Skipped on
-    /// partitioned runs: a partition sees only its local stores and acks,
-    /// so mid-run whole-cluster assertions would be vacuously wrong — the
-    /// coordinator runs one global end-of-run pass instead.
+    /// Run the injector's oracle after a recovery completed.
     fn oracle_check(&mut self, now: SimTime, server: ServerId) {
-        if self.part.is_some() {
-            return;
-        }
-        let Some(inj) = self.injector.clone() else {
+        let Some(inj) = self.injector.as_mut() else {
             return;
         };
         let snap = ClusterSnapshot {
@@ -1127,10 +861,7 @@ impl DesCluster {
             acks: &self.acks,
             issued: &self.issued,
         };
-        let v = inj
-            .lock()
-            .expect("injector")
-            .on_recovery_complete(now, server, snap);
+        let v = inj.on_recovery_complete(now, server, snap);
         self.stats.faults.oracle_checks += 1;
         self.stats.faults.oracle_violations += v;
     }
@@ -1186,7 +917,7 @@ impl DesCluster {
         if self.procs[proc as usize].current.is_some() {
             return;
         }
-        let next = self.feed.lock().expect("op feed").next_for(proc);
+        let next = self.feed.next_for(proc);
         let p = &mut self.procs[proc as usize];
         let Some(op) = next else {
             if !p.done {
@@ -1328,12 +1059,8 @@ impl DesCluster {
             self.cfg.net.one_way_ns + (bytes * 1_000_000_000) / self.cfg.net.bandwidth_bps.max(1);
         let mut extra_ns = 0;
         let mut hold_ns = 0;
-        if let Some(inj) = self.injector.clone() {
-            let fate =
-                inj.lock()
-                    .expect("injector")
-                    .on_send(self.sim.now(), from, to, payload.kind());
-            match fate {
+        if let Some(inj) = self.injector.as_mut() {
+            match inj.on_send(self.sim.now(), from, to, payload.kind()) {
                 MsgFate::Deliver => {}
                 MsgFate::Drop => {
                     self.stats.faults.drops += 1;
@@ -1398,33 +1125,6 @@ impl DesCluster {
         // Past the traced wire arrival, the receiver-side hold (if any)
         // just pushes the handling event later.
         let after_ns = after_ns + hold_ns;
-        // Cross-partition hop: buffer in the mailbox instead of the local
-        // kernel. The destination schedules it — in deterministic
-        // `(at, src, seq)` merge order — at its next window boundary; the
-        // arrival time can never predate that boundary because the window
-        // width is the minimum message latency.
-        if let Some(p) = self.part.as_mut() {
-            let dst = match to {
-                Endpoint::Server(s) => p.pmap.server_part(s.0),
-                Endpoint::Proc(pid) => p.pmap.proc_part(pid.client.0),
-            };
-            if dst != p.me {
-                let at = self.sim.now() + after_ns;
-                let seq = p.out_seq;
-                p.out_seq += 1;
-                p.mailbox.post(
-                    p.me,
-                    dst,
-                    CrossEvent {
-                        at,
-                        src: p.me,
-                        seq,
-                        msg: NetEnvelope { from, to, payload },
-                    },
-                );
-                return;
-            }
-        }
         match to {
             Endpoint::Server(s) => self.sim.schedule(
                 after_ns,
@@ -1476,43 +1176,36 @@ impl DesCluster {
             }
         }
         // Structured hang diagnostics: the recorder's live-op map names the
-        // exact stalled phase for every op still short of its reply. The
-        // obs sink is shared across partitions, so on partitioned runs the
-        // coordinator reads the (global) report once instead of every
-        // partition duplicating it.
-        if self.part.is_none() {
-            self.stats.stuck_ops = self.obs.stuck_report();
-            self.stats.blame = self.obs.blame_table();
-            if let Some(fl) = &self.flight {
-                let now = self.sim.now();
-                for s in &self.stats.stuck_ops {
-                    fl.push(
-                        now.0,
-                        FlightEvent::Stuck {
-                            op: s.op,
-                            phase: s.phase,
-                        },
-                    );
-                }
+        // exact stalled phase for every op still short of its reply.
+        self.stats.stuck_ops = self.obs.stuck_report();
+        self.stats.blame = self.obs.blame_table();
+        if let Some(fl) = &self.flight {
+            let now = self.sim.now();
+            for s in &self.stats.stuck_ops {
+                fl.push(
+                    now.0,
+                    FlightEvent::Stuck {
+                        op: s.op,
+                        phase: s.phase,
+                    },
+                );
             }
         }
-        for i in self.local_servers() {
-            let s = &self.servers[i];
+        for (i, s) in self.servers.iter().enumerate() {
             if !s.is_quiesced() {
                 self.stats
                     .leftovers
                     .push(format!("server {i}: {}", s.debug_summary()));
             }
         }
-        for i in self.local_servers() {
-            let s = &self.servers[i];
+        for s in &self.servers {
             self.stats.server_stats.merge(s.stats());
             self.stats.proto.merge(&s.proto_metrics());
             self.stats.final_inodes += s.store().inode_count() as u64;
             self.stats.final_dentries += s.store().dentry_count() as u64;
         }
-        for i in self.local_servers() {
-            self.stats.disk.merge(self.disks[i].stats());
+        for d in &self.disks {
+            self.stats.disk.merge(d.stats());
         }
     }
 

@@ -84,11 +84,7 @@ pub struct ClusterSnapshot<'a> {
 
 /// The DES-side fault hook. All methods default to "no fault" so a unit
 /// implementation behaves exactly like an uninstrumented run.
-///
-/// `Send` because partitioned runs (`crate::par`) share one injector
-/// across the partition worker threads behind a mutex — the injector is
-/// the single global fault authority either way.
-pub trait FaultInjector: Send {
+pub trait FaultInjector {
     /// Called once per message send, before the network model.
     fn on_send(
         &mut self,

@@ -5,8 +5,8 @@
 //! two: each pull from the stream is routed to its process's buffer, and
 //! a process asking for its next op drains the stream just far enough.
 //! Per-process subsequences — the only order the replay observes — are
-//! exactly those of the materialized trace, so simulator behavior (and
-//! the run digest) is byte-identical between the two intake paths.
+//! exactly those of the materialized trace (a vec-backed stream goes
+//! through the same feed), so there is one intake.
 
 use cx_types::FsOp;
 use cx_workloads::OpStream;
@@ -24,8 +24,8 @@ pub struct OpFeed {
 impl OpFeed {
     /// Wrap a stream and pre-pull until every process has at least one
     /// buffered op (or the stream ends): afterwards, a process with an
-    /// empty buffer provably has no ops in the whole trace, which is
-    /// exactly the materialized path's boot-time `done` condition.
+    /// empty buffer provably has no ops in the whole trace and starts
+    /// out `done`.
     pub fn new(source: Box<dyn OpStream + Send>, processes: u32, total_hint: u64) -> Self {
         let mut feed = Self {
             source,

@@ -18,7 +18,6 @@
 pub mod des;
 pub mod fault;
 pub mod feed;
-pub mod par;
 pub mod stats;
 pub mod tcp;
 pub mod threaded;
@@ -28,9 +27,6 @@ pub use cx_obs::{FlightRecorder, MetricRegistry, ObsConfig, ObsReport, ObsSink};
 pub use des::{run_stream_trace, run_trace, ChaosOutcome, CrashPlan, DesCluster, RecoveryReport};
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate, NoFaults};
 pub use feed::OpFeed;
-pub use par::{
-    run_chaos_partitioned, run_stream_partitioned, run_stream_partitioned_obs, PartitionMap,
-};
 pub use stats::{AckRecord, FaultStats, LatencyStat, RecoveryCycle, RunStats, TimelineSample};
 pub use tcp::{serve_one, serve_one_opts, ServeOptions, TcpCluster, TcpOptions, TcpRunResult};
 pub use threaded::{LiveMetrics, ThreadedCluster, ThreadedRunResult};

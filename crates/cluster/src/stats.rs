@@ -75,21 +75,6 @@ pub struct FaultStats {
     pub oracle_violations: u64,
 }
 
-impl FaultStats {
-    /// Fold another partition's counters in (all plain sums).
-    pub fn merge(&mut self, o: &FaultStats) {
-        self.drops += o.drops;
-        self.delays += o.delays;
-        self.dups += o.dups;
-        self.dead_drops += o.dead_drops;
-        self.crashes += o.crashes;
-        self.torn_crashes += o.torn_crashes;
-        self.recoveries += o.recoveries;
-        self.oracle_checks += o.oracle_checks;
-        self.oracle_violations += o.oracle_violations;
-    }
-}
-
 /// Simple accumulator for latencies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStat {
@@ -103,15 +88,6 @@ impl LatencyStat {
         self.count += 1;
         self.sum_ns += ns;
         self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Fold another accumulator in (partition merge). Count and sum are
-    /// order-independent, so the merged stat equals one accumulator that
-    /// saw every sample.
-    pub fn merge(&mut self, other: &LatencyStat) {
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 
     pub fn mean_ns(&self) -> f64 {
@@ -245,54 +221,6 @@ impl RunStats {
             recovery_cycles: Vec::new(),
             proto: ProtoMetrics::default(),
             blame: None,
-        }
-    }
-
-    /// Fold one partition's stats into this (coordinator-side merge for
-    /// partitioned runs, `crate::par`). Counters add, times take the max
-    /// (replay/drain are "last to finish" metrics), per-server aggregates
-    /// merge through their own order-independent `merge` impls, and the
-    /// timeline is re-sorted by virtual time so the merged series reads
-    /// like one run's. `ops_stuck` adds only in-flight ops here; the
-    /// coordinator accounts the shared feed's remainder once, globally.
-    pub fn absorb_partition(&mut self, p: &RunStats) {
-        self.ops_total += p.ops_total;
-        self.ops_applied += p.ops_applied;
-        self.ops_failed += p.ops_failed;
-        self.ops_stuck += p.ops_stuck;
-        self.replay = self.replay.max(p.replay);
-        self.drained = self.drained.max(p.drained);
-        for (kind, n) in &p.msgs {
-            *self.msgs.entry(*kind).or_insert(0) += n;
-        }
-        self.server_msgs += p.server_msgs;
-        self.client_msgs += p.client_msgs;
-        self.disk.merge(&p.disk);
-        self.server_stats.merge(&p.server_stats);
-        self.latency.merge(&p.latency);
-        self.cross_latency.merge(&p.cross_latency);
-        self.latency_hist.merge(&p.latency_hist);
-        self.cross_latency_hist.merge(&p.cross_latency_hist);
-        self.cross_ops += p.cross_ops;
-        self.timeline.extend_from_slice(&p.timeline);
-        self.timeline
-            .sort_by(|a, b| a.at_secs.total_cmp(&b.at_secs));
-        self.peak_valid_bytes = self.peak_valid_bytes.max(p.peak_valid_bytes);
-        self.events += p.events;
-        self.leftovers.extend_from_slice(&p.leftovers);
-        self.stuck_ops.extend_from_slice(&p.stuck_ops);
-        self.final_inodes += p.final_inodes;
-        self.final_dentries += p.final_dentries;
-        self.faults.merge(&p.faults);
-        self.recovery_cycles.extend_from_slice(&p.recovery_cycles);
-        self.recovery_cycles
-            .sort_by_key(|c| (c.recovery_finished, c.server));
-        self.proto.merge(&p.proto);
-        if let Some(b) = &p.blame {
-            match &mut self.blame {
-                Some(mine) => mine.merge(b),
-                None => self.blame = Some(b.clone()),
-            }
         }
     }
 

@@ -103,8 +103,8 @@ pub struct TcpOptions {
     /// Observability sink installed into every in-process engine and
     /// client (external server processes run with their own sinks off).
     pub obs: ObsSink,
-    /// Wire-plane tuning (backoff plus the [`cx_types::NetTuning`]
-    /// coalescing/corking/queue knobs).
+    /// Wire-plane tuning (backoff plus the [`cx_types::NetTuning`] queue
+    /// and read-buffer knobs).
     pub net: PlaneConfig,
     /// Live metric exposition, exactly as in the threaded runtime.
     pub live: Option<LiveMetrics>,

@@ -42,11 +42,10 @@
 use serde::Serialize;
 
 pub use cx_cluster::{
-    des::run_trace, run_chaos_partitioned, run_stream_partitioned, run_stream_partitioned_obs,
-    run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd, CrashPlan, DesCluster,
-    FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics, MsgFate, PartitionMap,
-    RecoveryCycle, RecoveryReport, RunStats, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster,
-    TimelineSample, WireTotals,
+    des::run_trace, run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd,
+    CrashPlan, DesCluster, FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics,
+    MsgFate, RecoveryCycle, RecoveryReport, RunStats, TcpCluster, TcpOptions, TcpRunResult,
+    ThreadedCluster, TimelineSample, WireTotals,
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{
@@ -259,8 +258,7 @@ impl Experiment {
 
     /// Run on the deterministic simulator. The workload streams into the
     /// replay (ops generated as clients issue them), which keeps peak
-    /// memory flat even at `--full` scale; results are digest-identical
-    /// to replaying the materialized trace.
+    /// memory flat even at `--full` scale.
     pub fn run(&self) -> ExperimentResult {
         let st = self.workload.stream(&self.cfg);
         let (stats, violations) = run_stream_trace(self.cfg.clone(), st);
@@ -275,18 +273,6 @@ impl Experiment {
         let st = self.workload.stream(&self.cfg);
         let cluster = DesCluster::new_stream(self.cfg.clone(), st).with_obs(sink);
         let (stats, violations) = cluster.run();
-        ExperimentResult { stats, violations }
-    }
-
-    /// Run on the partitioned (parallel) simulator: the cluster is split
-    /// across `parts` worker threads synchronized by conservative
-    /// lookahead windows (see `cx_cluster::par`). `parts <= 1` is the
-    /// plain single-threaded simulator, digest-identical to
-    /// [`Experiment::run`]; `parts > 1` preserves all run totals and is
-    /// deterministic for a fixed `(seed, parts)`.
-    pub fn run_partitioned(&self, parts: u32) -> ExperimentResult {
-        let st = self.workload.stream(&self.cfg);
-        let (stats, violations) = run_stream_partitioned(self.cfg.clone(), st, parts);
         ExperimentResult { stats, violations }
     }
 

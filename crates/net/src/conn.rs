@@ -20,12 +20,10 @@
 //! the current holder keeps absorbing frames that arrive mid-write
 //! (backlog combining: the busier the wire, the larger the batches), while
 //! an idle peer's lone frame is flushed by its own sender immediately, at
-//! no handoff or wakeup cost. `cork_bytes` caps the encoded bytes per
-//! write ([`cx_types::NetTuning`]). A per-peer writer *daemon* thread
-//! backstops the inline path: it owns reconnect backoff, drains frames a
-//! stalled connection left behind, and — when it is the flusher for a
-//! growing backlog — may hold the cork for up to `cork_deadline_ns` to
-//! gather stragglers. A connection is only ever closed at a **flush**
+//! no handoff or wakeup cost. [`MAX_WRITE_BYTES`] caps the encoded bytes
+//! per write. A per-peer writer *daemon* thread backstops the inline
+//! path: it owns reconnect backoff and drains frames a stalled
+//! connection left behind. A connection is only ever closed at a **flush**
 //! boundary — which is always a frame boundary — and the frames of a
 //! coalesced-but-unflushed batch are retained (their encoding intact) for
 //! the next connection generation, so reconnects stay lossless and
@@ -61,6 +59,10 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLoc
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Encoded bytes gathered into one `write_all`; a flush session with more
+/// queued than this writes in several rounds.
+const MAX_WRITE_BYTES: usize = 64 << 10;
+
 /// Lock a `std` mutex parking_lot-style: a panicked holder releases.
 fn plock<T>(m: &StdMutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -73,8 +75,8 @@ pub struct PlaneConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Coalescing/corking/queue knobs (shared vocabulary with the rest of
-    /// the workspace via `cx-types`).
+    /// Queue and read-buffer knobs (shared vocabulary with the rest of the
+    /// workspace via `cx-types`).
     pub tuning: NetTuning,
     /// Keep a per-flush [`FlushSpan`] log for the Perfetto trace (bounded;
     /// see [`FLUSH_SPAN_CAP`]). The telemetry histograms are always on —
@@ -126,11 +128,6 @@ impl AddrBook {
 struct PeerQueue {
     q: VecDeque<Frame>,
     shutdown: bool,
-    /// When a flush session corks (defers its write), the instant the cork
-    /// pops. Written under the queue lock before the daemon is notified,
-    /// so the wakeup cannot be lost; the daemon `take`s it and performs
-    /// the timed flush.
-    cork_until: Option<Instant>,
 }
 
 /// Connection + unflushed-batch state for one peer — the flush lock.
@@ -155,10 +152,6 @@ struct FlushState {
     /// Inline flushers skip dialing before this instant; the daemon owns
     /// the exponential part of the backoff.
     next_dial_at: Option<Instant>,
-    /// When the last successful flush completed — the cork clock: a batch
-    /// arriving within `cork_deadline_ns` of it is part of a busy stream
-    /// and may be held for company.
-    last_flush_at: Option<Instant>,
 }
 
 /// Everything the inline flush path and the writer daemon share.
@@ -193,11 +186,6 @@ enum SessionEnd {
     /// Work remains but the connection is down (or the inline round cap
     /// was hit) — the writer daemon must take over.
     Stalled,
-    /// The gathered batch was deliberately held back (adaptive cork): the
-    /// previous flush was less than `cork_deadline_ns` ago and the batch
-    /// is still under `cork_bytes`. `PeerQueue::cork_until` was set and
-    /// the daemon notified; it flushes when the cork pops.
-    Corked,
 }
 
 /// Aggregate send-side wire counters across every peer of one manager —
@@ -719,7 +707,6 @@ impl ConnectionManager {
     }
 
     fn spawn_writer(&self, to: NodeId) -> Peer {
-        let cork_bytes = self.cfg.tuning.cork_bytes.max(1);
         let shared = Arc::new(PeerShared {
             me: self.me,
             to,
@@ -729,7 +716,6 @@ impl ConnectionManager {
             queue: StdMutex::new(PeerQueue {
                 q: VecDeque::new(),
                 shutdown: false,
-                cork_until: None,
             }),
             room: Condvar::new(),
             daemon: Condvar::new(),
@@ -737,10 +723,9 @@ impl ConnectionManager {
                 conn: None,
                 ever_connected: false,
                 batch: VecDeque::new(),
-                scratch: Vec::with_capacity(cork_bytes.clamp(256, 1 << 20)),
+                scratch: Vec::with_capacity(MAX_WRITE_BYTES),
                 hello_scratch: Vec::with_capacity(64),
                 next_dial_at: None,
-                last_flush_at: None,
             }),
             kill: AtomicBool::new(false),
             health: Arc::new(PeerHealth::new()),
@@ -908,19 +893,16 @@ fn flush_session(
     max_rounds: u32,
     pace_dials: bool,
 ) -> SessionEnd {
-    let cork_bytes = shared.cfg.tuning.cork_bytes.max(1);
-    let cork_deadline = Duration::from_nanos(shared.cfg.tuning.cork_deadline_ns);
     let mut rounds = 0u32;
     loop {
         // Gather: move queued frames into the held batch, encoding each
-        // into the scratch buffer back-to-back, up to the cork threshold.
-        let shutting;
+        // into the scratch buffer back-to-back, up to the write cap.
         let gathered_depth: u64;
         {
             let mut q = plock(&shared.queue);
             gathered_depth = q.q.len() as u64;
             let mut took = false;
-            while st.scratch.len() < cork_bytes {
+            while st.scratch.len() < MAX_WRITE_BYTES {
                 let Some(f) = q.q.pop_front() else { break };
                 encode_frame(&f, &mut st.scratch);
                 st.batch.push_back(f);
@@ -937,27 +919,11 @@ fn flush_session(
                 drop(st);
                 return SessionEnd::Done;
             }
-            shutting = q.shutdown;
         }
         // Sample the pre-gather backlog (outside the queue lock; zero
         // depths are the terminating empty checks, not signal).
         if gathered_depth > 0 {
             shared.telem.note_queue_depth(gathered_depth);
-        }
-        // Adaptive cork: inside a busy stream (last flush under the
-        // deadline ago), a sub-threshold batch is held for company and the
-        // daemon flushes it when the cork pops. A first frame after idle
-        // — or a full batch, or any batch during shutdown — goes out now.
-        if !cork_deadline.is_zero() && !shutting && !shared.shutdown.load(Ordering::Relaxed) {
-            if let Some(last) = st.last_flush_at {
-                let until = last + cork_deadline;
-                if st.scratch.len() < cork_bytes && Instant::now() < until {
-                    let mut q = plock(&shared.queue);
-                    q.cork_until = Some(until);
-                    shared.daemon.notify_all();
-                    return SessionEnd::Corked;
-                }
-            }
         }
         rounds += 1;
         if rounds > max_rounds {
@@ -993,7 +959,6 @@ fn flush_session(
             conn,
             scratch,
             batch,
-            last_flush_at,
             ..
         } = &mut *st;
         let stream = conn.as_mut().expect("connection established above");
@@ -1009,7 +974,6 @@ fn flush_session(
                     .note_flush(shared.me, shared.to, t0, dur, frames, bytes);
                 batch.clear();
                 scratch.clear();
-                *last_flush_at = Some(Instant::now());
             }
             Err(_) => {
                 // Batch and scratch stay intact: the next generation
@@ -1053,13 +1017,13 @@ fn dial(shared: &PeerShared, st: &mut FlushState) -> io::Result<()> {
 /// The per-peer backstop thread. Inline senders do the fast-path flushing;
 /// the daemon handles everything that must not block a protocol thread:
 /// exponential reconnect backoff, frames a stalled session left behind,
-/// the timed flush of a corked batch, and the final drain at shutdown.
+/// and the final drain at shutdown.
 fn writer_daemon(shared: Arc<PeerShared>) {
     let mut backoff = shared.cfg.backoff_base;
     loop {
-        let cork_at = {
+        {
             let mut q = plock(&shared.queue);
-            while q.q.is_empty() && !q.shutdown && q.cork_until.is_none() {
+            while q.q.is_empty() && !q.shutdown {
                 let (guard, timeout) = shared
                     .daemon
                     .wait_timeout(q, Duration::from_millis(20))
@@ -1071,17 +1035,6 @@ fn writer_daemon(shared: Arc<PeerShared>) {
                     break;
                 }
             }
-            q.cork_until.take()
-        };
-        if let Some(at) = cork_at {
-            // A corked batch is pending: wait out the deadline, then the
-            // session below re-evaluates the (now expired) cork and
-            // flushes. The flush lock is free while we sleep, so frames
-            // keep accumulating into the batch — that is the point.
-            let now = Instant::now();
-            if at > now && !shared.shutdown.load(Ordering::Relaxed) {
-                thread::sleep(at - now);
-            }
         }
         let st = plock(&shared.flush);
         let end = flush_session(&shared, st, u32::MAX, false);
@@ -1092,10 +1045,6 @@ fn writer_daemon(shared: Arc<PeerShared>) {
                 if shut {
                     return;
                 }
-            }
-            SessionEnd::Corked => {
-                // Re-corked (a fresh flush happened between the cork and
-                // our wake): loop around and honor the new deadline.
             }
             SessionEnd::Stalled => {
                 if shut && shared.health.consecutive() > 0 {
@@ -1443,18 +1392,14 @@ mod tests {
 
     #[test]
     fn kill_mid_corked_batch_stays_lossless_and_fifo() {
-        // Aggressive corking (large threshold, long deadline) so frames
-        // pile up coalesced-but-unflushed, with connection kills landing
-        // mid-stream: every frame must still arrive exactly once, in
-        // order, across generations.
+        // Each burst goes out under a held cork scope, so its frames pile
+        // up queued and are encoded as one batch when the guard drops; a
+        // kill issued mid-burst closes the connection between that
+        // encoding and its write. Every frame must still arrive exactly
+        // once, in order, across generations.
         let book = Arc::new(AddrBook::new());
         let cfg = PlaneConfig {
             backoff_base: Duration::from_millis(1),
-            tuning: NetTuning {
-                cork_bytes: 1 << 20,
-                cork_deadline_ns: 2_000_000, // 2 ms: kills land mid-cork
-                ..NetTuning::default()
-            },
             ..PlaneConfig::default()
         };
         let (a, _rx_a) =
@@ -1463,11 +1408,15 @@ mod tests {
             ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), cfg).unwrap();
         book.set(NodeId::Server(1), b.listen_addr());
 
-        const N: u64 = 2_000;
-        for t in 0..N {
-            a.send(NodeId::Server(1), probe(t)).unwrap();
-            if t % 256 == 128 {
-                a.drop_connection(NodeId::Server(1));
+        const BURST: u64 = 125;
+        const N: u64 = 16 * BURST;
+        for burst in 0..N / BURST {
+            let _cork = a.cork_scope();
+            for t in burst * BURST..(burst + 1) * BURST {
+                a.send(NodeId::Server(1), probe(t)).unwrap();
+                if burst % 2 == 1 && t % BURST == BURST / 2 {
+                    assert!(a.drop_connection(NodeId::Server(1)));
+                }
             }
         }
         for (t, (_, f)) in recv_n(&rx_b, N as usize).into_iter().enumerate() {
@@ -1477,6 +1426,14 @@ mod tests {
                 "lossless FIFO across kills under corking"
             );
         }
+        assert!(a.reconnects_total() >= 1, "kills must force a re-dial");
+        let w = a.wire_totals();
+        assert!(
+            w.flushes < w.frames,
+            "corked bursts must coalesce: {} flushes for {} frames",
+            w.flushes,
+            w.frames
+        );
         a.shutdown();
         b.shutdown();
     }

@@ -11,8 +11,8 @@
 //! * [`conn`] — a [`conn::ConnectionManager`] per node: one listener, one
 //!   writer thread + bounded outbound queue per peer (backpressure by
 //!   blocking the sender). Writers coalesce their whole queue into a
-//!   single `write_all` per wakeup with adaptive corking
-//!   ([`cx_types::NetTuning`]); readers forward `Vec<Frame>` batches drawn
+//!   single `write_all` per wakeup, and senders holding a burst cork it
+//!   for the burst's scope; readers forward `Vec<Frame>` batches drawn
 //!   from a recycled pool. Reconnect with exponential backoff stays
 //!   lossless and per-peer FIFO across connection generations.
 //! * [`health`] — per-peer [`health::PeerHealth`] scoring: consecutive

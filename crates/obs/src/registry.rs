@@ -309,25 +309,6 @@ impl MetricRegistry {
         self.inner.hists.lock().expect("registry hists")[s.index()].merge(h);
     }
 
-    /// Fold another registry into this one: counters add, gauges take
-    /// the maximum (both are run totals / high-water marks here), and
-    /// histogram series merge bucket-exactly. This is the partition merge
-    /// for parallel DES runs — each partition publishes its own registry
-    /// and the coordinator folds them into the one it exposes.
-    pub fn merge_from(&self, other: &MetricRegistry) {
-        for c in Counter::ALL {
-            self.add(c, other.get(c));
-        }
-        for g in Gauge::ALL {
-            self.gauge_max(g, other.gauge(g));
-        }
-        let theirs = other.inner.hists.lock().expect("registry hists").clone();
-        let mut ours = self.inner.hists.lock().expect("registry hists");
-        for (h, o) in ours.iter_mut().zip(&theirs) {
-            h.merge(o);
-        }
-    }
-
     /// A consistent point-in-time copy of every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let hists = self.inner.hists.lock().expect("registry hists").clone();
@@ -595,28 +576,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_from_folds_counters_gauges_and_hists() {
-        let a = MetricRegistry::new();
-        let b = MetricRegistry::new();
-        a.add(Counter::OpsIssued, 3);
-        b.add(Counter::OpsIssued, 4);
-        a.gauge_max(Gauge::OpsInFlight, 10);
-        b.gauge_max(Gauge::OpsInFlight, 7);
-        a.observe(Series::ClientLatencyNs, 1_000);
-        b.observe(Series::ClientLatencyNs, 2_000);
-        a.merge_from(&b);
-        assert_eq!(a.get(Counter::OpsIssued), 7);
-        assert_eq!(a.gauge(Gauge::OpsInFlight), 10);
-        let snap = a.snapshot();
-        assert_eq!(
-            snap.series[Series::ClientLatencyNs.index()].summary.count,
-            2
-        );
-        // b is untouched.
-        assert_eq!(b.get(Counter::OpsIssued), 4);
-    }
 
     #[test]
     fn concurrent_increments_merge_exactly() {

@@ -116,6 +116,13 @@ impl CxServer {
     /// Commit-Records are logged together; the write-back rides the next
     /// batch.
     fn execute_local(&mut self, now: SimTime, req: QueuedReq, out: &mut Vec<Action>) {
+        // Reserve log space before touching the store: a request parked on
+        // a full log is re-executed after pruning and must find the store
+        // as it was.
+        if !self.log_has_room(&req) {
+            self.on_log_full(now, req, out);
+            return;
+        }
         let mut verdict = Verdict::Yes;
         let mut undos = Vec::new();
         for subop in std::iter::once(&req.subop).chain(req.colocated.iter()) {
@@ -151,36 +158,23 @@ impl CxServer {
                 Record::Abort { op_id: req.op_id }
             },
         ];
-        match self.append_records(recs) {
-            Ok((seq, bytes)) => {
-                let cont = IoCont::LocalDurable {
-                    op_id: req.op_id,
-                    proc: req.op_id.proc,
-                    verdict,
-                    hint: Hint(req.hint_ops),
-                    seq,
-                };
-                self.flush_records(seq, bytes, cont, out);
-                self.note_local_pending(now, req.op_id, out);
-            }
-            Err(CxError::LogFull { .. }) => self.on_log_full(now, req, out),
-            Err(_) => unreachable!("append only fails with LogFull"),
-        }
+        let (seq, bytes) = self.append_records(recs).expect("room checked above");
+        let cont = IoCont::LocalDurable {
+            op_id: req.op_id,
+            proc: req.op_id.proc,
+            verdict,
+            hint: Hint(req.hint_ops),
+            seq,
+        };
+        self.flush_records(seq, bytes, cont, out);
+        self.note_local_pending(now, req.op_id, out);
     }
 
     /// One half of a cross-server operation.
     fn execute_cross_server(&mut self, now: SimTime, req: QueuedReq, out: &mut Vec<Action>) {
         // Reserve log space before touching the store so a full log leaves
         // no side effects.
-        let probe = Record::Result {
-            op_id: req.op_id,
-            role: req.role,
-            peer: req.peer,
-            subop: req.subop,
-            verdict: Verdict::Yes,
-            invalidated: false,
-        };
-        if !self.wal.has_room(probe.encoded_len()) {
+        if !self.log_has_room(&req) {
             self.on_log_full(now, req, out);
             return;
         }
@@ -240,6 +234,20 @@ impl CxServer {
         );
     }
 
+    /// Whether the log can take `req`'s Result-Record — the only record
+    /// kind the size limit applies to.
+    fn log_has_room(&self, req: &QueuedReq) -> bool {
+        let probe = Record::Result {
+            op_id: req.op_id,
+            role: req.role,
+            peer: req.peer,
+            subop: req.subop,
+            verdict: Verdict::Yes,
+            invalidated: false,
+        };
+        self.wal.has_room(probe.encoded_len())
+    }
+
     fn apply_with_injection(&mut self, subop: &SubOp) -> Result<cx_mdstore::Undo, CxError> {
         if self.fail_prob > 0.0 && subop.is_write() && self.rng.gen::<f64>() < self.fail_prob {
             return Err(CxError::Injected);
@@ -286,15 +294,7 @@ impl CxServer {
     /// Retry requests parked on log space.
     pub(crate) fn drain_log_wait(&mut self, now: SimTime, out: &mut Vec<Action>) {
         while let Some(front) = self.log_wait.front() {
-            let probe = Record::Result {
-                op_id: front.op_id,
-                role: front.role,
-                peer: front.peer,
-                subop: front.subop,
-                verdict: Verdict::Yes,
-                invalidated: false,
-            };
-            if !self.wal.has_room(probe.encoded_len()) {
+            if !self.log_has_room(front) {
                 break;
             }
             let req = self.log_wait.pop_front().expect("non-empty");

@@ -342,3 +342,76 @@ fn recovery_redrives_a_voting_batch() {
     let votes = kit.msg_counts.get(&MsgKind::Vote).copied().unwrap_or(0);
     assert!(votes >= 2, "the VOTE was re-sent ({votes})");
 }
+
+/// A local mutation that finds the log full must park with nothing
+/// applied: it is re-executed after pruning, and a store that already
+/// held its effects would answer that re-execution `EntryExists` — the
+/// client told a create failed that took effect, and counted twice.
+#[test]
+fn local_mutation_parked_on_full_log_applies_exactly_once() {
+    // Four cross-server creates leave Result-Records on both servers and,
+    // with the trigger off, nothing prunes them.
+    let fill = |kit: &mut Kit| {
+        seed_namespace(kit, &[]);
+        for k in 0..4u64 {
+            let (name, ino) = cross_server_pair(&kit.placement, 100 + k * 101, 1000 + k * 7);
+            let op = kit.run_op(
+                proc(0),
+                FsOp::Create {
+                    parent: ROOT,
+                    name,
+                    ino,
+                },
+            );
+            assert_eq!(kit.outcome(op), Some(OpOutcome::Applied));
+        }
+    };
+    // Measure the fuller log, then rebuild with the limit exactly there:
+    // after the fill that server has no room for one more Result-Record.
+    let mut probe = kit_never(2, Protocol::Cx);
+    fill(&mut probe);
+    let (idx, full) = (0..2)
+        .map(|i| (i, probe.servers[i].valid_log_bytes()))
+        .max_by_key(|&(_, bytes)| bytes)
+        .unwrap();
+    let mut cfg = ClusterConfig::new(2, Protocol::Cx);
+    cfg.cx.trigger = BatchTrigger::Never;
+    cfg.cx.log_limit_bytes = Some(full);
+    let mut kit = Kit::new(cfg);
+    fill(&mut kit);
+    assert_eq!(kit.servers[idx].stats().log_full_blocks, 0);
+
+    // A create whose dentry and inode both live on the full server. Hold
+    // the forced commitment's traffic so the parked state is observable.
+    let server = cx_types::ServerId(idx as u32);
+    let name = name_on(&kit.placement, server, 5_000);
+    let ino = inode_on(&kit.placement, server, 6_000);
+    kit.hold_if(|env: &Envelope| {
+        matches!(env.from, Endpoint::Server(_)) && matches!(env.to, Endpoint::Server(_))
+    });
+    let op = kit.run_op(
+        proc(1),
+        FsOp::Create {
+            parent: ROOT,
+            name,
+            ino,
+        },
+    );
+    let s = &kit.servers[idx];
+    assert_eq!(s.stats().log_full_blocks, 1, "the create must park");
+    assert_eq!(kit.outcome(op), None);
+    assert_eq!(s.store().lookup(ROOT, name), None, "parked with effects");
+    assert!(s.store().inode(ino).is_none(), "parked with effects");
+    assert_eq!(s.stats().local_mutations, 0);
+
+    // Commit + prune frees the log; the parked create runs, once.
+    kit.stop_holding();
+    kit.release_held();
+    kit.run();
+    assert_eq!(kit.outcome(op), Some(OpOutcome::Applied));
+    let s = &kit.servers[idx];
+    assert_eq!(s.store().lookup(ROOT, name), Some(ino));
+    assert_eq!(s.stats().local_mutations, 1);
+    kit.quiesce();
+    assert_eq!(kit.check_consistency(&roots()), vec![]);
+}

@@ -16,11 +16,8 @@
 //!
 //! Pop order is identical to a single global heap ordered by `(at, seq)`
 //! — `seq` is the schedule order, so ties break FIFO and the simulation
-//! is bit-deterministic.
-//!
-//! Set `CX_SIM_QUEUE=heap` to fall back to the plain binary heap (the
-//! pre-wheel implementation). Both backends must produce identical runs;
-//! the determinism suite exercises this.
+//! is bit-deterministic. The unit tests hold the wheel to exactly that
+//! model, step for step.
 
 use cx_types::SimTime;
 use std::cmp::Ordering;
@@ -33,7 +30,6 @@ pub type NodeIdx = u32;
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
-    dst: NodeIdx,
     event: E,
 }
 
@@ -87,7 +83,6 @@ impl<T> TimerQueue<T> {
         self.heap.push(Scheduled {
             at: deadline,
             seq,
-            dst: 0,
             event: item,
         });
     }
@@ -194,10 +189,7 @@ impl<E> Slab<E> {
 }
 
 /// The timing wheel proper. Invariants:
-/// - `active` holds only handles whose bucket is ≤ `cursor` (equal in the
-///   common case; smaller only when a bounded pop — [`Wheel::pop_before`]
-///   advanced the cursor past the limit — is followed by a schedule into
-///   the gap, which the windowed partition loop does via its mailbox);
+/// - `active` holds only handles of the `cursor` bucket;
 /// - ring slot `b & RING_MASK` holds only handles of one bucket
 ///   `b ∈ (cursor, cursor + RING_BUCKETS)` (the cursor never skips a
 ///   non-empty bucket, so a slot is fully drained before its number is
@@ -242,8 +234,6 @@ impl<E> Wheel<E> {
         if b <= self.cursor {
             // Keep the drain order exact: insert behind every handle that
             // pops later (descending, so "greater" keys come first).
-            // Buckets below the cursor must also land here: their ring
-            // slot numbers would alias a future revolution.
             let pos = self.active.partition_point(|x| (x.at, x.seq) > (at, seq));
             self.active.insert(pos, h);
         } else if b < self.cursor + RING_BUCKETS as u64 {
@@ -323,67 +313,6 @@ impl<E> Wheel<E> {
         self.len -= 1;
         Some((h.at, h.dst, self.slab.take(h.idx)))
     }
-
-    /// Pop the next event only if it is strictly before `limit`. O(1) on
-    /// the hot path: at most one bucket refill per call, and the refill
-    /// is the same work `pop` would have done.
-    fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, NodeIdx, E)> {
-        if self.active.is_empty() && !self.advance() {
-            return None;
-        }
-        let h = *self.active.last().expect("advance refilled");
-        if h.at >= limit {
-            return None;
-        }
-        self.active.pop();
-        self.len -= 1;
-        Some((h.at, h.dst, self.slab.take(h.idx)))
-    }
-
-    /// Earliest event time without popping. O(len of the next bucket);
-    /// only used by diagnostics and tests, not the event loop.
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some(h) = self.active.last() {
-            return Some(h.at);
-        }
-        let ring_t = self.next_ring_bucket().and_then(|b| {
-            self.ring[(b & RING_MASK) as usize]
-                .iter()
-                .map(|h| h.at)
-                .min()
-        });
-        let ovf_t = self.overflow.peek().map(|h| h.at);
-        match (ring_t, ovf_t) {
-            (Some(r), Some(o)) => Some(r.min(o)),
-            (r, o) => r.or(o),
-        }
-    }
-}
-
-/// Queue backend: timing wheel by default, plain heap when
-/// `CX_SIM_QUEUE=heap` (determinism cross-check and safety hatch).
-// One instance per `Sim`, so the size gap between variants costs nothing;
-// boxing the wheel would add a pointer hop to every queue operation.
-#[allow(clippy::large_enum_variant)]
-enum Queue<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Scheduled<E>>),
-}
-
-impl<E> Queue<E> {
-    fn new() -> Self {
-        match std::env::var("CX_SIM_QUEUE").as_deref() {
-            Ok("heap") => Queue::Heap(BinaryHeap::new()),
-            _ => Queue::Wheel(Wheel::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(w) => w.len,
-            Queue::Heap(h) => h.len(),
-        }
-    }
 }
 
 /// A deterministic discrete-event simulator.
@@ -399,7 +328,7 @@ impl<E> Queue<E> {
 /// ```
 pub struct Sim<E> {
     now: SimTime,
-    queue: Queue<E>,
+    queue: Wheel<E>,
     seq: u64,
     processed: u64,
 }
@@ -414,7 +343,7 @@ impl<E> Sim<E> {
     pub fn new() -> Self {
         Self {
             now: SimTime::ZERO,
-            queue: Queue::new(),
+            queue: Wheel::new(),
             seq: 0,
             processed: 0,
         }
@@ -438,68 +367,24 @@ impl<E> Sim<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.queue {
-            Queue::Wheel(w) => w.push(at, seq, dst, event),
-            Queue::Heap(h) => h.push(Scheduled {
-                at,
-                seq,
-                dst,
-                event,
-            }),
-        }
+        self.queue.push(at, seq, dst, event);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, NodeIdx, E)> {
-        let (at, dst, event) = match &mut self.queue {
-            Queue::Wheel(w) => w.pop()?,
-            Queue::Heap(h) => {
-                let s = h.pop()?;
-                (s.at, s.dst, s.event)
-            }
-        };
+        let (at, dst, event) = self.queue.pop()?;
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.processed += 1;
         Some((at, dst, event))
-    }
-
-    /// Pop the next event only if its timestamp is strictly before
-    /// `limit`, advancing the clock to it; `None` leaves the queue (and
-    /// the clock) untouched. This is the conservative-window primitive:
-    /// the partitioned runtime drains each partition's kernel up to the
-    /// agreed horizon without paying a `peek_time` per event.
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, NodeIdx, E)> {
-        let (at, dst, event) = match &mut self.queue {
-            Queue::Wheel(w) => w.pop_before(limit)?,
-            Queue::Heap(h) => {
-                if h.peek().is_none_or(|s| s.at >= limit) {
-                    return None;
-                }
-                let s = h.pop().expect("peeked");
-                (s.at, s.dst, s.event)
-            }
-        };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.processed += 1;
-        Some((at, dst, event))
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.queue {
-            Queue::Wheel(w) => w.peek_time(),
-            Queue::Heap(h) => h.peek().map(|s| s.at),
-        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.queue.len() == 0
+        self.queue.len == 0
     }
 
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len
     }
 
     /// Total events processed so far (a cheap progress/complexity metric).
@@ -574,15 +459,6 @@ mod tests {
         assert_eq!(sim.now().0, 40);
     }
 
-    #[test]
-    fn peek_does_not_advance() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.schedule(7, 0, ());
-        assert_eq!(sim.peek_time(), Some(SimTime(7)));
-        assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.pending(), 1);
-    }
-
     /// The wheel horizon is ~67 ms; events far beyond it (failure
     /// detectors, long timeouts) take the overflow path and still pop in
     /// exact order, including FIFO ties against ring events.
@@ -614,39 +490,6 @@ mod tests {
         assert_eq!(order, vec![2, 3]);
     }
 
-    /// A dense random workload pops in exactly the order the reference
-    /// heap implementation would produce: sorted by (at, seq).
-    #[test]
-    fn wheel_matches_reference_order_on_random_load() {
-        let mut sim: Sim<usize> = Sim::new();
-        let mut expect: Vec<(u64, usize)> = Vec::new();
-        // Deterministic LCG: spread delays across bucket widths, bucket
-        // boundaries, the horizon, and far overflow.
-        let mut x: u64 = 0x2545F4914F6CDD1D;
-        let mut step = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for i in 0..500 {
-            let delay = match i % 5 {
-                0 => step() % 1_000,          // same-bucket ties
-                1 => step() % 100_000,        // near ring
-                2 => step() % 10_000_000,     // mid ring
-                3 => step() % 500_000_000,    // mostly past horizon
-                _ => 65_536 * (i as u64 % 7), // exact bucket boundaries
-            };
-            expect.push((delay, i));
-            sim.schedule(delay, 0, i);
-        }
-        // All scheduled at now=0, so (at, seq) order is (delay, index).
-        expect.sort();
-        let got: Vec<usize> = std::iter::from_fn(|| sim.pop().map(|(_, _, e)| e)).collect();
-        let want: Vec<usize> = expect.into_iter().map(|(_, i)| i).collect();
-        assert_eq!(got, want);
-    }
-
     /// Interleaved schedule/pop with re-scheduling from handlers — the
     /// cursor moves while new events land in current, ring, and overflow
     /// buckets.
@@ -675,60 +518,112 @@ mod tests {
         assert_eq!(sim.events_processed(), popped.len() as u64);
     }
 
-    /// `pop_before` is a strict filter on the next event and never
-    /// advances the clock on refusal.
-    #[test]
-    fn pop_before_respects_limit() {
-        let mut sim: Sim<u32> = Sim::new();
-        sim.schedule(10, 0, 1);
-        sim.schedule(20, 0, 2);
-        sim.schedule(200_000, 0, 3); // different bucket
-        assert_eq!(sim.pop_before(SimTime(10)), None, "strict bound");
-        assert_eq!(sim.now(), SimTime::ZERO);
-        let (t, _, e) = sim.pop_before(SimTime(11)).unwrap();
-        assert_eq!((t.0, e), (10, 1));
-        assert_eq!(sim.now().0, 10);
-        let (_, _, e) = sim.pop_before(SimTime(1_000_000)).unwrap();
-        assert_eq!(e, 2);
-        let (_, _, e) = sim.pop_before(SimTime(1_000_000)).unwrap();
-        assert_eq!(e, 3);
-        assert_eq!(sim.pop_before(SimTime(u64::MAX)), None, "empty queue");
+    /// The reference model the wheel is checked against: one global heap
+    /// ordered by `(at, seq)`, with the same past-clamping as [`Sim`].
+    struct RefSim<E> {
+        now: SimTime,
+        seq: u64,
+        heap: BinaryHeap<Scheduled<(NodeIdx, E)>>,
     }
 
-    /// The windowed-partition pattern: a bounded pop advances the cursor
-    /// past the limit without popping, then an external (mailbox) arrival
-    /// lands in the gap between the limit and the cursor. Order must stay
-    /// exact — this exercises the `b <= cursor` branch of `Wheel::push`.
-    #[test]
-    fn schedule_behind_cursor_after_bounded_pop() {
-        let mut sim: Sim<u32> = Sim::new();
-        sim.schedule(100, 0, 1);
-        // Far-future event: next bucket is ~5 ms away, so a bounded pop
-        // moves the cursor well past the 200 µs window below.
-        sim.schedule(5_000_000, 0, 9);
-        let (_, _, e) = sim.pop_before(SimTime(200_000)).unwrap();
-        assert_eq!(e, 1);
-        assert_eq!(sim.pop_before(SimTime(200_000)), None);
-        // Arrivals land between the window edge and the advanced cursor.
-        sim.schedule_at(SimTime(150_000), 0, 2);
-        sim.schedule_at(SimTime(120_000), 0, 3);
-        sim.schedule_at(SimTime(150_000), 0, 4); // tie: FIFO after 2
-        let order: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, _, e)| e)).collect();
-        assert_eq!(order, vec![3, 2, 4, 9]);
+    impl<E> RefSim<E> {
+        fn schedule_at(&mut self, at: SimTime, dst: NodeIdx, event: E) {
+            let at = at.max(self.now);
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Scheduled {
+                at,
+                seq,
+                event: (dst, event),
+            });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, NodeIdx, E)> {
+            let s = self.heap.pop()?;
+            self.now = s.at;
+            Some((s.at, s.event.0, s.event.1))
+        }
     }
 
-    /// Both queue backends agree on `pop_before` semantics.
+    /// Drive the wheel and the reference heap through one seeded
+    /// interleaving of relative schedules (same bucket, near ring, mid
+    /// ring, far overflow), absolute schedules (past, cursor bucket, bucket
+    /// boundary, near the horizon) and pops whose handlers reschedule;
+    /// every pop and the clock must agree.
     #[test]
-    fn heap_backend_pop_before_matches() {
-        std::env::set_var("CX_SIM_QUEUE", "heap");
-        let mut sim: Sim<u32> = Sim::new();
-        std::env::remove_var("CX_SIM_QUEUE");
-        sim.schedule(10, 0, 1);
-        sim.schedule(20, 0, 2);
-        assert_eq!(sim.pop_before(SimTime(10)), None);
-        assert_eq!(sim.pop_before(SimTime(15)).map(|(_, _, e)| e), Some(1));
-        assert_eq!(sim.pop_before(SimTime(15)), None);
-        assert_eq!(sim.pop_before(SimTime(21)).map(|(_, _, e)| e), Some(2));
+    fn wheel_matches_reference_heap_step_for_step() {
+        use rand::Rng;
+        const STEPS: usize = 120_000;
+        const BUCKET: u64 = 1 << BUCKET_SHIFT;
+        const HORIZON: u64 = BUCKET * RING_BUCKETS as u64;
+
+        let mut rng = crate::rng::det_rng(0xC0FFEE, 1);
+        let mut wheel: Sim<u64> = Sim::new();
+        let mut heap: RefSim<u64> = RefSim {
+            now: SimTime::ZERO,
+            seq: 0,
+            heap: BinaryHeap::new(),
+        };
+        let mut next_id = 0u64;
+        let mut pops = 0usize;
+        let mut both = |wheel: &mut Sim<u64>, heap: &mut RefSim<u64>, at: SimTime, dst: NodeIdx| {
+            wheel.schedule_at(at, dst, next_id);
+            heap.schedule_at(at, dst, next_id);
+            next_id += 1;
+        };
+
+        for step in 0..STEPS {
+            let now = wheel.now();
+            let dst = rng.gen_range(0..16u32);
+            // Alternate filling and draining phases so the wheel is seen
+            // both deep and running empty.
+            let pop_weight = if (step / 4096) % 2 == 0 { 5 } else { 40 };
+            let schedule_at = match rng.gen_range(0..8 + pop_weight) {
+                // Relative delays: inside a bucket, across a few buckets,
+                // anywhere in the middle of the ring, far past the horizon.
+                0 => Some(now + rng.gen_range(0..1_000u64)),
+                1 => Some(now + rng.gen_range(0..10 * BUCKET)),
+                2 => Some(now + rng.gen_range(10 * BUCKET..HORIZON - 2 * BUCKET)),
+                3 => Some(now + rng.gen_range(HORIZON..40 * HORIZON)),
+                // Absolute times: in the past (clamps to now), inside the
+                // cursor bucket, exactly on a bucket boundary, within two
+                // buckets of the horizon.
+                4 => Some(SimTime(now.0 / 2)),
+                5 => Some(SimTime((now.0 & !(BUCKET - 1)) + rng.gen_range(0..BUCKET))),
+                6 => Some(SimTime(
+                    (bucket_of(now) + rng.gen_range(0..8u64)) << BUCKET_SHIFT,
+                )),
+                7 => Some(now + (HORIZON - 2 * BUCKET + rng.gen_range(0..4 * BUCKET))),
+                _ => None,
+            };
+            match schedule_at {
+                Some(at) => both(&mut wheel, &mut heap, at, dst),
+                // Pop; the "handler" reschedules relative to the new clock.
+                None => {
+                    let got = wheel.pop();
+                    assert_eq!(got, heap.pop(), "pop #{pops} diverged");
+                    assert_eq!(wheel.now(), heap.now);
+                    if let Some((at, dst, ev)) = got {
+                        pops += 1;
+                        if ev % 3 != 0 {
+                            both(&mut wheel, &mut heap, at + (ev * 7919) % (3 * BUCKET), dst);
+                        }
+                        if ev % 11 == 0 {
+                            both(&mut wheel, &mut heap, at + HORIZON + ev % BUCKET, dst + 1);
+                        }
+                    }
+                }
+            }
+            assert_eq!(wheel.pending(), heap.heap.len());
+        }
+        while let Some(want) = heap.pop() {
+            assert_eq!(wheel.pop(), Some(want));
+            assert_eq!(wheel.now(), heap.now);
+            pops += 1;
+        }
+        assert!(wheel.is_empty());
+        assert_eq!(wheel.events_processed(), next_id);
+        assert!(pops >= 50_000, "too few compared pops: {pops}");
     }
 
     /// The timer queue shares the simulator's FIFO tie-break.

@@ -16,11 +16,9 @@
 //! from [`rng::det_rng`], seeded from the experiment configuration.
 
 pub mod kernel;
-pub mod partition;
 pub mod resource;
 pub mod rng;
 
 pub use kernel::{NodeIdx, Sim, TimerQueue};
-pub use partition::{CrossEvent, Mailbox, PartitionBarrier};
 pub use resource::FifoResource;
 pub use rng::det_rng;

@@ -64,33 +64,12 @@ impl Default for NetConfig {
     }
 }
 
-/// Tuning knobs for the real-socket wire plane (`cx-net`): writer-side
-/// frame coalescing and corking, queue depth, and the reader's decode
-/// buffer. These shape *wall-clock* transport behavior only — the DES
-/// models the network with [`NetConfig`] and never reads them.
-///
-/// The writer thread drains its whole outbound queue per wakeup and
-/// encodes every pending frame back-to-back into one scratch buffer for
-/// a single `write_all`. Corking is adaptive: a batch that started from
-/// an empty queue (an idle peer, latency-sensitive) flushes as soon as
-/// the queue is drained; a batch that started from a backlog (a busy
-/// peer, throughput-sensitive) keeps the cork in for up to
-/// `cork_deadline_ns` or until `cork_bytes` of encoded frames are
-/// pending, whichever comes first.
+/// Tuning knobs for the real-socket wire plane (`cx-net`): queue depth
+/// and the reader's decode buffer. These shape *wall-clock* transport
+/// behavior only — the DES models the network with [`NetConfig`] and
+/// never reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetTuning {
-    /// Flush the coalesced scratch buffer once it holds this many encoded
-    /// bytes, even mid-drain.
-    pub cork_bytes: usize,
-    /// How long a busy-peer batch may wait for more frames before the
-    /// cork pops. `0` disables the *timer* cork: every drain flushes the
-    /// moment the queue is empty. Scoped corking (a sender holding a
-    /// `cork_scope` guard around a burst it already has in hand) is
-    /// independent of this knob and is the default coalescing mechanism:
-    /// it costs no latency and no writer-daemon wakeup, which measures
-    /// faster than any timer setting on a box with few hardware threads
-    /// (see EXPERIMENTS.md).
-    pub cork_deadline_ns: u64,
     /// Outbound frames buffered per peer before `send` blocks (the
     /// backpressure bound).
     pub queue_cap: usize,
@@ -103,8 +82,6 @@ pub struct NetTuning {
 impl Default for NetTuning {
     fn default() -> Self {
         Self {
-            cork_bytes: 64 << 10,
-            cork_deadline_ns: 0,
             queue_cap: 1024,
             read_buf_bytes: 256 << 10,
         }

@@ -23,46 +23,6 @@ fn identical_runs_are_bit_identical() {
     }
 }
 
-/// The two workload intakes — a materialized `Trace` handed to the
-/// cluster up front vs the pull-based stream the clients drain on demand
-/// — must replay to byte-identical digests, for every Table II profile
-/// and for Metarates. This is the contract that lets `--full` runs
-/// stream (constant memory) without changing a single result.
-#[test]
-fn streamed_and_materialized_intakes_replay_identically() {
-    use cx_core::MetaratesMix;
-    let mut workloads: Vec<(String, Workload)> =
-        ["CTH", "s3d", "alegra", "home2", "deasna2", "lair62b"]
-            .into_iter()
-            .map(|name| {
-                (
-                    name.to_string(),
-                    Workload::trace(name).scale(0.002).seed(11),
-                )
-            })
-            .collect();
-    workloads.push((
-        "metarates".into(),
-        Workload::metarates(MetaratesMix::UpdateDominated),
-    ));
-    for (name, w) in workloads {
-        let e = Experiment::new(w)
-            .servers(8)
-            .protocol(Protocol::Cx)
-            .seed(42);
-        let streamed = e.run();
-        let trace = e.workload.build(&e.cfg);
-        let (mat_stats, mat_violations) = cx_core::run_trace(e.cfg.clone(), &trace);
-        assert!(mat_violations.is_empty(), "{name}: materialized run dirty");
-        assert!(streamed.is_consistent(), "{name}: streamed run dirty");
-        assert_eq!(
-            streamed.stats.digest(),
-            mat_stats.digest(),
-            "{name}: intake paths diverged"
-        );
-    }
-}
-
 /// A different workload seed produces a genuinely different run.
 #[test]
 fn different_seeds_diverge() {
@@ -157,11 +117,9 @@ fn stats_digest(r: &cx_core::ExperimentResult) -> u64 {
 }
 
 /// Perf-pass regression guard: the home2 replay must stay bit-identical
-/// run to run, identical under both event-queue backends (timing wheel vs
-/// the reference binary heap selected by `CX_SIM_QUEUE=heap`), and
-/// identical to the digest pinned when the optimization pass landed. A
-/// digest change means simulator *behavior* changed — intended changes
-/// must re-pin the golden value.
+/// run to run and identical to the digest pinned when the optimization
+/// pass landed. A digest change means simulator *behavior* changed —
+/// intended changes must re-pin the golden value.
 #[test]
 fn home2_digest_pins_simulator_behavior() {
     let run = || {
@@ -180,132 +138,7 @@ fn home2_digest_pins_simulator_behavior() {
         "same-process replay must be exact"
     );
 
-    // Reference-backend equivalence. Setting the env var mid-process is
-    // benign for concurrently starting runs: both backends produce
-    // identical event orderings by construction.
-    std::env::set_var("CX_SIM_QUEUE", "heap");
-    let c = run();
-    std::env::remove_var("CX_SIM_QUEUE");
-    assert_eq!(
-        stats_digest(&a),
-        stats_digest(&c),
-        "timing-wheel and heap backends must replay identically"
-    );
-
-    // Third leg of the cross-check: the partitioned entry point at
-    // `parts == 1` is contractually the plain single-threaded simulator.
-    let d = Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
-        .servers(8)
-        .protocol(Protocol::Cx)
-        .seed(42)
-        .run_partitioned(1);
-    assert_eq!(
-        stats_digest(&a),
-        stats_digest(&d),
-        "--partitions 1 must be bit-identical to the single-threaded run"
-    );
-
     assert_eq!(stats_digest(&a), GOLDEN_HOME2_DIGEST);
-}
-
-/// The parallel kernel's determinism and equivalence contract
-/// (DESIGN.md §8). For a fixed (seed, N) a partitioned run is bit-for-bit
-/// reproducible; across partition counts every tie-insensitive total is
-/// exactly equal to the single-threaded run, conflict-adjacent counters
-/// stay within a tight band (same-tick arrival ties flip a handful of
-/// conflict detections — the same reason the threaded runtime is
-/// tolerance-checked), and the latency histograms remain statistically
-/// indistinguishable.
-#[test]
-fn partitioned_runs_are_deterministic_and_total_preserving() {
-    let e = Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
-        .servers(8)
-        .protocol(Protocol::Cx)
-        .seed(42);
-    let single = e.run();
-
-    for parts in [2u32, 4] {
-        let a = e.run_partitioned(parts);
-        let b = e.run_partitioned(parts);
-        assert_eq!(
-            stats_digest(&a),
-            stats_digest(&b),
-            "p{parts}: fixed-(seed, N) repeat runs must be bit-identical"
-        );
-        assert!(a.is_consistent(), "p{parts}: namespace check dirty");
-
-        // Tie-insensitive totals: exact.
-        let (s, p) = (&single.stats, &a.stats);
-        assert_eq!(s.ops_total, p.ops_total, "p{parts}: ops_total");
-        assert_eq!(
-            p.ops_applied + p.ops_failed,
-            p.ops_total,
-            "p{parts}: op accounting must close"
-        );
-        assert_eq!(s.cross_ops, p.cross_ops, "p{parts}: cross_ops");
-        assert_eq!(
-            s.server_stats.subops_executed, p.server_stats.subops_executed,
-            "p{parts}: sub-ops executed"
-        );
-        assert_eq!(
-            s.server_stats.reads_served, p.server_stats.reads_served,
-            "p{parts}: reads served"
-        );
-        assert_eq!(
-            s.server_stats.ops_committed, p.server_stats.ops_committed,
-            "p{parts}: ops committed"
-        );
-        assert_eq!(
-            s.server_stats.local_mutations, p.server_stats.local_mutations,
-            "p{parts}: local mutations"
-        );
-        assert_eq!(
-            s.proto.batch_size.sum, p.proto.batch_size.sum,
-            "p{parts}: total batched-commitment coverage"
-        );
-        assert_eq!(
-            s.final_inodes + s.final_dentries,
-            p.final_inodes + p.final_dentries,
-            "p{parts}: final namespace size"
-        );
-
-        // Conflict-adjacent counters: tie-sensitive, tight band.
-        let conflict_drift = s.server_stats.conflicts.abs_diff(p.server_stats.conflicts);
-        assert!(
-            conflict_drift <= 1 + s.server_stats.conflicts / 20,
-            "p{parts}: conflicts drifted beyond tie noise ({} vs {})",
-            p.server_stats.conflicts,
-            s.server_stats.conflicts
-        );
-        assert!(
-            s.ops_applied.abs_diff(p.ops_applied) <= 1 + s.server_stats.conflicts / 20,
-            "p{parts}: applied-op drift beyond tie noise"
-        );
-
-        // Latency histograms: same sample count, statistically identical
-        // distribution (means within 1%, maxima within 2x — the replay
-        // timing model is unchanged, only same-tick orderings move).
-        assert_eq!(s.latency.count, p.latency.count, "p{parts}: latency count");
-        assert_eq!(
-            s.cross_latency.count, p.cross_latency.count,
-            "p{parts}: cross-latency count"
-        );
-        let mean = |l: &cx_core::LatencyStat| l.sum_ns as f64 / l.count.max(1) as f64;
-        let (ms, mp) = (mean(&s.latency), mean(&p.latency));
-        assert!(
-            (ms - mp).abs() / ms < 0.01,
-            "p{parts}: mean client latency drifted {ms:.0} -> {mp:.0}"
-        );
-        let (cs, cp) = (mean(&s.cross_latency), mean(&p.cross_latency));
-        assert!(
-            (cs - cp).abs() / cs < 0.01,
-            "p{parts}: mean cross-op latency drifted {cs:.0} -> {cp:.0}"
-        );
-        assert!(
-            p.latency.max_ns <= 2 * s.latency.max_ns && s.latency.max_ns <= 2 * p.latency.max_ns,
-            "p{parts}: latency tail moved beyond tie noise"
-        );
-    }
 }
 
 /// Pinned by running the home2 replay above at the end of the perf pass.
