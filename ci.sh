@@ -17,7 +17,7 @@ cargo fmt --all -- --check
 
 step "clippy (hot-path crates, -D warnings)"
 cargo clippy -q \
-    -p cx-types -p cx-sim -p cx-wal -p cx-mdstore \
+    -p cx-types -p cx-sim -p cx-simio -p cx-wal -p cx-mdstore \
     -p cx-protocol -p cx-cluster -p cx-bench -p cx-chaos -p cx-workloads \
     -p cx-obs -p cx-net \
     --all-targets -- -D warnings
@@ -125,6 +125,16 @@ if [ "${1:-}" != "quick" ]; then
         --label ci --iters 5 --filter home2 --net tcp \
         --out target/bench_ci.json --against BENCH_PR10.json --tolerance 0.70 \
         --net-floor 30000
+
+    # The gate's own package. benchmark/ is a workspace of its own with its
+    # own lock file, so nothing above compiles it: a crate change could
+    # break its build, or move the DES digests it pins, unnoticed. Its
+    # tests, then one short gated run at the default seed — 7, the only
+    # seed whose digests benchmark/src/main.rs pins.
+    step "benchmark package (tests + des-update digest pin)"
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload des-update --seconds 3
 fi
 
 step "cargo test (workspace)"

@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5.2): group commit on the log device.
+//! Ablation (DESIGN.md §5.3): group commit on the log device.
 //!
 //!     cargo run --release -p cx-bench --bin ablation_group_commit [--scale f]
 //!

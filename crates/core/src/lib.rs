@@ -148,21 +148,15 @@ impl Workload {
                 t.inject_conflicting_lookups(*inject_conflicts, *seed);
                 t
             }
-            Workload::Metarates {
-                mix,
-                ops_per_proc,
-                files_per_server,
-            } => Metarates::new(*mix, cfg.total_processes())
-                .seed_files(files_per_server * cfg.servers)
-                .ops_per_proc(*ops_per_proc)
-                .build(),
+            Workload::Metarates { .. } => self.stream(cfg).materialize(),
             Workload::Custom(t) => t.clone(),
         }
     }
 
-    /// Streaming form of [`Workload::build`]: trace-profile workloads
-    /// are generated lazily (constant memory regardless of scale); the
-    /// op sequence is identical to the materialized one. Conflict
+    /// Streaming form of [`Workload::build`]: trace-profile and
+    /// Metarates workloads are generated lazily (memory independent of
+    /// the op count); the op sequence is identical to the materialized
+    /// one. Conflict
     /// injection first runs a counting pass over a second generator
     /// stream to recover the normalization the materialized path
     /// computed from the full vector — CPU for memory.

@@ -176,24 +176,10 @@ impl CxServer {
         self.note_recovery_progress(now, op, out);
     }
 
-    /// Issue a batched database write-back of every dirty object. The
-    /// batch is split into elevator-sized chunks so synchronous log
-    /// flushes can interleave (background write-back must not block the
-    /// latency-critical log for tens of milliseconds).
+    /// Issue a batched database write-back of every dirty object.
     pub(crate) fn flush_dirty(&mut self, out: &mut Vec<Action>) {
         let pages = self.store.take_dirty_pages();
-        if pages.is_empty() {
-            return;
-        }
-        self.stats.writebacks += 1;
-        for chunk in pages.chunks(32) {
-            let token = self.token();
-            self.io.insert(token, IoCont::WritebackDone);
-            out.push(Action::DbWriteback {
-                token,
-                pages: chunk.to_vec(),
-            });
-        }
+        self.issue_writeback(pages, out);
     }
 
     /// Write back only the given objects (immediate commitments touch a
@@ -201,6 +187,13 @@ impl CxServer {
     /// every conflict into a full cache flush).
     pub(crate) fn flush_dirty_of(&mut self, objs: Vec<cx_types::ObjectId>, out: &mut Vec<Action>) {
         let pages = self.store.take_dirty_pages_of(objs);
+        self.issue_writeback(pages, out);
+    }
+
+    /// The batch is split into elevator-sized chunks so synchronous log
+    /// flushes can interleave (background write-back must not block the
+    /// latency-critical log for tens of milliseconds).
+    fn issue_writeback(&mut self, pages: Vec<u64>, out: &mut Vec<Action>) {
         if pages.is_empty() {
             return;
         }

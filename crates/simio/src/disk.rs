@@ -97,10 +97,22 @@ impl DiskStats {
 
 /// The disk. Sans-event: `submit`/`complete` return batches whose `finish`
 /// times the caller turns into DES events.
+///
+/// Requests wait in one FIFO lane per service class, so picking the next
+/// batch costs O(batch), not O(backlog): under load the log lane owns the
+/// disk and write-back only queues — tens of thousands of batches by the
+/// end of a replay — and a single queue is scanned past all of them on
+/// every completion. The tests' `RefDisk` is that single queue; the lanes
+/// must hand out the same batches in the same order.
 #[derive(Debug, Clone)]
 pub struct Disk {
     cfg: DiskConfig,
-    queue: VecDeque<DiskReq>,
+    /// `(bytes, token)` of queued log appends.
+    log: VecDeque<(u64, u64)>,
+    /// `(page, token)` of queued synchronous database writes.
+    sync: VecDeque<(u64, u64)>,
+    /// Write-back and recovery reads, served one request at a time.
+    background: VecDeque<DiskReq>,
     inflight: bool,
     stats: DiskStats,
     /// Incremented on crash so runtimes can discard completion events
@@ -112,7 +124,9 @@ impl Disk {
     pub fn new(cfg: DiskConfig) -> Self {
         Self {
             cfg,
-            queue: VecDeque::new(),
+            log: VecDeque::new(),
+            sync: VecDeque::new(),
+            background: VecDeque::new(),
             inflight: false,
             stats: DiskStats::default(),
             generation: 0,
@@ -129,18 +143,24 @@ impl Disk {
     }
 
     pub fn is_idle(&self) -> bool {
-        !self.inflight && self.queue.is_empty()
+        !self.inflight && self.queued() == 0
     }
 
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.log.len() + self.sync.len() + self.background.len()
     }
 
     /// Submit a request at `now`. If the disk was idle, a batch starts
     /// immediately and is returned; otherwise the request waits for the
     /// in-flight batch and `complete` will pick it up.
     pub fn submit(&mut self, now: SimTime, req: DiskReq) -> Option<Batch> {
-        self.queue.push_back(req);
+        match req {
+            DiskReq::LogAppend { bytes, token } => self.log.push_back((bytes, token)),
+            DiskReq::DbSyncWrite { page, token } => self.sync.push_back((page, token)),
+            DiskReq::DbWriteback { .. } | DiskReq::SeqRead { .. } | DiskReq::RandomRead { .. } => {
+                self.background.push_back(req)
+            }
+        }
         if self.inflight {
             None
         } else {
@@ -161,7 +181,9 @@ impl Disk {
     /// (Durability bookkeeping lives in the WAL layer, which only treats a
     /// record as durable once its completion event fired.)
     pub fn crash(&mut self) {
-        self.queue.clear();
+        self.log.clear();
+        self.sync.clear();
+        self.background.clear();
         self.inflight = false;
         self.generation += 1;
     }
@@ -170,24 +192,13 @@ impl Disk {
     /// writes) has priority over background work (write-back, recovery
     /// scans) — the kernel IO scheduler services blocking writes first.
     fn start_next(&mut self, now: SimTime) -> Option<Batch> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let batch = if self
-            .queue
-            .iter()
-            .any(|r| matches!(r, DiskReq::LogAppend { .. }))
-        {
+        let batch = if !self.log.is_empty() {
             self.start_log_flush(now)
-        } else if self
-            .queue
-            .iter()
-            .any(|r| matches!(r, DiskReq::DbSyncWrite { .. }))
-        {
+        } else if !self.sync.is_empty() {
             self.start_sync_flush(now)
         } else {
-            let req = self.queue.pop_front().expect("non-empty");
-            self.start_single(now, req)
+            let req = self.background.pop_front()?;
+            self.start_background(now, req)
         };
         self.inflight = true;
         Some(batch)
@@ -198,18 +209,7 @@ impl Disk {
     /// page writes of one flush merge by adjacency (writes into one
     /// directory's sequential metadata region coalesce, §IV-C2).
     fn start_sync_flush(&mut self, now: SimTime) -> Batch {
-        let mut tokens = Vec::new();
-        let mut pages = Vec::new();
-        let mut i = 0;
-        while i < self.queue.len() {
-            if let DiskReq::DbSyncWrite { token, page } = self.queue[i] {
-                tokens.push(token);
-                pages.push(page);
-                self.queue.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        let (mut pages, tokens): (Vec<u64>, Vec<u64>) = self.sync.drain(..).unzip();
         pages.sort_unstable();
         pages.dedup();
         let runs = if self.cfg.group_commit {
@@ -229,20 +229,16 @@ impl Disk {
     /// Group commit: absorb every queued log append into one flush (or,
     /// with group commit disabled — the ablation — only the first).
     fn start_log_flush(&mut self, now: SimTime) -> Batch {
-        let mut tokens = Vec::new();
+        let take = if self.cfg.group_commit {
+            self.log.len()
+        } else {
+            1
+        };
+        let mut tokens = Vec::with_capacity(take);
         let mut bytes = 0u64;
-        let mut i = 0;
-        while i < self.queue.len() {
-            if let DiskReq::LogAppend { bytes: b, token } = self.queue[i] {
-                tokens.push(token);
-                bytes += b;
-                self.queue.remove(i);
-                if !self.cfg.group_commit {
-                    break;
-                }
-            } else {
-                i += 1;
-            }
+        for (b, token) in self.log.drain(..take) {
+            tokens.push(token);
+            bytes += b;
         }
         let service = self.cfg.log_flush_ns + transfer_ns(bytes, self.cfg.seq_bw_bps);
         self.stats.log_flushes += 1;
@@ -255,12 +251,11 @@ impl Disk {
         }
     }
 
-    fn start_single(&mut self, now: SimTime, req: DiskReq) -> Batch {
+    fn start_background(&mut self, now: SimTime, req: DiskReq) -> Batch {
         let token = req.token();
         let service = match req {
-            DiskReq::LogAppend { .. } => unreachable!("appends go through start_log_flush"),
-            DiskReq::DbSyncWrite { .. } => {
-                unreachable!("sync writes go through start_sync_flush")
+            DiskReq::LogAppend { .. } | DiskReq::DbSyncWrite { .. } => {
+                unreachable!("submit() routes synchronous requests to their own lanes")
             }
             DiskReq::DbWriteback { mut pages, .. } => {
                 pages.sort_unstable();
@@ -319,6 +314,285 @@ mod tests {
 
     fn disk() -> Disk {
         Disk::new(DiskConfig::default())
+    }
+
+    /// The oracle: the single scanned queue the lanes replaced, verbatim.
+    /// Priority and FIFO order are whatever this picker does.
+    struct RefDisk {
+        cfg: DiskConfig,
+        queue: VecDeque<DiskReq>,
+        inflight: bool,
+        stats: DiskStats,
+    }
+
+    impl RefDisk {
+        fn new(cfg: DiskConfig) -> Self {
+            Self {
+                cfg,
+                queue: VecDeque::new(),
+                inflight: false,
+                stats: DiskStats::default(),
+            }
+        }
+
+        fn submit(&mut self, now: SimTime, req: DiskReq) -> Option<Batch> {
+            self.queue.push_back(req);
+            if self.inflight {
+                None
+            } else {
+                self.start_next(now)
+            }
+        }
+
+        fn complete(&mut self, now: SimTime) -> Option<Batch> {
+            self.inflight = false;
+            self.start_next(now)
+        }
+
+        fn crash(&mut self) {
+            self.queue.clear();
+            self.inflight = false;
+        }
+
+        /// Pick the next batch. Synchronous work (log flushes, database sync
+        /// writes) has priority over background work (write-back, recovery
+        /// scans) — the kernel IO scheduler services blocking writes first.
+        fn start_next(&mut self, now: SimTime) -> Option<Batch> {
+            if self.queue.is_empty() {
+                return None;
+            }
+            let batch = if self
+                .queue
+                .iter()
+                .any(|r| matches!(r, DiskReq::LogAppend { .. }))
+            {
+                self.start_log_flush(now)
+            } else if self
+                .queue
+                .iter()
+                .any(|r| matches!(r, DiskReq::DbSyncWrite { .. }))
+            {
+                self.start_sync_flush(now)
+            } else {
+                let req = self.queue.pop_front().expect("non-empty");
+                self.start_single(now, req)
+            };
+            self.inflight = true;
+            Some(batch)
+        }
+
+        /// ext3-style group commit for synchronous database writes: every
+        /// queued sync write rides one journal flush, and the forced in-place
+        /// page writes of one flush merge by adjacency (writes into one
+        /// directory's sequential metadata region coalesce, §IV-C2).
+        fn start_sync_flush(&mut self, now: SimTime) -> Batch {
+            let mut tokens = Vec::new();
+            let mut pages = Vec::new();
+            let mut i = 0;
+            while i < self.queue.len() {
+                if let DiskReq::DbSyncWrite { token, page } = self.queue[i] {
+                    tokens.push(token);
+                    pages.push(page);
+                    self.queue.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            pages.sort_unstable();
+            pages.dedup();
+            let runs = if self.cfg.group_commit {
+                count_runs(&pages, self.cfg.merge_gap)
+            } else {
+                pages.len() as u64
+            };
+            let service = self.cfg.db_sync_write_ns + runs * self.cfg.db_sync_per_write_ns;
+            self.stats.sync_writes += tokens.len() as u64;
+            self.stats.busy_ns += service;
+            Batch {
+                finish: now + service,
+                tokens,
+            }
+        }
+
+        /// Group commit: absorb every queued log append into one flush (or,
+        /// with group commit disabled — the ablation — only the first).
+        fn start_log_flush(&mut self, now: SimTime) -> Batch {
+            let mut tokens = Vec::new();
+            let mut bytes = 0u64;
+            let mut i = 0;
+            while i < self.queue.len() {
+                if let DiskReq::LogAppend { bytes: b, token } = self.queue[i] {
+                    tokens.push(token);
+                    bytes += b;
+                    self.queue.remove(i);
+                    if !self.cfg.group_commit {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            let service = self.cfg.log_flush_ns + transfer_ns(bytes, self.cfg.seq_bw_bps);
+            self.stats.log_flushes += 1;
+            self.stats.log_appends += tokens.len() as u64;
+            self.stats.log_bytes += bytes;
+            self.stats.busy_ns += service;
+            Batch {
+                finish: now + service,
+                tokens,
+            }
+        }
+
+        fn start_single(&mut self, now: SimTime, req: DiskReq) -> Batch {
+            let token = req.token();
+            let service = match req {
+                DiskReq::LogAppend { .. } => unreachable!("appends go through start_log_flush"),
+                DiskReq::DbSyncWrite { .. } => {
+                    unreachable!("sync writes go through start_sync_flush")
+                }
+                DiskReq::DbWriteback { mut pages, .. } => {
+                    pages.sort_unstable();
+                    pages.dedup();
+                    let runs = count_runs(&pages, self.cfg.merge_gap);
+                    self.stats.wb_batches += 1;
+                    self.stats.wb_pages += pages.len() as u64;
+                    self.stats.wb_runs += runs;
+                    self.cfg.wb_batch_seek_ns
+                        + runs.saturating_sub(1) * self.cfg.wb_run_seek_ns
+                        + transfer_ns(pages.len() as u64 * PAGE_BYTES, self.cfg.seq_bw_bps)
+                }
+                DiskReq::SeqRead { bytes, .. } => {
+                    self.stats.seq_reads += 1;
+                    self.cfg.wb_batch_seek_ns + transfer_ns(bytes, self.cfg.seq_bw_bps)
+                }
+                DiskReq::RandomRead { pages, .. } => {
+                    // Dependent point lookups (B-tree walks): each row read
+                    // must finish before the next begins, so the elevator
+                    // cannot merge them the way write-back batches merge.
+                    self.stats.cold_reads += pages.len() as u64;
+                    pages.len() as u64 * self.cfg.cold_read_run_ns
+                        + transfer_ns(pages.len() as u64 * PAGE_BYTES, self.cfg.seq_bw_bps)
+                }
+            };
+            self.stats.busy_ns += service;
+            Batch {
+                finish: now + service,
+                tokens: vec![token],
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream without a rand dependency.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn pages(&mut self) -> Vec<u64> {
+            (0..1 + self.next() % 24)
+                .map(|_| self.next() % 4_096)
+                .collect()
+        }
+
+        /// Mostly blocking work, so the synchronous lanes win the disk
+        /// and write-back piles up behind them.
+        fn req(&mut self, token: u64) -> DiskReq {
+            match self.next() % 100 {
+                0..=44 => DiskReq::LogAppend {
+                    bytes: 1 + self.next() % 4_096,
+                    token,
+                },
+                45..=59 => DiskReq::DbSyncWrite {
+                    page: self.next() % 4_096,
+                    token,
+                },
+                60..=89 => DiskReq::DbWriteback {
+                    pages: self.pages(),
+                    token,
+                },
+                90..=94 => DiskReq::SeqRead {
+                    bytes: 1 + self.next() % (1 << 20),
+                    token,
+                },
+                _ => DiskReq::RandomRead {
+                    pages: self.pages(),
+                    token,
+                },
+            }
+        }
+    }
+
+    /// Drive the laned disk and the single-queue oracle with one seeded
+    /// request stream: every `submit`/`complete` must return the same
+    /// batch (tokens in order, finish time) and leave the same stats.
+    #[test]
+    fn lanes_match_the_single_queue_oracle() {
+        const STEPS: u64 = 30_000;
+        for group_commit in [true, false] {
+            let cfg = DiskConfig {
+                group_commit,
+                ..DiskConfig::default()
+            };
+            let mut disk = Disk::new(cfg);
+            let mut oracle = RefDisk::new(cfg);
+            let mut rng = SplitMix(0x5eed + group_commit as u64);
+            let mut now = SimTime(0);
+            let mut inflight: Option<SimTime> = None;
+            let (mut crashes, mut deepest) = (0, 0);
+            for token in 0..STEPS {
+                // Submissions outpace completions; a rare crash empties
+                // both disks.
+                let roll = rng.next() % 10_000;
+                let (got, want) = if roll < 2 {
+                    disk.crash();
+                    oracle.crash();
+                    inflight = None;
+                    crashes += 1;
+                    (None, None)
+                } else if roll < 2_500 && inflight.is_some() {
+                    now = inflight.take().expect("checked");
+                    (disk.complete(now), oracle.complete(now))
+                } else {
+                    now = SimTime(now.0 + rng.next() % 200_000);
+                    let req = rng.req(token);
+                    (disk.submit(now, req.clone()), oracle.submit(now, req))
+                };
+                assert_eq!(got, want, "step {token} (group_commit {group_commit})");
+                assert_eq!(disk.stats, oracle.stats, "step {token}");
+                assert_eq!(disk.queued(), oracle.queue.len(), "step {token}");
+                if let Some(b) = got {
+                    inflight = Some(b.finish);
+                }
+                deepest = deepest.max(disk.background.len());
+            }
+            assert!(
+                crashes > 0 && deepest >= 1_000,
+                "{crashes} crashes, backlog {deepest}"
+            );
+            // Drain: the backlog comes out in the oracle's order too.
+            while let Some(finish) = inflight.take() {
+                let got = disk.complete(finish);
+                assert_eq!(got, oracle.complete(finish), "drain");
+                inflight = got.map(|b| b.finish);
+            }
+            assert!(disk.is_idle() && oracle.queue.is_empty());
+            assert_eq!(disk.stats, oracle.stats);
+            let s = disk.stats;
+            assert!(
+                s.log_appends > 0
+                    && s.sync_writes > 0
+                    && s.wb_batches > 0
+                    && s.seq_reads > 0
+                    && s.cold_reads > 0,
+                "every request kind was served: {s:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! `TraceBuilder::build()` materializes — `build()` is implemented as
 //! "collect the stream" and the property tests in
 //! `tests/stream_equivalence.rs` pin the equality for every profile.
+//! `Metarates::stream()` is lazy under the same contract; its oracle is
+//! the eager generator kept in `metarates.rs`'s unit tests.
 
 use crate::trace::{SeedEntry, Trace, TraceOp};
 use cx_sim::det_rng;
