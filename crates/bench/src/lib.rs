@@ -17,6 +17,10 @@
 //! | `ablation_group_commit` | DESIGN.md §5.3 — group commit on/off |
 //! | `ablation_writeback_merge` | DESIGN.md §5.3 — elevator merging on/off |
 //!
+//! `heap_peak` is tooling, not a paper artifact: it replays a benchmark
+//! input under a counting allocator and prints the peak live heap by size
+//! class — where a footprint claim starts.
+//!
 //! Binaries accept `--scale <f64>` (trace fraction; default keeps each run
 //! under ~a minute) and `--full` (paper scale: every operation of Table
 //! II). Results print as aligned tables and are also written as JSON under

@@ -14,7 +14,7 @@
 //! This preserves both the timing (two migration round-trips with object
 //! payloads + one journal write) and the final state.
 
-use crate::action::{Action, Endpoint, ServerEngine};
+use crate::action::{Action, Endpoint, ServerEngine, Writebacks};
 use crate::stats::ServerStats;
 use crate::trigger::{TriggerState, TriggerVerdict};
 use cx_mdstore::{MetaStore, Undo};
@@ -36,22 +36,22 @@ struct Migration {
     verdict: Option<Verdict>,
 }
 
+/// What to do once the log write a token stands for is durable.
 enum Io {
     /// Journal write done → migrate the objects back.
-    JournalDurable {
+    Journal {
         op_id: OpId,
     },
     /// Participant re-installation journaled → MIGRATE-BACK-ACK.
-    ReinstallDurable {
+    Reinstall {
         op_id: OpId,
         coordinator: ServerId,
         verdict: Verdict,
     },
-    LocalDurable {
+    Local {
         op_id: OpId,
         verdict: Verdict,
     },
-    WritebackDone,
 }
 
 enum Waiting {
@@ -78,6 +78,7 @@ pub struct CeServer {
     blocked: FxHashMap<OpId, VecDeque<Waiting>>,
     trigger: TriggerState,
     io: FxHashMap<u64, Io>,
+    writebacks: Writebacks,
     next_token: u64,
     stats: ServerStats,
 }
@@ -95,6 +96,7 @@ impl CeServer {
             blocked: FxHashMap::default(),
             trigger: TriggerState::new(cfg.cx.trigger),
             io: FxHashMap::default(),
+            writebacks: Writebacks::default(),
             next_token: 0,
             stats: ServerStats::default(),
         }
@@ -221,14 +223,7 @@ impl CeServer {
         let pages = self.store.take_dirty_pages();
         if !pages.is_empty() {
             self.stats.writebacks += 1;
-            for chunk in pages.chunks(32) {
-                let token = self.token();
-                self.io.insert(token, Io::WritebackDone);
-                out.push(Action::DbWriteback {
-                    token,
-                    pages: chunk.to_vec(),
-                });
-            }
+            self.writebacks.issue(&pages, &mut self.next_token, out);
         }
     }
 
@@ -293,7 +288,7 @@ impl CeServer {
                 },
                 Record::Commit { op_id },
             ],
-            Io::LocalDurable { op_id, verdict },
+            Io::Local { op_id, verdict },
             out,
         );
         let v = self.trigger.on_pending(now);
@@ -347,7 +342,7 @@ impl ServerEngine for CeServer {
                         verdict: lv,
                         invalidated: false,
                     }],
-                    Io::JournalDurable { op_id },
+                    Io::Journal { op_id },
                     out,
                 );
             }
@@ -368,7 +363,7 @@ impl ServerEngine for CeServer {
                 self.stats.subops_executed += 1;
                 self.log(
                     vec![Record::Commit { op_id }],
-                    Io::ReinstallDurable {
+                    Io::Reinstall {
                         op_id,
                         coordinator: coord,
                         verdict,
@@ -410,11 +405,14 @@ impl ServerEngine for CeServer {
     }
 
     fn on_disk_done(&mut self, now: SimTime, token: u64, out: &mut Vec<Action>) {
+        if self.writebacks.complete(token).is_some() {
+            return;
+        }
         let Some(cont) = self.io.remove(&token) else {
             return;
         };
         match cont {
-            Io::JournalDurable { op_id } => {
+            Io::Journal { op_id } => {
                 let Some(m) = self.migrations.get(&op_id) else {
                     return;
                 };
@@ -435,7 +433,7 @@ impl ServerEngine for CeServer {
                     },
                 });
             }
-            Io::ReinstallDurable {
+            Io::Reinstall {
                 op_id,
                 coordinator,
                 verdict,
@@ -449,7 +447,7 @@ impl ServerEngine for CeServer {
                 let v = self.trigger.on_pending(now);
                 self.apply_trigger(v, out);
             }
-            Io::LocalDurable { op_id, verdict } => {
+            Io::Local { op_id, verdict } => {
                 self.wal.prune_op(&op_id);
                 out.push(Action::Send {
                     to: Endpoint::Proc(op_id.proc),
@@ -460,7 +458,6 @@ impl ServerEngine for CeServer {
                     },
                 });
             }
-            Io::WritebackDone => {}
         }
     }
 
@@ -476,6 +473,7 @@ impl ServerEngine for CeServer {
 
     fn is_quiesced(&self) -> bool {
         self.io.is_empty()
+            && self.writebacks.outstanding() == 0
             && self.migrations.is_empty()
             && self.blocked.values().all(|q| q.is_empty())
     }

@@ -139,7 +139,6 @@ impl CxServer {
                 self.flush_dirty_of(objs, out);
                 self.drain_log_wait(now, out);
             }
-            IoCont::WritebackDone => {}
             IoCont::RecoveryScanDone => self.on_recovery_scan_done(now, out),
             IoCont::RecoveryReadsDone => {
                 self.recovery_reads_pending = false;
@@ -190,22 +189,12 @@ impl CxServer {
         self.issue_writeback(pages, out);
     }
 
-    /// The batch is split into elevator-sized chunks so synchronous log
-    /// flushes can interleave (background write-back must not block the
-    /// latency-critical log for tens of milliseconds).
     fn issue_writeback(&mut self, pages: Vec<u64>, out: &mut Vec<Action>) {
         if pages.is_empty() {
             return;
         }
         self.stats.writebacks += 1;
-        for chunk in pages.chunks(32) {
-            let token = self.token();
-            self.io.insert(token, IoCont::WritebackDone);
-            out.push(Action::DbWriteback {
-                token,
-                pages: chunk.to_vec(),
-            });
-        }
+        self.writebacks.issue(&pages, &mut self.next_token, out);
     }
 
     // ------------------------------------------------------------------

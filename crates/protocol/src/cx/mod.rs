@@ -19,7 +19,7 @@ mod commit;
 mod exec;
 mod recovery;
 
-use crate::action::{Action, Endpoint, ServerEngine};
+use crate::action::{Action, Endpoint, ServerEngine, Writebacks};
 use crate::stats::{ProtoMetrics, ServerStats};
 use crate::trigger::TriggerState;
 use cx_mdstore::{MetaStore, Undo};
@@ -128,8 +128,6 @@ pub(crate) enum IoCont {
     },
     /// Coordinator: Complete-Records durable → finish the batch.
     CompleteDurable { batch: u64, seq: SeqNo },
-    /// Database write-back finished.
-    WritebackDone,
     /// Recovery log scan finished.
     RecoveryScanDone,
     /// Recovery cold-cache row reads finished.
@@ -170,6 +168,7 @@ pub struct CxServer {
     pub(crate) recent_outcomes: FxHashMap<ProcId, (OpId, Outcome)>,
     pub(crate) trigger: TriggerState,
     pub(crate) io: FxHashMap<u64, IoCont>,
+    pub(crate) writebacks: Writebacks,
     pub(crate) next_token: u64,
     pub(crate) stats: ServerStats,
     /// Introspection-plane counters (kept out of `stats`: the golden
@@ -239,6 +238,7 @@ impl CxServer {
             recent_outcomes: FxHashMap::default(),
             trigger: TriggerState::new(cfg.cx.trigger),
             io: FxHashMap::default(),
+            writebacks: Writebacks::default(),
             next_token: 0,
             stats: ServerStats::default(),
             metrics: ProtoMetrics::default(),
@@ -395,6 +395,12 @@ impl ServerEngine for CxServer {
         if self.crashed {
             return;
         }
+        if let Some(live) = self.writebacks.complete(token) {
+            if live {
+                self.trigger.on_activity(now);
+            }
+            return;
+        }
         let Some(cont) = self.io.remove(&token) else {
             return; // IO issued before a crash; stale
         };
@@ -440,6 +446,7 @@ impl ServerEngine for CxServer {
             && self.lazy_queue.is_empty()
             && self.deferred_votes.is_empty()
             && self.io.is_empty()
+            && self.writebacks.outstanding() == 0
     }
 
     fn store(&self) -> &MetaStore {
@@ -518,7 +525,7 @@ impl ServerEngine for CxServer {
             })
             .collect();
         format!(
-            "pending={} in_commitment={} lazy={} local={} batches={:?} blocked={:?} log_wait={} deferred={:?} io={}",
+            "pending={} in_commitment={} lazy={} local={} batches={:?} blocked={:?} log_wait={} deferred={:?} io={} writebacks={}",
             self.pending.len(),
             self.pending.values().filter(|p| p.in_commitment).count(),
             self.lazy_queue.len(),
@@ -531,6 +538,7 @@ impl ServerEngine for CxServer {
             self.log_wait.len(),
             self.deferred_votes.keys().map(|k| k.to_string()).collect::<Vec<_>>(),
             self.io.len(),
+            self.writebacks.outstanding(),
         )
     }
 }

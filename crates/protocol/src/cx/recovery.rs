@@ -57,6 +57,7 @@ impl CxServer {
         self.deferred_votes.clear();
         self.recent_outcomes.clear();
         self.io.clear();
+        self.writebacks.crash(self.next_token);
         self.orphan_timers.clear();
         self.vote_timers.clear();
         self.recovery_wait.clear();

@@ -18,7 +18,7 @@
 //! (modelled faithfully) is that a client that dies between the
 //! participant's execution and the CLEAR leaves orphan objects.
 
-use crate::action::{Action, Endpoint, ServerEngine};
+use crate::action::{Action, Endpoint, ServerEngine, Writebacks};
 use crate::stats::ServerStats;
 use crate::trigger::{TriggerState, TriggerVerdict};
 use cx_mdstore::{MetaStore, Undo};
@@ -39,11 +39,7 @@ enum SeIo {
         seq: Option<SeqNo>,
     },
     /// CLEAR rollback persisted: acknowledge it.
-    ClearDone {
-        op_id: OpId,
-        proc: ProcId,
-    },
-    WritebackDone,
+    ClearDone { op_id: OpId, proc: ProcId },
 }
 
 /// The SE metadata server.
@@ -57,6 +53,7 @@ pub struct SeServer {
     rng: SmallRng,
     trigger: TriggerState,
     io: FxHashMap<u64, SeIo>,
+    writebacks: Writebacks,
     next_token: u64,
     /// Undo state for the most recent operation of each process (the only
     /// one a CLEAR can target, since processes issue ops sequentially).
@@ -75,6 +72,7 @@ impl SeServer {
             rng: det_rng(cfg.seed, 0x5e00_0000 ^ id.0 as u64),
             trigger: TriggerState::new(cfg.cx.trigger),
             io: FxHashMap::default(),
+            writebacks: Writebacks::default(),
             next_token: 0,
             last_undo: FxHashMap::default(),
             stats: ServerStats::default(),
@@ -283,14 +281,7 @@ impl SeServer {
         let pages = self.store.take_dirty_pages();
         if !pages.is_empty() {
             self.stats.writebacks += 1;
-            for chunk in pages.chunks(32) {
-                let token = self.token();
-                self.io.insert(token, SeIo::WritebackDone);
-                out.push(Action::DbWriteback {
-                    token,
-                    pages: chunk.to_vec(),
-                });
-            }
+            self.writebacks.issue(&pages, &mut self.next_token, out);
         }
     }
 }
@@ -313,6 +304,9 @@ impl ServerEngine for SeServer {
     }
 
     fn on_disk_done(&mut self, _now: SimTime, token: u64, out: &mut Vec<Action>) {
+        if self.writebacks.complete(token).is_some() {
+            return;
+        }
         match self.io.remove(&token) {
             Some(SeIo::Respond {
                 op_id,
@@ -338,7 +332,7 @@ impl ServerEngine for SeServer {
                     payload: Payload::ClearResp { op_id },
                 });
             }
-            Some(SeIo::WritebackDone) | None => {}
+            None => {}
         }
     }
 
@@ -353,7 +347,7 @@ impl ServerEngine for SeServer {
     }
 
     fn is_quiesced(&self) -> bool {
-        self.io.is_empty()
+        self.io.is_empty() && self.writebacks.outstanding() == 0
     }
 
     fn store(&self) -> &MetaStore {
@@ -385,10 +379,10 @@ impl ServerEngine for SeServer {
 
     fn obs_gauges(&self) -> cx_obs::EngineGauges {
         cx_obs::EngineGauges {
-            // SE has no pending-op concept; in-flight IO continuations are
-            // the closest analogue of uncommitted work.
+            // SE has no pending-op concept; in-flight IO is the closest
+            // analogue of uncommitted work.
             active_objects: 0,
-            pending_batch_ops: self.io.len() as u64,
+            pending_batch_ops: self.io.len() as u64 + self.writebacks.outstanding(),
         }
     }
 }

@@ -13,7 +13,7 @@
 //! that is 2PC's serial, blocking nature, in contrast to Cx's optimistic
 //! concurrency.
 
-use crate::action::{Action, Endpoint, ServerEngine};
+use crate::action::{Action, Endpoint, ServerEngine, Writebacks};
 use crate::stats::ServerStats;
 use crate::trigger::{TriggerState, TriggerVerdict};
 use cx_mdstore::{MetaStore, Undo};
@@ -46,36 +46,20 @@ struct ParticipantExec {
     subop: SubOp,
 }
 
+/// What to do once the log write a token stands for is durable.
 enum Io {
     /// Begin record durable → send VOTE to the participant.
-    BeginDurable {
-        op_id: OpId,
-    },
+    Begin { op_id: OpId },
     /// Participant result durable → send the vote.
-    ExecDurable {
-        op_id: OpId,
-    },
+    Exec { op_id: OpId },
     /// Decision durable → send COMMIT/ABORT to participant.
-    DecisionDurable {
-        op_id: OpId,
-        commit: bool,
-    },
+    Decision { op_id: OpId, commit: bool },
     /// Participant outcome durable → ACK.
-    OutcomeDurable {
-        op_id: OpId,
-        coordinator: ServerId,
-    },
+    Outcome { op_id: OpId, coordinator: ServerId },
     /// Complete durable → respond to the client.
-    CompleteDurable {
-        op_id: OpId,
-        outcome: OpOutcome,
-    },
+    Complete { op_id: OpId, outcome: OpOutcome },
     /// Local (single-server) mutation durable → respond.
-    LocalDurable {
-        op_id: OpId,
-        verdict: Verdict,
-    },
-    WritebackDone,
+    Local { op_id: OpId, verdict: Verdict },
 }
 
 enum Waiting {
@@ -103,6 +87,7 @@ pub struct TwoPcServer {
     blocked: FxHashMap<OpId, VecDeque<Waiting>>,
     trigger: TriggerState,
     io: FxHashMap<u64, Io>,
+    writebacks: Writebacks,
     next_token: u64,
     stats: ServerStats,
 }
@@ -121,6 +106,7 @@ impl TwoPcServer {
             blocked: FxHashMap::default(),
             trigger: TriggerState::new(cfg.cx.trigger),
             io: FxHashMap::default(),
+            writebacks: Writebacks::default(),
             next_token: 0,
             stats: ServerStats::default(),
         }
@@ -197,7 +183,7 @@ impl TwoPcServer {
                 verdict: Verdict::Yes, // intent record
                 invalidated: false,
             }],
-            Io::BeginDurable { op_id },
+            Io::Begin { op_id },
             out,
         );
         let _ = now;
@@ -221,7 +207,7 @@ impl TwoPcServer {
         } else {
             Record::Abort { op_id }
         };
-        self.log(vec![rec], Io::DecisionDurable { op_id, commit }, out);
+        self.log(vec![rec], Io::Decision { op_id, commit }, out);
     }
 
     // ---- participant ----
@@ -273,7 +259,7 @@ impl TwoPcServer {
                 verdict,
                 invalidated: false,
             }],
-            Io::ExecDurable { op_id },
+            Io::Exec { op_id },
             out,
         );
     }
@@ -301,14 +287,7 @@ impl TwoPcServer {
         let pages = self.store.take_dirty_pages();
         if !pages.is_empty() {
             self.stats.writebacks += 1;
-            for chunk in pages.chunks(32) {
-                let token = self.token();
-                self.io.insert(token, Io::WritebackDone);
-                out.push(Action::DbWriteback {
-                    token,
-                    pages: chunk.to_vec(),
-                });
-            }
+            self.writebacks.issue(&pages, &mut self.next_token, out);
         }
     }
 
@@ -374,7 +353,7 @@ impl TwoPcServer {
                 },
                 Record::Commit { op_id },
             ],
-            Io::LocalDurable { op_id, verdict },
+            Io::Local { op_id, verdict },
             out,
         );
         let v = self.trigger.on_pending(now);
@@ -430,7 +409,7 @@ impl ServerEngine for TwoPcServer {
                     self.execs.remove(&op_id);
                     self.log(
                         vec![Record::Commit { op_id }],
-                        Io::OutcomeDurable {
+                        Io::Outcome {
                             op_id,
                             coordinator: coord,
                         },
@@ -446,7 +425,7 @@ impl ServerEngine for TwoPcServer {
                     }
                     self.log(
                         vec![Record::Abort { op_id }],
-                        Io::OutcomeDurable {
+                        Io::Outcome {
                             op_id,
                             coordinator: coord,
                         },
@@ -468,7 +447,7 @@ impl ServerEngine for TwoPcServer {
                         };
                         self.log(
                             vec![Record::Complete { op_id }],
-                            Io::CompleteDurable { op_id, outcome },
+                            Io::Complete { op_id, outcome },
                             out,
                         );
                     }
@@ -479,11 +458,14 @@ impl ServerEngine for TwoPcServer {
     }
 
     fn on_disk_done(&mut self, now: SimTime, token: u64, out: &mut Vec<Action>) {
+        if self.writebacks.complete(token).is_some() {
+            return;
+        }
         let Some(cont) = self.io.remove(&token) else {
             return;
         };
         match cont {
-            Io::BeginDurable { op_id } => {
+            Io::Begin { op_id } => {
                 let Some(txn) = self.txns.get(&op_id) else {
                     return;
                 };
@@ -495,7 +477,7 @@ impl ServerEngine for TwoPcServer {
                     None => unreachable!("single-server ops use the local path"),
                 }
             }
-            Io::ExecDurable { op_id } => {
+            Io::Exec { op_id } => {
                 if let Some(e) = self.execs.get(&op_id) {
                     out.push(Action::Send {
                         to: Endpoint::Server(e.coordinator),
@@ -505,7 +487,7 @@ impl ServerEngine for TwoPcServer {
                     });
                 }
             }
-            Io::DecisionDurable { op_id, commit } => {
+            Io::Decision { op_id, commit } => {
                 let Some(txn) = self.txns.get(&op_id) else {
                     return;
                 };
@@ -522,7 +504,7 @@ impl ServerEngine for TwoPcServer {
                     payload: Payload::CommitDecision { commits, aborts },
                 });
             }
-            Io::OutcomeDurable { op_id, coordinator } => {
+            Io::Outcome { op_id, coordinator } => {
                 out.push(Action::Send {
                     to: Endpoint::Server(coordinator),
                     payload: Payload::Ack { ops: vec![op_id] },
@@ -532,7 +514,7 @@ impl ServerEngine for TwoPcServer {
                 let v = self.trigger.on_pending(now);
                 self.apply_trigger(v, out);
             }
-            Io::CompleteDurable { op_id, outcome } => {
+            Io::Complete { op_id, outcome } => {
                 if let Some(_txn) = self.txns.remove(&op_id) {
                     match outcome {
                         OpOutcome::Applied => self.stats.ops_committed += 1,
@@ -548,7 +530,7 @@ impl ServerEngine for TwoPcServer {
                 let v = self.trigger.on_pending(now);
                 self.apply_trigger(v, out);
             }
-            Io::LocalDurable { op_id, verdict } => {
+            Io::Local { op_id, verdict } => {
                 self.wal.prune_op(&op_id);
                 out.push(Action::Send {
                     to: Endpoint::Proc(op_id.proc),
@@ -559,7 +541,6 @@ impl ServerEngine for TwoPcServer {
                     },
                 });
             }
-            Io::WritebackDone => {}
         }
     }
 
@@ -574,7 +555,10 @@ impl ServerEngine for TwoPcServer {
     }
 
     fn is_quiesced(&self) -> bool {
-        self.io.is_empty() && self.txns.is_empty() && self.blocked.values().all(|q| q.is_empty())
+        self.io.is_empty()
+            && self.writebacks.outstanding() == 0
+            && self.txns.is_empty()
+            && self.blocked.values().all(|q| q.is_empty())
     }
 
     fn store(&self) -> &MetaStore {

@@ -7,7 +7,9 @@ mod common;
 use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::Endpoint;
-use cx_types::{FsOp, InodeNo, MsgKind, Name, OpOutcome, Payload, ProcId, Protocol};
+use cx_types::{
+    FsOp, InodeNo, MsgKind, Name, OpOutcome, Payload, ProcId, Protocol, ServerId, SimTime,
+};
 
 fn proc(n: u32) -> ProcId {
     ProcId::new(n, 0)
@@ -400,4 +402,39 @@ fn twopc_blocks_conflicting_transactions() {
     assert_eq!(kit.outcome(b), Some(OpOutcome::Failed));
     kit.quiesce();
     assert_eq!(kit.check_consistency(&roots()), vec![]);
+}
+
+/// The baselines count write-back completions the way Cx does: batched
+/// write-back in flight keeps a 2PC server busy until the last one lands.
+#[test]
+fn twopc_is_not_quiesced_until_its_last_writeback_completes() {
+    let mut kit = kit_never(2, Protocol::TwoPc);
+    seed_namespace(&mut kit, &[]);
+    let server = ServerId(0);
+    let mut tokens = Vec::new();
+    for round in 0..2u64 {
+        let (name, ino) = cross_server_pair(&kit.placement, 100 + round * 50, 1_000 + round * 50);
+        let op = kit.run_op(
+            proc(0),
+            FsOp::Create {
+                parent: ROOT,
+                name,
+                ino,
+            },
+        );
+        assert_eq!(kit.outcome(op), Some(OpOutcome::Applied));
+        tokens.extend(quiesce_holding_writebacks(&mut kit, server));
+    }
+    assert!(tokens.len() >= 2, "one write-back per flush");
+    let last = tokens.pop().expect("checked");
+    for token in tokens {
+        assert!(!kit.servers[0].is_quiesced());
+        kit.servers[0].on_disk_done(SimTime::ZERO, token, &mut Vec::new());
+    }
+    assert!(!kit.servers[0].is_quiesced(), "one is still in flight");
+    kit.servers[0].on_disk_done(SimTime::ZERO, last, &mut Vec::new());
+    assert!(kit.servers[0].is_quiesced());
+    // Completing it again changes nothing.
+    kit.servers[0].on_disk_done(SimTime::ZERO, last, &mut Vec::new());
+    assert!(kit.servers[0].is_quiesced());
 }

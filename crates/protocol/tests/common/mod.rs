@@ -2,8 +2,9 @@
 //! Shared fixtures for protocol tests.
 
 use cx_protocol::testkit::Kit;
+use cx_protocol::{Action, Endpoint};
 use cx_types::{
-    BatchTrigger, ClusterConfig, FileKind, InodeNo, Name, Placement, Protocol, ServerId,
+    BatchTrigger, ClusterConfig, FileKind, InodeNo, Name, Placement, Protocol, ServerId, SimTime,
 };
 
 /// A cluster whose lazy commitments never fire on their own, so tests
@@ -72,4 +73,21 @@ pub fn cross_server_pair(placement: &Placement, name_from: u64, ino_from: u64) -
         }
     }
     panic!("no cross-server pair found");
+}
+
+/// Quiesce `server` by hand with its write-backs left in flight: the kit's
+/// disk is instant, so every other action is interpreted as usual and the
+/// write-back tokens are handed back for the test to complete itself.
+pub fn quiesce_holding_writebacks(kit: &mut Kit, server: ServerId) -> Vec<u64> {
+    let mut out = Vec::new();
+    kit.servers[server.0 as usize].quiesce(SimTime::ZERO, &mut out);
+    let mut tokens = Vec::new();
+    for a in out {
+        match a {
+            Action::DbWriteback { token, .. } => tokens.push(token),
+            a => kit.inject_actions(Endpoint::Server(server), vec![a]),
+        }
+    }
+    kit.run();
+    tokens
 }

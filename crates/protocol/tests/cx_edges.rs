@@ -8,7 +8,8 @@ use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::Endpoint;
 use cx_types::{
-    BatchTrigger, ClusterConfig, FsOp, MsgKind, OpOutcome, Payload, ProcId, Protocol, SimTime,
+    BatchTrigger, ClusterConfig, FsOp, MsgKind, OpOutcome, Payload, ProcId, Protocol, ServerId,
+    SimTime,
 };
 
 fn proc(n: u32) -> ProcId {
@@ -412,6 +413,119 @@ fn local_mutation_parked_on_full_log_applies_exactly_once() {
     let s = &kit.servers[idx];
     assert_eq!(s.store().lookup(ROOT, name), Some(ino));
     assert_eq!(s.stats().local_mutations, 1);
+    kit.quiesce();
+    assert_eq!(kit.check_consistency(&roots()), vec![]);
+}
+
+/// `count` creates whose dentry and inode both live on `server`: local
+/// mutations, written back by the next lazy batch.
+fn local_creates(kit: &mut Kit, server: ServerId, from: u64, count: u64) {
+    for k in 0..count {
+        let name = name_on(&kit.placement, server, from + k * 101);
+        let ino = inode_on(&kit.placement, server, 10 * from + k * 103);
+        let op = kit.run_op(
+            proc(0),
+            FsOp::Create {
+                parent: ROOT,
+                name,
+                ino,
+            },
+        );
+        assert_eq!(kit.outcome(op), Some(OpOutcome::Applied));
+    }
+}
+
+fn disk_done(kit: &mut Kit, server: ServerId, token: u64) {
+    let mut out = Vec::new();
+    kit.servers[server.0 as usize].on_disk_done(SimTime::ZERO, token, &mut out);
+    assert_eq!(out, vec![], "a write-back completion triggers nothing");
+}
+
+/// Write-back completions are counted, not stored: the server is busy
+/// until the count is back to zero, whatever order the disk finishes in.
+#[test]
+fn outstanding_writebacks_keep_the_server_unquiesced_until_the_last_completion() {
+    let mut kit = kit_never(2, Protocol::Cx);
+    seed_namespace(&mut kit, &[]);
+    let server = ServerId(1);
+    let idx = server.0 as usize;
+    local_creates(&mut kit, server, 1_000, 4);
+    let mut tokens = quiesce_holding_writebacks(&mut kit, server);
+    local_creates(&mut kit, server, 2_000, 4);
+    tokens.extend(quiesce_holding_writebacks(&mut kit, server));
+    assert!(tokens.len() >= 2, "two lazy batches, two write-backs");
+    assert!(
+        kit.servers[idx]
+            .debug_summary()
+            .contains(&format!("writebacks={}", tokens.len())),
+        "{}",
+        kit.servers[idx].debug_summary()
+    );
+
+    // Newest first: nothing depends on the order of completions.
+    let last = tokens.remove(0);
+    for token in tokens.into_iter().rev() {
+        assert!(!kit.servers[idx].is_quiesced());
+        disk_done(&mut kit, server, token);
+    }
+    assert!(!kit.servers[idx].is_quiesced(), "one is still in flight");
+    disk_done(&mut kit, server, last);
+    assert!(kit.servers[idx].is_quiesced());
+    assert_eq!(kit.servers[idx].debug_summary(), "");
+}
+
+/// A crash loses the queued write-backs with the disk: the count restarts
+/// at zero, and a completion for a pre-crash token — one a runtime failed
+/// to discard — neither finishes a post-crash write-back nor underflows.
+#[test]
+fn crash_resets_outstanding_writebacks_and_late_completions_are_ignored() {
+    let mut kit = kit_never(2, Protocol::Cx);
+    seed_namespace(&mut kit, &[]);
+    let server = ServerId(1);
+    let idx = server.0 as usize;
+    local_creates(&mut kit, server, 1_000, 4);
+    let lost = quiesce_holding_writebacks(&mut kit, server);
+    assert!(!lost.is_empty() && !kit.servers[idx].is_quiesced());
+
+    kit.servers[idx].crash(SimTime::ZERO);
+    disk_done(&mut kit, server, lost[0]); // dead servers hear nothing
+    let mut out = Vec::new();
+    kit.servers[idx].recover(SimTime::ZERO, &mut out);
+    kit.inject_actions(Endpoint::Server(server), out);
+    kit.run();
+    assert!(!kit.servers[idx].is_recovering());
+    assert!(
+        kit.servers[idx].is_quiesced(),
+        "the lost write-backs are not waited for: {}",
+        kit.servers[idx].debug_summary()
+    );
+    for &token in &lost {
+        disk_done(&mut kit, server, token); // nothing outstanding: no underflow
+    }
+    assert!(kit.servers[idx].is_quiesced());
+
+    // New write-backs after the reboot; the late completions must not be
+    // taken for theirs, however many arrive.
+    local_creates(&mut kit, server, 3_000, 4);
+    let fresh = quiesce_holding_writebacks(&mut kit, server);
+    assert!(!fresh.is_empty());
+    for _ in 0..2 {
+        for &token in &lost {
+            disk_done(&mut kit, server, token);
+        }
+    }
+    assert!(
+        kit.servers[idx]
+            .debug_summary()
+            .contains(&format!("writebacks={}", fresh.len())),
+        "{}",
+        kit.servers[idx].debug_summary()
+    );
+    for token in fresh {
+        assert!(!kit.servers[idx].is_quiesced());
+        disk_done(&mut kit, server, token);
+    }
+    assert!(kit.servers[idx].is_quiesced());
     kit.quiesce();
     assert_eq!(kit.check_consistency(&roots()), vec![]);
 }

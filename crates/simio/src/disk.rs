@@ -28,18 +28,6 @@ pub enum DiskReq {
     RandomRead { pages: Vec<u64>, token: u64 },
 }
 
-impl DiskReq {
-    fn token(&self) -> u64 {
-        match *self {
-            DiskReq::LogAppend { token, .. }
-            | DiskReq::DbWriteback { token, .. }
-            | DiskReq::DbSyncWrite { token, .. }
-            | DiskReq::SeqRead { token, .. }
-            | DiskReq::RandomRead { token, .. } => token,
-        }
-    }
-}
-
 /// An in-flight batch: the caller schedules a completion event at `finish`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
@@ -95,6 +83,31 @@ impl DiskStats {
     }
 }
 
+/// What a queued background request costs to serve, fixed at `submit`.
+/// Service time and stats depend on the request only through these counts
+/// and on `cfg`, which never changes for a `Disk`'s life, so pricing early
+/// yields the numbers pricing at start would.
+#[derive(Debug, Clone, Copy)]
+enum Priced {
+    /// Distinct pages and the runs they merge into.
+    Writeback {
+        pages: u32,
+        runs: u32,
+    },
+    SeqRead {
+        bytes: u64,
+    },
+    RandomRead {
+        pages: u32,
+    },
+}
+
+/// A page or run count as the lane stores it. A list longer than
+/// `u32::MAX` is 32 GiB of page numbers; no caller can hold one.
+fn lane_count(n: u64) -> u32 {
+    u32::try_from(n).expect("page list longer than u32::MAX")
+}
+
 /// The disk. Sans-event: `submit`/`complete` return batches whose `finish`
 /// times the caller turns into DES events.
 ///
@@ -102,8 +115,12 @@ impl DiskStats {
 /// batch costs O(batch), not O(backlog): under load the log lane owns the
 /// disk and write-back only queues — tens of thousands of batches by the
 /// end of a replay — and a single queue is scanned past all of them on
-/// every completion. The tests' `RefDisk` is that single queue; the lanes
-/// must hand out the same batches in the same order.
+/// every completion. That backlog is also why a queued background request
+/// is a 24-byte [`Priced`] entry and not the request: `submit` does the
+/// sort, dedup and run count, and no page list outlives it. The tests'
+/// `RefDisk` is the single queue that prices at start; the lanes must hand
+/// out the same batches in the same order and move the same stats at the
+/// same moment.
 #[derive(Debug, Clone)]
 pub struct Disk {
     cfg: DiskConfig,
@@ -111,8 +128,9 @@ pub struct Disk {
     log: VecDeque<(u64, u64)>,
     /// `(page, token)` of queued synchronous database writes.
     sync: VecDeque<(u64, u64)>,
-    /// Write-back and recovery reads, served one request at a time.
-    background: VecDeque<DiskReq>,
+    /// `(token, price)` of write-back and recovery reads, served one
+    /// request at a time.
+    background: VecDeque<(u64, Priced)>,
     inflight: bool,
     stats: DiskStats,
     /// Incremented on crash so runtimes can discard completion events
@@ -157,8 +175,22 @@ impl Disk {
         match req {
             DiskReq::LogAppend { bytes, token } => self.log.push_back((bytes, token)),
             DiskReq::DbSyncWrite { page, token } => self.sync.push_back((page, token)),
-            DiskReq::DbWriteback { .. } | DiskReq::SeqRead { .. } | DiskReq::RandomRead { .. } => {
-                self.background.push_back(req)
+            DiskReq::DbWriteback { mut pages, token } => {
+                pages.sort_unstable();
+                pages.dedup();
+                let price = Priced::Writeback {
+                    pages: lane_count(pages.len() as u64),
+                    runs: lane_count(count_runs(&pages, self.cfg.merge_gap)),
+                };
+                self.background.push_back((token, price));
+            }
+            DiskReq::SeqRead { bytes, token } => self
+                .background
+                .push_back((token, Priced::SeqRead { bytes })),
+            DiskReq::RandomRead { pages, token } => {
+                let pages = lane_count(pages.len() as u64);
+                self.background
+                    .push_back((token, Priced::RandomRead { pages }));
             }
         }
         if self.inflight {
@@ -197,8 +229,8 @@ impl Disk {
         } else if !self.sync.is_empty() {
             self.start_sync_flush(now)
         } else {
-            let req = self.background.pop_front()?;
-            self.start_background(now, req)
+            let (token, price) = self.background.pop_front()?;
+            self.start_background(now, token, price)
         };
         self.inflight = true;
         Some(batch)
@@ -251,34 +283,29 @@ impl Disk {
         }
     }
 
-    fn start_background(&mut self, now: SimTime, req: DiskReq) -> Batch {
-        let token = req.token();
-        let service = match req {
-            DiskReq::LogAppend { .. } | DiskReq::DbSyncWrite { .. } => {
-                unreachable!("submit() routes synchronous requests to their own lanes")
-            }
-            DiskReq::DbWriteback { mut pages, .. } => {
-                pages.sort_unstable();
-                pages.dedup();
-                let runs = count_runs(&pages, self.cfg.merge_gap);
+    fn start_background(&mut self, now: SimTime, token: u64, price: Priced) -> Batch {
+        let service = match price {
+            Priced::Writeback { pages, runs } => {
+                let (pages, runs) = (pages as u64, runs as u64);
                 self.stats.wb_batches += 1;
-                self.stats.wb_pages += pages.len() as u64;
+                self.stats.wb_pages += pages;
                 self.stats.wb_runs += runs;
                 self.cfg.wb_batch_seek_ns
                     + runs.saturating_sub(1) * self.cfg.wb_run_seek_ns
-                    + transfer_ns(pages.len() as u64 * PAGE_BYTES, self.cfg.seq_bw_bps)
+                    + transfer_ns(pages * PAGE_BYTES, self.cfg.seq_bw_bps)
             }
-            DiskReq::SeqRead { bytes, .. } => {
+            Priced::SeqRead { bytes } => {
                 self.stats.seq_reads += 1;
                 self.cfg.wb_batch_seek_ns + transfer_ns(bytes, self.cfg.seq_bw_bps)
             }
-            DiskReq::RandomRead { pages, .. } => {
+            Priced::RandomRead { pages } => {
                 // Dependent point lookups (B-tree walks): each row read
                 // must finish before the next begins, so the elevator
                 // cannot merge them the way write-back batches merge.
-                self.stats.cold_reads += pages.len() as u64;
-                pages.len() as u64 * self.cfg.cold_read_run_ns
-                    + transfer_ns(pages.len() as u64 * PAGE_BYTES, self.cfg.seq_bw_bps)
+                let pages = pages as u64;
+                self.stats.cold_reads += pages;
+                pages * self.cfg.cold_read_run_ns
+                    + transfer_ns(pages * PAGE_BYTES, self.cfg.seq_bw_bps)
             }
         };
         self.stats.busy_ns += service;
@@ -314,6 +341,19 @@ mod tests {
 
     fn disk() -> Disk {
         Disk::new(DiskConfig::default())
+    }
+
+    /// Only the oracle still asks a whole request for its token.
+    impl DiskReq {
+        fn token(&self) -> u64 {
+            match *self {
+                DiskReq::LogAppend { token, .. }
+                | DiskReq::DbWriteback { token, .. }
+                | DiskReq::DbSyncWrite { token, .. }
+                | DiskReq::SeqRead { token, .. }
+                | DiskReq::RandomRead { token, .. } => token,
+            }
+        }
     }
 
     /// The oracle: the single scanned queue the lanes replaced, verbatim.
@@ -494,9 +534,17 @@ mod tests {
             z ^ (z >> 31)
         }
 
+        /// 1–64 pages, unsorted; every fourth list draws from 48 page
+        /// numbers, so long lists repeat pages and the rest merge into
+        /// few runs.
         fn pages(&mut self) -> Vec<u64> {
-            (0..1 + self.next() % 24)
-                .map(|_| self.next() % 4_096)
+            let span = if self.next().is_multiple_of(4) {
+                48
+            } else {
+                4_096
+            };
+            (0..1 + self.next() % 64)
+                .map(|_| self.next() % span)
                 .collect()
         }
 
@@ -516,8 +564,13 @@ mod tests {
                     pages: self.pages(),
                     token,
                 },
+                // Every fourth scan is longer than a u32 of bytes.
                 90..=94 => DiskReq::SeqRead {
-                    bytes: 1 + self.next() % (1 << 20),
+                    bytes: if self.next().is_multiple_of(4) {
+                        (1 << 32) + self.next() % (1 << 36)
+                    } else {
+                        1 + self.next() % (1 << 20)
+                    },
                     token,
                 },
                 _ => DiskReq::RandomRead {
@@ -531,29 +584,43 @@ mod tests {
     /// Drive the laned disk and the single-queue oracle with one seeded
     /// request stream: every `submit`/`complete` must return the same
     /// batch (tokens in order, finish time) and leave the same stats.
+    /// The oracle prices a background request when it starts, the disk when
+    /// it is submitted, so the per-step stats comparison also pins *when*
+    /// the write-back counters move.
     #[test]
     fn lanes_match_the_single_queue_oracle() {
         const STEPS: u64 = 30_000;
-        for group_commit in [true, false] {
+        let default_gap = DiskConfig::default().merge_gap;
+        for (group_commit, merge_gap) in [
+            (true, default_gap),
+            (false, default_gap),
+            (true, 0),
+            (true, 1),
+            (false, 4_096),
+        ] {
             let cfg = DiskConfig {
                 group_commit,
+                merge_gap,
                 ..DiskConfig::default()
             };
             let mut disk = Disk::new(cfg);
             let mut oracle = RefDisk::new(cfg);
-            let mut rng = SplitMix(0x5eed + group_commit as u64);
+            let mut rng = SplitMix(0x5eed + group_commit as u64 + (merge_gap << 1));
             let mut now = SimTime(0);
             let mut inflight: Option<SimTime> = None;
-            let (mut crashes, mut deepest) = (0, 0);
+            let (mut crashes, mut deepest, mut deepest_crashed) = (0, 0, 0);
             for token in 0..STEPS {
                 // Submissions outpace completions; a rare crash empties
-                // both disks.
+                // both disks, and one is forced the first time the priced
+                // backlog is 1,200 deep.
                 let roll = rng.next() % 10_000;
-                let (got, want) = if roll < 2 {
+                let backlog = disk.background.len();
+                let (got, want) = if roll < 2 || (deepest_crashed == 0 && backlog >= 1_200) {
                     disk.crash();
                     oracle.crash();
                     inflight = None;
                     crashes += 1;
+                    deepest_crashed = deepest_crashed.max(backlog);
                     (None, None)
                 } else if roll < 2_500 && inflight.is_some() {
                     now = inflight.take().expect("checked");
@@ -563,36 +630,44 @@ mod tests {
                     let req = rng.req(token);
                     (disk.submit(now, req.clone()), oracle.submit(now, req))
                 };
-                assert_eq!(got, want, "step {token} (group_commit {group_commit})");
-                assert_eq!(disk.stats, oracle.stats, "step {token}");
-                assert_eq!(disk.queued(), oracle.queue.len(), "step {token}");
+                let cfg = (group_commit, merge_gap);
+                assert_eq!(got, want, "step {token} {cfg:?}");
+                assert_eq!(disk.stats, oracle.stats, "step {token} {cfg:?}");
+                assert_eq!(disk.queued(), oracle.queue.len(), "step {token} {cfg:?}");
                 if let Some(b) = got {
                     inflight = Some(b.finish);
                 }
                 deepest = deepest.max(disk.background.len());
             }
             assert!(
-                crashes > 0 && deepest >= 1_000,
-                "{crashes} crashes, backlog {deepest}"
+                crashes > 1 && deepest >= 1_000 && deepest_crashed >= 1_000,
+                "{crashes} crashes (deepest backlog lost {deepest_crashed}), backlog {deepest}"
             );
             // Drain: the backlog comes out in the oracle's order too.
             while let Some(finish) = inflight.take() {
                 let got = disk.complete(finish);
                 assert_eq!(got, oracle.complete(finish), "drain");
+                assert_eq!(disk.stats, oracle.stats, "drain");
                 inflight = got.map(|b| b.finish);
             }
             assert!(disk.is_idle() && oracle.queue.is_empty());
-            assert_eq!(disk.stats, oracle.stats);
             let s = disk.stats;
             assert!(
                 s.log_appends > 0
                     && s.sync_writes > 0
                     && s.wb_batches > 0
+                    && (merge_gap == 0 || s.wb_pages > s.wb_runs)
                     && s.seq_reads > 0
                     && s.cold_reads > 0,
                 "every request kind was served: {s:?}"
             );
         }
+    }
+
+    /// The lane entry is what the backlog is made of; keep it three words.
+    #[test]
+    fn a_queued_background_request_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, Priced)>(), 24);
     }
 
     #[test]
