@@ -129,11 +129,11 @@ if [ "${1:-}" != "quick" ]; then
     # The gate's own package. benchmark/ is a workspace of its own with its
     # own lock file, so nothing above compiles it: a crate change could
     # break its build, or move the DES digests it pins, unnoticed. Its
-    # tests, then one short gated run per loaded row at the default seed —
-    # 7, the only seed whose digests benchmark/src/main.rs pins.
-    step "benchmark package (tests + des-update and des-home2 digest pins)"
+    # tests, then one short gated run per DES row at the default seed — 7,
+    # the only seed whose digests benchmark/src/main.rs pins.
+    step "benchmark package (tests + the three DES digest pins)"
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
-    for workload in des-update des-home2; do
+    for workload in des-update des-home2 des-lowload; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seconds 3
     done

@@ -1,19 +1,26 @@
 //! Where the heap is at its peak: one DES replay under a counting allocator.
 //!
-//!     cargo run --release -p cx-bench --bin heap_peak -- [--workload home2|update] [--seed n]
+//!     cargo run --release -p cx-bench --bin heap_peak -- [--workload home2|update|lowload] [--seed n]
 //!
-//! Replays the benchmark's `des-home2` or `des-update` input once (sizes,
-//! cluster seed and trigger of `benchmark/src/spec.rs`) and prints peak live
-//! heap bytes with the live blocks per power-of-two size class as of the
-//! peak. Megabytes in thousands of small blocks are the per-item cost of a
-//! backlog; a few huge blocks are tables that never shrink. The class table
-//! is copied whenever live bytes pass the last copy by 64 KiB.
+//! Replays the benchmark's `des-home2`, `des-update` or `des-lowload` input
+//! once (sizes, cluster seed and trigger of `benchmark/src/spec.rs`) and
+//! prints peak live heap bytes with the live blocks per power-of-two size
+//! class as of the peak. Megabytes in thousands of small blocks are the
+//! per-item cost of a backlog; a few huge blocks are tables that never
+//! shrink. The class table is copied whenever live bytes pass the last copy
+//! by 64 KiB.
+//!
+//! One more line gives the live heap and the peak as of the replay's last
+//! pull from the op stream: whatever the whole-run peak adds to that peak was
+//! allocated after the replay, by the drain and the run-end consistency
+//! check.
 
 use cx_bench::{print_table, Args};
 use cx_core::{
-    BatchTrigger, ClusterConfig, DesCluster, Metarates, MetaratesMix, Protocol, TraceBuilder,
-    TraceProfile,
+    BatchTrigger, ClusterConfig, DesCluster, Metarates, MetaratesMix, OpStream, Protocol,
+    TraceBuilder, TraceProfile,
 };
+use cx_workloads::TraceOp;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -76,6 +83,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// `[peak, live]` bytes as of the replay's latest pull from the op stream.
+static AT_LAST_PULL: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
+
+/// The workload's op stream, noting the heap at every pull.
+struct Watched(Box<dyn OpStream + Send>);
+
+impl OpStream for Watched {
+    fn next_op(&mut self) -> Option<TraceOp> {
+        AT_LAST_PULL[0].store(PEAK.load(Relaxed), Relaxed);
+        AT_LAST_PULL[1].store(LIVE.load(Relaxed), Relaxed);
+        self.0.next_op()
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let workload: String = args.value("--workload").unwrap_or_else(|| "home2".into());
@@ -84,21 +105,27 @@ fn main() {
     cfg.seed = 42;
     let period_ns = 20_000_000;
     cfg.cx.trigger = BatchTrigger::Timeout { period_ns };
-    let stream = match workload.as_str() {
+    let metarates = |cfg: &ClusterConfig, ops_per_proc| {
+        let mut m = Metarates::new(MetaratesMix::UpdateDominated, cfg.total_processes())
+            .seed_files(4_000 * cfg.servers)
+            .ops_per_proc(ops_per_proc);
+        m.seed = seed;
+        m.stream()
+    };
+    let mut stream = match workload.as_str() {
         "home2" => TraceBuilder::new(TraceProfile::by_name("home2").expect("a Table II profile"))
             .tweak(|p| p.shared_access_prob = 0.0)
             .scale(0.32)
             .seed(seed)
             .stream(),
-        "update" => {
-            let mut m = Metarates::new(MetaratesMix::UpdateDominated, cfg.total_processes())
-                .seed_files(4_000 * cfg.servers)
-                .ops_per_proc(1_280);
-            m.seed = seed;
-            m.stream()
+        "update" => metarates(&cfg, 1_280),
+        "lowload" => {
+            (cfg.clients, cfg.procs_per_client) = (1, 1);
+            metarates(&cfg, 300_000)
         }
-        other => panic!("--workload {other}: expected home2 or update"),
+        other => panic!("--workload {other}: expected home2, update or lowload"),
     };
+    stream.ops = Box::new(Watched(stream.ops));
     let (stats, violations) = DesCluster::new_stream(cfg, stream).run();
     assert!(violations.is_empty(), "{violations:?}");
 
@@ -106,7 +133,9 @@ fn main() {
     let (peak, copied) = (mib(PEAK.load(Relaxed)), mib(COPIED_AT.load(Relaxed)));
     let (ops, wb) = (stats.ops_total, stats.disk.wb_batches);
     println!("{workload} seed {seed}: {ops} ops, {wb} write-back batches");
-    println!("peak live heap {peak} MiB (class table copied at {copied} MiB)\n");
+    println!("peak live heap {peak} MiB (class table copied at {copied} MiB)");
+    let [pulled_peak, pulled_live] = [0, 1].map(|i| mib(AT_LAST_PULL[i].load(Relaxed)));
+    println!("at the replay's last pull: {pulled_live} MiB live, {pulled_peak} MiB peak so far\n");
     let mut rows: Vec<(usize, usize, usize)> = (0..CLASSES)
         .map(|c| (AT_PEAK[c][0].load(Relaxed), AT_PEAK[c][1].load(Relaxed), c))
         .collect();

@@ -18,6 +18,7 @@
 
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::feed::OpFeed;
+use crate::seed::seed_stores;
 use crate::stats::{AckRecord, RecoveryCycle, RunStats, TimelineSample};
 use cx_mdstore::{GlobalView, Violation};
 use cx_obs::flow::MsgKind as FlowKind;
@@ -26,11 +27,11 @@ use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
 use cx_sim::{FifoResource, Sim};
 use cx_simio::{Batch, Disk, DiskReq};
 use cx_types::{
-    ClusterConfig, FileKind, FsOp, MsgKind, OpId, Payload, Placement, ProcId, Protocol, ServerId,
-    SimTime, DUR_US,
+    ClusterConfig, FsOp, MsgKind, OpId, Payload, Placement, ProcId, Protocol, ServerId, SimTime,
+    DUR_US,
 };
 use cx_wal::RecordFamily;
-use cx_workloads::{SeedEntry, StreamTrace, Trace};
+use cx_workloads::{StreamTrace, Trace};
 
 /// Client-side overhead between completing one op and issuing the next.
 const CLIENT_ISSUE_NS: u64 = 15 * DUR_US;
@@ -131,8 +132,6 @@ pub struct ChaosOutcome {
     pub acks: Vec<AckRecord>,
     /// Every operation issued (acked or not).
     pub issued: Vec<(OpId, FsOp)>,
-    /// Merged final metadata view of all servers.
-    pub view: GlobalView,
 }
 
 /// Per-server liveness during a run with crashes.
@@ -248,27 +247,8 @@ impl DesCluster {
             .map(|i| cx_protocol::make_server(ServerId(i), &cfg))
             .collect();
 
-        // Seed the initial namespace.
-        for seed in &seeds {
-            match *seed {
-                SeedEntry::Dir { ino } => {
-                    // directory partition rows exist on every server
-                    for s in servers.iter_mut() {
-                        s.store_mut().seed_inode(ino, FileKind::Directory, 1);
-                    }
-                }
-                SeedEntry::File { parent, name, ino } => {
-                    let ds = placement.dentry_server(parent, name);
-                    servers[ds.0 as usize]
-                        .store_mut()
-                        .seed_dentry(parent, name, ino);
-                    let is = placement.inode_server(ino);
-                    servers[is.0 as usize]
-                        .store_mut()
-                        .seed_inode(ino, FileKind::Regular, 1);
-                }
-            }
-        }
+        let mut stores: Vec<_> = servers.iter_mut().map(|s| Some(s.store_mut())).collect();
+        seed_stores(&placement, &seeds, &mut stores);
 
         let procs: Vec<ProcRuntime> = (0..processes)
             .map(|i| ProcRuntime {
@@ -463,9 +443,8 @@ impl DesCluster {
         self.finalize();
 
         let quiesced = self.quiesced();
-        let view = GlobalView::merge(self.servers.iter().map(|s| s.store()));
         let violations = if quiesced {
-            view.check(&self.roots)
+            GlobalView::merge(self.servers.iter().map(|s| s.store())).check(&self.roots)
         } else {
             Vec::new()
         };
@@ -488,7 +467,6 @@ impl DesCluster {
             quiesced,
             acks: self.acks,
             issued: self.issued,
-            view,
         }
     }
 

@@ -18,6 +18,7 @@
 pub mod des;
 pub mod fault;
 pub mod feed;
+mod seed;
 pub mod stats;
 pub mod tcp;
 pub mod threaded;

@@ -27,8 +27,9 @@
 //! [`GlobalView`] atomicity check.
 
 use crate::feed::OpFeed;
+use crate::seed::seed_engine;
 use crate::stats::RunStats;
-use crate::threaded::{seed_engine, LiveMetrics};
+use crate::threaded::LiveMetrics;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cx_mdstore::{GlobalView, MetaStore, Violation};
 use cx_net::{
@@ -96,6 +97,48 @@ struct WireReport {
     /// contribution to the cluster-wide `cx-obs net` table; the
     /// coordinator fills in the `on` column from the responding node.
     peers: Vec<(String, HealthSnapshot)>,
+}
+
+type InodeRows = Vec<(u64, u8, u32)>;
+type EntryRows = Vec<(u64, u64, u64)>;
+
+/// A store's rows as [`Frame::StopResp`] ships them. Attribute versions
+/// are not part of the snapshot: the atomicity check only reads kind/nlink
+/// and the entry table.
+pub(crate) fn snapshot_rows(store: &MetaStore) -> (InodeRows, EntryRows) {
+    let inodes = store
+        .inodes()
+        .map(|(ino, inode)| {
+            let kind = match inode.kind {
+                FileKind::Regular => 0u8,
+                FileKind::Directory => 1,
+            };
+            (ino.0, kind, inode.nlink)
+        })
+        .collect();
+    let dentries = store
+        .dentries()
+        .map(|(&(parent, name), &child)| (parent.0, name.0, child.0))
+        .collect();
+    (inodes, dentries)
+}
+
+/// The coordinator's copy of a server's store, from its snapshot.
+pub(crate) fn rebuild_store(inodes: InodeRows, dentries: EntryRows) -> MetaStore {
+    let mut store = MetaStore::new();
+    store.reserve_rows(inodes.len(), dentries.len());
+    for (ino, kind, nlink) in inodes {
+        let kind = if kind == 1 {
+            FileKind::Directory
+        } else {
+            FileKind::Regular
+        };
+        store.seed_inode(InodeNo(ino), kind, nlink);
+    }
+    for (parent, name, child) in dentries {
+        store.seed_dentry(InodeNo(parent), Name(name), InodeNo(child));
+    }
+    store
 }
 
 /// Options for a TCP run.
@@ -484,21 +527,7 @@ fn handle_server_frame(
             let stats_json = serde_json::to_string(&report)
                 .expect("server report serializes")
                 .into_bytes();
-            let store = engine.store();
-            let inodes = store
-                .inodes()
-                .map(|(ino, inode)| {
-                    let kind = match inode.kind {
-                        FileKind::Regular => 0u8,
-                        FileKind::Directory => 1,
-                    };
-                    (ino.0, kind, inode.nlink)
-                })
-                .collect();
-            let dentries = store
-                .dentries()
-                .map(|(&(parent, name), &child)| (parent.0, name.0, child.0))
-                .collect();
+            let (inodes, dentries) = snapshot_rows(engine.store());
             let _ = ctx.conn.send(
                 from_node,
                 Frame::StopResp {
@@ -1540,22 +1569,7 @@ fn run_inner(
             for (peer, h) in &report.peers {
                 net_rows.push(peer_row(&on, peer, h));
             }
-            // Rebuild the server's namespace rows (attribute versions are
-            // not part of the snapshot; the atomicity check only reads
-            // kind/nlink and the entry table).
-            let mut store = MetaStore::new();
-            for (ino, kind, nlink) in inodes {
-                let kind = if kind == 1 {
-                    FileKind::Directory
-                } else {
-                    FileKind::Regular
-                };
-                store.seed_inode(InodeNo(ino), kind, nlink);
-            }
-            for (parent, name, child) in dentries {
-                store.seed_dentry(InodeNo(parent), Name(name), InodeNo(child));
-            }
-            stores.push(store);
+            stores.push(rebuild_store(inodes, dentries));
         }
     }
 

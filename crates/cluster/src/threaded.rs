@@ -10,6 +10,7 @@
 //! simulation: the engines cannot tell which runtime drives them.
 
 use crate::feed::OpFeed;
+use crate::seed::seed_stores;
 use crate::stats::RunStats;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use cx_mdstore::{GlobalView, MetaStore, Violation};
@@ -19,10 +20,9 @@ use cx_protocol::{
 };
 use cx_sim::TimerQueue;
 use cx_types::{
-    ClusterConfig, FileKind, OpId, OpOutcome, Payload, Placement, ProcId, Protocol, ServerId,
-    SimTime,
+    ClusterConfig, OpId, OpOutcome, Payload, Placement, ProcId, Protocol, ServerId, SimTime,
 };
-use cx_workloads::{SeedEntry, StreamTrace, Trace};
+use cx_workloads::{StreamTrace, Trace};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -200,11 +200,17 @@ impl ThreadedCluster {
         let timer_thread = thread::spawn(move || timer_loop(timer_rx, timer_servers));
 
         // Server threads.
+        let mut engines: Vec<Box<dyn ServerEngine>> = (0..cfg.servers)
+            .map(|i| {
+                let mut engine = cx_protocol::make_server(ServerId(i), &cfg);
+                engine.install_obs(obs.clone());
+                engine
+            })
+            .collect();
+        let mut stores: Vec<_> = engines.iter_mut().map(|e| Some(e.store_mut())).collect();
+        seed_stores(&placement, &seeds, &mut stores);
         let mut server_threads = Vec::new();
-        for (i, rx) in server_rx.into_iter().enumerate() {
-            let mut engine = cx_protocol::make_server(ServerId(i as u32), &cfg);
-            engine.install_obs(obs.clone());
-            seed_engine(engine.as_mut(), &placement, &seeds, ServerId(i as u32));
+        for (i, (engine, rx)) in engines.into_iter().zip(server_rx).enumerate() {
             let r = router.clone();
             server_threads.push(thread::spawn(move || server_loop(i as u32, engine, rx, r)));
         }
@@ -305,29 +311,6 @@ impl ThreadedCluster {
             stats,
             violations,
             wall: start.elapsed(),
-        }
-    }
-}
-
-pub(crate) fn seed_engine(
-    engine: &mut dyn ServerEngine,
-    placement: &Placement,
-    seeds: &[SeedEntry],
-    me: ServerId,
-) {
-    for seed in seeds {
-        match *seed {
-            SeedEntry::Dir { ino } => {
-                engine.store_mut().seed_inode(ino, FileKind::Directory, 1);
-            }
-            SeedEntry::File { parent, name, ino } => {
-                if placement.dentry_server(parent, name) == me {
-                    engine.store_mut().seed_dentry(parent, name, ino);
-                }
-                if placement.inode_server(ino) == me {
-                    engine.store_mut().seed_inode(ino, FileKind::Regular, 1);
-                }
-            }
         }
     }
 }

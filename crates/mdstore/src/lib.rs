@@ -14,7 +14,8 @@
 //! in batches ([`MetaStore::take_dirty_pages`]) whose disk cost `cx-simio`
 //! computes with elevator merging.
 //!
-//! [`GlobalView`] merges the stores of every server in a cluster and checks
+//! [`GlobalView`] reads the stores of every server in a cluster as one
+//! namespace — borrowing them, copying no row — and checks
 //! the paper's correctness goal — atomicity of cross-server operations: no
 //! dangling entries, no orphan inodes, nlink counts consistent with the
 //! entries that reference them.

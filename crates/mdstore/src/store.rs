@@ -72,10 +72,10 @@ pub struct StoreStats {
 ///
 /// The row maps use the Fx hasher: lookups dominate the sub-op hot path,
 /// and nothing behavioral reads them in iteration order ([`GlobalView`]
-/// re-sorts into BTreeMaps when merging; the store prop tests sort their
-/// snapshots). The `dirty` set stays a `BTreeSet` on purpose — its
-/// iteration order becomes the write-back page list, which the disk model
-/// times, so it is load-bearing for determinism.
+/// borrows them and sorts whatever it lists or reports; the store prop
+/// tests sort their snapshots). The `dirty` set stays a `BTreeSet` on
+/// purpose — its iteration order becomes the write-back page list, which
+/// the disk model times, so it is load-bearing for determinism.
 ///
 /// [`GlobalView`]: crate::GlobalView
 #[derive(Debug, Clone, Default)]
@@ -122,6 +122,19 @@ impl MetaStore {
 
     pub fn inodes(&self) -> impl Iterator<Item = (&InodeNo, &Inode)> {
         self.inodes.iter()
+    }
+
+    /// Size the row tables for this many more rows (workload setup knows
+    /// the count before it inserts), so seeding never regrows a table.
+    pub fn reserve_rows(&mut self, inodes: usize, dentries: usize) {
+        self.inodes.reserve(inodes);
+        self.dentries.reserve(dentries);
+    }
+
+    /// Row-table capacities, `(inodes, dentries)`.
+    #[cfg(test)]
+    fn row_capacity(&self) -> (usize, usize) {
+        (self.inodes.capacity(), self.dentries.capacity())
     }
 
     /// Pre-populate an inode (workload setup: traces begin with existing
@@ -506,5 +519,25 @@ mod tests {
         s.seed_inode(InodeNo(10), FileKind::Regular, 1);
         assert_eq!(s.lookup(InodeNo(1), Name(7)), Some(InodeNo(10)));
         assert_eq!(s.dirty_count(), 0, "seeding is clean");
+    }
+
+    /// A table reserved for `n` rows takes `n` rows without growing, at
+    /// every size seeding meets: a benchmark server's share of 32,000
+    /// files, home2's few hundred, the whole namespace on one server.
+    #[test]
+    fn reserved_tables_hold_their_rows() {
+        for (inodes, dentries) in [(0, 0), (1, 0), (98, 131), (4_002, 4_000), (32_002, 32_000)] {
+            let mut s = MetaStore::new();
+            s.reserve_rows(inodes, dentries);
+            let reserved = s.row_capacity();
+            assert!(reserved.0 >= inodes && reserved.1 >= dentries);
+            for i in 0..inodes as u64 {
+                s.seed_inode(InodeNo(i), FileKind::Regular, 1);
+            }
+            for i in 0..dentries as u64 {
+                s.seed_dentry(InodeNo(1), Name(i), InodeNo(i));
+            }
+            assert_eq!(s.row_capacity(), reserved, "{inodes}/{dentries} rows");
+        }
     }
 }

@@ -95,6 +95,13 @@ impl Metarates {
     /// for memory, as [`crate::stream::injection_counts`] does; the last
     /// rank positions nobody, so one-rank inputs pay nothing.
     pub fn stream(&self) -> StreamTrace {
+        let total = self.processes as u64 * self.ops_per_proc as u64;
+        // Files are numbered from 1 and the counter rests one past the last.
+        assert!(
+            self.seed_files as u64 + total < u32::MAX as u64,
+            "{} seed files + {total} ops could create more files than the u32 file number holds",
+            self.seed_files
+        );
         let mut rng = det_rng(self.seed, 0x3e7a_0000);
         let mut seeds = vec![
             SeedEntry::Dir { ino: ROOT },
@@ -103,18 +110,17 @@ impl Metarates {
 
         // Pre-populate the common directory, round-robin over processes so
         // each rank owns an equal slice.
-        let mut owned: Vec<Vec<(Name, InodeNo)>> =
-            (0..self.processes).map(|_| Vec::new()).collect();
+        let mut owned: Vec<Vec<u32>> = (0..self.processes).map(|_| Vec::new()).collect();
         let mut next_file = FIRST_FILE;
         for k in 0..self.seed_files {
             let (name, ino) = file(next_file);
-            next_file += 1;
             seeds.push(SeedEntry::File {
                 parent: SHARED_DIR,
                 name,
                 ino,
             });
-            owned[(k % self.processes) as usize].push((name, ino));
+            owned[(k % self.processes) as usize].push(next_file);
+            next_file += 1;
         }
 
         let update_fraction = self.mix.update_fraction();
@@ -142,7 +148,6 @@ impl Metarates {
             }
         }
 
-        let total = self.processes as u64 * self.ops_per_proc as u64;
         StreamTrace {
             name: format!("metarates-{}", self.mix.name()),
             processes: self.processes,
@@ -168,10 +173,10 @@ impl Metarates {
 /// The common directory's files are numbered from 1 in creation order
 /// (seeds first): file `k` is named `k` and owns inode `9_999 + k`, so the
 /// directory's metadata objects sit sequentially on disk.
-const FIRST_FILE: u64 = 1;
+const FIRST_FILE: u32 = 1;
 
-fn file(k: u64) -> (Name, InodeNo) {
-    (Name(k), InodeNo(9_999 + k))
+fn file(k: u32) -> (Name, InodeNo) {
+    (Name(k as u64), InodeNo(9_999 + k as u64))
 }
 
 /// One op's random choices, as a function of the rank's owned-list
@@ -204,8 +209,9 @@ fn draw(rng: &mut SmallRng, update_fraction: f64, floor: usize, len: usize) -> D
 /// One rank's generator state, positioned at its first op.
 struct RankGen {
     rng: SmallRng,
-    next_file: u64,
-    owned: Vec<(Name, InodeNo)>,
+    next_file: u32,
+    /// The rank's live files by number: [`file`] derives name and inode.
+    owned: Vec<u32>,
 }
 
 /// The lazy generator behind [`Metarates::stream`]: closed-loop per-rank
@@ -236,8 +242,8 @@ impl OpStream for MetaratesStream {
         ) {
             Draw::Create => {
                 let (name, ino) = file(rank.next_file);
+                rank.owned.push(rank.next_file);
                 rank.next_file += 1;
-                rank.owned.push((name, ino));
                 FsOp::Create {
                     parent: SHARED_DIR,
                     name,
@@ -245,7 +251,7 @@ impl OpStream for MetaratesStream {
                 }
             }
             Draw::Remove(idx) => {
-                let (name, ino) = rank.owned.swap_remove(idx);
+                let (name, ino) = file(rank.owned.swap_remove(idx));
                 FsOp::Remove {
                     parent: SHARED_DIR,
                     name,
@@ -254,7 +260,7 @@ impl OpStream for MetaratesStream {
             }
             // stat a generated file of this rank
             Draw::Stat(idx) => FsOp::Stat {
-                ino: idx.map_or(file(FIRST_FILE), |i| rank.owned[i]).1,
+                ino: file(idx.map_or(FIRST_FILE, |i| rank.owned[i])).1,
             },
         };
         Some(TraceOp {
@@ -452,6 +458,17 @@ mod tests {
         assert_eq!(streamed, PIN, "the lazy stream left the pinned sequence");
         let want = reference_build(&m);
         assert_eq!(fnv(&want.seeds, want.ops.into_iter()), PIN, "the oracle");
+    }
+
+    /// File numbers are `u32`: an input that could run past them is
+    /// refused when the stream is built, never wrapped.
+    #[test]
+    #[should_panic(expected = "more files than the u32 file number holds")]
+    fn inputs_past_the_u32_file_number_are_rejected() {
+        Metarates::new(MetaratesMix::UpdateDominated, 65_536)
+            .seed_files(1)
+            .ops_per_proc(65_536)
+            .stream();
     }
 
     #[test]
