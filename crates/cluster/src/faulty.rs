@@ -1,0 +1,242 @@
+//! A fault-injecting [`Transport`] decorator, and what it proves: a fault
+//! is written once, against the seam, and runs unchanged on channels and
+//! on sockets. Test-only.
+
+use crate::transport::{Cork, Transport};
+use cx_net::{ConnectionManager, Frame, NodeId};
+use cx_protocol::Endpoint;
+use cx_types::MsgKind;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
+
+/// The faults of one run, shared by every server's decorator so that "the
+/// first `Vote`" is counted cluster-wide, as the DES fault plans count it.
+#[derive(Default)]
+struct Faults {
+    /// Hold every 8th server→server message back 2 ms (later ones overtake
+    /// it), and send the first `Vote` (`duplicate_storm_plan`) and server
+    /// 1's 4th `VoteResult` (`mixed_faults_plan`) twice, back to back: the
+    /// copy lands mid-round, as the DES plans' does. (Redelivered *after*
+    /// its round, a `Vote` wedges the participant — ROADMAP item 5.)
+    chaos: bool,
+    /// This server's probe replies always say "not quiesced".
+    never_quiesced: Option<u32>,
+    /// This server's `StopResp` report is replaced by these bytes.
+    garbled_report: Option<(u32, &'static [u8])>,
+    server_msgs: AtomicU64,
+    votes: AtomicU64,
+    vote_results_from_1: AtomicU64,
+}
+
+/// Server `me`'s transport with [`Faults`] applied to what it sends.
+struct Faulty {
+    me: u32,
+    inner: Arc<dyn Transport>,
+    faults: Arc<Faults>,
+    /// One short-lived thread per held-back frame, joined on drop.
+    held: Mutex<Vec<thread::JoinHandle<()>>>,
+}
+
+impl Transport for Faulty {
+    fn send(&self, to: NodeId, mut frame: Frame) {
+        let f = &*self.faults;
+        let nth = |count: &AtomicU64| count.fetch_add(1, Ordering::Relaxed) + 1;
+        match &mut frame {
+            Frame::Msg {
+                to: Endpoint::Server(_),
+                payload,
+                ..
+            } if f.chaos => {
+                let twice = match payload.kind() {
+                    MsgKind::Vote => nth(&f.votes) == 1,
+                    MsgKind::VoteResult => self.me == 1 && nth(&f.vote_results_from_1) == 4,
+                    _ => false,
+                };
+                if twice {
+                    self.inner.send(to, frame.clone());
+                }
+                if nth(&f.server_msgs) % 8 == 0 {
+                    let inner = Arc::clone(&self.inner);
+                    self.held.lock().push(thread::spawn(move || {
+                        thread::sleep(Duration::from_millis(2));
+                        inner.send(to, frame);
+                    }));
+                    return;
+                }
+            }
+            Frame::ProbeResp { quiesced, .. } if f.never_quiesced == Some(self.me) => {
+                *quiesced = false;
+            }
+            Frame::StopResp { stats_json, .. } => {
+                if let Some((_, junk)) = f.garbled_report.filter(|(s, _)| *s == self.me) {
+                    *stats_json = junk.to_vec();
+                }
+            }
+            _ => {}
+        }
+        self.inner.send(to, frame);
+    }
+    fn cork_scope(&self) -> Cork<'_> {
+        self.inner.cork_scope()
+    }
+    fn recycle_batch(&self, batch: Vec<Frame>) {
+        self.inner.recycle_batch(batch);
+    }
+    fn now_ns(&self) -> u64 {
+        self.inner.now_ns()
+    }
+    fn shutdown(&self) {
+        self.inner.shutdown();
+    }
+    fn wire(&self) -> Option<&ConnectionManager> {
+        self.inner.wire()
+    }
+}
+
+impl Drop for Faulty {
+    fn drop(&mut self) {
+        for t in self.held.lock().drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::tcp::{wire_sockets, TcpOptions, TcpRunResult};
+    use crate::threaded::wire_channels;
+    use crate::wall::run_wired;
+    use cx_net::PlaneConfig;
+    use cx_types::{BatchTrigger, ClusterConfig, Protocol};
+    use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
+
+    #[derive(Clone, Copy, Debug)]
+    enum Carrier {
+        Channels,
+        Sockets,
+    }
+
+    /// `trace` through the one runtime, every server's transport wrapped.
+    fn run(carrier: Carrier, cfg: ClusterConfig, trace: &Trace, faults: Faults) -> TcpRunResult {
+        let epoch = std::time::Instant::now();
+        let mut wired = match carrier {
+            Carrier::Channels => wire_channels(cfg.servers, epoch),
+            Carrier::Sockets => wire_sockets(cfg.servers, &PlaneConfig::default(), epoch, None),
+        };
+        let faults = Arc::new(faults);
+        for (i, node) in wired.servers.iter_mut().enumerate() {
+            node.net = Arc::new(Faulty {
+                me: i as u32,
+                inner: Arc::clone(&node.net),
+                faults: Arc::clone(&faults),
+                held: Mutex::default(),
+            });
+        }
+        let opts = TcpOptions::default();
+        let res = run_wired(cfg, trace.to_stream(), opts, wired, epoch);
+        if faults.chaos {
+            assert!(faults.votes.load(Ordering::Relaxed) >= 1, "no Vote to dup");
+            assert!(
+                faults.server_msgs.load(Ordering::Relaxed) >= 8,
+                "nothing was ever held back"
+            );
+        }
+        res
+    }
+
+    fn update_dominated() -> (ClusterConfig, Trace) {
+        let mut cfg = ClusterConfig::new(2, Protocol::Cx);
+        cfg.cx.trigger = BatchTrigger::Timeout {
+            period_ns: 5_000_000,
+        };
+        cfg.cx.hint_mismatch_timeout_ns = 20_000_000;
+        let trace = Metarates::new(MetaratesMix::UpdateDominated, 8)
+            .seed_files(64)
+            .ops_per_proc(50)
+            .build();
+        (cfg, trace)
+    }
+
+    /// The trace and config of `threaded_conflict_storm_converges`.
+    fn conflict_storm() -> (ClusterConfig, Trace) {
+        let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+        cfg.cx.trigger = BatchTrigger::Timeout {
+            period_ns: 3_000_000,
+        };
+        cfg.cx.hint_mismatch_timeout_ns = 15_000_000;
+        cfg.cx.presumed_abort_timeout_ns = 30_000_000;
+        let trace = TraceBuilder::new(TraceProfile::by_name("deasna2").unwrap())
+            .scale(0.0006)
+            .tweak(|p| p.shared_access_prob = 0.3)
+            .build();
+        (cfg, trace)
+    }
+
+    #[test]
+    fn delays_and_duplicates_are_survived_on_channels_and_on_sockets() {
+        for carrier in [Carrier::Channels, Carrier::Sockets] {
+            for (storm, (cfg, trace)) in [(false, update_dominated()), (true, conflict_storm())] {
+                let faults = Faults {
+                    chaos: true,
+                    ..Faults::default()
+                };
+                let res = run(carrier, cfg, &trace, faults);
+                let s = &res.stats;
+                assert_eq!(res.violations, vec![], "{carrier:?} storm={storm}");
+                assert_eq!(s.ops_total, trace.ops.len() as u64, "{carrier:?}");
+                assert_eq!(s.ops_applied + s.ops_failed, s.ops_total, "{carrier:?}");
+                assert_eq!(s.leftovers, Vec::<String>::new(), "{carrier:?}");
+                if storm {
+                    assert!(s.server_stats.conflicts > 0, "{carrier:?}: no conflicts");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_never_quiesced_says_so() {
+        for carrier in [Carrier::Channels, Carrier::Sockets] {
+            let (cfg, trace) = update_dominated();
+            let faults = Faults {
+                never_quiesced: Some(1),
+                ..Faults::default()
+            };
+            let res = run(carrier, cfg, &trace, faults);
+            assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+            let [line] = &res.stats.leftovers[..] else {
+                panic!("{carrier:?}: leftovers {:?}", res.stats.leftovers);
+            };
+            assert!(
+                line.starts_with("srv1: not quiesced after 200 rounds (last probe reply "),
+                "{carrier:?}: {line}"
+            );
+            assert!(line.ends_with(" ms ago)"), "{carrier:?}: {line}");
+        }
+    }
+
+    #[test]
+    fn an_unreadable_stop_report_is_a_leftover_not_a_panic() {
+        let not_utf8: &[u8] = &[0xff, 0xfe];
+        for (carrier, junk) in [(Carrier::Channels, not_utf8), (Carrier::Sockets, b"{")] {
+            let (cfg, trace) = update_dominated();
+            let faults = Faults {
+                garbled_report: Some((1, junk)),
+                ..Faults::default()
+            };
+            let res = run(carrier, cfg, &trace, faults);
+            assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+            let [line] = &res.stats.leftovers[..] else {
+                panic!("{carrier:?}: leftovers {:?}", res.stats.leftovers);
+            };
+            assert!(
+                line.starts_with("srv1: unreadable StopResp report ("),
+                "{carrier:?}: {line}"
+            );
+            // srv1's rows are missing from the check, not assumed fine.
+            assert!(!res.violations.is_empty(), "{carrier:?}");
+        }
+    }
+}

@@ -6,28 +6,32 @@
 //!   CPU queues, and the `cx-simio` disk model (group commit, elevator
 //!   merging). Replays a [`cx_workloads::Trace`] and produces a
 //!   [`RunStats`] with everything the paper's tables and figures report.
-//! * [`threaded`] — a real multi-threaded runtime (one OS thread per
-//!   metadata server, crossbeam channels as the network) exercising the
-//!   same engines under true concurrency; used by the integration tests
-//!   and the Criterion micro-benchmarks.
-//! * [`tcp`] — the same engines over real loopback TCP via `cx-net`
-//!   (length-prefixed wire frames, reconnecting connection managers,
-//!   per-peer health); runs in-process or one OS process per server,
-//!   with the DES as its oracle for the run totals.
+//! * `wall` — the wall-clock runtime: one OS thread per metadata server,
+//!   shepherd threads hosting the clients, real concurrency, the DES as
+//!   its oracle for the run totals. It moves frames through a `Transport`
+//!   and has two entry points, one per transport: [`threaded`]
+//!   (in-process channels) and [`tcp`] (real loopback sockets via
+//!   `cx-net`, in-process or one OS process per server).
 
 pub mod des;
 pub mod fault;
+#[cfg(test)]
+mod faulty;
 pub mod feed;
+mod live;
 mod seed;
 pub mod stats;
 pub mod tcp;
 pub mod threaded;
+mod transport;
+mod wall;
 
 pub use cx_net::WireTotals;
 pub use cx_obs::{FlightRecorder, MetricRegistry, ObsConfig, ObsReport, ObsSink};
 pub use des::{run_stream_trace, run_trace, ChaosOutcome, CrashPlan, DesCluster, RecoveryReport};
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate, NoFaults};
 pub use feed::OpFeed;
+pub use live::LiveMetrics;
 pub use stats::{AckRecord, FaultStats, LatencyStat, RecoveryCycle, RunStats, TimelineSample};
 pub use tcp::{serve_one, serve_one_opts, ServeOptions, TcpCluster, TcpOptions, TcpRunResult};
-pub use threaded::{LiveMetrics, ThreadedCluster, ThreadedRunResult};
+pub use threaded::{ThreadedCluster, ThreadedRunResult};

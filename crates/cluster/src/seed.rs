@@ -78,7 +78,7 @@ pub(crate) fn seed_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::{rebuild_store, snapshot_rows};
+    use crate::wall::{rebuild_store, snapshot_rows};
     use cx_types::{ClusterConfig, FileKind, InodeNo, Name, Protocol};
     use cx_workloads::{Metarates, MetaratesMix};
     use std::alloc::{GlobalAlloc, Layout, System};

@@ -424,9 +424,10 @@ pub struct ConnectionManager {
     listen_addr: SocketAddr,
     book: Arc<AddrBook>,
     cfg: PlaneConfig,
-    /// Kept so the merged inbound channel stays connected for the whole
-    /// manager lifetime, even between reader generations.
-    _inbound_tx: Sender<(NodeId, Vec<Frame>)>,
+    /// Keeps the merged inbound channel connected between reader
+    /// generations; [`Self::shutdown`] takes it, so the receiver reports
+    /// `Disconnected` once the frames already queued are drained.
+    inbound_tx: Mutex<Option<Sender<Batch>>>,
     peers: Mutex<HashMap<NodeId, Peer>>,
     shutdown: Arc<AtomicBool>,
     accept_handle: Mutex<Option<JoinHandle<()>>>,
@@ -466,7 +467,8 @@ impl Drop for CorkGuard<'_> {
 
 /// The merged inbound stream a manager returns from [`ConnectionManager::start`]:
 /// one `(sender, frames)` batch per reader `read`, in per-peer FIFO order.
-pub type InboundBatches = Receiver<(NodeId, Vec<Frame>)>;
+pub type InboundBatches = Receiver<Batch>;
+type Batch = (NodeId, Vec<Frame>);
 
 impl ConnectionManager {
     /// Bind a loopback listener and start accepting. Returns the manager
@@ -528,7 +530,7 @@ impl ConnectionManager {
                 listen_addr,
                 book,
                 cfg,
-                _inbound_tx: inbound_tx,
+                inbound_tx: Mutex::new(Some(inbound_tx)),
                 peers: Mutex::new(HashMap::new()),
                 shutdown,
                 accept_handle: Mutex::new(Some(accept_handle)),
@@ -699,13 +701,6 @@ impl ConnectionManager {
         self.batch_pool.lock().put(batch);
     }
 
-    /// A handle to the same freelist for consumers that must not keep the
-    /// manager itself alive (e.g. a pump thread whose exit condition is
-    /// the manager being dropped).
-    pub fn batch_pool_handle(&self) -> Arc<Mutex<VecPool<Frame>>> {
-        Arc::clone(&self.batch_pool)
-    }
-
     fn spawn_writer(&self, to: NodeId) -> Peer {
         let shared = Arc::new(PeerShared {
             me: self.me,
@@ -830,8 +825,10 @@ impl ConnectionManager {
     }
 
     /// Stop accepting, flush and join every writer daemon, unblock every
-    /// reader. Queued outbound frames are flushed before daemons exit
-    /// (unless their peer is unreachable).
+    /// reader, and disconnect the inbound channel (whoever consumes it —
+    /// a node loop, a demux pump — sees the end of the run whether or not
+    /// it still holds this manager). Queued outbound frames are flushed
+    /// before daemons exit (unless their peer is unreachable).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         let peers: Vec<Peer> = {
@@ -865,6 +862,7 @@ impl ConnectionManager {
         for h in handles {
             let _ = h.join();
         }
+        self.inbound_tx.lock().take();
     }
 }
 
@@ -1067,7 +1065,7 @@ impl PeerHealth {
 #[allow(clippy::too_many_arguments)]
 fn accept_loop(
     listener: TcpListener,
-    inbound_tx: Sender<(NodeId, Vec<Frame>)>,
+    inbound_tx: Sender<Batch>,
     shutdown: Arc<AtomicBool>,
     book: Arc<AddrBook>,
     socks: Arc<Mutex<Vec<TcpStream>>>,
@@ -1170,7 +1168,7 @@ fn reader_loop(
     mut fb: FrameBuffer,
     prev: Option<Arc<DoneEvent>>,
     done: Arc<DoneEvent>,
-    inbound: Sender<(NodeId, Vec<Frame>)>,
+    inbound: Sender<Batch>,
     pool: Arc<Mutex<VecPool<Frame>>>,
 ) {
     // Whatever path exits this reader, its successor must unblock —

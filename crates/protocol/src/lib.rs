@@ -8,8 +8,8 @@
 //!
 //! * the deterministic discrete-event simulator in `cx-cluster::des`
 //!   (reproduces the paper's figures), and
-//! * the multi-threaded runtime in `cx-cluster::threaded` (exercises the
-//!   same engines under real concurrency).
+//! * the wall-clock runtime in `cx-cluster` (exercises the same engines
+//!   under real concurrency, over channels or TCP).
 //!
 //! # Engines
 //!

@@ -55,8 +55,8 @@ impl<E> PartialEq for Scheduled<E> {
 impl<E> Eq for Scheduled<E> {}
 
 /// A deadline queue with the simulator's tie-break: entries pop in
-/// `(deadline, insertion order)`. The threaded runtime's timer thread
-/// uses this so both runtimes fire same-deadline timers in the same
+/// `(deadline, insertion order)`. The wall-clock runtime's server nodes
+/// use this so both runtimes fire same-deadline timers in the same
 /// order.
 pub struct TimerQueue<T> {
     heap: BinaryHeap<Scheduled<T>>,

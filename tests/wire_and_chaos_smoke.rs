@@ -1,9 +1,12 @@
 //! Tier-1 coverage for the crates `cargo test -q` otherwise never builds:
-//! one fault plan through `cx-chaos`, and one loopback-TCP run through
-//! `cx-net` with the reconnect drill, each against the DES as oracle.
+//! one fault plan through `cx-chaos`, one loopback-TCP run through
+//! `cx-net` with the reconnect drill, each against the DES as oracle, and
+//! the wall-clock runtime's two entry points against each other.
 
 use cx_chaos::{run_plan, ChaosScenario};
-use cx_core::{run_trace, ClusterConfig, Protocol, TcpCluster, TcpOptions, Workload};
+use cx_core::{
+    run_trace, ClusterConfig, Protocol, TcpCluster, TcpOptions, ThreadedCluster, Workload,
+};
 use cx_net::PlaneConfig;
 use cx_types::{BatchTrigger, DUR_MS};
 
@@ -58,4 +61,35 @@ fn tcp_reconnect_drill_matches_the_des_totals() {
         tcp.stats.ops_total,
         "every op answered across the reconnect"
     );
+}
+
+/// One node loop, two transports: the same home2 prefix through the
+/// channel and the socket entry point gives the same tie-insensitive
+/// totals (`crates/cluster/tests/tcp_equivalence.rs`'s comparison), and
+/// both fill the send-side message accounting — which a threaded run never
+/// did while it had a runtime of its own.
+#[test]
+fn threaded_and_tcp_agree_through_one_node_loop() {
+    let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+    cfg.cx.trigger = BatchTrigger::Timeout {
+        period_ns: 5 * DUR_MS,
+    };
+    cfg.cx.hint_mismatch_timeout_ns = 20 * DUR_MS;
+    let trace = Workload::trace("home2").scale(0.0003).build(&cfg);
+    let thr = ThreadedCluster::run(cfg.clone(), &trace);
+    let tcp = TcpCluster::run(cfg, &trace);
+    assert_eq!(thr.violations, vec![]);
+    assert_eq!(tcp.violations, vec![]);
+    let (a, b) = (&thr.stats, &tcp.stats);
+    assert_eq!(a.ops_total, trace.ops.len() as u64);
+    assert_eq!((a.ops_total, a.cross_ops), (b.ops_total, b.cross_ops));
+    assert_eq!(a.ops_applied + a.ops_failed, a.ops_total);
+    assert_eq!(b.ops_applied + b.ops_failed, b.ops_total);
+    let band = (a.ops_total / 50).max(2);
+    assert!(a.ops_applied.abs_diff(b.ops_applied) <= band);
+    assert!(a.ops_failed.abs_diff(b.ops_failed) <= band);
+    assert!(!a.msgs.is_empty() && !b.msgs.is_empty());
+    assert!(a.server_msgs > 0 && b.server_msgs > 0);
+    assert_eq!(a.client_msgs, b.client_msgs);
+    assert_eq!((&a.leftovers, &b.leftovers), (&vec![], &vec![]));
 }
