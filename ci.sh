@@ -126,6 +126,18 @@ if [ "${1:-}" != "quick" ]; then
         --out target/bench_ci.json --against BENCH_PR10.json --tolerance 0.70 \
         --net-floor 30000
 
+    # The counted gate: peak live heap of one DES replay per benchmark row
+    # (`--seed 7000` is rep 0 of the benchmark's `--seed 7`), under a
+    # counting allocator. The replay is one deterministic thread, so the
+    # peak repeats to the byte — no host slow wave can flake this one. The
+    # ceilings are 3 % over EXPERIMENTS.md "What an in-flight op costs"
+    # (10.36 / 6.79 / 4.29 MiB).
+    step "heap ceilings (heap_peak, counted)"
+    for row in update:10.67 home2:6.99 lowload:4.42; do
+        cargo run -q --release -p cx-bench --bin heap_peak -- \
+            --workload "${row%%:*}" --seed 7000 --ceiling-mib "${row##*:}" > /dev/null
+    done
+
     # The gate's own package. benchmark/ is a workspace of its own with its
     # own lock file, so nothing above compiles it: a crate change could
     # break its build, or move the DES digests it pins, unnoticed. Its

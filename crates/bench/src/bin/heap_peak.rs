@@ -1,6 +1,7 @@
 //! Where the heap is at its peak: one DES replay under a counting allocator.
 //!
 //!     cargo run --release -p cx-bench --bin heap_peak -- [--workload home2|update|lowload] [--seed n]
+//!                                                         [--sites] [--ceiling-mib x]
 //!
 //! Replays the benchmark's `des-home2`, `des-update` or `des-lowload` input
 //! once (sizes, cluster seed and trigger of `benchmark/src/spec.rs`) and
@@ -14,6 +15,14 @@
 //! pull from the op stream: whatever the whole-run peak adds to that peak was
 //! allocated after the replay, by the drain and the run-end consistency
 //! check.
+//!
+//! `--sites` says whose the big blocks are, which the class table cannot:
+//! every live block of 512 B or more carries the backtrace of its
+//! allocation, and at the replay's last pull they are summed by site — the
+//! allocating container (its element type is in the symbol) and the first
+//! workspace functions that called it. `--ceiling-mib x` exits non-zero when
+//! the peak passes `x`: the replay is one deterministic thread, so the peak
+//! repeats to the byte and can gate CI where a timing cannot.
 
 use cx_bench::{print_table, Args};
 use cx_core::{
@@ -22,7 +31,10 @@ use cx_core::{
 };
 use cx_workloads::TraceOp;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::backtrace::Backtrace;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 const CLASSES: usize = 48;
 /// `[bytes, blocks]` per size class.
@@ -58,25 +70,73 @@ fn shrank(size: usize) {
     LIVE.fetch_sub(size, Relaxed);
 }
 
+/// `--sites` is on.
+static SITES: AtomicBool = AtomicBool::new(false);
+/// Set while the tag table is at work: what it allocates (backtraces, its
+/// own nodes) is neither counted nor tagged, so the numbers stay those of
+/// the default mode and the allocator never re-enters the table.
+static TAGGING: AtomicBool = AtomicBool::new(false);
+/// Blocks of [`TAGGED_FROM`] bytes or more: address → (size, where from).
+static TAGS: Mutex<BTreeMap<usize, (usize, Backtrace)>> = Mutex::new(BTreeMap::new());
+const TAGGED_FROM: usize = 512;
+
+/// Run `f` on the tag table with the allocator's bookkeeping switched off.
+/// It returns nothing: whatever the table hands back must be dropped in
+/// here, where freeing it is as uncounted as allocating it was.
+fn with_tags(f: impl FnOnce(&mut BTreeMap<usize, (usize, Backtrace)>)) {
+    TAGGING.store(true, Relaxed);
+    f(&mut TAGS.lock().expect("the replay is one thread"));
+    TAGGING.store(false, Relaxed);
+}
+
+fn tag(ptr: *mut u8, size: usize) {
+    if SITES.load(Relaxed) && size >= TAGGED_FROM && !ptr.is_null() {
+        with_tags(|tags| {
+            tags.insert(ptr as usize, (size, Backtrace::force_capture()));
+        });
+    }
+}
+
+fn untag(ptr: *mut u8, size: usize) {
+    if SITES.load(Relaxed) && size >= TAGGED_FROM {
+        with_tags(|tags| {
+            tags.remove(&(ptr as usize));
+        });
+    }
+}
+
 struct Counting;
 
-// SAFETY: forwards every call unchanged to `System`; the counting touches only atomics.
+// SAFETY: forwards every call unchanged to `System`; the counting touches only
+// atomics, and the tagging allocates only with `TAGGING` set, which skips both.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
         // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !TAGGING.load(Relaxed) {
+            grew(layout.size());
+            tag(ptr, layout.size());
+        }
+        ptr
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrank(layout.size());
+        if !TAGGING.load(Relaxed) {
+            shrank(layout.size());
+            untag(ptr, layout.size());
+        }
         // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        shrank(layout.size());
-        grew(new_size);
         // SAFETY: as `dealloc`; the caller vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !TAGGING.load(Relaxed) {
+            shrank(layout.size());
+            untag(ptr, layout.size());
+            grew(new_size);
+            tag(new, new_size);
+        }
+        new
     }
 }
 
@@ -93,14 +153,55 @@ impl OpStream for Watched {
     fn next_op(&mut self) -> Option<TraceOp> {
         AT_LAST_PULL[0].store(PEAK.load(Relaxed), Relaxed);
         AT_LAST_PULL[1].store(LIVE.load(Relaxed), Relaxed);
-        self.0.next_op()
+        let op = self.0.next_op();
+        if op.is_none() && SITES.load(Relaxed) {
+            with_tags(|tags| print_sites(tags));
+        }
+        op
     }
+}
+
+/// Sum the tagged blocks by allocation site, largest first. A site is the
+/// innermost frames from the container's own (the last before workspace
+/// code) through the first three workspace functions.
+fn print_sites(tags: &BTreeMap<usize, (usize, Backtrace)>) {
+    let mut sites: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for (size, trace) in tags.values() {
+        let text = trace.to_string();
+        // "  12: symbol" lines, each followed by "  at path:line:col".
+        let frames: Vec<(&str, &str)> = text
+            .split("\n")
+            .collect::<Vec<_>>()
+            .windows(2)
+            .filter(|w| w[1].trim_start().starts_with("at "))
+            .map(|w| (w[0].split_once(": ").map_or(w[0], |(_, sym)| sym), w[1]))
+            .collect();
+        let ours = |&(_, at): &(&str, &str)| at.contains(" ./crates/") && !at.contains("heap_peak");
+        let first = frames.iter().position(ours).unwrap_or(frames.len());
+        let names = frames[first.saturating_sub(1)..].iter().take(4);
+        let key = names.map(|(sym, _)| *sym).collect::<Vec<_>>().join(" < ");
+        let key = key.replace(", alloc::alloc::Global", ""); // on every container
+        let site = sites.entry(key).or_default();
+        *site = (site.0 + size, site.1 + 1);
+    }
+    let mut rows: Vec<(usize, usize, String)> =
+        sites.into_iter().map(|(k, (b, n))| (b, n, k)).collect();
+    rows.sort_unstable_by(|a, b| b.cmp(a));
+    println!("live blocks >= {TAGGED_FROM} B at the replay's last pull, by site:");
+    for (bytes, blocks, site) in rows {
+        println!(
+            "{:>8.2} MiB {blocks:>6} blocks  {site}",
+            bytes as f64 / (1 << 20) as f64
+        );
+    }
+    println!();
 }
 
 fn main() {
     let args = Args::parse();
     let workload: String = args.value("--workload").unwrap_or_else(|| "home2".into());
     let seed: u64 = args.value("--seed").unwrap_or(7);
+    SITES.store(args.flag("--sites"), Relaxed);
     let mut cfg = ClusterConfig::new(8, Protocol::Cx);
     cfg.seed = 42;
     let period_ns = 20_000_000;
@@ -146,4 +247,12 @@ fn main() {
     };
     let table: Vec<Vec<String>> = rows.iter().take(12).map(row).collect();
     print_table(&["size class", "live blocks", "MiB", "mean B"], &table);
+
+    if let Some(ceiling) = args.value::<f64>("--ceiling-mib") {
+        let peak = PEAK.load(Relaxed) as f64 / (1 << 20) as f64;
+        if peak > ceiling {
+            eprintln!("{workload}: peak live heap {peak:.2} MiB is over the {ceiling} MiB ceiling");
+            std::process::exit(1);
+        }
+    }
 }

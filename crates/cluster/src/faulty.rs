@@ -18,9 +18,10 @@ use std::time::Duration;
 struct Faults {
     /// Hold every 8th server→server message back 2 ms (later ones overtake
     /// it), and send the first `Vote` (`duplicate_storm_plan`) and server
-    /// 1's 4th `VoteResult` (`mixed_faults_plan`) twice, back to back: the
-    /// copy lands mid-round, as the DES plans' does. (Redelivered *after*
-    /// its round, a `Vote` wedges the participant — ROADMAP item 5.)
+    /// 1's 4th `VoteResult` (`mixed_faults_plan`) twice: the `VoteResult`
+    /// back to back, so the copy lands mid-round as the DES plans' does, the
+    /// `Vote` 250 µs later, when its round may well be over — the late
+    /// duplicate the participant's `resolved_upto` memory exists for.
     chaos: bool,
     /// This server's probe replies always say "not quiesced".
     never_quiesced: Option<u32>,
@@ -40,6 +41,16 @@ struct Faulty {
     held: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
+impl Faulty {
+    fn send_later(&self, to: NodeId, frame: Frame, after: Duration) {
+        let inner = Arc::clone(&self.inner);
+        self.held.lock().push(thread::spawn(move || {
+            thread::sleep(after);
+            inner.send(to, frame);
+        }));
+    }
+}
+
 impl Transport for Faulty {
     fn send(&self, to: NodeId, mut frame: Frame) {
         let f = &*self.faults;
@@ -50,20 +61,17 @@ impl Transport for Faulty {
                 payload,
                 ..
             } if f.chaos => {
-                let twice = match payload.kind() {
-                    MsgKind::Vote => nth(&f.votes) == 1,
-                    MsgKind::VoteResult => self.me == 1 && nth(&f.vote_results_from_1) == 4,
-                    _ => false,
-                };
-                if twice {
-                    self.inner.send(to, frame.clone());
+                match payload.kind() {
+                    MsgKind::Vote if nth(&f.votes) == 1 => {
+                        self.send_later(to, frame.clone(), Duration::from_micros(250));
+                    }
+                    MsgKind::VoteResult if self.me == 1 && nth(&f.vote_results_from_1) == 4 => {
+                        self.inner.send(to, frame.clone());
+                    }
+                    _ => {}
                 }
                 if nth(&f.server_msgs) % 8 == 0 {
-                    let inner = Arc::clone(&self.inner);
-                    self.held.lock().push(thread::spawn(move || {
-                        thread::sleep(Duration::from_millis(2));
-                        inner.send(to, frame);
-                    }));
+                    self.send_later(to, frame, Duration::from_millis(2));
                     return;
                 }
             }

@@ -98,6 +98,8 @@ impl CxServer {
                     self.wal.prune_op(&op);
                     self.release_op(now, op, out);
                     self.pending.remove(&op);
+                    let newest = self.resolved_upto.entry(op.proc).or_insert(op.seq);
+                    *newest = (*newest).max(op.seq);
                     self.note_recovery_progress(now, op, out);
                 }
                 self.send(
@@ -234,19 +236,23 @@ impl CxServer {
     /// grouped per participant ("a large number of postponed commitments
     /// can be batched", §I), local mutations flushed and pruned.
     pub(crate) fn launch_lazy_batch(&mut self, now: SimTime, _force: bool, out: &mut Vec<Action>) {
-        let ops = std::mem::replace(&mut self.lazy_queue, self.op_pool.get());
-        if !ops.is_empty() {
-            self.launch_commitment(now, ops, false, out);
+        // One spare buffer serves both queues in turn: each is swapped for
+        // an empty one, walked, cleared and passed on.
+        let mut buf = std::mem::replace(&mut self.lazy_queue, std::mem::take(&mut self.lazy_spare));
+        if !buf.is_empty() {
+            self.launch_commitment(now, &buf, false, out);
+            buf.clear();
         }
-        let locals = std::mem::replace(&mut self.lazy_local, self.op_pool.get());
-        if !locals.is_empty() {
-            for op in &locals {
+        std::mem::swap(&mut buf, &mut self.lazy_local);
+        if !buf.is_empty() {
+            for op in &buf {
                 self.wal.prune_op(op);
             }
             self.flush_dirty(out);
             self.drain_log_wait(now, out);
+            buf.clear();
         }
-        self.op_pool.put(locals);
+        self.lazy_spare = buf;
         self.trigger.on_batch_launched(now);
     }
 
@@ -254,7 +260,7 @@ impl CxServer {
     pub(crate) fn launch_commitment(
         &mut self,
         now: SimTime,
-        ops: Vec<OpId>,
+        ops: &[OpId],
         immediate: bool,
         out: &mut Vec<Action>,
     ) {
@@ -264,7 +270,7 @@ impl CxServer {
         // the lazy queue), and a duplicate in a batch would wait for a
         // vote count the participant can never reach.
         let mut groups: BTreeMap<ServerId, Vec<OpId>> = BTreeMap::new();
-        for &op in &ops {
+        for &op in ops {
             let Some(p) = self.pending.get_mut(&op) else {
                 continue;
             };
@@ -276,7 +282,6 @@ impl CxServer {
             let slot = groups.entry(peer).or_insert_with(|| self.op_pool.get());
             slot.push(op);
         }
-        self.op_pool.put(ops);
         for (participant, group) in groups {
             self.lazy_queue.retain(|op| !group.contains(op));
             for chunk in group.chunks(self.cfg.commit_batch_max.max(1)) {
@@ -399,6 +404,17 @@ impl CxServer {
             }
             if let Some(holder) = self.blocked_behind(op) {
                 self.resolve_blocked_vote(now, coord, op, holder, &order_after, out);
+                continue;
+            }
+            if self
+                .resolved_upto
+                .get(&op.proc)
+                .is_some_and(|&seq| op.seq <= seq)
+            {
+                // A VOTE redelivered after its round finished here: the
+                // coordinator has (or will have) our ACK and reads no more
+                // votes for this op. Answering would leave a NO entry that
+                // nothing ever resolves.
                 continue;
             }
             // Never saw this sub-op. Most likely its request is still in
@@ -794,8 +810,7 @@ impl CxServer {
         if let Some(p) = self.pending.get_mut(&op) {
             p.reply_to_client = true;
             if !p.in_commitment {
-                let ops = self.op_vec1(op);
-                self.launch_commitment(now, ops, true, out);
+                self.launch_commitment(now, &[op], true, out);
             }
             return;
         }
@@ -825,14 +840,19 @@ impl CxServer {
     ) {
         if let Some(p) = self.pending.get(&op) {
             if p.role == Role::Coordinator && !p.in_commitment {
-                let mut ops = self.op_vec1(op);
                 if sweep {
                     // Log pressure at the participant: flush everything we
                     // have — the VOTE round costs the same for one op or
                     // many, and pruning needs outcomes for all of them.
-                    ops.extend(std::mem::take(&mut self.lazy_queue));
+                    let spare = std::mem::take(&mut self.lazy_spare);
+                    let mut ops = std::mem::replace(&mut self.lazy_queue, spare);
+                    ops.insert(0, op);
+                    self.launch_commitment(now, &ops, true, out);
+                    ops.clear();
+                    self.lazy_spare = ops;
+                } else {
+                    self.launch_commitment(now, &[op], true, out);
                 }
-                self.launch_commitment(now, ops, true, out);
             }
             return;
         }
@@ -874,8 +894,7 @@ impl CxServer {
             // The operation showed up after all — but the participant is
             // still waiting for the commitment it asked for.
             if p.role == Role::Coordinator && !p.in_commitment {
-                let ops = self.op_vec1(op);
-                self.launch_commitment(now, ops, true, out);
+                self.launch_commitment(now, &[op], true, out);
             }
             return;
         }
@@ -972,8 +991,7 @@ impl CxServer {
         for op in ops {
             if let Some(p) = self.pending.get(&op) {
                 if p.role == Role::Coordinator && !p.in_commitment {
-                    let ops = self.op_vec1(op);
-                    self.launch_commitment(now, ops, true, out);
+                    self.launch_commitment(now, &[op], true, out);
                     continue;
                 }
                 // The op is already in a commitment batch — but the

@@ -66,8 +66,7 @@ impl CxServer {
         }
         match p.role {
             Role::Coordinator => {
-                let ops = self.op_vec1(op);
-                self.launch_commitment(now, ops, true, out);
+                self.launch_commitment(now, &[op], true, out);
             }
             Role::Participant => {
                 // DESIGN.md §5.6: the participant detected the conflict
@@ -269,11 +268,11 @@ impl CxServer {
         // sweeps its whole lazy queue into the commitment.
         let mut per_coordinator: std::collections::BTreeMap<cx_types::ServerId, OpId> =
             std::collections::BTreeMap::new();
-        for (op, p) in &self.pending {
+        for (op, p) in self.pending.iter() {
             if p.role == Role::Participant && !p.in_commitment {
                 if let Some(coord) = p.peer {
                     let entry = per_coordinator.entry(coord).or_insert(*op);
-                    *entry = (*entry).min(*op); // deterministic representative
+                    *entry = (*entry).min(*op); // the pick is the least id, whatever the walk order
                 }
             }
         }

@@ -27,8 +27,8 @@ use cx_obs::{EngineGauges, ObsSink};
 use cx_sim::det_rng;
 use cx_types::FxHashMap;
 use cx_types::{
-    ClusterConfig, CxConfig, Hint, ObjectId, OpId, Payload, ProcId, Role, ServerId, SimTime, SubOp,
-    VecPool, Verdict,
+    ClusterConfig, CxConfig, Hint, ObjectId, OpId, OpTable, Payload, ProcId, Role, ServerId,
+    SimTime, SubOp, VecPool, Verdict,
 };
 use cx_wal::{Outcome, Record, SeqNo, Wal};
 use rand::rngs::SmallRng;
@@ -144,7 +144,7 @@ pub struct CxServer {
     pub(crate) rng: SmallRng,
 
     /// Executed, uncommitted operations.
-    pub(crate) pending: FxHashMap<OpId, PendingOp>,
+    pub(crate) pending: OpTable<PendingOp>,
     /// Active objects: modified by a pending operation, conflict-checked
     /// on every access (§III-B). Maps to the *latest* pending op touching
     /// the object; re-dispatch re-checks, so chains resolve correctly.
@@ -157,6 +157,10 @@ pub struct CxServer {
     pub(crate) lazy_queue: Vec<OpId>,
     /// Local mutations awaiting batched write-back and pruning.
     pub(crate) lazy_local: Vec<OpId>,
+    /// The emptied buffer a launching batch swaps in for the queue it
+    /// takes, so the queues keep their capacity and the pool never sees a
+    /// queue-sized vector.
+    pub(crate) lazy_spare: Vec<OpId>,
     /// In-flight commitment batches this server coordinates.
     pub(crate) batches: FxHashMap<u64, CommitBatch>,
     pub(crate) next_batch: u64,
@@ -166,6 +170,13 @@ pub struct CxServer {
     /// Last finished operation outcome per process, for L-COM requests
     /// that race with a completing lazy commitment.
     pub(crate) recent_outcomes: FxHashMap<ProcId, (OpId, Outcome)>,
+    /// Per process, the newest operation whose decision this server
+    /// applied as participant. A process issues its next operation only
+    /// after the last one executed on both servers, so a VOTE for an
+    /// operation at or below this mark that is no longer pending here is a
+    /// late copy from a round already finished — not a sub-op still on its
+    /// way (`recent_outcomes` is the coordinator-side cousin).
+    pub(crate) resolved_upto: FxHashMap<ProcId, u64>,
     pub(crate) trigger: TriggerState,
     pub(crate) io: FxHashMap<u64, IoCont>,
     pub(crate) writebacks: Writebacks,
@@ -226,16 +237,18 @@ impl CxServer {
             cfg: cfg.cx,
             fail_prob: cfg.failure.subop_fail_prob,
             rng: det_rng(cfg.seed, 0x5e57_0000 ^ id.0 as u64),
-            pending: FxHashMap::default(),
+            pending: OpTable::default(),
             active: FxHashMap::default(),
             blocked: FxHashMap::default(),
             log_wait: VecDeque::new(),
             lazy_queue: Vec::new(),
             lazy_local: Vec::new(),
+            lazy_spare: Vec::new(),
             batches: FxHashMap::default(),
             next_batch: 0,
             deferred_votes: BTreeMap::new(),
             recent_outcomes: FxHashMap::default(),
+            resolved_upto: FxHashMap::default(),
             trigger: TriggerState::new(cfg.cx.trigger),
             io: FxHashMap::default(),
             writebacks: Writebacks::default(),
@@ -527,6 +540,7 @@ impl ServerEngine for CxServer {
         format!(
             "pending={} in_commitment={} lazy={} local={} batches={:?} blocked={:?} log_wait={} deferred={:?} io={} writebacks={}",
             self.pending.len(),
+            // a count: the table's slot order cannot show
             self.pending.values().filter(|p| p.in_commitment).count(),
             self.lazy_queue.len(),
             self.lazy_local.len(),

@@ -40,7 +40,14 @@ impl CxServer {
         // plus any whole torn-tail records — defines which executions
         // still exist.
         self.wal.crash_torn(extra_bytes);
-        for (op, p) in self.pending.drain() {
+        // Newest first: a process's later operation may have re-modified
+        // the objects of its own earlier, still pending one (a process
+        // never conflicts with itself), and undo tokens only compose in
+        // reverse execution order. Operations of different processes hold
+        // disjoint active objects, so their relative order is immaterial.
+        let mut lost: Vec<(OpId, PendingOp)> = self.pending.drain().collect();
+        lost.sort_unstable_by_key(|(op, _)| std::cmp::Reverse(*op));
+        for (op, p) in lost {
             let survived = p.durable || self.wal.op_state(&op).is_some_and(|st| st.subop.is_some());
             if !survived {
                 if let Some(undo) = p.undo {
@@ -56,6 +63,7 @@ impl CxServer {
         self.batches.clear();
         self.deferred_votes.clear();
         self.recent_outcomes.clear();
+        self.resolved_upto.clear();
         self.io.clear();
         self.writebacks.crash(self.next_token);
         self.orphan_timers.clear();
@@ -195,7 +203,7 @@ impl CxServer {
                     p.in_commitment = false; // launch_commitment re-marks
                 }
             }
-            self.launch_commitment(now, to_vote, true, out);
+            self.launch_commitment(now, &to_vote, true, out);
         }
 
         // Participant resumptions: ask each coordinator for the outcome.

@@ -24,6 +24,7 @@ pub mod fxhash;
 pub mod ids;
 pub mod msg;
 pub mod op;
+pub mod optable;
 pub mod placement;
 pub mod pool;
 pub mod subop;
@@ -38,6 +39,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{ClientId, InodeNo, Name, ObjectId, OpId, ProcId, ProcessId, ServerId};
 pub use msg::{Hint, MsgKind, Payload, Verdict};
 pub use op::{FileKind, FsOp, OpClass, OpOutcome};
+pub use optable::OpTable;
 pub use placement::Placement;
 pub use pool::VecPool;
 pub use subop::{OpPlan, Role, SubOp};

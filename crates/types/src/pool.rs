@@ -11,8 +11,12 @@
 /// A freelist of reusable `Vec<T>` buffers.
 ///
 /// `get` hands out an empty vector (recycled capacity when available);
-/// `put` clears a spent one and shelves it. The freelist is capped so a
-/// burst of large batches cannot pin unbounded memory.
+/// `put` clears a spent one and shelves it. The freelist is capped in
+/// buffers, not in bytes: a buffer keeps the largest capacity it ever
+/// served, and every shelved buffer takes its turn at every use, so the
+/// pool pins up to 64 × the largest thing ever built in one. Keep it to
+/// one size of payload — the Cx engine swaps its lazy queues with a spare
+/// of its own rather than draw them from the pool its batches use.
 #[derive(Debug, Clone)]
 pub struct VecPool<T> {
     free: Vec<Vec<T>>,

@@ -1,8 +1,7 @@
 //! The logical write-ahead log: append order, durability, index, pruning.
 
 use crate::record::{Outcome, Record, RecordFamily};
-use cx_types::{CxError, CxResult, OpId, Role, ServerId, SubOp, Verdict};
-use cx_types::{FxBuildHasher, FxHashMap};
+use cx_types::{CxError, CxResult, OpId, OpTable, Role, ServerId, SubOp, Verdict};
 use std::collections::VecDeque;
 
 /// Position of a record in the log's append order.
@@ -176,7 +175,7 @@ pub struct Wal {
     next_seq: u64,
     /// All records with seq < durable_next are on disk.
     durable_next: u64,
-    index: FxHashMap<OpId, OpLogState>,
+    index: OpTable<OpLogState>,
     valid_bytes: u64,
     limit: Option<u64>,
     total_appended: u64,
@@ -200,9 +199,6 @@ impl Wal {
     pub fn new(limit: Option<u64>) -> Self {
         Self {
             limit,
-            // Pre-sized to the typical in-flight op count so the steady
-            // state never pays a rehash.
-            index: FxHashMap::with_capacity_and_hasher(256, FxBuildHasher::default()),
             ..Self::default()
         }
     }
@@ -269,7 +265,7 @@ impl Wal {
     }
 
     fn index_record(&mut self, rec: &Record, bytes: u64, seq: u64) {
-        let st = self.index.entry(rec.op_id()).or_default();
+        let st = self.index.get_or_default(rec.op_id());
         st.bytes += bytes;
         st.seqs.push(seq);
         match rec {
@@ -362,6 +358,8 @@ impl Wal {
     /// Prune every prunable operation ("the log records are periodically
     /// pruned after the commitments are performed", §III-D).
     pub fn prune_all(&mut self) -> u64 {
+        // Slot order: the freed total and the log left behind are the same
+        // in any order.
         let prunable: Vec<OpId> = self
             .index
             .iter()
@@ -377,7 +375,7 @@ impl Wal {
     pub fn half_completed(&self) -> (Vec<OpId>, Vec<OpId>) {
         let mut coord = Vec::new();
         let mut parti = Vec::new();
-        for (op, st) in &self.index {
+        for (op, st) in self.index.iter() {
             match st.role {
                 Some(Role::Coordinator) if !st.complete => coord.push(*op),
                 Some(Role::Participant) if st.outcome.is_none() => parti.push(*op),
