@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate — everything runs offline against the vendored shims.
 #
-#   ./ci.sh          # fmt check, clippy, release build, smoke, full test suite
+#   ./ci.sh          # fmt check, clippy, release build, smokes, full test suite
 #   ./ci.sh quick    # skip the release build (fast pre-commit loop)
 #
 # Clippy runs with -D warnings on the crates the perf pass touches most;
@@ -29,11 +29,6 @@ cargo clippy -q -p cx-cluster -p cx-workloads -p cx-net --all-targets -- \
 if [ "${1:-}" != "quick" ]; then
     step "cargo build --release"
     cargo build --release --workspace
-
-    # Fixed-seed golden-digest smoke: the pinned home2 scenario must
-    # replay to the pinned digest (asserted inside --smoke itself).
-    step "perf_baseline --smoke (golden digest)"
-    cargo run -q --release -p cx-bench --bin perf_baseline -- --smoke
 
     # Fixed-seed chaos smoke: both protocol envelopes must come out clean,
     # and the oracle must still catch the deliberately broken recovery.
@@ -75,13 +70,6 @@ if [ "${1:-}" != "quick" ]; then
     test -s target/chaos_pm.flight.jsonl
     test -s target/chaos_pm.flight.trace.json
 
-    # Wire-plane smoke (DESIGN.md §9): a home2 prefix on the real-socket
-    # runtime must stay clean, match the threaded runtime's
-    # tie-insensitive totals, and survive the drop-every-connection
-    # reconnect drill losslessly (asserted inside --net-smoke itself).
-    step "net smoke (loopback TCP + reconnect drill)"
-    cargo run -q --release -p cx-bench --bin perf_baseline -- --net-smoke
-
     # Multi-process smoke: one OS process per server (cx_net_server), the
     # coordinator connecting out over real TCP, with the live registry
     # publishing cross-process — the .prom file must exist and carry the
@@ -111,20 +99,11 @@ if [ "${1:-}" != "quick" ]; then
     grep -q '^cx_ops_issued_total ' target/cx_metrics.prom
     cargo run -q --release -p cx-obs -- top target/cx_metrics.json > /dev/null
 
-    # The throughput gate, one run against the last recorded row: the
-    # uninstrumented DES home2 replay must hold the BENCH_PR10.json rate
-    # (0.70 floor: the recorded baselines came from an idle machine, and
-    # absolute rates on a loaded box swing +-20% while an accidental
-    # always-on recorder costs far more than 30%); the loopback TCP entry
-    # must beat the pinned 30k ops/s wire floor (~2/3 of the recorded
-    # rate; the pre-coalescing plane ran ~17k) and, with spans + flush
-    # telemetry on, 95% of it. BENCH_PR*.json are read-only history for
-    # `cx-obs bench-drift`; the run writes under target/.
-    step "bench gate (DES vs BENCH_PR10.json, wire floor, span-on floor)"
-    cargo run -q --release -p cx-bench --bin perf_baseline -- \
-        --label ci --iters 5 --filter home2 --net tcp \
-        --out target/bench_ci.json --against BENCH_PR10.json --tolerance 0.70 \
-        --net-floor 30000
+    # The PR 1-10 perf series is frozen history (nothing appends to it, and
+    # nothing is gated against it: no step of this script depends on how
+    # fast the host is). Its viewer must keep reading every file.
+    step "bench-drift (history/ still loads)"
+    cargo run -q --release -p cx-obs -- bench-drift history/BENCH_PR*.json > /dev/null
 
     # The counted gate: peak live heap of one DES replay per benchmark row
     # (`--seed 7000` is rep 0 of the benchmark's `--seed 7`), under a

@@ -37,6 +37,8 @@ const EXPERIMENTS: [&str; 12] = [
 
 fn main() {
     let args = cx_bench::Args::parse();
+    // A malformed `--scale` stops here, once, not in each of twelve children.
+    let _ = args.scale(1.0);
     // Strip `--jobs <n>` from the forwarded flags (children don't know it).
     let fwd: Vec<String> = {
         let mut out = Vec::new();

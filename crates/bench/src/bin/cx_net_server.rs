@@ -1,7 +1,7 @@
 //! One metadata server as its own OS process, speaking the `cx-net`
 //! wire plane (DESIGN.md §9).
 //!
-//! The coordinator (`perf_baseline --multiproc` or `--net tcp`) writes a
+//! The coordinator (`perf_baseline --multiproc`) writes a
 //! [`cx_bench::NetServerConfig`] JSON per server, spawns this binary with
 //! `--config <path>`, and parses the `LISTEN <addr>` line printed once
 //! the listener is bound. From then on everything — peer addresses,

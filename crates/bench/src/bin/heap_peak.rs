@@ -161,6 +161,20 @@ impl OpStream for Watched {
     }
 }
 
+/// Whether a backtrace's `at <path>:line:col` line points into workspace
+/// code: a path through `crates/<name>/src/`, relative (`./crates/…`, run
+/// from the checkout the binary was built in) or absolute (run from
+/// anywhere else). The shims and most of the standard library live under
+/// no such directory; `stdarch` does, and this file's own allocator frames.
+fn is_workspace_frame(at: &str) -> bool {
+    let path = at.trim_start().trim_start_matches("at ");
+    let in_a_crate = path
+        .split_once("crates/")
+        .and_then(|(_, rest)| rest.split_once('/'))
+        .is_some_and(|(_, below_name)| below_name.starts_with("src/"));
+    in_a_crate && !path.starts_with("/rustc/") && !path.contains("heap_peak.rs")
+}
+
 /// Sum the tagged blocks by allocation site, largest first. A site is the
 /// innermost frames from the container's own (the last before workspace
 /// code) through the first three workspace functions.
@@ -176,8 +190,10 @@ fn print_sites(tags: &BTreeMap<usize, (usize, Backtrace)>) {
             .filter(|w| w[1].trim_start().starts_with("at "))
             .map(|w| (w[0].split_once(": ").map_or(w[0], |(_, sym)| sym), w[1]))
             .collect();
-        let ours = |&(_, at): &(&str, &str)| at.contains(" ./crates/") && !at.contains("heap_peak");
-        let first = frames.iter().position(ours).unwrap_or(frames.len());
+        let first = frames
+            .iter()
+            .position(|(_, at)| is_workspace_frame(at))
+            .unwrap_or(frames.len());
         let names = frames[first.saturating_sub(1)..].iter().take(4);
         let key = names.map(|(sym, _)| *sym).collect::<Vec<_>>().join(" < ");
         let key = key.replace(", alloc::alloc::Global", ""); // on every container
@@ -201,6 +217,7 @@ fn main() {
     let args = Args::parse();
     let workload: String = args.value("--workload").unwrap_or_else(|| "home2".into());
     let seed: u64 = args.value("--seed").unwrap_or(7);
+    let ceiling: Option<f64> = args.value("--ceiling-mib");
     SITES.store(args.flag("--sites"), Relaxed);
     let mut cfg = ClusterConfig::new(8, Protocol::Cx);
     cfg.seed = 42;
@@ -248,11 +265,39 @@ fn main() {
     let table: Vec<Vec<String>> = rows.iter().take(12).map(row).collect();
     print_table(&["size class", "live blocks", "MiB", "mean B"], &table);
 
-    if let Some(ceiling) = args.value::<f64>("--ceiling-mib") {
+    if let Some(ceiling) = ceiling {
         let peak = PEAK.load(Relaxed) as f64 / (1 << 20) as f64;
         if peak > ceiling {
             eprintln!("{workload}: peak live heap {peak:.2} MiB is over the {ceiling} MiB ceiling");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn workspace_frames_are_recognised_from_any_working_directory() {
+        let cases = [
+            // The same frame, printed from the checkout and from elsewhere.
+            ("./crates/types/src/optable.rs:61:24", true),
+            ("/root/repo/crates/types/src/optable.rs:61:24", true),
+            (
+                "/rustc/5980761/library/alloc/src/raw_vec/mod.rs:563:9",
+                false,
+            ),
+            (
+                "/rustc/5980761/library/stdarch/crates/core_arch/src/x86/sse2.rs:1:1",
+                false,
+            ),
+            ("./shims/crossbeam/src/channel.rs:88:13", false),
+            ("/root/repo/shims/crossbeam/src/channel.rs:88:13", false),
+            ("./crates/bench/src/bin/heap_peak.rs:115:28", false),
+            ("/root/crates/notes.rs:1:1", false),
+        ];
+        for (path, ours) in cases {
+            let at = format!("             at {path}");
+            assert_eq!(super::is_workspace_frame(&at), ours, "{path}");
         }
     }
 }

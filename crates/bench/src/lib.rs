@@ -19,7 +19,10 @@
 //!
 //! `heap_peak` is tooling, not a paper artifact: it replays a benchmark
 //! input under a counting allocator and prints the peak live heap by size
-//! class — where a footprint claim starts.
+//! class — where a footprint claim starts. `perf_baseline` is the
+//! observability export driver (`--obs`, `--live`, `--multiproc`, the
+//! latter over `cx_net_server` processes); it measures nothing — speed,
+//! latency and memory are read from `benchmark/` (`BENCHMARK.json`).
 //!
 //! Binaries accept `--scale <f64>` (trace fraction; default keeps each run
 //! under ~a minute) and `--full` (paper scale: every operation of Table
@@ -33,7 +36,7 @@ use std::sync::Mutex;
 
 /// Launch config for the `cx_net_server` binary: everything one server
 /// process needs to join a multi-process TCP cluster. The coordinator
-/// (`perf_baseline --multiproc` / `--net tcp`) writes one of these per
+/// (`perf_baseline --multiproc`) writes one of these per
 /// server, spawns the binary with `--config <path>`, and reads the
 /// `LISTEN <addr>` line the server prints once bound.
 #[derive(Debug, Clone, Serialize, serde::Deserialize)]
@@ -129,16 +132,30 @@ impl Args {
         }
     }
 
+    #[cfg(test)]
+    fn of(raw: &[&str]) -> Self {
+        Self {
+            raw: raw.iter().map(|a| a.to_string()).collect(),
+        }
+    }
+
     pub fn flag(&self, name: &str) -> bool {
         self.raw.iter().any(|a| a == name)
     }
 
+    /// The value after `name`, or `None` when the flag is absent. A flag
+    /// that is present with no value, or with one that does not parse,
+    /// panics naming both: `--ceiling-mib 10,67` must not run ungated.
     pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let at = self.raw.iter().position(|a| a == name)?;
+        let text = self
+            .raw
+            .get(at + 1)
+            .unwrap_or_else(|| panic!("{name}: no value follows the flag"));
+        Some(
+            text.parse()
+                .unwrap_or_else(|_| panic!("{name}: cannot parse {text:?}")),
+        )
     }
 
     /// Trace scale: `--full` → 1.0, else `--scale` or the default.
@@ -149,30 +166,6 @@ impl Args {
             self.value("--scale").unwrap_or(default)
         }
     }
-}
-
-/// Peak resident set size ("VmHWM") of this process in KiB, read from
-/// `/proc/self/status`. Returns 0 where the proc file is unavailable
-/// (non-Linux), so callers can record it unconditionally.
-pub fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Reset the kernel's peak-RSS watermark (writes `5` to
-/// `/proc/self/clear_refs`) so back-to-back measurements in one process
-/// don't inherit each other's high-water mark. Best-effort: where the
-/// write is not permitted the old watermark simply survives, which only
-/// ever over-reports.
-pub fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// Print an aligned table.
@@ -242,17 +235,36 @@ mod tests {
 
     #[test]
     fn args_scale_logic() {
-        let a = Args {
-            raw: vec!["--scale".into(), "0.25".into()],
-        };
+        let a = Args::of(&["--scale", "0.25"]);
         assert_eq!(a.scale(0.1), 0.25);
-        let b = Args {
-            raw: vec!["--full".into()],
-        };
+        let b = Args::of(&["--full"]);
         assert_eq!(b.scale(0.1), 1.0);
-        let c = Args { raw: vec![] };
+        let c = Args::of(&[]);
         assert_eq!(c.scale(0.1), 0.1);
         assert!(b.flag("--full") && !c.flag("--full"));
         assert_eq!(a.value::<u32>("--servers"), None);
+    }
+
+    /// What `value` panics with, or `None` if it returns.
+    fn value_panic<T: std::str::FromStr>(raw: &[&str], name: &str) -> Option<String> {
+        let args = Args::of(raw);
+        let caught = std::panic::catch_unwind(|| args.value::<T>(name).is_some());
+        caught
+            .err()
+            .map(|p| *p.downcast::<String>().expect("a formatted panic message"))
+    }
+
+    #[test]
+    fn a_present_flag_with_a_bad_value_panics_naming_flag_and_text() {
+        let heap_peak = ["--workload", "update", "--ceiling-mib", "10,67"];
+        let msg = value_panic::<f64>(&heap_peak, "--ceiling-mib").expect("10,67 is no f64");
+        assert!(
+            msg.contains("--ceiling-mib") && msg.contains("10,67"),
+            "{msg}"
+        );
+        assert_eq!(value_panic::<String>(&heap_peak, "--workload"), None);
+        assert_eq!(value_panic::<u64>(&heap_peak, "--seed"), None, "absent");
+        let msg = value_panic::<u32>(&["--full", "--servers"], "--servers").expect("no value");
+        assert!(msg.contains("--servers"), "{msg}");
     }
 }

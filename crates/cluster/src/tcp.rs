@@ -7,8 +7,8 @@
 //!
 //! * **in-process loopback** ([`TcpCluster::run_stream`]) — every server
 //!   node lives on its own thread in this process, with a shared
-//!   [`AddrBook`]; the integration tests and `perf_baseline --net tcp`
-//!   use this.
+//!   [`AddrBook`]; the integration tests and the benchmark's `tcp-*`
+//!   workloads use this.
 //! * **multi-process** ([`TcpCluster::run_external`] + [`serve_one`]) —
 //!   one OS process per server (`cx_net_server`); the coordinator knows
 //!   only their socket addresses and gossips the peer map with a

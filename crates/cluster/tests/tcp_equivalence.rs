@@ -7,8 +7,8 @@
 //! the workload and placement (`ops_total`, `cross_ops`, the
 //! applied+failed closure) must match *exactly*; counters that depend on
 //! which of two racing operations a server saw first (applied vs failed
-//! split, conflicts, retried sub-op executions) get a small band, the
-//! same `max(2, total/50)` shape the perf-baseline CI gate uses.
+//! split, conflicts, retried sub-op executions) get a small band,
+//! `max(2, total/50)`.
 
 use cx_cluster::des::run_trace;
 use cx_cluster::{RunStats, TcpCluster, TcpOptions, ThreadedCluster};
@@ -119,6 +119,11 @@ fn tcp_reconnect_mid_run_keeps_equivalence() {
     let thr = ThreadedCluster::run(fast_cfg(4, Protocol::Cx), &trace);
     assert_eq!(tcp.violations, vec![]);
     assert!(tcp.reconnects >= 1, "the drill must force a re-dial");
+    assert_eq!(
+        tcp.stats.ops_total,
+        trace.ops.len() as u64,
+        "the reconnect lost ops"
+    );
     assert_tie_insensitive_match(&tcp.stats, &thr.stats, "Cx reconnect vs threaded");
     // Scoped corking coalesced across the kill: over the coordinator's
     // peers, strictly fewer flushes than frames.

@@ -1,13 +1,13 @@
 //! `cx-obs bench-drift`: the perf-history trajectory table.
 //!
-//! `perf_baseline` appends one `BENCH_PR<N>.json` per PR gate; each file
-//! carries labeled runs of named benchmark entries (wall seconds, events-
-//! or ops-per-second, peak RSS). The drift view folds the whole series
-//! into one per-metric trajectory table — the comparison perf_baseline
-//! prints against a single `--against` file, but across every snapshot at
-//! once and without running a benchmark. Parsing is generic (the untyped
-//! [`Json`] tree), so the table survives schema additions in either
-//! direction.
+//! `history/BENCH_PR<N>.json` is a frozen series: PRs 1–10 each recorded
+//! labeled runs of named entries (wall seconds, events- or ops-per-second,
+//! peak RSS) with a harness that no longer exists — measurement moved to
+//! `benchmark/` (`BENCHMARK.json`), which compares parent and change
+//! directly and keeps no files. The drift view folds the whole series
+//! into one per-metric trajectory table without running anything. Parsing
+//! is generic (the untyped [`Json`] tree), so it reads every schema
+//! generation in the series.
 
 use crate::hist::fmt_ns_f;
 use serde::Json;
@@ -193,6 +193,48 @@ mod tests {
         assert!(table.contains("1.24x"), "{table}");
         // Entries absent from early snapshots still get a block.
         assert!(table.contains("home2_tcp_loopback_8s · ops_per_sec"));
+    }
+
+    /// The frozen series itself: nine files, all under `history/` and none
+    /// left at the root, each whole, trending in PR order.
+    #[test]
+    fn the_history_series_loads_and_trends_in_pr_order() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let snapshots_in = |dir: &str| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.starts_with("BENCH_PR"))
+                .collect();
+            names.sort_by_key(|name| label_key(name));
+            names
+        };
+        assert_eq!(snapshots_in(root), Vec::<String>::new());
+        let history = format!("{root}/history");
+        let names = snapshots_in(&history);
+        let prs = [1, 3, 4, 5, 6, 7, 8, 9, 10];
+        assert_eq!(names, prs.map(|n| format!("BENCH_PR{n}.json")));
+
+        let mut pts = Vec::new();
+        for name in &names {
+            let text = std::fs::read_to_string(format!("{history}/{name}")).unwrap();
+            let runs = parse_bench_file(&text, name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            // Every run of every snapshot timed the home2 replay.
+            let timed_home2 = |run: &BenchPoint| {
+                let mut metrics = run.metrics.iter();
+                metrics.any(|(e, m, _)| e == "home2_replay_8s" && m == "events_per_sec")
+            };
+            assert!(!runs.is_empty() && runs.iter().all(timed_home2), "{name}");
+            pts.extend(runs);
+        }
+        // Twelve labelled runs in the nine files: PR 1 and PR 3 each hold a
+        // `before` and an `after`, which carry no number and so trend last.
+        let table = render_drift(&pts);
+        let numbered = "pr4 → pr5 → pr6 → pr6b → pr7 → pr8 → pr9 → pr10 → after";
+        assert!(
+            table.starts_with(&format!("== bench drift · 12 snapshots: {numbered}")),
+            "{table}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! cx-obs doctor <report.json> --json     emit the blame table as JSON
 //! cx-obs top    <metrics.json>…          render metric-registry snapshots (merged)
 //! cx-obs net    <run.net.json>           render the per-peer wire table
-//! cx-obs bench-drift <BENCH_PR*.json>…   perf-history trajectory table
+//! cx-obs bench-drift history/BENCH_PR*.json  the frozen PR 1–10 perf series
 //! ```
 //!
 //! `top` reads the snapshot a threaded run writes via `--metrics-out`;
@@ -159,7 +159,7 @@ fn bench_drift(paths: &[String]) -> ExitCode {
     if points.is_empty() {
         eprintln!(
             "cx-obs: no usable bench snapshots ({} given, {skipped} skipped); \
-             try `cx-obs bench-drift BENCH_PR*.json`",
+             try `cx-obs bench-drift history/BENCH_PR*.json`",
             paths.len()
         );
         return ExitCode::FAILURE;
