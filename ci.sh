@@ -4,9 +4,10 @@
 #   ./ci.sh          # fmt check, clippy, release build, smokes, full test suite
 #   ./ci.sh quick    # skip the release build (fast pre-commit loop)
 #
-# Clippy runs with -D warnings on the crates the perf pass touches most;
-# the message-plane crates additionally deny redundant clones and the
-# perf lint group, so allocation regressions on the hot path fail CI.
+# Clippy runs with -D warnings on every crate and on the root package,
+# whose tests/ are tier-1; the message-plane crates additionally deny
+# redundant clones and the perf lint group, so allocation regressions on
+# the hot path fail CI.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -15,11 +16,11 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "clippy (hot-path crates, -D warnings)"
+step "clippy (all crates + root tests and examples, -D warnings)"
 cargo clippy -q \
     -p cx-types -p cx-sim -p cx-simio -p cx-wal -p cx-mdstore \
     -p cx-protocol -p cx-cluster -p cx-bench -p cx-chaos -p cx-workloads \
-    -p cx-obs -p cx-net \
+    -p cx-obs -p cx-net -p cx-core -p cx-recovery -p cx-repro \
     --all-targets -- -D warnings
 
 step "clippy (message plane: deny redundant_clone + perf lints)"

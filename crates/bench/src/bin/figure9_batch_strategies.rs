@@ -89,7 +89,6 @@ fn main() {
     {
         let (t, batches, peak) = run(BatchTrigger::Idle {
             idle_ns: 20 * DUR_MS,
-            fallback_ns: 2 * DUR_SEC,
         });
         points.push(Point {
             strategy: "idle (extension)".into(),

@@ -203,10 +203,9 @@ pub struct DesCluster {
     wal_appended_seen: Vec<[u64; RecordFamily::COUNT]>,
     wal_durable_seen: Vec<[u64; RecordFamily::COUNT]>,
     writebacks_seen: Vec<u64>,
-    /// Per-kind message counters, indexed by `MsgKind as usize` — the
-    /// send path is per-event hot, so the ordered `stats.msgs` map is
-    /// only assembled once, in `finalize`.
-    msg_counts: [u64; MsgKind::COUNT],
+    /// Send counters — the send path is per-event hot, so the ordered
+    /// `stats.msgs` map is only assembled once, in `finalize`.
+    sent: MsgCounts,
     /// Reusable action buffer: every dispatch takes it, fills it, drains
     /// it through `do_actions`, and puts it back, so the per-event `Vec`
     /// allocation disappears. Handlers never reenter `dispatch`, so one
@@ -296,7 +295,7 @@ impl DesCluster {
             wal_appended_seen: vec![[0; RecordFamily::COUNT]; n],
             wal_durable_seen: vec![[0; RecordFamily::COUNT]; n],
             writebacks_seen: vec![0; n],
-            msg_counts: [0; MsgKind::COUNT],
+            sent: MsgCounts::default(),
             scratch: Vec::with_capacity(16),
             obs: ObsSink::Off,
             flight: None,
@@ -970,68 +969,11 @@ impl DesCluster {
         }
     }
 
-    /// Stamp lifecycle milestones from the message plane: the payload kind
-    /// names the Cx phase the sender just entered. Stamps record the send
-    /// (a later drop fault does not unhappen the phase), and `OpSpan`
-    /// stamping is first-writer-wins, so re-driven batches and
-    /// retransmissions never move a milestone.
-    fn obs_on_send(&self, from: Endpoint, payload: &Payload) {
-        let now = self.sim.now();
-        let srv = match from {
-            Endpoint::Server(s) => Some(s),
-            Endpoint::Proc(_) => None,
-        };
-        match payload {
-            // Client-visible path.
-            Payload::SubOpReq { op_id, .. } | Payload::OpReq { op_id, .. } => {
-                self.obs.op_phase(*op_id, Phase::Dispatched, now, None);
-            }
-            Payload::SubOpResp { op_id, .. } | Payload::OpResp { op_id, .. } => {
-                self.obs.op_phase(*op_id, Phase::Executed, now, srv);
-            }
-            // Commitment path: batched Cx messages carry many ops; 2PC's
-            // VoteExec and CE's migration round-trip are their (pre-reply)
-            // analogues, so the same milestones work for every protocol.
-            Payload::Vote { ops, .. } => {
-                for &op in ops {
-                    self.obs.op_phase(op, Phase::VoteSent, now, srv);
-                }
-            }
-            Payload::VoteExec { op_id, .. } | Payload::Migrate { op_id, .. } => {
-                self.obs.op_phase(*op_id, Phase::VoteSent, now, srv);
-            }
-            Payload::CommitDecision { commits, aborts } => {
-                for &op in commits.iter().chain(aborts) {
-                    self.obs.op_phase(op, Phase::DecisionSent, now, srv);
-                }
-            }
-            Payload::MigrateBack { op_id, .. } => {
-                self.obs.op_phase(*op_id, Phase::DecisionSent, now, srv);
-            }
-            Payload::Ack { ops } => {
-                for &op in ops {
-                    self.obs.op_phase(op, Phase::Acked, now, srv);
-                }
-            }
-            Payload::MigrateBackAck { op_id, .. } => {
-                self.obs.op_phase(*op_id, Phase::Acked, now, srv);
-            }
-            _ => {}
-        }
-    }
-
     fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
         if self.obs.enabled() {
-            self.obs_on_send(from, &payload);
+            obs_on_send(&self.obs, from, &payload, self.sim.now());
         }
-        self.msg_counts[payload.kind() as usize] += 1;
-        let server_to_server =
-            matches!(from, Endpoint::Server(_)) && matches!(to, Endpoint::Server(_));
-        if server_to_server {
-            self.stats.server_msgs += 1;
-        } else {
-            self.stats.client_msgs += 1;
-        }
+        self.sent.count(from, to, payload.kind());
         let bytes = payload.size_bytes() as u64;
         let latency =
             self.cfg.net.one_way_ns + (bytes * 1_000_000_000) / self.cfg.net.bandwidth_bps.max(1);
@@ -1148,11 +1090,7 @@ impl DesCluster {
     }
 
     fn finalize(&mut self) {
-        for (kind, &n) in MsgKind::ALL.iter().zip(&self.msg_counts) {
-            if n > 0 {
-                self.stats.msgs.insert(*kind, n);
-            }
-        }
+        self.sent.publish(&mut self.stats);
         // Structured hang diagnostics: the recorder's live-op map names the
         // exact stalled phase for every op still short of its reply.
         self.stats.stuck_ops = self.obs.stuck_report();
@@ -1193,8 +1131,98 @@ impl DesCluster {
     }
 }
 
+/// Send-side message accounting, the same in every runtime: by kind, and
+/// by whether a client sits at either end.
+#[derive(Default)]
+pub(crate) struct MsgCounts {
+    pub(crate) by_kind: [u64; MsgKind::COUNT],
+    /// Server-to-server messages.
+    pub(crate) server_msgs: u64,
+    /// Messages with a client at either end.
+    pub(crate) client_msgs: u64,
+}
+
+impl MsgCounts {
+    pub(crate) fn count(&mut self, from: Endpoint, to: Endpoint, kind: MsgKind) {
+        self.by_kind[kind as usize] += 1;
+        match (from, to) {
+            (Endpoint::Server(_), Endpoint::Server(_)) => self.server_msgs += 1,
+            _ => self.client_msgs += 1,
+        }
+    }
+
+    pub(crate) fn add(&mut self, by_kind: &[u64], server_msgs: u64, client_msgs: u64) {
+        for (slot, n) in self.by_kind.iter_mut().zip(by_kind) {
+            *slot += n;
+        }
+        self.server_msgs += server_msgs;
+        self.client_msgs += client_msgs;
+    }
+
+    /// Write the totals into the run's statistics.
+    pub(crate) fn publish(&self, stats: &mut RunStats) {
+        for (kind, &n) in MsgKind::ALL.iter().zip(&self.by_kind) {
+            if n > 0 {
+                stats.msgs.insert(*kind, n);
+            }
+        }
+        stats.server_msgs = self.server_msgs;
+        stats.client_msgs = self.client_msgs;
+    }
+}
+
+/// Stamp lifecycle milestones from the send path: the payload kind names
+/// the Cx phase the sender just entered, at `now` on the sender's clock
+/// (virtual time, or nanoseconds since its epoch). Stamps record the send
+/// (a later drop fault does not unhappen the phase), and `OpSpan` stamping
+/// is first-writer-wins, so re-driven batches and retransmissions never
+/// move a milestone.
+pub(crate) fn obs_on_send(obs: &ObsSink, from: Endpoint, payload: &Payload, now: SimTime) {
+    let srv = match from {
+        Endpoint::Server(s) => Some(s),
+        Endpoint::Proc(_) => None,
+    };
+    match payload {
+        // Client-visible path.
+        Payload::SubOpReq { op_id, .. } | Payload::OpReq { op_id, .. } => {
+            obs.op_phase(*op_id, Phase::Dispatched, now, None);
+        }
+        Payload::SubOpResp { op_id, .. } | Payload::OpResp { op_id, .. } => {
+            obs.op_phase(*op_id, Phase::Executed, now, srv);
+        }
+        // Commitment path: batched Cx messages carry many ops; 2PC's
+        // VoteExec and CE's migration round-trip are their (pre-reply)
+        // analogues, so the same milestones work for every protocol.
+        Payload::Vote { ops, .. } => {
+            for &op in ops {
+                obs.op_phase(op, Phase::VoteSent, now, srv);
+            }
+        }
+        Payload::VoteExec { op_id, .. } | Payload::Migrate { op_id, .. } => {
+            obs.op_phase(*op_id, Phase::VoteSent, now, srv);
+        }
+        Payload::CommitDecision { commits, aborts } => {
+            for &op in commits.iter().chain(aborts) {
+                obs.op_phase(op, Phase::DecisionSent, now, srv);
+            }
+        }
+        Payload::MigrateBack { op_id, .. } => {
+            obs.op_phase(*op_id, Phase::DecisionSent, now, srv);
+        }
+        Payload::Ack { ops } => {
+            for &op in ops {
+                obs.op_phase(op, Phase::Acked, now, srv);
+            }
+        }
+        Payload::MigrateBackAck { op_id, .. } => {
+            obs.op_phase(*op_id, Phase::Acked, now, srv);
+        }
+        _ => {}
+    }
+}
+
 /// Runtime endpoint → tracer endpoint.
-fn flow_node(e: Endpoint) -> FlowNode {
+pub(crate) fn flow_node(e: Endpoint) -> FlowNode {
     match e {
         Endpoint::Server(s) => FlowNode::Server(s.0),
         Endpoint::Proc(p) => FlowNode::Client(p.client.0),

@@ -20,7 +20,7 @@
 //! the nodes with its transport and calls [`run_wired`]; external
 //! `cx_net_server` processes run the same [`server_node_loop`].
 
-use crate::des::primary_op;
+use crate::des::{flow_node, obs_on_send, primary_op, MsgCounts};
 use crate::feed::OpFeed;
 use crate::live::{observe_wire_series, set_wire_rates, sum_wire, LiveMetrics, Monitor};
 use crate::seed::seed_engine;
@@ -32,14 +32,14 @@ use cx_mdstore::{GlobalView, MetaStore};
 use cx_net::conn::InboundBatches;
 use cx_net::{ClockSync, Frame, HealthSnapshot, NodeId, WireTelemetry, WireTotals};
 use cx_obs::registry::{Counter, MetricRegistry, Series};
-use cx_obs::{FlowNode, MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan, Phase};
+use cx_obs::{FlowNode, MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
 use cx_protocol::{
     Action, ClientDecision, ClientOp, Endpoint, ProtoMetrics, ServerEngine, ServerStats,
 };
 use cx_sim::TimerQueue;
 use cx_types::{
-    ClusterConfig, FileKind, FsOp, InodeNo, MsgKind, Name, OpClass, OpId, OpOutcome, Payload,
-    Placement, ProcId, Protocol, ServerId, SimTime,
+    ClusterConfig, FileKind, FsOp, InodeNo, Name, OpClass, OpId, OpOutcome, Payload, Placement,
+    ProcId, Protocol, ServerId, SimTime,
 };
 use cx_workloads::{SeedEntry, StreamTrace};
 use parking_lot::Mutex;
@@ -56,13 +56,6 @@ fn node_of(ep: Endpoint) -> NodeId {
     match ep {
         Endpoint::Server(s) => NodeId::Server(s.0),
         Endpoint::Proc(_) => NodeId::ClientHost(0),
-    }
-}
-
-fn flow_of(ep: Endpoint) -> FlowNode {
-    match ep {
-        Endpoint::Server(s) => FlowNode::Server(s.0),
-        Endpoint::Proc(p) => FlowNode::Client(p.client.0),
     }
 }
 
@@ -137,26 +130,6 @@ pub(crate) fn rebuild_store(inodes: InodeRows, dentries: EntryRows) -> MetaStore
 
 // ---- sending protocol messages ----
 
-/// Send-side message accounting (the DES counts sends the same way).
-#[derive(Default)]
-pub(crate) struct MsgCounts {
-    by_kind: [u64; MsgKind::COUNT],
-    /// Server-to-server messages.
-    server_msgs: u64,
-    /// Messages with a client at either end.
-    client_msgs: u64,
-}
-
-impl MsgCounts {
-    fn add(&mut self, by_kind: &[u64], server_msgs: u64, client_msgs: u64) {
-        for (slot, n) in self.by_kind.iter_mut().zip(by_kind) {
-            *slot += n;
-        }
-        self.server_msgs += server_msgs;
-        self.client_msgs += client_msgs;
-    }
-}
-
 /// How a thread that steps protocol machines — a server node, a client
 /// shepherd — puts their payloads on its node's transport: stamp the
 /// send-side lifecycle milestone, count by kind, wrap in [`Frame::Msg`].
@@ -184,11 +157,7 @@ impl MsgPort {
         if self.obs.enabled() {
             obs_on_send(&self.obs, from, &payload, now);
         }
-        self.sent.by_kind[payload.kind() as usize] += 1;
-        match (from, to) {
-            (Endpoint::Server(_), Endpoint::Server(_)) => self.sent.server_msgs += 1,
-            _ => self.sent.client_msgs += 1,
-        }
+        self.sent.count(from, to, payload.kind());
         let frame = Frame::Msg {
             sent_ns: now.0,
             from,
@@ -196,55 +165,6 @@ impl MsgPort {
             payload,
         };
         self.net.send(node_of(to), frame);
-    }
-}
-
-/// Stamp lifecycle milestones from the send path: the payload kind names
-/// the Cx phase the sender just entered. The wall-clock mirror of the
-/// DES's `obs_on_send` — same phase mapping, `now` in nanoseconds since
-/// the sender's epoch instead of virtual time. Stamping is
-/// first-writer-wins, so retransmissions never move a milestone.
-fn obs_on_send(obs: &ObsSink, from: Endpoint, payload: &Payload, now: SimTime) {
-    let srv = match from {
-        Endpoint::Server(s) => Some(s),
-        Endpoint::Proc(_) => None,
-    };
-    match payload {
-        // Client-visible path.
-        Payload::SubOpReq { op_id, .. } | Payload::OpReq { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::Dispatched, now, None);
-        }
-        Payload::SubOpResp { op_id, .. } | Payload::OpResp { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::Executed, now, srv);
-        }
-        // Commitment path: batched Cx messages carry many ops; 2PC's
-        // VoteExec and CE's migration round-trip are their (pre-reply)
-        // analogues, so the same milestones work for every protocol.
-        Payload::Vote { ops, .. } => {
-            for &op in ops {
-                obs.op_phase(op, Phase::VoteSent, now, srv);
-            }
-        }
-        Payload::VoteExec { op_id, .. } | Payload::Migrate { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::VoteSent, now, srv);
-        }
-        Payload::CommitDecision { commits, aborts } => {
-            for &op in commits.iter().chain(aborts) {
-                obs.op_phase(op, Phase::DecisionSent, now, srv);
-            }
-        }
-        Payload::MigrateBack { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::DecisionSent, now, srv);
-        }
-        Payload::Ack { ops } => {
-            for &op in ops {
-                obs.op_phase(op, Phase::Acked, now, srv);
-            }
-        }
-        Payload::MigrateBackAck { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::Acked, now, srv);
-        }
-        _ => {}
     }
 }
 
@@ -303,7 +223,7 @@ fn handle_server_frame(
             port.obs.msg_edge(
                 primary_op(&payload),
                 payload.kind().into(),
-                flow_of(from),
+                flow_node(from),
                 FlowNode::Server(me.0),
                 sent_ns,
                 now.0,
@@ -727,7 +647,7 @@ fn demux_batch(
                     obs.msg_edge(
                         primary_op(&payload),
                         payload.kind().into(),
-                        flow_of(from),
+                        flow_node(from),
                         FlowNode::Client(p.client.0),
                         sent_ns,
                         net.now_ns(),
@@ -1038,13 +958,7 @@ pub(crate) fn run_wired(
         &mut sent,
     );
 
-    for (kind, &n) in MsgKind::ALL.iter().zip(&sent.by_kind) {
-        if n > 0 {
-            stats.msgs.insert(*kind, n);
-        }
-    }
-    stats.server_msgs = sent.server_msgs;
-    stats.client_msgs = sent.client_msgs;
+    sent.publish(&mut stats);
     for (_, outcome, cross) in outcomes.lock().iter() {
         stats.record_outcome(*outcome);
         stats.ops_total += 1;

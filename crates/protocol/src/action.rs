@@ -37,68 +37,6 @@ pub enum Action {
     SetTimer { token: u64, delay_ns: u64 },
 }
 
-/// Marks a disk token as a write-back's: its completion is counted by
-/// [`Writebacks`], every other token has a continuation in the engine's
-/// `io` map.
-const WRITEBACK_TOKEN_BIT: u64 = 1 << 63;
-
-/// An engine's outstanding database write-backs.
-///
-/// A write-back completion carries no state — nothing to answer, nothing
-/// to mark durable — so it is counted, not stored: under load the log
-/// owns the disk and tens of thousands of write-backs wait for the drain,
-/// each of which would otherwise hold a continuation slot sized for the
-/// engine's largest one.
-#[derive(Debug, Default)]
-pub(crate) struct Writebacks {
-    outstanding: u64,
-    /// Tokens numbered below this were issued before the last crash.
-    floor: u64,
-}
-
-impl Writebacks {
-    /// Emit the write-back of `pages`, numbering tokens from `next_token`.
-    /// The batch is split into elevator-sized chunks so synchronous log
-    /// flushes can interleave (background write-back must not block the
-    /// latency-critical log for tens of milliseconds).
-    pub(crate) fn issue(&mut self, pages: &[u64], next_token: &mut u64, out: &mut Vec<Action>) {
-        for chunk in pages.chunks(32) {
-            let token = *next_token | WRITEBACK_TOKEN_BIT;
-            *next_token += 1;
-            self.outstanding += 1;
-            out.push(Action::DbWriteback {
-                token,
-                pages: chunk.to_vec(),
-            });
-        }
-    }
-
-    /// A disk completion arrived. `None`: not a write-back's token, look
-    /// in `io`. `Some(true)`: one outstanding write-back finished.
-    /// `Some(false)`: a write-back lost in a crash; ignore it.
-    pub(crate) fn complete(&mut self, token: u64) -> Option<bool> {
-        if token & WRITEBACK_TOKEN_BIT == 0 {
-            return None;
-        }
-        let live = token & !WRITEBACK_TOKEN_BIT >= self.floor && self.outstanding > 0;
-        if live {
-            self.outstanding -= 1;
-        }
-        Some(live)
-    }
-
-    pub(crate) fn outstanding(&self) -> u64 {
-        self.outstanding
-    }
-
-    /// The queued write-backs died with the disk; `next_token` is the
-    /// first token the next incarnation will issue.
-    pub(crate) fn crash(&mut self, next_token: u64) {
-        self.outstanding = 0;
-        self.floor = next_token;
-    }
-}
-
 /// A protocol server as seen by a runtime.
 ///
 /// All entry points take `now` (virtual or wall-clock nanoseconds) and push

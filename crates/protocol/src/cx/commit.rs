@@ -7,7 +7,7 @@ use super::{
     VOTE_TIMER_BIT,
 };
 use crate::action::{Action, Endpoint};
-use crate::trigger::TriggerVerdict;
+use crate::chassis::respond;
 use cx_types::{Hint, OpId, Payload, Role, ServerId, SimTime, Verdict};
 use cx_wal::{Outcome, Record};
 use std::collections::BTreeMap;
@@ -19,26 +19,16 @@ impl CxServer {
 
     pub(crate) fn dispatch_io(&mut self, now: SimTime, cont: IoCont, out: &mut Vec<Action>) {
         match cont {
-            IoCont::ResultDurable { op_id, seq } => {
-                self.wal.mark_durable(seq);
+            IoCont::ResultDurable { op_id } => {
                 let Some(p) = self.pending.get_mut(&op_id) else {
                     return;
                 };
                 p.durable = true;
-                let (verdict, hint, role, proc) = (p.verdict, p.hint.clone(), p.role, p.proc);
-                self.send(
-                    Endpoint::Proc(proc),
-                    Payload::SubOpResp {
-                        op_id,
-                        verdict,
-                        hint,
-                    },
-                    out,
-                );
+                let (verdict, hint, role) = (p.verdict, p.hint.clone(), p.role);
+                respond(op_id, verdict, hint, out);
                 if role == Role::Coordinator {
                     self.lazy_queue.push(op_id);
-                    let v = self.trigger.on_pending(now);
-                    self.apply_trigger(now, v, out);
+                    self.note_pending(now, out);
                 }
                 if let Some(coord) = self.deferred_votes.remove(&op_id) {
                     self.send_vote_result(coord, vec![(op_id, verdict)], out);
@@ -46,24 +36,10 @@ impl CxServer {
             }
             IoCont::LocalDurable {
                 op_id,
-                proc,
                 verdict,
                 hint,
-                seq,
-            } => {
-                self.wal.mark_durable(seq);
-                self.send(
-                    Endpoint::Proc(proc),
-                    Payload::SubOpResp {
-                        op_id,
-                        verdict,
-                        hint,
-                    },
-                    out,
-                );
-            }
-            IoCont::DecisionDurable { batch, seq } => {
-                self.wal.mark_durable(seq);
+            } => respond(op_id, verdict, hint, out),
+            IoCont::DecisionDurable { batch } => {
                 let Some(b) = self.batches.get_mut(&batch) else {
                     return;
                 };
@@ -81,9 +57,7 @@ impl CxServer {
                 coordinator,
                 commits,
                 aborts,
-                seq,
             } => {
-                self.wal.mark_durable(seq);
                 let mut acked = self.op_pool.get();
                 let mut objs = Vec::new();
                 for (op, _outcome) in commits
@@ -95,7 +69,7 @@ impl CxServer {
                     if let Some(p) = self.pending.get(&op) {
                         objs.extend(p.subop.objects().iter());
                     }
-                    self.wal.prune_op(&op);
+                    self.ch.wal.prune_op(&op);
                     self.release_op(now, op, out);
                     self.pending.remove(&op);
                     let newest = self.resolved_upto.entry(op.proc).or_insert(op.seq);
@@ -110,10 +84,9 @@ impl CxServer {
                 // The decision's buffers drain here; recycle them.
                 self.op_pool.put(commits);
                 self.op_pool.put(aborts);
-                self.flush_dirty_of(objs, out);
+                self.ch.flush_dirty_of(objs, out);
             }
-            IoCont::CompleteDurable { batch, seq } => {
-                self.wal.mark_durable(seq);
+            IoCont::CompleteDurable { batch } => {
                 let Some(b) = self.batches.remove(&batch) else {
                     return;
                 };
@@ -138,7 +111,7 @@ impl CxServer {
                 self.op_pool.put(ops);
                 self.op_pool.put(commits);
                 self.op_pool.put(aborts);
-                self.flush_dirty_of(objs, out);
+                self.ch.flush_dirty_of(objs, out);
                 self.drain_log_wait(now, out);
             }
             IoCont::RecoveryScanDone => self.on_recovery_scan_done(now, out),
@@ -152,9 +125,9 @@ impl CxServer {
     /// Coordinator-side completion of one operation.
     fn finish_op(&mut self, now: SimTime, op: OpId, outcome: Outcome, out: &mut Vec<Action>) {
         match outcome {
-            Outcome::Committed => self.stats.ops_committed += 1,
+            Outcome::Committed => self.ch.stats.ops_committed += 1,
             Outcome::Aborted => {
-                self.stats.ops_aborted += 1;
+                self.ch.stats.ops_aborted += 1;
                 self.metrics.aborts += 1;
             }
         }
@@ -173,69 +146,39 @@ impl CxServer {
                 self.send(Endpoint::Proc(p.proc), payload, out);
             }
         }
-        self.wal.prune_op(&op);
+        self.ch.wal.prune_op(&op);
         self.note_recovery_progress(now, op, out);
-    }
-
-    /// Issue a batched database write-back of every dirty object.
-    pub(crate) fn flush_dirty(&mut self, out: &mut Vec<Action>) {
-        let pages = self.store.take_dirty_pages();
-        self.issue_writeback(pages, out);
-    }
-
-    /// Write back only the given objects (immediate commitments touch a
-    /// handful of operations; flushing the whole dirty set would turn
-    /// every conflict into a full cache flush).
-    pub(crate) fn flush_dirty_of(&mut self, objs: Vec<cx_types::ObjectId>, out: &mut Vec<Action>) {
-        let pages = self.store.take_dirty_pages_of(objs);
-        self.issue_writeback(pages, out);
-    }
-
-    fn issue_writeback(&mut self, pages: Vec<u64>, out: &mut Vec<Action>) {
-        if pages.is_empty() {
-            return;
-        }
-        self.stats.writebacks += 1;
-        self.writebacks.issue(&pages, &mut self.next_token, out);
     }
 
     // ------------------------------------------------------------------
     // lazy batching and triggers
     // ------------------------------------------------------------------
 
-    pub(crate) fn apply_trigger(
-        &mut self,
-        now: SimTime,
-        verdict: TriggerVerdict,
-        out: &mut Vec<Action>,
-    ) {
-        match verdict {
-            TriggerVerdict::Fire => self.launch_lazy_batch(now, false, out),
-            TriggerVerdict::Arm(delay_ns) => out.push(Action::SetTimer {
-                token: self.trigger.generation(),
-                delay_ns,
-            }),
-            TriggerVerdict::Wait => {}
+    /// An operation joined a lazy queue; launch the batch if that fires
+    /// the trigger.
+    fn note_pending(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        if self.ch.pending_fires(now, out) {
+            self.launch_lazy_batch(now, out);
         }
     }
 
     pub(crate) fn on_trigger_timer(&mut self, now: SimTime, token: u64, out: &mut Vec<Action>) {
-        let v = self.trigger.on_timer(now, token);
-        self.apply_trigger(now, v, out);
+        if self.ch.timer_fires(now, token, out) {
+            self.launch_lazy_batch(now, out);
+        }
     }
 
     /// A local mutation joined the batch queue (its write-back and pruning
     /// ride the next lazy batch).
     pub(crate) fn note_local_pending(&mut self, now: SimTime, op: OpId, out: &mut Vec<Action>) {
         self.lazy_local.push(op);
-        let v = self.trigger.on_pending(now);
-        self.apply_trigger(now, v, out);
+        self.note_pending(now, out);
     }
 
     /// Launch commitments for everything queued: cross-server operations
     /// grouped per participant ("a large number of postponed commitments
     /// can be batched", §I), local mutations flushed and pruned.
-    pub(crate) fn launch_lazy_batch(&mut self, now: SimTime, _force: bool, out: &mut Vec<Action>) {
+    pub(crate) fn launch_lazy_batch(&mut self, now: SimTime, out: &mut Vec<Action>) {
         // One spare buffer serves both queues in turn: each is swapped for
         // an empty one, walked, cleared and passed on.
         let mut buf = std::mem::replace(&mut self.lazy_queue, std::mem::take(&mut self.lazy_spare));
@@ -246,14 +189,14 @@ impl CxServer {
         std::mem::swap(&mut buf, &mut self.lazy_local);
         if !buf.is_empty() {
             for op in &buf {
-                self.wal.prune_op(op);
+                self.ch.wal.prune_op(op);
             }
-            self.flush_dirty(out);
+            self.ch.flush_dirty(out);
             self.drain_log_wait(now, out);
             buf.clear();
         }
         self.lazy_spare = buf;
-        self.trigger.on_batch_launched(now);
+        self.ch.trigger.on_batch_launched(now);
     }
 
     /// Start a commitment for coordinator-role pending operations.
@@ -304,9 +247,9 @@ impl CxServer {
                     },
                 );
                 if immediate {
-                    self.stats.immediate_commitments += 1;
+                    self.ch.stats.immediate_commitments += 1;
                 } else {
-                    self.stats.lazy_batches += 1;
+                    self.ch.stats.lazy_batches += 1;
                 }
                 let oldest = chunk
                     .iter()
@@ -361,13 +304,7 @@ impl CxServer {
 
     /// The commitment re-drive timer fired: if the batch is still alive,
     /// re-send its in-flight message and re-arm.
-    pub(crate) fn on_batch_retry_timer(
-        &mut self,
-        now: SimTime,
-        batch_id: u64,
-        out: &mut Vec<Action>,
-    ) {
-        let _ = now;
+    pub(crate) fn on_batch_retry_timer(&mut self, batch_id: u64, out: &mut Vec<Action>) {
         if !self.batches.contains_key(&batch_id) {
             return; // completed; retries stop
         }
@@ -422,7 +359,7 @@ impl CxServer {
             // defer the vote; if the request never shows up within the
             // grace period, presume the client died and vote NO.
             self.deferred_votes.insert(op, coord);
-            let token = VOTE_TIMER_BIT | self.token();
+            let token = VOTE_TIMER_BIT | self.ch.token();
             self.vote_timers.insert(token, (coord, op));
             out.push(Action::SetTimer {
                 token,
@@ -466,7 +403,7 @@ impl CxServer {
             // on x's batch), so the deferral carries a grace timer that
             // breaks the cycle with a NO vote.
             self.request_immediate(now, holder, out);
-            let token = VOTE_TIMER_BIT | self.token();
+            let token = VOTE_TIMER_BIT | self.ch.token();
             self.vote_timers.insert(token, (coord, op));
             out.push(Action::SetTimer {
                 token,
@@ -479,11 +416,11 @@ impl CxServer {
         let Some(mut holder_pending) = self.pending.remove(&holder) else {
             return;
         };
-        self.stats.invalidations += 1;
+        self.ch.stats.invalidations += 1;
         self.metrics.conflicts_disordered += 1;
-        let _ = self.wal.invalidate_result(&holder);
+        let _ = self.ch.wal.invalidate_result(&holder);
         if let Some(undo) = holder_pending.undo.take() {
-            self.store.undo(undo);
+            self.ch.store.undo(undo);
         }
         self.active.retain(|_, h| *h != holder);
         self.lazy_queue.retain(|o| *o != holder);
@@ -527,18 +464,8 @@ impl CxServer {
         if self.pending.contains_key(&op) || self.deferred_votes.get(&op) != Some(&coord) {
             return; // executed meanwhile (or answered another way)
         }
-        if self.blocked_behind(op).is_some() {
-            if let Some(req) = self.drop_blocked_request(op) {
-                self.send(
-                    Endpoint::Proc(req.op_id.proc),
-                    Payload::SubOpResp {
-                        op_id: op,
-                        verdict: Verdict::No,
-                        hint: Hint::null(),
-                    },
-                    out,
-                );
-            }
+        if self.drop_blocked_request(op).is_some() {
+            respond(op, Verdict::No, Hint::null(), out);
         }
         self.vote_no_for_unknown(now, op, coord, out);
     }
@@ -581,9 +508,8 @@ impl CxServer {
             },
         );
         self.deferred_votes.insert(op, coord);
-        if let Ok((seq, bytes)) = self.append_records([rec]) {
-            self.flush_records(seq, bytes, IoCont::ResultDurable { op_id: op, seq }, out);
-        }
+        // A full log refuses the record: the vote stays deferred.
+        let _ = self.log([rec], IoCont::ResultDurable { op_id: op }, out);
     }
 
     fn send_vote_result(
@@ -682,25 +608,16 @@ impl CxServer {
                 }
             }
             self.op_pool.put(ops);
-            let (seq, bytes) = self
-                .append_records(recs.drain(..))
-                .expect("control records are never limited");
-            self.rec_pool.put(recs);
             {
                 let b = self.batches.get_mut(&batch_id).expect("checked");
                 b.phase = BatchPhase::LoggingDecision;
                 self.op_pool.put(std::mem::replace(&mut b.commits, commits));
                 self.op_pool.put(std::mem::replace(&mut b.aborts, aborts));
             }
-            self.flush_records(
-                seq,
-                bytes,
-                IoCont::DecisionDurable {
-                    batch: batch_id,
-                    seq,
-                },
-                out,
-            );
+            let cont = IoCont::DecisionDurable { batch: batch_id };
+            self.log(recs.drain(..), cont, out)
+                .expect("control records are never limited");
+            self.rec_pool.put(recs);
         }
     }
 
@@ -722,36 +639,19 @@ impl CxServer {
             // An aborted operation whose sub-op request is still parked
             // here must not run after its abort; its client learns of the
             // abort through a NO response (→ disagreement → ALL-NO).
-            if !self.pending.contains_key(&op) {
-                if let Some(req) = self.drop_blocked_request(op) {
-                    self.send(
-                        Endpoint::Proc(req.op_id.proc),
-                        Payload::SubOpResp {
-                            op_id: op,
-                            verdict: Verdict::No,
-                            hint: Hint::null(),
-                        },
-                        out,
-                    );
-                }
+            if !self.pending.contains_key(&op) && self.drop_blocked_request(op).is_some() {
+                respond(op, Verdict::No, Hint::null(), out);
             }
             recs.push(Record::Abort { op_id: op });
         }
-        let (seq, bytes) = self
-            .append_records(recs.drain(..))
+        let cont = IoCont::OutcomeDurable {
+            coordinator: coord,
+            commits,
+            aborts,
+        };
+        self.log(recs.drain(..), cont, out)
             .expect("control records are never limited");
         self.rec_pool.put(recs);
-        self.flush_records(
-            seq,
-            bytes,
-            IoCont::OutcomeDurable {
-                coordinator: coord,
-                commits,
-                aborts,
-                seq,
-            },
-            out,
-        );
     }
 
     /// ACK at the coordinator: write Complete-Records (§III-B step 7).
@@ -784,20 +684,11 @@ impl CxServer {
                 .chain(b.aborts.iter())
                 .map(|op| Record::Complete { op_id: *op }),
         );
-        let (seq, bytes) = self
-            .append_records(recs.drain(..))
+        let cont = IoCont::CompleteDurable { batch: batch_id };
+        self.log(recs.drain(..), cont, out)
             .expect("control records are never limited");
         self.rec_pool.put(recs);
         self.op_pool.put(ops);
-        self.flush_records(
-            seq,
-            bytes,
-            IoCont::CompleteDurable {
-                batch: batch_id,
-                seq,
-            },
-            out,
-        );
     }
 
     // ------------------------------------------------------------------
@@ -864,7 +755,7 @@ impl CxServer {
         if self.batches.values().any(|b| b.ops.contains(&op)) {
             return; // already resolving
         }
-        match self.wal.op_state(&op).and_then(|st| st.outcome) {
+        match self.ch.wal.op_state(&op).and_then(|st| st.outcome) {
             Some(Outcome::Committed) => {
                 let commits = self.op_vec1(op);
                 let aborts = self.op_pool.get();
@@ -875,7 +766,7 @@ impl CxServer {
                 );
             }
             _ => {
-                let token = ORPHAN_TIMER_BIT | self.token();
+                let token = ORPHAN_TIMER_BIT | self.ch.token();
                 self.orphan_timers.insert(token, (parti, op));
                 out.push(Action::SetTimer {
                     token,
@@ -898,10 +789,11 @@ impl CxServer {
             }
             return;
         }
-        if self.batches.values().any(|b| b.ops.contains(&op)) || self.wal.op_state(&op).is_some() {
+        if self.batches.values().any(|b| b.ops.contains(&op)) || self.ch.wal.op_state(&op).is_some()
+        {
             return; // already resolving / already decided
         }
-        self.stats.immediate_commitments += 1;
+        self.ch.stats.immediate_commitments += 1;
         self.metrics.commitment_round(1, true, 0);
         let batch_id = self.next_batch;
         self.next_batch += 1;
@@ -919,18 +811,9 @@ impl CxServer {
                 aborts,
             },
         );
-        let (seq, bytes) = self
-            .append_records([Record::Abort { op_id: op }])
+        let cont = IoCont::DecisionDurable { batch: batch_id };
+        self.log([Record::Abort { op_id: op }], cont, out)
             .expect("control records are never limited");
-        self.flush_records(
-            seq,
-            bytes,
-            IoCont::DecisionDurable {
-                batch: batch_id,
-                seq,
-            },
-            out,
-        );
     }
 
     /// Re-send the in-flight message of a batch whose participant may have
@@ -1004,7 +887,7 @@ impl CxServer {
                 }
                 continue;
             }
-            match self.wal.op_state(&op).and_then(|st| st.outcome) {
+            match self.ch.wal.op_state(&op).and_then(|st| st.outcome) {
                 Some(Outcome::Committed) => commits.push(op),
                 Some(Outcome::Aborted) => aborts.push(op),
                 None => match self.recent_outcomes.get(&op.proc) {

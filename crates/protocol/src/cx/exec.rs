@@ -3,9 +3,9 @@
 
 use super::{CxServer, IoCont, PendingOp, QueuedReq};
 use crate::action::{Action, Endpoint};
-use cx_types::{CxError, Hint, OpId, Payload, Role, SimTime, SubOp, Verdict};
+use crate::chassis::resolved_records;
+use cx_types::{Hint, OpId, Payload, Role, SimTime, SubOp, Verdict};
 use cx_wal::Record;
-use rand::Rng;
 
 impl CxServer {
     /// Entry point for a sub-op request (fresh arrival, unblock
@@ -44,8 +44,8 @@ impl CxServer {
     /// commitment for the cross-server operation", §I).
     fn block_on(&mut self, now: SimTime, holder: OpId, mut req: QueuedReq, out: &mut Vec<Action>) {
         if !req.counted {
-            self.stats.conflicts += 1;
-            self.stats.blocked_requests += 1;
+            self.ch.stats.conflicts += 1;
+            self.ch.stats.blocked_requests += 1;
             self.metrics.conflicts_ordered += 1;
             req.counted = true;
         }
@@ -89,18 +89,8 @@ impl CxServer {
     fn execute(&mut self, now: SimTime, req: QueuedReq, out: &mut Vec<Action>) {
         let cross_server = req.peer.is_some();
         if !req.subop.is_write() && !cross_server {
-            // Cached read: served from the in-memory store, no logging.
-            let verdict = Verdict::from_ok(self.store.apply(&req.subop).is_ok());
-            self.stats.reads_served += 1;
-            self.send(
-                Endpoint::Proc(req.op_id.proc),
-                Payload::SubOpResp {
-                    op_id: req.op_id,
-                    verdict,
-                    hint: Hint(req.hint_ops),
-                },
-                out,
-            );
+            let hint = Hint(req.hint_ops);
+            self.ch.serve_read(req.op_id, &req.subop, hint, out);
             return;
         }
         if cross_server {
@@ -122,50 +112,17 @@ impl CxServer {
             self.on_log_full(now, req, out);
             return;
         }
-        let mut verdict = Verdict::Yes;
-        let mut undos = Vec::new();
-        for subop in std::iter::once(&req.subop).chain(req.colocated.iter()) {
-            match self.apply_with_injection(subop) {
-                Ok(u) => undos.push(u),
-                Err(_) => {
-                    verdict = Verdict::No;
-                    break;
-                }
-            }
-        }
-        if verdict == Verdict::No {
-            // roll back the half that succeeded
-            for u in undos.drain(..).rev() {
-                self.store.undo(u);
-            }
-        }
-        self.stats.local_mutations += 1;
-        // Log Result + Commit together; prunable immediately, pruned at the
-        // next write-back.
-        let recs = [
-            Record::Result {
-                op_id: req.op_id,
-                role: Role::Participant,
-                peer: None,
-                subop: req.subop,
-                verdict,
-                invalidated: false,
-            },
-            if verdict.is_yes() {
-                Record::Commit { op_id: req.op_id }
-            } else {
-                Record::Abort { op_id: req.op_id }
-            },
-        ];
-        let (seq, bytes) = self.append_records(recs).expect("room checked above");
+        let (verdict, _) = self.ch.apply_all(&req.subop, req.colocated.as_ref());
+        self.ch.stats.local_mutations += 1;
+        // Log Result + Commit/Abort together; prunable immediately, pruned
+        // at the next write-back.
         let cont = IoCont::LocalDurable {
             op_id: req.op_id,
-            proc: req.op_id.proc,
             verdict,
             hint: Hint(req.hint_ops),
-            seq,
         };
-        self.flush_records(seq, bytes, cont, out);
+        self.log(resolved_records(req.op_id, req.subop, verdict), cont, out)
+            .expect("room checked above");
         self.note_local_pending(now, req.op_id, out);
     }
 
@@ -178,11 +135,7 @@ impl CxServer {
             return;
         }
 
-        let (verdict, undo) = match self.apply_with_injection(&req.subop) {
-            Ok(u) => (Verdict::Yes, Some(u)),
-            Err(_) => (Verdict::No, None),
-        };
-        self.stats.subops_executed += 1;
+        let (verdict, undo) = self.ch.execute(&req.subop);
 
         if verdict.is_yes() {
             // The modified objects become active until the commitment
@@ -220,17 +173,9 @@ impl CxServer {
             verdict,
             invalidated: false,
         };
-        let (seq, bytes) = self.append_records([rec]).expect("room checked above");
         // Response waits for durability; the hint rides along in pending.
-        self.flush_records(
-            seq,
-            bytes,
-            IoCont::ResultDurable {
-                op_id: req.op_id,
-                seq,
-            },
-            out,
-        );
+        self.log([rec], IoCont::ResultDurable { op_id: req.op_id }, out)
+            .expect("room checked above");
     }
 
     /// Whether the log can take `req`'s Result-Record — the only record
@@ -244,14 +189,7 @@ impl CxServer {
             verdict: Verdict::Yes,
             invalidated: false,
         };
-        self.wal.has_room(probe.encoded_len())
-    }
-
-    fn apply_with_injection(&mut self, subop: &SubOp) -> Result<cx_mdstore::Undo, CxError> {
-        if self.fail_prob > 0.0 && subop.is_write() && self.rng.gen::<f64>() < self.fail_prob {
-            return Err(CxError::Injected);
-        }
-        self.store.apply(subop)
+        self.ch.wal.has_room(probe.encoded_len())
     }
 
     /// The log hit its upper limit: park the request and force commitments
@@ -259,10 +197,10 @@ impl CxServer {
     /// server must block the new-arrival sub-op requests and perform
     /// pruning"). Figure 7(a) measures exactly this effect.
     fn on_log_full(&mut self, now: SimTime, req: QueuedReq, out: &mut Vec<Action>) {
-        self.stats.log_full_blocks += 1;
+        self.ch.stats.log_full_blocks += 1;
         self.log_wait.push_back(req);
         // Commit everything we coordinate…
-        self.launch_lazy_batch(now, true, out);
+        self.launch_lazy_batch(now, out);
         // …and nudge the coordinators of everything we participate in —
         // one C-REQ per coordinator suffices, since a nudged coordinator
         // sweeps its whole lazy queue into the commitment.
@@ -287,7 +225,7 @@ impl CxServer {
             );
         }
         // Also reclaim anything already prunable.
-        self.wal.prune_all();
+        self.ch.wal.prune_all();
     }
 
     /// Retry requests parked on log space.

@@ -19,19 +19,17 @@ mod commit;
 mod exec;
 mod recovery;
 
-use crate::action::{Action, Endpoint, ServerEngine, Writebacks};
+use crate::action::{Action, Endpoint, ServerEngine};
+use crate::chassis::Chassis;
 use crate::stats::{ProtoMetrics, ServerStats};
-use crate::trigger::TriggerState;
 use cx_mdstore::{MetaStore, Undo};
 use cx_obs::{EngineGauges, ObsSink};
-use cx_sim::det_rng;
 use cx_types::FxHashMap;
 use cx_types::{
-    ClusterConfig, CxConfig, Hint, ObjectId, OpId, OpTable, Payload, ProcId, Role, ServerId,
-    SimTime, SubOp, VecPool, Verdict,
+    ClusterConfig, CxConfig, CxError, Hint, ObjectId, OpId, OpTable, Payload, ProcId, Role,
+    ServerId, SimTime, SubOp, VecPool, Verdict,
 };
-use cx_wal::{Outcome, Record, SeqNo, Wal};
-use rand::rngs::SmallRng;
+use cx_wal::{Outcome, Record, Wal};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One executed-but-uncommitted operation on this server.
@@ -108,26 +106,23 @@ pub(crate) struct CommitBatch {
 pub(crate) enum IoCont {
     /// A Result-Record became durable: answer the client, enqueue the lazy
     /// commitment (coordinator), release deferred votes (participant).
-    ResultDurable { op_id: OpId, seq: SeqNo },
+    ResultDurable { op_id: OpId },
     /// A local (single-server) mutation's records became durable.
     LocalDurable {
         op_id: OpId,
-        proc: ProcId,
         verdict: Verdict,
         hint: Hint,
-        seq: SeqNo,
     },
     /// Coordinator: commit/abort records durable → send the decision.
-    DecisionDurable { batch: u64, seq: SeqNo },
+    DecisionDurable { batch: u64 },
     /// Participant: outcome records durable → apply, prune, ACK.
     OutcomeDurable {
         coordinator: ServerId,
         commits: Vec<OpId>,
         aborts: Vec<OpId>,
-        seq: SeqNo,
     },
     /// Coordinator: Complete-Records durable → finish the batch.
-    CompleteDurable { batch: u64, seq: SeqNo },
+    CompleteDurable { batch: u64 },
     /// Recovery log scan finished.
     RecoveryScanDone,
     /// Recovery cold-cache row reads finished.
@@ -137,11 +132,10 @@ pub(crate) enum IoCont {
 /// The Cx metadata server engine.
 pub struct CxServer {
     pub(crate) id: ServerId,
-    pub(crate) store: MetaStore,
-    pub(crate) wal: Wal,
+    /// Store, log, failure injection, batch trigger, disk continuations,
+    /// write-backs, statistics.
+    pub(crate) ch: Chassis<IoCont>,
     pub(crate) cfg: CxConfig,
-    pub(crate) fail_prob: f64,
-    pub(crate) rng: SmallRng,
 
     /// Executed, uncommitted operations.
     pub(crate) pending: OpTable<PendingOp>,
@@ -177,11 +171,6 @@ pub struct CxServer {
     /// late copy from a round already finished — not a sub-op still on its
     /// way (`recent_outcomes` is the coordinator-side cousin).
     pub(crate) resolved_upto: FxHashMap<ProcId, u64>,
-    pub(crate) trigger: TriggerState,
-    pub(crate) io: FxHashMap<u64, IoCont>,
-    pub(crate) writebacks: Writebacks,
-    pub(crate) next_token: u64,
-    pub(crate) stats: ServerStats,
     /// Introspection-plane counters (kept out of `stats`: the golden
     /// digests hash `ServerStats`, these must stay invisible to them).
     pub(crate) metrics: ProtoMetrics,
@@ -232,11 +221,8 @@ impl CxServer {
     pub fn new(id: ServerId, cfg: &ClusterConfig) -> Self {
         Self {
             id,
-            store: MetaStore::new(),
-            wal: Wal::new(cfg.cx.log_limit_bytes),
+            ch: Chassis::new(cfg, 0x5e57_0000 ^ id.0 as u64, cfg.cx.log_limit_bytes),
             cfg: cfg.cx,
-            fail_prob: cfg.failure.subop_fail_prob,
-            rng: det_rng(cfg.seed, 0x5e57_0000 ^ id.0 as u64),
             pending: OpTable::default(),
             active: FxHashMap::default(),
             blocked: FxHashMap::default(),
@@ -249,11 +235,6 @@ impl CxServer {
             deferred_votes: BTreeMap::new(),
             recent_outcomes: FxHashMap::default(),
             resolved_upto: FxHashMap::default(),
-            trigger: TriggerState::new(cfg.cx.trigger),
-            io: FxHashMap::default(),
-            writebacks: Writebacks::default(),
-            next_token: 0,
-            stats: ServerStats::default(),
             metrics: ProtoMetrics::default(),
             crashed: false,
             recovering: false,
@@ -273,12 +254,6 @@ impl CxServer {
         self.id
     }
 
-    pub(crate) fn token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
     /// A pooled single-element `Vec<OpId>` (immediate commitments and
     /// single-op decisions reuse batch buffers like everything else).
     pub(crate) fn op_vec1(&mut self, op: OpId) -> Vec<OpId> {
@@ -287,43 +262,25 @@ impl CxServer {
         v
     }
 
-    /// Append records as one logical disk write; returns (max seq, bytes).
-    pub(crate) fn append_records(
+    /// Append `recs` as one logical disk write and start making them
+    /// durable: a sequential append to the log-structured file or, with the
+    /// `log_in_database` ablation, a synchronous write of log-table rows
+    /// into the database (the alternative §IV-A rejects).
+    pub(crate) fn log(
         &mut self,
         recs: impl IntoIterator<Item = Record>,
-    ) -> Result<(SeqNo, u64), cx_types::CxError> {
-        let mut max_seq = SeqNo(0);
-        let mut total = 0;
-        for rec in recs {
-            let (seq, bytes) = self.wal.append(rec)?;
-            max_seq = max_seq.max(seq);
-            total += bytes;
-        }
-        Ok((max_seq, total))
-    }
-
-    /// Emit the disk write for already-appended records: a sequential
-    /// append to the log-structured file or, with the `log_in_database`
-    /// ablation, a synchronous write of log-table rows into the database
-    /// (the alternative §IV-A rejects).
-    pub(crate) fn flush_records(
-        &mut self,
-        seq: SeqNo,
-        bytes: u64,
         cont: IoCont,
         out: &mut Vec<Action>,
-    ) {
-        let _ = seq;
-        let token = self.token();
-        self.io.insert(token, cont);
-        if self.cfg.log_in_database {
-            // log-table rows are appended in key order: sequential pages
-            // within the database's log region
-            let page = LOG_TABLE_REGION + self.wal.total_appended_bytes() / 4096;
-            out.push(Action::DbSyncWrite { token, page });
-        } else {
-            out.push(Action::LogAppend { token, bytes });
+    ) -> Result<(), CxError> {
+        if !self.cfg.log_in_database {
+            return self.ch.log(recs, cont, out);
         }
+        let (seq, _) = self.ch.append(recs)?;
+        // log-table rows are appended in key order: sequential pages
+        // within the database's log region
+        let page = LOG_TABLE_REGION + self.ch.wal.total_appended_bytes() / 4096;
+        self.ch.sync_write(page, Some(seq), cont, out);
+        Ok(())
     }
 
     pub(crate) fn send(&mut self, to: Endpoint, payload: Payload, out: &mut Vec<Action>) {
@@ -353,7 +310,7 @@ impl ServerEngine for CxServer {
             self.recovery_wait.push_back((from, payload));
             return;
         }
-        self.trigger.on_activity(now);
+        self.ch.trigger.on_activity(now);
         match payload {
             Payload::SubOpReq {
                 op_id,
@@ -408,17 +365,9 @@ impl ServerEngine for CxServer {
         if self.crashed {
             return;
         }
-        if let Some(live) = self.writebacks.complete(token) {
-            if live {
-                self.trigger.on_activity(now);
-            }
-            return;
+        if let Some(cont) = self.ch.disk_done(now, token) {
+            self.dispatch_io(now, cont, out);
         }
-        let Some(cont) = self.io.remove(&token) else {
-            return; // IO issued before a crash; stale
-        };
-        self.trigger.on_activity(now);
-        self.dispatch_io(now, cont, out);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, out: &mut Vec<Action>) {
@@ -432,13 +381,13 @@ impl ServerEngine for CxServer {
         // crashed with the VOTE in flight. Only the batch trigger waits
         // for recovery to finish.
         if token & QUERY_TIMER_BIT != 0 {
-            self.on_query_retry_timer(now, out);
+            self.on_query_retry_timer(out);
         } else if token & ORPHAN_TIMER_BIT != 0 {
             self.on_orphan_timer(now, token, out);
         } else if token & VOTE_TIMER_BIT != 0 {
             self.on_vote_timer(now, token, out);
         } else if token & BATCH_TIMER_BIT != 0 {
-            self.on_batch_retry_timer(now, token & !BATCH_TIMER_BIT, out);
+            self.on_batch_retry_timer(token & !BATCH_TIMER_BIT, out);
         } else if !self.recovering {
             self.on_trigger_timer(now, token, out);
         }
@@ -448,7 +397,7 @@ impl ServerEngine for CxServer {
         if self.crashed {
             return;
         }
-        self.launch_lazy_batch(now, true, out);
+        self.launch_lazy_batch(now, out);
     }
 
     fn is_quiesced(&self) -> bool {
@@ -458,29 +407,28 @@ impl ServerEngine for CxServer {
             && self.log_wait.is_empty()
             && self.lazy_queue.is_empty()
             && self.deferred_votes.is_empty()
-            && self.io.is_empty()
-            && self.writebacks.outstanding() == 0
+            && self.ch.idle()
     }
 
     fn store(&self) -> &MetaStore {
-        &self.store
+        &self.ch.store
     }
 
     fn store_mut(&mut self) -> &mut MetaStore {
-        &mut self.store
+        &mut self.ch.store
     }
 
     fn wal(&self) -> Option<&Wal> {
-        Some(&self.wal)
+        Some(&self.ch.wal)
     }
 
     fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.ch.stats
     }
 
     fn proto_metrics(&self) -> ProtoMetrics {
         let mut m = self.metrics.clone();
-        m.wal_truncations = self.wal.truncations();
+        m.wal_truncations = self.ch.wal.truncations();
         m
     }
 
@@ -537,6 +485,7 @@ impl ServerEngine for CxServer {
                 )
             })
             .collect();
+        let (io, writebacks) = self.ch.in_flight();
         format!(
             "pending={} in_commitment={} lazy={} local={} batches={:?} blocked={:?} log_wait={} deferred={:?} io={} writebacks={}",
             self.pending.len(),
@@ -551,8 +500,8 @@ impl ServerEngine for CxServer {
             blocked,
             self.log_wait.len(),
             self.deferred_votes.keys().map(|k| k.to_string()).collect::<Vec<_>>(),
-            self.io.len(),
-            self.writebacks.outstanding(),
+            io,
+            writebacks,
         )
     }
 }

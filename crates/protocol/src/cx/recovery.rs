@@ -39,7 +39,7 @@ impl CxServer {
         // Crash the log first: what physically survived — durable prefix
         // plus any whole torn-tail records — defines which executions
         // still exist.
-        self.wal.crash_torn(extra_bytes);
+        self.ch.wal.crash_torn(extra_bytes);
         // Newest first: a process's later operation may have re-modified
         // the objects of its own earlier, still pending one (a process
         // never conflicts with itself), and undo tokens only compose in
@@ -48,10 +48,15 @@ impl CxServer {
         let mut lost: Vec<(OpId, PendingOp)> = self.pending.drain().collect();
         lost.sort_unstable_by_key(|(op, _)| std::cmp::Reverse(*op));
         for (op, p) in lost {
-            let survived = p.durable || self.wal.op_state(&op).is_some_and(|st| st.subop.is_some());
+            let survived = p.durable
+                || self
+                    .ch
+                    .wal
+                    .op_state(&op)
+                    .is_some_and(|st| st.subop.is_some());
             if !survived {
                 if let Some(undo) = p.undo {
-                    self.store.undo(undo);
+                    self.ch.store.undo(undo);
                 }
             }
         }
@@ -64,8 +69,7 @@ impl CxServer {
         self.deferred_votes.clear();
         self.recent_outcomes.clear();
         self.resolved_upto.clear();
-        self.io.clear();
-        self.writebacks.crash(self.next_token);
+        self.ch.crash();
         self.orphan_timers.clear();
         self.vote_timers.clear();
         self.recovery_wait.clear();
@@ -80,9 +84,8 @@ impl CxServer {
     pub(crate) fn recover_impl(&mut self, _now: SimTime, out: &mut Vec<Action>) -> u64 {
         self.crashed = false;
         self.recovering = true;
-        let bytes = self.wal.valid_bytes();
-        let token = self.token();
-        self.io.insert(token, IoCont::RecoveryScanDone);
+        let bytes = self.ch.wal.valid_bytes();
+        let token = self.ch.await_disk(None, IoCont::RecoveryScanDone);
         out.push(Action::LogRead {
             token,
             bytes: bytes.max(1),
@@ -93,8 +96,8 @@ impl CxServer {
     /// The log scan finished: rebuild pending state and resume
     /// half-completed commitments.
     pub(crate) fn on_recovery_scan_done(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.wal.prune_all();
-        let (coord_ops, parti_ops) = self.wal.half_completed();
+        self.ch.wal.prune_all();
+        let (coord_ops, parti_ops) = self.ch.wal.half_completed();
 
         if self.cfg.unsafe_skip_recovery_resume {
             // Deliberately BROKEN (chaos-oracle self-test): forget the
@@ -111,7 +114,7 @@ impl CxServer {
         let mut decided: BTreeMap<ServerId, (Vec<OpId>, Vec<OpId>)> = BTreeMap::new();
         let mut to_vote: Vec<OpId> = Vec::new();
         for &op in coord_ops.iter().chain(parti_ops.iter()) {
-            let Some(st) = self.wal.op_state(&op) else {
+            let Some(st) = self.ch.wal.op_state(&op) else {
                 continue;
             };
             let (role, peer, subop, verdict) = (
@@ -217,7 +220,7 @@ impl CxServer {
                 // record without a peer means a torn local append: the
                 // operation never happened; drop it.
                 self.recovery_remaining.remove(&op);
-                self.wal.prune_op(&op);
+                self.ch.wal.prune_op(&op);
                 self.pending.remove(&op);
             }
         }
@@ -239,8 +242,7 @@ impl CxServer {
         }
         if !pages.is_empty() {
             self.recovery_reads_pending = true;
-            let token = self.token();
-            self.io.insert(token, super::IoCont::RecoveryReadsDone);
+            let token = self.ch.await_disk(None, IoCont::RecoveryReadsDone);
             out.push(Action::DbRandomRead { token, pages });
         }
 
@@ -256,7 +258,7 @@ impl CxServer {
     }
 
     fn arm_query_retry(&mut self, out: &mut Vec<Action>) {
-        let token = super::QUERY_TIMER_BIT | self.token();
+        let token = super::QUERY_TIMER_BIT | self.ch.token();
         out.push(Action::SetTimer {
             token,
             delay_ns: self.cfg.presumed_abort_timeout_ns,
@@ -267,8 +269,7 @@ impl CxServer {
     /// re-drive coordinator-side resumption batches for whatever is still
     /// unresolved, then re-arm. Both messages are idempotent, so a retry
     /// racing a late answer is harmless.
-    pub(crate) fn on_query_retry_timer(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        let _ = now;
+    pub(crate) fn on_query_retry_timer(&mut self, out: &mut Vec<Action>) {
         if !self.recovering || self.crashed {
             return; // recovery finished (or died again); retries stop
         }
@@ -318,7 +319,7 @@ impl CxServer {
             return;
         }
         self.recovering = false;
-        self.flush_dirty(out);
+        self.ch.flush_dirty(out);
         // Serve everything that queued while we were recovering.
         let waiting: Vec<_> = self.recovery_wait.drain(..).collect();
         for (from, payload) in waiting {
@@ -340,10 +341,10 @@ impl CxServer {
             return;
         };
         if let Some(undo) = p.undo.take() {
-            self.store.undo(undo);
+            self.ch.store.undo(undo);
         } else if p.recovered && p.verdict.is_yes() {
             let subop = p.subop;
-            revert_subop(&mut self.store, &subop);
+            revert_subop(&mut self.ch.store, &subop);
         }
     }
 }

@@ -19,6 +19,7 @@
 //! | [`se`] | **SE** — serial execution, per-sub-op synchronous DB writes ("OFS"); `batched: true` gives "OFS-batched" | §II-B, §IV-C |
 //! | [`twopc`] | **2PC** — coordinator-driven two-phase commit | §II-B |
 //! | [`ce`] | **CE** — central execution by object migration | §II-B |
+//! | `chassis` (private) | no protocol: what all four stand on — store, log, failure injection, batch trigger, disk continuations, write-back, the single-server path, 2PC/CE's lock table | — |
 //!
 //! The client side of each protocol lives in [`client`]: a per-operation
 //! state machine that splits the operation by placement (Table I), collects
@@ -30,6 +31,7 @@
 
 pub mod action;
 pub mod ce;
+mod chassis;
 pub mod client;
 pub mod cx;
 pub mod se;

@@ -80,7 +80,7 @@ impl TriggerState {
                     TriggerVerdict::Arm(period_ns)
                 }
             }
-            BatchTrigger::Idle { idle_ns, .. } => {
+            BatchTrigger::Idle { idle_ns } => {
                 // (re-)arm a short probe each time work arrives; the probe
                 // fires when the server has been quiet for idle_ns.
                 self.armed = true;
@@ -110,15 +110,12 @@ impl TriggerState {
                     TriggerVerdict::Wait
                 }
             }
-            BatchTrigger::Idle {
-                idle_ns,
-                fallback_ns,
-            } => {
+            BatchTrigger::Idle { idle_ns } => {
                 if self.pending == 0 {
                     return TriggerVerdict::Wait;
                 }
                 let quiet = now.since(self.last_activity);
-                if quiet >= idle_ns || now.since(self.last_activity) >= fallback_ns {
+                if quiet >= idle_ns {
                     TriggerVerdict::Fire
                 } else {
                     // still busy: probe again after the remaining quiet time
@@ -197,10 +194,7 @@ mod tests {
 
     #[test]
     fn idle_fires_after_quiet_period() {
-        let mut t = TriggerState::new(BatchTrigger::Idle {
-            idle_ns: 100,
-            fallback_ns: 10_000,
-        });
+        let mut t = TriggerState::new(BatchTrigger::Idle { idle_ns: 100 });
         let TriggerVerdict::Arm(d) = t.on_pending(SimTime(0)) else {
             panic!()
         };
@@ -212,10 +206,7 @@ mod tests {
 
     #[test]
     fn idle_reprobes_while_busy() {
-        let mut t = TriggerState::new(BatchTrigger::Idle {
-            idle_ns: 100,
-            fallback_ns: 10_000,
-        });
+        let mut t = TriggerState::new(BatchTrigger::Idle { idle_ns: 100 });
         t.on_pending(SimTime(0));
         let g = t.generation();
         t.on_activity(SimTime(90)); // still busy

@@ -8,8 +8,18 @@ use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::Endpoint;
 use cx_types::{
-    FsOp, InodeNo, MsgKind, Name, OpOutcome, Payload, ProcId, Protocol, ServerId, SimTime,
+    BatchTrigger, ClusterConfig, FsOp, InodeNo, MsgKind, Name, OpOutcome, Payload, ProcId,
+    Protocol, ServerId, SimTime,
 };
+use cx_wal::RecordFamily;
+
+/// Every engine that logs and batches its write-back.
+const BATCHING: [Protocol; 4] = [
+    Protocol::SeBatched,
+    Protocol::TwoPc,
+    Protocol::Ce,
+    Protocol::Cx,
+];
 
 fn proc(n: u32) -> ProcId {
     ProcId::new(n, 0)
@@ -437,4 +447,90 @@ fn twopc_is_not_quiesced_until_its_last_writeback_completes() {
     // Completing it again changes nothing.
     kit.servers[0].on_disk_done(SimTime::ZERO, last, &mut Vec::new());
     assert!(kit.servers[0].is_quiesced());
+}
+
+/// A trigger that fired starts counting again: under `Threshold{4}`, 12
+/// single-server mutations on one server are three write-backs — on every
+/// engine, so no baseline disagrees with Cx about what "fired" means.
+#[test]
+fn threshold_trigger_starts_over_after_it_fires() {
+    for protocol in BATCHING {
+        let mut cfg = ClusterConfig::new(2, protocol);
+        cfg.cx.trigger = BatchTrigger::Threshold { pending_ops: 4 };
+        cfg.cx.log_limit_bytes = None;
+        let mut kit = Kit::new(cfg);
+        let mut files = Vec::new();
+        let mut next = 1_000;
+        for k in 0..12 {
+            let ino = inode_on(&kit.placement, ServerId(0), next);
+            next = ino.0 + 1;
+            files.push((Name(k), ino));
+        }
+        seed_namespace(&mut kit, &files);
+        for &(_, ino) in &files {
+            let op = kit.run_op(proc(0), FsOp::Setattr { ino });
+            assert_eq!(kit.outcome(op), Some(OpOutcome::Applied), "{protocol:?}");
+        }
+        assert_eq!(kit.servers[0].stats().writebacks, 3, "{protocol:?}");
+    }
+}
+
+/// A refused single-server mutation is logged as aborted, not committed:
+/// the record matches the verdict on every engine.
+#[test]
+fn a_refused_local_mutation_logs_abort() {
+    for protocol in BATCHING {
+        let mut kit = kit_never(2, protocol);
+        let server = ServerId(0);
+        let name = name_on(&kit.placement, server, 100);
+        let taken = inode_on(&kit.placement, server, 1_000);
+        let fresh = inode_on(&kit.placement, server, taken.0 + 1);
+        seed_namespace(&mut kit, &[(name, taken)]);
+        // Both halves live on server 0, and the entry already exists.
+        let op = kit.run_op(
+            proc(0),
+            FsOp::Create {
+                parent: ROOT,
+                name,
+                ino: fresh,
+            },
+        );
+        assert_eq!(kit.outcome(op), Some(OpOutcome::Failed), "{protocol:?}");
+        let appended = kit.servers[0].wal().expect("logs").appended_counts();
+        assert_eq!(appended[RecordFamily::Abort.index()], 1, "{protocol:?}");
+        assert_eq!(appended[RecordFamily::Commit.index()], 0, "{protocol:?}");
+        assert_eq!(kit.check_consistency(&roots()), vec![]);
+    }
+}
+
+/// `Locks` exempts the requester's own process (§III-B: a process's
+/// operations are synchronous). A well-behaved 2PC or CE client never gets
+/// there — both servers unlock before the reply leaves — so the kit starts
+/// the second operation while the first one's last hop is held back.
+#[test]
+fn a_process_never_waits_behind_its_own_lock() {
+    for (protocol, last_hop) in [
+        (Protocol::TwoPc, MsgKind::Ack),
+        (Protocol::Ce, MsgKind::MigrateBackAck),
+    ] {
+        let mut kit = kit_never(4, protocol);
+        seed_namespace(&mut kit, &[]);
+        let (name, ino) = cross_server_pair(&kit.placement, 100, 1_000);
+        let coord = kit.placement.dentry_server(ROOT, name).0 as usize;
+        kit.hold_if(move |env: &Envelope| env.payload.kind() == last_hop);
+        let mut next_ino = ino;
+        let mut create_same_name = |kit: &mut Kit, p: u32| {
+            let (same, ino) = cross_server_pair(&kit.placement, name.0, next_ino.0);
+            assert_eq!(same, name);
+            next_ino = InodeNo(ino.0 + 1);
+            let parent = ROOT;
+            kit.run_op(proc(p), FsOp::Create { parent, name, ino });
+        };
+        create_same_name(&mut kit, 0);
+        assert_eq!(kit.held_count(), 1, "{protocol:?}: the dentry stays locked");
+        create_same_name(&mut kit, 0);
+        assert_eq!(kit.servers[coord].stats().conflicts, 0, "{protocol:?}");
+        create_same_name(&mut kit, 1);
+        assert_eq!(kit.servers[coord].stats().conflicts, 1, "{protocol:?}");
+    }
 }

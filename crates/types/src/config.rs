@@ -171,8 +171,9 @@ pub enum BatchTrigger {
     /// commitment.
     Threshold { pending_ops: u64 },
     /// Extension (the paper's future work): fires when the server has been
-    /// idle for `idle_ns`, with `fallback_ns` as a safety timeout.
-    Idle { idle_ns: u64, fallback_ns: u64 },
+    /// idle for `idle_ns`. No timeout backs it up: a server that is never
+    /// idle commits under log pressure.
+    Idle { idle_ns: u64 },
     /// Never fires: commitments happen only on conflicts, log pressure or
     /// disagreement. Used to find the optimum in Figure 9(a).
     Never,

@@ -47,6 +47,17 @@ fn obs_on_off_digests_are_identical() {
     }
 }
 
+/// The commitment milestones the runtimes' send tap stamps (VOTE,
+/// COMMIT-REQ/ABORT-REQ and ACK under Cx; their pre-reply analogues under
+/// 2PC and CE).
+const COMMITMENT_SENDS: [Phase; 3] = [Phase::VoteSent, Phase::DecisionSent, Phase::Acked];
+
+fn assert_stamped(s: &cx_obs::OpSpan, phases: &[Phase]) {
+    for &phase in phases {
+        assert!(s.at(phase).is_some(), "{:?} never stamped {phase:?}", s.op);
+    }
+}
+
 /// Span-lifecycle completeness under Cx: every sampled op that the
 /// cluster answered reached `Replied` with monotone phase stamps, every
 /// applied cross op also closed the commitment path (`Completed`), and
@@ -76,6 +87,7 @@ fn cx_spans_close_all_opened_phases() {
         );
         s.check_accounting()
             .unwrap_or_else(|e| panic!("{:?}: {e}", s.op));
+        assert_stamped(s, &[Phase::Dispatched, Phase::Executed]);
         if s.cross && s.outcome.is_some() {
             assert!(
                 s.at(Phase::Completed).is_some(),
@@ -83,6 +95,7 @@ fn cx_spans_close_all_opened_phases() {
                 s.op,
                 s.last_phase()
             );
+            assert_stamped(s, &COMMITMENT_SENDS);
             cross_completed += 1;
         }
     }
@@ -124,7 +137,12 @@ fn threaded_runtime_records_through_the_same_sink() {
 /// paper draws (Cx is the only one that defers it past the reply).
 #[test]
 fn only_cx_records_post_reply_commitment() {
-    for protocol in [Protocol::Se, Protocol::SeBatched, Protocol::TwoPc] {
+    for protocol in [
+        Protocol::Se,
+        Protocol::SeBatched,
+        Protocol::TwoPc,
+        Protocol::Ce,
+    ] {
         let sink = ObsSink::recording(format!("{protocol:?}"));
         let r = home2(protocol).run_obs(sink.clone());
         assert!(r.is_consistent());
@@ -133,5 +151,13 @@ fn only_cx_records_post_reply_commitment() {
             report.commitment.count, 0,
             "{protocol:?} commits before replying; nothing is post-reply"
         );
+        // 2PC's and CE's rounds are stamped all the same, before the reply.
+        let two_phase = matches!(protocol, Protocol::TwoPc | Protocol::Ce);
+        for s in &report.spans {
+            assert_stamped(s, &[Phase::Dispatched, Phase::Executed, Phase::Replied]);
+            if two_phase && s.cross {
+                assert_stamped(s, &COMMITMENT_SENDS);
+            }
+        }
     }
 }

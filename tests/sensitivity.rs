@@ -110,7 +110,6 @@ fn idle_trigger_extension_works() {
         .log_limit(None)
         .trigger(BatchTrigger::Idle {
             idle_ns: 5 * DUR_MS,
-            fallback_ns: DUR_SEC,
         })
         .run();
     assert!(r.is_consistent());
