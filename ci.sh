@@ -5,7 +5,7 @@
 #   ./ci.sh quick    # skip the release build (fast pre-commit loop)
 #
 # Clippy runs with -D warnings on every crate and on the root package,
-# whose tests/ are tier-1; the message-plane crates additionally deny
+# whose tests/ are tier-1; every crate an op crosses additionally denies
 # redundant clones and the perf lint group, so allocation regressions on
 # the hot path fail CI.
 set -euo pipefail
@@ -23,8 +23,10 @@ cargo clippy -q \
     -p cx-obs -p cx-net -p cx-core -p cx-recovery -p cx-repro \
     --all-targets -- -D warnings
 
-step "clippy (message plane: deny redundant_clone + perf lints)"
-cargo clippy -q -p cx-cluster -p cx-workloads -p cx-net --all-targets -- \
+step "clippy (hot path: deny redundant_clone + perf lints)"
+cargo clippy -q \
+    -p cx-cluster -p cx-workloads -p cx-net -p cx-protocol -p cx-types \
+    -p cx-wal -p cx-mdstore -p cx-sim -p cx-simio -p cx-obs --all-targets -- \
     -D warnings -D clippy::redundant_clone -D clippy::perf
 
 if [ "${1:-}" != "quick" ]; then
@@ -99,12 +101,6 @@ if [ "${1:-}" != "quick" ]; then
         --live --scale 0.005 --metrics-out target/cx_metrics > /dev/null
     grep -q '^cx_ops_issued_total ' target/cx_metrics.prom
     cargo run -q --release -p cx-obs -- top target/cx_metrics.json > /dev/null
-
-    # The PR 1-10 perf series is frozen history (nothing appends to it, and
-    # nothing is gated against it: no step of this script depends on how
-    # fast the host is). Its viewer must keep reading every file.
-    step "bench-drift (history/ still loads)"
-    cargo run -q --release -p cx-obs -- bench-drift history/BENCH_PR*.json > /dev/null
 
     # The counted gate: peak live heap of one DES replay per benchmark row
     # (`--seed 7000` is rep 0 of the benchmark's `--seed 7`), under a

@@ -7,9 +7,8 @@
 //!
 //! * `Send` → arrival after `one_way + size/bandwidth`; at the server the
 //!   message waits in the CPU queue (a [`FifoResource`]) before handling.
-//! * `LogAppend`/`DbSyncWrite`/`DbWriteback`/`LogRead` → submitted to the
-//!   server's [`Disk`], which group-commits appends and elevator-merges
-//!   write-back pages.
+//! * `Disk` → the request is submitted as is to the server's [`Disk`],
+//!   which group-commits appends and elevator-merges write-back pages.
 //! * `SetTimer` → a virtual-time timer event.
 //!
 //! The run replays a [`Trace`]: each process issues its operations
@@ -21,7 +20,6 @@ use crate::feed::OpFeed;
 use crate::seed::seed_stores;
 use crate::stats::{AckRecord, RecoveryCycle, RunStats, TimelineSample};
 use cx_mdstore::{GlobalView, Violation};
-use cx_obs::flow::MsgKind as FlowKind;
 use cx_obs::{FlightEvent, FlightRecorder, FlowNode, GaugeKind, ObsSink, Phase};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
 use cx_sim::{FifoResource, Sim};
@@ -849,12 +847,7 @@ impl DesCluster {
             p.current = None;
             let meta = p.current_meta.take();
             let latency = now.since(p.issued_at);
-            self.stats.latency.record(latency);
-            self.stats.latency_hist.record(latency);
-            if p.current_cross {
-                self.stats.cross_latency.record(latency);
-                self.stats.cross_latency_hist.record(latency);
-            }
+            self.stats.note_finished(outcome, p.current_cross, latency);
             if self.obs.enabled() {
                 if let Some((op, fs_op)) = meta {
                     // Only Cx leaves commitment work running behind the
@@ -874,7 +867,6 @@ impl DesCluster {
                     },
                 );
             }
-            self.stats.record_outcome(outcome);
             if self.record_ops {
                 if let Some((op, fs_op)) = meta {
                     self.acks.push(AckRecord {
@@ -917,10 +909,7 @@ impl DesCluster {
         if let Some(fl) = &self.flight {
             fl.push(now.0, FlightEvent::Issued { op: op_id, cross });
         }
-        self.stats.ops_total += 1;
-        if p.current_cross {
-            self.stats.cross_ops += 1;
-        }
+        self.stats.note_issued(cross);
         if self.record_ops {
             self.issued.push((op_id, op));
         }
@@ -936,21 +925,7 @@ impl DesCluster {
         for action in actions.drain(..) {
             match action {
                 Action::Send { to, payload } => self.send(from, to, payload),
-                Action::LogAppend { token, bytes } => {
-                    self.submit_disk(from, DiskReq::LogAppend { bytes, token });
-                }
-                Action::DbSyncWrite { token, page } => {
-                    self.submit_disk(from, DiskReq::DbSyncWrite { page, token });
-                }
-                Action::DbWriteback { token, pages } => {
-                    self.submit_disk(from, DiskReq::DbWriteback { pages, token });
-                }
-                Action::LogRead { token, bytes } => {
-                    self.submit_disk(from, DiskReq::SeqRead { bytes, token });
-                }
-                Action::DbRandomRead { token, pages } => {
-                    self.submit_disk(from, DiskReq::RandomRead { pages, token });
-                }
+                Action::Disk(req) => self.submit_disk(from, req),
                 Action::SetTimer { token, delay_ns } => match from {
                     Endpoint::Server(s) => {
                         self.sim
@@ -1023,7 +998,7 @@ impl DesCluster {
         // two arcs, which is exactly what happened).
         if self.obs.enabled() || self.flight.is_some() {
             let now = self.sim.now();
-            let kind: FlowKind = payload.kind().into();
+            let kind = payload.kind();
             let (fnode, tnode) = (flow_node(from), flow_node(to));
             let recv_ns = (now + after_ns).0;
             if self.obs.enabled() {

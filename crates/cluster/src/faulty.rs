@@ -27,6 +27,8 @@ struct Faults {
     never_quiesced: Option<u32>,
     /// This server's `StopResp` report is replaced by these bytes.
     garbled_report: Option<(u32, &'static [u8])>,
+    /// No server's message to this client ever arrives.
+    mute_client: Option<u32>,
     server_msgs: AtomicU64,
     votes: AtomicU64,
     vote_results_from_1: AtomicU64,
@@ -75,6 +77,10 @@ impl Transport for Faulty {
                     return;
                 }
             }
+            Frame::Msg {
+                to: Endpoint::Proc(p),
+                ..
+            } if f.mute_client == Some(p.client.0) => return,
             Frame::ProbeResp { quiesced, .. } if f.never_quiesced == Some(self.me) => {
                 *quiesced = false;
             }
@@ -245,6 +251,30 @@ mod tests {
             );
             // srv1's rows are missing from the check, not assumed fine.
             assert!(!res.violations.is_empty(), "{carrier:?}");
+        }
+    }
+
+    #[test]
+    fn a_client_that_hears_nothing_is_a_leftover_not_a_panic() {
+        for carrier in [Carrier::Channels, Carrier::Sockets] {
+            let (cfg, trace) = update_dominated();
+            let faults = Faults {
+                mute_client: Some(3),
+                ..Faults::default()
+            };
+            let res = run(carrier, cfg, &trace, faults);
+            let s = &res.stats;
+            // Client 3 issued its first op and, hearing nothing, no other;
+            // the servers committed it regardless and drained.
+            assert_eq!(s.ops_total, trace.ops.len() as u64 - 49, "{carrier:?}");
+            assert_eq!(s.ops_stuck, 1, "{carrier:?}");
+            assert_eq!(s.ops_applied + s.ops_failed, s.ops_total - 1, "{carrier:?}");
+            assert_eq!(s.latency.count, s.ops_total - 1, "{carrier:?}");
+            assert_eq!(res.violations, vec![], "{carrier:?}");
+            let [line] = &s.leftovers[..] else {
+                panic!("{carrier:?}: leftovers {:?}", s.leftovers);
+            };
+            assert_eq!(line, "client host: no reply for 2 s to op(3/0#0)");
         }
     }
 }

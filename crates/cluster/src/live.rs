@@ -136,8 +136,8 @@ impl Watchdog {
     /// An op still shy of `Replied` after this much wall time earns a
     /// watchdog line.
     const WARN_NS: u64 = 5_000_000_000;
-    /// …and one escalation if it is *still* stuck here (the shepherds'
-    /// own panic backstop fires at 30 s).
+    /// …and one escalation if it is *still* stuck here (a shepherd that
+    /// hears nothing at all gives its clients up after as long).
     const ESCALATE_NS: u64 = 30_000_000_000;
 
     fn poll(&mut self, obs: &ObsSink, reg: &MetricRegistry, now_ns: u64) {

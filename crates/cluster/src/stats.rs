@@ -90,6 +90,12 @@ impl LatencyStat {
         self.max_ns = self.max_ns.max(ns);
     }
 
+    pub fn merge(&mut self, other: &LatencyStat) {
+        self.count += other.count;
+        self.sum_ns += other.sum_ns;
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -262,11 +268,41 @@ impl RunStats {
         self.msgs.values().sum()
     }
 
-    pub fn record_outcome(&mut self, outcome: OpOutcome) {
+    /// A client issued an operation. With [`RunStats::note_finished`], the
+    /// whole of the client-side accounting, on every runtime.
+    pub fn note_issued(&mut self, cross: bool) {
+        self.ops_total += 1;
+        self.cross_ops += cross as u64;
+    }
+
+    /// A client heard its operation's outcome, `latency_ns` after issuing it.
+    pub fn note_finished(&mut self, outcome: OpOutcome, cross: bool, latency_ns: u64) {
+        self.latency.record(latency_ns);
+        self.latency_hist.record(latency_ns);
+        if cross {
+            self.cross_latency.record(latency_ns);
+            self.cross_latency_hist.record(latency_ns);
+        }
         match outcome {
             OpOutcome::Applied => self.ops_applied += 1,
             OpOutcome::Failed => self.ops_failed += 1,
         }
+    }
+
+    /// Fold in what one client shepherd of a wall-clock run counted; the
+    /// replay ends when the last of them runs out of operations.
+    pub(crate) fn merge_clients(&mut self, part: RunStats) {
+        self.ops_total += part.ops_total;
+        self.cross_ops += part.cross_ops;
+        self.ops_applied += part.ops_applied;
+        self.ops_failed += part.ops_failed;
+        self.ops_stuck += part.ops_stuck;
+        self.replay = self.replay.max(part.replay);
+        self.latency.merge(&part.latency);
+        self.cross_latency.merge(&part.cross_latency);
+        self.latency_hist.merge(&part.latency_hist);
+        self.cross_latency_hist.merge(&part.cross_latency_hist);
+        self.leftovers.extend(part.leftovers);
     }
 
     /// Replay time in seconds (Figure 5's metric).
@@ -319,15 +355,24 @@ impl RunStats {
         }
     }
 
-    /// Publish the run's totals into a metric registry — the bridge from
-    /// the per-run accounting to the exposition formats (`cx-obs top`,
-    /// Prometheus text). DES runs publish once at finalize; the threaded
-    /// runtime publishes the same series live.
+    /// Publish a finished run's totals into a metric registry — the bridge
+    /// from the per-run accounting to the exposition formats (`cx-obs top`,
+    /// Prometheus text). No runtime calls this: it is for a caller holding
+    /// the stats of a run that had no live registry (any DES run).
     pub fn publish(&self, reg: &MetricRegistry) {
         reg.add(Counter::OpsIssued, self.ops_total);
         reg.add(Counter::OpsApplied, self.ops_applied);
         reg.add(Counter::OpsFailed, self.ops_failed);
         reg.add(Counter::CrossOps, self.cross_ops);
+        reg.observe_hist(Series::ClientLatencyNs, &self.latency_hist);
+        self.publish_end_of_run(reg);
+    }
+
+    /// The half of [`RunStats::publish`] known only once a run is over. A
+    /// live wall-clock run publishes exactly this when it ends: its
+    /// shepherds tapped the other half (the four op counters and the
+    /// client latency) into the registry per completed op.
+    pub fn publish_end_of_run(&self, reg: &MetricRegistry) {
         reg.add(Counter::Messages, self.total_msgs());
         reg.add(Counter::RecoveryCycles, self.recovery_cycles.len() as u64);
         reg.gauge_max(Gauge::WalPeakValidBytes, self.peak_valid_bytes);
@@ -335,8 +380,6 @@ impl RunStats {
             reg.set_gauge(Gauge::WalValidBytes, last.mean_bytes);
         }
         reg.set_gauge(Gauge::OpsInFlight, self.ops_stuck);
-        reg.observe_hist(Series::ClientLatencyNs, &self.latency_hist);
-        reg.observe_hist(Series::CommitmentLatencyNs, &self.cross_latency_hist);
         self.proto.publish(reg);
         if let Some(b) = &self.blame {
             // Coarse segment families only; the full per-hop table lives in
@@ -383,9 +426,10 @@ mod tests {
         assert_eq!(s.throughput(), 500.0);
         s.server_stats.conflicts = 10;
         assert!((s.conflict_ratio() - 0.01).abs() < 1e-12);
-        s.record_outcome(OpOutcome::Applied);
-        s.record_outcome(OpOutcome::Failed);
+        s.note_finished(OpOutcome::Applied, false, 10);
+        s.note_finished(OpOutcome::Failed, true, 30);
         assert_eq!((s.ops_applied, s.ops_failed), (1, 1));
+        assert_eq!((s.latency.count, s.cross_latency.sum_ns), (2, 30));
     }
 
     #[test]

@@ -37,8 +37,7 @@ pub struct TcpOptions {
     /// Observability sink installed into every in-process engine and
     /// client (external server processes run with their own sinks off).
     pub obs: ObsSink,
-    /// Wire-plane tuning (backoff plus the [`cx_types::NetTuning`] queue
-    /// and read-buffer knobs).
+    /// Wire-plane tuning (reconnect backoff, flush-span recording).
     pub net: PlaneConfig,
     /// Live metric exposition.
     pub live: Option<LiveMetrics>,

@@ -184,13 +184,9 @@ fn process_server_actions(
     while let Some(action) = work.pop_front() {
         match action {
             Action::Send { to, payload } => port.send(Endpoint::Server(me), to, payload),
-            Action::LogAppend { token, .. }
-            | Action::DbSyncWrite { token, .. }
-            | Action::DbWriteback { token, .. }
-            | Action::LogRead { token, .. }
-            | Action::DbRandomRead { token, .. } => {
+            Action::Disk(req) => {
                 let mut out = Vec::new();
-                engine.on_disk_done(port.now(), token, &mut out);
+                engine.on_disk_done(port.now(), req.token(), &mut out);
                 work.extend(out);
             }
             Action::SetTimer { token, delay_ns } => {
@@ -222,7 +218,7 @@ fn handle_server_frame(
             let now = port.now();
             port.obs.msg_edge(
                 primary_op(&payload),
-                payload.kind().into(),
+                payload.kind(),
                 flow_node(from),
                 FlowNode::Server(me.0),
                 sent_ns,
@@ -456,7 +452,9 @@ struct ShepherdCtx {
     port: MsgPort,
     cfg: ClusterConfig,
     placement: Placement,
-    outcomes: Arc<Mutex<Vec<(OpId, OpOutcome, bool)>>>,
+    /// This shepherd's share of the run's client-side accounting, merged
+    /// into the result at join.
+    stats: RunStats,
     registry: Option<MetricRegistry>,
     drill: Option<Arc<DropDrill>>,
 }
@@ -482,6 +480,10 @@ enum ShepherdWake {
     Disconnected,
 }
 
+/// How long a shepherd none of whose clients has a timer armed listens to
+/// a silent wire before it reports their operations stuck and gives up.
+const CLIENT_SILENCE: Duration = Duration::from_secs(if cfg!(test) { 2 } else { 30 });
+
 /// Drive a set of logical clients off one OS thread. Each wakeup drains
 /// every queued reply (one `recv` then greedy `try_recv`), then refills
 /// every idle slot with its next op — so request frames from several
@@ -490,16 +492,16 @@ enum ShepherdWake {
 /// per client. A slot never has more than one op in flight, and its op
 /// order is its feed order.
 ///
-/// Returns what this shepherd sent, plus the raw inbound receiver when
-/// running in [`ShepherdRx::Direct`] mode, so the caller can keep
-/// consuming control frames afterwards.
+/// Returns what this shepherd counted and sent, plus the raw inbound
+/// receiver when running in [`ShepherdRx::Direct`] mode, so the caller can
+/// keep consuming control frames afterwards.
 fn shepherd_loop(
     clients: Vec<u32>,
     feed: Arc<Mutex<OpFeed>>,
     rx: ShepherdRx,
     shepherds: usize,
     mut ctx: ShepherdCtx,
-) -> (MsgCounts, Option<InboundBatches>) {
+) -> (RunStats, MsgCounts, Option<InboundBatches>) {
     let net = Arc::clone(&ctx.port.net);
     let obs = ctx.port.obs.clone();
     let mut slots: Vec<ClientSlot> = clients
@@ -550,7 +552,7 @@ fn shepherd_loop(
             .filter_map(|s| s.active.as_ref()?.timer.map(|(at, _)| at))
             .min()
             .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(30));
+            .unwrap_or(CLIENT_SILENCE);
         let wake = match &rx {
             ShepherdRx::Demuxed(ch) => match ch.recv_timeout(wait) {
                 Ok(msg) => {
@@ -603,25 +605,32 @@ fn shepherd_loop(
                     let from_me = Endpoint::Proc(slot.proc);
                     send_client_actions(&mut ctx.port, from_me, out, &mut active.timer);
                     if let ClientDecision::Done(outcome) = d {
-                        slot_finish(&ctx, slot, outcome);
+                        slot_finish(&mut ctx, slot, outcome);
                     }
                 }
-                if !fired && wait >= Duration::from_secs(30) {
-                    let stuck: Vec<OpId> = slots
+                if !fired && wait >= CLIENT_SILENCE {
+                    let stuck: Vec<String> = slots
                         .iter()
-                        .filter_map(|s| Some(s.active.as_ref()?.op_id))
+                        .filter_map(|s| Some(s.active.as_ref()?.op_id.to_string()))
                         .collect();
-                    panic!("clients timed out waiting for ops {stuck:?}");
+                    ctx.stats.ops_stuck += stuck.len() as u64;
+                    ctx.stats.leftovers.push(format!(
+                        "client host: no reply for {} s to {}",
+                        CLIENT_SILENCE.as_secs(),
+                        stuck.join(", ")
+                    ));
+                    break;
                 }
             }
             ShepherdWake::Disconnected => break,
         }
     }
+    ctx.stats.replay = ctx.port.now();
     let inbound = match rx {
         ShepherdRx::Demuxed(_) => None,
         ShepherdRx::Direct { inbound, .. } => Some(inbound),
     };
-    (ctx.port.sent, inbound)
+    (ctx.stats, ctx.port.sent, inbound)
 }
 
 /// Split one batch that arrived at the client host: protocol messages go
@@ -646,7 +655,7 @@ fn demux_batch(
                 if obs.enabled() {
                     obs.msg_edge(
                         primary_op(&payload),
-                        payload.kind().into(),
+                        payload.kind(),
                         flow_node(from),
                         FlowNode::Client(p.client.0),
                         sent_ns,
@@ -677,6 +686,7 @@ fn slot_issue(ctx: &mut ShepherdCtx, slot: &mut ClientSlot, op: FsOp) {
     let cross = plan.is_cross_server();
     let issued_at = ctx.port.now();
     ctx.port.obs.op_issued(op_id, op.class(), cross, issued_at);
+    ctx.stats.note_issued(cross);
     let mut out = Vec::new();
     let client = ClientOp::start(ctx.cfg.protocol, op_id, plan, &ctx.cfg.cx, &mut out);
     let mut timer = None;
@@ -721,7 +731,7 @@ fn shepherd_deliver(
 
 /// Completion-side accounting for a finished op; the slot goes idle and is
 /// refilled on the next shepherd sweep.
-fn slot_finish(ctx: &ShepherdCtx, slot: &mut ClientSlot, outcome: OpOutcome) {
+fn slot_finish(ctx: &mut ShepherdCtx, slot: &mut ClientSlot, outcome: OpOutcome) {
     let active = slot.active.take().expect("finishing an in-flight op");
     let done = ctx.port.now();
     // Only Cx leaves commitment running behind the reply; its engine
@@ -732,6 +742,7 @@ fn slot_finish(ctx: &ShepherdCtx, slot: &mut ClientSlot, outcome: OpOutcome) {
     ctx.port
         .obs
         .client_latency(active.class, active.cross, latency);
+    ctx.stats.note_finished(outcome, active.cross, latency);
     if let Some(reg) = &ctx.registry {
         // Concurrent atomic bumps from every shepherd; the registry
         // property test pins that these merge exactly.
@@ -745,9 +756,6 @@ fn slot_finish(ctx: &ShepherdCtx, slot: &mut ClientSlot, outcome: OpOutcome) {
         }
         reg.observe(Series::ClientLatencyNs, latency);
     }
-    ctx.outcomes
-        .lock()
-        .push((active.op_id, outcome, active.cross));
     if let Some(d) = &ctx.drill {
         d.tick();
     }
@@ -906,7 +914,6 @@ pub(crate) fn run_wired(
     });
 
     // Shepherd threads, sharing one locked feed over the stream.
-    let outcomes = Arc::new(Mutex::new(Vec::<(OpId, OpOutcome, bool)>::new()));
     let feed = Arc::new(Mutex::new(OpFeed::new(ops, processes, total_ops_hint)));
     let mut client_threads = Vec::new();
     for (i, rx) in feeds.into_iter().enumerate() {
@@ -916,7 +923,7 @@ pub(crate) fn run_wired(
             port: MsgPort::new(Arc::clone(&net), opts.obs.clone()),
             cfg: cfg.clone(),
             placement,
-            outcomes: Arc::clone(&outcomes),
+            stats: RunStats::new(cfg.protocol, cfg.servers, processes),
             registry: opts.live.as_ref().map(|l| l.registry.clone()),
             drill: drill.clone(),
         };
@@ -927,10 +934,12 @@ pub(crate) fn run_wired(
                 .expect("spawn client shepherd"),
         );
     }
+    let mut stats = RunStats::new(cfg.protocol, cfg.servers, processes);
     let mut sent = MsgCounts::default();
     let mut leftover_inbound = None;
     for t in client_threads {
-        let (counts, rx) = t.join().expect("client thread panicked");
+        let (part, counts, rx) = t.join().expect("client thread panicked");
+        stats.merge_clients(part);
         sent.add(&counts.by_kind, counts.server_msgs, counts.client_msgs);
         leftover_inbound = leftover_inbound.or(rx);
     }
@@ -944,7 +953,6 @@ pub(crate) fn run_wired(
         spawn_pump(inbound, Arc::clone(&net), obs, Vec::new(), ctrl_tx)
     });
 
-    let mut stats = RunStats::new(cfg.protocol, cfg.servers, processes);
     let FinalState {
         stores,
         telem,
@@ -958,13 +966,11 @@ pub(crate) fn run_wired(
         &mut sent,
     );
 
+    stats.drained = SimTime(net.now_ns());
     sent.publish(&mut stats);
-    for (_, outcome, cross) in outcomes.lock().iter() {
-        stats.record_outcome(*outcome);
-        stats.ops_total += 1;
-        if *cross {
-            stats.cross_ops += 1;
-        }
+    for store in &stores {
+        stats.final_inodes += store.inode_count() as u64;
+        stats.final_dentries += store.dentry_count() as u64;
     }
     // Refresh the hang diagnostics now the run is over: anything still shy
     // of `Replied` here is genuinely stuck (the watchdog's mid-run
@@ -976,13 +982,14 @@ pub(crate) fn run_wired(
     stats.blame = opts.obs.blame_table();
     let wire = sum_wire(&nets);
     if let Some(l) = &opts.live {
-        // Engines only report their protocol series at stop time; fold
-        // them in and refresh the exposition files once more so the final
-        // snapshot is complete.
-        stats.proto.publish(&l.registry);
         if let Some(m) = monitor {
             m.stop();
         }
+        // What only the finished run knows — message totals, the engines'
+        // protocol series (reported at stop), blame — joins what the
+        // shepherds tapped per op, and the exposition files are refreshed
+        // once more so the final snapshot is complete.
+        stats.publish_end_of_run(&l.registry);
         if net.wire().is_some() {
             // The merged wire histograms land once, at the end: the series
             // carry per-flush samples from every node, which no periodic

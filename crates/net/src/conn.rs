@@ -48,7 +48,7 @@ use crate::wire::{encode_frame, write_frame, Frame, FrameBuffer};
 use crate::NodeId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use cx_obs::{FlushSpan, LogHistogram};
-use cx_types::{NetTuning, VecPool};
+use cx_types::VecPool;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -63,6 +63,14 @@ use std::time::{Duration, Instant};
 /// queued than this writes in several rounds.
 const MAX_WRITE_BYTES: usize = 64 << 10;
 
+/// Outbound frames buffered per peer before `send` blocks (the
+/// backpressure bound).
+const QUEUE_CAP: usize = 1024;
+
+/// Size of a reader's reusable receive buffer; each `read` may yield many
+/// frames, which are decoded in place and delivered as one batch.
+const READ_BUF_BYTES: usize = 256 << 10;
+
 /// Lock a `std` mutex parking_lot-style: a panicked holder releases.
 fn plock<T>(m: &StdMutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -75,9 +83,6 @@ pub struct PlaneConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Queue and read-buffer knobs (shared vocabulary with the rest of the
-    /// workspace via `cx-types`).
-    pub tuning: NetTuning,
     /// Keep a per-flush [`FlushSpan`] log for the Perfetto trace (bounded;
     /// see [`FLUSH_SPAN_CAP`]). The telemetry histograms are always on —
     /// only the span log, whose memory grows with the run, is gated.
@@ -89,7 +94,6 @@ impl Default for PlaneConfig {
         Self {
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_secs(1),
-            tuning: NetTuning::default(),
             record_flush_spans: false,
         }
     }
@@ -513,12 +517,11 @@ impl ConnectionManager {
             let handles = Arc::clone(&reader_handles);
             let order = Arc::new(ReaderOrder::default());
             let pool = Arc::clone(&batch_pool);
-            let read_buf = cfg.tuning.read_buf_bytes;
             thread::Builder::new()
                 .name("cx-accept".into())
                 .spawn(move || {
                     accept_loop(
-                        listener, inbound_tx, shutdown, book, socks, handles, order, pool, read_buf,
+                        listener, inbound_tx, shutdown, book, socks, handles, order, pool,
                     );
                 })
                 .expect("spawn accept thread")
@@ -578,14 +581,13 @@ impl ConnectionManager {
             let peer = peers.entry(to).or_insert_with(|| self.spawn_writer(to));
             Arc::clone(&peer.shared)
         };
-        let cap = self.cfg.tuning.queue_cap.max(1);
         let mut stalled: Option<Duration> = None;
         let flush = {
             let mut q = plock(&shared.queue);
             // Time only real backpressure stalls: the common uncontended
             // send never reads the clock.
             let mut waited: Option<Instant> = None;
-            while q.q.len() >= cap && !q.shutdown {
+            while q.q.len() >= QUEUE_CAP && !q.shutdown {
                 waited.get_or_insert_with(Instant::now);
                 q = shared.room.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
@@ -601,7 +603,7 @@ impl ConnectionManager {
             // flushes every dirty peer once, coalescing the whole burst
             // into one write per peer. A queue at capacity overrides the
             // cork — someone must drain it or later senders block forever.
-            if self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < cap {
+            if self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < QUEUE_CAP {
                 None
             } else {
                 match shared.flush.try_lock() {
@@ -1072,7 +1074,6 @@ fn accept_loop(
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     order: Arc<ReaderOrder>,
     pool: Arc<Mutex<VecPool<Frame>>>,
-    read_buf_bytes: usize,
 ) {
     loop {
         match listener.accept() {
@@ -1087,7 +1088,7 @@ fn accept_loop(
                 // can be chained per node before any of them forwards —
                 // see [`ReaderOrder`]. A dialer writes its `Hello` inside
                 // `dial()`, so this read completes promptly.
-                let mut fb = FrameBuffer::with_capacity(read_buf_bytes.max(4096));
+                let mut fb = FrameBuffer::with_capacity(READ_BUF_BYTES);
                 let Some(from) = read_hello(&mut stream, &mut fb, &book, peer_addr.ip(), &shutdown)
                 else {
                     continue; // anonymous, garbage, or timed-out connection
@@ -1455,93 +1456,6 @@ mod tests {
         book.set(NodeId::Server(1), b.listen_addr());
         let (_, f) = recv_n(&rx_b, 1).pop().unwrap();
         assert_eq!(f, probe(7));
-        a.shutdown();
-        b.shutdown();
-    }
-}
-
-#[cfg(test)]
-mod perf_probe {
-    use super::*;
-
-    /// Not a correctness test: measures the manager-stack round trip
-    /// (send -> reader thread -> inbound channel -> recv) for a lone
-    /// frame. Run with --ignored --release to probe.
-    #[test]
-    #[ignore]
-    fn ping_pong_round_trip() {
-        let book = Arc::new(AddrBook::new());
-        let (a, rx_a) =
-            ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), PlaneConfig::default())
-                .unwrap();
-        let (b, rx_b) =
-            ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), PlaneConfig::default())
-                .unwrap();
-        book.set(NodeId::Server(0), a.listen_addr());
-        book.set(NodeId::Server(1), b.listen_addr());
-        // Warm both directions.
-        a.send(NodeId::Server(1), probe(0)).unwrap();
-        rx_b.recv_timeout(Duration::from_secs(1)).unwrap();
-        b.send(NodeId::Server(0), probe(0)).unwrap();
-        rx_a.recv_timeout(Duration::from_secs(1)).unwrap();
-        const N: u64 = 20_000;
-        let t0 = Instant::now();
-        for t in 1..=N {
-            a.send(NodeId::Server(1), probe(t)).unwrap();
-            let (_, fs) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
-            b.recycle_batch(fs);
-            b.send(NodeId::Server(0), probe(t)).unwrap();
-            let (_, fs) = rx_a.recv_timeout(Duration::from_secs(5)).unwrap();
-            a.recycle_batch(fs);
-        }
-        let el = t0.elapsed();
-        eprintln!(
-            "manager RT: {:.1} us/round ({} rounds in {:?})",
-            el.as_secs_f64() * 1e6 / N as f64,
-            N,
-            el
-        );
-        a.shutdown();
-        b.shutdown();
-    }
-
-    /// Saturated one-way throughput: how cheap does the stack get when
-    /// nothing parks? Run with --ignored --release to probe.
-    #[test]
-    #[ignore]
-    fn firehose_one_way() {
-        let book = Arc::new(AddrBook::new());
-        let (a, _rx_a) =
-            ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), PlaneConfig::default())
-                .unwrap();
-        let (b, rx_b) =
-            ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), PlaneConfig::default())
-                .unwrap();
-        book.set(NodeId::Server(1), b.listen_addr());
-        const N: u64 = 200_000;
-        let t0 = Instant::now();
-        let h = thread::spawn(move || {
-            let mut got = 0u64;
-            while got < N {
-                let (_, fs) = rx_b.recv_timeout(Duration::from_secs(10)).unwrap();
-                got += fs.len() as u64;
-                b.recycle_batch(fs);
-            }
-            b
-        });
-        for t in 0..N {
-            a.send(NodeId::Server(1), probe(t)).unwrap();
-        }
-        let b = h.join().unwrap();
-        let el = t0.elapsed();
-        let w = a.wire_totals();
-        eprintln!(
-            "firehose: {:.2} us/frame one-way ({} frames, {:.1} frames/flush, {:?})",
-            el.as_secs_f64() * 1e6 / N as f64,
-            N,
-            w.frames as f64 / w.flushes.max(1) as f64,
-            el
-        );
         a.shutdown();
         b.shutdown();
     }

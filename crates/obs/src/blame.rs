@@ -1022,8 +1022,7 @@ impl BlameDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::MsgKind;
-    use cx_types::{OpClass, ProcId, ServerId, SimTime};
+    use cx_types::{MsgKind, OpClass, ProcId, ServerId, SimTime};
 
     fn op(seq: u64) -> OpId {
         OpId::new(ProcId::new(3, 0), seq)
@@ -1122,7 +1121,7 @@ mod tests {
             edge(
                 2,
                 2,
-                MsgKind::VoteExec,
+                MsgKind::Vote,
                 FlowNode::Server(0),
                 FlowNode::Server(1),
                 400,

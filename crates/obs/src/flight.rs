@@ -8,9 +8,9 @@
 //! pushing into a pre-sized ring is two index ops and a store behind a
 //! mutex, cheap enough to leave on for every benchmarked run.
 
-use crate::flow::{FlowNode, MsgKind};
+use crate::flow::FlowNode;
 use crate::span::Phase;
-use cx_types::OpId;
+use cx_types::{MsgKind, OpId};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 

@@ -8,7 +8,7 @@
 //! the delivery time there anyway), so the protocol engines stay unaware
 //! of the tracing, exactly like the lifecycle spans.
 
-use cx_types::OpId;
+use cx_types::{MsgKind, OpId};
 use serde::{Deserialize, Serialize};
 
 /// One endpoint of a message edge. A deliberately tiny mirror of the
@@ -44,118 +44,6 @@ impl std::fmt::Display for FlowNode {
         match self {
             FlowNode::Server(s) => write!(f, "s{s}"),
             FlowNode::Client(c) => write!(f, "c{c}"),
-        }
-    }
-}
-
-/// Message families the tracer distinguishes, mapped from the runtime's
-/// payloads at the send site. Compact and `Copy`, so the always-on flight
-/// recorder can stamp one per message without allocating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MsgKind {
-    OpReq,
-    OpResp,
-    SubOpReq,
-    SubOpResp,
-    Vote,
-    VoteResult,
-    VoteExec,
-    CommitDecision,
-    Ack,
-    Lcom,
-    AllNo,
-    Committed,
-    CommitmentReq,
-    Clear,
-    ClearResp,
-    Migrate,
-    MigrateResp,
-    MigrateBack,
-    MigrateBackAck,
-    Query,
-    QueryOutcome,
-    Other,
-}
-
-impl MsgKind {
-    pub const COUNT: usize = 22;
-    pub const ALL: [MsgKind; MsgKind::COUNT] = [
-        MsgKind::OpReq,
-        MsgKind::OpResp,
-        MsgKind::SubOpReq,
-        MsgKind::SubOpResp,
-        MsgKind::Vote,
-        MsgKind::VoteResult,
-        MsgKind::VoteExec,
-        MsgKind::CommitDecision,
-        MsgKind::Ack,
-        MsgKind::Lcom,
-        MsgKind::AllNo,
-        MsgKind::Committed,
-        MsgKind::CommitmentReq,
-        MsgKind::Clear,
-        MsgKind::ClearResp,
-        MsgKind::Migrate,
-        MsgKind::MigrateResp,
-        MsgKind::MigrateBack,
-        MsgKind::MigrateBackAck,
-        MsgKind::Query,
-        MsgKind::QueryOutcome,
-        MsgKind::Other,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::OpReq => "OP-REQ",
-            MsgKind::OpResp => "OP-RESP",
-            MsgKind::SubOpReq => "SUBOP-REQ",
-            MsgKind::SubOpResp => "SUBOP-RESP",
-            MsgKind::Vote => "VOTE",
-            MsgKind::VoteResult => "VOTE-RESULT",
-            MsgKind::VoteExec => "VOTE-EXEC",
-            MsgKind::CommitDecision => "COMMIT-REQ",
-            MsgKind::Ack => "ACK",
-            MsgKind::Lcom => "L-COM",
-            MsgKind::AllNo => "ALL-NO",
-            MsgKind::Committed => "COMMITTED",
-            MsgKind::CommitmentReq => "C-REQ",
-            MsgKind::Clear => "CLEAR",
-            MsgKind::ClearResp => "CLEAR-RESP",
-            MsgKind::Migrate => "MIGRATE",
-            MsgKind::MigrateResp => "MIGRATE-RESP",
-            MsgKind::MigrateBack => "MIGRATE-BACK",
-            MsgKind::MigrateBackAck => "MIGRATE-BACK-ACK",
-            MsgKind::Query => "QUERY",
-            MsgKind::QueryOutcome => "QUERY-OUTCOME",
-            MsgKind::Other => "MSG",
-        }
-    }
-}
-
-impl From<cx_types::MsgKind> for MsgKind {
-    /// Wire-kind → tracer-kind, so runtimes map a payload with one call.
-    fn from(k: cx_types::MsgKind) -> Self {
-        use cx_types::MsgKind as W;
-        match k {
-            W::SubOpReq => MsgKind::SubOpReq,
-            W::SubOpResp => MsgKind::SubOpResp,
-            W::Vote => MsgKind::Vote,
-            W::VoteResult => MsgKind::VoteResult,
-            W::CommitReq | W::AbortReq => MsgKind::CommitDecision,
-            W::Ack => MsgKind::Ack,
-            W::LCom => MsgKind::Lcom,
-            W::AllNo => MsgKind::AllNo,
-            W::Committed => MsgKind::Committed,
-            W::CommitmentReq => MsgKind::CommitmentReq,
-            W::QueryOutcome => MsgKind::QueryOutcome,
-            W::OpReq => MsgKind::OpReq,
-            W::OpResp => MsgKind::OpResp,
-            W::Clear => MsgKind::Clear,
-            W::ClearResp => MsgKind::ClearResp,
-            W::Migrate => MsgKind::Migrate,
-            W::MigrateResp => MsgKind::MigrateResp,
-            W::MigrateBack => MsgKind::MigrateBack,
-            W::MigrateBackAck => MsgKind::MigrateBackAck,
         }
     }
 }
@@ -271,6 +159,7 @@ mod tests {
         assert_eq!((s, f), (1, 1));
         assert!(ev.iter().all(|l| serde_json::parse_value(l).is_ok()));
         assert!(ev.iter().any(|l| l.contains("\"id\":7")));
+        assert!(ev.iter().any(|l| l.contains("\"name\":\"VOTE → s2\"")));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 //!   `cx-obs doctor`.
 
 pub mod blame;
-pub mod drift;
 pub mod flight;
 pub mod flow;
 pub mod hist;
@@ -56,7 +55,7 @@ pub mod span;
 
 pub use blame::{blame_span, diff as blame_diff, BlameDiff, BlameTable, OpBlame, Seg};
 pub use flight::{FlightEvent, FlightRecorder, TimedEvent};
-pub use flow::{FlowNode, MsgEdge, MsgKind};
+pub use flow::{FlowNode, MsgEdge};
 pub use hist::{fmt_ns_f, HistSummary, LogHistogram};
 pub use net::{chrome_flush_events, FlushSpan, NetPeerRow, NetTable};
 pub use path::{critical_path, CriticalPath, EdgeClass, WalkHop};

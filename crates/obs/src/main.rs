@@ -11,7 +11,6 @@
 //! cx-obs doctor <report.json> --json     emit the blame table as JSON
 //! cx-obs top    <metrics.json>…          render metric-registry snapshots (merged)
 //! cx-obs net    <run.net.json>           render the per-peer wire table
-//! cx-obs bench-drift history/BENCH_PR*.json  the frozen PR 1–10 perf series
 //! ```
 //!
 //! `top` reads the snapshot a threaded run writes via `--metrics-out`;
@@ -138,43 +137,13 @@ fn doctor(path: &str, args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn bench_drift(paths: &[String]) -> ExitCode {
-    let mut points = Vec::new();
-    let mut skipped = 0usize;
-    for path in paths {
-        let parsed = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {path}: {e}"))
-            .and_then(|text| {
-                cx_obs::drift::parse_bench_file(&text, path)
-                    .map_err(|e| format!("parse {path}: {e}"))
-            });
-        match parsed {
-            Ok(p) => points.extend(p),
-            Err(e) => {
-                eprintln!("cx-obs: warning: skipping bench file: {e}");
-                skipped += 1;
-            }
-        }
-    }
-    if points.is_empty() {
-        eprintln!(
-            "cx-obs: no usable bench snapshots ({} given, {skipped} skipped); \
-             try `cx-obs bench-drift history/BENCH_PR*.json`",
-            paths.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    print!("{}", cx_obs::drift::render_drift(&points));
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, path) = match (args.first(), args.get(1)) {
         (Some(c), Some(p)) => (c.as_str(), p.as_str()),
         _ => {
             eprintln!(
-                "usage: cx-obs <report|check|trace|doctor|top|net|bench-drift> \
+                "usage: cx-obs <report|check|trace|doctor|top|net> \
                  <artifact.json>… [--op <id>] [--against <base.json>] [--json]"
             );
             return ExitCode::from(2);
@@ -191,9 +160,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
-    }
-    if cmd == "bench-drift" {
-        return bench_drift(&args[1..]);
     }
     if cmd == "doctor" {
         return doctor(path, &args[2..]);
@@ -262,7 +228,7 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "cx-obs: unknown command '{other}' \
-                 (want report|check|trace|doctor|top|net|bench-drift)"
+                 (want report|check|trace|doctor|top|net)"
             );
             ExitCode::from(2)
         }

@@ -18,8 +18,9 @@
 //! sampling capped out, or a purely local op), the caller falls back to the
 //! phase-window decomposition, which carries the same invariant.
 
-use crate::flow::{FlowNode, MsgEdge, MsgKind};
+use crate::flow::{FlowNode, MsgEdge};
 use crate::span::{OpSpan, Phase};
+use cx_types::MsgKind;
 
 /// Message family from the blame engine's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,10 +4,10 @@
 //! The registry is a cheap `Arc` handle over atomic counters, so the
 //! threaded runtime's clients and servers can publish concurrently while
 //! a monitor thread snapshots it — the HTTP-less live surface behind
-//! `cx-obs top` and `--metrics-out`. The DES publishes once, at
-//! finalization, from its deterministic [`RunStats`-side] totals; the
-//! registry is therefore never consulted by protocol code and cannot
-//! perturb a replay (the golden-digest tests pin this).
+//! `cx-obs top` and `--metrics-out`. The DES never touches it: a caller
+//! may publish a finished run's `RunStats` into one afterwards. Protocol
+//! code never consults the registry, so it cannot perturb a replay (the
+//! golden-digest tests pin this).
 
 use crate::hist::{fmt_ns_f, HistSummary, LogHistogram};
 use serde::{Deserialize, Serialize};
@@ -163,7 +163,6 @@ pub enum Series {
     BatchSize,
     BatchAgeNs,
     ClientLatencyNs,
-    CommitmentLatencyNs,
     WireQueueDepth,
     WireFlushFrames,
     WireFlushLatencyNs,
@@ -179,12 +178,11 @@ pub enum Series {
 }
 
 impl Series {
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
     pub const ALL: [Series; Series::COUNT] = [
         Series::BatchSize,
         Series::BatchAgeNs,
         Series::ClientLatencyNs,
-        Series::CommitmentLatencyNs,
         Series::WireQueueDepth,
         Series::WireFlushFrames,
         Series::WireFlushLatencyNs,
@@ -207,7 +205,6 @@ impl Series {
             Series::BatchSize => "cx_commitment_batch_size",
             Series::BatchAgeNs => "cx_commitment_batch_age_ns",
             Series::ClientLatencyNs => "cx_client_latency_ns",
-            Series::CommitmentLatencyNs => "cx_commitment_latency_ns",
             Series::WireQueueDepth => "cx_wire_queue_depth",
             Series::WireFlushFrames => "cx_wire_flush_frames",
             Series::WireFlushLatencyNs => "cx_wire_flush_latency_ns",
@@ -227,7 +224,6 @@ impl Series {
             Series::BatchSize => "Operations per commitment round (occupancy)",
             Series::BatchAgeNs => "Age of the oldest op when its batch launched",
             Series::ClientLatencyNs => "Client-visible latency (issued to replied)",
-            Series::CommitmentLatencyNs => "Commitment latency behind the reply",
             Series::WireQueueDepth => "Outbound frames queued per peer at each flush gather",
             Series::WireFlushFrames => "Frames coalesced into each write_all",
             Series::WireFlushLatencyNs => "Wall time of each coalesced write_all",

@@ -575,7 +575,7 @@ mod tests {
         s.gauge(SimTime(10_000), 0, GaugeKind::ActiveObjects, 3);
         s.msg_edge(
             Some(op(1)),
-            crate::flow::MsgKind::Vote,
+            cx_types::MsgKind::Vote,
             crate::flow::FlowNode::Server(4),
             crate::flow::FlowNode::Server(5),
             50_000,
@@ -583,7 +583,7 @@ mod tests {
         );
         s.msg_edge(
             Some(op(1)),
-            crate::flow::MsgKind::Ack,
+            cx_types::MsgKind::Ack,
             crate::flow::FlowNode::Server(5),
             crate::flow::FlowNode::Server(4),
             65_000,

@@ -9,11 +9,11 @@
 //! `Arc<Mutex<…>>` so the same sink type serves the single-threaded DES
 //! and the threaded runtime.
 
-use crate::flow::{FlowNode, MsgEdge, MsgKind};
+use crate::flow::{FlowNode, MsgEdge};
 use crate::hist::LogHistogram;
 use crate::report::ObsReport;
 use crate::span::{OpSpan, Phase, StuckOp};
-use cx_types::{FxHashMap, OpClass, OpId, OpOutcome, ServerId, SimTime};
+use cx_types::{FxHashMap, MsgKind, OpClass, OpId, OpOutcome, ServerId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 

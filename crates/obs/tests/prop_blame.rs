@@ -5,10 +5,10 @@
 //! including spans with disordered stamps, arbitrary edge sets, and spans
 //! assembled by the shard-merge path with randomized clock offsets.
 
-use cx_obs::flow::{FlowNode, MsgEdge, MsgKind};
+use cx_obs::flow::{FlowNode, MsgEdge};
 use cx_obs::span::{OpSpan, Phase};
 use cx_obs::{blame_span, BlameTable, ObsSink};
-use cx_types::{OpClass, OpId, OpOutcome, ProcId, ServerId, SimTime};
+use cx_types::{MsgKind, OpClass, OpId, OpOutcome, ProcId, ServerId, SimTime};
 use proptest::prelude::*;
 
 fn op(client: u32, seq: u64) -> OpId {
@@ -178,7 +178,7 @@ proptest! {
         let ta = BlameTable::from_spans("cx", &sa, &[]);
         let tb = BlameTable::from_spans("cx", &sb, &[]);
         let tu = BlameTable::from_spans("cx", &union, &[]);
-        let mut merged = ta.clone();
+        let mut merged = ta;
         merged.merge(&tb);
         prop_assert_eq!(merged.ops, tu.ops);
         prop_assert_eq!(merged.client_total.sum, tu.client_total.sum);

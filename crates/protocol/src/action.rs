@@ -3,6 +3,7 @@
 use crate::stats::{ProtoMetrics, ServerStats};
 use cx_mdstore::MetaStore;
 use cx_obs::{EngineGauges, ObsSink};
+use cx_simio::DiskReq;
 use cx_types::{Payload, ProcId, ServerId, SimTime};
 use cx_wal::Wal;
 
@@ -21,18 +22,9 @@ pub enum Action {
     /// Send `payload` to `to`. The runtime models latency and counts the
     /// message for Table IV.
     Send { to: Endpoint, payload: Payload },
-    /// Start a synchronous log append of `bytes`; the runtime calls
-    /// `on_disk_done(token)` when the flush covering it completes.
-    LogAppend { token: u64, bytes: u64 },
-    /// Per-sub-op synchronous database write (SE baseline).
-    DbSyncWrite { token: u64, page: u64 },
-    /// Batched database write-back of dirty pages.
-    DbWriteback { token: u64, pages: Vec<u64> },
-    /// Sequential log read of `bytes` (recovery scan).
-    LogRead { token: u64, bytes: u64 },
-    /// Cold-cache random page reads (recovery re-reads the affected
-    /// database rows).
-    DbRandomRead { token: u64, pages: Vec<u64> },
+    /// Submit `req` to the server's disk; the runtime calls
+    /// `on_disk_done(req.token())` when the batch covering it completes.
+    Disk(DiskReq),
     /// Call `on_timer(token)` after `delay_ns`.
     SetTimer { token: u64, delay_ns: u64 },
 }

@@ -13,6 +13,7 @@ use crate::stats::ServerStats;
 use crate::trigger::{TriggerState, TriggerVerdict};
 use cx_mdstore::{MetaStore, Undo};
 use cx_sim::det_rng;
+use cx_simio::DiskReq;
 use cx_types::{
     ClusterConfig, CxError, FxHashMap, Hint, ObjectId, OpId, Payload, Role, SimTime, SubOp, Verdict,
 };
@@ -184,7 +185,7 @@ impl<C> Chassis<C> {
     ) -> Result<(), CxError> {
         let (seq, bytes) = self.append(recs)?;
         let token = self.await_disk(Some(seq), cont);
-        out.push(Action::LogAppend { token, bytes });
+        out.push(Action::Disk(DiskReq::LogAppend { bytes, token }));
         Ok(())
     }
 
@@ -197,7 +198,7 @@ impl<C> Chassis<C> {
         out: &mut Vec<Action>,
     ) {
         let token = self.await_disk(covers, cont);
-        out.push(Action::DbSyncWrite { token, page });
+        out.push(Action::Disk(DiskReq::DbSyncWrite { page, token }));
     }
 
     /// A disk completion arrived. Marks what it covered durable and hands
@@ -438,10 +439,10 @@ impl Writebacks {
             let token = *next_token | WRITEBACK_TOKEN_BIT;
             *next_token += 1;
             self.outstanding += 1;
-            out.push(Action::DbWriteback {
-                token,
+            out.push(Action::Disk(DiskReq::DbWriteback {
                 pages: chunk.to_vec(),
-            });
+                token,
+            }));
         }
     }
 

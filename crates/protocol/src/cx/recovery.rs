@@ -20,6 +20,7 @@
 use super::{BatchPhase, CommitBatch, CxServer, IoCont, PendingOp};
 use crate::action::{Action, Endpoint, ServerEngine};
 use cx_mdstore::MetaStore;
+use cx_simio::DiskReq;
 use cx_types::{Hint, OpId, Role, ServerId, SimTime, SubOp, Verdict};
 use cx_wal::Outcome;
 use std::collections::BTreeMap;
@@ -86,10 +87,10 @@ impl CxServer {
         self.recovering = true;
         let bytes = self.ch.wal.valid_bytes();
         let token = self.ch.await_disk(None, IoCont::RecoveryScanDone);
-        out.push(Action::LogRead {
-            token,
+        out.push(Action::Disk(DiskReq::SeqRead {
             bytes: bytes.max(1),
-        });
+            token,
+        }));
         bytes
     }
 
@@ -243,7 +244,7 @@ impl CxServer {
         if !pages.is_empty() {
             self.recovery_reads_pending = true;
             let token = self.ch.await_disk(None, IoCont::RecoveryReadsDone);
-            out.push(Action::DbRandomRead { token, pages });
+            out.push(Action::Disk(DiskReq::RandomRead { pages, token }));
         }
 
         // A single query round is not enough when the coordinator is

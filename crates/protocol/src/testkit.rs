@@ -238,16 +238,12 @@ impl Kit {
                 self.queue.push_back(env);
             }
             // Instant disk: complete immediately, synchronously.
-            Action::LogAppend { token, .. }
-            | Action::DbSyncWrite { token, .. }
-            | Action::DbWriteback { token, .. }
-            | Action::LogRead { token, .. }
-            | Action::DbRandomRead { token, .. } => {
+            Action::Disk(req) => {
                 let Endpoint::Server(s) = from else {
                     return;
                 };
                 let mut out = Vec::new();
-                self.servers[s.0 as usize].on_disk_done(self.now, token, &mut out);
+                self.servers[s.0 as usize].on_disk_done(self.now, req.token(), &mut out);
                 for a in out {
                     self.interpret(from, a);
                 }

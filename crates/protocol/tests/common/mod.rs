@@ -3,6 +3,7 @@
 
 use cx_protocol::testkit::Kit;
 use cx_protocol::{Action, Endpoint};
+use cx_simio::DiskReq;
 use cx_types::{
     BatchTrigger, ClusterConfig, FileKind, InodeNo, Name, Placement, Protocol, ServerId, SimTime,
 };
@@ -84,7 +85,7 @@ pub fn quiesce_holding_writebacks(kit: &mut Kit, server: ServerId) -> Vec<u64> {
     let mut tokens = Vec::new();
     for a in out {
         match a {
-            Action::DbWriteback { token, .. } => tokens.push(token),
+            Action::Disk(DiskReq::DbWriteback { token, .. }) => tokens.push(token),
             a => kit.inject_actions(Endpoint::Server(server), vec![a]),
         }
     }

@@ -7,6 +7,7 @@ mod common;
 use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::{Action, CxServer, Endpoint, ServerEngine};
+use cx_simio::DiskReq;
 use cx_types::{
     ClusterConfig, FsOp, MsgKind, OpOutcome, Payload, ProcId, Protocol, ServerId, SimTime,
 };
@@ -161,7 +162,9 @@ fn unflushed_execution_is_rolled_back_on_crash() {
         &mut out,
     );
     // The engine asked for a log append…
-    assert!(out.iter().any(|a| matches!(a, Action::LogAppend { .. })));
+    assert!(out
+        .iter()
+        .any(|a| matches!(a, Action::Disk(DiskReq::LogAppend { .. }))));
     // …and applied the execution in memory.
     assert_eq!(server.store().lookup(ROOT, name), Some(ino));
 

@@ -28,6 +28,20 @@ pub enum DiskReq {
     RandomRead { pages: Vec<u64>, token: u64 },
 }
 
+impl DiskReq {
+    /// What completion hands back: a runtime with no disk model answers
+    /// the request with this alone.
+    pub fn token(&self) -> u64 {
+        match *self {
+            DiskReq::LogAppend { token, .. }
+            | DiskReq::DbWriteback { token, .. }
+            | DiskReq::DbSyncWrite { token, .. }
+            | DiskReq::SeqRead { token, .. }
+            | DiskReq::RandomRead { token, .. } => token,
+        }
+    }
+}
+
 /// An in-flight batch: the caller schedules a completion event at `finish`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
@@ -341,19 +355,6 @@ mod tests {
 
     fn disk() -> Disk {
         Disk::new(DiskConfig::default())
-    }
-
-    /// Only the oracle still asks a whole request for its token.
-    impl DiskReq {
-        fn token(&self) -> u64 {
-            match *self {
-                DiskReq::LogAppend { token, .. }
-                | DiskReq::DbWriteback { token, .. }
-                | DiskReq::DbSyncWrite { token, .. }
-                | DiskReq::SeqRead { token, .. }
-                | DiskReq::RandomRead { token, .. } => token,
-            }
-        }
     }
 
     /// The oracle: the single scanned queue the lanes replaced, verbatim.

@@ -64,30 +64,6 @@ impl Default for NetConfig {
     }
 }
 
-/// Tuning knobs for the real-socket wire plane (`cx-net`): queue depth
-/// and the reader's decode buffer. These shape *wall-clock* transport
-/// behavior only — the DES models the network with [`NetConfig`] and
-/// never reads them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetTuning {
-    /// Outbound frames buffered per peer before `send` blocks (the
-    /// backpressure bound).
-    pub queue_cap: usize,
-    /// Size of the reader's reusable receive buffer; each `read` may
-    /// yield many frames, which are decoded in place and delivered as
-    /// one batch.
-    pub read_buf_bytes: usize,
-}
-
-impl Default for NetTuning {
-    fn default() -> Self {
-        Self {
-            queue_cap: 1024,
-            read_buf_bytes: 256 << 10,
-        }
-    }
-}
-
 /// Disk model for one 7200 rpm SATA drive holding both the operation log
 /// (a log-structured file, §IV-A) and the metadata database.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

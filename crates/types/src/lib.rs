@@ -31,8 +31,8 @@ pub mod subop;
 pub mod time;
 
 pub use config::{
-    BatchTrigger, ClusterConfig, CxConfig, DiskConfig, FailureInjection, NetConfig, NetTuning,
-    Protocol, ServerCpuConfig,
+    BatchTrigger, ClusterConfig, CxConfig, DiskConfig, FailureInjection, NetConfig, Protocol,
+    ServerCpuConfig,
 };
 pub use error::{CxError, CxResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};

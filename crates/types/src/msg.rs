@@ -115,6 +115,33 @@ impl MsgKind {
         MsgKind::MigrateBackAck,
     ];
     pub const COUNT: usize = Self::ALL.len();
+
+    /// The message's name in the paper's Table III spelling (traces, the
+    /// doctor's chain labels).
+    pub fn name(self) -> &'static str {
+        match self {
+            MsgKind::SubOpReq => "SUBOP-REQ",
+            MsgKind::SubOpResp => "SUBOP-RESP",
+            MsgKind::Vote => "VOTE",
+            MsgKind::VoteResult => "VOTE-RESULT",
+            MsgKind::CommitReq => "COMMIT-REQ",
+            MsgKind::AbortReq => "ABORT-REQ",
+            MsgKind::Ack => "ACK",
+            MsgKind::LCom => "L-COM",
+            MsgKind::AllNo => "ALL-NO",
+            MsgKind::Committed => "COMMITTED",
+            MsgKind::CommitmentReq => "C-REQ",
+            MsgKind::QueryOutcome => "QUERY-OUTCOME",
+            MsgKind::OpReq => "OP-REQ",
+            MsgKind::OpResp => "OP-RESP",
+            MsgKind::Clear => "CLEAR",
+            MsgKind::ClearResp => "CLEAR-RESP",
+            MsgKind::Migrate => "MIGRATE",
+            MsgKind::MigrateResp => "MIGRATE-RESP",
+            MsgKind::MigrateBack => "MIGRATE-BACK",
+            MsgKind::MigrateBackAck => "MIGRATE-BACK-ACK",
+        }
+    }
 }
 
 /// A protocol message payload.

@@ -5,7 +5,6 @@
 //! log sizes, the Figure 7(b) valid-record curve, and the recovery scan of
 //! Table V all operate on realistic volumes.
 
-use bytes::{Buf, BufMut};
 use cx_types::ids::{ClientId, ProcessId};
 use cx_types::{FileKind, InodeNo, Name, OpId, ProcId, Role, ServerId, SubOp, Verdict};
 use serde::{Deserialize, Serialize};
@@ -105,15 +104,23 @@ const TAG_ABORT: u8 = 3;
 const TAG_COMPLETE: u8 = 4;
 
 fn put_op_id(buf: &mut Vec<u8>, id: OpId) {
-    buf.put_u32(id.proc.client.0);
-    buf.put_u32(id.proc.process.0);
-    buf.put_u64(id.seq);
+    buf.extend_from_slice(&id.proc.client.0.to_be_bytes());
+    buf.extend_from_slice(&id.proc.process.0.to_be_bytes());
+    buf.extend_from_slice(&id.seq.to_be_bytes());
+}
+
+/// Split `N` bytes off the front of `buf`. Every caller length-checks its
+/// fixed-size field group first, so a short buffer here is a codec bug.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_first_chunk().expect("length-checked");
+    *buf = rest;
+    *head
 }
 
 fn get_op_id(buf: &mut &[u8]) -> OpId {
-    let client = buf.get_u32();
-    let process = buf.get_u32();
-    let seq = buf.get_u64();
+    let client = u32::from_be_bytes(take(buf));
+    let process = u32::from_be_bytes(take(buf));
+    let seq = u64::from_be_bytes(take(buf));
     OpId::new(
         ProcId {
             client: ClientId(client),
@@ -146,12 +153,12 @@ fn put_subop(buf: &mut Vec<u8>, s: &SubOp) {
         SubOp::ReadDir { dir } => (9, dir.0, 0, 0, 0),
         SubOp::TouchInode { ino } => (10, ino.0, 0, 0, 0),
     };
-    buf.put_u8(tag);
-    buf.put_u8(k);
-    buf.put_u64(a);
-    buf.put_u64(b);
-    buf.put_u64(c);
-    buf.put_u64(0); // reserved
+    buf.push(tag);
+    buf.push(k);
+    buf.extend_from_slice(&a.to_be_bytes());
+    buf.extend_from_slice(&b.to_be_bytes());
+    buf.extend_from_slice(&c.to_be_bytes());
+    buf.extend_from_slice(&0u64.to_be_bytes()); // reserved
 }
 
 fn kind_byte(k: FileKind) -> u8 {
@@ -175,12 +182,12 @@ fn get_subop(buf: &mut &[u8]) -> Result<SubOp, String> {
     if buf.len() < SUBOP_BYTES {
         return Err("truncated sub-op".into());
     }
-    let tag = buf.get_u8();
-    let k = buf.get_u8();
-    let a = buf.get_u64();
-    let b = buf.get_u64();
-    let c = buf.get_u64();
-    let _reserved = buf.get_u64();
+    let [tag] = take(buf);
+    let [k] = take(buf);
+    let a = u64::from_be_bytes(take(buf));
+    let b = u64::from_be_bytes(take(buf));
+    let c = u64::from_be_bytes(take(buf));
+    let _reserved: [u8; 8] = take(buf);
     Ok(match tag {
         1 => SubOp::InsertEntry {
             parent: InodeNo(a),
@@ -222,36 +229,36 @@ pub fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             verdict,
             invalidated,
         } => {
-            buf.put_u8(TAG_RESULT);
+            buf.push(TAG_RESULT);
             put_op_id(buf, *op_id);
-            buf.put_u8(matches!(role, Role::Coordinator) as u8);
+            buf.push(matches!(role, Role::Coordinator) as u8);
             match peer {
                 Some(s) => {
-                    buf.put_u8(1);
-                    buf.put_u32(s.0);
+                    buf.push(1);
+                    buf.extend_from_slice(&s.0.to_be_bytes());
                 }
                 None => {
-                    buf.put_u8(0);
-                    buf.put_u32(0);
+                    buf.push(0);
+                    buf.extend_from_slice(&0u32.to_be_bytes());
                 }
             }
-            buf.put_u8(verdict.is_yes() as u8);
-            buf.put_u8(*invalidated as u8);
+            buf.push(verdict.is_yes() as u8);
+            buf.push(*invalidated as u8);
             put_subop(buf, subop);
             let image = subop.write_bytes();
-            buf.put_u32(image);
+            buf.extend_from_slice(&image.to_be_bytes());
             buf.resize(buf.len() + image as usize, 0);
         }
         Record::Commit { op_id } => {
-            buf.put_u8(TAG_COMMIT);
+            buf.push(TAG_COMMIT);
             put_op_id(buf, *op_id);
         }
         Record::Abort { op_id } => {
-            buf.put_u8(TAG_ABORT);
+            buf.push(TAG_ABORT);
             put_op_id(buf, *op_id);
         }
         Record::Complete { op_id } => {
-            buf.put_u8(TAG_COMPLETE);
+            buf.push(TAG_COMPLETE);
             put_op_id(buf, *op_id);
         }
     }
@@ -268,7 +275,7 @@ pub fn decode_record(mut buf: &[u8]) -> Result<(Record, usize), String> {
     if buf.is_empty() {
         return Err("empty buffer".into());
     }
-    let tag = buf.get_u8();
+    let [tag] = take(&mut buf);
     // Every record starts with a 16-byte operation id.
     if buf.len() < 16 {
         return Err("truncated op id".into());
@@ -280,29 +287,29 @@ pub fn decode_record(mut buf: &[u8]) -> Result<(Record, usize), String> {
             if buf.len() < 1 + 1 + 4 + 1 + 1 {
                 return Err("truncated result header".into());
             }
-            let role = if buf.get_u8() == 1 {
+            let role = if take(&mut buf) == [1] {
                 Role::Coordinator
             } else {
                 Role::Participant
             };
-            let has_peer = buf.get_u8() == 1;
-            let peer_raw = buf.get_u32();
+            let has_peer = take(&mut buf) == [1];
+            let peer_raw = u32::from_be_bytes(take(&mut buf));
             let peer = has_peer.then_some(ServerId(peer_raw));
-            let verdict = if buf.get_u8() == 1 {
+            let verdict = if take(&mut buf) == [1] {
                 Verdict::Yes
             } else {
                 Verdict::No
             };
-            let invalidated = buf.get_u8() == 1;
+            let invalidated = take(&mut buf) == [1];
             let subop = get_subop(&mut buf)?;
             if buf.len() < 4 {
                 return Err("truncated image length".into());
             }
-            let image = buf.get_u32() as usize;
+            let image = u32::from_be_bytes(take(&mut buf)) as usize;
             if buf.len() < image {
                 return Err("truncated image".into());
             }
-            buf.advance(image);
+            buf = &buf[image..];
             Record::Result {
                 op_id,
                 role,

@@ -155,6 +155,23 @@ fn table3_message_vocabulary() {
     assert_eq!(Payload::LCom { op_id: op }.kind(), MsgKind::LCom);
     // ALL-NO: coordinator → process, all executions aborted
     assert_eq!(Payload::AllNo { op_id: op }.kind(), MsgKind::AllNo);
+
+    // The table's own spelling is what traces and the doctor print.
+    let table3 = [
+        (MsgKind::Vote, "VOTE"),
+        (MsgKind::CommitReq, "COMMIT-REQ"),
+        (MsgKind::AbortReq, "ABORT-REQ"),
+        (MsgKind::Ack, "ACK"),
+        (MsgKind::LCom, "L-COM"),
+        (MsgKind::AllNo, "ALL-NO"),
+    ];
+    for (kind, name) in table3 {
+        assert_eq!(kind.name(), name);
+    }
+    let mut names: Vec<_> = MsgKind::ALL.iter().map(|k| k.name()).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), MsgKind::COUNT, "every kind has its own name");
 }
 
 /// The operation id is exactly the paper's triple: client id, process id,
