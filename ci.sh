@@ -16,12 +16,8 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "clippy (all crates + root tests and examples, -D warnings)"
-cargo clippy -q \
-    -p cx-types -p cx-sim -p cx-simio -p cx-wal -p cx-mdstore \
-    -p cx-protocol -p cx-cluster -p cx-bench -p cx-chaos -p cx-workloads \
-    -p cx-obs -p cx-net -p cx-core -p cx-recovery -p cx-repro \
-    --all-targets -- -D warnings
+step "clippy (every workspace member, shims included, -D warnings)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 step "clippy (hot path: deny redundant_clone + perf lints)"
 cargo clippy -q \

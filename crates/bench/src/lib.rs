@@ -14,6 +14,7 @@
 //! | `figure8_conflict_ratio` | Figure 8 — injected-conflict sensitivity |
 //! | `figure9_batch_strategies` | Figure 9 — timeout/threshold trigger sweeps |
 //! | `table5_recovery` | Table V — recovery time vs valid-record volume |
+//! | `ablation_log_organization` | DESIGN.md §5.2 — log-structured file vs log records in the database |
 //! | `ablation_group_commit` | DESIGN.md §5.3 — group commit on/off |
 //! | `ablation_writeback_merge` | DESIGN.md §5.3 — elevator merging on/off |
 //!

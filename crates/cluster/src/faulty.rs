@@ -120,10 +120,13 @@ impl Drop for Faulty {
 
 mod tests {
     use super::*;
+    use crate::live::LiveMetrics;
     use crate::tcp::{wire_sockets, TcpOptions, TcpRunResult};
     use crate::threaded::wire_channels;
     use crate::wall::run_wired;
     use cx_net::PlaneConfig;
+    use cx_obs::registry::MetricRegistry;
+    use cx_obs::ObsSink;
     use cx_types::{BatchTrigger, ClusterConfig, Protocol};
     use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
 
@@ -135,6 +138,16 @@ mod tests {
 
     /// `trace` through the one runtime, every server's transport wrapped.
     fn run(carrier: Carrier, cfg: ClusterConfig, trace: &Trace, faults: Faults) -> TcpRunResult {
+        run_opts(carrier, cfg, trace, faults, TcpOptions::default())
+    }
+
+    fn run_opts(
+        carrier: Carrier,
+        cfg: ClusterConfig,
+        trace: &Trace,
+        faults: Faults,
+        opts: TcpOptions,
+    ) -> TcpRunResult {
         let epoch = std::time::Instant::now();
         let mut wired = match carrier {
             Carrier::Channels => wire_channels(cfg.servers, epoch),
@@ -149,7 +162,6 @@ mod tests {
                 held: Mutex::default(),
             });
         }
-        let opts = TcpOptions::default();
         let res = run_wired(cfg, trace.to_stream(), opts, wired, epoch);
         if faults.chaos {
             assert!(faults.votes.load(Ordering::Relaxed) >= 1, "no Vote to dup");
@@ -254,6 +266,9 @@ mod tests {
         }
     }
 
+    /// A muted client ends the run with a leftover, and its stuck op still
+    /// counts as issued everywhere: `RunStats`, the live registry and the
+    /// recorder's report.
     #[test]
     fn a_client_that_hears_nothing_is_a_leftover_not_a_panic() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
@@ -262,8 +277,20 @@ mod tests {
                 mute_client: Some(3),
                 ..Faults::default()
             };
-            let res = run(carrier, cfg, &trace, faults);
+            let live = LiveMetrics::new(MetricRegistry::new());
+            let registry = live.registry.clone();
+            let sink = ObsSink::recording("cx");
+            let opts = TcpOptions {
+                obs: sink.clone(),
+                live: Some(live),
+                ..TcpOptions::default()
+            };
+            let res = run_opts(carrier, cfg, &trace, faults, opts);
             let s = &res.stats;
+            let issued = registry.snapshot().value("cx_ops_issued_total");
+            assert_eq!(issued, Some(s.ops_total), "{carrier:?}: registry");
+            let report = sink.report().expect("recording");
+            assert_eq!(report.ops_issued, s.ops_total, "{carrier:?}: obs report");
             // Client 3 issued its first op and, hearing nothing, no other;
             // the servers committed it regardless and drained.
             assert_eq!(s.ops_total, trace.ops.len() as u64 - 49, "{carrier:?}");

@@ -164,10 +164,14 @@ mod tests {
             assert_eq!(rows(engine.store()), rows(store), "server {i}: seed_engine");
             let (inodes, entries) = snapshot_rows(store);
             assert_eq!(
-                rows(&rebuild_store(inodes, entries)),
+                rows(&rebuild_store(inodes, entries).expect("rows it wrote")),
                 rows(store),
                 "server {i}: snapshot rebuild"
             );
+        }
+        // A kind byte that is no FileKind is refused, not read as one.
+        for bad in [2, 0xFF] {
+            assert!(rebuild_store(vec![(5, bad, 1)], Vec::new()).is_err());
         }
     }
 }

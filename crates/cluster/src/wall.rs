@@ -37,6 +37,7 @@ use cx_protocol::{
     Action, ClientDecision, ClientOp, Endpoint, ProtoMetrics, ServerEngine, ServerStats,
 };
 use cx_sim::TimerQueue;
+use cx_types::codec::WireError;
 use cx_types::{
     ClusterConfig, FileKind, FsOp, InodeNo, Name, OpClass, OpId, OpOutcome, Payload, Placement,
     ProcId, Protocol, ServerId, SimTime,
@@ -95,13 +96,7 @@ type EntryRows = Vec<(u64, u64, u64)>;
 pub(crate) fn snapshot_rows(store: &MetaStore) -> (InodeRows, EntryRows) {
     let inodes = store
         .inodes()
-        .map(|(ino, inode)| {
-            let kind = match inode.kind {
-                FileKind::Regular => 0u8,
-                FileKind::Directory => 1,
-            };
-            (ino.0, kind, inode.nlink)
-        })
+        .map(|(ino, inode)| (ino.0, inode.kind.byte(), inode.nlink))
         .collect();
     let dentries = store
         .dentries()
@@ -110,22 +105,21 @@ pub(crate) fn snapshot_rows(store: &MetaStore) -> (InodeRows, EntryRows) {
     (inodes, dentries)
 }
 
-/// The coordinator's copy of a server's store, from its snapshot.
-pub(crate) fn rebuild_store(inodes: InodeRows, dentries: EntryRows) -> MetaStore {
+/// The coordinator's copy of a server's store, from its snapshot; a row
+/// whose kind byte is no [`FileKind`] is an error, not a guess.
+pub(crate) fn rebuild_store(
+    inodes: InodeRows,
+    dentries: EntryRows,
+) -> Result<MetaStore, WireError> {
     let mut store = MetaStore::new();
     store.reserve_rows(inodes.len(), dentries.len());
     for (ino, kind, nlink) in inodes {
-        let kind = if kind == 1 {
-            FileKind::Directory
-        } else {
-            FileKind::Regular
-        };
-        store.seed_inode(InodeNo(ino), kind, nlink);
+        store.seed_inode(InodeNo(ino), FileKind::from_byte(kind)?, nlink);
     }
     for (parent, name, child) in dentries {
         store.seed_dentry(InodeNo(parent), Name(name), InodeNo(child));
     }
-    store
+    Ok(store)
 }
 
 // ---- sending protocol messages ----
@@ -687,6 +681,14 @@ fn slot_issue(ctx: &mut ShepherdCtx, slot: &mut ClientSlot, op: FsOp) {
     let issued_at = ctx.port.now();
     ctx.port.obs.op_issued(op_id, op.class(), cross, issued_at);
     ctx.stats.note_issued(cross);
+    if let Some(reg) = &ctx.registry {
+        // Concurrent atomic bumps from every shepherd; the registry
+        // property test pins that these merge exactly.
+        reg.inc(Counter::OpsIssued);
+        if cross {
+            reg.inc(Counter::CrossOps);
+        }
+    }
     let mut out = Vec::new();
     let client = ClientOp::start(ctx.cfg.protocol, op_id, plan, &ctx.cfg.cx, &mut out);
     let mut timer = None;
@@ -744,16 +746,10 @@ fn slot_finish(ctx: &mut ShepherdCtx, slot: &mut ClientSlot, outcome: OpOutcome)
         .client_latency(active.class, active.cross, latency);
     ctx.stats.note_finished(outcome, active.cross, latency);
     if let Some(reg) = &ctx.registry {
-        // Concurrent atomic bumps from every shepherd; the registry
-        // property test pins that these merge exactly.
-        reg.inc(Counter::OpsIssued);
         reg.inc(match outcome {
             OpOutcome::Applied => Counter::OpsApplied,
             OpOutcome::Failed => Counter::OpsFailed,
         });
-        if active.cross {
-            reg.inc(Counter::CrossOps);
-        }
         reg.observe(Series::ClientLatencyNs, latency);
     }
     if let Some(d) = &ctx.drill {
@@ -1202,7 +1198,12 @@ fn drain_and_stop(
         for (peer, h) in &report.peers {
             state.net_rows.push(peer_row(&on, peer, h));
         }
-        state.stores.push(rebuild_store(inodes, dentries));
+        match rebuild_store(inodes, dentries) {
+            Ok(store) => state.stores.push(store),
+            Err(why) => stats.leftovers.push(format!(
+                "{node}: corrupt StopResp store rows ({why}); store left out of the check"
+            )),
+        }
     }
     for node in &awaiting {
         stats.leftovers.push(format!(

@@ -2,9 +2,10 @@
 //!
 //! Three layers, mirroring the classic wire/connection/peer-registry split:
 //!
-//! * [`wire`] — a length-prefixed binary codec for every protocol
-//!   [`cx_types::Payload`] kind plus the runtime control frames
-//!   (handshake, peer gossip, quiesce/probe/stop), and an incremental
+//! * [`wire`] — the length-prefixed frame around every protocol
+//!   [`cx_types::Payload`] kind (whose bytes [`cx_types::codec`] lays
+//!   out) plus the runtime control frames (handshake, peer gossip,
+//!   quiesce/probe/stop), and an incremental
 //!   [`wire::FrameBuffer`] that decodes many coalesced frames per `read`.
 //!   Totally defensive: arbitrary bytes decode to typed
 //!   [`wire::WireError`]s, never panics.

@@ -13,21 +13,20 @@
 //! declaration order ([`Payload::wire_tag`]), tags `240..=246` are the
 //! runtime control plane (handshake, peer gossip, quiesce/probe/stop).
 //!
-//! The decoder is total: arbitrary bytes yield a typed [`WireError`], never
-//! a panic and never an unbounded allocation (every vector length is checked
-//! against the bytes actually remaining in the frame before reserving).
-//! Integers are little-endian throughout; `Option` is a one-byte flag;
-//! vectors are `u32` counts.
+//! This module owns only that envelope and the control frames; every value
+//! inside a body is laid out by [`cx_types::codec`], the one codec the WAL
+//! record and the store snapshot use too. The decoder is total: arbitrary
+//! bytes yield a typed [`WireError`], never a panic and never an unbounded
+//! allocation.
 
 use cx_protocol::Endpoint;
-use cx_types::{
-    FileKind, FsOp, Hint, InodeNo, Name, ObjectId, OpId, OpOutcome, OpPlan, Payload, ProcId, Role,
-    ServerId, SubOp, Verdict,
-};
-use std::fmt;
+use cx_types::codec::{Codec, Reader};
+use cx_types::Payload;
 use std::io::{self, Read, Write};
 
 use crate::NodeId;
+
+pub use cx_types::codec::WireError;
 
 /// Current wire protocol version.
 pub const WIRE_VERSION: u8 = 1;
@@ -87,398 +86,29 @@ pub enum Frame {
     /// of the metadata store for the global consistency check.
     StopResp {
         stats_json: Vec<u8>,
-        /// `(ino, kind, nlink)` rows; kind 0 = regular, 1 = directory.
+        /// `(ino, kind, nlink)` rows; `kind` is [`cx_types::FileKind::byte`].
         inodes: Vec<(u64, u8, u32)>,
         /// `(parent, name, child)` rows.
         dentries: Vec<(u64, u64, u64)>,
     },
 }
 
-/// Typed decode failure. The decoder returns these for any malformed input;
-/// it never panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// Input ended before the announced frame/field length.
-    Truncated,
-    /// Version byte differs from [`WIRE_VERSION`].
-    BadVersion(u8),
-    /// Frame tag is neither a payload tag nor a control tag.
-    UnknownTag(u8),
-    /// Length prefix exceeds [`MAX_FRAME_LEN`].
-    Oversized(u32),
-    /// A vector/string count is impossible for the bytes remaining.
-    BadLength,
-    /// An enum discriminant byte is out of range for `what`.
-    UnknownEnum { what: &'static str, value: u8 },
-    /// Frame body has leftover bytes after a complete decode.
-    Trailing(usize),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "truncated frame"),
-            WireError::BadVersion(v) => {
-                write!(f, "wire version {v} (expected {WIRE_VERSION})")
-            }
-            WireError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
-            WireError::Oversized(n) => {
-                write!(f, "frame length {n} exceeds max {MAX_FRAME_LEN}")
-            }
-            WireError::BadLength => write!(f, "impossible collection length"),
-            WireError::UnknownEnum { what, value } => {
-                write!(f, "unknown {what} discriminant {value}")
-            }
-            WireError::Trailing(n) => write!(f, "{n} trailing bytes after frame body"),
+impl Codec for NodeId {
+    const MIN_BYTES: usize = 5;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            NodeId::Server(s) => (0u8, s).encode(out),
+            NodeId::ClientHost(c) => (1u8, c).encode(out),
         }
     }
-}
-
-impl std::error::Error for WireError {}
-
-// ---------------------------------------------------------------- encoding
-
-struct Enc<'a> {
-    out: &'a mut Vec<u8>,
-}
-
-impl Enc<'_> {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn len(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize);
-        self.u32(n as u32);
-    }
-
-    fn op_id(&mut self, id: OpId) {
-        self.u32(id.proc.client.0);
-        self.u32(id.proc.process.0);
-        self.u64(id.seq);
-    }
-    fn op_ids(&mut self, ids: &[OpId]) {
-        self.len(ids.len());
-        for &id in ids {
-            self.op_id(id);
-        }
-    }
-    fn verdict(&mut self, v: Verdict) {
-        self.u8(v.is_yes() as u8);
-    }
-    fn role(&mut self, r: Role) {
-        self.u8(match r {
-            Role::Coordinator => 0,
-            Role::Participant => 1,
-        });
-    }
-    fn file_kind(&mut self, k: FileKind) {
-        self.u8(match k {
-            FileKind::Regular => 0,
-            FileKind::Directory => 1,
-        });
-    }
-    fn outcome(&mut self, o: OpOutcome) {
-        self.u8(match o {
-            OpOutcome::Applied => 0,
-            OpOutcome::Failed => 1,
-        });
-    }
-    fn object_id(&mut self, o: ObjectId) {
-        match o {
-            ObjectId::Inode(ino) => {
-                self.u8(0);
-                self.u64(ino.0);
-            }
-            ObjectId::Dentry(dir, name) => {
-                self.u8(1);
-                self.u64(dir.0);
-                self.u64(name.0);
-            }
-        }
-    }
-    fn subop(&mut self, s: SubOp) {
-        match s {
-            SubOp::InsertEntry {
-                parent,
-                name,
-                child,
-                kind,
-            } => {
-                self.u8(0);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(child.0);
-                self.file_kind(kind);
-            }
-            SubOp::RemoveEntry {
-                parent,
-                name,
-                child,
-            } => {
-                self.u8(1);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(child.0);
-            }
-            SubOp::CreateInode { ino, kind } => {
-                self.u8(2);
-                self.u64(ino.0);
-                self.file_kind(kind);
-            }
-            SubOp::ReleaseInode { ino } => {
-                self.u8(3);
-                self.u64(ino.0);
-            }
-            SubOp::IncNlink { ino } => {
-                self.u8(4);
-                self.u64(ino.0);
-            }
-            SubOp::DecNlink { ino } => {
-                self.u8(5);
-                self.u64(ino.0);
-            }
-            SubOp::ReadInode { ino } => {
-                self.u8(6);
-                self.u64(ino.0);
-            }
-            SubOp::ReadEntry { parent, name } => {
-                self.u8(7);
-                self.u64(parent.0);
-                self.u64(name.0);
-            }
-            SubOp::ReadDir { dir } => {
-                self.u8(8);
-                self.u64(dir.0);
-            }
-            SubOp::TouchInode { ino } => {
-                self.u8(9);
-                self.u64(ino.0);
-            }
-        }
-    }
-    fn opt_subop(&mut self, s: &Option<SubOp>) {
-        match s {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.subop(*s);
-            }
-        }
-    }
-    fn fs_op(&mut self, op: FsOp) {
-        match op {
-            FsOp::Create { parent, name, ino } => {
-                self.u8(0);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(ino.0);
-            }
-            FsOp::Remove { parent, name, ino } => {
-                self.u8(1);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(ino.0);
-            }
-            FsOp::Mkdir { parent, name, ino } => {
-                self.u8(2);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(ino.0);
-            }
-            FsOp::Rmdir { parent, name, ino } => {
-                self.u8(3);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(ino.0);
-            }
-            FsOp::Link {
-                parent,
-                name,
-                target,
-            } => {
-                self.u8(4);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(target.0);
-            }
-            FsOp::Unlink {
-                parent,
-                name,
-                target,
-            } => {
-                self.u8(5);
-                self.u64(parent.0);
-                self.u64(name.0);
-                self.u64(target.0);
-            }
-            FsOp::Stat { ino } => {
-                self.u8(6);
-                self.u64(ino.0);
-            }
-            FsOp::Lookup { parent, name } => {
-                self.u8(7);
-                self.u64(parent.0);
-                self.u64(name.0);
-            }
-            FsOp::Getattr { ino } => {
-                self.u8(8);
-                self.u64(ino.0);
-            }
-            FsOp::Setattr { ino } => {
-                self.u8(9);
-                self.u64(ino.0);
-            }
-            FsOp::Readdir { dir } => {
-                self.u8(10);
-                self.u64(dir.0);
-            }
-            FsOp::Access { ino } => {
-                self.u8(11);
-                self.u64(ino.0);
-            }
-        }
-    }
-    fn plan(&mut self, p: &OpPlan) {
-        self.fs_op(p.op);
-        self.u32(p.coordinator.0);
-        self.subop(p.coord_subop);
-        match p.participant {
-            None => self.u8(0),
-            Some((sid, s)) => {
-                self.u8(1);
-                self.u32(sid.0);
-                self.subop(s);
-            }
-        }
-        self.opt_subop(&p.colocated);
-    }
-    fn endpoint(&mut self, e: Endpoint) {
-        match e {
-            Endpoint::Proc(p) => {
-                self.u8(0);
-                self.u32(p.client.0);
-                self.u32(p.process.0);
-            }
-            Endpoint::Server(s) => {
-                self.u8(1);
-                self.u32(s.0);
-            }
-        }
-    }
-    fn node_id(&mut self, n: NodeId) {
-        match n {
-            NodeId::Server(s) => {
-                self.u8(0);
-                self.u32(s);
-            }
-            NodeId::ClientHost(c) => {
-                self.u8(1);
-                self.u32(c);
-            }
-        }
-    }
-
-    fn payload(&mut self, p: &Payload) {
-        match p {
-            Payload::SubOpReq {
-                op_id,
-                subop,
-                role,
-                peer,
-                colocated,
-            } => {
-                self.op_id(*op_id);
-                self.subop(*subop);
-                self.role(*role);
-                match peer {
-                    None => self.u8(0),
-                    Some(s) => {
-                        self.u8(1);
-                        self.u32(s.0);
-                    }
-                }
-                self.opt_subop(colocated);
-            }
-            Payload::SubOpResp {
-                op_id,
-                verdict,
-                hint,
-            } => {
-                self.op_id(*op_id);
-                self.verdict(*verdict);
-                self.op_ids(&hint.0);
-            }
-            Payload::LCom { op_id }
-            | Payload::AllNo { op_id }
-            | Payload::Committed { op_id }
-            | Payload::ClearResp { op_id } => self.op_id(*op_id),
-            Payload::Vote { ops, order_after } => {
-                self.op_ids(ops);
-                self.op_ids(order_after);
-            }
-            Payload::VoteResult { results } => {
-                self.len(results.len());
-                for (id, v) in results {
-                    self.op_id(*id);
-                    self.verdict(*v);
-                }
-            }
-            Payload::CommitDecision { commits, aborts } => {
-                self.op_ids(commits);
-                self.op_ids(aborts);
-            }
-            Payload::Ack { ops } | Payload::QueryOutcome { ops } => self.op_ids(ops),
-            Payload::CommitmentReq { pending, sweep } => {
-                self.op_id(*pending);
-                self.bool(*sweep);
-            }
-            Payload::OpReq { op_id, plan } => {
-                self.op_id(*op_id);
-                self.plan(plan);
-            }
-            Payload::OpResp { op_id, outcome } => {
-                self.op_id(*op_id);
-                self.outcome(*outcome);
-            }
-            Payload::VoteExec { op_id, subop } | Payload::Clear { op_id, subop } => {
-                self.op_id(*op_id);
-                self.subop(*subop);
-            }
-            Payload::Migrate { op_id, objs } | Payload::MigrateResp { op_id, objs } => {
-                self.op_id(*op_id);
-                self.len(objs.len());
-                for &o in objs {
-                    self.object_id(o);
-                }
-            }
-            Payload::MigrateBack {
-                op_id,
-                objs,
-                install,
-            } => {
-                self.op_id(*op_id);
-                self.len(objs.len());
-                for &o in objs {
-                    self.object_id(o);
-                }
-                self.opt_subop(install);
-            }
-            Payload::MigrateBackAck { op_id, verdict } => {
-                self.op_id(*op_id);
-                self.verdict(*verdict);
-            }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get::<u8>()? {
+            0 => Ok(NodeId::Server(r.get()?)),
+            1 => Ok(NodeId::ClientHost(r.get()?)),
+            value => Err(WireError::UnknownEnum {
+                what: "node id",
+                value,
+            }),
         }
     }
 }
@@ -487,8 +117,7 @@ impl Enc<'_> {
 pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
     let len_at = buf.len();
     buf.extend_from_slice(&[0u8; 4]); // patched below
-    let mut e = Enc { out: buf };
-    e.u8(WIRE_VERSION);
+    buf.push(WIRE_VERSION);
     match frame {
         Frame::Msg {
             sent_ns,
@@ -496,67 +125,32 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
             to,
             payload,
         } => {
-            e.u8(payload.wire_tag());
-            e.u64(*sent_ns);
-            e.endpoint(*from);
-            e.endpoint(*to);
-            e.payload(payload);
+            (payload.wire_tag(), *sent_ns, *from, *to).encode(buf);
+            payload.encode_fields(buf);
         }
-        Frame::Hello { node, listen_port } => {
-            e.u8(TAG_HELLO);
-            e.node_id(*node);
-            e.u16(*listen_port);
-        }
+        Frame::Hello { node, listen_port } => (TAG_HELLO, *node, *listen_port).encode(buf),
         Frame::Peers { servers } => {
-            e.u8(TAG_PEERS);
-            e.len(servers.len());
-            for (sid, addr) in servers {
-                e.u32(*sid);
-                let bytes = addr.as_bytes();
-                debug_assert!(bytes.len() <= u16::MAX as usize);
-                e.u16(bytes.len() as u16);
-                e.out.extend_from_slice(bytes);
-            }
+            buf.push(TAG_PEERS);
+            servers.encode(buf);
         }
-        Frame::Quiesce => e.u8(TAG_QUIESCE),
-        Frame::Probe { token, t0_ns } => {
-            e.u8(TAG_PROBE);
-            e.u64(*token);
-            e.u64(*t0_ns);
-        }
+        Frame::Quiesce => buf.push(TAG_QUIESCE),
+        Frame::Probe { token, t0_ns } => (TAG_PROBE, *token, *t0_ns).encode(buf),
         Frame::ProbeResp {
             token,
             quiesced,
             echo_t0_ns,
             remote_ns,
-        } => {
-            e.u8(TAG_PROBE_RESP);
-            e.u64(*token);
-            e.bool(*quiesced);
-            e.u64(*echo_t0_ns);
-            e.u64(*remote_ns);
-        }
-        Frame::Stop => e.u8(TAG_STOP),
+        } => (TAG_PROBE_RESP, *token, *quiesced, *echo_t0_ns, *remote_ns).encode(buf),
+        Frame::Stop => buf.push(TAG_STOP),
         Frame::StopResp {
             stats_json,
             inodes,
             dentries,
         } => {
-            e.u8(TAG_STOP_RESP);
-            e.len(stats_json.len());
-            e.out.extend_from_slice(stats_json);
-            e.len(inodes.len());
-            for &(ino, kind, nlink) in inodes {
-                e.u64(ino);
-                e.u8(kind);
-                e.u32(nlink);
-            }
-            e.len(dentries.len());
-            for &(parent, name, child) in dentries {
-                e.u64(parent);
-                e.u64(name);
-                e.u64(child);
-            }
+            buf.push(TAG_STOP_RESP);
+            stats_json.encode(buf);
+            inodes.encode(buf);
+            dentries.encode(buf);
         }
     }
     let body_len = (buf.len() - len_at - 4) as u32;
@@ -570,462 +164,46 @@ pub fn encode_to_vec(frame: &Frame) -> Vec<u8> {
     buf
 }
 
-// ---------------------------------------------------------------- decoding
-
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            value => Err(WireError::UnknownEnum {
-                what: "bool",
-                value,
-            }),
-        }
-    }
-    /// Collection count, validated against the bytes actually remaining
-    /// (each element needs at least `min_elem` bytes) so a hostile count
-    /// can never cause an oversized allocation.
-    fn count(&mut self, min_elem: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() / min_elem.max(1) {
-            return Err(WireError::BadLength);
-        }
-        Ok(n)
-    }
-
-    fn op_id(&mut self) -> Result<OpId, WireError> {
-        let client = self.u32()?;
-        let process = self.u32()?;
-        let seq = self.u64()?;
-        Ok(OpId::new(ProcId::new(client, process), seq))
-    }
-    fn op_ids(&mut self) -> Result<Vec<OpId>, WireError> {
-        let n = self.count(16)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.op_id()?);
-        }
-        Ok(v)
-    }
-    fn verdict(&mut self) -> Result<Verdict, WireError> {
-        match self.u8()? {
-            0 => Ok(Verdict::No),
-            1 => Ok(Verdict::Yes),
-            value => Err(WireError::UnknownEnum {
-                what: "verdict",
-                value,
-            }),
-        }
-    }
-    fn role(&mut self) -> Result<Role, WireError> {
-        match self.u8()? {
-            0 => Ok(Role::Coordinator),
-            1 => Ok(Role::Participant),
-            value => Err(WireError::UnknownEnum {
-                what: "role",
-                value,
-            }),
-        }
-    }
-    fn file_kind(&mut self) -> Result<FileKind, WireError> {
-        match self.u8()? {
-            0 => Ok(FileKind::Regular),
-            1 => Ok(FileKind::Directory),
-            value => Err(WireError::UnknownEnum {
-                what: "file kind",
-                value,
-            }),
-        }
-    }
-    fn outcome(&mut self) -> Result<OpOutcome, WireError> {
-        match self.u8()? {
-            0 => Ok(OpOutcome::Applied),
-            1 => Ok(OpOutcome::Failed),
-            value => Err(WireError::UnknownEnum {
-                what: "op outcome",
-                value,
-            }),
-        }
-    }
-    fn object_id(&mut self) -> Result<ObjectId, WireError> {
-        match self.u8()? {
-            0 => Ok(ObjectId::Inode(InodeNo(self.u64()?))),
-            1 => Ok(ObjectId::Dentry(InodeNo(self.u64()?), Name(self.u64()?))),
-            value => Err(WireError::UnknownEnum {
-                what: "object id",
-                value,
-            }),
-        }
-    }
-    fn object_ids(&mut self) -> Result<Vec<ObjectId>, WireError> {
-        let n = self.count(9)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.object_id()?);
-        }
-        Ok(v)
-    }
-    fn subop(&mut self) -> Result<SubOp, WireError> {
-        Ok(match self.u8()? {
-            0 => SubOp::InsertEntry {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                child: InodeNo(self.u64()?),
-                kind: self.file_kind()?,
-            },
-            1 => SubOp::RemoveEntry {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                child: InodeNo(self.u64()?),
-            },
-            2 => SubOp::CreateInode {
-                ino: InodeNo(self.u64()?),
-                kind: self.file_kind()?,
-            },
-            3 => SubOp::ReleaseInode {
-                ino: InodeNo(self.u64()?),
-            },
-            4 => SubOp::IncNlink {
-                ino: InodeNo(self.u64()?),
-            },
-            5 => SubOp::DecNlink {
-                ino: InodeNo(self.u64()?),
-            },
-            6 => SubOp::ReadInode {
-                ino: InodeNo(self.u64()?),
-            },
-            7 => SubOp::ReadEntry {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-            },
-            8 => SubOp::ReadDir {
-                dir: InodeNo(self.u64()?),
-            },
-            9 => SubOp::TouchInode {
-                ino: InodeNo(self.u64()?),
-            },
-            value => {
-                return Err(WireError::UnknownEnum {
-                    what: "sub-op",
-                    value,
-                })
-            }
-        })
-    }
-    fn opt_subop(&mut self) -> Result<Option<SubOp>, WireError> {
-        Ok(if self.bool()? {
-            Some(self.subop()?)
-        } else {
-            None
-        })
-    }
-    fn fs_op(&mut self) -> Result<FsOp, WireError> {
-        Ok(match self.u8()? {
-            0 => FsOp::Create {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                ino: InodeNo(self.u64()?),
-            },
-            1 => FsOp::Remove {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                ino: InodeNo(self.u64()?),
-            },
-            2 => FsOp::Mkdir {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                ino: InodeNo(self.u64()?),
-            },
-            3 => FsOp::Rmdir {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                ino: InodeNo(self.u64()?),
-            },
-            4 => FsOp::Link {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                target: InodeNo(self.u64()?),
-            },
-            5 => FsOp::Unlink {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-                target: InodeNo(self.u64()?),
-            },
-            6 => FsOp::Stat {
-                ino: InodeNo(self.u64()?),
-            },
-            7 => FsOp::Lookup {
-                parent: InodeNo(self.u64()?),
-                name: Name(self.u64()?),
-            },
-            8 => FsOp::Getattr {
-                ino: InodeNo(self.u64()?),
-            },
-            9 => FsOp::Setattr {
-                ino: InodeNo(self.u64()?),
-            },
-            10 => FsOp::Readdir {
-                dir: InodeNo(self.u64()?),
-            },
-            11 => FsOp::Access {
-                ino: InodeNo(self.u64()?),
-            },
-            value => {
-                return Err(WireError::UnknownEnum {
-                    what: "fs op",
-                    value,
-                })
-            }
-        })
-    }
-    fn plan(&mut self) -> Result<OpPlan, WireError> {
-        let op = self.fs_op()?;
-        let coordinator = ServerId(self.u32()?);
-        let coord_subop = self.subop()?;
-        let participant = if self.bool()? {
-            Some((ServerId(self.u32()?), self.subop()?))
-        } else {
-            None
-        };
-        let colocated = self.opt_subop()?;
-        Ok(OpPlan {
-            op,
-            coordinator,
-            coord_subop,
-            participant,
-            colocated,
-        })
-    }
-    fn endpoint(&mut self) -> Result<Endpoint, WireError> {
-        match self.u8()? {
-            0 => {
-                let client = self.u32()?;
-                let process = self.u32()?;
-                Ok(Endpoint::Proc(ProcId::new(client, process)))
-            }
-            1 => Ok(Endpoint::Server(ServerId(self.u32()?))),
-            value => Err(WireError::UnknownEnum {
-                what: "endpoint",
-                value,
-            }),
-        }
-    }
-    fn node_id(&mut self) -> Result<NodeId, WireError> {
-        match self.u8()? {
-            0 => Ok(NodeId::Server(self.u32()?)),
-            1 => Ok(NodeId::ClientHost(self.u32()?)),
-            value => Err(WireError::UnknownEnum {
-                what: "node id",
-                value,
-            }),
-        }
-    }
-
-    fn payload(&mut self, tag: u8) -> Result<Payload, WireError> {
-        Ok(match tag {
-            0 => Payload::SubOpReq {
-                op_id: self.op_id()?,
-                subop: self.subop()?,
-                role: self.role()?,
-                peer: if self.bool()? {
-                    Some(ServerId(self.u32()?))
-                } else {
-                    None
-                },
-                colocated: self.opt_subop()?,
-            },
-            1 => Payload::SubOpResp {
-                op_id: self.op_id()?,
-                verdict: self.verdict()?,
-                hint: Hint(self.op_ids()?),
-            },
-            2 => Payload::LCom {
-                op_id: self.op_id()?,
-            },
-            3 => Payload::AllNo {
-                op_id: self.op_id()?,
-            },
-            4 => Payload::Committed {
-                op_id: self.op_id()?,
-            },
-            5 => Payload::Vote {
-                ops: self.op_ids()?,
-                order_after: self.op_ids()?,
-            },
-            6 => {
-                let n = self.count(17)?;
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = self.op_id()?;
-                    let v = self.verdict()?;
-                    results.push((id, v));
-                }
-                Payload::VoteResult { results }
-            }
-            7 => Payload::CommitDecision {
-                commits: self.op_ids()?,
-                aborts: self.op_ids()?,
-            },
-            8 => Payload::Ack {
-                ops: self.op_ids()?,
-            },
-            9 => Payload::CommitmentReq {
-                pending: self.op_id()?,
-                sweep: self.bool()?,
-            },
-            10 => Payload::QueryOutcome {
-                ops: self.op_ids()?,
-            },
-            11 => Payload::OpReq {
-                op_id: self.op_id()?,
-                plan: self.plan()?,
-            },
-            12 => Payload::OpResp {
-                op_id: self.op_id()?,
-                outcome: self.outcome()?,
-            },
-            13 => Payload::VoteExec {
-                op_id: self.op_id()?,
-                subop: self.subop()?,
-            },
-            14 => Payload::Clear {
-                op_id: self.op_id()?,
-                subop: self.subop()?,
-            },
-            15 => Payload::ClearResp {
-                op_id: self.op_id()?,
-            },
-            16 => Payload::Migrate {
-                op_id: self.op_id()?,
-                objs: self.object_ids()?,
-            },
-            17 => Payload::MigrateResp {
-                op_id: self.op_id()?,
-                objs: self.object_ids()?,
-            },
-            18 => Payload::MigrateBack {
-                op_id: self.op_id()?,
-                objs: self.object_ids()?,
-                install: self.opt_subop()?,
-            },
-            19 => Payload::MigrateBackAck {
-                op_id: self.op_id()?,
-                verdict: self.verdict()?,
-            },
-            _ => return Err(WireError::UnknownTag(tag)),
-        })
-    }
-}
-
 /// Decode the post-prefix body (version + tag + fields) of one frame.
 fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cur { b: body, pos: 0 };
-    let version = c.u8()?;
+    let mut r = Reader::new(body);
+    let version = r.get()?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let tag = c.u8()?;
-    let frame = match tag {
-        t if t < Payload::WIRE_TAG_COUNT => {
-            let sent_ns = c.u64()?;
-            let from = c.endpoint()?;
-            let to = c.endpoint()?;
-            let payload = c.payload(t)?;
-            Frame::Msg {
-                sent_ns,
-                from,
-                to,
-                payload,
-            }
-        }
-        TAG_HELLO => Frame::Hello {
-            node: c.node_id()?,
-            listen_port: c.u16()?,
+    let frame = match r.get()? {
+        tag if tag < Payload::WIRE_TAG_COUNT => Frame::Msg {
+            sent_ns: r.get()?,
+            from: r.get()?,
+            to: r.get()?,
+            payload: Payload::decode_fields(tag, &mut r)?,
         },
-        TAG_PEERS => {
-            let n = c.count(6)?; // u32 id + u16 addr length minimum
-            let mut servers = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sid = c.u32()?;
-                let alen = c.u16()? as usize;
-                let bytes = c.take(alen)?;
-                let addr = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::BadLength)?
-                    .to_owned();
-                servers.push((sid, addr));
-            }
-            Frame::Peers { servers }
-        }
+        TAG_HELLO => Frame::Hello {
+            node: r.get()?,
+            listen_port: r.get()?,
+        },
+        TAG_PEERS => Frame::Peers { servers: r.get()? },
         TAG_QUIESCE => Frame::Quiesce,
         TAG_PROBE => Frame::Probe {
-            token: c.u64()?,
-            t0_ns: c.u64()?,
+            token: r.get()?,
+            t0_ns: r.get()?,
         },
         TAG_PROBE_RESP => Frame::ProbeResp {
-            token: c.u64()?,
-            quiesced: c.bool()?,
-            echo_t0_ns: c.u64()?,
-            remote_ns: c.u64()?,
+            token: r.get()?,
+            quiesced: r.get()?,
+            echo_t0_ns: r.get()?,
+            remote_ns: r.get()?,
         },
         TAG_STOP => Frame::Stop,
-        TAG_STOP_RESP => {
-            let jlen = c.count(1)?;
-            let stats_json = c.take(jlen)?.to_vec();
-            let ni = c.count(13)?;
-            let mut inodes = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                let ino = c.u64()?;
-                let kind = c.u8()?;
-                let nlink = c.u32()?;
-                inodes.push((ino, kind, nlink));
-            }
-            let nd = c.count(24)?;
-            let mut dentries = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                let parent = c.u64()?;
-                let name = c.u64()?;
-                let child = c.u64()?;
-                dentries.push((parent, name, child));
-            }
-            Frame::StopResp {
-                stats_json,
-                inodes,
-                dentries,
-            }
-        }
+        TAG_STOP_RESP => Frame::StopResp {
+            stats_json: r.get()?,
+            inodes: r.get()?,
+            dentries: r.get()?,
+        },
         t => return Err(WireError::UnknownTag(t)),
     };
-    if c.remaining() != 0 {
-        return Err(WireError::Trailing(c.remaining()));
+    if r.remaining() != 0 {
+        return Err(WireError::Trailing(r.remaining()));
     }
     Ok(frame)
 }
@@ -1033,10 +211,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
 /// Decode one frame from the front of `bytes`. Returns the frame and the
 /// total number of bytes consumed (length prefix included).
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
-    if bytes.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+    let len: u32 = Reader::new(bytes).get()?;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversized(len));
     }
@@ -1206,6 +381,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cx_types::ServerId;
 
     fn roundtrip(f: Frame) {
         let bytes = encode_to_vec(&f);

@@ -34,11 +34,6 @@ pub enum FlightEvent {
         op: OpId,
         applied: bool,
     },
-    Phase {
-        op: OpId,
-        phase: Phase,
-        server: u32,
-    },
     Crash {
         server: u32,
     },
@@ -175,9 +170,6 @@ impl FlightRecorder {
                             format!("replied {op} {}", if applied { "ok" } else { "failed" }),
                             "t",
                         ),
-                        FlightEvent::Phase { op, phase, server } => {
-                            (format!("{phase:?} {op} @s{server}"), "t")
-                        }
                         FlightEvent::Crash { server } => (format!("CRASH s{server}"), "g"),
                         FlightEvent::Recovered { server } => (format!("RECOVERED s{server}"), "g"),
                         FlightEvent::Stuck { op, phase } => {
@@ -186,9 +178,7 @@ impl FlightRecorder {
                         FlightEvent::Msg { .. } => unreachable!(),
                     };
                     let tid = match other {
-                        FlightEvent::Phase { server, .. }
-                        | FlightEvent::Crash { server }
-                        | FlightEvent::Recovered { server } => server,
+                        FlightEvent::Crash { server } | FlightEvent::Recovered { server } => server,
                         _ => 0,
                     };
                     ev.push(format!(

@@ -100,7 +100,7 @@ impl ObsReport {
         }
         Self {
             protocol: rec.protocol.clone(),
-            ops_issued: rec.client_all.count,
+            ops_issued: rec.ops_issued(),
             client_all: rec.client_all.clone(),
             client_cross: rec.client_cross.clone(),
             client_local: rec.client_local.clone(),

@@ -390,6 +390,11 @@ impl Recorder {
         crate::blame::BlameTable::from_spans(&self.protocol, &self.spans(), &self.edges)
     }
 
+    /// Ops whose issue this recorder saw, replied to or not.
+    pub fn ops_issued(&self) -> u64 {
+        self.issued_seen
+    }
+
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
     }

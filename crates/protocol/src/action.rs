@@ -4,6 +4,7 @@ use crate::stats::{ProtoMetrics, ServerStats};
 use cx_mdstore::MetaStore;
 use cx_obs::{EngineGauges, ObsSink};
 use cx_simio::DiskReq;
+use cx_types::codec::{Codec, Reader, WireError};
 use cx_types::{Payload, ProcId, ServerId, SimTime};
 use cx_wal::Wal;
 
@@ -14,6 +15,26 @@ pub enum Endpoint {
     Proc(ProcId),
     /// A metadata server.
     Server(ServerId),
+}
+
+impl Codec for Endpoint {
+    const MIN_BYTES: usize = 5;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            Endpoint::Proc(p) => (0u8, p).encode(out),
+            Endpoint::Server(s) => (1u8, s).encode(out),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get::<u8>()? {
+            0 => Ok(Endpoint::Proc(r.get()?)),
+            1 => Ok(Endpoint::Server(r.get()?)),
+            value => Err(WireError::UnknownEnum {
+                what: "endpoint",
+                value,
+            }),
+        }
+    }
 }
 
 /// What an engine asks its runtime to do.

@@ -14,10 +14,13 @@
 //!   coordinator/participant sub-operations.
 //! * [`Payload`] — the message vocabulary of Table III plus the messages used
 //!   by the baseline protocols (SE, 2PC, CE).
+//! * [`codec`] — the one byte layout of these values, shared by the wire
+//!   frame, the log record and the store snapshot.
 //! * [`Placement`] — OrangeFS-style namespace placement: a directory entry is
 //!   assigned to a server by its name hash and a file's inode is placed
 //!   (pseudo-randomly) on a server of the cluster (§IV-A).
 
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod fxhash;

@@ -307,38 +307,6 @@ impl Payload {
         }
     }
 
-    /// Stable wire tag for the TCP codec (`cx-net`): declaration order of
-    /// the `Payload` variants, 0..=19. Unlike [`Payload::kind`], this is a
-    /// bijection — `CommitDecision` and `VoteExec` keep their own tags so
-    /// the decoder can reconstruct the exact variant.
-    pub fn wire_tag(&self) -> u8 {
-        match self {
-            Payload::SubOpReq { .. } => 0,
-            Payload::SubOpResp { .. } => 1,
-            Payload::LCom { .. } => 2,
-            Payload::AllNo { .. } => 3,
-            Payload::Committed { .. } => 4,
-            Payload::Vote { .. } => 5,
-            Payload::VoteResult { .. } => 6,
-            Payload::CommitDecision { .. } => 7,
-            Payload::Ack { .. } => 8,
-            Payload::CommitmentReq { .. } => 9,
-            Payload::QueryOutcome { .. } => 10,
-            Payload::OpReq { .. } => 11,
-            Payload::OpResp { .. } => 12,
-            Payload::VoteExec { .. } => 13,
-            Payload::Clear { .. } => 14,
-            Payload::ClearResp { .. } => 15,
-            Payload::Migrate { .. } => 16,
-            Payload::MigrateResp { .. } => 17,
-            Payload::MigrateBack { .. } => 18,
-            Payload::MigrateBackAck { .. } => 19,
-        }
-    }
-
-    /// Number of distinct wire tags (= number of `Payload` variants).
-    pub const WIRE_TAG_COUNT: u8 = 20;
-
     /// Approximate wire size in bytes (header + payload), used by the
     /// network model for transfer-time accounting.
     pub fn size_bytes(&self) -> u32 {

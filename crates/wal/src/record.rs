@@ -3,10 +3,11 @@
 //! Records are encoded to real bytes (with the updated-object images of a
 //! Result-Record represented as zero padding of the right length) so that
 //! log sizes, the Figure 7(b) valid-record curve, and the recovery scan of
-//! Table V all operate on realistic volumes.
+//! Table V all operate on realistic volumes. The values inside a record
+//! are laid out by [`cx_types::codec`], the codec the wire frame uses too.
 
-use cx_types::ids::{ClientId, ProcessId};
-use cx_types::{FileKind, InodeNo, Name, OpId, ProcId, Role, ServerId, SubOp, Verdict};
+use cx_types::codec::{encode_padded, Codec, Reader, WireError};
+use cx_types::{OpId, Role, ServerId, SubOp, Verdict};
 use serde::{Deserialize, Serialize};
 
 /// Commit/abort decision for one operation.
@@ -89,9 +90,10 @@ impl Record {
     pub fn encoded_len(&self) -> u64 {
         match self {
             Record::Result { subop, .. } => {
-                // tag + op_id(16) + role + peer(5) + verdict + invalidated
-                // + subop tag/fields (34) + image length (4) + image
-                1 + 16 + 1 + 5 + 1 + 1 + 34 + 4 + subop.write_bytes() as u64
+                // tag + op_id(16) + role + peer slot + sub-op slot + verdict
+                // + invalidated + image length (4) + image
+                (1 + 16 + 1 + PEER_SLOT + SUBOP_SLOT + 1 + 1 + 4) as u64
+                    + subop.write_bytes() as u64
             }
             _ => 1 + 16,
         }
@@ -103,213 +105,16 @@ const TAG_COMMIT: u8 = 2;
 const TAG_ABORT: u8 = 3;
 const TAG_COMPLETE: u8 = 4;
 
-fn put_op_id(buf: &mut Vec<u8>, id: OpId) {
-    buf.extend_from_slice(&id.proc.client.0.to_be_bytes());
-    buf.extend_from_slice(&id.proc.process.0.to_be_bytes());
-    buf.extend_from_slice(&id.seq.to_be_bytes());
-}
+/// A Result record's peer and sub-op sit in fixed, zero-padded slots: the
+/// log-volume model charges 5 and 34 bytes for them whatever their values
+/// (the shared encoding takes 1–5 and 9–26).
+const PEER_SLOT: usize = 5;
+const SUBOP_SLOT: usize = 34;
 
-/// Split `N` bytes off the front of `buf`. Every caller length-checks its
-/// fixed-size field group first, so a short buffer here is a codec bug.
-fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
-    let (head, rest) = buf.split_first_chunk().expect("length-checked");
-    *buf = rest;
-    *head
-}
-
-fn get_op_id(buf: &mut &[u8]) -> OpId {
-    let client = u32::from_be_bytes(take(buf));
-    let process = u32::from_be_bytes(take(buf));
-    let seq = u64::from_be_bytes(take(buf));
-    OpId::new(
-        ProcId {
-            client: ClientId(client),
-            process: ProcessId(process),
-        },
-        seq,
-    )
-}
-
-fn put_subop(buf: &mut Vec<u8>, s: &SubOp) {
-    // fixed 34 bytes: tag + kindish byte + four u64 slots
-    let (tag, a, b, c, k): (u8, u64, u64, u64, u8) = match *s {
-        SubOp::InsertEntry {
-            parent,
-            name,
-            child,
-            kind,
-        } => (1, parent.0, name.0, child.0, kind_byte(kind)),
-        SubOp::RemoveEntry {
-            parent,
-            name,
-            child,
-        } => (2, parent.0, name.0, child.0, 0),
-        SubOp::CreateInode { ino, kind } => (3, ino.0, 0, 0, kind_byte(kind)),
-        SubOp::ReleaseInode { ino } => (4, ino.0, 0, 0, 0),
-        SubOp::IncNlink { ino } => (5, ino.0, 0, 0, 0),
-        SubOp::DecNlink { ino } => (6, ino.0, 0, 0, 0),
-        SubOp::ReadInode { ino } => (7, ino.0, 0, 0, 0),
-        SubOp::ReadEntry { parent, name } => (8, parent.0, name.0, 0, 0),
-        SubOp::ReadDir { dir } => (9, dir.0, 0, 0, 0),
-        SubOp::TouchInode { ino } => (10, ino.0, 0, 0, 0),
-    };
-    buf.push(tag);
-    buf.push(k);
-    buf.extend_from_slice(&a.to_be_bytes());
-    buf.extend_from_slice(&b.to_be_bytes());
-    buf.extend_from_slice(&c.to_be_bytes());
-    buf.extend_from_slice(&0u64.to_be_bytes()); // reserved
-}
-
-fn kind_byte(k: FileKind) -> u8 {
-    match k {
-        FileKind::Regular => 0,
-        FileKind::Directory => 1,
-    }
-}
-
-fn byte_kind(b: u8) -> FileKind {
-    if b == 0 {
-        FileKind::Regular
-    } else {
-        FileKind::Directory
-    }
-}
-
-const SUBOP_BYTES: usize = 34;
-
-fn get_subop(buf: &mut &[u8]) -> Result<SubOp, String> {
-    if buf.len() < SUBOP_BYTES {
-        return Err("truncated sub-op".into());
-    }
-    let [tag] = take(buf);
-    let [k] = take(buf);
-    let a = u64::from_be_bytes(take(buf));
-    let b = u64::from_be_bytes(take(buf));
-    let c = u64::from_be_bytes(take(buf));
-    let _reserved: [u8; 8] = take(buf);
-    Ok(match tag {
-        1 => SubOp::InsertEntry {
-            parent: InodeNo(a),
-            name: Name(b),
-            child: InodeNo(c),
-            kind: byte_kind(k),
-        },
-        2 => SubOp::RemoveEntry {
-            parent: InodeNo(a),
-            name: Name(b),
-            child: InodeNo(c),
-        },
-        3 => SubOp::CreateInode {
-            ino: InodeNo(a),
-            kind: byte_kind(k),
-        },
-        4 => SubOp::ReleaseInode { ino: InodeNo(a) },
-        5 => SubOp::IncNlink { ino: InodeNo(a) },
-        6 => SubOp::DecNlink { ino: InodeNo(a) },
-        7 => SubOp::ReadInode { ino: InodeNo(a) },
-        8 => SubOp::ReadEntry {
-            parent: InodeNo(a),
-            name: Name(b),
-        },
-        9 => SubOp::ReadDir { dir: InodeNo(a) },
-        10 => SubOp::TouchInode { ino: InodeNo(a) },
-        t => return Err(format!("bad sub-op tag {t}")),
-    })
-}
-
-/// Append the record's encoding to `buf`.
-pub fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
-    match rec {
-        Record::Result {
-            op_id,
-            role,
-            peer,
-            subop,
-            verdict,
-            invalidated,
-        } => {
-            buf.push(TAG_RESULT);
-            put_op_id(buf, *op_id);
-            buf.push(matches!(role, Role::Coordinator) as u8);
-            match peer {
-                Some(s) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&s.0.to_be_bytes());
-                }
-                None => {
-                    buf.push(0);
-                    buf.extend_from_slice(&0u32.to_be_bytes());
-                }
-            }
-            buf.push(verdict.is_yes() as u8);
-            buf.push(*invalidated as u8);
-            put_subop(buf, subop);
-            let image = subop.write_bytes();
-            buf.extend_from_slice(&image.to_be_bytes());
-            buf.resize(buf.len() + image as usize, 0);
-        }
-        Record::Commit { op_id } => {
-            buf.push(TAG_COMMIT);
-            put_op_id(buf, *op_id);
-        }
-        Record::Abort { op_id } => {
-            buf.push(TAG_ABORT);
-            put_op_id(buf, *op_id);
-        }
-        Record::Complete { op_id } => {
-            buf.push(TAG_COMPLETE);
-            put_op_id(buf, *op_id);
-        }
-    }
-}
-
-/// Decode one record from the front of `buf`, returning it and the number
-/// of bytes consumed.
-///
-/// A truncated buffer — a torn tail left by a crash mid-append — is an
-/// `Err`, never a panic and never a phantom record: every fixed-size field
-/// group is length-checked before it is read.
-pub fn decode_record(mut buf: &[u8]) -> Result<(Record, usize), String> {
-    let start = buf.len();
-    if buf.is_empty() {
-        return Err("empty buffer".into());
-    }
-    let [tag] = take(&mut buf);
-    // Every record starts with a 16-byte operation id.
-    if buf.len() < 16 {
-        return Err("truncated op id".into());
-    }
-    let rec = match tag {
-        TAG_RESULT => {
-            let op_id = get_op_id(&mut buf);
-            // role + peer flag + peer id + verdict + invalidated
-            if buf.len() < 1 + 1 + 4 + 1 + 1 {
-                return Err("truncated result header".into());
-            }
-            let role = if take(&mut buf) == [1] {
-                Role::Coordinator
-            } else {
-                Role::Participant
-            };
-            let has_peer = take(&mut buf) == [1];
-            let peer_raw = u32::from_be_bytes(take(&mut buf));
-            let peer = has_peer.then_some(ServerId(peer_raw));
-            let verdict = if take(&mut buf) == [1] {
-                Verdict::Yes
-            } else {
-                Verdict::No
-            };
-            let invalidated = take(&mut buf) == [1];
-            let subop = get_subop(&mut buf)?;
-            if buf.len() < 4 {
-                return Err("truncated image length".into());
-            }
-            let image = u32::from_be_bytes(take(&mut buf)) as usize;
-            if buf.len() < image {
-                return Err("truncated image".into());
-            }
-            buf = &buf[image..];
+impl Codec for Record {
+    const MIN_BYTES: usize = 1 + OpId::MIN_BYTES;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
             Record::Result {
                 op_id,
                 role,
@@ -317,25 +122,70 @@ pub fn decode_record(mut buf: &[u8]) -> Result<(Record, usize), String> {
                 subop,
                 verdict,
                 invalidated,
+            } => {
+                (TAG_RESULT, *op_id, *role).encode(out);
+                encode_padded(peer, PEER_SLOT, out);
+                encode_padded(subop, SUBOP_SLOT, out);
+                let image = subop.write_bytes();
+                (*verdict, *invalidated, image).encode(out);
+                out.resize(out.len() + image as usize, 0);
             }
+            Record::Commit { op_id } => (TAG_COMMIT, *op_id).encode(out),
+            Record::Abort { op_id } => (TAG_ABORT, *op_id).encode(out),
+            Record::Complete { op_id } => (TAG_COMPLETE, *op_id).encode(out),
         }
-        TAG_COMMIT => Record::Commit {
-            op_id: get_op_id(&mut buf),
-        },
-        TAG_ABORT => Record::Abort {
-            op_id: get_op_id(&mut buf),
-        },
-        TAG_COMPLETE => Record::Complete {
-            op_id: get_op_id(&mut buf),
-        },
-        t => return Err(format!("bad record tag {t}")),
-    };
-    Ok((rec, start - buf.len()))
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.get()? {
+            TAG_RESULT => {
+                let (op_id, role) = r.get()?;
+                let peer = r.padded(PEER_SLOT)?;
+                let subop: SubOp = r.padded(SUBOP_SLOT)?;
+                let (verdict, invalidated, image): (_, _, u32) = r.get()?;
+                // The image is charged, not stored: its length is the one
+                // the sub-op implies, or the record is corrupt.
+                if image != subop.write_bytes() {
+                    return Err(WireError::BadLength);
+                }
+                r.take(image as usize)?;
+                Record::Result {
+                    op_id,
+                    role,
+                    peer,
+                    subop,
+                    verdict,
+                    invalidated,
+                }
+            }
+            TAG_COMMIT => Record::Commit { op_id: r.get()? },
+            TAG_ABORT => Record::Abort { op_id: r.get()? },
+            TAG_COMPLETE => Record::Complete { op_id: r.get()? },
+            t => return Err(WireError::UnknownTag(t)),
+        })
+    }
+}
+
+/// Append the record's encoding to `buf`.
+pub fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
+    rec.encode(buf);
+}
+
+/// Decode one record from the front of `buf`, returning it and the number
+/// of bytes consumed.
+///
+/// Total and strict: a truncated buffer — a torn tail left by a crash
+/// mid-append — or a tag, flag or enum byte out of range is an `Err`,
+/// never a panic, a phantom record or a different record.
+pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), WireError> {
+    let mut r = Reader::new(buf);
+    let rec = r.get()?;
+    Ok((rec, buf.len() - r.remaining()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cx_types::{FileKind, InodeNo, Name, ProcId};
 
     fn oid(seq: u64) -> OpId {
         OpId::new(ProcId::new(3, 4), seq)
