@@ -124,9 +124,13 @@ if [ "${1:-}" != "quick" ]; then
 
     # The wall-clock runtime's tests ride real timers, shepherd threads and
     # loopback sockets on whatever cores this box has: a 1-in-20 flake has to
-    # show up here, not in the next PR's run.
-    step "cx-cluster tests, five times back to back"
-    for i in 1 2 3 4 5; do cargo test -q --release -p cx-cluster; done
+    # show up here, not in the next PR's run. cx-net's own tests (reconnect
+    # FIFO, kill mid-corked batch) are the evidence for the one-reader loop.
+    step "cx-cluster + cx-net tests, five times back to back"
+    for i in 1 2 3 4 5; do
+        cargo test -q --release -p cx-cluster
+        cargo test -q --release -p cx-net
+    done
 fi
 
 step "cargo test (workspace)"

@@ -18,7 +18,7 @@
 use cx_cluster::ClusterSnapshot;
 use cx_mdstore::GlobalView;
 use cx_types::{FileKind, FsOp, InodeNo, Name, OpId, OpOutcome};
-use cx_workloads::{SeedEntry, Trace};
+use cx_workloads::SeedEntry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A sequential model of the namespace: what the cluster *should* hold
@@ -31,11 +31,6 @@ pub struct ModelFs {
 
 impl ModelFs {
     /// The pre-run state: the workload's seed directories and files.
-    pub fn from_seeds(trace: &Trace) -> Self {
-        Self::from_seed_entries(&trace.seeds)
-    }
-
-    /// Same, from the bare seed list (all a streamed workload carries).
     pub fn from_seed_entries(seeds: &[SeedEntry]) -> Self {
         let mut m = ModelFs::default();
         for seed in seeds {

@@ -1099,11 +1099,6 @@ impl DesCluster {
             self.stats.disk.merge(d.stats());
         }
     }
-
-    /// Access to the engines (used by the recovery experiment harness).
-    pub fn servers_mut(&mut self) -> &mut Vec<Box<dyn ServerEngine>> {
-        &mut self.servers
-    }
 }
 
 /// Send-side message accounting, the same in every runtime: by kind, and

@@ -1,4 +1,5 @@
-//! Connection management: one listener + per-peer writer threads.
+//! Connection management: one I/O thread for every inbound socket +
+//! per-peer writer threads.
 //!
 //! Topology: every node runs one [`ConnectionManager`]. Connections are
 //! simplex — a node dials out to write, and accepts to read. The first
@@ -29,13 +30,18 @@
 //! the next connection generation, so reconnects stay lossless and
 //! per-peer FIFO.
 //!
-//! The read side mirrors it: each reader fills a large reusable
-//! [`FrameBuffer`], decodes *every* complete frame per `read`, and forwards
-//! them as one `Vec<Frame>` batch through the merged inbound channel — one
-//! channel wakeup per batch. Batch vectors come from a shared
-//! [`VecPool`]; consumers hand drained batches back via
-//! [`ConnectionManager::recycle_batch`], so the steady state allocates
-//! nothing on either path.
+//! The read side is one thread per node: it owns the listener and every
+//! accepted socket, waits in `poll(2)` over all of them, runs each
+//! connection's `Hello` handshake as per-connection state (a silent or
+//! garbage dialer delays nobody else), and decodes each readable socket
+//! into its own large reusable [`FrameBuffer`] — *every* complete frame
+//! per `read`, forwarded as one `Vec<Frame>` batch through the merged
+//! inbound channel: one channel wakeup per batch. Per node, only the
+//! oldest connection is read; a newer generation's frames wait until the
+//! older one reaches EOF, which keeps delivery FIFO across reconnects.
+//! Batch vectors come from a shared [`VecPool`]; consumers hand drained
+//! batches back via [`ConnectionManager::recycle_batch`], so the steady
+//! state allocates nothing on either path.
 //!
 //! Reconnect: on dial/write failure the frames stay queued and the writer
 //! daemon re-dials with exponential backoff (base doubling to a cap),
@@ -54,6 +60,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle};
@@ -67,8 +76,9 @@ const MAX_WRITE_BYTES: usize = 64 << 10;
 /// backpressure bound).
 const QUEUE_CAP: usize = 1024;
 
-/// Size of a reader's reusable receive buffer; each `read` may yield many
-/// frames, which are decoded in place and delivered as one batch.
+/// Size of each inbound connection's reusable receive buffer; each `read`
+/// may yield many frames, which are decoded in place and delivered as one
+/// batch.
 const READ_BUF_BYTES: usize = 256 << 10;
 
 /// Lock a `std` mutex parking_lot-style: a panicked holder releases.
@@ -102,21 +112,14 @@ impl Default for PlaneConfig {
 /// Shared map of node → listen address. Pre-populated for in-process
 /// clusters; learned from `Hello` handshakes and `Peers` gossip frames in
 /// multi-process mode.
+#[derive(Default)]
 pub struct AddrBook {
     inner: Mutex<HashMap<NodeId, SocketAddr>>,
 }
 
-impl Default for AddrBook {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl AddrBook {
     pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(HashMap::new()),
-        }
+        Self::default()
     }
     pub fn set(&self, node: NodeId, addr: SocketAddr) {
         self.inner.lock().insert(node, addr);
@@ -179,7 +182,7 @@ struct PeerShared {
 
 struct Peer {
     shared: Arc<PeerShared>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 /// How a flush session ended.
@@ -358,89 +361,23 @@ impl WireTelemetry {
     }
 }
 
-/// One-shot completion flag a reader signals when its connection has
-/// drained to EOF (or died) — the link in a per-node reader chain.
-struct DoneEvent {
-    done: StdMutex<bool>,
-    cv: Condvar,
-}
-
-impl DoneEvent {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            done: StdMutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-    fn signal(&self) {
-        *plock(&self.done) = true;
-        self.cv.notify_all();
-    }
-    fn wait(&self) {
-        let mut g = plock(&self.done);
-        while !*g {
-            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Serializes the forward loops of successive connections from the same
-/// peer: across a reconnect, the old connection's reader drains to EOF
-/// before the new connection's reader may forward its first batch,
-/// preserving per-peer FIFO into the inbound channel.
-///
-/// Registration happens in the **accept loop**, in accept order — which is
-/// connection order, because a dialer closes generation *k* before dialing
-/// generation *k+1*. A per-node mutex grabbed by the reader threads
-/// themselves would not be enough: thread scheduling can run generation
-/// *k+1*'s reader before generation *k*'s ever acquires the lock (readily
-/// observable on one hardware thread once reconnects turn over faster than
-/// thread spawn latency). The explicit done-event chain makes hand-off
-/// order a property of the accept sequence, not the scheduler.
-struct ReaderOrder {
-    /// Per node: the done-event of the most recently registered reader.
-    tails: Mutex<HashMap<NodeId, Arc<DoneEvent>>>,
-}
-
-impl Default for ReaderOrder {
-    fn default() -> Self {
-        Self {
-            tails: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl ReaderOrder {
-    /// Chain a new connection from `node` behind its predecessor. Returns
-    /// the event to wait on before forwarding (if any) and the event this
-    /// reader must signal when its connection drains.
-    fn register(&self, node: NodeId) -> (Option<Arc<DoneEvent>>, Arc<DoneEvent>) {
-        let mine = DoneEvent::new();
-        let prev = self.tails.lock().insert(node, Arc::clone(&mine));
-        (prev, mine)
-    }
-}
-
-/// One node's view of the wire: a listener (reads) plus on-demand writer
-/// threads (one per peer it has sent to).
+/// One node's view of the wire: one I/O thread reading every inbound
+/// connection, plus on-demand writer threads (one per peer it has sent to).
 pub struct ConnectionManager {
     me: NodeId,
     listen_addr: SocketAddr,
     book: Arc<AddrBook>,
     cfg: PlaneConfig,
-    /// Keeps the merged inbound channel connected between reader
-    /// generations; [`Self::shutdown`] takes it, so the receiver reports
-    /// `Disconnected` once the frames already queued are drained.
-    inbound_tx: Mutex<Option<Sender<Batch>>>,
     peers: Mutex<HashMap<NodeId, Peer>>,
     shutdown: Arc<AtomicBool>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
-    /// Read-side sockets, retained so shutdown can unblock their readers.
-    reader_socks: Arc<Mutex<Vec<TcpStream>>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The I/O thread and the write end of its wake socket. The thread
+    /// owns the inbound channel's only sender, so joining it in
+    /// [`Self::shutdown`] disconnects the receiver once the frames already
+    /// queued are drained.
+    io: Mutex<Option<(JoinHandle<()>, UnixStream)>>,
     reconnects: Arc<AtomicU64>,
-    /// Freelist for inbound batch vectors: readers draw, consumers return
-    /// via [`ConnectionManager::recycle_batch`].
+    /// Freelist for inbound batch vectors: the I/O thread draws, consumers
+    /// return via [`ConnectionManager::recycle_batch`].
     batch_pool: Arc<Mutex<VecPool<Frame>>>,
     /// Send-side totals across all peers, past and present.
     wire: Arc<WireCounters>,
@@ -499,32 +436,24 @@ impl ConnectionManager {
         cfg: PlaneConfig,
         epoch: Instant,
     ) -> io::Result<(Self, InboundBatches)> {
+        // Loopback only: the I/O loop's read order across reconnects
+        // relies on it (see `io_loop`).
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
         let listen_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
         let (inbound_tx, inbound_rx) = unbounded();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let reader_socks: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let batch_pool: Arc<Mutex<VecPool<Frame>>> = Arc::new(Mutex::new(VecPool::default()));
         let cfg_record_spans = cfg.record_flush_spans;
 
-        let accept_handle = {
-            let inbound_tx = inbound_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
+        let io_handle = {
             let book = Arc::clone(&book);
-            let socks = Arc::clone(&reader_socks);
-            let handles = Arc::clone(&reader_handles);
-            let order = Arc::new(ReaderOrder::default());
             let pool = Arc::clone(&batch_pool);
             thread::Builder::new()
-                .name("cx-accept".into())
-                .spawn(move || {
-                    accept_loop(
-                        listener, inbound_tx, shutdown, book, socks, handles, order, pool,
-                    );
-                })
-                .expect("spawn accept thread")
+                .name("cx-io".into())
+                .spawn(move || io_loop(listener, &wake_rx, inbound_tx, &book, &pool))
+                .expect("spawn I/O thread")
         };
 
         Ok((
@@ -533,12 +462,9 @@ impl ConnectionManager {
                 listen_addr,
                 book,
                 cfg,
-                inbound_tx: Mutex::new(Some(inbound_tx)),
                 peers: Mutex::new(HashMap::new()),
                 shutdown,
-                accept_handle: Mutex::new(Some(accept_handle)),
-                reader_socks,
-                reader_handles,
+                io: Mutex::new(Some((io_handle, wake_tx))),
                 reconnects: Arc::new(AtomicU64::new(0)),
                 batch_pool,
                 wire: Arc::new(WireCounters::default()),
@@ -736,10 +662,7 @@ impl ConnectionManager {
             .name("cx-wd".into())
             .spawn(move || writer_daemon(daemon_shared))
             .expect("spawn writer daemon");
-        Peer {
-            shared,
-            handle: Some(handle),
-        }
+        Peer { shared, handle }
     }
 
     /// Close the live connection to `to` at the next flush boundary; the
@@ -826,50 +749,36 @@ impl ConnectionManager {
         }
     }
 
-    /// Stop accepting, flush and join every writer daemon, unblock every
-    /// reader, and disconnect the inbound channel (whoever consumes it —
-    /// a node loop, a demux pump — sees the end of the run whether or not
-    /// it still holds this manager). Queued outbound frames are flushed
-    /// before daemons exit (unless their peer is unreachable).
+    /// Flush and join every writer daemon, then stop the I/O thread, which
+    /// closes every inbound socket and disconnects the inbound channel
+    /// (whoever consumes it — a node loop, a demux pump — sees the end of
+    /// the run whether or not it still holds this manager). Queued
+    /// outbound frames are flushed before daemons exit (unless their peer
+    /// is unreachable).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let peers: Vec<Peer> = {
-            let mut map = self.peers.lock();
-            let keys: Vec<NodeId> = map.keys().copied().collect();
-            keys.into_iter().filter_map(|k| map.remove(&k)).collect()
-        };
+        let peers: Vec<Peer> = self.peers.lock().drain().map(|(_, p)| p).collect();
         for p in &peers {
             let mut q = plock(&p.shared.queue);
             q.shutdown = true;
             p.shared.room.notify_all();
             p.shared.daemon.notify_all();
         }
-        for mut p in peers {
-            if let Some(h) = p.handle.take() {
-                let _ = h.join();
-            }
+        for p in peers {
+            let _ = p.handle.join();
         }
-        // Unblock a handshake read on the accept thread before joining it,
-        // then shut down again for connections accepted in between.
-        for s in self.reader_socks.lock().drain(..) {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(h) = self.accept_handle.lock().take() {
+        if let Some((h, wake)) = self.io.lock().take() {
+            // Closing the wake socket's write end makes its read end
+            // readable (EOF), which ends the loop's `poll`; closing cannot
+            // fail the way a dial can.
+            drop(wake);
             let _ = h.join();
         }
-        for s in self.reader_socks.lock().drain(..) {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        let handles: Vec<JoinHandle<()>> = self.reader_handles.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        self.inbound_tx.lock().take();
     }
 }
 
 impl Drop for ConnectionManager {
-    /// A dropped manager must not leak its accept/reader/daemon threads —
+    /// A dropped manager must not leak its I/O or daemon threads —
     /// server runtimes drop managers when their node loop exits without
     /// always calling [`Self::shutdown`] explicitly. Idempotent.
     fn drop(&mut self) {
@@ -1047,7 +956,7 @@ fn writer_daemon(shared: Arc<PeerShared>) {
                 }
             }
             SessionEnd::Stalled => {
-                if shut && shared.health.consecutive() > 0 {
+                if shut && shared.health.snapshot().consecutive_failures > 0 {
                     // Peer unreachable during shutdown: drop the queue.
                     return;
                 }
@@ -1058,150 +967,232 @@ fn writer_daemon(shared: Arc<PeerShared>) {
     }
 }
 
-impl PeerHealth {
-    fn consecutive(&self) -> u64 {
-        self.snapshot().consecutive_failures
-    }
+/// How long an accepted connection may take to name itself with a `Hello`
+/// before the I/O loop drops it — per connection, so a silent dialer costs
+/// nobody else anything.
+const HELLO_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Receive buffer of a connection still in its handshake. A `Hello` (13
+/// bytes) fits many times over, so a full buffer without a complete frame
+/// is not one; the buffer grows to [`READ_BUF_BYTES`] once it is.
+const HELLO_BUF_BYTES: usize = 64;
+
+/// How long the listener stays out of the poll set after an accept error
+/// other than `WouldBlock` (fd exhaustion): the connection stays in the
+/// backlog and keeps the listener readable, so retrying at once would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+// `poll(2)` and `sched_setscheduler(2)` on Linux, declared here: std
+// already links libc.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    inbound_tx: Sender<Batch>,
-    shutdown: Arc<AtomicBool>,
-    book: Arc<AddrBook>,
-    socks: Arc<Mutex<Vec<TcpStream>>>,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    order: Arc<ReaderOrder>,
-    pool: Arc<Mutex<VecPool<Frame>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, peer_addr)) => {
-                let _ = stream.set_nodelay(true);
-                // The listener is non-blocking; handshake reads must not be.
-                let _ = stream.set_nonblocking(false);
-                if let Ok(clone) = stream.try_clone() {
-                    socks.lock().push(clone);
-                }
-                // The handshake runs *here*, in accept order, so readers
-                // can be chained per node before any of them forwards —
-                // see [`ReaderOrder`]. A dialer writes its `Hello` inside
-                // `dial()`, so this read completes promptly.
-                let mut fb = FrameBuffer::with_capacity(READ_BUF_BYTES);
-                let Some(from) = read_hello(&mut stream, &mut fb, &book, peer_addr.ip(), &shutdown)
-                else {
-                    continue; // anonymous, garbage, or timed-out connection
-                };
-                let (prev, done) = order.register(from);
-                let tx = inbound_tx.clone();
-                let pool = Arc::clone(&pool);
-                let h = thread::Builder::new()
-                    .name("cx-read".into())
-                    .spawn(move || reader_loop(stream, from, fb, prev, done, tx, pool))
-                    .expect("spawn reader thread");
-                handles.lock().push(h);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
+const POLLIN: c_short = 0x1;
+const SCHED_BATCH: c_int = 3;
+
+unsafe extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    /// `param` is a `struct sched_param`, whose one field is an `int`.
+    fn sched_setscheduler(pid: c_int, policy: c_int, param: *const c_int) -> c_int;
 }
 
-/// Strict handshake: the first frame must identify the dialer. Runs on the
-/// accept thread under a short read timeout so one silent connection
-/// cannot stall accepts (or shutdown) indefinitely.
-fn read_hello(
-    stream: &mut TcpStream,
-    fb: &mut FrameBuffer,
-    book: &AddrBook,
-    peer_ip: IpAddr,
-    shutdown: &AtomicBool,
-) -> Option<NodeId> {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let node = loop {
-        match fb.next_frame() {
-            Ok(Some(Frame::Hello { node, listen_port })) => {
-                if listen_port != 0 {
-                    book.set(node, SocketAddr::new(peer_ip, listen_port));
-                }
-                break node;
-            }
-            Ok(Some(_)) | Err(_) => return None,
-            Ok(None) => match fb.fill_from(stream, 4096) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if shutdown.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                        return None;
-                    }
-                }
-                Err(_) => return None,
-            },
-        }
-    };
-    let _ = stream.set_read_timeout(None);
-    Some(node)
+/// Add `fd` to the poll set; `poll` skips a negative one.
+fn watch(fds: &mut Vec<PollFd>, fd: RawFd) {
+    fds.push(PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    });
 }
 
-/// The batching reader: one reusable [`FrameBuffer`], every complete frame
-/// per `read` decoded and forwarded as a single batch. Frames that rode in
-/// on the same `read` as the `Hello` are forwarded only after the previous
-/// connection from this node has fully drained, so batching cannot reorder
-/// across reconnects.
-fn reader_loop(
-    mut stream: TcpStream,
-    from: NodeId,
-    mut fb: FrameBuffer,
-    prev: Option<Arc<DoneEvent>>,
-    done: Arc<DoneEvent>,
-    inbound: Sender<Batch>,
-    pool: Arc<Mutex<VecPool<Frame>>>,
-) {
-    // Whatever path exits this reader, its successor must unblock —
-    // including panics and the shutdown cascade (sockets are shut down
-    // oldest-first, so chains drain head to tail).
-    struct SignalOnDrop(Arc<DoneEvent>);
-    impl Drop for SignalOnDrop {
-        fn drop(&mut self) {
-            self.0.signal();
+/// One accepted socket and its receive buffer.
+struct Inbound {
+    stream: TcpStream,
+    fb: FrameBuffer,
+}
+
+impl Inbound {
+    /// One nonblocking `read` into the buffer; false once the socket is
+    /// finished (clean close at a frame boundary, or reset).
+    fn fill(&mut self) -> bool {
+        match self.fb.fill_from(&mut self.stream, 1) {
+            Ok(n) => n > 0,
+            Err(e) => e.kind() == io::ErrorKind::WouldBlock,
         }
     }
-    let _done = SignalOnDrop(done);
-    if let Some(p) = prev {
-        p.wait();
-    }
-    loop {
+
+    /// Forward every complete buffered frame as one batch; false on a
+    /// malformed stream (the connection is dropped and its writer
+    /// re-dials).
+    fn forward(&mut self, from: NodeId, tx: &Sender<Batch>, pool: &Mutex<VecPool<Frame>>) -> bool {
         let mut batch = pool.lock().get();
-        // Everything already buffered (including frames coalesced behind
-        // the Hello) decodes before the next read blocks.
-        let clean = fb.drain_frames(&mut batch).is_ok();
+        let clean = self.fb.drain_frames(&mut batch).is_ok();
         if batch.is_empty() {
             pool.lock().put(batch);
-        } else if inbound.send((from, batch)).is_err() {
-            return; // node is shutting down
+        } else {
+            // A gone receiver means the node is going away; the frames too.
+            let _ = tx.send((from, batch));
         }
-        if !clean {
-            return; // malformed mid-stream; writer side re-dials
+        clean
+    }
+}
+
+/// An accepted connection whose `Hello` has not arrived yet.
+struct Pending {
+    conn: Inbound,
+    ip: IpAddr,
+    deadline: Instant,
+}
+
+/// The node's one reader: waits in `poll` over the listener, every
+/// connection still in its handshake, and — per node — only the oldest
+/// connection, so a node's newer connection is read only after its older
+/// one reaches EOF and delivery stays FIFO across reconnects. Each node's
+/// queue is in generation order because handshakes are read in accept
+/// order and a dialer writes generation *k*'s `Hello` and closes *k*
+/// before it dials *k+1*. That *k*'s bytes are then already on its socket
+/// when *k+1*'s `Hello` is read holds because the listener is loopback
+/// only, where a write is delivered in the writer's own send path; it is
+/// an ordering of the kernel's, not one this loop enforces (a deferred
+/// softirq plus a CPU migration between the two dials could reorder
+/// them). Returns when the wake socket turns readable (its peer closed).
+fn io_loop(
+    listener: TcpListener,
+    wake: &UnixStream,
+    tx: Sender<Batch>,
+    book: &AddrBook,
+    pool: &Mutex<VecPool<Frame>>,
+) {
+    let mut pending: Vec<Pending> = Vec::new();
+    let mut nodes: HashMap<NodeId, VecDeque<Inbound>> = HashMap::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut fronts: Vec<NodeId> = Vec::new();
+    let mut accept_paused: Option<Instant> = None;
+    // Under SCHED_BATCH the scheduler never preempts a running thread to
+    // run this one on wakeup; it takes an idle CPU or waits for the
+    // running thread to block. The loop wakes because some thread just
+    // wrote to one of its sockets. Under the default policy those wakeups
+    // preempted the writers, and involuntary context switches per op rose
+    // above the parent's thread-per-connection readers; under this one
+    // they fall below them (EXPERIMENTS "PR 25"). A refusal is harmless.
+    // SAFETY: pid 0 is this thread; the priority outlives the call.
+    unsafe { sched_setscheduler(0, SCHED_BATCH, &0) };
+    loop {
+        if accept_paused.is_some_and(|until| Instant::now() >= until) {
+            accept_paused = None;
         }
-        match fb.fill_from(&mut stream, 4096) {
-            Ok(0) => return, // clean close at a frame boundary
-            Ok(_) => {}
-            Err(_) => return, // reset; writer side re-dials
+        // Poll set: [listener][wake][pending…][each node's oldest
+        // connection…]; a paused listener is -1, which `poll` skips.
+        fds.clear();
+        fronts.clear();
+        watch(&mut fds, accept_paused.map_or(listener.as_raw_fd(), |_| -1));
+        watch(&mut fds, wake.as_raw_fd());
+        for p in &pending {
+            watch(&mut fds, p.conn.stream.as_raw_fd());
+        }
+        for (node, q) in &nodes {
+            fronts.push(*node);
+            watch(&mut fds, q[0].stream.as_raw_fd());
+        }
+        // Sleep until something is readable, a handshake runs out or the
+        // listener's pause ends.
+        let wake_at = pending.iter().map(|p| p.deadline).chain(accept_paused);
+        let timeout = wake_at.min().map_or(-1, |d| {
+            let ms = d.saturating_duration_since(Instant::now()).as_millis();
+            ms.min(i32::MAX as u128 - 1) as c_int + 1
+        });
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `fds.len()` pollfd records for the duration of the call.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout) };
+        if rc < 0 {
+            continue; // EINTR
+        }
+        if fds[1].revents != 0 {
+            // Shutdown. Dropping the sockets closes them; dropping `tx`
+            // disconnects the inbound channel.
+            return;
+        }
+        let now = Instant::now();
+        if fds[0].revents != 0 {
+            loop {
+                match listener.accept() {
+                    Ok((stream, peer)) => {
+                        if stream.set_nonblocking(true).is_ok() {
+                            pending.push(Pending {
+                                conn: Inbound {
+                                    stream,
+                                    fb: FrameBuffer::with_capacity(HELLO_BUF_BYTES),
+                                },
+                                ip: peer.ip(),
+                                deadline: now + HELLO_DEADLINE,
+                            });
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        accept_paused = Some(now + ACCEPT_RETRY);
+                        break;
+                    }
+                }
+            }
+        }
+        // Handshakes, in accept order, each read whether or not `poll`
+        // flagged it: a dialer's generation *k* `Hello` is on its socket
+        // before *k+1* connects, so reading them all in order registers
+        // *k* first even when *k* turned readable after `poll` returned.
+        for mut p in std::mem::take(&mut pending) {
+            if !p.conn.fill() {
+                continue; // closed before naming itself
+            }
+            match p.conn.fb.next_frame() {
+                Ok(None) if now < p.deadline && p.conn.fb.pending() < HELLO_BUF_BYTES => {
+                    pending.push(p)
+                }
+                Ok(Some(Frame::Hello { node, listen_port })) => {
+                    if listen_port != 0 {
+                        book.set(node, SocketAddr::new(p.ip, listen_port));
+                    }
+                    p.conn.fb.reserve(READ_BUF_BYTES);
+                    // Frames that rode in behind the `Hello` go out now
+                    // only if no older connection from `node` is open.
+                    match nodes.get_mut(&node) {
+                        Some(q) => q.push_back(p.conn),
+                        None => {
+                            if p.conn.forward(node, &tx, pool) {
+                                nodes.insert(node, VecDeque::from([p.conn]));
+                            }
+                        }
+                    }
+                }
+                // Not a `Hello`, garbage, too long or out of time: dropped.
+                _ => {}
+            }
+        }
+        let first_front = fds.len() - fronts.len();
+        for (j, node) in fronts.iter().enumerate() {
+            if fds[first_front + j].revents == 0 {
+                continue;
+            }
+            let q = nodes.get_mut(node).expect("every front is a live queue");
+            if q[0].fill() && q[0].forward(*node, &tx, pool) {
+                continue;
+            }
+            // The oldest connection is done: the next generation takes
+            // over, starting with the frames buffered behind its `Hello`.
+            q.pop_front();
+            while let Some(next) = q.front_mut() {
+                if next.forward(*node, &tx, pool) {
+                    break;
+                }
+                q.pop_front();
+            }
+            if q.is_empty() {
+                nodes.remove(node);
+            }
         }
     }
 }
@@ -1432,6 +1423,44 @@ mod tests {
             "corked bursts must coalesce: {} flushes for {} frames",
             w.flushes,
             w.frames
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn rapid_reconnects_stay_fifo() {
+        // Every round closes the connection after a few frames and the
+        // next round dials at once, so generations turn over as fast as
+        // the dialer can connect: only the receiver's read order keeps
+        // them in sequence.
+        let book = Arc::new(AddrBook::new());
+        let (a, _rx_a) =
+            ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), PlaneConfig::default())
+                .unwrap();
+        let (b, rx_b) =
+            ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), PlaneConfig::default())
+                .unwrap();
+        book.set(NodeId::Server(1), b.listen_addr());
+
+        const ROUNDS: u64 = 400;
+        const PER_ROUND: u64 = 3;
+        for t in 0..ROUNDS * PER_ROUND {
+            a.send(NodeId::Server(1), probe(t)).unwrap();
+            if t % PER_ROUND == PER_ROUND - 1 {
+                assert!(a.drop_connection(NodeId::Server(1)));
+            }
+        }
+        for (t, (_, f)) in recv_n(&rx_b, (ROUNDS * PER_ROUND) as usize)
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(f, probe(t as u64), "FIFO across fast reconnects");
+        }
+        assert!(
+            a.reconnects_total() >= ROUNDS / 4,
+            "{} reconnects in {ROUNDS} rounds",
+            a.reconnects_total()
         );
         a.shutdown();
         b.shutdown();

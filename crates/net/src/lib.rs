@@ -9,13 +9,15 @@
 //!   [`wire::FrameBuffer`] that decodes many coalesced frames per `read`.
 //!   Totally defensive: arbitrary bytes decode to typed
 //!   [`wire::WireError`]s, never panics.
-//! * [`conn`] — a [`conn::ConnectionManager`] per node: one listener, one
-//!   writer thread + bounded outbound queue per peer (backpressure by
-//!   blocking the sender). Writers coalesce their whole queue into a
-//!   single `write_all` per wakeup, and senders holding a burst cork it
-//!   for the burst's scope; readers forward `Vec<Frame>` batches drawn
-//!   from a recycled pool. Reconnect with exponential backoff stays
-//!   lossless and per-peer FIFO across connection generations.
+//! * [`conn`] — a [`conn::ConnectionManager`] per node: one I/O thread
+//!   that `poll`s the listener and every inbound socket, and one writer
+//!   thread + bounded outbound queue per peer (backpressure by blocking
+//!   the sender). Writers coalesce their whole queue into a single
+//!   `write_all` per wakeup, and senders holding a burst cork it for the
+//!   burst's scope; the I/O thread forwards `Vec<Frame>` batches drawn
+//!   from a recycled pool, reading a peer's connections one generation at
+//!   a time. Reconnect with exponential backoff stays lossless and
+//!   per-peer FIFO across connection generations.
 //! * [`health`] — per-peer [`health::PeerHealth`] scoring: consecutive
 //!   failures, reconnect counts, and a per-flush latency EWMA folded into
 //!   a single score in `(0, 1]`, plus the frame/byte/flush counters behind

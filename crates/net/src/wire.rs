@@ -276,11 +276,15 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, scratch: &mut Vec<u8>) ->
 /// The buffer is reused across fills: consumed bytes are compacted to the
 /// front before each refill, so the steady state allocates nothing (the
 /// buffer grows only when a single frame exceeds the current capacity).
+/// Its storage stays initialized between fills, so a refill does not
+/// re-zero its read window: a `read` costs what it copies.
 #[derive(Debug)]
 pub struct FrameBuffer {
+    /// Storage; `buf[start..end]` are the unconsumed bytes, `buf[end..]`
+    /// is the next read window.
     buf: Vec<u8>,
-    /// Offset of the first unconsumed byte in `buf`.
     start: usize,
+    end: usize,
 }
 
 impl Default for FrameBuffer {
@@ -294,18 +298,26 @@ impl FrameBuffer {
         Self {
             buf: Vec::with_capacity(cap.max(8)),
             start: 0,
+            end: 0,
         }
     }
 
     /// Unconsumed bytes currently buffered (a partial frame tail, usually).
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
+    }
+
+    /// Grow the storage to at least `cap` bytes, widening later fills'
+    /// read window.
+    pub(crate) fn reserve(&mut self, cap: usize) {
+        self.buf.reserve(cap.saturating_sub(self.buf.len()));
     }
 
     /// Drop already-consumed bytes, moving any partial tail to the front.
     fn compact(&mut self) {
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
@@ -314,29 +326,29 @@ impl FrameBuffer {
     /// socket path uses [`FrameBuffer::fill_from`]).
     pub fn extend(&mut self, bytes: &[u8]) {
         self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
     }
 
-    /// One `read` from a blocking stream into the buffer tail. Returns the
-    /// byte count (`0` = clean EOF). The read window is the buffer's spare
-    /// capacity, grown to at least `min_window` so a large frame can always
-    /// make progress.
+    /// One `read` from a stream into the buffer tail. Returns the byte
+    /// count (`0` = clean EOF). The read window is the rest of the
+    /// buffer's capacity, grown to at least `min_window` so a large frame
+    /// can always make progress.
     pub fn fill_from<R: Read>(&mut self, r: &mut R, min_window: usize) -> io::Result<usize> {
         self.compact();
-        let len = self.buf.len();
-        let window = (self.buf.capacity() - len).max(min_window.max(1));
-        self.buf.resize(len + window, 0);
+        let want = self.buf.capacity().max(self.end + min_window.max(1));
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
         loop {
-            match r.read(&mut self.buf[len..]) {
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(n) => {
-                    self.buf.truncate(len + n);
+                    self.end += n;
                     return Ok(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.buf.truncate(len);
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -349,7 +361,7 @@ impl FrameBuffer {
     /// about its fields) is reported as the error it is instead of
     /// waiting forever for bytes that cannot help.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }

@@ -600,27 +600,6 @@ impl BlameTable {
         self.exemplars.truncate(EXEMPLARS);
     }
 
-    /// Mean nanoseconds attributed to `seg` per op that reached it.
-    pub fn seg_mean(&self, seg: Seg) -> f64 {
-        self.segs
-            .get(seg.index())
-            .map(|r| r.hist.mean())
-            .unwrap_or(0.0)
-    }
-
-    /// Mean nanoseconds of `seg` amortized over *all* blamed ops — the
-    /// comparable per-op cost used by the run-diff (a segment absent from
-    /// an op contributes zero there, and must here too).
-    pub fn seg_share_ns(&self, seg: Seg) -> f64 {
-        if self.ops == 0 {
-            return 0.0;
-        }
-        self.segs
-            .get(seg.index())
-            .map(|r| r.hist.sum as f64 / self.ops as f64)
-            .unwrap_or(0.0)
-    }
-
     /// The client-visible segments ranked by total attributed time,
     /// non-empty only.
     pub fn top_segments(&self) -> Vec<(Seg, &LogHistogram)> {

@@ -32,11 +32,6 @@ impl FifoResource {
         self.busy_until
     }
 
-    /// When the resource becomes free (may be in the past).
-    pub fn free_at(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Outstanding queued work at `now` in nanoseconds: how long a new
     /// arrival would wait before service starts (0 when idle). The
     /// observability plane samples this as the per-server queue depth.

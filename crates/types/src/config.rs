@@ -88,8 +88,6 @@ pub struct DiskConfig {
     /// Keys within this distance merge into one run ("possibility of
     /// merging disk requests in kernel's IO scheduler", §IV-C1).
     pub merge_gap: u64,
-    /// Per-object transfer cost within a merged run.
-    pub wb_object_bytes: u64,
     /// Cold-cache read of one database row (recovery re-reads the rows of
     /// every half-completed operation: a dependent B-tree point lookup —
     /// seek + rotation + inner-node reads — that cannot be merged).
@@ -109,7 +107,6 @@ impl Default for DiskConfig {
             wb_batch_seek_ns: 1_200 * DUR_US,
             wb_run_seek_ns: 700 * DUR_US,
             merge_gap: 16,
-            wb_object_bytes: 256,
             cold_read_run_ns: 1_300 * DUR_US,
             group_commit: true,
         }

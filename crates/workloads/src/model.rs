@@ -51,10 +51,6 @@ impl NamespaceModel {
         self.dirs.get(&dir).copied().unwrap_or(0)
     }
 
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Apply a known-valid operation to the model. Panics on an invalid
     /// one — the generator must only produce valid operations.
     pub fn apply(&mut self, op: &FsOp) {

@@ -2,7 +2,6 @@
 //! workloads (total operations, per-class mix, cross-server share,
 //! sharing structure) computed from a generated [`Trace`].
 
-use crate::stream::StreamTrace;
 use crate::trace::{Trace, TraceOp, SHARED_DIR};
 use cx_types::{FsOp, Placement};
 use serde::Serialize;
@@ -121,16 +120,6 @@ impl TraceSummary {
             acc.push(t);
         }
         acc.finish(trace.name.clone(), trace.processes)
-    }
-
-    /// Same analysis off a stream, consuming it — peak memory stays at
-    /// the accumulator's maps regardless of trace length.
-    pub fn analyze_stream(mut stream: StreamTrace, servers: u32) -> TraceSummary {
-        let mut acc = SummaryAcc::new(servers);
-        while let Some(t) = stream.ops.next_op() {
-            acc.push(&t);
-        }
-        acc.finish(stream.name, stream.processes)
     }
 }
 
