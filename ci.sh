@@ -102,10 +102,10 @@ if [ "${1:-}" != "quick" ]; then
     # (`--seed 7000` is rep 0 of the benchmark's `--seed 7`), under a
     # counting allocator. The replay is one deterministic thread, so the
     # peak repeats to the byte — no host slow wave can flake this one. The
-    # ceilings are 3 % over EXPERIMENTS.md "What an in-flight op costs"
-    # (10.36 / 6.79 / 4.29 MiB).
+    # ceilings are 3 % over EXPERIMENTS.md "Counted heap peaks"
+    # (9.87 / 6.66 / 3.77 MiB).
     step "heap ceilings (heap_peak, counted)"
-    for row in update:10.67 home2:6.99 lowload:4.42; do
+    for row in update:10.17 home2:6.86 lowload:3.88; do
         cargo run -q --release -p cx-bench --bin heap_peak -- \
             --workload "${row%%:*}" --seed 7000 --ceiling-mib "${row##*:}" > /dev/null
     done

@@ -11,10 +11,12 @@
 //! shrink. The class table is copied whenever live bytes pass the last copy
 //! by 64 KiB.
 //!
-//! One more line gives the live heap and the peak as of the replay's last
-//! pull from the op stream: whatever the whole-run peak adds to that peak was
-//! allocated after the replay, by the drain and the run-end consistency
-//! check.
+//! Two more lines give the live heap at the end of set-up (the op stream
+//! built and the stores seeded, the first op not yet drawn), with the
+//! allocations made so far, and the live heap and the peak as of the
+//! replay's last pull from the op stream: whatever the whole-run peak adds
+//! to that peak was allocated after the replay, by the drain and the run-end
+//! consistency check.
 //!
 //! `--sites` says whose the big blocks are, which the class table cannot:
 //! every live block of 512 B or more carries the backtrace of its
@@ -43,6 +45,8 @@ type PerClass = [[AtomicUsize; 2]; CLASSES];
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static COPIED_AT: AtomicUsize = AtomicUsize::new(0);
+/// Blocks allocated or reallocated so far.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static NOW: PerClass = [const { [const { AtomicUsize::new(0) }; 2] }; CLASSES];
 static AT_PEAK: PerClass = [const { [const { AtomicUsize::new(0) }; 2] }; CLASSES];
 
@@ -54,6 +58,7 @@ fn class_of(size: usize) -> usize {
 fn grew(size: usize) {
     NOW[class_of(size)][0].fetch_add(size, Relaxed);
     NOW[class_of(size)][1].fetch_add(1, Relaxed);
+    ALLOCS.fetch_add(1, Relaxed);
     let live = LIVE.fetch_add(size, Relaxed) + size;
     PEAK.fetch_max(live, Relaxed);
     if live >= COPIED_AT.load(Relaxed) + (64 << 10) {
@@ -244,7 +249,9 @@ fn main() {
         other => panic!("--workload {other}: expected home2, update or lowload"),
     };
     stream.ops = Box::new(Watched(stream.ops));
-    let (stats, violations) = DesCluster::new_stream(cfg, stream).run();
+    let cluster = DesCluster::new_stream(cfg, stream);
+    let (setup_live, setup_allocs) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
+    let (stats, violations) = cluster.run();
     assert!(violations.is_empty(), "{violations:?}");
 
     let mib = |b: usize| format!("{:.2}", b as f64 / (1 << 20) as f64);
@@ -252,6 +259,8 @@ fn main() {
     let (ops, wb) = (stats.ops_total, stats.disk.wb_batches);
     println!("{workload} seed {seed}: {ops} ops, {wb} write-back batches");
     println!("peak live heap {peak} MiB (class table copied at {copied} MiB)");
+    let setup_live = mib(setup_live);
+    println!("at the end of set-up: {setup_live} MiB live, {setup_allocs} allocations");
     let [pulled_peak, pulled_live] = [0, 1].map(|i| mib(AT_LAST_PULL[i].load(Relaxed)));
     println!("at the replay's last pull: {pulled_live} MiB live, {pulled_peak} MiB peak so far\n");
     let mut rows: Vec<(usize, usize, usize)> = (0..CLASSES)

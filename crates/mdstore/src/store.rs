@@ -5,7 +5,9 @@ use cx_types::{CxError, CxResult, FileKind, FxHashMap, InodeNo, Name, ObjectId, 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// An inode row.
+/// An inode row: 8 bytes, so a table bucket with its `InodeNo` key is 16.
+/// Attribute changes (`TouchInode`, "update parent inode" in Table I) are
+/// modelled by dirtying the row's page, not by a field in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Inode {
     pub kind: FileKind,
@@ -13,19 +15,6 @@ pub struct Inode {
     /// "." / ".." self-links); `ReleaseInode`/`DecNlink` free the inode
     /// when it reaches 0 (Table I).
     pub nlink: u32,
-    /// Attribute version, bumped by setattr and entry updates on the
-    /// parent ("update parent inode", Table I).
-    pub version: u64,
-}
-
-impl Inode {
-    fn new(kind: FileKind) -> Self {
-        Self {
-            kind,
-            nlink: 1,
-            version: 0,
-        }
-    }
 }
 
 /// Inverse of one applied sub-op.
@@ -53,9 +42,10 @@ pub enum Undo {
     DecNlink {
         ino: InodeNo,
     },
-    RestoreVersion {
+    /// Inverse of `TouchInode`: the row is as it was, but the rollback
+    /// dirties it again like any other.
+    Retouch {
         ino: InodeNo,
-        version: u64,
     },
 }
 
@@ -68,7 +58,10 @@ pub struct StoreStats {
     pub writeback_objects: u64,
 }
 
-/// One server's metadata rows.
+/// One server's metadata rows: inodes and directory entries. A
+/// directory's attributes ("update parent inode" on the coordinator) have
+/// no row of their own; an entry insert or remove dirties
+/// `ObjectId::Inode(parent)`, which is what reaches the disk.
 ///
 /// The row maps use the Fx hasher: lookups dominate the sub-op hot path,
 /// and nothing behavioral reads them in iteration order ([`GlobalView`]
@@ -82,9 +75,6 @@ pub struct StoreStats {
 pub struct MetaStore {
     inodes: FxHashMap<InodeNo, Inode>,
     dentries: FxHashMap<(InodeNo, Name), InodeNo>,
-    /// Per-server directory partition attributes ("update parent inode" on
-    /// the coordinator updates this server's partition row of the parent).
-    dir_partitions: FxHashMap<InodeNo, u64>,
     dirty: BTreeSet<ObjectId>,
     stats: StoreStats,
 }
@@ -140,14 +130,7 @@ impl MetaStore {
     /// Pre-populate an inode (workload setup: traces begin with existing
     /// directories and files).
     pub fn seed_inode(&mut self, ino: InodeNo, kind: FileKind, nlink: u32) {
-        self.inodes.insert(
-            ino,
-            Inode {
-                kind,
-                nlink,
-                version: 0,
-            },
-        );
+        self.inodes.insert(ino, Inode { kind, nlink });
     }
 
     /// Pre-populate a dentry.
@@ -186,7 +169,6 @@ impl MetaStore {
                     return Err(CxError::EntryExists(ObjectId::Dentry(parent, name)));
                 }
                 self.dentries.insert(key, child);
-                *self.dir_partitions.entry(parent).or_insert(0) += 1;
                 Ok(Undo::RemoveDentry { parent, name })
             }
             SubOp::RemoveEntry {
@@ -198,7 +180,6 @@ impl MetaStore {
                 match self.dentries.get(&key) {
                     Some(&c) if c == child => {
                         self.dentries.remove(&key);
-                        *self.dir_partitions.entry(parent).or_insert(0) += 1;
                         Ok(Undo::RestoreDentry {
                             parent,
                             name,
@@ -213,7 +194,7 @@ impl MetaStore {
                 if self.inodes.contains_key(&ino) {
                     return Err(CxError::EntryExists(ObjectId::Inode(ino)));
                 }
-                self.inodes.insert(ino, Inode::new(kind));
+                self.inodes.insert(ino, Inode { kind, nlink: 1 });
                 Ok(Undo::RemoveInode { ino })
             }
             SubOp::ReleaseInode { ino } | SubOp::DecNlink { ino } => {
@@ -225,9 +206,7 @@ impl MetaStore {
                     // frees the inode if the nlink reaches 0 (Table I)
                     self.inodes.remove(&ino);
                 } else {
-                    let e = self.inodes.get_mut(&ino).expect("checked above");
-                    e.nlink -= 1;
-                    e.version += 1;
+                    self.inodes.get_mut(&ino).expect("checked above").nlink -= 1;
                 }
                 Ok(Undo::RestoreInode { ino, inode })
             }
@@ -237,17 +216,13 @@ impl MetaStore {
                     .get_mut(&ino)
                     .ok_or(CxError::NotFound(ObjectId::Inode(ino)))?;
                 e.nlink += 1;
-                e.version += 1;
                 Ok(Undo::DecNlink { ino })
             }
             SubOp::TouchInode { ino } => {
-                let e = self
-                    .inodes
-                    .get_mut(&ino)
+                self.inodes
+                    .get(&ino)
                     .ok_or(CxError::NotFound(ObjectId::Inode(ino)))?;
-                let version = e.version;
-                e.version += 1;
-                Ok(Undo::RestoreVersion { ino, version })
+                Ok(Undo::Retouch { ino })
             }
             SubOp::ReadInode { ino } => {
                 self.inodes
@@ -264,8 +239,8 @@ impl MetaStore {
             SubOp::ReadDir { dir } => {
                 // A directory partition may legitimately be empty; reading
                 // it succeeds as long as the directory exists anywhere. We
-                // accept locally-unknown directories (their partition rows
-                // are created lazily), matching OrangeFS semantics.
+                // accept locally-unknown directories, matching OrangeFS
+                // semantics.
                 let _ = dir;
                 Ok(Undo::Nothing)
             }
@@ -302,14 +277,10 @@ impl MetaStore {
             Undo::DecNlink { ino } => {
                 if let Some(e) = self.inodes.get_mut(&ino) {
                     e.nlink -= 1;
-                    e.version += 1;
                 }
                 self.dirty.insert(ObjectId::Inode(ino));
             }
-            Undo::RestoreVersion { ino, version } => {
-                if let Some(e) = self.inodes.get_mut(&ino) {
-                    e.version = version;
-                }
+            Undo::Retouch { ino } => {
                 self.dirty.insert(ObjectId::Inode(ino));
             }
         }
@@ -351,7 +322,6 @@ impl MetaStore {
     pub fn clear(&mut self) {
         self.inodes.clear();
         self.dentries.clear();
-        self.dir_partitions.clear();
         self.dirty.clear();
     }
 }
@@ -449,10 +419,17 @@ mod tests {
         s.undo(u);
         assert_eq!(s.inode(InodeNo(10)).unwrap().nlink, 1);
 
-        let before = s.inode(InodeNo(10)).unwrap().version;
+        s.take_dirty_pages();
+        let before = (*s.inode(InodeNo(10)).unwrap(), s.stats().undos);
         let u = s.apply(&SubOp::TouchInode { ino: InodeNo(10) }).unwrap();
+        s.take_dirty_pages();
         s.undo(u);
-        assert_eq!(s.inode(InodeNo(10)).unwrap().version, before);
+        assert_eq!(
+            (*s.inode(InodeNo(10)).unwrap(), s.stats().undos),
+            (before.0, before.1 + 1),
+            "a touch's undo leaves the row and counts"
+        );
+        assert_eq!(s.dirty_count(), 1, "the rollback reaches the database");
     }
 
     #[test]
@@ -485,7 +462,7 @@ mod tests {
         let mut s = MetaStore::new();
         s.apply(&insert(1, 5, 10)).unwrap();
         s.apply(&create(10)).unwrap();
-        assert_eq!(s.dirty_count(), 3); // dentry + parent partition + inode
+        assert_eq!(s.dirty_count(), 3); // dentry + parent inode + inode
         let pages = s.take_dirty_pages();
         assert_eq!(pages.len(), 3);
         assert_eq!(s.dirty_count(), 0);
@@ -519,6 +496,12 @@ mod tests {
         s.seed_inode(InodeNo(10), FileKind::Regular, 1);
         assert_eq!(s.lookup(InodeNo(1), Name(7)), Some(InodeNo(10)));
         assert_eq!(s.dirty_count(), 0, "seeding is clean");
+    }
+
+    /// What seeding pays per inode row: key and row, 16 bytes a bucket.
+    #[test]
+    fn an_inode_row_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<(InodeNo, Inode)>(), 16);
     }
 
     /// A table reserved for `n` rows takes `n` rows without growing, at

@@ -19,7 +19,7 @@ use crate::trace::{SeedEntry, Trace, TraceOp, ROOT, SHARED_DIR};
 use cx_sim::det_rng;
 use cx_types::{FsOp, InodeNo, Name, ProcId};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// The two §IV-B mixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +89,11 @@ impl Metarates {
     /// The rng is drawn rank by rank (all of rank 0's ops before rank
     /// 1's) while the global order interleaves ranks round-robin, so rank
     /// `p`'s first op needs the rng and name-counter state *after* ranks
-    /// `0..p`. A counting pre-pass recovers it: it replays exactly the
-    /// draws generation makes — [`draw`] depends on the owned list's
-    /// length only — and snapshots the state at each rank boundary. CPU
-    /// for memory, as [`crate::stream::injection_counts`] does; the last
-    /// rank positions nobody, so one-rank inputs pay nothing.
+    /// `0..p`. A positioning pass ([`skip_rank`]) recovers it: it consumes
+    /// exactly the draws generation makes — [`draw`] depends on the owned
+    /// list's length only — and snapshots the state at each rank boundary.
+    /// CPU for memory, as [`crate::stream::injection_counts`] does; the
+    /// last rank positions nobody, so one-rank inputs pay nothing.
     pub fn stream(&self) -> StreamTrace {
         let total = self.processes as u64 * self.ops_per_proc as u64;
         // Files are numbered from 1 and the counter rests one past the last.
@@ -103,14 +103,23 @@ impl Metarates {
             self.seed_files
         );
         let mut rng = det_rng(self.seed, 0x3e7a_0000);
-        let mut seeds = vec![
+        let mut seeds = Vec::with_capacity(2 + self.seed_files as usize);
+        seeds.extend([
             SeedEntry::Dir { ino: ROOT },
             SeedEntry::Dir { ino: SHARED_DIR },
-        ];
+        ]);
 
         // Pre-populate the common directory, round-robin over processes so
-        // each rank owns an equal slice.
-        let mut owned: Vec<Vec<u32>> = (0..self.processes).map(|_| Vec::new()).collect();
+        // each rank owns an equal slice: the first `seed_files % processes`
+        // ranks one file more than the floor. A list is allocated once, at
+        // the power of two that pushing its seeds would have grown it to:
+        // one sized to its seeds alone doubles on the rank's first create,
+        // which the cluster draws while the seed list is still live.
+        let floor = (self.seed_files / self.processes.max(1)) as usize;
+        let extra = (self.seed_files % self.processes.max(1)) as usize;
+        let mut owned: Vec<Vec<u32>> = (0..self.processes as usize)
+            .map(|p| Vec::with_capacity((floor + (p < extra) as usize).next_power_of_two()))
+            .collect();
         let mut next_file = FIRST_FILE;
         for k in 0..self.seed_files {
             let (name, ino) = file(next_file);
@@ -124,10 +133,9 @@ impl Metarates {
         }
 
         let update_fraction = self.mix.update_fraction();
-        let floor = (self.seed_files / self.processes.max(1)) as usize;
         let mut ranks = Vec::with_capacity(self.processes as usize);
         for (p, owned) in owned.into_iter().enumerate() {
-            let mut len = owned.len();
+            let len = owned.len();
             ranks.push(RankGen {
                 rng: rng.clone(),
                 next_file,
@@ -136,16 +144,7 @@ impl Metarates {
             if p + 1 == self.processes as usize {
                 break; // the last rank positions nobody
             }
-            for _ in 0..self.ops_per_proc {
-                match draw(&mut rng, update_fraction, floor, len) {
-                    Draw::Create => {
-                        next_file += 1;
-                        len += 1;
-                    }
-                    Draw::Remove(_) => len -= 1,
-                    Draw::Stat(_) => {}
-                }
-            }
+            next_file += skip_rank(&mut rng, self.ops_per_proc, update_fraction, floor, len);
         }
 
         StreamTrace {
@@ -180,8 +179,9 @@ fn file(k: u32) -> (Name, InodeNo) {
 }
 
 /// One op's random choices, as a function of the rank's owned-list
-/// *length* alone — which is what lets the counting pre-pass in
-/// [`Metarates::stream`] replay a rank's draws without its list.
+/// *length* alone — which is what lets the positioning pass
+/// ([`skip_rank`]) consume a rank's draws without its list. The two must
+/// draw alike: `reference_build`'s property test holds them to it.
 enum Draw {
     Create,
     /// Remove the owned file at this index (`swap_remove`).
@@ -204,6 +204,55 @@ fn draw(rng: &mut SmallRng, update_fraction: f64, floor: usize, len: usize) -> D
     } else {
         Draw::Stat(Some(rng.gen_range(0..len)))
     }
+}
+
+/// Draws the positioning pass classifies per refill.
+const BLOCK: usize = 256;
+
+/// Advance `rng` past one rank's `ops` ops, from an owned list of `len`
+/// files, exactly as [`draw`] would; returns how many of them create.
+///
+/// Every draw [`draw`] makes is one `next_u64` (the precondition
+/// `SmallRng` documents), so the pass classifies the next [`BLOCK`] draws
+/// of a clone up front, two bits each: `x < update_fraction` (read as an
+/// op's first draw: update or stat) and `x < 0.5` (read as an update's
+/// second draw: the remove coin). It then walks the ops without branches:
+/// an op takes `n = 1 + u·(above + rm) + (1 − u)·[len > 0]` draws, where
+/// `u` is the update bit, `above` is `len > floor` and `rm` is
+/// `u·above·coin`. An op draws at most three times; with fewer left in the
+/// block, the real rng advances by the draws consumed and the block
+/// refills.
+fn skip_rank(
+    rng: &mut SmallRng,
+    ops: u32,
+    update_fraction: f64,
+    floor: usize,
+    mut len: usize,
+) -> u32 {
+    let mut codes = [0u8; BLOCK];
+    let (mut left, mut created) = (ops, 0);
+    while left > 0 {
+        let mut ahead = rng.clone();
+        for code in &mut codes {
+            let x = ahead.gen::<f64>();
+            *code = (x < update_fraction) as u8 | ((x < 0.5) as u8) << 1;
+        }
+        let mut j = 0;
+        while left > 0 && j + 3 <= BLOCK {
+            let u = (codes[j] & 1) as usize;
+            let above = (len > floor) as usize;
+            let rm = u & above & (codes[j + 1] >> 1) as usize;
+            let create = u - rm;
+            j += 1 + u * (above + rm) + (1 - u) * (len > 0) as usize;
+            len = len + create - rm;
+            created += create as u32;
+            left -= 1;
+        }
+        for _ in 0..j {
+            rng.next_u64();
+        }
+    }
+    created
 }
 
 /// One rank's generator state, positioned at its first op.
@@ -396,10 +445,20 @@ mod tests {
         }
     }
 
+    /// The last two inputs take each rank across several refills of the
+    /// positioning pass's 256-draw block (700 ops ≈ 1,500 draws), with
+    /// and without stats on an empty list.
     #[test]
     fn metarates_stream_equals_reference() {
         for mix in [MetaratesMix::UpdateDominated, MetaratesMix::ReadDominated] {
             assert_matches_reference(&Metarates::new(mix, 16).seed_files(256).ops_per_proc(40));
+            for seed_files in [6, 0] {
+                assert_matches_reference(
+                    &Metarates::new(mix, 3)
+                        .seed_files(seed_files)
+                        .ops_per_proc(700),
+                );
+            }
         }
     }
 
@@ -407,7 +466,7 @@ mod tests {
         /// Anywhere in the parameter space — including fewer seed files
         /// than ranks, where stats fall back on the empty-list default —
         /// the lazy stream is the eager reference: one skipped or extra
-        /// draw in the counting pre-pass shifts every later rank.
+        /// draw in the positioning pass shifts every later rank.
         #[test]
         fn stream_equals_reference_for_random_parameters(
             update in any::<bool>(),

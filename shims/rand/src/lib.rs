@@ -92,6 +92,12 @@ pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// SplitMix64. Small, fast, passes BigCrush on its own output.
+    ///
+    /// Every sampler here (`gen` of `f64`/`u64`/`u32`/`bool`, `gen_bool`,
+    /// `gen_range`, `choose`) takes exactly one `next_u64`: no rejection
+    /// loop. Callers count on it — Metarates positions its ranks by
+    /// counting draws — so a sampler that draws more than once must fail
+    /// `samplers_take_one_draw_each` here, not move a digest downstream.
     #[derive(Debug, Clone)]
     pub struct SmallRng {
         state: u64,
@@ -212,6 +218,31 @@ mod tests {
             assert!(y < 5);
             let f = r.gen::<f64>();
             assert!((0.0..1.0).contains(&f));
+        }
+    }
+
+    /// Each sampler leaves the rng where one `next_u64` does. The `u64`
+    /// spans sit just over 2^63, where a rejection step (Lemire's, or
+    /// "retry above the largest multiple") redraws about half the time.
+    #[test]
+    fn samplers_take_one_draw_each() {
+        use super::RngCore;
+        let xs: Vec<u32> = (0..1_000).collect();
+        let mut r = SmallRng::seed_from_u64(11);
+        for i in 1..2_000u64 {
+            let samplers: [&dyn Fn(&mut SmallRng); 5] = [
+                &|r| _ = r.gen::<f64>(),
+                &|r| _ = r.gen_bool(1.0 / i as f64),
+                &|r| _ = r.gen_range(0..(1 << 63) + i),
+                &|r| _ = r.gen_range(0..i as usize),
+                &|r| _ = xs[..i as usize % xs.len() + 1].choose(r),
+            ];
+            for (k, sample) in samplers.iter().enumerate() {
+                let mut once = r.clone();
+                once.next_u64();
+                sample(&mut r);
+                assert_eq!(r.next_u64(), once.next_u64(), "sampler {k}, i {i}");
+            }
         }
     }
 
