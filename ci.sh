@@ -124,12 +124,15 @@ if [ "${1:-}" != "quick" ]; then
 
     # The wall-clock runtime's tests ride real timers, shepherd threads and
     # loopback sockets on whatever cores this box has: a 1-in-20 flake has to
-    # show up here, not in the next PR's run. cx-net's own tests (reconnect
-    # FIFO, kill mid-corked batch) are the evidence for the one-reader loop.
-    step "cx-cluster + cx-net tests, five times back to back"
+    # show up here, not in the next PR's run. The evidence for the one I/O
+    # thread per node: the wire read- and write-path suites (deaf peer,
+    # thread census, mutual flood) plus cx-net's rapid_reconnects_stay_fifo
+    # and kill_mid_corked_batch_stays_lossless_and_fifo.
+    step "cx-cluster + cx-net + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster
         cargo test -q --release -p cx-net
+        cargo test -q --release --test wire_write_path --test wire_read_path
     done
 fi
 

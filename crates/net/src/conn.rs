@@ -1,5 +1,4 @@
-//! Connection management: one I/O thread for every inbound socket +
-//! per-peer writer threads.
+//! Connection management: one I/O thread per node, for both directions.
 //!
 //! Topology: every node runs one [`ConnectionManager`]. Connections are
 //! simplex — a node dials out to write, and accepts to read. The first
@@ -8,46 +7,29 @@
 //! learn the dial-back address without a rendezvous service.
 //!
 //! Per peer, the manager keeps a **bounded** outbound queue: when the peer
-//! is slow (or reconnecting), `send` blocks the caller — that is the
-//! backpressure policy, chosen over dropping because the protocol engines
-//! assume a lossless transport (loss recovery belongs to the chaos plane,
-//! not the wire).
+//! is slow (or reconnecting), `send` blocks the caller — the backpressure
+//! policy, chosen over dropping because the protocol engines assume a
+//! lossless transport (loss recovery belongs to the chaos plane).
 //!
 //! **Coalescing by lock combining**: after enqueuing, a sender tries the
-//! peer's flush lock; whoever holds it drains the *entire* queue per
-//! round, encodes every pending frame back-to-back into one reusable
-//! scratch buffer, and issues a single `write_all` — one syscall per
-//! *batch*, not per frame — looping until the queue is empty. Under load
-//! the current holder keeps absorbing frames that arrive mid-write
-//! (backlog combining: the busier the wire, the larger the batches), while
-//! an idle peer's lone frame is flushed by its own sender immediately, at
-//! no handoff or wakeup cost. [`MAX_WRITE_BYTES`] caps the encoded bytes
-//! per write. A per-peer writer *daemon* thread backstops the inline
-//! path: it owns reconnect backoff and drains frames a stalled
-//! connection left behind. A connection is only ever closed at a **flush**
-//! boundary — which is always a frame boundary — and the frames of a
-//! coalesced-but-unflushed batch are retained (their encoding intact) for
-//! the next connection generation, so reconnects stay lossless and
-//! per-peer FIFO.
+//! peer's flush lock; whoever holds it drains the *entire* queue per round
+//! into one reusable scratch buffer and hands that to one nonblocking
+//! `write` — one syscall per *batch*, not per frame. Under load the holder
+//! keeps absorbing frames that arrive mid-write; an idle peer's lone frame
+//! goes out on its own sender at once. A flush that cannot finish — a full
+//! socket, a peer that is down, or [`MAX_ROUNDS`] spent — goes to the I/O
+//! thread, which resumes it on `POLLOUT` and re-dials with exponential
+//! backoff. No thread blocks in a socket write, so the I/O thread never
+//! stops reading because of one. A connection is closed only at a frame
+//! boundary, and a batch not yet written in full rides the next connection
+//! generation, so reconnects stay lossless and per-peer FIFO.
 //!
-//! The read side is one thread per node: it owns the listener and every
-//! accepted socket, waits in `poll(2)` over all of them, runs each
-//! connection's `Hello` handshake as per-connection state (a silent or
-//! garbage dialer delays nobody else), and decodes each readable socket
-//! into its own large reusable [`FrameBuffer`] — *every* complete frame
-//! per `read`, forwarded as one `Vec<Frame>` batch through the merged
-//! inbound channel: one channel wakeup per batch. Per node, only the
-//! oldest connection is read; a newer generation's frames wait until the
-//! older one reaches EOF, which keeps delivery FIFO across reconnects.
-//! Batch vectors come from a shared [`VecPool`]; consumers hand drained
-//! batches back via [`ConnectionManager::recycle_batch`], so the steady
-//! state allocates nothing on either path.
-//!
-//! Reconnect: on dial/write failure the frames stay queued and the writer
-//! daemon re-dials with exponential backoff (base doubling to a cap),
-//! re-sends its `Hello`, and flushes the retained batch.
-//! [`ConnectionManager::drop_connection`] closes a live socket at the next
-//! flush boundary — the hook the reconnect drills use.
+//! The read side: the same thread `poll`s the listener and every accepted
+//! socket, runs each `Hello` handshake as per-connection state (a silent
+//! or garbage dialer delays nobody else), and forwards every complete
+//! frame of a `read` as one `Vec<Frame>` batch, drawn from a [`VecPool`]
+//! that [`ConnectionManager::recycle_batch`] refills. Per node, only the
+//! oldest connection is read, which keeps delivery FIFO across reconnects.
 
 use crate::health::{HealthSnapshot, PeerHealth};
 use crate::wire::{encode_frame, write_frame, Frame, FrameBuffer};
@@ -58,8 +40,8 @@ use cx_types::VecPool;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_short, c_ulong};
 use std::os::unix::net::UnixStream;
@@ -68,9 +50,14 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLoc
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Encoded bytes gathered into one `write_all`; a flush session with more
+/// Encoded bytes gathered per flush round; a flush session with more
 /// queued than this writes in several rounds.
 const MAX_WRITE_BYTES: usize = 64 << 10;
+
+/// Rounds one flush session runs before the peer goes to the I/O thread:
+/// a protocol thread is not conscripted as a peer's writer forever, and
+/// the I/O thread gets back to reading between rounds.
+const MAX_ROUNDS: u32 = 64;
 
 /// Outbound frames buffered per peer before `send` blocks (the
 /// backpressure bound).
@@ -81,6 +68,22 @@ const QUEUE_CAP: usize = 1024;
 /// batch.
 const READ_BUF_BYTES: usize = 256 << 10;
 
+/// Ceiling of the reconnect backoff, which starts at
+/// [`PlaneConfig::backoff_base`] and doubles per consecutive failure.
+const BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// How long a dial may wait for the peer's accept queue: the I/O thread
+/// dials, and a full backlog must not stop it reading.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// How long [`ConnectionManager::shutdown`] keeps writing to peers that
+/// still take bytes; whatever is unsent then is dropped.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How soon the draining I/O thread looks again at a peer whose flush
+/// lock a sender held.
+const DRAIN_RETRY: Duration = Duration::from_millis(1);
+
 /// Lock a `std` mutex parking_lot-style: a panicked holder releases.
 fn plock<T>(m: &StdMutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -89,10 +92,9 @@ fn plock<T>(m: &StdMutex<T>) -> MutexGuard<'_, T> {
 /// Tuning knobs for the wire plane.
 #[derive(Debug, Clone)]
 pub struct PlaneConfig {
-    /// First reconnect delay; doubles per consecutive failure.
+    /// First reconnect delay; doubles per consecutive failure up to
+    /// [`BACKOFF_MAX`].
     pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
     /// Keep a per-flush [`FlushSpan`] log for the Perfetto trace (bounded;
     /// see [`FLUSH_SPAN_CAP`]). The telemetry histograms are always on —
     /// only the span log, whose memory grows with the run, is gated.
@@ -103,7 +105,6 @@ impl Default for PlaneConfig {
     fn default() -> Self {
         Self {
             backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_secs(1),
             record_flush_spans: false,
         }
     }
@@ -130,69 +131,86 @@ impl AddrBook {
 }
 
 /// Pending outbound frames for one peer. Guarded by [`PeerShared::queue`];
-/// `room` wakes senders blocked on a full queue, `daemon` wakes the writer
-/// daemon when an inline flush stalls (dead connection) or at shutdown.
+/// `room` wakes senders blocked on a full queue, and `shutdown` turns them
+/// and every later sender away.
+#[derive(Default)]
 struct PeerQueue {
     q: VecDeque<Frame>,
     shutdown: bool,
+    /// A flush found the socket full: until the I/O thread resumes it on
+    /// `POLLOUT`, senders only enqueue instead of retrying the write.
+    parked: bool,
 }
 
 /// Connection + unflushed-batch state for one peer — the flush lock.
 /// Invariants:
 ///
-/// * `batch` holds every frame drained from the queue but not yet
-///   confirmed written; `scratch` holds exactly the concatenated encoding
-///   of `batch` at all times (a failed `write_all` leaves both intact, so
-///   the next connection generation resends the identical bytes).
-/// * A flush writes all of `scratch` in one `write_all`; only a fully
-///   successful flush clears `batch`+`scratch` — lossless across
-///   generations.
-/// * The connection is closed (kill/drop/write error) only between
-///   flushes, so the peer's reader always drains to EOF at a frame
-///   boundary.
+/// * `scratch` is exactly the encoding of `batch`, the frames drained from
+///   the queue and not yet written in full; `written` is how much of it
+///   the current connection took. A short write resumes there; a failed
+///   one resets it to 0, and the next generation resends every byte.
+/// * A kill closes the connection only while `written` is 0, a frame
+///   boundary, so the peer's reader drains to EOF between frames.
+/// * A holder of this lock finishes the flush (queue and batch empty at
+///   release) or, after releasing it, hands the peer to the I/O thread.
+#[derive(Default)]
 struct FlushState {
     conn: Option<TcpStream>,
     ever_connected: bool,
     batch: VecDeque<Frame>,
     scratch: Vec<u8>,
+    written: usize,
+    /// When this connection was first offered this batch: a flush's
+    /// latency spans its stalls.
+    write_t0: Option<Instant>,
     hello_scratch: Vec<u8>,
-    /// Inline flushers skip dialing before this instant; the daemon owns
-    /// the exponential part of the backoff.
+    /// No dial before this instant (the last failure's backoff).
     next_dial_at: Option<Instant>,
+    /// The next failure's backoff: doubles, and resets once a batch is out.
+    backoff: Duration,
 }
 
-/// Everything the inline flush path and the writer daemon share.
+/// One peer's outbound side, shared by its senders and the I/O thread.
 struct PeerShared {
     me: NodeId,
     to: NodeId,
     listen_port: u16,
     book: Arc<AddrBook>,
-    cfg: PlaneConfig,
+    backoff_base: Duration,
     queue: StdMutex<PeerQueue>,
     room: Condvar,
-    daemon: Condvar,
     flush: StdMutex<FlushState>,
     kill: AtomicBool,
     health: Arc<PeerHealth>,
-    shutdown: Arc<AtomicBool>,
     reconnects: Arc<AtomicU64>,
-    wire: Arc<WireCounters>,
     telem: Arc<TelemetryState>,
 }
 
-struct Peer {
-    shared: Arc<PeerShared>,
-    handle: JoinHandle<()>,
+/// Peers whose flush a sender could not finish, on their way to the I/O
+/// thread, and the socket that wakes it.
+struct Handoff {
+    stalled: Mutex<Vec<Arc<PeerShared>>>,
+    /// Write half of the I/O thread's wake pair (nonblocking). A byte means
+    /// "look at `stalled`"; shutting its write half means "drain and exit".
+    wake: UnixStream,
 }
 
-/// How a flush session ended.
-#[derive(PartialEq)]
-enum SessionEnd {
-    /// Queue and batch both empty at the moment of release.
-    Done,
-    /// Work remains but the connection is down (or the inline round cap
-    /// was hit) — the writer daemon must take over.
-    Stalled,
+impl Handoff {
+    /// Give `peer`'s flush to the I/O thread. Called only after releasing
+    /// the peer's flush lock, so the thread's `try_lock` can take it.
+    fn stall(&self, peer: &Arc<PeerShared>) {
+        let mut stalled = self.stalled.lock();
+        if stalled.iter().any(|p| Arc::ptr_eq(p, peer)) {
+            return;
+        }
+        stalled.push(Arc::clone(peer));
+        // The loop reads the wake socket dry before it takes the set, so
+        // only the first entry needs a byte. A full socket holds a wakeup
+        // already; a shut one's loop is draining and looks every pass.
+        if stalled.len() == 1 {
+            let _ = (&self.wake).write(&[0]);
+        }
+    }
 }
 
 /// Aggregate send-side wire counters across every peer of one manager —
@@ -203,7 +221,7 @@ pub struct WireTotals {
     pub frames: u64,
     /// Encoded bytes written.
     pub bytes: u64,
-    /// `write_all` calls (coalesced batches).
+    /// Batches written (coalesced flushes).
     pub flushes: u64,
 }
 
@@ -216,109 +234,71 @@ impl WireTotals {
     }
 }
 
-/// Manager-level send counters, bumped by writers at each flush. Kept
-/// separate from the per-peer [`PeerHealth`] map so totals survive peer
-/// teardown: `shutdown()` drains the peers map, and a run's final
-/// aggregation must still see everything the node ever wrote.
-#[derive(Debug, Default)]
-struct WireCounters {
-    frames: AtomicU64,
-    bytes: AtomicU64,
-    flushes: AtomicU64,
-}
-
-impl WireCounters {
-    fn note_flush(&self, frames: u64, bytes: u64) {
-        self.frames.fetch_add(frames, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn totals(&self) -> WireTotals {
-        WireTotals {
-            frames: self.frames.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Upper bound on retained [`FlushSpan`]s per manager (~40 B each). Past
 /// it flushes still count in the histograms; only the trace log saturates,
 /// with the overflow tallied in [`WireTelemetry::spans_dropped`].
 pub const FLUSH_SPAN_CAP: usize = 1 << 16;
 
 /// Live wall-clock telemetry shared by every peer of one manager: the
-/// flush/queue/stall histograms (always on — one `Mutex`ed record per
-/// *flush*, not per frame) and the optional per-flush span log. All stamps
+/// flush/queue/stall histograms (always on — one locked record per
+/// *flush*, not per frame), the optional per-flush span log and the send
+/// totals, which outlive `shutdown()` draining the peers map. All stamps
 /// are nanoseconds since the manager's `epoch`, so one process's spans are
 /// directly comparable and cross-process ones differ by a probe-estimated
 /// offset ([`crate::ClockSync`]).
 struct TelemetryState {
     epoch: Instant,
     record_spans: bool,
-    queue_depth: Mutex<LogHistogram>,
-    flush_frames: Mutex<LogHistogram>,
-    flush_latency_ns: Mutex<LogHistogram>,
-    cork_scope_ns: Mutex<LogHistogram>,
-    stall_ns: Mutex<LogHistogram>,
-    spans: Mutex<Vec<FlushSpan>>,
-    spans_dropped: AtomicU64,
+    /// The histograms and spans, and the send totals.
+    live: Mutex<(WireTelemetry, WireTotals)>,
 }
 
 impl TelemetryState {
-    fn new(epoch: Instant, record_spans: bool) -> Self {
-        Self {
-            epoch,
-            record_spans,
-            queue_depth: Mutex::new(LogHistogram::default()),
-            flush_frames: Mutex::new(LogHistogram::default()),
-            flush_latency_ns: Mutex::new(LogHistogram::default()),
-            cork_scope_ns: Mutex::new(LogHistogram::default()),
-            stall_ns: Mutex::new(LogHistogram::default()),
-            spans: Mutex::new(Vec::new()),
-            spans_dropped: AtomicU64::new(0),
-        }
-    }
-
     fn note_queue_depth(&self, depth: u64) {
-        self.queue_depth.lock().record(depth);
+        self.live.lock().0.queue_depth.record(depth);
     }
 
+    /// Record a batch written in full; returns its latency.
     fn note_flush(
         &self,
         from: NodeId,
         to: NodeId,
         t0: Instant,
-        dur: Duration,
         frames: u64,
         bytes: u64,
-    ) {
-        self.flush_frames.lock().record(frames);
-        self.flush_latency_ns.lock().record(dur.as_nanos() as u64);
-        if self.record_spans {
-            let mut spans = self.spans.lock();
-            if spans.len() < FLUSH_SPAN_CAP {
-                spans.push(FlushSpan {
-                    from: from.flow(),
-                    to: to.flow(),
-                    start_ns: t0.saturating_duration_since(self.epoch).as_nanos() as u64,
-                    dur_ns: dur.as_nanos() as u64,
-                    frames: frames.min(u32::MAX as u64) as u32,
-                    bytes: bytes.min(u32::MAX as u64) as u32,
-                });
-            } else {
-                self.spans_dropped.fetch_add(1, Ordering::Relaxed);
-            }
+    ) -> Duration {
+        let dur = t0.elapsed();
+        let (telem, totals) = &mut *self.live.lock();
+        totals.frames += frames;
+        totals.bytes += bytes;
+        totals.flushes += 1;
+        telem.flush_frames.record(frames);
+        telem.flush_latency_ns.record(dur.as_nanos() as u64);
+        if !self.record_spans {
+            return dur;
         }
+        if telem.flush_spans.len() < FLUSH_SPAN_CAP {
+            telem.flush_spans.push(FlushSpan {
+                from: from.flow(),
+                to: to.flow(),
+                start_ns: t0.saturating_duration_since(self.epoch).as_nanos() as u64,
+                dur_ns: dur.as_nanos() as u64,
+                frames: frames.min(u32::MAX as u64) as u32,
+                bytes: bytes.min(u32::MAX as u64) as u32,
+            });
+        } else {
+            telem.spans_dropped += 1;
+        }
+        dur
     }
 
     fn note_stall(&self, dur: Duration) {
-        self.stall_ns.lock().record(dur.as_nanos() as u64);
+        self.live.lock().0.stall_ns.record(dur.as_nanos() as u64);
     }
 
     fn note_cork_scope(&self, dur: Duration) {
-        self.cork_scope_ns.lock().record(dur.as_nanos() as u64);
+        let ns = dur.as_nanos() as u64;
+        self.live.lock().0.cork_scope_ns.record(ns);
     }
 }
 
@@ -362,25 +342,23 @@ impl WireTelemetry {
 }
 
 /// One node's view of the wire: one I/O thread reading every inbound
-/// connection, plus on-demand writer threads (one per peer it has sent to).
+/// connection and finishing every outbound flush a sender could not.
 pub struct ConnectionManager {
     me: NodeId,
     listen_addr: SocketAddr,
     book: Arc<AddrBook>,
-    cfg: PlaneConfig,
-    peers: Mutex<HashMap<NodeId, Peer>>,
-    shutdown: Arc<AtomicBool>,
-    /// The I/O thread and the write end of its wake socket. The thread
-    /// owns the inbound channel's only sender, so joining it in
-    /// [`Self::shutdown`] disconnects the receiver once the frames already
-    /// queued are drained.
-    io: Mutex<Option<(JoinHandle<()>, UnixStream)>>,
+    backoff_base: Duration,
+    peers: Mutex<HashMap<NodeId, Arc<PeerShared>>>,
+    shutdown: AtomicBool,
+    /// The I/O thread. It owns the inbound channel's only sender, so
+    /// joining it in [`Self::shutdown`] disconnects the receiver once the
+    /// frames already queued are drained.
+    io: Mutex<Option<JoinHandle<()>>>,
+    handoff: Arc<Handoff>,
     reconnects: Arc<AtomicU64>,
     /// Freelist for inbound batch vectors: the I/O thread draws, consumers
     /// return via [`ConnectionManager::recycle_batch`].
     batch_pool: Arc<Mutex<VecPool<Frame>>>,
-    /// Send-side totals across all peers, past and present.
-    wire: Arc<WireCounters>,
     /// Live [`CorkGuard`] count: while non-zero, `send` only enqueues and
     /// the guard's drop flushes every dirty peer once.
     cork_depth: AtomicUsize,
@@ -441,35 +419,43 @@ impl ConnectionManager {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
         let listen_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        let (wake, wake_rx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let handoff = Arc::new(Handoff {
+            stalled: Mutex::new(Vec::new()),
+            wake,
+        });
         let (inbound_tx, inbound_rx) = unbounded();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let batch_pool: Arc<Mutex<VecPool<Frame>>> = Arc::new(Mutex::new(VecPool::default()));
-        let cfg_record_spans = cfg.record_flush_spans;
 
-        let io_handle = {
-            let book = Arc::clone(&book);
-            let pool = Arc::clone(&batch_pool);
-            thread::Builder::new()
-                .name("cx-io".into())
-                .spawn(move || io_loop(listener, &wake_rx, inbound_tx, &book, &pool))
-                .expect("spawn I/O thread")
-        };
+        let (b, pool, h) = (
+            Arc::clone(&book),
+            Arc::clone(&batch_pool),
+            Arc::clone(&handoff),
+        );
+        let io = thread::Builder::new()
+            .name("cx-io".into())
+            .spawn(move || io_loop(listener, &wake_rx, inbound_tx, &b, &pool, &h))?;
 
         Ok((
             Self {
                 me,
                 listen_addr,
                 book,
-                cfg,
+                backoff_base: cfg.backoff_base,
                 peers: Mutex::new(HashMap::new()),
-                shutdown,
-                io: Mutex::new(Some((io_handle, wake_tx))),
+                shutdown: AtomicBool::new(false),
+                io: Mutex::new(Some(io)),
+                handoff,
                 reconnects: Arc::new(AtomicU64::new(0)),
                 batch_pool,
-                wire: Arc::new(WireCounters::default()),
                 cork_depth: AtomicUsize::new(0),
-                telem: Arc::new(TelemetryState::new(epoch, cfg_record_spans)),
+                telem: Arc::new(TelemetryState {
+                    epoch,
+                    record_spans: cfg.record_flush_spans,
+                    live: Mutex::default(),
+                }),
             },
             inbound_rx,
         ))
@@ -497,16 +483,13 @@ impl ConnectionManager {
     /// thread handoff); if another thread holds it, that holder is
     /// guaranteed to pick this frame up — the `try_lock` happens inside
     /// the queue critical section, and a holder only releases the lock
-    /// after observing an empty queue *under that same lock*.
+    /// after observing an empty queue *under that same lock*, or hands
+    /// the peer to the I/O thread, whose flush gathers the queue too.
     pub fn send(&self, to: NodeId, frame: Frame) -> Result<(), &'static str> {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err("connection manager is shut down");
         }
-        let shared = {
-            let mut peers = self.peers.lock();
-            let peer = peers.entry(to).or_insert_with(|| self.spawn_writer(to));
-            Arc::clone(&peer.shared)
-        };
+        let shared = self.peer(to);
         let mut stalled: Option<Duration> = None;
         let flush = {
             let mut q = plock(&shared.queue);
@@ -529,64 +512,48 @@ impl ConnectionManager {
             // flushes every dirty peer once, coalescing the whole burst
             // into one write per peer. A queue at capacity overrides the
             // cork — someone must drain it or later senders block forever.
-            if self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < QUEUE_CAP {
-                None
-            } else {
-                match shared.flush.try_lock() {
-                    Ok(st) => Some(st),
-                    Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                    // The current holder will observe this frame (see above).
-                    Err(TryLockError::WouldBlock) => None,
-                }
-            }
+            // A parked peer's queue is the I/O thread's to drain; otherwise
+            // a current holder will observe this frame (see above).
+            let corked = self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < QUEUE_CAP;
+            (!q.parked && !corked).then(|| try_flush(&shared)).flatten()
         };
         if let Some(d) = stalled {
             shared.telem.note_stall(d);
         }
         if let Some(st) = flush {
-            // Inline sessions are round-capped so a protocol thread can't
-            // be conscripted as the peer's writer forever under sustained
-            // load; past the cap the daemon takes over.
-            if flush_session(&shared, st, 64, true) == SessionEnd::Stalled {
-                shared.daemon.notify_all();
-            }
+            self.flush(&shared, st);
         }
         Ok(())
     }
 
-    /// Eagerly establish the connection to `to` (spawn its writer, dial,
-    /// send the `Hello`) without queueing a frame, so the first real send
-    /// doesn't pay the connect + handshake on the critical path. A dial
-    /// failure is not an error: the normal lazy dial-with-backoff path
-    /// simply runs when the first frame goes out.
+    /// Eagerly establish the connection to `to` (dial, send the `Hello`)
+    /// without queueing a frame, so the first real send doesn't pay the
+    /// connect + handshake on the critical path. A dial failure is not an
+    /// error: the normal lazy dial-with-backoff path simply runs when the
+    /// first frame goes out.
     pub fn prime(&self, to: NodeId) {
         if self.shutdown.load(Ordering::Relaxed) || to == self.me {
             return;
         }
-        let shared = {
-            let mut peers = self.peers.lock();
-            let peer = peers.entry(to).or_insert_with(|| self.spawn_writer(to));
-            Arc::clone(&peer.shared)
-        };
+        let shared = self.peer(to);
         let mut st = plock(&shared.flush);
         if st.conn.is_none() && st.next_dial_at.is_none() {
             let _ = dial(&shared, &mut st);
         }
+        // A lock holder finishes or hands off, so frames queued meanwhile
+        // go out now.
+        self.flush(&shared, st);
     }
 
     /// Scoped sender-side cork: while any guard from this call is alive,
-    /// [`Self::send`] only enqueues — no inline flush, no daemon wake.
-    /// When the last guard drops, every peer with queued frames is
-    /// flushed once. For callers that already hold a batch of work (an
-    /// engine loop draining one inbound wakeup, a client shepherd
-    /// refilling its slots): all the frames that work provokes coalesce
-    /// into one write per peer, with zero added latency — the cork lasts
-    /// exactly as long as the processing it covers, never a timer.
-    ///
-    /// Guards may nest and overlap across threads (the flush happens when
-    /// the count returns to zero). Losslessness is unaffected: a corked
-    /// frame is in its peer queue, and the shutdown path and the writer
-    /// daemon's periodic sweep flush queued frames regardless of corking.
+    /// [`Self::send`] only enqueues. When the last guard drops, every peer
+    /// with queued frames is flushed once. For callers that already hold a
+    /// batch of work (an engine loop draining one inbound wakeup, a client
+    /// shepherd refilling its slots): the frames that work provokes
+    /// coalesce into one write per peer, with zero added latency — the cork
+    /// lasts exactly as long as the processing it covers, never a timer.
+    /// Guards may nest and overlap across threads; a corked frame is in
+    /// its peer queue, which the shutdown drain flushes regardless.
     pub fn cork_scope(&self) -> CorkGuard<'_> {
         self.cork_depth.fetch_add(1, Ordering::SeqCst);
         CorkGuard {
@@ -597,28 +564,28 @@ impl ConnectionManager {
 
     /// Flush every peer with queued frames (the tail of a cork scope).
     fn flush_all(&self) {
-        let shareds: Vec<Arc<PeerShared>> = {
-            let peers = self.peers.lock();
-            peers.values().map(|p| Arc::clone(&p.shared)).collect()
-        };
+        let shareds: Vec<Arc<PeerShared>> = self.peers.lock().values().cloned().collect();
         for shared in shareds {
             let flush = {
                 let q = plock(&shared.queue);
-                if q.q.is_empty() {
+                if q.q.is_empty() || q.parked {
                     continue;
                 }
-                match shared.flush.try_lock() {
-                    Ok(st) => Some(st),
-                    Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                    // The holder drains the queue before releasing.
-                    Err(TryLockError::WouldBlock) => None,
-                }
+                // A current holder drains the queue before releasing.
+                try_flush(&shared)
             };
             if let Some(st) = flush {
-                if flush_session(&shared, st, 64, true) == SessionEnd::Stalled {
-                    shared.daemon.notify_all();
-                }
+                self.flush(&shared, st);
             }
+        }
+    }
+
+    /// Run a flush session on a lock this thread holds; a flush that
+    /// stalls goes to the I/O thread once the lock is released.
+    fn flush(&self, shared: &Arc<PeerShared>, st: MutexGuard<'_, FlushState>) {
+        if let Some(st) = flush_session(shared, st, true) {
+            drop(st);
+            self.handoff.stall(shared);
         }
     }
 
@@ -629,63 +596,46 @@ impl ConnectionManager {
         self.batch_pool.lock().put(batch);
     }
 
-    fn spawn_writer(&self, to: NodeId) -> Peer {
-        let shared = Arc::new(PeerShared {
-            me: self.me,
-            to,
-            listen_port: self.listen_addr.port(),
-            book: Arc::clone(&self.book),
-            cfg: self.cfg.clone(),
-            queue: StdMutex::new(PeerQueue {
-                q: VecDeque::new(),
-                shutdown: false,
-            }),
-            room: Condvar::new(),
-            daemon: Condvar::new(),
-            flush: StdMutex::new(FlushState {
-                conn: None,
-                ever_connected: false,
-                batch: VecDeque::new(),
-                scratch: Vec::with_capacity(MAX_WRITE_BYTES),
-                hello_scratch: Vec::with_capacity(64),
-                next_dial_at: None,
-            }),
-            kill: AtomicBool::new(false),
-            health: Arc::new(PeerHealth::new()),
-            shutdown: Arc::clone(&self.shutdown),
-            reconnects: Arc::clone(&self.reconnects),
-            wire: Arc::clone(&self.wire),
-            telem: Arc::clone(&self.telem),
+    /// The outbound side for `to`, created on first use.
+    fn peer(&self, to: NodeId) -> Arc<PeerShared> {
+        let mut peers = self.peers.lock();
+        let shared = peers.entry(to).or_insert_with(|| {
+            Arc::new(PeerShared {
+                me: self.me,
+                to,
+                listen_port: self.listen_addr.port(),
+                book: Arc::clone(&self.book),
+                backoff_base: self.backoff_base,
+                queue: StdMutex::default(),
+                room: Condvar::new(),
+                flush: StdMutex::new(FlushState {
+                    scratch: Vec::with_capacity(MAX_WRITE_BYTES),
+                    backoff: self.backoff_base,
+                    ..FlushState::default()
+                }),
+                kill: AtomicBool::new(false),
+                health: Arc::default(),
+                reconnects: Arc::clone(&self.reconnects),
+                telem: Arc::clone(&self.telem),
+            })
         });
-        let daemon_shared = Arc::clone(&shared);
-        let handle = thread::Builder::new()
-            .name("cx-wd".into())
-            .spawn(move || writer_daemon(daemon_shared))
-            .expect("spawn writer daemon");
-        Peer { shared, handle }
+        Arc::clone(shared)
     }
 
-    /// Close the live connection to `to` at the next flush boundary; the
-    /// writer re-dials with backoff. No frames are lost: the close happens
-    /// between flushes (a frame boundary), the peer reads to EOF, and any
+    /// Close the live connection to `to` at the next frame boundary; the
+    /// next flush re-dials. No frames are lost: the close happens before
+    /// any byte of a batch is written, the peer reads to EOF, and any
     /// coalesced-but-unflushed batch is re-encoded onto the next
     /// connection generation.
     pub fn drop_connection(&self, to: NodeId) -> bool {
         let peers = self.peers.lock();
-        match peers.get(&to) {
-            Some(p) => {
-                p.shared.kill.store(true, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+        let peer = peers.get(&to);
+        peer.inspect(|p| p.kill.store(true, Ordering::Relaxed))
+            .is_some()
     }
 
     pub fn health(&self, to: NodeId) -> Option<HealthSnapshot> {
-        self.peers
-            .lock()
-            .get(&to)
-            .map(|p| p.shared.health.snapshot())
+        self.peers.lock().get(&to).map(|p| p.health.snapshot())
     }
 
     /// Health of every peer this node has written to, in node order.
@@ -693,7 +643,7 @@ impl ConnectionManager {
         let peers = self.peers.lock();
         let mut v: Vec<_> = peers
             .iter()
-            .map(|(n, p)| (*n, p.shared.health.snapshot()))
+            .map(|(n, p)| (*n, p.health.snapshot()))
             .collect();
         v.sort_by_key(|(n, _)| *n);
         v
@@ -704,7 +654,7 @@ impl ConnectionManager {
     /// rates the metrics plane exposes. Unlike [`Self::health_all`], the
     /// totals survive `shutdown()` draining the peers map.
     pub fn wire_totals(&self) -> WireTotals {
-        self.wire.totals()
+        self.telem.live.lock().1
     }
 
     /// Total successful re-dials across all peers (0 for a run where no
@@ -724,84 +674,60 @@ impl ConnectionManager {
     /// [`PlaneConfig::record_flush_spans`] is set). Spans accumulated so
     /// far are *cloned*, not drained — calling twice is idempotent.
     pub fn telemetry(&self) -> WireTelemetry {
-        WireTelemetry {
-            queue_depth: self.telem.queue_depth.lock().clone(),
-            flush_frames: self.telem.flush_frames.lock().clone(),
-            flush_latency_ns: self.telem.flush_latency_ns.lock().clone(),
-            cork_scope_ns: self.telem.cork_scope_ns.lock().clone(),
-            stall_ns: self.telem.stall_ns.lock().clone(),
-            flush_spans: self.telem.spans.lock().clone(),
-            spans_dropped: self.telem.spans_dropped.load(Ordering::Relaxed),
-        }
+        self.telem.live.lock().0.clone()
     }
 
     /// Feed one probe RTT/offset sample into `to`'s health tracking (the
     /// quiesce loop samples these; the estimator itself lives with the
     /// caller as [`crate::ClockSync`]).
     pub fn note_rtt(&self, to: NodeId, rtt_ns: u64, offset_ns: i64) {
-        if let Some(h) = self
-            .peers
-            .lock()
-            .get(&to)
-            .map(|p| Arc::clone(&p.shared.health))
-        {
+        if let Some(h) = self.peers.lock().get(&to).map(|p| Arc::clone(&p.health)) {
             h.note_rtt(rtt_ns, offset_ns);
         }
     }
 
-    /// Flush and join every writer daemon, then stop the I/O thread, which
-    /// closes every inbound socket and disconnects the inbound channel
-    /// (whoever consumes it — a node loop, a demux pump — sees the end of
-    /// the run whether or not it still holds this manager). Queued
-    /// outbound frames are flushed before daemons exit (unless their peer
-    /// is unreachable).
+    /// Turn every sender away, let the I/O thread drain each outbound queue
+    /// until it is empty, its peer is unreachable or [`DRAIN_DEADLINE`]
+    /// passes, and join it — so it returns even behind a peer that never
+    /// reads. The thread then closes every socket and disconnects the
+    /// inbound channel, so its consumer sees the end of the run.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let peers: Vec<Peer> = self.peers.lock().drain().map(|(_, p)| p).collect();
-        for p in &peers {
-            let mut q = plock(&p.shared.queue);
-            q.shutdown = true;
-            p.shared.room.notify_all();
-            p.shared.daemon.notify_all();
+        let Some(io) = self.io.lock().take() else {
+            return;
+        };
+        for (_, p) in self.peers.lock().drain() {
+            plock(&p.queue).shutdown = true;
+            p.room.notify_all();
+            self.handoff.stall(&p);
         }
-        for p in peers {
-            let _ = p.handle.join();
-        }
-        if let Some((h, wake)) = self.io.lock().take() {
-            // Closing the wake socket's write end makes its read end
-            // readable (EOF), which ends the loop's `poll`; closing cannot
-            // fail the way a dial can.
-            drop(wake);
-            let _ = h.join();
-        }
+        // EOF on the wake socket starts the drain; shutting a socket's
+        // write half cannot fail the way a dial can.
+        let _ = self.handoff.wake.shutdown(Shutdown::Write);
+        let _ = io.join();
     }
 }
 
 impl Drop for ConnectionManager {
-    /// A dropped manager must not leak its I/O or daemon threads —
-    /// server runtimes drop managers when their node loop exits without
-    /// always calling [`Self::shutdown`] explicitly. Idempotent.
+    /// A dropped manager must not leak its I/O thread — server runtimes
+    /// drop managers when their node loop exits without always calling
+    /// [`Self::shutdown`] explicitly. Idempotent.
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// Drain-encode-write until the queue is empty or the connection stalls.
-/// Called with the peer's flush lock held; consumes the guard and releases
-/// it *inside* a queue critical section after observing the queue empty
-/// (the handshake that makes `send`'s failed `try_lock` safe).
-///
-/// `max_rounds` bounds how long an inline caller can be conscripted as the
-/// peer's writer; the daemon passes a large cap and backstops the rest.
-/// `pace_dials` makes a session respect [`FlushState::next_dial_at`] — set
-/// for inline senders so they never spin on a dead peer; the daemon
-/// ignores it because its own exponential backoff is the pacer.
-fn flush_session(
+/// Drain, encode and write until the queue is empty or the flush stalls.
+/// Returns `None` once queue and batch are both empty, having released
+/// the lock *inside* a queue critical section (the handshake that makes
+/// `send`'s failed `try_lock` safe), or the still-held lock when the
+/// socket is full, the peer is down or [`MAX_ROUNDS`] ran out. Only the
+/// shutdown drain clears `pace_dials` to ignore [`FlushState::next_dial_at`].
+fn flush_session<'a>(
     shared: &PeerShared,
-    mut st: MutexGuard<'_, FlushState>,
-    max_rounds: u32,
+    mut st: MutexGuard<'a, FlushState>,
     pace_dials: bool,
-) -> SessionEnd {
+) -> Option<MutexGuard<'a, FlushState>> {
     let mut rounds = 0u32;
     loop {
         // Gather: move queued frames into the held batch, encoding each
@@ -826,7 +752,7 @@ fn flush_session(
                 // try_lock failed has either already enqueued (we'd see the
                 // frame) or will acquire the flush lock itself.
                 drop(st);
-                return SessionEnd::Done;
+                return None;
             }
         }
         // Sample the pre-gather backlog (outside the queue lock; zero
@@ -834,76 +760,89 @@ fn flush_session(
         if gathered_depth > 0 {
             shared.telem.note_queue_depth(gathered_depth);
         }
-        rounds += 1;
-        if rounds > max_rounds {
-            return SessionEnd::Stalled;
+        if rounds == MAX_ROUNDS {
+            return Some(st);
         }
-        // A kill (reconnect drill) closes the old connection at this flush
+        rounds += 1;
+        // A kill (reconnect drill) closes the old connection at a frame
         // boundary; the held batch rides the next generation.
-        if shared.kill.swap(false, Ordering::Relaxed) {
+        if st.written == 0 && shared.kill.swap(false, Ordering::Relaxed) {
             st.conn = None;
         }
         if st.conn.is_none() {
-            if pace_dials {
-                if let Some(at) = st.next_dial_at {
-                    if Instant::now() < at {
-                        // Recently failed dial: leave redial pacing to the
-                        // daemon instead of burning sender time.
-                        return SessionEnd::Stalled;
-                    }
-                }
+            if pace_dials && st.next_dial_at.is_some_and(|at| Instant::now() < at) {
+                return Some(st);
             }
-            match dial(shared, &mut st) {
-                Ok(()) => {}
-                Err(_) => {
-                    shared.health.note_failure();
-                    st.next_dial_at = Some(Instant::now() + shared.cfg.backoff_base);
-                    return SessionEnd::Stalled;
-                }
+            if dial(shared, &mut st).is_err() {
+                failed(shared, &mut st);
+                return Some(st);
             }
         }
-        // Single write for the whole batch. Disjoint borrows: the stream
-        // and the scratch buffer live in the same struct.
-        let FlushState {
-            conn,
-            scratch,
-            batch,
-            ..
-        } = &mut *st;
-        let stream = conn.as_mut().expect("connection established above");
-        let t0 = Instant::now();
-        match stream.write_all(scratch) {
-            Ok(()) => {
-                let dur = t0.elapsed();
-                let (frames, bytes) = (batch.len() as u64, scratch.len() as u64);
-                shared.health.note_flush(frames, bytes, dur);
-                shared.wire.note_flush(frames, bytes);
-                shared
+        let t0 = *st.write_t0.get_or_insert_with(Instant::now);
+        match write_rest(&mut st) {
+            // The socket is full: the I/O thread resumes at `written`.
+            Ok(false) => {
+                plock(&shared.queue).parked = true;
+                return Some(st);
+            }
+            Ok(true) => {
+                let (frames, bytes) = (st.batch.len() as u64, st.scratch.len() as u64);
+                let dur = shared
                     .telem
-                    .note_flush(shared.me, shared.to, t0, dur, frames, bytes);
-                batch.clear();
-                scratch.clear();
+                    .note_flush(shared.me, shared.to, t0, frames, bytes);
+                shared.health.note_flush(frames, bytes, dur);
+                st.batch.clear();
+                st.scratch.clear();
+                st.backoff = shared.backoff_base;
             }
-            Err(_) => {
-                // Batch and scratch stay intact: the next generation
-                // resends the identical bytes.
-                shared.health.note_failure();
-                *conn = None;
-                st.next_dial_at = Some(Instant::now() + shared.cfg.backoff_base);
-                return SessionEnd::Stalled;
-            }
+            // Batch and scratch stay intact: the next generation resends
+            // the identical bytes.
+            Err(_) => st.conn = None,
+        }
+        st.written = 0;
+        st.write_t0 = None;
+        if st.conn.is_none() {
+            failed(shared, &mut st);
+            return Some(st);
         }
     }
 }
 
+/// Offer the rest of the batch to the connection without blocking:
+/// `Ok(true)` once all of `scratch` is written, `Ok(false)` when the
+/// socket is full.
+fn write_rest(st: &mut FlushState) -> io::Result<bool> {
+    let Some(stream) = st.conn.as_mut() else {
+        return Err(io::ErrorKind::NotConnected.into());
+    };
+    while st.written < st.scratch.len() {
+        match stream.write(&st.scratch[st.written..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => st.written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// A dial or write failed: count it, and back the next dial off.
+fn failed(shared: &PeerShared, st: &mut FlushState) {
+    shared.health.note_failure();
+    st.next_dial_at = Some(Instant::now() + st.backoff);
+    st.backoff = (st.backoff * 2).min(BACKOFF_MAX);
+}
+
 /// Connect to the peer and send the `Hello` handshake. On success the
-/// stream is stored in `st.conn` and the dial throttle is cleared.
+/// stream is stored in `st.conn`, nonblocking, and the dial throttle is
+/// cleared.
 fn dial(shared: &PeerShared, st: &mut FlushState) -> io::Result<()> {
     let addr = shared
         .book
         .get(shared.to)
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer address unknown"))?;
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)?;
     stream.set_nodelay(true)?;
     write_frame(
         &mut stream,
@@ -913,6 +852,7 @@ fn dial(shared: &PeerShared, st: &mut FlushState) -> io::Result<()> {
         },
         &mut st.hello_scratch,
     )?;
+    stream.set_nonblocking(true)?;
     if st.ever_connected {
         shared.health.note_reconnect();
         shared.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -923,48 +863,45 @@ fn dial(shared: &PeerShared, st: &mut FlushState) -> io::Result<()> {
     Ok(())
 }
 
-/// The per-peer backstop thread. Inline senders do the fast-path flushing;
-/// the daemon handles everything that must not block a protocol thread:
-/// exponential reconnect backoff, frames a stalled session left behind,
-/// and the final drain at shutdown.
-fn writer_daemon(shared: Arc<PeerShared>) {
-    let mut backoff = shared.cfg.backoff_base;
-    loop {
-        {
-            let mut q = plock(&shared.queue);
-            while q.q.is_empty() && !q.shutdown {
-                let (guard, timeout) = shared
-                    .daemon
-                    .wait_timeout(q, Duration::from_millis(20))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-                // The periodic poll backstops anything whose notification
-                // raced the wait (a stalled inline session's leftovers).
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        let st = plock(&shared.flush);
-        let end = flush_session(&shared, st, u32::MAX, false);
-        let shut = shared.shutdown.load(Ordering::Relaxed);
-        match end {
-            SessionEnd::Done => {
-                backoff = shared.cfg.backoff_base;
-                if shut {
-                    return;
-                }
-            }
-            SessionEnd::Stalled => {
-                if shut && shared.health.snapshot().consecutive_failures > 0 {
-                    // Peer unreachable during shutdown: drop the queue.
-                    return;
-                }
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(shared.cfg.backoff_max);
-            }
-        }
+/// A peer whose flush the I/O loop is finishing. It resumes when `fd`
+/// (the peer's socket; -1 while there is none) turns writable or `due`
+/// comes: the next dial, or another look at a lock a sender held.
+struct Stalled {
+    peer: Arc<PeerShared>,
+    fd: RawFd,
+    due: Option<Instant>,
+}
+
+/// The flush lock, if nobody holds it (a panicked holder released it).
+fn try_flush(shared: &PeerShared) -> Option<MutexGuard<'_, FlushState>> {
+    match shared.flush.try_lock() {
+        Ok(st) => Some(st),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
+}
+
+/// Resume `s`'s flush if nobody else holds its lock, and set what it
+/// waits on next. False when the loop is done with the peer: its flush
+/// finished, a sender holds the lock (and so finishes the flush or hands
+/// the peer back), or — draining — the peer cannot be reached and its
+/// frames are dropped with it.
+fn resume(s: &mut Stalled, draining: bool, now: Instant) -> bool {
+    plock(&s.peer.queue).parked = false;
+    let Some(st) = try_flush(&s.peer) else {
+        // A draining loop must not exit before the holder is done.
+        (s.fd, s.due) = (-1, Some(now + DRAIN_RETRY));
+        return draining;
+    };
+    let Some(st) = flush_session(&s.peer, st, !draining) else {
+        return false;
+    };
+    (s.fd, s.due) = match &st.conn {
+        Some(c) => (c.as_raw_fd(), None),
+        None if draining => return false,
+        None => (-1, st.next_dial_at.or(Some(now))),
+    };
+    true
 }
 
 /// How long an accepted connection may take to name itself with a `Hello`
@@ -992,6 +929,7 @@ struct PollFd {
 }
 
 const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
 const SCHED_BATCH: c_int = 3;
 
 unsafe extern "C" {
@@ -1001,12 +939,25 @@ unsafe extern "C" {
 }
 
 /// Add `fd` to the poll set; `poll` skips a negative one.
-fn watch(fds: &mut Vec<PollFd>, fd: RawFd) {
+fn watch(fds: &mut Vec<PollFd>, fd: RawFd, events: c_short) {
     fds.push(PollFd {
         fd,
-        events: POLLIN,
+        events,
         revents: 0,
     });
+}
+
+/// Read the wake socket dry; true once its write half is shut.
+fn wake_closed(mut wake: &UnixStream) -> bool {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake.read(&mut buf) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return e.kind() != io::ErrorKind::WouldBlock,
+        }
+    }
 }
 
 /// One accepted socket and its receive buffer.
@@ -1048,30 +999,35 @@ struct Pending {
     deadline: Instant,
 }
 
-/// The node's one reader: waits in `poll` over the listener, every
-/// connection still in its handshake, and — per node — only the oldest
-/// connection, so a node's newer connection is read only after its older
-/// one reaches EOF and delivery stays FIFO across reconnects. Each node's
-/// queue is in generation order because handshakes are read in accept
-/// order and a dialer writes generation *k*'s `Hello` and closes *k*
-/// before it dials *k+1*. That *k*'s bytes are then already on its socket
-/// when *k+1*'s `Hello` is read holds because the listener is loopback
-/// only, where a write is delivered in the writer's own send path; it is
-/// an ordering of the kernel's, not one this loop enforces (a deferred
-/// softirq plus a CPU migration between the two dials could reorder
-/// them). Returns when the wake socket turns readable (its peer closed).
+/// The node's one I/O thread. It resumes every flush a sender handed it
+/// when the peer's socket turns writable or its dial comes due; at
+/// shutdown it drains every peer, still reading, and returns. It reads the
+/// listener, every connection still in its handshake and, per node, only
+/// the oldest connection, so a newer one is read after the older one's EOF
+/// and delivery stays FIFO across reconnects. Each node's queue is in
+/// generation order because handshakes are read in accept order and a
+/// dialer writes generation *k*'s `Hello` and closes *k* before it dials
+/// *k+1*. That *k*'s bytes are then already on its socket when *k+1*'s
+/// `Hello` is read holds because the listener is loopback only, where a
+/// write is delivered in the writer's own send path; it is an ordering of
+/// the kernel's, not one this loop enforces (a deferred softirq plus a CPU
+/// migration between the two dials could reorder them).
 fn io_loop(
     listener: TcpListener,
     wake: &UnixStream,
     tx: Sender<Batch>,
     book: &AddrBook,
     pool: &Mutex<VecPool<Frame>>,
+    handoff: &Handoff,
 ) {
     let mut pending: Vec<Pending> = Vec::new();
     let mut nodes: HashMap<NodeId, VecDeque<Inbound>> = HashMap::new();
+    let mut out: Vec<Stalled> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut fronts: Vec<NodeId> = Vec::new();
     let mut accept_paused: Option<Instant> = None;
+    // The shutdown drain's deadline, once the wake socket reads EOF.
+    let mut draining: Option<Instant> = None;
     // Under SCHED_BATCH the scheduler never preempts a running thread to
     // run this one on wakeup; it takes an idle CPU or waits for the
     // running thread to block. The loop wakes because some thread just
@@ -1082,27 +1038,59 @@ fn io_loop(
     // SAFETY: pid 0 is this thread; the priority outlives the call.
     unsafe { sched_setscheduler(0, SCHED_BATCH, &0) };
     loop {
-        if accept_paused.is_some_and(|until| Instant::now() >= until) {
+        let now = Instant::now();
+        if accept_paused.is_some_and(|until| now >= until) {
             accept_paused = None;
         }
+        // Write side: adopt the peers senders handed over, then resume
+        // every flush whose socket turned writable or whose time came.
+        for peer in handoff.stalled.lock().drain(..) {
+            if !out.iter().any(|s| Arc::ptr_eq(&s.peer, &peer)) {
+                out.push(Stalled {
+                    peer,
+                    fd: -1,
+                    due: Some(now),
+                });
+            }
+        }
+        out.retain_mut(|s| s.due.is_none_or(|t| t > now) || resume(s, draining.is_some(), now));
+        if draining.is_some_and(|deadline| out.is_empty() || now >= deadline) {
+            // What is still unsent goes with `out`; dropping the sockets
+            // closes them, dropping `tx` disconnects the inbound channel.
+            return;
+        }
         // Poll set: [listener][wake][pending…][each node's oldest
-        // connection…]; a paused listener is -1, which `poll` skips.
+        // connection…][each stalled peer's socket…]; a paused listener,
+        // the wake socket once it read EOF, and a peer waiting to dial are
+        // -1, which `poll` skips.
         fds.clear();
         fronts.clear();
-        watch(&mut fds, accept_paused.map_or(listener.as_raw_fd(), |_| -1));
-        watch(&mut fds, wake.as_raw_fd());
+        let listen_fd = accept_paused.map_or(listener.as_raw_fd(), |_| -1);
+        watch(&mut fds, listen_fd, POLLIN);
+        watch(&mut fds, draining.map_or(wake.as_raw_fd(), |_| -1), POLLIN);
         for p in &pending {
-            watch(&mut fds, p.conn.stream.as_raw_fd());
+            watch(&mut fds, p.conn.stream.as_raw_fd(), POLLIN);
         }
+        let first_front = fds.len();
         for (node, q) in &nodes {
             fronts.push(*node);
-            watch(&mut fds, q[0].stream.as_raw_fd());
+            watch(&mut fds, q[0].stream.as_raw_fd(), POLLIN);
         }
-        // Sleep until something is readable, a handshake runs out or the
-        // listener's pause ends.
-        let wake_at = pending.iter().map(|p| p.deadline).chain(accept_paused);
+        let first_out = fds.len();
+        for s in &out {
+            watch(&mut fds, s.fd, POLLOUT);
+        }
+        // Sleep until something is readable or writable, a handshake runs
+        // out, the listener's pause ends, a dial comes due or the drain's
+        // deadline passes.
+        let wake_at = pending
+            .iter()
+            .map(|p| p.deadline)
+            .chain(accept_paused)
+            .chain(draining)
+            .chain(out.iter().filter_map(|s| s.due));
         let timeout = wake_at.min().map_or(-1, |d| {
-            let ms = d.saturating_duration_since(Instant::now()).as_millis();
+            let ms = d.saturating_duration_since(now).as_millis();
             ms.min(i32::MAX as u128 - 1) as c_int + 1
         });
         // SAFETY: `fds` is a live, exclusively borrowed array of
@@ -1111,12 +1099,15 @@ fn io_loop(
         if rc < 0 {
             continue; // EINTR
         }
-        if fds[1].revents != 0 {
-            // Shutdown. Dropping the sockets closes them; dropping `tx`
-            // disconnects the inbound channel.
-            return;
+        for (s, fd) in out.iter_mut().zip(&fds[first_out..]) {
+            if fd.revents != 0 {
+                s.due = Some(now);
+            }
         }
         let now = Instant::now();
+        if fds[1].revents != 0 && wake_closed(wake) {
+            draining = Some(now + DRAIN_DEADLINE);
+        }
         if fds[0].revents != 0 {
             loop {
                 match listener.accept() {
@@ -1172,7 +1163,6 @@ fn io_loop(
                 _ => {}
             }
         }
-        let first_front = fds.len() - fronts.len();
         for (j, node) in fronts.iter().enumerate() {
             if fds[first_front + j].revents == 0 {
                 continue;

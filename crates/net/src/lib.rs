@@ -10,14 +10,14 @@
 //!   Totally defensive: arbitrary bytes decode to typed
 //!   [`wire::WireError`]s, never panics.
 //! * [`conn`] — a [`conn::ConnectionManager`] per node: one I/O thread
-//!   that `poll`s the listener and every inbound socket, and one writer
-//!   thread + bounded outbound queue per peer (backpressure by blocking
-//!   the sender). Writers coalesce their whole queue into a single
-//!   `write_all` per wakeup, and senders holding a burst cork it for the
-//!   burst's scope; the I/O thread forwards `Vec<Frame>` batches drawn
-//!   from a recycled pool, reading a peer's connections one generation at
-//!   a time. Reconnect with exponential backoff stays lossless and
-//!   per-peer FIFO across connection generations.
+//!   that `poll`s the listener and every inbound socket, and a bounded
+//!   outbound queue per peer (backpressure by blocking the sender).
+//!   Senders coalesce the queue into one nonblocking `write` and cork a
+//!   burst for its scope; the I/O thread finishes stalled flushes,
+//!   redials and drains at shutdown, so no thread blocks in a socket
+//!   write. Inbound, it forwards pooled `Vec<Frame>` batches, reading a
+//!   peer's connections one generation at a time, so reconnects stay
+//!   lossless and per-peer FIFO.
 //! * [`health`] — per-peer [`health::PeerHealth`] scoring: consecutive
 //!   failures, reconnect counts, and a per-flush latency EWMA folded into
 //!   a single score in `(0, 1]`, plus the frame/byte/flush counters behind

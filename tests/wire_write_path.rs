@@ -1,0 +1,243 @@
+//! The wire's write path through `cx_net`'s public API only: no thread
+//! blocks in a socket write, so a peer that never reads cannot wedge
+//! `shutdown`, two nodes flooding each other cannot deadlock, and a
+//! manager runs one thread of its own however many peers it writes to.
+
+use cx_net::{read_frame, AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig};
+use std::net::{Ipv4Addr, TcpListener};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// The thread census counts every `cx-` thread in the process, so the
+/// cases here run one at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn probe(token: u64) -> Frame {
+    Frame::Probe { token, t0_ns: 0 }
+}
+
+fn start(me: NodeId, book: &Arc<AddrBook>) -> (ConnectionManager, cx_net::conn::InboundBatches) {
+    let (mgr, rx) =
+        ConnectionManager::start(me, Arc::clone(book), PlaneConfig::default()).expect("bind");
+    book.set(me, mgr.listen_addr());
+    (mgr, rx)
+}
+
+/// Run `f` on its own thread and wait at most `limit` for it, so a hang
+/// fails the case instead of the whole suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("still blocked after {limit:?}"))
+}
+
+/// The names of this process's threads.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|s| s.trim_end().to_owned())
+        .collect()
+}
+
+fn count(names: &[String], name: &str) -> usize {
+    names.iter().filter(|n| *n == name).count()
+}
+
+/// A peer whose listener is bound but never accepts and never reads: the
+/// kernel completes the dial, the socket buffers fill, and the sender ends
+/// up blocked by backpressure. `shutdown` must still return, and turn the
+/// sender away.
+#[test]
+fn shutdown_returns_behind_a_deaf_peer() {
+    let _serial = one_at_a_time();
+    let deaf = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind the deaf peer");
+    let book = Arc::new(AddrBook::new());
+    book.set(NodeId::Server(1), deaf.local_addr().expect("addr"));
+    let (a, _rx) = start(NodeId::Server(0), &book);
+    let a = Arc::new(a);
+
+    let (sent_tx, sent_rx) = mpsc::channel();
+    {
+        let a = Arc::clone(&a);
+        thread::spawn(move || {
+            let mut t = 0u64;
+            while a.send(NodeId::Server(1), probe(t)).is_ok() {
+                t += 1;
+            }
+            let _ = sent_tx.send(t);
+        });
+    }
+    thread::sleep(Duration::from_secs(2));
+    assert!(
+        sent_rx.try_recv().is_err(),
+        "the sender was still sending when shutdown began"
+    );
+    let t = Instant::now();
+    let took = within(Duration::from_secs(5), move || {
+        a.shutdown();
+        t.elapsed()
+    });
+    assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+    let sent = sent_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the blocked sender gets Err from shutdown");
+    assert!(sent > 0, "{sent} probes queued before the buffers filled");
+    drop(deaf);
+}
+
+/// A peer that reads nothing for a while, then everything: the socket
+/// fills, the flush parks with the I/O thread, and once the peer reads
+/// again the thread resumes it on `POLLOUT` — every frame arrives, once
+/// and in order — and a send after the backlog is gone still goes out.
+#[test]
+fn a_stalled_flush_resumes_when_the_peer_reads() {
+    let _serial = one_at_a_time();
+    const N: u32 = 2_000; // 16 MB of 8 KiB frames, past the socket buffers
+    let slow = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind the slow peer");
+    let book = Arc::new(AddrBook::new());
+    book.set(NodeId::Server(1), slow.local_addr().expect("addr"));
+    let (a, _rx) = start(NodeId::Server(0), &book);
+    let a = Arc::new(a);
+    let frame = |i: u32| Frame::Peers {
+        servers: vec![(i, "x".repeat(8 << 10))],
+    };
+    let sender = {
+        let a = Arc::clone(&a);
+        thread::spawn(move || (0..N).all(|i| a.send(NodeId::Server(1), frame(i)).is_ok()))
+    };
+    let (mut conn, _) = slow.accept().expect("the manager dials");
+    thread::sleep(Duration::from_millis(500));
+    let (got, mut conn) = within(Duration::from_secs(60), move || {
+        let hello = read_frame(&mut conn).expect("read").expect("a Hello");
+        assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+        let got = (0..N).all(|i| read_frame(&mut conn).ok().flatten() == Some(frame(i)));
+        (got, conn)
+    });
+    assert!(got, "every frame, once and in order");
+    assert!(sender.join().expect("sender"), "every send returned Ok");
+    a.send(NodeId::Server(1), frame(N)).expect("send");
+    let last = within(Duration::from_secs(10), move || {
+        read_frame(&mut conn).ok().flatten()
+    });
+    assert_eq!(last, Some(frame(N)), "the link is live again");
+    a.shutdown();
+}
+
+/// A manager that has written to four live peers adds exactly one thread
+/// of its own: its `cx-io`, which reads and writes for every peer. The
+/// cases run one at a time, so every `cx-` thread is one of these five
+/// managers'.
+#[test]
+fn one_thread_per_manager() {
+    let _serial = one_at_a_time();
+    let book = Arc::new(AddrBook::new());
+    let peers: Vec<_> = (1..=4).map(|s| start(NodeId::Server(s), &book)).collect();
+    let (a, _rx) = start(NodeId::Server(0), &book);
+    for t in 0..100 {
+        for s in 1..=4 {
+            a.send(NodeId::Server(s), probe(t)).expect("send");
+        }
+    }
+    for (_, rx) in &peers {
+        let mut got = 0;
+        while got < 100 {
+            let (_, batch) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every peer hears from the manager");
+            got += batch.len();
+        }
+    }
+    let after = thread_names();
+    assert_eq!(count(&after, "cx-wd"), 0, "no writer daemons: {after:?}");
+    assert_eq!(
+        count(&after, "cx-io"),
+        5,
+        "one cx-io per manager: {after:?}"
+    );
+    // The four peers' `cx-io` plus the manager's: nothing else of cx-net's.
+    let cx = after.iter().filter(|n| n.starts_with("cx-")).count();
+    assert_eq!(cx, 5, "the five managers' threads: {after:?}");
+    a.shutdown();
+    for (p, _) in &peers {
+        p.shutdown();
+    }
+}
+
+/// Two managers each send a million probes to the other, from one thread
+/// each, before either inbound channel is read: about 20 MB each way.
+/// Loopback's readers keep up with one sender each, so the flood alone
+/// rarely fills a socket; each manager's I/O thread therefore also holds a
+/// flush stalled on a peer that never reads. Had that thread blocked in
+/// the write, it would stop reading and the flood could not finish.
+#[test]
+fn mutual_flood_delivers_every_frame_once_in_order() {
+    let _serial = one_at_a_time();
+    const N: u64 = 1_000_000;
+    const DEAF: NodeId = NodeId::Server(2);
+    let deaf = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind the deaf peer");
+    let book = Arc::new(AddrBook::new());
+    book.set(DEAF, deaf.local_addr().expect("addr"));
+    let (a, rx_a) = start(NodeId::Server(0), &book);
+    let (b, rx_b) = start(NodeId::Server(1), &book);
+    let (a, b) = (Arc::new(a), Arc::new(b));
+
+    // 8 KiB frames fill the deaf peer's socket within milliseconds; the
+    // senders then block on the full queue until shutdown turns them away.
+    let stuck = [&a, &b].map(|m| {
+        let m = Arc::clone(m);
+        let big = Frame::Peers {
+            servers: vec![(0, "x".repeat(8 << 10))],
+        };
+        thread::spawn(move || while m.send(DEAF, big.clone()).is_ok() {})
+    });
+    thread::sleep(Duration::from_millis(500));
+
+    let flood = |from: &Arc<ConnectionManager>, to: NodeId| {
+        let from = Arc::clone(from);
+        thread::spawn(move || (0..N).all(|t| from.send(to, probe(t)).is_ok()))
+    };
+    let (to_b, to_a) = (flood(&a, NodeId::Server(1)), flood(&b, NodeId::Server(0)));
+    let sent = within(Duration::from_secs(120), move || {
+        (
+            to_b.join().expect("a's sender"),
+            to_a.join().expect("b's sender"),
+        )
+    });
+    assert_eq!(sent, (true, true), "every send returned Ok");
+
+    for (rx, from) in [(&rx_b, NodeId::Server(0)), (&rx_a, NodeId::Server(1))] {
+        let mut next = 0u64;
+        while next < N {
+            let (who, batch) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the flood arrives");
+            assert_eq!(who, from);
+            for f in batch {
+                assert_eq!(f, probe(next), "once and in order");
+                next += 1;
+            }
+        }
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "nothing past the last probe"
+        );
+    }
+    within(Duration::from_secs(10), move || {
+        a.shutdown();
+        b.shutdown();
+    });
+    for s in stuck {
+        s.join().expect("the deaf peer's sender");
+    }
+    drop(deaf);
+}
