@@ -124,10 +124,13 @@ if [ "${1:-}" != "quick" ]; then
 
     # The wall-clock runtime's tests ride real timers, shepherd threads and
     # loopback sockets on whatever cores this box has: a 1-in-20 flake has to
-    # show up here, not in the next PR's run. The evidence for the one I/O
-    # thread per node: the wire read- and write-path suites (deaf peer,
-    # thread census, mutual flood) plus cx-net's rapid_reconnects_stay_fifo
-    # and kill_mid_corked_batch_stays_lossless_and_fifo.
+    # show up here, not in the next PR's run. The evidence for the serving
+    # loop, where each server's engine runs on its node's one I/O thread:
+    # the write-path suite's admission and loopback thread-census cases
+    # (plus its deaf peer and mutual flood), the read-path suite, cx-net's
+    # rapid_reconnects_stay_fifo and kill_mid_corked_batch_stays_lossless_
+    # and_fifo, cx-cluster's faulty.rs over sockets, and the multi-process
+    # smoke above, where every cx_net_server serves on its loop.
     step "cx-cluster + cx-net + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster

@@ -1,12 +1,13 @@
 //! The wall-clock runtime over real loopback sockets.
 //!
 //! Every message of a [`crate::wall`] run crosses a TCP connection through
-//! `cx-net`'s [`ConnectionManager`]: length-prefixed wire frames, per-peer
-//! writers with bounded (backpressuring) outbound queues, reconnect with
-//! exponential backoff, per-peer health scoring. Two deployment shapes:
+//! `cx-net`'s [`ConnectionManager`]: length-prefixed wire frames, bounded
+//! (backpressuring) per-peer outbound queues flushed without blocking,
+//! reconnect with exponential backoff, per-peer health scoring. Each server
+//! node runs on its manager's one I/O thread. Two deployment shapes:
 //!
 //! * **in-process loopback** ([`TcpCluster::run_stream`]) — every server
-//!   node lives on its own thread in this process, with a shared
+//!   node lives on its own I/O thread in this process, with a shared
 //!   [`AddrBook`]; the integration tests and the benchmark's `tcp-*`
 //!   workloads use this.
 //! * **multi-process** ([`TcpCluster::run_external`] + [`serve_one`]) —
@@ -16,7 +17,7 @@
 
 use crate::live::{observe_wire_series, LiveMetrics};
 use crate::stats::RunStats;
-use crate::wall::{run_wired, server_node_loop, Node, Wired};
+use crate::wall::{run_wired, NodeIo, ServerNode, Wired};
 use cx_mdstore::Violation;
 use cx_net::{
     AddrBook, ConnectionManager, Frame, HealthSnapshot, NodeId, PlaneConfig, WireTelemetry,
@@ -27,7 +28,7 @@ use cx_obs::{NetTable, ObsConfig, ObsSink};
 use cx_types::{ClusterConfig, ServerId};
 use cx_workloads::{SeedEntry, StreamTrace, Trace};
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 #[cfg(test)]
 use {crossbeam::channel::unbounded, cx_obs::Phase, cx_types::Protocol, std::thread};
@@ -138,14 +139,14 @@ impl TcpCluster {
 /// probe timestamps) live on one clock and need no offset correction;
 /// external processes have their own epochs and get probe-estimated
 /// offsets instead.
-fn bind(me: NodeId, book: &Arc<AddrBook>, plane: &PlaneConfig, epoch: Instant) -> Node {
+fn bind(me: NodeId, book: &Arc<AddrBook>, plane: &PlaneConfig, epoch: Instant) -> NodeIo {
     let (conn, inbound) =
         ConnectionManager::start_with_epoch(me, Arc::clone(book), plane.clone(), epoch)
             .expect("bind loopback listener");
     if let NodeId::Server(_) = me {
         book.set(me, conn.listen_addr());
     }
-    Node {
+    NodeIo {
         net: Arc::new(conn),
         inbound,
     }
@@ -165,8 +166,8 @@ pub(crate) fn wire_sockets(
     let host = bind(NodeId::ClientHost(0), &book, plane, epoch);
     let Some(addrs) = external else {
         // Every manager is bound (and in the book) before `run_wired`
-        // spawns any engine thread, so the first send to any peer finds
-        // its address.
+        // builds any engine, so the first send to any peer finds its
+        // address.
         let servers = (0..servers)
             .map(|i| bind(NodeId::Server(i), &book, plane, epoch))
             .collect();
@@ -197,10 +198,11 @@ pub(crate) fn wire_sockets(
 
 /// Serve one metadata server over TCP until the coordinator sends `Stop`:
 /// the body of the `cx_net_server` process. Binds an ephemeral loopback
-/// port, reports it through `on_listen` (the parent reads it from stdout),
-/// then runs the engine loop. Peer addresses arrive over the wire: the
-/// coordinator's `Hello` registers the client host, a `Peers` frame names
-/// the other servers.
+/// port, hands the engine to its I/O loop, reports the port through
+/// `on_listen` (the parent reads it from stdout), and returns once the
+/// loop has drained the `StopResp` and exited. Peer addresses arrive over
+/// the wire: the coordinator's `Hello` registers the client host, a
+/// `Peers` frame names the other servers.
 pub fn serve_one(
     cfg: &ClusterConfig,
     me: ServerId,
@@ -240,7 +242,6 @@ pub fn serve_one_opts(
     // single probe-estimated offset corrects them all.
     let book = Arc::new(AddrBook::new());
     let (conn, inbound) = ConnectionManager::start(NodeId::Server(me.0), book, opts.net.clone())?;
-    on_listen(conn.listen_addr());
     let conn = Arc::new(conn);
     let obs = if opts.obs {
         ObsSink::with_config(
@@ -253,8 +254,14 @@ pub fn serve_one_opts(
     } else {
         ObsSink::Off
     };
-    let net = Arc::clone(&conn);
-    server_node_loop(cfg, me, seeds, net, inbound, obs, opts.obs);
+    let mut node = ServerNode::new(cfg, me, seeds, Arc::clone(&conn) as _, obs);
+    let (exit, exited) = mpsc::channel::<()>();
+    node.exit = Some(exit);
+    conn.serve(inbound, move || node);
+    on_listen(conn.listen_addr());
+    // The loop drops the node as it exits, once `Stop` drained.
+    let _ = exited.recv();
+    conn.shutdown();
     if let Some(out) = &opts.metrics_out {
         let reg = MetricRegistry::new();
         observe_wire_series(&reg, &conn.telemetry());

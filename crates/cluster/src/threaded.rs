@@ -1,16 +1,17 @@
 //! The wall-clock runtime over in-process channels.
 //!
-//! The same node loops, shepherds and drain as a TCP run ([`crate::wall`]),
-//! with `Frame` values handed across crossbeam channels instead of encoded
-//! onto sockets ([`channel_fabric`]): real threads and real interleavings
-//! without the wire. Timers run at wall-clock rate, so tests configure
-//! short trigger periods.
+//! The same server nodes, shepherds and drain as a TCP run
+//! ([`crate::wall`]), with `Frame` values handed across crossbeam channels
+//! instead of encoded onto sockets ([`channel_fabric`]): real threads and
+//! real interleavings without the wire. Each server node runs on a thread
+//! of its own. Timers run at wall-clock rate, so tests configure short
+//! trigger periods.
 
 use crate::live::LiveMetrics;
 use crate::stats::RunStats;
 use crate::tcp::TcpOptions;
 use crate::transport::channel_fabric;
-use crate::wall::{run_wired, Node, Wired};
+use crate::wall::{run_wired, NodeIo, Wired};
 use cx_mdstore::Violation;
 use cx_types::ClusterConfig;
 use cx_workloads::{StreamTrace, Trace};
@@ -90,9 +91,9 @@ impl ThreadedCluster {
 
 /// `servers` server nodes and the client host on one channel fabric.
 pub(crate) fn wire_channels(servers: u32, epoch: Instant) -> Wired {
-    let mut nodes: Vec<Node> = channel_fabric(servers, epoch)
+    let mut nodes: Vec<NodeIo> = channel_fabric(servers, epoch)
         .into_iter()
-        .map(|(net, inbound)| Node { net, inbound })
+        .map(|(net, inbound)| NodeIo { net, inbound })
         .collect();
     let host = nodes.pop().expect("the fabric ends with the client host");
     Wired {

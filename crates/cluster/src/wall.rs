@@ -1,10 +1,11 @@
 //! The wall-clock runtime: the sans-IO engines at real-time rate over any
 //! [`Transport`].
 //!
-//! One OS thread per metadata server runs [`server_node_loop`] (frame
-//! batches in, engine actions out, node-local timers); the logical
-//! clients — each strictly synchronous — are hosted a few to a *shepherd*
-//! thread ([`shepherd_loop`]) on the client host, which is also the run's
+//! Each metadata server is a [`ServerNode`] (frame batches in, engine
+//! actions out, node-local timers) on one OS thread: on sockets, its
+//! connection manager's I/O thread. The logical clients — each strictly
+//! synchronous — are hosted a few to a *shepherd* thread
+//! ([`shepherd_loop`]) on the client host, which is also the run's
 //! coordinator ([`run_wired`]). Disk completions are immediate: this
 //! runtime checks protocol correctness under true concurrency, timing is
 //! the DES's job. The engines cannot tell which carrier moves their
@@ -18,7 +19,7 @@
 //!
 //! [`crate::threaded`] and [`crate::tcp`] are the entry points: each wires
 //! the nodes with its transport and calls [`run_wired`]; external
-//! `cx_net_server` processes run the same [`server_node_loop`].
+//! `cx_net_server` processes serve the same [`ServerNode`].
 
 use crate::des::{flow_node, obs_on_send, primary_op, MsgCounts};
 use crate::feed::OpFeed;
@@ -29,7 +30,7 @@ use crate::tcp::{TcpOptions, TcpRunResult};
 use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cx_mdstore::{GlobalView, MetaStore};
-use cx_net::conn::InboundBatches;
+use cx_net::conn::{InboundBatches, Node};
 use cx_net::{ClockSync, Frame, HealthSnapshot, NodeId, WireTelemetry, WireTotals};
 use cx_obs::registry::{Counter, MetricRegistry, Series};
 use cx_obs::{FlowNode, MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
@@ -46,8 +47,9 @@ use cx_workloads::{SeedEntry, StreamTrace};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::os::raw::c_int;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -164,234 +166,215 @@ impl MsgPort {
 
 // ---- server node ----
 
-/// Interpret engine actions. Disk operations complete immediately (their
-/// completions can cascade, so a work queue avoids recursion); timers go
-/// into the node's local queue.
-fn process_server_actions(
-    engine: &mut dyn ServerEngine,
-    actions: Vec<Action>,
+/// One metadata server: its engine, the engine's node-local timers and the
+/// port it sends through, until the coordinator's `Stop`. On sockets its
+/// manager's I/O loop runs it ([`cx_net::ConnectionManager::serve`]),
+/// in-process or as a `cx_net_server` process; on channels, [`drive`].
+pub(crate) struct ServerNode {
+    engine: Box<dyn ServerEngine>,
+    timers: TimerQueue<u64>,
+    port: MsgPort,
     me: ServerId,
-    port: &mut MsgPort,
-    timers: &mut TimerQueue<u64>,
-) {
-    let mut work: VecDeque<Action> = actions.into();
-    while let Some(action) = work.pop_front() {
-        match action {
-            Action::Send { to, payload } => port.send(Endpoint::Server(me), to, payload),
-            Action::Disk(req) => {
-                let mut out = Vec::new();
-                engine.on_disk_done(port.now(), req.token(), &mut out);
-                work.extend(out);
-            }
-            Action::SetTimer { token, delay_ns } => {
-                timers.push(SimTime(port.now().0 + delay_ns), token);
+    /// Set for a process of its own ([`crate::serve_one`]): its `StopResp`
+    /// ships its obs shard, and the loop drops the node as it exits.
+    pub exit: Option<mpsc::Sender<()>>,
+}
+
+impl ServerNode {
+    /// Build and seed `me`'s engine, sending through `net`.
+    pub(crate) fn new(
+        cfg: &ClusterConfig,
+        me: ServerId,
+        seeds: &[SeedEntry],
+        net: Arc<dyn Transport>,
+        obs: ObsSink,
+    ) -> Self {
+        let mut engine = cx_protocol::make_server(me, cfg);
+        engine.install_obs(obs.clone());
+        seed_engine(engine.as_mut(), &Placement::new(cfg.servers), seeds, me);
+        let mut node = Self {
+            engine,
+            timers: TimerQueue::new(),
+            port: MsgPort::new(net, obs),
+            me,
+            exit: None,
+        };
+        node.step(|e, now, out| e.on_start(now, out));
+        node
+    }
+
+    /// Step the engine with `f` at the current instant and interpret its
+    /// actions at that instant. Disk operations complete immediately (their
+    /// completions can cascade, so a work queue avoids recursion); timers
+    /// go into the node's local queue.
+    fn step(&mut self, f: impl FnOnce(&mut dyn ServerEngine, SimTime, &mut Vec<Action>)) {
+        let (me, now) = (Endpoint::Server(self.me), self.port.now());
+        let mut out = Vec::new();
+        f(self.engine.as_mut(), now, &mut out);
+        let mut work: VecDeque<Action> = out.into();
+        while let Some(action) = work.pop_front() {
+            match action {
+                Action::Send { to, payload } => self.port.send(me, to, payload),
+                Action::Disk(req) => {
+                    let mut out = Vec::new();
+                    self.engine.on_disk_done(now, req.token(), &mut out);
+                    work.extend(out);
+                }
+                Action::SetTimer { token, delay_ns } => self.timers.push(now + delay_ns, token),
             }
         }
     }
-}
 
-/// Handle one inbound frame on a server node. Returns `true` when the
-/// frame was the coordinator's `Stop` (the `StopResp` has been sent and
-/// the engine loop must exit).
-fn handle_server_frame(
-    engine: &mut dyn ServerEngine,
-    port: &mut MsgPort,
-    timers: &mut TimerQueue<u64>,
-    me: ServerId,
-    shard_obs: bool,
-    from_node: NodeId,
-    frame: Frame,
-) -> bool {
-    match frame {
-        Frame::Msg {
-            sent_ns,
-            from,
-            to: _,
-            payload,
-        } => {
-            let now = port.now();
-            port.obs.msg_edge(
-                primary_op(&payload),
-                payload.kind(),
-                flow_node(from),
-                FlowNode::Server(me.0),
+    /// Handle one inbound frame; true for the coordinator's `Stop`, once
+    /// the `StopResp` is sent.
+    fn handle(&mut self, from_node: NodeId, frame: Frame) -> bool {
+        let port = &mut self.port;
+        match frame {
+            Frame::Msg {
                 sent_ns,
-                now.0,
-            );
-            let mut out = Vec::new();
-            engine.on_msg(now, from, payload, &mut out);
-            process_server_actions(engine, out, me, port, timers);
-        }
-        Frame::Quiesce => {
-            let mut out = Vec::new();
-            engine.quiesce(port.now(), &mut out);
-            process_server_actions(engine, out, me, port, timers);
-        }
-        Frame::Probe { token, t0_ns } => {
-            // Echo the prober's clock back and stamp ours: together with
-            // the prober's receive time this is a full NTP-style exchange
-            // ([`cx_net::ClockSync`]). Our stamp shares the epoch of every
-            // span phase this process records, so the estimated offset
-            // corrects them all.
-            port.net.send(
-                from_node,
-                Frame::ProbeResp {
-                    token,
-                    quiesced: engine.is_quiesced(),
-                    echo_t0_ns: t0_ns,
-                    remote_ns: port.net.now_ns(),
-                },
-            );
-        }
-        Frame::Stop => {
-            let (spans, edges) = if shard_obs {
-                port.obs.export_shard()
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            let wire = port.net.wire();
-            let report = WireReport {
-                stats: *engine.stats(),
-                proto: engine.proto_metrics(),
-                msgs: port.sent.by_kind.to_vec(),
-                server_msgs: port.sent.server_msgs,
-                client_msgs: port.sent.client_msgs,
-                spans,
-                edges,
-                telem: wire.map(|c| c.telemetry()).unwrap_or_default(),
-                peers: wire.map_or_else(Vec::new, |c| {
-                    c.health_all()
-                        .into_iter()
-                        .map(|(node, h)| (format!("{node}"), h))
-                        .collect()
-                }),
-            };
-            let stats_json = serde_json::to_string(&report)
-                .expect("server report serializes")
-                .into_bytes();
-            let (inodes, dentries) = snapshot_rows(engine.store());
-            port.net.send(
-                from_node,
-                Frame::StopResp {
-                    stats_json,
-                    inodes,
-                    dentries,
-                },
-            );
-            return true;
-        }
-        Frame::Peers { servers } => {
-            // Gossip only means something on sockets: learn where the
-            // other server processes listen.
-            if let Some(conn) = port.net.wire() {
-                for (s, addr) in servers {
-                    if NodeId::Server(s) != conn.me() {
-                        if let Ok(a) = addr.parse() {
-                            conn.book().set(NodeId::Server(s), a);
+                from,
+                to: _,
+                payload,
+            } => {
+                port.obs.msg_edge(
+                    primary_op(&payload),
+                    payload.kind(),
+                    flow_node(from),
+                    FlowNode::Server(self.me.0),
+                    sent_ns,
+                    port.now().0,
+                );
+                self.step(|e, now, out| e.on_msg(now, from, payload, out));
+            }
+            Frame::Quiesce => self.step(|e, now, out| e.quiesce(now, out)),
+            Frame::Probe { token, t0_ns } => {
+                // Echo the prober's clock back and stamp ours: together
+                // with the prober's receive time this is a full NTP-style
+                // exchange ([`cx_net::ClockSync`]). Our stamp shares the
+                // epoch of every span phase this process records, so the
+                // estimated offset corrects them all.
+                port.net.send(
+                    from_node,
+                    Frame::ProbeResp {
+                        token,
+                        quiesced: self.engine.is_quiesced(),
+                        echo_t0_ns: t0_ns,
+                        remote_ns: port.net.now_ns(),
+                    },
+                );
+            }
+            Frame::Stop => {
+                let (spans, edges) = if self.exit.is_some() {
+                    port.obs.export_shard()
+                } else {
+                    (Vec::new(), Vec::new())
+                };
+                let wire = port.net.wire();
+                let report = WireReport {
+                    stats: *self.engine.stats(),
+                    proto: self.engine.proto_metrics(),
+                    msgs: port.sent.by_kind.to_vec(),
+                    server_msgs: port.sent.server_msgs,
+                    client_msgs: port.sent.client_msgs,
+                    spans,
+                    edges,
+                    telem: wire.map(|c| c.telemetry()).unwrap_or_default(),
+                    peers: wire.map_or_else(Vec::new, |c| {
+                        c.health_all()
+                            .into_iter()
+                            .map(|(node, h)| (format!("{node}"), h))
+                            .collect()
+                    }),
+                };
+                let stats_json = serde_json::to_string(&report)
+                    .expect("server report serializes")
+                    .into_bytes();
+                let (inodes, dentries) = snapshot_rows(self.engine.store());
+                port.net.send(
+                    from_node,
+                    Frame::StopResp {
+                        stats_json,
+                        inodes,
+                        dentries,
+                    },
+                );
+                return true;
+            }
+            Frame::Peers { servers } => {
+                // Gossip only means something on sockets: learn where the
+                // other server processes listen.
+                if let Some(conn) = port.net.wire() {
+                    for (s, addr) in servers {
+                        if NodeId::Server(s) != conn.me() {
+                            if let Ok(a) = addr.parse() {
+                                conn.book().set(NodeId::Server(s), a);
+                            }
                         }
                     }
                 }
             }
+            // Hello is consumed by the connection manager; other control
+            // frames are coordinator-bound and never reach a server.
+            _ => {}
         }
-        // Hello is consumed by the connection manager; other control
-        // frames are coordinator-bound and never reach a server.
-        _ => {}
+        false
     }
-    false
 }
 
-/// Batches of inbound batches a server node processes per wakeup before it
-/// re-checks its timer queue: enough to amortize the channel wakeup under
-/// load, small enough to keep wall-clock timer latency bounded.
-const SERVER_DRAIN_BATCHES: usize = 512;
+impl Node for ServerNode {
+    fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool {
+        // Whatever follows a `Stop` is dropped with the drain.
+        !frames.drain(..).any(|frame| self.handle(from, frame))
+    }
 
-/// One server node's engine loop: frame batches in, frames out, local
-/// timers at wall-clock rate, until the coordinator's `Stop` (or the
-/// inbound disconnects). Shared verbatim between in-process threads — on
-/// either transport — and external `cx_net_server` processes.
-///
-/// The inbound channel carries whole `Vec<Frame>` batches, and each wakeup
-/// greedily drains up to [`SERVER_DRAIN_BATCHES`] more with `try_recv`, so
-/// a busy server pays one channel wakeup and one timer check per *batch of
-/// batches*, not per frame.
-pub(crate) fn server_node_loop(
-    cfg: &ClusterConfig,
-    me: ServerId,
-    seeds: &[SeedEntry],
-    net: Arc<dyn Transport>,
-    inbound: InboundBatches,
-    obs: ObsSink,
-    shard_obs: bool,
-) {
-    let placement = Placement::new(cfg.servers);
-    let mut engine = cx_protocol::make_server(me, cfg);
-    engine.install_obs(obs.clone());
-    seed_engine(engine.as_mut(), &placement, seeds, me);
+    fn on_due(&mut self) -> Option<Duration> {
+        let now = self.port.now();
+        while self.timers.peek_deadline().is_some_and(|d| d <= now) {
+            let (_, token) = self.timers.pop().expect("peeked");
+            self.step(|e, now, out| e.on_timer(now, token, out));
+        }
+        let next = self.timers.peek_deadline()?.0;
+        Some(Duration::from_nanos(next.saturating_sub(self.port.now().0)))
+    }
+}
 
-    let mut timers: TimerQueue<u64> = TimerQueue::new();
-    let mut port = MsgPort::new(Arc::clone(&net), obs);
-
-    let mut boot = Vec::new();
-    engine.on_start(port.now(), &mut boot);
-    process_server_actions(engine.as_mut(), boot, me, &mut port, &mut timers);
-
-    let mut stop = false;
-    while !stop {
-        let timeout = timers
-            .peek_deadline()
-            .map_or(Duration::from_millis(20), |d| {
-                Duration::from_nanos(d.0.saturating_sub(net.now_ns()))
-            });
-        let mut next = match inbound.recv_timeout(timeout) {
+/// A channel server's thread, calling what a socket's I/O loop calls. A
+/// turn takes every queued batch, or a deadline, under one cork scope: its
+/// sends go out as one batch per peer, none before the turn ends.
+fn drive(mut node: ServerNode, inbound: InboundBatches) {
+    let net = Arc::clone(&node.port.net);
+    let mut wait = node.on_due();
+    'turns: loop {
+        let mut next = match inbound.recv_timeout(wait.unwrap_or(Duration::MAX)) {
             Ok(batch) => Some(batch),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        // One cork scope per wakeup: every frame this burst provokes
-        // (replies, cross-server ops, ack fan-out) coalesces into one
-        // delivery per peer when the guard drops below.
-        let cork = net.cork_scope();
-        let mut drained = 0;
-        while let Some((from_node, mut frames)) = next.take() {
-            for frame in frames.drain(..) {
-                stop = handle_server_frame(
-                    engine.as_mut(),
-                    &mut port,
-                    &mut timers,
-                    me,
-                    shard_obs,
-                    from_node,
-                    frame,
-                );
-                if stop {
-                    break;
-                }
-            }
+        let _cork = net.cork_scope();
+        while let Some((from, mut frames)) = next {
+            let live = node.on_frames(from, &mut frames);
             net.recycle_batch(frames);
-            drained += 1;
-            if stop || drained >= SERVER_DRAIN_BATCHES {
-                break;
+            if !live {
+                break 'turns;
             }
             next = inbound.try_recv().ok();
         }
-        let now = port.now();
-        while timers.peek_deadline().is_some_and(|d| d <= now) {
-            let (_, token) = timers.pop().expect("peeked");
-            let mut out = Vec::new();
-            engine.on_timer(port.now(), token, &mut out);
-            process_server_actions(engine.as_mut(), out, me, &mut port, &mut timers);
-        }
-        drop(cork);
+        wait = node.on_due();
     }
-    // Orderly shutdown flushes what is queued outbound, so the StopResp
-    // (and any trailing protocol messages) reach their peers.
     net.shutdown();
 }
 
 // ---- client host ----
 
-/// One protocol message for a hosted client, as the demux pump hands it to
-/// the shepherd hosting that client.
+// `sched_setscheduler(2)`; std already links libc. `param` is a
+// `struct sched_param`, whose one field is an `int`.
+const SCHED_BATCH: c_int = 3;
+unsafe extern "C" {
+    fn sched_setscheduler(pid: c_int, policy: c_int, param: *const c_int) -> c_int;
+}
+
+/// One protocol message for a hosted client, as [`Demux`] hands it to the
+/// shepherd hosting that client.
 struct ProcMsg {
     client: u32,
     from: Endpoint,
@@ -453,27 +436,6 @@ struct ShepherdCtx {
     drill: Option<Arc<DropDrill>>,
 }
 
-/// Where a shepherd's replies come from.
-enum ShepherdRx {
-    /// A per-shepherd channel fed by the demux pump (several shepherds).
-    Demuxed(Receiver<ProcMsg>),
-    /// The client host's raw inbound, consumed directly (single shepherd):
-    /// the pump hop — one futex wake plus one channel transfer per reply
-    /// batch — disappears; the shepherd demuxes inline and forwards control
-    /// frames itself. The receiver is handed back on exit so the
-    /// coordinator can run the drain/stop protocol over it.
-    Direct {
-        inbound: InboundBatches,
-        ctrl_tx: Sender<(NodeId, Frame)>,
-    },
-}
-
-enum ShepherdWake {
-    Replies,
-    Timeout,
-    Disconnected,
-}
-
 /// How long a shepherd none of whose clients has a timer armed listens to
 /// a silent wire before it reports their operations stuck and gives up.
 const CLIENT_SILENCE: Duration = Duration::from_secs(if cfg!(test) { 2 } else { 30 });
@@ -484,20 +446,15 @@ const CLIENT_SILENCE: Duration = Duration::from_secs(if cfg!(test) { 2 } else { 
 /// clients enter the transport back-to-back and coalesce into shared
 /// deliveries, and a batch of replies costs one futex wake instead of one
 /// per client. A slot never has more than one op in flight, and its op
-/// order is its feed order.
-///
-/// Returns what this shepherd counted and sent, plus the raw inbound
-/// receiver when running in [`ShepherdRx::Direct`] mode, so the caller can
-/// keep consuming control frames afterwards.
+/// order is its feed order. Returns what this shepherd counted and sent.
 fn shepherd_loop(
     clients: Vec<u32>,
     feed: Arc<Mutex<OpFeed>>,
-    rx: ShepherdRx,
+    rx: Receiver<ProcMsg>,
     shepherds: usize,
     mut ctx: ShepherdCtx,
-) -> (RunStats, MsgCounts, Option<InboundBatches>) {
+) -> (RunStats, MsgCounts) {
     let net = Arc::clone(&ctx.port.net);
-    let obs = ctx.port.obs.clone();
     let mut slots: Vec<ClientSlot> = clients
         .iter()
         .map(|&me| ClientSlot {
@@ -547,39 +504,16 @@ fn shepherd_loop(
             .min()
             .map(|at| at.saturating_duration_since(Instant::now()))
             .unwrap_or(CLIENT_SILENCE);
-        let wake = match &rx {
-            ShepherdRx::Demuxed(ch) => match ch.recv_timeout(wait) {
-                Ok(msg) => {
-                    let _cork = net.cork_scope();
-                    let mut next = Some(msg);
-                    while let Some(m) = next {
-                        shepherd_deliver(&mut ctx, &mut slots, shepherds, m);
-                        next = ch.try_recv().ok();
-                    }
-                    ShepherdWake::Replies
+        match rx.recv_timeout(wait) {
+            Ok(msg) => {
+                let _cork = net.cork_scope();
+                let mut next = Some(msg);
+                while let Some(m) = next {
+                    shepherd_deliver(&mut ctx, &mut slots, shepherds, m);
+                    next = rx.try_recv().ok();
                 }
-                Err(RecvTimeoutError::Timeout) => ShepherdWake::Timeout,
-                Err(RecvTimeoutError::Disconnected) => ShepherdWake::Disconnected,
-            },
-            ShepherdRx::Direct { inbound, ctrl_tx } => match inbound.recv_timeout(wait) {
-                Ok(batch) => {
-                    let _cork = net.cork_scope();
-                    let mut next = Some(batch);
-                    while let Some((node, frames)) = next {
-                        demux_batch(&*net, &obs, node, frames, ctrl_tx, |m| {
-                            shepherd_deliver(&mut ctx, &mut slots, 1, m)
-                        });
-                        next = inbound.try_recv().ok();
-                    }
-                    ShepherdWake::Replies
-                }
-                Err(RecvTimeoutError::Timeout) => ShepherdWake::Timeout,
-                Err(RecvTimeoutError::Disconnected) => ShepherdWake::Disconnected,
-            },
-        };
-        match wake {
-            ShepherdWake::Replies => {}
-            ShepherdWake::Timeout => {
+            }
+            Err(RecvTimeoutError::Timeout) => {
                 let now = Instant::now();
                 let mut fired = false;
                 for slot in &mut slots {
@@ -616,59 +550,61 @@ fn shepherd_loop(
                     break;
                 }
             }
-            ShepherdWake::Disconnected => break,
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     ctx.stats.replay = ctx.port.now();
-    let inbound = match rx {
-        ShepherdRx::Demuxed(_) => None,
-        ShepherdRx::Direct { inbound, .. } => Some(inbound),
-    };
-    (ctx.stats, ctx.port.sent, inbound)
+    (ctx.stats, ctx.port.sent)
 }
 
-/// Split one batch that arrived at the client host: protocol messages go
-/// to `deliver` (their arrival edge stamped), probe/stop replies to the
-/// coordinator's control channel, the spent vector back to the transport.
-fn demux_batch(
-    net: &dyn Transport,
-    obs: &ObsSink,
-    node: NodeId,
-    mut frames: Vec<Frame>,
-    ctrl_tx: &Sender<(NodeId, Frame)>,
-    mut deliver: impl FnMut(ProcMsg),
-) {
-    for frame in frames.drain(..) {
-        match frame {
-            Frame::Msg {
-                sent_ns,
-                from,
-                to: Endpoint::Proc(p),
-                payload,
-            } => {
-                if obs.enabled() {
-                    obs.msg_edge(
-                        primary_op(&payload),
-                        payload.kind(),
-                        flow_node(from),
-                        FlowNode::Client(p.client.0),
-                        sent_ns,
-                        net.now_ns(),
-                    );
-                }
-                deliver(ProcMsg {
-                    client: p.client.0,
+/// The client host's node: each protocol message to the shepherd hosting
+/// its client (its arrival edge stamped), each probe/stop reply to the
+/// coordinator; on the host's I/O loop, or on channels on `cx-pump`.
+struct Demux {
+    net: Arc<dyn Transport>,
+    obs: ObsSink,
+    shepherds: Vec<Sender<ProcMsg>>,
+    ctrl: Sender<(NodeId, Frame)>,
+}
+
+impl Node for Demux {
+    fn on_frames(&mut self, node: NodeId, frames: &mut Vec<Frame>) -> bool {
+        for frame in frames.drain(..) {
+            match frame {
+                Frame::Msg {
+                    sent_ns,
                     from,
+                    to: Endpoint::Proc(p),
                     payload,
-                });
+                } => {
+                    let client = p.client.0;
+                    if self.obs.enabled() {
+                        self.obs.msg_edge(
+                            primary_op(&payload),
+                            payload.kind(),
+                            flow_node(from),
+                            FlowNode::Client(client),
+                            sent_ns,
+                            self.net.now_ns(),
+                        );
+                    }
+                    // Client `c` lives on shepherd `c % shepherds`; one
+                    // that finished has dropped its receiver.
+                    let to = &self.shepherds[client as usize % self.shepherds.len()];
+                    let _ = to.send(ProcMsg {
+                        client,
+                        from,
+                        payload,
+                    });
+                }
+                Frame::ProbeResp { .. } | Frame::StopResp { .. } => {
+                    let _ = self.ctrl.send((node, frame));
+                }
+                _ => {}
             }
-            Frame::ProbeResp { .. } | Frame::StopResp { .. } => {
-                let _ = ctrl_tx.send((node, frame));
-            }
-            _ => {}
         }
+        true
     }
-    net.recycle_batch(frames);
 }
 
 /// Start `op` on an idle slot: plan it, record issue-side observability,
@@ -774,47 +710,21 @@ fn send_client_actions(
     }
 }
 
-/// Spawn the inbound demux pump: protocol messages to their client's
-/// shepherd channel, control replies to the coordinator's. It ends when
-/// the client host's transport shuts down (the inbound disconnects).
-fn spawn_pump(
-    inbound: InboundBatches,
-    net: Arc<dyn Transport>,
-    obs: ObsSink,
-    proc_tx: Vec<Sender<ProcMsg>>,
-    ctrl_tx: Sender<(NodeId, Frame)>,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name("cx-pump".into())
-        .spawn(move || {
-            while let Ok((node, frames)) = inbound.recv() {
-                demux_batch(&*net, &obs, node, frames, &ctrl_tx, |m| {
-                    // No shepherd channels are left once the clients are
-                    // done; only control frames matter then.
-                    if let Some(tx) = proc_tx.get(m.client as usize % proc_tx.len().max(1)) {
-                        let _ = tx.send(m);
-                    }
-                });
-            }
-        })
-        .expect("spawn inbound pump")
-}
-
 // ---- the run ----
 
 /// One node's two halves.
-pub(crate) struct Node {
+pub(crate) struct NodeIo {
     pub net: Arc<dyn Transport>,
     pub inbound: InboundBatches,
 }
 
 /// A run's nodes, already wired to each other: the client host this thread
-/// coordinates from, and the server nodes to host on threads of this
-/// process (`Server(i)` at index `i`; empty when the servers are external
+/// coordinates from, and the server nodes to host in this process
+/// (`Server(i)` at index `i`; empty when the servers are external
 /// processes the host's transport can already reach).
 pub(crate) struct Wired {
-    pub host: Node,
-    pub servers: Vec<Node>,
+    pub host: NodeIo,
+    pub servers: Vec<NodeIo>,
 }
 
 /// Run `st` to completion over `wired`: host the servers, drive the
@@ -836,27 +746,30 @@ pub(crate) fn run_wired(
         ops,
     } = st;
     let placement = Placement::new(cfg.servers);
-    let Node { net, inbound } = wired.host;
+    let NodeIo { net, inbound } = wired.host;
 
     // Every in-process transport, the host's first: the monitor and the
     // result sum wire throughput over them, and teardown shuts them all.
     let mut nets = vec![Arc::clone(&net)];
+    // Each node runs on its socket manager's I/O loop; on channels, a
+    // server on a `cx-srv` thread and the host's demux on `cx-pump`. A
+    // server is built, and seeded, on the thread that runs it.
+    let mut threads = Vec::new();
     let seeds = Arc::new(seeds);
-    let mut server_threads = Vec::new();
-    for (i, node) in wired.servers.into_iter().enumerate() {
-        nets.push(Arc::clone(&node.net));
-        let cfg = cfg.clone();
-        let seeds = Arc::clone(&seeds);
-        let obs = opts.obs.clone();
-        server_threads.push(
-            thread::Builder::new()
-                .name(format!("cx-srv{i}"))
-                .spawn(move || {
-                    let me = ServerId(i as u32);
-                    server_node_loop(&cfg, me, &seeds, node.net, node.inbound, obs, false)
-                })
-                .expect("spawn server loop"),
-        );
+    for (i, NodeIo { net: srv, inbound }) in wired.servers.into_iter().enumerate() {
+        nets.push(Arc::clone(&srv));
+        let (cfg, seeds, obs) = (cfg.clone(), Arc::clone(&seeds), opts.obs.clone());
+        let port = Arc::clone(&srv);
+        let node = move || ServerNode::new(&cfg, ServerId(i as u32), &seeds, port, obs);
+        match srv.wire() {
+            Some(conn) => conn.serve(inbound, node),
+            None => threads.push(
+                thread::Builder::new()
+                    .name(format!("cx-srv{i}"))
+                    .spawn(move || drive(node(), inbound))
+                    .expect("spawn server thread"),
+            ),
+        }
     }
 
     // Client shepherds: `client_threads` OS threads host the `processes`
@@ -868,32 +781,35 @@ pub(crate) fn run_wired(
         n => n,
     }
     .clamp(1, processes.max(1) as usize);
-
-    // Demux pump: protocol messages to their client's shepherd channel,
-    // control replies (probe/stop) to the coordinator's control channel.
-    // With a single shepherd the pump hop is skipped during the ops phase
-    // entirely: the shepherd consumes the raw inbound directly (one futex
-    // wake fewer per reply batch) and hands the receiver back when its
-    // clients finish, at which point the pump spawns to carry the
-    // drain/stop control traffic to `ctrl_rx`.
     let (ctrl_tx, ctrl_rx) = unbounded::<(NodeId, Frame)>();
-    let (pump, feeds) = if shepherds == 1 {
-        let direct = ShepherdRx::Direct {
-            inbound,
-            ctrl_tx: ctrl_tx.clone(),
-        };
-        (None, vec![direct])
-    } else {
-        let (proc_tx, feeds): (Vec<_>, Vec<_>) = (0..shepherds)
-            .map(|_| {
-                let (tx, rx) = unbounded::<ProcMsg>();
-                (tx, ShepherdRx::Demuxed(rx))
-            })
-            .unzip();
-        let obs = opts.obs.clone();
-        let pump = spawn_pump(inbound, Arc::clone(&net), obs, proc_tx, ctrl_tx.clone());
-        (Some(pump), feeds)
+    let (to_shepherds, feeds): (Vec<_>, Vec<_>) = (0..shepherds).map(|_| unbounded()).unzip();
+    let mut demux = Demux {
+        net: Arc::clone(&net),
+        obs: opts.obs.clone(),
+        shepherds: to_shepherds,
+        ctrl: ctrl_tx,
     };
+    match net.wire() {
+        // Under `SCHED_BATCH` the host's I/O thread, woken by a reply, never
+        // preempts a running shepherd; without it involuntary cs/op rose a
+        // third on `tcp-update` (EXPERIMENTS "PR 28"). A refusal is harmless.
+        Some(conn) => conn.serve(inbound, move || {
+            // SAFETY: pid 0 is this thread; the priority outlives the call.
+            unsafe { sched_setscheduler(0, SCHED_BATCH, &0) };
+            demux
+        }),
+        None => threads.push(
+            thread::Builder::new()
+                .name("cx-pump".into())
+                .spawn(move || {
+                    while let Ok((from, mut frames)) = inbound.recv() {
+                        demux.on_frames(from, &mut frames);
+                        demux.net.recycle_batch(frames);
+                    }
+                })
+                .expect("spawn inbound pump"),
+        ),
+    }
 
     let monitor = opts
         .live
@@ -932,22 +848,11 @@ pub(crate) fn run_wired(
     }
     let mut stats = RunStats::new(cfg.protocol, cfg.servers, processes);
     let mut sent = MsgCounts::default();
-    let mut leftover_inbound = None;
     for t in client_threads {
-        let (part, counts, rx) = t.join().expect("client thread panicked");
+        let (part, counts) = t.join().expect("client thread panicked");
         stats.merge_clients(part);
         sent.add(&counts.by_kind, counts.server_msgs, counts.client_msgs);
-        leftover_inbound = leftover_inbound.or(rx);
     }
-
-    // Direct mode hands the inbound back once the last op completes; the
-    // pump starts now so the drain/stop exchanges below still reach
-    // `ctrl_rx` (no protocol traffic remains, so no shepherd channels).
-    let pump = pump.unwrap_or_else(|| {
-        let inbound = leftover_inbound.expect("single shepherd hands back the inbound receiver");
-        let obs = opts.obs.clone();
-        spawn_pump(inbound, Arc::clone(&net), obs, Vec::new(), ctrl_tx)
-    });
 
     let FinalState {
         stores,
@@ -1012,13 +917,12 @@ pub(crate) fn run_wired(
         }
     }
 
-    // Shutting a transport down disconnects its inbound, so the pump and
-    // any server loop that never saw its `Stop` end here too.
+    // Shutting a transport down ends its node: the demux, and any server
+    // that never saw its `Stop`.
     for n in &nets {
         n.shutdown();
     }
-    let _ = pump.join();
-    for t in server_threads {
+    for t in threads {
         let _ = t.join();
     }
 

@@ -9,7 +9,8 @@
 //! Per peer, the manager keeps a **bounded** outbound queue: when the peer
 //! is slow (or reconnecting), `send` blocks the caller — the backpressure
 //! policy, chosen over dropping because the protocol engines assume a
-//! lossless transport (loss recovery belongs to the chaos plane).
+//! lossless transport (loss recovery belongs to the chaos plane). The I/O
+//! thread never blocks; it stops admitting client work instead.
 //!
 //! **Coalescing by lock combining**: after enqueuing, a sender tries the
 //! peer's flush lock; whoever holds it drains the *entire* queue per round
@@ -26,9 +27,9 @@
 //!
 //! The read side: the same thread `poll`s the listener and every accepted
 //! socket, runs each `Hello` handshake as per-connection state (a silent
-//! or garbage dialer delays nobody else), and forwards every complete
-//! frame of a `read` as one `Vec<Frame>` batch, drawn from a [`VecPool`]
-//! that [`ConnectionManager::recycle_batch`] refills. Per node, only the
+//! or garbage dialer delays nobody else), and hands every complete frame
+//! of a `read` to the manager's [`Node`] as one batch: to a channel, or to
+//! a server's engine, which then runs on this thread. Per node, only the
 //! oldest connection is read, which keeps delivery FIFO across reconnects.
 
 use crate::health::{HealthSnapshot, PeerHealth};
@@ -43,11 +44,12 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
+use std::ptr::null;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 /// Encoded bytes gathered per flush round; a flush session with more
@@ -60,7 +62,7 @@ const MAX_WRITE_BYTES: usize = 64 << 10;
 const MAX_ROUNDS: u32 = 64;
 
 /// Outbound frames buffered per peer before `send` blocks (the
-/// backpressure bound).
+/// backpressure bound) or, past it on the I/O thread, admission closes.
 const QUEUE_CAP: usize = 1024;
 
 /// Size of each inbound connection's reusable receive buffer; each `read`
@@ -186,19 +188,25 @@ struct PeerShared {
     telem: Arc<TelemetryState>,
 }
 
-/// Peers whose flush a sender could not finish, on their way to the I/O
-/// thread, and the socket that wakes it.
+/// From [`ConnectionManager::serve`]: the channel of the node it replaces,
+/// and what builds the next one on the I/O thread.
+type Serve = (InboundBatches, Box<dyn FnOnce() -> Box<dyn Node> + Send>);
+
+/// What other threads hand the I/O thread — peers whose flush they could
+/// not finish, a node to serve — and the socket that wakes it.
 struct Handoff {
     stalled: Mutex<Vec<Arc<PeerShared>>>,
+    serve: Mutex<Option<Serve>>,
     /// Write half of the I/O thread's wake pair (nonblocking). A byte means
-    /// "look at `stalled`"; shutting its write half means "drain and exit".
+    /// "look at `stalled` and `serve`"; shutting its write half, "drain and exit".
     wake: UnixStream,
 }
 
 impl Handoff {
     /// Give `peer`'s flush to the I/O thread. Called only after releasing
-    /// the peer's flush lock, so the thread's `try_lock` can take it.
-    fn stall(&self, peer: &Arc<PeerShared>) {
+    /// the peer's flush lock, so the thread's `try_lock` can take it. The
+    /// I/O thread itself passes `wake` false: it takes the set every turn.
+    fn stall(&self, peer: &Arc<PeerShared>, wake: bool) {
         let mut stalled = self.stalled.lock();
         if stalled.iter().any(|p| Arc::ptr_eq(p, peer)) {
             return;
@@ -207,7 +215,7 @@ impl Handoff {
         // The loop reads the wake socket dry before it takes the set, so
         // only the first entry needs a byte. A full socket holds a wakeup
         // already; a shut one's loop is draining and looks every pass.
-        if stalled.len() == 1 {
+        if wake && stalled.len() == 1 {
             let _ = (&self.wake).write(&[0]);
         }
     }
@@ -341,8 +349,36 @@ impl WireTelemetry {
     }
 }
 
-/// One node's view of the wire: one I/O thread reading every inbound
-/// connection and finishing every outbound flush a sender could not.
+/// What a [`ConnectionManager`]'s I/O thread drives, with every batch it
+/// reads and at the node's deadlines. A [`ConnectionManager::send`] made
+/// there only queues; the loop flushes once per turn.
+pub trait Node: Send {
+    /// These frames arrived from `from`, in per-peer FIFO order. Take or
+    /// drain all of them. False once the node is done: the loop then
+    /// drains its outbound queues and exits, and drops the node.
+    fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool;
+
+    /// Fire what is due; return how long until the next deadline.
+    fn on_due(&mut self) -> Option<Duration> {
+        None
+    }
+}
+
+/// The node [`ConnectionManager::start`] installs: each batch goes to the
+/// channel it returns, the loop's vector replaced from the batch pool.
+struct Forward(Sender<Batch>, Arc<Mutex<VecPool<Frame>>>);
+
+impl Node for Forward {
+    fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool {
+        let batch = std::mem::replace(frames, self.1.lock().get());
+        // A gone receiver means the node is going away; the frames too.
+        let _ = self.0.send((from, batch));
+        true
+    }
+}
+
+/// One node's view of the wire: one I/O thread that reads every inbound
+/// connection, drives the node and finishes every flush a sender could not.
 pub struct ConnectionManager {
     me: NodeId,
     listen_addr: SocketAddr,
@@ -350,14 +386,15 @@ pub struct ConnectionManager {
     backoff_base: Duration,
     peers: Mutex<HashMap<NodeId, Arc<PeerShared>>>,
     shutdown: AtomicBool,
-    /// The I/O thread. It owns the inbound channel's only sender, so
+    /// The I/O thread. Its node owns the inbound channel's only sender, so
     /// joining it in [`Self::shutdown`] disconnects the receiver once the
     /// frames already queued are drained.
     io: Mutex<Option<JoinHandle<()>>>,
+    io_id: ThreadId,
     handoff: Arc<Handoff>,
     reconnects: Arc<AtomicU64>,
-    /// Freelist for inbound batch vectors: the I/O thread draws, consumers
-    /// return via [`ConnectionManager::recycle_batch`].
+    /// Freelist for inbound batch vectors: the forwarding node draws,
+    /// consumers return via [`ConnectionManager::recycle_batch`].
     batch_pool: Arc<Mutex<VecPool<Frame>>>,
     /// Live [`CorkGuard`] count: while non-zero, `send` only enqueues and
     /// the guard's drop flushes every dirty peer once.
@@ -423,20 +460,17 @@ impl ConnectionManager {
         wake.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
         let handoff = Arc::new(Handoff {
-            stalled: Mutex::new(Vec::new()),
+            stalled: Mutex::default(),
+            serve: Mutex::default(),
             wake,
         });
-        let (inbound_tx, inbound_rx) = unbounded();
+        let (tx, inbound_rx) = unbounded();
         let batch_pool: Arc<Mutex<VecPool<Frame>>> = Arc::new(Mutex::new(VecPool::default()));
-
-        let (b, pool, h) = (
-            Arc::clone(&book),
-            Arc::clone(&batch_pool),
-            Arc::clone(&handoff),
-        );
+        let forward = Box::new(Forward(tx, Arc::clone(&batch_pool)));
+        let (b, h) = (Arc::clone(&book), Arc::clone(&handoff));
         let io = thread::Builder::new()
             .name("cx-io".into())
-            .spawn(move || io_loop(listener, &wake_rx, inbound_tx, &b, &pool, &h))?;
+            .spawn(move || io_loop(listener, &wake_rx, forward, &b, &h))?;
 
         Ok((
             Self {
@@ -446,6 +480,7 @@ impl ConnectionManager {
                 backoff_base: cfg.backoff_base,
                 peers: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
+                io_id: io.thread().id(),
                 io: Mutex::new(Some(io)),
                 handoff,
                 reconnects: Arc::new(AtomicU64::new(0)),
@@ -475,8 +510,22 @@ impl ConnectionManager {
         &self.book
     }
 
+    /// Hand this node's inbound to the node `build` returns, in place of
+    /// the channel [`Self::start`] returned: the I/O thread builds it and
+    /// drives it, starting with the batches still queued on `inbound`.
+    pub fn serve<N: Node + 'static>(
+        &self,
+        inbound: InboundBatches,
+        build: impl FnOnce() -> N + Send + 'static,
+    ) {
+        let build = Box::new(move || Box::new(build()) as Box<dyn Node>);
+        *self.handoff.serve.lock() = Some((inbound, build));
+        let _ = (&self.handoff.wake).write(&[0]);
+    }
+
     /// Queue a frame for `to`. Blocks when the peer's outbound queue is
-    /// full (backpressure). Errors only if the manager is shut down.
+    /// full (backpressure), except on the I/O thread, where a send only
+    /// queues (see [`io_loop`]). Errors only if the manager is shut down.
     ///
     /// The sender then opportunistically becomes the peer's flusher: if
     /// the flush lock is free it drains the queue and writes inline (no
@@ -490,13 +539,14 @@ impl ConnectionManager {
             return Err("connection manager is shut down");
         }
         let shared = self.peer(to);
+        let on_loop = thread::current().id() == self.io_id;
         let mut stalled: Option<Duration> = None;
         let flush = {
             let mut q = plock(&shared.queue);
             // Time only real backpressure stalls: the common uncontended
             // send never reads the clock.
             let mut waited: Option<Instant> = None;
-            while q.q.len() >= QUEUE_CAP && !q.shutdown {
+            while q.q.len() >= QUEUE_CAP && !q.shutdown && !on_loop {
                 waited.get_or_insert_with(Instant::now);
                 q = shared.room.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
@@ -514,9 +564,13 @@ impl ConnectionManager {
             // cork — someone must drain it or later senders block forever.
             // A parked peer's queue is the I/O thread's to drain; otherwise
             // a current holder will observe this frame (see above).
-            let corked = self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < QUEUE_CAP;
+            let corked =
+                on_loop || (self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < QUEUE_CAP);
             (!q.parked && !corked).then(|| try_flush(&shared)).flatten()
         };
+        if on_loop {
+            self.handoff.stall(&shared, false);
+        }
         if let Some(d) = stalled {
             shared.telem.note_stall(d);
         }
@@ -548,8 +602,8 @@ impl ConnectionManager {
     /// Scoped sender-side cork: while any guard from this call is alive,
     /// [`Self::send`] only enqueues. When the last guard drops, every peer
     /// with queued frames is flushed once. For callers that already hold a
-    /// batch of work (an engine loop draining one inbound wakeup, a client
-    /// shepherd refilling its slots): the frames that work provokes
+    /// batch of work (a client shepherd refilling its slots or draining
+    /// its replies): the frames that work provokes
     /// coalesce into one write per peer, with zero added latency — the cork
     /// lasts exactly as long as the processing it covers, never a timer.
     /// Guards may nest and overlap across threads; a corked frame is in
@@ -585,7 +639,7 @@ impl ConnectionManager {
     fn flush(&self, shared: &Arc<PeerShared>, st: MutexGuard<'_, FlushState>) {
         if let Some(st) = flush_session(shared, st, true) {
             drop(st);
-            self.handoff.stall(shared);
+            self.handoff.stall(shared, true);
         }
     }
 
@@ -699,19 +753,21 @@ impl ConnectionManager {
         for (_, p) in self.peers.lock().drain() {
             plock(&p.queue).shutdown = true;
             p.room.notify_all();
-            self.handoff.stall(&p);
+            self.handoff.stall(&p, true);
         }
         // EOF on the wake socket starts the drain; shutting a socket's
         // write half cannot fail the way a dial can.
         let _ = self.handoff.wake.shutdown(Shutdown::Write);
-        let _ = io.join();
+        // A node that dropped the last handle runs this on the I/O thread.
+        if thread::current().id() != self.io_id {
+            let _ = io.join();
+        }
     }
 }
 
 impl Drop for ConnectionManager {
-    /// A dropped manager must not leak its I/O thread — server runtimes
-    /// drop managers when their node loop exits without always calling
-    /// [`Self::shutdown`] explicitly. Idempotent.
+    /// A dropped manager must not leak its I/O thread — a caller need not
+    /// call [`Self::shutdown`] explicitly. Idempotent.
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -919,8 +975,9 @@ const HELLO_BUF_BYTES: usize = 64;
 /// backlog and keeps the listener readable, so retrying at once would spin.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
-// `poll(2)` and `sched_setscheduler(2)` on Linux, declared here: std
-// already links libc.
+// `ppoll(2)` on Linux, declared here: std already links libc. Its timeout,
+// a `struct timespec` (two C `long`s), keeps a node's deadlines to the ns;
+// `poll`'s whole milliseconds would fire a 5 ms timer up to 1 ms late.
 #[repr(C)]
 struct PollFd {
     fd: c_int,
@@ -930,12 +987,9 @@ struct PollFd {
 
 const POLLIN: c_short = 0x1;
 const POLLOUT: c_short = 0x4;
-const SCHED_BATCH: c_int = 3;
 
 unsafe extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    /// `param` is a `struct sched_param`, whose one field is an `int`.
-    fn sched_setscheduler(pid: c_int, policy: c_int, param: *const c_int) -> c_int;
+    fn ppoll(fds: *mut PollFd, n: c_ulong, tmo: *const [c_long; 2], mask: *const c_void) -> c_int;
 }
 
 /// Add `fd` to the poll set; `poll` skips a negative one.
@@ -975,21 +1029,6 @@ impl Inbound {
             Err(e) => e.kind() == io::ErrorKind::WouldBlock,
         }
     }
-
-    /// Forward every complete buffered frame as one batch; false on a
-    /// malformed stream (the connection is dropped and its writer
-    /// re-dials).
-    fn forward(&mut self, from: NodeId, tx: &Sender<Batch>, pool: &Mutex<VecPool<Frame>>) -> bool {
-        let mut batch = pool.lock().get();
-        let clean = self.fb.drain_frames(&mut batch).is_ok();
-        if batch.is_empty() {
-            pool.lock().put(batch);
-        } else {
-            // A gone receiver means the node is going away; the frames too.
-            let _ = tx.send((from, batch));
-        }
-        clean
-    }
 }
 
 /// An accepted connection whose `Hello` has not arrived yet.
@@ -999,51 +1038,81 @@ struct Pending {
     deadline: Instant,
 }
 
-/// The node's one I/O thread. It resumes every flush a sender handed it
-/// when the peer's socket turns writable or its dial comes due; at
-/// shutdown it drains every peer, still reading, and returns. It reads the
-/// listener, every connection still in its handshake and, per node, only
-/// the oldest connection, so a newer one is read after the older one's EOF
-/// and delivery stays FIFO across reconnects. Each node's queue is in
-/// generation order because handshakes are read in accept order and a
-/// dialer writes generation *k*'s `Hello` and closes *k* before it dials
-/// *k+1*. That *k*'s bytes are then already on its socket when *k+1*'s
-/// `Hello` is read holds because the listener is loopback only, where a
-/// write is delivered in the writer's own send path; it is an ordering of
-/// the kernel's, not one this loop enforces (a deferred softirq plus a CPU
-/// migration between the two dials could reorder them).
+/// The node the loop drives and the batch it hands it; a done node hears
+/// nothing more.
+struct Driven {
+    node: Box<dyn Node>,
+    batch: Vec<Frame>,
+    done: bool,
+}
+
+impl Driven {
+    /// Hand the node every complete frame buffered on a connection from
+    /// `from`; false on a malformed stream (the connection is dropped and
+    /// its writer re-dials).
+    fn deliver(&mut self, from: NodeId, conn: &mut Inbound) -> bool {
+        let clean = conn.fb.drain_frames(&mut self.batch).is_ok();
+        if !self.batch.is_empty() {
+            self.done = self.done || !self.node.on_frames(from, &mut self.batch);
+        }
+        self.batch.clear();
+        clean
+    }
+}
+
+/// The node's one I/O thread. A turn hands its [`Node`] every batch read,
+/// flushes every peer the node queued for, and sleeps until a socket is
+/// ready or the first deadline: the node's, a dial's, a handshake's. Once
+/// the node is done, or at shutdown, it drains every peer and returns.
+///
+/// Admission: the node's sends never wait, so only they take a queue past
+/// [`QUEUE_CAP`], and a queue the turn's flush could not empty keeps its
+/// peer in `out`. While one is over the cap, client hosts' connections go
+/// unread — no new client operation is admitted — but servers' are read,
+/// so admitted work completes. A queue stays within the cap plus one
+/// `read`'s worth of frames per client host.
+///
+/// Order: it reads the listener, every connection still in its handshake
+/// and, per node, only the oldest connection, so a newer one is read after
+/// the older one's EOF and delivery stays FIFO across reconnects. Each
+/// node's queue is in generation order because handshakes are read in
+/// accept order and a dialer writes generation *k*'s `Hello` and closes
+/// *k* before it dials *k+1*. That *k*'s bytes are then already on its
+/// socket when *k+1*'s `Hello` is read holds because the listener is
+/// loopback only, where a write is delivered in the writer's own send
+/// path; it is an ordering of the kernel's, not one this loop enforces (a
+/// deferred softirq plus a CPU migration between the two dials could
+/// reorder them).
 fn io_loop(
     listener: TcpListener,
     wake: &UnixStream,
-    tx: Sender<Batch>,
+    node: Box<dyn Node>,
     book: &AddrBook,
-    pool: &Mutex<VecPool<Frame>>,
     handoff: &Handoff,
 ) {
+    let mut d = Driven {
+        node,
+        batch: Vec::new(),
+        done: false,
+    };
+    let mut node_due: Option<Instant> = None;
     let mut pending: Vec<Pending> = Vec::new();
     let mut nodes: HashMap<NodeId, VecDeque<Inbound>> = HashMap::new();
     let mut out: Vec<Stalled> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut fronts: Vec<NodeId> = Vec::new();
     let mut accept_paused: Option<Instant> = None;
-    // The shutdown drain's deadline, once the wake socket reads EOF.
+    // The drain's deadline, once the node is done or the wake socket
+    // reads EOF.
     let mut draining: Option<Instant> = None;
-    // Under SCHED_BATCH the scheduler never preempts a running thread to
-    // run this one on wakeup; it takes an idle CPU or waits for the
-    // running thread to block. The loop wakes because some thread just
-    // wrote to one of its sockets. Under the default policy those wakeups
-    // preempted the writers, and involuntary context switches per op rose
-    // above the parent's thread-per-connection readers; under this one
-    // they fall below them (EXPERIMENTS "PR 25"). A refusal is harmless.
-    // SAFETY: pid 0 is this thread; the priority outlives the call.
-    unsafe { sched_setscheduler(0, SCHED_BATCH, &0) };
     loop {
         let now = Instant::now();
         if accept_paused.is_some_and(|until| now >= until) {
             accept_paused = None;
         }
-        // Write side: adopt the peers senders handed over, then resume
-        // every flush whose socket turned writable or whose time came.
+        // Write side: adopt the peers the node queued for and those
+        // senders handed over, then resume every flush whose socket turned
+        // writable or whose time came.
         for peer in handoff.stalled.lock().drain(..) {
             if !out.iter().any(|s| Arc::ptr_eq(&s.peer, &peer)) {
                 out.push(Stalled {
@@ -1056,13 +1125,16 @@ fn io_loop(
         out.retain_mut(|s| s.due.is_none_or(|t| t > now) || resume(s, draining.is_some(), now));
         if draining.is_some_and(|deadline| out.is_empty() || now >= deadline) {
             // What is still unsent goes with `out`; dropping the sockets
-            // closes them, dropping `tx` disconnects the inbound channel.
+            // closes them, dropping the node disconnects its channel.
             return;
         }
+        let admit = out
+            .iter()
+            .all(|s| plock(&s.peer.queue).q.len() <= QUEUE_CAP);
         // Poll set: [listener][wake][pending…][each node's oldest
         // connection…][each stalled peer's socket…]; a paused listener,
-        // the wake socket once it read EOF, and a peer waiting to dial are
-        // -1, which `poll` skips.
+        // the wake socket once draining, and a peer waiting to dial are
+        // -1, which `ppoll` skips.
         fds.clear();
         fronts.clear();
         let listen_fd = accept_paused.map_or(listener.as_raw_fd(), |_| -1);
@@ -1072,30 +1144,37 @@ fn io_loop(
             watch(&mut fds, p.conn.stream.as_raw_fd(), POLLIN);
         }
         let first_front = fds.len();
-        for (node, q) in &nodes {
-            fronts.push(*node);
-            watch(&mut fds, q[0].stream.as_raw_fd(), POLLIN);
+        for (peer, q) in &nodes {
+            if admit || matches!(peer, NodeId::Server(_)) {
+                fronts.push(*peer);
+                watch(&mut fds, q[0].stream.as_raw_fd(), POLLIN);
+            }
         }
         let first_out = fds.len();
         for s in &out {
             watch(&mut fds, s.fd, POLLOUT);
         }
         // Sleep until something is readable or writable, a handshake runs
-        // out, the listener's pause ends, a dial comes due or the drain's
-        // deadline passes.
+        // out, the listener's pause ends, a dial comes due, the node's
+        // deadline comes or the drain's passes.
         let wake_at = pending
             .iter()
             .map(|p| p.deadline)
             .chain(accept_paused)
             .chain(draining)
+            .chain(node_due)
             .chain(out.iter().filter_map(|s| s.due));
-        let timeout = wake_at.min().map_or(-1, |d| {
-            let ms = d.saturating_duration_since(now).as_millis();
-            ms.min(i32::MAX as u128 - 1) as c_int + 1
+        // The kernel saturates a `Duration::MAX` wait: no deadline.
+        let left = wake_at.min().map_or(Duration::MAX, |at| {
+            at.saturating_duration_since(Instant::now())
         });
+        let tmo = [
+            left.as_secs().min(c_long::MAX as u64) as c_long,
+            left.subsec_nanos() as c_long,
+        ];
         // SAFETY: `fds` is a live, exclusively borrowed array of
         // `fds.len()` pollfd records for the duration of the call.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout) };
+        let rc = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as c_ulong, &tmo, null()) };
         if rc < 0 {
             continue; // EINTR
         }
@@ -1105,8 +1184,18 @@ fn io_loop(
             }
         }
         let now = Instant::now();
-        if fds[1].revents != 0 && wake_closed(wake) {
-            draining = Some(now + DRAIN_DEADLINE);
+        if fds[1].revents != 0 {
+            if wake_closed(wake) {
+                draining.get_or_insert(now + DRAIN_DEADLINE);
+            }
+            // A served node starts with what the one it replaces forwarded.
+            let served = handoff.serve.lock().take();
+            if let Some((inbound, build)) = served {
+                d.node = build();
+                while let Ok((from, mut frames)) = inbound.try_recv() {
+                    d.done = d.done || !d.node.on_frames(from, &mut frames);
+                }
+            }
         }
         if fds[0].revents != 0 {
             loop {
@@ -1153,7 +1242,7 @@ fn io_loop(
                     match nodes.get_mut(&node) {
                         Some(q) => q.push_back(p.conn),
                         None => {
-                            if p.conn.forward(node, &tx, pool) {
+                            if d.deliver(node, &mut p.conn) {
                                 nodes.insert(node, VecDeque::from([p.conn]));
                             }
                         }
@@ -1168,14 +1257,14 @@ fn io_loop(
                 continue;
             }
             let q = nodes.get_mut(node).expect("every front is a live queue");
-            if q[0].fill() && q[0].forward(*node, &tx, pool) {
+            if q[0].fill() && d.deliver(*node, &mut q[0]) {
                 continue;
             }
             // The oldest connection is done: the next generation takes
             // over, starting with the frames buffered behind its `Hello`.
             q.pop_front();
             while let Some(next) = q.front_mut() {
-                if next.forward(*node, &tx, pool) {
+                if d.deliver(*node, next) {
                     break;
                 }
                 q.pop_front();
@@ -1184,6 +1273,11 @@ fn io_loop(
                 nodes.remove(node);
             }
         }
+        if d.done {
+            draining.get_or_insert(now + DRAIN_DEADLINE);
+        }
+        let due = if d.done { None } else { d.node.on_due() };
+        node_due = due.map(|left| Instant::now() + left);
     }
 }
 

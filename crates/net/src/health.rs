@@ -1,8 +1,8 @@
 //! Per-peer health scoring and wire throughput counters.
 //!
-//! Every peer writer keeps a [`PeerHealth`] updated from the send path.
-//! The unit of accounting is a **flush** — one `write_all` of a coalesced
-//! batch — not a frame: successful flushes feed a latency EWMA and reset
+//! Every peer keeps a [`PeerHealth`] updated from its flushes. The unit
+//! of accounting is a **flush** — one coalesced batch written in full —
+//! not a frame: successful flushes feed a latency EWMA and reset
 //! the consecutive-failure streak, and carry the frame/byte counts of the
 //! batch they wrote, so coalescing (many frames per syscall) neither
 //! inflates the sample count nor skews the latency distribution the score
@@ -69,7 +69,7 @@ pub struct HealthSnapshot {
     pub sends: u64,
     /// Encoded bytes successfully written.
     pub bytes: u64,
-    /// `write_all` calls that succeeded (batches, not frames).
+    /// Batches written in full (flushes, not frames).
     pub flushes: u64,
     pub failures: u64,
     pub consecutive_failures: u64,
@@ -96,14 +96,14 @@ impl PeerHealth {
         Self::default()
     }
 
-    /// Record one successful flush: a single `write_all` that carried
-    /// `frames` coalesced frames totalling `bytes` encoded bytes, taking
-    /// `latency` of wall time. The EWMA samples per *flush*, so a
-    /// 64-frame batch contributes one latency sample, not 64.
+    /// Record one successful flush: a batch of `frames` coalesced frames
+    /// totalling `bytes` encoded bytes, taking `latency` of wall time. The
+    /// EWMA samples per *flush*, so a 64-frame batch contributes one
+    /// latency sample, not 64.
     pub fn note_flush(&self, frames: u64, bytes: u64, latency: Duration) {
         let sample = latency.as_nanos().min(u64::MAX as u128) as u64;
-        // Single-writer EWMA: the peer's writer thread is the only caller,
-        // so a read-modify-write without CAS is race-free.
+        // Single-writer EWMA: only the holder of the peer's flush lock
+        // calls this, so a read-modify-write without CAS is race-free.
         let old = self.ewma_ns.load(Ordering::Relaxed);
         let new = if old == 0 {
             sample
@@ -153,19 +153,6 @@ impl PeerHealth {
     /// Record the outbound queue depth a flush gathered from (peak wins).
     pub fn note_queue_depth(&self, depth: u64) {
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// The current min-RTT clock-offset estimate, if any probe landed:
-    /// `(offset_ns, rtt_min_ns)`.
-    pub fn clock_offset(&self) -> Option<(i64, u64)> {
-        match self.rtt_min_ns.load(Ordering::Relaxed) {
-            0 => None,
-            rtt => Some((self.clock_offset_ns.load(Ordering::Relaxed), rtt)),
-        }
-    }
-
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
     }
 
     /// Combined health in `(0, 1]`: `2^-consecutive_failures` (saturating)
@@ -275,7 +262,7 @@ mod tests {
     #[test]
     fn rtt_ring_tracks_min_offset_and_percentiles() {
         let h = PeerHealth::new();
-        assert_eq!(h.clock_offset(), None);
+        assert_eq!(h.snapshot().rtt_min_ns, 0, "no probe yet");
         // 100 slow samples with a noisy offset, one fast sample with the
         // true offset: min-RTT must pin the fast sample's estimate.
         for i in 0..100u64 {
@@ -288,7 +275,6 @@ mod tests {
         assert_eq!(s.rtt_samples, 101);
         assert!(s.rtt_p50_ns >= 50_000 && s.rtt_p50_ns <= 200_100);
         assert!(s.rtt_p99_ns >= s.rtt_p50_ns);
-        assert_eq!(h.clock_offset(), Some((-1_234, 50_000)));
         // Queue-depth peak is monotone.
         h.note_queue_depth(3);
         h.note_queue_depth(17);

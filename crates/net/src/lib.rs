@@ -1,4 +1,4 @@
-//! `cx-net` — the TCP wire plane (ROADMAP item 2).
+//! `cx-net` — the TCP wire plane.
 //!
 //! Three layers, mirroring the classic wire/connection/peer-registry split:
 //!
@@ -15,9 +15,10 @@
 //!   Senders coalesce the queue into one nonblocking `write` and cork a
 //!   burst for its scope; the I/O thread finishes stalled flushes,
 //!   redials and drains at shutdown, so no thread blocks in a socket
-//!   write. Inbound, it forwards pooled `Vec<Frame>` batches, reading a
-//!   peer's connections one generation at a time, so reconnects stay
-//!   lossless and per-peer FIFO.
+//!   write. Inbound, it hands `Vec<Frame>` batches to a [`conn::Node`] —
+//!   a channel forwarder, or a server's engine, which then runs on that
+//!   thread — reading a peer's connections one generation at a time, so
+//!   reconnects stay lossless and per-peer FIFO.
 //! * [`health`] — per-peer [`health::PeerHealth`] scoring: consecutive
 //!   failures, reconnect counts, and a per-flush latency EWMA folded into
 //!   a single score in `(0, 1]`, plus the frame/byte/flush counters behind

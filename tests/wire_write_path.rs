@@ -2,9 +2,17 @@
 //! blocks in a socket write, so a peer that never reads cannot wedge
 //! `shutdown`, two nodes flooding each other cannot deadlock, and a
 //! manager runs one thread of its own however many peers it writes to.
+//! A node served on that thread never blocks it: a full queue stops
+//! client reads instead, deadlines wake the loop without traffic, and a
+//! node that is done ends it.
 
-use cx_net::{read_frame, AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig};
-use std::net::{Ipv4Addr, TcpListener};
+use cx_cluster::TcpCluster;
+use cx_net::conn::Node;
+use cx_net::{encode_to_vec, read_frame, AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig};
+use cx_types::{BatchTrigger, ClusterConfig, Protocol};
+use cx_workloads::{TraceBuilder, TraceProfile};
+use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -240,4 +248,219 @@ fn mutual_flood_delivers_every_frame_once_in_order() {
         s.join().expect("the deaf peer's sender");
     }
     drop(deaf);
+}
+
+/// Wait up to `limit` for `done`, failing with `what`.
+fn wait_for(limit: Duration, what: &str, mut done: impl FnMut() -> bool) {
+    let t = Instant::now();
+    while !done() {
+        assert!(t.elapsed() < limit, "{what} within {limit:?}");
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A node on its manager's loop that relays every client host frame to
+/// `to` and counts the frames servers send it.
+struct Relay {
+    mgr: Arc<ConnectionManager>,
+    to: NodeId,
+    from_servers: Arc<AtomicU64>,
+}
+
+impl Node for Relay {
+    fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool {
+        for f in frames.drain(..) {
+            match from {
+                NodeId::Server(_) => _ = self.from_servers.fetch_add(1, Ordering::Relaxed),
+                NodeId::ClientHost(_) => _ = self.mgr.send(self.to, f),
+            }
+        }
+        true
+    }
+}
+
+/// Admission: a served node relays a client's flood to a server peer that
+/// never reads. Its sends do not block the loop; once that peer's queue
+/// passes the cap, the client goes unread while a live server's frames
+/// still reach the node, and the queue stays within the cap plus one
+/// `read` (256 KiB) of the client's frames.
+#[test]
+fn a_full_queue_stops_client_reads_but_not_server_reads() {
+    let _serial = one_at_a_time();
+    const NODE: NodeId = NodeId::Server(0);
+    const DEAF: NodeId = NodeId::Server(1);
+    const QUEUE_CAP: u64 = 1024;
+    let one_read = (256 << 10) / encode_to_vec(&probe(0)).len() as u64 + 1;
+    let deaf = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind the deaf peer");
+    let book = Arc::new(AddrBook::new());
+    book.set(DEAF, deaf.local_addr().expect("addr"));
+    let (node, inbound) = start(NODE, &book);
+    let node = Arc::new(node);
+    let from_servers = Arc::new(AtomicU64::new(0));
+    let relay = Relay {
+        mgr: Arc::clone(&node),
+        to: DEAF,
+        from_servers: Arc::clone(&from_servers),
+    };
+    node.serve(inbound, move || relay);
+    let (client, _rx) = start(NodeId::ClientHost(0), &book);
+    let client = Arc::new(client);
+    let flood = {
+        let client = Arc::clone(&client);
+        thread::spawn(move || (0..).all(|t| client.send(NODE, probe(t)).is_ok()))
+    };
+    let peak = {
+        let node = Arc::clone(&node);
+        move || node.health(DEAF).map_or(0, |h| h.queue_peak)
+    };
+    wait_for(Duration::from_secs(60), "the deaf queue fills", || {
+        peak() >= QUEUE_CAP
+    });
+
+    let (live, _rx) = start(NodeId::Server(2), &book);
+    for t in 0..100 {
+        live.send(NODE, probe(t)).expect("send");
+    }
+    wait_for(
+        Duration::from_secs(10),
+        "a live server's frames arrive",
+        || from_servers.load(Ordering::Relaxed) == 100,
+    );
+    thread::sleep(Duration::from_secs(1));
+    assert!(
+        peak() <= QUEUE_CAP + one_read,
+        "deaf queue peaked at {} > {QUEUE_CAP} + {one_read}",
+        peak()
+    );
+
+    let t = Instant::now();
+    let took = within(Duration::from_secs(5), move || {
+        node.shutdown();
+        t.elapsed()
+    });
+    assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+    client.shutdown();
+    live.shutdown();
+    assert!(!flood.join().expect("the flood"), "shutdown ends the flood");
+    drop(deaf);
+}
+
+/// A 4-server loopback run: each server node runs on its manager's I/O
+/// loop, so the run shows five `cx-io` threads (four servers and the
+/// client host) and no `cx-srv`.
+#[test]
+fn a_loopback_run_has_one_thread_per_server_node() {
+    let _serial = one_at_a_time();
+    let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
+        .scale(0.001)
+        .build();
+    let ops = trace.ops.len() as u64;
+    let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+    cfg.cx.trigger = BatchTrigger::Timeout {
+        period_ns: 5_000_000,
+    };
+    let run = thread::spawn(move || TcpCluster::run(cfg, &trace));
+    let mut samples = Vec::new();
+    while !run.is_finished() {
+        let names = thread_names();
+        let srv = names.iter().filter(|n| n.starts_with("cx-srv")).count();
+        samples.push((count(&names, "cx-io"), srv));
+        thread::sleep(Duration::from_millis(1));
+    }
+    let res = run.join().expect("the run");
+    assert_eq!(res.violations, vec![]);
+    assert_eq!(res.stats.ops_total, ops);
+    let io_peak = samples.iter().map(|s| s.0).max();
+    assert_eq!(
+        io_peak,
+        Some(5),
+        "cx-io threads over {} samples",
+        samples.len()
+    );
+    let srv_peak = samples.iter().map(|s| s.1).max();
+    assert_eq!(srv_peak, Some(0), "cx-srv threads");
+}
+
+/// A node whose only event is a deadline 30 ms out.
+struct Alarm {
+    at: Instant,
+    fired: Option<mpsc::Sender<Instant>>,
+}
+
+impl Node for Alarm {
+    fn on_frames(&mut self, _: NodeId, frames: &mut Vec<Frame>) -> bool {
+        frames.clear();
+        true
+    }
+
+    fn on_due(&mut self) -> Option<Duration> {
+        let now = Instant::now();
+        if now < self.at {
+            return Some(self.at - now);
+        }
+        if let Some(tx) = self.fired.take() {
+            let _ = tx.send(now);
+        }
+        None
+    }
+}
+
+/// No frame ever arrives, so only the node's deadline in the poll
+/// timeout can wake the loop: a timer-only path, like a presumed-abort
+/// timeout, that no inbound traffic hides.
+#[test]
+fn a_node_deadline_fires_with_no_inbound_traffic() {
+    let _serial = one_at_a_time();
+    let book = Arc::new(AddrBook::new());
+    let (node, inbound) = start(NodeId::Server(0), &book);
+    let at = Instant::now() + Duration::from_millis(30);
+    let (tx, fired) = mpsc::channel();
+    let alarm = Alarm {
+        at,
+        fired: Some(tx),
+    };
+    node.serve(inbound, move || alarm);
+    let when = fired
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the deadline fires with no traffic");
+    assert!(when >= at, "fired {:?} early", at - when);
+    node.shutdown();
+}
+
+/// Replies to its first batch and is done.
+struct Last {
+    mgr: Arc<ConnectionManager>,
+}
+
+impl Node for Last {
+    fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool {
+        frames.clear();
+        self.mgr.send(from, probe(2)).expect("send");
+        false
+    }
+}
+
+/// A node that is done, as a server is after `Stop`, ends its loop: the
+/// reply it sent last drains out, then the listener closes, which is what
+/// a `cx_net_server` process waits for before it exits.
+#[test]
+fn a_done_node_drains_and_ends_its_loop() {
+    let _serial = one_at_a_time();
+    let book = Arc::new(AddrBook::new());
+    let (node, inbound) = start(NodeId::Server(0), &book);
+    let node = Arc::new(node);
+    let mgr = Arc::clone(&node);
+    node.serve(inbound, move || Last { mgr });
+    let (peer, rx) = start(NodeId::Server(1), &book);
+    peer.send(NodeId::Server(0), probe(1)).expect("send");
+    let reply = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the last reply drains out");
+    assert_eq!(reply, (NodeId::Server(0), vec![probe(2)]));
+    let addr = node.listen_addr();
+    wait_for(Duration::from_secs(5), "the listener closes", || {
+        TcpStream::connect(addr).is_err()
+    });
+    node.shutdown();
+    peer.shutdown();
 }
