@@ -44,6 +44,13 @@ if [ "${1:-}" != "quick" ]; then
         --obs --scale 0.005 --obs-out target/obs_home2 > /dev/null
     cargo run -q --release -p cx-obs -- check target/obs_home2.report.json
 
+    # Figure 7b has one recorder: its valid-record series is the obs
+    # plane's ValidLogBytes gauge stream. The binary asserts the series is
+    # non-empty, no gauge sample was dropped, and its busiest sample equals
+    # RunStats::peak_valid_bytes (default scale, under a second).
+    step "figure 7 (Figure 7b read off the gauge stream)"
+    cargo run -q --release -p cx-bench --bin figure7_log_size > /dev/null
+
     # Doctor smoke (DESIGN.md §11): the blame engine must decompose the
     # home2 report with exact per-op segment sums (cx-obs doctor re-derives
     # every op's blame and fails loudly on a broken sum), and a deliberately

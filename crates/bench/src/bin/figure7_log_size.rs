@@ -9,7 +9,8 @@
 //!     cargo run --release -p cx-bench --bin figure7_log_size [--scale f|--full]
 
 use cx_bench::{print_table, write_json, Args};
-use cx_core::{BatchTrigger, Experiment, Protocol, Workload, DUR_MS};
+use cx_core::{BatchTrigger, Experiment, ObsSink, Protocol, Workload, DUR_MS};
+use cx_obs::GaugeKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -85,14 +86,26 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // (b) valid-record timeline with an unlimited log
+    // (b) valid-record timeline with an unlimited log: the obs plane's
+    // 200 ms gauge samples
+    let sink = ObsSink::recording("cx");
     let r = Experiment::new(workload())
         .servers(8)
         .protocol(Protocol::Cx)
         .log_limit(None)
         .trigger(BatchTrigger::Timeout { period_ns })
-        .run();
+        .run_obs(sink.clone());
     assert!(r.is_consistent());
+    let report = sink.report().expect("a recording sink");
+    assert_eq!(report.dropped_gauges, 0, "Figure 7b reads every sample");
+    let timeline: Vec<(f64, u64, u64)> = report
+        .gauge_series(GaugeKind::ValidLogBytes)
+        .into_iter()
+        .map(|(at, mean, max)| (at.as_secs_f64(), mean, max))
+        .collect();
+    // a series at all, whose busiest sample is the digested peak
+    let busiest = timeline.iter().map(|s| s.2).max();
+    assert_eq!(busiest, Some(r.stats.peak_valid_bytes), "one recorder");
     println!(
         "\n(b) valid-records' size over time (unlimited log, {} ms trigger)",
         period_ns / DUR_MS
@@ -101,12 +114,6 @@ fn main() {
         "    peak on the busiest server: {} KB",
         r.stats.peak_valid_bytes >> 10
     );
-    let timeline: Vec<(f64, u64, u64)> = r
-        .stats
-        .timeline
-        .iter()
-        .map(|s| (s.at_secs, s.mean_bytes, s.max_bytes))
-        .collect();
     for s in timeline.iter().step_by((timeline.len() / 24).max(1)) {
         let bar = "#".repeat(((s.1 >> 10) as usize).min(70));
         println!("    {:>7.2}s {:>6} KB |{}", s.0, s.1 >> 10, bar);

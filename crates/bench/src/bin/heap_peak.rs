@@ -16,7 +16,8 @@
 //! allocations made so far, and the live heap and the peak as of the
 //! replay's last pull from the op stream: whatever the whole-run peak adds
 //! to that peak was allocated after the replay, by the drain and the run-end
-//! consistency check.
+//! consistency check. One more line gives the heap the returned `RunStats`
+//! holds, which does not grow with the run's length.
 //!
 //! `--sites` says whose the big blocks are, which the class table cannot:
 //! every live block of 512 B or more carries the backtrace of its
@@ -257,12 +258,16 @@ fn main() {
     let mib = |b: usize| format!("{:.2}", b as f64 / (1 << 20) as f64);
     let (peak, copied) = (mib(PEAK.load(Relaxed)), mib(COPIED_AT.load(Relaxed)));
     let (ops, wb) = (stats.ops_total, stats.disk.wb_batches);
+    let live = LIVE.load(Relaxed);
+    drop(stats);
+    let held = live - LIVE.load(Relaxed);
     println!("{workload} seed {seed}: {ops} ops, {wb} write-back batches");
     println!("peak live heap {peak} MiB (class table copied at {copied} MiB)");
     let setup_live = mib(setup_live);
     println!("at the end of set-up: {setup_live} MiB live, {setup_allocs} allocations");
     let [pulled_peak, pulled_live] = [0, 1].map(|i| mib(AT_LAST_PULL[i].load(Relaxed)));
-    println!("at the replay's last pull: {pulled_live} MiB live, {pulled_peak} MiB peak so far\n");
+    println!("at the replay's last pull: {pulled_live} MiB live, {pulled_peak} MiB peak so far");
+    println!("the returned RunStats holds {held} B\n");
     let mut rows: Vec<(usize, usize, usize)> = (0..CLASSES)
         .map(|c| (AT_PEAK[c][0].load(Relaxed), AT_PEAK[c][1].load(Relaxed), c))
         .collect();

@@ -18,7 +18,7 @@
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::feed::OpFeed;
 use crate::seed::seed_stores;
-use crate::stats::{AckRecord, RecoveryCycle, RunStats, TimelineSample};
+use crate::stats::{AckRecord, RecoveryCycle, RunStats};
 use cx_mdstore::{GlobalView, Violation};
 use cx_obs::{FlightEvent, FlightRecorder, FlowNode, GaugeKind, ObsSink, Phase};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
@@ -470,7 +470,7 @@ impl DesCluster {
     fn event_loop(&mut self) {
         while let Some((now, _, ev)) = self.sim.pop() {
             if now >= self.next_sample {
-                self.sample_timeline(now);
+                self.sample(now);
             }
             self.dispatch(now, ev);
             if self.injector.is_some() {
@@ -495,19 +495,11 @@ impl DesCluster {
         self.procs.iter().map(|p| p.current.is_some() as u64).sum()
     }
 
-    fn sample_timeline(&mut self, now: SimTime) {
-        let (mut sum, mut max) = (0u64, 0u64);
+    /// Every 200 ms: the digested peak valid bytes, and the obs gauges.
+    fn sample(&mut self, now: SimTime) {
         for s in &self.servers {
-            let v = s.valid_log_bytes();
-            sum += v;
-            max = max.max(v);
+            self.stats.peak_valid_bytes = self.stats.peak_valid_bytes.max(s.valid_log_bytes());
         }
-        self.stats.peak_valid_bytes = self.stats.peak_valid_bytes.max(max);
-        self.stats.timeline.push(TimelineSample {
-            at_secs: now.as_secs_f64(),
-            mean_bytes: sum / self.servers.len().max(1) as u64,
-            max_bytes: max,
-        });
         if self.obs.enabled() {
             for (i, s) in self.servers.iter().enumerate() {
                 let sid = i as u32;
@@ -1352,11 +1344,25 @@ mod tests {
     #[test]
     fn timeline_sampling_records_valid_bytes() {
         let trace = tiny_trace();
-        let (stats, _) = run_trace(ClusterConfig::new(4, Protocol::Cx), &trace);
-        assert!(!stats.timeline.is_empty());
+        let sink = ObsSink::recording("cx");
+        let cluster = DesCluster::new(ClusterConfig::new(4, Protocol::Cx), &trace);
+        let (stats, _) = cluster.with_obs(sink.clone()).run();
+        let report = sink.report().expect("a recording sink");
+        let series = report.gauge_series(GaugeKind::ValidLogBytes);
+        assert!(!series.is_empty());
+        let per_instant = report.gauges.len() / series.len();
+        assert_eq!(
+            per_instant,
+            4 * GaugeKind::ALL.len(),
+            "every server, every kind"
+        );
         assert!(
             stats.peak_valid_bytes > 0,
             "Cx must accumulate valid records"
+        );
+        assert_eq!(
+            series.iter().map(|s| s.2).max(),
+            Some(stats.peak_valid_bytes)
         );
     }
 

@@ -32,6 +32,6 @@ pub use des::{run_stream_trace, run_trace, ChaosOutcome, CrashPlan, DesCluster, 
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate, NoFaults};
 pub use feed::OpFeed;
 pub use live::LiveMetrics;
-pub use stats::{AckRecord, FaultStats, LatencyStat, RecoveryCycle, RunStats, TimelineSample};
+pub use stats::{AckRecord, FaultStats, LatencyStat, RecoveryCycle, RunStats};
 pub use tcp::{serve_one, serve_one_opts, ServeOptions, TcpCluster, TcpOptions, TcpRunResult};
 pub use threaded::{ThreadedCluster, ThreadedRunResult};

@@ -105,16 +105,6 @@ impl LatencyStat {
     }
 }
 
-/// One sample of the valid-record volume (Figure 7b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimelineSample {
-    pub at_secs: f64,
-    /// Mean valid-record bytes per server.
-    pub mean_bytes: u64,
-    /// The busiest server's valid-record bytes.
-    pub max_bytes: u64,
-}
-
 /// Everything a run reports.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunStats {
@@ -158,9 +148,8 @@ pub struct RunStats {
     /// Cross-server operations issued.
     pub cross_ops: u64,
 
-    /// Valid-record volume over time (Figure 7b).
-    pub timeline: Vec<TimelineSample>,
-    /// Peak valid-record bytes on any server.
+    /// Peak valid-record bytes on any server. Figure 7b's samples are the
+    /// obs plane's `GaugeKind::ValidLogBytes` stream.
     pub peak_valid_bytes: u64,
 
     /// Simulator events processed (complexity metric).
@@ -216,7 +205,6 @@ impl RunStats {
             latency_hist: LogHistogram::new(),
             cross_latency_hist: LogHistogram::new(),
             cross_ops: 0,
-            timeline: Vec::new(),
             peak_valid_bytes: 0,
             events: 0,
             leftovers: Vec::new(),
@@ -376,9 +364,6 @@ impl RunStats {
         reg.add(Counter::Messages, self.total_msgs());
         reg.add(Counter::RecoveryCycles, self.recovery_cycles.len() as u64);
         reg.gauge_max(Gauge::WalPeakValidBytes, self.peak_valid_bytes);
-        if let Some(last) = self.timeline.last() {
-            reg.set_gauge(Gauge::WalValidBytes, last.mean_bytes);
-        }
         reg.set_gauge(Gauge::OpsInFlight, self.ops_stuck);
         self.proto.publish(reg);
         if let Some(b) = &self.blame {

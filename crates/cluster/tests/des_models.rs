@@ -2,6 +2,8 @@
 //! queueing, disk timing, message accounting, and crash scheduling.
 
 use cx_cluster::des::{run_trace, CrashPlan, DesCluster};
+use cx_cluster::ObsSink;
+use cx_obs::GaugeKind;
 use cx_types::{BatchTrigger, ClusterConfig, Protocol, ServerId, DUR_MS, DUR_US};
 use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
 
@@ -92,12 +94,18 @@ fn timeline_is_time_ordered() {
     cfg.cx.trigger = BatchTrigger::Timeout {
         period_ns: 100 * DUR_MS,
     };
-    let (stats, _) = run_trace(cfg, &trace);
-    for w in stats.timeline.windows(2) {
-        assert!(w[1].at_secs >= w[0].at_secs);
-        assert!(w[0].mean_bytes <= w[0].max_bytes);
+    let sink = ObsSink::recording("cx");
+    let (stats, _) = DesCluster::new(cfg, &trace).with_obs(sink.clone()).run();
+    let series = sink
+        .report()
+        .expect("a recording sink")
+        .gauge_series(GaugeKind::ValidLogBytes);
+    for w in series.windows(2) {
+        assert!(w[1].0 > w[0].0, "one entry per sample instant");
+        assert!(w[0].1 <= w[0].2, "mean ≤ max");
     }
-    assert!(stats.peak_valid_bytes >= stats.timeline.iter().map(|s| s.max_bytes).max().unwrap());
+    let busiest = series.iter().map(|&(_, _, max)| max).max();
+    assert_eq!(busiest, Some(stats.peak_valid_bytes));
 }
 
 #[test]

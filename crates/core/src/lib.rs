@@ -45,7 +45,7 @@ pub use cx_cluster::{
     des::run_trace, run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd,
     CrashPlan, DesCluster, FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics,
     MsgFate, RecoveryCycle, RecoveryReport, RunStats, TcpCluster, TcpOptions, TcpRunResult,
-    ThreadedCluster, TimelineSample, WireTotals,
+    ThreadedCluster, WireTotals,
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{

@@ -3,7 +3,8 @@
 //! Values land in buckets whose width grows with magnitude: values below
 //! 64 are exact, larger values share an octave split into 32 linear
 //! sub-buckets, so any reported quantile is within ~3% of the true value
-//! while the whole structure is a flat `Vec<u64>` of at most ~2k counters.
+//! while the whole structure is a flat `Vec<u64>` grown to exactly its
+//! highest occupied bucket (at most 1,920 counters), capacity included.
 //! Histograms merge by element-wise addition, which makes them composable
 //! across servers, runs, and processes — the property `LatencyStat` (mean
 //! only) fundamentally lacks for tail percentiles.
@@ -22,7 +23,8 @@ pub struct LogHistogram {
     pub max: u64,
     /// Meaningful only when `count > 0`.
     pub min: u64,
-    /// Bucket counters, trimmed to the highest occupied bucket.
+    /// Bucket counters up to the highest occupied bucket, in length and in
+    /// capacity: a finished run keeps its histograms, so no slack doubling.
     counts: Vec<u64>,
 }
 
@@ -60,6 +62,7 @@ impl LogHistogram {
     pub fn record(&mut self, v: u64) {
         let idx = bucket_of(v);
         if idx >= self.counts.len() {
+            self.counts.reserve_exact(idx + 1 - self.counts.len());
             self.counts.resize(idx + 1, 0);
         }
         self.counts[idx] += 1;
@@ -78,6 +81,8 @@ impl LogHistogram {
             return;
         }
         if self.counts.len() < other.counts.len() {
+            self.counts
+                .reserve_exact(other.counts.len() - self.counts.len());
             self.counts.resize(other.counts.len(), 0);
         }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -253,6 +258,21 @@ mod tests {
         let mut empty = LogHistogram::new();
         empty.merge(&c);
         assert_eq!(empty, c);
+    }
+
+    #[test]
+    fn counts_grow_exactly_to_the_highest_bucket() {
+        let mut h = LogHistogram::new();
+        for v in [1u64, 100, 5_000, 3, 1_000_000] {
+            h.record(v);
+            assert_eq!(h.counts.capacity(), h.counts.len(), "after {v}");
+        }
+        assert_eq!(h.counts.len(), bucket_of(1_000_000) + 1);
+        let mut m = LogHistogram::new();
+        m.record(100_000); // doubling its 401 buckets would overshoot 510
+        m.merge(&h);
+        assert_eq!(m.counts.capacity(), m.counts.len());
+        assert_eq!(m.counts.len(), h.counts.len());
     }
 
     #[test]

@@ -108,7 +108,6 @@ impl Counter {
 /// [`MetricRegistry::gauge_max`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Gauge {
-    WalValidBytes,
     WalPeakValidBytes,
     OpsInFlight,
     WireFramesPerSec,
@@ -117,9 +116,8 @@ pub enum Gauge {
 }
 
 impl Gauge {
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
     pub const ALL: [Gauge; Gauge::COUNT] = [
-        Gauge::WalValidBytes,
         Gauge::WalPeakValidBytes,
         Gauge::OpsInFlight,
         Gauge::WireFramesPerSec,
@@ -133,7 +131,6 @@ impl Gauge {
 
     pub fn name(self) -> &'static str {
         match self {
-            Gauge::WalValidBytes => "cx_wal_valid_bytes",
             Gauge::WalPeakValidBytes => "cx_wal_peak_valid_bytes",
             Gauge::OpsInFlight => "cx_ops_in_flight",
             Gauge::WireFramesPerSec => "cx_wire_frames_per_sec",
@@ -144,7 +141,6 @@ impl Gauge {
 
     pub fn help(self) -> &'static str {
         match self {
-            Gauge::WalValidBytes => "Unpruned log bytes (last sample)",
             Gauge::WalPeakValidBytes => "Peak unpruned log bytes on any server",
             Gauge::OpsInFlight => "Issued operations not yet replied",
             Gauge::WireFramesPerSec => "Wire frames written per second (all peers, last period)",
@@ -515,9 +511,8 @@ impl MetricsSnapshot {
             v("cx_aborts_total"),
         ));
         out.push_str(&format!(
-            "wal        valid={}B peak={}B truncations={}  recovery cycles={} \
+            "wal        peak={}B truncations={}  recovery cycles={} \
              resumed commitments={}\n",
-            v("cx_wal_valid_bytes"),
             v("cx_wal_peak_valid_bytes"),
             v("cx_wal_truncations_total"),
             v("cx_recovery_cycles_total"),
@@ -596,7 +591,7 @@ mod tests {
         let reg = MetricRegistry::new();
         reg.add(Counter::ConflictsOrdered, 4);
         reg.add(Counter::ConflictsDisordered, 1);
-        reg.set_gauge(Gauge::WalValidBytes, 4096);
+        reg.set_gauge(Gauge::OpsInFlight, 4096);
         reg.gauge_max(Gauge::WalPeakValidBytes, 9000);
         reg.gauge_max(Gauge::WalPeakValidBytes, 100);
         for v in [3u64, 7, 12] {
@@ -606,15 +601,17 @@ mod tests {
         let text = snap.to_prometheus_text();
         assert!(text.contains("cx_conflicts_ordered_total 4"));
         assert!(text.contains("cx_conflicts_disordered_total 1"));
-        assert!(text.contains("# TYPE cx_wal_valid_bytes gauge"));
+        assert!(text.contains("# TYPE cx_ops_in_flight gauge"));
         assert!(text.contains("cx_wal_peak_valid_bytes 9000"));
         assert!(text.contains("cx_commitment_batch_size_count 3"));
         assert!(text.contains("cx_commitment_batch_size{quantile=\"0.5\"} 7"));
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back.value("cx_conflicts_ordered_total"), Some(4));
-        assert_eq!(back.value("cx_wal_valid_bytes"), Some(4096));
+        assert_eq!(back.value("cx_ops_in_flight"), Some(4096));
         let top = back.render_top();
         assert!(top.contains("conflicts 5"));
+        assert!(top.contains("in-flight=4096"));
+        assert!(top.contains("wal        peak=9000B"));
         assert!(top.contains("cx_commitment_batch_size"));
     }
 

@@ -63,6 +63,7 @@ pub struct ObsReport {
 
     pub dropped_spans: u64,
     pub dropped_edges: u64,
+    pub dropped_gauges: u64,
 }
 
 impl ObsReport {
@@ -112,9 +113,22 @@ impl ObsReport {
             flushes: Vec::new(),
             gauges: rec.gauges.clone(),
             stuck: rec.stuck.clone(),
-            dropped_spans: rec.dropped_spans(),
-            dropped_edges: rec.dropped_edges(),
+            dropped_spans: rec.dropped_spans,
+            dropped_edges: rec.dropped_edges,
+            dropped_gauges: rec.dropped_gauges,
         }
+    }
+
+    /// One gauge over time: `(at, mean, max)` over the servers sampled at
+    /// each instant, in time order — Figure 7b for `ValidLogBytes`.
+    pub fn gauge_series(&self, kind: GaugeKind) -> Vec<(cx_types::SimTime, u64, u64)> {
+        let samples: Vec<&GaugeSample> = self.gauges.iter().filter(|g| g.kind == kind).collect();
+        let row = |at: &[&GaugeSample]| {
+            let values = at.iter().map(|g| g.value);
+            let mean = values.clone().sum::<u64>() / at.len() as u64;
+            (at[0].at, mean, values.max().unwrap_or(0))
+        };
+        samples.chunk_by(|a, b| a.at == b.at).map(row).collect()
     }
 
     /// Compute the blame table over this report's spans and edges. Always
@@ -530,6 +544,10 @@ impl ObsReport {
                 self.dropped_edges
             ));
         }
+        if self.dropped_gauges > 0 {
+            let (kept, dropped) = (self.gauges.len(), self.dropped_gauges);
+            out.push_str(&format!("gauges: {kept} kept, {dropped} beyond the cap\n"));
+        }
         if !self.flushes.is_empty() {
             let frames: u64 = self.flushes.iter().map(|f| f.frames as u64).sum();
             out.push_str(&format!(
@@ -662,6 +680,17 @@ mod tests {
         assert!(text.contains("excluded from client-visible latency"));
         assert!(text.contains("create"));
         assert!(text.contains("stuck ops: none"));
+    }
+
+    #[test]
+    fn gauge_series_is_mean_and_max_per_instant() {
+        let s = ObsSink::recording("cx");
+        for (at, server, v) in [(0, 0, 10), (0, 1, 30), (200, 0, 7), (200, 1, 2)] {
+            s.gauge(SimTime(at), server, GaugeKind::ValidLogBytes, v);
+            s.gauge(SimTime(at), server, GaugeKind::ActiveObjects, 99);
+        }
+        let series = s.report().unwrap().gauge_series(GaugeKind::ValidLogBytes);
+        assert_eq!(series, vec![(SimTime(0), 20, 30), (SimTime(200), 4, 7)]);
     }
 
     #[test]

@@ -139,13 +139,13 @@ pub struct Recorder {
     // -------- causal message edges --------
     pub edges: Vec<MsgEdge>,
     next_edge_id: u64,
-    dropped_edges: u64,
+    pub(crate) dropped_edges: u64,
 
     // -------- gauges & diagnostics --------
     pub gauges: Vec<GaugeSample>,
     pub stuck: Vec<StuckOp>,
-    dropped_spans: u64,
-    dropped_gauges: u64,
+    pub(crate) dropped_spans: u64,
+    pub(crate) dropped_gauges: u64,
 }
 
 impl Recorder {
@@ -393,14 +393,6 @@ impl Recorder {
     /// Ops whose issue this recorder saw, replied to or not.
     pub fn ops_issued(&self) -> u64 {
         self.issued_seen
-    }
-
-    pub fn dropped_spans(&self) -> u64 {
-        self.dropped_spans
-    }
-
-    pub fn dropped_edges(&self) -> u64 {
-        self.dropped_edges
     }
 }
 
@@ -731,5 +723,9 @@ mod tests {
         assert_eq!(rep.spans.len(), 3);
         assert_eq!(rep.client_all.count, 40);
         assert_eq!(rep.gauges.len(), 2);
+        assert_eq!(rep.dropped_gauges, 3);
+        assert!(rep
+            .render_dashboard()
+            .contains("gauges: 2 kept, 3 beyond the cap"));
     }
 }

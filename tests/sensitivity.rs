@@ -1,7 +1,8 @@
 //! Sensitivity shapes (§IV-D): the directions of Figures 7 and 9 must
 //! hold at reduced scale.
 
-use cx_core::{BatchTrigger, Experiment, Protocol, Workload, DUR_MS, DUR_SEC};
+use cx_core::{BatchTrigger, Experiment, ObsSink, Protocol, Workload, DUR_MS, DUR_SEC};
+use cx_obs::GaugeKind;
 
 fn home2(scale: f64) -> Workload {
     Workload::trace("home2").scale(scale)
@@ -34,6 +35,7 @@ fn figure7a_larger_log_is_faster() {
 /// by commitments; the peak is bounded by the log limit.
 #[test]
 fn figure7b_valid_records_rise_and_fall() {
+    let sink = ObsSink::recording("cx");
     let r = Experiment::new(home2(0.006))
         .servers(8)
         .protocol(Protocol::Cx)
@@ -41,15 +43,20 @@ fn figure7b_valid_records_rise_and_fall() {
         .trigger(BatchTrigger::Timeout {
             period_ns: 100 * DUR_MS,
         })
-        .run();
+        .run_obs(sink.clone());
     assert!(r.is_consistent());
     assert!(r.stats.peak_valid_bytes > 0);
-    // after the drain everything is pruned (the timeline's fall)
-    let last = r.stats.timeline.last().expect("sampled");
-    assert!(
-        last.max_bytes <= r.stats.peak_valid_bytes,
-        "valid records must not grow past the peak"
+    // The 200 ms series is the obs plane's gauge stream, every sample kept.
+    let report = sink.report().expect("a recording sink");
+    assert_eq!(report.dropped_gauges, 0);
+    let series = report.gauge_series(GaugeKind::ValidLogBytes);
+    let busiest = series.iter().map(|&(_, _, max)| max).max();
+    assert_eq!(
+        busiest,
+        Some(r.stats.peak_valid_bytes),
+        "the peak is sampled"
     );
+    assert_eq!(series[0].2, 0, "the rise starts from an empty log");
 }
 
 /// Figure 9(a): a larger timeout value improves the replay (more batched
