@@ -129,15 +129,17 @@ if [ "${1:-}" != "quick" ]; then
             --workload "$workload" --seconds 3
     done
 
-    # The wall-clock runtime's tests ride real timers, shepherd threads and
-    # loopback sockets on whatever cores this box has: a 1-in-20 flake has to
-    # show up here, not in the next PR's run. The evidence for the serving
-    # loop, where each server's engine runs on its node's one I/O thread:
-    # the write-path suite's admission and loopback thread-census cases
-    # (plus its deaf peer and mutual flood), the read-path suite, cx-net's
+    # The wall-clock runtime's tests ride real timers and loopback sockets on
+    # whatever cores this box has: a 1-in-20 flake has to show up here, not
+    # in the next PR's run. There are no client threads: every node, on
+    # channels or on sockets, a server's engine or the client host with all
+    # its clients, runs on one served loop. The evidence: the write-path
+    # suite's admission case and its thread census on both carriers (plus
+    # its deaf peer and mutual flood), the read-path suite, cx-net's
     # rapid_reconnects_stay_fifo and kill_mid_corked_batch_stays_lossless_
-    # and_fifo, cx-cluster's faulty.rs over sockets, and the multi-process
-    # smoke above, where every cx_net_server serves on its loop.
+    # and_fifo, cx-cluster's faulty.rs on both carriers, and the
+    # multi-process smoke above, where every cx_net_server serves on its
+    # loop.
     step "cx-cluster + cx-net + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster

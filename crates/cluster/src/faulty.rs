@@ -2,7 +2,8 @@
 //! is written once, against the seam, and runs unchanged on channels and
 //! on sockets. Test-only.
 
-use crate::transport::{Cork, Transport};
+use crate::transport::{BuildNode, Transport};
+use cx_net::conn::InboundBatches;
 use cx_net::{ConnectionManager, Frame, NodeId};
 use cx_protocol::Endpoint;
 use cx_types::MsgKind;
@@ -93,11 +94,8 @@ impl Transport for Faulty {
         }
         self.inner.send(to, frame);
     }
-    fn cork_scope(&self) -> Cork<'_> {
-        self.inner.cork_scope()
-    }
-    fn recycle_batch(&self, batch: Vec<Frame>) {
-        self.inner.recycle_batch(batch);
+    fn serve(self: Arc<Self>, inbound: InboundBatches, build: BuildNode) {
+        Arc::clone(&self.inner).serve(inbound, build);
     }
     fn now_ns(&self) -> u64 {
         self.inner.now_ns()

@@ -6,9 +6,10 @@
 //!   CPU queues, and the `cx-simio` disk model (group commit, elevator
 //!   merging). Replays a [`cx_workloads::Trace`] and produces a
 //!   [`RunStats`] with everything the paper's tables and figures report.
-//! * `wall` — the wall-clock runtime: one OS thread per metadata server
-//!   (on sockets, its I/O thread), shepherd threads hosting the clients,
-//!   real concurrency, the DES as its oracle for the run totals. It moves
+//! * `wall` — the wall-clock runtime: one OS thread per node (on sockets,
+//!   its I/O thread), each metadata server one node and every client on
+//!   the client host's, real concurrency, the DES as its oracle for the
+//!   run totals. It moves
 //!   frames through a `Transport` and has two entry points, one per
 //!   transport: [`threaded`] (in-process channels) and [`tcp`] (loopback
 //!   sockets via `cx-net`, in-process or one OS process per server).

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Live-exposition settings for a wall-clock run: client shepherds publish
-/// into `registry` concurrently while the run executes, and — when `out`
+/// Live-exposition settings for a wall-clock run: the client host publishes
+/// into `registry` while the run executes, and — when `out`
 /// is set — a monitor thread writes `<out>.prom` (Prometheus text) and
 /// `<out>.json` (a [`cx_obs::MetricsSnapshot`], the input of `cx-obs top`)
 /// every `period`, plus once more after the final server state lands.
@@ -46,7 +46,6 @@ pub(crate) fn observe_wire_series(reg: &MetricRegistry, t: &WireTelemetry) {
     reg.observe_hist(Series::WireQueueDepth, &t.queue_depth);
     reg.observe_hist(Series::WireFlushFrames, &t.flush_frames);
     reg.observe_hist(Series::WireFlushLatencyNs, &t.flush_latency_ns);
-    reg.observe_hist(Series::WireCorkScopeNs, &t.cork_scope_ns);
     reg.observe_hist(Series::WireStallNs, &t.stall_ns);
 }
 
@@ -136,7 +135,7 @@ impl Watchdog {
     /// An op still shy of `Replied` after this much wall time earns a
     /// watchdog line.
     const WARN_NS: u64 = 5_000_000_000;
-    /// …and one escalation if it is *still* stuck here (a shepherd that
+    /// …and one escalation if it is *still* stuck here (a client host that
     /// hears nothing at all gives its clients up after as long).
     const ESCALATE_NS: u64 = 30_000_000_000;
 
@@ -156,7 +155,7 @@ impl Watchdog {
             } else if *stage == 1 && age > Self::ESCALATE_NS {
                 *stage = 2;
                 eprintln!(
-                    "[cx-mon] STILL STUCK: {s} ({:.1}s wall; shepherd backstop imminent)",
+                    "[cx-mon] STILL STUCK: {s} ({:.1}s wall; client host backstop imminent)",
                     age as f64 / 1e9
                 );
             }

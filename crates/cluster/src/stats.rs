@@ -277,22 +277,6 @@ impl RunStats {
         }
     }
 
-    /// Fold in what one client shepherd of a wall-clock run counted; the
-    /// replay ends when the last of them runs out of operations.
-    pub(crate) fn merge_clients(&mut self, part: RunStats) {
-        self.ops_total += part.ops_total;
-        self.cross_ops += part.cross_ops;
-        self.ops_applied += part.ops_applied;
-        self.ops_failed += part.ops_failed;
-        self.ops_stuck += part.ops_stuck;
-        self.replay = self.replay.max(part.replay);
-        self.latency.merge(&part.latency);
-        self.cross_latency.merge(&part.cross_latency);
-        self.latency_hist.merge(&part.latency_hist);
-        self.cross_latency_hist.merge(&part.cross_latency_hist);
-        self.leftovers.extend(part.leftovers);
-    }
-
     /// Replay time in seconds (Figure 5's metric).
     pub fn replay_secs(&self) -> f64 {
         self.replay.as_secs_f64()
@@ -358,7 +342,7 @@ impl RunStats {
 
     /// The half of [`RunStats::publish`] known only once a run is over. A
     /// live wall-clock run publishes exactly this when it ends: its
-    /// shepherds tapped the other half (the four op counters and the
+    /// client host tapped the other half (the four op counters and the
     /// client latency) into the registry per completed op.
     pub fn publish_end_of_run(&self, reg: &MetricRegistry) {
         reg.add(Counter::Messages, self.total_msgs());

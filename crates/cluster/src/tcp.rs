@@ -3,8 +3,9 @@
 //! Every message of a [`crate::wall`] run crosses a TCP connection through
 //! `cx-net`'s [`ConnectionManager`]: length-prefixed wire frames, bounded
 //! (backpressuring) per-peer outbound queues flushed without blocking,
-//! reconnect with exponential backoff, per-peer health scoring. Each server
-//! node runs on its manager's one I/O thread. Two deployment shapes:
+//! reconnect with exponential backoff, per-peer health scoring. Each node —
+//! every server and the client host — runs on its manager's one I/O
+//! thread. Two deployment shapes:
 //!
 //! * **in-process loopback** ([`TcpCluster::run_stream`]) — every server
 //!   node lives on its own I/O thread in this process, with a shared
@@ -48,13 +49,9 @@ pub struct TcpOptions {
     /// and re-sent after the backoff re-dial); `TcpRunResult::reconnects`
     /// reports the re-dials observed.
     pub drop_conns_after_ops: Option<u64>,
-    /// OS threads hosting the logical clients (`0` = auto). Each logical
-    /// client stays strictly synchronous — one op in flight, per-client
-    /// FIFO — but several clients share one *shepherd* thread, so a
-    /// single wakeup drains a batch of replies and refills a batch of
-    /// requests back-to-back into the wire queue. On a box with few
-    /// hardware threads this is the difference between one futex wake
-    /// per reply and one per batch.
+    /// Read by nothing: every logical client runs on the client host's
+    /// loop. Kept only because existing callers still set it; it goes with
+    /// the next change to those callers.
     pub client_threads: usize,
 }
 

@@ -1,11 +1,11 @@
 //! The wall-clock runtime over in-process channels.
 //!
-//! The same server nodes, shepherds and drain as a TCP run
+//! The same server nodes, client host and drain as a TCP run
 //! ([`crate::wall`]), with `Frame` values handed across crossbeam channels
 //! instead of encoded onto sockets ([`channel_fabric`]): real threads and
-//! real interleavings without the wire. Each server node runs on a thread
-//! of its own. Timers run at wall-clock rate, so tests configure short
-//! trigger periods.
+//! real interleavings without the wire. Each node runs on a loop thread of
+//! its own (`cx-srv<i>`, `cx-host`). Timers run at wall-clock rate, so
+//! tests configure short trigger periods.
 
 use crate::live::LiveMetrics;
 use crate::stats::RunStats;
@@ -42,7 +42,7 @@ impl ThreadedCluster {
     }
 
     /// Like [`ThreadedCluster::run_stream`] with an observability sink
-    /// installed into every engine and carried by every shepherd (the sink
+    /// installed into every engine and carried by the client host (the sink
     /// is `Arc<Mutex<…>>`-backed, so one recorder serves them all). Stamps
     /// are nanoseconds of wall clock since the run began.
     pub fn run_stream_obs(
@@ -54,7 +54,7 @@ impl ThreadedCluster {
     }
 
     /// Like [`ThreadedCluster::run_stream_obs`], additionally publishing
-    /// live metrics: shepherds bump the registry's atomic counters as
+    /// live metrics: the client host bumps the registry's atomic counters as
     /// operations complete, engines contribute their protocol series when
     /// they stop, and the optional monitor thread keeps the on-disk
     /// exposition files fresh for `cx-obs top` / Prometheus scraping.

@@ -1,40 +1,45 @@
 //! The seam between the wall-clock runtime and whatever carries its
-//! frames: a node hands [`Frame`]s to a [`Transport`] and reads
-//! `(sender, frames)` batches, per-sender FIFO, from the [`InboundBatches`]
-//! channel wired up with it. Two carriers exist — `cx-net`'s
+//! frames: a node hands [`Frame`]s to a [`Transport`], and the transport
+//! serves the node — a [`Node`] — on one thread, with `(sender, frames)`
+//! batches, per-sender FIFO. Two carriers exist — `cx-net`'s
 //! [`ConnectionManager`] (real sockets) and [`ChanNode`] (the same `Frame`
 //! *values* over in-process channels, no encode, no socket) — and
 //! [`crate::wall`] is written against the trait alone, so which one a run
 //! uses is decided by the entry point called.
 
-use crossbeam::channel::{unbounded, Sender};
-use cx_net::conn::InboundBatches;
-use cx_net::{ConnectionManager, CorkGuard, Frame, NodeId};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use cx_net::conn::{InboundBatches, Node};
+use cx_net::{ConnectionManager, Frame, NodeId};
 use cx_types::VecPool;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, JoinHandle, ThreadId};
+use std::time::{Duration, Instant};
 
-/// One node's outbound half.
+/// What a transport's loop builds, on its own thread, and then drives.
+pub(crate) type BuildNode = Box<dyn FnOnce() -> Box<dyn Node> + Send>;
+
+/// One node's transport.
 pub(crate) trait Transport: Send + Sync {
     /// Queue `frame` for `to`. Frames from one node to one peer arrive in
-    /// send order. May block while a socket peer's bounded queue is full;
-    /// never fails: after [`Transport::shutdown`] (or towards a peer that
-    /// is gone) the frame is dropped, which the protocols' timeouts cover.
+    /// send order. A send made on the node's loop only queues, and the
+    /// loop delivers what its turn queued at the turn's end, one batch per
+    /// peer; any other thread's send goes out at once, and may block while
+    /// a socket peer's bounded queue is full. Never fails: after
+    /// [`Transport::shutdown`] (or towards a peer that is gone) the frame
+    /// is dropped, which the protocols' timeouts cover.
     fn send(&self, to: NodeId, frame: Frame);
-    /// While the returned guard lives, `send` only queues; dropping the
-    /// last live guard of this node delivers everything queued, one batch
-    /// per peer. Guards nest and may overlap across threads.
-    fn cork_scope(&self) -> Cork<'_>;
-    /// Hand a drained inbound batch back for reuse (optional).
-    fn recycle_batch(&self, batch: Vec<Frame>);
+    /// Build the node `build` returns on this transport's loop thread and
+    /// drive it there: every batch on `inbound` (queued ones first) and
+    /// every deadline it names, until it is done or the transport shuts
+    /// down.
+    fn serve(self: Arc<Self>, inbound: InboundBatches, build: BuildNode);
     /// Nanoseconds since the run epoch — the clock of `Frame::Msg::sent_ns`,
     /// probe stamps, span phases and node-local timers.
     fn now_ns(&self) -> u64;
-    /// Stop sending and disconnect this node's inbound channel once the
-    /// frames already queued on it are read; a loop blocked on it exits even
-    /// if clones of this transport are still held elsewhere. Idempotent.
+    /// Stop sending and end the loop once the frames already queued on its
+    /// inbound are read, and join it unless called there; it ends even if
+    /// clones of this transport are still held elsewhere. Idempotent.
     fn shutdown(&self);
     /// The socket plane underneath, when there is one: health rows, wire
     /// telemetry, peer gossip and the reconnect drill only exist there.
@@ -43,21 +48,12 @@ pub(crate) trait Transport: Send + Sync {
     }
 }
 
-/// A live cork scope (see [`Transport::cork_scope`]); held for its drop.
-pub(crate) enum Cork<'a> {
-    Wire(#[allow(dead_code)] CorkGuard<'a>),
-    Chan(#[allow(dead_code)] ChanCork<'a>),
-}
-
 impl Transport for ConnectionManager {
     fn send(&self, to: NodeId, frame: Frame) {
         let _ = ConnectionManager::send(self, to, frame);
     }
-    fn cork_scope(&self) -> Cork<'_> {
-        Cork::Wire(ConnectionManager::cork_scope(self))
-    }
-    fn recycle_batch(&self, batch: Vec<Frame>) {
-        ConnectionManager::recycle_batch(self, batch);
+    fn serve(self: Arc<Self>, inbound: InboundBatches, build: BuildNode) {
+        ConnectionManager::serve(&self, inbound, build);
     }
     fn now_ns(&self) -> u64 {
         ConnectionManager::now_ns(self)
@@ -70,25 +66,27 @@ impl Transport for ConnectionManager {
     }
 }
 
+type Batch = (NodeId, Vec<Frame>);
+
 /// One node of an in-process channel fabric (see [`channel_fabric`]).
 pub(crate) struct ChanNode {
     me: NodeId,
     epoch: Instant,
     servers: u32,
     /// One link per node of the fabric, indexed servers-then-client-host;
-    /// emptied by `shutdown`, which is what disconnects the receivers.
+    /// emptied by `shutdown`.
     links: Mutex<Vec<Link>>,
-    cork_depth: AtomicUsize,
     pool: Mutex<VecPool<Frame>>,
+    /// The loop thread [`Transport::serve`] started, whose sends only queue.
+    looper: OnceLock<ThreadId>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 struct Link {
-    tx: Sender<(NodeId, Vec<Frame>)>,
-    /// Frames sent under a cork, awaiting the scope's end.
+    tx: Sender<Batch>,
+    /// Frames the loop's node sent this turn, awaiting its end.
     pending: Vec<Frame>,
 }
-
-pub(crate) struct ChanCork<'a>(&'a ChanNode);
 
 /// Wire `servers` server nodes and one client host to each other with
 /// unbounded channels. Returns the nodes in link order: `Server(0..n)`,
@@ -114,8 +112,9 @@ pub(crate) fn channel_fabric(servers: u32, epoch: Instant) -> Vec<(Arc<ChanNode>
                 epoch,
                 servers,
                 links: Mutex::new(links),
-                cork_depth: AtomicUsize::new(0),
                 pool: Mutex::new(VecPool::default()),
+                looper: OnceLock::new(),
+                thread: Mutex::new(None),
             };
             (Arc::new(node), rx)
         })
@@ -123,6 +122,13 @@ pub(crate) fn channel_fabric(servers: u32, epoch: Instant) -> Vec<(Arc<ChanNode>
 }
 
 impl ChanNode {
+    fn link_of(&self, to: NodeId) -> usize {
+        match to {
+            NodeId::Server(s) => s as usize,
+            NodeId::ClientHost(_) => self.servers as usize,
+        }
+    }
+
     /// Deliver what is pending on `link` as one batch.
     fn flush(&self, link: &mut Link) {
         if !link.pending.is_empty() {
@@ -131,47 +137,79 @@ impl ChanNode {
             let _ = link.tx.send((self.me, batch));
         }
     }
+
+    fn flush_turn(&self) {
+        for link in self.links.lock().iter_mut() {
+            self.flush(link);
+        }
+    }
+
+    /// The loop [`Transport::serve`] runs: a turn takes every batch already
+    /// queued, or a deadline, then asks the node for its next one, and
+    /// delivers its sends as it ends. An empty batch — no flush sends one —
+    /// is `shutdown`'s end marker.
+    fn run(&self, build: BuildNode, inbound: InboundBatches) {
+        let _ = self.looper.set(thread::current().id());
+        let mut node = build();
+        let mut wait = node.on_due();
+        'turns: loop {
+            self.flush_turn();
+            let mut next = match inbound.recv_timeout(wait.unwrap_or(Duration::MAX)) {
+                Ok(batch) => Some(batch),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            while let Some((from, mut frames)) = next {
+                if frames.is_empty() || !node.on_frames(from, &mut frames) {
+                    break 'turns;
+                }
+                self.pool.lock().put(frames);
+                next = inbound.try_recv().ok();
+            }
+            wait = node.on_due();
+        }
+        self.flush_turn();
+    }
 }
 
 impl Transport for ChanNode {
     fn send(&self, to: NodeId, frame: Frame) {
-        let at = match to {
-            NodeId::Server(s) => s,
-            NodeId::ClientHost(_) => self.servers,
-        };
+        let on_loop = self.looper.get() == Some(&thread::current().id());
         let mut links = self.links.lock();
-        let Some(link) = links.get_mut(at as usize) else {
+        let Some(link) = links.get_mut(self.link_of(to)) else {
             return; // shut down
         };
         link.pending.push(frame);
-        // The depth is read under the links lock and the last guard takes
-        // that lock after its decrement, so a frame left pending here is
-        // always seen by that guard's flush.
-        if self.cork_depth.load(Ordering::SeqCst) == 0 {
+        if !on_loop {
             self.flush(link);
         }
     }
-    fn cork_scope(&self) -> Cork<'_> {
-        self.cork_depth.fetch_add(1, Ordering::SeqCst);
-        Cork::Chan(ChanCork(self))
-    }
-    fn recycle_batch(&self, batch: Vec<Frame>) {
-        self.pool.lock().put(batch);
+    fn serve(self: Arc<Self>, inbound: InboundBatches, build: BuildNode) {
+        let name = match self.me {
+            NodeId::Server(s) => format!("cx-srv{s}"),
+            NodeId::ClientHost(_) => "cx-host".into(),
+        };
+        let me = Arc::clone(&self);
+        let t = thread::Builder::new()
+            .name(name)
+            .spawn(move || me.run(build, inbound))
+            .expect("spawn a channel node's loop");
+        *self.thread.lock() = Some(t);
     }
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
     fn shutdown(&self) {
-        self.links.lock().clear();
-    }
-}
-
-impl Drop for ChanCork<'_> {
-    fn drop(&mut self) {
-        if self.0.cork_depth.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for link in self.0.links.lock().iter_mut() {
-                self.0.flush(link);
-            }
+        let links = std::mem::take(&mut *self.links.lock());
+        let Some(t) = self.thread.lock().take() else {
+            return;
+        };
+        if let Some(own) = links.get(self.link_of(self.me)) {
+            let _ = own.tx.send((self.me, Vec::new()));
+        }
+        drop(links);
+        if t.thread().id() != thread::current().id() {
+            let _ = t.join();
         }
     }
 }
@@ -179,9 +217,7 @@ impl Drop for ChanCork<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::RecvTimeoutError;
     use std::sync::Barrier;
-    use std::time::Duration;
 
     fn probe(token: u64) -> Frame {
         Frame::Probe { token, t0_ns: 0 }
@@ -197,33 +233,64 @@ mod tests {
             .collect()
     }
 
-    /// Four nodes send to one receiver at once, half of them corked: the
-    /// receiver sees each sender's frames in that sender's order.
+    /// A served node that sends `PER_SENDER` probes to the client host
+    /// from its loop, ten per turn, one turn after another.
+    struct Burst {
+        net: Arc<ChanNode>,
+        next: u64,
+    }
+
+    const PER_SENDER: u64 = 2_000;
+
+    impl Node for Burst {
+        fn on_frames(&mut self, _: NodeId, frames: &mut Vec<Frame>) -> bool {
+            frames.clear();
+            true
+        }
+
+        fn on_due(&mut self) -> Option<Duration> {
+            for _ in 0..10.min(PER_SENDER - self.next) {
+                self.net.send(NodeId::ClientHost(0), probe(self.next));
+                self.next += 1;
+            }
+            (self.next < PER_SENDER).then_some(Duration::ZERO)
+        }
+    }
+
+    /// Four nodes send to one receiver at once, two from their served
+    /// loops and two from threads of their own: the receiver sees each
+    /// sender's frames in that sender's order.
     #[test]
     fn per_sender_fifo_under_four_concurrent_senders() {
-        const PER_SENDER: u64 = 2_000;
         let mut fabric = channel_fabric(4, Instant::now());
         let (_, host_rx) = fabric.pop().expect("client host");
         let start = Arc::new(Barrier::new(4));
-        let senders: Vec<_> = fabric
-            .into_iter()
-            .enumerate()
-            .map(|(i, (node, _rx))| {
-                let start = Arc::clone(&start);
-                std::thread::spawn(move || {
+        let mut senders = Vec::new();
+        let mut nodes = Vec::new();
+        for (i, (node, rx)) in fabric.into_iter().enumerate() {
+            let start = Arc::clone(&start);
+            let net = Arc::clone(&node);
+            if i % 2 == 0 {
+                let build = move || {
                     start.wait();
-                    for chunk in 0..PER_SENDER / 10 {
-                        let _cork = (i % 2 == 0).then(|| node.cork_scope());
-                        for k in 0..10 {
-                            node.send(NodeId::ClientHost(0), probe(chunk * 10 + k));
-                        }
+                    Box::new(Burst { net, next: 0 }) as Box<dyn Node>
+                };
+                Arc::clone(&node).serve(rx, Box::new(build));
+            } else {
+                senders.push(thread::spawn(move || {
+                    start.wait();
+                    for t in 0..PER_SENDER {
+                        net.send(NodeId::ClientHost(0), probe(t));
                     }
-                    node.shutdown();
-                })
-            })
-            .collect();
+                }));
+            }
+            nodes.push(node);
+        }
         let mut next = [0u64; 4];
-        while let Ok((from, batch)) = host_rx.recv_timeout(Duration::from_secs(10)) {
+        while next != [PER_SENDER; 4] {
+            let (from, batch) = host_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{e:?} with {next:?} received"));
             let NodeId::Server(s) = from else {
                 panic!("unexpected sender {from}");
             };
@@ -232,44 +299,65 @@ mod tests {
                 next[s as usize] += 1;
             }
         }
-        assert_eq!(next, [PER_SENDER; 4]);
         for t in senders {
             t.join().expect("sender thread");
         }
+        for node in &nodes {
+            node.shutdown();
+        }
+        assert!(host_rx.try_recv().is_err(), "nothing past the last probe");
     }
 
-    /// Inside a scope nothing is delivered; when the (outermost) guard
-    /// drops, each peer gets one batch, in send order, and nothing trails.
+    /// Answers the first probe it reads with three probes to each server
+    /// from `on_frames` and one more to `srv0` from the `on_due` that
+    /// ends the same turn.
+    struct Fan {
+        net: Arc<ChanNode>,
+        due: bool,
+    }
+
+    impl Node for Fan {
+        fn on_frames(&mut self, _: NodeId, frames: &mut Vec<Frame>) -> bool {
+            frames.clear();
+            for t in 0..3 {
+                self.net.send(NodeId::Server(0), probe(t));
+                self.net.send(NodeId::Server(1), probe(10 + t));
+            }
+            self.due = true;
+            true
+        }
+
+        fn on_due(&mut self) -> Option<Duration> {
+            if std::mem::take(&mut self.due) {
+                self.net.send(NodeId::Server(0), probe(3));
+            }
+            None
+        }
+    }
+
+    /// A turn's sends go out when it ends: each peer gets one batch, in
+    /// send order, and nothing trails it. A send from another thread goes
+    /// out at once.
     #[test]
-    fn cork_scope_delivers_one_batch_per_peer_and_nothing_late() {
-        let fabric = channel_fabric(2, Instant::now());
-        let host = Arc::clone(&fabric[2].0);
-        {
-            let _outer = host.cork_scope();
-            {
-                let _inner = host.cork_scope();
-                for t in 0..3 {
-                    host.send(NodeId::Server(0), probe(t));
-                    host.send(NodeId::Server(1), probe(10 + t));
-                }
-            }
-            host.send(NodeId::Server(0), probe(3));
-            for (_, rx) in &fabric[..2] {
-                assert!(rx.try_recv().is_err(), "delivered inside the scope");
-            }
-        }
-        let (from, batch) = fabric[0].1.try_recv().expect("srv0's batch");
+    fn a_turn_delivers_one_batch_per_link_and_nothing_late() {
+        let mut fabric = channel_fabric(2, Instant::now());
+        let (host, host_rx) = fabric.pop().expect("client host");
+        let net = Arc::clone(&host);
+        let build = move || Box::new(Fan { net, due: false }) as Box<dyn Node>;
+        Arc::clone(&host).serve(host_rx, Box::new(build));
+        fabric[0].0.send(NodeId::ClientHost(0), probe(7));
+        let wait = Duration::from_secs(5);
+        let (from, batch) = fabric[0].1.recv_timeout(wait).expect("srv0's batch");
         assert_eq!((from, tokens(&batch)), (host.me, vec![0, 1, 2, 3]));
-        let (_, batch) = fabric[1].1.try_recv().expect("srv1's batch");
+        let (_, batch) = fabric[1].1.recv_timeout(wait).expect("srv1's batch");
         assert_eq!(tokens(&batch), vec![10, 11, 12]);
-        for (_, rx) in &fabric[..2] {
-            assert!(rx.try_recv().is_err(), "a frame trailed the scope");
+        thread::sleep(Duration::from_millis(50));
+        for (_, rx) in &fabric {
+            assert!(rx.try_recv().is_err(), "a frame trailed the turn");
         }
-        // Uncorked sends go out at once, one frame per batch; a recycled
-        // batch is what carries the next one.
-        host.recycle_batch(batch);
         host.send(NodeId::Server(1), probe(99));
         assert_eq!(tokens(&fabric[1].1.try_recv().expect("direct").1), [99]);
+        host.shutdown();
     }
 
     /// Shutting every node down disconnects every receiver although all the

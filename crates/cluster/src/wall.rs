@@ -1,15 +1,17 @@
 //! The wall-clock runtime: the sans-IO engines at real-time rate over any
 //! [`Transport`].
 //!
-//! Each metadata server is a [`ServerNode`] (frame batches in, engine
-//! actions out, node-local timers) on one OS thread: on sockets, its
-//! connection manager's I/O thread. The logical clients — each strictly
-//! synchronous — are hosted a few to a *shepherd* thread
-//! ([`shepherd_loop`]) on the client host, which is also the run's
-//! coordinator ([`run_wired`]). Disk completions are immediate: this
-//! runtime checks protocol correctness under true concurrency, timing is
-//! the DES's job. The engines cannot tell which carrier moves their
-//! frames; the DES remains the oracle for what the totals must be.
+//! Every node of a run is one [`Node`] its transport serves on one OS
+//! thread: on sockets, its connection manager's I/O thread; on channels,
+//! its `ChanNode`'s loop. Each metadata server is a [`ServerNode`] (frame
+//! batches in, engine actions out, node-local timers). The logical clients
+//! — each strictly synchronous — all live on the client host's node
+//! ([`ClientHost`]); the thread that called [`run_wired`] is the run's
+//! coordinator. A send made during a node's turn goes out once per peer
+//! when the turn ends. Disk completions are immediate: this runtime checks
+//! protocol correctness under true concurrency, timing is the DES's job.
+//! The engines cannot tell which carrier moves their frames; the DES
+//! remains the oracle for what the totals must be.
 //!
 //! Control traffic (quiesce/probe/stop) rides the same links as protocol
 //! messages: quiesce rounds until every server reports quiesced, then a
@@ -28,7 +30,7 @@ use crate::seed::seed_engine;
 use crate::stats::RunStats;
 use crate::tcp::{TcpOptions, TcpRunResult};
 use crate::transport::Transport;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use cx_mdstore::{GlobalView, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{ClockSync, Frame, HealthSnapshot, NodeId, WireTelemetry, WireTotals};
@@ -44,11 +46,9 @@ use cx_types::{
     ProcId, Protocol, ServerId, SimTime,
 };
 use cx_workloads::{SeedEntry, StreamTrace};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::os::raw::c_int;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -126,8 +126,8 @@ pub(crate) fn rebuild_store(
 
 // ---- sending protocol messages ----
 
-/// How a thread that steps protocol machines — a server node, a client
-/// shepherd — puts their payloads on its node's transport: stamp the
+/// How a node that steps protocol machines — a server's engine, the client
+/// host's clients — puts their payloads on its transport: stamp the
 /// send-side lifecycle milestone, count by kind, wrap in [`Frame::Msg`].
 struct MsgPort {
     net: Arc<dyn Transport>,
@@ -167,9 +167,9 @@ impl MsgPort {
 // ---- server node ----
 
 /// One metadata server: its engine, the engine's node-local timers and the
-/// port it sends through, until the coordinator's `Stop`. On sockets its
-/// manager's I/O loop runs it ([`cx_net::ConnectionManager::serve`]),
-/// in-process or as a `cx_net_server` process; on channels, [`drive`].
+/// port it sends through, until the coordinator's `Stop`. Its transport's
+/// loop runs it ([`Transport::serve`]), in-process or, on sockets, as a
+/// `cx_net_server` process.
 pub(crate) struct ServerNode {
     engine: Box<dyn ServerEngine>,
     timers: TimerQueue<u64>,
@@ -338,32 +338,6 @@ impl Node for ServerNode {
     }
 }
 
-/// A channel server's thread, calling what a socket's I/O loop calls. A
-/// turn takes every queued batch, or a deadline, under one cork scope: its
-/// sends go out as one batch per peer, none before the turn ends.
-fn drive(mut node: ServerNode, inbound: InboundBatches) {
-    let net = Arc::clone(&node.port.net);
-    let mut wait = node.on_due();
-    'turns: loop {
-        let mut next = match inbound.recv_timeout(wait.unwrap_or(Duration::MAX)) {
-            Ok(batch) => Some(batch),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let _cork = net.cork_scope();
-        while let Some((from, mut frames)) = next {
-            let live = node.on_frames(from, &mut frames);
-            net.recycle_batch(frames);
-            if !live {
-                break 'turns;
-            }
-            next = inbound.try_recv().ok();
-        }
-        wait = node.on_due();
-    }
-    net.shutdown();
-}
-
 // ---- client host ----
 
 // `sched_setscheduler(2)`; std already links libc. `param` is a
@@ -373,46 +347,13 @@ unsafe extern "C" {
     fn sched_setscheduler(pid: c_int, policy: c_int, param: *const c_int) -> c_int;
 }
 
-/// One protocol message for a hosted client, as [`Demux`] hands it to the
-/// shepherd hosting that client.
-struct ProcMsg {
-    client: u32,
-    from: Endpoint,
-    payload: Payload,
-}
-
-/// Mid-run connection-drop drill (see [`TcpOptions::drop_conns_after_ops`]);
-/// only a socket plane has connections to drop.
-struct DropDrill {
-    after: u64,
-    fired: AtomicBool,
-    done_ops: AtomicU64,
-    net: Arc<dyn Transport>,
-    servers: u32,
-}
-
-impl DropDrill {
-    fn tick(&self) {
-        let n = self.done_ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.after && !self.fired.swap(true, Ordering::Relaxed) {
-            if let Some(conn) = self.net.wire() {
-                for s in 0..self.servers {
-                    conn.drop_connection(NodeId::Server(s));
-                }
-            }
-        }
-    }
-}
-
-/// One hosted logical client on a shepherd thread: its identity, its op
-/// sequence counter, and its in-flight op (at most one — logical clients
-/// are strictly synchronous).
+/// One hosted logical client: its identity, its op sequence counter, and
+/// its in-flight op (at most one — logical clients are strictly
+/// synchronous).
 struct ClientSlot {
-    me: u32,
     proc: ProcId,
     seq: u64,
     active: Option<InFlightOp>,
-    feed_done: bool,
 }
 
 struct InFlightOp {
@@ -424,151 +365,164 @@ struct InFlightOp {
     timer: Option<(Instant, u64)>,
 }
 
-/// Everything a shepherd needs besides its slots and its reply source.
-struct ShepherdCtx {
+/// How long a client host none of whose clients has a timer armed listens
+/// to a silent wire before it reports their operations stuck and gives up.
+const CLIENT_SILENCE: Duration = Duration::from_secs(if cfg!(test) { 2 } else { 30 });
+
+/// The client host: every logical client of the run, on the host's loop.
+/// A turn steps each client a reply is addressed to; `on_due` then fires
+/// due client timers and refills every idle client, so the requests of a
+/// turn leave together, one batch per server. A client never has more than
+/// one op in flight, and its op order is its feed order. Probe and stop
+/// replies go to the coordinator.
+struct ClientHost {
     port: MsgPort,
     cfg: ClusterConfig,
     placement: Placement,
-    /// This shepherd's share of the run's client-side accounting, merged
-    /// into the result at join.
+    feed: OpFeed,
+    /// Client `c` at index `c`.
+    slots: Vec<ClientSlot>,
+    /// Clients with no op in flight, to refill.
+    idle: Vec<usize>,
+    /// Clients whose feed has not run dry.
+    live: usize,
+    /// Armed client timers, by deadline.
+    timers: BTreeSet<(Instant, usize)>,
+    /// The last reply or fired timer: the start of a silence.
+    heard: Instant,
     stats: RunStats,
     registry: Option<MetricRegistry>,
-    drill: Option<Arc<DropDrill>>,
+    /// Mid-run connection-drop drill (see
+    /// [`TcpOptions::drop_conns_after_ops`]): fires once this many ops are
+    /// done; only a socket plane has connections to drop.
+    drill: Option<u64>,
+    ctrl: Sender<(NodeId, Frame)>,
+    /// Where the client side's totals go, once, when the last client runs
+    /// dry or the wire falls silent.
+    report: Option<mpsc::Sender<(RunStats, MsgCounts)>>,
 }
 
-/// How long a shepherd none of whose clients has a timer armed listens to
-/// a silent wire before it reports their operations stuck and gives up.
-const CLIENT_SILENCE: Duration = Duration::from_secs(if cfg!(test) { 2 } else { 30 });
+impl ClientHost {
+    /// Start `op` on idle client `i`: plan it, record issue-side
+    /// observability, and send the opening request(s).
+    fn issue(&mut self, i: usize, op: FsOp) {
+        let slot = &mut self.slots[i];
+        let op_id = OpId::new(slot.proc, slot.seq);
+        slot.seq += 1;
+        let plan = self.placement.plan(op);
+        let cross = plan.is_cross_server();
+        let issued_at = self.port.now();
+        self.port.obs.op_issued(op_id, op.class(), cross, issued_at);
+        self.stats.note_issued(cross);
+        if let Some(reg) = &self.registry {
+            reg.inc(Counter::OpsIssued);
+            if cross {
+                reg.inc(Counter::CrossOps);
+            }
+        }
+        let mut out = Vec::new();
+        let client = ClientOp::start(self.cfg.protocol, op_id, plan, &self.cfg.cx, &mut out);
+        slot.active = Some(InFlightOp {
+            op_id,
+            class: op.class(),
+            cross,
+            issued_at,
+            client,
+            timer: None,
+        });
+        self.apply(i, out);
+    }
 
-/// Drive a set of logical clients off one OS thread. Each wakeup drains
-/// every queued reply (one `recv` then greedy `try_recv`), then refills
-/// every idle slot with its next op — so request frames from several
-/// clients enter the transport back-to-back and coalesce into shared
-/// deliveries, and a batch of replies costs one futex wake instead of one
-/// per client. A slot never has more than one op in flight, and its op
-/// order is its feed order. Returns what this shepherd counted and sent.
-fn shepherd_loop(
-    clients: Vec<u32>,
-    feed: Arc<Mutex<OpFeed>>,
-    rx: Receiver<ProcMsg>,
-    shepherds: usize,
-    mut ctx: ShepherdCtx,
-) -> (RunStats, MsgCounts) {
-    let net = Arc::clone(&ctx.port.net);
-    let mut slots: Vec<ClientSlot> = clients
-        .iter()
-        .map(|&me| ClientSlot {
-            me,
-            proc: ProcId::new(me, 0),
-            seq: 0,
-            active: None,
-            feed_done: false,
-        })
-        .collect();
-    loop {
-        // Refill every idle slot: one feed lock for the whole sweep, then
-        // issue outside it (sends can block on wire-queue backpressure),
-        // so the requests land back-to-back in the transport.
-        let mut refill: Vec<(usize, FsOp)> = Vec::new();
-        {
-            let mut f = feed.lock();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if slot.active.is_none() && !slot.feed_done {
-                    match f.next_for(slot.me) {
-                        Some(op) => refill.push((i, op)),
-                        None => slot.feed_done = true,
-                    }
-                }
-            }
-        }
-        if !refill.is_empty() {
-            // The whole refill sweep is one cork scope: requests from
-            // every hosted client aimed at the same server share a flush.
-            let _cork = net.cork_scope();
-            for (i, op) in refill {
-                slot_issue(&mut ctx, &mut slots[i], op);
-            }
-        }
-        if slots.iter().all(|s| s.active.is_none() && s.feed_done) {
-            break;
-        }
-
-        // Sleep until the earliest pending client timer (or a liveness
-        // backstop), then drain every reply that has queued up. The reply
-        // burst is corked too: protocol follow-ups (e.g. Cx cross-server
-        // second phases) issued while draining share flushes the same way
-        // the refill sweep does.
-        let wait = slots
-            .iter()
-            .filter_map(|s| s.active.as_ref()?.timer.map(|(at, _)| at))
-            .min()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(CLIENT_SILENCE);
-        match rx.recv_timeout(wait) {
-            Ok(msg) => {
-                let _cork = net.cork_scope();
-                let mut next = Some(msg);
-                while let Some(m) = next {
-                    shepherd_deliver(&mut ctx, &mut slots, shepherds, m);
-                    next = rx.try_recv().ok();
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                let mut fired = false;
-                for slot in &mut slots {
-                    let Some(active) = &mut slot.active else {
-                        continue;
-                    };
-                    let Some((at, token)) = active.timer else {
-                        continue;
-                    };
-                    if at > now {
-                        continue;
-                    }
-                    fired = true;
-                    active.timer = None;
-                    let mut out = Vec::new();
-                    let d = active.client.on_timer(ctx.port.now(), token, &mut out);
-                    let from_me = Endpoint::Proc(slot.proc);
-                    send_client_actions(&mut ctx.port, from_me, out, &mut active.timer);
-                    if let ClientDecision::Done(outcome) = d {
-                        slot_finish(&mut ctx, slot, outcome);
-                    }
-                }
-                if !fired && wait >= CLIENT_SILENCE {
-                    let stuck: Vec<String> = slots
-                        .iter()
-                        .filter_map(|s| Some(s.active.as_ref()?.op_id.to_string()))
-                        .collect();
-                    ctx.stats.ops_stuck += stuck.len() as u64;
-                    ctx.stats.leftovers.push(format!(
-                        "client host: no reply for {} s to {}",
-                        CLIENT_SILENCE.as_secs(),
-                        stuck.join(", ")
-                    ));
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+    /// Step client `i`'s in-flight op with `f` (nothing, if it has none: a
+    /// late duplicate), and carry out what it decided.
+    fn step(
+        &mut self,
+        i: usize,
+        f: impl FnOnce(&mut ClientOp, SimTime, &mut Vec<Action>) -> ClientDecision,
+    ) {
+        let now = self.port.now();
+        let Some(active) = &mut self.slots[i].active else {
+            return;
+        };
+        let mut out = Vec::new();
+        let decision = f(&mut active.client, now, &mut out);
+        self.apply(i, out);
+        if let ClientDecision::Done(outcome) = decision {
+            self.finish(i, outcome);
         }
     }
-    ctx.stats.replay = ctx.port.now();
-    (ctx.stats, ctx.port.sent)
+
+    /// Send client `i`'s messages and arm its timer.
+    fn apply(&mut self, i: usize, actions: Vec<Action>) {
+        let slot = &mut self.slots[i];
+        let active = slot.active.as_mut().expect("a client with an op in flight");
+        for action in actions {
+            match action {
+                Action::Send { to, payload } => {
+                    self.port.send(Endpoint::Proc(slot.proc), to, payload)
+                }
+                Action::SetTimer { token, delay_ns } => {
+                    let at = Instant::now() + Duration::from_nanos(delay_ns);
+                    if let Some((old, _)) = active.timer.replace((at, token)) {
+                        self.timers.remove(&(old, i));
+                    }
+                    self.timers.insert((at, i));
+                }
+                other => unreachable!("clients have no disks: {other:?}"),
+            }
+        }
+    }
+
+    /// Completion-side accounting for a finished op; the client goes idle
+    /// and is refilled at the end of the turn.
+    fn finish(&mut self, i: usize, outcome: OpOutcome) {
+        let active = self.slots[i]
+            .active
+            .take()
+            .expect("finishing an in-flight op");
+        if let Some((at, _)) = active.timer {
+            self.timers.remove(&(at, i));
+        }
+        self.idle.push(i);
+        let done = self.port.now();
+        // Only Cx leaves commitment running behind the reply; its engine
+        // stamps `Completed` through the same sink when the ack lands.
+        let awaits = active.cross && self.cfg.protocol == Protocol::Cx;
+        let obs = &self.port.obs;
+        obs.op_replied(active.op_id, done, outcome, awaits);
+        let latency = done.0.saturating_sub(active.issued_at.0);
+        obs.client_latency(active.class, active.cross, latency);
+        self.stats.note_finished(outcome, active.cross, latency);
+        if let Some(reg) = &self.registry {
+            reg.inc(match outcome {
+                OpOutcome::Applied => Counter::OpsApplied,
+                OpOutcome::Failed => Counter::OpsFailed,
+            });
+            reg.observe(Series::ClientLatencyNs, latency);
+        }
+        if self.drill == Some(self.stats.ops_applied + self.stats.ops_failed) {
+            if let Some(conn) = self.port.net.wire() {
+                for s in 0..self.cfg.servers {
+                    conn.drop_connection(NodeId::Server(s));
+                }
+            }
+        }
+    }
+
+    /// Hand the coordinator the client side's totals; the clients are
+    /// done with.
+    fn send_report(&mut self) {
+        if let Some(report) = self.report.take() {
+            self.stats.replay = self.port.now();
+            let stats = std::mem::replace(&mut self.stats, RunStats::new(self.cfg.protocol, 0, 0));
+            let _ = report.send((stats, std::mem::take(&mut self.port.sent)));
+        }
+    }
 }
 
-/// The client host's node: each protocol message to the shepherd hosting
-/// its client (its arrival edge stamped), each probe/stop reply to the
-/// coordinator; on the host's I/O loop, or on channels on `cx-pump`.
-struct Demux {
-    net: Arc<dyn Transport>,
-    obs: ObsSink,
-    shepherds: Vec<Sender<ProcMsg>>,
-    ctrl: Sender<(NodeId, Frame)>,
-}
-
-impl Node for Demux {
+impl Node for ClientHost {
     fn on_frames(&mut self, node: NodeId, frames: &mut Vec<Frame>) -> bool {
+        self.heard = Instant::now();
         for frame in frames.drain(..) {
             match frame {
                 Frame::Msg {
@@ -576,26 +530,23 @@ impl Node for Demux {
                     from,
                     to: Endpoint::Proc(p),
                     payload,
-                } => {
+                } if self.report.is_some() => {
                     let client = p.client.0;
-                    if self.obs.enabled() {
-                        self.obs.msg_edge(
+                    if self.port.obs.enabled() {
+                        self.port.obs.msg_edge(
                             primary_op(&payload),
                             payload.kind(),
                             flow_node(from),
                             FlowNode::Client(client),
                             sent_ns,
-                            self.net.now_ns(),
+                            self.port.now().0,
                         );
                     }
-                    // Client `c` lives on shepherd `c % shepherds`; one
-                    // that finished has dropped its receiver.
-                    let to = &self.shepherds[client as usize % self.shepherds.len()];
-                    let _ = to.send(ProcMsg {
-                        client,
-                        from,
-                        payload,
-                    });
+                    if (client as usize) < self.slots.len() {
+                        self.step(client as usize, |c, now, out| {
+                            c.on_msg(now, from, payload, out)
+                        });
+                    }
                 }
                 Frame::ProbeResp { .. } | Frame::StopResp { .. } => {
                     let _ = self.ctrl.send((node, frame));
@@ -605,108 +556,49 @@ impl Node for Demux {
         }
         true
     }
-}
 
-/// Start `op` on an idle slot: plan it, record issue-side observability,
-/// and send the opening request(s).
-fn slot_issue(ctx: &mut ShepherdCtx, slot: &mut ClientSlot, op: FsOp) {
-    let op_id = OpId::new(slot.proc, slot.seq);
-    slot.seq += 1;
-    let plan = ctx.placement.plan(op);
-    let cross = plan.is_cross_server();
-    let issued_at = ctx.port.now();
-    ctx.port.obs.op_issued(op_id, op.class(), cross, issued_at);
-    ctx.stats.note_issued(cross);
-    if let Some(reg) = &ctx.registry {
-        // Concurrent atomic bumps from every shepherd; the registry
-        // property test pins that these merge exactly.
-        reg.inc(Counter::OpsIssued);
-        if cross {
-            reg.inc(Counter::CrossOps);
+    fn on_due(&mut self) -> Option<Duration> {
+        self.report.as_ref()?;
+        let now = Instant::now();
+        while let Some(&(at, i)) = self.timers.first().filter(|(at, _)| *at <= now) {
+            self.timers.remove(&(at, i));
+            let active = self.slots[i].active.as_mut().expect("an armed client");
+            let (_, token) = active.timer.take().expect("an armed client");
+            self.heard = now;
+            self.step(i, |c, now, out| c.on_timer(now, token, out));
         }
-    }
-    let mut out = Vec::new();
-    let client = ClientOp::start(ctx.cfg.protocol, op_id, plan, &ctx.cfg.cx, &mut out);
-    let mut timer = None;
-    send_client_actions(&mut ctx.port, Endpoint::Proc(slot.proc), out, &mut timer);
-    slot.active = Some(InFlightOp {
-        op_id,
-        class: op.class(),
-        cross,
-        issued_at,
-        client,
-        timer,
-    });
-}
-
-/// Route one inbound payload to the slot hosting its client and step that
-/// client's protocol machine.
-fn shepherd_deliver(
-    ctx: &mut ShepherdCtx,
-    slots: &mut [ClientSlot],
-    shepherds: usize,
-    msg: ProcMsg,
-) {
-    // Round-robin placement: client `c` lives on shepherd `c % shepherds`
-    // at local slot `c / shepherds`.
-    let Some(slot) = slots.get_mut(msg.client as usize / shepherds) else {
-        return;
-    };
-    debug_assert_eq!(slot.me, msg.client);
-    let Some(active) = &mut slot.active else {
-        return; // late duplicate from an op that already completed
-    };
-    let mut out = Vec::new();
-    let d = active
-        .client
-        .on_msg(ctx.port.now(), msg.from, msg.payload, &mut out);
-    let from_me = Endpoint::Proc(slot.proc);
-    send_client_actions(&mut ctx.port, from_me, out, &mut active.timer);
-    if let ClientDecision::Done(outcome) = d {
-        slot_finish(ctx, slot, outcome);
-    }
-}
-
-/// Completion-side accounting for a finished op; the slot goes idle and is
-/// refilled on the next shepherd sweep.
-fn slot_finish(ctx: &mut ShepherdCtx, slot: &mut ClientSlot, outcome: OpOutcome) {
-    let active = slot.active.take().expect("finishing an in-flight op");
-    let done = ctx.port.now();
-    // Only Cx leaves commitment running behind the reply; its engine
-    // stamps `Completed` through the same sink when the ack lands.
-    let awaits = active.cross && ctx.cfg.protocol == Protocol::Cx;
-    ctx.port.obs.op_replied(active.op_id, done, outcome, awaits);
-    let latency = done.0.saturating_sub(active.issued_at.0);
-    ctx.port
-        .obs
-        .client_latency(active.class, active.cross, latency);
-    ctx.stats.note_finished(outcome, active.cross, latency);
-    if let Some(reg) = &ctx.registry {
-        reg.inc(match outcome {
-            OpOutcome::Applied => Counter::OpsApplied,
-            OpOutcome::Failed => Counter::OpsFailed,
-        });
-        reg.observe(Series::ClientLatencyNs, latency);
-    }
-    if let Some(d) = &ctx.drill {
-        d.tick();
-    }
-}
-
-fn send_client_actions(
-    port: &mut MsgPort,
-    from: Endpoint,
-    actions: Vec<Action>,
-    timer: &mut Option<(Instant, u64)>,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, payload } => port.send(from, to, payload),
-            Action::SetTimer { token, delay_ns } => {
-                *timer = Some((Instant::now() + Duration::from_nanos(delay_ns), token));
+        let mut idle = std::mem::take(&mut self.idle);
+        for i in idle.drain(..) {
+            match self.feed.next_for(i as u32) {
+                Some(op) => self.issue(i, op),
+                None => self.live -= 1,
             }
-            other => unreachable!("clients have no disks: {other:?}"),
         }
+        self.idle = idle;
+        if self.live == 0 {
+            self.send_report();
+            return None;
+        }
+        if let Some(&(at, _)) = self.timers.first() {
+            return Some(at.saturating_duration_since(now));
+        }
+        let silent_until = self.heard + CLIENT_SILENCE;
+        if now < silent_until {
+            return Some(silent_until - now);
+        }
+        let stuck: Vec<String> = self
+            .slots
+            .iter()
+            .filter_map(|s| Some(s.active.as_ref()?.op_id.to_string()))
+            .collect();
+        self.stats.ops_stuck += stuck.len() as u64;
+        self.stats.leftovers.push(format!(
+            "client host: no reply for {} s to {}",
+            CLIENT_SILENCE.as_secs(),
+            stuck.join(", ")
+        ));
+        self.send_report();
+        None
     }
 }
 
@@ -745,114 +637,65 @@ pub(crate) fn run_wired(
         total_ops_hint,
         ops,
     } = st;
-    let placement = Placement::new(cfg.servers);
     let NodeIo { net, inbound } = wired.host;
 
     // Every in-process transport, the host's first: the monitor and the
     // result sum wire throughput over them, and teardown shuts them all.
     let mut nets = vec![Arc::clone(&net)];
-    // Each node runs on its socket manager's I/O loop; on channels, a
-    // server on a `cx-srv` thread and the host's demux on `cx-pump`. A
-    // server is built, and seeded, on the thread that runs it.
-    let mut threads = Vec::new();
+    // Each node runs on its transport's loop. A server is built, and
+    // seeded, on the thread that runs it.
     let seeds = Arc::new(seeds);
     for (i, NodeIo { net: srv, inbound }) in wired.servers.into_iter().enumerate() {
         nets.push(Arc::clone(&srv));
         let (cfg, seeds, obs) = (cfg.clone(), Arc::clone(&seeds), opts.obs.clone());
         let port = Arc::clone(&srv);
-        let node = move || ServerNode::new(&cfg, ServerId(i as u32), &seeds, port, obs);
-        match srv.wire() {
-            Some(conn) => conn.serve(inbound, node),
-            None => threads.push(
-                thread::Builder::new()
-                    .name(format!("cx-srv{i}"))
-                    .spawn(move || drive(node(), inbound))
-                    .expect("spawn server thread"),
-            ),
-        }
-    }
-
-    // Client shepherds: `client_threads` OS threads host the `processes`
-    // logical clients round-robin (client `c` on shepherd `c % shepherds`).
-    // Auto (0) picks enough shepherds for reply-batching to pay without
-    // starving wide multi-core boxes of client-side parallelism.
-    let shepherds = match opts.client_threads {
-        0 => thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .clamp(1, processes.max(1) as usize);
-    let (ctrl_tx, ctrl_rx) = unbounded::<(NodeId, Frame)>();
-    let (to_shepherds, feeds): (Vec<_>, Vec<_>) = (0..shepherds).map(|_| unbounded()).unzip();
-    let mut demux = Demux {
-        net: Arc::clone(&net),
-        obs: opts.obs.clone(),
-        shepherds: to_shepherds,
-        ctrl: ctrl_tx,
-    };
-    match net.wire() {
-        // Under `SCHED_BATCH` the host's I/O thread, woken by a reply, never
-        // preempts a running shepherd; without it involuntary cs/op rose a
-        // third on `tcp-update` (EXPERIMENTS "PR 28"). A refusal is harmless.
-        Some(conn) => conn.serve(inbound, move || {
-            // SAFETY: pid 0 is this thread; the priority outlives the call.
-            unsafe { sched_setscheduler(0, SCHED_BATCH, &0) };
-            demux
-        }),
-        None => threads.push(
-            thread::Builder::new()
-                .name("cx-pump".into())
-                .spawn(move || {
-                    while let Ok((from, mut frames)) = inbound.recv() {
-                        demux.on_frames(from, &mut frames);
-                        demux.net.recycle_batch(frames);
-                    }
-                })
-                .expect("spawn inbound pump"),
-        ),
+        srv.serve(
+            inbound,
+            Box::new(move || {
+                Box::new(ServerNode::new(&cfg, ServerId(i as u32), &seeds, port, obs))
+            }),
+        );
     }
 
     let monitor = opts
         .live
         .as_ref()
         .and_then(|l| Monitor::spawn(l, nets.clone(), opts.obs.clone()));
-    let drill = opts.drop_conns_after_ops.map(|after| {
-        Arc::new(DropDrill {
-            after,
-            fired: AtomicBool::new(false),
-            done_ops: AtomicU64::new(0),
-            net: Arc::clone(&net),
-            servers: cfg.servers,
-        })
-    });
-
-    // Shepherd threads, sharing one locked feed over the stream.
-    let feed = Arc::new(Mutex::new(OpFeed::new(ops, processes, total_ops_hint)));
-    let mut client_threads = Vec::new();
-    for (i, rx) in feeds.into_iter().enumerate() {
-        let clients: Vec<u32> = (i as u32..processes).step_by(shepherds).collect();
-        let feed = Arc::clone(&feed);
-        let ctx = ShepherdCtx {
-            port: MsgPort::new(Arc::clone(&net), opts.obs.clone()),
-            cfg: cfg.clone(),
-            placement,
-            stats: RunStats::new(cfg.protocol, cfg.servers, processes),
-            registry: opts.live.as_ref().map(|l| l.registry.clone()),
-            drill: drill.clone(),
-        };
-        client_threads.push(
-            thread::Builder::new()
-                .name(format!("cx-cli{i}"))
-                .spawn(move || shepherd_loop(clients, feed, rx, shepherds, ctx))
-                .expect("spawn client shepherd"),
-        );
-    }
-    let mut stats = RunStats::new(cfg.protocol, cfg.servers, processes);
-    let mut sent = MsgCounts::default();
-    for t in client_threads {
-        let (part, counts) = t.join().expect("client thread panicked");
-        stats.merge_clients(part);
-        sent.add(&counts.by_kind, counts.server_msgs, counts.client_msgs);
-    }
+    let (ctrl_tx, ctrl_rx) = unbounded::<(NodeId, Frame)>();
+    let (report, reported) = mpsc::channel();
+    let host = ClientHost {
+        port: MsgPort::new(Arc::clone(&net), opts.obs.clone()),
+        placement: Placement::new(cfg.servers),
+        feed: OpFeed::new(ops, processes, total_ops_hint),
+        slots: (0..processes)
+            .map(|c| ClientSlot {
+                proc: ProcId::new(c, 0),
+                seq: 0,
+                active: None,
+            })
+            .collect(),
+        idle: (0..processes as usize).collect(),
+        live: processes as usize,
+        timers: BTreeSet::new(),
+        heard: Instant::now(),
+        stats: RunStats::new(cfg.protocol, cfg.servers, processes),
+        registry: opts.live.as_ref().map(|l| l.registry.clone()),
+        drill: opts.drop_conns_after_ops,
+        ctrl: ctrl_tx,
+        report: Some(report),
+        cfg: cfg.clone(),
+    };
+    // Under `SCHED_BATCH` the host's loop, a run's busiest thread, does not
+    // preempt a server's loop when a reply wakes it; without it involuntary
+    // cs/op rose further on every row (EXPERIMENTS "PR 30"). A refusal is
+    // harmless.
+    let build = move || {
+        // SAFETY: pid 0 is this thread; the policy outlives the call.
+        unsafe { sched_setscheduler(0, SCHED_BATCH, &0) };
+        Box::new(host) as Box<dyn Node>
+    };
+    Arc::clone(&net).serve(inbound, Box::new(build));
+    let (mut stats, mut sent) = reported.recv().expect("the client host reports");
 
     let FinalState {
         stores,
@@ -888,7 +731,7 @@ pub(crate) fn run_wired(
         }
         // What only the finished run knows — message totals, the engines'
         // protocol series (reported at stop), blame — joins what the
-        // shepherds tapped per op, and the exposition files are refreshed
+        // client host tapped per op, and the exposition files are refreshed
         // once more so the final snapshot is complete.
         stats.publish_end_of_run(&l.registry);
         if net.wire().is_some() {
@@ -917,13 +760,10 @@ pub(crate) fn run_wired(
         }
     }
 
-    // Shutting a transport down ends its node: the demux, and any server
-    // that never saw its `Stop`.
+    // Shutting a transport down ends its node's loop: the client host's,
+    // and any server's that never saw its `Stop`.
     for n in &nets {
         n.shutdown();
-    }
-    for t in threads {
-        let _ = t.join();
     }
 
     TcpRunResult {

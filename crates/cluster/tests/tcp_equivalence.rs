@@ -125,8 +125,8 @@ fn tcp_reconnect_mid_run_keeps_equivalence() {
         "the reconnect lost ops"
     );
     assert_tie_insensitive_match(&tcp.stats, &thr.stats, "Cx reconnect vs threaded");
-    // Scoped corking coalesced across the kill: over the coordinator's
-    // peers, strictly fewer flushes than frames.
+    // The client host's turns coalesced across the kill: over its peers,
+    // strictly fewer flushes than frames.
     let (frames, flushes) = tcp.health.iter().fold((0u64, 0u64), |(f, fl), (_, h)| {
         (f + h.sends, fl + h.flushes)
     });

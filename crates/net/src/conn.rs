@@ -29,7 +29,8 @@
 //! socket, runs each `Hello` handshake as per-connection state (a silent
 //! or garbage dialer delays nobody else), and hands every complete frame
 //! of a `read` to the manager's [`Node`] as one batch: to a channel, or to
-//! a server's engine, which then runs on this thread. Per node, only the
+//! a served node — a server's engine, a client host — which then runs on
+//! this thread, its sends flushed once per turn. Per node, only the
 //! oldest connection is read, which keeps delivery FIFO across reconnects.
 
 use crate::health::{HealthSnapshot, PeerHealth};
@@ -47,7 +48,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
 use std::ptr::null;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
@@ -303,11 +304,6 @@ impl TelemetryState {
     fn note_stall(&self, dur: Duration) {
         self.live.lock().0.stall_ns.record(dur.as_nanos() as u64);
     }
-
-    fn note_cork_scope(&self, dur: Duration) {
-        let ns = dur.as_nanos() as u64;
-        self.live.lock().0.cork_scope_ns.record(ns);
-    }
 }
 
 /// A point-in-time copy of one manager's wall-clock wire telemetry — what
@@ -320,7 +316,6 @@ pub struct WireTelemetry {
     pub queue_depth: LogHistogram,
     pub flush_frames: LogHistogram,
     pub flush_latency_ns: LogHistogram,
-    pub cork_scope_ns: LogHistogram,
     pub stall_ns: LogHistogram,
     pub flush_spans: Vec<FlushSpan>,
     /// Flushes whose spans were discarded at [`FLUSH_SPAN_CAP`].
@@ -338,7 +333,6 @@ impl WireTelemetry {
         self.queue_depth.merge(&other.queue_depth);
         self.flush_frames.merge(&other.flush_frames);
         self.flush_latency_ns.merge(&other.flush_latency_ns);
-        self.cork_scope_ns.merge(&other.cork_scope_ns);
         self.stall_ns.merge(&other.stall_ns);
         self.spans_dropped += other.spans_dropped;
         self.flush_spans.extend(other.flush_spans.iter().map(|f| {
@@ -361,6 +355,16 @@ pub trait Node: Send {
     /// Fire what is due; return how long until the next deadline.
     fn on_due(&mut self) -> Option<Duration> {
         None
+    }
+}
+
+impl<N: Node + ?Sized> Node for Box<N> {
+    fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool {
+        (**self).on_frames(from, frames)
+    }
+
+    fn on_due(&mut self) -> Option<Duration> {
+        (**self).on_due()
     }
 }
 
@@ -396,29 +400,8 @@ pub struct ConnectionManager {
     /// Freelist for inbound batch vectors: the forwarding node draws,
     /// consumers return via [`ConnectionManager::recycle_batch`].
     batch_pool: Arc<Mutex<VecPool<Frame>>>,
-    /// Live [`CorkGuard`] count: while non-zero, `send` only enqueues and
-    /// the guard's drop flushes every dirty peer once.
-    cork_depth: AtomicUsize,
     /// Wall-clock flush/queue/stall telemetry, shared with every peer.
     telem: Arc<TelemetryState>,
-}
-
-/// Scoped sender-side cork (see [`ConnectionManager::cork_scope`]).
-/// Dropping the last live guard flushes every peer with queued frames.
-pub struct CorkGuard<'a> {
-    mgr: &'a ConnectionManager,
-    start: Instant,
-}
-
-impl Drop for CorkGuard<'_> {
-    fn drop(&mut self) {
-        if self.mgr.cork_depth.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Only the guard that actually pops the cork measures the
-            // scope: nested guards are part of the same held window.
-            self.mgr.telem.note_cork_scope(self.start.elapsed());
-            self.mgr.flush_all();
-        }
-    }
 }
 
 /// The merged inbound stream a manager returns from [`ConnectionManager::start`]:
@@ -485,7 +468,6 @@ impl ConnectionManager {
                 handoff,
                 reconnects: Arc::new(AtomicU64::new(0)),
                 batch_pool,
-                cork_depth: AtomicUsize::new(0),
                 telem: Arc::new(TelemetryState {
                     epoch,
                     record_spans: cfg.record_flush_spans,
@@ -558,15 +540,13 @@ impl ConnectionManager {
             }
             q.q.push_back(frame);
             shared.health.note_queue_depth(q.q.len() as u64);
-            // Under a scoped cork the frame just queues: the guard's drop
-            // flushes every dirty peer once, coalescing the whole burst
-            // into one write per peer. A queue at capacity overrides the
-            // cork — someone must drain it or later senders block forever.
-            // A parked peer's queue is the I/O thread's to drain; otherwise
+            // On the loop the frame just queues: the turn's end flushes
+            // every peer its node queued for once, one write per peer. A
+            // parked peer's queue is the I/O thread's to drain; otherwise
             // a current holder will observe this frame (see above).
-            let corked =
-                on_loop || (self.cork_depth.load(Ordering::SeqCst) > 0 && q.q.len() < QUEUE_CAP);
-            (!q.parked && !corked).then(|| try_flush(&shared)).flatten()
+            (!q.parked && !on_loop)
+                .then(|| try_flush(&shared))
+                .flatten()
         };
         if on_loop {
             self.handoff.stall(&shared, false);
@@ -597,41 +577,6 @@ impl ConnectionManager {
         // A lock holder finishes or hands off, so frames queued meanwhile
         // go out now.
         self.flush(&shared, st);
-    }
-
-    /// Scoped sender-side cork: while any guard from this call is alive,
-    /// [`Self::send`] only enqueues. When the last guard drops, every peer
-    /// with queued frames is flushed once. For callers that already hold a
-    /// batch of work (a client shepherd refilling its slots or draining
-    /// its replies): the frames that work provokes
-    /// coalesce into one write per peer, with zero added latency — the cork
-    /// lasts exactly as long as the processing it covers, never a timer.
-    /// Guards may nest and overlap across threads; a corked frame is in
-    /// its peer queue, which the shutdown drain flushes regardless.
-    pub fn cork_scope(&self) -> CorkGuard<'_> {
-        self.cork_depth.fetch_add(1, Ordering::SeqCst);
-        CorkGuard {
-            mgr: self,
-            start: Instant::now(),
-        }
-    }
-
-    /// Flush every peer with queued frames (the tail of a cork scope).
-    fn flush_all(&self) {
-        let shareds: Vec<Arc<PeerShared>> = self.peers.lock().values().cloned().collect();
-        for shared in shareds {
-            let flush = {
-                let q = plock(&shared.queue);
-                if q.q.is_empty() || q.parked {
-                    continue;
-                }
-                // A current holder drains the queue before releasing.
-                try_flush(&shared)
-            };
-            if let Some(st) = flush {
-                self.flush(&shared, st);
-            }
-        }
     }
 
     /// Run a flush session on a lock this thread holds; a flush that
@@ -1340,6 +1285,51 @@ mod tests {
         b.shutdown();
     }
 
+    /// A served node that answers each probe `k` it reads with a burst of
+    /// `burst` probes to `to`, numbered from `k * burst`, sent from its
+    /// loop; with `kill`, it drops the connection to `to` halfway through
+    /// every odd burst.
+    struct Burst {
+        mgr: Arc<ConnectionManager>,
+        to: NodeId,
+        burst: u64,
+        kill: bool,
+    }
+
+    impl Node for Burst {
+        fn on_frames(&mut self, _: NodeId, frames: &mut Vec<Frame>) -> bool {
+            for f in frames.drain(..) {
+                let Frame::Probe { token: k, .. } = f else {
+                    continue;
+                };
+                for t in k * self.burst..(k + 1) * self.burst {
+                    self.mgr.send(self.to, probe(t)).unwrap();
+                    if self.kill && k % 2 == 1 && t % self.burst == self.burst / 2 {
+                        assert!(self.mgr.drop_connection(self.to));
+                    }
+                }
+            }
+            true
+        }
+    }
+
+    /// Serve `mgr`'s inbound with a [`Burst`] node.
+    fn serve_burst(
+        mgr: &Arc<ConnectionManager>,
+        inbound: InboundBatches,
+        to: NodeId,
+        burst: u64,
+        kill: bool,
+    ) {
+        let node = Burst {
+            mgr: Arc::clone(mgr),
+            to,
+            burst,
+            kill,
+        };
+        mgr.serve(inbound, move || node);
+    }
+
     #[test]
     fn telemetry_histograms_and_flush_spans_populate() {
         let book = Arc::new(AddrBook::new());
@@ -1348,7 +1338,7 @@ mod tests {
             ..PlaneConfig::default()
         };
         let epoch = Instant::now();
-        let (a, _rx_a) = ConnectionManager::start_with_epoch(
+        let (a, rx_a) = ConnectionManager::start_with_epoch(
             NodeId::Server(0),
             Arc::clone(&book),
             cfg.clone(),
@@ -1362,15 +1352,16 @@ mod tests {
             epoch,
         )
         .unwrap();
+        let (trigger, _rx_t) =
+            ConnectionManager::start(NodeId::Server(2), Arc::clone(&book), PlaneConfig::default())
+                .unwrap();
         book.set(NodeId::Server(0), a.listen_addr());
         book.set(NodeId::ClientHost(1), b.listen_addr());
+        let a = Arc::new(a);
+        serve_burst(&a, rx_a, NodeId::ClientHost(1), 50, false);
 
-        {
-            let _cork = a.cork_scope();
-            for t in 0..50u64 {
-                a.send(NodeId::ClientHost(1), probe(t)).unwrap();
-            }
-        }
+        // One probe, one turn: a's node sends the 50-frame burst from its loop.
+        trigger.send(NodeId::Server(0), probe(0)).unwrap();
         recv_n(&rx_b, 50);
         let telem = a.telemetry();
         let flushes = a.wire_totals().flushes;
@@ -1378,9 +1369,8 @@ mod tests {
         assert_eq!(telem.flush_latency_ns.summary().count, flushes);
         assert_eq!(telem.flush_spans.len() as u64, flushes);
         assert_eq!(telem.spans_dropped, 0);
-        // The corked burst gathered a visible backlog in one flush.
+        // The turn's burst gathered a visible backlog in one flush.
         assert!(telem.queue_depth.summary().max_ns >= 2);
-        assert_eq!(telem.cork_scope_ns.summary().count, 1);
         let total_frames: u64 = telem.flush_spans.iter().map(|s| s.frames as u64).sum();
         assert_eq!(total_frames, 50);
         for s in &telem.flush_spans {
@@ -1393,6 +1383,7 @@ mod tests {
         assert!(b.telemetry().flush_spans.is_empty());
         a.shutdown();
         b.shutdown();
+        trigger.shutdown();
     }
 
     #[test]
@@ -1466,50 +1457,52 @@ mod tests {
 
     #[test]
     fn kill_mid_corked_batch_stays_lossless_and_fifo() {
-        // Each burst goes out under a held cork scope, so its frames pile
-        // up queued and are encoded as one batch when the guard drops; a
-        // kill issued mid-burst closes the connection between that
-        // encoding and its write. Every frame must still arrive exactly
-        // once, in order, across generations.
+        // Each burst goes out from a served node's turn, so its frames pile
+        // up queued and are encoded as one batch when the turn ends; a kill
+        // issued mid-burst closes the connection between that encoding and
+        // its write. Every frame must still arrive exactly once, in order,
+        // across generations.
         let book = Arc::new(AddrBook::new());
         let cfg = PlaneConfig {
             backoff_base: Duration::from_millis(1),
             ..PlaneConfig::default()
         };
-        let (a, _rx_a) =
+        let (a, rx_a) =
             ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), cfg.clone()).unwrap();
         let (b, rx_b) =
-            ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), cfg).unwrap();
+            ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), cfg.clone()).unwrap();
+        let (trigger, _rx_t) =
+            ConnectionManager::start(NodeId::Server(2), Arc::clone(&book), cfg).unwrap();
+        book.set(NodeId::Server(0), a.listen_addr());
         book.set(NodeId::Server(1), b.listen_addr());
-
         const BURST: u64 = 125;
         const N: u64 = 16 * BURST;
+        let a = Arc::new(a);
+        serve_burst(&a, rx_a, NodeId::Server(1), BURST, true);
+
+        // One trigger per burst, each after the last burst arrived: one
+        // burst per turn.
         for burst in 0..N / BURST {
-            let _cork = a.cork_scope();
-            for t in burst * BURST..(burst + 1) * BURST {
-                a.send(NodeId::Server(1), probe(t)).unwrap();
-                if burst % 2 == 1 && t % BURST == BURST / 2 {
-                    assert!(a.drop_connection(NodeId::Server(1)));
-                }
+            trigger.send(NodeId::Server(0), probe(burst)).unwrap();
+            for (i, (_, f)) in recv_n(&rx_b, BURST as usize).into_iter().enumerate() {
+                assert_eq!(
+                    f,
+                    probe(burst * BURST + i as u64),
+                    "lossless FIFO across kills mid-turn"
+                );
             }
-        }
-        for (t, (_, f)) in recv_n(&rx_b, N as usize).into_iter().enumerate() {
-            assert_eq!(
-                f,
-                probe(t as u64),
-                "lossless FIFO across kills under corking"
-            );
         }
         assert!(a.reconnects_total() >= 1, "kills must force a re-dial");
         let w = a.wire_totals();
         assert!(
             w.flushes < w.frames,
-            "corked bursts must coalesce: {} flushes for {} frames",
+            "a turn's burst must coalesce: {} flushes for {} frames",
             w.flushes,
             w.frames
         );
         a.shutdown();
         b.shutdown();
+        trigger.shutdown();
     }
 
     #[test]

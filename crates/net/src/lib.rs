@@ -12,13 +12,14 @@
 //! * [`conn`] — a [`conn::ConnectionManager`] per node: one I/O thread
 //!   that `poll`s the listener and every inbound socket, and a bounded
 //!   outbound queue per peer (backpressure by blocking the sender).
-//!   Senders coalesce the queue into one nonblocking `write` and cork a
-//!   burst for its scope; the I/O thread finishes stalled flushes,
-//!   redials and drains at shutdown, so no thread blocks in a socket
-//!   write. Inbound, it hands `Vec<Frame>` batches to a [`conn::Node`] —
-//!   a channel forwarder, or a server's engine, which then runs on that
-//!   thread — reading a peer's connections one generation at a time, so
-//!   reconnects stay lossless and per-peer FIFO.
+//!   Senders coalesce the queue into one nonblocking `write`; a served
+//!   node's sends only queue until its turn ends. The I/O thread finishes
+//!   stalled flushes, redials and drains at shutdown, so no thread blocks
+//!   in a socket write. Inbound, it hands `Vec<Frame>` batches to a
+//!   [`conn::Node`] — a channel forwarder, or a served node (a server's
+//!   engine, the client host), which then runs on that thread — reading a
+//!   peer's connections one generation at a time, so reconnects stay
+//!   lossless and per-peer FIFO.
 //! * [`health`] — per-peer [`health::PeerHealth`] scoring: consecutive
 //!   failures, reconnect counts, and a per-flush latency EWMA folded into
 //!   a single score in `(0, 1]`, plus the frame/byte/flush counters behind
@@ -35,7 +36,7 @@ pub mod health;
 pub mod wire;
 
 pub use clock::{correct_ns, ClockSync, OffsetEstimate};
-pub use conn::{AddrBook, ConnectionManager, CorkGuard, PlaneConfig, WireTelemetry, WireTotals};
+pub use conn::{AddrBook, ConnectionManager, PlaneConfig, WireTelemetry, WireTotals};
 pub use health::{HealthSnapshot, PeerHealth};
 pub use wire::{
     decode_frame, encode_frame, encode_to_vec, read_frame, write_frame, Frame, FrameBuffer,

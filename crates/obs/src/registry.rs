@@ -162,7 +162,6 @@ pub enum Series {
     WireQueueDepth,
     WireFlushFrames,
     WireFlushLatencyNs,
-    WireCorkScopeNs,
     WireStallNs,
     /// Blame plane (PR 10): critical-path time per coarse segment family.
     BlameIssueQueueNs,
@@ -174,7 +173,7 @@ pub enum Series {
 }
 
 impl Series {
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
     pub const ALL: [Series; Series::COUNT] = [
         Series::BatchSize,
         Series::BatchAgeNs,
@@ -182,7 +181,6 @@ impl Series {
         Series::WireQueueDepth,
         Series::WireFlushFrames,
         Series::WireFlushLatencyNs,
-        Series::WireCorkScopeNs,
         Series::WireStallNs,
         Series::BlameIssueQueueNs,
         Series::BlameDispatchNs,
@@ -204,7 +202,6 @@ impl Series {
             Series::WireQueueDepth => "cx_wire_queue_depth",
             Series::WireFlushFrames => "cx_wire_flush_frames",
             Series::WireFlushLatencyNs => "cx_wire_flush_latency_ns",
-            Series::WireCorkScopeNs => "cx_wire_cork_scope_ns",
             Series::WireStallNs => "cx_wire_stall_ns",
             Series::BlameIssueQueueNs => "cx_blame_issue_queue_ns",
             Series::BlameDispatchNs => "cx_blame_dispatch_ns",
@@ -223,7 +220,6 @@ impl Series {
             Series::WireQueueDepth => "Outbound frames queued per peer at each flush gather",
             Series::WireFlushFrames => "Frames coalesced into each write_all",
             Series::WireFlushLatencyNs => "Wall time of each coalesced write_all",
-            Series::WireCorkScopeNs => "Duration of each scoped sender-side cork",
             Series::WireStallNs => "Sender wall time blocked on a full peer queue",
             Series::BlameIssueQueueNs => "Critical-path client issue queueing per op",
             Series::BlameDispatchNs => "Critical-path coordinator dispatch time per op",

@@ -6,11 +6,11 @@
 //! client reads instead, deadlines wake the loop without traffic, and a
 //! node that is done ends it.
 
-use cx_cluster::TcpCluster;
+use cx_cluster::{TcpCluster, ThreadedCluster};
 use cx_net::conn::Node;
 use cx_net::{encode_to_vec, read_frame, AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig};
 use cx_types::{BatchTrigger, ClusterConfig, Protocol};
-use cx_workloads::{TraceBuilder, TraceProfile};
+use cx_workloads::{Trace, TraceBuilder, TraceProfile};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -345,40 +345,90 @@ fn a_full_queue_stops_client_reads_but_not_server_reads() {
     drop(deaf);
 }
 
-/// A 4-server loopback run: each server node runs on its manager's I/O
-/// loop, so the run shows five `cx-io` threads (four servers and the
-/// client host) and no `cx-srv`.
-#[test]
-fn a_loopback_run_has_one_thread_per_server_node() {
-    let _serial = one_at_a_time();
+/// The 4-server CTH run of the census cases, with a 5 ms batch trigger.
+fn census_run() -> (ClusterConfig, Trace) {
     let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
         .scale(0.001)
         .build();
-    let ops = trace.ops.len() as u64;
     let mut cfg = ClusterConfig::new(4, Protocol::Cx);
     cfg.cx.trigger = BatchTrigger::Timeout {
         period_ns: 5_000_000,
     };
-    let run = thread::spawn(move || TcpCluster::run(cfg, &trace));
+    (cfg, trace)
+}
+
+/// Sample this process's thread names every 1 ms until `run` finishes;
+/// returns its result and the samples.
+fn census<T>(run: thread::JoinHandle<T>) -> (T, Vec<Vec<String>>) {
     let mut samples = Vec::new();
     while !run.is_finished() {
-        let names = thread_names();
-        let srv = names.iter().filter(|n| n.starts_with("cx-srv")).count();
-        samples.push((count(&names, "cx-io"), srv));
+        samples.push(thread_names());
         thread::sleep(Duration::from_millis(1));
     }
-    let res = run.join().expect("the run");
+    (run.join().expect("the run"), samples)
+}
+
+/// The most threads whose name starts with `prefix` in any one sample.
+fn peak(samples: &[Vec<String>], prefix: &str) -> usize {
+    let starts = |s: &Vec<String>| s.iter().filter(|n| n.starts_with(prefix)).count();
+    samples.iter().map(starts).max().unwrap_or(0)
+}
+
+/// Frames one client operation can have queued to one server at once.
+/// `ClientOp` sends at most one frame to each server when it starts (Cx
+/// and SE: a sub-op request per server, 2PC/CE: one `OpReq` to the
+/// coordinator), and every later frame — SE's second sub-op or `Clear`,
+/// Cx's `LCom` — answers a reply from that server, which it sends only
+/// after reading the op's earlier frame off the client host's queue.
+const FRAMES_PER_OP_PER_SERVER: u64 = 1;
+
+/// A 4-server loopback run: every node — four servers and the client host
+/// with all its clients — runs on its manager's I/O loop, so the run shows
+/// five `cx-io` threads, no `cx-srv` and no `cx-cli`. The host's sends on
+/// its loop never block, so its queue to a server is bounded by the
+/// closed loop instead: one frame per process at most.
+#[test]
+fn a_loopback_run_has_one_thread_per_server_node() {
+    let _serial = one_at_a_time();
+    let (cfg, trace) = census_run();
+    let (ops, processes) = (trace.ops.len() as u64, trace.processes as u64);
+    let (res, samples) = census(thread::spawn(move || TcpCluster::run(cfg, &trace)));
     assert_eq!(res.violations, vec![]);
     assert_eq!(res.stats.ops_total, ops);
-    let io_peak = samples.iter().map(|s| s.0).max();
+    let io_peak = samples.iter().map(|s| count(s, "cx-io")).max();
     assert_eq!(
         io_peak,
         Some(5),
         "cx-io threads over {} samples",
         samples.len()
     );
-    let srv_peak = samples.iter().map(|s| s.1).max();
-    assert_eq!(srv_peak, Some(0), "cx-srv threads");
+    assert_eq!(peak(&samples, "cx-srv"), 0, "cx-srv threads");
+    assert_eq!(peak(&samples, "cx-cli"), 0, "cx-cli threads");
+    assert_eq!(res.health.len(), 4, "the host wrote to every server");
+    for (peer, h) in &res.health {
+        assert!(
+            h.queue_peak <= FRAMES_PER_OP_PER_SERVER * processes,
+            "the host's queue to {peer} peaked at {} > {processes} processes",
+            h.queue_peak
+        );
+    }
+}
+
+/// The same run on channels: one loop thread per node — four `cx-srv`
+/// and the client host's `cx-host` — and no `cx-cli` or `cx-pump`.
+#[test]
+fn a_channel_run_has_one_thread_per_node() {
+    let _serial = one_at_a_time();
+    let (cfg, trace) = census_run();
+    let ops = trace.ops.len() as u64;
+    let (res, samples) = census(thread::spawn(move || ThreadedCluster::run(cfg, &trace)));
+    assert_eq!(res.violations, vec![]);
+    assert_eq!(res.stats.ops_total, ops);
+    assert_eq!(peak(&samples, "cx-srv"), 4, "cx-srv threads");
+    assert_eq!(peak(&samples, "cx-host"), 1, "cx-host threads");
+    assert_eq!(peak(&samples, "cx-"), 5, "one thread per node");
+    assert_eq!(peak(&samples, "cx-cli"), 0, "cx-cli threads");
+    assert_eq!(peak(&samples, "cx-pump"), 0, "cx-pump threads");
 }
 
 /// A node whose only event is a deadline 30 ms out.
