@@ -16,6 +16,13 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
+# The product-rust ledger (ROADMAP's counter): lines before the first line
+# containing `#[cfg(test)]`, summed over every .rs under crates/*/src and
+# shims/*/src. Printed, not gated.
+step "product rust (lines before the first #[cfg(test)], crates/*/src + shims/*/src)"
+find crates/*/src shims/*/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n }'
+
 step "clippy (every workspace member, shims included, -D warnings)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 

@@ -2,31 +2,33 @@
 //!
 //! Models what the paper's testbed provides (§IV-B): metadata servers with
 //! one CPU queue and one 7200 rpm SATA disk each, a 10 GigE network, and
-//! client nodes running synchronous processes. Interprets the protocol
-//! engines' actions:
+//! client nodes running synchronous processes. Its ports for the engine
+//! host ([`cx_protocol::host`]), which carries the engines' actions out:
 //!
-//! * `Send` → arrival after `one_way + size/bandwidth`; at the server the
-//!   message waits in the CPU queue (a [`FifoResource`]) before handling.
-//! * `Disk` → the request is submitted as is to the server's [`Disk`],
+//! * send → the fault injector, if any, then arrival after `one_way +
+//!   size/bandwidth`; at the server the message waits in the CPU queue (a
+//!   [`FifoResource`]) before handling.
+//! * disk → the request is submitted as is to the server's [`Disk`],
 //!   which group-commits appends and elevator-merges write-back pages.
-//! * `SetTimer` → a virtual-time timer event.
+//! * timer → a virtual-time timer event.
 //!
-//! The run replays a [`Trace`]: each process issues its operations
-//! synchronously (closed loop); "replay time" is the virtual time at which
-//! the last operation response arrives, matching the paper's metric.
+//! The run replays a [`Trace`]: each process ([`ClientTable`]) issues its
+//! operations synchronously (closed loop); "replay time" is the virtual
+//! time at which the last operation response arrives, matching the
+//! paper's metric.
 
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
-use crate::feed::OpFeed;
+use crate::feed::{ClientTable, History, OpFeed};
 use crate::seed::seed_stores;
-use crate::stats::{AckRecord, RecoveryCycle, RunStats};
+use crate::stats::{AckRecord, FaultStats, RecoveryCycle, RunStats};
 use cx_mdstore::{GlobalView, Violation};
-use cx_obs::{FlightEvent, FlightRecorder, FlowNode, GaugeKind, ObsSink, Phase};
+use cx_obs::{FlightEvent, FlightRecorder, GaugeKind, ObsSink};
+use cx_protocol::host::{self, flow_node, primary_op, MsgCounts, Ports};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
 use cx_sim::{FifoResource, Sim};
 use cx_simio::{Batch, Disk, DiskReq};
 use cx_types::{
-    ClusterConfig, FsOp, MsgKind, OpId, Payload, Placement, ProcId, Protocol, ServerId, SimTime,
-    DUR_US,
+    ClusterConfig, FsOp, NetConfig, OpId, Payload, Placement, ServerId, SimTime, DUR_US,
 };
 use cx_wal::RecordFamily;
 use cx_workloads::{StreamTrace, Trace};
@@ -148,31 +150,17 @@ enum SrvPhase {
     },
 }
 
-struct ProcRuntime {
-    id: ProcId,
-    current: Option<ClientOp>,
-    /// Identity of the in-flight operation (durability-oracle input).
-    current_meta: Option<(OpId, FsOp)>,
-    issued_at: SimTime,
-    current_cross: bool,
-    next_seq: u64,
-    done: bool,
-}
-
 /// The simulated cluster.
 pub struct DesCluster {
     cfg: ClusterConfig,
-    placement: Placement,
     servers: Vec<Box<dyn ServerEngine>>,
-    disks: Vec<Disk>,
     cpus: Vec<FifoResource>,
-    procs: Vec<ProcRuntime>,
-    /// Op intake: per-process buffers over the workload stream.
-    feed: OpFeed,
-    sim: Sim<Ev>,
+    /// Every client process, over the per-process workload intake.
+    clients: ClientTable,
+    /// The event queue, the network model and the disks.
+    ports: DesPorts,
     stats: RunStats,
     roots: Vec<cx_types::InodeNo>,
-    active_procs: u32,
     sample_every_ns: u64,
     next_sample: SimTime,
     /// Hard event cap (hang protection).
@@ -187,28 +175,31 @@ pub struct DesCluster {
     /// Stop the event loop at the first completed recovery cycle
     /// (`run_recovery_experiment` semantics).
     stop_after_first_cycle: bool,
-    /// The fault plane; `None` on uninstrumented runs.
-    injector: Option<Box<dyn FaultInjector>>,
     /// Crash requested by the injector during the current event; executed
     /// once the event finishes dispatching (first request wins).
     pending_crash: Option<CrashCmd>,
-    /// Record per-op issue/ack logs for the durability oracle.
-    record_ops: bool,
-    acks: Vec<AckRecord>,
-    issued: Vec<(OpId, FsOp)>,
     /// Per-server WAL/writeback counters already reported to the injector
     /// (FaultEvents are the diffs against these).
     wal_appended_seen: Vec<[u64; RecordFamily::COUNT]>,
     wal_durable_seen: Vec<[u64; RecordFamily::COUNT]>,
     writebacks_seen: Vec<u64>,
-    /// Send counters — the send path is per-event hot, so the ordered
-    /// `stats.msgs` map is only assembled once, in `finalize`.
-    sent: MsgCounts,
-    /// Reusable action buffer: every dispatch takes it, fills it, drains
-    /// it through `do_actions`, and puts it back, so the per-event `Vec`
-    /// allocation disappears. Handlers never reenter `dispatch`, so one
-    /// buffer suffices.
+    /// Reusable action buffer: every server step fills it and the host
+    /// drains it, so the per-event `Vec` allocation disappears. Handlers
+    /// never reenter `dispatch`, so one buffer suffices.
     scratch: Vec<Action>,
+}
+
+/// The DES's ports for the engine host: a send crosses the network model
+/// (and the fault injector) as events, a disk request goes to the
+/// server's modelled [`Disk`], a timer is an event.
+struct DesPorts {
+    sim: Sim<Ev>,
+    disks: Vec<Disk>,
+    net: NetConfig,
+    /// The fault plane; `None` on uninstrumented runs.
+    injector: Option<Box<dyn FaultInjector>>,
+    /// The run's fault counters, until `finalize` hands them over.
+    faults: FaultStats,
     /// Observability sink. `Off` (the default) makes every emission a
     /// single-branch no-op; recording never schedules events or touches
     /// protocol state, so the golden digest is identical either way.
@@ -218,6 +209,7 @@ pub struct DesCluster {
     /// so a post-mortem can be dumped after a crash, a stuck op, or a
     /// failed oracle check. `None` (the default) costs nothing.
     flight: Option<FlightRecorder>,
+    sent: MsgCounts,
 }
 
 impl DesCluster {
@@ -239,45 +231,37 @@ impl DesCluster {
             ops,
         } = st;
         let feed = OpFeed::new(ops, processes, total_ops_hint);
-        let placement = Placement::new(cfg.servers);
+        let max_events = 800 * feed.total_hint() + 10_000_000;
         let mut servers: Vec<Box<dyn ServerEngine>> = (0..cfg.servers)
             .map(|i| cx_protocol::make_server(ServerId(i), &cfg))
             .collect();
 
         let mut stores: Vec<_> = servers.iter_mut().map(|s| Some(s.store_mut())).collect();
-        seed_stores(&placement, &seeds, &mut stores);
+        seed_stores(&Placement::new(cfg.servers), &seeds, &mut stores);
 
-        let procs: Vec<ProcRuntime> = (0..processes)
-            .map(|i| ProcRuntime {
-                id: ProcId::new(i, 0),
-                done: feed.starts_empty(i),
-                current: None,
-                current_meta: None,
-                issued_at: SimTime::ZERO,
-                current_cross: false,
-                next_seq: 0,
-            })
-            .collect();
-        let active_procs = procs.iter().filter(|p| !p.done).count() as u32;
-
-        let disks = (0..cfg.servers).map(|_| Disk::new(cfg.disk)).collect();
+        let clients = ClientTable::new(&cfg, feed, processes);
         let cpus = (0..cfg.servers).map(|_| FifoResource::new()).collect();
         let stats = RunStats::new(cfg.protocol, cfg.servers, processes);
-        let max_events = 800 * feed.total_hint() + 10_000_000;
+        let ports = DesPorts {
+            sim: Sim::new(),
+            disks: (0..cfg.servers).map(|_| Disk::new(cfg.disk)).collect(),
+            net: cfg.net,
+            injector: None,
+            faults: FaultStats::default(),
+            obs: ObsSink::Off,
+            flight: None,
+            sent: MsgCounts::default(),
+        };
 
         let n = cfg.servers as usize;
         Self {
             cfg,
-            placement,
             servers,
-            disks,
             cpus,
-            procs,
-            feed,
-            sim: Sim::new(),
+            clients,
+            ports,
             stats,
             roots,
-            active_procs,
             sample_every_ns: 200_000_000, // 200 ms samples for Figure 7b
             next_sample: SimTime::ZERO,
             max_events,
@@ -285,18 +269,11 @@ impl DesCluster {
             in_fault: 0,
             legacy_plan: None,
             stop_after_first_cycle: false,
-            injector: None,
             pending_crash: None,
-            record_ops: false,
-            acks: Vec::new(),
-            issued: Vec::new(),
             wal_appended_seen: vec![[0; RecordFamily::COUNT]; n],
             wal_durable_seen: vec![[0; RecordFamily::COUNT]; n],
             writebacks_seen: vec![0; n],
-            sent: MsgCounts::default(),
             scratch: Vec::with_capacity(16),
-            obs: ObsSink::Off,
-            flight: None,
         }
     }
 
@@ -307,14 +284,15 @@ impl DesCluster {
         for s in self.servers.iter_mut() {
             s.install_obs(sink.clone());
         }
-        self.obs = sink;
+        self.ports.obs = sink;
         self
     }
 
     /// Install a flight recorder. The caller keeps a clone (it is an
     /// `Arc` ring) and decides when to dump: the run itself only feeds it.
     pub fn with_flight(mut self, flight: FlightRecorder) -> Self {
-        self.flight = Some(flight);
+        self.clients.flight = Some(flight.clone());
+        self.ports.flight = Some(flight);
         self
     }
 
@@ -331,29 +309,22 @@ impl DesCluster {
     /// through it, and the per-op issue/ack logs the oracle needs are
     /// recorded. Use [`DesCluster::run_chaos`] afterwards.
     pub fn with_injector(mut self, injector: Box<dyn FaultInjector>) -> Self {
-        self.injector = Some(injector);
-        self.record_ops = true;
+        self.ports.injector = Some(injector);
+        self.clients.history = Some(History::default());
         self
     }
 
-    /// Boot the servers and schedule the first client issues (process
-    /// starts are staggered slightly to avoid artificial lockstep).
+    /// Schedule the first client issues (process starts are staggered
+    /// slightly to avoid artificial lockstep).
     fn boot(&mut self) {
-        for i in 0..self.servers.len() {
-            let mut out = std::mem::take(&mut self.scratch);
-            self.servers[i].on_start(SimTime::ZERO, &mut out);
-            self.do_actions(Endpoint::Server(ServerId(i as u32)), &mut out);
-            self.scratch = out;
-        }
-        if self.injector.is_some() {
+        if self.ports.injector.is_some() {
             self.probe_all(SimTime::ZERO);
             self.fire_pending_crash();
         }
-        for p in 0..self.procs.len() {
-            if !self.procs[p].done {
-                self.sim
-                    .schedule(p as u64 * 2 * DUR_US, 0, Ev::ProcIssue { proc: p as u32 });
-            }
+        for p in self.clients.starters() {
+            self.ports
+                .sim
+                .schedule(p as u64 * 2 * DUR_US, 0, Ev::ProcIssue { proc: p as u32 });
         }
     }
 
@@ -381,7 +352,7 @@ impl DesCluster {
         self.boot();
         self.event_loop();
         self.drain();
-        self.stats.drained = self.sim.now();
+        self.stats.drained = self.ports.sim.now();
         self.finalize();
 
         let violations =
@@ -407,14 +378,10 @@ impl DesCluster {
             if !matches!(self.phases[i], SrvPhase::Up) {
                 continue; // a down server cannot be asked to flush
             }
-            let mut out = std::mem::take(&mut self.scratch);
-            let now = self.sim.now();
-            self.servers[i].quiesce(now, &mut out);
-            self.do_actions(Endpoint::Server(ServerId(i as u32)), &mut out);
-            self.scratch = out;
+            self.step(i as u32, |e, now, out| e.quiesce(now, out));
         }
-        if self.injector.is_some() {
-            self.probe_all(self.sim.now());
+        if self.ports.injector.is_some() {
+            self.probe_all(self.ports.sim.now());
             self.fire_pending_crash();
         }
     }
@@ -428,15 +395,14 @@ impl DesCluster {
     /// but crashes can repeat, the namespace check is gated on quiescence,
     /// and the injector's oracle output is part of the result.
     pub fn run_chaos(mut self) -> ChaosOutcome {
-        assert!(self.injector.is_some(), "install with_injector first");
+        assert!(self.ports.injector.is_some(), "install with_injector first");
         self.boot();
         self.event_loop();
         self.drain();
-        self.stats.drained = self.sim.now();
+        self.stats.drained = self.ports.sim.now();
         // Faults can wedge clients forever (a dropped message with no
         // retransmission); surface that instead of hanging.
-        let stuck = self.feed.remaining() + self.in_flight();
-        self.stats.ops_stuck = self.stats.ops_stuck.max(stuck);
+        self.stats.ops_stuck = self.stats.ops_stuck.max(self.clients.unfinished());
         self.finalize();
 
         let quiesced = self.quiesced();
@@ -446,34 +412,36 @@ impl DesCluster {
             Vec::new()
         };
         let mut oracle_report = Vec::new();
-        if let Some(mut inj) = self.injector.take() {
+        if let Some(mut inj) = self.ports.injector.take() {
+            let (acks, issued) = self.clients.history();
             let snap = ClusterSnapshot {
                 stores: self.servers.iter().map(|s| s.store()).collect(),
-                acks: &self.acks,
-                issued: &self.issued,
+                acks,
+                issued,
             };
-            let v = inj.on_run_end(self.sim.now(), quiesced, snap);
+            let v = inj.on_run_end(self.ports.sim.now(), quiesced, snap);
             self.stats.faults.oracle_checks += 1;
             self.stats.faults.oracle_violations += v;
             oracle_report = inj.take_report();
         }
+        let History { acks, issued } = self.clients.history.take().unwrap_or_default();
         ChaosOutcome {
             stats: self.stats,
             violations,
             oracle_report,
             quiesced,
-            acks: self.acks,
-            issued: self.issued,
+            acks,
+            issued,
         }
     }
 
     fn event_loop(&mut self) {
-        while let Some((now, _, ev)) = self.sim.pop() {
+        while let Some((now, _, ev)) = self.ports.sim.pop() {
             if now >= self.next_sample {
                 self.sample(now);
             }
             self.dispatch(now, ev);
-            if self.injector.is_some() {
+            if self.ports.injector.is_some() {
                 self.probe_all(now);
                 self.fire_pending_crash();
             }
@@ -481,18 +449,13 @@ impl DesCluster {
             if self.stop_after_first_cycle && !self.stats.recovery_cycles.is_empty() {
                 break;
             }
-            if self.sim.events_processed() > self.max_events {
+            if self.ports.sim.events_processed() > self.max_events {
                 // hang protection: record and bail
-                self.stats.ops_stuck = self.feed.remaining() + self.in_flight();
+                self.stats.ops_stuck = self.clients.unfinished();
                 break;
             }
         }
-        self.stats.events = self.sim.events_processed();
-    }
-
-    /// Client ops issued and not yet answered.
-    fn in_flight(&self) -> u64 {
-        self.procs.iter().map(|p| p.current.is_some() as u64).sum()
+        self.stats.events = self.ports.sim.events_processed();
     }
 
     /// Every 200 ms: the digested peak valid bytes, and the obs gauges.
@@ -500,17 +463,15 @@ impl DesCluster {
         for s in &self.servers {
             self.stats.peak_valid_bytes = self.stats.peak_valid_bytes.max(s.valid_log_bytes());
         }
-        if self.obs.enabled() {
+        let obs = &self.ports.obs;
+        if obs.enabled() {
             for (i, s) in self.servers.iter().enumerate() {
                 let sid = i as u32;
-                self.obs
-                    .gauge(now, sid, GaugeKind::ValidLogBytes, s.valid_log_bytes());
+                obs.gauge(now, sid, GaugeKind::ValidLogBytes, s.valid_log_bytes());
                 let g = s.obs_gauges();
-                self.obs
-                    .gauge(now, sid, GaugeKind::ActiveObjects, g.active_objects);
-                self.obs
-                    .gauge(now, sid, GaugeKind::PendingBatchOps, g.pending_batch_ops);
-                self.obs.gauge(
+                obs.gauge(now, sid, GaugeKind::ActiveObjects, g.active_objects);
+                obs.gauge(now, sid, GaugeKind::PendingBatchOps, g.pending_batch_ops);
+                obs.gauge(
                     now,
                     sid,
                     GaugeKind::QueueBacklogNs,
@@ -519,6 +480,33 @@ impl DesCluster {
             }
         }
         self.next_sample = now + self.sample_every_ns;
+    }
+
+    /// Step server `server`'s engine with `f` through the host.
+    fn step(
+        &mut self,
+        server: u32,
+        f: impl FnOnce(&mut dyn ServerEngine, SimTime, &mut Vec<Action>),
+    ) {
+        let me = Endpoint::Server(ServerId(server));
+        let engine = self.servers[server as usize].as_mut();
+        f(engine, self.ports.sim.now(), &mut self.scratch);
+        host::carry_out(&mut self.ports, me, Some(engine), &mut self.scratch);
+    }
+
+    /// Step client `proc` with `f`; once its op is answered, it issues the
+    /// next one a think time later.
+    fn client(
+        &mut self,
+        proc: u32,
+        f: impl FnOnce(&mut ClientOp, SimTime, &mut Vec<Action>) -> ClientDecision,
+    ) {
+        let (ports, stats) = (&mut self.ports, &mut self.stats);
+        if self.clients.step(proc as usize, ports, stats, f) {
+            ports
+                .sim
+                .schedule(CLIENT_ISSUE_NS, 0, Ev::ProcIssue { proc });
+        }
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
@@ -530,12 +518,12 @@ impl DesCluster {
             } => {
                 if matches!(self.phases[server as usize], SrvPhase::Down { .. }) {
                     // a dead server's NIC receives nothing
-                    self.stats.faults.dead_drops += 1;
+                    self.ports.faults.dead_drops += 1;
                     return;
                 }
                 let cost = self.cfg.cpu.per_msg_ns + payload_cost(&payload, &self.cfg);
                 let at = self.cpus[server as usize].reserve(now, cost);
-                self.sim.schedule_at(
+                self.ports.sim.schedule_at(
                     at,
                     0,
                     Ev::ServerHandle {
@@ -550,7 +538,7 @@ impl DesCluster {
                 from,
                 payload,
             } => {
-                if self.injector.is_some() {
+                if self.ports.injector.is_some() {
                     self.emit_fault(
                         now,
                         FaultEvent::Deliver {
@@ -568,63 +556,42 @@ impl DesCluster {
                         }
                     }
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.servers[server as usize].on_msg(now, from, payload, &mut out);
-                self.do_actions(Endpoint::Server(ServerId(server)), &mut out);
-                self.scratch = out;
+                self.step(server, |e, now, out| e.on_msg(now, from, payload, out));
             }
             Ev::DiskDone {
                 server,
                 tokens,
                 generation,
             } => {
-                if generation != self.disks[server as usize].generation() {
+                let disk = &mut self.ports.disks[server as usize];
+                if generation != disk.generation() {
                     return; // completion from a crashed incarnation
                 }
                 // start the next batch first: the disk works in parallel
-                if let Some(next) = self.disks[server as usize].complete(now) {
-                    self.schedule_batch(server, next);
+                if let Some(next) = disk.complete(now) {
+                    self.ports.schedule_batch(server, next);
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                for token in tokens {
-                    self.servers[server as usize].on_disk_done(now, token, &mut out);
-                }
-                self.do_actions(Endpoint::Server(ServerId(server)), &mut out);
-                self.scratch = out;
+                self.step(server, |e, now, out| {
+                    for token in tokens {
+                        e.on_disk_done(now, token, out);
+                    }
+                });
             }
             Ev::ServerTimer { server, token } => {
-                let mut out = std::mem::take(&mut self.scratch);
-                self.servers[server as usize].on_timer(now, token, &mut out);
-                self.do_actions(Endpoint::Server(ServerId(server)), &mut out);
-                self.scratch = out;
+                self.step(server, |e, now, out| e.on_timer(now, token, out));
             }
             Ev::ProcDeliver {
                 proc,
                 from,
                 payload,
-            } => {
-                let mut out = std::mem::take(&mut self.scratch);
-                let decision = match self.procs[proc as usize].current.as_mut() {
-                    Some(op) => op.on_msg(now, from, payload, &mut out),
-                    None => ClientDecision::Pending, // stale (op finished)
-                };
-                let id = self.procs[proc as usize].id;
-                self.do_actions(Endpoint::Proc(id), &mut out);
-                self.scratch = out;
-                self.note_decision(now, proc, decision);
-            }
+            } => self.client(proc, |op, now, out| op.on_msg(now, from, payload, out)),
             Ev::ProcTimer { proc, token } => {
-                let mut out = std::mem::take(&mut self.scratch);
-                let decision = match self.procs[proc as usize].current.as_mut() {
-                    Some(op) => op.on_timer(now, token, &mut out),
-                    None => ClientDecision::Pending,
-                };
-                let id = self.procs[proc as usize].id;
-                self.do_actions(Endpoint::Proc(id), &mut out);
-                self.scratch = out;
-                self.note_decision(now, proc, decision);
+                self.client(proc, |op, now, out| op.on_timer(now, token, out))
             }
-            Ev::ProcIssue { proc } => self.issue_next(now, proc),
+            Ev::ProcIssue { proc } => {
+                let (ports, stats) = (&mut self.ports, &mut self.stats);
+                self.clients.issue(proc as usize, ports, stats)
+            }
             Ev::Reboot { server } => {
                 let SrvPhase::Down {
                     crashed_at,
@@ -633,10 +600,8 @@ impl DesCluster {
                 else {
                     return;
                 };
-                let mut out = std::mem::take(&mut self.scratch);
-                let scanned = self.servers[server as usize].recover(now, &mut out);
-                self.do_actions(Endpoint::Server(ServerId(server)), &mut out);
-                self.scratch = out;
+                let mut scanned = 0;
+                self.step(server, |e, now, out| scanned = e.recover(now, out));
                 self.phases[server as usize] = SrvPhase::Recovering {
                     crashed_at,
                     valid_bytes,
@@ -650,7 +615,7 @@ impl DesCluster {
     /// Crash bookkeeping, checked after every event: fire the legacy
     /// volume-triggered plan, and detect recovery completions.
     fn check_fault_progress(&mut self) {
-        let now = self.sim.now();
+        let now = self.ports.sim.now();
         if let Some(plan) = self.legacy_plan {
             let idx = plan.server.0 as usize;
             if matches!(self.phases[idx], SrvPhase::Up)
@@ -686,8 +651,8 @@ impl DesCluster {
             }
             self.phases[idx] = SrvPhase::Up;
             self.in_fault -= 1;
-            self.stats.faults.recoveries += 1;
-            if let Some(fl) = &self.flight {
+            self.ports.faults.recoveries += 1;
+            if let Some(fl) = &self.ports.flight {
                 fl.push(now.0, FlightEvent::Recovered { server: idx as u32 });
             }
             self.stats.recovery_cycles.push(RecoveryCycle {
@@ -714,15 +679,15 @@ impl DesCluster {
         let valid = self.servers[idx].valid_log_bytes();
         if cmd.torn_extra_bytes > 0 {
             self.servers[idx].crash_torn(now, cmd.torn_extra_bytes);
-            self.stats.faults.torn_crashes += 1;
+            self.ports.faults.torn_crashes += 1;
         } else {
             self.servers[idx].crash(now);
         }
-        self.stats.faults.crashes += 1;
-        if let Some(fl) = &self.flight {
+        self.ports.faults.crashes += 1;
+        if let Some(fl) = &self.ports.flight {
             fl.push(now.0, FlightEvent::Crash { server: idx as u32 });
         }
-        self.disks[idx].crash();
+        self.ports.disks[idx].crash();
         self.cpus[idx].reset(now);
         self.phases[idx] = SrvPhase::Down {
             crashed_at: now,
@@ -732,7 +697,7 @@ impl DesCluster {
         // The crash swallows whatever WAL/writeback deltas were unreported;
         // resync so they are not misattributed to the next incarnation.
         self.resync_probes(idx);
-        self.sim.schedule(
+        self.ports.sim.schedule(
             cmd.detection_ns + cmd.reboot_ns,
             0,
             Ev::Reboot {
@@ -743,14 +708,14 @@ impl DesCluster {
 
     fn fire_pending_crash(&mut self) {
         if let Some(cmd) = self.pending_crash.take() {
-            self.crash_server(self.sim.now(), cmd);
+            self.crash_server(self.ports.sim.now(), cmd);
         }
     }
 
     /// Feed one protocol event to the injector; a requested crash is
     /// parked until the current event finishes dispatching.
     fn emit_fault(&mut self, now: SimTime, ev: FaultEvent) {
-        let Some(inj) = self.injector.as_mut() else {
+        let Some(inj) = self.ports.injector.as_mut() else {
             return;
         };
         if let Some(cmd) = inj.on_event(now, &ev) {
@@ -808,7 +773,7 @@ impl DesCluster {
 
     /// Fast-forward one server's probe counters without emitting events.
     fn resync_probes(&mut self, idx: usize) {
-        if self.injector.is_none() {
+        if self.ports.injector.is_none() {
             return;
         }
         if let Some(w) = self.servers[idx].wal() {
@@ -820,150 +785,95 @@ impl DesCluster {
 
     /// Run the injector's oracle after a recovery completed.
     fn oracle_check(&mut self, now: SimTime, server: ServerId) {
-        let Some(inj) = self.injector.as_mut() else {
+        let Some(inj) = self.ports.injector.as_mut() else {
             return;
         };
+        let (acks, issued) = self.clients.history();
         let snap = ClusterSnapshot {
             stores: self.servers.iter().map(|s| s.store()).collect(),
-            acks: &self.acks,
-            issued: &self.issued,
+            acks,
+            issued,
         };
         let v = inj.on_recovery_complete(now, server, snap);
-        self.stats.faults.oracle_checks += 1;
-        self.stats.faults.oracle_violations += v;
+        self.ports.faults.oracle_checks += 1;
+        self.ports.faults.oracle_violations += v;
     }
 
-    fn note_decision(&mut self, now: SimTime, proc: u32, decision: ClientDecision) {
-        if let ClientDecision::Done(outcome) = decision {
-            let p = &mut self.procs[proc as usize];
-            p.current = None;
-            let meta = p.current_meta.take();
-            let latency = now.since(p.issued_at);
-            self.stats.note_finished(outcome, p.current_cross, latency);
-            if self.obs.enabled() {
-                if let Some((op, fs_op)) = meta {
-                    // Only Cx leaves commitment work running behind the
-                    // reply; everyone else is fully done here.
-                    let awaits = p.current_cross && self.cfg.protocol == Protocol::Cx;
-                    self.obs.op_replied(op, now, outcome, awaits);
-                    self.obs
-                        .client_latency(fs_op.class(), p.current_cross, latency);
-                }
-            }
-            if let (Some(fl), Some((op, _))) = (&self.flight, meta) {
+    fn finalize(&mut self) {
+        self.stats.set_msgs(&self.ports.sent);
+        self.stats.faults = self.ports.faults;
+        // Structured hang diagnostics: the recorder's live-op map names the
+        // exact stalled phase for every op still short of its reply.
+        self.stats.stuck_ops = self.ports.obs.stuck_report();
+        self.stats.blame = self.ports.obs.blame_table();
+        if let Some(fl) = &self.ports.flight {
+            let now = self.ports.sim.now();
+            for s in &self.stats.stuck_ops {
                 fl.push(
                     now.0,
-                    FlightEvent::Replied {
-                        op,
-                        applied: outcome == cx_types::OpOutcome::Applied,
+                    FlightEvent::Stuck {
+                        op: s.op,
+                        phase: s.phase,
                     },
                 );
             }
-            if self.record_ops {
-                if let Some((op, fs_op)) = meta {
-                    self.acks.push(AckRecord {
-                        op,
-                        fs_op,
-                        outcome,
-                        at: now,
-                    });
-                }
-            }
-            self.sim
-                .schedule(CLIENT_ISSUE_NS, 0, Ev::ProcIssue { proc });
         }
-    }
-
-    fn issue_next(&mut self, now: SimTime, proc: u32) {
-        if self.procs[proc as usize].current.is_some() {
-            return;
-        }
-        let next = self.feed.next_for(proc);
-        let p = &mut self.procs[proc as usize];
-        let Some(op) = next else {
-            if !p.done {
-                p.done = true;
-                self.active_procs -= 1;
-                if self.active_procs == 0 {
-                    self.stats.replay = now;
-                }
-            }
-            return;
-        };
-        let op_id = OpId::new(p.id, p.next_seq);
-        p.next_seq += 1;
-        let plan = self.placement.plan(op);
-        p.current_cross = plan.is_cross_server();
-        p.current_meta = Some((op_id, op));
-        p.issued_at = now;
-        self.obs.op_issued(op_id, op.class(), p.current_cross, now);
-        let cross = p.current_cross;
-        if let Some(fl) = &self.flight {
-            fl.push(now.0, FlightEvent::Issued { op: op_id, cross });
-        }
-        self.stats.note_issued(cross);
-        if self.record_ops {
-            self.issued.push((op_id, op));
-        }
-        let mut out = std::mem::take(&mut self.scratch);
-        let client = ClientOp::start(self.cfg.protocol, op_id, plan, &self.cfg.cx, &mut out);
-        p.current = Some(client);
-        let id = p.id;
-        self.do_actions(Endpoint::Proc(id), &mut out);
-        self.scratch = out;
-    }
-
-    fn do_actions(&mut self, from: Endpoint, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, payload } => self.send(from, to, payload),
-                Action::Disk(req) => self.submit_disk(from, req),
-                Action::SetTimer { token, delay_ns } => match from {
-                    Endpoint::Server(s) => {
-                        self.sim
-                            .schedule(delay_ns, 0, Ev::ServerTimer { server: s.0, token })
-                    }
-                    Endpoint::Proc(p) => self.sim.schedule(
-                        delay_ns,
-                        0,
-                        Ev::ProcTimer {
-                            proc: p.client.0,
-                            token,
-                        },
-                    ),
-                },
+        for (i, s) in self.servers.iter().enumerate() {
+            if !s.is_quiesced() {
+                self.stats
+                    .leftovers
+                    .push(format!("server {i}: {}", s.debug_summary()));
             }
         }
+        for s in &self.servers {
+            self.stats.server_stats.merge(s.stats());
+            self.stats.proto.merge(&s.proto_metrics());
+            self.stats.final_inodes += s.store().inode_count() as u64;
+            self.stats.final_dentries += s.store().dentry_count() as u64;
+        }
+        for d in &self.ports.disks {
+            self.stats.disk.merge(d.stats());
+        }
+    }
+}
+
+impl Ports for DesPorts {
+    fn now(&self) -> SimTime {
+        self.sim.now()
     }
 
+    fn obs(&self) -> &ObsSink {
+        &self.obs
+    }
+
+    fn sent(&mut self) -> &mut MsgCounts {
+        &mut self.sent
+    }
+
+    /// Latency is `one_way + size/bandwidth`, plus what the injector
+    /// decides; at a server the message then waits in the CPU queue.
     fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
-        if self.obs.enabled() {
-            obs_on_send(&self.obs, from, &payload, self.sim.now());
-        }
-        self.sent.count(from, to, payload.kind());
         let bytes = payload.size_bytes() as u64;
-        let latency =
-            self.cfg.net.one_way_ns + (bytes * 1_000_000_000) / self.cfg.net.bandwidth_bps.max(1);
-        let mut extra_ns = 0;
-        let mut hold_ns = 0;
+        let latency = self.net.one_way_ns + (bytes * 1_000_000_000) / self.net.bandwidth_bps.max(1);
+        let (mut extra_ns, mut hold_ns) = (0, 0);
         if let Some(inj) = self.injector.as_mut() {
             match inj.on_send(self.sim.now(), from, to, payload.kind()) {
                 MsgFate::Deliver => {}
                 MsgFate::Drop => {
-                    self.stats.faults.drops += 1;
+                    self.faults.drops += 1;
                     return;
                 }
                 MsgFate::Delay(ns) => {
-                    self.stats.faults.delays += 1;
+                    self.faults.delays += 1;
                     extra_ns = ns;
                 }
                 MsgFate::Duplicate(ns) => {
-                    self.stats.faults.dups += 1;
+                    self.faults.dups += 1;
                     // the one remaining payload clone: duplication faults
                     self.deliver(from, to, payload.clone(), latency + ns, 0);
                 }
                 MsgFate::ExecDelay(ns) => {
-                    self.stats.faults.delays += 1;
+                    self.faults.delays += 1;
                     hold_ns = ns;
                 }
             }
@@ -971,6 +881,29 @@ impl DesCluster {
         self.deliver(from, to, payload, latency + extra_ns, hold_ns);
     }
 
+    /// The modelled disk group-commits appends and elevator-merges
+    /// write-back pages; its batch completions are events.
+    fn disk(&mut self, server: ServerId, req: DiskReq) -> Option<u64> {
+        let now = self.sim.now();
+        if let Some(batch) = self.disks[server.0 as usize].submit(now, req) {
+            self.schedule_batch(server.0, batch);
+        }
+        None
+    }
+
+    fn set_timer(&mut self, at: Endpoint, token: u64, delay_ns: u64) {
+        let ev = match at {
+            Endpoint::Server(s) => Ev::ServerTimer { server: s.0, token },
+            Endpoint::Proc(p) => Ev::ProcTimer {
+                proc: p.client.0,
+                token,
+            },
+        };
+        self.sim.schedule(delay_ns, 0, ev);
+    }
+}
+
+impl DesPorts {
     /// Schedule delivery `after_ns` from now, plus an optional `hold_ns`
     /// the receiver sits on the message before handling it. The traced
     /// edge records the wire arrival (`after_ns` only), so an injected
@@ -1034,16 +967,6 @@ impl DesCluster {
         }
     }
 
-    fn submit_disk(&mut self, from: Endpoint, req: DiskReq) {
-        let Endpoint::Server(s) = from else {
-            unreachable!("only servers own disks");
-        };
-        let now = self.sim.now();
-        if let Some(batch) = self.disks[s.0 as usize].submit(now, req) {
-            self.schedule_batch(s.0, batch);
-        }
-    }
-
     fn schedule_batch(&mut self, server: u32, batch: Batch) {
         self.sim.schedule_at(
             batch.finish,
@@ -1054,170 +977,6 @@ impl DesCluster {
                 generation: self.disks[server as usize].generation(),
             },
         );
-    }
-
-    fn finalize(&mut self) {
-        self.sent.publish(&mut self.stats);
-        // Structured hang diagnostics: the recorder's live-op map names the
-        // exact stalled phase for every op still short of its reply.
-        self.stats.stuck_ops = self.obs.stuck_report();
-        self.stats.blame = self.obs.blame_table();
-        if let Some(fl) = &self.flight {
-            let now = self.sim.now();
-            for s in &self.stats.stuck_ops {
-                fl.push(
-                    now.0,
-                    FlightEvent::Stuck {
-                        op: s.op,
-                        phase: s.phase,
-                    },
-                );
-            }
-        }
-        for (i, s) in self.servers.iter().enumerate() {
-            if !s.is_quiesced() {
-                self.stats
-                    .leftovers
-                    .push(format!("server {i}: {}", s.debug_summary()));
-            }
-        }
-        for s in &self.servers {
-            self.stats.server_stats.merge(s.stats());
-            self.stats.proto.merge(&s.proto_metrics());
-            self.stats.final_inodes += s.store().inode_count() as u64;
-            self.stats.final_dentries += s.store().dentry_count() as u64;
-        }
-        for d in &self.disks {
-            self.stats.disk.merge(d.stats());
-        }
-    }
-}
-
-/// Send-side message accounting, the same in every runtime: by kind, and
-/// by whether a client sits at either end.
-#[derive(Default)]
-pub(crate) struct MsgCounts {
-    pub(crate) by_kind: [u64; MsgKind::COUNT],
-    /// Server-to-server messages.
-    pub(crate) server_msgs: u64,
-    /// Messages with a client at either end.
-    pub(crate) client_msgs: u64,
-}
-
-impl MsgCounts {
-    pub(crate) fn count(&mut self, from: Endpoint, to: Endpoint, kind: MsgKind) {
-        self.by_kind[kind as usize] += 1;
-        match (from, to) {
-            (Endpoint::Server(_), Endpoint::Server(_)) => self.server_msgs += 1,
-            _ => self.client_msgs += 1,
-        }
-    }
-
-    pub(crate) fn add(&mut self, by_kind: &[u64], server_msgs: u64, client_msgs: u64) {
-        for (slot, n) in self.by_kind.iter_mut().zip(by_kind) {
-            *slot += n;
-        }
-        self.server_msgs += server_msgs;
-        self.client_msgs += client_msgs;
-    }
-
-    /// Write the totals into the run's statistics.
-    pub(crate) fn publish(&self, stats: &mut RunStats) {
-        for (kind, &n) in MsgKind::ALL.iter().zip(&self.by_kind) {
-            if n > 0 {
-                stats.msgs.insert(*kind, n);
-            }
-        }
-        stats.server_msgs = self.server_msgs;
-        stats.client_msgs = self.client_msgs;
-    }
-}
-
-/// Stamp lifecycle milestones from the send path: the payload kind names
-/// the Cx phase the sender just entered, at `now` on the sender's clock
-/// (virtual time, or nanoseconds since its epoch). Stamps record the send
-/// (a later drop fault does not unhappen the phase), and `OpSpan` stamping
-/// is first-writer-wins, so re-driven batches and retransmissions never
-/// move a milestone.
-pub(crate) fn obs_on_send(obs: &ObsSink, from: Endpoint, payload: &Payload, now: SimTime) {
-    let srv = match from {
-        Endpoint::Server(s) => Some(s),
-        Endpoint::Proc(_) => None,
-    };
-    match payload {
-        // Client-visible path.
-        Payload::SubOpReq { op_id, .. } | Payload::OpReq { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::Dispatched, now, None);
-        }
-        Payload::SubOpResp { op_id, .. } | Payload::OpResp { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::Executed, now, srv);
-        }
-        // Commitment path: batched Cx messages carry many ops; 2PC's
-        // VoteExec and CE's migration round-trip are their (pre-reply)
-        // analogues, so the same milestones work for every protocol.
-        Payload::Vote { ops, .. } => {
-            for &op in ops {
-                obs.op_phase(op, Phase::VoteSent, now, srv);
-            }
-        }
-        Payload::VoteExec { op_id, .. } | Payload::Migrate { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::VoteSent, now, srv);
-        }
-        Payload::CommitDecision { commits, aborts } => {
-            for &op in commits.iter().chain(aborts) {
-                obs.op_phase(op, Phase::DecisionSent, now, srv);
-            }
-        }
-        Payload::MigrateBack { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::DecisionSent, now, srv);
-        }
-        Payload::Ack { ops } => {
-            for &op in ops {
-                obs.op_phase(op, Phase::Acked, now, srv);
-            }
-        }
-        Payload::MigrateBackAck { op_id, .. } => {
-            obs.op_phase(*op_id, Phase::Acked, now, srv);
-        }
-        _ => {}
-    }
-}
-
-/// Runtime endpoint → tracer endpoint.
-pub(crate) fn flow_node(e: Endpoint) -> FlowNode {
-    match e {
-        Endpoint::Server(s) => FlowNode::Server(s.0),
-        Endpoint::Proc(p) => FlowNode::Client(p.client.0),
-    }
-}
-
-/// The operation a message serves, for tying its edge to a span. Batched
-/// commitment messages carry many ops; the first one stands in (the edge
-/// still draws, and `cx-obs trace` matches any member by the args field).
-pub(crate) fn primary_op(payload: &Payload) -> Option<OpId> {
-    match payload {
-        Payload::SubOpReq { op_id, .. }
-        | Payload::SubOpResp { op_id, .. }
-        | Payload::LCom { op_id }
-        | Payload::AllNo { op_id }
-        | Payload::Committed { op_id }
-        | Payload::OpReq { op_id, .. }
-        | Payload::OpResp { op_id, .. }
-        | Payload::VoteExec { op_id, .. }
-        | Payload::Clear { op_id, .. }
-        | Payload::ClearResp { op_id }
-        | Payload::Migrate { op_id, .. }
-        | Payload::MigrateResp { op_id, .. }
-        | Payload::MigrateBack { op_id, .. }
-        | Payload::MigrateBackAck { op_id, .. } => Some(*op_id),
-        Payload::CommitmentReq { pending, .. } => Some(*pending),
-        Payload::Vote { ops, .. } | Payload::Ack { ops } | Payload::QueryOutcome { ops } => {
-            ops.first().copied()
-        }
-        Payload::VoteResult { results } => results.first().map(|(op, _)| *op),
-        Payload::CommitDecision { commits, aborts } => {
-            commits.first().or_else(|| aborts.first()).copied()
-        }
     }
 }
 

@@ -1,6 +1,9 @@
 //! Cluster assembly: the two runtimes that interpret the sans-IO protocol
 //! engines.
 //!
+//! Both run one engine host (`cx_protocol::host`), each with its own
+//! ports, and one client table (`feed::ClientTable`).
+//!
 //! * [`des`] — the deterministic discrete-event simulation used for every
 //!   paper experiment: a network model (latency + bandwidth), per-server
 //!   CPU queues, and the `cx-simio` disk model (group commit, elevator

@@ -2,7 +2,7 @@
 
 use cx_obs::registry::{Counter, Gauge, MetricRegistry, Series};
 use cx_obs::{BlameTable, LogHistogram, StuckOp};
-use cx_protocol::{ProtoMetrics, ServerStats};
+use cx_protocol::{MsgCounts, ProtoMetrics, ServerStats};
 use cx_simio::DiskStats;
 use cx_types::{FsOp, MsgKind, OpId, OpOutcome, Protocol, ServerId, SimTime};
 use serde::{Deserialize, Serialize};
@@ -275,6 +275,13 @@ impl RunStats {
             OpOutcome::Applied => self.ops_applied += 1,
             OpOutcome::Failed => self.ops_failed += 1,
         }
+    }
+
+    /// The run's send totals, by kind and by end.
+    pub(crate) fn set_msgs(&mut self, sent: &MsgCounts) {
+        self.msgs = sent.iter().collect();
+        self.server_msgs = sent.server_msgs;
+        self.client_msgs = sent.client_msgs;
     }
 
     /// Replay time in seconds (Figure 5's metric).

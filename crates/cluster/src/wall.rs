@@ -4,12 +4,15 @@
 //! Every node of a run is one [`Node`] its transport serves on one OS
 //! thread: on sockets, its connection manager's I/O thread; on channels,
 //! its `ChanNode`'s loop. Each metadata server is a [`ServerNode`] (frame
-//! batches in, engine actions out, node-local timers). The logical clients
-//! — each strictly synchronous — all live on the client host's node
+//! batches in, engine steps out). The logical clients — each strictly
+//! synchronous, one [`ClientTable`] — all live on the client host's node
 //! ([`ClientHost`]); the thread that called [`run_wired`] is the run's
-//! coordinator. A send made during a node's turn goes out once per peer
-//! when the turn ends. Disk completions are immediate: this runtime checks
-//! protocol correctness under true concurrency, timing is the DES's job.
+//! coordinator. Both kinds of node carry their engines' actions out
+//! through the engine host ([`cx_protocol::host`]) with one set of ports,
+//! [`MsgPort`]: a send goes out once per peer when the turn ends, a disk
+//! request completes on the spot, a timer waits in a node-local queue.
+//! This runtime checks protocol correctness under true concurrency,
+//! timing is the DES's job.
 //! The engines cannot tell which carrier moves their frames; the DES
 //! remains the oracle for what the totals must be.
 //!
@@ -23,8 +26,7 @@
 //! the nodes with its transport and calls [`run_wired`]; external
 //! `cx_net_server` processes serve the same [`ServerNode`].
 
-use crate::des::{flow_node, obs_on_send, primary_op, MsgCounts};
-use crate::feed::OpFeed;
+use crate::feed::{ClientTable, OpFeed};
 use crate::live::{observe_wire_series, set_wire_rates, sum_wire, LiveMetrics, Monitor};
 use crate::seed::seed_engine;
 use crate::stats::RunStats;
@@ -34,45 +36,30 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use cx_mdstore::{GlobalView, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{ClockSync, Frame, HealthSnapshot, NodeId, WireTelemetry, WireTotals};
-use cx_obs::registry::{Counter, MetricRegistry, Series};
-use cx_obs::{FlowNode, MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
-use cx_protocol::{
-    Action, ClientDecision, ClientOp, Endpoint, ProtoMetrics, ServerEngine, ServerStats,
-};
+use cx_obs::{MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
+use cx_protocol::host::{self, flow_node, primary_op, MsgCounts, Ports};
+use cx_protocol::{Action, Endpoint, ProtoMetrics, ServerEngine, ServerStats};
 use cx_sim::TimerQueue;
+use cx_simio::DiskReq;
 use cx_types::codec::WireError;
-use cx_types::{
-    ClusterConfig, FileKind, FsOp, InodeNo, Name, OpClass, OpId, OpOutcome, Payload, Placement,
-    ProcId, Protocol, ServerId, SimTime,
-};
+use cx_types::{ClusterConfig, FileKind, InodeNo, Name, Payload, Placement, ServerId, SimTime};
 use cx_workloads::{SeedEntry, StreamTrace};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::os::raw::c_int;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Map a protocol endpoint onto the node that hosts it: servers are their
-/// own nodes; every client proc lives on the single client host.
-fn node_of(ep: Endpoint) -> NodeId {
-    match ep {
-        Endpoint::Server(s) => NodeId::Server(s.0),
-        Endpoint::Proc(_) => NodeId::ClientHost(0),
-    }
-}
-
 /// Per-server report shipped inside [`Frame::StopResp`]'s `stats_json`.
 /// JSON (not wire-encoded) deliberately: it reuses the existing serde
 /// derives on [`ServerStats`]/[`ProtoMetrics`] and stays inspectable on
-/// the wire; `msgs` is the flat per-[`MsgKind`] send counter.
+/// the wire.
 #[derive(Serialize, Deserialize)]
 struct WireReport {
     stats: ServerStats,
     proto: ProtoMetrics,
-    msgs: Vec<u64>,
-    server_msgs: u64,
-    client_msgs: u64,
+    sent: MsgCounts,
     /// Wall-clock span shard + message edges from a shard-mode obs sink
     /// (external `cx_net_server` processes only — in-process nodes stamp
     /// straight into the coordinator's shared sink and ship nothing).
@@ -124,15 +111,17 @@ pub(crate) fn rebuild_store(
     Ok(store)
 }
 
-// ---- sending protocol messages ----
+// ---- a node's ports ----
 
-/// How a node that steps protocol machines — a server's engine, the client
-/// host's clients — puts their payloads on its transport: stamp the
-/// send-side lifecycle milestone, count by kind, wrap in [`Frame::Msg`].
+/// A wall-clock node's ports for the engine host — a server's engine, or
+/// the client host's clients: a send goes out on its transport as a
+/// [`Frame::Msg`], a disk request completes on the spot, and a timer waits
+/// in a node-local [`TimerQueue`] on the transport's clock.
 struct MsgPort {
     net: Arc<dyn Transport>,
     obs: ObsSink,
     sent: MsgCounts,
+    timers: TimerQueue<(Endpoint, u64)>,
 }
 
 impl MsgPort {
@@ -141,40 +130,84 @@ impl MsgPort {
             net,
             obs,
             sent: MsgCounts::default(),
+            timers: TimerQueue::new(),
         }
     }
 
+    /// The next timer due by now, if any.
+    fn due(&mut self) -> Option<(Endpoint, u64)> {
+        let now = self.now();
+        self.timers.peek_deadline().filter(|d| *d <= now)?;
+        self.timers.pop().map(|(_, timer)| timer)
+    }
+
+    /// Record an arrived message's causal edge: sent at `sent_ns` on the
+    /// sender's clock, received now on ours.
+    fn edge(&self, from: Endpoint, to: Endpoint, payload: &Payload, sent_ns: u64) {
+        if self.obs.enabled() {
+            let (kind, op) = (payload.kind(), primary_op(payload));
+            let now = self.now().0;
+            self.obs
+                .msg_edge(op, kind, flow_node(from), flow_node(to), sent_ns, now);
+        }
+    }
+
+    /// How long until the next timer, if one is armed.
+    fn until_next(&self) -> Option<Duration> {
+        let next = self.timers.peek_deadline()?.0;
+        Some(Duration::from_nanos(next.saturating_sub(self.now().0)))
+    }
+}
+
+impl Ports for MsgPort {
     fn now(&self) -> SimTime {
         SimTime(self.net.now_ns())
     }
 
+    fn obs(&self) -> &ObsSink {
+        &self.obs
+    }
+
+    fn sent(&mut self) -> &mut MsgCounts {
+        &mut self.sent
+    }
+
+    /// Servers are their own nodes; every client lives on the one client
+    /// host.
     fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
-        let now = self.now();
-        if self.obs.enabled() {
-            obs_on_send(&self.obs, from, &payload, now);
-        }
-        self.sent.count(from, to, payload.kind());
+        let node = match to {
+            Endpoint::Server(s) => NodeId::Server(s.0),
+            Endpoint::Proc(_) => NodeId::ClientHost(0),
+        };
         let frame = Frame::Msg {
-            sent_ns: now.0,
+            sent_ns: self.now().0,
             from,
             to,
             payload,
         };
-        self.net.send(node_of(to), frame);
+        self.net.send(node, frame);
+    }
+
+    fn disk(&mut self, _server: ServerId, req: DiskReq) -> Option<u64> {
+        Some(req.token())
+    }
+
+    fn set_timer(&mut self, at: Endpoint, token: u64, delay_ns: u64) {
+        let deadline = self.now() + delay_ns;
+        self.timers.push(deadline, (at, token));
     }
 }
 
 // ---- server node ----
 
-/// One metadata server: its engine, the engine's node-local timers and the
-/// port it sends through, until the coordinator's `Stop`. Its transport's
-/// loop runs it ([`Transport::serve`]), in-process or, on sockets, as a
+/// One metadata server: its engine and the ports it runs through, until
+/// the coordinator's `Stop`. Its transport's loop runs it
+/// ([`Transport::serve`]), in-process or, on sockets, as a
 /// `cx_net_server` process.
 pub(crate) struct ServerNode {
     engine: Box<dyn ServerEngine>,
-    timers: TimerQueue<u64>,
     port: MsgPort,
-    me: ServerId,
+    me: Endpoint,
     /// Set for a process of its own ([`crate::serve_one`]): its `StopResp`
     /// ships its obs shard, and the loop drops the node as it exits.
     pub exit: Option<mpsc::Sender<()>>,
@@ -192,37 +225,19 @@ impl ServerNode {
         let mut engine = cx_protocol::make_server(me, cfg);
         engine.install_obs(obs.clone());
         seed_engine(engine.as_mut(), &Placement::new(cfg.servers), seeds, me);
-        let mut node = Self {
+        Self {
             engine,
-            timers: TimerQueue::new(),
             port: MsgPort::new(net, obs),
-            me,
+            me: Endpoint::Server(me),
             exit: None,
-        };
-        node.step(|e, now, out| e.on_start(now, out));
-        node
+        }
     }
 
-    /// Step the engine with `f` at the current instant and interpret its
-    /// actions at that instant. Disk operations complete immediately (their
-    /// completions can cascade, so a work queue avoids recursion); timers
-    /// go into the node's local queue.
+    /// Step the engine with `f` through the host.
     fn step(&mut self, f: impl FnOnce(&mut dyn ServerEngine, SimTime, &mut Vec<Action>)) {
-        let (me, now) = (Endpoint::Server(self.me), self.port.now());
-        let mut out = Vec::new();
-        f(self.engine.as_mut(), now, &mut out);
-        let mut work: VecDeque<Action> = out.into();
-        while let Some(action) = work.pop_front() {
-            match action {
-                Action::Send { to, payload } => self.port.send(me, to, payload),
-                Action::Disk(req) => {
-                    let mut out = Vec::new();
-                    self.engine.on_disk_done(now, req.token(), &mut out);
-                    work.extend(out);
-                }
-                Action::SetTimer { token, delay_ns } => self.timers.push(now + delay_ns, token),
-            }
-        }
+        let (mut out, engine) = (Vec::new(), self.engine.as_mut());
+        f(engine, self.port.now(), &mut out);
+        host::carry_out(&mut self.port, self.me, Some(engine), &mut out);
     }
 
     /// Handle one inbound frame; true for the coordinator's `Stop`, once
@@ -233,17 +248,10 @@ impl ServerNode {
             Frame::Msg {
                 sent_ns,
                 from,
-                to: _,
+                to,
                 payload,
             } => {
-                port.obs.msg_edge(
-                    primary_op(&payload),
-                    payload.kind(),
-                    flow_node(from),
-                    FlowNode::Server(self.me.0),
-                    sent_ns,
-                    port.now().0,
-                );
+                port.edge(from, to, &payload, sent_ns);
                 self.step(|e, now, out| e.on_msg(now, from, payload, out));
             }
             Frame::Quiesce => self.step(|e, now, out| e.quiesce(now, out)),
@@ -273,9 +281,7 @@ impl ServerNode {
                 let report = WireReport {
                     stats: *self.engine.stats(),
                     proto: self.engine.proto_metrics(),
-                    msgs: port.sent.by_kind.to_vec(),
-                    server_msgs: port.sent.server_msgs,
-                    client_msgs: port.sent.client_msgs,
+                    sent: port.sent.clone(),
                     spans,
                     edges,
                     telem: wire.map(|c| c.telemetry()).unwrap_or_default(),
@@ -328,13 +334,10 @@ impl Node for ServerNode {
     }
 
     fn on_due(&mut self) -> Option<Duration> {
-        let now = self.port.now();
-        while self.timers.peek_deadline().is_some_and(|d| d <= now) {
-            let (_, token) = self.timers.pop().expect("peeked");
+        while let Some((_, token)) = self.port.due() {
             self.step(|e, now, out| e.on_timer(now, token, out));
         }
-        let next = self.timers.peek_deadline()?.0;
-        Some(Duration::from_nanos(next.saturating_sub(self.port.now().0)))
+        self.port.until_next()
     }
 }
 
@@ -347,51 +350,23 @@ unsafe extern "C" {
     fn sched_setscheduler(pid: c_int, policy: c_int, param: *const c_int) -> c_int;
 }
 
-/// One hosted logical client: its identity, its op sequence counter, and
-/// its in-flight op (at most one — logical clients are strictly
-/// synchronous).
-struct ClientSlot {
-    proc: ProcId,
-    seq: u64,
-    active: Option<InFlightOp>,
-}
-
-struct InFlightOp {
-    op_id: OpId,
-    class: OpClass,
-    cross: bool,
-    issued_at: SimTime,
-    client: ClientOp,
-    timer: Option<(Instant, u64)>,
-}
-
 /// How long a client host none of whose clients has a timer armed listens
 /// to a silent wire before it reports their operations stuck and gives up.
 const CLIENT_SILENCE: Duration = Duration::from_secs(if cfg!(test) { 2 } else { 30 });
 
-/// The client host: every logical client of the run, on the host's loop.
-/// A turn steps each client a reply is addressed to; `on_due` then fires
-/// due client timers and refills every idle client, so the requests of a
-/// turn leave together, one batch per server. A client never has more than
-/// one op in flight, and its op order is its feed order. Probe and stop
-/// replies go to the coordinator.
+/// The client host: every logical client of the run ([`ClientTable`]), on
+/// the host's loop. A turn steps each client a reply is addressed to;
+/// `on_due` then fires due client timers and refills every idle client, so
+/// the requests of a turn leave together, one batch per server. Probe and
+/// stop replies go to the coordinator.
 struct ClientHost {
     port: MsgPort,
-    cfg: ClusterConfig,
-    placement: Placement,
-    feed: OpFeed,
-    /// Client `c` at index `c`.
-    slots: Vec<ClientSlot>,
+    clients: ClientTable,
     /// Clients with no op in flight, to refill.
     idle: Vec<usize>,
-    /// Clients whose feed has not run dry.
-    live: usize,
-    /// Armed client timers, by deadline.
-    timers: BTreeSet<(Instant, usize)>,
     /// The last reply or fired timer: the start of a silence.
     heard: Instant,
     stats: RunStats,
-    registry: Option<MetricRegistry>,
     /// Mid-run connection-drop drill (see
     /// [`TcpOptions::drop_conns_after_ops`]): fires once this many ops are
     /// done; only a socket plane has connections to drop.
@@ -403,106 +378,13 @@ struct ClientHost {
 }
 
 impl ClientHost {
-    /// Start `op` on idle client `i`: plan it, record issue-side
-    /// observability, and send the opening request(s).
-    fn issue(&mut self, i: usize, op: FsOp) {
-        let slot = &mut self.slots[i];
-        let op_id = OpId::new(slot.proc, slot.seq);
-        slot.seq += 1;
-        let plan = self.placement.plan(op);
-        let cross = plan.is_cross_server();
-        let issued_at = self.port.now();
-        self.port.obs.op_issued(op_id, op.class(), cross, issued_at);
-        self.stats.note_issued(cross);
-        if let Some(reg) = &self.registry {
-            reg.inc(Counter::OpsIssued);
-            if cross {
-                reg.inc(Counter::CrossOps);
-            }
-        }
-        let mut out = Vec::new();
-        let client = ClientOp::start(self.cfg.protocol, op_id, plan, &self.cfg.cx, &mut out);
-        slot.active = Some(InFlightOp {
-            op_id,
-            class: op.class(),
-            cross,
-            issued_at,
-            client,
-            timer: None,
-        });
-        self.apply(i, out);
-    }
-
-    /// Step client `i`'s in-flight op with `f` (nothing, if it has none: a
-    /// late duplicate), and carry out what it decided.
-    fn step(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&mut ClientOp, SimTime, &mut Vec<Action>) -> ClientDecision,
-    ) {
-        let now = self.port.now();
-        let Some(active) = &mut self.slots[i].active else {
-            return;
-        };
-        let mut out = Vec::new();
-        let decision = f(&mut active.client, now, &mut out);
-        self.apply(i, out);
-        if let ClientDecision::Done(outcome) = decision {
-            self.finish(i, outcome);
-        }
-    }
-
-    /// Send client `i`'s messages and arm its timer.
-    fn apply(&mut self, i: usize, actions: Vec<Action>) {
-        let slot = &mut self.slots[i];
-        let active = slot.active.as_mut().expect("a client with an op in flight");
-        for action in actions {
-            match action {
-                Action::Send { to, payload } => {
-                    self.port.send(Endpoint::Proc(slot.proc), to, payload)
-                }
-                Action::SetTimer { token, delay_ns } => {
-                    let at = Instant::now() + Duration::from_nanos(delay_ns);
-                    if let Some((old, _)) = active.timer.replace((at, token)) {
-                        self.timers.remove(&(old, i));
-                    }
-                    self.timers.insert((at, i));
-                }
-                other => unreachable!("clients have no disks: {other:?}"),
-            }
-        }
-    }
-
-    /// Completion-side accounting for a finished op; the client goes idle
-    /// and is refilled at the end of the turn.
-    fn finish(&mut self, i: usize, outcome: OpOutcome) {
-        let active = self.slots[i]
-            .active
-            .take()
-            .expect("finishing an in-flight op");
-        if let Some((at, _)) = active.timer {
-            self.timers.remove(&(at, i));
-        }
-        self.idle.push(i);
-        let done = self.port.now();
-        // Only Cx leaves commitment running behind the reply; its engine
-        // stamps `Completed` through the same sink when the ack lands.
-        let awaits = active.cross && self.cfg.protocol == Protocol::Cx;
-        let obs = &self.port.obs;
-        obs.op_replied(active.op_id, done, outcome, awaits);
-        let latency = done.0.saturating_sub(active.issued_at.0);
-        obs.client_latency(active.class, active.cross, latency);
-        self.stats.note_finished(outcome, active.cross, latency);
-        if let Some(reg) = &self.registry {
-            reg.inc(match outcome {
-                OpOutcome::Applied => Counter::OpsApplied,
-                OpOutcome::Failed => Counter::OpsFailed,
-            });
-            reg.observe(Series::ClientLatencyNs, latency);
-        }
+    /// Client `c`'s op finished: it goes idle, to be refilled at the end of
+    /// the turn, and the drill may fire.
+    fn finished(&mut self, c: usize) {
+        self.idle.push(c);
         if self.drill == Some(self.stats.ops_applied + self.stats.ops_failed) {
             if let Some(conn) = self.port.net.wire() {
-                for s in 0..self.cfg.servers {
+                for s in 0..self.stats.servers {
                     conn.drop_connection(NodeId::Server(s));
                 }
             }
@@ -513,8 +395,8 @@ impl ClientHost {
     /// done with.
     fn send_report(&mut self) {
         if let Some(report) = self.report.take() {
-            self.stats.replay = self.port.now();
-            let stats = std::mem::replace(&mut self.stats, RunStats::new(self.cfg.protocol, 0, 0));
+            let spent = RunStats::new(self.stats.protocol, 0, 0);
+            let stats = std::mem::replace(&mut self.stats, spent);
             let _ = report.send((stats, std::mem::take(&mut self.port.sent)));
         }
     }
@@ -531,21 +413,13 @@ impl Node for ClientHost {
                     to: Endpoint::Proc(p),
                     payload,
                 } if self.report.is_some() => {
-                    let client = p.client.0;
-                    if self.port.obs.enabled() {
-                        self.port.obs.msg_edge(
-                            primary_op(&payload),
-                            payload.kind(),
-                            flow_node(from),
-                            FlowNode::Client(client),
-                            sent_ns,
-                            self.port.now().0,
-                        );
-                    }
-                    if (client as usize) < self.slots.len() {
-                        self.step(client as usize, |c, now, out| {
-                            c.on_msg(now, from, payload, out)
-                        });
+                    let c = p.client.0 as usize;
+                    self.port.edge(from, Endpoint::Proc(p), &payload, sent_ns);
+                    let (port, stats) = (&mut self.port, &mut self.stats);
+                    if self.clients.step(c, port, stats, |op, now, out| {
+                        op.on_msg(now, from, payload, out)
+                    }) {
+                        self.finished(c);
                     }
                 }
                 Frame::ProbeResp { .. } | Frame::StopResp { .. } => {
@@ -559,44 +433,43 @@ impl Node for ClientHost {
 
     fn on_due(&mut self) -> Option<Duration> {
         self.report.as_ref()?;
-        let now = Instant::now();
-        while let Some(&(at, i)) = self.timers.first().filter(|(at, _)| *at <= now) {
-            self.timers.remove(&(at, i));
-            let active = self.slots[i].active.as_mut().expect("an armed client");
-            let (_, token) = active.timer.take().expect("an armed client");
-            self.heard = now;
-            self.step(i, |c, now, out| c.on_timer(now, token, out));
-        }
-        let mut idle = std::mem::take(&mut self.idle);
-        for i in idle.drain(..) {
-            match self.feed.next_for(i as u32) {
-                Some(op) => self.issue(i, op),
-                None => self.live -= 1,
+        while let Some((at, token)) = self.port.due() {
+            self.heard = Instant::now();
+            let Endpoint::Proc(p) = at else { continue };
+            let c = p.client.0 as usize;
+            let (port, stats) = (&mut self.port, &mut self.stats);
+            if self
+                .clients
+                .step(c, port, stats, |op, now, out| op.on_timer(now, token, out))
+            {
+                self.finished(c);
             }
         }
+        let mut idle = std::mem::take(&mut self.idle);
+        for c in idle.drain(..) {
+            self.clients.issue(c, &mut self.port, &mut self.stats);
+        }
         self.idle = idle;
-        if self.live == 0 {
+        if self.clients.live() == 0 {
             self.send_report();
             return None;
         }
-        if let Some(&(at, _)) = self.timers.first() {
-            return Some(at.saturating_duration_since(now));
+        if let Some(next) = self.port.until_next() {
+            return Some(next);
         }
+        let now = Instant::now();
         let silent_until = self.heard + CLIENT_SILENCE;
         if now < silent_until {
             return Some(silent_until - now);
         }
-        let stuck: Vec<String> = self
-            .slots
-            .iter()
-            .filter_map(|s| Some(s.active.as_ref()?.op_id.to_string()))
-            .collect();
+        let stuck: Vec<String> = self.clients.in_flight().map(|op| op.to_string()).collect();
         self.stats.ops_stuck += stuck.len() as u64;
         self.stats.leftovers.push(format!(
             "client host: no reply for {} s to {}",
             CLIENT_SILENCE.as_secs(),
             stuck.join(", ")
         ));
+        self.stats.replay = self.port.now();
         self.send_report();
         None
     }
@@ -663,27 +536,18 @@ pub(crate) fn run_wired(
         .and_then(|l| Monitor::spawn(l, nets.clone(), opts.obs.clone()));
     let (ctrl_tx, ctrl_rx) = unbounded::<(NodeId, Frame)>();
     let (report, reported) = mpsc::channel();
+    let feed = OpFeed::new(ops, processes, total_ops_hint);
+    let mut clients = ClientTable::new(&cfg, feed, processes);
+    clients.registry = opts.live.as_ref().map(|l| l.registry.clone());
     let host = ClientHost {
         port: MsgPort::new(Arc::clone(&net), opts.obs.clone()),
-        placement: Placement::new(cfg.servers),
-        feed: OpFeed::new(ops, processes, total_ops_hint),
-        slots: (0..processes)
-            .map(|c| ClientSlot {
-                proc: ProcId::new(c, 0),
-                seq: 0,
-                active: None,
-            })
-            .collect(),
-        idle: (0..processes as usize).collect(),
-        live: processes as usize,
-        timers: BTreeSet::new(),
+        idle: clients.starters().collect(),
+        clients,
         heard: Instant::now(),
         stats: RunStats::new(cfg.protocol, cfg.servers, processes),
-        registry: opts.live.as_ref().map(|l| l.registry.clone()),
         drill: opts.drop_conns_after_ops,
         ctrl: ctrl_tx,
         report: Some(report),
-        cfg: cfg.clone(),
     };
     // Under `SCHED_BATCH` the host's loop, a run's busiest thread, does not
     // preempt a server's loop when a reply wakes it; without it involuntary
@@ -711,7 +575,7 @@ pub(crate) fn run_wired(
     );
 
     stats.drained = SimTime(net.now_ns());
-    sent.publish(&mut stats);
+    stats.set_msgs(&sent);
     for store in &stores {
         stats.final_inodes += store.inode_count() as u64;
         stats.final_dentries += store.dentry_count() as u64;
@@ -926,7 +790,7 @@ fn drain_and_stop(
         };
         stats.server_stats.merge(&report.stats);
         stats.proto.merge(&report.proto);
-        sent.add(&report.msgs, report.server_msgs, report.client_msgs);
+        sent.merge(&report.sent);
         // Stitch the node's wall-clock telemetry onto our timeline: the
         // quiesce probes' min-RTT estimate says how far its clock
         // (= process epoch) sits from ours.

@@ -40,8 +40,8 @@ impl Codec for Endpoint {
 /// What an engine asks its runtime to do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
-    /// Send `payload` to `to`. The runtime models latency and counts the
-    /// message for Table IV.
+    /// Send `payload` to `to`. The engine host counts the message for
+    /// Table IV; the runtime models latency.
     Send { to: Endpoint, payload: Payload },
     /// Submit `req` to the server's disk; the runtime calls
     /// `on_disk_done(req.token())` when the batch covering it completes.
@@ -56,9 +56,6 @@ pub enum Action {
 /// actions into `out`; they must not assume anything about how or when the
 /// actions execute.
 pub trait ServerEngine: Send {
-    /// Runtime start-up: arm the initial batch-trigger timers.
-    fn on_start(&mut self, now: SimTime, out: &mut Vec<Action>);
-
     /// A message arrived.
     fn on_msg(&mut self, now: SimTime, from: Endpoint, payload: Payload, out: &mut Vec<Action>);
 

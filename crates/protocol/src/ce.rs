@@ -150,8 +150,6 @@ impl CeServer {
 }
 
 impl ServerEngine for CeServer {
-    fn on_start(&mut self, _now: SimTime, _out: &mut Vec<Action>) {}
-
     fn on_msg(&mut self, now: SimTime, from: Endpoint, payload: Payload, out: &mut Vec<Action>) {
         match payload {
             Payload::OpReq { op_id, plan } => self.on_op_req(op_id, plan, out),

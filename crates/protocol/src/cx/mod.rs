@@ -289,8 +289,6 @@ impl CxServer {
 }
 
 impl ServerEngine for CxServer {
-    fn on_start(&mut self, _now: SimTime, _out: &mut Vec<Action>) {}
-
     fn on_msg(&mut self, now: SimTime, from: Endpoint, payload: Payload, out: &mut Vec<Action>) {
         if self.crashed {
             return; // messages to a dead server are lost

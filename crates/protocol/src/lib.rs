@@ -3,13 +3,15 @@
 //! Everything in this crate is **sans-IO**: an engine consumes one input
 //! (message arrival, disk completion, timer) and emits a list of
 //! [`Action`]s — messages to send, disk operations to start, timers to arm.
-//! It never blocks, sleeps or talks to a device. Two runtimes interpret the
-//! actions:
+//! It never blocks, sleeps or talks to a device. One [`host`] carries the
+//! actions out under every clock; a runtime supplies only its ports
+//! ([`Ports`]: clock, send, disk, timer):
 //!
 //! * the deterministic discrete-event simulator in `cx-cluster::des`
-//!   (reproduces the paper's figures), and
+//!   (reproduces the paper's figures),
 //! * the wall-clock runtime in `cx-cluster` (exercises the same engines
-//!   under real concurrency, over channels or TCP).
+//!   under real concurrency, over channels or TCP), and
+//! * [`testkit`]'s `Kit`.
 //!
 //! # Engines
 //!
@@ -25,7 +27,7 @@
 //! state machine that splits the operation by placement (Table I), collects
 //! responses and conflict hints, and drives L-COM / CLEAR / OpReq flows.
 //!
-//! [`testkit`] is a miniature zero-latency runtime used by this crate's own
+//! [`testkit`] is a miniature zero-latency runtime used by the protocol
 //! tests; it supports *held* messages so tests can create the paper's
 //! ordered and disordered conflict interleavings deterministically.
 
@@ -34,6 +36,7 @@ pub mod ce;
 mod chassis;
 pub mod client;
 pub mod cx;
+pub mod host;
 pub mod se;
 pub mod stats;
 pub mod testkit;
@@ -43,6 +46,7 @@ pub mod twopc;
 pub use action::{Action, Endpoint, ServerEngine};
 pub use client::{ClientDecision, ClientOp};
 pub use cx::CxServer;
+pub use host::{MsgCounts, Ports};
 pub use se::SeServer;
 pub use stats::{ProtoMetrics, ServerStats};
 pub use trigger::TriggerState;

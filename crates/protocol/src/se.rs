@@ -128,8 +128,6 @@ impl SeServer {
 }
 
 impl ServerEngine for SeServer {
-    fn on_start(&mut self, _now: SimTime, _out: &mut Vec<Action>) {}
-
     fn on_msg(&mut self, now: SimTime, _from: Endpoint, payload: Payload, out: &mut Vec<Action>) {
         match payload {
             Payload::SubOpReq {

@@ -5,7 +5,7 @@ use cx_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
 
 /// Counters every engine maintains. The message counts of Table IV are
-/// gathered by the runtime (which sees every `Action::Send`); these are the
+/// gathered by the engine host (which sees every `Action::Send`); these are the
 /// protocol-internal events the paper's sensitivity studies report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerStats {

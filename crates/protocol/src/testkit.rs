@@ -1,19 +1,22 @@
 //! A miniature deterministic runtime for protocol-level tests.
 //!
-//! Interprets engine [`Action`]s with zero network latency and instant
-//! disk, entirely synchronously. Its one special power is **holding**
-//! messages: a test can intercept messages matching a predicate and
-//! release them later, which is how the paper's ordered and disordered
-//! conflict interleavings (Figure 3) are constructed deterministically.
+//! Runs the engines through the [`crate::host`] with zero network latency
+//! and disk requests completed on the spot, entirely synchronously. Its
+//! one special power is **holding** messages: a test can intercept
+//! messages matching a predicate and release them later, which is how the
+//! paper's ordered and disordered conflict interleavings (Figure 3) are
+//! constructed deterministically.
 //!
-//! Timers are collected into a queue and fired manually via
+//! Timers are collected into a list and fired manually via
 //! [`Kit::fire_timers`], so tests control the passage of time.
 
 use crate::action::{Action, Endpoint, ServerEngine};
 use crate::client::{ClientDecision, ClientOp};
+use crate::host::{self, MsgCounts, Ports};
 use cx_mdstore::GlobalView;
+use cx_simio::DiskReq;
 use cx_types::{
-    ClusterConfig, FsOp, MsgKind, OpId, OpOutcome, Payload, Placement, ProcId, ServerId, SimTime,
+    ClusterConfig, FsOp, OpId, OpOutcome, Payload, Placement, ProcId, ServerId, SimTime,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -47,40 +50,62 @@ pub struct Kit {
     held: Vec<Envelope>,
     hold_filter: Option<HoldFilter>,
     pub timers: Vec<PendingTimer>,
-    pub msg_counts: HashMap<MsgKind, u64>,
+    pub msg_counts: MsgCounts,
     now: SimTime,
     next_seq: u64,
 }
 
+/// The kit's own ports: a queue with the hold filter in front, disk
+/// completed on the spot, timers into its list.
+impl Ports for Kit {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn sent(&mut self) -> &mut MsgCounts {
+        &mut self.msg_counts
+    }
+
+    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
+        let env = Envelope { from, to, payload };
+        if self.hold_filter.as_ref().is_some_and(|f| f(&env)) {
+            self.held.push(env);
+        } else {
+            self.queue.push_back(env);
+        }
+    }
+
+    fn disk(&mut self, _server: ServerId, req: DiskReq) -> Option<u64> {
+        Some(req.token())
+    }
+
+    fn set_timer(&mut self, node: Endpoint, token: u64, delay_ns: u64) {
+        self.timers.push(PendingTimer {
+            node,
+            token,
+            delay_ns,
+        });
+    }
+}
+
 impl Kit {
     pub fn new(cfg: ClusterConfig) -> Self {
-        let placement = Placement::new(cfg.servers);
-        let mut servers: Vec<Box<dyn ServerEngine>> = (0..cfg.servers)
-            .map(|i| crate::make_server(ServerId(i), &cfg))
-            .collect();
-        let mut boot = Vec::new();
-        for s in servers.iter_mut() {
-            s.on_start(SimTime::ZERO, &mut boot);
-        }
-        let mut kit = Self {
+        Self {
+            placement: Placement::new(cfg.servers),
+            servers: (0..cfg.servers)
+                .map(|i| crate::make_server(ServerId(i), &cfg))
+                .collect(),
             cfg,
-            placement,
-            servers,
             clients: HashMap::new(),
             outcomes: HashMap::new(),
             queue: VecDeque::new(),
             held: Vec::new(),
             hold_filter: None,
             timers: Vec::new(),
-            msg_counts: HashMap::new(),
+            msg_counts: MsgCounts::default(),
             now: SimTime::ZERO,
             next_seq: 0,
-        };
-        // interpret any boot actions (timers etc.)
-        for a in boot {
-            kit.interpret(Endpoint::Server(ServerId(0)), a);
         }
-        kit
     }
 
     /// Hold back every message matching `pred` until [`Kit::release_held`].
@@ -98,9 +123,7 @@ impl Kit {
 
     /// Release all held messages into the queue.
     pub fn release_held(&mut self) {
-        for env in std::mem::take(&mut self.held) {
-            self.queue.push_back(env);
-        }
+        self.queue.extend(self.held.drain(..));
     }
 
     /// Drop all held messages (e.g. in-flight traffic lost with a crash).
@@ -124,144 +147,81 @@ impl Kit {
         let mut out = Vec::new();
         let client = ClientOp::start(self.cfg.protocol, op_id, plan, &self.cfg.cx, &mut out);
         self.clients.insert(proc, client);
-        for a in out {
-            self.interpret(Endpoint::Proc(proc), a);
-        }
+        self.inject_actions(Endpoint::Proc(proc), out);
         op_id
     }
 
     /// Deliver queued messages until nothing moves.
     pub fn run(&mut self) {
         while let Some(env) = self.queue.pop_front() {
-            self.deliver(env);
-        }
-    }
-
-    /// Deliver at most one message; returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop_front() {
-            Some(env) => {
-                self.deliver(env);
-                true
-            }
-            None => false,
+            self.deliver(env.to, Input::Msg(env.from, env.payload));
         }
     }
 
     /// Fire every pending timer (in arming order) and drain the fallout.
     pub fn fire_timers(&mut self) {
-        let timers = std::mem::take(&mut self.timers);
-        for t in timers {
+        for t in std::mem::take(&mut self.timers) {
             self.now = SimTime(self.now.0 + t.delay_ns);
-            let mut out = Vec::new();
-            match t.node {
-                Endpoint::Server(s) => {
-                    self.servers[s.0 as usize].on_timer(self.now, t.token, &mut out)
-                }
-                Endpoint::Proc(p) => {
-                    if let Some(c) = self.clients.get_mut(&p) {
-                        let decision = c.on_timer(self.now, t.token, &mut out);
-                        self.note_decision(p, decision);
-                    }
-                }
-            }
-            for a in out {
-                self.interpret(t.node, a);
-            }
+            self.deliver(t.node, Input::Timer(t.token));
             self.run();
         }
     }
 
     /// Ask every server to quiesce (launch lazy commitments) and drain.
     pub fn quiesce(&mut self) {
-        for i in 0..self.servers.len() {
-            let mut out = Vec::new();
-            self.servers[i].quiesce(self.now, &mut out);
-            for a in out {
-                self.interpret(Endpoint::Server(ServerId(i as u32)), a);
-            }
-        }
-        self.run();
         // Quiescing can cascade (votes → decisions → acks); iterate.
-        for _ in 0..8 {
-            if self.servers.iter().all(|s| s.is_quiesced()) {
+        for round in 0..9 {
+            if round > 0 && self.servers.iter().all(|s| s.is_quiesced()) {
                 break;
             }
             for i in 0..self.servers.len() {
                 let mut out = Vec::new();
                 self.servers[i].quiesce(self.now, &mut out);
-                for a in out {
-                    self.interpret(Endpoint::Server(ServerId(i as u32)), a);
-                }
+                self.inject_actions(Endpoint::Server(ServerId(i as u32)), out);
             }
             self.run();
         }
     }
 
-    fn deliver(&mut self, env: Envelope) {
-        let mut out = Vec::new();
-        match env.to {
+    /// Hand `input` to the node at `at` — a server's engine, or a client's
+    /// op if it has one — and carry out what it asks for.
+    fn deliver(&mut self, at: Endpoint, input: Input) {
+        let (now, mut out) = (self.now, Vec::new());
+        match at {
             Endpoint::Server(s) => {
-                self.servers[s.0 as usize].on_msg(self.now, env.from, env.payload, &mut out);
+                let e = &mut self.servers[s.0 as usize];
+                match input {
+                    Input::Msg(from, payload) => e.on_msg(now, from, payload, &mut out),
+                    Input::Timer(token) => e.on_timer(now, token, &mut out),
+                }
             }
             Endpoint::Proc(p) => {
-                if let Some(c) = self.clients.get_mut(&p) {
-                    let decision = c.on_msg(self.now, env.from, env.payload, &mut out);
-                    self.note_decision(p, decision);
-                }
-            }
-        }
-        for a in out {
-            self.interpret(env.to, a);
-        }
-    }
-
-    fn note_decision(&mut self, proc: ProcId, decision: ClientDecision) {
-        if let ClientDecision::Done(outcome) = decision {
-            if let Some(c) = self.clients.get(&proc) {
-                self.outcomes.insert(c.op_id, outcome);
-            }
-        }
-    }
-
-    fn interpret(&mut self, from: Endpoint, action: Action) {
-        match action {
-            Action::Send { to, payload } => {
-                *self.msg_counts.entry(payload.kind()).or_insert(0) += 1;
-                let env = Envelope { from, to, payload };
-                if let Some(f) = &self.hold_filter {
-                    if f(&env) {
-                        self.held.push(env);
-                        return;
-                    }
-                }
-                self.queue.push_back(env);
-            }
-            // Instant disk: complete immediately, synchronously.
-            Action::Disk(req) => {
-                let Endpoint::Server(s) = from else {
+                let Some(c) = self.clients.get_mut(&p) else {
                     return;
                 };
-                let mut out = Vec::new();
-                self.servers[s.0 as usize].on_disk_done(self.now, req.token(), &mut out);
-                for a in out {
-                    self.interpret(from, a);
+                let decision = match input {
+                    Input::Msg(from, payload) => c.on_msg(now, from, payload, &mut out),
+                    Input::Timer(token) => c.on_timer(now, token, &mut out),
+                };
+                if let ClientDecision::Done(outcome) = decision {
+                    self.outcomes.insert(c.op_id, outcome);
                 }
             }
-            Action::SetTimer { token, delay_ns } => self.timers.push(PendingTimer {
-                node: from,
-                token,
-                delay_ns,
-            }),
         }
+        self.inject_actions(at, out);
     }
 
-    /// Feed externally produced actions (e.g. from a manual
-    /// `crash`/`recover` call on an engine) into the harness.
-    pub fn inject_actions(&mut self, from: Endpoint, actions: Vec<Action>) {
-        for a in actions {
-            self.interpret(from, a);
-        }
+    /// Carry out `from`'s actions — also ones produced outside the kit, e.g.
+    /// by a manual `crash`/`recover` call on an engine. The engines step
+    /// aside meanwhile, so the kit can serve as their ports.
+    pub fn inject_actions(&mut self, from: Endpoint, mut actions: Vec<Action>) {
+        let mut servers = std::mem::take(&mut self.servers);
+        let engine: Option<&mut dyn ServerEngine> = match from {
+            Endpoint::Server(s) => Some(servers[s.0 as usize].as_mut()),
+            Endpoint::Proc(_) => None,
+        };
+        host::carry_out(self, from, engine, &mut actions);
+        self.servers = servers;
     }
 
     /// Outcome of a finished operation.
@@ -275,6 +235,12 @@ impl Kit {
     }
 
     pub fn total_msgs(&self) -> u64 {
-        self.msg_counts.values().sum()
+        self.msg_counts.iter().map(|(_, n)| n).sum()
     }
+}
+
+/// One input to a node.
+enum Input {
+    Msg(Endpoint, Payload),
+    Timer(u64),
 }

@@ -55,9 +55,8 @@ impl<E> PartialEq for Scheduled<E> {
 impl<E> Eq for Scheduled<E> {}
 
 /// A deadline queue with the simulator's tie-break: entries pop in
-/// `(deadline, insertion order)`. The wall-clock runtime's server nodes
-/// use this so both runtimes fire same-deadline timers in the same
-/// order.
+/// `(deadline, insertion order)`. The wall-clock runtime's nodes use
+/// this so both runtimes fire same-deadline timers in the same order.
 pub struct TimerQueue<T> {
     heap: BinaryHeap<Scheduled<T>>,
     seq: u64,

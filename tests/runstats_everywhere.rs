@@ -2,8 +2,8 @@
 //! channel run and the loopback-socket run of one input all return a
 //! whole `RunStats` — one latency sample per op, a replay time, a
 //! throughput, the final namespace size — and a live run's registry ends
-//! up holding the end-of-run totals once, beside what the shepherds
-//! tapped per op.
+//! up holding the end-of-run totals once, beside what the client host's
+//! client table tapped per op.
 
 use cx_core::{
     run_trace, BatchTrigger, ClusterConfig, LiveMetrics, MetricRegistry, ObsSink, Protocol,
