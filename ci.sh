@@ -58,6 +58,12 @@ if [ "${1:-}" != "quick" ]; then
     step "figure 7 (Figure 7b read off the gauge stream)"
     cargo run -q --release -p cx-bench --bin figure7_log_size > /dev/null
 
+    # Table V's crash is a one-crash fault plan: every row runs under the
+    # durability oracle, which the harness asserts reports nothing
+    # (default scale, a few seconds).
+    step "table V (crash at a valid-record volume, under the oracle)"
+    cargo run -q --release -p cx-bench --bin table5_recovery > /dev/null
+
     # Doctor smoke (DESIGN.md §11): the blame engine must decompose the
     # home2 report with exact per-op segment sums (cx-obs doctor re-derives
     # every op's blame and fails loudly on a broken sum), and a deliberately

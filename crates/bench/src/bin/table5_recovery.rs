@@ -12,7 +12,7 @@
 //! increase costs < 3× the time, because resumption is batched.
 
 use cx_bench::{print_table, write_json, Args};
-use cx_core::RecoveryExperiment;
+use cx_chaos::RecoveryExperiment;
 
 const PAPER: [(u64, f64); 6] = [
     (5, 3.0),

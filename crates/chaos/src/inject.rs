@@ -101,8 +101,17 @@ impl FaultInjector for PlanInjector {
                         server,
                         family: f,
                         nth: n,
+                        ..
                     },
                 ) => server == c.server && f == family && n == nth,
+                (
+                    CrashPoint::ValidBytes { at_least },
+                    FaultEvent::WalAppend {
+                        server,
+                        valid_bytes,
+                        ..
+                    },
+                ) => server == c.server && valid_bytes >= at_least,
                 (
                     CrashPoint::WalDurable { family, nth },
                     FaultEvent::WalDurable {

@@ -7,8 +7,8 @@
 //! * [`FaultPlan`] — declarative schedules: drop/duplicate/delay the Nth
 //!   message of a kind between servers, timed partition windows, and
 //!   multi-crash schedules keyed on protocol events (append/flush of a
-//!   WAL record family, a message delivery, a write-back), optionally
-//!   with torn log tails.
+//!   WAL record family, a message delivery, a write-back, a valid-record
+//!   volume reached), optionally with torn log tails.
 //! * [`PlanInjector`] — interprets a plan against the DES hooks and runs
 //!   the [`oracle`] after every recovery: every acked operation survives
 //!   crash + recovery, aborted operations leave no partial state, and the
@@ -16,6 +16,8 @@
 //! * [`explore`] — seeded random schedule search over a budget of seeds;
 //!   failing schedules are greedily shrunk and emitted as replayable
 //!   repro files (seed + scenario + plan as JSON).
+//! * [`RecoveryExperiment`] — Table V (§IV-E): one crash at a target
+//!   valid-record volume, its recovery timed, the run under the oracle.
 //!
 //! ```text
 //! cargo run -p cx-chaos --release -- --seeds 200
@@ -33,4 +35,7 @@ pub use explore::{explore, generate_plan, shrink, ExploreOutcome};
 pub use inject::PlanInjector;
 pub use oracle::{check_snapshot, ModelFs};
 pub use plan::{CrashFault, CrashPoint, FaultPlan, NetAction, NetFault, Partition};
-pub use runner::{run_plan, run_plan_flight, run_plan_obs, ChaosRun, ChaosScenario, Repro};
+pub use runner::{
+    run_plan, run_plan_flight, run_plan_obs, ChaosRun, ChaosScenario, RecoveryExperiment,
+    RecoveryRow, Repro,
+};

@@ -66,6 +66,11 @@ pub enum CrashPoint {
     Deliver { kind: MsgKind, nth: u64 },
     /// After the server's `nth` database write-back batch.
     Writeback { nth: u64 },
+    /// After the first append that leaves the server holding at least
+    /// `at_least` bytes of valid records (Table V: "we killed the
+    /// processes on a server after it has accepted a specific size of
+    /// valid-records").
+    ValidBytes { at_least: u64 },
 }
 
 /// Crash `server` at `point`, with an optional torn log tail, and reboot

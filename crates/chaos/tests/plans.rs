@@ -9,9 +9,14 @@
 
 mod regression_plans;
 
-use cx_chaos::{run_plan, shrink, ChaosScenario, CrashPoint, FaultPlan, NetAction, NetFault};
-use cx_types::{MsgKind, Protocol, ServerId};
+use cx_chaos::{
+    run_plan, shrink, ChaosScenario, CrashFault, CrashPoint, FaultPlan, NetAction, NetFault,
+    PlanInjector,
+};
+use cx_cluster::{ChaosOutcome, DesCluster};
+use cx_types::{BatchTrigger, ClusterConfig, MsgKind, Protocol, ServerId, DUR_MS};
 use cx_wal::RecordFamily;
+use cx_workloads::{TraceBuilder, TraceProfile};
 use regression_plans::*;
 
 fn scenario() -> ChaosScenario {
@@ -156,4 +161,60 @@ fn every_regression_plan_replays_to_identical_digest() {
             "{name}"
         );
     }
+}
+
+/// home2 at `scale` under Cx with lazy commitments suppressed, `server`
+/// crashing once it holds `at_least` bytes of valid records.
+fn valid_bytes_crash(scale: f64, server: u32, at_least: u64, delay_ms: (u64, u64)) -> ChaosOutcome {
+    let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
+        .scale(scale)
+        .tweak(|p| p.shared_access_prob = 0.0)
+        .build();
+    let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+    cfg.cx.trigger = BatchTrigger::Never;
+    cfg.cx.log_limit_bytes = None;
+    let plan = FaultPlan {
+        crashes: vec![CrashFault {
+            server: ServerId(server),
+            point: CrashPoint::ValidBytes { at_least },
+            torn_extra_bytes: 0,
+            detection_ns: delay_ms.0 * DUR_MS,
+            reboot_ns: delay_ms.1 * DUR_MS,
+        }],
+        ..FaultPlan::default()
+    };
+    let injector = PlanInjector::with_seeds(plan, &trace.seeds);
+    DesCluster::new(cfg, &trace)
+        .with_injector(Box::new(injector))
+        .run_chaos()
+}
+
+/// The Table V trigger: the crash fires at the first append that takes
+/// the victim past the target volume, and the recovery is timed.
+#[test]
+fn valid_bytes_crash_triggers_at_the_target() {
+    let outcome = valid_bytes_crash(0.01, 2, 40 << 10, (50, 20));
+    let cycle = outcome
+        .stats
+        .recovery_cycles
+        .first()
+        .expect("40 KB accumulates; one completed cycle");
+    assert_eq!(cycle.server, ServerId(2));
+    assert!(cycle.valid_bytes_at_crash >= 40 << 10);
+    assert!(cycle.recovery_started.since(cycle.crashed_at) >= 70 * DUR_MS);
+    assert!(cycle.recovery_finished > cycle.recovery_started);
+    assert!(cycle.scanned_bytes > 0);
+}
+
+#[test]
+fn valid_bytes_crash_is_deterministic() {
+    let run = || valid_bytes_crash(0.008, 0, 20 << 10, (10, 10));
+    let (a, b) = (run(), run());
+    let (a, b) = (
+        a.stats.recovery_cycles.first().expect("20 KB accumulates"),
+        b.stats.recovery_cycles.first().expect("20 KB accumulates"),
+    );
+    assert_eq!(a.crashed_at, b.crashed_at);
+    assert_eq!(a.recovery_finished, b.recovery_finished);
+    assert_eq!(a.scanned_bytes, b.scanned_bytes);
 }

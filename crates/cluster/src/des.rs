@@ -20,16 +20,14 @@
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::feed::{ClientTable, History, OpFeed};
 use crate::seed::seed_stores;
-use crate::stats::{AckRecord, FaultStats, RecoveryCycle, RunStats};
+use crate::stats::{FaultStats, RecoveryCycle, RunStats};
 use cx_mdstore::{GlobalView, Violation};
 use cx_obs::{FlightEvent, FlightRecorder, GaugeKind, ObsSink};
 use cx_protocol::host::{self, flow_node, primary_op, MsgCounts, Ports};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
 use cx_sim::{FifoResource, Sim};
 use cx_simio::{Batch, Disk, DiskReq};
-use cx_types::{
-    ClusterConfig, FsOp, NetConfig, OpId, Payload, Placement, ServerId, SimTime, DUR_US,
-};
+use cx_types::{ClusterConfig, NetConfig, Payload, Placement, ServerId, SimTime, DUR_US};
 use cx_wal::RecordFamily;
 use cx_workloads::{StreamTrace, Trace};
 
@@ -87,36 +85,6 @@ enum Ev {
     },
 }
 
-/// When and how to crash a server mid-run (the Table V experiment).
-#[derive(Debug, Clone, Copy)]
-pub struct CrashPlan {
-    pub server: ServerId,
-    /// Crash once this server's valid-record volume reaches this size.
-    pub valid_bytes_target: u64,
-    /// Failure-detection delay before the reboot begins (§III-D: "the
-    /// recovery process for node starts when the failure detection
-    /// subsystem confirms a crash").
-    pub detection_ns: u64,
-    /// Process/OS restart time before the log scan starts.
-    pub reboot_ns: u64,
-}
-
-/// The crash/recovery cycles a run observed. The one-shot Table V
-/// experiment reads `cycles[0]`; multi-crash chaos schedules accumulate
-/// several (possibly for several servers).
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
-    /// Completed cycles, in completion order.
-    pub cycles: Vec<RecoveryCycle>,
-}
-
-impl RecoveryReport {
-    /// The first completed cycle (the single-crash experiments' result).
-    pub fn first(&self) -> Option<&RecoveryCycle> {
-        self.cycles.first()
-    }
-}
-
 /// Everything a fault-injected run reports (see [`DesCluster::run_chaos`]).
 pub struct ChaosOutcome {
     pub stats: RunStats,
@@ -128,10 +96,6 @@ pub struct ChaosOutcome {
     pub oracle_report: Vec<String>,
     /// Whether every server drained all pending protocol state.
     pub quiesced: bool,
-    /// Client-acked operations, in ack order.
-    pub acks: Vec<AckRecord>,
-    /// Every operation issued (acked or not).
-    pub issued: Vec<(OpId, FsOp)>,
 }
 
 /// Per-server liveness during a run with crashes.
@@ -170,11 +134,6 @@ pub struct DesCluster {
     /// Servers currently Down or Recovering; fast skip of the per-event
     /// recovery-completion scan.
     in_fault: u32,
-    /// The legacy volume-triggered crash (Table V experiment).
-    legacy_plan: Option<CrashPlan>,
-    /// Stop the event loop at the first completed recovery cycle
-    /// (`run_recovery_experiment` semantics).
-    stop_after_first_cycle: bool,
     /// Crash requested by the injector during the current event; executed
     /// once the event finishes dispatching (first request wins).
     pending_crash: Option<CrashCmd>,
@@ -267,8 +226,6 @@ impl DesCluster {
             max_events,
             phases: vec![SrvPhase::Up; n],
             in_fault: 0,
-            legacy_plan: None,
-            stop_after_first_cycle: false,
             pending_crash: None,
             wal_appended_seen: vec![[0; RecordFamily::COUNT]; n],
             wal_durable_seen: vec![[0; RecordFamily::COUNT]; n],
@@ -296,15 +253,6 @@ impl DesCluster {
         self
     }
 
-    /// Arm a crash: the run will kill `plan.server` once its valid-record
-    /// volume reaches the target, reboot it after the detection delay, and
-    /// time the recovery (Table V: "we killed the processes on a server
-    /// after it has accepted a specific size of valid-records").
-    pub fn with_crash(mut self, plan: CrashPlan) -> Self {
-        self.legacy_plan = Some(plan);
-        self
-    }
-
     /// Install a fault injector. Message sends and protocol events route
     /// through it, and the per-op issue/ack logs the oracle needs are
     /// recorded. Use [`DesCluster::run_chaos`] afterwards.
@@ -325,25 +273,6 @@ impl DesCluster {
             self.ports
                 .sim
                 .schedule(p as u64 * 2 * DUR_US, 0, Ev::ProcIssue { proc: p as u32 });
-        }
-    }
-
-    /// Run until the armed crash has fully recovered; returns the timing
-    /// report (None if the workload never produced enough valid records).
-    pub fn run_recovery_experiment(mut self) -> Option<RecoveryReport> {
-        assert!(
-            self.legacy_plan.is_some(),
-            "arm a crash with with_crash first"
-        );
-        self.stop_after_first_cycle = true;
-        self.boot();
-        self.event_loop();
-        if self.stats.recovery_cycles.is_empty() {
-            None
-        } else {
-            Some(RecoveryReport {
-                cycles: self.stats.recovery_cycles.clone(),
-            })
         }
     }
 
@@ -424,14 +353,11 @@ impl DesCluster {
             self.stats.faults.oracle_violations += v;
             oracle_report = inj.take_report();
         }
-        let History { acks, issued } = self.clients.history.take().unwrap_or_default();
         ChaosOutcome {
             stats: self.stats,
             violations,
             oracle_report,
             quiesced,
-            acks,
-            issued,
         }
     }
 
@@ -446,9 +372,6 @@ impl DesCluster {
                 self.fire_pending_crash();
             }
             self.check_fault_progress();
-            if self.stop_after_first_cycle && !self.stats.recovery_cycles.is_empty() {
-                break;
-            }
             if self.ports.sim.events_processed() > self.max_events {
                 // hang protection: record and bail
                 self.stats.ops_stuck = self.clients.unfinished();
@@ -612,30 +535,13 @@ impl DesCluster {
         }
     }
 
-    /// Crash bookkeeping, checked after every event: fire the legacy
-    /// volume-triggered plan, and detect recovery completions.
+    /// Crash bookkeeping, checked after every event: detect recovery
+    /// completions.
     fn check_fault_progress(&mut self) {
-        let now = self.ports.sim.now();
-        if let Some(plan) = self.legacy_plan {
-            let idx = plan.server.0 as usize;
-            if matches!(self.phases[idx], SrvPhase::Up)
-                && self.servers[idx].valid_log_bytes() >= plan.valid_bytes_target
-            {
-                self.legacy_plan = None;
-                self.crash_server(
-                    now,
-                    CrashCmd {
-                        server: plan.server,
-                        torn_extra_bytes: 0,
-                        detection_ns: plan.detection_ns,
-                        reboot_ns: plan.reboot_ns,
-                    },
-                );
-            }
-        }
         if self.in_fault == 0 {
             return;
         }
+        let now = self.ports.sim.now();
         for idx in 0..self.servers.len() {
             let SrvPhase::Recovering {
                 crashed_at,
@@ -734,6 +640,7 @@ impl DesCluster {
             let server = ServerId(idx as u32);
             if let Some(w) = self.servers[idx].wal() {
                 let (ap, du) = (w.appended_counts(), w.durable_counts());
+                let valid_bytes = w.valid_bytes();
                 for family in RecordFamily::ALL {
                     let i = family.index();
                     while self.wal_appended_seen[idx][i] < ap[i] {
@@ -745,6 +652,7 @@ impl DesCluster {
                                 server,
                                 family,
                                 nth,
+                                valid_bytes,
                             },
                         );
                     }

@@ -42,10 +42,13 @@ pub enum FaultEvent {
     Deliver { server: ServerId, kind: MsgKind },
     /// The `nth` (1-based, cumulative) record of `family` was appended to
     /// `server`'s log (volatile — between VOTE and COMMIT-REQ lives here).
+    /// `valid_bytes` is the server's valid-record volume once the event
+    /// that appended it finished (Table V's crash trigger).
     WalAppend {
         server: ServerId,
         family: RecordFamily,
         nth: u64,
+        valid_bytes: u64,
     },
     /// The `nth` record of `family` became durable on `server`.
     WalDurable {
@@ -82,72 +85,30 @@ pub struct ClusterSnapshot<'a> {
     pub issued: &'a [(OpId, FsOp)],
 }
 
-/// The DES-side fault hook. All methods default to "no fault" so a unit
-/// implementation behaves exactly like an uninstrumented run.
+/// The DES-side fault hook: the only way a DES server crashes.
 pub trait FaultInjector {
     /// Called once per message send, before the network model.
-    fn on_send(
-        &mut self,
-        _now: SimTime,
-        _from: Endpoint,
-        _to: Endpoint,
-        _kind: MsgKind,
-    ) -> MsgFate {
-        MsgFate::Deliver
-    }
+    fn on_send(&mut self, now: SimTime, from: Endpoint, to: Endpoint, kind: MsgKind) -> MsgFate;
 
     /// Called for every protocol-visible event; returning a [`CrashCmd`]
     /// kills the named server at the current virtual time.
-    fn on_event(&mut self, _now: SimTime, _ev: &FaultEvent) -> Option<CrashCmd> {
-        None
-    }
+    fn on_event(&mut self, now: SimTime, ev: &FaultEvent) -> Option<CrashCmd>;
 
     /// Oracle hook: called when a crashed server finishes its recovery.
     /// Returns the number of correctness violations detected.
     fn on_recovery_complete(
         &mut self,
-        _now: SimTime,
-        _server: ServerId,
-        _snap: ClusterSnapshot<'_>,
-    ) -> u64 {
-        0
-    }
+        now: SimTime,
+        server: ServerId,
+        snap: ClusterSnapshot<'_>,
+    ) -> u64;
 
     /// Final oracle pass over the drained cluster. `quiesced` tells the
     /// oracle whether whole-namespace invariants may be asserted (a
     /// non-quiesced cluster legitimately holds half-committed state).
-    fn on_run_end(&mut self, _now: SimTime, _quiesced: bool, _snap: ClusterSnapshot<'_>) -> u64 {
-        0
-    }
+    fn on_run_end(&mut self, now: SimTime, quiesced: bool, snap: ClusterSnapshot<'_>) -> u64;
 
     /// Drain human-readable descriptions of every violation the oracle
     /// recorded (for repro files and test assertions).
-    fn take_report(&mut self) -> Vec<String> {
-        Vec::new()
-    }
-}
-
-/// The trivial injector: no faults, no oracle.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_hooks_are_inert() {
-        let mut inj = NoFaults;
-        let now = SimTime::ZERO;
-        let ep = Endpoint::Server(ServerId(0));
-        assert_eq!(inj.on_send(now, ep, ep, MsgKind::Vote), MsgFate::Deliver);
-        let ev = FaultEvent::Deliver {
-            server: ServerId(0),
-            kind: MsgKind::Vote,
-        };
-        assert_eq!(inj.on_event(now, &ev), None);
-        assert_eq!(inj.take_report(), Vec::<String>::new());
-    }
+    fn take_report(&mut self) -> Vec<String>;
 }

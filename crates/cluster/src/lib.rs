@@ -32,8 +32,8 @@ mod wall;
 
 pub use cx_net::WireTotals;
 pub use cx_obs::{FlightRecorder, MetricRegistry, ObsConfig, ObsReport, ObsSink};
-pub use des::{run_stream_trace, run_trace, ChaosOutcome, CrashPlan, DesCluster, RecoveryReport};
-pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate, NoFaults};
+pub use des::{run_stream_trace, run_trace, ChaosOutcome, DesCluster};
+pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 pub use feed::OpFeed;
 pub use live::LiveMetrics;
 pub use stats::{AckRecord, FaultStats, LatencyStat, RecoveryCycle, RunStats};

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Timing of one crash/recovery cycle. Multi-crash schedules accumulate a
-/// `Vec` of these (the one-shot Table V experiment reads `cycles[0]`).
+/// `Vec` of these (the one-crash Table V experiment reads the first).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryCycle {
     pub server: ServerId,

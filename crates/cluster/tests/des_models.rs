@@ -1,10 +1,10 @@
 //! Tests of the simulation's physical models: network latency, CPU
-//! queueing, disk timing, message accounting, and crash scheduling.
+//! queueing, disk timing and message accounting.
 
-use cx_cluster::des::{run_trace, CrashPlan, DesCluster};
+use cx_cluster::des::{run_trace, DesCluster};
 use cx_cluster::ObsSink;
 use cx_obs::GaugeKind;
-use cx_types::{BatchTrigger, ClusterConfig, Protocol, ServerId, DUR_MS, DUR_US};
+use cx_types::{BatchTrigger, ClusterConfig, Protocol, DUR_MS, DUR_US};
 use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
 
 fn small_trace() -> Trace {
@@ -106,59 +106,6 @@ fn timeline_is_time_ordered() {
     }
     let busiest = series.iter().map(|&(_, _, max)| max).max();
     assert_eq!(busiest, Some(stats.peak_valid_bytes));
-}
-
-#[test]
-fn crash_plan_triggers_at_the_target() {
-    let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
-        .scale(0.01)
-        .tweak(|p| p.shared_access_prob = 0.0)
-        .build();
-    let mut cfg = ClusterConfig::new(4, Protocol::Cx);
-    cfg.cx.trigger = BatchTrigger::Never;
-    cfg.cx.log_limit_bytes = None;
-    let report = DesCluster::new(cfg, &trace)
-        .with_crash(CrashPlan {
-            server: ServerId(2),
-            valid_bytes_target: 40 << 10,
-            detection_ns: 50 * DUR_MS,
-            reboot_ns: 20 * DUR_MS,
-        })
-        .run_recovery_experiment()
-        .expect("40 KB accumulates");
-    let cycle = report.first().expect("one completed cycle");
-    assert_eq!(cycle.server, ServerId(2));
-    assert!(cycle.valid_bytes_at_crash >= 40 << 10);
-    assert!(cycle.recovery_started.since(cycle.crashed_at) >= 70 * DUR_MS);
-    assert!(cycle.recovery_finished > cycle.recovery_started);
-    assert!(cycle.scanned_bytes > 0);
-}
-
-#[test]
-fn recovery_experiment_is_deterministic() {
-    let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
-        .scale(0.008)
-        .tweak(|p| p.shared_access_prob = 0.0)
-        .build();
-    let run = || {
-        let mut cfg = ClusterConfig::new(4, Protocol::Cx);
-        cfg.cx.trigger = BatchTrigger::Never;
-        cfg.cx.log_limit_bytes = None;
-        DesCluster::new(cfg, &trace)
-            .with_crash(CrashPlan {
-                server: ServerId(0),
-                valid_bytes_target: 20 << 10,
-                detection_ns: 10 * DUR_MS,
-                reboot_ns: 10 * DUR_MS,
-            })
-            .run_recovery_experiment()
-            .expect("20 KB accumulates")
-    };
-    let (a, b) = (run(), run());
-    let (a, b) = (a.first().unwrap(), b.first().unwrap());
-    assert_eq!(a.crashed_at, b.crashed_at);
-    assert_eq!(a.recovery_finished, b.recovery_finished);
-    assert_eq!(a.scanned_bytes, b.scanned_bytes);
 }
 
 #[test]

@@ -37,15 +37,14 @@
 //! | `cx-simio` | disk model: group commit, elevator merging |
 //! | `cx-cluster` | deterministic simulation + threaded + TCP runtimes |
 //! | `cx-workloads` | the six Table II trace profiles + Metarates |
-//! | `cx-recovery` | the Table V crash/recovery experiment |
+//! | `cx-chaos` | fault plans, the durability oracle, the Table V crash/recovery experiment |
 
 use serde::Serialize;
 
 pub use cx_cluster::{
     des::run_trace, run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd,
-    CrashPlan, DesCluster, FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics,
-    MsgFate, RecoveryCycle, RecoveryReport, RunStats, TcpCluster, TcpOptions, TcpRunResult,
-    ThreadedCluster, WireTotals,
+    DesCluster, FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics, MsgFate,
+    RecoveryCycle, RunStats, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster, WireTotals,
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{
@@ -53,7 +52,6 @@ pub use cx_obs::{
     MetricsSnapshot, ObsConfig, ObsReport, ObsSink, Phase, StuckOp,
 };
 pub use cx_protocol::{ClientOp, CxServer, ProtoMetrics, ServerEngine, ServerStats};
-pub use cx_recovery::{table5_sweep, RecoveryExperiment, RecoveryRow};
 pub use cx_types::{
     BatchTrigger, ClusterConfig, CxConfig, DiskConfig, FsOp, MsgKind, NetConfig, OpClass,
     OpOutcome, Placement, Protocol, SimTime, DUR_MS, DUR_SEC, DUR_US,

@@ -12,7 +12,7 @@
 //! re-voting where it coordinated, querying the coordinator where it
 //! participated.
 
-use cx_core::RecoveryExperiment;
+use cx_chaos::RecoveryExperiment;
 
 fn main() {
     println!("crash/recovery drill on 8 servers (home2-style workload)\n");

@@ -1,6 +1,7 @@
 //! Reproducibility and crash-recovery, end to end.
 
-use cx_core::{Experiment, Protocol, RecoveryExperiment, Workload};
+use cx_chaos::RecoveryExperiment;
+use cx_core::{Experiment, Protocol, Workload};
 
 /// The whole pipeline is deterministic: identical configuration →
 /// identical statistics, across protocols.
