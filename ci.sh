@@ -150,9 +150,10 @@ if [ "${1:-}" != "quick" ]; then
     # suite's admission case and its thread census on both carriers (plus
     # its deaf peer and mutual flood), the read-path suite, cx-net's
     # rapid_reconnects_stay_fifo and kill_mid_corked_batch_stays_lossless_
-    # and_fifo, cx-cluster's faulty.rs on both carriers, and the
-    # multi-process smoke above, where every cx_net_server serves on its
-    # loop.
+    # and_fifo, cx-cluster's faulty.rs on both carriers (message faults
+    # decided by the engine host, late sends waiting in each node's timer
+    # queue: no thread per held frame), and the multi-process smoke above,
+    # where every cx_net_server serves on its loop.
     step "cx-cluster + cx-net + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster

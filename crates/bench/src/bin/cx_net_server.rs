@@ -12,16 +12,22 @@
 
 use cx_bench::NetServerConfig;
 use cx_types::ServerId;
+use std::fmt::Display;
 use std::io::Write;
 
+/// A bad config or a server that cannot run: one line on stderr, exit 1.
+fn fail(why: impl Display) -> ! {
+    eprintln!("cx_net_server: {why}");
+    std::process::exit(1)
+}
+
 fn main() {
-    let args = cx_bench::Args::parse();
-    let path: String = args
-        .value("--config")
-        .expect("usage: cx_net_server --config <file.json>");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let Some(path) = std::env::args().skip_while(|a| a != "--config").nth(1) else {
+        fail("usage: cx_net_server --config <file.json>");
+    };
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
     let nsc: NetServerConfig =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e:?}"));
+        serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("parse {path}: {e:?}")));
     let opts = cx_cluster::ServeOptions {
         obs: nsc.obs,
         net: cx_net::PlaneConfig {
@@ -30,11 +36,16 @@ fn main() {
         },
         metrics_out: nsc.metrics_out.clone().map(Into::into),
     };
-    cx_cluster::serve_one_opts(&nsc.cfg, ServerId(nsc.me), &nsc.seeds, opts, |addr| {
+    let served = cx_cluster::serve_one_opts(&nsc.cfg, ServerId(nsc.me), &nsc.seeds, opts, |addr| {
         // The coordinator blocks on this line; stdout is block-buffered
-        // when piped, so flush explicitly.
-        println!("LISTEN {addr}");
-        std::io::stdout().flush().expect("flush LISTEN line");
-    })
-    .unwrap_or_else(|e| panic!("server {} failed: {e}", nsc.me));
+        // when piped, so flush explicitly. A server nobody can find has
+        // nothing to serve.
+        let mut out = std::io::stdout().lock();
+        if let Err(e) = writeln!(out, "LISTEN {addr}").and_then(|()| out.flush()) {
+            fail(format!("LISTEN line: {e}"));
+        }
+    });
+    if let Err(e) = served {
+        fail(format!("server {} failed: {e}", nsc.me));
+    }
 }

@@ -5,8 +5,9 @@
 //! client nodes running synchronous processes. Its ports for the engine
 //! host ([`cx_protocol::host`]), which carries the engines' actions out:
 //!
-//! * send → the fault injector, if any, then arrival after `one_way +
-//!   size/bandwidth`; at the server the message waits in the CPU queue (a
+//! * fate → the fault injector's verdict, if one is installed.
+//! * send → arrival after `one_way + size/bandwidth`, plus the lateness the
+//!   host passes on; at the server the message waits in the CPU queue (a
 //!   [`FifoResource`]) before handling.
 //! * disk → the request is submitted as is to the server's [`Disk`],
 //!   which group-commits appends and elevator-merges write-back pages.
@@ -23,11 +24,11 @@ use crate::seed::seed_stores;
 use crate::stats::{FaultStats, RecoveryCycle, RunStats};
 use cx_mdstore::{GlobalView, Violation};
 use cx_obs::{FlightEvent, FlightRecorder, GaugeKind, ObsSink};
-use cx_protocol::host::{self, flow_node, primary_op, MsgCounts, Ports};
+use cx_protocol::host::{self, flow_node, primary_op, Lateness, MsgCounts, Ports};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
 use cx_sim::{FifoResource, Sim};
 use cx_simio::{Batch, Disk, DiskReq};
-use cx_types::{ClusterConfig, NetConfig, Payload, Placement, ServerId, SimTime, DUR_US};
+use cx_types::{ClusterConfig, MsgKind, NetConfig, Payload, Placement, ServerId, SimTime, DUR_US};
 use cx_wal::RecordFamily;
 use cx_workloads::{StreamTrace, Trace};
 
@@ -148,16 +149,17 @@ pub struct DesCluster {
     scratch: Vec<Action>,
 }
 
-/// The DES's ports for the engine host: a send crosses the network model
-/// (and the fault injector) as events, a disk request goes to the
-/// server's modelled [`Disk`], a timer is an event.
+/// The DES's ports for the engine host: a send's fate is the fault
+/// injector's, a send crosses the network model as events, a disk request
+/// goes to the server's modelled [`Disk`], a timer is an event.
 struct DesPorts {
     sim: Sim<Ev>,
     disks: Vec<Disk>,
     net: NetConfig,
     /// The fault plane; `None` on uninstrumented runs.
     injector: Option<Box<dyn FaultInjector>>,
-    /// The run's fault counters, until `finalize` hands them over.
+    /// The run's crash, recovery and oracle counters, until `finalize`
+    /// hands them over; the host counts message faults in `sent`.
     faults: FaultStats,
     /// Observability sink. `Off` (the default) makes every emission a
     /// single-branch no-op; recording never schedules events or touches
@@ -708,8 +710,8 @@ impl DesCluster {
     }
 
     fn finalize(&mut self) {
-        self.stats.set_msgs(&self.ports.sent);
         self.stats.faults = self.ports.faults;
+        self.stats.set_msgs(&self.ports.sent);
         // Structured hang diagnostics: the recorder's live-op map names the
         // exact stalled phase for every op still short of its reply.
         self.stats.stuck_ops = self.ports.obs.stuck_report();
@@ -758,35 +760,19 @@ impl Ports for DesPorts {
         &mut self.sent
     }
 
-    /// Latency is `one_way + size/bandwidth`, plus what the injector
-    /// decides; at a server the message then waits in the CPU queue.
-    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
+    fn fate(&mut self, from: Endpoint, to: Endpoint, kind: MsgKind) -> MsgFate {
+        match self.injector.as_mut() {
+            Some(inj) => inj.on_send(self.sim.now(), from, to, kind),
+            None => MsgFate::Deliver,
+        }
+    }
+
+    /// Latency is `one_way + size/bandwidth`, plus what the fault added;
+    /// at a server the message then waits in the CPU queue.
+    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload, late: Lateness) {
         let bytes = payload.size_bytes() as u64;
         let latency = self.net.one_way_ns + (bytes * 1_000_000_000) / self.net.bandwidth_bps.max(1);
-        let (mut extra_ns, mut hold_ns) = (0, 0);
-        if let Some(inj) = self.injector.as_mut() {
-            match inj.on_send(self.sim.now(), from, to, payload.kind()) {
-                MsgFate::Deliver => {}
-                MsgFate::Drop => {
-                    self.faults.drops += 1;
-                    return;
-                }
-                MsgFate::Delay(ns) => {
-                    self.faults.delays += 1;
-                    extra_ns = ns;
-                }
-                MsgFate::Duplicate(ns) => {
-                    self.faults.dups += 1;
-                    // the one remaining payload clone: duplication faults
-                    self.deliver(from, to, payload.clone(), latency + ns, 0);
-                }
-                MsgFate::ExecDelay(ns) => {
-                    self.faults.delays += 1;
-                    hold_ns = ns;
-                }
-            }
-        }
-        self.deliver(from, to, payload, latency + extra_ns, hold_ns);
+        self.deliver(from, to, payload, latency + late.wire_ns, late.hold_ns);
     }
 
     /// The modelled disk group-commits appends and elevator-merges

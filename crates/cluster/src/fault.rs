@@ -1,36 +1,27 @@
-//! Fault-injection hooks for the DES runtime.
+//! The fault plane's hook, [`FaultInjector`], at its two choke points, so
+//! the protocol engines contain zero fault code and every protocol runs
+//! under the same plans:
 //!
-//! The whole fault plane hangs off exactly two choke points — message
-//! delivery ([`FaultInjector::on_send`]) and the WAL append/flush path
-//! (surfaced as [`FaultEvent`]s diffed from the per-family log counters) —
-//! so the protocol engines contain zero fault code and every protocol runs
-//! under the same plans. The `cx-chaos` crate implements the trait; the
-//! DES only calls it.
+//! * **Message sends**, on every runtime: the engine host
+//!   (`cx_protocol::host::carry_out`) asks its port for each send's
+//!   [`MsgFate`], and a port with an injector asks
+//!   [`FaultInjector::on_send`].
+//! * **Crashes and the oracle**, on the DES: its WAL append/flush path is
+//!   surfaced as [`FaultEvent`]s diffed from the per-family log counters,
+//!   [`FaultInjector::on_event`] answers with a [`CrashCmd`], and the
+//!   oracle hooks judge the cluster after each recovery and at the end.
+//!
+//! The `cx-chaos` crate implements the trait from a fault plan.
 
 use crate::stats::AckRecord;
 use cx_mdstore::MetaStore;
 use cx_protocol::Endpoint;
 use cx_types::{FsOp, MsgKind, OpId, ServerId, SimTime};
 use cx_wal::RecordFamily;
+use parking_lot::Mutex;
+use std::sync::Arc;
 
-/// What happens to one message at the send choke point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgFate {
-    /// Deliver normally.
-    Deliver,
-    /// Silently discard the message.
-    Drop,
-    /// Deliver `ns` later than the network model would.
-    Delay(u64),
-    /// Deliver normally and again `ns` after the first copy.
-    Duplicate(u64),
-    /// The message arrives on time, but the receiver sits on it for `ns`
-    /// before handling — a slow *participant*, not a slow link. The
-    /// traced `MsgEdge` keeps the true wire arrival, so blame attribution
-    /// charges the stall to the receiver's execution segment rather than
-    /// the hop's network transit (which is what [`MsgFate::Delay`] does).
-    ExecDelay(u64),
-}
+pub use cx_protocol::host::MsgFate;
 
 /// A protocol-visible event the injector can key crash points on. WAL
 /// events are derived by diffing each server's per-family append/durable
@@ -85,9 +76,11 @@ pub struct ClusterSnapshot<'a> {
     pub issued: &'a [(OpId, FsOp)],
 }
 
-/// The DES-side fault hook: the only way a DES server crashes.
+/// The fault hook: every runtime asks it for a send's fate; on the DES it
+/// is also the only way a server crashes.
 pub trait FaultInjector {
-    /// Called once per message send, before the network model.
+    /// Called once per message send, after the send is counted and before
+    /// the message leaves.
     fn on_send(&mut self, now: SimTime, from: Endpoint, to: Endpoint, kind: MsgKind) -> MsgFate;
 
     /// Called for every protocol-visible event; returning a [`CrashCmd`]
@@ -112,3 +105,7 @@ pub trait FaultInjector {
     /// recorded (for repro files and test assertions).
     fn take_report(&mut self) -> Vec<String>;
 }
+
+/// One injector shared by every node of a wall-clock run, so a fault keyed
+/// on "the first `Vote`" counts sends cluster-wide, as the DES does.
+pub(crate) type SharedInjector = Arc<Mutex<dyn FaultInjector + Send>>;

@@ -1,94 +1,99 @@
-//! A fault-injecting [`Transport`] decorator, and what it proves: a fault
-//! is written once, against the seam, and runs unchanged on channels and
-//! on sockets. Test-only.
+//! Injected faults on the wall clock, and what they prove: a message fault
+//! is decided once, in the engine host every node shares, and runs
+//! unchanged on channels and on sockets. Test-only.
+//!
+//! The message faults come from one [`FaultInjector`] the run's nodes
+//! share (`Wired::faults`); the two control-frame faults, which the
+//! injector never sees, from [`Rewrite`], a transport decorator that edits
+//! a server's outgoing probe and stop replies.
 
+use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::transport::{BuildNode, Transport};
 use cx_net::conn::InboundBatches;
 use cx_net::{ConnectionManager, Frame, NodeId};
 use cx_protocol::Endpoint;
-use cx_types::MsgKind;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use cx_types::{MsgKind, ServerId, SimTime};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-/// The faults of one run, shared by every server's decorator so that "the
-/// first `Vote`" is counted cluster-wide, as the DES fault plans count it.
-#[derive(Default)]
-struct Faults {
-    /// Hold every 8th server→server message back 2 ms (later ones overtake
+/// One fault of a test run.
+#[derive(Clone, Copy)]
+enum Fault {
+    /// Delay every 8th server→server message 2 ms (later ones overtake
     /// it), and send the first `Vote` (`duplicate_storm_plan`) and server
     /// 1's 4th `VoteResult` (`mixed_faults_plan`) twice: the `VoteResult`
-    /// back to back, so the copy lands mid-round as the DES plans' does, the
-    /// `Vote` 250 µs later, when its round may well be over — the late
-    /// duplicate the participant's `resolved_upto` memory exists for.
-    chaos: bool,
-    /// This server's probe replies always say "not quiesced".
-    never_quiesced: Option<u32>,
-    /// This server's `StopResp` report is replaced by these bytes.
-    garbled_report: Option<(u32, &'static [u8])>,
+    /// back to back, so the copy lands mid-round as the DES plans' does,
+    /// the `Vote` 250 µs later, when its round may well be over — the late
+    /// duplicate the participant's `resolved_upto` memory exists for. A
+    /// duplicated message is not also delayed.
+    Storm,
     /// No server's message to this client ever arrives.
-    mute_client: Option<u32>,
-    server_msgs: AtomicU64,
-    votes: AtomicU64,
-    vote_results_from_1: AtomicU64,
+    MuteClient(u32),
+    /// This server's probe replies always say "not quiesced".
+    NeverQuiesced(u32),
+    /// This server's `StopResp` report is replaced by these bytes.
+    GarbledReport(u32, &'static [u8]),
 }
 
-/// Server `me`'s transport with [`Faults`] applied to what it sends.
-struct Faulty {
-    me: u32,
-    inner: Arc<dyn Transport>,
-    faults: Arc<Faults>,
-    /// One short-lived thread per held-back frame, joined on drop.
-    held: Mutex<Vec<thread::JoinHandle<()>>>,
+/// The message faults, counted across every node of the run.
+struct Injector {
+    fault: Fault,
+    server_msgs: u64,
+    votes: u64,
+    vote_results_from_1: u64,
 }
 
-impl Faulty {
-    fn send_later(&self, to: NodeId, frame: Frame, after: Duration) {
-        let inner = Arc::clone(&self.inner);
-        self.held.lock().push(thread::spawn(move || {
-            thread::sleep(after);
-            inner.send(to, frame);
-        }));
+impl FaultInjector for Injector {
+    fn on_send(&mut self, _: SimTime, from: Endpoint, to: Endpoint, kind: MsgKind) -> MsgFate {
+        match (self.fault, from, to) {
+            (Fault::MuteClient(c), _, Endpoint::Proc(p)) if p.client.0 == c => MsgFate::Drop,
+            (Fault::Storm, Endpoint::Server(s), Endpoint::Server(_)) => {
+                self.server_msgs += 1;
+                if kind == MsgKind::Vote {
+                    self.votes += 1;
+                    if self.votes == 1 {
+                        return MsgFate::Duplicate(250_000);
+                    }
+                }
+                if kind == MsgKind::VoteResult && s == ServerId(1) {
+                    self.vote_results_from_1 += 1;
+                    if self.vote_results_from_1 == 4 {
+                        return MsgFate::Duplicate(0);
+                    }
+                }
+                if self.server_msgs.is_multiple_of(8) {
+                    return MsgFate::Delay(2_000_000);
+                }
+                MsgFate::Deliver
+            }
+            _ => MsgFate::Deliver,
+        }
+    }
+    fn on_event(&mut self, _: SimTime, _: &FaultEvent) -> Option<CrashCmd> {
+        None
+    }
+    fn on_recovery_complete(&mut self, _: SimTime, _: ServerId, _: ClusterSnapshot<'_>) -> u64 {
+        0
+    }
+    fn on_run_end(&mut self, _: SimTime, _: bool, _: ClusterSnapshot<'_>) -> u64 {
+        0
+    }
+    fn take_report(&mut self) -> Vec<String> {
+        Vec::new()
     }
 }
 
-impl Transport for Faulty {
+/// One server's transport, with its probe or stop replies rewritten.
+struct Rewrite {
+    inner: Arc<dyn Transport>,
+    fault: Fault,
+}
+
+impl Transport for Rewrite {
     fn send(&self, to: NodeId, mut frame: Frame) {
-        let f = &*self.faults;
-        let nth = |count: &AtomicU64| count.fetch_add(1, Ordering::Relaxed) + 1;
-        match &mut frame {
-            Frame::Msg {
-                to: Endpoint::Server(_),
-                payload,
-                ..
-            } if f.chaos => {
-                match payload.kind() {
-                    MsgKind::Vote if nth(&f.votes) == 1 => {
-                        self.send_later(to, frame.clone(), Duration::from_micros(250));
-                    }
-                    MsgKind::VoteResult if self.me == 1 && nth(&f.vote_results_from_1) == 4 => {
-                        self.inner.send(to, frame.clone());
-                    }
-                    _ => {}
-                }
-                if nth(&f.server_msgs) % 8 == 0 {
-                    self.send_later(to, frame, Duration::from_millis(2));
-                    return;
-                }
-            }
-            Frame::Msg {
-                to: Endpoint::Proc(p),
-                ..
-            } if f.mute_client == Some(p.client.0) => return,
-            Frame::ProbeResp { quiesced, .. } if f.never_quiesced == Some(self.me) => {
-                *quiesced = false;
-            }
-            Frame::StopResp { stats_json, .. } => {
-                if let Some((_, junk)) = f.garbled_report.filter(|(s, _)| *s == self.me) {
-                    *stats_json = junk.to_vec();
-                }
+        match (&mut frame, self.fault) {
+            (Frame::ProbeResp { quiesced, .. }, Fault::NeverQuiesced(_)) => *quiesced = false,
+            (Frame::StopResp { stats_json, .. }, Fault::GarbledReport(_, junk)) => {
+                *stats_json = junk.to_vec();
             }
             _ => {}
         }
@@ -108,14 +113,7 @@ impl Transport for Faulty {
     }
 }
 
-impl Drop for Faulty {
-    fn drop(&mut self) {
-        for t in self.held.lock().drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::live::LiveMetrics;
@@ -127,6 +125,7 @@ mod tests {
     use cx_obs::ObsSink;
     use cx_types::{BatchTrigger, ClusterConfig, Protocol};
     use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
+    use parking_lot::Mutex;
 
     #[derive(Clone, Copy, Debug)]
     enum Carrier {
@@ -134,16 +133,16 @@ mod tests {
         Sockets,
     }
 
-    /// `trace` through the one runtime, every server's transport wrapped.
-    fn run(carrier: Carrier, cfg: ClusterConfig, trace: &Trace, faults: Faults) -> TcpRunResult {
-        run_opts(carrier, cfg, trace, faults, TcpOptions::default())
+    /// `trace` through the one runtime with `fault` installed.
+    fn run(carrier: Carrier, cfg: ClusterConfig, trace: &Trace, fault: Fault) -> TcpRunResult {
+        run_opts(carrier, cfg, trace, fault, TcpOptions::default())
     }
 
     fn run_opts(
         carrier: Carrier,
         cfg: ClusterConfig,
         trace: &Trace,
-        faults: Faults,
+        fault: Fault,
         opts: TcpOptions,
     ) -> TcpRunResult {
         let epoch = std::time::Instant::now();
@@ -151,22 +150,27 @@ mod tests {
             Carrier::Channels => wire_channels(cfg.servers, epoch),
             Carrier::Sockets => wire_sockets(cfg.servers, &PlaneConfig::default(), epoch, None),
         };
-        let faults = Arc::new(faults);
-        for (i, node) in wired.servers.iter_mut().enumerate() {
-            node.net = Arc::new(Faulty {
-                me: i as u32,
-                inner: Arc::clone(&node.net),
-                faults: Arc::clone(&faults),
-                held: Mutex::default(),
-            });
+        match fault {
+            Fault::Storm | Fault::MuteClient(_) => {
+                wired.faults = Some(Arc::new(Mutex::new(Injector {
+                    fault,
+                    server_msgs: 0,
+                    votes: 0,
+                    vote_results_from_1: 0,
+                })));
+            }
+            Fault::NeverQuiesced(me) | Fault::GarbledReport(me, _) => {
+                let node = &mut wired.servers[me as usize];
+                node.net = Arc::new(Rewrite {
+                    inner: Arc::clone(&node.net),
+                    fault,
+                });
+            }
         }
         let res = run_wired(cfg, trace.to_stream(), opts, wired, epoch);
-        if faults.chaos {
-            assert!(faults.votes.load(Ordering::Relaxed) >= 1, "no Vote to dup");
-            assert!(
-                faults.server_msgs.load(Ordering::Relaxed) >= 8,
-                "nothing was ever held back"
-            );
+        if let Fault::Storm = fault {
+            assert!(res.stats.faults.dups >= 1, "no Vote to dup");
+            assert!(res.stats.faults.delays >= 1, "nothing was ever held back");
         }
         res
     }
@@ -203,11 +207,7 @@ mod tests {
     fn delays_and_duplicates_are_survived_on_channels_and_on_sockets() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
             for (storm, (cfg, trace)) in [(false, update_dominated()), (true, conflict_storm())] {
-                let faults = Faults {
-                    chaos: true,
-                    ..Faults::default()
-                };
-                let res = run(carrier, cfg, &trace, faults);
+                let res = run(carrier, cfg, &trace, Fault::Storm);
                 let s = &res.stats;
                 assert_eq!(res.violations, vec![], "{carrier:?} storm={storm}");
                 assert_eq!(s.ops_total, trace.ops.len() as u64, "{carrier:?}");
@@ -224,11 +224,7 @@ mod tests {
     fn a_run_that_never_quiesced_says_so() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
             let (cfg, trace) = update_dominated();
-            let faults = Faults {
-                never_quiesced: Some(1),
-                ..Faults::default()
-            };
-            let res = run(carrier, cfg, &trace, faults);
+            let res = run(carrier, cfg, &trace, Fault::NeverQuiesced(1));
             assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
             let [line] = &res.stats.leftovers[..] else {
                 panic!("{carrier:?}: leftovers {:?}", res.stats.leftovers);
@@ -246,11 +242,7 @@ mod tests {
         let not_utf8: &[u8] = &[0xff, 0xfe];
         for (carrier, junk) in [(Carrier::Channels, not_utf8), (Carrier::Sockets, b"{")] {
             let (cfg, trace) = update_dominated();
-            let faults = Faults {
-                garbled_report: Some((1, junk)),
-                ..Faults::default()
-            };
-            let res = run(carrier, cfg, &trace, faults);
+            let res = run(carrier, cfg, &trace, Fault::GarbledReport(1, junk));
             assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
             let [line] = &res.stats.leftovers[..] else {
                 panic!("{carrier:?}: leftovers {:?}", res.stats.leftovers);
@@ -271,10 +263,6 @@ mod tests {
     fn a_client_that_hears_nothing_is_a_leftover_not_a_panic() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
             let (cfg, trace) = update_dominated();
-            let faults = Faults {
-                mute_client: Some(3),
-                ..Faults::default()
-            };
             let live = LiveMetrics::new(MetricRegistry::new());
             let registry = live.registry.clone();
             let sink = ObsSink::recording("cx");
@@ -283,7 +271,7 @@ mod tests {
                 live: Some(live),
                 ..TcpOptions::default()
             };
-            let res = run_opts(carrier, cfg, &trace, faults, opts);
+            let res = run_opts(carrier, cfg, &trace, Fault::MuteClient(3), opts);
             let s = &res.stats;
             let issued = registry.snapshot().value("cx_ops_issued_total");
             assert_eq!(issued, Some(s.ops_total), "{carrier:?}: registry");
@@ -294,7 +282,7 @@ mod tests {
             assert_eq!(s.ops_total, trace.ops.len() as u64 - 49, "{carrier:?}");
             assert_eq!(s.ops_stuck, 1, "{carrier:?}");
             assert_eq!(s.ops_applied + s.ops_failed, s.ops_total - 1, "{carrier:?}");
-            assert_eq!(s.latency.count, s.ops_total - 1, "{carrier:?}");
+            assert_eq!(s.latency_hist.count, s.ops_total - 1, "{carrier:?}");
             assert_eq!(res.violations, vec![], "{carrier:?}");
             let [line] = &s.leftovers[..] else {
                 panic!("{carrier:?}: leftovers {:?}", s.leftovers);

@@ -168,7 +168,11 @@ pub(crate) fn wire_sockets(
         let servers = (0..servers)
             .map(|i| bind(NodeId::Server(i), &book, plane, epoch))
             .collect();
-        return Wired { host, servers };
+        return Wired {
+            host,
+            servers,
+            faults: None,
+        };
     };
     assert_eq!(
         addrs.len(),
@@ -190,6 +194,7 @@ pub(crate) fn wire_sockets(
     Wired {
         host,
         servers: Vec::new(),
+        faults: None,
     }
 }
 
@@ -251,7 +256,7 @@ pub fn serve_one_opts(
     } else {
         ObsSink::Off
     };
-    let mut node = ServerNode::new(cfg, me, seeds, Arc::clone(&conn) as _, obs);
+    let mut node = ServerNode::new(cfg, me, seeds, Arc::clone(&conn) as _, obs, None);
     let (exit, exited) = mpsc::channel::<()>();
     node.exit = Some(exit);
     conn.serve(inbound, move || node);

@@ -99,6 +99,7 @@ pub(crate) fn wire_channels(servers: u32, epoch: Instant) -> Wired {
     Wired {
         host,
         servers: nodes,
+        faults: None,
     }
 }
 

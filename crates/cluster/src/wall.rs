@@ -10,7 +10,8 @@
 //! coordinator. Both kinds of node carry their engines' actions out
 //! through the engine host ([`cx_protocol::host`]) with one set of ports,
 //! [`MsgPort`]: a send goes out once per peer when the turn ends, a disk
-//! request completes on the spot, a timer waits in a node-local queue.
+//! request completes on the spot, a timer waits in a node-local queue, and
+//! so does a send a fault made late.
 //! This runtime checks protocol correctness under true concurrency,
 //! timing is the DES's job.
 //! The engines cannot tell which carrier moves their frames; the DES
@@ -26,6 +27,7 @@
 //! the nodes with its transport and calls [`run_wired`]; external
 //! `cx_net_server` processes serve the same [`ServerNode`].
 
+use crate::fault::SharedInjector;
 use crate::feed::{ClientTable, OpFeed};
 use crate::live::{observe_wire_series, set_wire_rates, sum_wire, LiveMetrics, Monitor};
 use crate::seed::seed_engine;
@@ -37,12 +39,14 @@ use cx_mdstore::{GlobalView, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{ClockSync, Frame, HealthSnapshot, NodeId, WireTelemetry, WireTotals};
 use cx_obs::{MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
-use cx_protocol::host::{self, flow_node, primary_op, MsgCounts, Ports};
+use cx_protocol::host::{self, flow_node, primary_op, Lateness, MsgCounts, MsgFate, Ports};
 use cx_protocol::{Action, Endpoint, ProtoMetrics, ServerEngine, ServerStats};
 use cx_sim::TimerQueue;
 use cx_simio::DiskReq;
 use cx_types::codec::WireError;
-use cx_types::{ClusterConfig, FileKind, InodeNo, Name, Payload, Placement, ServerId, SimTime};
+use cx_types::{
+    ClusterConfig, FileKind, InodeNo, MsgKind, Name, Payload, Placement, ServerId, SimTime,
+};
 use cx_workloads::{SeedEntry, StreamTrace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -114,31 +118,48 @@ pub(crate) fn rebuild_store(
 // ---- a node's ports ----
 
 /// A wall-clock node's ports for the engine host — a server's engine, or
-/// the client host's clients: a send goes out on its transport as a
-/// [`Frame::Msg`], a disk request completes on the spot, and a timer waits
+/// the client host's clients: a send's fate is the run's injector's, if
+/// one is installed; a send goes out on its transport as a [`Frame::Msg`],
+/// a disk request completes on the spot, and a timer or a late send waits
 /// in a node-local [`TimerQueue`] on the transport's clock.
 struct MsgPort {
     net: Arc<dyn Transport>,
     obs: ObsSink,
     sent: MsgCounts,
-    timers: TimerQueue<(Endpoint, u64)>,
+    faults: Option<SharedInjector>,
+    timers: TimerQueue<Due>,
+}
+
+/// What waits in a node's timer queue.
+enum Due {
+    /// An engine's timer: `on_timer(token)` on the endpoint.
+    Timer(Endpoint, u64),
+    /// A message a fault made late, stamped when it was sent.
+    Send(NodeId, Frame),
 }
 
 impl MsgPort {
-    fn new(net: Arc<dyn Transport>, obs: ObsSink) -> Self {
+    fn new(net: Arc<dyn Transport>, obs: ObsSink, faults: Option<SharedInjector>) -> Self {
         Self {
             net,
             obs,
             sent: MsgCounts::default(),
+            faults,
             timers: TimerQueue::new(),
         }
     }
 
-    /// The next timer due by now, if any.
+    /// The next timer due by now, if any; a late send due on the way goes
+    /// out.
     fn due(&mut self) -> Option<(Endpoint, u64)> {
         let now = self.now();
-        self.timers.peek_deadline().filter(|d| *d <= now)?;
-        self.timers.pop().map(|(_, timer)| timer)
+        while self.timers.peek_deadline().is_some_and(|d| d <= now) {
+            match self.timers.pop()?.1 {
+                Due::Timer(at, token) => return Some((at, token)),
+                Due::Send(node, frame) => self.net.send(node, frame),
+            }
+        }
+        None
     }
 
     /// Record an arrived message's causal edge: sent at `sent_ns` on the
@@ -152,7 +173,7 @@ impl MsgPort {
         }
     }
 
-    /// How long until the next timer, if one is armed.
+    /// How long until the next timer or late send, if one waits.
     fn until_next(&self) -> Option<Duration> {
         let next = self.timers.peek_deadline()?.0;
         Some(Duration::from_nanos(next.saturating_sub(self.now().0)))
@@ -172,20 +193,32 @@ impl Ports for MsgPort {
         &mut self.sent
     }
 
+    fn fate(&mut self, from: Endpoint, to: Endpoint, kind: MsgKind) -> MsgFate {
+        match &self.faults {
+            Some(inj) => inj.lock().on_send(self.now(), from, to, kind),
+            None => MsgFate::Deliver,
+        }
+    }
+
     /// Servers are their own nodes; every client lives on the one client
-    /// host.
-    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
+    /// host. A late send waits in the timer queue; with no receiver-side
+    /// queue to hold it in, a hold is more time on the wire.
+    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload, late: Lateness) {
         let node = match to {
             Endpoint::Server(s) => NodeId::Server(s.0),
             Endpoint::Proc(_) => NodeId::ClientHost(0),
         };
+        let now = self.now();
         let frame = Frame::Msg {
-            sent_ns: self.now().0,
+            sent_ns: now.0,
             from,
             to,
             payload,
         };
-        self.net.send(node, frame);
+        match late.wire_ns + late.hold_ns {
+            0 => self.net.send(node, frame),
+            ns => self.timers.push(now + ns, Due::Send(node, frame)),
+        }
     }
 
     fn disk(&mut self, _server: ServerId, req: DiskReq) -> Option<u64> {
@@ -194,7 +227,7 @@ impl Ports for MsgPort {
 
     fn set_timer(&mut self, at: Endpoint, token: u64, delay_ns: u64) {
         let deadline = self.now() + delay_ns;
-        self.timers.push(deadline, (at, token));
+        self.timers.push(deadline, Due::Timer(at, token));
     }
 }
 
@@ -214,20 +247,22 @@ pub(crate) struct ServerNode {
 }
 
 impl ServerNode {
-    /// Build and seed `me`'s engine, sending through `net`.
+    /// Build and seed `me`'s engine, sending through `net` with the run's
+    /// `faults`, if any.
     pub(crate) fn new(
         cfg: &ClusterConfig,
         me: ServerId,
         seeds: &[SeedEntry],
         net: Arc<dyn Transport>,
         obs: ObsSink,
+        faults: Option<SharedInjector>,
     ) -> Self {
         let mut engine = cx_protocol::make_server(me, cfg);
         engine.install_obs(obs.clone());
         seed_engine(engine.as_mut(), &Placement::new(cfg.servers), seeds, me);
         Self {
             engine,
-            port: MsgPort::new(net, obs),
+            port: MsgPort::new(net, obs, faults),
             me: Endpoint::Server(me),
             exit: None,
         }
@@ -486,10 +521,12 @@ pub(crate) struct NodeIo {
 /// A run's nodes, already wired to each other: the client host this thread
 /// coordinates from, and the server nodes to host in this process
 /// (`Server(i)` at index `i`; empty when the servers are external
-/// processes the host's transport can already reach).
+/// processes the host's transport can already reach), plus the fault
+/// injector every in-process node's sends ask, if any.
 pub(crate) struct Wired {
     pub host: NodeIo,
     pub servers: Vec<NodeIo>,
+    pub faults: Option<SharedInjector>,
 }
 
 /// Run `st` to completion over `wired`: host the servers, drive the
@@ -511,6 +548,7 @@ pub(crate) fn run_wired(
         ops,
     } = st;
     let NodeIo { net, inbound } = wired.host;
+    let faults = wired.faults;
 
     // Every in-process transport, the host's first: the monitor and the
     // result sum wire throughput over them, and teardown shuts them all.
@@ -521,11 +559,12 @@ pub(crate) fn run_wired(
     for (i, NodeIo { net: srv, inbound }) in wired.servers.into_iter().enumerate() {
         nets.push(Arc::clone(&srv));
         let (cfg, seeds, obs) = (cfg.clone(), Arc::clone(&seeds), opts.obs.clone());
-        let port = Arc::clone(&srv);
+        let (port, faults) = (Arc::clone(&srv), faults.clone());
         srv.serve(
             inbound,
             Box::new(move || {
-                Box::new(ServerNode::new(&cfg, ServerId(i as u32), &seeds, port, obs))
+                let me = ServerId(i as u32);
+                Box::new(ServerNode::new(&cfg, me, &seeds, port, obs, faults))
             }),
         );
     }
@@ -540,7 +579,7 @@ pub(crate) fn run_wired(
     let mut clients = ClientTable::new(&cfg, feed, processes);
     clients.registry = opts.live.as_ref().map(|l| l.registry.clone());
     let host = ClientHost {
-        port: MsgPort::new(Arc::clone(&net), opts.obs.clone()),
+        port: MsgPort::new(Arc::clone(&net), opts.obs.clone(), faults),
         idle: clients.starters().collect(),
         clients,
         heard: Instant::now(),

@@ -131,11 +131,11 @@ fn cross_latency_exceeds_overall_latency() {
     let trace = small_trace();
     let (stats, _) = run_trace(ClusterConfig::new(8, Protocol::Se), &trace);
     assert!(
-        stats.cross_latency.mean_ns() > stats.latency.mean_ns(),
+        stats.cross_latency_hist.mean() > stats.latency_hist.mean(),
         "cross-server ops are the slow ones under serial execution"
     );
     assert_eq!(
-        stats.cross_latency.count, stats.cross_ops,
+        stats.cross_latency_hist.count, stats.cross_ops,
         "every cross-server op contributes one latency sample"
     );
 }

@@ -43,8 +43,8 @@ use serde::Serialize;
 
 pub use cx_cluster::{
     des::run_trace, run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd,
-    DesCluster, FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics, MsgFate,
-    RecoveryCycle, RunStats, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster, WireTotals,
+    DesCluster, FaultEvent, FaultInjector, FaultStats, LiveMetrics, MsgFate, RecoveryCycle,
+    RunStats, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster, WireTotals,
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{

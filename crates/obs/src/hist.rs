@@ -6,8 +6,8 @@
 //! while the whole structure is a flat `Vec<u64>` grown to exactly its
 //! highest occupied bucket (at most 1,920 counters), capacity included.
 //! Histograms merge by element-wise addition, which makes them composable
-//! across servers, runs, and processes — the property `LatencyStat` (mean
-//! only) fundamentally lacks for tail percentiles.
+//! across servers, runs, and processes. `count`, `sum`, `min` and `max`
+//! are exact, so one histogram is also a run's mean-latency accumulator.
 
 use serde::{Deserialize, Serialize};
 

@@ -9,8 +9,13 @@
 //!
 //! * **Send-side accounting.** A send stamps the lifecycle milestone its
 //!   payload names ([`obs_on_send`]) and is counted once, by kind and by
-//!   end ([`MsgCounts`]), before its port sees it. A port that then loses
-//!   the message (an injected fault) does not unsend it.
+//!   end ([`MsgCounts`]), before its fate is decided. A fault that then
+//!   loses the message does not unsend it.
+//! * **Every send's fate.** The host asks the port for a [`MsgFate`] (a
+//!   fault injector's verdict; [`MsgFate::Deliver`] when none is
+//!   installed), counts a fault, and carries the verdict out: a dropped
+//!   message reaches no port, a late one reaches it with its [`Lateness`],
+//!   a duplicated one twice. A port only carries out how late a send is.
 //! * **Disk requests completed on the spot.** A port either keeps a
 //!   request and calls the engine back later (the DES's modelled disk), or
 //!   completes it at once (the wall clock, `Kit`). An on-the-spot
@@ -28,6 +33,35 @@ use cx_types::{MsgKind, OpId, Payload, ServerId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::ops::Index;
 
+/// What happens to one message at the send choke point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgFate {
+    /// Deliver normally.
+    Deliver,
+    /// Silently discard the message.
+    Drop,
+    /// Deliver `ns` later than the network would.
+    Delay(u64),
+    /// Deliver normally and again `ns` after the first copy.
+    Duplicate(u64),
+    /// The message arrives on time, but the receiver sits on it for `ns`
+    /// before handling — a slow *participant*, not a slow link. A port
+    /// that traces message edges keeps the true wire arrival, so blame
+    /// attribution charges the stall to the receiver's execution segment
+    /// rather than the hop's network transit (which is what
+    /// [`MsgFate::Delay`] does).
+    ExecDelay(u64),
+}
+
+/// How much later than the network's own latency a send arrives.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lateness {
+    /// Extra time on the wire.
+    pub wire_ns: u64,
+    /// Time the receiver holds the arrived message before handling it.
+    pub hold_ns: u64,
+}
+
 /// What a runtime supplies to carry out one node's actions.
 pub trait Ports {
     /// The node's clock: virtual time, or nanoseconds since the run's
@@ -39,8 +73,14 @@ pub trait Ports {
     }
     /// Where sends are counted.
     fn sent(&mut self) -> &mut MsgCounts;
-    /// Move an already counted message toward `to`.
-    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload);
+    /// The fate of a counted message about to leave `from` for `to`: a
+    /// fault injector's verdict, [`MsgFate::Deliver`] by default.
+    fn fate(&mut self, _from: Endpoint, _to: Endpoint, _kind: MsgKind) -> MsgFate {
+        MsgFate::Deliver
+    }
+    /// Move an already counted message toward `to`, `late` behind the
+    /// network's own latency.
+    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload, late: Lateness);
     /// Hand `server`'s request to its disk: `Some(token)` when the request
     /// completed on the spot, `None` when the disk calls back later.
     fn disk(&mut self, server: ServerId, req: DiskReq) -> Option<u64>;
@@ -63,8 +103,36 @@ pub fn carry_out<P: Ports + ?Sized>(
                 if ports.obs().enabled() {
                     obs_on_send(ports.obs(), from, &payload, ports.now());
                 }
-                ports.sent().count(from, to, payload.kind());
-                ports.send(from, to, payload);
+                let kind = payload.kind();
+                ports.sent().count(from, to, kind);
+                // The one place a send's fate is carried out, and counted.
+                let (wire_ns, hold_ns) = match ports.fate(from, to, kind) {
+                    MsgFate::Deliver => (0, 0),
+                    MsgFate::Drop => {
+                        ports.sent().drops += 1;
+                        continue;
+                    }
+                    MsgFate::Delay(ns) => {
+                        ports.sent().delays += 1;
+                        (ns, 0)
+                    }
+                    MsgFate::ExecDelay(ns) => {
+                        ports.sent().delays += 1;
+                        (0, ns)
+                    }
+                    MsgFate::Duplicate(ns) => {
+                        ports.sent().dups += 1;
+                        // The late copy first, then the original: the order
+                        // every fault plan's digest was recorded with.
+                        let copy = Lateness {
+                            wire_ns: ns,
+                            hold_ns: 0,
+                        };
+                        ports.send(from, to, payload.clone(), copy);
+                        (0, 0)
+                    }
+                };
+                ports.send(from, to, payload, Lateness { wire_ns, hold_ns });
             }
             Action::Disk(req) => {
                 let (Endpoint::Server(me), Some(engine)) = (from, engine.as_deref_mut()) else {
@@ -91,6 +159,12 @@ pub struct MsgCounts {
     pub server_msgs: u64,
     /// Messages with a client at either end.
     pub client_msgs: u64,
+    /// Sends a fault dropped.
+    pub drops: u64,
+    /// Sends a fault delivered late, on the wire or at the receiver.
+    pub delays: u64,
+    /// Sends a fault delivered twice.
+    pub dups: u64,
 }
 
 impl MsgCounts {
@@ -109,6 +183,9 @@ impl MsgCounts {
         }
         self.server_msgs += other.server_msgs;
         self.client_msgs += other.client_msgs;
+        self.drops += other.drops;
+        self.delays += other.delays;
+        self.dups += other.dups;
     }
 
     /// Sends of `kind`, or `None` if there were none.
@@ -307,7 +384,7 @@ mod tests {
         fn sent(&mut self) -> &mut MsgCounts {
             &mut self.sent
         }
-        fn send(&mut self, _: Endpoint, _: Endpoint, payload: Payload) {
+        fn send(&mut self, _: Endpoint, _: Endpoint, payload: Payload, _: Lateness) {
             self.wire.push(primary_op(&payload).expect("tagged").seq);
         }
         fn disk(&mut self, _: ServerId, req: DiskReq) -> Option<u64> {

@@ -5,7 +5,7 @@
 //! [`Action`]s — messages to send, disk operations to start, timers to arm.
 //! It never blocks, sleeps or talks to a device. One [`host`] carries the
 //! actions out under every clock; a runtime supplies only its ports
-//! ([`Ports`]: clock, send, disk, timer):
+//! ([`Ports`]: clock, a send's fate, send, disk, timer):
 //!
 //! * the deterministic discrete-event simulator in `cx-cluster::des`
 //!   (reproduces the paper's figures),

@@ -12,7 +12,7 @@
 
 use crate::action::{Action, Endpoint, ServerEngine};
 use crate::client::{ClientDecision, ClientOp};
-use crate::host::{self, MsgCounts, Ports};
+use crate::host::{self, Lateness, MsgCounts, Ports};
 use cx_mdstore::GlobalView;
 use cx_simio::DiskReq;
 use cx_types::{
@@ -56,7 +56,8 @@ pub struct Kit {
 }
 
 /// The kit's own ports: a queue with the hold filter in front, disk
-/// completed on the spot, timers into its list.
+/// completed on the spot, timers into its list. Every send takes the
+/// default fate, so none is ever late; a test holds a message instead.
 impl Ports for Kit {
     fn now(&self) -> SimTime {
         self.now
@@ -66,7 +67,7 @@ impl Ports for Kit {
         &mut self.msg_counts
     }
 
-    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload) {
+    fn send(&mut self, from: Endpoint, to: Endpoint, payload: Payload, _: Lateness) {
         let env = Envelope { from, to, payload };
         if self.hold_filter.as_ref().is_some_and(|f| f(&env)) {
             self.held.push(env);

@@ -10,7 +10,7 @@ use cx_core::{
 use cx_net::PlaneConfig;
 use cx_types::{BatchTrigger, DUR_MS};
 
-// The plans of `crates/chaos/tests/plans.rs`; only one runs here.
+// The plans of `crates/chaos/tests/plans.rs`; four run here.
 #[allow(dead_code)]
 #[path = "../crates/chaos/tests/regression_plans/mod.rs"]
 mod regression_plans;
@@ -26,6 +26,46 @@ fn participant_crash_plan_is_clean_and_replays_to_the_same_digest() {
     assert_eq!(a.outcome.stats.faults.recoveries, 1);
     let b = run_plan(&scn, &plan);
     assert_eq!(a.digest, b.digest, "same plan, same digest");
+}
+
+/// The three message-fault plans, pinned to values: digest and the drop,
+/// delay and dup counts. A change to how a send's fate is carried out (who
+/// asks the injector, in which order a duplicate's copies go) moves these.
+#[test]
+fn message_fault_plans_are_pinned() {
+    let scn = ChaosScenario::new(Protocol::Cx);
+    // (plan, digest, drops, delays, dups), recorded when the injector was
+    // still asked from the DES's own send port.
+    let pins = [
+        (
+            regression_plans::delayed_votes_plan(),
+            3_242_583_449_180_376_225,
+            0,
+            6,
+            0,
+        ),
+        (
+            regression_plans::mixed_faults_plan(),
+            4_988_761_319_360_858_753,
+            1,
+            0,
+            1,
+        ),
+        (
+            regression_plans::duplicate_storm_plan(),
+            669_503_802_105_871_527,
+            1,
+            1,
+            1,
+        ),
+    ];
+    for (plan, digest, drops, delays, dups) in &pins {
+        let run = run_plan(&scn, plan);
+        let f = run.outcome.stats.faults;
+        assert_eq!(run.failures, Vec::<String>::new());
+        assert_eq!(run.digest, *digest, "{plan:?}");
+        assert_eq!((f.drops, f.delays, f.dups), (*drops, *delays, *dups));
+    }
 }
 
 /// Four servers over loopback TCP with every coordinator connection
