@@ -127,7 +127,7 @@ fn obs_run(args: &cx_bench::Args) {
     println!("digest {digest} identical with and without --obs");
 }
 
-/// `--live`: client threads bump the registry as ops complete, a monitor
+/// `--live`: the client host bumps the registry as ops complete, a monitor
 /// thread refreshes the files, engines fold their protocol series in at
 /// stop; prints the final snapshot's top view.
 fn live_run(args: &cx_bench::Args) {

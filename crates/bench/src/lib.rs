@@ -133,13 +133,6 @@ impl Args {
         }
     }
 
-    #[cfg(test)]
-    fn of(raw: &[&str]) -> Self {
-        Self {
-            raw: raw.iter().map(|a| a.to_string()).collect(),
-        }
-    }
-
     pub fn flag(&self, name: &str) -> bool {
         self.raw.iter().any(|a| a == name)
     }
@@ -219,6 +212,14 @@ pub fn gain(old: f64, new: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Args {
+        fn of(raw: &[&str]) -> Self {
+            Self {
+                raw: raw.iter().map(|a| a.to_string()).collect(),
+            }
+        }
+    }
 
     #[test]
     fn improvement_and_gain() {

@@ -36,6 +36,5 @@ pub use inject::PlanInjector;
 pub use oracle::{check_snapshot, ModelFs};
 pub use plan::{CrashFault, CrashPoint, FaultPlan, NetAction, NetFault, Partition};
 pub use runner::{
-    run_plan, run_plan_flight, run_plan_obs, ChaosRun, ChaosScenario, RecoveryExperiment,
-    RecoveryRow, Repro,
+    run_plan, run_plan_obs, ChaosRun, ChaosScenario, RecoveryExperiment, RecoveryRow, Repro,
 };

@@ -15,19 +15,21 @@
 //!                                       # + pm.flight.trace.json
 //! ```
 //!
-//! Every `--replay` also feeds a crash flight recorder (a fixed-size ring
-//! of recent message edges and lifecycle events, on even without
-//! `--obs-out`); when the run crashes, wedges, fails a check, or diverges
-//! from the recording, the ring is dumped as a post-mortem artifact.
+//! Every `--replay` records into an obs sink, with or without
+//! `--obs-out`; when the run crashes, wedges, fails a check, or diverges
+//! from the recording, the sink's report is dumped as a post-mortem pair:
+//! its JSONL stream and its Perfetto trace, where each crashed server's
+//! liveness gauge marks the crash and the recovery and every stuck op is
+//! an instant where it stalled.
 //!
 //! Exit status: 0 = no violations (or, under `--demo-broken`, the broken
 //! variant *was* caught; or a `--replay` reproduced); 1 otherwise.
 
 use cx_chaos::{
-    explore, run_plan, run_plan_flight, run_plan_obs, ChaosScenario, CrashFault, CrashPoint,
-    FaultPlan, NetAction, NetFault, Repro,
+    explore, run_plan, run_plan_obs, ChaosScenario, CrashFault, CrashPoint, FaultPlan, NetAction,
+    NetFault, Repro,
 };
-use cx_cluster::{FlightRecorder, ObsSink};
+use cx_cluster::ObsSink;
 use cx_obs::{blame_diff, Seg};
 use cx_types::{MsgKind, Protocol, ServerId, DUR_MS};
 use cx_wal::RecordFamily;
@@ -45,11 +47,11 @@ struct Args {
     doctor_demo: bool,
     replay: Option<String>,
     out_dir: String,
-    /// `--obs-out <path>`: with `--replay`, record op lifecycles and dump
-    /// a Perfetto trace to `<path>` (report JSON beside it).
+    /// `--obs-out <path>`: with `--replay`, write the replay's Perfetto
+    /// trace to `<path>` (report JSON beside it).
     obs_out: Option<String>,
-    /// `--flight-out <prefix>`: with `--replay`, override where the crash
-    /// flight recorder dumps its post-mortem (`<prefix>.flight.jsonl` +
+    /// `--flight-out <prefix>`: with `--replay`, override where the
+    /// post-mortem goes (`<prefix>.flight.jsonl` +
     /// `<prefix>.flight.trace.json`). Defaults to `<repro>.postmortem`.
     flight_out: Option<String>,
 }
@@ -140,24 +142,13 @@ fn replay(path: &str, obs_out: Option<&str>, flight_out: Option<&str>) -> ExitCo
             return ExitCode::FAILURE;
         }
     };
-    // Recording doesn't perturb the schedule, so the instrumented replay
-    // still has to reproduce the recorded digest below.
-    let sink = match obs_out {
-        Some(_) => ObsSink::recording(proto_tag(repro.scenario.protocol)),
-        None => ObsSink::Off,
-    };
-    // The flight recorder is always on during a replay — it is the
-    // post-mortem source when the run crashes, wedges, or diverges, and
-    // feeding it (like the sink) never perturbs the schedule.
-    let flight = FlightRecorder::default();
-    let run = run_plan_flight(
-        &repro.scenario,
-        &repro.plan,
-        sink.clone(),
-        Some(flight.clone()),
-    );
+    // Recording doesn't perturb the schedule, so the recorded replay
+    // still has to reproduce the recorded digest below. The report is the
+    // post-mortem's source too, so a replay always records.
+    let sink = ObsSink::recording(proto_tag(repro.scenario.protocol));
+    let run = run_plan_obs(&repro.scenario, &repro.plan, sink.clone());
+    let report = sink.report().expect("recording sink yields a report");
     if let Some(out) = obs_out {
-        let report = sink.report().expect("recording sink yields a report");
         if let Err(e) = report.validate() {
             eprintln!("obs: phase accounting broken: {e}");
             return ExitCode::FAILURE;
@@ -193,12 +184,25 @@ fn replay(path: &str, obs_out: Option<&str>, flight_out: Option<&str>) -> ExitCo
     if let Some(why) = trigger {
         let default_prefix = format!("{path}.postmortem");
         let prefix = flight_out.unwrap_or(&default_prefix);
-        match flight.dump_to(prefix) {
-            Ok((jsonl, trace)) => println!(
-                "flight recorder ({why}): {} events -> {trace} (load at ui.perfetto.dev), {jsonl}",
-                flight.total()
+        let (jsonl, trace) = (
+            format!("{prefix}.flight.jsonl"),
+            format!("{prefix}.flight.trace.json"),
+        );
+        let written = std::fs::write(&jsonl, report.to_jsonl())
+            .and_then(|()| std::fs::write(&trace, report.to_chrome_trace()));
+        match written {
+            Ok(()) => println!(
+                "post-mortem ({why}): {} spans ({} dropped), {} edges ({} dropped), \
+                 {} gauges ({} dropped), {} stuck -> {trace} (load at ui.perfetto.dev), {jsonl}",
+                report.spans.len(),
+                report.dropped_spans,
+                report.edges.len(),
+                report.dropped_edges,
+                report.gauges.len(),
+                report.dropped_gauges,
+                report.stuck.len(),
             ),
-            Err(e) => eprintln!("flight recorder: dump failed: {e}"),
+            Err(e) => eprintln!("post-mortem: write failed: {e}"),
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::inject::PlanInjector;
 use crate::plan::{CrashFault, CrashPoint, FaultPlan};
-use cx_cluster::{ChaosOutcome, DesCluster, FlightRecorder, ObsSink};
+use cx_cluster::{ChaosOutcome, DesCluster, ObsSink};
 use cx_types::{BatchTrigger, ClusterConfig, Protocol, ServerId, DUR_MS};
 use cx_workloads::{StreamTrace, TraceBuilder, TraceProfile};
 use serde::{Deserialize, Serialize};
@@ -187,32 +187,16 @@ pub fn run_plan(scn: &ChaosScenario, plan: &FaultPlan) -> ChaosRun {
 
 /// [`run_plan`] with an observability sink attached, so a fault-injected
 /// replay can dump the op lifecycles surrounding the injected fault as a
-/// Perfetto trace (`cx-chaos --replay --obs-out`). Recording never
+/// Perfetto trace (`cx-chaos --replay`'s post-mortem and `--obs-out`),
+/// with each crashed server's liveness gauge beside them. Recording never
 /// perturbs the schedule: the digest is identical to an `Off` run, which
 /// is exactly what lets an instrumented replay still claim "reproduced".
 pub fn run_plan_obs(scn: &ChaosScenario, plan: &FaultPlan, obs: ObsSink) -> ChaosRun {
-    run_plan_flight(scn, plan, obs, None)
-}
-
-/// [`run_plan_obs`] with an always-on flight recorder fed by the run —
-/// the caller keeps a clone of the ring and dumps the post-mortem when
-/// the outcome warrants one (crash, stuck op, digest or oracle failure).
-/// The recorder sits outside the simulation like the sink, so the digest
-/// contract is the same: feeding it never changes the schedule.
-pub fn run_plan_flight(
-    scn: &ChaosScenario,
-    plan: &FaultPlan,
-    obs: ObsSink,
-    flight: Option<FlightRecorder>,
-) -> ChaosRun {
     let st = scn.stream();
     let injector = PlanInjector::with_seeds(plan.clone(), &st.seeds);
-    let mut cluster = DesCluster::new_stream(scn.config(), st)
+    let cluster = DesCluster::new_stream(scn.config(), st)
         .with_obs(obs)
         .with_injector(Box::new(injector));
-    if let Some(fl) = flight {
-        cluster = cluster.with_flight(fl);
-    }
     finish(cluster.run_chaos())
 }
 

@@ -23,7 +23,7 @@ use crate::feed::{ClientTable, History, OpFeed};
 use crate::seed::seed_stores;
 use crate::stats::{FaultStats, RecoveryCycle, RunStats};
 use cx_mdstore::{GlobalView, Violation};
-use cx_obs::{FlightEvent, FlightRecorder, GaugeKind, ObsSink};
+use cx_obs::{GaugeKind, ObsSink};
 use cx_protocol::host::{self, flow_node, primary_op, Lateness, MsgCounts, Ports};
 use cx_protocol::{Action, ClientDecision, ClientOp, Endpoint, ServerEngine};
 use cx_sim::{FifoResource, Sim};
@@ -165,11 +165,6 @@ struct DesPorts {
     /// single-branch no-op; recording never schedules events or touches
     /// protocol state, so the golden digest is identical either way.
     obs: ObsSink,
-    /// Always-on crash flight recorder: a fixed-size ring of recent
-    /// message edges and lifecycle events, fed even when `obs` is `Off`,
-    /// so a post-mortem can be dumped after a crash, a stuck op, or a
-    /// failed oracle check. `None` (the default) costs nothing.
-    flight: Option<FlightRecorder>,
     sent: MsgCounts,
 }
 
@@ -210,7 +205,6 @@ impl DesCluster {
             injector: None,
             faults: FaultStats::default(),
             obs: ObsSink::Off,
-            flight: None,
             sent: MsgCounts::default(),
         };
 
@@ -244,14 +238,6 @@ impl DesCluster {
             s.install_obs(sink.clone());
         }
         self.ports.obs = sink;
-        self
-    }
-
-    /// Install a flight recorder. The caller keeps a clone (it is an
-    /// `Arc` ring) and decides when to dump: the run itself only feeds it.
-    pub fn with_flight(mut self, flight: FlightRecorder) -> Self {
-        self.clients.flight = Some(flight.clone());
-        self.ports.flight = Some(flight);
         self
     }
 
@@ -560,9 +546,9 @@ impl DesCluster {
             self.phases[idx] = SrvPhase::Up;
             self.in_fault -= 1;
             self.ports.faults.recoveries += 1;
-            if let Some(fl) = &self.ports.flight {
-                fl.push(now.0, FlightEvent::Recovered { server: idx as u32 });
-            }
+            self.ports
+                .obs
+                .gauge(now, idx as u32, GaugeKind::Liveness, 1);
             self.stats.recovery_cycles.push(RecoveryCycle {
                 server: ServerId(idx as u32),
                 crashed_at,
@@ -592,9 +578,9 @@ impl DesCluster {
             self.servers[idx].crash(now);
         }
         self.ports.faults.crashes += 1;
-        if let Some(fl) = &self.ports.flight {
-            fl.push(now.0, FlightEvent::Crash { server: idx as u32 });
-        }
+        self.ports
+            .obs
+            .gauge(now, idx as u32, GaugeKind::Liveness, 0);
         self.ports.disks[idx].crash();
         self.cpus[idx].reset(now);
         self.phases[idx] = SrvPhase::Down {
@@ -716,18 +702,6 @@ impl DesCluster {
         // exact stalled phase for every op still short of its reply.
         self.stats.stuck_ops = self.ports.obs.stuck_report();
         self.stats.blame = self.ports.obs.blame_table();
-        if let Some(fl) = &self.ports.flight {
-            let now = self.ports.sim.now();
-            for s in &self.stats.stuck_ops {
-                fl.push(
-                    now.0,
-                    FlightEvent::Stuck {
-                        op: s.op,
-                        phase: s.phase,
-                    },
-                );
-            }
-        }
         for (i, s) in self.servers.iter().enumerate() {
             if !s.is_quiesced() {
                 self.stats
@@ -815,26 +789,12 @@ impl DesPorts {
         // the whole arc is recorded in one shot. Dropped messages never
         // reach here — an edge always means a delivery (duplicates draw
         // two arcs, which is exactly what happened).
-        if self.obs.enabled() || self.flight.is_some() {
+        if self.obs.enabled() {
             let now = self.sim.now();
-            let kind = payload.kind();
             let (fnode, tnode) = (flow_node(from), flow_node(to));
-            let recv_ns = (now + after_ns).0;
-            if self.obs.enabled() {
-                self.obs
-                    .msg_edge(primary_op(&payload), kind, fnode, tnode, now.0, recv_ns);
-            }
-            if let Some(fl) = &self.flight {
-                fl.push(
-                    now.0,
-                    FlightEvent::Msg {
-                        kind,
-                        from: fnode,
-                        to: tnode,
-                        recv_ns,
-                    },
-                );
-            }
+            let (op, kind) = (primary_op(&payload), payload.kind());
+            self.obs
+                .msg_edge(op, kind, fnode, tnode, now.0, (now + after_ns).0);
         }
         // Past the traced wire arrival, the receiver-side hold (if any)
         // just pushes the handling event later.
@@ -1004,11 +964,10 @@ mod tests {
         let series = report.gauge_series(GaugeKind::ValidLogBytes);
         assert!(!series.is_empty());
         let per_instant = report.gauges.len() / series.len();
-        assert_eq!(
-            per_instant,
-            4 * GaugeKind::ALL.len(),
-            "every server, every kind"
-        );
+        // Every server, every kind but liveness, which only a crash and a
+        // recovery write.
+        let sampled_kinds = GaugeKind::ALL.len() - 1;
+        assert_eq!(per_instant, 4 * sampled_kinds, "every server, every kind");
         assert!(
             stats.peak_valid_bytes > 0,
             "Cx must accumulate valid records"

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Injected faults on the wall clock, and what they prove: a message fault
 //! is decided once, in the engine host every node shares, and runs
 //! unchanged on channels and on sockets. Test-only.

@@ -13,7 +13,6 @@
 
 use crate::stats::{AckRecord, RunStats};
 use cx_obs::registry::{Counter, MetricRegistry, Series};
-use cx_obs::{FlightEvent, FlightRecorder};
 use cx_protocol::{host, Action, ClientDecision, ClientOp, Endpoint, Ports};
 use cx_types::{
     ClusterConfig, CxConfig, FsOp, OpId, OpOutcome, Placement, ProcId, Protocol, SimTime,
@@ -117,7 +116,6 @@ pub(crate) struct ClientTable {
     /// Clients whose feed has not been found dry.
     live: usize,
     out: Vec<Action>,
-    pub(crate) flight: Option<FlightRecorder>,
     /// Every issue and ack, for the chaos oracle.
     pub(crate) history: Option<History>,
     pub(crate) registry: Option<MetricRegistry>,
@@ -145,7 +143,6 @@ impl ClientTable {
             feed,
             slots: (0..processes).map(|_| (0, None)).collect(),
             out: Vec::with_capacity(4),
-            flight: None,
             history: None,
             registry: None,
         }
@@ -199,9 +196,6 @@ impl ClientTable {
         let plan = self.placement.plan(fs_op);
         let cross = plan.is_cross_server();
         ports.obs().op_issued(id, fs_op.class(), cross, now);
-        if let Some(fl) = &self.flight {
-            fl.push(now.0, FlightEvent::Issued { op: id, cross });
-        }
         stats.note_issued(cross);
         if let Some(reg) = &self.registry {
             reg.inc(Counter::OpsIssued);
@@ -248,10 +242,6 @@ impl ClientTable {
         let awaits = cross && self.protocol == Protocol::Cx;
         ports.obs().op_replied(id, now, outcome, awaits);
         ports.obs().client_latency(op.fs_op.class(), cross, latency);
-        if let Some(fl) = &self.flight {
-            let applied = outcome == OpOutcome::Applied;
-            fl.push(now.0, FlightEvent::Replied { op: id, applied });
-        }
         if let Some(reg) = &self.registry {
             reg.inc(match outcome {
                 OpOutcome::Applied => Counter::OpsApplied,

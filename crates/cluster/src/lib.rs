@@ -19,7 +19,6 @@
 
 pub mod des;
 pub mod fault;
-#[cfg(test)]
 mod faulty;
 pub mod feed;
 mod live;
@@ -31,7 +30,7 @@ mod transport;
 mod wall;
 
 pub use cx_net::WireTotals;
-pub use cx_obs::{FlightRecorder, MetricRegistry, ObsConfig, ObsReport, ObsSink};
+pub use cx_obs::{MetricRegistry, ObsReport, ObsSink};
 pub use des::{run_stream_trace, run_trace, ChaosOutcome, DesCluster};
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 pub use feed::OpFeed;

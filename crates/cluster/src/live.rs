@@ -18,19 +18,20 @@ use std::time::{Duration, Instant};
 /// into `registry` while the run executes, and — when `out`
 /// is set — a monitor thread writes `<out>.prom` (Prometheus text) and
 /// `<out>.json` (a [`cx_obs::MetricsSnapshot`], the input of `cx-obs top`)
-/// every `period`, plus once more after the final server state lands.
+/// every `PERIOD` (500 ms), plus once more after the final server state lands.
 pub struct LiveMetrics {
     pub registry: MetricRegistry,
     pub out: Option<std::path::PathBuf>,
-    pub period: Duration,
 }
+
+/// How often the monitor thread rewrites the snapshot files.
+const PERIOD: Duration = Duration::from_millis(500);
 
 impl LiveMetrics {
     pub fn new(registry: MetricRegistry) -> Self {
         Self {
             registry,
             out: None,
-            period: Duration::from_millis(500),
         }
     }
 
@@ -86,7 +87,6 @@ impl Monitor {
     ) -> Option<Monitor> {
         let out = live.out.clone()?;
         let reg = live.registry.clone();
-        let period = live.period;
         let stop = Arc::new(AtomicBool::new(false));
         let stopped = Arc::clone(&stop);
         let thread = thread::Builder::new()
@@ -108,7 +108,7 @@ impl Monitor {
                         watchdog.poll(&obs, &reg, nets[0].now_ns());
                     }
                     LiveMetrics::write_files(&reg, &out);
-                    thread::sleep(period);
+                    thread::sleep(PERIOD);
                 }
             })
             .expect("spawn live monitor");

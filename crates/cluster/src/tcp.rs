@@ -25,14 +25,12 @@ use cx_net::{
     WireTotals,
 };
 use cx_obs::registry::MetricRegistry;
-use cx_obs::{NetTable, ObsConfig, ObsSink};
+use cx_obs::{NetTable, ObsSink};
 use cx_types::{ClusterConfig, ServerId};
 use cx_workloads::{SeedEntry, StreamTrace, Trace};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-#[cfg(test)]
-use {crossbeam::channel::unbounded, cx_obs::Phase, cx_types::Protocol, std::thread};
 
 /// Options for a TCP run.
 pub struct TcpOptions {
@@ -246,13 +244,7 @@ pub fn serve_one_opts(
     let (conn, inbound) = ConnectionManager::start(NodeId::Server(me.0), book, opts.net.clone())?;
     let conn = Arc::new(conn);
     let obs = if opts.obs {
-        ObsSink::with_config(
-            format!("{:?}", cfg.protocol).to_lowercase(),
-            ObsConfig {
-                shard_mode: true,
-                ..ObsConfig::default()
-            },
-        )
+        ObsSink::shard(format!("{:?}", cfg.protocol).to_lowercase())
     } else {
         ObsSink::Off
     };
@@ -275,8 +267,11 @@ pub fn serve_one_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cx_types::BatchTrigger;
+    use crossbeam::channel::unbounded;
+    use cx_obs::Phase;
+    use cx_types::{BatchTrigger, Protocol};
     use cx_workloads::{TraceBuilder, TraceProfile};
+    use std::thread;
 
     fn fast_cfg(servers: u32, protocol: Protocol) -> ClusterConfig {
         let mut cfg = ClusterConfig::new(servers, protocol);

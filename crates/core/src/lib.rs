@@ -48,8 +48,8 @@ pub use cx_cluster::{
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{
-    fmt_ns_f, FlightEvent, FlightRecorder, HistSummary, LogHistogram, MetricRegistry,
-    MetricsSnapshot, ObsConfig, ObsReport, ObsSink, Phase, StuckOp,
+    fmt_ns_f, HistSummary, LogHistogram, MetricRegistry, MetricsSnapshot, ObsReport, ObsSink,
+    Phase, StuckOp,
 };
 pub use cx_protocol::{ClientOp, CxServer, ProtoMetrics, ServerEngine, ServerStats};
 pub use cx_types::{

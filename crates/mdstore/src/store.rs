@@ -121,12 +121,6 @@ impl MetaStore {
         self.dentries.reserve(dentries);
     }
 
-    /// Row-table capacities, `(inodes, dentries)`.
-    #[cfg(test)]
-    fn row_capacity(&self) -> (usize, usize) {
-        (self.inodes.capacity(), self.dentries.capacity())
-    }
-
     /// Pre-populate an inode (workload setup: traces begin with existing
     /// directories and files).
     pub fn seed_inode(&mut self, ino: InodeNo, kind: FileKind, nlink: u32) {
@@ -329,6 +323,13 @@ impl MetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetaStore {
+        /// Row-table capacities, `(inodes, dentries)`.
+        fn row_capacity(&self) -> (usize, usize) {
+            (self.inodes.capacity(), self.dentries.capacity())
+        }
+    }
 
     fn create(ino: u64) -> SubOp {
         SubOp::CreateInode {

@@ -413,7 +413,7 @@ impl BlameTable {
         for span in spans {
             let op_edges = by_op.get(&span.op).unwrap_or(&empty);
             if let Some(b) = blame_span(span, op_edges) {
-                t.absorb_op(&b, op_edges);
+                t.absorb_op(&b);
                 blamed.push((b, span));
             }
         }
@@ -444,7 +444,7 @@ impl BlameTable {
     }
 
     /// Fold one op's decomposition into the histograms.
-    fn absorb_op(&mut self, b: &OpBlame, op_edges: &[&MsgEdge]) {
+    fn absorb_op(&mut self, b: &OpBlame) {
         self.ops += 1;
         if b.fallback {
             self.fallback_ops += 1;
@@ -488,7 +488,6 @@ impl BlameTable {
         // Per-hop / per-node attribution from the chain rows. The chain
         // labels carry the endpoints; re-walking the hop structure keeps
         // this exact without a second path extraction.
-        let _ = op_edges;
         for row in &b.chain {
             match row.seg {
                 Seg::ReqWire | Seg::ReplyWire => {

@@ -15,7 +15,7 @@
 //!   trace-event JSON for Perfetto, a JSONL event stream, and the text
 //!   dashboard behind `cx-obs report`.
 //!
-//! The introspection plane (PR 5) adds three more:
+//! The introspection plane adds two more:
 //!
 //! - [`registry`]: the typed metric registry — Cx-specific counters,
 //!   gauges and histogram series with Prometheus-text and JSON
@@ -24,9 +24,11 @@
 //! - [`flow`]: causal message-edge tracing — every cross-server message
 //!   becomes a flow arc connecting coordinator and participant tracks in
 //!   the Perfetto trace, and feeds `cx-obs trace --op`.
-//! - [`flight`]: the crash flight recorder — an always-on ring of recent
-//!   events dumped as a post-mortem Perfetto/JSONL pair when chaos sees a
-//!   crash, a stuck op, or a digest/oracle mismatch.
+//!
+//! A chaos replay's post-mortem is the same report: its JSONL stream and
+//! its Perfetto trace, where a crashed server's liveness gauge (0 at the
+//! crash, 1 when recovery finishes) draws a counter track and every op
+//! still short of its reply is an instant where it stalled.
 //!
 //! The wall-clock wire plane (PR 9) adds:
 //!
@@ -43,7 +45,6 @@
 //!   `cx-obs doctor`.
 
 pub mod blame;
-pub mod flight;
 pub mod flow;
 pub mod hist;
 pub mod net;
@@ -54,12 +55,11 @@ pub mod sink;
 pub mod span;
 
 pub use blame::{blame_span, diff as blame_diff, BlameDiff, BlameTable, OpBlame, Seg};
-pub use flight::{FlightEvent, FlightRecorder, TimedEvent};
 pub use flow::{FlowNode, MsgEdge};
 pub use hist::{fmt_ns_f, HistSummary, LogHistogram};
 pub use net::{chrome_flush_events, FlushSpan, NetPeerRow, NetTable};
 pub use path::{critical_path, CriticalPath, EdgeClass, WalkHop};
 pub use registry::{Counter, Gauge, MetricRegistry, MetricsSnapshot, Series};
 pub use report::{ClassRow, ObsReport, SegmentRow};
-pub use sink::{EngineGauges, GaugeKind, GaugeSample, ObsConfig, ObsSink, Recorder};
+pub use sink::{EngineGauges, GaugeKind, GaugeSample, ObsSink, Recorder};
 pub use span::{OpSpan, Phase, StuckOp};

@@ -160,11 +160,13 @@ impl ObsReport {
     /// hand: the format is flat and the shim serde stack stays out of the
     /// hot loop. Timestamps are virtual-time microseconds.
     ///
-    /// Layout: pid 1 = client-visible path (one track per process), pid 2
-    /// = commitment path (one track per coordinator server), pid 3 =
-    /// gauges as counter tracks, pid 4 = message flows (one track per
-    /// node) with `s`/`f` arcs tying sender to receiver, pid 5 = wire
-    /// flushes (one track per sending node; TCP runs only).
+    /// Layout: pid 1 = client-visible path (one track per process, with
+    /// an instant where each stuck op stalled), pid 2 = commitment path
+    /// (one track per coordinator server), pid 3 = gauges as counter
+    /// tracks (a crashed server's liveness among them), pid 4 = message
+    /// flows (one track per node) with `s`/`f` arcs tying sender to
+    /// receiver, pid 5 = wire flushes (one track per sending node; TCP
+    /// runs only).
     pub fn to_chrome_trace(&self) -> String {
         let us = |ns: u64| ns as f64 / 1000.0;
         let mut ev: Vec<String> = Vec::new();
@@ -241,6 +243,17 @@ impl ObsReport {
                 g.server,
                 us(g.at.0),
                 g.value,
+            ));
+        }
+        // An op still short of its reply: an instant on its client's
+        // track where it stalled.
+        for st in &self.stuck {
+            ev.push(format!(
+                "{{\"name\":\"stuck at {}\",\"cat\":\"stuck\",\"ph\":\"i\",\"s\":\"t\",\
+                 \"ts\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"op\":\"{st}\"}}}}",
+                st.phase.name(),
+                us(st.since.0),
+                st.op.proc.client.0,
             ));
         }
         crate::flow::chrome_flow_events(&self.edges, 4, &mut ev);
@@ -633,6 +646,12 @@ mod tests {
             frames: 8,
             bytes: 512,
         });
+        rep.stuck.push(StuckOp {
+            op: op(2),
+            phase: Phase::Dispatched,
+            server: None,
+            since: SimTime(70_000),
+        });
         let trace = rep.to_chrome_trace();
         serde_json::parse_value(&trace).expect("chrome trace must parse as JSON");
         assert!(trace.contains("\"ph\":\"X\""), "complete events present");
@@ -645,6 +664,10 @@ mod tests {
         );
         assert!(trace.contains("wire flushes"), "flush track present");
         assert!(trace.contains("flush → s5"));
+        assert!(
+            trace.contains("\"stuck at dispatched\",\"cat\":\"stuck\",\"ph\":\"i\""),
+            "an instant where the stuck op stalled"
+        );
     }
 
     #[test]

@@ -17,42 +17,15 @@ use cx_types::{FxHashMap, MsgKind, OpClass, OpId, OpOutcome, ServerId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
-/// What the recorder keeps in detail. Histograms always cover *every*
-/// operation; full spans (for the Perfetto trace) are kept for a sampled
-/// window so memory stays bounded on full-scale replays.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsConfig {
-    /// Keep a full span for every `sample_every`-th issued op…
-    pub sample_every: u64,
-    /// …up to this many spans in total.
-    pub max_spans: usize,
-    /// Cap on stored gauge samples (oldest kept; the run start is the
-    /// interesting window once the cap is hit).
-    pub max_gauges: usize,
-    /// Cap on stored message edges (the causal flow arcs in the Perfetto
-    /// trace; oldest kept, like gauges).
-    pub max_edges: usize,
-    /// Shard mode: this recorder lives in a child process that never sees
-    /// `op_issued` (the client runs elsewhere), so a phase stamp for an
-    /// unknown op *creates* its span — a partial span shard the
-    /// coordinator later merges with [`Recorder::absorb_shard`]. Off for
-    /// the coordinator itself, where an unknown op means "not sampled".
-    pub shard_mode: bool,
-}
+/// Caps on what the recorder keeps in detail. Histograms always cover
+/// *every* operation; full spans (for the Perfetto trace), gauge samples
+/// and message edges are kept oldest first up to these caps, so memory
+/// stays bounded on full-scale replays. A report counts what it dropped.
+const MAX_SPANS: usize = 20_000;
+const MAX_GAUGES: usize = 100_000;
+const MAX_EDGES: usize = 50_000;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            sample_every: 1,
-            max_spans: 20_000,
-            max_gauges: 100_000,
-            max_edges: 50_000,
-            shard_mode: false,
-        }
-    }
-}
-
-/// A virtual-time-sampled scalar, per server.
+/// A per-server scalar over virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum GaugeKind {
     /// Objects modified by pending (uncommitted) operations.
@@ -63,14 +36,18 @@ pub enum GaugeKind {
     PendingBatchOps,
     /// CPU queue backlog in nanoseconds (busy-until minus now).
     QueueBacklogNs,
+    /// 0 when the server crashes, 1 when its recovery finishes. Written
+    /// on those two events only, never by the periodic sampler.
+    Liveness,
 }
 
 impl GaugeKind {
-    pub const ALL: [GaugeKind; 4] = [
+    pub const ALL: [GaugeKind; 5] = [
         GaugeKind::ActiveObjects,
         GaugeKind::ValidLogBytes,
         GaugeKind::PendingBatchOps,
         GaugeKind::QueueBacklogNs,
+        GaugeKind::Liveness,
     ];
 
     pub fn name(self) -> &'static str {
@@ -79,6 +56,7 @@ impl GaugeKind {
             GaugeKind::ValidLogBytes => "valid_log_bytes",
             GaugeKind::PendingBatchOps => "pending_batch_ops",
             GaugeKind::QueueBacklogNs => "queue_backlog_ns",
+            GaugeKind::Liveness => "liveness",
         }
     }
 }
@@ -117,7 +95,12 @@ struct LiveOp {
 /// The shared collector behind `ObsSink::On`.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    cfg: ObsConfig,
+    /// Shard mode: this recorder lives in a child process that never sees
+    /// `op_issued` (the client runs elsewhere), so a phase stamp for an
+    /// unknown op *creates* its span — a partial span shard the
+    /// coordinator later merges with [`Recorder::absorb_shard`]. Off for
+    /// the coordinator itself, where an unknown op means "not kept".
+    shard: bool,
     pub protocol: String,
 
     // -------- histograms over every op --------
@@ -128,7 +111,7 @@ pub struct Recorder {
     pub commitment: LogHistogram,
     pub client_by_class: Vec<LogHistogram>,
 
-    // -------- sampled span window --------
+    // -------- span window (the first `MAX_SPANS` issued ops) --------
     spans: FxHashMap<OpId, OpSpan>,
     span_order: Vec<OpId>,
     issued_seen: u64,
@@ -149,9 +132,9 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    pub fn new(protocol: impl Into<String>, cfg: ObsConfig) -> Self {
+    fn new(protocol: impl Into<String>, shard: bool) -> Self {
         Self {
-            cfg,
+            shard,
             protocol: protocol.into(),
             client_by_class: vec![LogHistogram::new(); OpClass::COUNT],
             ..Self::default()
@@ -173,10 +156,8 @@ impl Recorder {
                 cross,
             },
         );
-        let sampled = self.issued_seen.is_multiple_of(self.cfg.sample_every)
-            && self.spans.len() < self.cfg.max_spans;
         self.issued_seen += 1;
-        if sampled {
+        if self.spans.len() < MAX_SPANS {
             self.spans.insert(op, OpSpan::new(op, class, cross, at));
             self.span_order.push(op);
         } else {
@@ -202,7 +183,7 @@ impl Recorder {
         }
         if let Some(span) = self.spans.get_mut(&op) {
             span.stamp(phase, at, server);
-        } else if self.cfg.shard_mode && self.spans.len() < self.cfg.max_spans {
+        } else if self.shard && self.spans.len() < MAX_SPANS {
             // Child-process shard: first stamp creates the span. Class
             // and cross are placeholders — the coordinator's own span
             // carries the real ones; only the stamps travel.
@@ -246,7 +227,7 @@ impl Recorder {
     }
 
     fn gauge(&mut self, sample: GaugeSample) {
-        if self.gauges.len() < self.cfg.max_gauges {
+        if self.gauges.len() < MAX_GAUGES {
             self.gauges.push(sample);
         } else {
             self.dropped_gauges += 1;
@@ -263,7 +244,7 @@ impl Recorder {
         recv_ns: u64,
     ) {
         self.next_edge_id += 1;
-        if self.edges.len() < self.cfg.max_edges {
+        if self.edges.len() < MAX_EDGES {
             self.edges.push(MsgEdge {
                 id: self.next_edge_id,
                 op,
@@ -306,7 +287,7 @@ impl Recorder {
             .collect()
     }
 
-    /// Merge a child process's span shard (see [`ObsConfig::shard_mode`])
+    /// Merge a child process's span shard (see [`ObsSink::shard`])
     /// into this coordinator recorder. `offset_ns` is the shard process's
     /// clock-offset estimate (its clock minus ours, from the wire plane's
     /// probe RTT sampler): every shard stamp is pulled onto our clock, then
@@ -417,13 +398,16 @@ impl std::fmt::Debug for ObsSink {
 }
 
 impl ObsSink {
-    /// A recording sink with the default sampling window.
+    /// A recording sink.
     pub fn recording(protocol: impl Into<String>) -> Self {
-        Self::with_config(protocol, ObsConfig::default())
+        ObsSink::On(Arc::new(Mutex::new(Recorder::new(protocol, false))))
     }
 
-    pub fn with_config(protocol: impl Into<String>, cfg: ObsConfig) -> Self {
-        ObsSink::On(Arc::new(Mutex::new(Recorder::new(protocol, cfg))))
+    /// A recording sink for a server process whose clients run elsewhere:
+    /// a phase stamp for an op it never saw issued starts that op's span,
+    /// a shard for the coordinator's [`Self::absorb_shard`].
+    pub fn shard(protocol: impl Into<String>) -> Self {
+        ObsSink::On(Arc::new(Mutex::new(Recorder::new(protocol, true))))
     }
 
     #[inline]
@@ -599,11 +583,7 @@ mod tests {
         coord.client_latency(OpClass::Mkdir, true, 1_000_000);
 
         // Server child: shard-mode recorder on a clock 5 ms ahead.
-        let shard_cfg = ObsConfig {
-            shard_mode: true,
-            ..ObsConfig::default()
-        };
-        let child = ObsSink::with_config("cx", shard_cfg);
+        let child = ObsSink::shard("cx");
         let skew = 5_000_000i64;
         let at = |ours: u64| SimTime((ours as i64 + skew) as u64);
         child.op_phase(op(1), Phase::Executed, at(1_500_000), Some(ServerId(2)));
@@ -650,11 +630,7 @@ mod tests {
         coord.op_replied(op(5), SimTime(3_000_000), OpOutcome::Applied, true);
         // A badly overestimated offset would pull the shard's Executed
         // stamp *before* Dispatched/Issued; the merge clamps instead.
-        let shard_cfg = ObsConfig {
-            shard_mode: true,
-            ..ObsConfig::default()
-        };
-        let child = ObsSink::with_config("cx", shard_cfg);
+        let child = ObsSink::shard("cx");
         child.op_phase(op(5), Phase::Executed, SimTime(1_100_000), None);
         child.op_phase(op(5), Phase::Completed, SimTime(1_200_000), None);
         let (spans, edges) = child.export_shard();
@@ -677,11 +653,7 @@ mod tests {
         coord.op_issued(op(6), OpClass::Link, true, SimTime(1_000_000));
         coord.op_phase(op(6), Phase::Dispatched, SimTime(1_100_000), None);
         coord.op_replied(op(6), SimTime(2_000_000), OpOutcome::Applied, true);
-        let shard_cfg = ObsConfig {
-            shard_mode: true,
-            ..ObsConfig::default()
-        };
-        let child = ObsSink::with_config("cx", shard_cfg);
+        let child = ObsSink::shard("cx");
         child.op_phase(
             op(6),
             Phase::Executed,
@@ -702,30 +674,30 @@ mod tests {
     }
 
     #[test]
-    fn sampling_caps_span_memory_but_not_histograms() {
-        let cfg = ObsConfig {
-            sample_every: 4,
-            max_spans: 3,
-            max_gauges: 2,
-            max_edges: 2,
-            shard_mode: false,
-        };
-        let s = ObsSink::with_config("cx", cfg);
-        for i in 0..40 {
+    fn caps_bound_spans_gauges_and_edges_but_not_histograms() {
+        let s = ObsSink::recording("cx");
+        let ops = MAX_SPANS as u64 + 3;
+        for i in 0..ops {
             s.op_issued(op(i), OpClass::Stat, false, SimTime(i));
             s.op_replied(op(i), SimTime(i + 10), OpOutcome::Applied, false);
             s.client_latency(OpClass::Stat, false, 10);
         }
-        for i in 0..5 {
+        for i in 0..MAX_GAUGES as u64 + 3 {
             s.gauge(SimTime(i), 0, GaugeKind::ValidLogBytes, i);
         }
+        for i in 0..MAX_EDGES as u64 + 3 {
+            let (from, to) = (FlowNode::Server(0), FlowNode::Server(1));
+            s.msg_edge(None, MsgKind::Vote, from, to, i, i + 1);
+        }
         let rep = s.report().unwrap();
-        assert_eq!(rep.spans.len(), 3);
-        assert_eq!(rep.client_all.count, 40);
-        assert_eq!(rep.gauges.len(), 2);
+        assert_eq!(rep.spans.len(), MAX_SPANS);
+        assert_eq!(rep.dropped_spans, 3);
+        assert_eq!(rep.client_all.count, ops);
+        assert_eq!(rep.gauges.len(), MAX_GAUGES);
         assert_eq!(rep.dropped_gauges, 3);
-        assert!(rep
-            .render_dashboard()
-            .contains("gauges: 2 kept, 3 beyond the cap"));
+        assert_eq!(rep.edges.len(), MAX_EDGES);
+        assert_eq!(rep.dropped_edges, 3);
+        let kept = format!("gauges: {MAX_GAUGES} kept, 3 beyond the cap");
+        assert!(rep.render_dashboard().contains(&kept));
     }
 }

@@ -329,15 +329,6 @@ impl<E> Wheel<E> {
     }
 }
 
-#[cfg(test)]
-impl<E> Wheel<E> {
-    /// Handles' worth of heap the wheel holds on to, in use or not.
-    fn retained_handle_capacity(&self) -> usize {
-        let vecs = self.ring.iter().chain(&self.pool);
-        self.active.capacity() + self.overflow.capacity() + vecs.map(Vec::capacity).sum::<usize>()
-    }
-}
-
 /// A deterministic discrete-event simulator.
 ///
 /// ```
@@ -419,6 +410,15 @@ impl<E> Sim<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E> Wheel<E> {
+        /// Handles' worth of heap the wheel holds on to, in use or not.
+        fn retained_handle_capacity(&self) -> usize {
+            let vecs = self.ring.iter().chain(&self.pool);
+            let vecs: usize = vecs.map(Vec::capacity).sum();
+            self.active.capacity() + self.overflow.capacity() + vecs
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -120,8 +120,6 @@ pub struct ServerCpuConfig {
     pub per_msg_ns: u64,
     /// Executing one sub-operation against the in-memory store.
     pub per_subop_ns: u64,
-    /// Serving one cached read (stat/lookup/readdir).
-    pub per_read_ns: u64,
 }
 
 impl Default for ServerCpuConfig {
@@ -129,7 +127,6 @@ impl Default for ServerCpuConfig {
         Self {
             per_msg_ns: 15 * DUR_US,
             per_subop_ns: 25 * DUR_US,
-            per_read_ns: 20 * DUR_US,
         }
     }
 }

@@ -7,9 +7,15 @@
 //! numeric `ts`, and the `s`/`f` flow events that draw the causal arcs
 //! pair up one-to-one on their shared `id`.
 
-use cx_core::{DesCluster, Experiment, FlightRecorder, ObsSink, Protocol, Workload};
+use cx_chaos::{run_plan_obs, ChaosScenario};
+use cx_core::{Experiment, ObsSink, Protocol, Workload};
 use serde::Json;
 use std::collections::HashMap;
+
+// The plans of `crates/chaos/tests/plans.rs`; one runs here.
+#[allow(dead_code)]
+#[path = "../crates/chaos/tests/regression_plans/mod.rs"]
+mod regression_plans;
 
 fn home2(protocol: Protocol) -> Experiment {
     Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
@@ -106,7 +112,10 @@ fn assert_flows_pair(starts: &HashMap<String, u64>, finishes: &HashMap<String, u
 }
 
 /// The recorded-run exporter: spans, counters, and causal message arcs,
-/// all schema-valid, with every flow pair closed.
+/// all schema-valid, with every flow pair closed. Two inputs: a home2
+/// replay, and a chaos run with one crash, whose report — the chaos
+/// replay's post-mortem — adds the victim's liveness counter track and an
+/// instant for every stuck op.
 #[test]
 fn obs_report_chrome_trace_is_schema_valid() {
     let sink = ObsSink::recording("cx");
@@ -119,27 +128,36 @@ fn obs_report_chrome_trace_is_schema_valid() {
     );
     let (starts, finishes) = check_trace(&report.to_chrome_trace());
     assert_flows_pair(&starts, &finishes);
-}
 
-/// The flight recorder's post-mortem exporter obeys the same schema; its
-/// retained window also pairs every flow arc it kept.
-#[test]
-fn flight_recorder_chrome_trace_is_schema_valid() {
-    let e = home2(Protocol::Cx);
-    let flight = FlightRecorder::default();
-    let st = e.workload.stream(&e.cfg);
-    let (_, violations) = DesCluster::new_stream(e.cfg.clone(), st)
-        .with_obs(ObsSink::Off)
-        .with_flight(flight.clone())
-        .run();
-    assert!(violations.is_empty());
-    assert!(flight.total() > 0);
-    let (starts, finishes) = check_trace(&flight.to_chrome_trace());
+    let plan = regression_plans::participant_crash_plan();
+    let victim = plan.crashes[0].server.0;
+    let sink = ObsSink::recording("cx");
+    let run = run_plan_obs(&ChaosScenario::new(Protocol::Cx), &plan, sink.clone());
+    assert_eq!(run.outcome.stats.faults.crashes, 1, "the crash must fire");
+    let report = sink.report().expect("recording sink yields a report");
+    let trace = report.to_chrome_trace();
+    let (starts, finishes) = check_trace(&trace);
     assert_flows_pair(&starts, &finishes);
+    let liveness = format!("\"name\":\"liveness s{victim}\",\"ph\":\"C\"");
+    assert_eq!(trace.matches(&liveness).count(), 2, "crash and recovery");
+    // The crash leaves clients wedged (`ops_stuck`), so the report has
+    // stuck ops to draw.
+    let wedged = run.outcome.stats.ops_stuck > 0;
+    assert_eq!(
+        !report.stuck.is_empty(),
+        wedged,
+        "stuck ops iff wedged clients"
+    );
+    let stuck_instants = trace.matches("\"cat\":\"stuck\",\"ph\":\"i\"").count();
+    assert_eq!(
+        stuck_instants,
+        report.stuck.len(),
+        "one instant per stuck op"
+    );
     // The JSONL side of the post-mortem is one parseable object per line.
-    let jsonl = flight.to_jsonl();
+    let jsonl = report.to_jsonl();
     assert!(!jsonl.is_empty());
     for line in jsonl.lines() {
-        serde_json::parse_value(line).expect("each flight JSONL line parses");
+        serde_json::parse_value(line).expect("each JSONL line parses");
     }
 }

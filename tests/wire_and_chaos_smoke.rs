@@ -3,11 +3,12 @@
 //! `cx-net` with the reconnect drill, each against the DES as oracle, and
 //! the wall-clock runtime's two entry points against each other.
 
-use cx_chaos::{run_plan, ChaosScenario};
+use cx_chaos::{run_plan, run_plan_obs, ChaosScenario};
 use cx_core::{
-    run_trace, ClusterConfig, Protocol, TcpCluster, TcpOptions, ThreadedCluster, Workload,
+    run_trace, ClusterConfig, ObsSink, Protocol, TcpCluster, TcpOptions, ThreadedCluster, Workload,
 };
 use cx_net::PlaneConfig;
+use cx_obs::GaugeKind;
 use cx_types::{BatchTrigger, DUR_MS};
 
 // The plans of `crates/chaos/tests/plans.rs`; four run here.
@@ -26,6 +27,42 @@ fn participant_crash_plan_is_clean_and_replays_to_the_same_digest() {
     assert_eq!(a.outcome.stats.faults.recoveries, 1);
     let b = run_plan(&scn, &plan);
     assert_eq!(a.digest, b.digest, "same plan, same digest");
+}
+
+/// A crash and its recovery are in the obs report: the victim's liveness
+/// gauge reads 0 at the cycle's `crashed_at` and 1 at its
+/// `recovery_finished`, and nothing else writes it. Recording leaves the
+/// run's digest alone.
+#[test]
+fn the_victims_liveness_samples_are_its_recovery_cycle() {
+    let plan = regression_plans::participant_crash_plan();
+    let scn = ChaosScenario::new(Protocol::Cx);
+    let sink = ObsSink::recording("cx");
+    let run = run_plan_obs(&scn, &plan, sink.clone());
+    let cycles = &run.outcome.stats.recovery_cycles;
+    assert_eq!(cycles.len(), 1, "one crash, one recovery");
+    let want: Vec<_> = cycles
+        .iter()
+        .flat_map(|c| {
+            [
+                (c.server.0, c.crashed_at, 0),
+                (c.server.0, c.recovery_finished, 1),
+            ]
+        })
+        .collect();
+    let report = sink.report().expect("a recording sink");
+    let got: Vec<_> = report
+        .gauges
+        .iter()
+        .filter(|g| g.kind == GaugeKind::Liveness)
+        .map(|g| (g.server, g.at, g.value))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(
+        run.digest,
+        run_plan(&scn, &plan).digest,
+        "recording moved the run"
+    );
 }
 
 /// The three message-fault plans, pinned to values: digest and the drop,
