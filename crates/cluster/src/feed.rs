@@ -8,21 +8,36 @@
 //! exactly those of the materialized trace (a vec-backed stream goes
 //! through the same feed), so there is one intake.
 //!
+//! A buffered op is held as its [`cx_types::codec`] bytes, the layout the
+//! wire and the WAL already use: 9 B for a one-inode op, 17 for `Lookup`,
+//! 25 for a mutation, where an `FsOp` slot is 32. The backlog grows with
+//! how far the processes drift apart, not with the trace, but on a
+//! read-heavy trace it is the largest thing the replay holds.
+//!
 //! [`ClientTable`] is the client side both runtimes run over a feed: the
 //! DES and the wall clock's client host.
 
 use crate::stats::{AckRecord, RunStats};
 use cx_obs::registry::{Counter, MetricRegistry, Series};
 use cx_protocol::{host, Action, ClientDecision, ClientOp, Endpoint, Ports};
+use cx_types::codec::{Codec, Reader};
 use cx_types::{
     ClusterConfig, CxConfig, FsOp, OpId, OpOutcome, Placement, ProcId, Protocol, SimTime,
 };
 use cx_workloads::OpStream;
 use std::collections::VecDeque;
 
+/// The longest `FsOp` encoding: a tag and three 8-byte fields.
+const MAX_OP_BYTES: usize = 25;
+
 pub struct OpFeed {
     source: Box<dyn OpStream + Send>,
-    buffers: Vec<VecDeque<FsOp>>,
+    /// Per process, its ops not handed out yet, encoded back to back.
+    buffers: Vec<VecDeque<u8>>,
+    /// Ops held in `buffers`.
+    buffered: u64,
+    /// Encode scratch, reused for every push.
+    scratch: Vec<u8>,
     exhausted: bool,
     /// Ops pulled out of the source so far.
     pulled: u64,
@@ -38,25 +53,38 @@ impl OpFeed {
         let mut feed = Self {
             source,
             buffers: (0..processes).map(|_| VecDeque::new()).collect(),
+            buffered: 0,
+            scratch: Vec::with_capacity(MAX_OP_BYTES),
             exhausted: false,
             pulled: 0,
             total_hint,
         };
         let mut empty = feed.buffers.len();
-        while empty > 0 && !feed.exhausted {
-            match feed.source.next_op() {
-                Some(t) => {
-                    feed.pulled += 1;
-                    let b = &mut feed.buffers[t.proc.client.0 as usize];
-                    if b.is_empty() {
-                        empty -= 1;
-                    }
-                    b.push_back(t.op);
-                }
-                None => feed.exhausted = true,
+        while empty > 0 {
+            let Some(proc) = feed.pull() else { break };
+            // The op just pushed is alone in its buffer: that one was empty.
+            if feed.buffers[proc].len() == feed.scratch.len() {
+                empty -= 1;
             }
         }
         feed
+    }
+
+    /// Draw one op from the source into its process's buffer; the process,
+    /// or `None` once the source is dry.
+    fn pull(&mut self) -> Option<usize> {
+        let Some(t) = self.source.next_op() else {
+            self.exhausted = true;
+            return None;
+        };
+        self.pulled += 1;
+        self.buffered += 1;
+        self.scratch.clear();
+        t.op.encode(&mut self.scratch);
+        debug_assert!(self.scratch.len() <= MAX_OP_BYTES);
+        let proc = t.proc.client.0 as usize;
+        self.buffers[proc].extend(&self.scratch);
+        Some(proc)
     }
 
     /// Whether `proc` has no ops at all (valid right after construction).
@@ -66,32 +94,42 @@ impl OpFeed {
 
     /// Next op for `proc`, pulling the source forward as needed.
     pub fn next_for(&mut self, proc: u32) -> Option<FsOp> {
-        loop {
-            if let Some(op) = self.buffers[proc as usize].pop_front() {
-                return Some(op);
-            }
+        let proc = proc as usize;
+        while self.buffers[proc].is_empty() {
             if self.exhausted {
                 return None;
             }
-            match self.source.next_op() {
-                Some(t) => {
-                    self.pulled += 1;
-                    self.buffers[t.proc.client.0 as usize].push_back(t.op);
-                }
-                None => self.exhausted = true,
-            }
+            self.pull();
         }
+        let buf = &mut self.buffers[proc];
+        // An op that wraps the ring's end is decoded from a copy.
+        let mut wrapped = [0u8; MAX_OP_BYTES];
+        let (front, back) = buf.as_slices();
+        let bytes = if front.len() >= MAX_OP_BYTES || back.is_empty() {
+            front
+        } else {
+            let n = buf.len().min(MAX_OP_BYTES);
+            for (d, s) in wrapped.iter_mut().zip(buf.iter()) {
+                *d = *s;
+            }
+            &wrapped[..n]
+        };
+        let mut r = Reader::new(bytes);
+        let op = FsOp::decode(&mut r).expect("the feed decodes only what it encoded");
+        let used = bytes.len() - r.remaining();
+        buf.drain(..used);
+        self.buffered -= 1;
+        Some(op)
     }
 
     /// Ops not yet handed to any process: buffered plus (estimated) still
     /// in the source. Exact for vec- and generator-backed streams, a
     /// lower bound under the injection adapter.
     pub fn remaining(&self) -> u64 {
-        let buffered: u64 = self.buffers.iter().map(|b| b.len() as u64).sum();
         if self.exhausted {
-            buffered
+            self.buffered
         } else {
-            buffered + self.total_hint.saturating_sub(self.pulled)
+            self.buffered + self.total_hint.saturating_sub(self.pulled)
         }
     }
 

@@ -1,7 +1,6 @@
 //! Namespace bookkeeping used while generating valid operation streams.
 
-use cx_types::{FsOp, InodeNo, Name};
-use std::collections::HashMap;
+use cx_types::{FsOp, FxHashMap, InodeNo, Name};
 
 /// Tracks which files and directories exist so the generator only emits
 /// operations that will succeed (trace replays in the paper replay what
@@ -9,9 +8,9 @@ use std::collections::HashMap;
 #[derive(Debug, Default, Clone)]
 pub struct NamespaceModel {
     /// file inode → nlink
-    files: HashMap<InodeNo, u32>,
-    dirs: HashMap<InodeNo, u32>, // dir → live entry count
-    dentries: HashMap<(InodeNo, Name), InodeNo>,
+    files: FxHashMap<InodeNo, u32>,
+    dirs: FxHashMap<InodeNo, u32>, // dir → live entry count
+    dentries: FxHashMap<(InodeNo, Name), InodeNo>,
     next_ino: u64,
     next_name: u64,
 }
