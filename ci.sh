@@ -129,9 +129,9 @@ if [ "${1:-}" != "quick" ]; then
     # counting allocator. The replay is one deterministic thread, so the
     # peak repeats to the byte — no host slow wave can flake this one. The
     # ceilings are 3 % over EXPERIMENTS.md "Counted heap peaks"
-    # (9.66 / 5.30 / 3.77 MiB).
+    # (8.66 / 4.83 / 3.77 MiB).
     step "heap ceilings (heap_peak, counted)"
-    for row in update:9.95 home2:5.46 lowload:3.88; do
+    for row in update:8.92 home2:4.97 lowload:3.88; do
         cargo run -q --release -p cx-bench --bin heap_peak -- \
             --workload "${row%%:*}" --seed 7000 --ceiling-mib "${row##*:}" > /dev/null
     done

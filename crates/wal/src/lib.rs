@@ -15,9 +15,10 @@
 //! The log is organized "as a log-structured file … to exploit more disk
 //! bandwidth, and build an index on top of it to accelerate searches"
 //! (§IV-A). [`Wal`] is that logical structure: an append-only record
-//! sequence plus an in-memory per-operation index. Physical timing lives in
-//! `cx-simio`; the WAL tracks *durability* (a record only counts after its
-//! disk flush completed) so crash injection can truncate un-flushed tails.
+//! sequence whose in-memory store is its per-operation index, each record
+//! held once in its operation's entry. Physical timing lives in `cx-simio`;
+//! the WAL tracks *durability* (a record only counts after its disk flush
+//! completed) so crash injection can truncate un-flushed tails.
 //!
 //! Pruning (§III-D): the coordinator prunes an operation's records once a
 //! Complete-Record is present; the participant once a Commit- or

@@ -2,13 +2,14 @@
 
 use crate::record::{Outcome, Record, RecordFamily};
 use cx_types::{CxError, CxResult, OpId, OpTable, Role, ServerId, SubOp, Verdict};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Position of a record in the log's append order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeqNo(pub u64);
 
-/// Inline list of an operation's record sequence numbers.
+/// Inline list of an operation's records: each one's sequence number and
+/// family, packed as `seq << 2 | family`.
 ///
 /// An operation logs at most a Result-Record, an outcome record, and a
 /// Complete-Record in the common case, so four inline slots cover almost
@@ -22,20 +23,22 @@ pub struct SeqList {
 }
 
 impl SeqList {
-    pub fn push(&mut self, seq: u64) {
+    pub fn push(&mut self, seq: u64, family: RecordFamily) {
+        debug_assert!(seq < 1 << 62);
+        let packed = seq << 2 | family.index() as u64;
         if (self.len as usize) < self.inline.len() {
-            self.inline[self.len as usize] = seq;
+            self.inline[self.len as usize] = packed;
             self.len += 1;
         } else {
-            self.spill.push(seq);
+            self.spill.push(packed);
         }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, RecordFamily)> + '_ {
         self.inline[..self.len as usize]
             .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
+            .chain(self.spill.iter())
+            .map(|&p| (p >> 2, RecordFamily::ALL[(p & 3) as usize]))
     }
 
     pub fn len(&self) -> usize {
@@ -47,83 +50,9 @@ impl SeqList {
     }
 }
 
-/// Record store indexed by sequence number.
-///
-/// Sequence numbers are dense and monotone, so slot `seq - base` replaces
-/// the tree walk a `BTreeMap<u64, Record>` would need on the append/prune
-/// hot path. Pruning leaves holes; a pruned prefix is compacted away by
-/// advancing `base`, and trailing holes are popped so the deque stays
-/// bounded by the live span of the log.
-#[derive(Debug, Clone, Default)]
-struct RecordSlots {
-    /// Sequence number of `slots[0]`.
-    base: u64,
-    slots: VecDeque<Option<Record>>,
-    live: usize,
-}
-
-impl RecordSlots {
-    /// Insert at `seq`, which never falls inside the occupied span: appends
-    /// are monotone, and a crash that truncated the tail leaves `next_seq`
-    /// pointing past it (the gap is padded with holes).
-    fn insert(&mut self, seq: u64, rec: Record) {
-        if self.slots.is_empty() {
-            self.base = seq;
-        }
-        debug_assert!(seq >= self.base + self.slots.len() as u64);
-        while self.base + (self.slots.len() as u64) < seq {
-            self.slots.push_back(None);
-        }
-        self.slots.push_back(Some(rec));
-        self.live += 1;
-    }
-
-    fn get_mut(&mut self, seq: u64) -> Option<&mut Record> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        self.slots.get_mut(idx)?.as_mut()
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<Record> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        let rec = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        while matches!(self.slots.back(), Some(None)) {
-            self.slots.pop_back();
-        }
-        Some(rec)
-    }
-
-    /// Drop every record with sequence number `>= seq` (crash truncation).
-    fn truncate_from(&mut self, seq: u64) {
-        let keep = seq.saturating_sub(self.base).min(self.slots.len() as u64) as usize;
-        while self.slots.len() > keep {
-            if self.slots.pop_back().flatten().is_some() {
-                self.live -= 1;
-            }
-        }
-        while matches!(self.slots.back(), Some(None)) {
-            self.slots.pop_back();
-        }
-    }
-
-    /// Live records in sequence order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &Record)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|r| (self.base + i as u64, r)))
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-}
-
-/// Per-operation view assembled by the index.
+/// One operation's index entry, which is also the log's only in-memory
+/// copy of that operation's records: its fields are those of its latest
+/// Result-Record, and a control record is its family alone.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OpLogState {
     /// This server's role, from the Result-Record.
@@ -141,8 +70,8 @@ pub struct OpLogState {
     pub complete: bool,
     /// Unpruned bytes currently held by this operation's records.
     pub bytes: u64,
-    /// Sequence numbers of this operation's records (so pruning removes
-    /// exactly them without scanning the whole log).
+    /// Sequence number and family of each of this operation's records, in
+    /// append order.
     pub seqs: SeqList,
 }
 
@@ -161,6 +90,23 @@ impl OpLogState {
             None => self.complete || self.outcome.is_some(),
         }
     }
+
+    /// This operation's record of `family`; a Result-Record is the latest.
+    fn record(&self, op_id: OpId, family: RecordFamily) -> Record {
+        match family {
+            RecordFamily::Result => Record::Result {
+                op_id,
+                role: self.role.expect("a Result-Record sets the role"),
+                peer: self.peer,
+                subop: self.subop.expect("a Result-Record sets the sub-op"),
+                verdict: self.verdict.expect("a Result-Record sets the verdict"),
+                invalidated: self.invalidated,
+            },
+            RecordFamily::Commit => Record::Commit { op_id },
+            RecordFamily::Abort => Record::Abort { op_id },
+            RecordFamily::Complete => Record::Complete { op_id },
+        }
+    }
 }
 
 /// The write-ahead log of one server.
@@ -168,14 +114,20 @@ impl OpLogState {
 /// Appends are volatile until [`Wal::mark_durable`] confirms the disk flush
 /// (log appends complete strictly in order, so durability is a prefix);
 /// [`Wal::crash`] truncates the un-flushed tail and rebuilds the index,
-/// which is exactly the state a rebooted server recovers from.
+/// which is exactly the state a rebooted server recovers from. The index
+/// is the record store: no record is kept a second time.
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
-    records: RecordSlots,
     next_seq: u64,
     /// All records with seq < durable_next are on disk.
     durable_next: u64,
     index: OpTable<OpLogState>,
+    /// Result-Records a later Result-Record of the same operation replaced
+    /// in its index entry (a sub-op re-executed after invalidation, §III-C),
+    /// by sequence number.
+    superseded: BTreeMap<u64, Record>,
+    /// Unpruned records.
+    records: usize,
     valid_bytes: u64,
     limit: Option<u64>,
     total_appended: u64,
@@ -258,16 +210,30 @@ impl Wal {
         self.appended_counts[family.index()] += 1;
         self.tail_families.push_back((seq, family));
         self.index_record(&rec, bytes, seq);
-        self.records.insert(seq, rec);
-        self.valid_bytes += bytes;
         self.total_appended += bytes;
         Ok((SeqNo(seq), bytes))
     }
 
     fn index_record(&mut self, rec: &Record, bytes: u64, seq: u64) {
-        let st = self.index.get_or_default(rec.op_id());
+        let op = rec.op_id();
+        let st = self.index.get_or_default(op);
+        if let Record::Result { .. } = rec {
+            // The entry's fields are about to describe this record; the one
+            // they described so far is kept apart.
+            let prev = st
+                .seqs
+                .iter()
+                .filter(|&(_, f)| f == RecordFamily::Result)
+                .last();
+            if let Some((prev, _)) = prev {
+                self.superseded
+                    .insert(prev, st.record(op, RecordFamily::Result));
+            }
+        }
         st.bytes += bytes;
-        st.seqs.push(seq);
+        st.seqs.push(seq, rec.family());
+        self.records += 1;
+        self.valid_bytes += bytes;
         match rec {
             Record::Result {
                 role,
@@ -326,10 +292,8 @@ impl Wal {
     pub fn invalidate_result(&mut self, op: &OpId) -> CxResult<()> {
         let st = self.index.get_mut(op).ok_or(CxError::NoSuchRecord(*op))?;
         st.invalidated = true;
-        // The index knows exactly which records belong to this op; no need
-        // to scan the whole log.
-        for seq in st.seqs.iter() {
-            if let Some(Record::Result { invalidated, .. }) = self.records.get_mut(seq) {
+        for (seq, _) in st.seqs.iter() {
+            if let Some(Record::Result { invalidated, .. }) = self.superseded.get_mut(&seq) {
                 *invalidated = true;
             }
         }
@@ -347,9 +311,12 @@ impl Wal {
         }
         let freed = st.bytes;
         let st = self.index.remove(op).expect("checked above");
-        for seq in st.seqs.iter() {
-            self.records.remove(seq);
+        if !self.superseded.is_empty() {
+            for (seq, _) in st.seqs.iter() {
+                self.superseded.remove(&seq);
+            }
         }
+        self.records -= st.seqs.len();
         self.valid_bytes -= freed;
         self.total_pruned += freed;
         freed
@@ -405,25 +372,23 @@ impl Wal {
     /// Survivors are promoted to durable: they are on disk now, whatever
     /// the in-flight flush bookkeeping said when power failed.
     pub fn crash_torn(&mut self, extra_bytes: u64) {
+        let log: Vec<(SeqNo, Record)> = self.scan().collect();
         let mut survive_next = self.durable_next;
-        if extra_bytes > 0 {
-            let mut budget = extra_bytes;
-            for (seq, rec) in self.records.iter() {
-                if seq < self.durable_next {
-                    continue;
-                }
-                let len = rec.encoded_len();
-                if len > budget {
-                    break;
-                }
-                budget -= len;
-                survive_next = seq + 1;
+        let mut budget = extra_bytes;
+        for (SeqNo(seq), rec) in &log {
+            if *seq < self.durable_next {
+                continue;
             }
+            let len = rec.encoded_len();
+            if len > budget {
+                break;
+            }
+            budget -= len;
+            survive_next = seq + 1;
         }
         if survive_next < self.next_seq {
             self.truncations += 1;
         }
-        self.records.truncate_from(survive_next);
         // Promote the surviving volatile records to durable; the rest of
         // the in-flight suffix is gone for good.
         while matches!(self.tail_families.front(), Some(&(seq, _)) if seq < survive_next) {
@@ -432,28 +397,36 @@ impl Wal {
         }
         self.tail_families.clear();
         self.durable_next = self.durable_next.max(survive_next);
-        self.rebuild_index();
-    }
-
-    fn rebuild_index(&mut self) {
+        // Re-index the survivors: the index is all a rebooted server reads.
         self.index.clear();
+        self.superseded.clear();
+        self.records = 0;
         self.valid_bytes = 0;
-        let records: Vec<(u64, Record)> =
-            self.records.iter().map(|(s, r)| (s, r.clone())).collect();
-        for (seq, rec) in &records {
-            let bytes = rec.encoded_len();
-            self.index_record(rec, bytes, *seq);
-            self.valid_bytes += bytes;
+        for (SeqNo(seq), rec) in log.iter().take_while(|(s, _)| s.0 < survive_next) {
+            self.index_record(rec, rec.encoded_len(), *seq);
         }
     }
 
-    /// Records in append order (the recovery scan).
-    pub fn scan(&self) -> impl Iterator<Item = (SeqNo, &Record)> {
-        self.records.iter().map(|(s, r)| (SeqNo(s), r))
+    /// The unpruned records in append order, rebuilt from the index. Only
+    /// tests and [`Wal::crash_torn`] read the log whole; recovery works from
+    /// [`Wal::half_completed`] and [`Wal::op_state`].
+    pub fn scan(&self) -> impl Iterator<Item = (SeqNo, Record)> {
+        let mut log: Vec<(SeqNo, Record)> = Vec::with_capacity(self.records);
+        for (op, st) in self.index.iter() {
+            for (seq, family) in st.seqs.iter() {
+                let rec = match self.superseded.get(&seq) {
+                    Some(rec) => rec.clone(),
+                    None => st.record(*op, family),
+                };
+                log.push((SeqNo(seq), rec));
+            }
+        }
+        log.sort_unstable_by_key(|&(seq, _)| seq);
+        log.into_iter()
     }
 
     pub fn record_count(&self) -> usize {
-        self.records.len()
+        self.records
     }
 }
 

@@ -79,6 +79,96 @@ fn record_strategy() -> impl Strategy<Value = Record> {
     ]
 }
 
+/// What a step does to the op it names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Action {
+    /// Flip the flag of every Result-Record of the op.
+    Invalidate,
+    /// §III-C step 4 on a disordered conflict: invalidate, then log the
+    /// re-execution's Result-Record.
+    Reexecute,
+    /// Log another Result-Record without invalidating the earlier one, so
+    /// a later action flips a superseded record that still reads false.
+    Relog,
+}
+
+/// Steps `(after, target, actions)`: once record `i = after % recs.len()`
+/// of the generated history is appended, each action in turn is applied
+/// to the op of record `target % (i + 1)`.
+type Step = (usize, usize, Vec<Action>);
+
+fn step_strategy() -> impl Strategy<Value = Vec<Step>> {
+    let action = prop_oneof![
+        Just(Action::Invalidate),
+        Just(Action::Reexecute),
+        Just(Action::Relog)
+    ];
+    prop::collection::vec(
+        (0usize..40, 0usize..40, prop::collection::vec(action, 1..4)),
+        0..6,
+    )
+}
+
+/// Append `recs` to a fresh log, running `steps` in between. Returns the
+/// log, the records as they now stand in it (flags flipped, new Result-
+/// Records included, in append order) and their sequence numbers.
+fn append_with_steps(recs: &[Record], steps: &[Step]) -> (Wal, Vec<Record>, Vec<SeqNo>) {
+    let mut wal = Wal::new(None);
+    let mut history: Vec<Record> = Vec::new();
+    let mut seqs = Vec::new();
+    for (i, rec) in recs.iter().enumerate() {
+        let (seq, _) = wal.append(rec.clone()).expect("unlimited");
+        history.push(rec.clone());
+        seqs.push(seq);
+        for (_, target, actions) in steps.iter().filter(|(after, _, _)| after % recs.len() == i) {
+            let op = recs[target % (i + 1)].op_id();
+            for &action in actions {
+                let invalidate = action != Action::Relog;
+                if invalidate {
+                    wal.invalidate_result(&op).expect("the op has a record");
+                }
+                let mut latest = None;
+                for r in history.iter_mut() {
+                    if let Record::Result {
+                        op_id, invalidated, ..
+                    } = r
+                    {
+                        if *op_id == op {
+                            *invalidated |= invalidate;
+                            latest = Some(r.clone());
+                        }
+                    }
+                }
+                let Some(Record::Result {
+                    op_id,
+                    role,
+                    peer,
+                    subop,
+                    verdict,
+                    ..
+                }) = latest
+                else {
+                    continue;
+                };
+                if action != Action::Invalidate {
+                    let again = Record::Result {
+                        op_id,
+                        role,
+                        peer,
+                        subop,
+                        verdict,
+                        invalidated: false,
+                    };
+                    let (seq, _) = wal.append(again.clone()).expect("unlimited");
+                    history.push(again);
+                    seqs.push(seq);
+                }
+            }
+        }
+    }
+    (wal, history, seqs)
+}
+
 proptest! {
     /// Every record round-trips through the binary encoding, and the
     /// stated encoded length is exact.
@@ -141,25 +231,22 @@ proptest! {
     }
 
     /// Crash keeps exactly the durable prefix: every surviving record was
-    /// marked durable, and the rebuilt index matches a fresh replay.
+    /// marked durable, and the rebuilt index matches a fresh replay —
+    /// re-executed ops' superseded, invalidated Result-Records included.
     #[test]
     fn crash_keeps_durable_prefix(
         recs in prop::collection::vec(record_strategy(), 1..40),
         durable_upto in 0usize..40,
+        steps in step_strategy(),
     ) {
-        let mut wal = Wal::new(None);
-        let mut seqs = Vec::new();
-        for rec in &recs {
-            let (seq, _) = wal.append(rec.clone()).expect("unlimited");
-            seqs.push(seq);
-        }
+        let (mut wal, recs, seqs) = append_with_steps(&recs, &steps);
         let cut = durable_upto.min(recs.len());
         if cut > 0 {
             wal.mark_durable(seqs[cut - 1]);
         }
         wal.crash();
         // survivors are exactly recs[..cut]
-        let survivors: Vec<Record> = wal.scan().map(|(_, r)| r.clone()).collect();
+        let survivors: Vec<Record> = wal.scan().map(|(_, r)| r).collect();
         prop_assert_eq!(&survivors[..], &recs[..cut]);
         // the rebuilt index equals a fresh wal fed the same prefix
         let mut fresh = Wal::new(None);
@@ -210,20 +297,19 @@ proptest! {
 
     /// `Wal::crash_torn` at any byte budget keeps exactly the durable
     /// prefix plus the maximal run of whole volatile records that fits —
-    /// checked at every record boundary and one byte either side of it.
+    /// checked at every record boundary and one byte either side of it,
+    /// with re-executed ops' invalidated Result-Records in the history.
     #[test]
     fn wal_torn_crash_keeps_whole_record_prefix(
         recs in prop::collection::vec(record_strategy(), 1..10),
         durable_upto in 0usize..10,
+        steps in step_strategy(),
     ) {
+        let generated = recs;
+        let recs = append_with_steps(&generated, &steps).1;
         let cut = durable_upto.min(recs.len());
         let build = || {
-            let mut wal = Wal::new(None);
-            let mut seqs = Vec::new();
-            for rec in &recs {
-                let (seq, _) = wal.append(rec.clone()).expect("unlimited");
-                seqs.push(seq);
-            }
+            let (mut wal, _, seqs) = append_with_steps(&generated, &steps);
             if cut > 0 {
                 wal.mark_durable(seqs[cut - 1]);
             }
@@ -250,7 +336,7 @@ proptest! {
             }
             let mut wal = build();
             wal.crash_torn(extra);
-            let survivors: Vec<Record> = wal.scan().map(|(_, r)| r.clone()).collect();
+            let survivors: Vec<Record> = wal.scan().map(|(_, r)| r).collect();
             prop_assert_eq!(
                 &survivors[..],
                 &recs[..cut + fit],

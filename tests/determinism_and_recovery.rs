@@ -1,5 +1,8 @@
 //! Reproducibility and crash-recovery, end to end.
 
+mod common;
+
+use common::GOLDEN_HOME2_DIGEST;
 use cx_chaos::RecoveryExperiment;
 use cx_core::{Experiment, Protocol, Workload};
 
@@ -141,6 +144,3 @@ fn home2_digest_pins_simulator_behavior() {
 
     assert_eq!(stats_digest(&a), GOLDEN_HOME2_DIGEST);
 }
-
-/// Pinned by running the home2 replay above at the end of the perf pass.
-const GOLDEN_HOME2_DIGEST: u64 = 4_199_832_947_163_537_151;

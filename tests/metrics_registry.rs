@@ -10,11 +10,12 @@
 //!    the shared atomics as its clients issue and retire ops, and the
 //!    totals still match the deterministic DES run of the same workload.
 
+mod common;
+
+use common::GOLDEN_HOME2_DIGEST;
 use cx_core::{
     Experiment, LiveMetrics, MetricRegistry, ObsSink, Protocol, ThreadedCluster, Workload,
 };
-
-const GOLDEN_HOME2_DIGEST: u64 = 4_199_832_947_163_537_151;
 
 fn home2(protocol: Protocol) -> Experiment {
     Experiment::new(Workload::trace("home2").scale(0.005).seed(7))

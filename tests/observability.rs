@@ -9,6 +9,9 @@
 //!    present for Cx cross ops, and per-phase segments summing to the
 //!    client-visible latency.
 
+mod common;
+
+use common::GOLDEN_HOME2_DIGEST;
 use cx_core::{Experiment, ObsSink, Phase, Protocol, Workload};
 
 fn home2(protocol: Protocol) -> Experiment {
@@ -22,7 +25,6 @@ fn home2(protocol: Protocol) -> Experiment {
 /// for every protocol, and the Cx digest is the pinned golden one.
 #[test]
 fn obs_on_off_digests_are_identical() {
-    const GOLDEN_HOME2_DIGEST: u64 = 4_199_832_947_163_537_151;
     for protocol in [
         Protocol::Cx,
         Protocol::Se,
