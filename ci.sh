@@ -21,10 +21,13 @@ cargo fmt --all -- --check
 # crates/*/src and shims/*/src. Test-only items sit in their file's test
 # module, so that line is where a file's product code ends; a file that
 # opens with `#![cfg(test)]` is test code whole and counts nothing.
-# Printed, not gated.
-step "product rust (lines before the first #[cfg(test)], crates/*/src + shims/*/src)"
+# The second line is the workspace member count (crates, shims and the
+# root package), read from cargo's metadata. Both printed, not gated.
+step "product rust (lines before the first #[cfg(test)], crates/*/src + shims/*/src) + workspace members"
 find crates/*/src shims/*/src -name '*.rs' -print0 |
     xargs -0 awk 'FNR == 1 { live = 1 } /#!?\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n }'
+cargo metadata -q --offline --no-deps --format-version 1 |
+    grep -o '"workspace_members":\[[^]]*\]' | tr ',' '\n' | wc -l
 
 step "clippy (every workspace member, shims included, -D warnings)"
 cargo clippy -q --workspace --all-targets -- -D warnings

@@ -334,9 +334,11 @@ fn multiproc_run(args: &cx_bench::Args) {
              (offsets: {})",
             report.spans.len(),
             cfg.servers,
-            r.health
+            r.net
+                .rows
                 .iter()
-                .map(|(n, h)| format!("{n} {:+}ns", h.clock_offset_ns))
+                .filter(|row| row.rtt_samples > 0)
+                .map(|row| format!("{} {:+}ns", row.peer, row.clock_offset_ns))
                 .collect::<Vec<_>>()
                 .join(", "),
         );

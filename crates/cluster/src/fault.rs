@@ -18,8 +18,7 @@ use cx_mdstore::MetaStore;
 use cx_protocol::Endpoint;
 use cx_types::{FsOp, MsgKind, OpId, ServerId, SimTime};
 use cx_wal::RecordFamily;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 pub use cx_protocol::host::MsgFate;
 

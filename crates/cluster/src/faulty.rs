@@ -126,7 +126,7 @@ mod tests {
     use cx_obs::ObsSink;
     use cx_types::{BatchTrigger, ClusterConfig, Protocol};
     use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     #[derive(Clone, Copy, Debug)]
     enum Carrier {

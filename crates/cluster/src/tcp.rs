@@ -3,7 +3,7 @@
 //! Every message of a [`crate::wall`] run crosses a TCP connection through
 //! `cx-net`'s [`ConnectionManager`]: length-prefixed wire frames, bounded
 //! (backpressuring) per-peer outbound queues flushed without blocking,
-//! reconnect with exponential backoff, per-peer health scoring. Each node —
+//! reconnect with exponential backoff, per-peer wire counters. Each node —
 //! every server and the client host — runs on its manager's one I/O
 //! thread. Two deployment shapes:
 //!
@@ -20,10 +20,7 @@ use crate::live::{observe_wire_series, LiveMetrics};
 use crate::stats::RunStats;
 use crate::wall::{run_wired, NodeIo, ServerNode, Wired};
 use cx_mdstore::Violation;
-use cx_net::{
-    AddrBook, ConnectionManager, Frame, HealthSnapshot, NodeId, PlaneConfig, WireTelemetry,
-    WireTotals,
-};
+use cx_net::{AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig, WireTelemetry, WireTotals};
 use cx_obs::registry::MetricRegistry;
 use cx_obs::{NetTable, ObsSink};
 use cx_types::{ClusterConfig, ServerId};
@@ -74,8 +71,6 @@ pub struct TcpRunResult {
     /// Successful re-dials after a lost or dropped connection
     /// (coordinator side).
     pub reconnects: u64,
-    /// Final health snapshot per peer the coordinator talked to.
-    pub health: Vec<(NodeId, HealthSnapshot)>,
     /// Frames/bytes/flushes summed across every in-process connection
     /// manager (coordinator + loopback servers); external `cx_net_server`
     /// processes keep their counters to themselves.
@@ -86,8 +81,9 @@ pub struct TcpRunResult {
     /// onto the coordinator's clock. Attach `telem.flush_spans` to an
     /// [`cx_obs::ObsReport`]'s `flushes` to get the Perfetto wire tracks.
     pub telem: WireTelemetry,
-    /// Every node's view of every peer it talked to — rendered by
-    /// `cx-obs net`.
+    /// Every node's view of every peer it wrote to — rendered by
+    /// `cx-obs net`. The coordinator's rows to the servers also carry the
+    /// probe RTT and clock-offset columns.
     pub net: NetTable,
 }
 
@@ -496,7 +492,7 @@ mod tests {
             );
         }
         // The stitched view also carries the servers' wire telemetry and
-        // their per-peer health rows.
+        // their per-peer rows.
         assert!(res.net.rows.iter().any(|r| r.on.starts_with("srv")));
     }
 }

@@ -9,10 +9,9 @@
 
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use cx_net::conn::{InboundBatches, Node};
-use cx_net::{ConnectionManager, Frame, NodeId};
+use cx_net::{plock, ConnectionManager, Frame, NodeId};
 use cx_types::VecPool;
-use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -41,8 +40,8 @@ pub(crate) trait Transport: Send + Sync {
     /// inbound are read, and join it unless called there; it ends even if
     /// clones of this transport are still held elsewhere. Idempotent.
     fn shutdown(&self);
-    /// The socket plane underneath, when there is one: health rows, wire
-    /// telemetry, peer gossip and the reconnect drill only exist there.
+    /// The socket plane underneath, when there is one: per-peer counters,
+    /// wire telemetry, peer gossip and the reconnect drill only exist there.
     fn wire(&self) -> Option<&ConnectionManager> {
         None
     }
@@ -132,14 +131,14 @@ impl ChanNode {
     /// Deliver what is pending on `link` as one batch.
     fn flush(&self, link: &mut Link) {
         if !link.pending.is_empty() {
-            let spare = self.pool.lock().get();
+            let spare = plock(&self.pool).get();
             let batch = std::mem::replace(&mut link.pending, spare);
             let _ = link.tx.send((self.me, batch));
         }
     }
 
     fn flush_turn(&self) {
-        for link in self.links.lock().iter_mut() {
+        for link in plock(&self.links).iter_mut() {
             self.flush(link);
         }
     }
@@ -163,7 +162,7 @@ impl ChanNode {
                 if frames.is_empty() || !node.on_frames(from, &mut frames) {
                     break 'turns;
                 }
-                self.pool.lock().put(frames);
+                plock(&self.pool).put(frames);
                 next = inbound.try_recv().ok();
             }
             wait = node.on_due();
@@ -175,7 +174,7 @@ impl ChanNode {
 impl Transport for ChanNode {
     fn send(&self, to: NodeId, frame: Frame) {
         let on_loop = self.looper.get() == Some(&thread::current().id());
-        let mut links = self.links.lock();
+        let mut links = plock(&self.links);
         let Some(link) = links.get_mut(self.link_of(to)) else {
             return; // shut down
         };
@@ -194,14 +193,14 @@ impl Transport for ChanNode {
             .name(name)
             .spawn(move || me.run(build, inbound))
             .expect("spawn a channel node's loop");
-        *self.thread.lock() = Some(t);
+        *plock(&self.thread) = Some(t);
     }
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
     fn shutdown(&self) {
-        let links = std::mem::take(&mut *self.links.lock());
-        let Some(t) = self.thread.lock().take() else {
+        let links = std::mem::take(&mut *plock(&self.links));
+        let Some(t) = plock(&self.thread).take() else {
             return;
         };
         if let Some(own) = links.get(self.link_of(self.me)) {

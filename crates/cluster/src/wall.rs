@@ -37,7 +37,7 @@ use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use cx_mdstore::{GlobalView, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
-use cx_net::{ClockSync, Frame, HealthSnapshot, NodeId, WireTelemetry, WireTotals};
+use cx_net::{plock, ClockSync, Frame, NodeId, WireTelemetry, WireTotals};
 use cx_obs::{MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
 use cx_protocol::host::{self, flow_node, primary_op, Lateness, MsgCounts, MsgFate, Ports};
 use cx_protocol::{Action, Endpoint, ProtoMetrics, ServerEngine, ServerStats};
@@ -74,10 +74,9 @@ struct WireReport {
     /// This node's wire-plane telemetry: flush/queue/stall histograms and
     /// (when enabled) the per-flush span log. Empty on a channel node.
     telem: WireTelemetry,
-    /// Per-peer health rows (`(peer label, snapshot)`) — the node's
-    /// contribution to the cluster-wide `cx-obs net` table; the
-    /// coordinator fills in the `on` column from the responding node.
-    peers: Vec<(String, HealthSnapshot)>,
+    /// The node's rows of the cluster-wide `cx-obs net` table: its
+    /// counters for every peer it wrote to. Empty on a channel node.
+    peers: Vec<NetPeerRow>,
 }
 
 type InodeRows = Vec<(u64, u8, u32)>;
@@ -195,7 +194,7 @@ impl Ports for MsgPort {
 
     fn fate(&mut self, from: Endpoint, to: Endpoint, kind: MsgKind) -> MsgFate {
         match &self.faults {
-            Some(inj) => inj.lock().on_send(self.now(), from, to, kind),
+            Some(inj) => plock(inj).on_send(self.now(), from, to, kind),
             None => MsgFate::Deliver,
         }
     }
@@ -321,10 +320,7 @@ impl ServerNode {
                     edges,
                     telem: wire.map(|c| c.telemetry()).unwrap_or_default(),
                     peers: wire.map_or_else(Vec::new, |c| {
-                        c.health_all()
-                            .into_iter()
-                            .map(|(node, h)| (format!("{node}"), h))
-                            .collect()
+                        c.net_rows().into_iter().map(|(_, row)| row).collect()
                     }),
                 };
                 let stats_json = serde_json::to_string(&report)
@@ -604,6 +600,7 @@ pub(crate) fn run_wired(
         stores,
         telem,
         mut net_rows,
+        clocks,
     } = drain_and_stop(
         &*net,
         &ctrl_rx,
@@ -653,13 +650,16 @@ pub(crate) fn run_wired(
     }
 
     let violations = GlobalView::merge(stores.iter()).check(&roots);
-    let (mut reconnects, mut health) = (0, Vec::new());
+    let mut reconnects = 0;
     if let Some(conn) = net.wire() {
         reconnects = conn.reconnects_total();
-        health = conn.health_all();
-        let on = conn.me().to_string();
-        for (peer, h) in &health {
-            net_rows.push(peer_row(&on, &peer.to_string(), h));
+        // The coordinator's own rows take their probe columns from the
+        // clocks the stitching above used.
+        for (peer, mut row) in conn.net_rows() {
+            if let Some(sync) = clocks.get(&peer) {
+                sync.fill(&mut row);
+            }
+            net_rows.push(row);
         }
     }
 
@@ -674,7 +674,6 @@ pub(crate) fn run_wired(
         violations,
         wall: epoch.elapsed(),
         reconnects,
-        health,
         wire,
         telem,
         net: NetTable { rows: net_rows },
@@ -687,7 +686,11 @@ struct FinalState {
     stores: Vec<MetaStore>,
     /// The host's wire telemetry merged with every server's.
     telem: WireTelemetry,
+    /// Every server's net-table rows.
     net_rows: Vec<NetPeerRow>,
+    /// Each server's probe record: the offset its stamps were stitched
+    /// with, and the coordinator's RTT and offset columns.
+    clocks: HashMap<NodeId, ClockSync>,
 }
 
 /// Quiesce rounds before the coordinator gives up and stops the servers
@@ -723,7 +726,7 @@ fn drain_and_stop(
     // min-RTT estimate per server later pulls that process's span shard
     // and flush-span stamps onto the coordinator's clock. In-process
     // servers share our epoch, so their measured offsets are ~0 — harmless.
-    let mut clock_sync: HashMap<NodeId, ClockSync> = HashMap::new();
+    let mut clocks: HashMap<NodeId, ClockSync> = HashMap::new();
     let mut last_reply: HashMap<NodeId, Instant> = HashMap::new();
     // Servers the latest round did not hear "quiesced" from.
     let mut laggards: BTreeSet<NodeId> = BTreeSet::new();
@@ -759,14 +762,10 @@ fn drain_and_stop(
             else {
                 continue;
             };
-            let (rtt, offset) =
-                clock_sync
-                    .entry(node)
-                    .or_default()
-                    .sample(echo_t0_ns, remote_ns, net.now_ns());
-            if let Some(conn) = net.wire() {
-                conn.note_rtt(node, rtt, offset);
-            }
+            clocks
+                .entry(node)
+                .or_default()
+                .sample(echo_t0_ns, remote_ns, net.now_ns());
             last_reply.insert(node, Instant::now());
             if pending.get(&node) == Some(&token) {
                 pending.remove(&node);
@@ -796,6 +795,7 @@ fn drain_and_stop(
         stores: Vec::new(),
         telem: net.wire().map(|c| c.telemetry()).unwrap_or_default(),
         net_rows: Vec::new(),
+        clocks,
     };
     let mut awaiting: BTreeSet<NodeId> = server_nodes.iter().copied().collect();
     let deadline = Instant::now() + STOP_WAIT;
@@ -833,7 +833,8 @@ fn drain_and_stop(
         // Stitch the node's wall-clock telemetry onto our timeline: the
         // quiesce probes' min-RTT estimate says how far its clock
         // (= process epoch) sits from ours.
-        let offset = clock_sync
+        let offset = state
+            .clocks
             .get(&node)
             .and_then(|s| s.estimate())
             .map_or(0, |e| e.offset_ns);
@@ -841,10 +842,7 @@ fn drain_and_stop(
             obs.absorb_shard(&report.spans, &report.edges, offset);
         }
         state.telem.merge(&report.telem, offset);
-        let on = format!("{node}");
-        for (peer, h) in &report.peers {
-            state.net_rows.push(peer_row(&on, peer, h));
-        }
+        state.net_rows.extend(report.peers);
         match rebuild_store(inodes, dentries) {
             Ok(store) => state.stores.push(store),
             Err(why) => stats.leftovers.push(format!(
@@ -859,25 +857,4 @@ fn drain_and_stop(
         ));
     }
     state
-}
-
-/// Flatten one observer→peer [`HealthSnapshot`] into its net-table row.
-fn peer_row(on: &str, peer: &str, h: &HealthSnapshot) -> NetPeerRow {
-    NetPeerRow {
-        on: on.into(),
-        peer: peer.into(),
-        frames: h.sends,
-        bytes: h.bytes,
-        flushes: h.flushes,
-        send_failures: h.failures,
-        reconnects: h.reconnects,
-        ewma_flush_ns: h.ewma_ns,
-        score: h.score,
-        rtt_p50_ns: h.rtt_p50_ns,
-        rtt_p99_ns: h.rtt_p99_ns,
-        rtt_min_ns: h.rtt_min_ns,
-        rtt_samples: h.rtt_samples,
-        clock_offset_ns: h.clock_offset_ns,
-        queue_peak: h.queue_peak,
-    }
 }

@@ -127,11 +127,50 @@ fn tcp_reconnect_mid_run_keeps_equivalence() {
     assert_tie_insensitive_match(&tcp.stats, &thr.stats, "Cx reconnect vs threaded");
     // The client host's turns coalesced across the kill: over its peers,
     // strictly fewer flushes than frames.
-    let (frames, flushes) = tcp.health.iter().fold((0u64, 0u64), |(f, fl), (_, h)| {
-        (f + h.sends, fl + h.flushes)
-    });
+    let (frames, flushes) = tcp
+        .net
+        .rows
+        .iter()
+        .filter(|r| r.on == "cli0")
+        .fold((0u64, 0u64), |(f, fl), r| (f + r.frames, fl + r.flushes));
     assert!(
         flushes < frames,
         "no coalescing: {flushes} flushes for {frames} frames"
     );
+}
+
+/// The coordinator's rows to the servers carry the probe columns of the
+/// `ClockSync` it stitched with. In-process servers share the run's epoch,
+/// so the true offset is 0 and the NTP bound is exact: the responder's
+/// stamp lies inside `[t0, t3]`, so the min-RTT sample's offset is within
+/// half its RTT (rounded up, for the integer midpoint). Only the
+/// coordinator probes: every other row has no samples.
+#[test]
+fn tcp_coordinator_rows_carry_the_probe_clock() {
+    let tcp = TcpCluster::run(fast_cfg(4, Protocol::Cx), &home2_prefix());
+    assert_eq!(tcp.violations, vec![]);
+    let (host, others): (Vec<_>, Vec<_>) = tcp.net.rows.iter().partition(|r| r.on == "cli0");
+    assert_eq!(host.len(), 4, "one row per server");
+    for r in host {
+        assert!(r.rtt_samples >= 1, "{}: never probed", r.peer);
+        assert!(
+            r.rtt_min_ns <= r.rtt_p50_ns && r.rtt_p50_ns <= r.rtt_p99_ns,
+            "{}: min {} p50 {} p99 {}",
+            r.peer,
+            r.rtt_min_ns,
+            r.rtt_p50_ns,
+            r.rtt_p99_ns
+        );
+        assert!(
+            r.clock_offset_ns.unsigned_abs() <= r.rtt_min_ns.div_ceil(2),
+            "{}: offset {} ns outside ± rtt_min/2 of {} ns",
+            r.peer,
+            r.clock_offset_ns,
+            r.rtt_min_ns
+        );
+    }
+    assert!(others.iter().any(|r| r.on.starts_with("srv")));
+    for r in others {
+        assert_eq!(r.rtt_samples, 0, "{} -> {} was never probed", r.on, r.peer);
+    }
 }

@@ -21,14 +21,19 @@
 //! Offsets here are *epoch* offsets: each process stamps nanoseconds since
 //! its own start instant, so cross-process offsets are dominated by the
 //! difference in process start times (milliseconds to seconds), not clock
-//! drift. The same estimator corrects both.
+//! drift. The same estimator corrects both, through
+//! [`cx_obs::correct_ns`].
 
-/// The running best (min-RTT) offset estimate for one peer.
-#[derive(Debug, Clone, Copy, Default)]
+use cx_obs::{LogHistogram, NetPeerRow};
+
+/// The probe record for one peer: the running best (min-RTT) offset
+/// estimate and every sample's RTT — the only record of either.
+#[derive(Debug, Clone, Default)]
 pub struct ClockSync {
     /// `(rtt_ns, offset_ns)` of the best sample so far.
     best: Option<(u64, i64)>,
-    samples: u64,
+    /// Every sample's RTT, for the net table's percentiles.
+    rtt: LogHistogram,
 }
 
 /// A finished estimate: the peer's clock reads `offset_ns` ahead of ours
@@ -50,20 +55,18 @@ impl ClockSync {
 
     /// Fold in one probe exchange. `t0_ns`/`t3_ns` are our clock at probe
     /// send and response receipt; `remote_ns` is the responder's clock
-    /// from the reply. Returns the sample's `(rtt_ns, offset_ns)` so the
-    /// caller can also feed per-peer RTT health tracking.
-    pub fn sample(&mut self, t0_ns: u64, remote_ns: u64, t3_ns: u64) -> (u64, i64) {
+    /// from the reply.
+    pub fn sample(&mut self, t0_ns: u64, remote_ns: u64, t3_ns: u64) {
         let rtt = t3_ns.saturating_sub(t0_ns);
         // i128 midpoint: u64 epochs near the end of a long run would
         // overflow an i64 sum.
         let midpoint = (t0_ns as i128 + t3_ns as i128) / 2;
         let offset =
             (remote_ns as i128 - midpoint).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        self.samples += 1;
+        self.rtt.record(rtt);
         if self.best.is_none_or(|(best_rtt, _)| rtt < best_rtt) {
             self.best = Some((rtt, offset));
         }
-        (rtt, offset)
     }
 
     /// The min-RTT estimate, if any sample landed.
@@ -72,17 +75,21 @@ impl ClockSync {
             offset_ns,
             rtt_ns,
             error_bound_ns: rtt_ns / 2,
-            samples: self.samples,
+            samples: self.rtt.count,
         })
     }
-}
 
-/// Pull a wall-clock stamp from a remote process back onto our clock:
-/// subtract the estimated offset, saturating at zero (a stamp from before
-/// our epoch cannot be represented — clamping is what the span-merge
-/// monotone pass expects).
-pub fn correct_ns(remote_stamp_ns: u64, offset_ns: i64) -> u64 {
-    (remote_stamp_ns as i128 - offset_ns as i128).clamp(0, u64::MAX as i128) as u64
+    /// Fill `row`'s probe columns: RTT percentiles, the min-RTT sample and
+    /// its offset estimate. A peer never probed keeps 0 samples.
+    pub fn fill(&self, row: &mut NetPeerRow) {
+        row.rtt_p50_ns = self.rtt.percentile(50.0);
+        row.rtt_p99_ns = self.rtt.percentile(99.0);
+        row.rtt_samples = self.rtt.count;
+        if let Some((rtt, offset)) = self.best {
+            row.rtt_min_ns = rtt;
+            row.clock_offset_ns = offset;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -160,11 +167,22 @@ mod tests {
     }
 
     #[test]
-    fn correction_round_trips_and_saturates() {
-        // A remote stamp taken `skew` ahead of us comes back to our clock.
-        assert_eq!(correct_ns(5_000_000, 2_000_000), 3_000_000);
-        assert_eq!(correct_ns(5_000_000, -2_000_000), 7_000_000);
-        // Stamps from before our epoch clamp to zero instead of wrapping.
-        assert_eq!(correct_ns(1_000, 5_000_000), 0);
+    fn fill_writes_percentiles_and_the_min_rtt_offset() {
+        let mut row = NetPeerRow::default();
+        ClockSync::new().fill(&mut row);
+        assert_eq!(row, NetPeerRow::default(), "no probe, no columns");
+        let mut sync = ClockSync::new();
+        // 100 slow samples with a noisy offset, one fast sample with the
+        // true offset: min-RTT must pin the fast sample's estimate.
+        for i in 0..100u64 {
+            exchange(&mut sync, T0 + i * 1_000_000, 9_999, 100_000 + i, 100_000);
+        }
+        exchange(&mut sync, T0 + 200_000_000, -1_234, 25_000, 25_000);
+        sync.fill(&mut row);
+        assert_eq!(row.rtt_min_ns, 50_000);
+        assert_eq!(row.clock_offset_ns, -1_234);
+        assert_eq!(row.rtt_samples, 101);
+        assert!(row.rtt_min_ns <= row.rtt_p50_ns && row.rtt_p50_ns <= row.rtt_p99_ns);
+        assert!(row.rtt_p99_ns <= 200_099);
     }
 }

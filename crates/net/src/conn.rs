@@ -33,23 +33,22 @@
 //! this thread, its sends flushed once per turn. Per node, only the
 //! oldest connection is read, which keeps delivery FIFO across reconnects.
 
-use crate::health::{HealthSnapshot, PeerHealth};
+use crate::health::{PeerHealth, WireTotals};
 use crate::wire::{encode_frame, write_frame, Frame, FrameBuffer};
-use crate::NodeId;
+use crate::{plock, NodeId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use cx_obs::{FlushSpan, LogHistogram};
+use cx_obs::{correct_ns, FlushSpan, LogHistogram, NetPeerRow};
 use cx_types::VecPool;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
 use std::ptr::null;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -87,11 +86,6 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// lock a sender held.
 const DRAIN_RETRY: Duration = Duration::from_millis(1);
 
-/// Lock a `std` mutex parking_lot-style: a panicked holder releases.
-fn plock<T>(m: &StdMutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Tuning knobs for the wire plane.
 #[derive(Debug, Clone)]
 pub struct PlaneConfig {
@@ -126,10 +120,10 @@ impl AddrBook {
         Self::default()
     }
     pub fn set(&self, node: NodeId, addr: SocketAddr) {
-        self.inner.lock().insert(node, addr);
+        plock(&self.inner).insert(node, addr);
     }
     pub fn get(&self, node: NodeId) -> Option<SocketAddr> {
-        self.inner.lock().get(&node).copied()
+        plock(&self.inner).get(&node).copied()
     }
 }
 
@@ -180,12 +174,11 @@ struct PeerShared {
     listen_port: u16,
     book: Arc<AddrBook>,
     backoff_base: Duration,
-    queue: StdMutex<PeerQueue>,
+    queue: Mutex<PeerQueue>,
     room: Condvar,
-    flush: StdMutex<FlushState>,
+    flush: Mutex<FlushState>,
     kill: AtomicBool,
     health: Arc<PeerHealth>,
-    reconnects: Arc<AtomicU64>,
     telem: Arc<TelemetryState>,
 }
 
@@ -208,7 +201,7 @@ impl Handoff {
     /// the peer's flush lock, so the thread's `try_lock` can take it. The
     /// I/O thread itself passes `wake` false: it takes the set every turn.
     fn stall(&self, peer: &Arc<PeerShared>, wake: bool) {
-        let mut stalled = self.stalled.lock();
+        let mut stalled = plock(&self.stalled);
         if stalled.iter().any(|p| Arc::ptr_eq(p, peer)) {
             return;
         }
@@ -222,27 +215,6 @@ impl Handoff {
     }
 }
 
-/// Aggregate send-side wire counters across every peer of one manager —
-/// the raw material for frames/s, bytes/s, flushes/s rates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireTotals {
-    /// Frames written (sum of all peers' flushed batch sizes).
-    pub frames: u64,
-    /// Encoded bytes written.
-    pub bytes: u64,
-    /// Batches written (coalesced flushes).
-    pub flushes: u64,
-}
-
-impl WireTotals {
-    /// Fold another node's totals in (cluster-wide aggregation).
-    pub fn add(&mut self, other: WireTotals) {
-        self.frames += other.frames;
-        self.bytes += other.bytes;
-        self.flushes += other.flushes;
-    }
-}
-
 /// Upper bound on retained [`FlushSpan`]s per manager (~40 B each). Past
 /// it flushes still count in the histograms; only the trace log saturates,
 /// with the overflow tallied in [`WireTelemetry::spans_dropped`].
@@ -250,41 +222,30 @@ pub const FLUSH_SPAN_CAP: usize = 1 << 16;
 
 /// Live wall-clock telemetry shared by every peer of one manager: the
 /// flush/queue/stall histograms (always on — one locked record per
-/// *flush*, not per frame), the optional per-flush span log and the send
-/// totals, which outlive `shutdown()` draining the peers map. All stamps
+/// *flush*, not per frame) and the optional per-flush span log. All stamps
 /// are nanoseconds since the manager's `epoch`, so one process's spans are
 /// directly comparable and cross-process ones differ by a probe-estimated
 /// offset ([`crate::ClockSync`]).
 struct TelemetryState {
     epoch: Instant,
     record_spans: bool,
-    /// The histograms and spans, and the send totals.
-    live: Mutex<(WireTelemetry, WireTotals)>,
+    /// The histograms and spans.
+    live: Mutex<WireTelemetry>,
 }
 
 impl TelemetryState {
     fn note_queue_depth(&self, depth: u64) {
-        self.live.lock().0.queue_depth.record(depth);
+        plock(&self.live).queue_depth.record(depth);
     }
 
-    /// Record a batch written in full; returns its latency.
-    fn note_flush(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        t0: Instant,
-        frames: u64,
-        bytes: u64,
-    ) -> Duration {
+    /// Record the latency and size of a batch written in full.
+    fn note_flush(&self, from: NodeId, to: NodeId, t0: Instant, frames: u64, bytes: u64) {
         let dur = t0.elapsed();
-        let (telem, totals) = &mut *self.live.lock();
-        totals.frames += frames;
-        totals.bytes += bytes;
-        totals.flushes += 1;
+        let telem = &mut *plock(&self.live);
         telem.flush_frames.record(frames);
         telem.flush_latency_ns.record(dur.as_nanos() as u64);
         if !self.record_spans {
-            return dur;
+            return;
         }
         if telem.flush_spans.len() < FLUSH_SPAN_CAP {
             telem.flush_spans.push(FlushSpan {
@@ -298,11 +259,10 @@ impl TelemetryState {
         } else {
             telem.spans_dropped += 1;
         }
-        dur
     }
 
     fn note_stall(&self, dur: Duration) {
-        self.live.lock().0.stall_ns.record(dur.as_nanos() as u64);
+        plock(&self.live).stall_ns.record(dur.as_nanos() as u64);
     }
 }
 
@@ -337,7 +297,7 @@ impl WireTelemetry {
         self.spans_dropped += other.spans_dropped;
         self.flush_spans.extend(other.flush_spans.iter().map(|f| {
             let mut f = *f;
-            f.start_ns = crate::clock::correct_ns(f.start_ns, offset_ns);
+            f.start_ns = correct_ns(f.start_ns, offset_ns);
             f
         }));
     }
@@ -374,7 +334,7 @@ struct Forward(Sender<Batch>, Arc<Mutex<VecPool<Frame>>>);
 
 impl Node for Forward {
     fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool {
-        let batch = std::mem::replace(frames, self.1.lock().get());
+        let batch = std::mem::replace(frames, plock(&self.1).get());
         // A gone receiver means the node is going away; the frames too.
         let _ = self.0.send((from, batch));
         true
@@ -389,6 +349,9 @@ pub struct ConnectionManager {
     book: Arc<AddrBook>,
     backoff_base: Duration,
     peers: Mutex<HashMap<NodeId, Arc<PeerShared>>>,
+    /// Every peer's counters, by node. Unlike `peers`, which `shutdown()`
+    /// drains so the sockets close, these outlive the run.
+    health: Mutex<BTreeMap<NodeId, Arc<PeerHealth>>>,
     shutdown: AtomicBool,
     /// The I/O thread. Its node owns the inbound channel's only sender, so
     /// joining it in [`Self::shutdown`] disconnects the receiver once the
@@ -396,7 +359,6 @@ pub struct ConnectionManager {
     io: Mutex<Option<JoinHandle<()>>>,
     io_id: ThreadId,
     handoff: Arc<Handoff>,
-    reconnects: Arc<AtomicU64>,
     /// Freelist for inbound batch vectors: the forwarding node draws,
     /// consumers return via [`ConnectionManager::recycle_batch`].
     batch_pool: Arc<Mutex<VecPool<Frame>>>,
@@ -462,11 +424,11 @@ impl ConnectionManager {
                 book,
                 backoff_base: cfg.backoff_base,
                 peers: Mutex::new(HashMap::new()),
+                health: Mutex::default(),
                 shutdown: AtomicBool::new(false),
                 io_id: io.thread().id(),
                 io: Mutex::new(Some(io)),
                 handoff,
-                reconnects: Arc::new(AtomicU64::new(0)),
                 batch_pool,
                 telem: Arc::new(TelemetryState {
                     epoch,
@@ -501,7 +463,7 @@ impl ConnectionManager {
         build: impl FnOnce() -> N + Send + 'static,
     ) {
         let build = Box::new(move || Box::new(build()) as Box<dyn Node>);
-        *self.handoff.serve.lock() = Some((inbound, build));
+        *plock(&self.handoff.serve) = Some((inbound, build));
         let _ = (&self.handoff.wake).write(&[0]);
     }
 
@@ -592,12 +554,12 @@ impl ConnectionManager {
     /// its capacity. Optional — dropping the vector is merely an
     /// allocation, not an error.
     pub fn recycle_batch(&self, batch: Vec<Frame>) {
-        self.batch_pool.lock().put(batch);
+        plock(&self.batch_pool).put(batch);
     }
 
     /// The outbound side for `to`, created on first use.
     fn peer(&self, to: NodeId) -> Arc<PeerShared> {
-        let mut peers = self.peers.lock();
+        let mut peers = plock(&self.peers);
         let shared = peers.entry(to).or_insert_with(|| {
             Arc::new(PeerShared {
                 me: self.me,
@@ -605,16 +567,15 @@ impl ConnectionManager {
                 listen_port: self.listen_addr.port(),
                 book: Arc::clone(&self.book),
                 backoff_base: self.backoff_base,
-                queue: StdMutex::default(),
+                queue: Mutex::default(),
                 room: Condvar::new(),
-                flush: StdMutex::new(FlushState {
+                flush: Mutex::new(FlushState {
                     scratch: Vec::with_capacity(MAX_WRITE_BYTES),
                     backoff: self.backoff_base,
                     ..FlushState::default()
                 }),
                 kill: AtomicBool::new(false),
-                health: Arc::default(),
-                reconnects: Arc::clone(&self.reconnects),
+                health: Arc::clone(plock(&self.health).entry(to).or_default()),
                 telem: Arc::clone(&self.telem),
             })
         });
@@ -627,39 +588,38 @@ impl ConnectionManager {
     /// coalesced-but-unflushed batch is re-encoded onto the next
     /// connection generation.
     pub fn drop_connection(&self, to: NodeId) -> bool {
-        let peers = self.peers.lock();
+        let peers = plock(&self.peers);
         let peer = peers.get(&to);
         peer.inspect(|p| p.kill.store(true, Ordering::Relaxed))
             .is_some()
     }
 
-    pub fn health(&self, to: NodeId) -> Option<HealthSnapshot> {
-        self.peers.lock().get(&to).map(|p| p.health.snapshot())
-    }
-
-    /// Health of every peer this node has written to, in node order.
-    pub fn health_all(&self) -> Vec<(NodeId, HealthSnapshot)> {
-        let peers = self.peers.lock();
-        let mut v: Vec<_> = peers
+    /// Every peer this node has written to, in node order, with its
+    /// net-table row as this node sees it. The rows survive `shutdown()`;
+    /// their probe columns are empty (see [`crate::ClockSync::fill`]).
+    pub fn net_rows(&self) -> Vec<(NodeId, NetPeerRow)> {
+        let on = self.me.to_string();
+        plock(&self.health)
             .iter()
-            .map(|(n, p)| (*n, p.health.snapshot()))
-            .collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
+            .map(|(n, h)| (*n, h.row(on.clone(), n.to_string())))
+            .collect()
     }
 
-    /// Aggregate frames/bytes/flushes this node ever wrote, across every
-    /// peer past and present — the numerators for the wire-throughput
-    /// rates the metrics plane exposes. Unlike [`Self::health_all`], the
-    /// totals survive `shutdown()` draining the peers map.
+    /// Frames/bytes/flushes this node ever wrote, summed over its peers'
+    /// counters — the numerators for the wire-throughput rates the
+    /// metrics plane exposes. Survives `shutdown()`.
     pub fn wire_totals(&self) -> WireTotals {
-        self.telem.live.lock().1
+        let mut t = WireTotals::default();
+        for h in plock(&self.health).values() {
+            t.add(h.totals());
+        }
+        t
     }
 
-    /// Total successful re-dials across all peers (0 for a run where no
-    /// connection was ever lost).
+    /// Successful re-dials summed over every peer (0 for a run where no
+    /// connection was ever lost). Survives `shutdown()`.
     pub fn reconnects_total(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        plock(&self.health).values().map(|h| h.reconnects()).sum()
     }
 
     /// Nanoseconds since this manager's telemetry epoch — the wall clock
@@ -673,16 +633,7 @@ impl ConnectionManager {
     /// [`PlaneConfig::record_flush_spans`] is set). Spans accumulated so
     /// far are *cloned*, not drained — calling twice is idempotent.
     pub fn telemetry(&self) -> WireTelemetry {
-        self.telem.live.lock().0.clone()
-    }
-
-    /// Feed one probe RTT/offset sample into `to`'s health tracking (the
-    /// quiesce loop samples these; the estimator itself lives with the
-    /// caller as [`crate::ClockSync`]).
-    pub fn note_rtt(&self, to: NodeId, rtt_ns: u64, offset_ns: i64) {
-        if let Some(h) = self.peers.lock().get(&to).map(|p| Arc::clone(&p.health)) {
-            h.note_rtt(rtt_ns, offset_ns);
-        }
+        plock(&self.telem.live).clone()
     }
 
     /// Turn every sender away, let the I/O thread drain each outbound queue
@@ -692,10 +643,10 @@ impl ConnectionManager {
     /// inbound channel, so its consumer sees the end of the run.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let Some(io) = self.io.lock().take() else {
+        let Some(io) = plock(&self.io).take() else {
             return;
         };
-        for (_, p) in self.peers.lock().drain() {
+        for (_, p) in plock(&self.peers).drain() {
             plock(&p.queue).shutdown = true;
             p.room.notify_all();
             self.handoff.stall(&p, true);
@@ -788,10 +739,10 @@ fn flush_session<'a>(
             }
             Ok(true) => {
                 let (frames, bytes) = (st.batch.len() as u64, st.scratch.len() as u64);
-                let dur = shared
+                shared
                     .telem
                     .note_flush(shared.me, shared.to, t0, frames, bytes);
-                shared.health.note_flush(frames, bytes, dur);
+                shared.health.note_flush(frames, bytes);
                 st.batch.clear();
                 st.scratch.clear();
                 st.backoff = shared.backoff_base;
@@ -856,7 +807,6 @@ fn dial(shared: &PeerShared, st: &mut FlushState) -> io::Result<()> {
     stream.set_nonblocking(true)?;
     if st.ever_connected {
         shared.health.note_reconnect();
-        shared.reconnects.fetch_add(1, Ordering::Relaxed);
     }
     st.ever_connected = true;
     st.next_dial_at = None;
@@ -1058,7 +1008,7 @@ fn io_loop(
         // Write side: adopt the peers the node queued for and those
         // senders handed over, then resume every flush whose socket turned
         // writable or whose time came.
-        for peer in handoff.stalled.lock().drain(..) {
+        for peer in plock(&handoff.stalled).drain(..) {
             if !out.iter().any(|s| Arc::ptr_eq(&s.peer, &peer)) {
                 out.push(Stalled {
                     peer,
@@ -1134,7 +1084,7 @@ fn io_loop(
                 draining.get_or_insert(now + DRAIN_DEADLINE);
             }
             // A served node starts with what the one it replaces forwarded.
-            let served = handoff.serve.lock().take();
+            let served = plock(&handoff.serve).take();
             if let Some((inbound, build)) = served {
                 d.node = build();
                 while let Ok((from, mut frames)) = inbound.try_recv() {
@@ -1269,14 +1219,20 @@ mod tests {
             assert_eq!(from, NodeId::Server(0));
             assert_eq!(f, probe(t as u64), "in-order delivery");
         }
-        let h = a.health(NodeId::Server(1)).unwrap();
-        assert_eq!(h.sends, 100);
+        let [(peer, h)] = &a.net_rows()[..] else {
+            panic!("a wrote to one peer")
+        };
+        assert_eq!(
+            (*peer, h.on.as_str(), h.peer.as_str()),
+            (NodeId::Server(1), "srv0", "srv1")
+        );
+        assert_eq!(h.frames, 100);
         assert!(
-            h.flushes <= h.sends,
+            h.flushes <= h.frames,
             "coalescing can only merge frames into fewer flushes"
         );
         assert!(h.bytes > 0);
-        assert!(h.score > 0.5);
+        assert_eq!(h.send_failures, 0);
         assert_eq!(a.reconnects_total(), 0);
         let t = a.wire_totals();
         assert_eq!(t.frames, 100);
@@ -1450,9 +1406,54 @@ mod tests {
             a.reconnects_total() >= 1,
             "the dropped connection must have been re-dialed"
         );
-        assert!(a.health(NodeId::Server(1)).unwrap().reconnects >= 1);
+        assert_eq!(a.net_rows()[0].1.reconnects, a.reconnects_total());
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn per_peer_counters_and_their_sums_outlive_shutdown() {
+        let book = Arc::new(AddrBook::new());
+        let cfg = PlaneConfig {
+            backoff_base: Duration::from_millis(1),
+            ..PlaneConfig::default()
+        };
+        let (a, _rx_a) =
+            ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), cfg.clone()).unwrap();
+        let (b, rx_b) =
+            ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), cfg.clone()).unwrap();
+        let (c, rx_c) =
+            ConnectionManager::start(NodeId::ClientHost(0), Arc::clone(&book), cfg).unwrap();
+        book.set(NodeId::Server(1), b.listen_addr());
+        book.set(NodeId::ClientHost(0), c.listen_addr());
+        // Two peers, one of them redialed once.
+        for (to, rx) in [(NodeId::Server(1), &rx_b), (NodeId::ClientHost(0), &rx_c)] {
+            for t in 0..50u64 {
+                a.send(to, probe(t)).unwrap();
+            }
+            recv_n(rx, 50);
+        }
+        assert!(a.drop_connection(NodeId::Server(1)));
+        a.send(NodeId::Server(1), probe(50)).unwrap();
+        recv_n(&rx_b, 1);
+
+        let rows = a.net_rows();
+        let peers: Vec<NodeId> = rows.iter().map(|(n, _)| *n).collect();
+        assert_eq!(peers, [NodeId::Server(1), NodeId::ClientHost(0)]);
+        let sum = |f: fn(&NetPeerRow) -> u64| rows.iter().map(|(_, r)| f(r)).sum::<u64>();
+        let totals = WireTotals {
+            frames: sum(|r| r.frames),
+            bytes: sum(|r| r.bytes),
+            flushes: sum(|r| r.flushes),
+        };
+        assert_eq!(totals.frames, 101);
+        assert_eq!(sum(|r| r.reconnects), 1, "one redial, counted once");
+        a.shutdown();
+        assert_eq!(a.wire_totals(), totals, "shutdown drained no counter");
+        assert_eq!(a.reconnects_total(), 1);
+        assert_eq!(a.net_rows(), rows);
+        b.shutdown();
+        c.shutdown();
     }
 
     #[test]
@@ -1555,7 +1556,7 @@ mod tests {
         // Send before the peer address is known: the writer retries.
         a.send(NodeId::Server(1), probe(7)).unwrap();
         thread::sleep(Duration::from_millis(10));
-        assert!(a.health(NodeId::Server(1)).unwrap().consecutive_failures > 0);
+        assert!(a.net_rows()[0].1.send_failures > 0);
 
         let (b, rx_b) =
             ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), cfg).unwrap();

@@ -1,6 +1,7 @@
 //! `cx-net` — the TCP wire plane.
 //!
-//! Three layers, mirroring the classic wire/connection/peer-registry split:
+//! Three layers, mirroring the classic wire/connection/peer-registry split,
+//! and the probe clock:
 //!
 //! * [`wire`] — the length-prefixed frame around every protocol
 //!   [`cx_types::Payload`] kind (whose bytes [`cx_types::codec`] lays
@@ -20,10 +21,15 @@
 //!   engine, the client host), which then runs on that thread — reading a
 //!   peer's connections one generation at a time, so reconnects stay
 //!   lossless and per-peer FIFO.
-//! * [`health`] — per-peer [`health::PeerHealth`] scoring: consecutive
-//!   failures, reconnect counts, and a per-flush latency EWMA folded into
-//!   a single score in `(0, 1]`, plus the frame/byte/flush counters behind
-//!   the wire-throughput rates.
+//! * [`health`] — per-peer [`health::PeerHealth`] counters, each wire
+//!   fact counted once: frames, bytes and flushes written, failed dials
+//!   and writes, re-dials, and the outbound queue's peak. They survive
+//!   shutdown, feed the wire-throughput rates, and snapshot straight into
+//!   the `cx-obs net` table's [`cx_obs::NetPeerRow`].
+//! * [`clock`] — [`ClockSync`], the NTP-style estimator over the quiesce
+//!   probes and the only record of a peer's RTT and clock offset; the
+//!   coordinator stitches other processes' stamps with it and fills its
+//!   net-table rows from it.
 //!
 //! The crate knows nothing about engines or clusters: `cx-cluster`'s
 //! `TcpCluster` runtime composes these pieces into a runnable cluster
@@ -35,13 +41,24 @@ pub mod conn;
 pub mod health;
 pub mod wire;
 
-pub use clock::{correct_ns, ClockSync, OffsetEstimate};
-pub use conn::{AddrBook, ConnectionManager, PlaneConfig, WireTelemetry, WireTotals};
-pub use health::{HealthSnapshot, PeerHealth};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+pub use clock::{ClockSync, OffsetEstimate};
+pub use conn::{AddrBook, ConnectionManager, PlaneConfig, WireTelemetry};
+pub use health::{PeerHealth, WireTotals};
 pub use wire::{
     decode_frame, encode_frame, encode_to_vec, read_frame, write_frame, Frame, FrameBuffer,
     WireError, MAX_FRAME_LEN, WIRE_VERSION,
 };
+
+/// Lock a `std` mutex, ignoring poison: a panicked holder releases the
+/// lock instead of failing every later caller. Every mutex of the
+/// wall-clock runtime (this crate and `cx-cluster`) is locked through it,
+/// which keeps the non-poisoning `lock()` of the `parking_lot` crate this
+/// runtime was written against.
+pub fn plock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A node on the wire: a metadata server or a client host (a process that
 /// runs many client procs and speaks for all of them). Distinct from the

@@ -32,9 +32,10 @@
 //!
 //! The wall-clock wire plane (PR 9) adds:
 //!
-//! - [`net`]: per-flush spans for the Perfetto trace and the per-peer
+//! - [`net`]: per-flush spans for the Perfetto trace, the per-peer
 //!   table (wire totals, RTT percentiles, clock offsets) behind
-//!   `cx-obs net`.
+//!   `cx-obs net`, and [`correct_ns`], which pulls every cross-process
+//!   stamp onto the coordinator's clock.
 //!
 //! The blame plane (PR 10) adds:
 //!
@@ -57,7 +58,7 @@ pub mod span;
 pub use blame::{blame_span, diff as blame_diff, BlameDiff, BlameTable, OpBlame, Seg};
 pub use flow::{FlowNode, MsgEdge};
 pub use hist::{fmt_ns_f, HistSummary, LogHistogram};
-pub use net::{chrome_flush_events, FlushSpan, NetPeerRow, NetTable};
+pub use net::{chrome_flush_events, correct_ns, FlushSpan, NetPeerRow, NetTable};
 pub use path::{critical_path, CriticalPath, EdgeClass, WalkHop};
 pub use registry::{Counter, Gauge, MetricRegistry, MetricsSnapshot, Series};
 pub use report::{ClassRow, ObsReport, SegmentRow};

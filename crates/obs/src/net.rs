@@ -1,5 +1,6 @@
 //! Wire-plane observability types: per-flush spans for the Perfetto
-//! trace and the per-peer table behind `cx-obs net`.
+//! trace, the per-peer table behind `cx-obs net`, and the clock-offset
+//! correction that puts another process's stamps on our timeline.
 //!
 //! `cx-net` records these (it depends on this crate, not the other way
 //! around); the TCP runtime collects one [`NetTable`] per process and the
@@ -21,6 +22,14 @@ pub struct FlushSpan {
     pub dur_ns: u64,
     pub frames: u32,
     pub bytes: u32,
+}
+
+/// Pull a stamp from a remote process's clock onto ours: subtract the
+/// estimated offset (its clock minus ours), saturating at zero — a stamp
+/// from before our epoch cannot be represented, and clamping is what the
+/// span-merge monotone pass expects.
+pub fn correct_ns(remote_stamp_ns: u64, offset_ns: i64) -> u64 {
+    (remote_stamp_ns as i128 - offset_ns as i128).clamp(0, u64::MAX as i128) as u64
 }
 
 /// Render flush spans as Chrome-trace slices under process `pid`: one
@@ -60,28 +69,36 @@ pub fn chrome_flush_events(spans: &[FlushSpan], pid: u32, ev: &mut Vec<String>) 
     }
 }
 
-/// One peer's row in the `cx-obs net` table: wire totals plus the health,
-/// RTT, and clock-offset state sampled at shutdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One peer's row in the `cx-obs net` table: what the observing node's
+/// connection manager counted for this peer, plus — on the coordinator's
+/// rows to the servers it probes — the RTT and clock-offset columns of its
+/// `ClockSync`. Every other row leaves those at 0 samples.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetPeerRow {
     /// The observing node (rows are grouped by observer in multiproc runs).
     pub on: String,
     /// The peer being described.
     pub peer: String,
+    /// Frames written (every frame of every flushed batch).
     pub frames: u64,
+    /// Encoded bytes written.
     pub bytes: u64,
+    /// Batches written in full (coalesced flushes, not frames).
     pub flushes: u64,
+    /// Failed dials and writes.
     pub send_failures: u64,
+    /// Successful re-dials after a lost or dropped connection.
     pub reconnects: u64,
-    pub ewma_flush_ns: u64,
-    /// Health score in (0, 1], 1.0 = perfectly healthy.
-    pub score: f64,
+    /// Probe RTT percentiles (0 while `rtt_samples` is 0).
     pub rtt_p50_ns: u64,
     pub rtt_p99_ns: u64,
+    /// Smallest probe RTT: the sample `clock_offset_ns` comes from.
     pub rtt_min_ns: u64,
     pub rtt_samples: u64,
-    /// Peer's clock minus ours at the min-RTT probe (0 when unsampled).
+    /// Peer's clock minus ours at the min-RTT probe, good to
+    /// `± rtt_min_ns / 2` (0 when unsampled).
     pub clock_offset_ns: i64,
+    /// Deepest outbound queue to this peer right after a send queued.
     pub queue_peak: u64,
 }
 
@@ -109,7 +126,7 @@ impl NetTable {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<6} {:<6} {:>10} {:>12} {:>8} {:>5} {:>5} {:>9} {:>9} {:>9} {:>11} {:>6} {:>6}\n",
+            "{:<6} {:<6} {:>10} {:>12} {:>8} {:>5} {:>5} {:>9} {:>9} {:>9} {:>6}\n",
             "on",
             "peer",
             "frames",
@@ -120,8 +137,6 @@ impl NetTable {
             "rtt p50",
             "rtt p99",
             "offset",
-            "ewma flush",
-            "score",
             "qpeak",
         ));
         let mut rows: Vec<&NetPeerRow> = self.rows.iter().collect();
@@ -142,7 +157,7 @@ impl NetTable {
                 fmt_ns_f(r.clock_offset_ns as f64)
             };
             out.push_str(&format!(
-                "{:<6} {:<6} {:>10} {:>12} {:>8} {:>5} {:>5} {:>9} {:>9} {:>9} {:>11} {:>6.3} {:>6}\n",
+                "{:<6} {:<6} {:>10} {:>12} {:>8} {:>5} {:>5} {:>9} {:>9} {:>9} {:>6}\n",
                 r.on,
                 r.peer,
                 r.frames,
@@ -153,8 +168,6 @@ impl NetTable {
                 rtt(r.rtt_p50_ns),
                 rtt(r.rtt_p99_ns),
                 offset,
-                fmt_ns_f(r.ewma_flush_ns as f64),
-                r.score,
                 r.queue_peak,
             ));
         }
@@ -175,8 +188,6 @@ mod tests {
             flushes: 100,
             send_failures: 0,
             reconnects: 1,
-            ewma_flush_ns: 45_000,
-            score: 0.97,
             rtt_p50_ns: 120_000,
             rtt_p99_ns: 900_000,
             rtt_min_ns: 80_000,
@@ -205,6 +216,15 @@ mod tests {
         // Unsampled RTT columns show '-' instead of zeros.
         let cli_line = text.lines().find(|l| l.contains("cli0")).unwrap();
         assert!(cli_line.split_whitespace().any(|w| w == "-"));
+    }
+
+    #[test]
+    fn correction_round_trips_and_saturates() {
+        // A remote stamp taken `skew` ahead of us comes back to our clock.
+        assert_eq!(correct_ns(5_000_000, 2_000_000), 3_000_000);
+        assert_eq!(correct_ns(5_000_000, -2_000_000), 7_000_000);
+        // Stamps from before our epoch clamp to zero instead of wrapping.
+        assert_eq!(correct_ns(1_000, 5_000_000), 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::flow::{FlowNode, MsgEdge};
 use crate::hist::LogHistogram;
+use crate::net::correct_ns;
 use crate::report::ObsReport;
 use crate::span::{OpSpan, Phase, StuckOp};
 use cx_types::{FxHashMap, MsgKind, OpClass, OpId, OpOutcome, ServerId, SimTime};
@@ -298,7 +299,6 @@ impl Recorder {
     /// never saw issued are skipped entirely unless they are still in its
     /// live map (commitment accounting for unsampled ops).
     pub fn absorb_shard(&mut self, shard: &[OpSpan], offset_ns: i64) {
-        let correct = |ns: u64| (ns as i128 - offset_ns as i128).clamp(0, u64::MAX as i128) as u64;
         for s in shard {
             if !self.spans.contains_key(&s.op) && !self.live.contains_key(&s.op) {
                 continue;
@@ -331,7 +331,9 @@ impl Recorder {
                     continue;
                 }
                 let Some(raw) = s.at(ph) else { continue };
-                let at = correct(raw).max(prev).min(cap[ph.index()].max(prev));
+                let at = correct_ns(raw, offset_ns)
+                    .max(prev)
+                    .min(cap[ph.index()].max(prev));
                 let server = (s.server[ph.index()] != crate::span::NO_SERVER)
                     .then(|| ServerId(s.server[ph.index()]));
                 self.phase(s.op, ph, SimTime(at), server);
@@ -345,16 +347,15 @@ impl Recorder {
     /// — exactly what the offset estimate exists for). Edges get fresh
     /// ids so flow arcs from different shards never collide.
     pub fn absorb_edges(&mut self, edges: &[MsgEdge], offset_ns: i64) {
-        let correct = |ns: u64| (ns as i128 - offset_ns as i128).clamp(0, u64::MAX as i128) as u64;
         for e in edges {
-            let sent = correct(e.sent_ns);
+            let sent = correct_ns(e.sent_ns, offset_ns);
             self.msg_edge(
                 e.op,
                 e.kind,
                 e.from,
                 e.to,
                 sent,
-                correct(e.recv_ns).max(sent),
+                correct_ns(e.recv_ns, offset_ns).max(sent),
             );
         }
     }

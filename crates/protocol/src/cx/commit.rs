@@ -12,6 +12,9 @@ use cx_types::{Hint, OpId, Payload, Role, ServerId, SimTime, Verdict};
 use cx_wal::{Outcome, Record};
 use std::collections::BTreeMap;
 
+/// Largest number of operations in one batched commitment message.
+const COMMIT_BATCH_MAX: usize = 4096;
+
 impl CxServer {
     // ------------------------------------------------------------------
     // disk completions
@@ -227,7 +230,7 @@ impl CxServer {
         }
         for (participant, group) in groups {
             self.lazy_queue.retain(|op| !group.contains(op));
-            for chunk in group.chunks(self.cfg.commit_batch_max.max(1)) {
+            for chunk in group.chunks(COMMIT_BATCH_MAX) {
                 let batch_id = self.next_batch;
                 self.next_batch += 1;
                 for op in chunk {

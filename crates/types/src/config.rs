@@ -166,8 +166,6 @@ pub struct CxConfig {
     /// Upper limit of the log size per server; `None` = unlimited
     /// (sensitivity study, Figure 7). Default 1 MB (§IV-B).
     pub log_limit_bytes: Option<u64>,
-    /// Largest number of operations in one batched commitment message.
-    pub commit_batch_max: usize,
     /// How long a client waits on mismatched conflict hints before forcing
     /// an immediate commitment (DESIGN.md §5.8).
     pub hint_mismatch_timeout_ns: u64,
@@ -199,7 +197,6 @@ impl Default for CxConfig {
         Self {
             trigger: BatchTrigger::default(),
             log_limit_bytes: Some(1 << 20),
-            commit_batch_max: 4096,
             hint_mismatch_timeout_ns: 50 * DUR_MS,
             presumed_abort_timeout_ns: 200 * DUR_MS,
             log_in_database: false,

@@ -311,7 +311,12 @@ fn a_full_queue_stops_client_reads_but_not_server_reads() {
     };
     let peak = {
         let node = Arc::clone(&node);
-        move || node.health(DEAF).map_or(0, |h| h.queue_peak)
+        move || {
+            node.net_rows()
+                .into_iter()
+                .find(|(peer, _)| *peer == DEAF)
+                .map_or(0, |(_, r)| r.queue_peak)
+        }
     };
     wait_for(Duration::from_secs(60), "the deaf queue fills", || {
         peak() >= QUEUE_CAP
@@ -404,12 +409,14 @@ fn a_loopback_run_has_one_thread_per_server_node() {
     );
     assert_eq!(peak(&samples, "cx-srv"), 0, "cx-srv threads");
     assert_eq!(peak(&samples, "cx-cli"), 0, "cx-cli threads");
-    assert_eq!(res.health.len(), 4, "the host wrote to every server");
-    for (peer, h) in &res.health {
+    let host: Vec<_> = res.net.rows.iter().filter(|r| r.on == "cli0").collect();
+    assert_eq!(host.len(), 4, "the host wrote to every server");
+    for r in host {
         assert!(
-            h.queue_peak <= FRAMES_PER_OP_PER_SERVER * processes,
-            "the host's queue to {peer} peaked at {} > {processes} processes",
-            h.queue_peak
+            r.queue_peak <= FRAMES_PER_OP_PER_SERVER * processes,
+            "the host's queue to {} peaked at {} > {processes} processes",
+            r.peer,
+            r.queue_peak
         );
     }
 }
