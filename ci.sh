@@ -64,6 +64,15 @@ if [ "${1:-}" != "quick" ]; then
     step "figure 7 (Figure 7b read off the gauge stream)"
     cargo run -q --release -p cx-bench --bin figure7_log_size > /dev/null
 
+    # The two bins that build their workloads off the stream themselves:
+    # Figure 4 reads each profile's class shares off its stream
+    # (TraceSummary), and Figure 8 sweeps injected lookups and the sharing
+    # probability (Workload::tweak), asserting every point consistent.
+    # Scale 0.01: about a second for both.
+    step "figures 4 + 8 (class shares off the stream, conflict sweep)"
+    cargo run -q --release -p cx-bench --bin figure4_op_distribution -- --scale 0.01 > /dev/null
+    cargo run -q --release -p cx-bench --bin figure8_conflict_ratio -- --scale 0.01 > /dev/null
+
     # Table V's crash is a one-crash fault plan: every row runs under the
     # durability oracle, which the harness asserts reports nothing
     # (default scale, a few seconds).

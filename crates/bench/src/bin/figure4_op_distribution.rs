@@ -5,6 +5,7 @@
 
 use cx_bench::{print_table, write_json, Args};
 use cx_core::{OpClass, TraceBuilder, PROFILES};
+use cx_workloads::TraceSummary;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -22,17 +23,12 @@ fn main() {
 
     let mut dists = Vec::new();
     for p in &PROFILES {
-        let t = TraceBuilder::new(p).scale(scale).build();
-        let hist = t.class_histogram();
-        let total: u64 = hist.iter().map(|(_, n)| n).sum();
-        let shares: BTreeMap<&'static str, f64> = hist
-            .iter()
-            .map(|(c, n)| (c.name(), *n as f64 / total as f64))
-            .collect();
+        // Class shares are placement-independent; any server count will do.
+        let summary = TraceSummary::analyze(TraceBuilder::new(p).scale(scale).stream(), 8);
         dists.push(Dist {
             trace: p.name,
             total_ops: p.total_ops,
-            shares,
+            shares: summary.class_shares,
         });
     }
 

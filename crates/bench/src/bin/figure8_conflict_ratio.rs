@@ -58,15 +58,14 @@ fn main() {
         }
     });
     points.extend(cx_bench::par_map(&sharing, |&share| {
-        let trace =
-            cx_core::TraceBuilder::new(cx_core::TraceProfile::by_name("home2").expect("exists"))
+        let r = Experiment::new(
+            Workload::trace("home2")
                 .scale(scale)
-                .tweak(|p| p.shared_access_prob = share)
-                .build();
-        let r = Experiment::new(Workload::Custom(trace))
-            .servers(8)
-            .protocol(Protocol::Cx)
-            .run();
+                .tweak(|p| p.shared_access_prob = share),
+        )
+        .servers(8)
+        .protocol(Protocol::Cx)
+        .run();
         assert!(r.is_consistent(), "share {share}");
         Point {
             injected: share, // reported in the same column, see note below

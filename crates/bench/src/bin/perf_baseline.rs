@@ -28,7 +28,7 @@ use cx_core::{
     BatchTrigger, ClusterConfig, Experiment, LiveMetrics, MetricRegistry, ObsSink, Phase, Protocol,
     TcpCluster, TcpOptions, ThreadedCluster, Workload,
 };
-use cx_workloads::Trace;
+use cx_workloads::SeedEntry;
 use std::process::{Child, Command, Stdio};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
@@ -193,7 +193,7 @@ impl Drop for Servers {
 /// in the target dir) and collect the `LISTEN <addr>` line each prints.
 fn spawn_servers(
     cfg: &ClusterConfig,
-    trace: &Trace,
+    seeds: &[SeedEntry],
     obs: bool,
     metrics: Option<&str>,
 ) -> (Servers, Vec<std::net::SocketAddr>) {
@@ -208,7 +208,7 @@ fn spawn_servers(
         let config = cx_bench::NetServerConfig {
             cfg: cfg.clone(),
             me: s,
-            seeds: trace.seeds.clone(),
+            seeds: seeds.to_vec(),
             obs,
             metrics_out: metrics.map(|p| format!("{p}_srv{s}")),
         };
@@ -249,7 +249,8 @@ fn multiproc_run(args: &cx_bench::Args) {
     };
     cfg.cx.hint_mismatch_timeout_ns = 20_000_000;
     let scale = args.scale(0.002);
-    let trace = Workload::trace("home2").scale(scale).seed(7).build(&cfg);
+    let trace = Workload::trace("home2").scale(scale).seed(7).stream(&cfg);
+    let expected = trace.total_ops_hint;
     let mut opts = TcpOptions::default();
     let live_out = args.value::<String>("--metrics-out").map(|prefix| {
         let (live, registry) = live_to(&prefix);
@@ -268,8 +269,8 @@ fn multiproc_run(args: &cx_bench::Args) {
 
     let t0 = Instant::now();
     let metrics = live_out.as_ref().map(|(p, _)| p.as_str());
-    let (mut servers, addrs) = spawn_servers(&cfg, &trace, obs_prefix.is_some(), metrics);
-    let r = TcpCluster::run_external(cfg.clone(), trace.to_stream(), &addrs, opts);
+    let (mut servers, addrs) = spawn_servers(&cfg, &trace.seeds, obs_prefix.is_some(), metrics);
+    let r = TcpCluster::run_external(cfg.clone(), trace, &addrs, opts);
     // The run has spent its own drain budget (a missing `StopResp` is a
     // `leftovers` line after 30 s); a server that answered is already on
     // its way out, so a few seconds more settles it either way.
@@ -279,8 +280,7 @@ fn multiproc_run(args: &cx_bench::Args) {
     let wall = t0.elapsed().as_secs_f64();
     assert!(r.violations.is_empty(), "--multiproc: run inconsistent");
     assert_eq!(
-        r.stats.ops_total,
-        trace.ops.len() as u64,
+        r.stats.ops_total, expected,
         "--multiproc: ops lost on the wire"
     );
     assert_eq!(

@@ -169,7 +169,7 @@ fn valid_bytes_crash(scale: f64, server: u32, at_least: u64, delay_ms: (u64, u64
     let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
         .scale(scale)
         .tweak(|p| p.shared_access_prob = 0.0)
-        .build();
+        .stream();
     let mut cfg = ClusterConfig::new(4, Protocol::Cx);
     cfg.cx.trigger = BatchTrigger::Never;
     cfg.cx.log_limit_bytes = None;
@@ -184,7 +184,7 @@ fn valid_bytes_crash(scale: f64, server: u32, at_least: u64, delay_ms: (u64, u64
         ..FaultPlan::default()
     };
     let injector = PlanInjector::with_seeds(plan, &trace.seeds);
-    DesCluster::new(cfg, &trace)
+    DesCluster::new_stream(cfg, trace)
         .with_injector(Box::new(injector))
         .run_chaos()
 }

@@ -13,10 +13,10 @@
 //!   which group-commits appends and elevator-merges write-back pages.
 //! * timer → a virtual-time timer event.
 //!
-//! The run replays a [`Trace`]: each process ([`ClientTable`]) issues its
-//! operations synchronously (closed loop); "replay time" is the virtual
-//! time at which the last operation response arrives, matching the
-//! paper's metric.
+//! The run replays a [`StreamTrace`], pulling ops as processes issue them:
+//! each process ([`ClientTable`]) issues its operations synchronously
+//! (closed loop); "replay time" is the virtual time at which the last
+//! operation response arrives, matching the paper's metric.
 
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::feed::{ClientTable, History, OpFeed};
@@ -30,7 +30,7 @@ use cx_sim::{FifoResource, Sim};
 use cx_simio::{Batch, Disk, DiskReq};
 use cx_types::{ClusterConfig, MsgKind, NetConfig, Payload, Placement, ServerId, SimTime, DUR_US};
 use cx_wal::RecordFamily;
-use cx_workloads::{StreamTrace, Trace};
+use cx_workloads::StreamTrace;
 
 /// Client-side overhead between completing one op and issuing the next.
 const CLIENT_ISSUE_NS: u64 = 15 * DUR_US;
@@ -169,11 +169,6 @@ struct DesPorts {
 }
 
 impl DesCluster {
-    /// Build a cluster from a materialized trace (vec-backed stream).
-    pub fn new(cfg: ClusterConfig, trace: &Trace) -> Self {
-        Self::new_stream(cfg, trace.to_stream())
-    }
-
     /// Build a cluster over a streaming workload: the trace header
     /// (seeds, roots, process count) is consumed eagerly, operations are
     /// pulled on demand as processes issue them.
@@ -855,38 +850,27 @@ fn payload_cost(payload: &Payload, cfg: &ClusterConfig) -> u64 {
     }
 }
 
-/// Convenience: build and run in one call.
-pub fn run_trace(cfg: ClusterConfig, trace: &Trace) -> (RunStats, Vec<Violation>) {
-    DesCluster::new(cfg, trace).run()
-}
-
-/// Streamed counterpart of [`run_trace`]: the workload is generated on
-/// the fly as processes pull ops, so peak memory is independent of trace
-/// length. Digest-identical to the materialized path for the same
-/// workload parameters.
-pub fn run_stream_trace(cfg: ClusterConfig, st: StreamTrace) -> (RunStats, Vec<Violation>) {
-    DesCluster::new_stream(cfg, st).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cx_types::Protocol;
     use cx_workloads::{Metarates, MetaratesMix, TraceBuilder, TraceProfile};
 
-    fn tiny_trace() -> Trace {
-        TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
-            .scale(0.002) // ~1000 ops
-            .build()
+    fn tiny_trace() -> TraceBuilder {
+        TraceBuilder::new(TraceProfile::by_name("CTH").unwrap()).scale(0.002) // ~1000 ops
+    }
+
+    fn replay(cfg: ClusterConfig, st: StreamTrace) -> (RunStats, Vec<Violation>) {
+        DesCluster::new_stream(cfg, st).run()
     }
 
     #[test]
     fn replay_completes_and_is_consistent() {
         for protocol in Protocol::ALL {
             let cfg = ClusterConfig::new(4, protocol);
-            let trace = tiny_trace();
-            let expected = trace.ops.len() as u64;
-            let (stats, violations) = run_trace(cfg, &trace);
+            let trace = tiny_trace().stream();
+            let expected = trace.total_ops_hint;
+            let (stats, violations) = replay(cfg, trace);
             assert_eq!(stats.ops_total, expected, "{protocol:?}");
             assert_eq!(stats.ops_stuck, 0, "{protocol:?}");
             assert_eq!(
@@ -903,8 +887,8 @@ mod tests {
     #[test]
     fn des_is_deterministic() {
         let trace = tiny_trace();
-        let (a, _) = run_trace(ClusterConfig::new(8, Protocol::Cx), &trace);
-        let (b, _) = run_trace(ClusterConfig::new(8, Protocol::Cx), &trace);
+        let (a, _) = replay(ClusterConfig::new(8, Protocol::Cx), trace.clone().stream());
+        let (b, _) = replay(ClusterConfig::new(8, Protocol::Cx), trace.stream());
         assert_eq!(a.replay, b.replay);
         assert_eq!(a.msgs, b.msgs);
         assert_eq!(a.events, b.events);
@@ -915,8 +899,8 @@ mod tests {
     fn cx_beats_se_on_trace_replay() {
         // The headline Figure 5 effect, on a small slice.
         let trace = tiny_trace();
-        let (se, _) = run_trace(ClusterConfig::new(8, Protocol::Se), &trace);
-        let (cx, _) = run_trace(ClusterConfig::new(8, Protocol::Cx), &trace);
+        let (se, _) = replay(ClusterConfig::new(8, Protocol::Se), trace.clone().stream());
+        let (cx, _) = replay(ClusterConfig::new(8, Protocol::Cx), trace.stream());
         assert!(
             cx.replay < se.replay,
             "Cx replay {} must beat OFS {}",
@@ -928,11 +912,9 @@ mod tests {
     #[test]
     fn cx_message_overhead_is_modest() {
         // Table IV: Cx sends only a few percent more messages than OFS.
-        let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
-            .scale(0.01)
-            .build();
-        let (se, _) = run_trace(ClusterConfig::new(8, Protocol::Se), &trace);
-        let (cx, _) = run_trace(ClusterConfig::new(8, Protocol::Cx), &trace);
+        let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap()).scale(0.01);
+        let (se, _) = replay(ClusterConfig::new(8, Protocol::Se), trace.clone().stream());
+        let (cx, _) = replay(ClusterConfig::new(8, Protocol::Cx), trace.stream());
         let overhead = cx.total_msgs() as f64 / se.total_msgs() as f64 - 1.0;
         assert!(
             (0.0..0.10).contains(&overhead),
@@ -944,10 +926,9 @@ mod tests {
     fn metarates_runs_on_all_protocols() {
         let trace = Metarates::new(MetaratesMix::UpdateDominated, 16)
             .seed_files(200)
-            .ops_per_proc(40)
-            .build();
+            .ops_per_proc(40);
         for protocol in [Protocol::Cx, Protocol::Se, Protocol::SeBatched] {
-            let (stats, violations) = run_trace(ClusterConfig::new(4, protocol), &trace);
+            let (stats, violations) = replay(ClusterConfig::new(4, protocol), trace.stream());
             assert_eq!(stats.ops_stuck, 0, "{protocol:?}");
             assert_eq!(violations, vec![], "{protocol:?}");
             assert!(stats.throughput() > 0.0);
@@ -956,9 +937,9 @@ mod tests {
 
     #[test]
     fn timeline_sampling_records_valid_bytes() {
-        let trace = tiny_trace();
         let sink = ObsSink::recording("cx");
-        let cluster = DesCluster::new(ClusterConfig::new(4, Protocol::Cx), &trace);
+        let cluster =
+            DesCluster::new_stream(ClusterConfig::new(4, Protocol::Cx), tiny_trace().stream());
         let (stats, _) = cluster.with_obs(sink.clone()).run();
         let report = sink.report().expect("a recording sink");
         let series = report.gauge_series(GaugeKind::ValidLogBytes);
@@ -980,10 +961,8 @@ mod tests {
 
     #[test]
     fn conflicts_are_rare_but_present() {
-        let trace = TraceBuilder::new(TraceProfile::by_name("deasna2").unwrap())
-            .scale(0.002)
-            .build();
-        let (stats, violations) = run_trace(ClusterConfig::new(8, Protocol::Cx), &trace);
+        let trace = TraceBuilder::new(TraceProfile::by_name("deasna2").unwrap()).scale(0.002);
+        let (stats, violations) = replay(ClusterConfig::new(8, Protocol::Cx), trace.stream());
         assert_eq!(violations, vec![]);
         let ratio = stats.conflict_ratio();
         assert!(

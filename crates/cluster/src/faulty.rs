@@ -125,7 +125,7 @@ mod tests {
     use cx_obs::registry::MetricRegistry;
     use cx_obs::ObsSink;
     use cx_types::{BatchTrigger, ClusterConfig, Protocol};
-    use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
+    use cx_workloads::{Metarates, MetaratesMix, StreamTrace, TraceBuilder, TraceProfile};
     use std::sync::Mutex;
 
     #[derive(Clone, Copy, Debug)]
@@ -135,14 +135,14 @@ mod tests {
     }
 
     /// `trace` through the one runtime with `fault` installed.
-    fn run(carrier: Carrier, cfg: ClusterConfig, trace: &Trace, fault: Fault) -> TcpRunResult {
+    fn run(carrier: Carrier, cfg: ClusterConfig, trace: StreamTrace, fault: Fault) -> TcpRunResult {
         run_opts(carrier, cfg, trace, fault, TcpOptions::default())
     }
 
     fn run_opts(
         carrier: Carrier,
         cfg: ClusterConfig,
-        trace: &Trace,
+        trace: StreamTrace,
         fault: Fault,
         opts: TcpOptions,
     ) -> TcpRunResult {
@@ -168,7 +168,7 @@ mod tests {
                 });
             }
         }
-        let res = run_wired(cfg, trace.to_stream(), opts, wired, epoch);
+        let res = run_wired(cfg, trace, opts, wired, epoch);
         if let Fault::Storm = fault {
             assert!(res.stats.faults.dups >= 1, "no Vote to dup");
             assert!(res.stats.faults.delays >= 1, "nothing was ever held back");
@@ -176,7 +176,7 @@ mod tests {
         res
     }
 
-    fn update_dominated() -> (ClusterConfig, Trace) {
+    fn update_dominated() -> (ClusterConfig, StreamTrace) {
         let mut cfg = ClusterConfig::new(2, Protocol::Cx);
         cfg.cx.trigger = BatchTrigger::Timeout {
             period_ns: 5_000_000,
@@ -185,12 +185,12 @@ mod tests {
         let trace = Metarates::new(MetaratesMix::UpdateDominated, 8)
             .seed_files(64)
             .ops_per_proc(50)
-            .build();
+            .stream();
         (cfg, trace)
     }
 
     /// The trace and config of `threaded_conflict_storm_converges`.
-    fn conflict_storm() -> (ClusterConfig, Trace) {
+    fn conflict_storm() -> (ClusterConfig, StreamTrace) {
         let mut cfg = ClusterConfig::new(4, Protocol::Cx);
         cfg.cx.trigger = BatchTrigger::Timeout {
             period_ns: 3_000_000,
@@ -200,7 +200,7 @@ mod tests {
         let trace = TraceBuilder::new(TraceProfile::by_name("deasna2").unwrap())
             .scale(0.0006)
             .tweak(|p| p.shared_access_prob = 0.3)
-            .build();
+            .stream();
         (cfg, trace)
     }
 
@@ -208,10 +208,11 @@ mod tests {
     fn delays_and_duplicates_are_survived_on_channels_and_on_sockets() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
             for (storm, (cfg, trace)) in [(false, update_dominated()), (true, conflict_storm())] {
-                let res = run(carrier, cfg, &trace, Fault::Storm);
+                let expected = trace.total_ops_hint;
+                let res = run(carrier, cfg, trace, Fault::Storm);
                 let s = &res.stats;
                 assert_eq!(res.violations, vec![], "{carrier:?} storm={storm}");
-                assert_eq!(s.ops_total, trace.ops.len() as u64, "{carrier:?}");
+                assert_eq!(s.ops_total, expected, "{carrier:?}");
                 assert_eq!(s.ops_applied + s.ops_failed, s.ops_total, "{carrier:?}");
                 assert_eq!(s.leftovers, Vec::<String>::new(), "{carrier:?}");
                 if storm {
@@ -225,8 +226,9 @@ mod tests {
     fn a_run_that_never_quiesced_says_so() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
             let (cfg, trace) = update_dominated();
-            let res = run(carrier, cfg, &trace, Fault::NeverQuiesced(1));
-            assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+            let expected = trace.total_ops_hint;
+            let res = run(carrier, cfg, trace, Fault::NeverQuiesced(1));
+            assert_eq!(res.stats.ops_total, expected);
             let [line] = &res.stats.leftovers[..] else {
                 panic!("{carrier:?}: leftovers {:?}", res.stats.leftovers);
             };
@@ -243,8 +245,9 @@ mod tests {
         let not_utf8: &[u8] = &[0xff, 0xfe];
         for (carrier, junk) in [(Carrier::Channels, not_utf8), (Carrier::Sockets, b"{")] {
             let (cfg, trace) = update_dominated();
-            let res = run(carrier, cfg, &trace, Fault::GarbledReport(1, junk));
-            assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+            let expected = trace.total_ops_hint;
+            let res = run(carrier, cfg, trace, Fault::GarbledReport(1, junk));
+            assert_eq!(res.stats.ops_total, expected);
             let [line] = &res.stats.leftovers[..] else {
                 panic!("{carrier:?}: leftovers {:?}", res.stats.leftovers);
             };
@@ -272,7 +275,8 @@ mod tests {
                 live: Some(live),
                 ..TcpOptions::default()
             };
-            let res = run_opts(carrier, cfg, &trace, Fault::MuteClient(3), opts);
+            let expected = trace.total_ops_hint;
+            let res = run_opts(carrier, cfg, trace, Fault::MuteClient(3), opts);
             let s = &res.stats;
             let issued = registry.snapshot().value("cx_ops_issued_total");
             assert_eq!(issued, Some(s.ops_total), "{carrier:?}: registry");
@@ -280,7 +284,7 @@ mod tests {
             assert_eq!(report.ops_issued, s.ops_total, "{carrier:?}: obs report");
             // Client 3 issued its first op and, hearing nothing, no other;
             // the servers committed it regardless and drained.
-            assert_eq!(s.ops_total, trace.ops.len() as u64 - 49, "{carrier:?}");
+            assert_eq!(s.ops_total, expected - 49, "{carrier:?}");
             assert_eq!(s.ops_stuck, 1, "{carrier:?}");
             assert_eq!(s.ops_applied + s.ops_failed, s.ops_total - 1, "{carrier:?}");
             assert_eq!(s.latency_hist.count, s.ops_total - 1, "{carrier:?}");

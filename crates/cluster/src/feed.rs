@@ -5,8 +5,7 @@
 //! two: each pull from the stream is routed to its process's buffer, and
 //! a process asking for its next op drains the stream just far enough.
 //! Per-process subsequences — the only order the replay observes — are
-//! exactly those of the materialized trace (a vec-backed stream goes
-//! through the same feed), so there is one intake.
+//! exactly those of the stream's global order, so there is one intake.
 //!
 //! A buffered op is held as its [`cx_types::codec`] bytes, the layout the
 //! wire and the WAL already use: 9 B for a one-inode op, 17 for `Lookup`,

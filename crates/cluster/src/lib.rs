@@ -7,7 +7,7 @@
 //! * [`des`] — the deterministic discrete-event simulation used for every
 //!   paper experiment: a network model (latency + bandwidth), per-server
 //!   CPU queues, and the `cx-simio` disk model (group commit, elevator
-//!   merging). Replays a [`cx_workloads::Trace`] and produces a
+//!   merging). Replays a [`cx_workloads::StreamTrace`] and produces a
 //!   [`RunStats`] with everything the paper's tables and figures report.
 //! * `wall` — the wall-clock runtime: one OS thread per node (on sockets,
 //!   its I/O thread), each metadata server one node and every client on
@@ -16,6 +16,10 @@
 //!   frames through a `Transport` and has two entry points, one per
 //!   transport: [`threaded`] (in-process channels) and [`tcp`] (loopback
 //!   sockets via `cx-net`, in-process or one OS process per server).
+//!
+//! Every runtime entry point takes a [`cx_workloads::StreamTrace`]; a
+//! test that runs one workload on several runtimes pulls one stream per
+//! run from the same builder.
 
 pub mod des;
 pub mod fault;
@@ -31,7 +35,7 @@ mod wall;
 
 pub use cx_net::WireTotals;
 pub use cx_obs::{MetricRegistry, ObsReport, ObsSink};
-pub use des::{run_stream_trace, run_trace, ChaosOutcome, DesCluster};
+pub use des::{ChaosOutcome, DesCluster};
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 pub use feed::OpFeed;
 pub use live::LiveMetrics;

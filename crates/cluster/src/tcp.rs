@@ -24,7 +24,7 @@ use cx_net::{AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig, WireTeleme
 use cx_obs::registry::MetricRegistry;
 use cx_obs::{NetTable, ObsSink};
 use cx_types::{ClusterConfig, ServerId};
-use cx_workloads::{SeedEntry, StreamTrace, Trace};
+use cx_workloads::{SeedEntry, StreamTrace};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -91,12 +91,7 @@ pub struct TcpRunResult {
 pub struct TcpCluster;
 
 impl TcpCluster {
-    /// Run `trace` over in-process loopback TCP.
-    pub fn run(cfg: ClusterConfig, trace: &Trace) -> TcpRunResult {
-        Self::run_stream(cfg, trace.to_stream())
-    }
-
-    /// Streamed form over in-process loopback TCP.
+    /// Run `st` over in-process loopback TCP.
     pub fn run_stream(cfg: ClusterConfig, st: StreamTrace) -> TcpRunResult {
         Self::run_stream_opts(cfg, st, TcpOptions::default())
     }
@@ -283,10 +278,11 @@ mod tests {
     fn tcp_loopback_trace_replay_is_consistent() {
         let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
             .scale(0.001)
-            .build();
-        let res = TcpCluster::run(fast_cfg(4, Protocol::Cx), &trace);
+            .stream();
+        let expected = trace.total_ops_hint;
+        let res = TcpCluster::run_stream(fast_cfg(4, Protocol::Cx), trace);
         assert_eq!(res.violations, vec![]);
-        assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+        assert_eq!(res.stats.ops_total, expected);
         assert!(res.stats.server_stats.ops_committed > 0);
         assert!(res.stats.total_msgs() > 0, "messages crossed real sockets");
     }
@@ -295,14 +291,15 @@ mod tests {
     fn tcp_reconnect_drill_completes_losslessly() {
         let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
             .scale(0.001)
-            .build();
+            .stream();
+        let expected = trace.total_ops_hint;
         let opts = TcpOptions {
             drop_conns_after_ops: Some(20),
             ..TcpOptions::default()
         };
-        let res = TcpCluster::run_stream_opts(fast_cfg(4, Protocol::Cx), trace.to_stream(), opts);
+        let res = TcpCluster::run_stream_opts(fast_cfg(4, Protocol::Cx), trace, opts);
         assert_eq!(res.violations, vec![]);
-        assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+        assert_eq!(res.stats.ops_total, expected);
         assert!(
             res.reconnects >= 1,
             "the drill must force at least one re-dial"
@@ -318,7 +315,8 @@ mod tests {
         // on the same run.
         let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
             .scale(0.001)
-            .build();
+            .stream();
+        let expected = trace.total_ops_hint as usize;
         let sink = ObsSink::recording("cx");
         let opts = TcpOptions {
             obs: sink.clone(),
@@ -328,10 +326,10 @@ mod tests {
             },
             ..TcpOptions::default()
         };
-        let res = TcpCluster::run_stream_opts(fast_cfg(3, Protocol::Cx), trace.to_stream(), opts);
+        let res = TcpCluster::run_stream_opts(fast_cfg(3, Protocol::Cx), trace, opts);
         assert_eq!(res.violations, vec![]);
         let rep = sink.report().expect("recording sink yields a report");
-        assert_eq!(rep.spans.len(), trace.ops.len());
+        assert_eq!(rep.spans.len(), expected);
         // Local ops finish at `Replied`; only cross ops go through the
         // decoupled commitment and earn a `Completed` stamp.
         let replied = rep
@@ -379,7 +377,8 @@ mod tests {
         // multi-process mode relies on.
         let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
             .scale(0.0005)
-            .build();
+            .stream();
+        let expected = trace.total_ops_hint;
         let cfg = fast_cfg(2, Protocol::Cx);
         let (addr_tx, addr_rx) = unbounded();
         let mut nodes = Vec::new();
@@ -400,9 +399,9 @@ mod tests {
             addrs[i as usize] = Some(a);
         }
         let addrs: Vec<SocketAddr> = addrs.into_iter().map(|a| a.unwrap()).collect();
-        let res = TcpCluster::run_external(cfg, trace.to_stream(), &addrs, TcpOptions::default());
+        let res = TcpCluster::run_external(cfg, trace, &addrs, TcpOptions::default());
         assert_eq!(res.violations, vec![]);
-        assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+        assert_eq!(res.stats.ops_total, expected);
         for t in nodes {
             t.join().unwrap();
         }
@@ -418,7 +417,8 @@ mod tests {
         // lands between the coordinator-stamped `Issued` and `Replied`.
         let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
             .scale(0.0005)
-            .build();
+            .stream();
+        let expected = trace.total_ops_hint;
         let cfg = fast_cfg(2, Protocol::Cx);
         let (addr_tx, addr_rx) = unbounded();
         let mut nodes = Vec::new();
@@ -452,13 +452,13 @@ mod tests {
             obs: sink.clone(),
             ..TcpOptions::default()
         };
-        let res = TcpCluster::run_external(cfg, trace.to_stream(), &addrs, opts);
+        let res = TcpCluster::run_external(cfg, trace, &addrs, opts);
         assert_eq!(res.violations, vec![]);
         for t in nodes {
             t.join().unwrap();
         }
         let rep = sink.report().expect("recording sink yields a report");
-        assert_eq!(rep.spans.len(), trace.ops.len());
+        assert_eq!(rep.spans.len(), expected as usize);
         // Merge completeness: ≥99% of spans must come back with a
         // server-stamped Executed milestone absorbed from a shard.
         let stitched = rep

@@ -14,7 +14,7 @@ use crate::transport::channel_fabric;
 use crate::wall::{run_wired, NodeIo, Wired};
 use cx_mdstore::Violation;
 use cx_types::ClusterConfig;
-use cx_workloads::{StreamTrace, Trace};
+use cx_workloads::StreamTrace;
 use std::time::{Duration, Instant};
 
 /// Result of a threaded run.
@@ -28,15 +28,10 @@ pub struct ThreadedRunResult {
 pub struct ThreadedCluster;
 
 impl ThreadedCluster {
-    /// Run `trace` on real threads; returns aggregated stats and the
-    /// consistency check result.
-    pub fn run(cfg: ClusterConfig, trace: &Trace) -> ThreadedRunResult {
-        Self::run_stream(cfg, trace.to_stream())
-    }
-
-    /// Streamed form: clients pull their next op from a shared
-    /// [`crate::OpFeed`] over the workload stream instead of pre-built
-    /// queues, so memory stays flat regardless of trace length.
+    /// Run `st` on real threads; returns aggregated stats and the
+    /// consistency check result. Clients pull their next op from a shared
+    /// [`crate::OpFeed`] over the workload stream, so memory stays flat
+    /// regardless of trace length.
     pub fn run_stream(cfg: ClusterConfig, st: StreamTrace) -> ThreadedRunResult {
         Self::run_stream_obs(cfg, st, cx_obs::ObsSink::Off)
     }
@@ -121,13 +116,13 @@ mod tests {
 
     #[test]
     fn threaded_trace_replay_is_consistent() {
-        let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
-            .scale(0.001)
-            .build();
+        let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap()).scale(0.001);
         for protocol in [Protocol::Cx, Protocol::Se, Protocol::SeBatched] {
-            let res = ThreadedCluster::run(fast_cfg(4, protocol), &trace);
+            let st = trace.clone().stream();
+            let expected = st.total_ops_hint;
+            let res = ThreadedCluster::run_stream(fast_cfg(4, protocol), st);
             assert_eq!(res.violations, vec![], "{protocol:?}");
-            assert_eq!(res.stats.ops_total, trace.ops.len() as u64, "{protocol:?}");
+            assert_eq!(res.stats.ops_total, expected, "{protocol:?}");
         }
     }
 
@@ -136,8 +131,8 @@ mod tests {
         let trace = Metarates::new(MetaratesMix::UpdateDominated, 8)
             .seed_files(64)
             .ops_per_proc(50)
-            .build();
-        let res = ThreadedCluster::run(fast_cfg(2, Protocol::Cx), &trace);
+            .stream();
+        let res = ThreadedCluster::run_stream(fast_cfg(2, Protocol::Cx), trace);
         assert_eq!(res.violations, vec![]);
         assert_eq!(res.stats.ops_total, 8 * 50);
         // real concurrency must still commit everything
@@ -146,13 +141,13 @@ mod tests {
 
     #[test]
     fn threaded_twopc_and_ce_complete() {
-        let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
-            .scale(0.0002)
-            .build();
+        let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap()).scale(0.0002);
         for protocol in [Protocol::TwoPc, Protocol::Ce] {
-            let res = ThreadedCluster::run(fast_cfg(4, protocol), &trace);
+            let st = trace.clone().stream();
+            let expected = st.total_ops_hint;
+            let res = ThreadedCluster::run_stream(fast_cfg(4, protocol), st);
             assert_eq!(res.violations, vec![], "{protocol:?}");
-            assert_eq!(res.stats.ops_total, trace.ops.len() as u64, "{protocol:?}");
+            assert_eq!(res.stats.ops_total, expected, "{protocol:?}");
         }
     }
 }
@@ -171,16 +166,17 @@ mod stress_tests {
         let trace = TraceBuilder::new(TraceProfile::by_name("deasna2").unwrap())
             .scale(0.0006)
             .tweak(|p| p.shared_access_prob = 0.3)
-            .build();
+            .stream();
+        let expected = trace.total_ops_hint;
         let mut cfg = ClusterConfig::new(4, Protocol::Cx);
         cfg.cx.trigger = BatchTrigger::Timeout {
             period_ns: 3_000_000, // 3 ms wall clock
         };
         cfg.cx.hint_mismatch_timeout_ns = 15_000_000;
         cfg.cx.presumed_abort_timeout_ns = 30_000_000;
-        let res = ThreadedCluster::run(cfg, &trace);
+        let res = ThreadedCluster::run_stream(cfg, trace);
         assert_eq!(res.violations, vec![]);
-        assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+        assert_eq!(res.stats.ops_total, expected);
         assert!(
             res.stats.server_stats.conflicts > 0,
             "the storm must actually produce conflicts"
@@ -192,13 +188,14 @@ mod stress_tests {
     fn threaded_failure_injection_stays_atomic() {
         let trace = TraceBuilder::new(TraceProfile::by_name("s3d").unwrap())
             .scale(0.0008)
-            .build();
+            .stream();
+        let expected = trace.total_ops_hint;
         let mut cfg = ClusterConfig::new(4, Protocol::Cx);
         cfg.cx.trigger = BatchTrigger::Threshold { pending_ops: 16 };
         cfg.failure.subop_fail_prob = 0.03;
-        let res = ThreadedCluster::run(cfg, &trace);
+        let res = ThreadedCluster::run_stream(cfg, trace);
         assert_eq!(res.violations, vec![]);
         assert!(res.stats.ops_failed > 0, "injected failures surface");
-        assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+        assert_eq!(res.stats.ops_total, expected);
     }
 }

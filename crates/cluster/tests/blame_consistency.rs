@@ -8,7 +8,7 @@
 use cx_cluster::{DesCluster, ObsSink, TcpCluster, TcpOptions};
 use cx_obs::{blame_span, BlameTable, Seg};
 use cx_types::{BatchTrigger, ClusterConfig, Protocol};
-use cx_workloads::{Trace, TraceBuilder, TraceProfile};
+use cx_workloads::{StreamTrace, TraceBuilder, TraceProfile};
 
 fn fast_cfg(servers: u32, protocol: Protocol) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(servers, protocol);
@@ -19,15 +19,13 @@ fn fast_cfg(servers: u32, protocol: Protocol) -> ClusterConfig {
     cfg
 }
 
-fn home2_prefix() -> Trace {
-    TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
-        .scale(0.0003)
-        .build()
+fn home2_prefix() -> TraceBuilder {
+    TraceBuilder::new(TraceProfile::by_name("home2").unwrap()).scale(0.0003)
 }
 
-fn des_blame(protocol: Protocol, trace: &Trace) -> (BlameTable, u64) {
+fn des_blame(protocol: Protocol, trace: StreamTrace) -> (BlameTable, u64) {
     let sink = ObsSink::recording(format!("{protocol:?}").to_lowercase());
-    let (stats, violations) = DesCluster::new(fast_cfg(4, protocol), trace)
+    let (stats, violations) = DesCluster::new_stream(fast_cfg(4, protocol), trace)
         .with_obs(sink)
         .run();
     assert_eq!(violations, vec![], "{protocol:?}: DES atomicity");
@@ -37,12 +35,12 @@ fn des_blame(protocol: Protocol, trace: &Trace) -> (BlameTable, u64) {
     )
 }
 
-fn tcp_blame(protocol: Protocol, trace: &Trace) -> (BlameTable, u64) {
+fn tcp_blame(protocol: Protocol, trace: StreamTrace) -> (BlameTable, u64) {
     let opts = TcpOptions {
         obs: ObsSink::recording(format!("{protocol:?}").to_lowercase()),
         ..TcpOptions::default()
     };
-    let r = TcpCluster::run_stream_opts(fast_cfg(4, protocol), trace.to_stream(), opts);
+    let r = TcpCluster::run_stream_opts(fast_cfg(4, protocol), trace, opts);
     assert_eq!(r.violations, vec![], "{protocol:?}: TCP atomicity");
     (
         r.stats.blame.expect("obs TCP run attaches a blame table"),
@@ -83,8 +81,8 @@ fn assert_table_shape(t: &BlameTable, ops_total: u64, label: &str) {
 #[test]
 fn des_and_tcp_blame_tables_agree_structurally_for_cx() {
     let trace = home2_prefix();
-    let (des, des_ops) = des_blame(Protocol::Cx, &trace);
-    let (tcp, tcp_ops) = tcp_blame(Protocol::Cx, &trace);
+    let (des, des_ops) = des_blame(Protocol::Cx, trace.clone().stream());
+    let (tcp, tcp_ops) = tcp_blame(Protocol::Cx, trace.stream());
     assert_eq!(des_ops, tcp_ops, "equivalence scenario: same op count");
     assert_table_shape(&des, des_ops, "Cx DES");
     assert_table_shape(&tcp, tcp_ops, "Cx TCP");
@@ -110,8 +108,8 @@ fn des_and_tcp_blame_tables_agree_structurally_for_cx() {
 #[test]
 fn twopc_blame_puts_commitment_on_path_in_both_runtimes() {
     let trace = home2_prefix();
-    let (des, des_ops) = des_blame(Protocol::TwoPc, &trace);
-    let (tcp, tcp_ops) = tcp_blame(Protocol::TwoPc, &trace);
+    let (des, des_ops) = des_blame(Protocol::TwoPc, trace.clone().stream());
+    let (tcp, tcp_ops) = tcp_blame(Protocol::TwoPc, trace.stream());
     assert_eq!(des_ops, tcp_ops);
     assert_table_shape(&des, des_ops, "2PC DES");
     assert_table_shape(&tcp, tcp_ops, "2PC TCP");
@@ -137,7 +135,7 @@ fn blame_invariant_holds_for_every_sampled_span_in_both_runtimes() {
     let trace = home2_prefix();
     for protocol in [Protocol::Cx, Protocol::TwoPc] {
         let sink = ObsSink::recording(format!("{protocol:?}").to_lowercase());
-        let (_, violations) = DesCluster::new(fast_cfg(4, protocol), &trace)
+        let (_, violations) = DesCluster::new_stream(fast_cfg(4, protocol), trace.clone().stream())
             .with_obs(sink.clone())
             .run();
         assert_eq!(violations, vec![]);

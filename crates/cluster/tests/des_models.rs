@@ -1,16 +1,14 @@
 //! Tests of the simulation's physical models: network latency, CPU
 //! queueing, disk timing and message accounting.
 
-use cx_cluster::des::{run_trace, DesCluster};
+use cx_cluster::des::DesCluster;
 use cx_cluster::ObsSink;
 use cx_obs::GaugeKind;
 use cx_types::{BatchTrigger, ClusterConfig, Protocol, DUR_MS, DUR_US};
-use cx_workloads::{Metarates, MetaratesMix, Trace, TraceBuilder, TraceProfile};
+use cx_workloads::{Metarates, MetaratesMix, TraceBuilder, TraceProfile};
 
-fn small_trace() -> Trace {
-    TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
-        .scale(0.002)
-        .build()
+fn small_trace() -> TraceBuilder {
+    TraceBuilder::new(TraceProfile::by_name("CTH").unwrap()).scale(0.002)
 }
 
 #[test]
@@ -19,7 +17,7 @@ fn network_latency_slows_the_replay() {
     let run = |one_way_us: u64| {
         let mut cfg = ClusterConfig::new(8, Protocol::Cx);
         cfg.net.one_way_ns = one_way_us * DUR_US;
-        let (stats, v) = run_trace(cfg, &trace);
+        let (stats, v) = DesCluster::new_stream(cfg, trace.clone().stream()).run();
         assert!(v.is_empty());
         stats.replay
     };
@@ -37,7 +35,7 @@ fn cpu_cost_slows_the_replay() {
     let run = |per_msg_us: u64| {
         let mut cfg = ClusterConfig::new(8, Protocol::Cx);
         cfg.cpu.per_msg_ns = per_msg_us * DUR_US;
-        let (stats, v) = run_trace(cfg, &trace);
+        let (stats, v) = DesCluster::new_stream(cfg, trace.clone().stream()).run();
         assert!(v.is_empty());
         stats.replay
     };
@@ -50,7 +48,7 @@ fn slower_disks_hurt_the_sync_baseline_more() {
     let run = |protocol, sync_ms: u64| {
         let mut cfg = ClusterConfig::new(8, protocol);
         cfg.disk.db_sync_write_ns = sync_ms * DUR_MS;
-        let (stats, v) = run_trace(cfg, &trace);
+        let (stats, v) = DesCluster::new_stream(cfg, trace.clone().stream()).run();
         assert!(v.is_empty());
         stats.replay.as_secs_f64()
     };
@@ -65,7 +63,8 @@ fn slower_disks_hurt_the_sync_baseline_more() {
 #[test]
 fn message_accounting_is_consistent() {
     let trace = small_trace();
-    let (stats, _) = run_trace(ClusterConfig::new(8, Protocol::Cx), &trace);
+    let (stats, _) =
+        DesCluster::new_stream(ClusterConfig::new(8, Protocol::Cx), trace.stream()).run();
     assert_eq!(
         stats.total_msgs(),
         stats.client_msgs + stats.server_msgs,
@@ -89,13 +88,15 @@ fn message_accounting_is_consistent() {
 fn timeline_is_time_ordered() {
     let trace = TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
         .scale(0.005)
-        .build();
+        .stream();
     let mut cfg = ClusterConfig::new(8, Protocol::Cx);
     cfg.cx.trigger = BatchTrigger::Timeout {
         period_ns: 100 * DUR_MS,
     };
     let sink = ObsSink::recording("cx");
-    let (stats, _) = DesCluster::new(cfg, &trace).with_obs(sink.clone()).run();
+    let (stats, _) = DesCluster::new_stream(cfg, trace)
+        .with_obs(sink.clone())
+        .run();
     let series = sink
         .report()
         .expect("a recording sink")
@@ -113,10 +114,10 @@ fn failure_injection_flows_through_the_stack() {
     let trace = Metarates::new(MetaratesMix::UpdateDominated, 16)
         .seed_files(100)
         .ops_per_proc(40)
-        .build();
+        .stream();
     let mut cfg = ClusterConfig::new(4, Protocol::Cx);
     cfg.failure.subop_fail_prob = 0.02;
-    let (stats, violations) = run_trace(cfg, &trace);
+    let (stats, violations) = DesCluster::new_stream(cfg, trace).run();
     assert_eq!(violations, vec![], "aborts must stay atomic");
     assert!(stats.ops_failed > 0, "injected failures must surface");
     assert!(
@@ -129,7 +130,8 @@ fn failure_injection_flows_through_the_stack() {
 #[test]
 fn cross_latency_exceeds_overall_latency() {
     let trace = small_trace();
-    let (stats, _) = run_trace(ClusterConfig::new(8, Protocol::Se), &trace);
+    let (stats, _) =
+        DesCluster::new_stream(ClusterConfig::new(8, Protocol::Se), trace.stream()).run();
     assert!(
         stats.cross_latency_hist.mean() > stats.latency_hist.mean(),
         "cross-server ops are the slow ones under serial execution"

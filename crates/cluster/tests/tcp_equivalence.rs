@@ -10,10 +10,9 @@
 //! split, conflicts, retried sub-op executions) get a small band,
 //! `max(2, total/50)`.
 
-use cx_cluster::des::run_trace;
-use cx_cluster::{RunStats, TcpCluster, TcpOptions, ThreadedCluster};
+use cx_cluster::{DesCluster, RunStats, TcpCluster, TcpOptions, ThreadedCluster};
 use cx_types::{BatchTrigger, ClusterConfig, Protocol};
-use cx_workloads::{Trace, TraceBuilder, TraceProfile};
+use cx_workloads::{TraceBuilder, TraceProfile};
 
 fn fast_cfg(servers: u32, protocol: Protocol) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(servers, protocol);
@@ -25,10 +24,8 @@ fn fast_cfg(servers: u32, protocol: Protocol) -> ClusterConfig {
     cfg
 }
 
-fn home2_prefix() -> Trace {
-    TraceBuilder::new(TraceProfile::by_name("home2").unwrap())
-        .scale(0.0003)
-        .build()
+fn home2_prefix() -> TraceBuilder {
+    TraceBuilder::new(TraceProfile::by_name("home2").unwrap()).scale(0.0003)
 }
 
 fn band(total: u64) -> u64 {
@@ -66,14 +63,14 @@ fn assert_tie_insensitive_match(tcp: &RunStats, other: &RunStats, label: &str) {
 #[test]
 fn tcp_loopback_matches_threaded_for_all_four_engines() {
     let trace = home2_prefix();
+    let expected = trace.clone().stream().total_ops_hint;
     for protocol in [Protocol::Cx, Protocol::Se, Protocol::TwoPc, Protocol::Ce] {
-        let tcp = TcpCluster::run(fast_cfg(4, protocol), &trace);
-        let thr = ThreadedCluster::run(fast_cfg(4, protocol), &trace);
+        let tcp = TcpCluster::run_stream(fast_cfg(4, protocol), trace.clone().stream());
+        let thr = ThreadedCluster::run_stream(fast_cfg(4, protocol), trace.clone().stream());
         assert_eq!(tcp.violations, vec![], "{protocol:?}: tcp atomicity");
         assert_eq!(thr.violations, vec![], "{protocol:?}: threaded atomicity");
         assert_eq!(
-            tcp.stats.ops_total,
-            trace.ops.len() as u64,
+            tcp.stats.ops_total, expected,
             "{protocol:?}: every op completed over TCP"
         );
         assert_tie_insensitive_match(&tcp.stats, &thr.stats, &format!("{protocol:?} vs threaded"));
@@ -99,8 +96,9 @@ fn tcp_loopback_matches_des_oracle_for_cx() {
     // The DES runs the same engines on virtual time with the default
     // (virtual-seconds) triggers; schedule-independent totals must agree
     // with the wall-clock TCP run regardless.
-    let tcp = TcpCluster::run(fast_cfg(4, Protocol::Cx), &trace);
-    let (des_stats, des_violations) = run_trace(ClusterConfig::new(4, Protocol::Cx), &trace);
+    let tcp = TcpCluster::run_stream(fast_cfg(4, Protocol::Cx), trace.clone().stream());
+    let (des_stats, des_violations) =
+        DesCluster::new_stream(ClusterConfig::new(4, Protocol::Cx), trace.stream()).run();
     assert_eq!(tcp.violations, vec![]);
     assert_eq!(des_violations, vec![]);
     assert_tie_insensitive_match(&tcp.stats, &des_stats, "Cx vs DES");
@@ -111,19 +109,16 @@ fn tcp_reconnect_mid_run_keeps_equivalence() {
     // The drill drops every coordinator connection mid-run; the totals
     // must still close (lossless reconnect) and match the threaded run.
     let trace = home2_prefix();
+    let expected = trace.clone().stream().total_ops_hint;
     let opts = TcpOptions {
-        drop_conns_after_ops: Some(trace.ops.len() as u64 / 4),
+        drop_conns_after_ops: Some(expected / 4),
         ..TcpOptions::default()
     };
-    let tcp = TcpCluster::run_stream_opts(fast_cfg(4, Protocol::Cx), trace.to_stream(), opts);
-    let thr = ThreadedCluster::run(fast_cfg(4, Protocol::Cx), &trace);
+    let tcp = TcpCluster::run_stream_opts(fast_cfg(4, Protocol::Cx), trace.clone().stream(), opts);
+    let thr = ThreadedCluster::run_stream(fast_cfg(4, Protocol::Cx), trace.stream());
     assert_eq!(tcp.violations, vec![]);
     assert!(tcp.reconnects >= 1, "the drill must force a re-dial");
-    assert_eq!(
-        tcp.stats.ops_total,
-        trace.ops.len() as u64,
-        "the reconnect lost ops"
-    );
+    assert_eq!(tcp.stats.ops_total, expected, "the reconnect lost ops");
     assert_tie_insensitive_match(&tcp.stats, &thr.stats, "Cx reconnect vs threaded");
     // The client host's turns coalesced across the kill: over its peers,
     // strictly fewer flushes than frames.
@@ -147,7 +142,7 @@ fn tcp_reconnect_mid_run_keeps_equivalence() {
 /// coordinator probes: every other row has no samples.
 #[test]
 fn tcp_coordinator_rows_carry_the_probe_clock() {
-    let tcp = TcpCluster::run(fast_cfg(4, Protocol::Cx), &home2_prefix());
+    let tcp = TcpCluster::run_stream(fast_cfg(4, Protocol::Cx), home2_prefix().stream());
     assert_eq!(tcp.violations, vec![]);
     let (host, others): (Vec<_>, Vec<_>) = tcp.net.rows.iter().partition(|r| r.on == "cli0");
     assert_eq!(host.len(), 4, "one row per server");

@@ -26,6 +26,15 @@
 //! assert!(cx.stats.replay < ofs.stats.replay, "Cx beats serial execution");
 //! ```
 //!
+//! ## Workloads
+//!
+//! A [`Workload`] names a trace profile or Metarates; each run pulls a
+//! fresh [`StreamTrace`] from it, whose ops are generated as clients issue
+//! them. `StreamTrace` is the one workload representation: the DES
+//! ([`DesCluster::new_stream`]), the threaded runtime and the TCP runtime
+//! all take one, so replaying one workload on several runtimes pulls one
+//! stream per run from the same [`Workload`] or [`TraceBuilder`].
+//!
 //! ## Layout
 //!
 //! | crate | contents |
@@ -42,9 +51,9 @@
 use serde::Serialize;
 
 pub use cx_cluster::{
-    des::run_trace, run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd,
-    DesCluster, FaultEvent, FaultInjector, FaultStats, LiveMetrics, MsgFate, RecoveryCycle,
-    RunStats, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster, WireTotals,
+    AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd, DesCluster, FaultEvent, FaultInjector,
+    FaultStats, LiveMetrics, MsgFate, RecoveryCycle, RunStats, TcpCluster, TcpOptions,
+    TcpRunResult, ThreadedCluster, WireTotals,
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{
@@ -57,16 +66,16 @@ pub use cx_types::{
     OpOutcome, Placement, Protocol, SimTime, DUR_MS, DUR_SEC, DUR_US,
 };
 pub use cx_workloads::{
-    ClassMix, Metarates, MetaratesMix, OpStream, StreamTrace, Trace, TraceBuilder, TraceProfile,
-    PROFILES,
+    ClassMix, Metarates, MetaratesMix, OpStream, StreamTrace, TraceBuilder, TraceProfile, PROFILES,
 };
 
-/// A workload specification for [`Experiment`].
+/// A workload specification for [`Experiment`]: every run pulls a fresh
+/// [`StreamTrace`] from it ([`Workload::stream`]).
 #[derive(Debug, Clone)]
 pub enum Workload {
-    /// One of the six Table II trace profiles.
+    /// One of the six Table II trace profiles, possibly tweaked.
     TraceProfile {
-        name: String,
+        profile: TraceProfile,
         scale: f64,
         seed: u64,
         /// Extra conflicting lookups relative to trace size (Figure 8).
@@ -78,20 +87,16 @@ pub enum Workload {
         ops_per_proc: u32,
         files_per_server: u32,
     },
-    /// A pre-built trace.
-    Custom(Trace),
 }
 
 impl Workload {
     /// Start from a named trace profile (CTH, s3d, alegra, home2,
     /// deasna2, lair62b).
     pub fn trace(name: &str) -> Self {
-        assert!(
-            TraceProfile::by_name(name).is_some(),
-            "unknown trace profile {name:?}"
-        );
+        let profile =
+            TraceProfile::by_name(name).unwrap_or_else(|| panic!("unknown trace profile {name:?}"));
         Workload::TraceProfile {
-            name: name.to_string(),
+            profile: *profile,
             scale: 1.0,
             seed: 0x7ace,
             inject_conflicts: 0.0,
@@ -132,41 +137,26 @@ impl Workload {
         self
     }
 
-    /// Materialize the trace for `cfg`.
-    pub fn build(&self, cfg: &ClusterConfig) -> Trace {
-        match self {
-            Workload::TraceProfile {
-                name,
-                scale,
-                seed,
-                inject_conflicts,
-            } => {
-                let profile = TraceProfile::by_name(name).expect("validated in trace()");
-                let mut t = TraceBuilder::new(profile).scale(*scale).seed(*seed).build();
-                t.inject_conflicting_lookups(*inject_conflicts, *seed);
-                t
-            }
-            Workload::Metarates { .. } => self.stream(cfg).materialize(),
-            Workload::Custom(t) => t.clone(),
+    /// Adjust a trace profile's (copied) parameters, e.g. its sharing
+    /// probability (Figure 8's second knob).
+    pub fn tweak(mut self, f: impl FnOnce(&mut TraceProfile)) -> Self {
+        if let Workload::TraceProfile { profile, .. } = &mut self {
+            f(profile);
         }
+        self
     }
 
-    /// Streaming form of [`Workload::build`]: trace-profile and
-    /// Metarates workloads are generated lazily (memory independent of
-    /// the op count); the op sequence is identical to the materialized
-    /// one. Conflict
-    /// injection first runs a counting pass over a second generator
-    /// stream to recover the normalization the materialized path
-    /// computed from the full vector — CPU for memory.
+    /// The workload for `cfg`, generated lazily: memory is independent
+    /// of the op count. Conflict injection first runs a counting pass over
+    /// a second generator stream to normalize its rate — CPU for memory.
     pub fn stream(&self, cfg: &ClusterConfig) -> StreamTrace {
         match self {
             Workload::TraceProfile {
-                name,
+                profile,
                 scale,
                 seed,
                 inject_conflicts,
             } => {
-                let profile = TraceProfile::by_name(name).expect("validated in trace()");
                 let builder = TraceBuilder::new(profile).scale(*scale).seed(*seed);
                 if *inject_conflicts > 0.0 {
                     let (total, injectable) =
@@ -189,7 +179,6 @@ impl Workload {
                 .seed_files(files_per_server * cfg.servers)
                 .ops_per_proc(*ops_per_proc)
                 .stream(),
-            Workload::Custom(t) => t.to_stream(),
         }
     }
 }
@@ -253,7 +242,7 @@ impl Experiment {
     /// memory flat even at `--full` scale.
     pub fn run(&self) -> ExperimentResult {
         let st = self.workload.stream(&self.cfg);
-        let (stats, violations) = run_stream_trace(self.cfg.clone(), st);
+        let (stats, violations) = DesCluster::new_stream(self.cfg.clone(), st).run();
         ExperimentResult { stats, violations }
     }
 

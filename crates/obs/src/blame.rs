@@ -132,8 +132,16 @@ pub struct ChainRow {
     pub label: String,
 }
 
+/// Where a critical-path row's time went: a wire hop, or the server a gap
+/// sat on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    Hop { from: FlowNode, to: FlowNode },
+    Node(FlowNode),
+}
+
 /// The per-op decomposition. `segs` indexes by [`Seg::index`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpBlame {
     pub op: OpId,
     pub class: String,
@@ -148,6 +156,10 @@ pub struct OpBlame {
     pub fallback: bool,
     /// The annotated waterfall, in time order.
     pub chain: Vec<ChainRow>,
+    /// The chain's wire rows and on-server gap rows with their typed
+    /// endpoints, in chain order: what the per-hop and per-node tables
+    /// fold.
+    pub sites: Vec<(Site, Seg, u64)>,
 }
 
 impl OpBlame {
@@ -182,6 +194,7 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
     let client_ns = t3 - t0;
     let mut segs = [0u64; Seg::COUNT];
     let mut chain: Vec<ChainRow> = Vec::new();
+    let mut sites = Vec::new();
     let mut fallback = false;
 
     match critical_path(span, edges) {
@@ -210,6 +223,9 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
                         seg: gap_seg,
                         label: format!("{} @ {}", gap_seg.name(), h.from),
                     });
+                    if gap_seg != Seg::IssueQueue {
+                        sites.push((Site::Node(h.from), gap_seg, h.gap_ns));
+                    }
                 }
                 chain.push(ChainRow {
                     t_rel_ns: h.sent_ns - t0,
@@ -217,6 +233,11 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
                     seg: wire_seg,
                     label: format!("{} {} → {}", h.kind.name(), h.from, h.to),
                 });
+                let hop = Site::Hop {
+                    from: h.from,
+                    to: h.to,
+                };
+                sites.push((hop, wire_seg, h.wire_ns));
             }
             if cp.tail_ns > 0 {
                 segs[Seg::ReplyDeliver.index()] += cp.tail_ns;
@@ -307,6 +328,7 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
         segs,
         fallback,
         chain,
+        sites,
     })
 }
 
@@ -485,25 +507,10 @@ impl BlameTable {
                 }
             }
         }
-        // Per-hop / per-node attribution from the chain rows. The chain
-        // labels carry the endpoints; re-walking the hop structure keeps
-        // this exact without a second path extraction.
-        for row in &b.chain {
-            match row.seg {
-                Seg::ReqWire | Seg::ReplyWire => {
-                    if let Some((from, to)) = parse_hop(&row.label) {
-                        self.record_hop(from, to, row.seg, row.dur_ns);
-                    }
-                }
-                Seg::Dispatch | Seg::Execute | Seg::CommitOnPath => {
-                    if let Some(node) = parse_node(&row.label) {
-                        self.record_node(node, row.seg, row.dur_ns);
-                    } else if let Some((from, to)) = parse_hop(&row.label) {
-                        // commit-onpath wire rows.
-                        self.record_hop(from, to, row.seg, row.dur_ns);
-                    }
-                }
-                _ => {}
+        for &(site, seg, ns) in &b.sites {
+            match site {
+                Site::Hop { from, to } => self.record_hop(from, to, seg, ns),
+                Site::Node(node) => self.record_node(node, seg, ns),
             }
         }
     }
@@ -759,30 +766,6 @@ impl BlameTable {
 
     pub fn from_json(s: &str) -> Result<Self, String> {
         serde_json::from_str(s).map_err(|e| format!("bad BlameTable JSON: {e:?}"))
-    }
-}
-
-/// `s3`-style hop endpoints out of a chain label ("SUBOP-REQ s0 → s1").
-fn parse_hop(label: &str) -> Option<(FlowNode, FlowNode)> {
-    let (lhs, rhs) = label.split_once(" → ")?;
-    let from = parse_flow(lhs.rsplit(' ').next()?)?;
-    let to = parse_flow(rhs.trim())?;
-    Some((from, to))
-}
-
-/// The node out of an on-node chain label ("execute @ s1").
-fn parse_node(label: &str) -> Option<FlowNode> {
-    let (_, rhs) = label.split_once(" @ ")?;
-    parse_flow(rhs.trim())
-}
-
-fn parse_flow(s: &str) -> Option<FlowNode> {
-    let (tag, num) = s.split_at(1);
-    let n: u32 = num.parse().ok()?;
-    match tag {
-        "s" => Some(FlowNode::Server(n)),
-        "c" => Some(FlowNode::Client(n)),
-        _ => None,
     }
 }
 
@@ -1122,6 +1105,23 @@ mod tests {
         // Gap at s0 before VoteExec (250) + VoteExec flight (100).
         assert_eq!(b.segs[Seg::CommitOnPath.index()], 350);
         assert!(b.segs[Seg::Execute.index()] > 0);
+        // Typed endpoints, in chain order: the client's issue gap and the
+        // reply delivery have no site.
+        let (c3, s0, s1) = (
+            FlowNode::Client(3),
+            FlowNode::Server(0),
+            FlowNode::Server(1),
+        );
+        assert_eq!(
+            b.sites,
+            [
+                (Site::Hop { from: c3, to: s0 }, Seg::ReqWire, 100),
+                (Site::Node(s0), Seg::CommitOnPath, 250),
+                (Site::Hop { from: s0, to: s1 }, Seg::CommitOnPath, 100),
+                (Site::Node(s1), Seg::Execute, 300),
+                (Site::Hop { from: s1, to: c3 }, Seg::ReplyWire, 100),
+            ]
+        );
     }
 
     #[test]
@@ -1172,6 +1172,25 @@ mod tests {
             .nodes
             .iter()
             .any(|n| n.node == FlowNode::Server(1) && n.seg == Seg::Execute));
+        let (c3, s1) = (FlowNode::Client(3), FlowNode::Server(1));
+        let hops: Vec<_> = t
+            .hops
+            .iter()
+            .map(|h| (h.from, h.to, h.seg, h.hist.count, h.hist.sum))
+            .collect();
+        assert_eq!(
+            hops,
+            [
+                (c3, s1, Seg::ReqWire, 6, 6 * 200),
+                (s1, c3, Seg::ReplyWire, 6, 6 * 250)
+            ]
+        );
+        let nodes: Vec<_> = t
+            .nodes
+            .iter()
+            .map(|n| (n.node, n.seg, n.hist.count, n.hist.sum))
+            .collect();
+        assert_eq!(nodes, [(s1, Seg::Execute, 6, 6 * 400)]);
 
         let mut a = BlameTable::from_spans("cx", &spans[..3], &edges);
         let b = BlameTable::from_spans("cx", &spans[3..], &edges);

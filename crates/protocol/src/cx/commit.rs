@@ -129,10 +129,7 @@ impl CxServer {
     fn finish_op(&mut self, now: SimTime, op: OpId, outcome: Outcome, out: &mut Vec<Action>) {
         match outcome {
             Outcome::Committed => self.ch.stats.ops_committed += 1,
-            Outcome::Aborted => {
-                self.ch.stats.ops_aborted += 1;
-                self.metrics.aborts += 1;
-            }
+            Outcome::Aborted => self.ch.stats.ops_aborted += 1,
         }
         self.obs
             .op_phase(op, cx_obs::Phase::Completed, now, Some(self.id));

@@ -425,9 +425,15 @@ impl ServerEngine for CxServer {
     }
 
     fn proto_metrics(&self) -> ProtoMetrics {
-        let mut m = self.metrics.clone();
-        m.wal_truncations = self.ch.wal.truncations();
-        m
+        // Rounds and aborts are counted once, in `ServerStats`, as for the
+        // other engines; `metrics` adds what only Cx observes.
+        ProtoMetrics {
+            immediate_commitments: self.ch.stats.immediate_commitments,
+            batched_commitments: self.ch.stats.lazy_batches,
+            aborts: self.ch.stats.ops_aborted,
+            wal_truncations: self.ch.wal.truncations(),
+            ..self.metrics.clone()
+        }
     }
 
     fn supports_crash(&self) -> bool {

@@ -106,14 +106,13 @@ impl ProtoMetrics {
         self.batch_age_ns.merge(&o.batch_age_ns);
     }
 
-    /// Record one commitment round: `ops` in the batch, launched
+    /// Record one commitment round's shape: `ops` in the batch, launched
     /// `immediate`ly or by a lazy trigger, with the oldest member
-    /// `oldest_age_ns` old.
+    /// `oldest_age_ns` old. The round itself is counted in `ServerStats`
+    /// (`immediate_commitments` / `lazy_batches`), which `proto_metrics()`
+    /// copies into this struct.
     pub fn commitment_round(&mut self, ops: u64, immediate: bool, oldest_age_ns: u64) {
-        if immediate {
-            self.immediate_commitments += 1;
-        } else {
-            self.batched_commitments += 1;
+        if !immediate {
             self.batched_ops += ops;
         }
         self.batch_size.record(ops);
@@ -143,11 +142,18 @@ mod tests {
 
     #[test]
     fn proto_metrics_merge_and_publish() {
-        let mut a = ProtoMetrics::default();
+        let mut a = ProtoMetrics {
+            batched_commitments: 1,
+            immediate_commitments: 1,
+            ..Default::default()
+        };
         a.commitment_round(5, false, 1_000);
         a.commitment_round(1, true, 10);
         a.conflicts_ordered = 3;
-        let mut b = ProtoMetrics::default();
+        let mut b = ProtoMetrics {
+            batched_commitments: 1,
+            ..Default::default()
+        };
         b.commitment_round(7, false, 2_000);
         b.conflicts_disordered = 1;
         b.hint_resolved = 1;

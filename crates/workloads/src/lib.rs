@@ -1,5 +1,6 @@
 //! Workloads: synthetic traces, the Metarates benchmark, and conflict
-//! injection.
+//! injection, each generated lazily as a [`StreamTrace`] — the one
+//! workload representation every runtime takes.
 //!
 //! The paper evaluates Cx with six real traces (Table II / Figure 4): three
 //! supercomputing traces from Sandia's Red Storm (CTH, s3d_fortIO, alegra)
@@ -34,4 +35,4 @@ pub use model::NamespaceModel;
 pub use profile::{ClassMix, TraceProfile, PROFILES};
 pub use stats::TraceSummary;
 pub use stream::{injection_counts, OpStream, StreamTrace, VecStream};
-pub use trace::{SeedEntry, Trace, TraceBuilder, TraceOp};
+pub use trace::{SeedEntry, TraceBuilder, TraceOp};

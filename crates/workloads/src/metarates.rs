@@ -15,7 +15,7 @@
 //! write-back approach peak bandwidth (§IV-C2).
 
 use crate::stream::{OpStream, StreamTrace};
-use crate::trace::{SeedEntry, Trace, TraceOp, ROOT, SHARED_DIR};
+use crate::trace::{SeedEntry, TraceOp, ROOT, SHARED_DIR};
 use cx_sim::det_rng;
 use cx_types::{FsOp, InodeNo, Name, ProcId};
 use rand::rngs::SmallRng;
@@ -82,9 +82,8 @@ impl Metarates {
         self
     }
 
-    /// Lazy form: the cheap header (seeds, per-rank owned lists) is built
-    /// eagerly, the ops are synthesized one per pull by a
-    /// [`MetaratesStream`].
+    /// The cheap header (seeds, per-rank owned lists) is built eagerly,
+    /// the ops are synthesized one per pull by a [`MetaratesStream`].
     ///
     /// The rng is drawn rank by rank (all of rank 0's ops before rank
     /// 1's) while the global order interleaves ranks round-robin, so rank
@@ -161,11 +160,6 @@ impl Metarates {
                 remaining: total,
             }),
         }
-    }
-
-    /// Materialize the whole benchmark up front: collect [`Self::stream`].
-    pub fn build(&self) -> Trace {
-        self.stream().materialize()
     }
 }
 
@@ -326,11 +320,20 @@ mod tests {
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
 
-    /// The oracle: the eager two-vector generator `build()` was until the
+    /// What [`reference_build`] returns: a stream's header plus every op.
+    struct Reference {
+        name: String,
+        processes: u32,
+        seeds: Vec<SeedEntry>,
+        ops: Vec<TraceOp>,
+        roots: Vec<InodeNo>,
+    }
+
+    /// The oracle: the eager two-vector generator Metarates was until the
     /// stream became lazy, verbatim. [`Metarates::stream`] must reproduce
     /// its seeds and ops exactly — the benchmark's digest pins and every
     /// Figure 6 number hang off this sequence.
-    fn reference_build(m: &Metarates) -> Trace {
+    fn reference_build(m: &Metarates) -> Reference {
         let mut rng = det_rng(m.seed, 0x3e7a_0000);
         let mut seeds = vec![
             SeedEntry::Dir { ino: ROOT },
@@ -408,7 +411,7 @@ mod tests {
             }
         }
 
-        Trace {
+        Reference {
             name: format!("metarates-{}", m.mix.name()),
             processes: m.processes,
             seeds,
@@ -417,7 +420,7 @@ mod tests {
         }
     }
 
-    /// Pull the stream by hand (not through `materialize`).
+    /// Pull the whole stream: its header and every op.
     fn pull(m: &Metarates) -> (StreamTrace, Vec<TraceOp>) {
         let mut st = m.stream();
         let mut ops = Vec::new();
@@ -536,12 +539,9 @@ mod tests {
             (MetaratesMix::ReadDominated, 0.15, 0.25),
             (MetaratesMix::UpdateDominated, 0.75, 0.85),
         ] {
-            let t = Metarates::new(mix, 8)
-                .seed_files(100)
-                .ops_per_proc(500)
-                .build();
-            let updates = t.ops.iter().filter(|o| o.op.is_mutation()).count();
-            let frac = updates as f64 / t.ops.len() as f64;
+            let (_, ops) = pull(&Metarates::new(mix, 8).seed_files(100).ops_per_proc(500));
+            let updates = ops.iter().filter(|o| o.op.is_mutation()).count();
+            let frac = updates as f64 / ops.len() as f64;
             assert!(
                 (lo..=hi).contains(&frac),
                 "{}: update fraction {frac}",
@@ -552,10 +552,11 @@ mod tests {
 
     #[test]
     fn all_operations_are_valid_in_global_order() {
-        let t = Metarates::new(MetaratesMix::UpdateDominated, 4)
-            .seed_files(40)
-            .ops_per_proc(200)
-            .build();
+        let (t, ops) = pull(
+            &Metarates::new(MetaratesMix::UpdateDominated, 4)
+                .seed_files(40)
+                .ops_per_proc(200),
+        );
         let mut m = NamespaceModel::new();
         for s in &t.seeds {
             match *s {
@@ -565,7 +566,7 @@ mod tests {
                 }
             }
         }
-        for top in &t.ops {
+        for top in &ops {
             if top.op.is_mutation() {
                 m.apply(&top.op);
             }
@@ -574,11 +575,12 @@ mod tests {
 
     #[test]
     fn all_updates_hit_the_common_directory() {
-        let t = Metarates::new(MetaratesMix::UpdateDominated, 4)
-            .seed_files(40)
-            .ops_per_proc(100)
-            .build();
-        for top in &t.ops {
+        let (_, ops) = pull(
+            &Metarates::new(MetaratesMix::UpdateDominated, 4)
+                .seed_files(40)
+                .ops_per_proc(100),
+        );
+        for top in &ops {
             match top.op {
                 FsOp::Create { parent, .. } | FsOp::Remove { parent, .. } => {
                     assert_eq!(parent, SHARED_DIR)
@@ -591,25 +593,23 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = Metarates::new(MetaratesMix::ReadDominated, 4)
+        let m = Metarates::new(MetaratesMix::ReadDominated, 4)
             .seed_files(40)
-            .ops_per_proc(50)
-            .build();
-        let b = Metarates::new(MetaratesMix::ReadDominated, 4)
-            .seed_files(40)
-            .ops_per_proc(50)
-            .build();
-        assert_eq!(a.ops, b.ops);
+            .ops_per_proc(50);
+        let (_, a) = pull(&m);
+        let (_, b) = pull(&m);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn round_robin_interleaving() {
-        let t = Metarates::new(MetaratesMix::ReadDominated, 3)
-            .seed_files(30)
-            .ops_per_proc(10)
-            .build();
+        let (_, ops) = pull(
+            &Metarates::new(MetaratesMix::ReadDominated, 3)
+                .seed_files(30)
+                .ops_per_proc(10),
+        );
         // first three ops come from three different procs
-        let procs: Vec<u32> = t.ops.iter().take(3).map(|o| o.proc.client.0).collect();
+        let procs: Vec<u32> = ops.iter().take(3).map(|o| o.proc.client.0).collect();
         assert_eq!(procs, vec![0, 1, 2]);
     }
 }

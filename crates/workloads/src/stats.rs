@@ -1,8 +1,9 @@
 //! Trace analysis: the summary statistics the paper reports about its
 //! workloads (total operations, per-class mix, cross-server share,
-//! sharing structure) computed from a generated [`Trace`].
+//! sharing structure) folded op by op over a generated [`StreamTrace`].
 
-use crate::trace::{Trace, TraceOp, SHARED_DIR};
+use crate::stream::StreamTrace;
+use crate::trace::{TraceOp, SHARED_DIR};
 use cx_types::{FsOp, Placement};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -29,8 +30,8 @@ pub struct TraceSummary {
     pub max_process_share: f64,
 }
 
-/// Streaming accumulator behind both analysis entry points: one pass,
-/// one op at a time, so full traces never need materializing.
+/// Streaming accumulator behind [`TraceSummary::analyze`]: one pass, one
+/// op at a time, so full traces never need materializing.
 struct SummaryAcc {
     placement: Placement,
     class_counts: BTreeMap<&'static str, u64>,
@@ -113,13 +114,14 @@ impl SummaryAcc {
 }
 
 impl TraceSummary {
-    /// Analyze `trace` as placed on `servers` metadata servers.
-    pub fn analyze(trace: &Trace, servers: u32) -> TraceSummary {
+    /// Analyze `trace` as placed on `servers` metadata servers, draining
+    /// its stream.
+    pub fn analyze(mut trace: StreamTrace, servers: u32) -> TraceSummary {
         let mut acc = SummaryAcc::new(servers);
-        for t in &trace.ops {
-            acc.push(t);
+        while let Some(t) = trace.ops.next_op() {
+            acc.push(&t);
         }
-        acc.finish(trace.name.clone(), trace.processes)
+        acc.finish(trace.name, trace.processes)
     }
 }
 
@@ -152,8 +154,8 @@ mod tests {
     fn summary(name: &str) -> TraceSummary {
         let trace = TraceBuilder::new(TraceProfile::by_name(name).unwrap())
             .scale(0.01)
-            .build();
-        TraceSummary::analyze(&trace, 8)
+            .stream();
+        TraceSummary::analyze(trace, 8)
     }
 
     #[test]

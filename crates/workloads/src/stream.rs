@@ -6,16 +6,17 @@
 //! flow: the generator state (rng, namespace model, per-process file
 //! lists) lives inside the stream and each operation is synthesized the
 //! moment a client asks for it, so a replay holds only in-flight ops.
+//! [`StreamTrace`] is the only workload representation: every runtime
+//! takes one.
 //!
-//! Determinism contract: for the same builder parameters,
-//! `TraceBuilder::stream()` yields *exactly* the sequence
-//! `TraceBuilder::build()` materializes — `build()` is implemented as
-//! "collect the stream" and the property tests in
-//! `tests/stream_equivalence.rs` pin the equality for every profile.
-//! `Metarates::stream()` is lazy under the same contract; its oracle is
-//! the eager generator kept in `metarates.rs`'s unit tests.
+//! Determinism contract: two streams from one builder with the same
+//! parameters yield *exactly* the same header and op sequence, and a
+//! generator-backed stream's `total_ops_hint` is the number of ops it
+//! yields; `tests/stream_determinism.rs` pins both for every profile.
+//! `Metarates::stream()` is checked the same way against the eager
+//! generator kept in `metarates.rs`'s unit tests.
 
-use crate::trace::{SeedEntry, Trace, TraceOp};
+use crate::trace::{SeedEntry, TraceOp};
 use cx_sim::det_rng;
 use cx_types::{FsOp, InodeNo, ProcId};
 use rand::rngs::SmallRng;
@@ -27,9 +28,9 @@ pub trait OpStream {
     fn next_op(&mut self) -> Option<TraceOp>;
 }
 
-/// A workload whose operations are generated on demand. Carries the same
-/// header a [`Trace`] does (seeds, roots, process count) — everything the
-/// cluster needs up front — while the op sequence stays lazy.
+/// A workload whose operations are generated on demand. Carries the
+/// header (seeds, roots, process count) — everything the cluster needs up
+/// front — while the op sequence stays lazy.
 pub struct StreamTrace {
     pub name: String,
     pub processes: u32,
@@ -45,27 +46,10 @@ pub struct StreamTrace {
 }
 
 impl StreamTrace {
-    /// Drain the stream into a materialized [`Trace`].
-    pub fn materialize(mut self) -> Trace {
-        let mut ops = Vec::with_capacity(self.total_ops_hint as usize);
-        while let Some(op) = self.ops.next_op() {
-            ops.push(op);
-        }
-        Trace {
-            name: self.name,
-            processes: self.processes,
-            seeds: self.seeds,
-            ops,
-            roots: self.roots,
-        }
-    }
-
     /// Stack the conflict-injection adapter on this stream (§IV-D2's
     /// injected lookups). `base_total` / `base_injectable` are the op
     /// counts of the *underlying* stream, obtained from a counting pass
-    /// ([`injection_counts`]) or from a materialized trace; the legacy
-    /// materialized path normalized the injection rate by the same two
-    /// numbers, so sequences stay byte-identical.
+    /// ([`injection_counts`]) over a second stream from the same builder.
     pub fn inject_conflicting_lookups(
         self,
         added_ratio: f64,
@@ -113,26 +97,6 @@ impl OpStream for VecStream {
     }
 }
 
-impl Trace {
-    /// Convert into a stream (vec-backed; no extra copy).
-    pub fn into_stream(self) -> StreamTrace {
-        StreamTrace {
-            name: self.name,
-            processes: self.processes,
-            seeds: self.seeds,
-            roots: self.roots,
-            total_ops_hint: self.ops.len() as u64,
-            ops: Box::new(VecStream::new(self.ops)),
-        }
-    }
-
-    /// Convert into a stream without consuming the trace (clones the op
-    /// vector — same cost the simulator's own intake copy used to pay).
-    pub fn to_stream(&self) -> StreamTrace {
-        self.clone().into_stream()
-    }
-}
-
 /// Count (total ops, injectable mutations) of a stream by draining it.
 /// Used to parameterize [`StreamTrace::inject_conflicting_lookups`]
 /// without materializing: generation is re-run (CPU), memory stays flat.
@@ -150,9 +114,9 @@ pub fn injection_counts(mut stream: StreamTrace) -> (u64, u64) {
 
 /// Stream adapter injecting lookups by *other* processes immediately
 /// after create/mkdir mutations — the paper's conflict-ratio sweep
-/// (§IV-D2). Replaces the old drain-and-rebuild implementation on
-/// `Trace`; the rng is drawn at exactly the same points (once per pulled
-/// mutation), so the emitted sequence matches the legacy one.
+/// (§IV-D2). The rng is drawn once per injected-lookup trial after a
+/// pulled create or mkdir, so the emitted sequence depends only on the
+/// underlying stream and the seed.
 struct InjectLookups {
     inner: Box<dyn OpStream + Send>,
     rng: SmallRng,

@@ -1,8 +1,11 @@
-//! Synthetic trace generation and conflict injection.
+//! Synthetic trace generation: [`TraceBuilder`] turns a Table II
+//! [`TraceProfile`] into a [`StreamTrace`] whose ops are synthesized one
+//! per pull. Conflict injection stacks on top of it
+//! ([`StreamTrace::inject_conflicting_lookups`]).
 
 use crate::model::NamespaceModel;
 use crate::profile::TraceProfile;
-use crate::stream::{OpStream, StreamTrace, VecStream};
+use crate::stream::{OpStream, StreamTrace};
 use cx_sim::det_rng;
 use cx_types::{FsOp, InodeNo, Name, OpClass, ProcId};
 use rand::rngs::SmallRng;
@@ -38,70 +41,7 @@ pub struct TraceOp {
     pub op: FsOp,
 }
 
-/// A generated workload: seeds plus a global operation order. Each
-/// process's subsequence is its (synchronous) issue order; the cluster
-/// replays processes concurrently.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    pub name: String,
-    pub processes: u32,
-    pub seeds: Vec<SeedEntry>,
-    pub ops: Vec<TraceOp>,
-    /// Directory inodes exempt from orphan checking.
-    pub roots: Vec<InodeNo>,
-}
-
-impl Trace {
-    /// Count operations by class (regenerates Figure 4's bars).
-    pub fn class_histogram(&self) -> Vec<(OpClass, u64)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for t in &self.ops {
-            *counts.entry(t.op.class()).or_insert(0u64) += 1;
-        }
-        counts.into_iter().collect()
-    }
-
-    /// Inject extra lookup requests immediately after other processes'
-    /// mutations, as the paper does to sweep the conflict ratio
-    /// ("we injected some lookup requests to add some immediate
-    /// commitments for cross-server operations", §IV-D2).
-    ///
-    /// `added_ratio` is the number of injected lookups relative to the
-    /// original operation count.
-    pub fn inject_conflicting_lookups(&mut self, added_ratio: f64, seed: u64) {
-        if added_ratio <= 0.0 {
-            return;
-        }
-        // Only mutations with a (parent, name) target receive injected
-        // lookups, so normalize by those — not by all mutations — or the
-        // realized count undershoots `added_ratio`.
-        let total = self.ops.len() as u64;
-        let injectable = self
-            .ops
-            .iter()
-            .filter(|t| matches!(t.op, FsOp::Create { .. } | FsOp::Mkdir { .. }))
-            .count() as u64;
-        let mut adapter = StreamTrace {
-            name: std::mem::take(&mut self.name),
-            processes: self.processes,
-            seeds: std::mem::take(&mut self.seeds),
-            roots: std::mem::take(&mut self.roots),
-            total_ops_hint: total,
-            ops: Box::new(VecStream::new(std::mem::take(&mut self.ops))),
-        }
-        .inject_conflicting_lookups(added_ratio, seed, total, injectable);
-        let mut out = Vec::with_capacity(total as usize);
-        while let Some(t) = adapter.ops.next_op() {
-            out.push(t);
-        }
-        self.name = adapter.name;
-        self.seeds = adapter.seeds;
-        self.roots = adapter.roots;
-        self.ops = out;
-    }
-}
-
-/// Builds a [`Trace`] from a [`TraceProfile`].
+/// Builds a [`StreamTrace`] from a [`TraceProfile`].
 #[derive(Clone)]
 pub struct TraceBuilder {
     profile: TraceProfile,
@@ -147,16 +87,10 @@ impl TraceBuilder {
         self
     }
 
-    /// Materialize the whole trace up front: collect [`Self::stream`].
-    pub fn build(self) -> Trace {
-        self.stream().materialize()
-    }
-
-    /// Lazy form: run the (cheap) namespace-seeding prelude eagerly so
-    /// the header is available, then hand the generator state — rng,
-    /// namespace model, per-process file lists — to a [`TraceStream`]
-    /// that synthesizes one op per pull. Yields exactly the sequence
-    /// [`Self::build`] materializes.
+    /// Run the (cheap) namespace-seeding prelude eagerly so the header is
+    /// available, then hand the generator state — rng, namespace model,
+    /// per-process file lists — to a [`TraceStream`] that synthesizes one
+    /// op per pull. Two streams from one builder yield the same sequence.
     pub fn stream(self) -> StreamTrace {
         let profile = self.profile;
         let total = ((profile.total_ops as f64 * self.scale).round() as u64).max(1);
@@ -453,10 +387,16 @@ fn own_file(state: &ProcState, rng: &mut SmallRng) -> InodeNo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injection_counts;
     use crate::profile::PROFILES;
+    use crate::stats::TraceSummary;
 
-    fn small_trace(name: &str) -> Trace {
-        TraceBuilder::new(profile_by(name)).scale(0.01).build()
+    fn pull(st: &mut StreamTrace) -> Vec<TraceOp> {
+        std::iter::from_fn(|| st.ops.next_op()).collect()
+    }
+
+    fn small_trace(name: &str) -> StreamTrace {
+        TraceBuilder::new(profile_by(name)).scale(0.01).stream()
     }
 
     fn profile_by(name: &str) -> &'static TraceProfile {
@@ -465,51 +405,51 @@ mod tests {
 
     #[test]
     fn trace_sizes_scale() {
-        let t = small_trace("CTH");
+        let ops = pull(&mut small_trace("CTH"));
         let expect = (505_247f64 * 0.01).round() as usize;
-        assert_eq!(t.ops.len(), expect);
+        assert_eq!(ops.len(), expect);
     }
 
     #[test]
     fn traces_are_deterministic() {
-        let a = TraceBuilder::new(profile_by("home2")).scale(0.002).build();
-        let b = TraceBuilder::new(profile_by("home2")).scale(0.002).build();
-        assert_eq!(a.ops, b.ops);
+        let mut a = TraceBuilder::new(profile_by("home2")).scale(0.002).stream();
+        let mut b = TraceBuilder::new(profile_by("home2")).scale(0.002).stream();
+        let a_ops = pull(&mut a);
+        assert_eq!(a_ops, pull(&mut b));
         assert_eq!(a.seeds, b.seeds);
-        let c = TraceBuilder::new(profile_by("home2"))
+        let mut c = TraceBuilder::new(profile_by("home2"))
             .scale(0.002)
             .seed(99)
-            .build();
-        assert_ne!(a.ops, c.ops, "different seed, different trace");
+            .stream();
+        assert_ne!(a_ops, pull(&mut c), "different seed, different trace");
     }
 
     #[test]
-    fn class_histogram_tracks_the_mix() {
+    fn class_shares_track_the_mix() {
         let profile = profile_by("s3d");
-        let t = TraceBuilder::new(profile).scale(0.05).build();
-        let hist = t.class_histogram();
-        let total: u64 = hist.iter().map(|(_, n)| n).sum();
-        let share = |class| {
-            hist.iter()
-                .find(|(c, _)| *c == class)
-                .map(|(_, n)| *n as f64 / total as f64)
+        let summary = TraceSummary::analyze(TraceBuilder::new(profile).scale(0.05).stream(), 8);
+        let share = |class: OpClass| {
+            summary
+                .class_shares
+                .get(class.name())
+                .copied()
                 .unwrap_or(0.0)
         };
         // creates dominate s3d; fallbacks inflate them slightly
-        let create_share = share(cx_types::OpClass::Create);
-        let expect = profile.mix.share(cx_types::OpClass::Create);
+        let create_share = share(OpClass::Create);
+        let expect = profile.mix.share(OpClass::Create);
         assert!(
             (create_share - expect).abs() < 0.08,
             "create share {create_share} vs mix {expect}"
         );
-        assert!(share(cx_types::OpClass::Lookup) > 0.05);
+        assert!(share(OpClass::Lookup) > 0.05);
     }
 
     #[test]
     fn per_process_mutations_are_valid_in_order() {
         // Replaying each op against a model in global order must never
         // hit an invalid mutation (the generator's core guarantee).
-        let t = small_trace("deasna2");
+        let mut t = small_trace("deasna2");
         let mut m = NamespaceModel::new();
         for s in &t.seeds {
             match *s {
@@ -519,7 +459,7 @@ mod tests {
                 }
             }
         }
-        for top in &t.ops {
+        for top in pull(&mut t) {
             m.apply(&top.op); // panics if invalid
         }
     }
@@ -527,20 +467,27 @@ mod tests {
     #[test]
     fn every_profile_builds() {
         for p in &PROFILES {
-            let t = TraceBuilder::new(p).scale(0.001).build();
-            assert!(!t.ops.is_empty());
+            let mut t = TraceBuilder::new(p).scale(0.001).stream();
+            assert!(!pull(&mut t).is_empty());
             assert_eq!(t.processes, p.processes);
             assert!(t.seeds.len() > 2);
         }
     }
 
+    /// `small_trace(name)` with `ratio` injected lookups, normalized by a
+    /// counting pass over a second stream (as `Workload::stream` does).
+    fn injected(name: &str, ratio: f64, seed: u64) -> Vec<TraceOp> {
+        let (total, injectable) = injection_counts(small_trace(name));
+        pull(&mut small_trace(name).inject_conflicting_lookups(ratio, seed, total, injectable))
+    }
+
     #[test]
     fn injection_adds_lookups_after_mutations() {
-        let mut t = small_trace("home2");
-        let before = t.ops.len();
-        let mutations = t.ops.iter().filter(|o| o.op.is_mutation()).count();
-        t.inject_conflicting_lookups(0.05, 1);
-        let added = t.ops.len() - before;
+        let base = pull(&mut small_trace("home2"));
+        let before = base.len();
+        let mutations = base.iter().filter(|o| o.op.is_mutation()).count();
+        let ops = injected("home2", 0.05, 1);
+        let added = ops.len() - before;
         let target = (before as f64 * 0.05) as usize;
         assert!(
             added as f64 > target as f64 * 0.5
@@ -550,7 +497,7 @@ mod tests {
         // injected lookups follow a mutation by a different process
         let mut prev: Option<&TraceOp> = None;
         let mut seen_injected = 0;
-        for op in &t.ops {
+        for op in &ops {
             if let (FsOp::Lookup { .. }, Some(prev_op)) = (&op.op, prev) {
                 if prev_op.op.is_mutation() && prev_op.proc != op.proc {
                     seen_injected += 1;
@@ -563,9 +510,7 @@ mod tests {
 
     #[test]
     fn zero_injection_is_identity() {
-        let mut t = small_trace("CTH");
-        let before = t.ops.clone();
-        t.inject_conflicting_lookups(0.0, 1);
-        assert_eq!(t.ops, before);
+        let before = pull(&mut small_trace("CTH"));
+        assert_eq!(injected("CTH", 0.0, 1), before);
     }
 }

@@ -99,7 +99,7 @@ fn feed(ops: Vec<TraceOp>, procs: u32) -> OpFeed {
 /// Four processes pulled at different rates: the slow ones' queues build
 /// up while the fast ones drain theirs, and each queue's front and back
 /// pass its ring's end many times over. What each process gets, in order,
-/// is its subsequence of the materialized trace, all 12 variants included,
+/// is its subsequence of the op vector, all 12 variants included,
 /// and `remaining()` drops by one for every op handed out.
 #[test]
 fn every_variant_comes_out_in_process_order_under_interleaved_pulls() {

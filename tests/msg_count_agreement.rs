@@ -15,7 +15,7 @@
 //! fixed by the workload and the placement alone, on every runtime.
 
 use cx_core::{
-    run_trace, BatchTrigger, ClusterConfig, MsgKind, Protocol, RunStats, TcpCluster,
+    BatchTrigger, ClusterConfig, DesCluster, MsgKind, Protocol, RunStats, TcpCluster,
     ThreadedCluster, Workload, DUR_MS,
 };
 
@@ -30,16 +30,17 @@ fn count(s: &RunStats, kind: MsgKind) -> u64 {
 #[test]
 fn des_channels_and_loopback_agree_on_message_counts() {
     let mut cfg = ClusterConfig::new(4, Protocol::Cx);
-    let trace = Workload::trace("home2").scale(0.0003).build(&cfg);
+    let trace = Workload::trace("home2").scale(0.0003);
     cfg.cx.trigger = BatchTrigger::Threshold { pending_ops: 8 };
     // Wall-clock runtimes need a wall-clock-sized hint-mismatch timeout.
     cfg.cx.hint_mismatch_timeout_ns = 20 * DUR_MS;
 
-    let (des, violations) = run_trace(cfg.clone(), &trace);
+    let (des, violations) = DesCluster::new_stream(cfg.clone(), trace.stream(&cfg)).run();
     assert_eq!(violations, vec![]);
-    let chan = ThreadedCluster::run(cfg.clone(), &trace);
+    let chan = ThreadedCluster::run_stream(cfg.clone(), trace.stream(&cfg));
     assert_eq!(chan.violations, vec![]);
-    let sock = TcpCluster::run(cfg, &trace);
+    let sock = TcpCluster::run_stream(cfg.clone(), trace.stream(&cfg));
+    let expected = trace.stream(&cfg).total_ops_hint;
     assert_eq!(sock.violations, vec![]);
 
     let b = band(des.ops_total);
@@ -48,11 +49,7 @@ fn des_channels_and_loopback_agree_on_message_counts() {
         ("channels", &chan.stats),
         ("sockets", &sock.stats),
     ] {
-        assert_eq!(
-            s.ops_total,
-            trace.ops.len() as u64,
-            "{label}: every op answered"
-        );
+        assert_eq!(s.ops_total, expected, "{label}: every op answered");
         assert_eq!(
             count(s, MsgKind::SubOpReq),
             s.ops_total + s.cross_ops,

@@ -6,14 +6,17 @@
 //! client table tapped per op.
 
 use cx_core::{
-    run_trace, BatchTrigger, ClusterConfig, LiveMetrics, MetricRegistry, ObsSink, Protocol,
-    RunStats, SimTime, TcpCluster, ThreadedCluster, Trace, Workload, DUR_MS,
+    BatchTrigger, ClusterConfig, DesCluster, LiveMetrics, MetricRegistry, ObsSink, Protocol,
+    RunStats, SimTime, StreamTrace, TcpCluster, ThreadedCluster, Workload, DUR_MS,
 };
 
-/// The `tcp_equivalence.rs` input: an 816-op home2 prefix on 4 Cx servers.
-fn home2_prefix() -> (ClusterConfig, ClusterConfig, Trace) {
+/// The `tcp_equivalence.rs` input: an 816-op home2 prefix on 4 Cx servers,
+/// one stream per run.
+fn home2_prefix() -> (ClusterConfig, ClusterConfig, impl Fn() -> StreamTrace) {
     let des_cfg = ClusterConfig::new(4, Protocol::Cx);
-    let trace = Workload::trace("home2").scale(0.0003).build(&des_cfg);
+    let workload = Workload::trace("home2").scale(0.0003);
+    let cfg = des_cfg.clone();
+    let trace = move || workload.stream(&cfg);
     // Wall-clock runtimes need wall-clock-sized triggers.
     let mut wall_cfg = des_cfg.clone();
     wall_cfg.cx.trigger = BatchTrigger::Timeout {
@@ -57,16 +60,16 @@ fn assert_whole(s: &RunStats, des: &RunStats, label: &str) {
 #[test]
 fn every_runtime_returns_a_whole_runstats() {
     let (des_cfg, wall_cfg, trace) = home2_prefix();
-    let (des, violations) = run_trace(des_cfg, &trace);
+    let (des, violations) = DesCluster::new_stream(des_cfg, trace()).run();
     assert_eq!(violations, vec![]);
     assert!(des.final_inodes > 0 && des.final_dentries > 0);
     assert_whole(&des, &des, "DES");
 
-    let chan = ThreadedCluster::run(wall_cfg.clone(), &trace);
+    let chan = ThreadedCluster::run_stream(wall_cfg.clone(), trace());
     assert_eq!(chan.violations, vec![]);
     assert_whole(&chan.stats, &des, "channels");
 
-    let sock = TcpCluster::run(wall_cfg, &trace);
+    let sock = TcpCluster::run_stream(wall_cfg, trace());
     assert_eq!(sock.violations, vec![]);
     assert_whole(&sock.stats, &des, "sockets");
 }
@@ -76,7 +79,7 @@ fn a_live_run_publishes_its_end_of_run_half_once() {
     let (_, wall_cfg, trace) = home2_prefix();
     let live = LiveMetrics::new(MetricRegistry::new());
     let registry = live.registry.clone();
-    let res = ThreadedCluster::run_stream_live(wall_cfg, trace.to_stream(), ObsSink::Off, live);
+    let res = ThreadedCluster::run_stream_live(wall_cfg, trace(), ObsSink::Off, live);
     assert_eq!(res.violations, vec![]);
     let s = &res.stats;
     let snap = registry.snapshot();

@@ -5,7 +5,7 @@
 
 use cx_chaos::{run_plan, run_plan_obs, ChaosScenario};
 use cx_core::{
-    run_trace, ClusterConfig, ObsSink, Protocol, TcpCluster, TcpOptions, ThreadedCluster, Workload,
+    ClusterConfig, DesCluster, ObsSink, Protocol, TcpCluster, TcpOptions, ThreadedCluster, Workload,
 };
 use cx_net::PlaneConfig;
 use cx_obs::GaugeKind;
@@ -111,7 +111,8 @@ fn message_fault_plans_are_pinned() {
 #[test]
 fn tcp_reconnect_drill_matches_the_des_totals() {
     let des_cfg = ClusterConfig::new(4, Protocol::Cx);
-    let trace = Workload::trace("home2").scale(0.0003).build(&des_cfg);
+    let trace = Workload::trace("home2").scale(0.0003);
+    let expected = trace.stream(&des_cfg).total_ops_hint;
     // Wall-clock runtimes need wall-clock-sized triggers.
     let mut tcp_cfg = des_cfg.clone();
     tcp_cfg.cx.trigger = BatchTrigger::Timeout {
@@ -119,15 +120,16 @@ fn tcp_reconnect_drill_matches_the_des_totals() {
     };
     tcp_cfg.cx.hint_mismatch_timeout_ns = 20 * DUR_MS;
     let opts = TcpOptions {
-        drop_conns_after_ops: Some(trace.ops.len() as u64 / 4),
+        drop_conns_after_ops: Some(expected / 4),
         net: PlaneConfig {
             backoff_base: std::time::Duration::from_millis(1),
             ..PlaneConfig::default()
         },
         ..TcpOptions::default()
     };
-    let tcp = TcpCluster::run_stream_opts(tcp_cfg, trace.to_stream(), opts);
-    let (des, des_violations) = run_trace(des_cfg, &trace);
+    let tcp = TcpCluster::run_stream_opts(tcp_cfg, trace.stream(&des_cfg), opts);
+    let (des, des_violations) =
+        DesCluster::new_stream(des_cfg.clone(), trace.stream(&des_cfg)).run();
     assert_eq!(tcp.violations, vec![]);
     assert_eq!(des_violations, vec![]);
     assert!(tcp.reconnects >= 1, "the drill must force a re-dial");
@@ -152,13 +154,13 @@ fn threaded_and_tcp_agree_through_one_node_loop() {
         period_ns: 5 * DUR_MS,
     };
     cfg.cx.hint_mismatch_timeout_ns = 20 * DUR_MS;
-    let trace = Workload::trace("home2").scale(0.0003).build(&cfg);
-    let thr = ThreadedCluster::run(cfg.clone(), &trace);
-    let tcp = TcpCluster::run(cfg, &trace);
+    let trace = Workload::trace("home2").scale(0.0003);
+    let thr = ThreadedCluster::run_stream(cfg.clone(), trace.stream(&cfg));
+    let tcp = TcpCluster::run_stream(cfg.clone(), trace.stream(&cfg));
     assert_eq!(thr.violations, vec![]);
     assert_eq!(tcp.violations, vec![]);
     let (a, b) = (&thr.stats, &tcp.stats);
-    assert_eq!(a.ops_total, trace.ops.len() as u64);
+    assert_eq!(a.ops_total, trace.stream(&cfg).total_ops_hint);
     assert_eq!((a.ops_total, a.cross_ops), (b.ops_total, b.cross_ops));
     assert_eq!(a.ops_applied + a.ops_failed, a.ops_total);
     assert_eq!(b.ops_applied + b.ops_failed, b.ops_total);

@@ -10,7 +10,7 @@ use cx_cluster::{TcpCluster, ThreadedCluster};
 use cx_net::conn::Node;
 use cx_net::{encode_to_vec, read_frame, AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig};
 use cx_types::{BatchTrigger, ClusterConfig, Protocol};
-use cx_workloads::{Trace, TraceBuilder, TraceProfile};
+use cx_workloads::{StreamTrace, TraceBuilder, TraceProfile};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -351,10 +351,10 @@ fn a_full_queue_stops_client_reads_but_not_server_reads() {
 }
 
 /// The 4-server CTH run of the census cases, with a 5 ms batch trigger.
-fn census_run() -> (ClusterConfig, Trace) {
+fn census_run() -> (ClusterConfig, StreamTrace) {
     let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
         .scale(0.001)
-        .build();
+        .stream();
     let mut cfg = ClusterConfig::new(4, Protocol::Cx);
     cfg.cx.trigger = BatchTrigger::Timeout {
         period_ns: 5_000_000,
@@ -396,8 +396,8 @@ const FRAMES_PER_OP_PER_SERVER: u64 = 1;
 fn a_loopback_run_has_one_thread_per_server_node() {
     let _serial = one_at_a_time();
     let (cfg, trace) = census_run();
-    let (ops, processes) = (trace.ops.len() as u64, trace.processes as u64);
-    let (res, samples) = census(thread::spawn(move || TcpCluster::run(cfg, &trace)));
+    let (ops, processes) = (trace.total_ops_hint, trace.processes as u64);
+    let (res, samples) = census(thread::spawn(move || TcpCluster::run_stream(cfg, trace)));
     assert_eq!(res.violations, vec![]);
     assert_eq!(res.stats.ops_total, ops);
     let io_peak = samples.iter().map(|s| count(s, "cx-io")).max();
@@ -427,8 +427,10 @@ fn a_loopback_run_has_one_thread_per_server_node() {
 fn a_channel_run_has_one_thread_per_node() {
     let _serial = one_at_a_time();
     let (cfg, trace) = census_run();
-    let ops = trace.ops.len() as u64;
-    let (res, samples) = census(thread::spawn(move || ThreadedCluster::run(cfg, &trace)));
+    let ops = trace.total_ops_hint;
+    let (res, samples) = census(thread::spawn(move || {
+        ThreadedCluster::run_stream(cfg, trace)
+    }));
     assert_eq!(res.violations, vec![]);
     assert_eq!(res.stats.ops_total, ops);
     assert_eq!(peak(&samples, "cx-srv"), 4, "cx-srv threads");

@@ -12,8 +12,8 @@ fn cross_server_share_is_scale_invariant() {
     let profile = TraceProfile::by_name("s3d").expect("exists");
     let mut shares = Vec::new();
     for (scale, seed) in [(0.002, 1u64), (0.01, 2), (0.02, 3)] {
-        let trace = TraceBuilder::new(profile).scale(scale).seed(seed).build();
-        shares.push(TraceSummary::analyze(&trace, 8).cross_server_share);
+        let trace = TraceBuilder::new(profile).scale(scale).seed(seed).stream();
+        shares.push(TraceSummary::analyze(trace, 8).cross_server_share);
     }
     for w in shares.windows(2) {
         assert!(
@@ -30,9 +30,9 @@ fn cross_server_share_is_scale_invariant() {
 fn metarates_convenience_constructor() {
     let w = Workload::metarates(MetaratesMix::ReadDominated);
     let cfg = cx_core::ClusterConfig::new(2, Protocol::Cx);
-    let trace = w.build(&cfg);
+    let trace = w.stream(&cfg);
     assert_eq!(trace.processes, cfg.total_processes());
-    let summary = TraceSummary::analyze(&trace, 2);
+    let summary = TraceSummary::analyze(trace, 2);
     assert!(
         (0.15..=0.25).contains(&summary.mutation_share),
         "read-dominated means ~20% updates, got {}",
@@ -40,16 +40,15 @@ fn metarates_convenience_constructor() {
     );
 }
 
-/// A custom (pre-built) workload replays exactly as given.
+/// A workload set up by hand (profile, scale, seed) replays exactly the
+/// ops its stream yields.
 #[test]
 fn custom_workloads_replay_verbatim() {
-    let profile = TraceProfile::by_name("alegra").expect("exists");
-    let trace = TraceBuilder::new(profile).scale(0.001).seed(9).build();
-    let expected = trace.ops.len() as u64;
-    let r = Experiment::new(Workload::Custom(trace))
+    let e = Experiment::new(Workload::trace("alegra").scale(0.001).seed(9))
         .servers(4)
-        .protocol(Protocol::Cx)
-        .run();
+        .protocol(Protocol::Cx);
+    let expected = e.workload.stream(&e.cfg).total_ops_hint;
+    let r = e.run();
     assert!(r.is_consistent());
     assert_eq!(r.stats.ops_total, expected);
 }
@@ -58,12 +57,10 @@ fn custom_workloads_replay_verbatim() {
 /// eliminates conflicts entirely.
 #[test]
 fn conflict_free_tweak_eliminates_conflicts() {
-    let profile = TraceProfile::by_name("deasna2").expect("exists");
-    let trace = TraceBuilder::new(profile)
+    let workload = Workload::trace("deasna2")
         .scale(0.002)
-        .tweak(|p| p.shared_access_prob = 0.0)
-        .build();
-    let r = Experiment::new(Workload::Custom(trace))
+        .tweak(|p| p.shared_access_prob = 0.0);
+    let r = Experiment::new(workload)
         .servers(8)
         .protocol(Protocol::Cx)
         .run();
