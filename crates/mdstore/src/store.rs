@@ -49,6 +49,45 @@ pub enum Undo {
     },
 }
 
+impl Undo {
+    /// What this token holds beyond the sub-op it undoes: the inode row a
+    /// release or dec-nlink replaced. Every other token is a function of
+    /// its sub-op alone.
+    pub fn prior_row(&self) -> Option<Inode> {
+        match *self {
+            Undo::RestoreInode { inode, .. } => Some(inode),
+            _ => None,
+        }
+    }
+
+    /// The token [`MetaStore::apply`] returned for `subop`, rebuilt from
+    /// the sub-op and that token's [`Undo::prior_row`].
+    pub fn rebuild(subop: &SubOp, prior_row: Option<Inode>) -> Undo {
+        match *subop {
+            SubOp::InsertEntry { parent, name, .. } => Undo::RemoveDentry { parent, name },
+            SubOp::RemoveEntry {
+                parent,
+                name,
+                child,
+            } => Undo::RestoreDentry {
+                parent,
+                name,
+                child,
+            },
+            SubOp::CreateInode { ino, .. } => Undo::RemoveInode { ino },
+            SubOp::ReleaseInode { ino } | SubOp::DecNlink { ino } => Undo::RestoreInode {
+                ino,
+                inode: prior_row.expect("a release or dec-nlink keeps the prior row"),
+            },
+            SubOp::IncNlink { ino } => Undo::DecNlink { ino },
+            SubOp::TouchInode { ino } => Undo::Retouch { ino },
+            SubOp::ReadInode { .. } | SubOp::ReadEntry { .. } | SubOp::ReadDir { .. } => {
+                Undo::Nothing
+            }
+        }
+    }
+}
+
 /// Cumulative store statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
@@ -431,6 +470,48 @@ mod tests {
             "a touch's undo leaves the row and counts"
         );
         assert_eq!(s.dirty_count(), 1, "the rollback reaches the database");
+    }
+
+    /// An engine keeps an undo token as its sub-op plus the token's prior
+    /// row; for every mutating sub-op (a release and a dec-nlink both
+    /// freeing and decrementing) the rebuilt token is the one `apply`
+    /// returned.
+    #[test]
+    fn rebuilt_undo_equals_the_applied_token() {
+        let ino = InodeNo(10);
+        let remove = SubOp::RemoveEntry {
+            parent: InodeNo(1),
+            name: Name(5),
+            child: ino,
+        };
+        let cases = [
+            (vec![], insert(1, 5, 10)),
+            (vec![insert(1, 5, 10)], remove),
+            (vec![], create(10)),
+            (vec![create(10)], SubOp::ReleaseInode { ino }),
+            (
+                vec![create(10), SubOp::IncNlink { ino }],
+                SubOp::ReleaseInode { ino },
+            ),
+            (vec![create(10)], SubOp::DecNlink { ino }),
+            (
+                vec![create(10), SubOp::IncNlink { ino }],
+                SubOp::DecNlink { ino },
+            ),
+            (vec![create(10)], SubOp::IncNlink { ino }),
+            (vec![create(10)], SubOp::TouchInode { ino }),
+        ];
+        for (setup, subop) in cases {
+            assert!(subop.is_write());
+            let mut s = MetaStore::new();
+            for op in &setup {
+                s.apply(op).unwrap();
+            }
+            let token = s.apply(&subop).unwrap();
+            assert_eq!(Undo::rebuild(&subop, token.prior_row()), token, "{subop:?}");
+        }
+        let read = SubOp::ReadDir { dir: InodeNo(1) };
+        assert_eq!(Undo::rebuild(&read, None), Undo::Nothing);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! (§III-B steps 3–7, §III-C).
 
 use super::{
-    BatchPhase, CommitBatch, CxServer, IoCont, PendingOp, QueuedReq, ORPHAN_TIMER_BIT,
+    BatchPhase, CommitBatch, CxServer, IoCont, PendingOp, QueuedReq, NO_BATCH, ORPHAN_TIMER_BIT,
     VOTE_TIMER_BIT,
 };
 use crate::action::{Action, Endpoint};
@@ -22,12 +22,12 @@ impl CxServer {
 
     pub(crate) fn dispatch_io(&mut self, now: SimTime, cont: IoCont, out: &mut Vec<Action>) {
         match cont {
-            IoCont::ResultDurable { op_id } => {
+            IoCont::ResultDurable { op_id, hint } => {
                 let Some(p) = self.pending.get_mut(&op_id) else {
                     return;
                 };
                 p.durable = true;
-                let (verdict, hint, role) = (p.verdict, p.hint.clone(), p.role);
+                let (verdict, role) = (p.verdict, p.role);
                 respond(op_id, verdict, hint, out);
                 if role == Role::Coordinator {
                     self.lazy_queue.push(op_id);
@@ -135,7 +135,7 @@ impl CxServer {
             .op_phase(op, cx_obs::Phase::Completed, now, Some(self.id));
         self.release_op(now, op, out);
         if let Some(p) = self.pending.remove(&op) {
-            self.recent_outcomes.insert(p.proc, (op, outcome));
+            self.recent_outcomes.insert(op.proc, (op, outcome));
             if p.reply_to_client {
                 let payload = match outcome {
                     Outcome::Committed => Payload::Committed { op_id: op },
@@ -143,7 +143,7 @@ impl CxServer {
                     // affected servers have been aborted" (step 7b).
                     Outcome::Aborted => Payload::AllNo { op_id: op },
                 };
-                self.send(Endpoint::Proc(p.proc), payload, out);
+                self.send(Endpoint::Proc(op.proc), payload, out);
             }
         }
         self.ch.wal.prune_op(&op);
@@ -232,7 +232,7 @@ impl CxServer {
                 self.next_batch += 1;
                 for op in chunk {
                     let p = self.pending.get_mut(op).expect("grouped from pending");
-                    p.batch = Some(batch_id);
+                    p.batch = batch_id;
                 }
                 let batch_ops = self.op_pool.get_copied(chunk);
                 self.batches.insert(
@@ -419,7 +419,7 @@ impl CxServer {
         self.ch.stats.invalidations += 1;
         self.metrics.conflicts_disordered += 1;
         let _ = self.ch.wal.invalidate_result(&holder);
-        if let Some(undo) = holder_pending.undo.take() {
+        if let Some(undo) = holder_pending.take_undo() {
             self.ch.store.undo(undo);
         }
         self.active.retain(|_, h| *h != holder);
@@ -492,24 +492,26 @@ impl CxServer {
             PendingOp {
                 role: Role::Participant,
                 peer: Some(coord),
-                proc: op.proc,
                 subop: cx_types::SubOp::ReadInode {
                     ino: cx_types::InodeNo(0),
                 },
                 verdict: Verdict::No,
                 undo: None,
-                hint: Hint::null(),
                 durable: false,
                 in_commitment: true,
-                batch: None,
                 reply_to_client: false,
                 recovered: false,
+                batch: NO_BATCH,
                 logged_at: now,
             },
         );
         self.deferred_votes.insert(op, coord);
         // A full log refuses the record: the vote stays deferred.
-        let _ = self.log([rec], IoCont::ResultDurable { op_id: op }, out);
+        let cont = IoCont::ResultDurable {
+            op_id: op,
+            hint: Hint::null(),
+        };
+        let _ = self.log([rec], cont, out);
     }
 
     fn send_vote_result(
@@ -544,7 +546,7 @@ impl CxServer {
     ) {
         let mut touched = Vec::new();
         for (op, v) in results {
-            let Some(batch_id) = self.pending.get(&op).and_then(|p| p.batch) else {
+            let Some(batch_id) = self.pending.get(&op).and_then(PendingOp::batch) else {
                 // look the batch up by membership (the pending entry can
                 // be gone if the op was invalidated or already resolved)
                 if let Some((id, _)) = self
@@ -658,7 +660,7 @@ impl CxServer {
     pub(crate) fn on_ack(&mut self, _now: SimTime, ops: Vec<OpId>, out: &mut Vec<Action>) {
         let batch_id = ops
             .iter()
-            .find_map(|op| self.pending.get(op).and_then(|p| p.batch))
+            .find_map(|op| self.pending.get(op).and_then(PendingOp::batch))
             .or_else(|| {
                 // Presumed-abort batches have no pending entry; find the
                 // batch by membership.
@@ -882,7 +884,7 @@ impl CxServer {
                 // that batch was waiting on (its vote) or had sent (its
                 // decision) may have died with it. Re-drive the batch's
                 // current phase idempotently.
-                if let Some(batch_id) = p.batch {
+                if let Some(batch_id) = p.batch() {
                     self.redrive_batch(batch_id, out);
                 }
                 continue;

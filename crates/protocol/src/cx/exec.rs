@@ -1,7 +1,7 @@
 //! Execution phase: sub-op requests, conflict detection, blocking and
 //! unblocking (§III-B and §III-C).
 
-use super::{CxServer, IoCont, PendingOp, QueuedReq};
+use super::{CxServer, IoCont, PendingOp, QueuedReq, NO_BATCH};
 use crate::action::{Action, Endpoint};
 use crate::chassis::resolved_records;
 use cx_types::{Hint, OpId, Payload, Role, SimTime, SubOp, Verdict};
@@ -27,9 +27,8 @@ impl CxServer {
         let check = |subop: &SubOp| -> Option<OpId> {
             for obj in subop.conflict_objects().iter() {
                 if let Some(&holder) = self.active.get(&obj) {
-                    if holder != req.op_id
-                        && self.pending.get(&holder).map(|p| p.proc) != Some(req.op_id.proc)
-                    {
+                    let own = holder.proc == req.op_id.proc && self.pending.contains_key(&holder);
+                    if holder != req.op_id && !own {
                         return Some(holder);
                     }
                 }
@@ -151,16 +150,16 @@ impl CxServer {
             PendingOp {
                 role: req.role,
                 peer: req.peer,
-                proc: req.op_id.proc,
                 subop: req.subop,
                 verdict,
-                undo: undo.filter(|u| !matches!(u, cx_mdstore::Undo::Nothing)),
-                hint: Hint(req.hint_ops),
+                undo: undo
+                    .filter(|u| !matches!(u, cx_mdstore::Undo::Nothing))
+                    .map(|u| u.prior_row()),
                 durable: false,
                 in_commitment: false,
-                batch: None,
                 reply_to_client: false,
                 recovered: false,
+                batch: NO_BATCH,
                 logged_at: now,
             },
         );
@@ -173,9 +172,12 @@ impl CxServer {
             verdict,
             invalidated: false,
         };
-        // Response waits for durability; the hint rides along in pending.
-        self.log([rec], IoCont::ResultDurable { op_id: req.op_id }, out)
-            .expect("room checked above");
+        // The response waits for durability; its hint rides along.
+        let cont = IoCont::ResultDurable {
+            op_id: req.op_id,
+            hint: Hint(req.hint_ops),
+        };
+        self.log([rec], cont, out).expect("room checked above");
     }
 
     /// Whether the log can take `req`'s Result-Record — the only record

@@ -22,7 +22,7 @@ mod recovery;
 use crate::action::{Action, Endpoint, ServerEngine};
 use crate::chassis::Chassis;
 use crate::stats::{ProtoMetrics, ServerStats};
-use cx_mdstore::{MetaStore, Undo};
+use cx_mdstore::{Inode, MetaStore, Undo};
 use cx_obs::{EngineGauges, ObsSink};
 use cx_types::FxHashMap;
 use cx_types::{
@@ -32,33 +32,53 @@ use cx_types::{
 use cx_wal::{Outcome, Record, Wal};
 use std::collections::{BTreeMap, VecDeque};
 
-/// One executed-but-uncommitted operation on this server.
+/// One executed-but-uncommitted operation on this server. It holds only
+/// what nothing else records: the process is its key's, the response's
+/// conflict hint rides on the Result-Record's disk continuation, and the
+/// undo token is rebuilt from the sub-op.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingOp {
     pub role: Role,
     pub peer: Option<ServerId>,
-    pub proc: ProcId,
     pub subop: SubOp,
     pub verdict: Verdict,
-    /// Undo token if the execution succeeded and modified state.
-    pub undo: Option<Undo>,
-    /// Conflict hint attached to this operation's response (§III-C).
-    pub hint: Hint,
+    /// Set while the execution can be rolled back with its volatile undo
+    /// token: the token's prior row ([`Undo::prior_row`]), from which and
+    /// `subop` [`PendingOp::take_undo`] rebuilds it.
+    pub undo: Option<Option<Inode>>,
     /// Result-Record flushed to disk.
     pub durable: bool,
     /// A commitment involving this op is in flight.
     pub in_commitment: bool,
-    /// Coordinator-side batch id, once committing.
-    pub batch: Option<u64>,
     /// The client asked for an immediate commitment (L-COM): report the
     /// outcome when the commitment completes.
     pub reply_to_client: bool,
     /// Rebuilt from the log after a crash; rollback uses semantic
     /// inversion of the sub-op instead of a volatile undo token.
     pub recovered: bool,
+    /// Coordinator-side batch id once committing, [`NO_BATCH`] before;
+    /// read through [`PendingOp::batch`].
+    batch: u64,
     /// When the execution was logged — the batch-age histogram measures
     /// how long the oldest member waited for its commitment round.
     pub logged_at: SimTime,
+}
+
+/// `PendingOp::batch` of an op no batch has taken yet.
+pub(crate) const NO_BATCH: u64 = u64::MAX;
+
+impl PendingOp {
+    /// The coordinator-side batch committing this op, once there is one.
+    pub fn batch(&self) -> Option<u64> {
+        (self.batch != NO_BATCH).then_some(self.batch)
+    }
+
+    /// The undo token `MetaStore::apply` returned for this execution, if
+    /// it has not been rolled back yet; the entry keeps none afterwards.
+    pub fn take_undo(&mut self) -> Option<Undo> {
+        let prior_row = self.undo.take()?;
+        Some(Undo::rebuild(&self.subop, prior_row))
+    }
 }
 
 /// A sub-op request that could not run yet (conflict or full log).
@@ -104,9 +124,10 @@ pub(crate) struct CommitBatch {
 /// Disk-completion continuations.
 #[derive(Debug, Clone)]
 pub(crate) enum IoCont {
-    /// A Result-Record became durable: answer the client, enqueue the lazy
-    /// commitment (coordinator), release deferred votes (participant).
-    ResultDurable { op_id: OpId },
+    /// A Result-Record became durable: answer the client with `hint`,
+    /// enqueue the lazy commitment (coordinator), release deferred votes
+    /// (participant).
+    ResultDurable { op_id: OpId, hint: Hint },
     /// A local (single-server) mutation's records became durable.
     LocalDurable {
         op_id: OpId,
@@ -507,5 +528,25 @@ impl ServerEngine for CxServer {
             io,
             writebacks,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A pending op's slab slot is what a server holds per in-flight half;
+    /// keep the entry eleven words with its key.
+    #[test]
+    fn a_pending_slot_is_88_bytes() {
+        assert_eq!(std::mem::size_of::<PendingOp>(), 72);
+        assert_eq!(std::mem::size_of::<Option<(OpId, PendingOp)>>(), 88);
+    }
+
+    /// The disk continuation carries the response's hint and stays seven
+    /// words: a decision's two op lists are its largest variant.
+    #[test]
+    fn a_disk_continuation_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<IoCont>(), 56);
     }
 }

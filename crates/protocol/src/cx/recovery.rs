@@ -17,11 +17,11 @@
 //! system stops responding new requests") but keeps exchanging commitment
 //! traffic, which is what resolves the half-completed operations.
 
-use super::{BatchPhase, CommitBatch, CxServer, IoCont, PendingOp};
+use super::{BatchPhase, CommitBatch, CxServer, IoCont, PendingOp, NO_BATCH};
 use crate::action::{Action, Endpoint, ServerEngine};
 use cx_mdstore::MetaStore;
 use cx_simio::DiskReq;
-use cx_types::{Hint, OpId, Role, ServerId, SimTime, SubOp, Verdict};
+use cx_types::{OpId, Role, ServerId, SimTime, SubOp, Verdict};
 use cx_wal::Outcome;
 use std::collections::BTreeMap;
 
@@ -48,7 +48,7 @@ impl CxServer {
         // disjoint active objects, so their relative order is immaterial.
         let mut lost: Vec<(OpId, PendingOp)> = self.pending.drain().collect();
         lost.sort_unstable_by_key(|(op, _)| std::cmp::Reverse(*op));
-        for (op, p) in lost {
+        for (op, mut p) in lost {
             let survived = p.durable
                 || self
                     .ch
@@ -56,7 +56,7 @@ impl CxServer {
                     .op_state(&op)
                     .is_some_and(|st| st.subop.is_some());
             if !survived {
-                if let Some(undo) = p.undo {
+                if let Some(undo) = p.take_undo() {
                     self.ch.store.undo(undo);
                 }
             }
@@ -131,16 +131,14 @@ impl CxServer {
                 PendingOp {
                     role,
                     peer,
-                    proc: op.proc,
                     subop,
                     verdict: if invalidated { Verdict::No } else { verdict },
                     undo: None,
-                    hint: Hint::null(),
                     durable: true,
                     in_commitment: true,
-                    batch: None,
                     reply_to_client: false,
                     recovered: true,
+                    batch: NO_BATCH,
                     logged_at: now,
                 },
             );
@@ -178,7 +176,7 @@ impl CxServer {
             self.next_batch += 1;
             for op in commits.iter().chain(aborts.iter()) {
                 if let Some(p) = self.pending.get_mut(op) {
-                    p.batch = Some(batch_id);
+                    p.batch = batch_id;
                 }
             }
             self.batches.insert(
@@ -287,7 +285,7 @@ impl CxServer {
                     }
                 }
                 Role::Coordinator => {
-                    if let Some(b) = p.batch {
+                    if let Some(b) = p.batch() {
                         if !batches.contains(&b) {
                             batches.push(b);
                         }
@@ -341,7 +339,7 @@ impl CxServer {
         let Some(p) = self.pending.get_mut(op) else {
             return;
         };
-        if let Some(undo) = p.undo.take() {
+        if let Some(undo) = p.take_undo() {
             self.ch.store.undo(undo);
         } else if p.recovered && p.verdict.is_yes() {
             let subop = p.subop;

@@ -101,25 +101,58 @@ impl DiskStats {
 /// Service time and stats depend on the request only through these counts
 /// and on `cfg`, which never changes for a `Disk`'s life, so pricing early
 /// yields the numbers pricing at start would.
-#[derive(Debug, Clone, Copy)]
-enum Priced {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cost {
     /// Distinct pages and the runs they merge into.
     Writeback {
-        pages: u32,
-        runs: u32,
+        pages: u64,
+        runs: u64,
     },
     SeqRead {
         bytes: u64,
     },
     RandomRead {
-        pages: u32,
+        pages: u64,
     },
 }
 
-/// A page or run count as the lane stores it. A list longer than
-/// `u32::MAX` is 32 GiB of page numbers; no caller can hold one.
-fn lane_count(n: u64) -> u32 {
-    u32::try_from(n).expect("page list longer than u32::MAX")
+/// A [`Cost`] in the one word a lane entry has for it: the kind in the
+/// top two bits and its count below, a write-back's pages above its runs
+/// in 31 bits each. A list of 2^31 pages is 16 GiB of page numbers and a
+/// scan of 2^62 bytes is 4 EiB; no caller can submit either.
+#[derive(Debug, Clone, Copy)]
+struct Priced(u64);
+
+impl Priced {
+    /// Bits of a write-back's run count; its page count sits above them.
+    const HALF: u32 = 31;
+    const COUNT: u64 = u64::MAX >> 2;
+
+    fn pack(cost: Cost) -> Self {
+        let (kind, count) = match cost {
+            Cost::Writeback { pages, runs } => {
+                // runs ≤ pages, so a page count that fits, fits both
+                assert!(pages >> Self::HALF == 0, "page list too long");
+                (0, pages << Self::HALF | runs)
+            }
+            Cost::SeqRead { bytes } => (1, bytes),
+            Cost::RandomRead { pages } => (2, pages),
+        };
+        assert!(count <= Self::COUNT, "request too large to price");
+        Priced(kind << 62 | count)
+    }
+
+    fn cost(self) -> Cost {
+        let count = self.0 & Self::COUNT;
+        match self.0 >> 62 {
+            0 => Cost::Writeback {
+                pages: count >> Self::HALF,
+                runs: count & ((1 << Self::HALF) - 1),
+            },
+            1 => Cost::SeqRead { bytes: count },
+            _ => Cost::RandomRead { pages: count },
+        }
+    }
 }
 
 /// The disk. Sans-event: `submit`/`complete` return batches whose `finish`
@@ -130,8 +163,8 @@ fn lane_count(n: u64) -> u32 {
 /// disk and write-back only queues — tens of thousands of batches by the
 /// end of a replay — and a single queue is scanned past all of them on
 /// every completion. That backlog is also why a queued background request
-/// is a 24-byte [`Priced`] entry and not the request: `submit` does the
-/// sort, dedup and run count, and no page list outlives it. The tests'
+/// is a 16-byte `(token, Priced)` entry and not the request: `submit` does
+/// the sort, dedup and run count, and no page list outlives it. The tests'
 /// `RefDisk` is the single queue that prices at start; the lanes must hand
 /// out the same batches in the same order and move the same stats at the
 /// same moment.
@@ -143,7 +176,8 @@ pub struct Disk {
     /// `(page, token)` of queued synchronous database writes.
     sync: VecDeque<(u64, u64)>,
     /// `(token, price)` of write-back and recovery reads, served one
-    /// request at a time.
+    /// request at a time. Each keeps its own token: a completion names the
+    /// request it finished, and one lost in a crash must be told apart.
     background: VecDeque<(u64, Priced)>,
     inflight: bool,
     stats: DiskStats,
@@ -192,19 +226,20 @@ impl Disk {
             DiskReq::DbWriteback { mut pages, token } => {
                 pages.sort_unstable();
                 pages.dedup();
-                let price = Priced::Writeback {
-                    pages: lane_count(pages.len() as u64),
-                    runs: lane_count(count_runs(&pages, self.cfg.merge_gap)),
+                let cost = Cost::Writeback {
+                    pages: pages.len() as u64,
+                    runs: count_runs(&pages, self.cfg.merge_gap),
                 };
-                self.background.push_back((token, price));
+                self.background.push_back((token, Priced::pack(cost)));
             }
             DiskReq::SeqRead { bytes, token } => self
                 .background
-                .push_back((token, Priced::SeqRead { bytes })),
+                .push_back((token, Priced::pack(Cost::SeqRead { bytes }))),
             DiskReq::RandomRead { pages, token } => {
-                let pages = lane_count(pages.len() as u64);
-                self.background
-                    .push_back((token, Priced::RandomRead { pages }));
+                let cost = Cost::RandomRead {
+                    pages: pages.len() as u64,
+                };
+                self.background.push_back((token, Priced::pack(cost)));
             }
         }
         if self.inflight {
@@ -298,9 +333,8 @@ impl Disk {
     }
 
     fn start_background(&mut self, now: SimTime, token: u64, price: Priced) -> Batch {
-        let service = match price {
-            Priced::Writeback { pages, runs } => {
-                let (pages, runs) = (pages as u64, runs as u64);
+        let service = match price.cost() {
+            Cost::Writeback { pages, runs } => {
                 self.stats.wb_batches += 1;
                 self.stats.wb_pages += pages;
                 self.stats.wb_runs += runs;
@@ -308,15 +342,14 @@ impl Disk {
                     + runs.saturating_sub(1) * self.cfg.wb_run_seek_ns
                     + transfer_ns(pages * PAGE_BYTES, self.cfg.seq_bw_bps)
             }
-            Priced::SeqRead { bytes } => {
+            Cost::SeqRead { bytes } => {
                 self.stats.seq_reads += 1;
                 self.cfg.wb_batch_seek_ns + transfer_ns(bytes, self.cfg.seq_bw_bps)
             }
-            Priced::RandomRead { pages } => {
+            Cost::RandomRead { pages } => {
                 // Dependent point lookups (B-tree walks): each row read
                 // must finish before the next begins, so the elevator
                 // cannot merge them the way write-back batches merge.
-                let pages = pages as u64;
                 self.stats.cold_reads += pages;
                 pages * self.cfg.cold_read_run_ns
                     + transfer_ns(pages * PAGE_BYTES, self.cfg.seq_bw_bps)
@@ -665,10 +698,42 @@ mod tests {
         }
     }
 
-    /// The lane entry is what the backlog is made of; keep it three words.
+    /// The lane entry is what the backlog is made of; keep it two words.
     #[test]
-    fn a_queued_background_request_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<(u64, Priced)>(), 24);
+    fn a_queued_background_request_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, Priced)>(), 16);
+    }
+
+    /// Each kind's counts come back out of the word, up to the field
+    /// limits, and past a limit the price refuses.
+    #[test]
+    fn a_price_round_trips_at_its_field_limits() {
+        let half = (1 << Priced::HALF) - 1;
+        let count = Priced::COUNT;
+        for cost in [
+            Cost::Writeback { pages: 0, runs: 0 },
+            Cost::Writeback {
+                pages: half,
+                runs: 1,
+            },
+            Cost::Writeback {
+                pages: half,
+                runs: half,
+            },
+            Cost::SeqRead { bytes: 0 },
+            Cost::SeqRead { bytes: count },
+            Cost::RandomRead { pages: 1 },
+            Cost::RandomRead { pages: count },
+        ] {
+            assert_eq!(Priced::pack(cost).cost(), cost);
+        }
+        let too_long = Cost::Writeback {
+            pages: half + 1,
+            runs: 1,
+        };
+        assert!(std::panic::catch_unwind(|| Priced::pack(too_long)).is_err());
+        let too_big = Cost::SeqRead { bytes: count + 1 };
+        assert!(std::panic::catch_unwind(|| Priced::pack(too_big)).is_err());
     }
 
     #[test]

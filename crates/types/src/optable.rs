@@ -1,16 +1,19 @@
 //! Per-operation state, stored densely.
 //!
-//! The engines keep a fat value (100+ bytes) for every in-flight
-//! operation and churn through them first-in first-out. A hash table of
-//! such values runs at a quarter load under that churn — tombstones fill
-//! it until a rehash doubles it — so every live entry pays for three empty
-//! fat slots. An [`OpTable`] keeps the values in a slab and hashes only a
-//! 4-byte slot number: the sparse part costs 21 bytes a bucket, the fat
-//! part is as large as the most entries ever live at once.
+//! The engines keep a fat value for every in-flight operation and churn
+//! through them first-in first-out. A hash table of such values runs at a
+//! quarter load under that churn — tombstones fill it until a rehash
+//! doubles it — so every live entry pays for three empty fat slots. An
+//! [`OpTable`] keeps the values in a slab and indexes them by slot number
+//! alone: the sparse part costs 4 bytes a bucket (the key is read from the
+//! slab), the fat part is as large as the most entries ever live at once.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxBuildHasher;
 use crate::ids::OpId;
-use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
+
+/// A bucket no slot number occupies.
+const EMPTY: u32 = u32::MAX;
 
 /// A map from [`OpId`] to `V`: values in a slab with a free list, found
 /// through a thin index. Steady-state insert/remove allocates nothing.
@@ -23,7 +26,10 @@ pub struct OpTable<V> {
     slots: Vec<Option<(OpId, V)>>,
     /// Vacant slots, reused newest first before the slab grows.
     free: Vec<u32>,
-    index: FxHashMap<OpId, u32>,
+    /// Slot numbers, open-addressed by key hash: linear probing at a load
+    /// of at most three quarters, keys read from the slab, backward-shift
+    /// deletion (so no tombstones). Empty or a power of two long.
+    index: Vec<u32>,
 }
 
 impl<V> Default for OpTable<V> {
@@ -31,43 +37,43 @@ impl<V> Default for OpTable<V> {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
-            index: FxHashMap::default(),
+            index: Vec::new(),
         }
     }
 }
 
 impl<V> OpTable<V> {
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     pub fn contains_key(&self, op: &OpId) -> bool {
-        self.index.contains_key(op)
+        self.find(op).is_some()
     }
 
     pub fn get(&self, op: &OpId) -> Option<&V> {
-        let slot = *self.index.get(op)?;
+        let slot = self.index[self.find(op)?];
         self.slots[slot as usize].as_ref().map(|(_, v)| v)
     }
 
     pub fn get_mut(&mut self, op: &OpId) -> Option<&mut V> {
-        let slot = *self.index.get(op)?;
+        let slot = self.index[self.find(op)?];
         self.slots[slot as usize].as_mut().map(|(_, v)| v)
     }
 
     /// Insert or overwrite; returns the value replaced.
     pub fn insert(&mut self, op: OpId, value: V) -> Option<V> {
-        match self.index.entry(op) {
-            Entry::Occupied(e) => {
-                let (_, old) = self.slots[*e.get() as usize].as_mut().expect("indexed");
+        match self.entry(&op) {
+            Ok(slot) => {
+                let (_, old) = self.slots[slot as usize].as_mut().expect("indexed");
                 Some(std::mem::replace(old, value))
             }
-            Entry::Vacant(e) => {
-                e.insert(place(&mut self.slots, &mut self.free, op, value));
+            Err(bucket) => {
+                self.place(bucket, op, value);
                 None
             }
         }
@@ -78,16 +84,18 @@ impl<V> OpTable<V> {
     where
         V: Default,
     {
-        let slot = *self
-            .index
-            .entry(op)
-            .or_insert_with(|| place(&mut self.slots, &mut self.free, op, V::default()));
+        let slot = match self.entry(&op) {
+            Ok(slot) => slot,
+            Err(bucket) => self.place(bucket, op, V::default()),
+        };
         let (_, v) = self.slots[slot as usize].as_mut().expect("indexed");
         v
     }
 
     pub fn remove(&mut self, op: &OpId) -> Option<V> {
-        let slot = self.index.remove(op)?;
+        let bucket = self.find(op)?;
+        let slot = self.index[bucket];
+        self.unindex(bucket);
         self.free.push(slot);
         self.slots[slot as usize].take().map(|(_, v)| v)
     }
@@ -105,13 +113,13 @@ impl<V> OpTable<V> {
     /// Empty the table, yielding what it held in slot order. The slab's
     /// capacity is kept.
     pub fn drain(&mut self) -> impl Iterator<Item = (OpId, V)> + '_ {
-        self.index.clear();
+        self.index.fill(EMPTY);
         self.free.clear();
         self.slots.drain(..).flatten()
     }
 
     pub fn clear(&mut self) {
-        self.index.clear();
+        self.index.fill(EMPTY);
         self.free.clear();
         self.slots.clear();
     }
@@ -120,19 +128,102 @@ impl<V> OpTable<V> {
     pub fn slab_capacity(&self) -> usize {
         self.slots.capacity()
     }
-}
 
-/// Store an entry in a vacant slot, or a new one if none is vacant.
-fn place<V>(slots: &mut Vec<Option<(OpId, V)>>, free: &mut Vec<u32>, op: OpId, value: V) -> u32 {
-    match free.pop() {
-        Some(slot) => {
-            slots[slot as usize] = Some((op, value));
-            slot
-        }
-        None => {
-            let slot = u32::try_from(slots.len()).expect("fewer than 2^32 live ops");
-            slots.push(Some((op, value)));
-            slot
+    /// The key stored in an indexed slot.
+    fn key(&self, slot: u32) -> &OpId {
+        &self.slots[slot as usize].as_ref().expect("indexed").0
+    }
+
+    /// Walk `op`'s probe sequence: `Ok` with the bucket holding its slot,
+    /// or `Err` with the empty bucket that ends the walk. The index must
+    /// not be empty.
+    fn probe(&self, op: &OpId) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut bucket = home(op, self.index.len());
+        loop {
+            match self.index[bucket] {
+                EMPTY => return Err(bucket),
+                slot if self.key(slot) == op => return Ok(bucket),
+                _ => bucket = (bucket + 1) & mask,
+            }
         }
     }
+
+    /// The bucket holding `op`'s slot.
+    fn find(&self, op: &OpId) -> Option<usize> {
+        (!self.index.is_empty()).then(|| self.probe(op).ok())?
+    }
+
+    /// `Ok` with `op`'s slot, or `Err` with the bucket a new slot for it
+    /// goes in — after growing the index if one more entry would load it
+    /// past three quarters.
+    fn entry(&mut self, op: &OpId) -> Result<u32, usize> {
+        if !self.index.is_empty() {
+            match self.probe(op) {
+                Ok(bucket) => return Ok(self.index[bucket]),
+                Err(bucket) if (self.len() + 1) * 4 <= self.index.len() * 3 => return Err(bucket),
+                Err(_) => {}
+            }
+        }
+        self.grow();
+        Err(self.probe(op).expect_err("absent"))
+    }
+
+    /// Store an entry in a vacant slot, or a new one if none is vacant,
+    /// and index it at `bucket`.
+    fn place(&mut self, bucket: usize, op: OpId, value: V) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(None);
+                u32::try_from(self.slots.len() - 1)
+                    .ok()
+                    .filter(|&slot| slot != EMPTY)
+                    .expect("fewer than 2^32 - 1 live ops")
+            }
+        };
+        self.slots[slot as usize] = Some((op, value));
+        self.index[bucket] = slot;
+        slot
+    }
+
+    /// Double the index (8 buckets at first) and re-index the slab.
+    fn grow(&mut self) {
+        self.index = vec![EMPTY; (2 * self.index.len()).max(8)];
+        for slot in 0..self.slots.len() {
+            if let Some((op, _)) = &self.slots[slot] {
+                let bucket = self.probe(op).expect_err("keys are unique");
+                self.index[bucket] = slot as u32;
+            }
+        }
+    }
+
+    /// Empty `hole` and close the gap: each later entry of the cluster
+    /// whose home is not between the hole and itself moves back into it.
+    fn unindex(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut bucket = hole;
+        loop {
+            bucket = (bucket + 1) & mask;
+            let slot = self.index[bucket];
+            if slot == EMPTY {
+                break;
+            }
+            let home = home(self.key(slot), self.index.len());
+            // Distances back along the probe sequence, wrapping: the entry
+            // may move to the hole if its home is no later than the hole.
+            if bucket.wrapping_sub(home) & mask >= bucket.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = bucket;
+            }
+        }
+        self.index[hole] = EMPTY;
+    }
+}
+
+/// `op`'s first bucket among `buckets` (a power of two): the top bits of
+/// its Fx hash, which end in a multiply and so are the best mixed.
+fn home(op: &OpId, buckets: usize) -> usize {
+    let hash = FxBuildHasher::default().hash_one(op);
+    (hash >> (64 - buckets.trailing_zeros())) as usize
 }

@@ -12,14 +12,17 @@ pub struct SeqNo(pub u64);
 /// family, packed as `seq << 2 | family`.
 ///
 /// An operation logs at most a Result-Record, an outcome record, and a
-/// Complete-Record in the common case, so four inline slots cover almost
-/// every op without a heap allocation; longer histories (re-executed
-/// sub-ops during disordered-conflict handling) spill to a `Vec`.
+/// Complete-Record unless a sub-op is re-executed (disordered-conflict
+/// handling), so three inline slots cover every other op without a heap
+/// allocation; a longer history spills to a boxed `Vec`, one word inline.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SeqList {
-    inline: [u64; 4],
+    inline: [u64; 3],
     len: u8,
-    spill: Vec<u64>,
+    /// Boxed on purpose: one word in every entry instead of three, paid
+    /// for by a second allocation on the few ops that spill.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<u64>>>,
 }
 
 impl SeqList {
@@ -30,23 +33,27 @@ impl SeqList {
             self.inline[self.len as usize] = packed;
             self.len += 1;
         } else {
-            self.spill.push(packed);
+            self.spill.get_or_insert_default().push(packed);
         }
+    }
+
+    fn spilled(&self) -> &[u64] {
+        self.spill.as_deref().map_or(&[], Vec::as_slice)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (u64, RecordFamily)> + '_ {
         self.inline[..self.len as usize]
             .iter()
-            .chain(self.spill.iter())
+            .chain(self.spilled())
             .map(|&p| (p >> 2, RecordFamily::ALL[(p & 3) as usize]))
     }
 
     pub fn len(&self) -> usize {
-        self.len as usize + self.spill.len()
+        self.len as usize + self.spilled().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0 && self.spill.is_empty()
+        self.len == 0
     }
 }
 
@@ -451,6 +458,37 @@ mod tests {
             verdict: Verdict::Yes,
             invalidated: false,
         }
+    }
+
+    /// An op's index slot is what the log holds per live op; keep it
+    /// fourteen words with its key.
+    #[test]
+    fn an_index_slot_is_112_bytes() {
+        assert_eq!(std::mem::size_of::<SeqList>(), 40);
+        assert_eq!(std::mem::size_of::<OpLogState>(), 96);
+        assert_eq!(std::mem::size_of::<Option<(OpId, OpLogState)>>(), 112);
+    }
+
+    /// A re-executed op's fourth record and beyond spill, in order.
+    #[test]
+    fn a_long_history_spills_in_order() {
+        let mut seqs = SeqList::default();
+        let families = [
+            RecordFamily::Result,
+            RecordFamily::Result,
+            RecordFamily::Commit,
+            RecordFamily::Complete,
+            RecordFamily::Abort,
+        ];
+        for (seq, &family) in families.iter().enumerate() {
+            seqs.push(seq as u64, family);
+            assert_eq!(seqs.len(), seq + 1);
+        }
+        let got: Vec<(u64, RecordFamily)> = seqs.iter().collect();
+        let want: Vec<(u64, RecordFamily)> =
+            families.into_iter().zip(0..).map(|(f, s)| (s, f)).collect();
+        assert_eq!(got, want);
+        assert!(!seqs.is_empty() && SeqList::default().is_empty());
     }
 
     #[test]
