@@ -166,17 +166,20 @@ if [ "${1:-}" != "quick" ]; then
     # channels or on sockets, a server's engine or the client host with all
     # its clients, runs on one served loop. The evidence: the write-path
     # suite's admission case and its thread census on both carriers (plus
-    # its deaf peer and mutual flood), the read-path suite, cx-net's
-    # rapid_reconnects_stay_fifo and kill_mid_corked_batch_stays_lossless_
-    # and_fifo, cx-cluster's faulty.rs on both carriers (message faults
-    # decided by the engine host, late sends waiting in each node's timer
-    # queue: no thread per held frame), and the multi-process smoke above,
-    # where every cx_net_server serves on its loop.
+    # its deaf peer and mutual flood), the read-path suite, the root
+    # wire_conn suite's rapid_reconnects_stay_fifo and kill_mid_corked_
+    # batch_stays_lossless_and_fifo, cx-cluster's faulty.rs on both
+    # carriers (message faults decided by the engine host, late sends
+    # waiting in each node's timer queue: no thread per held frame), and
+    # the multi-process smoke above, where every cx_net_server serves on
+    # its loop. cx-net's own tests are its codec, clock and counter unit
+    # tests; its connection and codec suites live in the root tests/.
     step "cx-cluster + cx-net + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster
         cargo test -q --release -p cx-net
-        cargo test -q --release --test wire_write_path --test wire_read_path
+        cargo test -q --release --test wire_write_path --test wire_read_path \
+            --test wire_conn --test wire_fuzz --test wire_roundtrip --test wire_coalesce
     done
 fi
 
