@@ -391,3 +391,92 @@ fn dial_to_unknown_peer_backs_off_until_address_appears() {
     a.shutdown();
     b.shutdown();
 }
+
+/// A served node that runs `turn` once per batch it reads, on its loop.
+struct OnBatch<F>(F);
+
+impl<F: FnMut() + Send> Node for OnBatch<F> {
+    fn on_frames(&mut self, _: NodeId, frames: &mut Vec<Frame>) -> bool {
+        frames.clear();
+        (self.0)();
+        true
+    }
+}
+
+#[test]
+fn an_off_loop_burst_is_written_in_few_flushes() {
+    // One thread sends a burst as fast as the queue takes it: the I/O
+    // thread writes what piled up behind each write, so the burst goes
+    // out in batches, not one write per frame.
+    let book = Arc::new(AddrBook::new());
+    let (a, _rx_a) =
+        ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), PlaneConfig::default())
+            .unwrap();
+    let (b, rx_b) =
+        ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), PlaneConfig::default())
+            .unwrap();
+    book.set(NodeId::Server(1), b.listen_addr());
+    a.send(NodeId::Server(1), probe(0)).unwrap();
+    recv_n(&rx_b, 1);
+
+    const FRAMES: u64 = 20_000;
+    let before = a.wire_totals();
+    for t in 1..=FRAMES {
+        a.send(NodeId::Server(1), probe(t)).unwrap();
+    }
+    for (i, (_, f)) in recv_n(&rx_b, FRAMES as usize).into_iter().enumerate() {
+        assert_eq!(f, probe(1 + i as u64), "FIFO through the burst");
+    }
+    let after = a.wire_totals();
+    assert_eq!(after.frames - before.frames, FRAMES);
+    let flushes = after.flushes - before.flushes;
+    assert!(
+        flushes <= FRAMES / 16,
+        "{flushes} flushes for a {FRAMES}-frame burst"
+    );
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn each_kill_in_one_turn_closes_its_own_generation() {
+    // A kill is queued behind the frames sent before it: one turn's
+    // a, kill, b, kill, c writes a on the first connection, b on the
+    // second and c on the third.
+    let book = Arc::new(AddrBook::new());
+    let cfg = PlaneConfig {
+        backoff_base: Duration::from_millis(1),
+        ..PlaneConfig::default()
+    };
+    let (a, rx_a) =
+        ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), cfg.clone()).unwrap();
+    let (b, rx_b) =
+        ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), cfg.clone()).unwrap();
+    let (trigger, _rx_t) =
+        ConnectionManager::start(NodeId::Server(2), Arc::clone(&book), cfg).unwrap();
+    book.set(NodeId::Server(0), a.listen_addr());
+    book.set(NodeId::Server(1), b.listen_addr());
+    let a = Arc::new(a);
+    a.send(NodeId::Server(1), probe(0)).unwrap();
+    recv_n(&rx_b, 1);
+
+    let mgr = Arc::clone(&a);
+    a.serve(rx_a, move || {
+        OnBatch(move || {
+            let to = NodeId::Server(1);
+            mgr.send(to, probe(1)).unwrap();
+            assert!(mgr.drop_connection(to));
+            mgr.send(to, probe(2)).unwrap();
+            assert!(mgr.drop_connection(to));
+            mgr.send(to, probe(3)).unwrap();
+        })
+    });
+    trigger.send(NodeId::Server(0), probe(0)).unwrap();
+    for (i, (_, f)) in recv_n(&rx_b, 3).into_iter().enumerate() {
+        assert_eq!(f, probe(1 + i as u64), "FIFO across both kills");
+    }
+    assert_eq!(a.reconnects_total(), 2, "two kills, two generations closed");
+    a.shutdown();
+    b.shutdown();
+    trigger.shutdown();
+}
