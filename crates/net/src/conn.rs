@@ -12,18 +12,18 @@
 //! lossless transport (loss recovery belongs to the chaos plane). The I/O
 //! thread never blocks; it stops admitting client work instead.
 //!
-//! **Coalescing by lock combining**: after enqueuing, a sender tries the
-//! peer's flush lock; whoever holds it drains the *entire* queue per round
-//! into one reusable scratch buffer and hands that to one nonblocking
-//! `write` — one syscall per *batch*, not per frame. Under load the holder
-//! keeps absorbing frames that arrive mid-write; an idle peer's lone frame
-//! goes out on its own sender at once. A flush that cannot finish — a full
-//! socket, a peer that is down, or [`MAX_ROUNDS`] spent — goes to the I/O
-//! thread, which resumes it on `POLLOUT` and re-dials with exponential
-//! backoff. No thread blocks in a socket write, so the I/O thread never
-//! stops reading because of one. A connection is closed only at a frame
+//! **One writer per socket**: only the I/O thread dials or writes. `send`
+//! queues the frame and hands the peer to the loop, waking it from another
+//! thread; a served node's sends wait for the end of its turn. The peer's
+//! writer drains the *entire* queue per round into one reusable scratch
+//! buffer and one nonblocking `write` — one syscall per *batch*, so a burst
+//! from any thread piles up behind the write in progress. A flush that
+//! cannot finish (a full socket, a peer that is down, [`MAX_ROUNDS`] spent)
+//! resumes on `POLLOUT` or re-dials with exponential backoff; no thread
+//! blocks in a socket write. [`ConnectionManager::drop_connection`] queues a
+//! kill behind the frames sent before it, so a connection closes at a frame
 //! boundary, and a batch not yet written in full rides the next connection
-//! generation, so reconnects stay lossless and per-peer FIFO.
+//! generation: reconnects stay lossless and per-peer FIFO.
 //!
 //! The read side: the same thread `poll`s the listener and every accepted
 //! socket, runs each `Hello` handshake as per-connection state (a silent
@@ -48,7 +48,7 @@ use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
 use std::ptr::null;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -56,8 +56,7 @@ use std::time::{Duration, Instant};
 /// queued than this writes in several rounds.
 const MAX_WRITE_BYTES: usize = 64 << 10;
 
-/// Rounds one flush session runs before the peer goes to the I/O thread:
-/// a protocol thread is not conscripted as a peer's writer forever, and
+/// Rounds one flush session runs before the writer waits on `POLLOUT`:
 /// the I/O thread gets back to reading between rounds.
 const MAX_ROUNDS: u32 = 64;
 
@@ -81,10 +80,6 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(100);
 /// How long [`ConnectionManager::shutdown`] keeps writing to peers that
 /// still take bytes; whatever is unsent then is dropped.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
-
-/// How soon the draining I/O thread looks again at a peer whose flush
-/// lock a sender held.
-const DRAIN_RETRY: Duration = Duration::from_millis(1);
 
 /// Tuning knobs for the wire plane.
 #[derive(Debug, Clone)]
@@ -127,89 +122,54 @@ impl AddrBook {
     }
 }
 
-/// Pending outbound frames for one peer. Guarded by [`PeerShared::queue`];
-/// `room` wakes senders blocked on a full queue, and `shutdown` turns them
-/// and every later sender away.
+/// Pending outbound items for one peer, guarded by [`PeerShared::queue`]:
+/// a frame, or `None` — a kill, which closes the connection once every
+/// frame queued before it is written. `shutdown` turns every sender away.
 #[derive(Default)]
 struct PeerQueue {
-    q: VecDeque<Frame>,
+    q: VecDeque<Option<Frame>>,
     shutdown: bool,
-    /// A flush found the socket full: until the I/O thread resumes it on
-    /// `POLLOUT`, senders only enqueue instead of retrying the write.
-    parked: bool,
+    /// The peer is with the I/O thread — in its ready list, or its writer
+    /// busy — so a send need not hand it over again. The writer clears it
+    /// when it finds the queue empty.
+    handed: bool,
+    /// A [`ConnectionManager::prime`] caller waits for the loop's dial.
+    prime: bool,
 }
 
-/// Connection + unflushed-batch state for one peer — the flush lock.
-/// Invariants:
-///
-/// * `scratch` is exactly the encoding of `batch`, the frames drained from
-///   the queue and not yet written in full; `written` is how much of it
-///   the current connection took. A short write resumes there; a failed
-///   one resets it to 0, and the next generation resends every byte.
-/// * A kill closes the connection only while `written` is 0, a frame
-///   boundary, so the peer's reader drains to EOF between frames.
-/// * A holder of this lock finishes the flush (queue and batch empty at
-///   release) or, after releasing it, hands the peer to the I/O thread.
-#[derive(Default)]
-struct FlushState {
-    conn: Option<TcpStream>,
-    ever_connected: bool,
-    batch: VecDeque<Frame>,
-    scratch: Vec<u8>,
-    written: usize,
-    /// When this connection was first offered this batch: a flush's
-    /// latency spans its stalls.
-    write_t0: Option<Instant>,
-    hello_scratch: Vec<u8>,
-    /// No dial before this instant (the last failure's backoff).
-    next_dial_at: Option<Instant>,
-    /// The next failure's backoff: doubles, and resets once a batch is out.
-    backoff: Duration,
-}
-
-/// One peer's outbound side, shared by its senders and the I/O thread.
+/// One peer's outbound queue, shared by its senders and the I/O thread.
+/// `room` wakes senders blocked on a full queue, and `prime` callers.
 struct PeerShared {
-    me: NodeId,
     to: NodeId,
-    listen_port: u16,
-    book: Arc<AddrBook>,
-    backoff_base: Duration,
     queue: Mutex<PeerQueue>,
     room: Condvar,
-    flush: Mutex<FlushState>,
-    kill: AtomicBool,
     health: Arc<PeerHealth>,
-    telem: Arc<TelemetryState>,
 }
 
 /// From [`ConnectionManager::serve`]: the channel of the node it replaces,
 /// and what builds the next one on the I/O thread.
 type Serve = (InboundBatches, Box<dyn FnOnce() -> Box<dyn Node> + Send>);
 
-/// What other threads hand the I/O thread — peers whose flush they could
-/// not finish, a node to serve — and the socket that wakes it.
+/// What other threads hand the I/O thread — peers with something queued,
+/// a node to serve — and the socket that wakes it.
 struct Handoff {
-    stalled: Mutex<Vec<Arc<PeerShared>>>,
+    ready: Mutex<Vec<Arc<PeerShared>>>,
     serve: Mutex<Option<Serve>>,
     /// Write half of the I/O thread's wake pair (nonblocking). A byte means
-    /// "look at `stalled` and `serve`"; shutting its write half, "drain and exit".
+    /// "look at `ready` and `serve`"; shutting its write half, "drain and exit".
     wake: UnixStream,
 }
 
 impl Handoff {
-    /// Give `peer`'s flush to the I/O thread. Called only after releasing
-    /// the peer's flush lock, so the thread's `try_lock` can take it. The
-    /// I/O thread itself passes `wake` false: it takes the set every turn.
-    fn stall(&self, peer: &Arc<PeerShared>, wake: bool) {
-        let mut stalled = plock(&self.stalled);
-        if stalled.iter().any(|p| Arc::ptr_eq(p, peer)) {
-            return;
-        }
-        stalled.push(Arc::clone(peer));
+    /// Give `peer` to the I/O thread, whose writer flushes it next turn.
+    /// The I/O thread passes `wake` false: it takes the set every turn.
+    fn hand(&self, peer: &Arc<PeerShared>, wake: bool) {
+        let mut ready = plock(&self.ready);
+        ready.push(Arc::clone(peer));
         // The loop reads the wake socket dry before it takes the set, so
         // only the first entry needs a byte. A full socket holds a wakeup
         // already; a shut one's loop is draining and looks every pass.
-        if wake && stalled.len() == 1 {
+        if wake && ready.len() == 1 {
             let _ = (&self.wake).write(&[0]);
         }
     }
@@ -309,7 +269,8 @@ impl WireTelemetry {
 pub trait Node: Send {
     /// These frames arrived from `from`, in per-peer FIFO order. Take or
     /// drain all of them. False once the node is done: the loop then
-    /// drains its outbound queues and exits, and drops the node.
+    /// drains its outbound queues, exits and drops the node, and nothing
+    /// sent later is written.
     fn on_frames(&mut self, from: NodeId, frames: &mut Vec<Frame>) -> bool;
 
     /// Fire what is due; return how long until the next deadline.
@@ -342,12 +303,11 @@ impl Node for Forward {
 }
 
 /// One node's view of the wire: one I/O thread that reads every inbound
-/// connection, drives the node and finishes every flush a sender could not.
+/// connection, drives the node and writes every outbound one.
 pub struct ConnectionManager {
-    me: NodeId,
+    /// Shared with the I/O thread.
+    origin: Arc<Origin>,
     listen_addr: SocketAddr,
-    book: Arc<AddrBook>,
-    backoff_base: Duration,
     peers: Mutex<HashMap<NodeId, Arc<PeerShared>>>,
     /// Every peer's counters, by node. Unlike `peers`, which `shutdown()`
     /// drains so the sockets close, these outlive the run.
@@ -362,8 +322,6 @@ pub struct ConnectionManager {
     /// Freelist for inbound batch vectors: the forwarding node draws,
     /// consumers return via [`ConnectionManager::recycle_batch`].
     batch_pool: Arc<Mutex<VecPool<Frame>>>,
-    /// Wall-clock flush/queue/stall telemetry, shared with every peer.
-    telem: Arc<TelemetryState>,
 }
 
 /// The merged inbound stream a manager returns from [`ConnectionManager::start`]:
@@ -405,24 +363,33 @@ impl ConnectionManager {
         wake.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
         let handoff = Arc::new(Handoff {
-            stalled: Mutex::default(),
+            ready: Mutex::default(),
             serve: Mutex::default(),
             wake,
         });
         let (tx, inbound_rx) = unbounded();
         let batch_pool: Arc<Mutex<VecPool<Frame>>> = Arc::new(Mutex::new(VecPool::default()));
         let forward = Box::new(Forward(tx, Arc::clone(&batch_pool)));
-        let (b, h) = (Arc::clone(&book), Arc::clone(&handoff));
+        let origin = Arc::new(Origin {
+            me,
+            listen_port: listen_addr.port(),
+            book,
+            backoff_base: cfg.backoff_base,
+            telem: TelemetryState {
+                epoch,
+                record_spans: cfg.record_flush_spans,
+                live: Mutex::default(),
+            },
+        });
+        let (o, h) = (Arc::clone(&origin), Arc::clone(&handoff));
         let io = thread::Builder::new()
             .name("cx-io".into())
-            .spawn(move || io_loop(listener, &wake_rx, forward, &b, &h))?;
+            .spawn(move || io_loop(listener, &wake_rx, forward, &o, &h))?;
 
         Ok((
             Self {
-                me,
+                origin,
                 listen_addr,
-                book,
-                backoff_base: cfg.backoff_base,
                 peers: Mutex::new(HashMap::new()),
                 health: Mutex::default(),
                 shutdown: AtomicBool::new(false),
@@ -430,11 +397,6 @@ impl ConnectionManager {
                 io: Mutex::new(Some(io)),
                 handoff,
                 batch_pool,
-                telem: Arc::new(TelemetryState {
-                    epoch,
-                    record_spans: cfg.record_flush_spans,
-                    live: Mutex::default(),
-                }),
             },
             inbound_rx,
         ))
@@ -445,13 +407,13 @@ impl ConnectionManager {
     }
 
     pub fn me(&self) -> NodeId {
-        self.me
+        self.origin.me
     }
 
     /// The shared address book this manager dials through (peer-map
     /// gossip writes learned addresses here).
     pub fn book(&self) -> &AddrBook {
-        &self.book
+        &self.origin.book
     }
 
     /// Hand this node's inbound to the node `build` returns, in place of
@@ -467,86 +429,64 @@ impl ConnectionManager {
         let _ = (&self.handoff.wake).write(&[0]);
     }
 
-    /// Queue a frame for `to`. Blocks when the peer's outbound queue is
-    /// full (backpressure), except on the I/O thread, where a send only
-    /// queues (see [`io_loop`]). Errors only if the manager is shut down.
-    ///
-    /// The sender then opportunistically becomes the peer's flusher: if
-    /// the flush lock is free it drains the queue and writes inline (no
-    /// thread handoff); if another thread holds it, that holder is
-    /// guaranteed to pick this frame up — the `try_lock` happens inside
-    /// the queue critical section, and a holder only releases the lock
-    /// after observing an empty queue *under that same lock*, or hands
-    /// the peer to the I/O thread, whose flush gathers the queue too.
+    /// Queue a frame for `to` and hand the peer to the I/O thread, which
+    /// writes it. Blocks when the peer's outbound queue is full
+    /// (backpressure), except on the I/O thread, where a send only queues
+    /// until the turn ends (see [`io_loop`]). Errors only if the manager is
+    /// shut down.
     pub fn send(&self, to: NodeId, frame: Frame) -> Result<(), &'static str> {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err("connection manager is shut down");
         }
-        let shared = self.peer(to);
+        self.push(&self.peer(to), Some(frame))
+    }
+
+    /// Queue `item` (a frame, or a kill) on `peer` and hand the peer to the
+    /// I/O thread, waking it unless the caller is that thread.
+    fn push(&self, peer: &Arc<PeerShared>, item: Option<Frame>) -> Result<(), &'static str> {
         let on_loop = thread::current().id() == self.io_id;
-        let mut stalled: Option<Duration> = None;
-        let flush = {
-            let mut q = plock(&shared.queue);
-            // Time only real backpressure stalls: the common uncontended
-            // send never reads the clock.
-            let mut waited: Option<Instant> = None;
+        // Time only real backpressure stalls: the common uncontended send
+        // never reads the clock.
+        let mut waited: Option<Instant> = None;
+        let hand = {
+            let mut q = plock(&peer.queue);
             while q.q.len() >= QUEUE_CAP && !q.shutdown && !on_loop {
                 waited.get_or_insert_with(Instant::now);
-                q = shared.room.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-            if let Some(w) = waited {
-                stalled = Some(w.elapsed());
+                q = peer.room.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
             if q.shutdown {
                 return Err("connection manager is shut down");
             }
-            q.q.push_back(frame);
-            shared.health.note_queue_depth(q.q.len() as u64);
-            // On the loop the frame just queues: the turn's end flushes
-            // every peer its node queued for once, one write per peer. A
-            // parked peer's queue is the I/O thread's to drain; otherwise
-            // a current holder will observe this frame (see above).
-            (!q.parked && !on_loop)
-                .then(|| try_flush(&shared))
-                .flatten()
+            q.q.push_back(item);
+            peer.health.note_queue_depth(q.q.len() as u64);
+            !std::mem::replace(&mut q.handed, true)
         };
-        if on_loop {
-            self.handoff.stall(&shared, false);
+        if let Some(w) = waited {
+            self.origin.telem.note_stall(w.elapsed());
         }
-        if let Some(d) = stalled {
-            shared.telem.note_stall(d);
-        }
-        if let Some(st) = flush {
-            self.flush(&shared, st);
+        if hand {
+            self.handoff.hand(peer, !on_loop);
         }
         Ok(())
     }
 
-    /// Eagerly establish the connection to `to` (dial, send the `Hello`)
-    /// without queueing a frame, so the first real send doesn't pay the
-    /// connect + handshake on the critical path. A dial failure is not an
-    /// error: the normal lazy dial-with-backoff path simply runs when the
-    /// first frame goes out.
+    /// Eagerly establish the connection to `to` (the I/O thread dials and
+    /// sends the `Hello`) without queueing a frame, and return once it has,
+    /// so the first real send doesn't pay the connect + handshake on the
+    /// critical path. A dial failure is not an error: the normal lazy
+    /// dial-with-backoff path simply runs when the first frame goes out.
     pub fn prime(&self, to: NodeId) {
-        if self.shutdown.load(Ordering::Relaxed) || to == self.me {
+        if self.shutdown.load(Ordering::Relaxed) || to == self.origin.me {
             return;
         }
-        let shared = self.peer(to);
-        let mut st = plock(&shared.flush);
-        if st.conn.is_none() && st.next_dial_at.is_none() {
-            let _ = dial(&shared, &mut st);
-        }
-        // A lock holder finishes or hands off, so frames queued meanwhile
-        // go out now.
-        self.flush(&shared, st);
-    }
-
-    /// Run a flush session on a lock this thread holds; a flush that
-    /// stalls goes to the I/O thread once the lock is released.
-    fn flush(&self, shared: &Arc<PeerShared>, st: MutexGuard<'_, FlushState>) {
-        if let Some(st) = flush_session(shared, st, true) {
-            drop(st);
-            self.handoff.stall(shared, true);
+        let peer = self.peer(to);
+        plock(&peer.queue).prime = true;
+        let on_loop = thread::current().id() == self.io_id;
+        self.handoff.hand(&peer, !on_loop);
+        // On the loop the dial waits for the turn's end.
+        let mut q = plock(&peer.queue);
+        while q.prime && !q.shutdown && !on_loop {
+            q = peer.room.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -562,43 +502,30 @@ impl ConnectionManager {
         let mut peers = plock(&self.peers);
         let shared = peers.entry(to).or_insert_with(|| {
             Arc::new(PeerShared {
-                me: self.me,
                 to,
-                listen_port: self.listen_addr.port(),
-                book: Arc::clone(&self.book),
-                backoff_base: self.backoff_base,
                 queue: Mutex::default(),
                 room: Condvar::new(),
-                flush: Mutex::new(FlushState {
-                    scratch: Vec::with_capacity(MAX_WRITE_BYTES),
-                    backoff: self.backoff_base,
-                    ..FlushState::default()
-                }),
-                kill: AtomicBool::new(false),
                 health: Arc::clone(plock(&self.health).entry(to).or_default()),
-                telem: Arc::clone(&self.telem),
             })
         });
         Arc::clone(shared)
     }
 
-    /// Close the live connection to `to` at the next frame boundary; the
-    /// next flush re-dials. No frames are lost: the close happens before
-    /// any byte of a batch is written, the peer reads to EOF, and any
-    /// coalesced-but-unflushed batch is re-encoded onto the next
-    /// connection generation.
+    /// Close the connection to `to` once every frame sent before this call
+    /// is written; the next frame re-dials. No frames are lost: the close
+    /// falls at a frame boundary, the peer reads to EOF, and frames sent
+    /// after it ride the next connection generation. False if this node
+    /// never sent to `to`.
     pub fn drop_connection(&self, to: NodeId) -> bool {
-        let peers = plock(&self.peers);
-        let peer = peers.get(&to);
-        peer.inspect(|p| p.kill.store(true, Ordering::Relaxed))
-            .is_some()
+        let peer = plock(&self.peers).get(&to).cloned();
+        peer.is_some_and(|p| self.push(&p, None).is_ok())
     }
 
     /// Every peer this node has written to, in node order, with its
     /// net-table row as this node sees it. The rows survive `shutdown()`;
     /// their probe columns are empty (see [`crate::ClockSync::fill`]).
     pub fn net_rows(&self) -> Vec<(NodeId, NetPeerRow)> {
-        let on = self.me.to_string();
+        let on = self.origin.me.to_string();
         plock(&self.health)
             .iter()
             .map(|(n, h)| (*n, h.row(on.clone(), n.to_string())))
@@ -625,7 +552,7 @@ impl ConnectionManager {
     /// Nanoseconds since this manager's telemetry epoch — the wall clock
     /// every flush span and probe timestamp is stamped on.
     pub fn now_ns(&self) -> u64 {
-        self.telem.epoch.elapsed().as_nanos() as u64
+        self.origin.telem.epoch.elapsed().as_nanos() as u64
     }
 
     /// A point-in-time copy of the wall-clock wire telemetry: the
@@ -633,7 +560,7 @@ impl ConnectionManager {
     /// [`PlaneConfig::record_flush_spans`] is set). Spans accumulated so
     /// far are *cloned*, not drained — calling twice is idempotent.
     pub fn telemetry(&self) -> WireTelemetry {
-        plock(&self.telem.live).clone()
+        plock(&self.origin.telem.live).clone()
     }
 
     /// Turn every sender away, let the I/O thread drain each outbound queue
@@ -649,7 +576,7 @@ impl ConnectionManager {
         for (_, p) in plock(&self.peers).drain() {
             plock(&p.queue).shutdown = true;
             p.room.notify_all();
-            self.handoff.stall(&p, true);
+            self.handoff.hand(&p, true);
         }
         // EOF on the wake socket starts the drain; shutting a socket's
         // write half cannot fail the way a dial can.
@@ -669,190 +596,227 @@ impl Drop for ConnectionManager {
     }
 }
 
-/// Drain, encode and write until the queue is empty or the flush stalls.
-/// Returns `None` once queue and batch are both empty, having released
-/// the lock *inside* a queue critical section (the handshake that makes
-/// `send`'s failed `try_lock` safe), or the still-held lock when the
-/// socket is full, the peer is down or [`MAX_ROUNDS`] ran out. Only the
-/// shutdown drain clears `pace_dials` to ignore [`FlushState::next_dial_at`].
-fn flush_session<'a>(
-    shared: &PeerShared,
-    mut st: MutexGuard<'a, FlushState>,
-    pace_dials: bool,
-) -> Option<MutexGuard<'a, FlushState>> {
-    let mut rounds = 0u32;
-    loop {
-        // Gather: move queued frames into the held batch, encoding each
-        // into the scratch buffer back-to-back, up to the write cap.
-        let gathered_depth: u64;
-        {
-            let mut q = plock(&shared.queue);
-            gathered_depth = q.q.len() as u64;
-            let mut took = false;
-            while st.scratch.len() < MAX_WRITE_BYTES {
-                let Some(f) = q.q.pop_front() else { break };
-                encode_frame(&f, &mut st.scratch);
-                st.batch.push_back(f);
-                took = true;
-            }
-            if took {
-                shared.room.notify_all();
-            }
-            if st.batch.is_empty() {
-                // Nothing held and nothing queued: release the flush lock
-                // while still holding the queue lock, so any sender whose
-                // try_lock failed has either already enqueued (we'd see the
-                // frame) or will acquire the flush lock itself.
-                drop(st);
-                return None;
-            }
-        }
-        // Sample the pre-gather backlog (outside the queue lock; zero
-        // depths are the terminating empty checks, not signal).
-        if gathered_depth > 0 {
-            shared.telem.note_queue_depth(gathered_depth);
-        }
-        if rounds == MAX_ROUNDS {
-            return Some(st);
-        }
-        rounds += 1;
-        // A kill (reconnect drill) closes the old connection at a frame
-        // boundary; the held batch rides the next generation.
-        if st.written == 0 && shared.kill.swap(false, Ordering::Relaxed) {
-            st.conn = None;
-        }
-        if st.conn.is_none() {
-            if pace_dials && st.next_dial_at.is_some_and(|at| Instant::now() < at) {
-                return Some(st);
-            }
-            if dial(shared, &mut st).is_err() {
-                failed(shared, &mut st);
-                return Some(st);
-            }
-        }
-        let t0 = *st.write_t0.get_or_insert_with(Instant::now);
-        match write_rest(&mut st) {
-            // The socket is full: the I/O thread resumes at `written`.
-            Ok(false) => {
-                plock(&shared.queue).parked = true;
-                return Some(st);
-            }
-            Ok(true) => {
-                let (frames, bytes) = (st.batch.len() as u64, st.scratch.len() as u64);
-                shared
-                    .telem
-                    .note_flush(shared.me, shared.to, t0, frames, bytes);
-                shared.health.note_flush(frames, bytes);
-                st.batch.clear();
-                st.scratch.clear();
-                st.backoff = shared.backoff_base;
-            }
-            // Batch and scratch stay intact: the next generation resends
-            // the identical bytes.
-            Err(_) => st.conn = None,
-        }
-        st.written = 0;
-        st.write_t0 = None;
-        if st.conn.is_none() {
-            failed(shared, &mut st);
-            return Some(st);
-        }
-    }
+/// Who the I/O thread's writers dial as, where they look peers up, and
+/// where the manager records its wire telemetry.
+struct Origin {
+    me: NodeId,
+    listen_port: u16,
+    book: Arc<AddrBook>,
+    backoff_base: Duration,
+    telem: TelemetryState,
 }
 
-/// Offer the rest of the batch to the connection without blocking:
-/// `Ok(true)` once all of `scratch` is written, `Ok(false)` when the
-/// socket is full.
-fn write_rest(st: &mut FlushState) -> io::Result<bool> {
-    let Some(stream) = st.conn.as_mut() else {
-        return Err(io::ErrorKind::NotConnected.into());
-    };
-    while st.written < st.scratch.len() {
-        match stream.write(&st.scratch[st.written..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => st.written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// A dial or write failed: count it, and back the next dial off.
-fn failed(shared: &PeerShared, st: &mut FlushState) {
-    shared.health.note_failure();
-    st.next_dial_at = Some(Instant::now() + st.backoff);
-    st.backoff = (st.backoff * 2).min(BACKOFF_MAX);
-}
-
-/// Connect to the peer and send the `Hello` handshake. On success the
-/// stream is stored in `st.conn`, nonblocking, and the dial throttle is
-/// cleared.
-fn dial(shared: &PeerShared, st: &mut FlushState) -> io::Result<()> {
-    let addr = shared
-        .book
-        .get(shared.to)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer address unknown"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)?;
-    stream.set_nodelay(true)?;
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            node: shared.me,
-            listen_port: shared.listen_port,
-        },
-        &mut st.hello_scratch,
-    )?;
-    stream.set_nonblocking(true)?;
-    if st.ever_connected {
-        shared.health.note_reconnect();
-    }
-    st.ever_connected = true;
-    st.next_dial_at = None;
-    st.conn = Some(stream);
-    Ok(())
-}
-
-/// A peer whose flush the I/O loop is finishing. It resumes when `fd`
-/// (the peer's socket; -1 while there is none) turns writable or `due`
-/// comes: the next dial, or another look at a lock a sender held.
-struct Stalled {
+/// One peer's writer, owned by the I/O thread — the only thread that dials
+/// or writes its socket. Invariants:
+///
+/// * `scratch` is exactly the encoding of the `frames` drained from the
+///   queue and not yet written in full; `written` is how much of it the
+///   current connection took. A short write resumes there; a failed one
+///   resets it to 0, and the next generation resends every byte.
+/// * A kill closes the connection only while `frames` is 0, a frame
+///   boundary, so the peer's reader drains to EOF between frames.
+/// * The loop resumes the flush when `fd` (the socket, while a write
+///   waits on it; else -1) turns writable or `due` comes: this turn, or
+///   the next dial. A writer with neither is idle, its flush finished.
+struct Writer {
     peer: Arc<PeerShared>,
+    conn: Option<TcpStream>,
+    ever_connected: bool,
+    frames: u64,
+    scratch: Vec<u8>,
+    written: usize,
+    /// When this connection was first offered this batch: a flush's
+    /// latency spans its stalls.
+    write_t0: Option<Instant>,
+    /// No dial before this instant (the last failure's backoff).
+    next_dial_at: Option<Instant>,
+    /// The next failure's backoff: doubles, and resets once a batch is out.
+    backoff: Duration,
     fd: RawFd,
     due: Option<Instant>,
 }
 
-/// The flush lock, if nobody holds it (a panicked holder released it).
-fn try_flush(shared: &PeerShared) -> Option<MutexGuard<'_, FlushState>> {
-    match shared.flush.try_lock() {
-        Ok(st) => Some(st),
-        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
+impl Writer {
+    /// A writer for `peer`, due `now`: it was handed over with work.
+    fn new(peer: Arc<PeerShared>, o: &Origin, now: Instant) -> Self {
+        Self {
+            peer,
+            conn: None,
+            ever_connected: false,
+            frames: 0,
+            scratch: Vec::with_capacity(MAX_WRITE_BYTES),
+            written: 0,
+            write_t0: None,
+            next_dial_at: None,
+            backoff: o.backoff_base,
+            fd: -1,
+            due: Some(now),
+        }
     }
-}
 
-/// Resume `s`'s flush if nobody else holds its lock, and set what it
-/// waits on next. False when the loop is done with the peer: its flush
-/// finished, a sender holds the lock (and so finishes the flush or hands
-/// the peer back), or — draining — the peer cannot be reached and its
-/// frames are dropped with it.
-fn resume(s: &mut Stalled, draining: bool, now: Instant) -> bool {
-    plock(&s.peer.queue).parked = false;
-    let Some(st) = try_flush(&s.peer) else {
-        // A draining loop must not exit before the holder is done.
-        (s.fd, s.due) = (-1, Some(now + DRAIN_RETRY));
-        return draining;
-    };
-    let Some(st) = flush_session(&s.peer, st, !draining) else {
-        return false;
-    };
-    (s.fd, s.due) = match &st.conn {
-        Some(c) => (c.as_raw_fd(), None),
-        None if draining => return false,
-        None => (-1, st.next_dial_at.or(Some(now))),
-    };
-    true
+    fn idle(&self) -> bool {
+        self.fd < 0 && self.due.is_none()
+    }
+
+    /// Answer a waiting [`ConnectionManager::prime`], flush, and set what
+    /// the writer waits on next. Draining, a peer that cannot be reached
+    /// goes idle, its frames dropped with it.
+    fn resume(&mut self, o: &Origin, draining: bool, now: Instant) {
+        self.prime(o);
+        (self.fd, self.due) = (-1, None);
+        if self.flush(o, !draining) {
+            match &self.conn {
+                Some(c) => self.fd = c.as_raw_fd(),
+                None if draining => {}
+                None => self.due = self.next_dial_at.or(Some(now)),
+            }
+        }
+    }
+
+    /// Gather, encode and write until the queue is empty or the flush
+    /// stalls: true with work left — the socket is full, the peer is down
+    /// or [`MAX_ROUNDS`] ran out. Only the shutdown drain clears
+    /// `pace_dials` to ignore `next_dial_at`.
+    fn flush(&mut self, o: &Origin, pace_dials: bool) -> bool {
+        let mut rounds = 0u32;
+        loop {
+            if !self.gather(o) {
+                return false;
+            }
+            if rounds == MAX_ROUNDS {
+                return true;
+            }
+            rounds += 1;
+            if self.conn.is_none() {
+                if pace_dials && self.next_dial_at.is_some_and(|at| Instant::now() < at) {
+                    return true;
+                }
+                if self.dial(o).is_err() {
+                    self.failed();
+                    return true;
+                }
+            }
+            let t0 = *self.write_t0.get_or_insert_with(Instant::now);
+            match self.write_rest() {
+                // The socket is full: `POLLOUT` resumes at `written`.
+                Ok(false) => return true,
+                Ok(true) => {
+                    let (frames, bytes) = (self.frames, self.scratch.len() as u64);
+                    o.telem.note_flush(o.me, self.peer.to, t0, frames, bytes);
+                    self.peer.health.note_flush(frames, bytes);
+                    self.frames = 0;
+                    self.scratch.clear();
+                    self.backoff = o.backoff_base;
+                }
+                // The scratch stays intact: the next generation resends
+                // the identical bytes.
+                Err(_) => self.conn = None,
+            }
+            self.written = 0;
+            self.write_t0 = None;
+            if self.conn.is_none() {
+                self.failed();
+                return true;
+            }
+        }
+    }
+
+    /// Move queued frames into the batch, encoding each into `scratch`
+    /// back-to-back, up to the write cap. A kill at the head of the queue
+    /// closes the connection once the batch ahead of it is out. False when
+    /// there is nothing to write.
+    fn gather(&mut self, o: &Origin) -> bool {
+        let mut q = plock(&self.peer.queue);
+        let depth = q.q.len();
+        while self.scratch.len() < MAX_WRITE_BYTES {
+            match q.q.pop_front() {
+                Some(Some(f)) => {
+                    encode_frame(&f, &mut self.scratch);
+                    self.frames += 1;
+                }
+                Some(None) if self.frames == 0 => self.conn = None,
+                Some(None) => {
+                    q.q.push_front(None);
+                    break;
+                }
+                None => break,
+            }
+        }
+        if q.q.len() < depth {
+            self.peer.room.notify_all();
+        }
+        q.handed = self.frames > 0;
+        drop(q);
+        // Sample the pre-gather backlog (outside the queue lock; zero
+        // depths are the terminating empty checks, not signal).
+        if depth > 0 {
+            o.telem.note_queue_depth(depth as u64);
+        }
+        self.frames > 0
+    }
+
+    /// Offer the rest of the batch to the connection without blocking:
+    /// `Ok(true)` once all of `scratch` is written, `Ok(false)` when the
+    /// socket is full.
+    fn write_rest(&mut self) -> io::Result<bool> {
+        let Some(stream) = self.conn.as_mut() else {
+            return Err(io::ErrorKind::NotConnected.into());
+        };
+        while self.written < self.scratch.len() {
+            match stream.write(&self.scratch[self.written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// A dial or write failed: count it, and back the next dial off.
+    fn failed(&mut self) {
+        self.peer.health.note_failure();
+        self.next_dial_at = Some(Instant::now() + self.backoff);
+        self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+    }
+
+    /// Connect to the peer and send the `Hello` handshake. On success the
+    /// stream is stored in `conn`, nonblocking, and the dial throttle is
+    /// cleared.
+    fn dial(&mut self, o: &Origin) -> io::Result<()> {
+        let Some(addr) = o.book.get(self.peer.to) else {
+            return Err(io::ErrorKind::NotFound.into());
+        };
+        let mut stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)?;
+        stream.set_nodelay(true)?;
+        let hello = Frame::Hello {
+            node: o.me,
+            listen_port: o.listen_port,
+        };
+        write_frame(&mut stream, &hello, &mut Vec::new())?;
+        stream.set_nonblocking(true)?;
+        if self.ever_connected {
+            self.peer.health.note_reconnect();
+        }
+        self.ever_connected = true;
+        self.next_dial_at = None;
+        self.conn = Some(stream);
+        Ok(())
+    }
+
+    /// If a [`ConnectionManager::prime`] waits, dial unless connected or
+    /// backing off, then release its caller.
+    fn prime(&mut self, o: &Origin) {
+        if !plock(&self.peer.queue).prime {
+            return;
+        }
+        if self.conn.is_none() && self.next_dial_at.is_none() {
+            let _ = self.dial(o);
+        }
+        plock(&self.peer.queue).prime = false;
+        self.peer.room.notify_all();
+    }
 }
 
 /// How long an accepted connection may take to name itself with a `Hello`
@@ -926,6 +890,15 @@ impl Inbound {
     }
 }
 
+/// A node's inbound connections, oldest first: only `front` is read, and
+/// each newer one takes over in turn once the one before it ends.
+struct Reading {
+    front: Inbound,
+    newer: VecDeque<Inbound>,
+    /// `front`'s place in this turn's poll set, if it is watched.
+    slot: Option<usize>,
+}
+
 /// An accepted connection whose `Hello` has not arrived yet.
 struct Pending {
     conn: Inbound,
@@ -962,7 +935,7 @@ impl Driven {
 ///
 /// Admission: the node's sends never wait, so only they take a queue past
 /// [`QUEUE_CAP`], and a queue the turn's flush could not empty keeps its
-/// peer in `out`. While one is over the cap, client hosts' connections go
+/// writer busy. While one is over the cap, client hosts' connections go
 /// unread — no new client operation is admitted — but servers' are read,
 /// so admitted work completes. A queue stays within the cap plus one
 /// `read`'s worth of frames per client host.
@@ -982,7 +955,7 @@ fn io_loop(
     listener: TcpListener,
     wake: &UnixStream,
     node: Box<dyn Node>,
-    book: &AddrBook,
+    origin: &Origin,
     handoff: &Handoff,
 ) {
     let mut d = Driven {
@@ -992,10 +965,9 @@ fn io_loop(
     };
     let mut node_due: Option<Instant> = None;
     let mut pending: Vec<Pending> = Vec::new();
-    let mut nodes: HashMap<NodeId, VecDeque<Inbound>> = HashMap::new();
-    let mut out: Vec<Stalled> = Vec::new();
+    let mut nodes: HashMap<NodeId, Reading> = HashMap::new();
+    let mut writers: Vec<Writer> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut fronts: Vec<NodeId> = Vec::new();
     let mut accept_paused: Option<Instant> = None;
     // The drain's deadline, once the node is done or the wake socket
     // reads EOF.
@@ -1005,49 +977,50 @@ fn io_loop(
         if accept_paused.is_some_and(|until| now >= until) {
             accept_paused = None;
         }
-        // Write side: adopt the peers the node queued for and those
-        // senders handed over, then resume every flush whose socket turned
-        // writable or whose time came.
-        for peer in plock(&handoff.stalled).drain(..) {
-            if !out.iter().any(|s| Arc::ptr_eq(&s.peer, &peer)) {
-                out.push(Stalled {
-                    peer,
-                    fd: -1,
-                    due: Some(now),
-                });
+        // Write side: every writer handed work (by any thread), whose
+        // socket turned writable or whose time came, flushes.
+        for peer in plock(&handoff.ready).drain(..) {
+            match writers.iter_mut().find(|w| Arc::ptr_eq(&w.peer, &peer)) {
+                Some(w) => w.due = Some(now),
+                None => writers.push(Writer::new(peer, origin, now)),
             }
         }
-        out.retain_mut(|s| s.due.is_none_or(|t| t > now) || resume(s, draining.is_some(), now));
-        if draining.is_some_and(|deadline| out.is_empty() || now >= deadline) {
-            // What is still unsent goes with `out`; dropping the sockets
-            // closes them, dropping the node disconnects its channel.
+        for w in writers
+            .iter_mut()
+            .filter(|w| w.due.is_some_and(|t| t <= now))
+        {
+            w.resume(origin, draining.is_some(), now);
+        }
+        if draining.is_some_and(|deadline| writers.iter().all(Writer::idle) || now >= deadline) {
+            // Dropping `writers` drops what is unsent and closes the
+            // sockets; dropping the node disconnects its channel.
             return;
         }
-        let admit = out
+        let admit = writers
             .iter()
-            .all(|s| plock(&s.peer.queue).q.len() <= QUEUE_CAP);
+            .filter(|w| !w.idle())
+            .all(|w| plock(&w.peer.queue).q.len() <= QUEUE_CAP);
         // Poll set: [listener][wake][pending…][each node's oldest
-        // connection…][each stalled peer's socket…]; a paused listener,
-        // the wake socket once draining, and a peer waiting to dial are
-        // -1, which `ppoll` skips.
+        // connection…][each writer's socket…]; a paused listener, the
+        // wake socket once draining, and a writer not waiting to write
+        // are -1, which `ppoll` skips.
         fds.clear();
-        fronts.clear();
         let listen_fd = accept_paused.map_or(listener.as_raw_fd(), |_| -1);
         watch(&mut fds, listen_fd, POLLIN);
         watch(&mut fds, draining.map_or(wake.as_raw_fd(), |_| -1), POLLIN);
         for p in &pending {
             watch(&mut fds, p.conn.stream.as_raw_fd(), POLLIN);
         }
-        let first_front = fds.len();
-        for (peer, q) in &nodes {
+        for (peer, r) in &mut nodes {
+            r.slot = None;
             if admit || matches!(peer, NodeId::Server(_)) {
-                fronts.push(*peer);
-                watch(&mut fds, q[0].stream.as_raw_fd(), POLLIN);
+                r.slot = Some(fds.len());
+                watch(&mut fds, r.front.stream.as_raw_fd(), POLLIN);
             }
         }
         let first_out = fds.len();
-        for s in &out {
-            watch(&mut fds, s.fd, POLLOUT);
+        for w in &writers {
+            watch(&mut fds, w.fd, POLLOUT);
         }
         // Sleep until something is readable or writable, a handshake runs
         // out, the listener's pause ends, a dial comes due, the node's
@@ -1058,7 +1031,7 @@ fn io_loop(
             .chain(accept_paused)
             .chain(draining)
             .chain(node_due)
-            .chain(out.iter().filter_map(|s| s.due));
+            .chain(writers.iter().filter_map(|w| w.due));
         // The kernel saturates a `Duration::MAX` wait: no deadline.
         let left = wake_at.min().map_or(Duration::MAX, |at| {
             at.saturating_duration_since(Instant::now())
@@ -1073,9 +1046,9 @@ fn io_loop(
         if rc < 0 {
             continue; // EINTR
         }
-        for (s, fd) in out.iter_mut().zip(&fds[first_out..]) {
+        for (w, fd) in writers.iter_mut().zip(&fds[first_out..]) {
             if fd.revents != 0 {
-                s.due = Some(now);
+                w.due = Some(now);
             }
         }
         let now = Instant::now();
@@ -1129,16 +1102,18 @@ fn io_loop(
                 }
                 Ok(Some(Frame::Hello { node, listen_port })) => {
                     if listen_port != 0 {
-                        book.set(node, SocketAddr::new(p.ip, listen_port));
+                        origin.book.set(node, SocketAddr::new(p.ip, listen_port));
                     }
                     p.conn.fb.reserve(READ_BUF_BYTES);
                     // Frames that rode in behind the `Hello` go out now
                     // only if no older connection from `node` is open.
                     match nodes.get_mut(&node) {
-                        Some(q) => q.push_back(p.conn),
+                        Some(r) => r.newer.push_back(p.conn),
                         None => {
                             if d.deliver(node, &mut p.conn) {
-                                nodes.insert(node, VecDeque::from([p.conn]));
+                                let newer = VecDeque::new();
+                                let (front, slot) = (p.conn, None);
+                                nodes.insert(node, Reading { front, newer, slot });
                             }
                         }
                     }
@@ -1147,27 +1122,23 @@ fn io_loop(
                 _ => {}
             }
         }
-        for (j, node) in fronts.iter().enumerate() {
-            if fds[first_front + j].revents == 0 {
-                continue;
+        nodes.retain(|node, r| {
+            if r.slot.is_none_or(|i| fds[i].revents == 0) {
+                return true;
             }
-            let q = nodes.get_mut(node).expect("every front is a live queue");
-            if q[0].fill() && d.deliver(*node, &mut q[0]) {
-                continue;
+            if r.front.fill() && d.deliver(*node, &mut r.front) {
+                return true;
             }
             // The oldest connection is done: the next generation takes
             // over, starting with the frames buffered behind its `Hello`.
-            q.pop_front();
-            while let Some(next) = q.front_mut() {
-                if d.deliver(*node, next) {
-                    break;
+            while let Some(mut next) = r.newer.pop_front() {
+                if d.deliver(*node, &mut next) {
+                    r.front = next;
+                    return true;
                 }
-                q.pop_front();
             }
-            if q.is_empty() {
-                nodes.remove(node);
-            }
-        }
+            false
+        });
         if d.done {
             draining.get_or_insert(now + DRAIN_DEADLINE);
         }

@@ -13,10 +13,11 @@
 //! * [`conn`] — a [`conn::ConnectionManager`] per node: one I/O thread
 //!   that `poll`s the listener and every inbound socket, and a bounded
 //!   outbound queue per peer (backpressure by blocking the sender).
-//!   Senders coalesce the queue into one nonblocking `write`; a served
-//!   node's sends only queue until its turn ends. The I/O thread finishes
-//!   stalled flushes, redials and drains at shutdown, so no thread blocks
-//!   in a socket write. Inbound, it hands `Vec<Frame>` batches to a
+//!   The I/O thread is every socket's only writer: it coalesces each
+//!   queue into one nonblocking `write` — a served node's sends when its
+//!   turn ends, another thread's once it wakes — and redials, resumes
+//!   stalled flushes and drains at shutdown, so no thread blocks in a
+//!   socket write. Inbound, it hands `Vec<Frame>` batches to a
 //!   [`conn::Node`] — a channel forwarder, or a served node (a server's
 //!   engine, the client host), which then runs on that thread — reading a
 //!   peer's connections one generation at a time, so reconnects stay

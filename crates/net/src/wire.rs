@@ -362,10 +362,9 @@ impl FrameBuffer {
     /// waiting forever for bytes that cannot help.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let avail = &self.buf[self.start..self.end];
-        if avail.len() < 4 {
+        let Ok(len) = Reader::new(avail).get::<u32>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes checked"));
+        };
         if len > MAX_FRAME_LEN {
             return Err(WireError::Oversized(len));
         }
