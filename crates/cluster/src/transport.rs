@@ -23,8 +23,9 @@ pub(crate) trait Transport: Send + Sync {
     /// Queue `frame` for `to`. Frames from one node to one peer arrive in
     /// send order. A send made on the node's loop only queues, and the
     /// loop delivers what its turn queued at the turn's end, one batch per
-    /// peer; any other thread's send goes out at once, and may block while
-    /// a socket peer's bounded queue is full. Never fails: after
+    /// peer; any other thread's send goes out without waiting for a turn
+    /// (on sockets, the loop is woken to write it), and may block while a
+    /// socket peer's bounded queue is full. Never fails: after
     /// [`Transport::shutdown`] (or towards a peer that is gone) the frame
     /// is dropped, which the protocols' timeouts cover.
     fn send(&self, to: NodeId, frame: Frame);

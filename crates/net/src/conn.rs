@@ -189,41 +189,10 @@ pub const FLUSH_SPAN_CAP: usize = 1 << 16;
 struct TelemetryState {
     epoch: Instant,
     record_spans: bool,
-    /// The histograms and spans.
+    /// The histograms and spans. The I/O thread holds it from a write to
+    /// the write's record, and the readers of the counters take it first:
+    /// whoever saw a write's bytes arrive then sees the write counted.
     live: Mutex<WireTelemetry>,
-}
-
-impl TelemetryState {
-    fn note_queue_depth(&self, depth: u64) {
-        plock(&self.live).queue_depth.record(depth);
-    }
-
-    /// Record the latency and size of a batch written in full.
-    fn note_flush(&self, from: NodeId, to: NodeId, t0: Instant, frames: u64, bytes: u64) {
-        let dur = t0.elapsed();
-        let telem = &mut *plock(&self.live);
-        telem.flush_frames.record(frames);
-        telem.flush_latency_ns.record(dur.as_nanos() as u64);
-        if !self.record_spans {
-            return;
-        }
-        if telem.flush_spans.len() < FLUSH_SPAN_CAP {
-            telem.flush_spans.push(FlushSpan {
-                from: from.flow(),
-                to: to.flow(),
-                start_ns: t0.saturating_duration_since(self.epoch).as_nanos() as u64,
-                dur_ns: dur.as_nanos() as u64,
-                frames: frames.min(u32::MAX as u64) as u32,
-                bytes: bytes.min(u32::MAX as u64) as u32,
-            });
-        } else {
-            telem.spans_dropped += 1;
-        }
-    }
-
-    fn note_stall(&self, dur: Duration) {
-        plock(&self.live).stall_ns.record(dur.as_nanos() as u64);
-    }
 }
 
 /// A point-in-time copy of one manager's wall-clock wire telemetry — what
@@ -429,11 +398,10 @@ impl ConnectionManager {
         let _ = (&self.handoff.wake).write(&[0]);
     }
 
-    /// Queue a frame for `to` and hand the peer to the I/O thread, which
-    /// writes it. Blocks when the peer's outbound queue is full
-    /// (backpressure), except on the I/O thread, where a send only queues
-    /// until the turn ends (see [`io_loop`]). Errors only if the manager is
-    /// shut down.
+    /// Queue a frame for `to`, for the I/O thread to write. Blocks when the
+    /// peer's outbound queue is full (backpressure), except on the I/O
+    /// thread, where a send only queues until the turn ends (see
+    /// [`io_loop`]). Errors only if the manager is shut down.
     pub fn send(&self, to: NodeId, frame: Frame) -> Result<(), &'static str> {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err("connection manager is shut down");
@@ -441,8 +409,8 @@ impl ConnectionManager {
         self.push(&self.peer(to), Some(frame))
     }
 
-    /// Queue `item` (a frame, or a kill) on `peer` and hand the peer to the
-    /// I/O thread, waking it unless the caller is that thread.
+    /// Queue `item` (a frame, or a kill) on `peer`; if its writer is idle,
+    /// hand the peer to the I/O thread, waking it unless that is the caller.
     fn push(&self, peer: &Arc<PeerShared>, item: Option<Frame>) -> Result<(), &'static str> {
         let on_loop = thread::current().id() == self.io_id;
         // Time only real backpressure stalls: the common uncontended send
@@ -462,7 +430,8 @@ impl ConnectionManager {
             !std::mem::replace(&mut q.handed, true)
         };
         if let Some(w) = waited {
-            self.origin.telem.note_stall(w.elapsed());
+            let stall = w.elapsed().as_nanos() as u64;
+            plock(&self.origin.telem.live).stall_ns.record(stall);
         }
         if hand {
             self.handoff.hand(peer, !on_loop);
@@ -526,6 +495,7 @@ impl ConnectionManager {
     /// their probe columns are empty (see [`crate::ClockSync::fill`]).
     pub fn net_rows(&self) -> Vec<(NodeId, NetPeerRow)> {
         let on = self.origin.me.to_string();
+        drop(plock(&self.origin.telem.live));
         plock(&self.health)
             .iter()
             .map(|(n, h)| (*n, h.row(on.clone(), n.to_string())))
@@ -537,6 +507,7 @@ impl ConnectionManager {
     /// metrics plane exposes. Survives `shutdown()`.
     pub fn wire_totals(&self) -> WireTotals {
         let mut t = WireTotals::default();
+        drop(plock(&self.origin.telem.live));
         for h in plock(&self.health).values() {
             t.add(h.totals());
         }
@@ -634,11 +605,14 @@ struct Writer {
     backoff: Duration,
     fd: RawFd,
     due: Option<Instant>,
+    /// Another thread handed this flush over: yield before each round, so
+    /// a sender sharing the core is not preempted after every frame.
+    yielding: bool,
 }
 
 impl Writer {
     /// A writer for `peer`, due `now`: it was handed over with work.
-    fn new(peer: Arc<PeerShared>, o: &Origin, now: Instant) -> Self {
+    fn new(peer: Arc<PeerShared>, o: &Origin, now: Instant, yielding: bool) -> Self {
         Self {
             peer,
             conn: None,
@@ -651,11 +625,8 @@ impl Writer {
             backoff: o.backoff_base,
             fd: -1,
             due: Some(now),
+            yielding,
         }
-    }
-
-    fn idle(&self) -> bool {
-        self.fd < 0 && self.due.is_none()
     }
 
     /// Answer a waiting [`ConnectionManager::prime`], flush, and set what
@@ -678,15 +649,14 @@ impl Writer {
     /// or [`MAX_ROUNDS`] ran out. Only the shutdown drain clears
     /// `pace_dials` to ignore `next_dial_at`.
     fn flush(&mut self, o: &Origin, pace_dials: bool) -> bool {
-        let mut rounds = 0u32;
-        loop {
+        for _ in 0..MAX_ROUNDS {
+            if self.yielding {
+                thread::yield_now();
+            }
             if !self.gather(o) {
+                self.yielding = false;
                 return false;
             }
-            if rounds == MAX_ROUNDS {
-                return true;
-            }
-            rounds += 1;
             if self.conn.is_none() {
                 if pace_dials && self.next_dial_at.is_some_and(|at| Instant::now() < at) {
                     return true;
@@ -697,13 +667,13 @@ impl Writer {
                 }
             }
             let t0 = *self.write_t0.get_or_insert_with(Instant::now);
+            // Held from the write to its record (see `TelemetryState::live`).
+            let mut live = plock(&o.telem.live);
             match self.write_rest() {
                 // The socket is full: `POLLOUT` resumes at `written`.
                 Ok(false) => return true,
                 Ok(true) => {
-                    let (frames, bytes) = (self.frames, self.scratch.len() as u64);
-                    o.telem.note_flush(o.me, self.peer.to, t0, frames, bytes);
-                    self.peer.health.note_flush(frames, bytes);
+                    self.record(o, &mut live, t0);
                     self.frames = 0;
                     self.scratch.clear();
                     self.backoff = o.backoff_base;
@@ -712,6 +682,7 @@ impl Writer {
                 // the identical bytes.
                 Err(_) => self.conn = None,
             }
+            drop(live);
             self.written = 0;
             self.write_t0 = None;
             if self.conn.is_none() {
@@ -719,6 +690,7 @@ impl Writer {
                 return true;
             }
         }
+        true
     }
 
     /// Move queued frames into the batch, encoding each into `scratch`
@@ -750,7 +722,7 @@ impl Writer {
         // Sample the pre-gather backlog (outside the queue lock; zero
         // depths are the terminating empty checks, not signal).
         if depth > 0 {
-            o.telem.note_queue_depth(depth as u64);
+            plock(&o.telem.live).queue_depth.record(depth as u64);
         }
         self.frames > 0
     }
@@ -772,6 +744,31 @@ impl Writer {
             }
         }
         Ok(true)
+    }
+
+    /// Count the batch just written in full, in the peer's counters and in
+    /// `telem` (the manager's, locked): its size, latency and span.
+    fn record(&self, o: &Origin, telem: &mut WireTelemetry, t0: Instant) {
+        let (frames, bytes) = (self.frames, self.scratch.len() as u64);
+        self.peer.health.note_flush(frames, bytes);
+        let dur = t0.elapsed();
+        telem.flush_frames.record(frames);
+        telem.flush_latency_ns.record(dur.as_nanos() as u64);
+        if !o.telem.record_spans {
+            return;
+        }
+        if telem.flush_spans.len() < FLUSH_SPAN_CAP {
+            telem.flush_spans.push(FlushSpan {
+                from: o.me.flow(),
+                to: self.peer.to.flow(),
+                start_ns: t0.saturating_duration_since(o.telem.epoch).as_nanos() as u64,
+                dur_ns: dur.as_nanos() as u64,
+                frames: frames.min(u32::MAX as u64) as u32,
+                bytes: bytes.min(u32::MAX as u64) as u32,
+            });
+        } else {
+            telem.spans_dropped += 1;
+        }
     }
 
     /// A dial or write failed: count it, and back the next dial off.
@@ -972,6 +969,7 @@ fn io_loop(
     // The drain's deadline, once the node is done or the wake socket
     // reads EOF.
     let mut draining: Option<Instant> = None;
+    let mut woken = false;
     loop {
         let now = Instant::now();
         if accept_paused.is_some_and(|until| now >= until) {
@@ -981,8 +979,8 @@ fn io_loop(
         // socket turned writable or whose time came, flushes.
         for peer in plock(&handoff.ready).drain(..) {
             match writers.iter_mut().find(|w| Arc::ptr_eq(&w.peer, &peer)) {
-                Some(w) => w.due = Some(now),
-                None => writers.push(Writer::new(peer, origin, now)),
+                Some(w) => (w.due, w.yielding) = (Some(now), w.yielding || woken),
+                None => writers.push(Writer::new(peer, origin, now, woken)),
             }
         }
         for w in writers
@@ -991,14 +989,16 @@ fn io_loop(
         {
             w.resume(origin, draining.is_some(), now);
         }
-        if draining.is_some_and(|deadline| writers.iter().all(Writer::idle) || now >= deadline) {
+        if draining.is_some_and(|deadline| {
+            writers.iter().all(|w| w.fd < 0 && w.due.is_none()) || now >= deadline
+        }) {
             // Dropping `writers` drops what is unsent and closes the
             // sockets; dropping the node disconnects its channel.
             return;
         }
         let admit = writers
             .iter()
-            .filter(|w| !w.idle())
+            .filter(|w| w.fd >= 0 || w.due.is_some())
             .all(|w| plock(&w.peer.queue).q.len() <= QUEUE_CAP);
         // Poll set: [listener][wake][pending…][each node's oldest
         // connection…][each writer's socket…]; a paused listener, the
@@ -1052,7 +1052,8 @@ fn io_loop(
             }
         }
         let now = Instant::now();
-        if fds[1].revents != 0 {
+        woken = fds[1].revents != 0;
+        if woken {
             if wake_closed(wake) {
                 draining.get_or_insert(now + DRAIN_DEADLINE);
             }
