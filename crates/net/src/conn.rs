@@ -495,7 +495,7 @@ impl ConnectionManager {
     /// their probe columns are empty (see [`crate::ClockSync::fill`]).
     pub fn net_rows(&self) -> Vec<(NodeId, NetPeerRow)> {
         let on = self.origin.me.to_string();
-        drop(plock(&self.origin.telem.live));
+        drop(plock(&self.origin.telem.live)); // a write in progress is counted first
         plock(&self.health)
             .iter()
             .map(|(n, h)| (*n, h.row(on.clone(), n.to_string())))
@@ -507,7 +507,7 @@ impl ConnectionManager {
     /// metrics plane exposes. Survives `shutdown()`.
     pub fn wire_totals(&self) -> WireTotals {
         let mut t = WireTotals::default();
-        drop(plock(&self.origin.telem.live));
+        drop(plock(&self.origin.telem.live)); // a write in progress is counted first
         for h in plock(&self.health).values() {
             t.add(h.totals());
         }
