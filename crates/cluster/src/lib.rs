@@ -39,6 +39,7 @@ pub use des::{ChaosOutcome, DesCluster};
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 pub use feed::OpFeed;
 pub use live::LiveMetrics;
+pub use seed::seed_stores;
 pub use stats::{AckRecord, FaultStats, RecoveryCycle, RunStats};
 pub use tcp::{serve_one, serve_one_opts, ServeOptions, TcpCluster, TcpOptions, TcpRunResult};
 pub use threaded::{ThreadedCluster, ThreadedRunResult};

@@ -27,7 +27,7 @@ pub(crate) fn seed_counts(placement: &Placement, seeds: &[SeedEntry]) -> Vec<(us
 
 /// Seed the initial namespace: `stores[i]` is server `i`'s store, `None`
 /// for a server this process does not host.
-pub(crate) fn seed_stores(
+pub fn seed_stores(
     placement: &Placement,
     seeds: &[SeedEntry],
     stores: &mut [Option<&mut MetaStore>],
@@ -173,5 +173,25 @@ mod tests {
         for bad in [2, 0xFF] {
             assert!(rebuild_store(vec![(5, bad, 1)], Vec::new()).is_err());
         }
+    }
+
+    /// A snapshot row off a socket that no row table holds — the all-zero
+    /// row, which is the tables' vacant slot — is an error, not a panic;
+    /// its neighbours are rows like any other.
+    #[test]
+    fn a_row_no_table_holds_is_refused() {
+        use cx_types::codec::WireError;
+        let refused = Err(WireError::VacantRow);
+        assert_eq!(
+            rebuild_store(vec![(0, 0, 0)], Vec::new()).map(|_| ()),
+            refused
+        );
+        assert_eq!(
+            rebuild_store(Vec::new(), vec![(0, 0, 0)]).map(|_| ()),
+            refused
+        );
+        let store = rebuild_store(vec![(0, 0, 1), (7, 0, 0)], vec![(0, 0, 1), (0, 1, 0)])
+            .expect("rows a table holds");
+        assert_eq!((store.inode_count(), store.dentry_count()), (2, 2));
     }
 }

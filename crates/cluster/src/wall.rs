@@ -35,7 +35,7 @@ use crate::stats::RunStats;
 use crate::tcp::{TcpOptions, TcpRunResult};
 use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use cx_mdstore::{GlobalView, MetaStore};
+use cx_mdstore::{GlobalView, Inode, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{plock, ClockSync, Frame, NodeId, WireTelemetry, WireTotals};
 use cx_obs::{MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
@@ -98,7 +98,8 @@ pub(crate) fn snapshot_rows(store: &MetaStore) -> (InodeRows, EntryRows) {
 }
 
 /// The coordinator's copy of a server's store, from its snapshot; a row
-/// whose kind byte is no [`FileKind`] is an error, not a guess.
+/// whose kind byte is no [`FileKind`], or that no store can hold, is an
+/// error, not a guess.
 pub(crate) fn rebuild_store(
     inodes: InodeRows,
     dentries: EntryRows,
@@ -106,10 +107,18 @@ pub(crate) fn rebuild_store(
     let mut store = MetaStore::new();
     store.reserve_rows(inodes.len(), dentries.len());
     for (ino, kind, nlink) in inodes {
-        store.seed_inode(InodeNo(ino), FileKind::from_byte(kind)?, nlink);
+        let (ino, kind) = (InodeNo(ino), FileKind::from_byte(kind)?);
+        if !MetaStore::can_hold_inode(ino, Inode { kind, nlink }) {
+            return Err(WireError::VacantRow);
+        }
+        store.seed_inode(ino, kind, nlink);
     }
     for (parent, name, child) in dentries {
-        store.seed_dentry(InodeNo(parent), Name(name), InodeNo(child));
+        let (parent, name, child) = (InodeNo(parent), Name(name), InodeNo(child));
+        if !MetaStore::can_hold_dentry(parent, name, child) {
+            return Err(WireError::VacantRow);
+        }
+        store.seed_dentry(parent, name, child);
     }
     Ok(store)
 }

@@ -2,7 +2,8 @@
 //!
 //! Each OrangeFS metadata server "stores metadata as rows in Berkeley
 //! DataBase" (§IV-A). [`MetaStore`] is the in-memory image of those rows —
-//! the BDB cache — holding this server's inodes and directory entries.
+//! the BDB cache — holding this server's inodes and directory entries,
+//! each kind in one flat [`RowTable`] sized to its rows.
 //! Sub-operations execute against it ([`MetaStore::apply`]) and produce
 //! [`Undo`] tokens so an aborted cross-server operation can roll back
 //! ("the coordinator can instruct participants to roll back their states",
@@ -20,8 +21,10 @@
 //! dangling entries, no orphan inodes, nlink counts consistent with the
 //! entries that reference them.
 
+pub mod rows;
 pub mod store;
 pub mod view;
 
+pub use rows::{row_hash, RowTable, Vacant};
 pub use store::{Inode, MetaStore, StoreStats, Undo};
 pub use view::{GlobalView, Violation};

@@ -1,11 +1,12 @@
 //! In-memory metadata rows, sub-op execution, undo, and dirty tracking.
 
+use crate::rows::{storable, RowTable};
 use cx_simio::object_page;
-use cx_types::{CxError, CxResult, FileKind, FxHashMap, InodeNo, Name, ObjectId, SubOp};
+use cx_types::{CxError, CxResult, FileKind, InodeNo, Name, ObjectId, SubOp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// An inode row: 8 bytes, so a table bucket with its `InodeNo` key is 16.
+/// An inode row: 8 bytes, so a table slot with its `InodeNo` key is 16.
 /// Attribute changes (`TouchInode`, "update parent inode" in Table I) are
 /// modelled by dirtying the row's page, not by a field in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,18 +103,21 @@ pub struct StoreStats {
 /// no row of their own; an entry insert or remove dirties
 /// `ObjectId::Inode(parent)`, which is what reaches the disk.
 ///
-/// The row maps use the Fx hasher: lookups dominate the sub-op hot path,
-/// and nothing behavioral reads them in iteration order ([`GlobalView`]
-/// borrows them and sorts whatever it lists or reports; the store prop
-/// tests sort their snapshots). The `dirty` set stays a `BTreeSet` on
+/// The rows live in two [`RowTable`]s, 16 B an inode slot and 24 B an
+/// entry slot, sized to about 4/3 of the rows they hold. Nothing
+/// behavioral reads them in iteration order ([`GlobalView`] borrows them
+/// and sorts whatever it lists or reports; the store prop tests sort their
+/// snapshots). A table holds every row but its vacant slot's: inode 0 as a
+/// regular file at nlink 0, and entry 0 of directory 0 naming inode 0
+/// ([`MetaStore::can_hold_inode`]). The `dirty` set stays a `BTreeSet` on
 /// purpose — its iteration order becomes the write-back page list, which
 /// the disk model times, so it is load-bearing for determinism.
 ///
 /// [`GlobalView`]: crate::GlobalView
 #[derive(Debug, Clone, Default)]
 pub struct MetaStore {
-    inodes: FxHashMap<InodeNo, Inode>,
-    dentries: FxHashMap<(InodeNo, Name), InodeNo>,
+    inodes: RowTable<InodeNo, Inode>,
+    dentries: RowTable<(InodeNo, Name), InodeNo>,
     dirty: BTreeSet<ObjectId>,
     stats: StoreStats,
 }
@@ -155,18 +159,32 @@ impl MetaStore {
 
     /// Size the row tables for this many more rows (workload setup knows
     /// the count before it inserts), so seeding never regrows a table.
+    /// Reserving writes no slot itself: a table comes zeroed from the
+    /// allocator.
     pub fn reserve_rows(&mut self, inodes: usize, dentries: usize) {
         self.inodes.reserve(inodes);
         self.dentries.reserve(dentries);
     }
 
+    /// Whether a store can hold this inode row: any but inode 0 as a
+    /// regular file at nlink 0, whose bytes are the vacant slot's.
+    pub fn can_hold_inode(ino: InodeNo, inode: Inode) -> bool {
+        storable(ino, inode)
+    }
+
+    /// Whether a store can hold this entry: any but entry 0 of directory 0
+    /// naming inode 0, whose bytes are the vacant slot's.
+    pub fn can_hold_dentry(parent: InodeNo, name: Name, child: InodeNo) -> bool {
+        storable((parent, name), child)
+    }
+
     /// Pre-populate an inode (workload setup: traces begin with existing
-    /// directories and files).
+    /// directories and files). Panics on a row the store cannot hold.
     pub fn seed_inode(&mut self, ino: InodeNo, kind: FileKind, nlink: u32) {
         self.inodes.insert(ino, Inode { kind, nlink });
     }
 
-    /// Pre-populate a dentry.
+    /// Pre-populate a dentry. Panics on a row the store cannot hold.
     pub fn seed_dentry(&mut self, parent: InodeNo, name: Name, child: InodeNo) {
         self.dentries.insert((parent, name), child);
     }
@@ -197,11 +215,9 @@ impl MetaStore {
                 child,
                 ..
             } => {
-                let key = (parent, name);
-                if self.dentries.contains_key(&key) {
+                if !self.dentries.insert_new((parent, name), child) {
                     return Err(CxError::EntryExists(ObjectId::Dentry(parent, name)));
                 }
-                self.dentries.insert(key, child);
                 Ok(Undo::RemoveDentry { parent, name })
             }
             SubOp::RemoveEntry {
@@ -224,10 +240,9 @@ impl MetaStore {
                 }
             }
             SubOp::CreateInode { ino, kind } => {
-                if self.inodes.contains_key(&ino) {
+                if !self.inodes.insert_new(ino, Inode { kind, nlink: 1 }) {
                     return Err(CxError::EntryExists(ObjectId::Inode(ino)));
                 }
-                self.inodes.insert(ino, Inode { kind, nlink: 1 });
                 Ok(Undo::RemoveInode { ino })
             }
             SubOp::ReleaseInode { ino } | SubOp::DecNlink { ino } => {
@@ -239,16 +254,18 @@ impl MetaStore {
                     // frees the inode if the nlink reaches 0 (Table I)
                     self.inodes.remove(&ino);
                 } else {
-                    self.inodes.get_mut(&ino).expect("checked above").nlink -= 1;
+                    let nlink = inode.nlink - 1;
+                    self.inodes.insert(ino, Inode { nlink, ..inode });
                 }
                 Ok(Undo::RestoreInode { ino, inode })
             }
             SubOp::IncNlink { ino } => {
-                let e = self
+                let inode = *self
                     .inodes
-                    .get_mut(&ino)
+                    .get(&ino)
                     .ok_or(CxError::NotFound(ObjectId::Inode(ino)))?;
-                e.nlink += 1;
+                let nlink = inode.nlink + 1;
+                self.inodes.insert(ino, Inode { nlink, ..inode });
                 Ok(Undo::DecNlink { ino })
             }
             SubOp::TouchInode { ino } => {
@@ -308,8 +325,9 @@ impl MetaStore {
                 self.dirty.insert(ObjectId::Inode(ino));
             }
             Undo::DecNlink { ino } => {
-                if let Some(e) = self.inodes.get_mut(&ino) {
-                    e.nlink -= 1;
+                if let Some(&inode) = self.inodes.get(&ino) {
+                    let nlink = inode.nlink - 1;
+                    self.inodes.insert(ino, Inode { nlink, ..inode });
                 }
                 self.dirty.insert(ObjectId::Inode(ino));
             }
@@ -345,17 +363,6 @@ impl MetaStore {
             }
         }
         pages
-    }
-
-    /// Crash: the in-memory image is volatile. The caller (recovery)
-    /// rebuilds state by replaying durable log records and re-reading the
-    /// on-disk database; for the simulation the database image is exactly
-    /// the committed state, which recovery reconstructs via
-    /// [`MetaStore::apply`].
-    pub fn clear(&mut self) {
-        self.inodes.clear();
-        self.dentries.clear();
-        self.dirty.clear();
     }
 }
 
@@ -580,7 +587,8 @@ mod tests {
         assert_eq!(s.dirty_count(), 0, "seeding is clean");
     }
 
-    /// What seeding pays per inode row: key and row, 16 bytes a bucket.
+    /// What seeding pays per inode row: key and row inline, 16 bytes a
+    /// slot and about 4/3 of a slot a row.
     #[test]
     fn an_inode_row_is_eight_bytes() {
         assert_eq!(std::mem::size_of::<(InodeNo, Inode)>(), 16);

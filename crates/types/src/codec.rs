@@ -39,6 +39,9 @@ pub enum WireError {
     UnknownEnum { what: &'static str, value: u8 },
     /// Frame body has leftover bytes after a complete decode.
     Trailing(usize),
+    /// A store snapshot row that no row table holds: one whose bytes are
+    /// all zero, which is the tables' vacant slot.
+    VacantRow,
 }
 
 impl fmt::Display for WireError {
@@ -53,6 +56,7 @@ impl fmt::Display for WireError {
                 write!(f, "unknown {what} discriminant {value}")
             }
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after frame body"),
+            WireError::VacantRow => write!(f, "an all-zero store row"),
         }
     }
 }

@@ -10,7 +10,11 @@ use serde::{Deserialize, Serialize};
 
 /// Whether an inode refers to a regular file or a directory ("set a flag to
 /// indicate it is a regular file / a directory", Table I).
+///
+/// One byte, `Regular` = 0: a zeroed metadata row slot reads as a regular
+/// file's (see `cx_mdstore::RowTable`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum FileKind {
     Regular,
     Directory,

@@ -50,7 +50,7 @@ type InodeRows = Vec<(InodeNo, FileKind, u32)>;
 type DentryRows = Vec<((InodeNo, Name), InodeNo)>;
 
 fn snapshot(store: &MetaStore) -> (InodeRows, DentryRows) {
-    // Sort: the store's hash maps iterate in table order, not key order.
+    // Sort: the store's row tables iterate in slot order, not key order.
     let mut inodes: Vec<_> = store.inodes().map(|(i, n)| (*i, n.kind, n.nlink)).collect();
     inodes.sort_by_key(|(i, _, _)| i.0);
     let mut dentries: Vec<_> = store.dentries().map(|(k, v)| (*k, *v)).collect();
