@@ -17,11 +17,9 @@
 use crate::plan::{CrashFault, CrashPoint, FaultPlan, NetAction, NetFault, Partition};
 use crate::runner::{run_plan, ChaosScenario, Repro};
 use cx_cluster::FaultStats;
+use cx_types::rng::SmallRng;
 use cx_types::{MsgKind, Protocol, ServerId, DUR_MS};
 use cx_wal::RecordFamily;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// Kinds whose loss Cx heals (retry timers, recovery queries) or safely
 /// wedges a single client op.
@@ -87,15 +85,15 @@ pub fn generate_plan(rng: &mut SmallRng, scn: &ChaosScenario) -> FaultPlan {
 
     for _ in 0..rng.gen_range(1..5u32) {
         let (kind, action) = match rng.gen_range(0..3u32) {
-            0 => (*drop_kinds.choose(rng).unwrap(), NetAction::Drop),
+            0 => (*rng.choose(drop_kinds).unwrap(), NetAction::Drop),
             1 => (
-                *drop_kinds.choose(rng).unwrap(),
+                *rng.choose(drop_kinds).unwrap(),
                 NetAction::Delay {
                     ns: rng.gen_range(200_000..8_000_000),
                 },
             ),
             _ => (
-                *dup_kinds.choose(rng).unwrap(),
+                *rng.choose(dup_kinds).unwrap(),
                 NetAction::Duplicate {
                     ns: rng.gen_range(100_000..4_000_000),
                 },
@@ -135,7 +133,7 @@ pub fn generate_plan(rng: &mut SmallRng, scn: &ChaosScenario) -> FaultPlan {
                     nth: rng.gen_range(1..25),
                 },
                 2 => CrashPoint::Deliver {
-                    kind: *CX_CRASH_DELIVER.choose(rng).unwrap(),
+                    kind: *rng.choose(CX_CRASH_DELIVER).unwrap(),
                     nth: rng.gen_range(1..40),
                 },
                 _ => CrashPoint::Writeback {

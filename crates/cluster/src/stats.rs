@@ -5,12 +5,11 @@ use cx_obs::{BlameTable, LogHistogram, StuckOp};
 use cx_protocol::{MsgCounts, ProtoMetrics, ServerStats};
 use cx_simio::DiskStats;
 use cx_types::{FsOp, MsgKind, OpId, OpOutcome, Protocol, ServerId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Timing of one crash/recovery cycle. Multi-crash schedules accumulate a
 /// `Vec` of these (the one-crash Table V experiment reads the first).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryCycle {
     pub server: ServerId,
     pub crashed_at: SimTime,
@@ -42,7 +41,7 @@ impl RecoveryCycle {
 /// is active. The durability oracle replays these against the post-crash
 /// namespace: every acked `Applied` mutation must survive, every acked
 /// `Failed` one must have left no partial state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AckRecord {
     pub op: OpId,
     pub fs_op: FsOp,
@@ -53,7 +52,7 @@ pub struct AckRecord {
 /// Per-run fault-injection counters. All zero on uninstrumented runs, and
 /// deliberately excluded from [`RunStats::digest`] so chaos bookkeeping can
 /// never perturb the pinned golden digests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages discarded by the injector (counted by the engine host, on
     /// every runtime, like the next two).
@@ -77,7 +76,7 @@ pub struct FaultStats {
 }
 
 /// Everything a run reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunStats {
     pub protocol: Protocol,
     pub servers: u32,
@@ -375,22 +374,5 @@ mod tests {
         let s = RunStats::new(Protocol::Se, 4, 16);
         assert_eq!(s.throughput(), 0.0);
         assert_eq!(s.conflict_ratio(), 0.0);
-    }
-
-    #[test]
-    fn serializes_to_json() {
-        let mut s = RunStats::new(Protocol::Cx, 8, 256);
-        s.latency_hist.record(1_000);
-        s.latency_hist.record(9_000);
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"servers\":8"));
-        // The percentile histograms travel with the serialized stats, so
-        // quantile summaries are recoverable from any stored run.
-        assert!(json.contains("\"latency_hist\""));
-        assert!(json.contains("\"cross_latency_hist\""));
-        let back: RunStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.latency_summary().count, 2);
-        assert_eq!(back.latency_summary().max_ns, 9_000);
-        assert_eq!(back.cross_latency_summary().count, 0);
     }
 }

@@ -48,8 +48,6 @@
 //! | `cx-workloads` | the six Table II trace profiles + Metarates |
 //! | `cx-chaos` | fault plans, the durability oracle, the Table V crash/recovery experiment |
 
-use serde::Serialize;
-
 pub use cx_cluster::{
     AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd, DesCluster, FaultEvent, FaultInjector,
     FaultStats, LiveMetrics, MsgFate, RecoveryCycle, RunStats, TcpCluster, TcpOptions,
@@ -282,20 +280,6 @@ impl ExperimentResult {
     pub fn is_consistent(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// Serialize the stats for EXPERIMENTS.md / JSON artifacts.
-    pub fn to_json(&self) -> String {
-        #[derive(Serialize)]
-        struct Out<'a> {
-            stats: &'a RunStats,
-            consistent: bool,
-        }
-        serde_json::to_string_pretty(&Out {
-            stats: &self.stats,
-            consistent: self.is_consistent(),
-        })
-        .expect("RunStats serializes")
-    }
 }
 
 #[cfg(test)]
@@ -316,7 +300,6 @@ mod tests {
         let r = e.run();
         assert!(r.is_consistent());
         assert!(r.stats.ops_total > 0);
-        assert!(r.to_json().contains("\"consistent\": true"));
     }
 
     #[test]

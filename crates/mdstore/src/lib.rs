@@ -25,6 +25,7 @@ pub mod rows;
 pub mod store;
 pub mod view;
 
-pub use rows::{row_hash, RowTable, Vacant};
+pub use cx_types::probe::row_hash;
+pub use rows::{RowTable, Vacant};
 pub use store::{Inode, MetaStore, StoreStats, Undo};
 pub use view::{GlobalView, Violation};

@@ -4,17 +4,19 @@
 //! map those rows sit in a power-of-two bucket array beside a control byte
 //! each, so a server's 4,002 seeded inodes took 8,192 buckets. A
 //! [`RowTable`] is one allocation of `(key, row)` slots, inline and
-//! untagged, open-addressed by the key's [`row_hash`]: linear probing,
+//! untagged, open-addressed by [`cx_types::probe`] (the core `OpTable`'s
+//! index shares): linear probing from the key's [`row_hash`](probe::row_hash),
 //! backward-shift deletion (so remove/create churn leaves no tombstones),
 //! and any slot count, so a reservation for `n` rows is about 4/3·`n`
 //! slots. The all-zero slot is the vacant one, so a table comes zeroed
 //! from the allocator and reserving one writes no slot.
 
 use crate::store::Inode;
+use cx_types::probe;
 use cx_types::{FileKind, InodeNo, Name};
 use std::alloc::{self, Layout};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// A slot whose all-zero bytes are a valid value, [`Vacant::VACANT`]; a
 /// table holds every row but that one.
@@ -57,41 +59,6 @@ where
 }
 
 const VACANT_ROW: &str = "an all-zero row is the vacant slot; no table holds it";
-
-/// The hash a [`RowTable`] places `key` by: each word of the key xored
-/// in and multiplied by 2^64 over the golden ratio, the 128-bit product's
-/// halves folded together. A table scales the top bits onto its slot
-/// count, and these spread sequential keys evenly (Metarates numbers its
-/// files and their inodes in order). Fx's multiplier, about 2^64/π, does
-/// not: π ≈ 355/113, so Fx hashes of keys 355 apart nearly agree in their
-/// top bits. Seeding the benchmark's namespace probes 4.9 slots an insert
-/// by Fx's top bits and 2.3 by this hash.
-pub fn row_hash<K: Hash>(key: &K) -> u64 {
-    let mut hasher = FoldHasher(0);
-    key.hash(&mut hasher);
-    hasher.0
-}
-
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        let wide = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
-    }
-}
 
 /// Slots for `rows` rows: 4/3 of them, rounded up, which a table fills to
 /// 7/6 of `rows` before it grows.
@@ -195,31 +162,24 @@ where
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.slots
             .iter()
-            .filter(|slot| **slot != <(K, V)>::VACANT)
+            .filter(|slot| !Self::is_vacant(slot))
             .map(|(key, row)| (key, row))
     }
 
-    /// The first slot `key` may occupy: its [`row_hash`] scaled onto the
-    /// slot count.
-    fn home(&self, key: &K) -> usize {
-        ((u128::from(row_hash(key)) * self.slots.len() as u128) >> 64) as usize
+    fn is_vacant(slot: &(K, V)) -> bool {
+        *slot == <(K, V)>::VACANT
     }
 
     /// Walk `key`'s probe sequence: `Ok` with the slot holding it, or
     /// `Err` with the vacant slot that ends the walk. The table must have
     /// slots.
     fn probe(&self, key: &K) -> Result<usize, usize> {
-        let mut slot = self.home(key);
-        loop {
-            let (k, row) = &self.slots[slot];
-            if (*k, *row) == <(K, V)>::VACANT {
-                return Err(slot);
-            }
-            if k == key {
-                return Ok(slot);
-            }
-            slot = self.next(slot);
-        }
+        probe::walk(
+            &self.slots,
+            probe::row_hash(key),
+            Self::is_vacant,
+            |(k, _)| k == key,
+        )
     }
 
     /// `Ok` with the slot holding `key`, or `Err` with the vacant slot a
@@ -250,43 +210,21 @@ where
         self.probe(key).ok()
     }
 
-    /// The slot after `slot`, wrapping from the last to the first.
-    fn next(&self, slot: usize) -> usize {
-        if slot + 1 == self.slots.len() {
-            0
-        } else {
-            slot + 1
-        }
-    }
-
     /// Move every row into a fresh table of `slots` vacant slots.
     fn rebuild(&mut self, slots: usize) {
         let old = std::mem::replace(&mut self.slots, vacant_slots(slots));
-        for &(key, row) in old.iter().filter(|s| **s != <(K, V)>::VACANT) {
+        for &(key, row) in old.iter().filter(|s| !Self::is_vacant(s)) {
             let slot = self.probe(&key).expect_err("keys are unique");
             self.slots[slot] = (key, row);
         }
     }
 
-    /// Empty `hole` and close the gap: each later row of the cluster whose
-    /// home is not between the hole and itself moves back into it.
-    fn vacate(&mut self, mut hole: usize) {
-        let n = self.slots.len();
-        // How far `to` lies past `from` along the probe sequence.
-        let distance = |from: usize, to: usize| if to >= from { to - from } else { to + n - from };
-        let mut slot = hole;
-        loop {
-            slot = self.next(slot);
-            let (key, row) = self.slots[slot];
-            if (key, row) == <(K, V)>::VACANT {
-                break;
-            }
-            if distance(self.home(&key), slot) >= distance(hole, slot) {
-                self.slots[hole] = (key, row);
-                hole = slot;
-            }
-        }
-        self.slots[hole] = <(K, V)>::VACANT;
+    /// Empty `hole` and close the gap behind it.
+    fn vacate(&mut self, hole: usize) {
+        let vacant = <(K, V)>::VACANT;
+        probe::vacate(&mut self.slots, hole, vacant, Self::is_vacant, |(k, _)| {
+            probe::row_hash(k)
+        });
     }
 }
 

@@ -3,13 +3,12 @@
 use crate::rows::{storable, RowTable};
 use cx_simio::object_page;
 use cx_types::{CxError, CxResult, FileKind, InodeNo, Name, ObjectId, SubOp};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An inode row: 8 bytes, so a table slot with its `InodeNo` key is 16.
 /// Attribute changes (`TouchInode`, "update parent inode" in Table I) are
 /// modelled by dirtying the row's page, not by a field in it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Inode {
     pub kind: FileKind,
     /// Link count. Files and directories start at 1 (we do not model the
@@ -90,7 +89,7 @@ impl Undo {
 }
 
 /// Cumulative store statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     pub applies: u64,
     pub undos: u64,

@@ -770,7 +770,7 @@ impl BlameTable {
 }
 
 /// One segment's contribution to a latency delta between two runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SegDelta {
     pub seg: Seg,
     /// Per-op mean over all blamed ops in the base run.
@@ -786,7 +786,7 @@ pub struct SegDelta {
 
 /// The run-diff: the client-visible latency delta between two runs,
 /// attributed to segments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BlameDiff {
     pub base_protocol: String,
     pub new_protocol: String,

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 /// Every counter series the plane exposes. Names follow the Prometheus
 /// convention (`*_total` for monotone counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     OpsIssued,
     OpsApplied,
@@ -106,7 +106,7 @@ impl Counter {
 
 /// Instantaneous values (last-write-wins, or high-water via
 /// [`MetricRegistry::gauge_max`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
     WalPeakValidBytes,
     OpsInFlight,
@@ -154,7 +154,7 @@ impl Gauge {
 
 /// Histogram series (exposed as Prometheus summaries with fixed
 /// quantiles — the underlying [`LogHistogram`] merges exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Series {
     BatchSize,
     BatchAgeNs,

@@ -14,12 +14,11 @@ use crate::trigger::{TriggerState, TriggerVerdict};
 use cx_mdstore::{MetaStore, Undo};
 use cx_sim::det_rng;
 use cx_simio::DiskReq;
+use cx_types::rng::SmallRng;
 use cx_types::{
     ClusterConfig, CxError, FxHashMap, Hint, ObjectId, OpId, Payload, Role, SimTime, SubOp, Verdict,
 };
 use cx_wal::{Record, SeqNo, Wal};
-use rand::rngs::SmallRng;
-use rand::Rng;
 use std::collections::VecDeque;
 
 /// One metadata server minus its protocol; `C` is what the engine parks on

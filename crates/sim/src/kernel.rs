@@ -575,7 +575,6 @@ mod tests {
     /// every pop and the clock must agree.
     #[test]
     fn wheel_matches_reference_heap_step_for_step() {
-        use rand::Rng;
         const STEPS: usize = 120_000;
         const BUCKET: u64 = 1 << BUCKET_SHIFT;
         const HORIZON: u64 = BUCKET * RING_BUCKETS as u64;

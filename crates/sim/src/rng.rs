@@ -4,8 +4,7 @@
 //! place never perturbs another (a classic DES reproducibility pitfall).
 
 use cx_types::ids::mix64;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use cx_types::rng::SmallRng;
 
 /// Create the RNG for stream `stream` of experiment seed `seed`.
 ///
@@ -18,18 +17,12 @@ pub fn det_rng(seed: u64, stream: u64) -> SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_seed_same_stream_same_sequence() {
-        let a: Vec<u64> = det_rng(7, 3)
-            .sample_iter(rand::distributions::Standard)
-            .take(16)
-            .collect();
-        let b: Vec<u64> = det_rng(7, 3)
-            .sample_iter(rand::distributions::Standard)
-            .take(16)
-            .collect();
+        let (mut ra, mut rb) = (det_rng(7, 3), det_rng(7, 3));
+        let a: Vec<u64> = (0..16).map(|_| ra.gen()).collect();
+        let b: Vec<u64> = (0..16).map(|_| rb.gen()).collect();
         assert_eq!(a, b);
     }
 

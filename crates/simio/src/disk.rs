@@ -1,7 +1,7 @@
 //! Single-spindle disk model with group commit and elevator merging.
 
 use cx_types::{DiskConfig, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Bytes per database page.
@@ -50,7 +50,7 @@ pub struct Batch {
 }
 
 /// Cumulative disk statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DiskStats {
     pub log_flushes: u64,
     pub log_appends: u64,

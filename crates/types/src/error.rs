@@ -1,11 +1,10 @@
 //! Error types shared across the workspace.
 
 use crate::ids::{ObjectId, OpId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors surfaced by stores, logs and protocol engines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CxError {
     /// A directory entry with this name already exists.
     EntryExists(ObjectId),

@@ -76,7 +76,7 @@ pub struct Name(pub u64);
 /// A cross-server operation modifies up to three objects: the parent
 /// directory's inode, the directory entry, and the child's inode. These are
 /// the "active objects" of §III-B against which conflicts are detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ObjectId {
     /// An inode row (file or directory attributes, nlink, flags).
     Inode(InodeNo),

@@ -30,6 +30,8 @@ pub mod op;
 pub mod optable;
 pub mod placement;
 pub mod pool;
+pub mod probe;
+pub mod rng;
 pub mod subop;
 pub mod time;
 

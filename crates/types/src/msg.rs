@@ -13,7 +13,7 @@ use crate::subop::{OpPlan, Role, SubOp};
 use serde::{Deserialize, Serialize};
 
 /// Execution result of a sub-operation: the "YES"/"NO" of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     Yes,
     No,
@@ -38,7 +38,7 @@ impl Verdict {
 /// commitment had to precede this execution. A process recognizes a
 /// cross-server operation as complete only when the responses from both
 /// affected servers carry the same hint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Hint(pub Vec<OpId>);
 
 impl Hint {
@@ -145,7 +145,7 @@ impl MsgKind {
 }
 
 /// A protocol message payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     // ---- client <-> server (execution phase) ----
     /// Process assigns a sub-op to a server (Cx step 1; also carries SE

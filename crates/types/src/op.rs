@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// One byte, `Regular` = 0: a zeroed metadata row slot reads as a regular
 /// file's (see `cx_mdstore::RowTable`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FileKind {
     Regular,
@@ -25,7 +25,7 @@ pub enum FileKind {
 /// Operations are path-free: the workload generator resolves names up front
 /// and references parent directories and target files by inode number, which
 /// is how replayed traces drive the servers in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FsOp {
     /// Create a regular file `name` in `parent`, allocating inode `ino`.
     Create {

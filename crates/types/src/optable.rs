@@ -8,9 +8,8 @@
 //! alone: the sparse part costs 4 bytes a bucket (the key is read from the
 //! slab), the fat part is as large as the most entries ever live at once.
 
-use crate::fxhash::FxBuildHasher;
 use crate::ids::OpId;
-use std::hash::BuildHasher;
+use crate::probe;
 
 /// A bucket no slot number occupies.
 const EMPTY: u32 = u32::MAX;
@@ -26,9 +25,9 @@ pub struct OpTable<V> {
     slots: Vec<Option<(OpId, V)>>,
     /// Vacant slots, reused newest first before the slab grows.
     free: Vec<u32>,
-    /// Slot numbers, open-addressed by key hash: linear probing at a load
-    /// of at most three quarters, keys read from the slab, backward-shift
-    /// deletion (so no tombstones). Empty or a power of two long.
+    /// Slot numbers, open-addressed by [`probe`] at a load of at most
+    /// three quarters, keys read from the slab. Empty or a power of two
+    /// long.
     index: Vec<u32>,
 }
 
@@ -95,7 +94,9 @@ impl<V> OpTable<V> {
     pub fn remove(&mut self, op: &OpId) -> Option<V> {
         let bucket = self.find(op)?;
         let slot = self.index[bucket];
-        self.unindex(bucket);
+        let slots = &self.slots;
+        let hash = |&slot: &u32| probe::row_hash(key(slots, slot));
+        probe::vacate(&mut self.index, bucket, EMPTY, |&b| b == EMPTY, hash);
         self.free.push(slot);
         self.slots[slot as usize].take().map(|(_, v)| v)
     }
@@ -129,44 +130,44 @@ impl<V> OpTable<V> {
         self.slots.capacity()
     }
 
-    /// The key stored in an indexed slot.
-    fn key(&self, slot: u32) -> &OpId {
-        &self.slots[slot as usize].as_ref().expect("indexed").0
-    }
-
     /// Walk `op`'s probe sequence: `Ok` with the bucket holding its slot,
     /// or `Err` with the empty bucket that ends the walk. The index must
     /// not be empty.
-    fn probe(&self, op: &OpId) -> Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let mut bucket = home(op, self.index.len());
-        loop {
-            match self.index[bucket] {
-                EMPTY => return Err(bucket),
-                slot if self.key(slot) == op => return Ok(bucket),
-                _ => bucket = (bucket + 1) & mask,
-            }
-        }
+    fn walk(&self, op: &OpId) -> Result<usize, usize> {
+        let slots = &self.slots;
+        probe::walk(
+            &self.index,
+            probe::row_hash(op),
+            |&b| b == EMPTY,
+            |&b| key(slots, b) == op,
+        )
     }
 
     /// The bucket holding `op`'s slot.
     fn find(&self, op: &OpId) -> Option<usize> {
-        (!self.index.is_empty()).then(|| self.probe(op).ok())?
+        (!self.index.is_empty()).then(|| self.walk(op).ok())?
     }
 
     /// `Ok` with `op`'s slot, or `Err` with the bucket a new slot for it
-    /// goes in — after growing the index if one more entry would load it
-    /// past three quarters.
+    /// goes in — after doubling the index (8 buckets at first) and
+    /// re-indexing the slab if one more entry would load it past three
+    /// quarters.
     fn entry(&mut self, op: &OpId) -> Result<u32, usize> {
         if !self.index.is_empty() {
-            match self.probe(op) {
+            match self.walk(op) {
                 Ok(bucket) => return Ok(self.index[bucket]),
                 Err(bucket) if (self.len() + 1) * 4 <= self.index.len() * 3 => return Err(bucket),
                 Err(_) => {}
             }
         }
-        self.grow();
-        Err(self.probe(op).expect_err("absent"))
+        self.index = vec![EMPTY; (2 * self.index.len()).max(8)];
+        for (slot, entry) in self.slots.iter().enumerate() {
+            if let Some((op, _)) = entry {
+                let bucket = self.walk(op).expect_err("keys are unique");
+                self.index[bucket] = slot as u32;
+            }
+        }
+        Err(self.walk(op).expect_err("absent"))
     }
 
     /// Store an entry in a vacant slot, or a new one if none is vacant,
@@ -186,44 +187,9 @@ impl<V> OpTable<V> {
         self.index[bucket] = slot;
         slot
     }
-
-    /// Double the index (8 buckets at first) and re-index the slab.
-    fn grow(&mut self) {
-        self.index = vec![EMPTY; (2 * self.index.len()).max(8)];
-        for slot in 0..self.slots.len() {
-            if let Some((op, _)) = &self.slots[slot] {
-                let bucket = self.probe(op).expect_err("keys are unique");
-                self.index[bucket] = slot as u32;
-            }
-        }
-    }
-
-    /// Empty `hole` and close the gap: each later entry of the cluster
-    /// whose home is not between the hole and itself moves back into it.
-    fn unindex(&mut self, mut hole: usize) {
-        let mask = self.index.len() - 1;
-        let mut bucket = hole;
-        loop {
-            bucket = (bucket + 1) & mask;
-            let slot = self.index[bucket];
-            if slot == EMPTY {
-                break;
-            }
-            let home = home(self.key(slot), self.index.len());
-            // Distances back along the probe sequence, wrapping: the entry
-            // may move to the hole if its home is no later than the hole.
-            if bucket.wrapping_sub(home) & mask >= bucket.wrapping_sub(hole) & mask {
-                self.index[hole] = slot;
-                hole = bucket;
-            }
-        }
-        self.index[hole] = EMPTY;
-    }
 }
 
-/// `op`'s first bucket among `buckets` (a power of two): the top bits of
-/// its Fx hash, which end in a multiply and so are the best mixed.
-fn home(op: &OpId, buckets: usize) -> usize {
-    let hash = FxBuildHasher::default().hash_one(op);
-    (hash >> (64 - buckets.trailing_zeros())) as usize
+/// The key stored in an indexed slot.
+fn key<V>(slots: &[Option<(OpId, V)>], slot: u32) -> &OpId {
+    &slots[slot as usize].as_ref().expect("indexed").0
 }

@@ -10,13 +10,12 @@
 use crate::ids::{mix64, InodeNo, Name, ServerId};
 use crate::op::{FileKind, FsOp};
 use crate::subop::{OpPlan, SubOp};
-use serde::{Deserialize, Serialize};
 
 /// Salt distinguishing the inode-placement hash from the dentry hash, so a
 /// file's dentry and inode land on independent servers.
 const INO_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Number of metadata servers in the cluster.
     pub servers: u32,

@@ -11,10 +11,9 @@
 
 use crate::ids::{InodeNo, Name, ObjectId, ServerId};
 use crate::op::{FileKind, FsOp};
-use serde::{Deserialize, Serialize};
 
 /// The role a server plays for one cross-server operation (§II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Owns the parent-directory side (entry insert/remove).
     Coordinator,
@@ -32,7 +31,7 @@ impl Role {
 }
 
 /// One server-local half of a file operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubOp {
     /// Coordinator: insert a new entry in the parent dir and update the
     /// parent inode (create/mkdir/link).
@@ -138,7 +137,7 @@ impl SubOp {
 }
 
 /// A tiny fixed-capacity set of object ids (a sub-op touches at most two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjSet {
     objs: [Option<ObjectId>; 2],
 }
@@ -170,7 +169,7 @@ impl ObjSet {
 /// * Mutation whose two halves happen to land on the same server
 ///   (probability 1/N under OrangeFS placement): `colocated == Some(..)` and
 ///   the coordinator executes both halves locally in one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpPlan {
     pub op: FsOp,
     pub coordinator: ServerId,

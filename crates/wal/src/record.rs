@@ -11,7 +11,7 @@ use cx_types::{OpId, Role, ServerId, SubOp, Verdict};
 use serde::{Deserialize, Serialize};
 
 /// Commit/abort decision for one operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     Committed,
     Aborted,

@@ -17,9 +17,8 @@
 use crate::stream::{OpStream, StreamTrace};
 use crate::trace::{SeedEntry, TraceOp, ROOT, SHARED_DIR};
 use cx_sim::det_rng;
+use cx_types::rng::SmallRng;
 use cx_types::{FsOp, InodeNo, Name, ProcId};
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore};
 
 /// The two §IV-B mixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,7 +317,6 @@ mod tests {
     use super::*;
     use crate::model::NamespaceModel;
     use proptest::prelude::*;
-    use rand::seq::SliceRandom;
 
     /// What [`reference_build`] returns: a stream's header plus every op.
     struct Reference {
@@ -391,8 +389,8 @@ mod tests {
                     }
                 } else {
                     // stat a generated file of this rank
-                    let (_, ino) = owned[p as usize]
-                        .choose(&mut rng)
+                    let (_, ino) = rng
+                        .choose(&owned[p as usize])
                         .copied()
                         .unwrap_or((Name(1), InodeNo(10_000)));
                     ops.push(FsOp::Stat { ino });

@@ -10,10 +10,9 @@
 //! the paper's description of both workload families (§II-C).
 
 use cx_types::OpClass;
-use serde::{Deserialize, Serialize};
 
 /// Relative weights per operation class (they need not sum to 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMix {
     pub create: f64,
     pub remove: f64,
@@ -65,10 +64,7 @@ impl ClassMix {
 }
 
 /// One synthetic trace profile.
-///
-/// Serialize-only: the `&'static str` fields cannot be deserialized from an
-/// owned JSON tree, and profiles are compile-time constants anyway.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceProfile {
     /// Trace name as in the paper.
     pub name: &'static str,

@@ -5,11 +5,10 @@
 use crate::stream::StreamTrace;
 use crate::trace::{TraceOp, SHARED_DIR};
 use cx_types::{FsOp, Placement};
-use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Summary of one trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceSummary {
     pub name: String,
     pub total_ops: u64,
@@ -219,12 +218,5 @@ mod tests {
             cth.shared_mutation_share > home2.shared_mutation_share,
             "checkpointing concentrates creates in the common directory"
         );
-    }
-
-    #[test]
-    fn summary_serializes() {
-        let s = summary("alegra");
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("alegra"));
     }
 }

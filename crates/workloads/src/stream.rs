@@ -18,9 +18,8 @@
 
 use crate::trace::{SeedEntry, TraceOp};
 use cx_sim::det_rng;
+use cx_types::rng::SmallRng;
 use cx_types::{FsOp, InodeNo, ProcId};
-use rand::rngs::SmallRng;
-use rand::Rng;
 use std::collections::VecDeque;
 
 /// A pull-based source of trace operations in global issue order.

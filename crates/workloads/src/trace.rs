@@ -7,10 +7,8 @@ use crate::model::NamespaceModel;
 use crate::profile::TraceProfile;
 use crate::stream::{OpStream, StreamTrace};
 use cx_sim::det_rng;
+use cx_types::rng::SmallRng;
 use cx_types::{FsOp, InodeNo, Name, OpClass, ProcId};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::VecDeque;
 
 /// Root of the synthetic namespace.
@@ -345,7 +343,7 @@ fn synthesize(
                     return FsOp::Lookup { parent, name };
                 }
             }
-            match states[p as usize].files.choose(rng) {
+            match rng.choose(&states[p as usize].files) {
                 Some(&(parent, name, _)) => FsOp::Lookup { parent, name },
                 None => FsOp::Readdir {
                     dir: states[p as usize].dir,
@@ -377,9 +375,7 @@ fn pick_recent<'a>(
 }
 
 fn own_file(state: &ProcState, rng: &mut SmallRng) -> InodeNo {
-    state
-        .files
-        .choose(rng)
+    rng.choose(&state.files)
         .map(|&(_, _, ino)| ino)
         .unwrap_or(SHARED_DIR)
 }

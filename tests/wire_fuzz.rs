@@ -16,10 +16,9 @@ use cx_net::wire::{
     decode_frame, encode_frame, encode_to_vec, Frame, FrameBuffer, WireError, MAX_FRAME_LEN,
 };
 use cx_protocol::Endpoint;
+use cx_types::rng::SmallRng;
 use cx_types::{Hint, OpId, Payload, ProcId, ServerId, Verdict};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
 
 fn sample_frame(rng: &mut SmallRng) -> Frame {
     let op_id = OpId::new(

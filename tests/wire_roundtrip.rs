@@ -9,13 +9,12 @@
 use cx_net::wire::{decode_frame, encode_to_vec, Frame};
 use cx_net::NodeId;
 use cx_protocol::Endpoint;
+use cx_types::rng::SmallRng;
 use cx_types::{
     FileKind, FsOp, Hint, InodeNo, Name, ObjectId, OpId, OpOutcome, OpPlan, Payload, ProcId, Role,
     ServerId, SubOp, Verdict,
 };
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
 
 fn arb_op_id(rng: &mut SmallRng) -> OpId {
     OpId::new(
