@@ -110,7 +110,7 @@ where
     }
 
     pub fn get(&self, key: &K) -> Option<&V> {
-        let slot = self.find(key)?;
+        let slot = self.probe(key).ok()?;
         Some(&self.slots[slot].1)
     }
 
@@ -142,7 +142,7 @@ where
     }
 
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.find(key)?;
+        let slot = self.probe(key).ok()?;
         let row = self.slots[slot].1;
         self.vacate(slot);
         self.len -= 1;
@@ -171,8 +171,7 @@ where
     }
 
     /// Walk `key`'s probe sequence: `Ok` with the slot holding it, or
-    /// `Err` with the vacant slot that ends the walk. The table must have
-    /// slots.
+    /// `Err` with the vacant slot that ends the walk.
     fn probe(&self, key: &K) -> Result<usize, usize> {
         probe::walk(
             &self.slots,
@@ -186,12 +185,10 @@ where
     /// row for it goes in — after growing the table if one more row would
     /// fill it past seven eighths.
     fn entry(&mut self, key: &K) -> Result<usize, usize> {
-        if !self.slots.is_empty() {
-            match self.probe(key) {
-                Ok(slot) => return Ok(slot),
-                Err(slot) if self.len < self.capacity() => return Err(slot),
-                Err(_) => {}
-            }
+        match self.probe(key) {
+            Ok(slot) => return Ok(slot),
+            Err(slot) if self.len < self.capacity() => return Err(slot),
+            Err(_) => {}
         }
         // Grow by an eighth of the rows held, and by at least four rows.
         self.rebuild(slots_for(self.len + (self.len / 8).max(4)));
@@ -201,13 +198,6 @@ where
     fn place(&mut self, slot: usize, key: K, row: V) {
         self.slots[slot] = (key, row);
         self.len += 1;
-    }
-
-    fn find(&self, key: &K) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.probe(key).ok()
     }
 
     /// Move every row into a fresh table of `slots` vacant slots.

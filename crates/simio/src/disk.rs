@@ -556,16 +556,12 @@ mod tests {
         }
     }
 
-    /// SplitMix64: a seeded stream without a rand dependency.
-    struct SplitMix(u64);
+    /// A seeded request stream over the workspace's SplitMix64.
+    struct SplitMix(cx_types::rng::SmallRng);
 
     impl SplitMix {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.0.next_u64()
         }
 
         /// 1–64 pages, unsorted; every fourth list draws from 48 page
@@ -639,7 +635,9 @@ mod tests {
             };
             let mut disk = Disk::new(cfg);
             let mut oracle = RefDisk::new(cfg);
-            let mut rng = SplitMix(0x5eed + group_commit as u64 + (merge_gap << 1));
+            let mut rng = SplitMix(cx_types::rng::SmallRng::seed_from_u64(
+                0x5eed + group_commit as u64 + (merge_gap << 1),
+            ));
             let mut now = SimTime(0);
             let mut inflight: Option<SimTime> = None;
             let (mut crashes, mut deepest, mut deepest_crashed) = (0, 0, 0);

@@ -51,16 +51,16 @@ impl<V> OpTable<V> {
     }
 
     pub fn contains_key(&self, op: &OpId) -> bool {
-        self.find(op).is_some()
+        self.walk(op).is_ok()
     }
 
     pub fn get(&self, op: &OpId) -> Option<&V> {
-        let slot = self.index[self.find(op)?];
+        let slot = self.index[self.walk(op).ok()?];
         self.slots[slot as usize].as_ref().map(|(_, v)| v)
     }
 
     pub fn get_mut(&mut self, op: &OpId) -> Option<&mut V> {
-        let slot = self.index[self.find(op)?];
+        let slot = self.index[self.walk(op).ok()?];
         self.slots[slot as usize].as_mut().map(|(_, v)| v)
     }
 
@@ -92,7 +92,7 @@ impl<V> OpTable<V> {
     }
 
     pub fn remove(&mut self, op: &OpId) -> Option<V> {
-        let bucket = self.find(op)?;
+        let bucket = self.walk(op).ok()?;
         let slot = self.index[bucket];
         let slots = &self.slots;
         let hash = |&slot: &u32| probe::row_hash(key(slots, slot));
@@ -131,8 +131,7 @@ impl<V> OpTable<V> {
     }
 
     /// Walk `op`'s probe sequence: `Ok` with the bucket holding its slot,
-    /// or `Err` with the empty bucket that ends the walk. The index must
-    /// not be empty.
+    /// or `Err` with the empty bucket that ends the walk.
     fn walk(&self, op: &OpId) -> Result<usize, usize> {
         let slots = &self.slots;
         probe::walk(
@@ -143,22 +142,15 @@ impl<V> OpTable<V> {
         )
     }
 
-    /// The bucket holding `op`'s slot.
-    fn find(&self, op: &OpId) -> Option<usize> {
-        (!self.index.is_empty()).then(|| self.walk(op).ok())?
-    }
-
     /// `Ok` with `op`'s slot, or `Err` with the bucket a new slot for it
     /// goes in — after doubling the index (8 buckets at first) and
     /// re-indexing the slab if one more entry would load it past three
     /// quarters.
     fn entry(&mut self, op: &OpId) -> Result<u32, usize> {
-        if !self.index.is_empty() {
-            match self.walk(op) {
-                Ok(bucket) => return Ok(self.index[bucket]),
-                Err(bucket) if (self.len() + 1) * 4 <= self.index.len() * 3 => return Err(bucket),
-                Err(_) => {}
-            }
+        match self.walk(op) {
+            Ok(bucket) => return Ok(self.index[bucket]),
+            Err(bucket) if (self.len() + 1) * 4 <= self.index.len() * 3 => return Err(bucket),
+            Err(_) => {}
         }
         self.index = vec![EMPTY; (2 * self.index.len()).max(8)];
         for (slot, entry) in self.slots.iter().enumerate() {

@@ -20,13 +20,16 @@ pub fn home(hash: u64, slots: usize) -> usize {
 
 /// Walk the probe sequence from the home of `hash`: `Ok` with the first
 /// slot `is_key` accepts, or `Err` with the vacant slot that ends the
-/// walk. `slots` must not be empty.
+/// walk. A table of no slots is full: its walk ends at `Err(0)`.
 pub fn walk<S>(
     slots: &[S],
     hash: u64,
     is_vacant: impl Fn(&S) -> bool,
     is_key: impl Fn(&S) -> bool,
 ) -> Result<usize, usize> {
+    if slots.is_empty() {
+        return Err(0);
+    }
     let mut slot = home(hash, slots.len());
     loop {
         let s = &slots[slot];

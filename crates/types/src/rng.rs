@@ -71,29 +71,21 @@ pub trait Standard {
     fn from_draw(raw: u64) -> Self;
 }
 
-impl Standard for u64 {
-    fn from_draw(raw: u64) -> Self {
-        raw
-    }
+macro_rules! standard_impl {
+    ($($t:ty => |$raw:ident| $value:expr),*) => {$(
+        impl Standard for $t {
+            fn from_draw($raw: u64) -> $t {
+                $value
+            }
+        }
+    )*};
 }
-
-impl Standard for u32 {
-    fn from_draw(raw: u64) -> Self {
-        (raw >> 32) as u32
-    }
-}
-
-impl Standard for f64 {
-    fn from_draw(raw: u64) -> Self {
-        f64_from_u64(raw)
-    }
-}
-
-impl Standard for bool {
-    fn from_draw(raw: u64) -> Self {
-        raw & 1 == 1
-    }
-}
+standard_impl!(
+    u64 => |raw| raw,
+    u32 => |raw| (raw >> 32) as u32,
+    f64 => |raw| f64_from_u64(raw),
+    bool => |raw| raw & 1 == 1
+);
 
 /// A type [`SmallRng::gen_range`] samples a range of.
 pub trait SampleRange: Sized {

@@ -2,9 +2,8 @@
 //! correctness, protocol-specific message patterns, the SE orphan flaw,
 //! and cross-protocol equivalence on conflict-free workloads.
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::Endpoint;
 use cx_types::{
@@ -12,6 +11,7 @@ use cx_types::{
     Protocol, ServerId, SimTime,
 };
 use cx_wal::RecordFamily;
+use kit::*;
 
 /// Every engine that logs and batches its write-back.
 const BATCHING: [Protocol; 4] = [

@@ -1,11 +1,11 @@
 //! Basic Cx protocol behaviour: gracious execution (Figure 2a),
 //! disagreement and ALL-NO (Figure 2b), lazy batching, message counts.
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::testkit::Kit;
 use cx_types::{BatchTrigger, ClusterConfig, FsOp, MsgKind, Name, OpOutcome, ProcId, Protocol};
+use kit::*;
 
 fn proc(n: u32) -> ProcId {
     ProcId::new(n, 0)

@@ -2,14 +2,14 @@
 //! with invalidation and re-queuing (Figure 3b), conflict hints, the
 //! hint-mismatch fallback, and log-pressure blocking (Figure 7a).
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::Endpoint;
 use cx_types::{
     ClusterConfig, FsOp, InodeNo, MsgKind, Name, OpOutcome, Payload, ProcId, Protocol, ServerId,
 };
+use kit::*;
 
 fn proc(n: u32) -> ProcId {
     ProcId::new(n, 0)

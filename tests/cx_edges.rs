@@ -2,15 +2,15 @@
 //! decided-batch recovery resumption, threshold triggers, and vote
 //! re-driving.
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::Endpoint;
 use cx_types::{
     BatchTrigger, ClusterConfig, FsOp, MsgKind, OpOutcome, Payload, ProcId, Protocol, ServerId,
     SimTime,
 };
+use kit::*;
 
 fn proc(n: u32) -> ProcId {
     ProcId::new(n, 0)

@@ -1,11 +1,11 @@
 //! A `Vote` redelivered after its commitment round finished (a late
 //! duplicate: a link that duplicates and delays, never a FIFO one).
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::{Action, Endpoint};
 use cx_types::{FsOp, MsgKind, OpOutcome, Payload, ProcId, Protocol};
+use kit::*;
 
 /// The participant applied the decision and sent its ACK; the same VOTE
 /// arrives again. It must not be taken for a sub-op still on its way:

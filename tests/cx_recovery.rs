@@ -2,15 +2,15 @@
 //! the durable log, in both the coordinator and the participant role, and
 //! rollback of executions whose Result-Record never reached the disk.
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::testkit::{Envelope, Kit};
 use cx_protocol::{Action, CxServer, Endpoint, ServerEngine};
 use cx_simio::DiskReq;
 use cx_types::{
     ClusterConfig, FsOp, MsgKind, OpOutcome, Payload, ProcId, Protocol, ServerId, SimTime,
 };
+use kit::*;
 
 fn proc(n: u32) -> ProcId {
     ProcId::new(n, 0)

@@ -10,11 +10,11 @@
 //!   eventually complete and the cluster must quiesce into a consistent
 //!   state — conflicts, invalidations and forced commitments included.
 
-mod common;
+mod kit;
 
-use common::*;
 use cx_protocol::testkit::Envelope;
 use cx_types::{FileKind, FsOp, InodeNo, Name, OpOutcome, ProcId, Protocol};
+use kit::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
