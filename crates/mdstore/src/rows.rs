@@ -4,11 +4,11 @@
 //! map those rows sit in a power-of-two bucket array beside a control byte
 //! each, so a server's 4,002 seeded inodes took 8,192 buckets. A
 //! [`RowTable`] is one allocation of `(key, row)` slots, inline and
-//! untagged, open-addressed by [`cx_types::probe`] (the core `OpTable`'s
-//! index shares): linear probing from the key's [`row_hash`](probe::row_hash),
-//! backward-shift deletion (so remove/create churn leaves no tombstones),
-//! and any slot count, so a reservation for `n` rows is about 4/3·`n`
-//! slots. The all-zero slot is the vacant one, so a table comes zeroed
+//! untagged, open-addressed through [`cx_types::probe`], the core it
+//! shares with `OpTable`'s index: linear probing from the key's
+//! [`row_hash`](probe::row_hash), backward-shift deletion (so
+//! remove/create churn leaves no tombstones), and any slot count, so a
+//! reservation for `n` rows is about 4/3·`n` slots. The all-zero slot is the vacant one, so a table comes zeroed
 //! from the allocator and reserving one writes no slot.
 
 use crate::store::Inode;
