@@ -555,7 +555,7 @@ mod tests {
                 .seed_files(40)
                 .ops_per_proc(200),
         );
-        let mut m = NamespaceModel::new();
+        let mut m = NamespaceModel::default();
         for s in &t.seeds {
             match *s {
                 SeedEntry::Dir { ino } => m.add_dir(ino),

@@ -1,39 +1,22 @@
-//! Namespace bookkeeping used while generating valid operation streams.
+//! The namespace oracle that generated streams are checked against.
 
 use cx_types::{FsOp, FxHashMap, InodeNo, Name};
 
-/// Tracks which files and directories exist so the generator only emits
-/// operations that will succeed (trace replays in the paper replay what
-/// real applications actually did, so failures are negligible).
+/// Which files, entries and directories exist, so a test can replay a
+/// workload's seeds and ops in order and panic on the first op that could
+/// not succeed (trace replays in the paper replay what real applications
+/// actually did, so failures are negligible). The generators keep no such
+/// model: they emit only fresh identities and entries from their own
+/// per-process lists, and the tests replay their streams through this one.
 #[derive(Debug, Default, Clone)]
 pub struct NamespaceModel {
     /// file inode → nlink
     files: FxHashMap<InodeNo, u32>,
     dirs: FxHashMap<InodeNo, u32>, // dir → live entry count
     dentries: FxHashMap<(InodeNo, Name), InodeNo>,
-    next_ino: u64,
-    next_name: u64,
 }
 
 impl NamespaceModel {
-    pub fn new() -> Self {
-        Self {
-            next_ino: 1000,
-            next_name: 1,
-            ..Self::default()
-        }
-    }
-
-    pub fn fresh_ino(&mut self) -> InodeNo {
-        self.next_ino += 1;
-        InodeNo(self.next_ino)
-    }
-
-    pub fn fresh_name(&mut self) -> Name {
-        self.next_name += 1;
-        Name(self.next_name)
-    }
-
     pub fn add_dir(&mut self, ino: InodeNo) {
         self.dirs.insert(ino, 0);
     }
@@ -50,19 +33,19 @@ impl NamespaceModel {
         self.dirs.get(&dir).copied().unwrap_or(0)
     }
 
-    /// Apply a known-valid operation to the model. Panics on an invalid
-    /// one — the generator must only produce valid operations.
+    /// Apply an operation to the model. Panics on an invalid one: the
+    /// generators must only produce valid operations.
     pub fn apply(&mut self, op: &FsOp) {
         match *op {
             FsOp::Create { parent, name, ino } => {
                 assert!(self.dentries.insert((parent, name), ino).is_none());
                 assert!(self.files.insert(ino, 1).is_none());
-                *self.dirs.entry(parent).or_insert(0) += 1;
+                *self.dirs.get_mut(&parent).expect("dir exists") += 1;
             }
             FsOp::Mkdir { parent, name, ino } => {
                 assert!(self.dentries.insert((parent, name), ino).is_none());
-                self.dirs.insert(ino, 0);
-                *self.dirs.entry(parent).or_insert(0) += 1;
+                assert!(self.dirs.insert(ino, 0).is_none());
+                *self.dirs.get_mut(&parent).expect("dir exists") += 1;
             }
             FsOp::Remove { parent, name, ino } => {
                 assert_eq!(self.dentries.remove(&(parent, name)), Some(ino));
@@ -86,7 +69,7 @@ impl NamespaceModel {
             } => {
                 assert!(self.dentries.insert((parent, name), target).is_none());
                 *self.files.get_mut(&target).expect("target exists") += 1;
-                *self.dirs.entry(parent).or_insert(0) += 1;
+                *self.dirs.get_mut(&parent).expect("dir exists") += 1;
             }
             FsOp::Unlink {
                 parent,
@@ -114,11 +97,10 @@ mod tests {
 
     #[test]
     fn lifecycle() {
-        let mut m = NamespaceModel::new();
+        let mut m = NamespaceModel::default();
         let root = InodeNo(1);
         m.add_dir(root);
-        let ino = m.fresh_ino();
-        let name = m.fresh_name();
+        let (ino, name) = (InodeNo(1001), Name(2));
         m.apply(&FsOp::Create {
             parent: root,
             name,
@@ -138,12 +120,10 @@ mod tests {
 
     #[test]
     fn link_counts() {
-        let mut m = NamespaceModel::new();
+        let mut m = NamespaceModel::default();
         let root = InodeNo(1);
         m.add_dir(root);
-        let ino = m.fresh_ino();
-        let n1 = m.fresh_name();
-        let n2 = m.fresh_name();
+        let (ino, n1, n2) = (InodeNo(1001), Name(2), Name(3));
         m.apply(&FsOp::Create {
             parent: root,
             name: n1,
@@ -171,7 +151,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn invalid_remove_panics() {
-        let mut m = NamespaceModel::new();
+        let mut m = NamespaceModel::default();
         m.apply(&FsOp::Remove {
             parent: InodeNo(1),
             name: Name(1),

@@ -3,7 +3,7 @@
 //! Full-scale traces reach 11M operations; materializing them as a
 //! `Vec<TraceOp>` costs hundreds of megabytes per replay *before* the
 //! simulator makes its own per-process copy. [`OpStream`] inverts the
-//! flow: the generator state (rng, namespace model, per-process file
+//! flow: the generator state (rng, fresh-identity counters, per-process
 //! lists) lives inside the stream and each operation is synthesized the
 //! moment a client asks for it, so a replay holds only in-flight ops.
 //! [`StreamTrace`] is the only workload representation: every runtime

@@ -3,7 +3,6 @@
 //! per pull. Conflict injection stacks on top of it
 //! ([`StreamTrace::inject_conflicting_lookups`]).
 
-use crate::model::NamespaceModel;
 use crate::profile::TraceProfile;
 use crate::stream::{OpStream, StreamTrace};
 use cx_sim::det_rng;
@@ -86,48 +85,39 @@ impl TraceBuilder {
     }
 
     /// Run the (cheap) namespace-seeding prelude eagerly so the header is
-    /// available, then hand the generator state — rng, namespace model,
-    /// per-process file lists — to a [`TraceStream`] that synthesizes one
-    /// op per pull. Two streams from one builder yield the same sequence.
+    /// available, then hand the generator state — rng, fresh-identity
+    /// counters, per-process lists — to a [`TraceStream`] that synthesizes
+    /// one op per pull. Two streams from one builder yield the same sequence.
     pub fn stream(self) -> StreamTrace {
         let profile = self.profile;
         let total = ((profile.total_ops as f64 * self.scale).round() as u64).max(1);
         let procs = profile.processes;
         let rng = det_rng(self.seed, 0x7ace_0000);
-        let mut model = NamespaceModel::new();
-        let mut seeds = Vec::new();
+        let mut fresh = Fresh { ino: 1000, name: 1 };
+        let mut seeds = vec![
+            SeedEntry::Dir { ino: ROOT },
+            SeedEntry::Dir { ino: SHARED_DIR },
+        ];
         let mut roots = vec![ROOT, SHARED_DIR];
-
-        model.add_dir(ROOT);
-        model.add_dir(SHARED_DIR);
-        seeds.push(SeedEntry::Dir { ino: ROOT });
-        seeds.push(SeedEntry::Dir { ino: SHARED_DIR });
 
         // Per-process private directories plus a few pre-existing files so
         // early removes and stats have targets.
         let states: Vec<ProcState> = (0..procs)
-            .map(|p| {
-                let dir = model.fresh_ino();
-                model.add_dir(dir);
+            .map(|_| {
+                let dir = fresh.ino();
                 seeds.push(SeedEntry::Dir { ino: dir });
                 roots.push(dir);
-                let mut files = Vec::new();
-                for _ in 0..12 {
-                    let name = model.fresh_name();
-                    let ino = model.fresh_ino();
-                    seeds.push(SeedEntry::File {
-                        parent: dir,
-                        name,
-                        ino,
-                    });
-                    model.apply(&FsOp::Create {
-                        parent: dir,
-                        name,
-                        ino,
-                    });
-                    files.push((dir, name, ino));
-                }
-                let _ = p;
+                let files = (0..12)
+                    .map(|_| {
+                        let (name, ino) = (fresh.name(), fresh.ino());
+                        seeds.push(SeedEntry::File {
+                            parent: dir,
+                            name,
+                            ino,
+                        });
+                        (dir, name, ino)
+                    })
+                    .collect();
                 ProcState {
                     dir,
                     files,
@@ -155,7 +145,7 @@ impl TraceBuilder {
                 remaining: total,
                 procs,
                 rng,
-                model,
+                fresh,
                 states,
                 recent_shared: VecDeque::new(),
                 classes,
@@ -165,14 +155,35 @@ impl TraceBuilder {
     }
 }
 
+/// The generator's identity counters. Every created inode and name is
+/// new, and each op is built from a process's own lists, so the stream
+/// is valid without a model of the namespace; `NamespaceModel` checks
+/// that in the tests.
+struct Fresh {
+    ino: u64,
+    name: u64,
+}
+
+impl Fresh {
+    fn ino(&mut self) -> InodeNo {
+        self.ino += 1;
+        InodeNo(self.ino)
+    }
+
+    fn name(&mut self) -> Name {
+        self.name += 1;
+        Name(self.name)
+    }
+}
+
 /// The lazy generator behind [`TraceBuilder::stream`]: one synthesized
-/// op per pull, with all namespace/validity state held internally.
+/// op per pull, decided by the rng and the per-process lists alone.
 pub struct TraceStream {
     profile: TraceProfile,
     remaining: u64,
     procs: u32,
     rng: SmallRng,
-    model: NamespaceModel,
+    fresh: Fresh,
     states: Vec<ProcState>,
     /// Recently created shared files: conflict targets.
     recent_shared: VecDeque<(u32, InodeNo, Name, InodeNo)>,
@@ -188,15 +199,7 @@ impl OpStream for TraceStream {
         self.remaining -= 1;
         let p = self.rng.gen_range(0..self.procs);
         let class = pick_class(&self.classes, self.weight_sum, &mut self.rng);
-        let op = synthesize(
-            &self.profile,
-            class,
-            p,
-            &mut self.states,
-            &mut self.model,
-            &mut self.recent_shared,
-            &mut self.rng,
-        );
+        let op = self.synthesize(class, p);
         Some(TraceOp {
             proc: ProcId::new(p, 0),
             op,
@@ -215,154 +218,116 @@ fn pick_class(classes: &[(OpClass, f64)], sum: f64, rng: &mut SmallRng) -> OpCla
     OpClass::Stat
 }
 
-#[allow(clippy::too_many_arguments)]
-fn synthesize(
-    profile: &TraceProfile,
-    class: OpClass,
-    p: u32,
-    states: &mut [ProcState],
-    model: &mut NamespaceModel,
-    recent_shared: &mut VecDeque<(u32, InodeNo, Name, InodeNo)>,
-    rng: &mut SmallRng,
-) -> FsOp {
-    let create = |states: &mut [ProcState],
-                  model: &mut NamespaceModel,
-                  recent_shared: &mut VecDeque<(u32, InodeNo, Name, InodeNo)>,
-                  rng: &mut SmallRng| {
-        let shared = rng.gen::<f64>() < profile.shared_create_frac;
-        let parent = if shared {
-            SHARED_DIR
-        } else {
-            states[p as usize].dir
-        };
-        let name = model.fresh_name();
-        let ino = model.fresh_ino();
-        let op = FsOp::Create { parent, name, ino };
-        model.apply(&op);
-        states[p as usize].files.push((parent, name, ino));
-        if shared {
-            recent_shared.push_back((p, parent, name, ino));
-            if recent_shared.len() > 512 {
-                recent_shared.pop_front();
+impl TraceStream {
+    fn synthesize(&mut self, class: OpClass, p: u32) -> FsOp {
+        let prob = self.profile.shared_access_prob;
+        let st = &mut self.states[p as usize];
+        match class {
+            OpClass::Create => self.create(p),
+            OpClass::Remove | OpClass::Unlink => {
+                // unlink an extra link if one exists, else remove a file
+                if class == OpClass::Unlink {
+                    if let Some((parent, name, target)) = st.links.pop() {
+                        return FsOp::Unlink {
+                            parent,
+                            name,
+                            target,
+                        };
+                    }
+                }
+                if st.files.len() > 1 {
+                    let idx = self.rng.gen_range(0..st.files.len());
+                    let (parent, name, ino) = st.files.swap_remove(idx);
+                    FsOp::Remove { parent, name, ino }
+                } else {
+                    self.create(p)
+                }
             }
-        }
-        op
-    };
-
-    match class {
-        OpClass::Create => create(states, model, recent_shared, rng),
-        OpClass::Remove | OpClass::Unlink => {
-            // unlink an extra link if one exists, else remove a file
-            if class == OpClass::Unlink {
-                if let Some((parent, name, target)) = states[p as usize].links.pop() {
-                    let op = FsOp::Unlink {
+            OpClass::Mkdir => self.mkdir(p),
+            OpClass::Rmdir => match st.empty_dirs.pop() {
+                Some((parent, name, ino)) => FsOp::Rmdir { parent, name, ino },
+                None => self.mkdir(p),
+            },
+            OpClass::Link => match st.files.last() {
+                Some(&(_, _, target)) => {
+                    let (parent, name) = (st.dir, self.fresh.name());
+                    st.links.push((parent, name, target));
+                    FsOp::Link {
                         parent,
                         name,
                         target,
-                    };
-                    model.apply(&op);
-                    return op;
+                    }
                 }
-            }
-            if states[p as usize].files.len() > 1 {
-                let idx = rng.gen_range(0..states[p as usize].files.len());
-                let (parent, name, ino) = states[p as usize].files.swap_remove(idx);
-                let op = FsOp::Remove { parent, name, ino };
-                model.apply(&op);
-                op
-            } else {
-                create(states, model, recent_shared, rng)
-            }
-        }
-        OpClass::Mkdir => {
-            let parent = states[p as usize].dir;
-            let name = model.fresh_name();
-            let ino = model.fresh_ino();
-            let op = FsOp::Mkdir { parent, name, ino };
-            model.apply(&op);
-            states[p as usize].empty_dirs.push((parent, name, ino));
-            op
-        }
-        OpClass::Rmdir => {
-            if let Some((parent, name, ino)) = states[p as usize].empty_dirs.pop() {
-                let op = FsOp::Rmdir { parent, name, ino };
-                model.apply(&op);
-                op
-            } else {
-                let parent = states[p as usize].dir;
-                let name = model.fresh_name();
-                let ino = model.fresh_ino();
-                let op = FsOp::Mkdir { parent, name, ino };
-                model.apply(&op);
-                states[p as usize].empty_dirs.push((parent, name, ino));
-                op
-            }
-        }
-        OpClass::Link => {
-            if let Some(&(_, _, target)) = states[p as usize].files.last() {
-                let parent = states[p as usize].dir;
-                let name = model.fresh_name();
-                let op = FsOp::Link {
-                    parent,
-                    name,
-                    target,
+                None => self.create(p),
+            },
+            // Reads: mostly own files (the exclusive-dominated pattern of
+            // §II-C); with `shared_access_prob`, a *recently created* shared
+            // file of another process — the conflict-generating accesses.
+            OpClass::Stat | OpClass::Getattr | OpClass::Access | OpClass::Setattr => {
+                let ino = match pick_shared(&self.recent_shared, p, prob, &mut self.rng) {
+                    Some((_, _, _, ino)) => ino,
+                    None => own_file(st, &mut self.rng),
                 };
-                model.apply(&op);
-                states[p as usize].links.push((parent, name, target));
-                op
-            } else {
-                create(states, model, recent_shared, rng)
-            }
-        }
-        // Reads: mostly own files (the exclusive-dominated pattern of
-        // §II-C); with `shared_access_prob`, a *recently created* shared
-        // file of another process — the conflict-generating accesses.
-        OpClass::Stat | OpClass::Getattr | OpClass::Access | OpClass::Setattr => {
-            if rng.gen::<f64>() < profile.shared_access_prob {
-                if let Some(&(owner, _, _, ino)) = pick_recent(recent_shared, p, rng) {
-                    debug_assert_ne!(owner, p);
-                    return match class {
-                        OpClass::Setattr => FsOp::Setattr { ino },
-                        OpClass::Getattr => FsOp::Getattr { ino },
-                        OpClass::Access => FsOp::Access { ino },
-                        _ => FsOp::Stat { ino },
-                    };
+                match class {
+                    OpClass::Setattr => FsOp::Setattr { ino },
+                    OpClass::Getattr => FsOp::Getattr { ino },
+                    OpClass::Access => FsOp::Access { ino },
+                    _ => FsOp::Stat { ino },
                 }
             }
-            let ino = own_file(&states[p as usize], rng);
-            match class {
-                OpClass::Setattr => FsOp::Setattr { ino },
-                OpClass::Getattr => FsOp::Getattr { ino },
-                OpClass::Access => FsOp::Access { ino },
-                _ => FsOp::Stat { ino },
-            }
-        }
-        OpClass::Lookup => {
-            if rng.gen::<f64>() < profile.shared_access_prob {
-                if let Some(&(_, parent, name, _)) = pick_recent(recent_shared, p, rng) {
+            OpClass::Lookup => {
+                if let Some((_, parent, name, _)) =
+                    pick_shared(&self.recent_shared, p, prob, &mut self.rng)
+                {
                     return FsOp::Lookup { parent, name };
                 }
+                match self.rng.choose(&st.files) {
+                    Some(&(parent, name, _)) => FsOp::Lookup { parent, name },
+                    None => FsOp::Readdir { dir: st.dir },
+                }
             }
-            match rng.choose(&states[p as usize].files) {
-                Some(&(parent, name, _)) => FsOp::Lookup { parent, name },
-                None => FsOp::Readdir {
-                    dir: states[p as usize].dir,
-                },
+            OpClass::Readdir => FsOp::Readdir { dir: st.dir },
+        }
+    }
+
+    /// A new file in `p`'s own directory or, with `shared_create_frac`,
+    /// in the shared one, where it becomes a conflict target.
+    fn create(&mut self, p: u32) -> FsOp {
+        let shared = self.rng.gen::<f64>() < self.profile.shared_create_frac;
+        let st = &mut self.states[p as usize];
+        let parent = if shared { SHARED_DIR } else { st.dir };
+        let (name, ino) = (self.fresh.name(), self.fresh.ino());
+        st.files.push((parent, name, ino));
+        if shared {
+            self.recent_shared.push_back((p, parent, name, ino));
+            if self.recent_shared.len() > 512 {
+                self.recent_shared.pop_front();
             }
         }
-        OpClass::Readdir => FsOp::Readdir {
-            dir: states[p as usize].dir,
-        },
+        FsOp::Create { parent, name, ino }
+    }
+
+    /// A new, empty subdirectory of `p`'s directory.
+    fn mkdir(&mut self, p: u32) -> FsOp {
+        let st = &mut self.states[p as usize];
+        let (parent, name, ino) = (st.dir, self.fresh.name(), self.fresh.ino());
+        st.empty_dirs.push((parent, name, ino));
+        FsOp::Mkdir { parent, name, ino }
     }
 }
 
-/// A recent shared file created by someone other than `p` (prefer the most
-/// recent, which is the most likely to still be uncommitted).
-fn pick_recent<'a>(
-    recent: &'a VecDeque<(u32, InodeNo, Name, InodeNo)>,
+/// With probability `prob`, a recent shared file created by someone other
+/// than `p` (prefer the most recent, which is the most likely to still be
+/// uncommitted).
+fn pick_shared(
+    recent: &VecDeque<(u32, InodeNo, Name, InodeNo)>,
     p: u32,
+    prob: f64,
     rng: &mut SmallRng,
-) -> Option<&'a (u32, InodeNo, Name, InodeNo)> {
+) -> Option<(u32, InodeNo, Name, InodeNo)> {
+    if rng.gen::<f64>() >= prob {
+        return None;
+    }
     let window = 16.min(recent.len());
     if window == 0 {
         return None;
@@ -370,7 +335,10 @@ fn pick_recent<'a>(
     let start = recent.len() - window;
     (0..8).find_map(|_| {
         let idx = start + rng.gen_range(0..window);
-        recent.get(idx).filter(|(owner, _, _, _)| *owner != p)
+        recent
+            .get(idx)
+            .copied()
+            .filter(|(owner, _, _, _)| *owner != p)
     })
 }
 
@@ -439,25 +407,6 @@ mod tests {
             "create share {create_share} vs mix {expect}"
         );
         assert!(share(OpClass::Lookup) > 0.05);
-    }
-
-    #[test]
-    fn per_process_mutations_are_valid_in_order() {
-        // Replaying each op against a model in global order must never
-        // hit an invalid mutation (the generator's core guarantee).
-        let mut t = small_trace("deasna2");
-        let mut m = NamespaceModel::new();
-        for s in &t.seeds {
-            match *s {
-                SeedEntry::Dir { ino } => m.add_dir(ino),
-                SeedEntry::File { parent, name, ino } => {
-                    m.apply(&FsOp::Create { parent, name, ino })
-                }
-            }
-        }
-        for top in pull(&mut t) {
-            m.apply(&top.op); // panics if invalid
-        }
     }
 
     #[test]
