@@ -115,8 +115,10 @@ if [ "${1:-}" != "quick" ]; then
     # clock, shards ship back in StopResp, and the coordinator stitches
     # them with probe-measured offsets (≥99% span completeness asserted
     # in-binary). The stitched report must pass cx-obs check, the net
-    # table must render, and cx-obs top must merge the coordinator's
-    # snapshot with the per-server ones.
+    # table must render, and cx-obs top must render the coordinator's
+    # snapshot alone: every server's series reach it once, in StopResp
+    # (each wire series' count is asserted against the merged telemetry
+    # in-binary).
     step "net multi-process smoke (cx_net_server x4 + live metrics + stitched trace)"
     cargo run -q --release -p cx-bench --bin perf_baseline -- \
         --multiproc --scale 0.0005 --metrics-out target/cx_net_metrics \
@@ -124,8 +126,7 @@ if [ "${1:-}" != "quick" ]; then
     grep -q '^cx_ops_issued_total ' target/cx_net_metrics.prom
     cargo run -q --release -p cx-obs -- check target/cx_net_obs.report.json
     cargo run -q --release -p cx-obs -- net target/cx_net_obs.net.json > /dev/null
-    cargo run -q --release -p cx-obs -- top target/cx_net_metrics.json \
-        target/cx_net_metrics_srv*.json > /dev/null
+    cargo run -q --release -p cx-obs -- top target/cx_net_metrics.json > /dev/null
 
     # Live-exposition smoke: a threaded home2 run must leave fresh .prom /
     # .json snapshots behind (the cx-obs top input), and the registry's

@@ -34,7 +34,6 @@ fn main() {
             record_flush_spans: nsc.obs,
             ..cx_net::PlaneConfig::default()
         },
-        metrics_out: nsc.metrics_out.clone().map(Into::into),
     };
     let served = cx_cluster::serve_one_opts(&nsc.cfg, ServerId(nsc.me), &nsc.seeds, opts, |addr| {
         // The coordinator blocks on this line; stdout is block-buffered

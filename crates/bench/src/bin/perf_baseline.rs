@@ -16,13 +16,15 @@
 //! `--multiproc` runs a home2 prefix with one OS process per server (the
 //! `cx_net_server` binary) and the coordinator connecting out over real
 //! TCP. With `--metrics-out <prefix>` the live registry publishes `.prom` /
-//! `.json` during the run and each server process writes
-//! `<prefix>_srv<N>.json` at exit — merge the lot with `cx-obs top
-//! <prefix>.json <prefix>_srv*.json`. With `--obs-out <prefix>` every
-//! process stamps op phases on its own wall clock, the coordinator stitches
-//! the shards with probe-measured clock offsets, and `<prefix>.report.json`
-//! / `.trace.json` / `.net.json` (`cx-obs net`) land next to it; ≥99% of
-//! ops must come back with a server-side Executed stamp.
+//! `.json` during the run. That is the one snapshot of every process: each
+//! server's stats, protocol series and wire histograms reach the
+//! coordinator's registry once, in its `StopResp` (asserted per wire
+//! series); read it with `cx-obs top <prefix>.json`. With `--obs-out
+//! <prefix>` every process stamps op phases on its own wall clock, the
+//! coordinator stitches the shards with probe-measured clock offsets, and
+//! `<prefix>.report.json` / `.trace.json` / `.net.json` (`cx-obs net`)
+//! land next to it; ≥99% of ops must come back with a server-side
+//! Executed stamp.
 
 use cx_core::{
     BatchTrigger, ClusterConfig, Experiment, LiveMetrics, MetricRegistry, ObsSink, Phase, Protocol,
@@ -38,7 +40,7 @@ usage: perf_baseline --obs       [--scale f|--full] [--servers n] [--obs-out pre
        perf_baseline --live      [--scale f|--full] [--servers n] [--metrics-out prefix]
        perf_baseline --multiproc [--scale f|--full] [--servers n] [--metrics-out prefix] [--obs-out prefix]
 to time or size a run: cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload des-home2|des-update|tcp-home2 [--trace 1]
-to check behaviour: cargo test (golden digest: tests/determinism_and_recovery.rs; loopback TCP, reconnect drill: crates/cluster/tests/tcp_equivalence.rs)";
+to check behaviour: cargo test (golden digest: tests/determinism_and_recovery.rs; loopback TCP, reconnect drill: tests/tcp_equivalence.rs)";
 
 /// The flags of the timed basket, its gates and the two smoke modes this
 /// binary used to have. Still recognised, so that an old command line fails
@@ -195,7 +197,6 @@ fn spawn_servers(
     cfg: &ClusterConfig,
     seeds: &[SeedEntry],
     obs: bool,
-    metrics: Option<&str>,
 ) -> (Servers, Vec<std::net::SocketAddr>) {
     let bin = std::env::current_exe()
         .ok()
@@ -210,7 +211,6 @@ fn spawn_servers(
             me: s,
             seeds: seeds.to_vec(),
             obs,
-            metrics_out: metrics.map(|p| format!("{p}_srv{s}")),
         };
         let config = serde_json::to_string(&config).expect("config serializes");
         write(&path, config);
@@ -268,8 +268,7 @@ fn multiproc_run(args: &cx_bench::Args) {
     }
 
     let t0 = Instant::now();
-    let metrics = live_out.as_ref().map(|(p, _)| p.as_str());
-    let (mut servers, addrs) = spawn_servers(&cfg, &trace.seeds, obs_prefix.is_some(), metrics);
+    let (mut servers, addrs) = spawn_servers(&cfg, &trace.seeds, obs_prefix.is_some());
     let r = TcpCluster::run_external(cfg.clone(), trace, &addrs, opts);
     // The run has spent its own drain budget (a missing `StopResp` is a
     // `leftovers` line after 30 s); a server that answered is already on
@@ -304,9 +303,20 @@ fn multiproc_run(args: &cx_bench::Args) {
             Some(r.stats.ops_total),
             "--multiproc: registry ops_issued must match RunStats"
         );
+        // One route: the registry took the host's and every server's wire
+        // histograms once, merged, so each series counts what `telem` does.
+        for (series, hist) in r.telem.series() {
+            let row = snap.series.iter().find(|row| row.name == series.name());
+            assert_eq!(
+                row.map(|row| row.summary.count),
+                Some(hist.count),
+                "--multiproc: {} counts each flush once",
+                series.name()
+            );
+        }
         println!(
             "[live metrics: {prefix}.prom (Prometheus text) | {prefix}.json \
-             (merge all processes with: cx-obs top {prefix}.json {prefix}_srv*.json)]"
+             (every process, read with: cx-obs top {prefix}.json)]"
         );
     }
     if let Some(prefix) = obs_prefix {

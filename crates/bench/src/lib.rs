@@ -39,7 +39,10 @@ use std::sync::Mutex;
 /// process needs to join a multi-process TCP cluster. The coordinator
 /// (`perf_baseline --multiproc`) writes one of these per
 /// server, spawns the binary with `--config <path>`, and reads the
-/// `LISTEN <addr>` line the server prints once bound.
+/// `LISTEN <addr>` line the server prints once bound. The server writes no
+/// file of its own: its stats, protocol series and wire telemetry travel
+/// back in its `StopResp`, and reach the coordinator's registry (and its
+/// `--metrics-out` snapshot) from there, once.
 #[derive(Debug, Clone, Serialize, serde::Deserialize)]
 pub struct NetServerConfig {
     pub cfg: cx_types::ClusterConfig,
@@ -51,9 +54,6 @@ pub struct NetServerConfig {
     /// phases on the local wall clock, record wire flush spans, and ship
     /// everything back in the `StopResp` for offset-corrected stitching.
     pub obs: bool,
-    /// Write this process's metric snapshot (`<path>.json` / `<path>.prom`)
-    /// once at exit, for `cx-obs top` merging across processes.
-    pub metrics_out: Option<String>,
 }
 
 /// Worker count for [`par_map`]: `CX_BENCH_THREADS` if set (CI uses this to

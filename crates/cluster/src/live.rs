@@ -4,8 +4,8 @@
 //! operations while the run executes.
 
 use crate::transport::Transport;
-use cx_net::{WireTelemetry, WireTotals};
-use cx_obs::registry::{Gauge, MetricRegistry, Series};
+use cx_net::WireTotals;
+use cx_obs::registry::{Gauge, MetricRegistry};
 use cx_obs::ObsSink;
 use cx_types::OpId;
 use std::collections::HashMap;
@@ -40,14 +40,6 @@ impl LiveMetrics {
         let _ = std::fs::write(out.with_extension("prom"), snap.to_prometheus_text());
         let _ = std::fs::write(out.with_extension("json"), snap.to_json());
     }
-}
-
-/// Fold one node's wire histograms into a registry's wire series.
-pub(crate) fn observe_wire_series(reg: &MetricRegistry, t: &WireTelemetry) {
-    reg.observe_hist(Series::WireQueueDepth, &t.queue_depth);
-    reg.observe_hist(Series::WireFlushFrames, &t.flush_frames);
-    reg.observe_hist(Series::WireFlushLatencyNs, &t.flush_latency_ns);
-    reg.observe_hist(Series::WireStallNs, &t.stall_ns);
 }
 
 /// Frames/bytes/flushes summed over every socket plane among `nets`

@@ -278,11 +278,6 @@ impl RunStats {
         self.latency_hist.summary()
     }
 
-    /// Quantile digest of cross-server mutation latencies only.
-    pub fn cross_latency_summary(&self) -> cx_obs::HistSummary {
-        self.cross_latency_hist.summary()
-    }
-
     /// Measured conflict ratio over *all* operations (Table II's metric:
     /// "the ratio of the concurrent operations with conflicts ... is less
     /// than 4%" — the paper's denominator is every replayed operation).

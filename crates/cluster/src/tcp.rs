@@ -16,12 +16,11 @@
 //!   only their socket addresses and gossips the peer map with a
 //!   [`Frame::Peers`] frame so servers can dial each other.
 
-use crate::live::{observe_wire_series, LiveMetrics};
+use crate::live::LiveMetrics;
 use crate::stats::RunStats;
 use crate::wall::{run_wired, NodeIo, ServerNode, Wired};
 use cx_mdstore::Violation;
 use cx_net::{AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig, WireTelemetry, WireTotals};
-use cx_obs::registry::MetricRegistry;
 use cx_obs::{NetTable, ObsSink};
 use cx_types::{ClusterConfig, ServerId};
 use cx_workloads::{SeedEntry, StreamTrace};
@@ -203,7 +202,9 @@ pub fn serve_one(
     serve_one_opts(cfg, me, seeds, ServeOptions::default(), on_listen)
 }
 
-/// Options for a hosted server-node process ([`serve_one_opts`]).
+/// Options for a hosted server-node process ([`serve_one_opts`]). None is
+/// about metrics: the node's stats, protocol series and wire telemetry
+/// ride its `StopResp` to the coordinator, whose registry publishes them.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Record a wall-clock span shard (phases stamped on this process's
@@ -213,10 +214,6 @@ pub struct ServeOptions {
     pub obs: bool,
     /// Wire-plane tuning, including `record_flush_spans`.
     pub net: PlaneConfig,
-    /// Write this process's metric snapshot (`<path>.json` / `<path>.prom`)
-    /// once at exit; `cx-obs top a.json b.json …` merges it with the
-    /// coordinator's.
-    pub metrics_out: Option<std::path::PathBuf>,
 }
 
 /// [`serve_one`] with explicit wire/observability options — the
@@ -247,11 +244,6 @@ pub fn serve_one_opts(
     // The loop drops the node as it exits, once `Stop` drained.
     let _ = exited.recv();
     conn.shutdown();
-    if let Some(out) = &opts.metrics_out {
-        let reg = MetricRegistry::new();
-        observe_wire_series(&reg, &conn.telemetry());
-        LiveMetrics::write_files(&reg, out);
-    }
     Ok(())
 }
 
@@ -433,7 +425,6 @@ mod tests {
                         record_flush_spans: true,
                         ..PlaneConfig::default()
                     },
-                    metrics_out: None,
                 };
                 serve_one_opts(&cfg, ServerId(i), &seeds, sopts, |a| {
                     addr_tx.send((i, a)).unwrap();

@@ -29,7 +29,7 @@
 
 use crate::fault::SharedInjector;
 use crate::feed::{ClientTable, OpFeed};
-use crate::live::{observe_wire_series, set_wire_rates, sum_wire, LiveMetrics, Monitor};
+use crate::live::{set_wire_rates, sum_wire, LiveMetrics, Monitor};
 use crate::seed::seed_engine;
 use crate::stats::RunStats;
 use crate::tcp::{TcpOptions, TcpRunResult};
@@ -649,7 +649,9 @@ pub(crate) fn run_wired(
             // monitor delta could reconstruct. The rate gauges become
             // whole-run averages (the monitor's last per-period sample
             // would be stale).
-            observe_wire_series(&l.registry, &telem);
+            for (series, hist) in telem.series() {
+                l.registry.observe_hist(series, hist);
+            }
             let wall = epoch.elapsed().as_secs_f64();
             set_wire_rates(&l.registry, wire, WireTotals::default(), wall);
         }

@@ -37,6 +37,7 @@ use crate::health::{PeerHealth, WireTotals};
 use crate::wire::{encode_frame, write_frame, Frame, FrameBuffer};
 use crate::{plock, NodeId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use cx_obs::registry::Series;
 use cx_obs::{correct_ns, FlushSpan, LogHistogram, NetPeerRow};
 use cx_types::VecPool;
 use serde::{Deserialize, Serialize};
@@ -229,6 +230,16 @@ impl WireTelemetry {
             f.start_ns = correct_ns(f.start_ns, offset_ns);
             f
         }));
+    }
+
+    /// The four histograms, each with the registry series it publishes as.
+    pub fn series(&self) -> [(Series, &LogHistogram); 4] {
+        [
+            (Series::WireQueueDepth, &self.queue_depth),
+            (Series::WireFlushFrames, &self.flush_frames),
+            (Series::WireFlushLatencyNs, &self.flush_latency_ns),
+            (Series::WireStallNs, &self.stall_ns),
+        ]
     }
 }
 

@@ -381,6 +381,34 @@ pub struct Exemplar {
 /// How many tail exemplars a table keeps.
 pub const EXEMPLARS: usize = 5;
 
+/// What the one fold adds to a row's histogram: one op's duration
+/// ([`BlameTable::absorb_op`]) or another table's histogram
+/// ([`BlameTable::merge`]).
+trait Sample {
+    fn add_to(&self, h: &mut LogHistogram);
+}
+
+impl Sample for u64 {
+    fn add_to(&self, h: &mut LogHistogram) {
+        h.record(*self);
+    }
+}
+
+impl Sample for LogHistogram {
+    fn add_to(&self, h: &mut LogHistogram) {
+        h.merge(self);
+    }
+}
+
+/// The row of `rows` that `same` picks out, pushed from `new` when absent.
+fn entry<R>(rows: &mut Vec<R>, same: impl Fn(&R) -> bool, new: impl FnOnce() -> R) -> &mut R {
+    let i = rows.iter().position(same).unwrap_or_else(|| {
+        rows.push(new());
+        rows.len() - 1
+    });
+    &mut rows[i]
+}
+
 /// The aggregated blame table of one run (or one merged set of runs).
 /// Every histogram merges element-wise, so tables compose across
 /// partitions and processes exactly like the underlying histograms.
@@ -465,88 +493,24 @@ impl BlameTable {
         t
     }
 
-    /// Fold one op's decomposition into the histograms.
+    /// Fold one op's decomposition in.
     fn absorb_op(&mut self, b: &OpBlame) {
         self.ops += 1;
-        if b.fallback {
-            self.fallback_ops += 1;
-        }
+        self.fallback_ops += u64::from(b.fallback);
         self.client_total.record(b.client_ns);
         if b.commit_ns > 0 {
             self.commit_total.record(b.commit_ns);
         }
-        for seg in Seg::ALL {
-            let v = b.segs[seg.index()];
-            if v > 0 {
-                self.segs[seg.index()].hist.record(v);
-            }
+        let segs = Seg::ALL
+            .iter()
+            .map(|&seg| (seg, &b.segs[seg.index()]))
+            .filter(|(_, &ns)| ns > 0);
+        for (seg, ns) in segs.clone() {
+            ns.add_to(&mut self.segs[seg.index()].hist);
         }
-        let class_row = match self.per_class.iter_mut().find(|c| c.class == b.class) {
-            Some(c) => c,
-            None => {
-                self.per_class.push(ClassBlame {
-                    class: b.class.clone(),
-                    client_total: LogHistogram::new(),
-                    segs: Vec::new(),
-                });
-                self.per_class.last_mut().expect("just pushed")
-            }
-        };
-        class_row.client_total.record(b.client_ns);
-        for seg in Seg::ALL {
-            let v = b.segs[seg.index()];
-            if v == 0 {
-                continue;
-            }
-            match class_row.segs.iter_mut().find(|r| r.seg == seg) {
-                Some(r) => r.hist.record(v),
-                None => {
-                    let mut hist = LogHistogram::new();
-                    hist.record(v);
-                    class_row.segs.push(SegRow { seg, hist });
-                }
-            }
-        }
-        for &(site, seg, ns) in &b.sites {
-            match site {
-                Site::Hop { from, to } => self.record_hop(from, to, seg, ns),
-                Site::Node(node) => self.record_node(node, seg, ns),
-            }
-        }
-    }
-
-    fn record_hop(&mut self, from: FlowNode, to: FlowNode, seg: Seg, ns: u64) {
-        match self
-            .hops
-            .iter_mut()
-            .find(|h| h.from == from && h.to == to && h.seg == seg)
-        {
-            Some(h) => h.hist.record(ns),
-            None => {
-                let mut hist = LogHistogram::new();
-                hist.record(ns);
-                self.hops.push(HopRow {
-                    from,
-                    to,
-                    seg,
-                    hist,
-                });
-            }
-        }
-    }
-
-    fn record_node(&mut self, node: FlowNode, seg: Seg, ns: u64) {
-        match self
-            .nodes
-            .iter_mut()
-            .find(|n| n.node == node && n.seg == seg)
-        {
-            Some(n) => n.hist.record(ns),
-            None => {
-                let mut hist = LogHistogram::new();
-                hist.record(ns);
-                self.nodes.push(NodeRow { node, seg, hist });
-            }
+        self.fold_class(&b.class, &b.client_ns, segs);
+        for (site, seg, ns) in &b.sites {
+            self.fold_site(*site, *seg, ns);
         }
     }
 
@@ -563,42 +527,19 @@ impl BlameTable {
         self.fallback_ops += other.fallback_ops;
         self.client_total.merge(&other.client_total);
         self.commit_total.merge(&other.commit_total);
-        for (mine, theirs) in self.segs.iter_mut().zip(&other.segs) {
-            mine.hist.merge(&theirs.hist);
+        for r in &other.segs {
+            r.hist.add_to(&mut self.segs[r.seg.index()].hist);
         }
         for c in &other.per_class {
-            match self.per_class.iter_mut().find(|m| m.class == c.class) {
-                Some(m) => {
-                    m.client_total.merge(&c.client_total);
-                    for r in &c.segs {
-                        match m.segs.iter_mut().find(|x| x.seg == r.seg) {
-                            Some(x) => x.hist.merge(&r.hist),
-                            None => m.segs.push(r.clone()),
-                        }
-                    }
-                }
-                None => self.per_class.push(c.clone()),
-            }
+            let segs = c.segs.iter().map(|r| (r.seg, &r.hist));
+            self.fold_class(&c.class, &c.client_total, segs);
         }
         for h in &other.hops {
-            match self
-                .hops
-                .iter_mut()
-                .find(|m| m.from == h.from && m.to == h.to && m.seg == h.seg)
-            {
-                Some(m) => m.hist.merge(&h.hist),
-                None => self.hops.push(h.clone()),
-            }
+            let (from, to) = (h.from, h.to);
+            self.fold_site(Site::Hop { from, to }, h.seg, &h.hist);
         }
         for n in &other.nodes {
-            match self
-                .nodes
-                .iter_mut()
-                .find(|m| m.node == n.node && m.seg == n.seg)
-            {
-                Some(m) => m.hist.merge(&n.hist),
-                None => self.nodes.push(n.clone()),
-            }
+            self.fold_site(Site::Node(n.node), n.seg, &n.hist);
         }
         self.exemplars.extend(other.exemplars.iter().cloned());
         self.exemplars
@@ -606,8 +547,60 @@ impl BlameTable {
         self.exemplars.truncate(EXEMPLARS);
     }
 
-    /// The client-visible segments ranked by total attributed time,
-    /// non-empty only.
+    /// Add one class's client window and segments to its per-class row.
+    fn fold_class<'a, S: Sample + 'a>(
+        &mut self,
+        class: &str,
+        client: &S,
+        segs: impl Iterator<Item = (Seg, &'a S)>,
+    ) {
+        let row = entry(
+            &mut self.per_class,
+            |c| c.class == class,
+            || ClassBlame {
+                class: class.to_string(),
+                client_total: LogHistogram::new(),
+                segs: Vec::new(),
+            },
+        );
+        client.add_to(&mut row.client_total);
+        for (seg, s) in segs {
+            let new = || SegRow {
+                seg,
+                hist: LogHistogram::new(),
+            };
+            s.add_to(&mut entry(&mut row.segs, |r| r.seg == seg, new).hist);
+        }
+    }
+
+    /// Add a critical-path row's time to its hop or node row.
+    fn fold_site<S: Sample>(&mut self, site: Site, seg: Seg, s: &S) {
+        let hist = match site {
+            Site::Hop { from, to } => {
+                let same = |h: &HopRow| (h.from, h.to, h.seg) == (from, to, seg);
+                let new = || HopRow {
+                    from,
+                    to,
+                    seg,
+                    hist: LogHistogram::new(),
+                };
+                &mut entry(&mut self.hops, same, new).hist
+            }
+            Site::Node(node) => {
+                let same = |n: &NodeRow| (n.node, n.seg) == (node, seg);
+                let new = || NodeRow {
+                    node,
+                    seg,
+                    hist: LogHistogram::new(),
+                };
+                &mut entry(&mut self.nodes, same, new).hist
+            }
+        };
+        s.add_to(hist);
+    }
+
+    /// Every non-empty segment, client-visible and off-path alike, ranked
+    /// by total attributed time.
     pub fn top_segments(&self) -> Vec<(Seg, &LogHistogram)> {
         let mut v: Vec<(Seg, &LogHistogram)> = self
             .segs

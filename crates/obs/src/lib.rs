@@ -61,6 +61,6 @@ pub use hist::{fmt_ns_f, HistSummary, LogHistogram};
 pub use net::{chrome_flush_events, correct_ns, FlushSpan, NetPeerRow, NetTable};
 pub use path::{critical_path, CriticalPath, EdgeClass, WalkHop};
 pub use registry::{Counter, Gauge, MetricRegistry, MetricsSnapshot, Series};
-pub use report::{ClassRow, ObsReport, SegmentRow};
+pub use report::{ClassRow, ObsReport};
 pub use sink::{EngineGauges, GaugeKind, GaugeSample, ObsSink, Recorder};
 pub use span::{OpSpan, Phase, StuckOp};

@@ -9,62 +9,40 @@
 //! cx-obs doctor <report.json> --against <base.json>
 //!                                        attribute the latency delta to segments
 //! cx-obs doctor <report.json> --json     emit the blame table as JSON
-//! cx-obs top    <metrics.json>…          render metric-registry snapshots (merged)
+//! cx-obs top    <metrics.json>           render a metric-registry snapshot
 //! cx-obs net    <run.net.json>           render the per-peer wire table
 //! ```
 //!
-//! `top` reads the snapshot a threaded run writes via `--metrics-out`;
-//! pair it with `watch` for a live view:
+//! `top` reads the one snapshot a wall-clock run writes via
+//! `--metrics-out`; pair it with `watch` for a live view:
 //! `watch -n1 'cx-obs top target/live.metrics.json'`. A multiproc TCP run
-//! writes one snapshot per process — pass them all and `top` merges them
-//! (counters add; histogram quantiles merge conservatively from their
-//! summaries). Snapshots that fail to read or parse are skipped with a
-//! per-file warning on stderr, never silently folded into a partial view.
+//! writes one snapshot too, the coordinator's: every server's counters,
+//! protocol series and wire histograms reach its registry in the server's
+//! `StopResp`, so that file counts each process once.
 
 use cx_obs::{blame_diff, blame_span, MetricsSnapshot, NetTable, ObsReport};
 use std::process::ExitCode;
 
-fn load_report(path: &str) -> Result<ObsReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    ObsReport::from_json(&text)
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))
 }
 
-/// Read every snapshot path and fold the parseable ones into one (see
-/// [`MetricsSnapshot::merge`]), warning per unusable file.
-fn load_merged_snapshots(paths: &[String]) -> Result<MetricsSnapshot, String> {
-    let mut merged: Option<MetricsSnapshot> = None;
-    let mut skipped = 0usize;
-    for path in paths {
-        let snap = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {path}: {e}"))
-            .and_then(|text| {
-                MetricsSnapshot::from_json(&text).map_err(|e| format!("parse {path}: {e}"))
-            });
-        match snap {
-            Ok(snap) => match &mut merged {
-                Some(m) => m.merge(&snap),
-                None => merged = Some(snap),
-            },
-            Err(e) => {
-                eprintln!("cx-obs: warning: skipping snapshot: {e}");
-                skipped += 1;
-            }
+fn load_report(path: &str) -> Result<ObsReport, String> {
+    ObsReport::from_json(&read(path)?)
+}
+
+/// Print a rendered artifact, or the error that kept it from rendering.
+fn show(rendered: Result<String, String>) -> ExitCode {
+    match rendered {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cx-obs: {e}");
+            ExitCode::FAILURE
         }
     }
-    if skipped > 0 {
-        eprintln!(
-            "cx-obs: warning: {skipped} of {} snapshot file(s) skipped; \
-             the merged view is incomplete",
-            paths.len()
-        );
-    }
-    merged.ok_or_else(|| {
-        if skipped > 0 {
-            format!("all {skipped} snapshot file(s) unusable")
-        } else {
-            "no snapshot files given".into()
-        }
-    })
 }
 
 /// `doctor`: blame attribution over one report, optionally diffed against
@@ -144,44 +122,25 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cx-obs <report|check|trace|doctor|top|net> \
-                 <artifact.json>… [--op <id>] [--against <base.json>] [--json]"
+                 <artifact.json> [--op <id>] [--against <base.json>] [--json]"
             );
             return ExitCode::from(2);
         }
     };
-    if cmd == "top" {
-        return match load_merged_snapshots(&args[1..]) {
-            Ok(snap) => {
-                print!("{}", snap.render_top());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cx-obs: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if cmd == "top" && args.len() > 2 {
+        eprintln!(
+            "usage: cx-obs top <metrics.json> (one snapshot: a multiproc run's \
+             coordinator file already counts every server)"
+        );
+        return ExitCode::from(2);
     }
-    if cmd == "doctor" {
-        return doctor(path, &args[2..]);
-    }
-    if cmd == "net" {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cx-obs: read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match NetTable::from_json(&text) {
-            Ok(table) => {
-                print!("{}", table.render());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cx-obs: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    match cmd {
+        "doctor" => return doctor(path, &args[2..]),
+        "top" => {
+            return show(read(path).and_then(|t| Ok(MetricsSnapshot::from_json(&t)?.render_top())))
+        }
+        "net" => return show(read(path).and_then(|t| Ok(NetTable::from_json(&t)?.render()))),
+        _ => {}
     }
     let rep = match load_report(path) {
         Ok(r) => r,
@@ -191,10 +150,7 @@ fn main() -> ExitCode {
         }
     };
     match cmd {
-        "report" => {
-            print!("{}", rep.render_dashboard());
-            ExitCode::SUCCESS
-        }
+        "report" => show(Ok(rep.render_dashboard())),
         "check" => match rep.validate() {
             Ok(()) => {
                 println!(

@@ -373,59 +373,6 @@ impl MetricsSnapshot {
             .map(|r| r.value)
     }
 
-    /// Fold another process's snapshot into this one (multiproc `cx-obs
-    /// top`). Counters add by name; gauges add for `_per_sec` rates and
-    /// take the max otherwise (depths/occupancies from different
-    /// processes don't sum meaningfully). Series rows only carry their
-    /// fixed-quantile summaries, so the merge is **approximate**: counts
-    /// add, means combine count-weighted, and each quantile takes the
-    /// max across inputs (an upper bound — tail-conservative). Rows
-    /// present in only one input are kept as-is.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for or in &other.counters {
-            match self.counters.iter_mut().find(|r| r.name == or.name) {
-                Some(r) => r.value += or.value,
-                None => self.counters.push(or.clone()),
-            }
-        }
-        for or in &other.gauges {
-            match self.gauges.iter_mut().find(|r| r.name == or.name) {
-                Some(r) => {
-                    if r.name.contains("_per_sec") {
-                        r.value += or.value;
-                    } else {
-                        r.value = r.value.max(or.value);
-                    }
-                }
-                None => self.gauges.push(or.clone()),
-            }
-        }
-        for os in &other.series {
-            match self.series.iter_mut().find(|s| s.name == os.name) {
-                Some(s) => {
-                    let (a, b) = (&mut s.summary, &os.summary);
-                    let total = a.count + b.count;
-                    if total > 0 {
-                        a.mean_ns = (a.mean_ns * a.count as f64 + b.mean_ns * b.count as f64)
-                            / total as f64;
-                    }
-                    a.count = total;
-                    a.min_ns = if a.min_ns == 0 || (b.min_ns > 0 && b.min_ns < a.min_ns) {
-                        b.min_ns
-                    } else {
-                        a.min_ns
-                    };
-                    a.p50_ns = a.p50_ns.max(b.p50_ns);
-                    a.p90_ns = a.p90_ns.max(b.p90_ns);
-                    a.p99_ns = a.p99_ns.max(b.p99_ns);
-                    a.p999_ns = a.p999_ns.max(b.p999_ns);
-                    a.max_ns = a.max_ns.max(b.max_ns);
-                }
-                None => self.series.push(os.clone()),
-            }
-        }
-    }
-
     /// Prometheus text exposition (version 0.0.4): counters and gauges as
     /// single samples, histogram series as summaries with fixed quantiles.
     pub fn to_prometheus_text(&self) -> String {
@@ -623,34 +570,6 @@ mod tests {
         assert!(top.contains("1000 frames/s"));
         assert!(top.contains("64000 B/s"));
         assert!(top.contains("coalescing 10.0 frames/flush"));
-    }
-
-    #[test]
-    fn snapshot_merge_is_approximate_but_conservative() {
-        let a = MetricRegistry::new();
-        let b = MetricRegistry::new();
-        a.add(Counter::OpsIssued, 3);
-        b.add(Counter::OpsIssued, 4);
-        a.set_gauge(Gauge::WireFramesPerSec, 100);
-        b.set_gauge(Gauge::WireFramesPerSec, 50);
-        a.gauge_max(Gauge::OpsInFlight, 10);
-        b.gauge_max(Gauge::OpsInFlight, 7);
-        a.observe(Series::WireFlushLatencyNs, 1_000);
-        a.observe(Series::WireFlushLatencyNs, 3_000);
-        b.observe(Series::WireFlushLatencyNs, 2_000);
-        let mut sa = a.snapshot();
-        let sb = b.snapshot();
-        sa.merge(&sb);
-        assert_eq!(sa.value("cx_ops_issued_total"), Some(7));
-        // Rates add, depths take the max.
-        assert_eq!(sa.value("cx_wire_frames_per_sec"), Some(150));
-        assert_eq!(sa.value("cx_ops_in_flight"), Some(10));
-        let s = &sa.series[Series::WireFlushLatencyNs.index()].summary;
-        assert_eq!(s.count, 3);
-        assert!(s.max_ns >= 3_000);
-        assert!(s.min_ns <= 1_100, "min takes the smaller nonzero side");
-        // Quantile merge is max-of-inputs: never under-reports the tail.
-        assert!(s.p99_ns >= 2_000);
     }
 
     #[test]

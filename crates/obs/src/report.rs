@@ -17,14 +17,6 @@ pub struct ClassRow {
     pub hist: LogHistogram,
 }
 
-/// Duration between two adjacent lifecycle phases, over the sampled spans.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SegmentRow {
-    pub from: Phase,
-    pub to: Phase,
-    pub hist: LogHistogram,
-}
-
 /// Everything a run recorded, in one serializable artifact. This is what
 /// `--obs` writes to disk and what `cx-obs report` reads back.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,8 +36,6 @@ pub struct ObsReport {
     pub commitment: LogHistogram,
     /// Per-op-class client latency (empty classes omitted).
     pub per_class: Vec<ClassRow>,
-    /// Adjacent-phase segment durations over the sampled spans.
-    pub segments: Vec<SegmentRow>,
 
     /// The sampled span window, in issue order.
     pub spans: Vec<OpSpan>,
@@ -78,27 +68,6 @@ impl ObsReport {
                 hist: h.clone(),
             })
             .collect();
-        let mut segments: Vec<SegmentRow> = Phase::ALL
-            .windows(2)
-            .map(|w| SegmentRow {
-                from: w[0],
-                to: w[1],
-                hist: LogHistogram::new(),
-            })
-            .collect();
-        for span in &spans {
-            let mut prev: Option<(Phase, u64)> = None;
-            for (p, t) in span.reached() {
-                if let Some((pp, pt)) = prev {
-                    // Only credit directly adjacent phases, so a skipped
-                    // milestone never smears into its neighbour's segment.
-                    if p.index() == pp.index() + 1 {
-                        segments[pp.index()].hist.record(t.saturating_sub(pt));
-                    }
-                }
-                prev = Some((p, t));
-            }
-        }
         Self {
             protocol: rec.protocol.clone(),
             ops_issued: rec.ops_issued(),
@@ -107,7 +76,6 @@ impl ObsReport {
             client_local: rec.client_local.clone(),
             commitment: rec.commitment.clone(),
             per_class,
-            segments,
             spans,
             edges: rec.edges.clone(),
             flushes: Vec::new(),
@@ -485,31 +453,13 @@ impl ObsReport {
         let blame = self.blame();
         let top = blame.top_segments();
         if !top.is_empty() {
-            out.push_str(
-                "blame (critical-path time by segment, use `cx-obs doctor` for detail):\n",
-            );
-            for (seg, hist) in top.iter().take(4) {
-                out.push_str(&format!(
-                    "  {:<28} n={:<8} mean={:<9} total={}\n",
-                    seg.name(),
-                    hist.count,
-                    fmt_ns_f(hist.mean()),
-                    fmt_ns_f(hist.sum as f64),
-                ));
-            }
-        }
-        let live_segments: Vec<&SegmentRow> =
-            self.segments.iter().filter(|s| s.hist.count > 0).collect();
-        if !live_segments.is_empty() {
             out.push_str(&format!(
-                "phase segments over {} sampled spans:\n",
+                "blame (critical-path segments over {} sampled spans, by total; \
+                 `cx-obs doctor` for detail):\n",
                 self.spans.len()
             ));
-            for s in live_segments {
-                out.push_str(&row(
-                    &format!("{} → {}", s.from.name(), s.to.name()),
-                    &s.hist.summary(),
-                ));
+            for (seg, hist) in top {
+                out.push_str(&row(seg.name(), &hist.summary()));
             }
         }
         if !self.gauges.is_empty() {
@@ -703,6 +653,18 @@ mod tests {
         assert!(text.contains("excluded from client-visible latency"));
         assert!(text.contains("create"));
         assert!(text.contains("stuck ops: none"));
+        // The latency decomposition is the blame table's: every non-empty
+        // segment gets a row, the off-path suffix included.
+        let blame = rep.blame();
+        let live: Vec<_> = blame.segs.iter().filter(|r| r.hist.count > 0).collect();
+        assert!(live.len() > 4, "the fixture fills more than four segments");
+        for r in live {
+            assert!(
+                text.contains(&format!("  {:<28} n=", r.seg.name())),
+                "{:?}",
+                r.seg
+            );
+        }
     }
 
     #[test]
@@ -714,27 +676,5 @@ mod tests {
         }
         let series = s.report().unwrap().gauge_series(GaugeKind::ValidLogBytes);
         assert_eq!(series, vec![(SimTime(0), 20, 30), (SimTime(200), 4, 7)]);
-    }
-
-    #[test]
-    fn segments_skip_non_adjacent_phases() {
-        let s = ObsSink::recording("cx");
-        s.op_issued(op(3), OpClass::Mkdir, true, SimTime(0));
-        // Executed without Dispatched: Issued→Executed must not be
-        // credited to either adjacent segment.
-        s.op_phase(op(3), Phase::Executed, SimTime(100), None);
-        s.op_replied(op(3), SimTime(150), OpOutcome::Applied, false);
-        let rep = s.report().unwrap();
-        let seg = |from: Phase| {
-            rep.segments
-                .iter()
-                .find(|r| r.from == from)
-                .unwrap()
-                .hist
-                .count
-        };
-        assert_eq!(seg(Phase::Issued), 0);
-        assert_eq!(seg(Phase::Dispatched), 0);
-        assert_eq!(seg(Phase::Executed), 1);
     }
 }

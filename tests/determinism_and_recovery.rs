@@ -1,10 +1,10 @@
 //! Reproducibility and crash-recovery, end to end.
 
-mod common;
+mod kit;
 
-use common::GOLDEN_HOME2_DIGEST;
 use cx_chaos::RecoveryExperiment;
 use cx_core::{Experiment, Protocol, Workload};
+use kit::GOLDEN_HOME2_DIGEST;
 
 /// The whole pipeline is deterministic: identical configuration →
 /// identical statistics, across protocols.

@@ -8,41 +8,14 @@
 //! runtimes account stuck ops by is a count of ops, and a backlog costs
 //! its bytes, not a 32-byte `FsOp` slot apiece.
 
+#[path = "kit/counting.rs"]
+mod counting;
+
+use counting::live;
 use cx_cluster::OpFeed;
 use cx_types::{FsOp, InodeNo, Name, ProcId};
 use cx_workloads::{TraceOp, VecStream};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashSet;
-
-/// Live heap bytes of the calling thread's own allocations.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn live() -> isize {
-    LIVE.with(Cell::get)
-}
-
-// SAFETY: every call goes to `System` unchanged; the count is a thread-local
-// `Cell` that has no destructor and allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// The `i`th op of a synthetic trace: every `FsOp` variant in turn, with
 /// field values wide enough to use all eight bytes of each.

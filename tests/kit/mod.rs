@@ -1,5 +1,8 @@
 #![allow(dead_code)]
-//! Shared fixtures for protocol tests.
+//! Shared fixtures of the root tests: the golden pin and the protocol
+//! test kit's cluster set-ups. `regression_plans.rs` (the chaos plans) and
+//! `counting.rs` (the counting allocator) sit beside this module and are
+//! mounted by path where a test needs them.
 
 use cx_protocol::testkit::Kit;
 use cx_protocol::{Action, Endpoint};
@@ -7,6 +10,12 @@ use cx_simio::DiskReq;
 use cx_types::{
     BatchTrigger, ClusterConfig, FileKind, InodeNo, Name, Placement, Protocol, ServerId, SimTime,
 };
+
+/// `stats.digest()` of the home2 replay every golden test runs:
+/// `Workload::trace("home2").scale(0.005).seed(7)` on 8 servers under Cx,
+/// cluster seed 42. Any change to simulated behaviour moves it; a change
+/// that means to re-pins it here.
+pub const GOLDEN_HOME2_DIGEST: u64 = 4_199_832_947_163_537_151;
 
 /// A cluster whose lazy commitments never fire on their own, so tests
 /// control exactly when commitment happens.

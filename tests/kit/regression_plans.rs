@@ -1,5 +1,5 @@
-//! The hand-written regression fault plans, shared by `plans.rs` and the
-//! root package's tier-1 smoke test (`tests/wire_and_chaos_smoke.rs`).
+//! The hand-written regression fault plans, shared by `plans.rs`,
+//! `wire_and_chaos_smoke.rs` and `trace_schema.rs`.
 
 use cx_chaos::{CrashFault, CrashPoint, FaultPlan, NetAction, NetFault};
 use cx_types::{MsgKind, ServerId, DUR_MS};

@@ -9,13 +9,16 @@
 //! 3. **Wall-clock exactness**: the threaded runtime's client host bumps
 //!    the shared atomics as its clients issue and retire ops, and the
 //!    totals still match the deterministic DES run of the same workload.
+//! 4. **One route for server metrics**: a socket run's wire histograms
+//!    reach the registry once, the host's and every server's together.
 
-mod common;
+mod kit;
 
-use common::GOLDEN_HOME2_DIGEST;
 use cx_core::{
-    Experiment, LiveMetrics, MetricRegistry, ObsSink, Protocol, ThreadedCluster, Workload,
+    BatchTrigger, ClusterConfig, Experiment, LiveMetrics, MetricRegistry, ObsSink, Protocol,
+    TcpCluster, TcpOptions, ThreadedCluster, TraceBuilder, TraceProfile, Workload,
 };
+use kit::GOLDEN_HOME2_DIGEST;
 
 fn home2(protocol: Protocol) -> Experiment {
     Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
@@ -171,4 +174,42 @@ fn threaded_registry_totals_match_des() {
             .count,
         des.stats.ops_total
     );
+}
+
+/// A server's wire histograms travel to the coordinator in its `StopResp`
+/// and nowhere else, so each of the registry's four wire series counts
+/// exactly what the run's merged telemetry (the host's plus every
+/// server's) counts: no flush missing, none counted twice.
+#[test]
+fn loopback_wire_series_count_each_flush_once() {
+    let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+    // Wall-clock triggers: the default ~10 s batch period would be a real
+    // ten-second stall here.
+    cfg.cx.trigger = BatchTrigger::Timeout {
+        period_ns: 5_000_000,
+    };
+    cfg.cx.hint_mismatch_timeout_ns = 20_000_000;
+    let st = TraceBuilder::new(TraceProfile::by_name("CTH").expect("a Table II profile"))
+        .scale(0.001)
+        .stream();
+    let live = LiveMetrics::new(MetricRegistry::new());
+    let registry = live.registry.clone();
+    let opts = TcpOptions {
+        live: Some(live),
+        ..TcpOptions::default()
+    };
+    let r = TcpCluster::run_stream_opts(cfg, st, opts);
+    assert!(r.violations.is_empty(), "loopback run inconsistent");
+    assert!(r.telem.flush_frames.count > 0, "the run flushed frames");
+
+    let snap = registry.snapshot();
+    for (series, hist) in r.telem.series() {
+        let row = snap.series.iter().find(|row| row.name == series.name());
+        assert_eq!(
+            row.map(|row| row.summary.count),
+            Some(hist.count),
+            "{}",
+            series.name()
+        );
+    }
 }

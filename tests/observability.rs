@@ -9,10 +9,10 @@
 //!    present for Cx cross ops, and per-phase segments summing to the
 //!    client-visible latency.
 
-mod common;
+mod kit;
 
-use common::GOLDEN_HOME2_DIGEST;
 use cx_core::{Experiment, ObsSink, Phase, Protocol, Workload};
+use kit::GOLDEN_HOME2_DIGEST;
 
 fn home2(protocol: Protocol) -> Experiment {
     Experiment::new(Workload::trace("home2").scale(0.005).seed(7))

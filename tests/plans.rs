@@ -7,6 +7,7 @@
 //! tail. All must come out clean; the deliberately broken recovery must
 //! not.
 
+#[path = "kit/regression_plans.rs"]
 mod regression_plans;
 
 use cx_chaos::{

@@ -8,40 +8,13 @@
 //! heap bytes under a counting allocator, on `des-lowload`'s shape — one
 //! process, eight servers, Metarates' update mix — at two run lengths.
 
+#[path = "kit/counting.rs"]
+mod counting;
+
+use counting::live;
 use cx_core::{BatchTrigger, ClusterConfig, DesCluster, Metarates, MetaratesMix, Protocol};
 use cx_obs::hist::bucket_of;
 use cx_obs::LogHistogram;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Live heap bytes of the calling thread's own allocations.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn live() -> isize {
-    LIVE.with(Cell::get)
-}
-
-// SAFETY: every call goes to `System` unchanged; the count is a thread-local
-// `Cell` that has no destructor and allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// Buckets up to the highest occupied one: what the histogram stores.
 fn buckets(h: &LogHistogram) -> isize {

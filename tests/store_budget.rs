@@ -8,49 +8,16 @@
 //! `HashMap`, through what breaks such a table: deletes inside long
 //! clusters, above all clusters that wrap from the last slot to the first.
 
+#[path = "kit/counting.rs"]
+mod counting;
+
+use counting::live;
 use cx_cluster::seed_stores;
 use cx_mdstore::{row_hash, Inode, MetaStore, RowTable};
 use cx_types::{FileKind, InodeNo, Name, Placement, SubOp};
 use cx_workloads::{Metarates, MetaratesMix, SeedEntry};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
-
-/// Live heap bytes of the calling thread's own allocations.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn live() -> isize {
-    LIVE.with(Cell::get)
-}
-
-// SAFETY: every call goes to `System` unchanged; the count is a thread-local
-// `Cell` that has no destructor and allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        // SAFETY: the caller's obligations for `alloc_zeroed` are passed
-        // through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// SplitMix64: a seeded stream without a rand dependency.
 struct SplitMix(u64);

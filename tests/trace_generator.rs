@@ -7,39 +7,11 @@
 //! panics on the first op that could not succeed; and they bound the heap
 //! the generator holds while the benchmark's home2 input is pulled.
 
+#[path = "kit/counting.rs"]
+mod counting;
+
 use cx_types::FsOp;
 use cx_workloads::{NamespaceModel, SeedEntry, StreamTrace, TraceBuilder, TraceProfile, PROFILES};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Live and peak heap bytes of the calling thread's own allocations.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call goes to `System` unchanged; the counts are
-// thread-local `Cell`s that have no destructor and allocate nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| {
-            n.set(n.get() + layout.size() as isize);
-            let _ = PEAK.try_with(|p| p.set(p.get().max(n.get())));
-        });
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// The benchmark's `des-home2` input: rep 0 of its default seed, at its
 /// full size.
@@ -104,14 +76,14 @@ fn benchmark_home2_input_is_valid() {
 #[test]
 fn home2_generator_heap_peak_stays_under_budget() {
     const BUDGET: isize = 384 << 10;
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
+    counting::reset_peak();
+    let base = counting::live();
     let mut st = benchmark_home2();
     let mut ops = 0u64;
     while st.ops.next_op().is_some() {
         ops += 1;
     }
-    let peak = PEAK.with(Cell::get) - base;
+    let peak = counting::peak() - base;
     assert_eq!(ops, st.total_ops_hint);
     assert!(
         peak <= BUDGET,

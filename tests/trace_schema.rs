@@ -12,9 +12,9 @@ use cx_core::{Experiment, ObsSink, Protocol, Workload};
 use serde::Json;
 use std::collections::HashMap;
 
-// The plans of `crates/chaos/tests/plans.rs`; one runs here.
+// The plans of `plans.rs`; one runs here.
 #[allow(dead_code)]
-#[path = "../crates/chaos/tests/regression_plans/mod.rs"]
+#[path = "kit/regression_plans.rs"]
 mod regression_plans;
 
 fn home2(protocol: Protocol) -> Experiment {

@@ -8,39 +8,12 @@
 //! the record kept apart: a sub-op invalidated and re-executed, cut by a
 //! crash at every record.
 
+#[path = "kit/counting.rs"]
+mod counting;
+
+use counting::live;
 use cx_types::{FileKind, InodeNo, Name, OpId, ProcId, Role, ServerId, SubOp, Verdict};
 use cx_wal::{Record, Wal};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Live heap bytes of the calling thread's own allocations.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn live() -> isize {
-    LIVE.with(Cell::get)
-}
-
-// SAFETY: every call goes to `System` unchanged; the count is a thread-local
-// `Cell` that has no destructor and allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 fn oid(seq: u64) -> OpId {
     OpId::new(ProcId::new(0, 0), seq)

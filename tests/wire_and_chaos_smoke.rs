@@ -11,9 +11,9 @@ use cx_net::PlaneConfig;
 use cx_obs::GaugeKind;
 use cx_types::{BatchTrigger, DUR_MS};
 
-// The plans of `crates/chaos/tests/plans.rs`; four run here.
+// The plans of `plans.rs`; four run here.
 #[allow(dead_code)]
-#[path = "../crates/chaos/tests/regression_plans/mod.rs"]
+#[path = "kit/regression_plans.rs"]
 mod regression_plans;
 
 /// Kill server 2 as it appends its sixth Result-Record, mid-execution.
@@ -144,7 +144,7 @@ fn tcp_reconnect_drill_matches_the_des_totals() {
 
 /// One node loop, two transports: the same home2 prefix through the
 /// channel and the socket entry point gives the same tie-insensitive
-/// totals (`crates/cluster/tests/tcp_equivalence.rs`'s comparison), and
+/// totals (`tcp_equivalence.rs`'s comparison), and
 /// both fill the send-side message accounting — which a threaded run never
 /// did while it had a runtime of its own.
 #[test]
