@@ -58,30 +58,31 @@ if [ "${1:-}" != "quick" ]; then
     cargo run -q --release -p cx-obs -- check target/obs_home2.report.json
 
     # Figure 7b has one recorder: its valid-record series is the obs
-    # plane's ValidLogBytes gauge stream. The binary asserts the series is
+    # plane's ValidLogBytes gauge stream. The experiment asserts the series is
     # non-empty, no gauge sample was dropped, and its busiest sample equals
     # RunStats::peak_valid_bytes (default scale, under a second).
     step "figure 7 (Figure 7b read off the gauge stream)"
-    cargo run -q --release -p cx-bench --bin figure7_log_size > /dev/null
+    cargo run -q --release -p cx-bench --bin experiments -- figure7_log_size > /dev/null
 
-    # The two bins that build their workloads off the stream themselves:
+    # The two experiments that build their workloads off the stream themselves:
     # Figure 4 reads each profile's class shares off its stream
     # (TraceSummary), and Figure 8 sweeps injected lookups and the sharing
     # probability (Workload::tweak), asserting every point consistent.
     # Scale 0.01: about a second for both.
     step "figures 4 + 8 (class shares off the stream, conflict sweep)"
-    cargo run -q --release -p cx-bench --bin figure4_op_distribution -- --scale 0.01 > /dev/null
-    cargo run -q --release -p cx-bench --bin figure8_conflict_ratio -- --scale 0.01 > /dev/null
+    cargo run -q --release -p cx-bench --bin experiments -- \
+        figure4_op_distribution figure8_conflict_ratio --scale 0.01 > /dev/null
 
     # Table V's crash is a one-crash fault plan: every row runs under the
     # durability oracle, which the harness asserts reports nothing
     # (default scale, a few seconds).
     step "table V (crash at a valid-record volume, under the oracle)"
-    cargo run -q --release -p cx-bench --bin table5_recovery > /dev/null
+    cargo run -q --release -p cx-bench --bin experiments -- table5_recovery > /dev/null
 
     # Doctor smoke (DESIGN.md §11): the blame engine must decompose the
-    # home2 report with exact per-op segment sums (cx-obs doctor re-derives
-    # every op's blame and fails loudly on a broken sum), and a deliberately
+    # home2 report with exact per-op segment sums (cx-obs doctor checks
+    # every op's blame as it builds the table and fails loudly on a broken
+    # sum), and a deliberately
     # injected 5 ms participant stall must be convicted — prime suspect
     # "execute", largest hop shift on the slowed server (asserted inside
     # --doctor-demo itself, then re-checked through the CLI diff).
@@ -173,14 +174,17 @@ if [ "${1:-}" != "quick" ]; then
     # carriers (message faults decided by the engine host, late sends
     # waiting in each node's timer queue: no thread per held frame), and
     # the multi-process smoke above, where every cx_net_server serves on
-    # its loop. cx-net's own tests are its codec, clock and counter unit
-    # tests; its connection and codec suites live in the root tests/.
+    # its loop, and the root tcp_equivalence suite (loopback equivalence and
+    # the reconnect drill). cx-net's own tests are its codec, clock and
+    # counter unit tests; its connection and codec suites live in the root
+    # tests/.
     step "cx-cluster + cx-net + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster
         cargo test -q --release -p cx-net
         cargo test -q --release --test wire_write_path --test wire_read_path \
-            --test wire_conn --test wire_fuzz --test wire_roundtrip --test wire_coalesce
+            --test wire_conn --test wire_fuzz --test wire_roundtrip --test wire_coalesce \
+            --test tcp_equivalence
     done
 fi
 

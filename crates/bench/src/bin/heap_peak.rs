@@ -27,7 +27,7 @@
 //! the peak passes `x`: the replay is one deterministic thread, so the peak
 //! repeats to the byte and can gate CI where a timing cannot.
 
-use cx_bench::{print_table, Args};
+use cx_bench::{write_table, Args};
 use cx_core::{
     BatchTrigger, ClusterConfig, DesCluster, Metarates, MetaratesMix, OpStream, Protocol,
     TraceBuilder, TraceProfile,
@@ -276,8 +276,10 @@ fn main() {
         let (class, mean) = (format!("≤ {} B", 1u64 << c), bytes / blocks.max(1));
         vec![class, blocks.to_string(), mib(bytes), mean.to_string()]
     };
-    let table: Vec<Vec<String>> = rows.iter().take(12).map(row).collect();
-    print_table(&["size class", "live blocks", "MiB", "mean B"], &table);
+    let mut out = String::new();
+    let headers = ["size class", "live blocks", "MiB", "mean B"];
+    write_table(&mut out, &headers, rows.iter().take(12).map(row));
+    print!("{out}");
 
     if let Some(ceiling) = ceiling {
         let peak = PEAK.load(Relaxed) as f64 / (1 << 20) as f64;

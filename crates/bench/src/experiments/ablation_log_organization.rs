@@ -1,16 +1,15 @@
 //! Ablation (§IV-A, "Log organization"): log-structured file vs log
 //! records stored in the database.
 //!
-//!     cargo run --release -p cx-bench --bin ablation_log_organization [--scale f]
-//!
 //! "Log records can be stored in the BDB or can be organized as a
 //! log-structured file. We choose the latter approach to exploit more disk
 //! bandwidth, and build an index on top of it to accelerate searches."
 //! This quantifies that choice: the BDB path pays the heavier journal
 //! flush plus in-place page writes for every record batch.
 
-use cx_bench::{print_table, write_json, Args};
-use cx_core::{Experiment, MetaratesMix, Protocol, Workload};
+use super::{Output, Replay};
+use crate::{write_table, Args};
+use cx_core::{Experiment, Protocol, Workload};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -21,31 +20,22 @@ struct Row {
     slowdown_pct: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let scale = args.scale(0.02);
-    println!("Ablation — log organization (Cx, 8 servers)\n");
+    let mut out = String::from("Ablation — log organization (Cx, 8 servers)\n\n");
 
     let mut rows = Vec::new();
     for (name, workload) in [
         ("CTH trace", Workload::trace("CTH").scale(scale)),
-        (
-            "metarates update-dominated",
-            Workload::Metarates {
-                mix: MetaratesMix::UpdateDominated,
-                ops_per_proc: 40,
-                files_per_server: 1_000,
-            },
-        ),
+        ("metarates update-dominated", super::ablation_metarates()),
     ] {
         let run = |in_db: bool| {
             let r = Experiment::new(workload.clone())
                 .servers(8)
                 .protocol(Protocol::Cx)
                 .configure(|cfg| cfg.cx.log_in_database = in_db)
-                .run();
-            assert!(r.is_consistent());
-            r.stats.replay_secs()
+                .replay();
+            r.replay_secs()
         };
         let logfile = run(false);
         let bdb = run(true);
@@ -57,29 +47,28 @@ fn main() {
         });
     }
 
-    print_table(
+    write_table(
+        &mut out,
         &[
             "workload",
             "log-structured file (s)",
             "log in BDB (s)",
             "slowdown",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.workload.to_string(),
-                    format!("{:.3}", r.logfile_secs),
-                    format!("{:.3}", r.bdb_log_secs),
-                    format!("+{:.0}%", r.slowdown_pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.workload.to_string(),
+                format!("{:.3}", r.logfile_secs),
+                format!("{:.3}", r.bdb_log_secs),
+                format!("+{:.0}%", r.slowdown_pct),
+            ]
+        }),
     );
-    println!(
+    outln!(
+        out,
         "\nthe paper's choice quantified: the log-structured file exploits\n\
          sequential bandwidth, while database-resident log records pay the\n\
          journal flush plus in-place page writes per batch."
     );
-    write_json("ablation_log_organization", &rows);
+    Output::new(out, &rows)
 }

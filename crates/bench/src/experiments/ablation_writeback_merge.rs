@@ -1,7 +1,5 @@
 //! Ablation (DESIGN.md §5.3): elevator merging of batched write-back.
 //!
-//!     cargo run --release -p cx-bench --bin ablation_writeback_merge [--scale f]
-//!
 //! The paper attributes the large update-dominated Metarates win partly to
 //! "batched updates on these objects may constantly push the performance
 //! of BDB write-back close to its peak point" — metadata objects of one
@@ -10,8 +8,9 @@
 //! merging and should disproportionately hurt the single-directory
 //! workload compared to the scattered-directory traces.
 
-use cx_bench::{print_table, write_json, Args};
-use cx_core::{Experiment, MetaratesMix, Protocol, Workload};
+use super::{Output, Replay};
+use crate::{write_table, Args};
+use cx_core::{Experiment, Protocol, Workload};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -23,20 +22,15 @@ struct Row {
     pages_per_run_merged: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let scale = args.scale(0.02);
-    println!("Ablation — write-back merging (Cx, 8 servers)\n");
+    let mut out = String::from("Ablation — write-back merging (Cx, 8 servers)\n\n");
 
     let mut rows = Vec::new();
     for (name, workload) in [
         (
             "metarates update-dominated (one directory)",
-            Workload::Metarates {
-                mix: MetaratesMix::UpdateDominated,
-                ops_per_proc: 40,
-                files_per_server: 1_000,
-            },
+            super::ablation_metarates(),
         ),
         (
             "home2 trace (many directories)",
@@ -48,14 +42,10 @@ fn main() {
                 .servers(8)
                 .protocol(Protocol::Cx)
                 .configure(|cfg| cfg.disk.merge_gap = merge_gap)
-                .run();
-            assert!(r.is_consistent());
+                .replay();
             // total disk busy time across the cluster: the write-back work
             // itself, excluding idle waits for the lazy trigger
-            (
-                r.stats.disk.busy_ns as f64 / 1e9 / 8.0,
-                r.stats.disk.pages_per_run(),
-            )
+            (r.disk.busy_ns as f64 / 1e9 / 8.0, r.disk.pages_per_run())
         };
         let (merged, ppr) = run(16);
         let (unmerged, _) = run(0);
@@ -68,7 +58,8 @@ fn main() {
         });
     }
 
-    print_table(
+    write_table(
+        &mut out,
         &[
             "workload",
             "merged disk busy (s)",
@@ -76,22 +67,20 @@ fn main() {
             "slowdown",
             "pages/run",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.workload.to_string(),
-                    format!("{:.3}", r.merged_secs),
-                    format!("{:.3}", r.unmerged_secs),
-                    format!("+{:.0}%", r.slowdown_pct),
-                    format!("{:.1}", r.pages_per_run_merged),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.workload.to_string(),
+                format!("{:.3}", r.merged_secs),
+                format!("{:.3}", r.unmerged_secs),
+                format!("+{:.0}%", r.slowdown_pct),
+                format!("{:.1}", r.pages_per_run_merged),
+            ]
+        }),
     );
-    println!(
+    outln!(
+        out,
         "\n(per-server disk busy time is the metric: merging acts on the\n\
          deferred write-back work, not on the client-visible replay.)"
     );
-    write_json("ablation_writeback_merge", &rows);
+    Output::new(out, &rows)
 }

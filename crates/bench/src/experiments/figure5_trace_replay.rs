@@ -1,13 +1,12 @@
 //! Figure 5: trace-driven evaluation — replay time of the six traces
 //! under OFS, OFS-batched, and OFS-Cx on 8 metadata servers.
 //!
-//!     cargo run --release -p cx-bench --bin figure5_trace_replay [--scale f|--full] [--servers n]
-//!
 //! Paper shape: OFS-Cx speeds up every trace by ≥38% (s3d by >50%,
 //! tracking its ~48% cross-server share); OFS-batched improves ≥15%; Cx
 //! beats OFS-batched by ≥16%.
 
-use cx_bench::{improvement, print_table, write_json, Args};
+use super::{Output, Replay};
+use crate::{improvement, write_table, Args};
 use cx_core::{Experiment, HistSummary, Protocol, Workload, PROFILES};
 use serde::Serialize;
 
@@ -34,21 +33,17 @@ struct Row {
     conflict_pct_cross: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let scale = args.scale(0.03);
     let servers: u32 = args.value("--servers").unwrap_or(8);
-    println!("Figure 5 — trace replay times ({servers} servers, scale {scale})\n");
+    let mut out = format!("Figure 5 — trace replay times ({servers} servers, scale {scale})\n\n");
 
-    let rows: Vec<Row> = cx_bench::par_map(&PROFILES, |p| {
+    let rows: Vec<Row> = crate::par_map(&PROFILES, |p| {
         let run = |protocol| {
-            let r = Experiment::new(Workload::trace(p.name).scale(scale))
+            Experiment::new(Workload::trace(p.name).scale(scale))
                 .servers(servers)
                 .protocol(protocol)
-                .run();
-            assert!(r.is_consistent(), "{}/{:?}", p.name, protocol);
-            assert_eq!(r.stats.ops_stuck, 0);
-            r.stats
+                .replay()
         };
         let se = run(Protocol::Se);
         let ba = run(Protocol::SeBatched);
@@ -70,7 +65,8 @@ fn main() {
         }
     });
 
-    print_table(
+    write_table(
+        &mut out,
         &[
             "trace",
             "ops",
@@ -89,36 +85,34 @@ fn main() {
             "confl%",
             "confl%/cross",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.trace.to_string(),
-                    r.ops.to_string(),
-                    format!("{:.0}%", r.cross_share * 100.0),
-                    format!("{:.3}", r.ofs_secs),
-                    format!("{:.3}", r.batched_secs),
-                    format!("{:.3}", r.cx_secs),
-                    format!("+{:.0}%", r.cx_vs_ofs_pct),
-                    format!("+{:.0}%", r.batched_vs_ofs_pct),
-                    format!("+{:.0}%", r.cx_vs_batched_pct),
-                    cx_core::fmt_ns_f(r.cx_latency.mean_ns),
-                    HistSummary::fmt_ns(r.cx_latency.p50_ns),
-                    HistSummary::fmt_ns(r.cx_latency.p90_ns),
-                    HistSummary::fmt_ns(r.cx_latency.p99_ns),
-                    HistSummary::fmt_ns(r.cx_latency.p999_ns),
-                    format!("{:.2}%", r.conflict_pct_all),
-                    format!("{:.2}%", r.conflict_pct_cross),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.trace.to_string(),
+                r.ops.to_string(),
+                format!("{:.0}%", r.cross_share * 100.0),
+                format!("{:.3}", r.ofs_secs),
+                format!("{:.3}", r.batched_secs),
+                format!("{:.3}", r.cx_secs),
+                format!("+{:.0}%", r.cx_vs_ofs_pct),
+                format!("+{:.0}%", r.batched_vs_ofs_pct),
+                format!("+{:.0}%", r.cx_vs_batched_pct),
+                cx_core::fmt_ns_f(r.cx_latency.mean_ns),
+                HistSummary::fmt_ns(r.cx_latency.p50_ns),
+                HistSummary::fmt_ns(r.cx_latency.p90_ns),
+                HistSummary::fmt_ns(r.cx_latency.p99_ns),
+                HistSummary::fmt_ns(r.cx_latency.p999_ns),
+                format!("{:.2}%", r.conflict_pct_all),
+                format!("{:.2}%", r.conflict_pct_cross),
+            ]
+        }),
     );
-    println!(
+    outln!(
+        out,
         "\npaper: Cx ≥38% on every trace (s3d >50%); batched ≥15%; Cx over\n\
          batched ≥16%. The improvement tracks the trace's cross-server share.\n\
          confl% is Table II's all-ops ratio (paper: <4% in every trace);\n\
          confl%/cross divides by cross-server ops only — the rate at which a\n\
          concurrent execution actually falls back to an immediate commitment."
     );
-    write_json("figure5_trace_replay", &rows);
+    Output::new(out, &rows)
 }

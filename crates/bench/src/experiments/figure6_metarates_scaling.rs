@@ -2,13 +2,12 @@
 //! as the cluster scales, for the update-dominated (80% updates) and
 //! read-dominated (20% updates) mixes.
 //!
-//!     cargo run --release -p cx-bench --bin figure6_metarates_scaling [--ops n] [--max-servers n]
-//!
 //! Paper shape: OFS-Cx scales to 32 servers and gains ≥70% over OFS on
 //! update-dominated runs (82% at 8 servers) and ≥40% on read-dominated
 //! runs; OFS-batched sits between.
 
-use cx_bench::{gain, print_table, write_json, Args};
+use super::{Output, Replay};
+use crate::{gain, write_table, Args};
 use cx_core::{Experiment, HistSummary, MetaratesMix, Protocol, Workload};
 use serde::Serialize;
 
@@ -27,22 +26,21 @@ struct Point {
     conflict_pct_cross: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let ops: u32 = args.value("--ops").unwrap_or(50);
     let max_servers: u32 = args.value("--max-servers").unwrap_or(32);
     let sizes: Vec<u32> = [4u32, 8, 16, 32]
         .into_iter()
         .filter(|s| *s <= max_servers)
         .collect();
-    println!(
+    let mut out = format!(
         "Figure 6 — Metarates aggregated throughput (clients = 4×servers,\n\
-         8 processes per client, {ops} ops per process)\n"
+         8 processes per client, {ops} ops per process)\n\n"
     );
 
     let mut points = Vec::new();
     for mix in [MetaratesMix::UpdateDominated, MetaratesMix::ReadDominated] {
-        let mix_points: Vec<Point> = cx_bench::par_map(&sizes, |&servers| {
+        let mix_points: Vec<Point> = crate::par_map(&sizes, |&servers| {
             let run = |protocol| {
                 let r = Experiment::new(Workload::Metarates {
                     mix,
@@ -51,12 +49,11 @@ fn main() {
                 })
                 .servers(servers)
                 .protocol(protocol)
-                .run();
-                assert!(r.is_consistent(), "{mix:?}/{servers}/{protocol:?}");
+                .replay();
                 (
-                    r.stats.throughput(),
-                    r.stats.latency_hist.summary(),
-                    r.stats.cross_conflict_ratio(),
+                    r.throughput(),
+                    r.latency_hist.summary(),
+                    r.cross_conflict_ratio(),
                 )
             };
             let ((se, _, _), (ba, _, _), (cx, cx_lat, cx_confl)) = (
@@ -75,8 +72,9 @@ fn main() {
                 conflict_pct_cross: cx_confl * 100.0,
             }
         });
-        println!("--- {} runs ---", mix.name());
-        print_table(
+        outln!(out, "--- {} runs ---", mix.name());
+        write_table(
+            &mut out,
             &[
                 "servers",
                 "OFS op/s",
@@ -90,33 +88,31 @@ fn main() {
                 "Cx p99.9",
                 "confl%/cross",
             ],
-            &mix_points
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.servers.to_string(),
-                        format!("{:.0}", p.ofs),
-                        format!("{:.0}", p.batched),
-                        format!("{:.0}", p.cx),
-                        format!("+{:.0}%", p.cx_gain_pct),
-                        cx_core::fmt_ns_f(p.cx_latency.mean_ns),
-                        HistSummary::fmt_ns(p.cx_latency.p50_ns),
-                        HistSummary::fmt_ns(p.cx_latency.p90_ns),
-                        HistSummary::fmt_ns(p.cx_latency.p99_ns),
-                        HistSummary::fmt_ns(p.cx_latency.p999_ns),
-                        format!("{:.2}%", p.conflict_pct_cross),
-                    ]
-                })
-                .collect::<Vec<_>>(),
+            mix_points.iter().map(|p| {
+                vec![
+                    p.servers.to_string(),
+                    format!("{:.0}", p.ofs),
+                    format!("{:.0}", p.batched),
+                    format!("{:.0}", p.cx),
+                    format!("+{:.0}%", p.cx_gain_pct),
+                    cx_core::fmt_ns_f(p.cx_latency.mean_ns),
+                    HistSummary::fmt_ns(p.cx_latency.p50_ns),
+                    HistSummary::fmt_ns(p.cx_latency.p90_ns),
+                    HistSummary::fmt_ns(p.cx_latency.p99_ns),
+                    HistSummary::fmt_ns(p.cx_latency.p999_ns),
+                    format!("{:.2}%", p.conflict_pct_cross),
+                ]
+            }),
         );
-        println!();
+        outln!(out);
         points.extend(mix_points);
     }
 
-    println!(
+    outln!(
+        out,
         "paper: Cx gains ≥70% (update-dominated, 82% at 8 servers) and ≥40%\n\
          (read-dominated) while \"the aggregated throughput of OFS-Cx scales\n\
          well when increasing the number of servers up to 32\"."
     );
-    write_json("figure6_metarates_scaling", &points);
+    Output::new(out, &points)
 }

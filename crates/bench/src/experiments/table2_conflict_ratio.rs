@@ -1,12 +1,11 @@
 //! Table II: conflict ratios in six typical workloads.
 //!
-//!     cargo run --release -p cx-bench --bin table2_conflict_ratio [--scale f|--full]
-//!
 //! Replays each synthetic trace profile under Cx on 8 servers and measures
 //! the realized conflict ratio (conflicting operations / all operations),
 //! next to the ratio the paper reports for the original trace.
 
-use cx_bench::{print_table, write_json, Args};
+use super::{Output, Replay};
+use crate::{write_table, Args};
 use cx_core::{Experiment, Protocol, Workload, PROFILES};
 use serde::Serialize;
 
@@ -20,28 +19,27 @@ struct Row {
     conflicts: u64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let scale = args.scale(0.05);
-    println!("Table II — conflict ratios (8 servers, Cx, scale {scale})\n");
+    let mut out = format!("Table II — conflict ratios (8 servers, Cx, scale {scale})\n\n");
 
-    let rows: Vec<Row> = cx_bench::par_map(&PROFILES, |p| {
+    let rows: Vec<Row> = crate::par_map(&PROFILES, |p| {
         let r = Experiment::new(Workload::trace(p.name).scale(scale))
             .servers(8)
             .protocol(Protocol::Cx)
-            .run();
-        assert!(r.is_consistent(), "{} diverged", p.name);
+            .replay();
         Row {
             trace: p.name,
             total_ops_paper: p.total_ops,
-            replayed_ops: r.stats.ops_total,
+            replayed_ops: r.ops_total,
             conflict_ratio_paper: p.paper_conflict_ratio,
-            conflict_ratio_measured: r.stats.conflict_ratio(),
-            conflicts: r.stats.server_stats.conflicts,
+            conflict_ratio_measured: r.conflict_ratio(),
+            conflicts: r.server_stats.conflicts,
         }
     });
 
-    print_table(
+    write_table(
+        &mut out,
         &[
             "trace",
             "ops (paper)",
@@ -49,23 +47,21 @@ fn main() {
             "conflict % (paper)",
             "conflict % (measured)",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.trace.to_string(),
-                    r.total_ops_paper.to_string(),
-                    r.replayed_ops.to_string(),
-                    format!("{:.3}%", r.conflict_ratio_paper * 100.0),
-                    format!("{:.3}%", r.conflict_ratio_measured * 100.0),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.trace.to_string(),
+                r.total_ops_paper.to_string(),
+                r.replayed_ops.to_string(),
+                format!("{:.3}%", r.conflict_ratio_paper * 100.0),
+                format!("{:.3}%", r.conflict_ratio_measured * 100.0),
+            ]
+        }),
     );
-    println!(
+    outln!(
+        out,
         "\npaper's observation: \"the conflict ratio of all workloads is very low\"\n\
          (< 4%); supercomputing checkpointing conflicts least, shared research\n\
          and email directories conflict most."
     );
-    write_json("table2_conflict_ratio", &rows);
+    Output::new(out, &rows)
 }

@@ -1,13 +1,12 @@
 //! Table IV: messages generated in the trace replays and the message
 //! overhead of OFS-Cx.
 //!
-//!     cargo run --release -p cx-bench --bin table4_message_overhead [--scale f|--full]
-//!
 //! Paper shape: Cx adds commitment traffic, but batching keeps the
 //! overhead between 1.0% and 3.1% (< 4%) across all six traces, growing
 //! with the trace's conflict ratio.
 
-use cx_bench::{print_table, write_json, Args};
+use super::{Output, Replay};
+use crate::{write_table, Args};
 use cx_core::{Experiment, Protocol, Workload, PROFILES};
 use serde::Serialize;
 
@@ -31,19 +30,16 @@ const PAPER: [(&str, f64); 6] = [
     ("lair62b", 2.3),
 ];
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let scale = args.scale(0.03);
-    println!("Table IV — message overhead of OFS-Cx (8 servers, scale {scale})\n");
+    let mut out = format!("Table IV — message overhead of OFS-Cx (8 servers, scale {scale})\n\n");
 
-    let rows: Vec<Row> = cx_bench::par_map(&PROFILES, |p| {
+    let rows: Vec<Row> = crate::par_map(&PROFILES, |p| {
         let run = |protocol| {
-            let r = Experiment::new(Workload::trace(p.name).scale(scale))
+            Experiment::new(Workload::trace(p.name).scale(scale))
                 .servers(8)
                 .protocol(protocol)
-                .run();
-            assert!(r.is_consistent());
-            r.stats
+                .replay()
         };
         let se = run(Protocol::Se);
         let cx = run(Protocol::Cx);
@@ -62,7 +58,8 @@ fn main() {
         }
     });
 
-    print_table(
+    write_table(
+        &mut out,
         &[
             "trace",
             "OFS msgs",
@@ -72,25 +69,23 @@ fn main() {
             "commitment msgs",
             "immediate",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.trace.to_string(),
-                    r.ofs_msgs.to_string(),
-                    r.cx_msgs.to_string(),
-                    format!("{:.1}%", r.overhead_pct),
-                    format!("{:.1}%", r.paper_overhead_pct),
-                    r.cx_server_msgs.to_string(),
-                    r.immediate_commitments.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.trace.to_string(),
+                r.ofs_msgs.to_string(),
+                r.cx_msgs.to_string(),
+                format!("{:.1}%", r.overhead_pct),
+                format!("{:.1}%", r.paper_overhead_pct),
+                r.cx_server_msgs.to_string(),
+                r.immediate_commitments.to_string(),
+            ]
+        }),
     );
-    println!(
+    outln!(
+        out,
         "\npaper: \"the actual additional cost is very low at less than 4% …\n\
          because lazy commitments can send batched messages\"; the overhead\n\
          grows with the workload's conflict ratio."
     );
-    write_json("table4_message_overhead", &rows);
+    Output::new(out, &rows)
 }

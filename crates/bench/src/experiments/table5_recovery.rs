@@ -1,7 +1,5 @@
 //! Table V: recovery time as the valid-records' volume grows.
 //!
-//!     cargo run --release -p cx-bench --bin table5_recovery [--scale f|--full]
-//!
 //! For each target volume the harness replays home2 under Cx (lazy
 //! commitments suppressed so records accumulate), kills a server at the
 //! target, reboots it after the failure-detection delay, and measures the
@@ -11,7 +9,8 @@
 //! Paper shape: 5→1000 KB of valid records take 3→17 s; a 100× record
 //! increase costs < 3× the time, because resumption is batched.
 
-use cx_bench::{print_table, write_json, Args};
+use super::Output;
+use crate::{write_table, Args};
 use cx_chaos::RecoveryExperiment;
 
 const PAPER: [(u64, f64); 6] = [
@@ -23,12 +22,11 @@ const PAPER: [(u64, f64); 6] = [
     (1000, 17.0),
 ];
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Output {
     let scale = args.scale(0.12);
-    println!("Table V — recovery time vs valid-records' size (8 servers)\n");
+    let mut out = String::from("Table V — recovery time vs valid-records' size (8 servers)\n\n");
 
-    let rows: Vec<_> = cx_bench::par_map(&PAPER, |&(kb, paper_secs)| {
+    let rows: Vec<_> = crate::par_map(&PAPER, |&(kb, paper_secs)| {
         let exp = RecoveryExperiment {
             servers: 8,
             trace_scale: scale,
@@ -43,7 +41,8 @@ fn main() {
     .flatten()
     .collect();
 
-    print_table(
+    write_table(
+        &mut out,
         &[
             "valid records",
             "at crash",
@@ -51,18 +50,15 @@ fn main() {
             "paper (s)",
             "scan+resume (s)",
         ],
-        &rows
-            .iter()
-            .map(|(r, paper)| {
-                vec![
-                    format!("{} KB", r.target_kb),
-                    format!("{} KB", r.valid_kb_at_crash),
-                    format!("{:.1}", r.recovery_secs),
-                    format!("{:.0}", paper),
-                    format!("{:.2}", r.protocol_secs),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|(r, paper)| {
+            vec![
+                format!("{} KB", r.target_kb),
+                format!("{} KB", r.valid_kb_at_crash),
+                format!("{:.1}", r.recovery_secs),
+                format!("{:.0}", paper),
+                format!("{:.2}", r.protocol_secs),
+            ]
+        }),
     );
 
     if rows.len() >= 2 {
@@ -70,20 +66,19 @@ fn main() {
         let last = &rows.last().expect("nonempty").0;
         let record_ratio = last.target_kb as f64 / first.target_kb as f64;
         let time_ratio = last.recovery_secs / first.recovery_secs;
-        println!(
+        outln!(
+            out,
             "\n{record_ratio:.0}× the valid records cost {time_ratio:.1}× the recovery time\n\
              (paper: 100× → <3×; batched resumption amortizes the work)."
         );
         if rows.len() < PAPER.len() {
-            println!(
+            outln!(
+                out,
                 "note: {} target volume(s) skipped — the workload at scale {scale}\n\
                  never accumulated that many valid records; rerun with --full.",
                 PAPER.len() - rows.len()
             );
         }
     }
-    write_json(
-        "table5_recovery",
-        &rows.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-    );
+    Output::new(out, &rows.iter().map(|(r, _)| *r).collect::<Vec<_>>())
 }

@@ -1,9 +1,15 @@
-//! Shared plumbing for the experiment binaries.
+//! The paper's evaluation as library functions, plus the plumbing the
+//! `cx-bench` binaries share.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it:
+//! Every table and figure of the paper's evaluation is a module of
+//! [`experiments`], registered in paper order in [`experiments::ALL`], and
+//! run by one binary:
 //!
-//! | binary | paper artifact |
+//! ```text
+//! cargo run --release -p cx-bench --bin experiments -- [names…] [--scale f|--full] [--jobs n]
+//! ```
+//!
+//! | experiment | paper artifact |
 //! |---|---|
 //! | `table2_conflict_ratio` | Table II — conflict ratios in six workloads |
 //! | `figure4_op_distribution` | Figure 4 — metadata operation mixes |
@@ -14,24 +20,27 @@
 //! | `figure8_conflict_ratio` | Figure 8 — injected-conflict sensitivity |
 //! | `figure9_batch_strategies` | Figure 9 — timeout/threshold trigger sweeps |
 //! | `table5_recovery` | Table V — recovery time vs valid-record volume |
-//! | `ablation_log_organization` | DESIGN.md §5.2 — log-structured file vs log records in the database |
 //! | `ablation_group_commit` | DESIGN.md §5.3 — group commit on/off |
 //! | `ablation_writeback_merge` | DESIGN.md §5.3 — elevator merging on/off |
+//! | `ablation_log_organization` | DESIGN.md §5.2 — log-structured file vs log records in the database |
 //!
-//! `heap_peak` is tooling, not a paper artifact: it replays a benchmark
-//! input under a counting allocator and prints the peak live heap by size
-//! class — where a footprint claim starts. `perf_baseline` is the
-//! observability export driver (`--obs`, `--live`, `--multiproc`, the
-//! latter over `cx_net_server` processes); it measures nothing — speed,
-//! latency and memory are read from `benchmark/` (`BENCHMARK.json`).
+//! Three binaries stay apart, each for a reason of its own. `heap_peak`
+//! owns a `#[global_allocator]`: it replays a benchmark input under a
+//! counting allocator and prints the peak live heap by size class — where
+//! a footprint claim starts. `cx_net_server` must be an OS process of its
+//! own. `perf_baseline` is the observability export driver (`--obs`,
+//! `--live`, `--multiproc`, the latter over `cx_net_server` processes); it
+//! measures nothing — speed, latency and memory are read from
+//! `benchmark/` (`BENCHMARK.json`).
 //!
-//! Binaries accept `--scale <f64>` (trace fraction; default keeps each run
-//! under ~a minute) and `--full` (paper scale: every operation of Table
-//! II). Results print as aligned tables and are also written as JSON under
-//! `target/experiments/`.
+//! Experiments accept `--scale <f64>` (trace fraction; each default keeps
+//! the run under ~a minute) and `--full` (paper scale: every operation of
+//! Table II). Results print as aligned tables and are also written as JSON
+//! under `target/experiments/`.
 
 use serde::Serialize;
-use std::path::PathBuf;
+use std::cell::Cell;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -56,35 +65,40 @@ pub struct NetServerConfig {
     pub obs: bool,
 }
 
-/// Worker count for [`par_map`]: `CX_BENCH_THREADS` if set (CI uses this to
-/// cap parallelism), otherwise the machine's available parallelism.
+pub mod experiments;
+
+thread_local! {
+    /// Set on the threads [`par_map_with`] spawns: a [`par_map`] inside
+    /// one of them runs inline, so an outer fan-out (the `experiments`
+    /// binary's `--jobs`) does not multiply with each experiment's sweep.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Worker count for a top-level [`par_map`]: the machine's available
+/// parallelism.
 pub fn bench_threads() -> usize {
-    std::env::var("CX_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Order-preserving parallel map over a slice — the shared sweep helper for
-/// the experiment binaries. Work is handed out item-at-a-time so uneven
-/// sweep points (e.g. different cluster sizes) balance across workers.
+/// the experiments. Work is handed out item-at-a-time so uneven sweep
+/// points (e.g. different cluster sizes) balance across workers. Called
+/// from a [`par_map_with`] worker, it runs inline on that worker.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_with(bench_threads(), items, f)
+    let threads = if IN_WORKER.get() { 1 } else { bench_threads() };
+    par_map_with(threads, items, f)
 }
 
 /// [`par_map`] with an explicit worker count (clamped to at least one).
-/// The `--full` driver uses this to fan whole experiment binaries across
-/// cores with `--jobs`, independent of `CX_BENCH_THREADS`.
+/// The `experiments` binary uses this to fan whole experiments across
+/// cores with `--jobs`.
 pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -99,13 +113,16 @@ where
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            scope.spawn(|| {
+                IN_WORKER.set(true);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let out = f(&items[i]);
+                    *slots[i].lock().unwrap() = Some(out);
                 }
-                let out = f(&items[i]);
-                *slots[i].lock().unwrap() = Some(out);
             });
         }
     });
@@ -116,20 +133,22 @@ where
 }
 
 /// Parse `--scale <f64>`, `--full`, `--servers <n>` style flags.
+#[derive(Debug)]
 pub struct Args {
     raw: Vec<String>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self::parse()
-    }
 }
 
 impl Args {
     pub fn parse() -> Self {
         Self {
             raw: std::env::args().skip(1).collect(),
+        }
+    }
+
+    /// Arguments given in code, as they would follow the binary's name.
+    pub fn of(raw: &[&str]) -> Self {
+        Self {
+            raw: raw.iter().map(|a| a.to_string()).collect(),
         }
     }
 
@@ -162,40 +181,32 @@ impl Args {
     }
 }
 
-/// Print an aligned table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Append an aligned table to `out`.
+pub fn write_table(
+    out: &mut String,
+    headers: &[&str],
+    rows: impl IntoIterator<Item = Vec<String>>,
+) {
+    let rows: Vec<Vec<String>> = rows.into_iter().collect();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
+    for row in &rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
                 widths[i] = widths[i].max(cell.len());
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut line = |cells: Vec<String>| {
         let mut s = String::new();
         for (i, c) in cells.iter().enumerate() {
             s.push_str(&format!("{:>width$}  ", c, width = widths[i]));
         }
-        println!("{}", s.trim_end());
+        writeln!(out, "{}", s.trim_end()).expect("a String takes every write");
     };
     line(headers.iter().map(|h| h.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for row in rows {
-        line(row.clone());
-    }
-}
-
-/// Write a JSON artifact under `target/experiments/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from("target/experiments");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(&path, json);
-        println!("\n[json: {}]", path.display());
+        line(row);
     }
 }
 
@@ -213,14 +224,6 @@ pub fn gain(old: f64, new: f64) -> f64 {
 mod tests {
     use super::*;
 
-    impl Args {
-        fn of(raw: &[&str]) -> Self {
-            Self {
-                raw: raw.iter().map(|a| a.to_string()).collect(),
-            }
-        }
-    }
-
     #[test]
     fn improvement_and_gain() {
         assert!((improvement(2.0, 1.0) - 50.0).abs() < 1e-9);
@@ -233,6 +236,16 @@ mod tests {
         let out = par_map(&items, |&x| x * 3);
         assert_eq!(out, (0..37).map(|x| x * 3).collect::<Vec<_>>());
         assert!(par_map(&Vec::<u64>::new(), |&x| x).is_empty());
+    }
+
+    #[test]
+    fn a_par_map_inside_a_par_map_with_worker_runs_inline() {
+        let inline = par_map_with(2, &[0u8, 1], |_| {
+            let worker = std::thread::current().id();
+            let ids = par_map(&[0u8; 8], |_| std::thread::current().id());
+            ids.iter().all(|&id| id == worker)
+        });
+        assert_eq!(inline, [true, true]);
     }
 
     #[test]

@@ -250,7 +250,6 @@ pub fn serve_one_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use cx_obs::Phase;
     use cx_types::{BatchTrigger, Protocol};
     use cx_workloads::{TraceBuilder, TraceProfile};
@@ -372,7 +371,7 @@ mod tests {
             .stream();
         let expected = trace.total_ops_hint;
         let cfg = fast_cfg(2, Protocol::Cx);
-        let (addr_tx, addr_rx) = unbounded();
+        let (addr_tx, addr_rx) = mpsc::channel();
         let mut nodes = Vec::new();
         for i in 0..cfg.servers {
             let cfg = cfg.clone();
@@ -412,7 +411,7 @@ mod tests {
             .stream();
         let expected = trace.total_ops_hint;
         let cfg = fast_cfg(2, Protocol::Cx);
-        let (addr_tx, addr_rx) = unbounded();
+        let (addr_tx, addr_rx) = mpsc::channel();
         let mut nodes = Vec::new();
         for i in 0..cfg.servers {
             let cfg = cfg.clone();

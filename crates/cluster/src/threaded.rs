@@ -1,7 +1,7 @@
 //! The wall-clock runtime over in-process channels.
 //!
 //! The same server nodes, client host and drain as a TCP run
-//! ([`crate::wall`]), with `Frame` values handed across crossbeam channels
+//! ([`crate::wall`]), with `Frame` values handed across `std::sync::mpsc` channels
 //! instead of encoded onto sockets ([`channel_fabric`]): real threads and
 //! real interleavings without the wire. Each node runs on a loop thread of
 //! its own (`cx-srv<i>`, `cx-host`). Timers run at wall-clock rate, so

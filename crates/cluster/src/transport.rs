@@ -7,10 +7,10 @@
 //! [`crate::wall`] is written against the trait alone, so which one a run
 //! uses is decided by the entry point called.
 
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{plock, ConnectionManager, Frame, NodeId};
 use cx_types::VecPool;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
@@ -96,7 +96,7 @@ pub(crate) fn channel_fabric(servers: u32, epoch: Instant) -> Vec<(Arc<ChanNode>
         .map(NodeId::Server)
         .chain([NodeId::ClientHost(0)])
         .collect();
-    let (txs, rxs): (Vec<_>, Vec<_>) = ids.iter().map(|_| unbounded()).unzip();
+    let (txs, rxs): (Vec<_>, Vec<_>) = ids.iter().map(|_| channel()).unzip();
     ids.into_iter()
         .zip(rxs)
         .map(|(me, rx)| {

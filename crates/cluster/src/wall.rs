@@ -34,7 +34,6 @@ use crate::seed::seed_engine;
 use crate::stats::RunStats;
 use crate::tcp::{TcpOptions, TcpRunResult};
 use crate::transport::Transport;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use cx_mdstore::{GlobalView, Inode, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{plock, ClockSync, Frame, NodeId, WireTelemetry, WireTotals};
@@ -411,7 +410,7 @@ struct ClientHost {
     /// [`TcpOptions::drop_conns_after_ops`]): fires once this many ops are
     /// done; only a socket plane has connections to drop.
     drill: Option<u64>,
-    ctrl: Sender<(NodeId, Frame)>,
+    ctrl: mpsc::Sender<(NodeId, Frame)>,
     /// Where the client side's totals go, once, when the last client runs
     /// dry or the wire falls silent.
     report: Option<mpsc::Sender<(RunStats, MsgCounts)>>,
@@ -578,7 +577,7 @@ pub(crate) fn run_wired(
         .live
         .as_ref()
         .and_then(|l| Monitor::spawn(l, nets.clone(), opts.obs.clone()));
-    let (ctrl_tx, ctrl_rx) = unbounded::<(NodeId, Frame)>();
+    let (ctrl_tx, ctrl_rx) = mpsc::channel::<(NodeId, Frame)>();
     let (report, reported) = mpsc::channel();
     let feed = OpFeed::new(ops, processes, total_ops_hint);
     let mut clients = ClientTable::new(&cfg, feed, processes);
@@ -725,7 +724,7 @@ const STOP_WAIT: Duration = Duration::from_secs(30);
 /// from the returned set (so its rows surface as violations).
 fn drain_and_stop(
     net: &dyn Transport,
-    ctrl_rx: &Receiver<(NodeId, Frame)>,
+    ctrl_rx: &mpsc::Receiver<(NodeId, Frame)>,
     servers: u32,
     obs: &ObsSink,
     stats: &mut RunStats,

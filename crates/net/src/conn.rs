@@ -36,7 +36,6 @@
 use crate::health::{PeerHealth, WireTotals};
 use crate::wire::{encode_frame, write_frame, Frame, FrameBuffer};
 use crate::{plock, NodeId};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use cx_obs::registry::Series;
 use cx_obs::{correct_ns, FlushSpan, LogHistogram, NetPeerRow};
 use cx_types::VecPool;
@@ -49,6 +48,7 @@ use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
 use std::ptr::null;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
@@ -347,7 +347,7 @@ impl ConnectionManager {
             serve: Mutex::default(),
             wake,
         });
-        let (tx, inbound_rx) = unbounded();
+        let (tx, inbound_rx) = channel();
         let batch_pool: Arc<Mutex<VecPool<Frame>>> = Arc::new(Mutex::new(VecPool::default()));
         let forward = Box::new(Forward(tx, Arc::clone(&batch_pool)));
         let origin = Arc::new(Origin {

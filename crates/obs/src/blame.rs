@@ -378,6 +378,21 @@ pub struct Exemplar {
     pub chain: Vec<ChainRow>,
 }
 
+/// Every replied span's decomposition, in span order. The edges are
+/// indexed by op once, so this is linear in spans and edges.
+pub fn blame_spans(spans: &[OpSpan], edges: &[MsgEdge]) -> Vec<OpBlame> {
+    let mut by_op: HashMap<OpId, Vec<&MsgEdge>> = HashMap::new();
+    for e in edges {
+        if let Some(op) = e.op {
+            by_op.entry(op).or_default().push(e);
+        }
+    }
+    spans
+        .iter()
+        .filter_map(|span| blame_span(span, by_op.get(&span.op).map_or(&[], Vec::as_slice)))
+        .collect()
+}
+
 /// How many tail exemplars a table keeps.
 pub const EXEMPLARS: usize = 5;
 
@@ -448,31 +463,24 @@ impl BlameTable {
         }
     }
 
-    /// Build the table from a run's sampled spans and message edges — the
-    /// doctor's entry point.
+    /// Build the table from a run's sampled spans and message edges.
     pub fn from_spans(protocol: &str, spans: &[OpSpan], edges: &[MsgEdge]) -> Self {
-        let mut by_op: HashMap<OpId, Vec<&MsgEdge>> = HashMap::new();
-        for e in edges {
-            if let Some(op) = e.op {
-                by_op.entry(op).or_default().push(e);
-            }
-        }
-        let empty: Vec<&MsgEdge> = Vec::new();
+        Self::from_blames(protocol, blame_spans(spans, edges))
+    }
+
+    /// Fold decomposed ops ([`blame_spans`]) into a table — the doctor's
+    /// entry point, which checks each op before it folds them.
+    pub fn from_blames(protocol: &str, mut blamed: Vec<OpBlame>) -> Self {
         let mut t = Self::new(protocol);
-        let mut blamed: Vec<(OpBlame, &OpSpan)> = Vec::new();
-        for span in spans {
-            let op_edges = by_op.get(&span.op).unwrap_or(&empty);
-            if let Some(b) = blame_span(span, op_edges) {
-                t.absorb_op(&b);
-                blamed.push((b, span));
-            }
+        for b in &blamed {
+            t.absorb_op(b);
         }
         // Tail exemplars: the K slowest by client-visible latency.
-        blamed.sort_by_key(|x| std::cmp::Reverse(x.0.client_ns));
+        blamed.sort_by_key(|b| std::cmp::Reverse(b.client_ns));
         t.exemplars = blamed
             .iter()
             .take(EXEMPLARS)
-            .map(|(b, _)| Exemplar {
+            .map(|b| Exemplar {
                 op: b.op.to_string(),
                 class: b.class.clone(),
                 cross: b.cross,

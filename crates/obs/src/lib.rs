@@ -55,7 +55,7 @@ pub mod report;
 pub mod sink;
 pub mod span;
 
-pub use blame::{blame_span, diff as blame_diff, BlameDiff, BlameTable, OpBlame, Seg};
+pub use blame::{blame_span, blame_spans, diff as blame_diff, BlameDiff, BlameTable, OpBlame, Seg};
 pub use flow::{FlowNode, MsgEdge};
 pub use hist::{fmt_ns_f, HistSummary, LogHistogram};
 pub use net::{chrome_flush_events, correct_ns, FlushSpan, NetPeerRow, NetTable};

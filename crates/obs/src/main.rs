@@ -20,7 +20,7 @@
 //! protocol series and wire histograms reach its registry in the server's
 //! `StopResp`, so that file counts each process once.
 
-use cx_obs::{blame_diff, blame_span, MetricsSnapshot, NetTable, ObsReport};
+use cx_obs::{blame_diff, blame_spans, BlameTable, MetricsSnapshot, NetTable, ObsReport};
 use std::process::ExitCode;
 
 fn read(path: &str) -> Result<String, String> {
@@ -55,7 +55,6 @@ fn doctor(path: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let table = rep.blame();
     // Per-op invariants first: a table built from spans that don't sum is
     // not worth printing. Phase accounting, then the blame decomposition
     // itself — every decomposed op's client segments must sum exactly to
@@ -64,19 +63,12 @@ fn doctor(path: &str, args: &[String]) -> ExitCode {
         eprintln!("cx-obs doctor: span accounting broken: {e}");
         return ExitCode::FAILURE;
     }
-    for span in &rep.spans {
-        let edges: Vec<&cx_obs::MsgEdge> =
-            rep.edges.iter().filter(|e| e.op == Some(span.op)).collect();
-        if let Some(b) = blame_span(span, &edges) {
-            if let Err(e) = b.check() {
-                eprintln!(
-                    "cx-obs doctor: blame accounting broken for {}: {e}",
-                    span.op
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+    let blamed = blame_spans(&rep.spans, &rep.edges);
+    if let Some((op, e)) = blamed.iter().find_map(|b| Some((b.op, b.check().err()?))) {
+        eprintln!("cx-obs doctor: blame accounting broken for {op}: {e}");
+        return ExitCode::FAILURE;
     }
+    let table = BlameTable::from_blames(&rep.protocol, blamed);
     let against = args
         .iter()
         .position(|a| a == "--against")

@@ -32,7 +32,8 @@ fn figure5_ordering_holds_on_every_trace() {
 
 /// "OFS-Cx can significantly improve the performance of cross-server file
 /// operations by more than 38%" — we assert a ≥25% improvement at reduced
-/// scale (the full-scale benchmark binaries reproduce the full figure).
+/// scale (`experiments -- figure5_trace_replay --full` reproduces the full
+/// figure).
 #[test]
 fn cx_improvement_is_substantial() {
     let se = replay_secs("CTH", 0.006, 8, Protocol::Se);
