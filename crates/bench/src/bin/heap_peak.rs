@@ -16,8 +16,10 @@
 //! allocations made so far, and the live heap and the peak as of the
 //! replay's last pull from the op stream: whatever the whole-run peak adds
 //! to that peak was allocated after the replay, by the drain and the run-end
-//! consistency check. One more line gives the heap the returned `RunStats`
-//! holds, which does not grow with the run's length.
+//! consistency check. One more gives the allocations the run made after
+//! set-up, in all and per op: the allocator work an op costs, counted. One
+//! more gives the heap the returned `RunStats` holds, which does not grow
+//! with the run's length.
 //!
 //! `--sites` says whose the big blocks are, which the class table cannot:
 //! every live block of 512 B or more carries the backtrace of its
@@ -253,6 +255,7 @@ fn main() {
     let cluster = DesCluster::new_stream(cfg, stream);
     let (setup_live, setup_allocs) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
     let (stats, violations) = cluster.run();
+    let run_allocs = ALLOCS.load(Relaxed) - setup_allocs;
     assert!(violations.is_empty(), "{violations:?}");
 
     let mib = |b: usize| format!("{:.2}", b as f64 / (1 << 20) as f64);
@@ -265,6 +268,8 @@ fn main() {
     println!("peak live heap {peak} MiB (class table copied at {copied} MiB)");
     let setup_live = mib(setup_live);
     println!("at the end of set-up: {setup_live} MiB live, {setup_allocs} allocations");
+    let per_op = run_allocs as f64 / ops as f64;
+    println!("after set-up: {run_allocs} allocations, {per_op:.2} per op");
     let [pulled_peak, pulled_live] = [0, 1].map(|i| mib(AT_LAST_PULL[i].load(Relaxed)));
     println!("at the replay's last pull: {pulled_live} MiB live, {pulled_peak} MiB peak so far");
     println!("the returned RunStats holds {held} B\n");

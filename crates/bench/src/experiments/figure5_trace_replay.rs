@@ -5,9 +5,9 @@
 //! tracking its ~48% cross-server share); OFS-batched improves ≥15%; Cx
 //! beats OFS-batched by ≥16%.
 
-use super::{Output, Replay};
+use super::{trace_replay, Output};
 use crate::{improvement, write_table, Args};
-use cx_core::{Experiment, HistSummary, Protocol, Workload, PROFILES};
+use cx_core::{HistSummary, Protocol, PROFILES};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,12 +39,7 @@ pub fn run(args: &Args) -> Output {
     let mut out = format!("Figure 5 — trace replay times ({servers} servers, scale {scale})\n\n");
 
     let rows: Vec<Row> = crate::par_map(&PROFILES, |p| {
-        let run = |protocol| {
-            Experiment::new(Workload::trace(p.name).scale(scale))
-                .servers(servers)
-                .protocol(protocol)
-                .replay()
-        };
+        let run = |protocol| trace_replay(p.name, scale, servers, protocol);
         let se = run(Protocol::Se);
         let ba = run(Protocol::SeBatched);
         let cx = run(Protocol::Cx);

@@ -8,8 +8,10 @@
 //! [`select`] and [`run`].
 
 use crate::Args;
-use cx_core::{Experiment, ExperimentResult, MetaratesMix, RunStats, Workload};
+use cx_core::{Experiment, ExperimentResult, MetaratesMix, Protocol, RunStats, Workload};
 use serde::Serialize;
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
 /// `println!` into an experiment's text.
 macro_rules! outln {
@@ -86,6 +88,30 @@ fn checked(e: &Experiment, r: ExperimentResult) -> RunStats {
     assert!(r.is_consistent(), "{} diverged: {:?}", what(), r.violations);
     assert_eq!(r.stats.ops_stuck, 0, "{} left ops stuck", what());
     r.stats
+}
+
+/// Trace `trace` at `scale` replayed under `protocol` on `servers` servers.
+/// Figure 5 and Table IV make the same replays at their defaults, so each
+/// one runs once per process and every later caller gets its stats; a
+/// caller that asks while another runs it waits for that run.
+fn trace_replay(trace: &'static str, scale: f64, servers: u32, protocol: Protocol) -> RunStats {
+    type Key = (&'static str, u64, u32, Protocol);
+    static MEMO: LazyLock<Mutex<HashMap<Key, Arc<OnceLock<RunStats>>>>> =
+        LazyLock::new(Mutex::default);
+    let key = (trace, scale.to_bits(), servers, protocol);
+    let cell = Arc::clone(
+        MEMO.lock()
+            .expect("the memo's lock is never held across a replay")
+            .entry(key)
+            .or_default(),
+    );
+    let stats = cell.get_or_init(|| {
+        Experiment::new(Workload::trace(trace).scale(scale))
+            .servers(servers)
+            .protocol(protocol)
+            .replay()
+    });
+    stats.clone()
 }
 
 /// The ablations' Metarates input: update-dominated, in one directory.

@@ -5,9 +5,9 @@
 //! overhead between 1.0% and 3.1% (< 4%) across all six traces, growing
 //! with the trace's conflict ratio.
 
-use super::{Output, Replay};
+use super::{trace_replay, Output};
 use crate::{write_table, Args};
-use cx_core::{Experiment, Protocol, Workload, PROFILES};
+use cx_core::{Protocol, PROFILES};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -35,12 +35,7 @@ pub fn run(args: &Args) -> Output {
     let mut out = format!("Table IV — message overhead of OFS-Cx (8 servers, scale {scale})\n\n");
 
     let rows: Vec<Row> = crate::par_map(&PROFILES, |p| {
-        let run = |protocol| {
-            Experiment::new(Workload::trace(p.name).scale(scale))
-                .servers(8)
-                .protocol(protocol)
-                .replay()
-        };
+        let run = |protocol| trace_replay(p.name, scale, 8, protocol);
         let se = run(Protocol::Se);
         let cx = run(Protocol::Cx);
         Row {

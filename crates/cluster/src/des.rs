@@ -266,6 +266,10 @@ impl DesCluster {
         self.drain();
         self.stats.drained = self.ports.sim.now();
         self.finalize();
+        // The feed's rings, the wheel and the disk lanes are spent: free
+        // them before the check allocates its own tables.
+        drop(self.clients);
+        drop(self.ports);
 
         let violations =
             GlobalView::merge(self.servers.iter().map(|s| s.store())).check(&self.roots);

@@ -8,10 +8,15 @@
 //! exactly those of the stream's global order, so there is one intake.
 //!
 //! A buffered op is held as its [`cx_types::codec`] bytes, the layout the
-//! wire and the WAL already use: 9 B for a one-inode op, 17 for `Lookup`,
-//! 25 for a mutation, where an `FsOp` slot is 32. The backlog grows with
-//! how far the processes drift apart, not with the trace, but on a
-//! read-heavy trace it is the largest thing the replay holds.
+//! wire and the WAL already use, packed: every 8-byte word after the tag
+//! byte is written LEB128 (7 bits a byte), and the word count rides in
+//! the tag byte's high bits, so unpacking needs no table of which op has
+//! which fields. The workloads number inodes and names from counters, so
+//! the words are small: a `Stat` of an inode below 16,384 takes 3 B, and
+//! home2's backlog averages 5.2 B an op where the codec's bytes are 9–25
+//! and an `FsOp` slot is 32. Three full-width words take 31. The backlog
+//! grows with how far the processes drift apart, not with the trace, but
+//! on a read-heavy trace it is the largest thing the replay holds.
 //!
 //! [`ClientTable`] is the client side both runtimes run over a feed: the
 //! DES and the wall clock's client host.
@@ -26,12 +31,19 @@ use cx_types::{
 use cx_workloads::OpStream;
 use std::collections::VecDeque;
 
-/// The longest `FsOp` encoding: a tag and three 8-byte fields.
-const MAX_OP_BYTES: usize = 25;
+/// An `FsOp` encoding's fields: one to three 8-byte words after the tag.
+const WORD: usize = 8;
+/// The longest `FsOp` encoding: a tag and three words.
+const MAX_CODEC_BYTES: usize = 1 + 3 * WORD;
+/// The longest packed op: a tag and three 8-byte words of 10 LEB128 bytes.
+const MAX_OP_BYTES: usize = 1 + 3 * 10;
+/// Where the word count starts in a packed op's tag byte; the codec's
+/// `FsOp` tags (0–11) fit below it.
+const WORDS_SHIFT: u32 = 4;
 
 pub struct OpFeed {
     source: Box<dyn OpStream + Send>,
-    /// Per process, its ops not handed out yet, encoded back to back.
+    /// Per process, its ops not handed out yet, packed back to back.
     buffers: Vec<VecDeque<u8>>,
     /// Ops held in `buffers`.
     buffered: u64,
@@ -53,25 +65,22 @@ impl OpFeed {
             source,
             buffers: (0..processes).map(|_| VecDeque::new()).collect(),
             buffered: 0,
-            scratch: Vec::with_capacity(MAX_OP_BYTES),
+            scratch: Vec::with_capacity(MAX_CODEC_BYTES),
             exhausted: false,
             pulled: 0,
             total_hint,
         };
         let mut empty = feed.buffers.len();
         while empty > 0 {
-            let Some(proc) = feed.pull() else { break };
-            // The op just pushed is alone in its buffer: that one was empty.
-            if feed.buffers[proc].len() == feed.scratch.len() {
-                empty -= 1;
-            }
+            let Some(first) = feed.pull() else { break };
+            empty -= usize::from(first);
         }
         feed
     }
 
-    /// Draw one op from the source into its process's buffer; the process,
-    /// or `None` once the source is dry.
-    fn pull(&mut self) -> Option<usize> {
+    /// Draw one op from the source into its process's buffer: whether that
+    /// buffer was empty, or `None` once the source is dry.
+    fn pull(&mut self) -> Option<bool> {
         let Some(t) = self.source.next_op() else {
             self.exhausted = true;
             return None;
@@ -80,10 +89,13 @@ impl OpFeed {
         self.buffered += 1;
         self.scratch.clear();
         t.op.encode(&mut self.scratch);
-        debug_assert!(self.scratch.len() <= MAX_OP_BYTES);
+        let mut packed = [0u8; MAX_OP_BYTES];
+        let n = pack(&self.scratch, &mut packed);
         let proc = t.proc.client.0 as usize;
-        self.buffers[proc].extend(&self.scratch);
-        Some(proc)
+        let buf = &mut self.buffers[proc];
+        let first = buf.is_empty();
+        buf.extend(&packed[..n]);
+        Some(first)
     }
 
     /// Whether `proc` has no ops at all (valid right after construction).
@@ -101,10 +113,10 @@ impl OpFeed {
             self.pull();
         }
         let buf = &mut self.buffers[proc];
-        // An op that wraps the ring's end is decoded from a copy.
+        // An op that wraps the ring's end is unpacked from a copy.
         let mut wrapped = [0u8; MAX_OP_BYTES];
         let (front, back) = buf.as_slices();
-        let bytes = if front.len() >= MAX_OP_BYTES || back.is_empty() {
+        let packed = if front.len() >= MAX_OP_BYTES || back.is_empty() {
             front
         } else {
             let n = buf.len().min(MAX_OP_BYTES);
@@ -113,9 +125,7 @@ impl OpFeed {
             }
             &wrapped[..n]
         };
-        let mut r = Reader::new(bytes);
-        let op = FsOp::decode(&mut r).expect("the feed decodes only what it encoded");
-        let used = bytes.len() - r.remaining();
+        let (op, used) = unpack(packed);
         buf.drain(..used);
         self.buffered -= 1;
         Some(op)
@@ -135,6 +145,51 @@ impl OpFeed {
     pub fn total_hint(&self) -> u64 {
         self.total_hint
     }
+}
+
+/// Pack one op's codec bytes into `out`: the tag with the word count above
+/// it, then each little-endian word as LEB128. The packed length.
+fn pack(encoded: &[u8], out: &mut [u8; MAX_OP_BYTES]) -> usize {
+    let (&tag, words) = encoded.split_first().expect("an op encodes its tag");
+    debug_assert!(tag >> WORDS_SHIFT == 0 && words.len() % WORD == 0);
+    out[0] = tag | ((words.len() / WORD) as u8) << WORDS_SHIFT;
+    let mut n = 1;
+    for word in words.chunks_exact(WORD) {
+        let mut v = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        while v >= 0x80 {
+            out[n] = v as u8 | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        out[n] = v as u8;
+        n += 1;
+    }
+    n
+}
+
+/// The op [`pack`] wrote at the front of `packed`, decoded by the codec,
+/// and the bytes it took.
+fn unpack(packed: &[u8]) -> (FsOp, usize) {
+    let mut encoded = [0u8; MAX_CODEC_BYTES];
+    let words = usize::from(packed[0] >> WORDS_SHIFT);
+    encoded[0] = packed[0] & ((1 << WORDS_SHIFT) - 1);
+    let mut n = 1;
+    for word in encoded[1..].chunks_exact_mut(WORD).take(words) {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = packed[n];
+            n += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        word.copy_from_slice(&v.to_le_bytes());
+    }
+    let mut r = Reader::new(&encoded[..1 + words * WORD]);
+    let op = FsOp::decode(&mut r).expect("the feed decodes only what it encoded");
+    debug_assert_eq!(r.remaining(), 0);
+    (op, n)
 }
 
 /// Every logical client of a run, for the DES and the wall clock's client

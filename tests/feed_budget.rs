@@ -2,16 +2,17 @@
 //!
 //! `OpFeed` turns a global-order stream into per-process queues. An op a
 //! lagging process has not issued yet waits in its queue as the bytes the
-//! one codec writes for it (9 for a one-inode op, 17 for `Lookup`, 25 for
-//! a mutation). These tests pin the three things that must hold of that:
-//! every op comes back out in its process's order, the op count the
-//! runtimes account stuck ops by is a count of ops, and a backlog costs
-//! its bytes, not a 32-byte `FsOp` slot apiece.
+//! one codec writes for it, each 8-byte word packed LEB128: 3 for a
+//! `Stat` of an inode below 16,384, 31 at most (three full-width words).
+//! These tests pin the four things that must hold of that: every op comes
+//! back out in its process's order, the op count the runtimes account
+//! stuck ops by is a count of ops, a backlog costs its packed bytes, not a
+//! 32-byte `FsOp` slot apiece, and handing an op out allocates nothing.
 
 #[path = "kit/counting.rs"]
 mod counting;
 
-use counting::live;
+use counting::{allocs, live};
 use cx_cluster::OpFeed;
 use cx_types::{FsOp, InodeNo, Name, ProcId};
 use cx_workloads::{TraceOp, VecStream};
@@ -123,7 +124,7 @@ fn every_variant_comes_out_in_process_order_under_interleaved_pulls() {
 }
 
 /// `remaining()` is what `ClientTable::unfinished` and stuck-op accounting
-/// read, so it counts ops: a 25-byte mutation and a 9-byte `Stat` are one
+/// read, so it counts ops: a 30-byte mutation and an 11-byte `Stat` are one
 /// each, buffered or still in the source.
 #[test]
 fn remaining_counts_ops_not_bytes() {
@@ -132,9 +133,9 @@ fn remaining_counts_ops_not_bytes() {
         op,
     };
     let ops = vec![
-        op(1, nth_op(0)), // Create, 25 bytes
-        op(1, nth_op(6)), // Stat, 9 bytes
-        op(1, nth_op(7)), // Lookup, 17 bytes
+        op(1, nth_op(0)), // Create, 30 bytes
+        op(1, nth_op(6)), // Stat, 11 bytes
+        op(1, nth_op(7)), // Lookup, 20 bytes
         op(0, nth_op(4)), // Link
         op(1, nth_op(8)),
         op(0, nth_op(9)),
@@ -160,9 +161,10 @@ fn remaining_counts_ops_not_bytes() {
 }
 
 /// One process has 10,000 `Stat`s queued behind another's first op, so
-/// building the feed buffers them all. Encoded, each is 9 bytes, and a
-/// ring that grows by doubling holds at most twice what it carries:
-/// 180,000 bytes. As 32-byte `FsOp` slots they would take 512 KiB.
+/// building the feed buffers them all. Packed, each is at most 3 bytes,
+/// and a ring that grows by doubling holds at most twice what it carries:
+/// 60,000 bytes. The codec's 9 bytes apiece would take 128 KiB of ring,
+/// 32-byte `FsOp` slots 512 KiB.
 #[test]
 fn a_stat_backlog_costs_its_codec_bytes() {
     const N: u64 = 10_000;
@@ -180,7 +182,7 @@ fn a_stat_backlog_costs_its_codec_bytes() {
     let before = live();
     let mut f = OpFeed::new(stream, 2, N + 1);
     let backlog = live() - before;
-    let budget = (2 * 9 * N) as isize + 1_024;
+    let budget = (2 * 3 * N) as isize + 1_024;
     assert!(
         backlog <= budget,
         "{backlog} B of live heap for {N} buffered Stats, budget {budget}"
@@ -190,4 +192,32 @@ fn a_stat_backlog_costs_its_codec_bytes() {
         assert_eq!(f.next_for(1), Some(FsOp::Stat { ino: InodeNo(i) }));
     }
     assert_eq!(f.next_for(1), None);
+}
+
+/// Two processes whose ops alternate in runs of one to three, asked in
+/// turn: each queue holds a few ops at most, so after a warm-up its ring
+/// has all the room it will need, and ops of 10 to 30 bytes keep
+/// straddling its end. From then on, handing out an op — pulling the
+/// source, packing, unpacking a wrapped op from its copy, decoding —
+/// makes no allocation at all.
+#[test]
+fn a_warm_feed_hands_out_ops_without_allocating() {
+    const OWNERS: [u32; 12] = [0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0];
+    let ops = (0..12_000)
+        .map(|i| TraceOp {
+            proc: ProcId::new(OWNERS[i as usize % 12], 0),
+            op: nth_op(i),
+        })
+        .collect();
+    let mut f = feed(ops, 2);
+    let mut next = |i: u32| f.next_for(i % 2).expect("6,000 ops a process");
+    for i in 0..1_000 {
+        next(i);
+    }
+    let before = allocs();
+    for i in 0..10_000 {
+        next(i);
+    }
+    let made = allocs() - before;
+    assert_eq!(made, 0, "{made} allocations in 10,000 next_for calls");
 }

@@ -1,8 +1,8 @@
 //! The counting allocator of the heap-budget tests: live and peak heap
-//! bytes of the calling thread's own allocations. A test binary that
-//! mounts this module (`#[path = "kit/counting.rs"] mod counting;`) runs
-//! every allocation through it; counts are per thread, so the harness's
-//! other test threads never show in a budget.
+//! bytes of the calling thread's own allocations, and how many it made. A
+//! test binary that mounts this module (`#[path = "kit/counting.rs"] mod
+//! counting;`) runs every allocation through it; counts are per thread, so
+//! the harness's other test threads never show in a budget.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,6 +13,7 @@ struct Counting;
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Live heap bytes this thread holds.
@@ -25,12 +26,18 @@ pub fn peak() -> isize {
     PEAK.with(Cell::get)
 }
 
+/// Blocks this thread has allocated or reallocated so far.
+pub fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
 /// Start a new peak at what is live now.
 pub fn reset_peak() {
     PEAK.with(|p| p.set(live()));
 }
 
 fn grew(bytes: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = LIVE.try_with(|n| {
         n.set(n.get() + bytes as isize);
         let _ = PEAK.try_with(|p| p.set(p.get().max(n.get())));
