@@ -243,8 +243,8 @@ impl<'a> GlobalView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cx_types::check::{check, Gen};
     use cx_types::{FsOp, Placement, SubOp};
-    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     /// The oracle's oracle: the copying view [`GlobalView`] was until it
@@ -543,22 +543,24 @@ mod tests {
         },
     }
 
-    fn fault() -> impl Strategy<Value = Fault> {
-        prop_oneof![
-            any::<usize>().prop_map(Fault::DropInode),
-            any::<usize>().prop_map(Fault::DropDentry),
-            (any::<usize>(), 0u32..5).prop_map(|(row, n)| Fault::SetNlink(row, n)),
-            (any::<usize>(), 0usize..8, 0u32..4).prop_map(|(row, to, nlink)| Fault::CopyInode {
+    fn arb_fault(g: &mut Gen) -> Fault {
+        let row = g.gen::<u64>() as usize;
+        let to = g.gen_range(0..8);
+        match g.gen_range(0..5) {
+            0 => Fault::DropInode(row),
+            1 => Fault::DropDentry(row),
+            2 => Fault::SetNlink(row, g.gen_range(0..5)),
+            3 => Fault::CopyInode {
                 row,
                 to,
-                nlink
-            }),
-            (any::<usize>(), 0usize..8, 0u64..3).prop_map(|(row, to, shift)| Fault::CopyDentry {
+                nlink: g.gen_range(0..4),
+            },
+            _ => Fault::CopyDentry {
                 row,
                 to,
-                shift
-            }),
-        ]
+                shift: g.gen_range(0..3),
+            },
+        }
     }
 
     type InodeRow = (usize, InodeNo, FileKind, u32);
@@ -615,22 +617,20 @@ mod tests {
         (inodes, entries)
     }
 
-    proptest! {
-        /// The borrowed view answers every query the copying one did, with
-        /// the same rows in the same order, on consistent namespaces and on
-        /// broken ones: inodes and entries lost, link counts bumped or
-        /// zeroed, a row on two or three servers (roots and non-roots),
-        /// hard links, stores left empty.
-        #[test]
-        fn borrowed_view_equals_the_copying_reference(
-            servers in 1usize..9,
-            used in 1usize..9,
-            dirs in 1u64..4,
-            links in prop::collection::vec(1u32..4, 0..24),
-            faults in prop::collection::vec(fault(), 0..6),
-            root_mask in 0u8..32,
-        ) {
+    /// The borrowed view answers every query the copying one did, with
+    /// the same rows in the same order, on consistent namespaces and on
+    /// broken ones: inodes and entries lost, link counts bumped or
+    /// zeroed, a row on two or three servers (roots and non-roots),
+    /// hard links, stores left empty.
+    #[test]
+    fn borrowed_view_equals_the_copying_reference() {
+        check("borrowed_view_equals_the_copying_reference", 48, |g| {
+            let (servers, used) = (g.gen_range(1usize..9), g.gen_range(1usize..9));
             let used = used.min(servers);
+            let dirs = g.gen_range(1u64..4);
+            let links = g.vec(0..24, |g| g.gen_range(1u32..4));
+            let faults = g.vec(0..6, arb_fault);
+            let root_mask = g.gen_range(0u8..32);
             let (inodes, entries) = faulty_rows(used, dirs, &links, &faults);
             let mut stores: Vec<MetaStore> = (0..servers).map(|_| MetaStore::new()).collect();
             for &(s, ino, kind, nlink) in &inodes {
@@ -643,37 +643,37 @@ mod tests {
             // a file: bits 0..3 pick directories, bits 3..5 files.
             let roots: Vec<InodeNo> = (0..5u64)
                 .filter(|b| root_mask >> b & 1 == 1)
-                .map(|b| if b < 3 { InodeNo(1 + b) } else { InodeNo(7 + b) })
+                .map(|b| InodeNo(if b < 3 { 1 + b } else { 7 + b }))
                 .collect();
 
             let want = RefView::merge(stores.iter());
             let got = GlobalView::merge(stores.iter());
-            prop_assert_eq!(got.check(&roots), want.check(&roots));
-            prop_assert_eq!(got.check(&[]), want.check(&[]));
-            prop_assert_eq!(got.inode_count(), want.inode_count());
-            prop_assert_eq!(got.dentry_count(), want.dentry_count());
-            prop_assert_eq!(
+            assert_eq!(got.check(&roots), want.check(&roots));
+            assert_eq!(got.check(&[]), want.check(&[]));
+            assert_eq!(got.inode_count(), want.inode_count());
+            assert_eq!(got.dentry_count(), want.dentry_count());
+            assert_eq!(
                 got.dentries().collect::<Vec<_>>(),
                 want.dentries().collect::<Vec<_>>()
             );
-            prop_assert_eq!(
+            assert_eq!(
                 got.inodes().collect::<Vec<_>>(),
                 want.inodes().collect::<Vec<_>>()
             );
             // Point lookups, on keys that exist and keys that do not.
             for ino in (0..40).map(InodeNo) {
-                prop_assert_eq!(got.inode(ino), want.inode(ino));
-                prop_assert_eq!(got.contains_inode(ino), want.contains_inode(ino));
+                assert_eq!(got.inode(ino), want.inode(ino));
+                assert_eq!(got.contains_inode(ino), want.contains_inode(ino));
             }
             for parent in (0..5).map(InodeNo) {
                 for name in (0..100).map(Name) {
-                    prop_assert_eq!(got.dentry(parent, name), want.dentry(parent, name));
-                    prop_assert_eq!(
+                    assert_eq!(got.dentry(parent, name), want.dentry(parent, name));
+                    assert_eq!(
                         got.contains_dentry(parent, name),
                         want.contains_dentry(parent, name)
                     );
                 }
             }
-        }
+        });
     }
 }

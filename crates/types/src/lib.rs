@@ -20,6 +20,7 @@
 //!   assigned to a server by its name hash and a file's inode is placed
 //!   (pseudo-randomly) on a server of the cluster (§IV-A).
 
+pub mod check;
 pub mod codec;
 pub mod config;
 pub mod error;

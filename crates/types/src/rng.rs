@@ -8,7 +8,7 @@ use std::ops::Range;
 
 /// SplitMix64. Small, fast, passes BigCrush on its own output.
 ///
-/// Every sampler here (`gen` of `f64`/`u64`/`u32`/`bool`, `gen_bool`,
+/// Every sampler here (`gen` of `f64`/`u64`/`u32`/`u8`/`bool`, `gen_bool`,
 /// `gen_range`, `choose`) takes exactly one `next_u64`: no rejection
 /// loop. Callers count on it — Metarates positions its ranks by
 /// counting draws — so a sampler that draws more than once must fail
@@ -31,14 +31,14 @@ impl SmallRng {
         z ^ (z >> 31)
     }
 
-    /// A uniform `u64`, `u32`, `bool`, or `f64` in `[0, 1)`.
+    /// A uniform `u64`, `u32`, `u8`, `bool`, or `f64` in `[0, 1)`.
     pub fn gen<T: Standard>(&mut self) -> T {
         T::from_draw(self.next_u64())
     }
 
     /// Uniform over `range`, which must not be empty.
     pub fn gen_range<T: SampleRange>(&mut self, range: Range<T>) -> T {
-        T::sample(range, self)
+        T::sample(range, self.next_u64())
     }
 
     /// `true` with probability `p`.
@@ -58,11 +58,11 @@ impl SmallRng {
 
 /// Maps a raw u64 draw onto `0..n` via widening multiply (Lemire's method
 /// without the rejection step; bias is negligible for simulator-sized `n`).
-fn below(raw: u64, n: u64) -> u64 {
+pub(crate) fn below(raw: u64, n: u64) -> u64 {
     ((raw as u128 * n as u128) >> 64) as u64
 }
 
-fn f64_from_u64(raw: u64) -> f64 {
+pub(crate) fn f64_from_u64(raw: u64) -> f64 {
     (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -83,22 +83,23 @@ macro_rules! standard_impl {
 standard_impl!(
     u64 => |raw| raw,
     u32 => |raw| (raw >> 32) as u32,
+    u8 => |raw| (raw >> 56) as u8,
     f64 => |raw| f64_from_u64(raw),
     bool => |raw| raw & 1 == 1
 );
 
-/// A type [`SmallRng::gen_range`] samples a range of.
+/// A type [`SmallRng::gen_range`] samples a range of, from one raw draw.
 pub trait SampleRange: Sized {
-    fn sample(range: Range<Self>, rng: &mut SmallRng) -> Self;
+    fn sample(range: Range<Self>, raw: u64) -> Self;
 }
 
 macro_rules! range_impl {
     ($($t:ty),*) => {$(
         impl SampleRange for $t {
-            fn sample(range: Range<$t>, rng: &mut SmallRng) -> $t {
+            fn sample(range: Range<$t>, raw: u64) -> $t {
                 assert!(range.start < range.end, "gen_range: empty range");
                 let span = (range.end as i128 - range.start as i128) as u64;
-                range.start.wrapping_add(below(rng.next_u64(), span) as $t)
+                range.start.wrapping_add(below(raw, span) as $t)
             }
         }
     )*};
@@ -106,8 +107,8 @@ macro_rules! range_impl {
 range_impl!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleRange for f64 {
-    fn sample(range: Range<f64>, rng: &mut SmallRng) -> f64 {
-        range.start + (range.end - range.start) * f64_from_u64(rng.next_u64())
+    fn sample(range: Range<f64>, raw: u64) -> f64 {
+        range.start + (range.end - range.start) * f64_from_u64(raw)
     }
 }
 

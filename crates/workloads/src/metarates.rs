@@ -316,7 +316,7 @@ impl OpStream for MetaratesStream {
 mod tests {
     use super::*;
     use crate::model::NamespaceModel;
-    use proptest::prelude::*;
+    use cx_types::check::check;
 
     /// What [`reference_build`] returns: a stream's header plus every op.
     struct Reference {
@@ -463,30 +463,20 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Anywhere in the parameter space — including fewer seed files
-        /// than ranks, where stats fall back on the empty-list default —
-        /// the lazy stream is the eager reference: one skipped or extra
-        /// draw in the positioning pass shifts every later rank.
-        #[test]
-        fn stream_equals_reference_for_random_parameters(
-            update in any::<bool>(),
-            processes in 1u32..40,
-            seed_files in 0u32..300,
-            ops_per_proc in 0u32..60,
-            seed in any::<u64>(),
-        ) {
-            let mix = if update {
-                MetaratesMix::UpdateDominated
-            } else {
-                MetaratesMix::ReadDominated
-            };
-            let mut m = Metarates::new(mix, processes)
-                .seed_files(seed_files)
-                .ops_per_proc(ops_per_proc);
-            m.seed = seed;
+    /// Anywhere in the parameter space — including fewer seed files
+    /// than ranks, where stats fall back on the empty-list default —
+    /// the lazy stream is the eager reference: one skipped or extra
+    /// draw in the positioning pass shifts every later rank.
+    #[test]
+    fn stream_equals_reference_for_random_parameters() {
+        check("stream_equals_reference_for_random_parameters", 48, |g| {
+            let mixes = [MetaratesMix::UpdateDominated, MetaratesMix::ReadDominated];
+            let mut m = Metarates::new(*g.choose(&mixes).unwrap(), g.gen_range(1..40))
+                .seed_files(g.gen_range(0..300))
+                .ops_per_proc(g.gen_range(0..60));
+            m.seed = g.gen();
             assert_matches_reference(&m);
-        }
+        });
     }
 
     /// The benchmark's `des-update` input at its default seed (rep 0 of

@@ -13,9 +13,9 @@
 mod kit;
 
 use cx_protocol::testkit::Envelope;
+use cx_types::check::{check, Gen};
 use cx_types::{FileKind, FsOp, InodeNo, Name, OpOutcome, ProcId, Protocol};
 use kit::*;
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// Sequential reference model of the namespace.
@@ -114,60 +114,36 @@ impl Model {
 
 /// Operation generator over a compact namespace so collisions (and thus
 /// failures and reuse) are common.
-fn op_strategy() -> impl Strategy<Value = FsOp> {
-    let name = (1u64..24).prop_map(Name);
-    let ino = (100u64..124).prop_map(InodeNo);
-    prop_oneof![
-        (name.clone(), ino.clone()).prop_map(|(name, ino)| FsOp::Create {
-            parent: ROOT,
+fn arb_op(g: &mut Gen) -> FsOp {
+    let (which, parent) = (g.gen_range(0..8), ROOT);
+    let (name, ino) = (Name(g.gen_range(1..24)), InodeNo(g.gen_range(100..124)));
+    let target = ino;
+    match which {
+        0 => FsOp::Create { parent, name, ino },
+        1 => FsOp::Remove { parent, name, ino },
+        2 => FsOp::Mkdir { parent, name, ino },
+        3 => FsOp::Link {
+            parent,
             name,
-            ino
-        }),
-        (name.clone(), ino.clone()).prop_map(|(name, ino)| FsOp::Remove {
-            parent: ROOT,
+            target,
+        },
+        4 => FsOp::Unlink {
+            parent,
             name,
-            ino
-        }),
-        (name.clone(), ino.clone()).prop_map(|(name, ino)| FsOp::Mkdir {
-            parent: ROOT,
-            name,
-            ino
-        }),
-        (name.clone(), ino.clone()).prop_map(|(name, target)| FsOp::Link {
-            parent: ROOT,
-            name,
-            target
-        }),
-        (name.clone(), ino.clone()).prop_map(|(name, target)| FsOp::Unlink {
-            parent: ROOT,
-            name,
-            target
-        }),
-        ino.clone().prop_map(|ino| FsOp::Stat { ino }),
-        name.prop_map(|name| FsOp::Lookup { parent: ROOT, name }),
-        ino.prop_map(|ino| FsOp::Setattr { ino }),
-    ]
+            target,
+        },
+        5 => FsOp::Stat { ino },
+        6 => FsOp::Lookup { parent, name },
+        _ => FsOp::Setattr { ino },
+    }
 }
 
-fn protocol_strategy() -> impl Strategy<Value = Protocol> {
-    prop_oneof![
-        Just(Protocol::Cx),
-        Just(Protocol::Se),
-        Just(Protocol::SeBatched),
-        Just(Protocol::TwoPc),
-        Just(Protocol::Ce),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn sequential_oracle(
-        protocol in protocol_strategy(),
-        servers in prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
-        ops in prop::collection::vec(op_strategy(), 1..60),
-    ) {
+#[test]
+fn sequential_oracle() {
+    check("sequential_oracle", 64, |g| {
+        let protocol = *g.choose(&Protocol::ALL).unwrap();
+        let servers = *g.choose(&[1u32, 2, 4, 8]).unwrap();
+        let ops = g.vec(1..60, arb_op);
         let mut kit = kit_never(servers, protocol);
         seed_namespace(&mut kit, &[]);
         let mut model = Model::default();
@@ -178,42 +154,44 @@ proptest! {
             let id = kit.run_op(ProcId::new((i % 3) as u32, 0), *op);
             kit.fire_timers();
             kit.run();
-            prop_assert_eq!(
+            assert_eq!(
                 kit.outcome(id),
                 Some(expected),
-                "op {} = {:?} under {:?}/{} servers",
-                i, op, protocol, servers
+                "op {i} = {op:?} under {protocol:?}/{servers} servers"
             );
         }
         kit.quiesce();
-        prop_assert_eq!(kit.check_consistency(&roots()), vec![]);
+        assert_eq!(kit.check_consistency(&roots()), vec![]);
 
         // The final namespace must match the model exactly.
         let view = cx_mdstore::GlobalView::merge(kit.servers.iter().map(|s| s.store()));
-        prop_assert_eq!(view.dentry_count(), model.dentries.len());
+        assert_eq!(view.dentry_count(), model.dentries.len());
         for (&(parent, name), &child) in &model.dentries {
-            prop_assert!(view.contains_dentry(parent, name), "missing {:?}", (parent, name, child));
+            assert!(
+                view.contains_dentry(parent, name),
+                "missing {:?}",
+                (parent, name, child)
+            );
         }
         for &ino in model.inodes.keys() {
             if ino != ROOT {
-                prop_assert!(view.contains_inode(ino), "missing inode {:?}", ino);
+                assert!(view.contains_inode(ino), "missing inode {:?}", ino);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn concurrent_chaos(
-        ops in prop::collection::vec(op_strategy(), 4..40),
-        servers in prop_oneof![Just(2u32), Just(4), Just(8)],
-        hold_mask in any::<u64>(),
-        release_every in 1usize..5,
-    ) {
+#[test]
+fn concurrent_chaos() {
+    check("concurrent_chaos", 48, |g| {
+        let ops = g.vec(4..40, arb_op);
+        let servers = *g.choose(&[2u32, 4, 8]).unwrap();
+        let (mask, release_every) = (g.gen::<u64>(), g.gen_range(1usize..5));
         let mut kit = kit_never(servers, Protocol::Cx);
         seed_namespace(&mut kit, &[]);
 
         // Randomly hold a fraction of server-bound messages to create
         // unusual interleavings, releasing them periodically.
-        let mask = hold_mask;
         let counter = std::cell::Cell::new(0u64);
         kit.hold_if(move |_env: &Envelope| {
             let c = counter.get();
@@ -255,14 +233,13 @@ proptest! {
             }
         }
         for id in &ids {
-            prop_assert!(
+            assert!(
                 kit.outcome(*id).is_some(),
-                "operation {} must eventually complete",
-                id
+                "operation {id} must eventually complete"
             );
         }
         kit.quiesce();
-        prop_assert_eq!(kit.check_consistency(&roots()), vec![]);
-        prop_assert!(kit.servers.iter().all(|s| s.is_quiesced()));
-    }
+        assert_eq!(kit.check_consistency(&roots()), vec![]);
+        assert!(kit.servers.iter().all(|s| s.is_quiesced()));
+    });
 }

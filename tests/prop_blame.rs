@@ -8,8 +8,8 @@
 use cx_obs::flow::{FlowNode, MsgEdge};
 use cx_obs::span::{OpSpan, Phase};
 use cx_obs::{blame_span, BlameTable, ObsSink};
+use cx_types::check::check;
 use cx_types::{MsgKind, OpClass, OpId, OpOutcome, ProcId, ServerId, SimTime};
-use proptest::prelude::*;
 
 fn op(client: u32, seq: u64) -> OpId {
     OpId::new(ProcId::new(client, 0), seq)
@@ -50,20 +50,22 @@ fn raw_edge(id: u64, client: u32, spec: &(u8, u8, u8, u64, u64)) -> MsgEdge {
     }
 }
 
-proptest! {
-    /// The core invariant under fuzzed stamps and edges: whenever a span
-    /// is decomposable (Issued + Replied present), client segments sum
-    /// exactly to the client window and suffix segments to the commitment
-    /// window.
-    #[test]
-    fn segments_sum_exactly_for_random_stamps(
-        issued in 0u64..1_000_000,
-        stamps in prop::collection::vec(
-            prop::option::of(0u64..2_000_000),
-            (Phase::COUNT - 1)..Phase::COUNT),
-        edges in prop::collection::vec(
-            (0u8..30, 0u8..8, 0u8..8, 0u64..2_000_000, 0u64..2_000_000), 0..12),
-    ) {
+/// The core invariant under fuzzed stamps and edges: whenever a span
+/// is decomposable (Issued + Replied present), client segments sum
+/// exactly to the client window and suffix segments to the commitment
+/// window.
+#[test]
+fn segments_sum_exactly_for_random_stamps() {
+    check("segments_sum_exactly_for_random_stamps", 48, |g| {
+        let issued = g.gen_range(0u64..1_000_000);
+        let stamps = g.vec((Phase::COUNT - 1)..Phase::COUNT, |g| {
+            g.gen_bool(0.75).then(|| g.gen_range(0u64..2_000_000))
+        });
+        let edges = g.vec(0..12, |g| {
+            let (kind, from, to) = (g.gen_range(0..30), g.gen_range(0..8), g.gen_range(0..8));
+            let (sent, recv) = (g.gen_range(0..2_000_000), g.gen_range(0..2_000_000));
+            (kind, from, to, sent, recv)
+        });
         let span = raw_span(3, issued, &stamps);
         let edges: Vec<MsgEdge> = edges
             .iter()
@@ -73,34 +75,36 @@ proptest! {
         let refs: Vec<&MsgEdge> = edges.iter().collect();
         match blame_span(&span, &refs) {
             Some(b) => {
-                prop_assert!(b.check().is_ok(), "{:?}", b.check());
+                assert!(b.check().is_ok(), "{:?}", b.check());
                 let client: u64 = b.segs[..7].iter().sum();
                 let replied = span.at(Phase::Replied).unwrap().max(issued);
-                prop_assert_eq!(client, replied - issued);
+                assert_eq!(client, replied - issued);
                 let suffix: u64 = b.segs[7..].iter().sum();
-                prop_assert_eq!(suffix, b.commit_ns);
+                assert_eq!(suffix, b.commit_ns);
                 // Chain rows re-sum to the same totals.
                 let chain: u64 = b.chain.iter().map(|c| c.dur_ns).sum();
-                prop_assert_eq!(chain, client + suffix);
+                assert_eq!(chain, client + suffix);
             }
             None => {
                 // Only legitimate when the reply milestone is missing.
-                prop_assert!(span.at(Phase::Replied).is_none());
+                assert!(span.at(Phase::Replied).is_none());
             }
         }
-    }
+    });
+}
 
-    /// Shard-merge path: a coordinator recorder absorbs server-side
-    /// stamps and edges recorded on a skewed clock. Every merged span must
-    /// still decompose with exact sums, and the aggregated table must
-    /// cover every replied op.
-    #[test]
-    fn shard_merged_spans_still_sum(
-        offset in -3_000_000i64..3_000_000,
-        n_ops in 1usize..8,
-        exec_at in 2_000u64..50_000,
-        reply_gap in 1u64..10_000,
-    ) {
+/// Shard-merge path: a coordinator recorder absorbs server-side
+/// stamps and edges recorded on a skewed clock. Every merged span must
+/// still decompose with exact sums, and the aggregated table must
+/// cover every replied op.
+#[test]
+fn shard_merged_spans_still_sum() {
+    check("shard_merged_spans_still_sum", 48, |g| {
+        let (offset, n_ops) = (
+            g.gen_range(-3_000_000i64..3_000_000),
+            g.gen_range(1usize..8),
+        );
+        let (exec_at, reply_gap) = (g.gen_range(2_000u64..50_000), g.gen_range(1u64..10_000));
         let coord = ObsSink::recording("cx");
         let shard = ObsSink::recording("cx");
         for i in 0..n_ops as u64 {
@@ -138,25 +142,26 @@ proptest! {
         coord.absorb_shard(&spans, &edges, offset);
         let (merged, merged_edges) = coord.export_shard();
         for span in &merged {
-            prop_assert!(span.check_accounting().is_ok());
+            assert!(span.check_accounting().is_ok());
             let refs: Vec<&MsgEdge> = merged_edges
                 .iter()
                 .filter(|e| e.op == Some(span.op))
                 .collect();
             let b = blame_span(span, &refs).expect("replied span decomposes");
-            prop_assert!(b.check().is_ok(), "{:?}", b.check());
+            assert!(b.check().is_ok(), "{:?}", b.check());
         }
         let table = BlameTable::from_spans("cx", &merged, &merged_edges);
-        prop_assert_eq!(table.ops, n_ops as u64);
-    }
+        assert_eq!(table.ops, n_ops as u64);
+    });
+}
 
-    /// Merging two tables is equivalent to building one from the union:
-    /// per-segment histogram moments must match exactly.
-    #[test]
-    fn table_merge_matches_union(
-        lat_a in prop::collection::vec(100u64..1_000_000, 1..20),
-        lat_b in prop::collection::vec(100u64..1_000_000, 1..20),
-    ) {
+/// Merging two tables is equivalent to building one from the union:
+/// per-segment histogram moments must match exactly.
+#[test]
+fn table_merge_matches_union() {
+    check("table_merge_matches_union", 48, |g| {
+        let lat_a = g.vec(1..20, |g| g.gen_range(100u64..1_000_000));
+        let lat_b = g.vec(1..20, |g| g.gen_range(100u64..1_000_000));
         let build = |lats: &[u64], base: u64| -> Vec<OpSpan> {
             lats.iter()
                 .enumerate()
@@ -180,11 +185,11 @@ proptest! {
         let tu = BlameTable::from_spans("cx", &union, &[]);
         let mut merged = ta;
         merged.merge(&tb);
-        prop_assert_eq!(merged.ops, tu.ops);
-        prop_assert_eq!(merged.client_total.sum, tu.client_total.sum);
+        assert_eq!(merged.ops, tu.ops);
+        assert_eq!(merged.client_total.sum, tu.client_total.sum);
         for (m, u) in merged.segs.iter().zip(&tu.segs) {
-            prop_assert_eq!(m.hist.sum, u.hist.sum, "segment {}", m.seg.name());
-            prop_assert_eq!(m.hist.count, u.hist.count);
+            assert_eq!(m.hist.sum, u.hist.sum, "segment {}", m.seg.name());
+            assert_eq!(m.hist.count, u.hist.count);
         }
-    }
+    });
 }

@@ -9,7 +9,6 @@ mod kit;
 use cx_protocol::testkit::Envelope;
 use cx_types::{FileKind, FsOp, InodeNo, Name, OpOutcome, Payload, ProcId, Protocol, ServerId};
 use kit::*;
-use proptest::prelude::*;
 
 /// Every point of the input space, 2^5 × 3 = 96 of them, so the case
 /// once recorded as a failure (`hold_a_coord`, `b_is_unlink`, one round
@@ -19,9 +18,7 @@ fn shared_pair_races_terminate() {
     for bits in 0..32u32 {
         let flags = [0, 1, 2, 3, 4].map(|i| bits >> i & 1 == 1);
         for fire_rounds in 1usize..4 {
-            if let Err(e) = shared_pair_race(flags, fire_rounds) {
-                panic!("{FLAGS} = {flags:?}, fire_rounds = {fire_rounds}: {e:?}");
-            }
+            shared_pair_race(flags, fire_rounds);
         }
     }
 }
@@ -30,10 +27,9 @@ const FLAGS: &str = "[hold_a_parti, hold_b_coord, hold_a_coord, hold_b_parti, b_
 
 /// Two operations on the same (dentry, inode) pair, with every
 /// combination of held/released first deliveries.
-fn shared_pair_race(
-    [hold_a_parti, hold_b_coord, hold_a_coord, hold_b_parti, b_is_unlink]: [bool; 5],
-    fire_rounds: usize,
-) -> Result<(), TestCaseError> {
+fn shared_pair_race(flags: [bool; 5], fire_rounds: usize) {
+    let case = format!("{FLAGS} = {flags:?}, fire_rounds = {fire_rounds}");
+    let [hold_a_parti, hold_b_coord, hold_a_coord, hold_b_parti, b_is_unlink] = flags;
     let mut kit = kit_never(4, Protocol::Cx);
     let placement = kit.placement;
     let n = Name(7_000);
@@ -120,11 +116,11 @@ fn shared_pair_race(
         kit.run();
     }
 
-    prop_assert!(kit.outcome(a).is_some(), "A must terminate");
-    prop_assert!(kit.outcome(b).is_some(), "B must terminate");
+    assert!(kit.outcome(a).is_some(), "{case}: A must terminate");
+    assert!(kit.outcome(b).is_some(), "{case}: B must terminate");
     kit.quiesce();
-    prop_assert_eq!(kit.check_consistency(&roots()), Vec::new());
-    prop_assert!(kit.servers.iter().all(|s| s.is_quiesced()));
+    assert_eq!(kit.check_consistency(&roots()), Vec::new(), "{case}");
+    assert!(kit.servers.iter().all(|s| s.is_quiesced()), "{case}");
 
     // Semantic checks for the double-link case: at most one succeeds.
     if !b_is_unlink {
@@ -132,12 +128,14 @@ fn shared_pair_race(
             .iter()
             .filter(|op| kit.outcome(**op) == Some(OpOutcome::Applied))
             .count();
-        prop_assert!(successes <= 1, "the same name cannot be linked twice");
+        assert!(
+            successes <= 1,
+            "{case}: the same name cannot be linked twice"
+        );
         let entry_exists = kit
             .servers
             .iter()
             .any(|s| s.store().lookup(ROOT, n).is_some());
-        prop_assert_eq!(entry_exists, successes == 1);
+        assert_eq!(entry_exists, successes == 1, "{case}");
     }
-    Ok(())
 }

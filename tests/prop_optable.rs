@@ -1,7 +1,7 @@
 //! `OpTable` against a `HashMap` model.
 
+use cx_types::check::check;
 use cx_types::{OpId, OpTable, ProcId};
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn oid(key: u64) -> OpId {
@@ -14,25 +14,26 @@ fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
     v
 }
 
-proptest! {
-    /// Every operation answers as the model does, the walks yield exactly
-    /// the live set, and the slab never outgrows the most entries ever
-    /// live at once: a vacated slot is taken before a new one is made.
-    #[test]
-    fn answers_like_a_hash_map(
-        steps in prop::collection::vec((0u8..10, 0u64..24, any::<u64>()), 1..400),
-    ) {
+/// Every operation answers as the model does, the walks yield exactly
+/// the live set, and the slab never outgrows the most entries ever
+/// live at once: a vacated slot is taken before a new one is made.
+#[test]
+fn answers_like_a_hash_map() {
+    check("answers_like_a_hash_map", 48, |g| {
+        let steps = g.vec(1..400, |g| {
+            (g.gen_range(0u8..10), g.gen_range(0u64..24), g.gen::<u64>())
+        });
         let mut table: OpTable<u64> = OpTable::default();
         let mut model: HashMap<OpId, u64> = HashMap::new();
         let mut most_live = 0;
         for (what, key, value) in steps {
             let op = oid(key);
             match what {
-                0..=2 => prop_assert_eq!(table.insert(op, value), model.insert(op, value)),
-                3 | 4 => prop_assert_eq!(table.remove(&op), model.remove(&op)),
+                0..=2 => assert_eq!(table.insert(op, value), model.insert(op, value)),
+                3 | 4 => assert_eq!(table.remove(&op), model.remove(&op)),
                 5 => {
                     let (got, want) = (table.get_mut(&op), model.get_mut(&op));
-                    prop_assert_eq!(got.as_deref(), want.as_deref());
+                    assert_eq!(got.as_deref(), want.as_deref());
                     if let (Some(got), Some(want)) = (got, want) {
                         (*got, *want) = (value, value);
                     }
@@ -42,27 +43,28 @@ proptest! {
                     *model.entry(op).or_default() |= value;
                 }
                 7 if value % 8 == 0 => {
-                    prop_assert_eq!(sorted(table.drain()), sorted(model.drain()));
+                    assert_eq!(sorted(table.drain()), sorted(model.drain()));
                 }
                 8 if value % 8 == 0 => {
                     table.clear();
                     model.clear();
                 }
-                _ => prop_assert_eq!(table.get(&op), model.get(&op)),
+                _ => assert_eq!(table.get(&op), model.get(&op)),
             }
-            prop_assert_eq!(table.len(), model.len());
-            prop_assert_eq!(table.is_empty(), model.is_empty());
-            prop_assert_eq!(table.contains_key(&op), model.contains_key(&op));
+            assert_eq!(table.len(), model.len());
+            assert_eq!(table.is_empty(), model.is_empty());
+            assert_eq!(table.contains_key(&op), model.contains_key(&op));
             // Sorted and equal to a map's entries: no entry missing, none twice.
-            prop_assert_eq!(sorted(table.iter()), sorted(model.iter()));
-            prop_assert_eq!(sorted(table.values()), sorted(model.values()));
+            assert_eq!(sorted(table.iter()), sorted(model.iter()));
+            assert_eq!(sorted(table.values()), sorted(model.values()));
             most_live = most_live.max(model.len());
-            prop_assert!(
+            assert!(
                 table.slab_capacity() <= (2 * most_live).max(4),
-                "{} slots for at most {most_live} live entries", table.slab_capacity()
+                "{} slots for at most {most_live} live entries",
+                table.slab_capacity()
             );
         }
-    }
+    });
 }
 
 /// The engines' churn: first in, first out, a bounded number in flight.

@@ -2,48 +2,33 @@
 //! dirty-tracking discipline.
 
 use cx_mdstore::MetaStore;
+use cx_types::check::{check, Gen};
 use cx_types::{FileKind, FsOp, InodeNo, Name, Placement, SubOp};
-use proptest::prelude::*;
 
-fn subop_strategy() -> impl Strategy<Value = SubOp> {
-    let ino = (2u64..40).prop_map(InodeNo);
-    let name = (1u64..40).prop_map(Name);
-    prop_oneof![
-        (name.clone(), ino.clone(), any::<bool>()).prop_map(|(name, child, dir)| {
-            SubOp::InsertEntry {
-                parent: InodeNo(1),
-                name,
-                child,
-                kind: if dir {
-                    FileKind::Directory
-                } else {
-                    FileKind::Regular
-                },
-            }
-        }),
-        (name.clone(), ino.clone()).prop_map(|(name, child)| SubOp::RemoveEntry {
-            parent: InodeNo(1),
+fn arb_subop(g: &mut Gen) -> SubOp {
+    let (which, parent) = (g.gen_range(0..9), InodeNo(1));
+    let (name, ino) = (Name(g.gen_range(1..40)), InodeNo(g.gen_range(2..40)));
+    let kind = *g.choose(&[FileKind::Regular, FileKind::Directory]).unwrap();
+    match which {
+        0 => SubOp::InsertEntry {
+            parent,
             name,
-            child,
-        }),
-        (ino.clone(), any::<bool>()).prop_map(|(i, dir)| SubOp::CreateInode {
-            ino: i,
-            kind: if dir {
-                FileKind::Directory
-            } else {
-                FileKind::Regular
-            },
-        }),
-        ino.clone().prop_map(|i| SubOp::ReleaseInode { ino: i }),
-        ino.clone().prop_map(|i| SubOp::IncNlink { ino: i }),
-        ino.clone().prop_map(|i| SubOp::DecNlink { ino: i }),
-        ino.clone().prop_map(|i| SubOp::TouchInode { ino: i }),
-        (name, ino.clone()).prop_map(|(name, _)| SubOp::ReadEntry {
-            parent: InodeNo(1),
+            child: ino,
+            kind,
+        },
+        1 => SubOp::RemoveEntry {
+            parent,
             name,
-        }),
-        ino.prop_map(|i| SubOp::ReadInode { ino: i }),
-    ]
+            child: ino,
+        },
+        2 => SubOp::CreateInode { ino, kind },
+        3 => SubOp::ReleaseInode { ino },
+        4 => SubOp::IncNlink { ino },
+        5 => SubOp::DecNlink { ino },
+        6 => SubOp::TouchInode { ino },
+        7 => SubOp::ReadEntry { parent, name },
+        _ => SubOp::ReadInode { ino },
+    }
 }
 
 type InodeRows = Vec<(InodeNo, FileKind, u32)>;
@@ -58,14 +43,12 @@ fn snapshot(store: &MetaStore) -> (InodeRows, DentryRows) {
     (inodes, dentries)
 }
 
-proptest! {
-    /// Applying any sub-op and undoing it restores the exact prior state
-    /// (modulo attribute version counters, which carry no semantics).
-    #[test]
-    fn undo_is_exact_inverse(
-        setup in prop::collection::vec(subop_strategy(), 0..30),
-        probe in subop_strategy(),
-    ) {
+/// Applying any sub-op and undoing it restores the exact prior state
+/// (modulo attribute version counters, which carry no semantics).
+#[test]
+fn undo_is_exact_inverse() {
+    check("undo_is_exact_inverse", 48, |g| {
+        let (setup, probe) = (g.vec(0..30, arb_subop), arb_subop(g));
         let mut store = MetaStore::new();
         store.seed_inode(InodeNo(1), FileKind::Directory, 1);
         for s in &setup {
@@ -75,15 +58,15 @@ proptest! {
         if let Ok(undo) = store.apply(&probe) {
             store.undo(undo);
         }
-        prop_assert_eq!(snapshot(&store), before);
-    }
+        assert_eq!(snapshot(&store), before);
+    });
+}
 
-    /// A failed apply leaves the store untouched and dirties nothing.
-    #[test]
-    fn failed_apply_is_a_noop(
-        setup in prop::collection::vec(subop_strategy(), 0..30),
-        probe in subop_strategy(),
-    ) {
+/// A failed apply leaves the store untouched and dirties nothing.
+#[test]
+fn failed_apply_is_a_noop() {
+    check("failed_apply_is_a_noop", 48, |g| {
+        let (setup, probe) = (g.vec(0..30, arb_subop), arb_subop(g));
         let mut store = MetaStore::new();
         store.seed_inode(InodeNo(1), FileKind::Directory, 1);
         for s in &setup {
@@ -92,14 +75,17 @@ proptest! {
         store.take_dirty_pages();
         let before = snapshot(&store);
         if store.apply(&probe).is_err() {
-            prop_assert_eq!(snapshot(&store), before);
-            prop_assert_eq!(store.dirty_count(), 0);
+            assert_eq!(snapshot(&store), before);
+            assert_eq!(store.dirty_count(), 0);
         }
-    }
+    });
+}
 
-    /// Dirty pages drain exactly once: a second take returns nothing.
-    #[test]
-    fn dirty_drains_once(ops in prop::collection::vec(subop_strategy(), 1..30)) {
+/// Dirty pages drain exactly once: a second take returns nothing.
+#[test]
+fn dirty_drains_once() {
+    check("dirty_drains_once", 48, |g| {
+        let ops = g.vec(1..30, arb_subop);
         let mut store = MetaStore::new();
         store.seed_inode(InodeNo(1), FileKind::Directory, 1);
         for s in &ops {
@@ -107,47 +93,59 @@ proptest! {
         }
         let first = store.take_dirty_pages();
         let second = store.take_dirty_pages();
-        prop_assert!(second.is_empty());
+        assert!(second.is_empty());
         // every successful write dirtied at least one page
         if ops.iter().any(|s| s.is_write()) {
             // (possible that all writes failed; then first can be empty)
-            prop_assert!(first.len() <= 3 * ops.len());
+            assert!(first.len() <= 3 * ops.len());
         }
-    }
+    });
+}
 
-    /// Placement planning is total and consistent: every op yields a plan
-    /// whose assignments cover the op's sub-ops on the right servers.
-    #[test]
-    fn plans_are_consistent(servers in 1u32..33, name in 1u64..10_000, ino in 2u64..10_000) {
+/// Placement planning is total and consistent: every op yields a plan
+/// whose assignments cover the op's sub-ops on the right servers.
+#[test]
+fn plans_are_consistent() {
+    check("plans_are_consistent", 48, |g| {
+        let servers = g.gen_range(1u32..33);
+        let (name, ino) = (
+            Name(g.gen_range(1..10_000)),
+            InodeNo(g.gen_range(2..10_000)),
+        );
+        let (parent, target) = (InodeNo(1), ino);
         let placement = Placement::new(servers);
         let ops = [
-            FsOp::Create { parent: InodeNo(1), name: Name(name), ino: InodeNo(ino) },
-            FsOp::Remove { parent: InodeNo(1), name: Name(name), ino: InodeNo(ino) },
-            FsOp::Link { parent: InodeNo(1), name: Name(name), target: InodeNo(ino) },
-            FsOp::Stat { ino: InodeNo(ino) },
-            FsOp::Lookup { parent: InodeNo(1), name: Name(name) },
+            FsOp::Create { parent, name, ino },
+            FsOp::Remove { parent, name, ino },
+            FsOp::Link {
+                parent,
+                name,
+                target,
+            },
+            FsOp::Stat { ino },
+            FsOp::Lookup { parent, name },
         ];
         for op in ops {
             let plan = placement.plan(op);
-            prop_assert!(plan.coordinator.0 < servers);
+            assert!(plan.coordinator.0 < servers);
             if let Some((s, _)) = plan.participant {
-                prop_assert!(s.0 < servers);
-                prop_assert_ne!(s, plan.coordinator, "cross-server means two servers");
+                assert!(s.0 < servers);
+                assert_ne!(s, plan.coordinator, "cross-server means two servers");
             }
             if op.is_mutation() {
-                prop_assert_eq!(
+                assert_eq!(
                     plan.participant.is_none(),
                     plan.colocated.is_some(),
                     "a mutation has exactly two halves"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     plan.coordinator,
-                    placement.dentry_server(InodeNo(1), Name(name)),
+                    placement.dentry_server(InodeNo(1), name),
                     "the coordinator owns the parent entry"
                 );
             } else {
-                prop_assert!(plan.participant.is_none() && plan.colocated.is_none());
+                assert!(plan.participant.is_none() && plan.colocated.is_none());
             }
         }
-    }
+    });
 }

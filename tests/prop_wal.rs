@@ -1,82 +1,69 @@
 //! Property-based tests of the write-ahead log.
 
+use cx_types::check::{check, Gen};
 use cx_types::ids::ProcId;
 use cx_types::{FileKind, InodeNo, Name, OpId, Role, ServerId, SubOp, Verdict};
 use cx_wal::{decode_record, encode_record, Record, SeqNo, Wal};
-use proptest::prelude::*;
 
-fn op_id_strategy() -> impl Strategy<Value = OpId> {
-    (0u32..4, 0u32..2, 0u64..64).prop_map(|(c, p, seq)| OpId::new(ProcId::new(c, p), seq))
+fn arb_op_id(g: &mut Gen) -> OpId {
+    OpId::new(
+        ProcId::new(g.gen_range(0..4), g.gen_range(0..2)),
+        g.gen_range(0..64),
+    )
 }
 
-fn subop_strategy() -> impl Strategy<Value = SubOp> {
-    let ino = (1u64..1000).prop_map(InodeNo);
-    let name = (1u64..1000).prop_map(Name);
-    prop_oneof![
-        (ino.clone(), name.clone(), ino.clone(), any::<bool>()).prop_map(
-            |(parent, name, child, dir)| SubOp::InsertEntry {
-                parent,
-                name,
-                child,
-                kind: if dir {
-                    FileKind::Directory
-                } else {
-                    FileKind::Regular
-                },
-            }
-        ),
-        (ino.clone(), name.clone(), ino.clone()).prop_map(|(parent, name, child)| {
-            SubOp::RemoveEntry {
-                parent,
-                name,
-                child,
-            }
-        }),
-        (ino.clone(), any::<bool>()).prop_map(|(i, dir)| SubOp::CreateInode {
-            ino: i,
-            kind: if dir {
-                FileKind::Directory
-            } else {
-                FileKind::Regular
-            },
-        }),
-        ino.clone().prop_map(|i| SubOp::ReleaseInode { ino: i }),
-        ino.clone().prop_map(|i| SubOp::IncNlink { ino: i }),
-        ino.clone().prop_map(|i| SubOp::DecNlink { ino: i }),
-        ino.clone().prop_map(|i| SubOp::TouchInode { ino: i }),
-        (ino.clone(), name).prop_map(|(parent, name)| SubOp::ReadEntry { parent, name }),
-        ino.prop_map(|i| SubOp::ReadInode { ino: i }),
-    ]
+fn arb_subop(g: &mut Gen) -> SubOp {
+    let ino = |g: &mut Gen| InodeNo(g.gen_range(1..1000));
+    let name = |g: &mut Gen| Name(g.gen_range(1..1000));
+    let kind = |g: &mut Gen| *g.choose(&[FileKind::Regular, FileKind::Directory]).unwrap();
+    match g.gen_range(0..9) {
+        0 => SubOp::InsertEntry {
+            parent: ino(g),
+            name: name(g),
+            child: ino(g),
+            kind: kind(g),
+        },
+        1 => SubOp::RemoveEntry {
+            parent: ino(g),
+            name: name(g),
+            child: ino(g),
+        },
+        2 => SubOp::CreateInode {
+            ino: ino(g),
+            kind: kind(g),
+        },
+        3 => SubOp::ReleaseInode { ino: ino(g) },
+        4 => SubOp::IncNlink { ino: ino(g) },
+        5 => SubOp::DecNlink { ino: ino(g) },
+        6 => SubOp::TouchInode { ino: ino(g) },
+        7 => SubOp::ReadEntry {
+            parent: ino(g),
+            name: name(g),
+        },
+        _ => SubOp::ReadInode { ino: ino(g) },
+    }
 }
 
-fn record_strategy() -> impl Strategy<Value = Record> {
-    prop_oneof![
-        (
-            op_id_strategy(),
-            any::<bool>(),
-            prop::option::of(0u32..8),
-            subop_strategy(),
-            any::<bool>(),
-            any::<bool>(),
-        )
-            .prop_map(
-                |(op_id, coord, peer, subop, yes, invalidated)| Record::Result {
-                    op_id,
-                    role: if coord {
-                        Role::Coordinator
-                    } else {
-                        Role::Participant
-                    },
-                    peer: peer.map(ServerId),
-                    subop,
-                    verdict: if yes { Verdict::Yes } else { Verdict::No },
-                    invalidated,
-                }
-            ),
-        op_id_strategy().prop_map(|op_id| Record::Commit { op_id }),
-        op_id_strategy().prop_map(|op_id| Record::Abort { op_id }),
-        op_id_strategy().prop_map(|op_id| Record::Complete { op_id }),
-    ]
+fn arb_record(g: &mut Gen) -> Record {
+    match g.gen_range(0..4) {
+        0 => Record::Result {
+            op_id: arb_op_id(g),
+            role: *g.choose(&[Role::Coordinator, Role::Participant]).unwrap(),
+            peer: g.gen_bool(0.75).then(|| ServerId(g.gen_range(0..8))),
+            subop: arb_subop(g),
+            verdict: Verdict::from_ok(g.gen()),
+            invalidated: g.gen(),
+        },
+        1 => Record::Commit {
+            op_id: arb_op_id(g),
+        },
+        2 => Record::Abort {
+            op_id: arb_op_id(g),
+        },
+        _ => Record::Complete {
+            op_id: arb_op_id(g),
+        },
+    }
 }
 
 /// What a step does to the op it names.
@@ -97,16 +84,12 @@ enum Action {
 /// to the op of record `target % (i + 1)`.
 type Step = (usize, usize, Vec<Action>);
 
-fn step_strategy() -> impl Strategy<Value = Vec<Step>> {
-    let action = prop_oneof![
-        Just(Action::Invalidate),
-        Just(Action::Reexecute),
-        Just(Action::Relog)
-    ];
-    prop::collection::vec(
-        (0usize..40, 0usize..40, prop::collection::vec(action, 1..4)),
-        0..6,
-    )
+fn arb_steps(g: &mut Gen) -> Vec<Step> {
+    let actions = [Action::Invalidate, Action::Reexecute, Action::Relog];
+    g.vec(0..6, |g| {
+        let (after, target) = (g.gen_range(0..40), g.gen_range(0..40));
+        (after, target, g.vec(1..4, |g| *g.choose(&actions).unwrap()))
+    })
 }
 
 /// Append `recs` to a fresh log, running `steps` in between. Returns the
@@ -169,22 +152,26 @@ fn append_with_steps(recs: &[Record], steps: &[Step]) -> (Wal, Vec<Record>, Vec<
     (wal, history, seqs)
 }
 
-proptest! {
-    /// Every record round-trips through the binary encoding, and the
-    /// stated encoded length is exact.
-    #[test]
-    fn encoding_round_trips(rec in record_strategy()) {
+/// Every record round-trips through the binary encoding, and the
+/// stated encoded length is exact.
+#[test]
+fn encoding_round_trips() {
+    check("encoding_round_trips", 48, |g| {
+        let rec = arb_record(g);
         let mut buf = Vec::new();
         encode_record(&mut buf, &rec);
-        prop_assert_eq!(buf.len() as u64, rec.encoded_len());
+        assert_eq!(buf.len() as u64, rec.encoded_len());
         let (back, consumed) = decode_record(&buf).expect("decodes");
-        prop_assert_eq!(back, rec);
-        prop_assert_eq!(consumed, buf.len());
-    }
+        assert_eq!(back, rec);
+        assert_eq!(consumed, buf.len());
+    });
+}
 
-    /// A concatenated log decodes back to the same record sequence.
-    #[test]
-    fn log_streams_decode(recs in prop::collection::vec(record_strategy(), 1..40)) {
+/// A concatenated log decodes back to the same record sequence.
+#[test]
+fn log_streams_decode() {
+    check("log_streams_decode", 48, |g| {
+        let recs = g.vec(1..40, arb_record);
         let mut buf = Vec::new();
         for r in &recs {
             encode_record(&mut buf, r);
@@ -196,16 +183,16 @@ proptest! {
             decoded.push(r);
             off += n;
         }
-        prop_assert_eq!(decoded, recs);
-    }
+        assert_eq!(decoded, recs);
+    });
+}
 
-    /// Valid-byte accounting is exact under arbitrary append/prune
-    /// interleavings, and pruning never removes an un-prunable op.
-    #[test]
-    fn accounting_is_exact(
-        recs in prop::collection::vec(record_strategy(), 1..60),
-        prune_each in any::<bool>(),
-    ) {
+/// Valid-byte accounting is exact under arbitrary append/prune
+/// interleavings, and pruning never removes an un-prunable op.
+#[test]
+fn accounting_is_exact() {
+    check("accounting_is_exact", 48, |g| {
+        let (recs, prune_each) = (g.vec(1..60, arb_record), g.gen::<bool>());
         let mut wal = Wal::new(None);
         for rec in recs {
             let op = rec.op_id();
@@ -217,28 +204,28 @@ proptest! {
         wal.prune_all();
         // whatever remains is exactly the sum of its record sizes…
         let remaining: u64 = wal.scan().map(|(_, r)| r.encoded_len()).sum();
-        prop_assert_eq!(wal.valid_bytes(), remaining);
+        assert_eq!(wal.valid_bytes(), remaining);
         // …and none of it is prunable
         let (coord, parti) = wal.half_completed();
         for op in coord.iter().chain(parti.iter()) {
-            prop_assert!(!wal.op_state(op).expect("indexed").prunable());
+            assert!(!wal.op_state(op).expect("indexed").prunable());
         }
         // conservation: appended == pruned + remaining
-        prop_assert_eq!(
+        assert_eq!(
             wal.total_appended_bytes(),
             wal.total_pruned_bytes() + wal.valid_bytes()
         );
-    }
+    });
+}
 
-    /// Crash keeps exactly the durable prefix: every surviving record was
-    /// marked durable, and the rebuilt index matches a fresh replay —
-    /// re-executed ops' superseded, invalidated Result-Records included.
-    #[test]
-    fn crash_keeps_durable_prefix(
-        recs in prop::collection::vec(record_strategy(), 1..40),
-        durable_upto in 0usize..40,
-        steps in step_strategy(),
-    ) {
+/// Crash keeps exactly the durable prefix: every surviving record was
+/// marked durable, and the rebuilt index matches a fresh replay —
+/// re-executed ops' superseded, invalidated Result-Records included.
+#[test]
+fn crash_keeps_durable_prefix() {
+    check("crash_keeps_durable_prefix", 48, |g| {
+        let recs = g.vec(1..40, arb_record);
+        let (durable_upto, steps) = (g.gen_range(0usize..40), arb_steps(g));
         let (mut wal, recs, seqs) = append_with_steps(&recs, &steps);
         let cut = durable_upto.min(recs.len());
         if cut > 0 {
@@ -247,7 +234,7 @@ proptest! {
         wal.crash();
         // survivors are exactly recs[..cut]
         let survivors: Vec<Record> = wal.scan().map(|(_, r)| r).collect();
-        prop_assert_eq!(&survivors[..], &recs[..cut]);
+        assert_eq!(&survivors[..], &recs[..cut]);
         // the rebuilt index equals a fresh wal fed the same prefix
         let mut fresh = Wal::new(None);
         for rec in &recs[..cut] {
@@ -255,17 +242,20 @@ proptest! {
         }
         for rec in &recs[..cut] {
             let op = rec.op_id();
-            prop_assert_eq!(wal.op_state(&op), fresh.op_state(&op));
+            assert_eq!(wal.op_state(&op), fresh.op_state(&op));
         }
-        prop_assert_eq!(wal.valid_bytes(), fresh.valid_bytes());
-    }
+        assert_eq!(wal.valid_bytes(), fresh.valid_bytes());
+    });
+}
 
-    /// Torn tail at every byte offset of the last record: decoding a log
-    /// image whose physical tail was cut anywhere inside the last record
-    /// yields exactly the whole-record prefix — no panic, no phantom
-    /// record, regardless of where the cut lands.
-    #[test]
-    fn torn_tail_decodes_exact_prefix(recs in prop::collection::vec(record_strategy(), 1..10)) {
+/// Torn tail at every byte offset of the last record: decoding a log
+/// image whose physical tail was cut anywhere inside the last record
+/// yields exactly the whole-record prefix — no panic, no phantom
+/// record, regardless of where the cut lands.
+#[test]
+fn torn_tail_decodes_exact_prefix() {
+    check("torn_tail_decodes_exact_prefix", 48, |g| {
+        let recs = g.vec(1..10, arb_record);
         let mut buf = Vec::new();
         let mut boundaries = vec![0usize];
         for r in &recs {
@@ -286,26 +276,25 @@ proptest! {
                     Err(_) => break,
                 }
             }
-            prop_assert_eq!(
+            assert_eq!(
                 &decoded[..],
                 &recs[..recs.len() - 1],
                 "cut at byte {} must recover exactly the whole-record prefix",
                 cut
             );
         }
-    }
+    });
+}
 
-    /// `Wal::crash_torn` at any byte budget keeps exactly the durable
-    /// prefix plus the maximal run of whole volatile records that fits —
-    /// checked at every record boundary and one byte either side of it,
-    /// with re-executed ops' invalidated Result-Records in the history.
-    #[test]
-    fn wal_torn_crash_keeps_whole_record_prefix(
-        recs in prop::collection::vec(record_strategy(), 1..10),
-        durable_upto in 0usize..10,
-        steps in step_strategy(),
-    ) {
-        let generated = recs;
+/// `Wal::crash_torn` at any byte budget keeps exactly the durable
+/// prefix plus the maximal run of whole volatile records that fits —
+/// checked at every record boundary and one byte either side of it,
+/// with re-executed ops' invalidated Result-Records in the history.
+#[test]
+fn wal_torn_crash_keeps_whole_record_prefix() {
+    check("wal_torn_crash_keeps_whole_record_prefix", 48, |g| {
+        let generated = g.vec(1..10, arb_record);
+        let (durable_upto, steps) = (g.gen_range(0usize..10), arb_steps(g));
         let recs = append_with_steps(&generated, &steps).1;
         let cut = durable_upto.min(recs.len());
         let build = || {
@@ -337,23 +326,28 @@ proptest! {
             let mut wal = build();
             wal.crash_torn(extra);
             let survivors: Vec<Record> = wal.scan().map(|(_, r)| r).collect();
-            prop_assert_eq!(
+            assert_eq!(
                 &survivors[..],
                 &recs[..cut + fit],
                 "durable prefix {} + torn budget {} must keep {} records",
-                cut, extra, cut + fit
+                cut,
+                extra,
+                cut + fit
             );
             // survivors are durable: a second, clean crash changes nothing
             wal.crash();
-            prop_assert_eq!(wal.record_count(), cut + fit);
+            assert_eq!(wal.record_count(), cut + fit);
         }
-    }
+    });
+}
 
-    /// The log limit is a true invariant: valid bytes never exceed the
-    /// cap plus control-record slack, and appends start succeeding again
-    /// after pruning.
-    #[test]
-    fn limit_is_enforced(ops in prop::collection::vec(op_id_strategy(), 1..50)) {
+/// The log limit is a true invariant: valid bytes never exceed the
+/// cap plus control-record slack, and appends start succeeding again
+/// after pruning.
+#[test]
+fn limit_is_enforced() {
+    check("limit_is_enforced", 48, |g| {
+        let ops = g.vec(1..50, arb_op_id);
         let limit = 1000u64;
         let mut wal = Wal::new(Some(limit));
         let mut control_bytes = 0u64;
@@ -362,7 +356,10 @@ proptest! {
                 op_id: op,
                 role: Role::Participant,
                 peer: None,
-                subop: SubOp::CreateInode { ino: InodeNo(1), kind: FileKind::Regular },
+                subop: SubOp::CreateInode {
+                    ino: InodeNo(1),
+                    kind: FileKind::Regular,
+                },
                 verdict: Verdict::Yes,
                 invalidated: false,
             };
@@ -375,16 +372,18 @@ proptest! {
                     // full: prune and retry must make room
                     wal.prune_all();
                     control_bytes = 0;
-                    prop_assert!(wal.valid_bytes() <= limit);
+                    assert!(wal.valid_bytes() <= limit);
                 }
             }
-            prop_assert!(
+            assert!(
                 wal.valid_bytes() <= limit + control_bytes,
                 "valid {} exceeded cap {} + control slack {}",
-                wal.valid_bytes(), limit, control_bytes
+                wal.valid_bytes(),
+                limit,
+                control_bytes
             );
         }
-    }
+    });
 }
 
 #[test]

@@ -2,10 +2,10 @@
 //! an error, never a different valid record, and no byte string panics it
 //! (the WAL-side mirror of cx-net's `wire_fuzz.rs`).
 
+use cx_types::check::{check, Gen};
 use cx_types::ids::ProcId;
 use cx_types::{FileKind, InodeNo, Name, OpId, Role, ServerId, SubOp, Verdict};
 use cx_wal::{decode_record, encode_record, Record};
-use proptest::prelude::*;
 
 fn result(role: Role, peer: Option<ServerId>, kind: FileKind, yes: bool, inv: bool) -> Record {
     Record::Result {
@@ -119,92 +119,86 @@ fn every_enum_and_flag_byte_rejects_out_of_range_values() {
     }
 }
 
-fn record_strategy() -> impl Strategy<Value = Record> {
-    (
-        0u32..6,
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u8>(),
-        0u32..4,
-    )
-        .prop_map(|(shape, a, b, c, flags, family)| {
-            let op_id = OpId::new(ProcId::new(a as u32, (a >> 32) as u32), b);
-            let kind = if flags & 1 == 1 {
-                FileKind::Directory
+fn arb_record(g: &mut Gen) -> Record {
+    let shape = g.gen_range(0u32..6);
+    let (a, b, c) = (g.gen::<u64>(), g.gen::<u64>(), g.gen::<u64>());
+    let (flags, family) = (g.gen::<u8>(), g.gen_range(0u32..4));
+    let op_id = OpId::new(ProcId::new(a as u32, (a >> 32) as u32), b);
+    let kind = if flags & 1 == 1 {
+        FileKind::Directory
+    } else {
+        FileKind::Regular
+    };
+    let subop = match shape {
+        0 => SubOp::InsertEntry {
+            parent: InodeNo(a),
+            name: Name(b),
+            child: InodeNo(c),
+            kind,
+        },
+        1 => SubOp::RemoveEntry {
+            parent: InodeNo(a),
+            name: Name(b),
+            child: InodeNo(c),
+        },
+        2 => SubOp::CreateInode {
+            ino: InodeNo(c),
+            kind,
+        },
+        3 => SubOp::ReadEntry {
+            parent: InodeNo(a),
+            name: Name(c),
+        },
+        4 => SubOp::DecNlink { ino: InodeNo(c) },
+        _ => SubOp::ReadDir { dir: InodeNo(c) },
+    };
+    match family {
+        0 => Record::Commit { op_id },
+        1 => Record::Abort { op_id },
+        2 => Record::Complete { op_id },
+        _ => Record::Result {
+            op_id,
+            role: if flags & 2 == 2 {
+                Role::Coordinator
             } else {
-                FileKind::Regular
-            };
-            let subop = match shape {
-                0 => SubOp::InsertEntry {
-                    parent: InodeNo(a),
-                    name: Name(b),
-                    child: InodeNo(c),
-                    kind,
-                },
-                1 => SubOp::RemoveEntry {
-                    parent: InodeNo(a),
-                    name: Name(b),
-                    child: InodeNo(c),
-                },
-                2 => SubOp::CreateInode {
-                    ino: InodeNo(c),
-                    kind,
-                },
-                3 => SubOp::ReadEntry {
-                    parent: InodeNo(a),
-                    name: Name(c),
-                },
-                4 => SubOp::DecNlink { ino: InodeNo(c) },
-                _ => SubOp::ReadDir { dir: InodeNo(c) },
-            };
-            match family {
-                0 => Record::Commit { op_id },
-                1 => Record::Abort { op_id },
-                2 => Record::Complete { op_id },
-                _ => Record::Result {
-                    op_id,
-                    role: if flags & 2 == 2 {
-                        Role::Coordinator
-                    } else {
-                        Role::Participant
-                    },
-                    peer: (flags & 4 == 4).then_some(ServerId(c as u32)),
-                    subop,
-                    verdict: Verdict::from_ok(flags & 8 == 8),
-                    invalidated: flags & 16 == 16,
-                },
-            }
-        })
+                Role::Participant
+            },
+            peer: (flags & 4 == 4).then_some(ServerId(c as u32)),
+            subop,
+            verdict: Verdict::from_ok(flags & 8 == 8),
+            invalidated: flags & 16 == 16,
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
-
-    /// Pure random bytes: decode returns, never panics, and any `Ok` has
-    /// consumed within bounds.
-    #[test]
-    fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+/// Pure random bytes: decode returns, never panics, and any `Ok` has
+/// consumed within bounds.
+#[test]
+fn random_bytes_never_panic() {
+    check("random_bytes_never_panic", 300, |g| {
+        let bytes = g.vec(0..512, |g| g.gen::<u8>());
         if let Ok((_, used)) = decode_record(&bytes) {
-            prop_assert!(used <= bytes.len());
+            assert!(used <= bytes.len());
         }
-    }
+    });
+}
 
-    /// Every single-bit flip of a valid record either decodes (a flipped
-    /// value field is a legal record) or is an error — never a panic —
-    /// and whatever decodes consumed exactly its own encoded length.
-    #[test]
-    fn corrupted_records_never_panic(rec in record_strategy()) {
-        let bytes = encode(&rec);
+/// Every single-bit flip of a valid record either decodes (a flipped
+/// value field is a legal record) or is an error — never a panic —
+/// and whatever decodes consumed exactly its own encoded length.
+#[test]
+fn corrupted_records_never_panic() {
+    check("corrupted_records_never_panic", 300, |g| {
+        let bytes = encode(&arb_record(g));
         for at in 0..bytes.len() {
             for bit in 0..8 {
                 let mut evil = bytes.clone();
                 evil[at] ^= 1 << bit;
                 if let Ok((back, used)) = decode_record(&evil) {
-                    prop_assert!(used <= evil.len());
-                    prop_assert_eq!(used as u64, back.encoded_len());
+                    assert!(used <= evil.len());
+                    assert_eq!(used as u64, back.encoded_len());
                 }
             }
         }
-    }
+    });
 }

@@ -8,11 +8,10 @@
 use cx_net::wire::{decode_frame, encode_frame, Frame, FrameBuffer};
 use cx_net::NodeId;
 use cx_protocol::Endpoint;
-use cx_types::rng::SmallRng;
+use cx_types::check::{check, Gen};
 use cx_types::{Hint, OpId, Payload, ProcId, ServerId, Verdict};
-use proptest::prelude::*;
 
-fn sample_frame(rng: &mut SmallRng) -> Frame {
+fn sample_frame(rng: &mut Gen) -> Frame {
     let op_id = OpId::new(
         ProcId::new(rng.gen_range(0u32..100), rng.gen_range(0u32..100)),
         rng.next_u64(),
@@ -49,9 +48,7 @@ fn sample_frame(rng: &mut SmallRng) -> Frame {
         },
         4 => Frame::Quiesce,
         _ => Frame::StopResp {
-            stats_json: (0..rng.gen_range(0usize..64))
-                .map(|_| rng.gen_range(0u32..256) as u8)
-                .collect(),
+            stats_json: rng.vec(0..64, |g| g.gen_range(0u32..256) as u8),
             inodes: vec![(rng.next_u64(), 1, 2)],
             dentries: vec![(1, rng.next_u64(), 3)],
         },
@@ -95,49 +92,43 @@ fn decode_chunked(bytes: &[u8], cuts: &[usize]) -> Vec<Frame> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
-
-    /// Arbitrary split boundaries — including mid-length-prefix and
-    /// mid-body cuts — decode to the same sequence as the unsplit stream.
-    #[test]
-    fn arbitrary_boundaries_decode_identically(seed in any::<u64>(), nsplits in 0usize..12) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let frames: Vec<Frame> = (0..rng.gen_range(1usize..12))
-            .map(|_| sample_frame(&mut rng))
-            .collect();
+/// Arbitrary split boundaries — including mid-length-prefix and
+/// mid-body cuts — decode to the same sequence as the unsplit stream.
+#[test]
+fn arbitrary_boundaries_decode_identically() {
+    check("arbitrary_boundaries_decode_identically", 300, |rng| {
+        let nsplits = rng.gen_range(0usize..12);
+        let frames = rng.vec(1usize..12, sample_frame);
         let bytes = coalesce(&frames);
         let reference = decode_whole(&bytes);
-        prop_assert_eq!(&reference, &frames, "reference decode is identity");
+        assert_eq!(&reference, &frames, "reference decode is identity");
 
         let mut cuts: Vec<usize> = (0..nsplits)
             .map(|_| rng.gen_range(0usize..bytes.len() + 1))
             .collect();
         cuts.sort_unstable();
         let chunked = decode_chunked(&bytes, &cuts);
-        prop_assert_eq!(chunked, reference);
-    }
+        assert_eq!(chunked, reference);
+    });
+}
 
-    /// The pathological split: one byte per `read`.
-    #[test]
-    fn byte_at_a_time_decodes_identically(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let frames: Vec<Frame> = (0..rng.gen_range(1usize..6))
-            .map(|_| sample_frame(&mut rng))
-            .collect();
+/// The pathological split: one byte per `read`.
+#[test]
+fn byte_at_a_time_decodes_identically() {
+    check("byte_at_a_time_decodes_identically", 300, |rng| {
+        let frames = rng.vec(1usize..6, sample_frame);
         let bytes = coalesce(&frames);
         let cuts: Vec<usize> = (1..bytes.len()).collect();
-        prop_assert_eq!(decode_chunked(&bytes, &cuts), frames);
-    }
+        assert_eq!(decode_chunked(&bytes, &cuts), frames);
+    });
+}
 
-    /// Draining mid-stream never yields a frame early: after any prefix,
-    /// the frames out so far are exactly the fully-contained ones.
-    #[test]
-    fn prefix_yields_exactly_contained_frames(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let frames: Vec<Frame> = (0..rng.gen_range(1usize..8))
-            .map(|_| sample_frame(&mut rng))
-            .collect();
+/// Draining mid-stream never yields a frame early: after any prefix,
+/// the frames out so far are exactly the fully-contained ones.
+#[test]
+fn prefix_yields_exactly_contained_frames() {
+    check("prefix_yields_exactly_contained_frames", 300, |rng| {
+        let frames = rng.vec(1usize..8, sample_frame);
         let bytes = coalesce(&frames);
         // Frame end offsets in the coalesced stream.
         let mut ends = Vec::new();
@@ -156,7 +147,7 @@ proptest! {
         let mut out = Vec::new();
         fb.drain_frames(&mut out).expect("prefix of a valid stream");
         let contained = ends.iter().filter(|&&e| e <= cut).count();
-        prop_assert_eq!(out.len(), contained, "cut at {} of {}", cut, bytes.len());
-        prop_assert_eq!(&out[..], &frames[..contained]);
-    }
+        assert_eq!(out.len(), contained, "cut at {} of {}", cut, bytes.len());
+        assert_eq!(&out[..], &frames[..contained]);
+    });
 }

@@ -16,11 +16,10 @@ use cx_net::wire::{
     decode_frame, encode_frame, encode_to_vec, Frame, FrameBuffer, WireError, MAX_FRAME_LEN,
 };
 use cx_protocol::Endpoint;
-use cx_types::rng::SmallRng;
+use cx_types::check::{check, Gen};
 use cx_types::{Hint, OpId, Payload, ProcId, ServerId, Verdict};
-use proptest::prelude::*;
 
-fn sample_frame(rng: &mut SmallRng) -> Frame {
+fn sample_frame(rng: &mut Gen) -> Frame {
     let op_id = OpId::new(
         ProcId::new(rng.gen_range(0u32..100), rng.gen_range(0u32..100)),
         rng.next_u64(),
@@ -64,77 +63,78 @@ fn sample_frame(rng: &mut SmallRng) -> Frame {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(500))]
-
-    #[test]
-    /// Pure random bytes: decode returns, never panics, and any `Ok` must
-    /// have consumed within bounds.
-    fn random_bytes_never_panic(seed in any::<u64>(), len in 0usize..256) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
+/// Pure random bytes: decode returns, never panics, and any `Ok` must
+/// have consumed within bounds.
+#[test]
+fn random_bytes_never_panic() {
+    check("random_bytes_never_panic", 500, |rng| {
+        let bytes = rng.vec(0..256, |g| g.gen_range(0u32..256) as u8);
         if let Ok((_, used)) = decode_frame(&bytes) {
-            prop_assert!(used <= bytes.len());
+            assert!(used <= bytes.len());
         }
-    }
+    });
+}
 
-    #[test]
-    /// Every strict prefix of a valid frame fails with a typed error
-    /// (almost always `Truncated`; a cut inside the length prefix also
-    /// reads as truncated).
-    fn truncations_yield_typed_errors(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let bytes = encode_to_vec(&sample_frame(&mut rng));
+/// Every strict prefix of a valid frame fails with a typed error
+/// (almost always `Truncated`; a cut inside the length prefix also
+/// reads as truncated).
+#[test]
+fn truncations_yield_typed_errors() {
+    check("truncations_yield_typed_errors", 500, |rng| {
+        let bytes = encode_to_vec(&sample_frame(rng));
         for cut in 0..bytes.len() {
             match decode_frame(&bytes[..cut]) {
                 Err(WireError::Truncated) => {}
-                Err(e) => prop_assert!(false, "cut at {cut}: unexpected error {e:?}"),
-                Ok(_) => prop_assert!(false, "cut at {cut}: decoded from a strict prefix"),
+                Err(e) => panic!("cut at {cut}: unexpected error {e:?}"),
+                Ok(_) => panic!("cut at {cut}: decoded from a strict prefix"),
             }
         }
-    }
+    });
+}
 
-    #[test]
-    /// Single-byte corruption anywhere in a valid frame either decodes (a
-    /// value-field flip is a different but legal frame) or yields a typed
-    /// error; it never panics and never allocates beyond the input size.
-    fn corrupted_frames_never_panic(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let bytes = encode_to_vec(&sample_frame(&mut rng));
+/// Single-byte corruption anywhere in a valid frame either decodes (a
+/// value-field flip is a different but legal frame) or yields a typed
+/// error; it never panics and never allocates beyond the input size.
+#[test]
+fn corrupted_frames_never_panic() {
+    check("corrupted_frames_never_panic", 500, |rng| {
+        let bytes = encode_to_vec(&sample_frame(rng));
         for at in 0..bytes.len() {
             let mut evil = bytes.clone();
             evil[at] ^= 1 << rng.gen_range(0u32..8);
             if let Ok((_, used)) = decode_frame(&evil) {
-                prop_assert!(used <= evil.len());
+                assert!(used <= evil.len());
             }
         }
-    }
+    });
+}
 
-    #[test]
-    /// Hostile length prefixes: any announced length beyond the cap is
-    /// rejected before allocation; lengths within the cap but beyond the
-    /// buffer read as truncated.
-    fn hostile_length_prefixes(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+/// Hostile length prefixes: any announced length beyond the cap is
+/// rejected before allocation; lengths within the cap but beyond the
+/// buffer read as truncated.
+#[test]
+fn hostile_length_prefixes() {
+    check("hostile_length_prefixes", 500, |rng| {
         let mut bytes = encode_to_vec(&Frame::Quiesce);
         let huge = rng.gen_range((MAX_FRAME_LEN as u64 + 1)..u32::MAX as u64 + 1) as u32;
         bytes[..4].copy_from_slice(&huge.to_le_bytes());
-        prop_assert_eq!(decode_frame(&bytes), Err(WireError::Oversized(huge)));
+        assert_eq!(decode_frame(&bytes), Err(WireError::Oversized(huge)));
 
         let mut bytes = encode_to_vec(&Frame::Quiesce);
         let big_but_capped = rng.gen_range(1000u32..MAX_FRAME_LEN);
         bytes[..4].copy_from_slice(&big_but_capped.to_le_bytes());
-        prop_assert_eq!(decode_frame(&bytes), Err(WireError::Truncated));
-    }
+        assert_eq!(decode_frame(&bytes), Err(WireError::Truncated));
+    });
+}
 
-    #[test]
-    /// Random bytes fed chunk-wise through the incremental buffer: the
-    /// drain either keeps waiting for more input or returns a typed error;
-    /// it never panics, and an oversized announced length is rejected
-    /// without buffering the body.
-    fn coalesced_random_bytes_never_panic(seed in any::<u64>(), len in 0usize..512) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
+/// Random bytes fed chunk-wise through the incremental buffer: the
+/// drain either keeps waiting for more input or returns a typed error;
+/// it never panics, and an oversized announced length is rejected
+/// without buffering the body.
+#[test]
+fn coalesced_random_bytes_never_panic() {
+    check("coalesced_random_bytes_never_panic", 500, |rng| {
+        let bytes = rng.vec(0..512, |g| g.gen_range(0u32..256) as u8);
         let mut fb = FrameBuffer::with_capacity(64);
         let mut out = Vec::new();
         let mut pos = 0;
@@ -146,20 +146,21 @@ proptest! {
                 break; // malformed mid-stream: reader resets, as conn.rs does
             }
         }
-    }
+    });
+}
 
-    #[test]
-    /// A single-byte corruption inside a coalesced multi-frame stream:
-    /// frames before the corruption still decode, and the stream as a
-    /// whole either decodes (value-field flip) or dies with a typed error
-    /// at the corrupted frame — never a panic, never a reordering.
-    fn coalesced_corruption_fails_cleanly(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let frames = [
-            Frame::Probe { token: rng.next_u64(), t0_ns: 0 },
-            sample_frame(&mut rng),
-            Frame::Probe { token: rng.next_u64(), t0_ns: 0 },
-        ];
+/// A single-byte corruption inside a coalesced multi-frame stream:
+/// frames before the corruption still decode, and the stream as a
+/// whole either decodes (value-field flip) or dies with a typed error
+/// at the corrupted frame — never a panic, never a reordering.
+#[test]
+fn coalesced_corruption_fails_cleanly() {
+    check("coalesced_corruption_fails_cleanly", 500, |rng| {
+        let probe = |rng: &mut Gen| Frame::Probe {
+            token: rng.next_u64(),
+            t0_ns: 0,
+        };
+        let frames = [probe(rng), sample_frame(rng), probe(rng)];
         let mut bytes = Vec::new();
         let mut ends = Vec::new();
         for f in &frames {
@@ -176,13 +177,16 @@ proptest! {
         // Frames wholly before the corrupted one are untouched by the flip
         // and must have decoded as themselves.
         let intact = ends.iter().filter(|&&e| e <= at).count();
-        prop_assert!(out.len() >= intact.min(frames.len()),
-            "decoded {} frames, corruption at {at} leaves {intact} intact", out.len());
+        assert!(
+            out.len() >= intact.min(frames.len()),
+            "decoded {} frames, corruption at {at} leaves {intact} intact",
+            out.len()
+        );
         for (a, b) in out.iter().take(intact).zip(&frames) {
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
         }
         if res.is_ok() && out.len() == frames.len() && fb.pending() == 0 {
             // Value-field flip: a different but fully legal stream — fine.
         }
-    }
+    });
 }

@@ -1,7 +1,7 @@
 //! Property test: every protocol message kind round-trips through the wire
 //! codec bit-exactly, for randomized field values (ISSUE 7 tentpole (a)).
 //!
-//! Each proptest case draws a seed, then builds one randomized instance of
+//! Each case builds one randomized instance of
 //! *all 20* `Payload` variants (asserting the tag coverage explicitly), plus
 //! randomized endpoints and control frames, and checks
 //! `decode(encode(f)) == f` with full buffer consumption.
@@ -9,30 +9,28 @@
 use cx_net::wire::{decode_frame, encode_to_vec, Frame};
 use cx_net::NodeId;
 use cx_protocol::Endpoint;
-use cx_types::rng::SmallRng;
+use cx_types::check::{check, Gen};
 use cx_types::{
     FileKind, FsOp, Hint, InodeNo, Name, ObjectId, OpId, OpOutcome, OpPlan, Payload, ProcId, Role,
     ServerId, SubOp, Verdict,
 };
-use proptest::prelude::*;
 
-fn arb_op_id(rng: &mut SmallRng) -> OpId {
+fn arb_op_id(rng: &mut Gen) -> OpId {
     OpId::new(
         ProcId::new(rng.gen_range(0u32..1 << 20), rng.gen_range(0u32..1 << 20)),
         rng.next_u64(),
     )
 }
 
-fn arb_op_ids(rng: &mut SmallRng) -> Vec<OpId> {
-    let n = rng.gen_range(0usize..8);
-    (0..n).map(|_| arb_op_id(rng)).collect()
+fn arb_op_ids(rng: &mut Gen) -> Vec<OpId> {
+    rng.vec(0..8, arb_op_id)
 }
 
-fn arb_verdict(rng: &mut SmallRng) -> Verdict {
+fn arb_verdict(rng: &mut Gen) -> Verdict {
     Verdict::from_ok(rng.gen_bool(0.5))
 }
 
-fn arb_kind(rng: &mut SmallRng) -> FileKind {
+fn arb_kind(rng: &mut Gen) -> FileKind {
     if rng.gen_bool(0.5) {
         FileKind::Regular
     } else {
@@ -40,7 +38,7 @@ fn arb_kind(rng: &mut SmallRng) -> FileKind {
     }
 }
 
-fn arb_subop(rng: &mut SmallRng) -> SubOp {
+fn arb_subop(rng: &mut Gen) -> SubOp {
     let ino = InodeNo(rng.next_u64());
     let parent = InodeNo(rng.next_u64());
     let name = Name(rng.next_u64());
@@ -70,20 +68,17 @@ fn arb_subop(rng: &mut SmallRng) -> SubOp {
     }
 }
 
-fn arb_objs(rng: &mut SmallRng) -> Vec<ObjectId> {
-    let n = rng.gen_range(0usize..5);
-    (0..n)
-        .map(|_| {
-            if rng.gen_bool(0.5) {
-                ObjectId::Inode(InodeNo(rng.next_u64()))
-            } else {
-                ObjectId::Dentry(InodeNo(rng.next_u64()), Name(rng.next_u64()))
-            }
-        })
-        .collect()
+fn arb_objs(rng: &mut Gen) -> Vec<ObjectId> {
+    rng.vec(0..5, |rng| {
+        if rng.gen_bool(0.5) {
+            ObjectId::Inode(InodeNo(rng.next_u64()))
+        } else {
+            ObjectId::Dentry(InodeNo(rng.next_u64()), Name(rng.next_u64()))
+        }
+    })
 }
 
-fn arb_plan(rng: &mut SmallRng) -> OpPlan {
+fn arb_plan(rng: &mut Gen) -> OpPlan {
     let parent = InodeNo(rng.next_u64());
     let name = Name(rng.next_u64());
     let ino = InodeNo(rng.next_u64());
@@ -128,7 +123,7 @@ fn arb_plan(rng: &mut SmallRng) -> OpPlan {
 
 /// A randomized payload with the given wire tag (0..=19): one constructor
 /// per `Payload` variant, so the caller can enumerate full kind coverage.
-fn arb_payload(tag: u8, rng: &mut SmallRng) -> Payload {
+fn arb_payload(tag: u8, rng: &mut Gen) -> Payload {
     match tag {
         0 => Payload::SubOpReq {
             op_id: arb_op_id(rng),
@@ -235,7 +230,7 @@ fn arb_payload(tag: u8, rng: &mut SmallRng) -> Payload {
     }
 }
 
-fn arb_endpoint(rng: &mut SmallRng) -> Endpoint {
+fn arb_endpoint(rng: &mut Gen) -> Endpoint {
     if rng.gen_bool(0.5) {
         Endpoint::Server(ServerId(rng.gen_range(0u32..64)))
     } else {
@@ -254,30 +249,28 @@ fn assert_roundtrip(f: &Frame) {
     assert_eq!(&back, f);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Every one of the 20 payload kinds round-trips, with random fields.
-    #[test]
-    fn every_payload_kind_roundtrips(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+/// Every one of the 20 payload kinds round-trips, with random fields.
+#[test]
+fn every_payload_kind_roundtrips() {
+    check("every_payload_kind_roundtrips", 200, |rng| {
         for tag in 0..Payload::WIRE_TAG_COUNT {
-            let payload = arb_payload(tag, &mut rng);
-            prop_assert_eq!(payload.wire_tag(), tag, "constructor/tag drift");
+            let payload = arb_payload(tag, rng);
+            assert_eq!(payload.wire_tag(), tag, "constructor/tag drift");
             let frame = Frame::Msg {
                 sent_ns: rng.next_u64(),
-                from: arb_endpoint(&mut rng),
-                to: arb_endpoint(&mut rng),
+                from: arb_endpoint(rng),
+                to: arb_endpoint(rng),
                 payload,
             };
             assert_roundtrip(&frame);
         }
-    }
+    });
+}
 
-    /// Control frames round-trip with random fields.
-    #[test]
-    fn control_frames_roundtrip(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+/// Control frames round-trip with random fields.
+#[test]
+fn control_frames_roundtrip() {
+    check("control_frames_roundtrip", 200, |rng| {
         assert_roundtrip(&Frame::Hello {
             node: if rng.gen_bool(0.5) {
                 NodeId::Server(rng.gen_range(0u32..64))
@@ -286,10 +279,10 @@ proptest! {
             },
             listen_port: rng.gen_range(0u32..1 << 16) as u16,
         });
-        let n = rng.gen_range(0usize..8);
+        let port = |rng: &mut Gen| format!("127.0.0.1:{}", rng.gen_range(1024u32..65536));
         assert_roundtrip(&Frame::Peers {
-            servers: (0..n)
-                .map(|i| (i as u32, format!("127.0.0.1:{}", rng.gen_range(1024u32..65536))))
+            servers: (0..rng.gen_range(0u32..8))
+                .map(|i| (i, port(rng)))
                 .collect(),
         });
         assert_roundtrip(&Frame::Quiesce);
@@ -304,28 +297,27 @@ proptest! {
             remote_ns: rng.next_u64(),
         });
         assert_roundtrip(&Frame::Stop);
-        let ni = rng.gen_range(0usize..16);
-        let nd = rng.gen_range(0usize..16);
         assert_roundtrip(&Frame::StopResp {
-            stats_json: (0..rng.gen_range(0usize..64)).map(|_| rng.gen_range(0u32..256) as u8).collect(),
-            inodes: (0..ni)
-                .map(|_| (rng.next_u64(), rng.gen_range(0u32..2) as u8, rng.gen_range(0u32..8)))
-                .collect(),
-            dentries: (0..nd).map(|_| (rng.next_u64(), rng.next_u64(), rng.next_u64())).collect(),
+            stats_json: rng.vec(0..64, |g| g.gen_range(0u32..256) as u8),
+            inodes: rng.vec(0..16, |g| {
+                (g.next_u64(), g.gen_range(0..2), g.gen_range(0..8))
+            }),
+            dentries: rng.vec(0..16, |g| (g.next_u64(), g.next_u64(), g.next_u64())),
         });
-    }
+    });
+}
 
-    #[test]
-    /// Frames concatenated back-to-back decode one at a time with correct
-    /// consumed lengths (stream framing).
-    fn concatenated_frames_decode_in_sequence(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+/// Frames concatenated back-to-back decode one at a time with correct
+/// consumed lengths (stream framing).
+#[test]
+fn concatenated_frames_decode_in_sequence() {
+    check("concatenated_frames_decode_in_sequence", 200, |rng| {
         let frames: Vec<Frame> = (0..5)
             .map(|_| Frame::Msg {
                 sent_ns: rng.next_u64(),
-                from: arb_endpoint(&mut rng),
-                to: arb_endpoint(&mut rng),
-                payload: arb_payload(rng.gen_range(0u32..20) as u8, &mut rng),
+                from: arb_endpoint(rng),
+                to: arb_endpoint(rng),
+                payload: arb_payload(rng.gen_range(0u32..20) as u8, rng),
             })
             .collect();
         let mut buf = Vec::new();
@@ -335,9 +327,9 @@ proptest! {
         let mut at = 0usize;
         for f in &frames {
             let (back, used) = decode_frame(&buf[at..]).expect("decode");
-            prop_assert_eq!(&back, f);
+            assert_eq!(&back, f);
             at += used;
         }
-        prop_assert_eq!(at, buf.len());
-    }
+        assert_eq!(at, buf.len());
+    });
 }
