@@ -143,9 +143,9 @@ if [ "${1:-}" != "quick" ]; then
     # counting allocator. The replay is one deterministic thread, so the
     # peak repeats to the byte — no host slow wave can flake this one. The
     # ceilings are 3 % over EXPERIMENTS.md "Counted heap peaks"
-    # (6.39 / 2.64 / 2.77 MiB).
+    # (5.96 / 2.14 / 2.77 MiB, since the disk lanes' packed backlog).
     step "heap ceilings (heap_peak, counted)"
-    for row in update:6.58 home2:2.72 lowload:2.85; do
+    for row in update:6.14 home2:2.20 lowload:2.85; do
         cargo run -q --release -p cx-bench --bin heap_peak -- \
             --workload "${row%%:*}" --seed 7000 --ceiling-mib "${row##*:}" > /dev/null
     done

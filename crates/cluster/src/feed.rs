@@ -9,14 +9,15 @@
 //!
 //! A buffered op is held as its [`cx_types::codec`] bytes, the layout the
 //! wire and the WAL already use, packed: every 8-byte word after the tag
-//! byte is written LEB128 (7 bits a byte), and the word count rides in
-//! the tag byte's high bits, so unpacking needs no table of which op has
-//! which fields. The workloads number inodes and names from counters, so
-//! the words are small: a `Stat` of an inode below 16,384 takes 3 B, and
-//! home2's backlog averages 5.2 B an op where the codec's bytes are 9–25
-//! and an `FsOp` slot is 32. Three full-width words take 31. The backlog
-//! grows with how far the processes drift apart, not with the trace, but
-//! on a read-heavy trace it is the largest thing the replay holds.
+//! byte is written LEB128 (7 bits a byte, [`cx_types::codec::put_uleb`]),
+//! and the word count rides in the tag byte's high bits, so unpacking
+//! needs no table of which op has which fields. The workloads number
+//! inodes and names from counters, so the words are small: a `Stat` of an
+//! inode below 16,384 takes 3 B, and home2's backlog averages 5.2 B an op
+//! where the codec's bytes are 9–25 and an `FsOp` slot is 32. Three
+//! full-width words take 31. The backlog grows with how far the processes
+//! drift apart, not with the trace, but on a read-heavy trace it is the
+//! largest thing the replay holds.
 //!
 //! [`ClientTable`] is the client side both runtimes run over a feed: the
 //! DES and the wall clock's client host.
@@ -24,7 +25,7 @@
 use crate::stats::{AckRecord, RunStats};
 use cx_obs::registry::{Counter, MetricRegistry, Series};
 use cx_protocol::{host, Action, ClientDecision, ClientOp, Endpoint, Ports};
-use cx_types::codec::{Codec, Reader};
+use cx_types::codec::{get_uleb, put_uleb, Codec, Reader, ULEB_MAX};
 use cx_types::{
     ClusterConfig, CxConfig, FsOp, OpId, OpOutcome, Placement, ProcId, Protocol, SimTime,
 };
@@ -36,7 +37,7 @@ const WORD: usize = 8;
 /// The longest `FsOp` encoding: a tag and three words.
 const MAX_CODEC_BYTES: usize = 1 + 3 * WORD;
 /// The longest packed op: a tag and three 8-byte words of 10 LEB128 bytes.
-const MAX_OP_BYTES: usize = 1 + 3 * 10;
+const MAX_OP_BYTES: usize = 1 + 3 * ULEB_MAX;
 /// Where the word count starts in a packed op's tag byte; the codec's
 /// `FsOp` tags (0–11) fit below it.
 const WORDS_SHIFT: u32 = 4;
@@ -155,14 +156,8 @@ fn pack(encoded: &[u8], out: &mut [u8; MAX_OP_BYTES]) -> usize {
     out[0] = tag | ((words.len() / WORD) as u8) << WORDS_SHIFT;
     let mut n = 1;
     for word in words.chunks_exact(WORD) {
-        let mut v = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
-        while v >= 0x80 {
-            out[n] = v as u8 | 0x80;
-            v >>= 7;
-            n += 1;
-        }
-        out[n] = v as u8;
-        n += 1;
+        let v = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        n += put_uleb(v, &mut out[n..]);
     }
     n
 }
@@ -173,19 +168,11 @@ fn unpack(packed: &[u8]) -> (FsOp, usize) {
     let mut encoded = [0u8; MAX_CODEC_BYTES];
     let words = usize::from(packed[0] >> WORDS_SHIFT);
     encoded[0] = packed[0] & ((1 << WORDS_SHIFT) - 1);
-    let mut n = 1;
+    let mut bytes = packed[1..].iter().copied();
     for word in encoded[1..].chunks_exact_mut(WORD).take(words) {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = packed[n];
-            n += 1;
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                break;
-            }
-        }
-        word.copy_from_slice(&v.to_le_bytes());
+        word.copy_from_slice(&get_uleb(&mut bytes).to_le_bytes());
     }
+    let n = packed.len() - bytes.len();
     let mut r = Reader::new(&encoded[..1 + words * WORD]);
     let op = FsOp::decode(&mut r).expect("the feed decodes only what it encoded");
     debug_assert_eq!(r.remaining(), 0);

@@ -1,5 +1,6 @@
 //! Single-spindle disk model with group commit and elevator merging.
 
+use cx_types::codec::{get_uleb, put_uleb, ULEB_MAX};
 use cx_types::{DiskConfig, SimTime};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -116,42 +117,92 @@ enum Cost {
     },
 }
 
-/// A [`Cost`] in the one word a lane entry has for it: the kind in the
-/// top two bits and its count below, a write-back's pages above its runs
-/// in 31 bits each. A list of 2^31 pages is 16 GiB of page numbers and a
-/// scan of 2^62 bytes is 4 EiB; no caller can submit either.
-#[derive(Debug, Clone, Copy)]
-struct Priced(u64);
+/// The background lane: priced requests, first in, first out, packed back
+/// to back in one byte ring. An entry is LEB128 ([`put_uleb`]) of
+///
+/// * its token minus the token queued before it (wrapping),
+/// * its count shifted up two bits over its kind: a write-back's pages, a
+///   sequential read's bytes, a random read's pages,
+/// * for a write-back only, its runs.
+///
+/// The chassis numbers a write-back's chunks one after another, so a chunk
+/// of under 32 pages takes 3 B. A token step across the chassis's
+/// write-back bit (bit 63) takes 10 B; only a recovery read's does.
+#[derive(Debug, Clone)]
+struct Backlog {
+    bytes: VecDeque<u8>,
+    /// Entries in `bytes`.
+    len: usize,
+    /// The token of the entry pushed last, which the next one is written
+    /// against, and of the entry popped last, which the next one is read
+    /// against.
+    pushed: u64,
+    popped: u64,
+}
 
-impl Priced {
-    /// Bits of a write-back's run count; its page count sits above them.
-    const HALF: u32 = 31;
-    const COUNT: u64 = u64::MAX >> 2;
+impl Backlog {
+    /// The longest entry: three full-width values.
+    const ENTRY_MAX: usize = 3 * ULEB_MAX;
+    /// The largest count an entry holds, with its kind below it.
+    const COUNT_MAX: u64 = u64::MAX >> 2;
 
-    fn pack(cost: Cost) -> Self {
-        let (kind, count) = match cost {
-            Cost::Writeback { pages, runs } => {
-                // runs ≤ pages, so a page count that fits, fits both
-                assert!(pages >> Self::HALF == 0, "page list too long");
-                (0, pages << Self::HALF | runs)
-            }
-            Cost::SeqRead { bytes } => (1, bytes),
-            Cost::RandomRead { pages } => (2, pages),
-        };
-        assert!(count <= Self::COUNT, "request too large to price");
-        Priced(kind << 62 | count)
+    /// The ring starts at a power of two, so it doubles through powers of
+    /// two whatever the first entry's length: grown from that length
+    /// instead (12 B for a first write-back chunk), 30,000 B of entries
+    /// would sit in a 48 KiB ring, not a 32 KiB one.
+    fn new() -> Self {
+        Self {
+            bytes: VecDeque::with_capacity(Self::ENTRY_MAX.next_power_of_two()),
+            len: 0,
+            pushed: 0,
+            popped: 0,
+        }
     }
 
-    fn cost(self) -> Cost {
-        let count = self.0 & Self::COUNT;
-        match self.0 >> 62 {
+    fn push(&mut self, token: u64, cost: Cost) {
+        let (kind, count, runs) = match cost {
+            Cost::Writeback { pages, runs } => (0, pages, Some(runs)),
+            Cost::SeqRead { bytes } => (1, bytes, None),
+            Cost::RandomRead { pages } => (2, pages, None),
+        };
+        assert!(count <= Self::COUNT_MAX, "request too large to price");
+        let mut entry = [0u8; Self::ENTRY_MAX];
+        let mut n = put_uleb(token.wrapping_sub(self.pushed), &mut entry);
+        n += put_uleb(count << 2 | kind, &mut entry[n..]);
+        if let Some(runs) = runs {
+            n += put_uleb(runs, &mut entry[n..]);
+        }
+        self.bytes.extend(&entry[..n]);
+        self.pushed = token;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, Cost)> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut bytes = std::iter::from_fn(|| self.bytes.pop_front());
+        let token = self.popped.wrapping_add(get_uleb(&mut bytes));
+        let word = get_uleb(&mut bytes);
+        let count = word >> 2;
+        let cost = match word & 3 {
             0 => Cost::Writeback {
-                pages: count >> Self::HALF,
-                runs: count & ((1 << Self::HALF) - 1),
+                pages: count,
+                runs: get_uleb(&mut bytes),
             },
             1 => Cost::SeqRead { bytes: count },
             _ => Cost::RandomRead { pages: count },
-        }
+        };
+        self.popped = token;
+        self.len -= 1;
+        Some((token, cost))
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.len = 0;
+        self.pushed = 0;
+        self.popped = 0;
     }
 }
 
@@ -160,14 +211,14 @@ impl Priced {
 ///
 /// Requests wait in one FIFO lane per service class, so picking the next
 /// batch costs O(batch), not O(backlog): under load the log lane owns the
-/// disk and write-back only queues — tens of thousands of batches by the
+/// disk and write-back only queues — thousands of chunks a server by the
 /// end of a replay — and a single queue is scanned past all of them on
 /// every completion. That backlog is also why a queued background request
-/// is a 16-byte `(token, Priced)` entry and not the request: `submit` does
-/// the sort, dedup and run count, and no page list outlives it. The tests'
-/// `RefDisk` is the single queue that prices at start; the lanes must hand
-/// out the same batches in the same order and move the same stats at the
-/// same moment.
+/// is a packed [`Backlog`] entry of a few bytes and not the request:
+/// `submit` does the sort, dedup and run count, and no page list outlives
+/// it. The tests' `RefDisk` is the single queue that prices at start; the
+/// lanes must hand out the same batches in the same order and move the
+/// same stats at the same moment.
 #[derive(Debug, Clone)]
 pub struct Disk {
     cfg: DiskConfig,
@@ -175,10 +226,10 @@ pub struct Disk {
     log: VecDeque<(u64, u64)>,
     /// `(page, token)` of queued synchronous database writes.
     sync: VecDeque<(u64, u64)>,
-    /// `(token, price)` of write-back and recovery reads, served one
-    /// request at a time. Each keeps its own token: a completion names the
-    /// request it finished, and one lost in a crash must be told apart.
-    background: VecDeque<(u64, Priced)>,
+    /// Write-backs and recovery reads, served one request at a time. Each
+    /// keeps its own token: a completion names the request it finished,
+    /// and one lost in a crash must be told apart.
+    background: Backlog,
     inflight: bool,
     stats: DiskStats,
     /// Incremented on crash so runtimes can discard completion events
@@ -192,7 +243,7 @@ impl Disk {
             cfg,
             log: VecDeque::new(),
             sync: VecDeque::new(),
-            background: VecDeque::new(),
+            background: Backlog::new(),
             inflight: false,
             stats: DiskStats::default(),
             generation: 0,
@@ -213,7 +264,7 @@ impl Disk {
     }
 
     pub fn queued(&self) -> usize {
-        self.log.len() + self.sync.len() + self.background.len()
+        self.log.len() + self.sync.len() + self.background.len
     }
 
     /// Submit a request at `now`. If the disk was idle, a batch starts
@@ -230,16 +281,16 @@ impl Disk {
                     pages: pages.len() as u64,
                     runs: count_runs(&pages, self.cfg.merge_gap),
                 };
-                self.background.push_back((token, Priced::pack(cost)));
+                self.background.push(token, cost);
             }
-            DiskReq::SeqRead { bytes, token } => self
-                .background
-                .push_back((token, Priced::pack(Cost::SeqRead { bytes }))),
+            DiskReq::SeqRead { bytes, token } => {
+                self.background.push(token, Cost::SeqRead { bytes });
+            }
             DiskReq::RandomRead { pages, token } => {
                 let cost = Cost::RandomRead {
                     pages: pages.len() as u64,
                 };
-                self.background.push_back((token, Priced::pack(cost)));
+                self.background.push(token, cost);
             }
         }
         if self.inflight {
@@ -278,8 +329,8 @@ impl Disk {
         } else if !self.sync.is_empty() {
             self.start_sync_flush(now)
         } else {
-            let (token, price) = self.background.pop_front()?;
-            self.start_background(now, token, price)
+            let (token, cost) = self.background.pop()?;
+            self.start_background(now, token, cost)
         };
         self.inflight = true;
         Some(batch)
@@ -332,8 +383,8 @@ impl Disk {
         }
     }
 
-    fn start_background(&mut self, now: SimTime, token: u64, price: Priced) -> Batch {
-        let service = match price.cost() {
+    fn start_background(&mut self, now: SimTime, token: u64, cost: Cost) -> Batch {
+        let service = match cost {
             Cost::Writeback { pages, runs } => {
                 self.stats.wb_batches += 1;
                 self.stats.wb_pages += pages;
@@ -557,11 +608,37 @@ mod tests {
     }
 
     /// A seeded request stream over the workspace's SplitMix64.
-    struct SplitMix(cx_types::rng::SmallRng);
+    struct SplitMix {
+        rng: cx_types::rng::SmallRng,
+        /// The chassis's token counter.
+        counter: u64,
+    }
 
     impl SplitMix {
         fn next(&mut self) -> u64 {
-            self.0.next_u64()
+            self.rng.next_u64()
+        }
+
+        /// Tokens the way the chassis numbers them: one counter for every
+        /// request, a write-back's with the top bit set, so the lane's
+        /// deltas cross that bit whenever a read follows a write-back. One
+        /// request in 500 jumps the counter by up to 2^40 (a crash resets
+        /// the lane, not the chassis's counter), one in 1,000 carries
+        /// `u64::MAX`.
+        fn token(&mut self, writeback: bool) -> u64 {
+            let roll = self.next() % 1_000;
+            if roll == 0 {
+                return u64::MAX;
+            }
+            if roll < 3 {
+                self.counter += self.next() % (1 << 40);
+            }
+            self.counter += 1;
+            if writeback {
+                self.counter | 1 << 63
+            } else {
+                self.counter
+            }
         }
 
         /// 1–64 pages, unsorted; every fourth list draws from 48 page
@@ -580,8 +657,10 @@ mod tests {
 
         /// Mostly blocking work, so the synchronous lanes win the disk
         /// and write-back piles up behind them.
-        fn req(&mut self, token: u64) -> DiskReq {
-            match self.next() % 100 {
+        fn req(&mut self) -> DiskReq {
+            let kind = self.next() % 100;
+            let token = self.token((60..=89).contains(&kind));
+            match kind {
                 0..=44 => DiskReq::LogAppend {
                     bytes: 1 + self.next() % 4_096,
                     token,
@@ -635,18 +714,21 @@ mod tests {
             };
             let mut disk = Disk::new(cfg);
             let mut oracle = RefDisk::new(cfg);
-            let mut rng = SplitMix(cx_types::rng::SmallRng::seed_from_u64(
-                0x5eed + group_commit as u64 + (merge_gap << 1),
-            ));
+            let mut rng = SplitMix {
+                rng: cx_types::rng::SmallRng::seed_from_u64(
+                    0x5eed + group_commit as u64 + (merge_gap << 1),
+                ),
+                counter: 0,
+            };
             let mut now = SimTime(0);
             let mut inflight: Option<SimTime> = None;
             let (mut crashes, mut deepest, mut deepest_crashed) = (0, 0, 0);
-            for token in 0..STEPS {
+            for step in 0..STEPS {
                 // Submissions outpace completions; a rare crash empties
                 // both disks, and one is forced the first time the priced
                 // backlog is 1,200 deep.
                 let roll = rng.next() % 10_000;
-                let backlog = disk.background.len();
+                let backlog = disk.background.len;
                 let (got, want) = if roll < 2 || (deepest_crashed == 0 && backlog >= 1_200) {
                     disk.crash();
                     oracle.crash();
@@ -659,17 +741,17 @@ mod tests {
                     (disk.complete(now), oracle.complete(now))
                 } else {
                     now = SimTime(now.0 + rng.next() % 200_000);
-                    let req = rng.req(token);
+                    let req = rng.req();
                     (disk.submit(now, req.clone()), oracle.submit(now, req))
                 };
                 let cfg = (group_commit, merge_gap);
-                assert_eq!(got, want, "step {token} {cfg:?}");
-                assert_eq!(disk.stats, oracle.stats, "step {token} {cfg:?}");
-                assert_eq!(disk.queued(), oracle.queue.len(), "step {token} {cfg:?}");
+                assert_eq!(got, want, "step {step} {cfg:?}");
+                assert_eq!(disk.stats, oracle.stats, "step {step} {cfg:?}");
+                assert_eq!(disk.queued(), oracle.queue.len(), "step {step} {cfg:?}");
                 if let Some(b) = got {
                     inflight = Some(b.finish);
                 }
-                deepest = deepest.max(disk.background.len());
+                deepest = deepest.max(disk.background.len);
             }
             assert!(
                 crashes > 1 && deepest >= 1_000 && deepest_crashed >= 1_000,
@@ -696,42 +778,64 @@ mod tests {
         }
     }
 
-    /// The lane entry is what the backlog is made of; keep it two words.
+    /// Every kind comes back out of the lane with its token and counts,
+    /// up to the largest count an entry holds and across token steps of
+    /// every size, both ways round the `u64` circle; a chassis chunk of
+    /// under 32 pages costs 3 B. Past the largest count, `submit` refuses.
     #[test]
-    fn a_queued_background_request_is_16_bytes() {
-        assert_eq!(std::mem::size_of::<(u64, Priced)>(), 16);
-    }
-
-    /// Each kind's counts come back out of the word, up to the field
-    /// limits, and past a limit the price refuses.
-    #[test]
-    fn a_price_round_trips_at_its_field_limits() {
-        let half = (1 << Priced::HALF) - 1;
-        let count = Priced::COUNT;
-        for cost in [
+    fn a_packed_entry_round_trips_at_its_limits() {
+        let max = Backlog::COUNT_MAX;
+        let costs = [
             Cost::Writeback { pages: 0, runs: 0 },
+            Cost::Writeback { pages: 31, runs: 1 },
             Cost::Writeback {
-                pages: half,
-                runs: 1,
-            },
-            Cost::Writeback {
-                pages: half,
-                runs: half,
+                pages: max,
+                runs: max,
             },
             Cost::SeqRead { bytes: 0 },
-            Cost::SeqRead { bytes: count },
+            Cost::SeqRead { bytes: max },
             Cost::RandomRead { pages: 1 },
-            Cost::RandomRead { pages: count },
-        ] {
-            assert_eq!(Priced::pack(cost).cost(), cost);
+            Cost::RandomRead { pages: max },
+        ];
+        let wb = 1 << 63;
+        let tokens = [0, 1, wb | 2, wb | 3, 4, u64::MAX, 0, u64::MAX - 1, 5];
+        let mut lane = Backlog::new();
+        let entries: Vec<(u64, Cost)> = costs
+            .iter()
+            .flat_map(|&cost| tokens.iter().map(move |&token| (token, cost)))
+            .collect();
+        for &(token, cost) in &entries {
+            lane.push(token, cost);
         }
-        let too_long = Cost::Writeback {
-            pages: half + 1,
-            runs: 1,
-        };
-        assert!(std::panic::catch_unwind(|| Priced::pack(too_long)).is_err());
-        let too_big = Cost::SeqRead { bytes: count + 1 };
-        assert!(std::panic::catch_unwind(|| Priced::pack(too_big)).is_err());
+        assert_eq!(lane.len, entries.len());
+        let popped: Vec<_> = std::iter::from_fn(|| lane.pop()).collect();
+        assert_eq!(popped, entries);
+        assert!(lane.bytes.is_empty() && lane.len == 0);
+
+        let chunk = Cost::Writeback { pages: 31, runs: 2 };
+        lane.push(1 << 63 | 9, chunk);
+        let before = lane.bytes.len();
+        lane.push(1 << 63 | 10, chunk);
+        assert_eq!(lane.bytes.len() - before, 3, "a chunk after its neighbour");
+
+        let mut d = disk();
+        for bytes in [max + 1, u64::MAX] {
+            let req = DiskReq::SeqRead { bytes, token: 1 };
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                d.submit(SimTime(0), req)
+            }));
+            assert!(refused.is_err(), "a {bytes}-byte scan is priced");
+        }
+        for cost in [
+            Cost::Writeback {
+                pages: max + 1,
+                runs: 1,
+            },
+            Cost::RandomRead { pages: max + 1 },
+        ] {
+            let refused = std::panic::catch_unwind(|| Backlog::new().push(0, cost));
+            assert!(refused.is_err(), "{cost:?} is priced");
+        }
     }
 
     #[test]

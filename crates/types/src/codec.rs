@@ -129,6 +129,38 @@ pub fn encode_padded<T: Codec>(v: &T, width: usize, out: &mut Vec<u8>) {
     out.resize(end, 0);
 }
 
+/// The longest [`put_uleb`] encoding: a `u64`'s 64 bits at 7 a byte.
+pub const ULEB_MAX: usize = 10;
+
+/// Write `v` LEB128 at the front of `out`: 7 bits a byte, low bits first,
+/// the top bit set on every byte but the last. The bytes written, 1 for a
+/// value below 128 and [`ULEB_MAX`] at most. For in-memory packing (the op
+/// feed's backlog, a disk's background lane), not the wire.
+pub fn put_uleb(mut v: u64, out: &mut [u8]) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
+/// Read one value [`put_uleb`] wrote, taking exactly its bytes from
+/// `bytes`. The bytes must be a whole encoding.
+pub fn get_uleb(bytes: &mut impl Iterator<Item = u8>) -> u64 {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = bytes.next().expect("a LEB128 value ends");
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            break;
+        }
+    }
+    v
+}
+
 macro_rules! int_codec {
     ($($t:ty),*) => {$(
         impl Codec for $t {
@@ -682,5 +714,25 @@ mod tests {
         assert_eq!(Reader::new(&[0xFF]).get::<Role>(), bad("role", 0xFF));
         assert_eq!(Reader::new(&[10]).get::<SubOp>(), bad("sub-op", 10));
         assert_eq!(Reader::new(&[1, 2]).get::<Option<bool>>(), bad("bool", 2));
+    }
+
+    #[test]
+    fn uleb_round_trips_at_each_length() {
+        let mut out = [0u8; ULEB_MAX + 1];
+        for (v, len) in [
+            (0, 1),
+            (0x7f, 1),
+            (0x80, 2),
+            (0x3fff, 2),
+            (0x4000, 3),
+            (1 << 63, ULEB_MAX),
+            (u64::MAX, ULEB_MAX),
+        ] {
+            out.fill(0xAA);
+            assert_eq!(put_uleb(v, &mut out), len, "{v:#x}");
+            let mut bytes = out.iter().copied();
+            assert_eq!(get_uleb(&mut bytes), v);
+            assert_eq!(bytes.len(), out.len() - len, "{v:#x} reads only its bytes");
+        }
     }
 }

@@ -16,10 +16,9 @@ mod counting;
 
 use counting::live;
 use cx_protocol::testkit::Kit;
-use cx_simio::{Disk, DiskReq};
 use cx_types::{
-    BatchTrigger, ClusterConfig, DiskConfig, FileKind, FsOp, InodeNo, MsgKind, Name, OpOutcome,
-    ProcId, Protocol, SimTime,
+    BatchTrigger, ClusterConfig, FileKind, FsOp, InodeNo, MsgKind, Name, OpOutcome, ProcId,
+    Protocol,
 };
 
 const ROOT: InodeNo = InodeNo(1);
@@ -143,48 +142,4 @@ fn steady_churn_holds_the_heap_flat() {
         "live heap {late} B after 50,000 ops, {early} B after 5,000"
     );
     assert_nothing_in_flight(&mut kit);
-}
-
-/// Under load the log owns the disk and write-backs only queue, each in
-/// the background lane until the drain. 10,000 of them, queued behind a
-/// log flush in progress, cost two words of lane apiece: 16 B a slot, in a
-/// lane that doubles to 16,384 slots for them (24-byte entries measured
-/// 384 KiB). Each keeps its own token, and the tokens come back first in,
-/// first out.
-#[test]
-fn queued_write_backs_cost_two_words_each() {
-    const N: u64 = 10_000;
-    let slots = N.next_power_of_two() as isize;
-    let mut disk = Disk::new(DiskConfig::default());
-    let append = DiskReq::LogAppend {
-        bytes: 4_096,
-        token: u64::MAX,
-    };
-    let flush = disk
-        .submit(SimTime(0), append)
-        .expect("an idle disk starts");
-    let before = live();
-    for token in 0..N {
-        // The page list is the caller's allocation; submit prices and frees it.
-        let pages = (0..32).map(|p| token * 64 + 2 * p).collect();
-        let req = DiskReq::DbWriteback { pages, token };
-        assert!(
-            disk.submit(SimTime(1), req).is_none(),
-            "the log flush holds the disk"
-        );
-    }
-    let held = live() - before;
-    assert!(
-        held <= 16 * slots,
-        "{held} B of live heap for {N} queued write-backs, {} B a lane slot",
-        held / slots
-    );
-    let mut finish = flush.finish;
-    let mut tokens = Vec::with_capacity(N as usize);
-    while let Some(batch) = disk.complete(finish) {
-        finish = batch.finish;
-        tokens.extend(batch.tokens);
-    }
-    assert_eq!(tokens, (0..N).collect::<Vec<_>>());
-    assert!(disk.is_idle());
 }

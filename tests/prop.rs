@@ -113,10 +113,34 @@ impl Model {
 }
 
 /// Operation generator over a compact namespace so collisions (and thus
-/// failures and reuse) are common.
-fn arb_op(g: &mut Gen) -> FsOp {
+/// failures and reuse) are common: names 1..24 and inodes 100..124 in the
+/// root. Drawn uniformly, they rarely line up into create → link → remove
+/// → stat of one inode, so half the time the name and inode are a live
+/// entry's of `model` (the namespace the op will run against) and a
+/// quarter of the time the inode is a live one, hard links included.
+/// Against an empty model it draws exactly what the uniform draw does.
+fn arb_op(g: &mut Gen, model: &Model) -> FsOp {
     let (which, parent) = (g.gen_range(0..8), ROOT);
-    let (name, ino) = (Name(g.gen_range(1..24)), InodeNo(g.gen_range(100..124)));
+    let (mut name, mut ino) = (Name(g.gen_range(1..24)), InodeNo(g.gen_range(100..124)));
+    let mut entries: Vec<(Name, InodeNo)> = model
+        .dentries
+        .iter()
+        .map(|(&(_, name), &child)| (name, child))
+        .collect();
+    entries.sort_unstable();
+    if !entries.is_empty() && g.gen_bool(0.5) {
+        (name, ino) = *g.choose(&entries).expect("non-empty");
+    }
+    let mut inodes: Vec<InodeNo> = model
+        .inodes
+        .keys()
+        .copied()
+        .filter(|&i| i != ROOT)
+        .collect();
+    inodes.sort_unstable();
+    if !inodes.is_empty() && g.gen_bool(0.25) {
+        ino = *g.choose(&inodes).expect("non-empty");
+    }
     let target = ino;
     match which {
         0 => FsOp::Create { parent, name, ino },
@@ -143,15 +167,22 @@ fn sequential_oracle() {
     check("sequential_oracle", 64, |g| {
         let protocol = *g.choose(&Protocol::ALL).unwrap();
         let servers = *g.choose(&[1u32, 2, 4, 8]).unwrap();
-        let ops = g.vec(1..60, arb_op);
-        let mut kit = kit_never(servers, protocol);
-        seed_namespace(&mut kit, &[]);
+        // Each op is drawn against the namespace the ones before it leave,
+        // and the model applies it: its outcome is the expected one.
         let mut model = Model::default();
         model.seed_root();
+        let n = g.gen_range(1..60);
+        let ops: Vec<(FsOp, OpOutcome)> = (0..n)
+            .map(|_| {
+                let op = arb_op(g, &model);
+                (op, model.apply(op))
+            })
+            .collect();
+        let mut kit = kit_never(servers, protocol);
+        seed_namespace(&mut kit, &[]);
 
-        for (i, op) in ops.iter().enumerate() {
-            let expected = model.apply(*op);
-            let id = kit.run_op(ProcId::new((i % 3) as u32, 0), *op);
+        for (i, &(op, expected)) in ops.iter().enumerate() {
+            let id = kit.run_op(ProcId::new((i % 3) as u32, 0), op);
             kit.fire_timers();
             kit.run();
             assert_eq!(
@@ -163,20 +194,20 @@ fn sequential_oracle() {
         kit.quiesce();
         assert_eq!(kit.check_consistency(&roots()), vec![]);
 
-        // The final namespace must match the model exactly.
+        // The final namespace must match the model row for row.
         let view = cx_mdstore::GlobalView::merge(kit.servers.iter().map(|s| s.store()));
-        assert_eq!(view.dentry_count(), model.dentries.len());
+        let at = format!("after {n} ops under {protocol:?}/{servers} servers");
+        assert_eq!(view.dentry_count(), model.dentries.len(), "dentries {at}");
         for (&(parent, name), &child) in &model.dentries {
-            assert!(
-                view.contains_dentry(parent, name),
-                "missing {:?}",
-                (parent, name, child)
+            assert_eq!(
+                view.dentry(parent, name),
+                Some(child),
+                "entry {name:?} in {parent:?} {at}"
             );
         }
-        for &ino in model.inodes.keys() {
-            if ino != ROOT {
-                assert!(view.contains_inode(ino), "missing inode {:?}", ino);
-            }
+        assert_eq!(view.inode_count(), model.inodes.len(), "inodes {at}");
+        for (&ino, &row) in &model.inodes {
+            assert_eq!(view.inode(ino), Some(row), "inode {ino:?} {at}");
         }
     });
 }
@@ -184,7 +215,9 @@ fn sequential_oracle() {
 #[test]
 fn concurrent_chaos() {
     check("concurrent_chaos", 48, |g| {
-        let ops = g.vec(4..40, arb_op);
+        // Uniform draws: biased toward live rows, this property finds an op
+        // that never completes (CHANGES.md, FOUND on presumed aborts).
+        let ops = g.vec(4..40, |g| arb_op(g, &Model::default()));
         let servers = *g.choose(&[2u32, 4, 8]).unwrap();
         let (mask, release_every) = (g.gen::<u64>(), g.gen_range(1usize..5));
         let mut kit = kit_never(servers, Protocol::Cx);
