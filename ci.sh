@@ -175,16 +175,15 @@ if [ "${1:-}" != "quick" ]; then
     # waiting in each node's timer queue: no thread per held frame), and
     # the multi-process smoke above, where every cx_net_server serves on
     # its loop, and the root tcp_equivalence suite (loopback equivalence and
-    # the reconnect drill). cx-net's own tests are its codec, clock and
-    # counter unit tests; its connection suites live in the root tests/.
-    # The three codec suites (wire_fuzz, wire_roundtrip, wire_coalesce) are
-    # not in the loop: their cases are seeded by the test name, and they
-    # open no socket, thread or clock, so a second run repeats the first
-    # exactly. The workspace step below runs them once.
-    step "cx-cluster + cx-net + wire path tests, five times back to back"
+    # the reconnect drill). cx-net's connection suites live in the root
+    # tests/. Not in the loop, since they open no socket, thread or clock
+    # and a second run repeats the first exactly: cx-net's own tests (its
+    # codec, clock and counter unit tests) and the three codec suites
+    # (wire_fuzz, wire_roundtrip, wire_coalesce, seeded by the test name).
+    # The workspace step below runs them once.
+    step "cx-cluster + wire path tests, five times back to back"
     for i in 1 2 3 4 5; do
         cargo test -q --release -p cx-cluster
-        cargo test -q --release -p cx-net
         cargo test -q --release --test wire_write_path --test wire_read_path \
             --test wire_conn --test tcp_equivalence
     done

@@ -1,6 +1,6 @@
 //! Interpreting a [`FaultPlan`] against the DES hooks.
 
-use crate::oracle::{check_snapshot, ModelFs};
+use crate::oracle::check_snapshot;
 use crate::plan::{CrashPoint, FaultPlan, NetAction};
 use cx_cluster::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use cx_protocol::Endpoint;
@@ -19,7 +19,7 @@ pub struct PlanInjector {
     crash_done: Vec<bool>,
     /// Matching-delivery count per crash fault (for [`CrashPoint::Deliver`]).
     deliver_seen: Vec<u64>,
-    base: ModelFs,
+    base: cx_workloads::NamespaceModel,
     report: Vec<String>,
     seen: BTreeSet<String>,
 }
@@ -33,7 +33,7 @@ impl PlanInjector {
             net_done: vec![false; plan.net.len()],
             crash_done: vec![false; plan.crashes.len()],
             deliver_seen: vec![0; plan.crashes.len()],
-            base: ModelFs::from_seed_entries(seeds),
+            base: cx_workloads::NamespaceModel::from_seeds(seeds),
             report: Vec::new(),
             seen: BTreeSet::new(),
             plan,

@@ -10,9 +10,10 @@
 //!   WAL record family, a message delivery, a write-back, a valid-record
 //!   volume reached), optionally with torn log tails.
 //! * [`PlanInjector`] — interprets a plan against the DES hooks and runs
-//!   the [`oracle`] after every recovery: every acked operation survives
-//!   crash + recovery, aborted operations leave no partial state, and the
-//!   namespace is atomic once quiesced.
+//!   the [`oracle`] after every recovery: against the acks replayed into
+//!   `cx_workloads::NamespaceModel`, every acked operation survives a
+//!   crash and recovery, aborted operations leave no partial state, and
+//!   the namespace is atomic once quiesced.
 //! * [`explore`] — seeded random schedule search over a budget of seeds;
 //!   failing schedules are greedily shrunk and emitted as replayable
 //!   repro files (seed + scenario + plan as JSON).
@@ -33,7 +34,7 @@ pub mod runner;
 
 pub use explore::{explore, generate_plan, shrink, ExploreOutcome};
 pub use inject::PlanInjector;
-pub use oracle::{check_snapshot, ModelFs};
+pub use oracle::check_snapshot;
 pub use plan::{CrashFault, CrashPoint, FaultPlan, NetAction, NetFault, Partition};
 pub use runner::{
     run_plan, run_plan_obs, ChaosRun, ChaosScenario, RecoveryExperiment, RecoveryRow, Repro,

@@ -482,10 +482,11 @@ impl DesCluster {
                     self.ports.schedule_batch(server, next);
                 }
                 self.step(server, |e, now, out| {
-                    for token in tokens {
+                    for &token in &tokens {
                         e.on_disk_done(now, token, out);
                     }
                 });
+                self.ports.disks[server as usize].recycle(tokens);
             }
             Ev::ServerTimer { server, token } => {
                 self.step(server, |e, now, out| e.on_timer(now, token, out));

@@ -12,9 +12,8 @@ use crate::action::{Action, Endpoint};
 use crate::stats::ServerStats;
 use crate::trigger::{TriggerState, TriggerVerdict};
 use cx_mdstore::{MetaStore, Undo};
-use cx_sim::det_rng;
 use cx_simio::DiskReq;
-use cx_types::rng::SmallRng;
+use cx_types::rng::{det_rng, SmallRng};
 use cx_types::{
     ClusterConfig, CxError, FxHashMap, Hint, ObjectId, OpId, Payload, Role, SimTime, SubOp, Verdict,
 };

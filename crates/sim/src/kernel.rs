@@ -579,7 +579,7 @@ mod tests {
         const BUCKET: u64 = 1 << BUCKET_SHIFT;
         const HORIZON: u64 = BUCKET * RING_BUCKETS as u64;
 
-        let mut rng = crate::rng::det_rng(0xC0FFEE, 1);
+        let mut rng = cx_types::rng::det_rng(0xC0FFEE, 1);
         let mut wheel: Sim<u64> = Sim::new();
         let mut heap: RefSim<u64> = RefSim {
             now: SimTime::ZERO,

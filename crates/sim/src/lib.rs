@@ -13,12 +13,10 @@
 //! Determinism contract: given the same initial schedule and the same
 //! sequence of `schedule*` calls, `pop` returns events in exactly the same
 //! order — ties in time are broken by schedule order. All randomness comes
-//! from [`rng::det_rng`], seeded from the experiment configuration.
+//! from `cx_types::rng::det_rng`, seeded from the experiment configuration.
 
 pub mod kernel;
 pub mod resource;
-pub mod rng;
 
 pub use kernel::{NodeIdx, Sim, TimerQueue};
 pub use resource::FifoResource;
-pub use rng::det_rng;

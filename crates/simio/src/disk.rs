@@ -230,6 +230,10 @@ pub struct Disk {
     /// keeps its own token: a completion names the request it finished,
     /// and one lost in a crash must be told apart.
     background: Backlog,
+    /// The token list the next batch fills: the caller hands each finished
+    /// batch's list back ([`Disk::recycle`]), so batches reuse two lists
+    /// instead of allocating one each.
+    spare: Vec<u64>,
     inflight: bool,
     stats: DiskStats,
     /// Incremented on crash so runtimes can discard completion events
@@ -244,6 +248,7 @@ impl Disk {
             log: VecDeque::new(),
             sync: VecDeque::new(),
             background: Backlog::new(),
+            spare: Vec::new(),
             inflight: false,
             stats: DiskStats::default(),
             generation: 0,
@@ -309,6 +314,13 @@ impl Disk {
         self.start_next(now)
     }
 
+    /// Take back a finished batch's token list, once its tokens are handed
+    /// out, for the next batch to fill.
+    pub fn recycle(&mut self, mut tokens: Vec<u64>) {
+        tokens.clear();
+        self.spare = tokens;
+    }
+
     /// Crash: queued and in-flight work is lost with the volatile state.
     /// (Durability bookkeeping lives in the WAL layer, which only treats a
     /// record as durable once its completion event fired.)
@@ -341,7 +353,9 @@ impl Disk {
     /// page writes of one flush merge by adjacency (writes into one
     /// directory's sequential metadata region coalesce, §IV-C2).
     fn start_sync_flush(&mut self, now: SimTime) -> Batch {
-        let (mut pages, tokens): (Vec<u64>, Vec<u64>) = self.sync.drain(..).unzip();
+        let mut pages: Vec<u64> = self.sync.iter().map(|&(page, _)| page).collect();
+        let mut tokens = std::mem::take(&mut self.spare);
+        tokens.extend(self.sync.drain(..).map(|(_, token)| token));
         pages.sort_unstable();
         pages.dedup();
         let runs = if self.cfg.group_commit {
@@ -366,7 +380,7 @@ impl Disk {
         } else {
             1
         };
-        let mut tokens = Vec::with_capacity(take);
+        let mut tokens = std::mem::take(&mut self.spare);
         let mut bytes = 0u64;
         for (b, token) in self.log.drain(..take) {
             tokens.push(token);
@@ -407,9 +421,11 @@ impl Disk {
             }
         };
         self.stats.busy_ns += service;
+        let mut tokens = std::mem::take(&mut self.spare);
+        tokens.push(token);
         Batch {
             finish: now + service,
-            tokens: vec![token],
+            tokens,
         }
     }
 }

@@ -16,8 +16,7 @@
 
 use crate::stream::{OpStream, StreamTrace};
 use crate::trace::{SeedEntry, TraceOp, ROOT, SHARED_DIR};
-use cx_sim::det_rng;
-use cx_types::rng::SmallRng;
+use cx_types::rng::{det_rng, SmallRng};
 use cx_types::{FsOp, InodeNo, Name, ProcId};
 
 /// The two §IV-B mixes.
@@ -315,7 +314,6 @@ impl OpStream for MetaratesStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::NamespaceModel;
     use cx_types::check::check;
 
     /// What [`reference_build`] returns: a stream's header plus every op.
@@ -535,29 +533,6 @@ mod tests {
                 "{}: update fraction {frac}",
                 mix.name()
             );
-        }
-    }
-
-    #[test]
-    fn all_operations_are_valid_in_global_order() {
-        let (t, ops) = pull(
-            &Metarates::new(MetaratesMix::UpdateDominated, 4)
-                .seed_files(40)
-                .ops_per_proc(200),
-        );
-        let mut m = NamespaceModel::default();
-        for s in &t.seeds {
-            match *s {
-                SeedEntry::Dir { ino } => m.add_dir(ino),
-                SeedEntry::File { parent, name, ino } => {
-                    m.apply(&FsOp::Create { parent, name, ino })
-                }
-            }
-        }
-        for top in &ops {
-            if top.op.is_mutation() {
-                m.apply(&top.op);
-            }
         }
     }
 

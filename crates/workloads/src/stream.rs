@@ -17,8 +17,7 @@
 //! generator kept in `metarates.rs`'s unit tests.
 
 use crate::trace::{SeedEntry, TraceOp};
-use cx_sim::det_rng;
-use cx_types::rng::SmallRng;
+use cx_types::rng::{det_rng, SmallRng};
 use cx_types::{FsOp, InodeNo, ProcId};
 use std::collections::VecDeque;
 

@@ -5,8 +5,7 @@
 
 use crate::profile::TraceProfile;
 use crate::stream::{OpStream, StreamTrace};
-use cx_sim::det_rng;
-use cx_types::rng::SmallRng;
+use cx_types::rng::{det_rng, SmallRng};
 use cx_types::{FsOp, InodeNo, Name, OpClass, ProcId};
 use std::collections::VecDeque;
 

@@ -114,6 +114,13 @@ fn broken_recovery_is_caught_and_shrinks_to_one_fault() {
         }
     }
     let essential = caught.expect("some participant crash must expose the broken recovery");
+    // The oracle's report, pinned word for word: a change to the model's
+    // semantics or to the order it reads its rows in moves it.
+    assert_eq!(
+        run_plan(&scn, &essential).failures,
+        ["at run end: partial-state: entry 1118/70 -> 1121 exists but no acked op created it"],
+        "{essential:?}"
+    );
 
     // Pad with two irrelevant delays; the shrinker must strip them.
     let mut padded = essential.clone();

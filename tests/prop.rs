@@ -1,8 +1,8 @@
 //! Property-based protocol tests.
 //!
 //! * `sequential_oracle`: random operation sequences, executed one at a
-//!   time, must produce exactly the outcomes and final namespace of a
-//!   simple sequential reference model — for **every** protocol and
+//!   time, must produce exactly the outcomes and final namespace of the
+//!   sequential model, `NamespaceModel` — for **every** protocol and
 //!   cluster size. This is the cross-protocol equivalence property of
 //!   DESIGN.md §6.
 //! * `concurrent_chaos`: random operations from several processes with
@@ -14,103 +14,9 @@ mod kit;
 
 use cx_protocol::testkit::Envelope;
 use cx_types::check::{check, Gen};
-use cx_types::{FileKind, FsOp, InodeNo, Name, OpOutcome, ProcId, Protocol};
+use cx_types::{FsOp, InodeNo, Name, OpOutcome, ProcId, Protocol};
+use cx_workloads::{NamespaceModel, SeedEntry};
 use kit::*;
-use std::collections::HashMap;
-
-/// Sequential reference model of the namespace.
-#[derive(Default, Clone)]
-struct Model {
-    inodes: HashMap<InodeNo, (FileKind, u32)>,
-    dentries: HashMap<(InodeNo, Name), InodeNo>,
-}
-
-impl Model {
-    fn seed_root(&mut self) {
-        self.inodes.insert(ROOT, (FileKind::Directory, 1));
-    }
-
-    /// Apply `op` with all-or-nothing semantics; returns the outcome.
-    fn apply(&mut self, op: FsOp) -> OpOutcome {
-        let ok = match op {
-            FsOp::Create { parent, name, ino } | FsOp::Mkdir { parent, name, ino } => {
-                let kind = if matches!(op, FsOp::Mkdir { .. }) {
-                    FileKind::Directory
-                } else {
-                    FileKind::Regular
-                };
-                if self.dentries.contains_key(&(parent, name)) || self.inodes.contains_key(&ino) {
-                    false
-                } else {
-                    self.dentries.insert((parent, name), ino);
-                    self.inodes.insert(ino, (kind, 1));
-                    true
-                }
-            }
-            FsOp::Remove { parent, name, ino } | FsOp::Rmdir { parent, name, ino } => {
-                if self.dentries.get(&(parent, name)) == Some(&ino)
-                    && self.inodes.contains_key(&ino)
-                {
-                    self.dentries.remove(&(parent, name));
-                    let e = self.inodes.get_mut(&ino).expect("checked");
-                    if e.1 <= 1 {
-                        self.inodes.remove(&ino);
-                    } else {
-                        e.1 -= 1;
-                    }
-                    true
-                } else {
-                    false
-                }
-            }
-            FsOp::Link {
-                parent,
-                name,
-                target,
-            } => {
-                if !self.dentries.contains_key(&(parent, name)) && self.inodes.contains_key(&target)
-                {
-                    self.dentries.insert((parent, name), target);
-                    self.inodes.get_mut(&target).expect("checked").1 += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            FsOp::Unlink {
-                parent,
-                name,
-                target,
-            } => {
-                if self.dentries.get(&(parent, name)) == Some(&target)
-                    && self.inodes.contains_key(&target)
-                {
-                    self.dentries.remove(&(parent, name));
-                    let e = self.inodes.get_mut(&target).expect("checked");
-                    if e.1 <= 1 {
-                        self.inodes.remove(&target);
-                    } else {
-                        e.1 -= 1;
-                    }
-                    true
-                } else {
-                    false
-                }
-            }
-            FsOp::Stat { ino }
-            | FsOp::Getattr { ino }
-            | FsOp::Access { ino }
-            | FsOp::Setattr { ino } => self.inodes.contains_key(&ino),
-            FsOp::Lookup { parent, name } => self.dentries.contains_key(&(parent, name)),
-            FsOp::Readdir { .. } => true,
-        };
-        if ok {
-            OpOutcome::Applied
-        } else {
-            OpOutcome::Failed
-        }
-    }
-}
 
 /// Operation generator over a compact namespace so collisions (and thus
 /// failures and reuse) are common: names 1..24 and inodes 100..124 in the
@@ -119,25 +25,18 @@ impl Model {
 /// entry's of `model` (the namespace the op will run against) and a
 /// quarter of the time the inode is a live one, hard links included.
 /// Against an empty model it draws exactly what the uniform draw does.
-fn arb_op(g: &mut Gen, model: &Model) -> FsOp {
+fn arb_op(g: &mut Gen, model: &NamespaceModel) -> FsOp {
     let (which, parent) = (g.gen_range(0..8), ROOT);
     let (mut name, mut ino) = (Name(g.gen_range(1..24)), InodeNo(g.gen_range(100..124)));
-    let mut entries: Vec<(Name, InodeNo)> = model
-        .dentries
-        .iter()
-        .map(|(&(_, name), &child)| (name, child))
-        .collect();
-    entries.sort_unstable();
+    let entries: Vec<(Name, InodeNo)> = model.entries(ROOT).collect();
     if !entries.is_empty() && g.gen_bool(0.5) {
         (name, ino) = *g.choose(&entries).expect("non-empty");
     }
-    let mut inodes: Vec<InodeNo> = model
-        .inodes
-        .keys()
-        .copied()
+    let inodes: Vec<InodeNo> = model
+        .inodes()
+        .map(|(i, _)| i)
         .filter(|&i| i != ROOT)
         .collect();
-    inodes.sort_unstable();
     if !inodes.is_empty() && g.gen_bool(0.25) {
         ino = *g.choose(&inodes).expect("non-empty");
     }
@@ -169,13 +68,16 @@ fn sequential_oracle() {
         let servers = *g.choose(&[1u32, 2, 4, 8]).unwrap();
         // Each op is drawn against the namespace the ones before it leave,
         // and the model applies it: its outcome is the expected one.
-        let mut model = Model::default();
-        model.seed_root();
+        let mut model = NamespaceModel::from_seeds(&[SeedEntry::Dir { ino: ROOT }]);
         let n = g.gen_range(1..60);
         let ops: Vec<(FsOp, OpOutcome)> = (0..n)
             .map(|_| {
                 let op = arb_op(g, &model);
-                (op, model.apply(op))
+                let outcome = match model.apply(&op) {
+                    Ok(()) => OpOutcome::Applied,
+                    Err(_) => OpOutcome::Failed,
+                };
+                (op, outcome)
             })
             .collect();
         let mut kit = kit_never(servers, protocol);
@@ -197,16 +99,20 @@ fn sequential_oracle() {
         // The final namespace must match the model row for row.
         let view = cx_mdstore::GlobalView::merge(kit.servers.iter().map(|s| s.store()));
         let at = format!("after {n} ops under {protocol:?}/{servers} servers");
-        assert_eq!(view.dentry_count(), model.dentries.len(), "dentries {at}");
-        for (&(parent, name), &child) in &model.dentries {
+        assert_eq!(
+            view.dentry_count(),
+            model.dentries().count(),
+            "dentries {at}"
+        );
+        for ((parent, name), child) in model.dentries() {
             assert_eq!(
                 view.dentry(parent, name),
                 Some(child),
                 "entry {name:?} in {parent:?} {at}"
             );
         }
-        assert_eq!(view.inode_count(), model.inodes.len(), "inodes {at}");
-        for (&ino, &row) in &model.inodes {
+        assert_eq!(view.inode_count(), model.inodes().count(), "inodes {at}");
+        for (ino, row) in model.inodes() {
             assert_eq!(view.inode(ino), Some(row), "inode {ino:?} {at}");
         }
     });
@@ -217,7 +123,7 @@ fn concurrent_chaos() {
     check("concurrent_chaos", 48, |g| {
         // Uniform draws: biased toward live rows, this property finds an op
         // that never completes (CHANGES.md, FOUND on presumed aborts).
-        let ops = g.vec(4..40, |g| arb_op(g, &Model::default()));
+        let ops = g.vec(4..40, |g| arb_op(g, &NamespaceModel::default()));
         let servers = *g.choose(&[2u32, 4, 8]).unwrap();
         let (mask, release_every) = (g.gen::<u64>(), g.gen_range(1usize..5));
         let mut kit = kit_never(servers, Protocol::Cx);

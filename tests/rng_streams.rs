@@ -6,8 +6,7 @@
 //! for two seeds and for `det_rng(7, 3)`, so a change to a sampler's
 //! formula fails here, naming the sampler, before it moves a digest.
 
-use cx_sim::det_rng;
-use cx_types::rng::SmallRng;
+use cx_types::rng::{det_rng, SmallRng};
 
 /// The first 64 outputs of each sampler, each from a fresh rng. `f64`s
 /// are their bits; the two `bool` samplers pack draw `i` into bit `i`.
