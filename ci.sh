@@ -143,9 +143,10 @@ if [ "${1:-}" != "quick" ]; then
     # counting allocator. The replay is one deterministic thread, so the
     # peak repeats to the byte — no host slow wave can flake this one. The
     # ceilings are 3 % over EXPERIMENTS.md "Counted heap peaks"
-    # (5.96 / 2.14 / 2.77 MiB, since the disk lanes' packed backlog).
+    # (5.32 / 1.99 / 2.77 MiB, since the conflict table holds slot
+    # numbers and the commitment round stopped copying op lists).
     step "heap ceilings (heap_peak, counted)"
-    for row in update:6.14 home2:2.20 lowload:2.85; do
+    for row in update:5.48 home2:2.05 lowload:2.85; do
         cargo run -q --release -p cx-bench --bin heap_peak -- \
             --workload "${row%%:*}" --seed 7000 --ceiling-mib "${row##*:}" > /dev/null
     done

@@ -24,8 +24,11 @@
 //! `--sites` says whose the big blocks are, which the class table cannot:
 //! every live block of 512 B or more carries the backtrace of its
 //! allocation, and at the replay's last pull they are summed by site — the
-//! allocating container (its element type is in the symbol) and the first
-//! workspace functions that called it. `--ceiling-mib x` exits non-zero when
+//! allocating container (its element type is in the symbol), the first
+//! workspace functions that called it and the first one's line. It also
+//! says who makes the allocations after set-up: every 53rd one's backtrace
+//! is sampled, and the samples, scaled by 53, are printed per op by site
+//! once the run ends. `--ceiling-mib x` exits non-zero when
 //! the peak passes `x`: the replay is one deterministic thread, so the peak
 //! repeats to the byte and can gate CI where a timing cannot.
 
@@ -50,6 +53,11 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 static COPIED_AT: AtomicUsize = AtomicUsize::new(0);
 /// Blocks allocated or reallocated so far.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Under `--sites`, every allocation numbered above this (the last one of
+/// set-up) and a multiple of [`SAMPLE_EVERY`] past it is sampled;
+/// `usize::MAX` while nothing is.
+static SAMPLE_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
+const SAMPLE_EVERY: usize = 53;
 static NOW: PerClass = [const { [const { AtomicUsize::new(0) }; 2] }; CLASSES];
 static AT_PEAK: PerClass = [const { [const { AtomicUsize::new(0) }; 2] }; CLASSES];
 
@@ -61,7 +69,16 @@ fn class_of(size: usize) -> usize {
 fn grew(size: usize) {
     NOW[class_of(size)][0].fetch_add(size, Relaxed);
     NOW[class_of(size)][1].fetch_add(1, Relaxed);
-    ALLOCS.fetch_add(1, Relaxed);
+    let n = ALLOCS.fetch_add(1, Relaxed) + 1;
+    let from = SAMPLE_FROM.load(Relaxed);
+    if n > from && (n - from).is_multiple_of(SAMPLE_EVERY) {
+        with_tags(|tags| {
+            *tags
+                .samples
+                .entry(site_of(&Backtrace::force_capture()))
+                .or_default() += 1
+        });
+    }
     let live = LIVE.fetch_add(size, Relaxed) + size;
     PEAK.fetch_max(live, Relaxed);
     if live >= COPIED_AT.load(Relaxed) + (64 << 10) {
@@ -84,14 +101,24 @@ static SITES: AtomicBool = AtomicBool::new(false);
 /// own nodes) is neither counted nor tagged, so the numbers stay those of
 /// the default mode and the allocator never re-enters the table.
 static TAGGING: AtomicBool = AtomicBool::new(false);
-/// Blocks of [`TAGGED_FROM`] bytes or more: address → (size, where from).
-static TAGS: Mutex<BTreeMap<usize, (usize, Backtrace)>> = Mutex::new(BTreeMap::new());
+/// What `--sites` keeps: the live blocks of [`TAGGED_FROM`] bytes or more,
+/// address → (size, where from), and the sampled allocations, site →
+/// samples.
+struct Tags {
+    blocks: BTreeMap<usize, (usize, Backtrace)>,
+    samples: BTreeMap<String, usize>,
+}
+
+static TAGS: Mutex<Tags> = Mutex::new(Tags {
+    blocks: BTreeMap::new(),
+    samples: BTreeMap::new(),
+});
 const TAGGED_FROM: usize = 512;
 
 /// Run `f` on the tag table with the allocator's bookkeeping switched off.
 /// It returns nothing: whatever the table hands back must be dropped in
 /// here, where freeing it is as uncounted as allocating it was.
-fn with_tags(f: impl FnOnce(&mut BTreeMap<usize, (usize, Backtrace)>)) {
+fn with_tags(f: impl FnOnce(&mut Tags)) {
     TAGGING.store(true, Relaxed);
     f(&mut TAGS.lock().expect("the replay is one thread"));
     TAGGING.store(false, Relaxed);
@@ -100,7 +127,8 @@ fn with_tags(f: impl FnOnce(&mut BTreeMap<usize, (usize, Backtrace)>)) {
 fn tag(ptr: *mut u8, size: usize) {
     if SITES.load(Relaxed) && size >= TAGGED_FROM && !ptr.is_null() {
         with_tags(|tags| {
-            tags.insert(ptr as usize, (size, Backtrace::force_capture()));
+            tags.blocks
+                .insert(ptr as usize, (size, Backtrace::force_capture()));
         });
     }
 }
@@ -108,7 +136,7 @@ fn tag(ptr: *mut u8, size: usize) {
 fn untag(ptr: *mut u8, size: usize) {
     if SITES.load(Relaxed) && size >= TAGGED_FROM {
         with_tags(|tags| {
-            tags.remove(&(ptr as usize));
+            tags.blocks.remove(&(ptr as usize));
         });
     }
 }
@@ -163,7 +191,7 @@ impl OpStream for Watched {
         AT_LAST_PULL[1].store(LIVE.load(Relaxed), Relaxed);
         let op = self.0.next_op();
         if op.is_none() && SITES.load(Relaxed) {
-            with_tags(|tags| print_sites(tags));
+            with_tags(|tags| print_sites(&tags.blocks));
         }
         op
     }
@@ -183,29 +211,42 @@ fn is_workspace_frame(at: &str) -> bool {
     in_a_crate && !path.starts_with("/rustc/") && !path.contains("heap_peak.rs")
 }
 
-/// Sum the tagged blocks by allocation site, largest first. A site is the
-/// innermost frames from the container's own (the last before workspace
-/// code) through the first three workspace functions.
+/// The allocation site of a backtrace: the innermost frames from the
+/// container's own (the last before workspace code) through the first
+/// three workspace functions, and the first one's file and line.
+fn site_of(trace: &Backtrace) -> String {
+    let text = trace.to_string();
+    // "  12: symbol" lines, each followed by "  at path:line:col".
+    let frames: Vec<(&str, &str)> = text
+        .split("\n")
+        .collect::<Vec<_>>()
+        .windows(2)
+        .filter(|w| w[1].trim_start().starts_with("at "))
+        .map(|w| (w[0].split_once(": ").map_or(w[0], |(_, sym)| sym), w[1]))
+        .collect();
+    let first = frames
+        .iter()
+        .position(|(_, at)| is_workspace_frame(at))
+        .unwrap_or(frames.len());
+    let names = frames[first.saturating_sub(1)..].iter().take(4);
+    let key = names.map(|(sym, _)| *sym).collect::<Vec<_>>().join(" < ");
+    let key = key.replace(", alloc::alloc::Global", ""); // on every container
+    match frames.get(first) {
+        Some((_, at)) => {
+            // `crates/<name>/src/<file>:line`, without the column
+            let at = at.rsplit_once(':').map_or(*at, |(path, _)| path);
+            let at = at.rfind("crates/").map_or(at, |i| &at[i..]);
+            format!("{key}  @ {at}")
+        }
+        None => key,
+    }
+}
+
+/// Sum the tagged blocks by allocation site, largest first.
 fn print_sites(tags: &BTreeMap<usize, (usize, Backtrace)>) {
     let mut sites: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     for (size, trace) in tags.values() {
-        let text = trace.to_string();
-        // "  12: symbol" lines, each followed by "  at path:line:col".
-        let frames: Vec<(&str, &str)> = text
-            .split("\n")
-            .collect::<Vec<_>>()
-            .windows(2)
-            .filter(|w| w[1].trim_start().starts_with("at "))
-            .map(|w| (w[0].split_once(": ").map_or(w[0], |(_, sym)| sym), w[1]))
-            .collect();
-        let first = frames
-            .iter()
-            .position(|(_, at)| is_workspace_frame(at))
-            .unwrap_or(frames.len());
-        let names = frames[first.saturating_sub(1)..].iter().take(4);
-        let key = names.map(|(sym, _)| *sym).collect::<Vec<_>>().join(" < ");
-        let key = key.replace(", alloc::alloc::Global", ""); // on every container
-        let site = sites.entry(key).or_default();
+        let site = sites.entry(site_of(trace)).or_default();
         *site = (site.0 + size, site.1 + 1);
     }
     let mut rows: Vec<(usize, usize, String)> =
@@ -217,6 +258,20 @@ fn print_sites(tags: &BTreeMap<usize, (usize, Backtrace)>) {
             "{:>8.2} MiB {blocks:>6} blocks  {site}",
             bytes as f64 / (1 << 20) as f64
         );
+    }
+    println!();
+}
+
+/// The sampled allocations after set-up by site, most first, per op.
+fn print_samples(samples: &BTreeMap<String, usize>, ops: u64) {
+    let mut rows: Vec<(usize, &String)> = samples.iter().map(|(k, n)| (*n, k)).collect();
+    rows.sort_unstable_by(|a, b| b.cmp(a));
+    println!(
+        "allocations after set-up by site, per op (1 in {SAMPLE_EVERY} sampled, × {SAMPLE_EVERY}):"
+    );
+    for (n, site) in rows {
+        let per_op = (n * SAMPLE_EVERY) as f64 / ops as f64;
+        println!("{per_op:>8.3} /op {n:>7} samples  {site}");
     }
     println!();
 }
@@ -254,8 +309,12 @@ fn main() {
     stream.ops = Box::new(Watched(stream.ops));
     let cluster = DesCluster::new_stream(cfg, stream);
     let (setup_live, setup_allocs) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
+    if SITES.load(Relaxed) {
+        SAMPLE_FROM.store(setup_allocs, Relaxed);
+    }
     let (stats, violations) = cluster.run();
     let run_allocs = ALLOCS.load(Relaxed) - setup_allocs;
+    SAMPLE_FROM.store(usize::MAX, Relaxed);
     assert!(violations.is_empty(), "{violations:?}");
 
     let mib = |b: usize| format!("{:.2}", b as f64 / (1 << 20) as f64);
@@ -273,6 +332,9 @@ fn main() {
     let [pulled_peak, pulled_live] = [0, 1].map(|i| mib(AT_LAST_PULL[i].load(Relaxed)));
     println!("at the replay's last pull: {pulled_live} MiB live, {pulled_peak} MiB peak so far");
     println!("the returned RunStats holds {held} B\n");
+    if SITES.load(Relaxed) {
+        with_tags(|tags| print_samples(&tags.samples, ops));
+    }
     let mut rows: Vec<(usize, usize, usize)> = (0..CLASSES)
         .map(|c| (AT_PEAK[c][0].load(Relaxed), AT_PEAK[c][1].load(Relaxed), c))
         .collect();

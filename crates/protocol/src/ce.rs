@@ -84,8 +84,10 @@ impl CeServer {
     // ---- coordinator ----
 
     fn on_op_req(&mut self, op_id: OpId, plan: OpPlan, out: &mut Vec<Action>) {
-        let objs: Vec<ObjectId> = plan.coord_subop.conflict_objects().iter().collect();
-        if let Err(holder) = self.locks.acquire(&objs, op_id) {
+        if let Err(holder) = self
+            .locks
+            .acquire(&[plan.coord_subop.conflict_object()], op_id)
+        {
             let waiter = Waiting::OpReq { op_id, plan };
             self.locks.wait(holder, waiter, &mut self.ch.stats);
             return;
@@ -99,12 +101,11 @@ impl CeServer {
             },
         );
         let (parti, parti_subop) = plan.participant.expect("cross-server op");
-        let migrate_objs: Vec<ObjectId> = parti_subop.conflict_objects().iter().collect();
         out.push(Action::Send {
             to: Endpoint::Server(parti),
             payload: Payload::Migrate {
                 op_id,
-                objs: migrate_objs,
+                objs: vec![parti_subop.conflict_object()],
             },
         });
     }

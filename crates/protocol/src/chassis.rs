@@ -181,10 +181,15 @@ impl<C> Chassis<C> {
         cont: C,
         out: &mut Vec<Action>,
     ) -> Result<(), CxError> {
-        let (seq, bytes) = self.append(recs)?;
+        let appended = self.append(recs)?;
+        self.flush(appended, cont, out);
+        Ok(())
+    }
+
+    /// Start the flush that makes what [`Chassis::append`] appended durable.
+    pub(crate) fn flush(&mut self, (seq, bytes): (SeqNo, u64), cont: C, out: &mut Vec<Action>) {
         let token = self.await_disk(Some(seq), cont);
         out.push(Action::Disk(DiskReq::LogAppend { bytes, token }));
-        Ok(())
     }
 
     /// A synchronous database write of `page`.
@@ -240,7 +245,7 @@ impl<C> Chassis<C> {
             return;
         }
         self.stats.writebacks += 1;
-        self.writebacks.issue(&pages, &mut self.next_token, out);
+        self.writebacks.issue(pages, &mut self.next_token, out);
     }
 
     /// Prune every resolved record and write back every dirty object.
@@ -431,17 +436,22 @@ impl Writebacks {
     /// Emit the write-back of `pages`, numbering tokens from `next_token`.
     /// The batch is split into elevator-sized chunks so synchronous log
     /// flushes can interleave (background write-back must not block the
-    /// latency-critical log for tens of milliseconds).
-    fn issue(&mut self, pages: &[u64], next_token: &mut u64, out: &mut Vec<Action>) {
-        for chunk in pages.chunks(32) {
+    /// latency-critical log for tens of milliseconds). The last chunk goes
+    /// out in the list the batch came in.
+    fn issue(&mut self, mut pages: Vec<u64>, next_token: &mut u64, out: &mut Vec<Action>) {
+        const CHUNK: usize = 32;
+        let mut emit = |pages| {
             let token = *next_token | WRITEBACK_TOKEN_BIT;
             *next_token += 1;
             self.outstanding += 1;
-            out.push(Action::Disk(DiskReq::DbWriteback {
-                pages: chunk.to_vec(),
-                token,
-            }));
-        }
+            out.push(Action::Disk(DiskReq::DbWriteback { pages, token }));
+        };
+        let last = pages.len().saturating_sub(1) / CHUNK * CHUNK;
+        pages[..last]
+            .chunks(CHUNK)
+            .for_each(|chunk| emit(chunk.to_vec()));
+        pages.drain(..last);
+        emit(pages);
     }
 
     /// A disk completion arrived. `None`: not a write-back's token, look

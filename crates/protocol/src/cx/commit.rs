@@ -3,14 +3,13 @@
 //! (§III-B steps 3–7, §III-C).
 
 use super::{
-    BatchPhase, CommitBatch, CxServer, IoCont, PendingOp, QueuedReq, NO_BATCH, ORPHAN_TIMER_BIT,
-    VOTE_TIMER_BIT,
+    BatchPhase, CommitBatch, CxServer, IoCont, Member, PendingOp, QueuedReq, Tally, NO_BATCH,
+    ORPHAN_TIMER_BIT, VOTE_TIMER_BIT,
 };
 use crate::action::{Action, Endpoint};
 use crate::chassis::respond;
 use cx_types::{Hint, OpId, Payload, Role, ServerId, SimTime, Verdict};
 use cx_wal::{Outcome, Record};
-use std::collections::BTreeMap;
 
 /// Largest number of operations in one batched commitment message.
 const COMMIT_BATCH_MAX: usize = 4096;
@@ -34,7 +33,9 @@ impl CxServer {
                     self.note_pending(now, out);
                 }
                 if let Some(coord) = self.deferred_votes.remove(&op_id) {
-                    self.send_vote_result(coord, vec![(op_id, verdict)], out);
+                    let mut results = self.vote_pool.get();
+                    results.push((op_id, verdict));
+                    self.send_vote_result(coord, results, out);
                 }
             }
             IoCont::LocalDurable {
@@ -48,8 +49,8 @@ impl CxServer {
                 };
                 b.phase = BatchPhase::AwaitingAck;
                 let to = b.participant;
-                let commits = self.op_pool.get_copied(&b.commits);
-                let aborts = self.op_pool.get_copied(&b.aborts);
+                let commits = self.op_pool.collect(b.decided(Outcome::Committed));
+                let aborts = self.op_pool.collect(b.decided(Outcome::Aborted));
                 self.send(
                     Endpoint::Server(to),
                     Payload::CommitDecision { commits, aborts },
@@ -61,14 +62,9 @@ impl CxServer {
                 commits,
                 aborts,
             } => {
-                let mut acked = self.op_pool.get();
-                let mut objs = Vec::new();
-                for (op, _outcome) in commits
-                    .iter()
-                    .map(|o| (*o, Outcome::Committed))
-                    .chain(aborts.iter().map(|o| (*o, Outcome::Aborted)))
-                {
-                    acked.push(op);
+                let acked = self.op_pool.collect(commits.iter().chain(&aborts).copied());
+                let mut objs = std::mem::take(&mut self.scratch_objs);
+                for &op in commits.iter().chain(&aborts) {
                     if let Some(p) = self.pending.get(&op) {
                         objs.extend(p.subop.objects().iter());
                     }
@@ -87,34 +83,23 @@ impl CxServer {
                 // The decision's buffers drain here; recycle them.
                 self.op_pool.put(commits);
                 self.op_pool.put(aborts);
-                self.ch.flush_dirty_of(objs, out);
+                self.flush_objs(objs, out);
             }
             IoCont::CompleteDurable { batch } => {
                 let Some(b) = self.batches.remove(&batch) else {
                     return;
                 };
-                let mut objs = Vec::new();
-                for op in b.commits.iter().chain(b.aborts.iter()) {
-                    if let Some(p) = self.pending.get(op) {
+                let mut objs = std::mem::take(&mut self.scratch_objs);
+                for (op, _) in b.outcomes() {
+                    if let Some(p) = self.pending.get(&op) {
                         objs.extend(p.subop.objects().iter());
                     }
                 }
-                for &op in &b.commits {
-                    self.finish_op(now, op, Outcome::Committed, out);
+                for (op, outcome) in b.outcomes() {
+                    self.finish_op(now, op, outcome, out);
                 }
-                for &op in &b.aborts {
-                    self.finish_op(now, op, Outcome::Aborted, out);
-                }
-                let CommitBatch {
-                    ops,
-                    commits,
-                    aborts,
-                    ..
-                } = b;
-                self.op_pool.put(ops);
-                self.op_pool.put(commits);
-                self.op_pool.put(aborts);
-                self.ch.flush_dirty_of(objs, out);
+                self.member_pool.put(b.members);
+                self.flush_objs(objs, out);
                 self.drain_log_wait(now, out);
             }
             IoCont::RecoveryScanDone => self.on_recovery_scan_done(now, out),
@@ -123,6 +108,13 @@ impl CxServer {
                 self.maybe_finish_recovery(now, out);
             }
         }
+    }
+
+    /// Write back the dirty ones among `objs`, in order, and keep the
+    /// emptied list as the next round's scratch.
+    fn flush_objs(&mut self, mut objs: Vec<cx_types::ObjectId>, out: &mut Vec<Action>) {
+        self.ch.flush_dirty_of(objs.drain(..), out);
+        self.scratch_objs = objs;
     }
 
     /// Coordinator-side completion of one operation.
@@ -211,9 +203,10 @@ impl CxServer {
         // `in_commitment` as we group also deduplicates: the same op can
         // legitimately appear twice in `ops` (explicitly plus swept from
         // the lazy queue), and a duplicate in a batch would wait for a
-        // vote count the participant can never reach.
-        let mut groups: BTreeMap<ServerId, Vec<OpId>> = BTreeMap::new();
-        for &op in ops {
+        // vote count the participant can never reach. Groups go out in
+        // participant order, each in `ops` order.
+        let mut groups = std::mem::take(&mut self.scratch_groups);
+        for (i, &op) in ops.iter().enumerate() {
             let Some(p) = self.pending.get_mut(&op) else {
                 continue;
             };
@@ -222,40 +215,40 @@ impl CxServer {
             }
             let Some(peer) = p.peer else { continue };
             p.in_commitment = true;
-            let slot = groups.entry(peer).or_insert_with(|| self.op_pool.get());
-            slot.push(op);
+            groups.push((peer, i as u32));
         }
-        for (participant, group) in groups {
-            self.lazy_queue.retain(|op| !group.contains(op));
+        groups.sort_unstable();
+        for group in groups.chunk_by(|a, b| a.0 == b.0) {
+            let participant = group[0].0;
+            self.lazy_queue
+                .retain(|op| !group.iter().any(|&(_, i)| ops[i as usize] == *op));
             for chunk in group.chunks(COMMIT_BATCH_MAX) {
                 let batch_id = self.next_batch;
                 self.next_batch += 1;
-                for op in chunk {
-                    let p = self.pending.get_mut(op).expect("grouped from pending");
+                let mut members = self.member_pool.get();
+                let mut vote_ops = self.op_pool.get();
+                members.reserve(chunk.len());
+                vote_ops.reserve(chunk.len());
+                let mut oldest = now.0;
+                for op in chunk.iter().map(|&(_, i)| ops[i as usize]) {
+                    let p = self.pending.get_mut(&op).expect("grouped from pending");
                     p.batch = batch_id;
+                    oldest = oldest.min(p.logged_at.0);
+                    members.push(Member {
+                        op,
+                        tally: Tally::Unvoted,
+                    });
+                    vote_ops.push(op);
                 }
-                let batch_ops = self.op_pool.get_copied(chunk);
                 self.batches.insert(
                     batch_id,
-                    CommitBatch {
-                        participant,
-                        ops: batch_ops,
-                        votes: BTreeMap::new(),
-                        phase: BatchPhase::Voting,
-                        commits: self.op_pool.get(),
-                        aborts: self.op_pool.get(),
-                    },
+                    CommitBatch::new(participant, BatchPhase::Voting, members),
                 );
                 if immediate {
                     self.ch.stats.immediate_commitments += 1;
                 } else {
                     self.ch.stats.lazy_batches += 1;
                 }
-                let oldest = chunk
-                    .iter()
-                    .filter_map(|op| self.pending.get(op).map(|p| p.logged_at.0))
-                    .min()
-                    .unwrap_or(now.0);
                 self.metrics.commitment_round(
                     chunk.len() as u64,
                     immediate,
@@ -265,14 +258,12 @@ impl CxServer {
                 // behind the voted ones have demonstrably not executed at
                 // this coordinator, so the participant may invalidate them
                 // to match our order (§III-C step 3).
-                let mut order_after = self.op_pool.get();
-                order_after.extend(
-                    chunk
+                let order_after = self.op_pool.collect(
+                    vote_ops
                         .iter()
                         .flat_map(|op| self.blocked.get(op).into_iter().flatten())
                         .map(|req| req.op_id),
                 );
-                let vote_ops = self.op_pool.get_copied(chunk);
                 self.send(
                     Endpoint::Server(participant),
                     Payload::Vote {
@@ -283,8 +274,9 @@ impl CxServer {
                 );
                 self.arm_batch_retry(batch_id, out);
             }
-            self.op_pool.put(group);
         }
+        groups.clear();
+        self.scratch_groups = groups;
     }
 
     /// Arm the commitment re-drive timer for a batch, when enabled. The
@@ -327,7 +319,8 @@ impl CxServer {
         order_after: Vec<OpId>,
         out: &mut Vec<Action>,
     ) {
-        let mut ready = Vec::new();
+        let mut ready = self.vote_pool.get();
+        ready.reserve(ops.len());
         for &op in &ops {
             if let Some(p) = self.pending.get_mut(&op) {
                 if p.durable {
@@ -366,7 +359,9 @@ impl CxServer {
                 delay_ns: self.cfg.presumed_abort_timeout_ns,
             });
         }
-        if !ready.is_empty() {
+        if ready.is_empty() {
+            self.vote_pool.put(ready);
+        } else {
             self.send_vote_result(coord, ready, out);
         }
         // Both batch buffers came from the coordinator's pool; they refill
@@ -422,7 +417,6 @@ impl CxServer {
         if let Some(undo) = holder_pending.take_undo() {
             self.ch.store.undo(undo);
         }
-        self.active.retain(|_, h| *h != holder);
         self.lazy_queue.retain(|o| *o != holder);
 
         // Everything blocked behind the holder runs now, the voted-on op
@@ -544,83 +538,75 @@ impl CxServer {
         results: Vec<(OpId, Verdict)>,
         out: &mut Vec<Action>,
     ) {
-        let mut touched = Vec::new();
-        for (op, v) in results {
-            let Some(batch_id) = self.pending.get(&op).and_then(PendingOp::batch) else {
+        let mut touched = std::mem::take(&mut self.scratch_batches);
+        for &(op, v) in &results {
+            let batch_id = match self.pending.get(&op).and_then(PendingOp::batch) {
+                Some(id) => id,
                 // look the batch up by membership (the pending entry can
                 // be gone if the op was invalidated or already resolved)
-                if let Some((id, _)) = self
-                    .batches
-                    .iter()
-                    .find(|(_, b)| b.ops.contains(&op) && !b.votes.contains_key(&op))
-                {
-                    let id = *id;
-                    if let Some(b) = self.batches.get_mut(&id) {
-                        b.votes.insert(op, v);
-                        if !touched.contains(&id) {
-                            touched.push(id);
-                        }
-                    }
-                }
+                None => match self.batches.iter_mut().find_map(|(id, b)| {
+                    let m = b.member(&op)?;
+                    (!matches!(m.tally, Tally::Voted(_))).then_some(*id)
+                }) {
+                    Some(id) => id,
+                    None => continue,
+                },
+            };
+            let Some(b) = self.batches.get_mut(&batch_id) else {
                 continue;
             };
-            if let Some(b) = self.batches.get_mut(&batch_id) {
-                b.votes.insert(op, v);
-                if !touched.contains(&batch_id) {
-                    touched.push(batch_id);
-                }
+            let voting = b.phase == BatchPhase::Voting;
+            let Some(m) = b.member(&op) else { continue };
+            // A decided batch has read its votes; a late copy changes
+            // nothing.
+            if voting {
+                let first = m.tally == Tally::Unvoted;
+                m.tally = Tally::Voted(v);
+                b.votes += usize::from(first);
+            }
+            if !touched.contains(&batch_id) {
+                touched.push(batch_id);
             }
         }
-        for batch_id in touched {
-            let ready = {
-                let b = &self.batches[&batch_id];
-                b.phase == BatchPhase::Voting && b.votes.len() == b.ops.len()
+        self.vote_pool.put(results);
+        for &batch_id in &touched {
+            let Some(b) = self.batches.get_mut(&batch_id) else {
+                continue;
             };
-            if !ready {
+            if b.phase != BatchPhase::Voting || b.votes < b.members.len() {
                 continue;
             }
-            let (ops, votes) = {
-                let b = self.batches.get_mut(&batch_id).expect("checked");
-                // The vote tally is complete and never read again; the op
-                // list is still needed for ACK routing, so copy it through
-                // the pool.
-                (
-                    self.op_pool.get_copied(&b.ops),
-                    std::mem::take(&mut b.votes),
-                )
-            };
-            let mut commits = self.op_pool.get();
-            let mut aborts = self.op_pool.get();
-            let mut recs = self.rec_pool.get();
-            for &op in &ops {
+            b.phase = BatchPhase::LoggingDecision;
+            b.votes = 0;
+            let mut members = std::mem::take(&mut b.members);
+            for m in &mut members {
                 let local_yes = self
                     .pending
-                    .get(&op)
+                    .get(&m.op)
                     .map(|p| p.verdict.is_yes())
                     .unwrap_or(false);
-                let participant_yes = votes.get(&op).map(|v| v.is_yes()).unwrap_or(false);
+                let participant_yes = matches!(m.tally, Tally::Voted(v) if v.is_yes());
                 if local_yes && participant_yes {
-                    commits.push(op);
-                    recs.push(Record::Commit { op_id: op });
+                    m.tally = Tally::Decided(Outcome::Committed);
                 } else {
                     // Roll back our own successful execution, if any.
-                    self.rollback_pending(&op);
-                    aborts.push(op);
-                    recs.push(Record::Abort { op_id: op });
+                    self.rollback_pending(&m.op);
+                    m.tally = Tally::Decided(Outcome::Aborted);
                 }
             }
-            self.op_pool.put(ops);
-            {
-                let b = self.batches.get_mut(&batch_id).expect("checked");
-                b.phase = BatchPhase::LoggingDecision;
-                self.op_pool.put(std::mem::replace(&mut b.commits, commits));
-                self.op_pool.put(std::mem::replace(&mut b.aborts, aborts));
-            }
+            let recs = members.iter().map(|m| match m.tally {
+                Tally::Decided(Outcome::Committed) => Record::Commit { op_id: m.op },
+                _ => Record::Abort { op_id: m.op },
+            });
             let cont = IoCont::DecisionDurable { batch: batch_id };
-            self.log(recs.drain(..), cont, out)
+            self.log(recs, cont, out)
                 .expect("control records are never limited");
-            self.rec_pool.put(recs);
+            if let Some(b) = self.batches.get_mut(&batch_id) {
+                b.members = members;
+            }
         }
+        touched.clear();
+        self.scratch_batches = touched;
     }
 
     /// COMMIT-REQ/ABORT-REQ at the participant (§III-B step 6).
@@ -632,10 +618,6 @@ impl CxServer {
         aborts: Vec<OpId>,
         out: &mut Vec<Action>,
     ) {
-        let mut recs = self.rec_pool.get();
-        for &op in &commits {
-            recs.push(Record::Commit { op_id: op });
-        }
         for &op in &aborts {
             self.rollback_pending(&op);
             // An aborted operation whose sub-op request is still parked
@@ -644,16 +626,19 @@ impl CxServer {
             if !self.pending.contains_key(&op) && self.drop_blocked_request(op).is_some() {
                 respond(op, Verdict::No, Hint::null(), out);
             }
-            recs.push(Record::Abort { op_id: op });
         }
+        let recs = (commits.iter().map(|&op_id| Record::Commit { op_id }))
+            .chain(aborts.iter().map(|&op_id| Record::Abort { op_id }));
+        let appended = self
+            .ch
+            .append(recs)
+            .expect("control records are never limited");
         let cont = IoCont::OutcomeDurable {
             coordinator: coord,
             commits,
             aborts,
         };
-        self.log(recs.drain(..), cont, out)
-            .expect("control records are never limited");
-        self.rec_pool.put(recs);
+        self.flush(appended, cont, out);
     }
 
     /// ACK at the coordinator: write Complete-Records (§III-B step 7).
@@ -666,7 +651,7 @@ impl CxServer {
                 // batch by membership.
                 self.batches
                     .iter()
-                    .find(|(_, b)| ops.iter().any(|op| b.ops.contains(op)))
+                    .find(|(_, b)| ops.iter().any(|op| b.contains(op)))
                     .map(|(id, _)| *id)
             });
         let Some(batch_id) = batch_id else {
@@ -679,17 +664,12 @@ impl CxServer {
             return;
         }
         b.phase = BatchPhase::Completing;
-        let mut recs = self.rec_pool.get();
-        recs.extend(
-            b.commits
-                .iter()
-                .chain(b.aborts.iter())
-                .map(|op| Record::Complete { op_id: *op }),
-        );
-        let cont = IoCont::CompleteDurable { batch: batch_id };
-        self.log(recs.drain(..), cont, out)
+        let recs = b.outcomes().map(|(op_id, _)| Record::Complete { op_id });
+        let appended = self
+            .ch
+            .append(recs)
             .expect("control records are never limited");
-        self.rec_pool.put(recs);
+        self.flush(appended, IoCont::CompleteDurable { batch: batch_id }, out);
         self.op_pool.put(ops);
     }
 
@@ -754,13 +734,12 @@ impl CxServer {
         // VOTE-driven invalidation); only if it never shows up within the
         // grace period do we presume the client died mid-operation and
         // abort the participant's orphaned half.
-        if self.batches.values().any(|b| b.ops.contains(&op)) {
+        if self.batches.values().any(|b| b.contains(&op)) {
             return; // already resolving
         }
         match self.ch.wal.op_state(&op).and_then(|st| st.outcome) {
             Some(Outcome::Committed) => {
-                let commits = self.op_vec1(op);
-                let aborts = self.op_pool.get();
+                let (commits, aborts) = (self.op_pool.collect([op]), Vec::new());
                 self.send(
                     Endpoint::Server(parti),
                     Payload::CommitDecision { commits, aborts },
@@ -791,27 +770,21 @@ impl CxServer {
             }
             return;
         }
-        if self.batches.values().any(|b| b.ops.contains(&op)) || self.ch.wal.op_state(&op).is_some()
-        {
+        if self.batches.values().any(|b| b.contains(&op)) || self.ch.wal.op_state(&op).is_some() {
             return; // already resolving / already decided
         }
         self.ch.stats.immediate_commitments += 1;
         self.metrics.commitment_round(1, true, 0);
         let batch_id = self.next_batch;
         self.next_batch += 1;
-        let ops = self.op_vec1(op);
-        let commits = self.op_pool.get();
-        let aborts = self.op_vec1(op);
+        let mut members = self.member_pool.get();
+        members.push(Member {
+            op,
+            tally: Tally::Decided(Outcome::Aborted),
+        });
         self.batches.insert(
             batch_id,
-            CommitBatch {
-                participant: parti,
-                ops,
-                votes: BTreeMap::new(),
-                phase: BatchPhase::LoggingDecision,
-                commits,
-                aborts,
-            },
+            CommitBatch::new(parti, BatchPhase::LoggingDecision, members),
         );
         let cont = IoCont::DecisionDurable { batch: batch_id };
         self.log([Record::Abort { op_id: op }], cont, out)
@@ -827,10 +800,10 @@ impl CxServer {
         match b.phase {
             BatchPhase::Voting => {
                 let unvoted: Vec<OpId> = b
-                    .ops
+                    .members
                     .iter()
-                    .filter(|op| !b.votes.contains_key(op))
-                    .copied()
+                    .filter(|m| m.tally == Tally::Unvoted)
+                    .map(|m| m.op)
                     .collect();
                 if unvoted.is_empty() {
                     return;
@@ -851,7 +824,9 @@ impl CxServer {
                 );
             }
             BatchPhase::AwaitingAck => {
-                let (to, commits, aborts) = (b.participant, b.commits.clone(), b.aborts.clone());
+                let to = b.participant;
+                let commits = b.decided(Outcome::Committed).collect();
+                let aborts = b.decided(Outcome::Aborted).collect();
                 self.send(
                     Endpoint::Server(to),
                     Payload::CommitDecision { commits, aborts },

@@ -22,18 +22,12 @@ impl CxServer {
         self.execute(now, req, out);
     }
 
-    /// First pending operation whose active objects this request touches.
+    /// First pending operation of another process holding an object this
+    /// request touches active.
     fn find_conflict(&self, req: &QueuedReq) -> Option<OpId> {
         let check = |subop: &SubOp| -> Option<OpId> {
-            for obj in subop.conflict_objects().iter() {
-                if let Some(&holder) = self.active.get(&obj) {
-                    let own = holder.proc == req.op_id.proc && self.pending.contains_key(&holder);
-                    if holder != req.op_id && !own {
-                        return Some(holder);
-                    }
-                }
-            }
-            None
+            let holder = self.pending.holder(&subop.conflict_object())?;
+            (holder.proc != req.op_id.proc).then_some(holder)
         };
         check(&req.subop).or_else(|| req.colocated.as_ref().and_then(check))
     }
@@ -136,15 +130,6 @@ impl CxServer {
 
         let (verdict, undo) = self.ch.execute(&req.subop);
 
-        if verdict.is_yes() {
-            // The modified objects become active until the commitment
-            // (§III-B: "the lazy commitment may leave some active objects
-            // that are not achieved agreement among the affected servers").
-            for obj in req.subop.conflict_objects().iter() {
-                self.active.insert(obj, req.op_id);
-            }
-        }
-
         self.pending.insert(
             req.op_id,
             PendingOp {
@@ -163,6 +148,12 @@ impl CxServer {
                 logged_at: now,
             },
         );
+        if verdict.is_yes() {
+            // The modified object becomes active until the commitment
+            // (§III-B: "the lazy commitment may leave some active objects
+            // that are not achieved agreement among the affected servers").
+            self.pending.activate(req.op_id);
+        }
 
         let rec = Record::Result {
             op_id: req.op_id,
@@ -246,20 +237,7 @@ impl CxServer {
     /// their conflict hints with the completed operation (§III-C step 7a:
     /// each later response "contains a conflict hint of [A]").
     pub(crate) fn release_op(&mut self, now: SimTime, op: OpId, out: &mut Vec<Action>) {
-        // Remove exactly this op's active entries (the pending entry knows
-        // its objects); fall back to a scan only when the entry is already
-        // gone (rare recovery paths).
-        match self.pending.get(&op) {
-            Some(p) => {
-                let objs: Vec<cx_types::ObjectId> = p.subop.conflict_objects().iter().collect();
-                for obj in objs {
-                    if self.active.get(&obj) == Some(&op) {
-                        self.active.remove(&obj);
-                    }
-                }
-            }
-            None => self.active.retain(|_, holder| *holder != op),
-        }
+        self.pending.release(op);
         if let Some(waiters) = self.blocked.remove(&op) {
             for mut req in waiters {
                 req.hint_ops.push(op);

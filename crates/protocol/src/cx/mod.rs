@@ -27,9 +27,9 @@ use cx_obs::{EngineGauges, ObsSink};
 use cx_types::FxHashMap;
 use cx_types::{
     ClusterConfig, CxConfig, CxError, Hint, ObjectId, OpId, OpTable, Payload, ProcId, Role,
-    ServerId, SimTime, SubOp, VecPool, Verdict,
+    ServerId, SimTime, SlotIndex, SubOp, VecPool, Verdict,
 };
-use cx_wal::{Outcome, Record, Wal};
+use cx_wal::{Outcome, Record, SeqNo, Wal};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One executed-but-uncommitted operation on this server. It holds only
@@ -81,6 +81,99 @@ impl PendingOp {
     }
 }
 
+/// The executed, uncommitted operations and the conflict table over them.
+///
+/// Every pending operation lives in one [`OpTable`] slot until it is
+/// removed, and the conflict table is a second index into the same slab:
+/// the slot of the *latest* pending operation that modified each active
+/// object (§III-B), found by the object read back from that slot's sub-op
+/// ([`SubOp::conflict_object`], one per sub-op). Removing an operation
+/// drops its index entry with it, so no entry outlives its slot.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    ops: OpTable<PendingOp>,
+    active: SlotIndex,
+}
+
+impl std::ops::Deref for Pending {
+    type Target = OpTable<PendingOp>;
+
+    fn deref(&self) -> &OpTable<PendingOp> {
+        &self.ops
+    }
+}
+
+impl Pending {
+    /// The pending entry of `op`; its sub-op must not change.
+    pub fn get_mut(&mut self, op: &OpId) -> Option<&mut PendingOp> {
+        self.ops.get_mut(op)
+    }
+
+    /// Insert or overwrite `op`'s entry. An overwrite that moves the
+    /// conflict object first releases the old one.
+    pub fn insert(&mut self, op: OpId, p: PendingOp) {
+        let moved = self
+            .ops
+            .get(&op)
+            .is_some_and(|old| old.subop.conflict_object() != p.subop.conflict_object());
+        if moved {
+            self.release(op);
+        }
+        self.ops.insert(op, p);
+    }
+
+    /// Remove `op`'s entry and its active object.
+    pub fn remove(&mut self, op: &OpId) -> Option<PendingOp> {
+        self.release(*op);
+        self.ops.remove(op)
+    }
+
+    /// Forget every operation, yielding them in slot order.
+    pub fn drain(&mut self) -> impl Iterator<Item = (OpId, PendingOp)> + '_ {
+        self.active.clear();
+        self.ops.drain()
+    }
+
+    /// Make `op`'s conflict object active, held by `op` from now on (the
+    /// newest executing operation overwrites the holder).
+    pub fn activate(&mut self, op: OpId) {
+        let Some(slot) = self.ops.slot_of(&op) else {
+            return;
+        };
+        let ops = &self.ops;
+        let obj = ops.at(slot).1.subop.conflict_object();
+        self.active.insert(&obj, slot, |s| conflict_key(ops, s));
+    }
+
+    /// The pending operation holding `obj` active.
+    pub fn holder(&self, obj: &ObjectId) -> Option<OpId> {
+        let ops = &self.ops;
+        let slot = self.active.get(obj, |s| conflict_key(ops, s))?;
+        Some(*ops.at(slot).0)
+    }
+
+    /// Drop `op`'s active object, while `op` still holds it.
+    pub fn release(&mut self, op: OpId) {
+        let Some(slot) = self.ops.slot_of(&op) else {
+            return;
+        };
+        let ops = &self.ops;
+        let obj = ops.at(slot).1.subop.conflict_object();
+        self.active
+            .remove_if(&obj, |held| held == slot, |s| conflict_key(ops, s));
+    }
+
+    /// Objects held active.
+    pub fn active_len(&self) -> usize {
+        self.active.len()
+    }
+}
+
+/// The conflict object of the pending operation in `slot`.
+fn conflict_key(ops: &OpTable<PendingOp>, slot: u32) -> ObjectId {
+    ops.at(slot).1.subop.conflict_object()
+}
+
 /// A sub-op request that could not run yet (conflict or full log).
 #[derive(Debug, Clone)]
 pub(crate) struct QueuedReq {
@@ -110,15 +203,81 @@ pub(crate) enum BatchPhase {
     Completing,
 }
 
-/// A batched commitment this server coordinates.
+/// How far a commitment round has settled one of its operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tally {
+    /// VOTE sent, the participant's verdict not back yet.
+    Unvoted,
+    /// The participant's verdict.
+    Voted(Verdict),
+    /// The coordinator's decision.
+    Decided(Outcome),
+}
+
+/// One operation of a [`CommitBatch`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member {
+    pub op: OpId,
+    pub tally: Tally,
+}
+
+/// A batched commitment this server coordinates. Its operations are one
+/// list, each with its vote and then its outcome; the message lists are
+/// drawn from it when sent.
 #[derive(Debug, Clone)]
 pub(crate) struct CommitBatch {
     pub participant: ServerId,
-    pub ops: Vec<OpId>,
-    pub votes: BTreeMap<OpId, Verdict>,
     pub phase: BatchPhase,
-    pub commits: Vec<OpId>,
-    pub aborts: Vec<OpId>,
+    /// The operations in launch order.
+    pub members: Vec<Member>,
+    /// Members whose vote arrived; reset when the batch is decided.
+    pub votes: usize,
+    /// Where the next vote's member is looked for first: votes come back
+    /// in the VOTE's order.
+    cursor: usize,
+}
+
+impl CommitBatch {
+    pub fn new(participant: ServerId, phase: BatchPhase, members: Vec<Member>) -> Self {
+        Self {
+            participant,
+            phase,
+            members,
+            votes: 0,
+            cursor: 0,
+        }
+    }
+
+    pub fn contains(&self, op: &OpId) -> bool {
+        self.members.iter().any(|m| m.op == *op)
+    }
+
+    /// `op`'s member, searched from after the last one found.
+    pub fn member(&mut self, op: &OpId) -> Option<&mut Member> {
+        let n = self.members.len();
+        let at = (0..n)
+            .map(|i| (self.cursor + i) % n)
+            .find(|&i| self.members[i].op == *op)?;
+        self.cursor = (at + 1) % n;
+        Some(&mut self.members[at])
+    }
+
+    /// The members decided `outcome`, in launch order.
+    pub fn decided(&self, outcome: Outcome) -> impl Iterator<Item = OpId> + Clone + '_ {
+        let tally = Tally::Decided(outcome);
+        self.members
+            .iter()
+            .filter(move |m| m.tally == tally)
+            .map(|m| m.op)
+    }
+
+    /// Every decided member with its outcome, commits first, each in
+    /// launch order: the order of the Complete-Records and of completion.
+    pub fn outcomes(&self) -> impl Iterator<Item = (OpId, Outcome)> + '_ {
+        [Outcome::Committed, Outcome::Aborted]
+            .into_iter()
+            .flat_map(move |o| self.decided(o).map(move |op| (op, o)))
+    }
 }
 
 /// Disk-completion continuations.
@@ -158,12 +317,11 @@ pub struct CxServer {
     pub(crate) ch: Chassis<IoCont>,
     pub(crate) cfg: CxConfig,
 
-    /// Executed, uncommitted operations.
-    pub(crate) pending: OpTable<PendingOp>,
-    /// Active objects: modified by a pending operation, conflict-checked
-    /// on every access (§III-B). Maps to the *latest* pending op touching
-    /// the object; re-dispatch re-checks, so chains resolve correctly.
-    pub(crate) active: FxHashMap<ObjectId, OpId>,
+    /// Executed, uncommitted operations, and their active objects:
+    /// modified by a pending operation, conflict-checked on every access
+    /// (§III-B). An object maps to the *latest* pending op touching it;
+    /// re-dispatch re-checks, so chains resolve correctly.
+    pub(crate) pending: Pending,
     /// Requests blocked behind a pending operation's commitment.
     pub(crate) blocked: FxHashMap<OpId, Vec<QueuedReq>>,
     /// Requests blocked on log space (Figure 7a).
@@ -215,12 +373,24 @@ pub struct CxServer {
     /// drawn when building VOTE/COMMIT-REQ/ACK payloads, returned when a
     /// received batch is drained.
     pub(crate) op_pool: VecPool<OpId>,
-    /// Recycled record buffers for multi-record log appends.
-    pub(crate) rec_pool: VecPool<Record>,
+    /// Recycled vote-result lists, drawn by the voting participant and
+    /// returned by the coordinator that reads them.
+    pub(crate) vote_pool: VecPool<(OpId, Verdict)>,
+    /// Recycled member lists of the batches this server coordinates.
+    pub(crate) member_pool: VecPool<Member>,
+    /// Scratch a commitment round fills and empties within one event: the
+    /// objects whose write-back it issues, the batches a vote result
+    /// touched, the launched operations' participants and positions.
+    pub(crate) scratch_objs: Vec<ObjectId>,
+    pub(crate) scratch_batches: Vec<u64>,
+    pub(crate) scratch_groups: Vec<(ServerId, u32)>,
     /// Observability sink: stamps `Completed` when the Complete-Record
     /// lands (a milestone only the engine sees). `Off` unless installed.
     pub(crate) obs: ObsSink,
 }
+
+/// What each of a server's buffer pools shelves at most.
+const POOL_BYTES: usize = 4 << 10;
 
 /// Database region holding the log table in the `log_in_database` mode.
 pub(crate) const LOG_TABLE_REGION: u64 = 1 << 55;
@@ -244,8 +414,7 @@ impl CxServer {
             id,
             ch: Chassis::new(cfg, 0x5e57_0000 ^ id.0 as u64, cfg.cx.log_limit_bytes),
             cfg: cfg.cx,
-            pending: OpTable::default(),
-            active: FxHashMap::default(),
+            pending: Pending::default(),
             blocked: FxHashMap::default(),
             log_wait: VecDeque::new(),
             lazy_queue: Vec::new(),
@@ -264,8 +433,12 @@ impl CxServer {
             orphan_timers: FxHashMap::default(),
             vote_timers: FxHashMap::default(),
             recovery_reads_pending: false,
-            op_pool: VecPool::default(),
-            rec_pool: VecPool::default(),
+            op_pool: VecPool::with_max_bytes(POOL_BYTES),
+            vote_pool: VecPool::with_max_bytes(POOL_BYTES),
+            member_pool: VecPool::with_max_bytes(POOL_BYTES),
+            scratch_objs: Vec::new(),
+            scratch_batches: Vec::new(),
+            scratch_groups: Vec::new(),
             obs: ObsSink::Off,
         }
     }
@@ -273,14 +446,6 @@ impl CxServer {
     /// This server's id.
     pub fn id(&self) -> ServerId {
         self.id
-    }
-
-    /// A pooled single-element `Vec<OpId>` (immediate commitments and
-    /// single-op decisions reuse batch buffers like everything else).
-    pub(crate) fn op_vec1(&mut self, op: OpId) -> Vec<OpId> {
-        let mut v = self.op_pool.get();
-        v.push(op);
-        v
     }
 
     /// Append `recs` as one logical disk write and start making them
@@ -293,15 +458,21 @@ impl CxServer {
         cont: IoCont,
         out: &mut Vec<Action>,
     ) -> Result<(), CxError> {
+        let appended = self.ch.append(recs)?;
+        self.flush(appended, cont, out);
+        Ok(())
+    }
+
+    /// Start making what `self.ch.append` appended durable, as [`Self::log`]
+    /// does.
+    pub(crate) fn flush(&mut self, appended: (SeqNo, u64), cont: IoCont, out: &mut Vec<Action>) {
         if !self.cfg.log_in_database {
-            return self.ch.log(recs, cont, out);
+            return self.ch.flush(appended, cont, out);
         }
-        let (seq, _) = self.ch.append(recs)?;
         // log-table rows are appended in key order: sequential pages
         // within the database's log region
         let page = LOG_TABLE_REGION + self.ch.wal.total_appended_bytes() / 4096;
-        self.ch.sync_write(page, Some(seq), cont, out);
-        Ok(())
+        self.ch.sync_write(page, Some(appended.0), cont, out);
     }
 
     pub(crate) fn send(&mut self, to: Endpoint, payload: Payload, out: &mut Vec<Action>) {
@@ -483,11 +654,14 @@ impl ServerEngine for CxServer {
 
     fn obs_gauges(&self) -> EngineGauges {
         EngineGauges {
-            active_objects: self.active.len() as u64,
+            active_objects: self.pending.active_len() as u64,
             pending_batch_ops: (self.lazy_queue.len()
                 + self.lazy_local.len()
-                + self.batches.values().map(|b| b.ops.len()).sum::<usize>())
-                as u64,
+                + self
+                    .batches
+                    .values()
+                    .map(|b| b.members.len())
+                    .sum::<usize>()) as u64,
         }
     }
 
@@ -520,7 +694,7 @@ impl ServerEngine for CxServer {
             self.lazy_local.len(),
             self.batches
                 .iter()
-                .map(|(id, b)| format!("{id}:{:?}({} ops,{} votes)", b.phase, b.ops.len(), b.votes.len()))
+                .map(|(id, b)| format!("{id}:{:?}({} ops,{} votes)", b.phase, b.members.len(), b.votes))
                 .collect::<Vec<_>>(),
             blocked,
             self.log_wait.len(),
@@ -534,6 +708,55 @@ impl ServerEngine for CxServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cx_types::{InodeNo, ProcId};
+
+    fn pending(ino: u64) -> PendingOp {
+        PendingOp {
+            role: Role::Participant,
+            peer: Some(ServerId(1)),
+            subop: SubOp::DecNlink { ino: InodeNo(ino) },
+            verdict: Verdict::Yes,
+            undo: None,
+            durable: false,
+            in_commitment: false,
+            reply_to_client: false,
+            recovered: false,
+            batch: NO_BATCH,
+            logged_at: SimTime(0),
+        }
+    }
+
+    /// The conflict table answers for the newest holder, releases only
+    /// for it, and keeps no entry once its op is gone, even when the slot
+    /// is reused by an op of another object.
+    #[test]
+    fn the_conflict_table_follows_the_pending_slab() {
+        let op = |seq| OpId::new(ProcId::new(seq as u32, 0), seq);
+        let x = ObjectId::Inode(InodeNo(7));
+        let mut t = Pending::default();
+        t.insert(op(1), pending(7));
+        t.activate(op(1));
+        t.insert(op(2), pending(7));
+        t.activate(op(2));
+        assert_eq!((t.holder(&x), t.active_len()), (Some(op(2)), 1));
+        t.release(op(1)); // no longer the holder: nothing to drop
+        assert_eq!(t.holder(&x), Some(op(2)));
+        t.remove(&op(2));
+        assert_eq!((t.holder(&x), t.active_len()), (None, 0));
+        // op 3 takes the freed slot with another object; op 1 still
+        // holds a slot but not the object
+        t.insert(op(3), pending(9));
+        t.activate(op(3));
+        assert_eq!(t.holder(&x), None);
+        assert_eq!(t.holder(&ObjectId::Inode(InodeNo(9))), Some(op(3)));
+        // an overwrite that moves the object releases the old one
+        t.insert(op(3), pending(11));
+        assert_eq!(
+            (t.holder(&ObjectId::Inode(InodeNo(9))), t.active_len()),
+            (None, 0)
+        );
+        assert_eq!(t.drain().count(), 2);
+    }
 
     /// A pending op's slab slot is what a server holds per in-flight half;
     /// keep the entry eleven words with its key.

@@ -17,7 +17,7 @@
 //! system stops responding new requests") but keeps exchanging commitment
 //! traffic, which is what resolves the half-completed operations.
 
-use super::{BatchPhase, CommitBatch, CxServer, IoCont, PendingOp, NO_BATCH};
+use super::{BatchPhase, CommitBatch, CxServer, IoCont, Member, PendingOp, Tally, NO_BATCH};
 use crate::action::{Action, Endpoint, ServerEngine};
 use cx_mdstore::MetaStore;
 use cx_simio::DiskReq;
@@ -61,7 +61,6 @@ impl CxServer {
                 }
             }
         }
-        self.active.clear();
         self.blocked.clear();
         self.log_wait.clear();
         self.lazy_queue.clear();
@@ -144,12 +143,10 @@ impl CxServer {
             );
             self.recovery_remaining.insert(op);
             self.metrics.resumed_commitments += 1;
+            if verdict.is_yes() && !invalidated {
+                self.pending.activate(op);
+            }
             if role == Role::Coordinator {
-                if verdict.is_yes() && !invalidated {
-                    for obj in subop.conflict_objects().iter() {
-                        self.active.insert(obj, op);
-                    }
-                }
                 match outcome {
                     Some(o) => {
                         // Decision already durable: resume at COMMIT-REQ.
@@ -161,10 +158,6 @@ impl CxServer {
                         }
                     }
                     None => to_vote.push(op),
-                }
-            } else if verdict.is_yes() && !invalidated {
-                for obj in subop.conflict_objects().iter() {
-                    self.active.insert(obj, op);
                 }
             }
         }
@@ -179,16 +172,18 @@ impl CxServer {
                     p.batch = batch_id;
                 }
             }
+            let decided = |outcome| {
+                move |&op| Member {
+                    op,
+                    tally: Tally::Decided(outcome),
+                }
+            };
+            let members = (commits.iter().map(decided(Outcome::Committed)))
+                .chain(aborts.iter().map(decided(Outcome::Aborted)))
+                .collect();
             self.batches.insert(
                 batch_id,
-                CommitBatch {
-                    participant: peer,
-                    ops: commits.iter().chain(aborts.iter()).copied().collect(),
-                    votes: BTreeMap::new(),
-                    phase: BatchPhase::AwaitingAck,
-                    commits: commits.clone(),
-                    aborts: aborts.clone(),
-                },
+                CommitBatch::new(peer, BatchPhase::AwaitingAck, members),
             );
             self.send(
                 Endpoint::Server(peer),

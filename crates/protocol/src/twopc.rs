@@ -19,8 +19,7 @@ use crate::stats::ServerStats;
 use cx_mdstore::{MetaStore, Undo};
 use cx_types::FxHashMap;
 use cx_types::{
-    ClusterConfig, ObjectId, OpId, OpOutcome, OpPlan, Payload, Role, ServerId, SimTime, SubOp,
-    Verdict,
+    ClusterConfig, OpId, OpOutcome, OpPlan, Payload, Role, ServerId, SimTime, SubOp, Verdict,
 };
 use cx_wal::{Record, Wal};
 
@@ -94,8 +93,10 @@ impl TwoPcServer {
     // ---- coordinator ----
 
     fn on_op_req(&mut self, op_id: OpId, plan: OpPlan, out: &mut Vec<Action>) {
-        let objs: Vec<ObjectId> = plan.coord_subop.conflict_objects().iter().collect();
-        if let Err(holder) = self.locks.acquire(&objs, op_id) {
+        if let Err(holder) = self
+            .locks
+            .acquire(&[plan.coord_subop.conflict_object()], op_id)
+        {
             let waiter = Waiting::OpReq { op_id, plan };
             self.locks.wait(holder, waiter, &mut self.ch.stats);
             return;
@@ -157,8 +158,7 @@ impl TwoPcServer {
         coordinator: ServerId,
         out: &mut Vec<Action>,
     ) {
-        let objs: Vec<ObjectId> = subop.conflict_objects().iter().collect();
-        if let Err(holder) = self.locks.acquire(&objs, op_id) {
+        if let Err(holder) = self.locks.acquire(&[subop.conflict_object()], op_id) {
             let waiter = Waiting::VoteExec {
                 op_id,
                 subop,

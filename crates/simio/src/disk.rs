@@ -230,10 +230,12 @@ pub struct Disk {
     /// keeps its own token: a completion names the request it finished,
     /// and one lost in a crash must be told apart.
     background: Backlog,
-    /// The token list the next batch fills: the caller hands each finished
-    /// batch's list back ([`Disk::recycle`]), so batches reuse two lists
-    /// instead of allocating one each.
-    spare: Vec<u64>,
+    /// The token lists the next batches fill: the caller hands each
+    /// finished batch's list back ([`Disk::recycle`]), so batches reuse
+    /// two lists instead of allocating one each. Both can be home at once
+    /// — when the disk went idle with its last batch handed out — and both
+    /// stay.
+    spare: [Vec<u64>; 2],
     inflight: bool,
     stats: DiskStats,
     /// Incremented on crash so runtimes can discard completion events
@@ -248,7 +250,7 @@ impl Disk {
             log: VecDeque::new(),
             sync: VecDeque::new(),
             background: Backlog::new(),
-            spare: Vec::new(),
+            spare: [Vec::new(), Vec::new()],
             inflight: false,
             stats: DiskStats::default(),
             generation: 0,
@@ -318,7 +320,18 @@ impl Disk {
     /// out, for the next batch to fill.
     pub fn recycle(&mut self, mut tokens: Vec<u64>) {
         tokens.clear();
-        self.spare = tokens;
+        // into an empty place, else over the smaller list
+        let [a, b] = &mut self.spare;
+        let place = if a.capacity() <= b.capacity() { a } else { b };
+        if tokens.capacity() > place.capacity() {
+            *place = tokens;
+        }
+    }
+
+    /// A spare token list, the larger one if both are home.
+    fn take_spare(&mut self) -> Vec<u64> {
+        let [a, b] = &mut self.spare;
+        std::mem::take(if a.capacity() >= b.capacity() { a } else { b })
     }
 
     /// Crash: queued and in-flight work is lost with the volatile state.
@@ -354,7 +367,7 @@ impl Disk {
     /// directory's sequential metadata region coalesce, §IV-C2).
     fn start_sync_flush(&mut self, now: SimTime) -> Batch {
         let mut pages: Vec<u64> = self.sync.iter().map(|&(page, _)| page).collect();
-        let mut tokens = std::mem::take(&mut self.spare);
+        let mut tokens = self.take_spare();
         tokens.extend(self.sync.drain(..).map(|(_, token)| token));
         pages.sort_unstable();
         pages.dedup();
@@ -380,7 +393,7 @@ impl Disk {
         } else {
             1
         };
-        let mut tokens = std::mem::take(&mut self.spare);
+        let mut tokens = self.take_spare();
         let mut bytes = 0u64;
         for (b, token) in self.log.drain(..take) {
             tokens.push(token);
@@ -421,7 +434,7 @@ impl Disk {
             }
         };
         self.stats.busy_ns += service;
-        let mut tokens = std::mem::take(&mut self.spare);
+        let mut tokens = self.take_spare();
         tokens.push(token);
         Batch {
             finish: now + service,

@@ -45,7 +45,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{ClientId, InodeNo, Name, ObjectId, OpId, ProcId, ProcessId, ServerId};
 pub use msg::{Hint, MsgKind, Payload, Verdict};
 pub use op::{FileKind, FsOp, OpClass, OpOutcome};
-pub use optable::OpTable;
+pub use optable::{OpTable, SlotIndex};
 pub use placement::Placement;
 pub use pool::VecPool;
 pub use subop::{OpPlan, Role, SubOp};

@@ -7,12 +7,113 @@
 //! [`OpTable`] keeps the values in a slab and indexes them by slot number
 //! alone: the sparse part costs 4 bytes a bucket (the key is read from the
 //! slab), the fat part is as large as the most entries ever live at once.
+//!
+//! The index itself is a [`SlotIndex`]: slot numbers into a slab someone
+//! else keeps, found by a key read back from that slab. The Cx engine's
+//! conflict table is a second one over the same slab, keyed by each
+//! pending operation's conflict object.
 
 use crate::ids::OpId;
 use crate::probe;
+use std::hash::Hash;
 
 /// A bucket no slot number occupies.
 const EMPTY: u32 = u32::MAX;
+
+/// Slot numbers into a slab the caller keeps, open-addressed by [`probe`]
+/// at a load of at most three quarters. The index stores no keys: every
+/// call passes `key`, which reads an indexed slot's key back from the
+/// slab, so a bucket costs 4 bytes. Each key is indexed at most once.
+#[derive(Debug, Clone, Default)]
+pub struct SlotIndex {
+    /// Empty or a power of two long, 8 buckets at first.
+    buckets: Vec<u32>,
+    len: usize,
+}
+
+impl SlotIndex {
+    /// Keys indexed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The slot indexed under `k`.
+    pub fn get<K: Hash + Eq>(&self, k: &K, key: impl Fn(u32) -> K) -> Option<u32> {
+        self.walk(k, &key).ok().map(|b| self.buckets[b])
+    }
+
+    /// Index `slot` under `k`, in place of any slot indexed there.
+    pub fn insert<K: Hash + Eq>(&mut self, k: &K, slot: u32, key: impl Fn(u32) -> K) {
+        match self.entry(k, &key) {
+            Ok(bucket) => self.buckets[bucket] = slot,
+            Err(bucket) => self.occupy(bucket, slot),
+        }
+    }
+
+    /// Drop `k`'s entry if `pred` accepts the slot it holds; returns that
+    /// slot.
+    pub fn remove_if<K: Hash + Eq>(
+        &mut self,
+        k: &K,
+        pred: impl FnOnce(u32) -> bool,
+        key: impl Fn(u32) -> K,
+    ) -> Option<u32> {
+        let bucket = self.walk(k, &key).ok()?;
+        let slot = self.buckets[bucket];
+        if !pred(slot) {
+            return None;
+        }
+        let hash = |&s: &u32| probe::row_hash(&key(s));
+        probe::vacate(&mut self.buckets, bucket, EMPTY, |&b| b == EMPTY, hash);
+        self.len -= 1;
+        Some(slot)
+    }
+
+    pub fn clear(&mut self) {
+        self.buckets.fill(EMPTY);
+        self.len = 0;
+    }
+
+    /// `Ok` with the bucket holding `k`'s slot, or `Err` with the bucket a
+    /// new slot for it goes in ([`SlotIndex::occupy`]) — after doubling the
+    /// index if one more entry would load it past three quarters.
+    fn entry<K: Hash + Eq>(&mut self, k: &K, key: impl Fn(u32) -> K) -> Result<usize, usize> {
+        match self.walk(k, &key) {
+            Ok(bucket) => return Ok(bucket),
+            Err(bucket) if (self.len + 1) * 4 <= self.buckets.len() * 3 => return Err(bucket),
+            Err(_) => {}
+        }
+        let grown = vec![EMPTY; (2 * self.buckets.len()).max(8)];
+        let old = std::mem::replace(&mut self.buckets, grown);
+        for slot in old.into_iter().filter(|&s| s != EMPTY) {
+            let bucket = self.walk(&key(slot), &key).expect_err("keys are unique");
+            self.buckets[bucket] = slot;
+        }
+        Err(self.walk(k, &key).expect_err("absent"))
+    }
+
+    /// Put `slot` in the vacant `bucket` [`SlotIndex::entry`] named.
+    fn occupy(&mut self, bucket: usize, slot: u32) {
+        debug_assert_eq!(self.buckets[bucket], EMPTY, "a vacant bucket");
+        self.buckets[bucket] = slot;
+        self.len += 1;
+    }
+
+    /// Walk `k`'s probe sequence: `Ok` with the bucket holding its slot,
+    /// or `Err` with the empty bucket that ends the walk.
+    fn walk<K: Hash + Eq>(&self, k: &K, key: &impl Fn(u32) -> K) -> Result<usize, usize> {
+        probe::walk(
+            &self.buckets,
+            probe::row_hash(k),
+            |&b| b == EMPTY,
+            |&b| key(b) == *k,
+        )
+    }
+}
 
 /// A map from [`OpId`] to `V`: values in a slab with a free list, found
 /// through a thin index. Steady-state insert/remove allocates nothing.
@@ -25,10 +126,8 @@ pub struct OpTable<V> {
     slots: Vec<Option<(OpId, V)>>,
     /// Vacant slots, reused newest first before the slab grows.
     free: Vec<u32>,
-    /// Slot numbers, open-addressed by [`probe`] at a load of at most
-    /// three quarters, keys read from the slab. Empty or a power of two
-    /// long.
-    index: Vec<u32>,
+    /// Slot numbers by the key stored in their slot.
+    index: SlotIndex,
 }
 
 impl<V> Default for OpTable<V> {
@@ -36,7 +135,7 @@ impl<V> Default for OpTable<V> {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
-            index: Vec::new(),
+            index: SlotIndex::default(),
         }
     }
 }
@@ -51,23 +150,36 @@ impl<V> OpTable<V> {
     }
 
     pub fn contains_key(&self, op: &OpId) -> bool {
-        self.walk(op).is_ok()
+        self.slot_of(op).is_some()
     }
 
     pub fn get(&self, op: &OpId) -> Option<&V> {
-        let slot = self.index[self.walk(op).ok()?];
-        self.slots[slot as usize].as_ref().map(|(_, v)| v)
+        self.slot_of(op).map(|slot| self.at(slot).1)
     }
 
     pub fn get_mut(&mut self, op: &OpId) -> Option<&mut V> {
-        let slot = self.index[self.walk(op).ok()?];
+        let slot = self.slot_of(op)?;
         self.slots[slot as usize].as_mut().map(|(_, v)| v)
+    }
+
+    /// The slab slot `op`'s entry lives in, for as long as it lives.
+    pub fn slot_of(&self, op: &OpId) -> Option<u32> {
+        let slots = &self.slots;
+        self.index.get(op, |slot| key(slots, slot))
+    }
+
+    /// The live entry in `slot`. Panics on a vacant slot.
+    pub fn at(&self, slot: u32) -> (&OpId, &V) {
+        let (op, v) = self.slots[slot as usize].as_ref().expect("a live slot");
+        (op, v)
     }
 
     /// Insert or overwrite; returns the value replaced.
     pub fn insert(&mut self, op: OpId, value: V) -> Option<V> {
-        match self.entry(&op) {
-            Ok(slot) => {
+        let slots = &self.slots;
+        match self.index.entry(&op, |slot| key(slots, slot)) {
+            Ok(bucket) => {
+                let slot = self.index.buckets[bucket];
                 let (_, old) = self.slots[slot as usize].as_mut().expect("indexed");
                 Some(std::mem::replace(old, value))
             }
@@ -83,8 +195,9 @@ impl<V> OpTable<V> {
     where
         V: Default,
     {
-        let slot = match self.entry(&op) {
-            Ok(slot) => slot,
+        let slots = &self.slots;
+        let slot = match self.index.entry(&op, |slot| key(slots, slot)) {
+            Ok(bucket) => self.index.buckets[bucket],
             Err(bucket) => self.place(bucket, op, V::default()),
         };
         let (_, v) = self.slots[slot as usize].as_mut().expect("indexed");
@@ -92,11 +205,10 @@ impl<V> OpTable<V> {
     }
 
     pub fn remove(&mut self, op: &OpId) -> Option<V> {
-        let bucket = self.walk(op).ok()?;
-        let slot = self.index[bucket];
         let slots = &self.slots;
-        let hash = |&slot: &u32| probe::row_hash(key(slots, slot));
-        probe::vacate(&mut self.index, bucket, EMPTY, |&b| b == EMPTY, hash);
+        let slot = self
+            .index
+            .remove_if(op, |_| true, |slot| key(slots, slot))?;
         self.free.push(slot);
         self.slots[slot as usize].take().map(|(_, v)| v)
     }
@@ -114,13 +226,13 @@ impl<V> OpTable<V> {
     /// Empty the table, yielding what it held in slot order. The slab's
     /// capacity is kept.
     pub fn drain(&mut self) -> impl Iterator<Item = (OpId, V)> + '_ {
-        self.index.fill(EMPTY);
+        self.index.clear();
         self.free.clear();
         self.slots.drain(..).flatten()
     }
 
     pub fn clear(&mut self) {
-        self.index.fill(EMPTY);
+        self.index.clear();
         self.free.clear();
         self.slots.clear();
     }
@@ -128,38 +240,6 @@ impl<V> OpTable<V> {
     /// Slots the slab has room for, live or vacant (tests and diagnostics).
     pub fn slab_capacity(&self) -> usize {
         self.slots.capacity()
-    }
-
-    /// Walk `op`'s probe sequence: `Ok` with the bucket holding its slot,
-    /// or `Err` with the empty bucket that ends the walk.
-    fn walk(&self, op: &OpId) -> Result<usize, usize> {
-        let slots = &self.slots;
-        probe::walk(
-            &self.index,
-            probe::row_hash(op),
-            |&b| b == EMPTY,
-            |&b| key(slots, b) == op,
-        )
-    }
-
-    /// `Ok` with `op`'s slot, or `Err` with the bucket a new slot for it
-    /// goes in — after doubling the index (8 buckets at first) and
-    /// re-indexing the slab if one more entry would load it past three
-    /// quarters.
-    fn entry(&mut self, op: &OpId) -> Result<u32, usize> {
-        match self.walk(op) {
-            Ok(bucket) => return Ok(self.index[bucket]),
-            Err(bucket) if (self.len() + 1) * 4 <= self.index.len() * 3 => return Err(bucket),
-            Err(_) => {}
-        }
-        self.index = vec![EMPTY; (2 * self.index.len()).max(8)];
-        for (slot, entry) in self.slots.iter().enumerate() {
-            if let Some((op, _)) = entry {
-                let bucket = self.walk(op).expect_err("keys are unique");
-                self.index[bucket] = slot as u32;
-            }
-        }
-        Err(self.walk(op).expect_err("absent"))
     }
 
     /// Store an entry in a vacant slot, or a new one if none is vacant,
@@ -176,12 +256,12 @@ impl<V> OpTable<V> {
             }
         };
         self.slots[slot as usize] = Some((op, value));
-        self.index[bucket] = slot;
+        self.index.occupy(bucket, slot);
         slot
     }
 }
 
 /// The key stored in an indexed slot.
-fn key<V>(slots: &[Option<(OpId, V)>], slot: u32) -> &OpId {
-    &slots[slot as usize].as_ref().expect("indexed").0
+fn key<V>(slots: &[Option<(OpId, V)>], slot: u32) -> OpId {
+    slots[slot as usize].as_ref().expect("indexed").0
 }

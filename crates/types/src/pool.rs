@@ -11,48 +11,70 @@
 /// A freelist of reusable `Vec<T>` buffers.
 ///
 /// `get` hands out an empty vector (recycled capacity when available);
-/// `put` clears a spent one and shelves it. The freelist is capped in
-/// buffers, not in bytes: a buffer keeps the largest capacity it ever
-/// served, and every shelved buffer takes its turn at every use, so the
-/// pool pins up to 64 × the largest thing ever built in one. Keep it to
-/// one size of payload — the Cx engine swaps its lazy queues with a spare
-/// of its own rather than draw them from the pool its batches use.
+/// `put` clears a spent one and shelves it. A buffer keeps the largest
+/// capacity it ever served, so the freelist is bounded in bytes, not in
+/// buffers: a spent buffer whose capacity would take the shelved total
+/// past the bound is freed instead. Size the bound to the buffers one
+/// round of the pool's users has out at once, and a warm round allocates
+/// nothing while a burst of big ones leaves nothing pinned behind it.
 #[derive(Debug, Clone)]
 pub struct VecPool<T> {
     free: Vec<Vec<T>>,
-    max_held: usize,
+    /// Bytes of capacity shelved in `free`.
+    held_bytes: usize,
+    max_bytes: usize,
 }
 
 impl<T> Default for VecPool<T> {
+    /// A pool that shelves up to 1 MiB.
     fn default() -> Self {
-        Self {
-            free: Vec::new(),
-            max_held: 64,
-        }
+        Self::with_max_bytes(1 << 20)
     }
 }
 
 impl<T> VecPool<T> {
-    /// An empty buffer, reusing recycled capacity when available.
-    pub fn get(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
+    /// A pool that shelves at most `max_bytes` of buffer capacity.
+    pub fn with_max_bytes(max_bytes: usize) -> Self {
+        Self {
+            free: Vec::new(),
+            held_bytes: 0,
+            max_bytes,
+        }
     }
 
-    /// Like [`VecPool::get`], pre-filled from a slice.
-    pub fn get_copied(&mut self, src: &[T]) -> Vec<T>
+    /// An empty buffer, reusing recycled capacity when available.
+    pub fn get(&mut self) -> Vec<T> {
+        let v = self.free.pop().unwrap_or_default();
+        self.held_bytes -= bytes(&v);
+        v
+    }
+
+    /// A buffer holding `items`: a recycled one grown at most once, or for
+    /// no items one that allocated nothing and takes no recycled capacity
+    /// out of the pool. The items are walked twice, to count them first.
+    pub fn collect<I>(&mut self, items: I) -> Vec<T>
     where
-        T: Copy,
+        I: IntoIterator<Item = T>,
+        I::IntoIter: Clone,
     {
+        let items = items.into_iter();
+        let n = items.clone().count();
+        if n == 0 {
+            return Vec::new();
+        }
         let mut v = self.get();
-        v.extend_from_slice(src);
+        v.reserve(n);
+        v.extend(items);
         v
     }
 
     /// Return a spent buffer to the freelist. The contents are dropped;
-    /// the capacity is kept (up to the freelist cap).
+    /// the capacity is kept while the shelved bytes stay within the bound.
     pub fn put(&mut self, mut v: Vec<T>) {
-        if self.free.len() < self.max_held && v.capacity() > 0 {
+        let size = bytes(&v);
+        if size > 0 && self.held_bytes + size <= self.max_bytes {
             v.clear();
+            self.held_bytes += size;
             self.free.push(v);
         }
     }
@@ -61,6 +83,16 @@ impl<T> VecPool<T> {
     pub fn held(&self) -> usize {
         self.free.len()
     }
+
+    /// Bytes of capacity currently shelved (for tests and diagnostics).
+    pub fn held_bytes(&self) -> usize {
+        self.held_bytes
+    }
+}
+
+/// The bytes of a buffer's capacity.
+fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]
@@ -90,16 +122,29 @@ mod tests {
 
     #[test]
     fn freelist_is_capped() {
-        let mut pool: VecPool<u64> = VecPool::default();
+        let mut pool: VecPool<u64> = VecPool::with_max_bytes(1_000);
         for _ in 0..200 {
             pool.put(Vec::with_capacity(4));
         }
-        assert!(pool.held() <= 64);
+        assert_eq!((pool.held(), pool.held_bytes()), (31, 992));
+        // a buffer too big for what is left is freed, not shelved
+        pool.put(Vec::with_capacity(2));
+        assert_eq!(pool.held(), 31);
+        pool.get();
+        pool.put(Vec::with_capacity(5));
+        assert_eq!((pool.held(), pool.held_bytes()), (31, 1_000));
     }
 
     #[test]
-    fn get_copied_clones_the_slice() {
+    fn collect_fills_a_recycled_buffer_and_leaves_an_empty_one_out() {
         let mut pool: VecPool<u64> = VecPool::default();
-        assert_eq!(pool.get_copied(&[7, 8]), vec![7, 8]);
+        pool.put(Vec::with_capacity(4));
+        assert_eq!(pool.collect([]).capacity(), 0);
+        assert_eq!(pool.held(), 1);
+        let v = pool.collect([7, 8]);
+        assert_eq!(
+            (v.as_slice(), v.capacity(), pool.held()),
+            (&[7, 8][..], 4, 0)
+        );
     }
 }

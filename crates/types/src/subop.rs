@@ -93,19 +93,26 @@ impl SubOp {
         }
     }
 
-    /// The objects against which conflicts are detected — the objects
-    /// whose *values* other operations observe. This excludes the parent
+    /// The object against which conflicts are detected — the one whose
+    /// *value* other operations observe. Every sub-op has exactly one: an
+    /// entry sub-op's dentry, otherwise its inode. This excludes the parent
     /// directory's partition-attribute row: its updates (entry counts,
     /// timestamps) are commutative blind writes, so concurrent creates in
     /// one common directory do not conflict with each other — exactly why
     /// the checkpointing workloads of Table II show conflict ratios near
     /// 0.1% even though every process creates in the same directory.
-    pub fn conflict_objects(&self) -> ObjSet {
+    pub fn conflict_object(&self) -> ObjectId {
         match *self {
-            SubOp::InsertEntry { parent, name, .. } | SubOp::RemoveEntry { parent, name, .. } => {
-                ObjSet::one(ObjectId::Dentry(parent, name))
-            }
-            _ => self.objects(),
+            SubOp::InsertEntry { parent, name, .. }
+            | SubOp::RemoveEntry { parent, name, .. }
+            | SubOp::ReadEntry { parent, name } => ObjectId::Dentry(parent, name),
+            SubOp::CreateInode { ino, .. }
+            | SubOp::ReleaseInode { ino }
+            | SubOp::IncNlink { ino }
+            | SubOp::DecNlink { ino }
+            | SubOp::ReadInode { ino }
+            | SubOp::TouchInode { ino } => ObjectId::Inode(ino),
+            SubOp::ReadDir { dir } => ObjectId::Inode(dir),
         }
     }
 

@@ -77,3 +77,51 @@ fn queued_write_back_chunks_cost_their_packed_bytes() {
     assert!(served == tokens, "the chunks come back in submit order");
     assert!(disk.is_idle());
 }
+
+/// Busy periods with idle gaps between them, as a lightly loaded server's
+/// log sees: one append starts a flush and three more queue behind it and
+/// ride the next, then the disk goes idle. The finished batch handed back
+/// at an idle gap is the second list at home, and both stay, so once two
+/// lists exist a busy period allocates nothing (a disk that kept one list
+/// dropped the other at every gap and allocated it again in the next busy
+/// period's second batch).
+#[test]
+fn idle_gaps_keep_both_token_lists() {
+    let mut disk = Disk::new(DiskConfig::default());
+    let append = |token| DiskReq::LogAppend {
+        bytes: 4_096,
+        token,
+    };
+    let (mut now, mut token, mut warm) = (SimTime(0), 0, 0);
+    for period in 0..100 {
+        if period == 2 {
+            warm = allocs();
+        }
+        let mut batch = disk
+            .submit(now, append(token))
+            .expect("an idle disk starts");
+        for _ in 0..3 {
+            token += 1;
+            assert!(
+                disk.submit(now, append(token)).is_none(),
+                "the flush holds the disk"
+            );
+        }
+        token += 1;
+        // As the DES does: start the next batch, hand the finished one's
+        // tokens out, then give its list back.
+        loop {
+            now = batch.finish;
+            let next = disk.complete(now);
+            disk.recycle(batch.tokens);
+            match next {
+                Some(b) => batch = b,
+                None => break,
+            }
+        }
+        assert!(disk.is_idle());
+        now += 1_000_000;
+    }
+    let made = allocs() - warm;
+    assert_eq!(made, 0, "{made} allocations over 98 busy periods");
+}

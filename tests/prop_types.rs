@@ -82,7 +82,7 @@ fn plan_assignments_are_complete() {
     });
 }
 
-/// Conflict objects are always a subset of the accessed objects.
+/// The conflict object is always one of the accessed objects.
 #[test]
 fn conflict_objects_subset() {
     check("conflict_objects_subset", 48, |g| {
@@ -107,9 +107,7 @@ fn conflict_objects_subset() {
             SubOp::ReadEntry { parent, name },
         ];
         for s in subs {
-            for obj in s.conflict_objects().iter() {
-                assert!(s.objects().contains(&obj));
-            }
+            assert!(s.objects().contains(&s.conflict_object()));
         }
     });
 }
