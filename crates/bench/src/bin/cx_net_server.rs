@@ -1,14 +1,14 @@
 //! One metadata server as its own OS process, speaking the `cx-net`
 //! wire plane (DESIGN.md §9).
 //!
-//! The coordinator (`perf_baseline --multiproc`) writes a
+//! The coordinator (cx-bench's `tests/multiproc.rs`) writes a
 //! [`cx_bench::NetServerConfig`] JSON per server, spawns this binary with
 //! `--config <path>`, and parses the `LISTEN <addr>` line printed once
 //! the listener is bound. From then on everything — peer addresses,
 //! workload messages, quiesce/probe drain, final stats — arrives over
 //! TCP; the process exits after answering the coordinator's `Stop`.
 //!
-//! Usage: `cx_net_server --config target/cx_net_server_0.json`
+//! Usage: `cx_net_server --config cx_net_server_0.json`
 
 use cx_bench::NetServerConfig;
 use cx_types::ServerId;

@@ -24,14 +24,12 @@
 //! | `ablation_writeback_merge` | DESIGN.md §5.3 — elevator merging on/off |
 //! | `ablation_log_organization` | DESIGN.md §5.2 — log-structured file vs log records in the database |
 //!
-//! Three binaries stay apart, each for a reason of its own. `heap_peak`
+//! Two binaries stay apart, each for a reason of its own. `heap_peak`
 //! owns a `#[global_allocator]`: it replays a benchmark input under a
 //! counting allocator and prints the peak live heap by size class — where
 //! a footprint claim starts. `cx_net_server` must be an OS process of its
-//! own. `perf_baseline` is the observability export driver (`--obs`,
-//! `--live`, `--multiproc`, the latter over `cx_net_server` processes); it
-//! measures nothing — speed, latency and memory are read from
-//! `benchmark/` (`BENCHMARK.json`).
+//! own; this crate's `tests/multiproc.rs` spawns one per server. Speed,
+//! latency and memory are read from `benchmark/` (`BENCHMARK.json`).
 //!
 //! Experiments accept `--scale <f64>` (trace fraction; each default keeps
 //! the run under ~a minute) and `--full` (paper scale: every operation of
@@ -46,12 +44,12 @@ use std::sync::Mutex;
 
 /// Launch config for the `cx_net_server` binary: everything one server
 /// process needs to join a multi-process TCP cluster. The coordinator
-/// (`perf_baseline --multiproc`) writes one of these per
+/// (this crate's `tests/multiproc.rs`) writes one of these per
 /// server, spawns the binary with `--config <path>`, and reads the
 /// `LISTEN <addr>` line the server prints once bound. The server writes no
 /// file of its own: its stats, protocol series and wire telemetry travel
-/// back in its `StopResp`, and reach the coordinator's registry (and its
-/// `--metrics-out` snapshot) from there, once.
+/// back in its `StopResp`, and reach the coordinator's registry (and the
+/// snapshot files its `LiveMetrics::out` names) from there, once.
 #[derive(Debug, Clone, Serialize, serde::Deserialize)]
 pub struct NetServerConfig {
     pub cfg: cx_types::ClusterConfig,

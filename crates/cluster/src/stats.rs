@@ -126,7 +126,7 @@ pub struct RunStats {
     pub leftovers: Vec<String>,
     /// Structured hang diagnostics from the obs plane: which op is stuck,
     /// in which lifecycle phase, on which server, since when. Populated
-    /// only on `--obs` runs (the recorder's live-op map is the source);
+    /// only on recorded runs (the recorder's live-op map is the source);
     /// complements the free-text `leftovers`.
     pub stuck_ops: Vec<StuckOp>,
     /// Final namespace size across all servers (inode rows).
@@ -144,7 +144,7 @@ pub struct RunStats {
     /// renders only the named historical fields.
     pub proto: ProtoMetrics,
 
-    /// Critical-path blame attribution over the sampled spans (`--obs`
+    /// Critical-path blame attribution over the sampled spans (recorded
     /// runs only). Excluded from [`RunStats::digest`] like `proto`.
     pub blame: Option<BlameTable>,
 }

@@ -246,8 +246,8 @@ impl Experiment {
 
     /// Like [`Experiment::run`], with observability recording into `sink`.
     /// Recording never perturbs the simulation — the stats digest is
-    /// identical to an uninstrumented run — so this is the `--obs` path of
-    /// the experiment binaries. Read the trace/report off the sink after.
+    /// identical to an uninstrumented run — so this is the recorded path of
+    /// the experiments. Read the trace/report off the sink after.
     pub fn run_obs(&self, sink: ObsSink) -> ExperimentResult {
         let st = self.workload.stream(&self.cfg);
         let cluster = DesCluster::new_stream(self.cfg.clone(), st).with_obs(sink);

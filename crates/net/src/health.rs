@@ -8,7 +8,7 @@
 //! left. [`crate::ConnectionManager::wire_totals`] and
 //! [`crate::ConnectionManager::reconnects_total`] are sums over these
 //! records, which are the raw material for the wire-throughput rates
-//! (frames/s, bytes/s, flushes/s) of the `--live` metrics plane and
+//! (frames/s, bytes/s, flushes/s) of the live metrics plane and
 //! `cx-obs top`. Flush latency is a histogram in
 //! [`crate::WireTelemetry`]; probe RTT and clock offset are
 //! [`crate::ClockSync`]'s.

@@ -979,6 +979,15 @@ impl BlameDiff {
             .filter(|r| r.significant && r.delta_ns > 0.0)
             .max_by(|a, b| a.delta_ns.total_cmp(&b.delta_ns))
     }
+
+    /// The diff's last line, as `cx-obs doctor --against` prints it.
+    pub fn verdict(&self) -> String {
+        let suspect = self.prime_suspect().map(|s| s.seg.name());
+        format!(
+            "prime suspect: {}",
+            suspect.unwrap_or("none (no significant regression)")
+        )
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! `cx-obs` — inspect observability artifacts written by `--obs` runs.
+//! `cx-obs` — inspect observability artifacts written by recorded runs.
 //!
 //! ```text
 //! cx-obs report <report.json>            render the text dashboard
@@ -14,13 +14,13 @@
 //! ```
 //!
 //! `top` reads the one snapshot a wall-clock run writes via
-//! `--metrics-out`; pair it with `watch` for a live view:
+//! `LiveMetrics::out`; pair it with `watch` for a live view:
 //! `watch -n1 'cx-obs top target/live.metrics.json'`. A multiproc TCP run
 //! writes one snapshot too, the coordinator's: every server's counters,
 //! protocol series and wire histograms reach its registry in the server's
 //! `StopResp`, so that file counts each process once.
 
-use cx_obs::{blame_diff, blame_spans, BlameTable, MetricsSnapshot, NetTable, ObsReport};
+use cx_obs::{blame_diff, MetricsSnapshot, NetTable, ObsReport};
 use std::process::ExitCode;
 
 fn read(path: &str) -> Result<String, String> {
@@ -46,65 +46,29 @@ fn show(rendered: Result<String, String>) -> ExitCode {
 }
 
 /// `doctor`: blame attribution over one report, optionally diffed against
-/// a base report's table.
-fn doctor(path: &str, args: &[String]) -> ExitCode {
-    let rep = match load_report(path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cx-obs: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Per-op invariants first: a table built from spans that don't sum is
-    // not worth printing. Phase accounting, then the blame decomposition
-    // itself — every decomposed op's client segments must sum exactly to
-    // its client-visible window and its suffix to the commitment window.
-    if let Err(e) = rep.validate() {
-        eprintln!("cx-obs doctor: span accounting broken: {e}");
-        return ExitCode::FAILURE;
-    }
-    let blamed = blame_spans(&rep.spans, &rep.edges);
-    if let Some((op, e)) = blamed.iter().find_map(|b| Some((b.op, b.check().err()?))) {
-        eprintln!("cx-obs doctor: blame accounting broken for {op}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let table = BlameTable::from_blames(&rep.protocol, blamed);
-    let against = args
-        .iter()
-        .position(|a| a == "--against")
-        .and_then(|i| args.get(i + 1));
-    if let Some(base_path) = against {
-        let base = match load_report(base_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cx-obs: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let d = blame_diff(&base.blame(), &table);
-        if args.iter().any(|a| a == "--json") {
-            match serde_json::to_string_pretty(&d) {
-                Ok(js) => println!("{js}"),
-                Err(e) => {
-                    eprintln!("cx-obs: {e:?}");
-                    return ExitCode::FAILURE;
-                }
-            }
+/// a base report's table. A report whose spans or blamed ops do not sum
+/// gets no table.
+fn doctor(path: &str, args: &[String]) -> Result<String, String> {
+    let table = load_report(path)?
+        .doctor()
+        .map_err(|e| format!("doctor: {e}"))?;
+    let json = args.iter().any(|a| a == "--json");
+    let against = args.iter().position(|a| a == "--against");
+    let Some(base_path) = against.and_then(|i| args.get(i + 1)) else {
+        return Ok(if json {
+            table.to_json() + "\n"
         } else {
-            print!("{}", d.render());
-            match d.prime_suspect() {
-                Some(s) => println!("prime suspect: {}", s.seg.name()),
-                None => println!("prime suspect: none (no significant regression)"),
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", table.to_json());
+            table.render()
+        });
+    };
+    let d = blame_diff(&load_report(base_path)?.blame(), &table);
+    if json {
+        serde_json::to_string_pretty(&d)
+            .map(|js| js + "\n")
+            .map_err(|e| format!("{e:?}"))
     } else {
-        print!("{}", table.render());
+        Ok(format!("{}{}\n", d.render(), d.verdict()))
     }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -127,7 +91,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     match cmd {
-        "doctor" => return doctor(path, &args[2..]),
+        "doctor" => return show(doctor(path, &args[2..])),
         "top" => {
             return show(read(path).and_then(|t| Ok(MetricsSnapshot::from_json(&t)?.render_top())))
         }

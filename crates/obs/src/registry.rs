@@ -4,7 +4,7 @@
 //! The registry is a cheap `Arc` handle over atomic counters, so the
 //! threaded runtime's clients and servers can publish concurrently while
 //! a monitor thread snapshots it — the HTTP-less live surface behind
-//! `cx-obs top` and `--metrics-out`. The DES never touches it: a caller
+//! `cx-obs top` and `LiveMetrics::out`. The DES never touches it: a caller
 //! may publish a finished run's `RunStats` into one afterwards. Protocol
 //! code never consults the registry, so it cannot perturb a replay (the
 //! golden-digest tests pin this).
@@ -346,7 +346,7 @@ pub struct SeriesRow {
     pub summary: HistSummary,
 }
 
-/// A serializable snapshot of the registry — what `--metrics-out` writes
+/// A serializable snapshot of the registry — what `LiveMetrics::out` writes
 /// and `cx-obs top` reads back.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetricsSnapshot {

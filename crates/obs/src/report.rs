@@ -3,6 +3,7 @@
 //! tracing), a JSONL event stream, and the text dashboard rendered by
 //! `cx-obs report`.
 
+use crate::blame::{blame_spans, BlameTable};
 use crate::flow::MsgEdge;
 use crate::hist::{fmt_ns_f, HistSummary, LogHistogram};
 use crate::net::FlushSpan;
@@ -18,7 +19,7 @@ pub struct ClassRow {
 }
 
 /// Everything a run recorded, in one serializable artifact. This is what
-/// `--obs` writes to disk and what `cx-obs report` reads back.
+/// a recorded run exports and what `cx-obs report` reads back.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObsReport {
     pub protocol: String,
@@ -102,8 +103,21 @@ impl ObsReport {
     /// Compute the blame table over this report's spans and edges. Always
     /// derived on the fly — the report's JSON schema stays unchanged, so
     /// `cx-obs doctor --against` works on artifacts from older runs.
-    pub fn blame(&self) -> crate::blame::BlameTable {
-        crate::blame::BlameTable::from_spans(&self.protocol, &self.spans, &self.edges)
+    pub fn blame(&self) -> BlameTable {
+        BlameTable::from_spans(&self.protocol, &self.spans, &self.edges)
+    }
+
+    /// The blame table `cx-obs doctor` prints, built only from spans that
+    /// add up: phase accounting ([`Self::validate`]), then each blamed op's
+    /// segment sums ([`crate::OpBlame::check`]). `Err` names the first break.
+    pub fn doctor(&self) -> Result<BlameTable, String> {
+        self.validate()
+            .map_err(|e| format!("span accounting broken: {e}"))?;
+        let blamed = blame_spans(&self.spans, &self.edges);
+        if let Some((op, e)) = blamed.iter().find_map(|b| Some((b.op, b.check().err()?))) {
+            return Err(format!("blame accounting broken for {op}: {e}"));
+        }
+        Ok(BlameTable::from_blames(&self.protocol, blamed))
     }
 
     pub fn to_json(&self) -> String {

@@ -7,11 +7,11 @@
 //! 2. **Span completeness**: every operation the replay applied closed
 //!    its lifecycle — phases stamped in order, the commitment phases
 //!    present for Cx cross ops, and per-phase segments summing to the
-//!    client-visible latency.
+//!    client-visible latency, in the report and in its JSON read back.
 
 mod kit;
 
-use cx_core::{Experiment, ObsSink, Phase, Protocol, Workload};
+use cx_core::{Experiment, ObsReport, ObsSink, Phase, Protocol, Workload};
 use kit::GOLDEN_HOME2_DIGEST;
 
 fn home2(protocol: Protocol) -> Experiment {
@@ -21,7 +21,7 @@ fn home2(protocol: Protocol) -> Experiment {
         .seed(42)
 }
 
-/// Golden-digest equivalence: `--obs` on/off replay to the same digest
+/// Golden-digest equivalence: recording on/off replay to the same digest
 /// for every protocol, and the Cx digest is the pinned golden one.
 #[test]
 fn obs_on_off_digests_are_identical() {
@@ -113,6 +113,18 @@ fn cx_spans_close_all_opened_phases() {
 
     // Nothing is left in flight after a drained run.
     assert!(sink.stuck_report().is_empty());
+
+    // The exported report reads back whole: what `cx-obs check` and
+    // `cx-obs doctor` load from disk keeps its phase accounting, its
+    // spans, edges and op count, and every blamed op's segment sums.
+    let back = ObsReport::from_json(&report.to_json()).expect("report JSON reads back");
+    back.validate()
+        .expect("read-back phase accounting sums to client latency");
+    assert_eq!(
+        (back.spans.len(), back.edges.len(), back.ops_issued),
+        (report.spans.len(), report.edges.len(), report.ops_issued)
+    );
+    back.doctor().expect("every blamed op's segments sum");
 }
 
 /// The threaded runtime carries the same sink: a recording run under
