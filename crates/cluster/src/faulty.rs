@@ -6,7 +6,8 @@
 //! The message faults come from one [`FaultInjector`] the run's nodes
 //! share (`Wired::faults`); the two control-frame faults, which the
 //! injector never sees, from [`Rewrite`], a transport decorator that edits
-//! a server's outgoing probe and stop replies.
+//! a server's outgoing probe and stop replies, and that also ends the
+//! client host's loop before it can report.
 
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::transport::{BuildNode, Transport};
@@ -33,6 +34,8 @@ enum Fault {
     NeverQuiesced(u32),
     /// This server's `StopResp` report is replaced by these bytes.
     GarbledReport(u32, &'static [u8]),
+    /// The client host's transport shuts down as soon as its loop starts.
+    HostLoopEnds,
 }
 
 /// The message faults, counted across every node of the run.
@@ -83,7 +86,8 @@ impl FaultInjector for Injector {
     }
 }
 
-/// One server's transport, with its probe or stop replies rewritten.
+/// One server's transport, with its probe or stop replies rewritten, or
+/// the client host's, shut down once it serves.
 struct Rewrite {
     inner: Arc<dyn Transport>,
     fault: Fault,
@@ -102,6 +106,9 @@ impl Transport for Rewrite {
     }
     fn serve(self: Arc<Self>, inbound: InboundBatches, build: BuildNode) {
         Arc::clone(&self.inner).serve(inbound, build);
+        if let Fault::HostLoopEnds = self.fault {
+            self.inner.shutdown();
+        }
     }
     fn now_ns(&self) -> u64 {
         self.inner.now_ns()
@@ -167,8 +174,15 @@ mod tests {
                     fault,
                 });
             }
+            Fault::HostLoopEnds => {
+                let host = &mut wired.host;
+                host.net = Arc::new(Rewrite {
+                    inner: Arc::clone(&host.net),
+                    fault,
+                });
+            }
         }
-        let res = run_wired(cfg, trace, opts, wired, epoch);
+        let res = run_wired(cfg, trace, opts, wired);
         if let Fault::Storm = fault {
             assert!(res.stats.faults.dups >= 1, "no Vote to dup");
             assert!(res.stats.faults.delays >= 1, "nothing was ever held back");
@@ -293,6 +307,23 @@ mod tests {
                 panic!("{carrier:?}: leftovers {:?}", s.leftovers);
             };
             assert_eq!(line, "client host: no reply for 2 s to op(3/0#0)");
+        }
+    }
+
+    /// A client host whose loop ends before it reports leaves no one to
+    /// hear the servers: the coordinator says so and does not drain them.
+    #[test]
+    fn a_client_host_that_never_reports_is_a_leftover_not_a_panic() {
+        for carrier in [Carrier::Channels, Carrier::Sockets] {
+            let (cfg, trace) = update_dominated();
+            let res = run(carrier, cfg, trace, Fault::HostLoopEnds);
+            let s = &res.stats;
+            let lines = [
+                "client host: its loop ended without a report",
+                "servers not drained: the client host's loop has ended",
+            ];
+            assert_eq!(s.leftovers, lines, "{carrier:?}");
+            assert_eq!(s.ops_total, 0, "{carrier:?}");
         }
     }
 }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Live-exposition settings for a wall-clock run: the client host publishes
 /// into `registry` while the run executes, and — when `out`
@@ -70,8 +70,8 @@ pub(crate) struct Monitor {
 
 impl Monitor {
     /// Start the periodic writer when `live` names an output prefix.
-    /// `nets[0]` supplies the run clock; every socket plane among `nets`
-    /// feeds the per-period wire-rate gauges.
+    /// `nets[0]` supplies the run clock, which times the periods too; every
+    /// socket plane among `nets` feeds the per-period wire-rate gauges.
     pub(crate) fn spawn(
         live: &LiveMetrics,
         nets: Vec<Arc<dyn Transport>>,
@@ -86,18 +86,18 @@ impl Monitor {
             .spawn(move || {
                 let on_wire = nets.iter().any(|n| n.wire().is_some());
                 let mut prev = WireTotals::default();
-                let mut last = Instant::now();
+                let mut last = nets[0].now_ns();
                 let mut watchdog = Watchdog::default();
                 while !stopped.load(Ordering::Relaxed) {
+                    let now = nets[0].now_ns();
                     if on_wire {
                         let tot = sum_wire(&nets);
-                        let now = Instant::now();
-                        set_wire_rates(&reg, tot, prev, now.duration_since(last).as_secs_f64());
+                        set_wire_rates(&reg, tot, prev, (now - last) as f64 / 1e9);
                         prev = tot;
                         last = now;
                     }
                     if obs.enabled() {
-                        watchdog.poll(&obs, &reg, nets[0].now_ns());
+                        watchdog.poll(&obs, &reg, now);
                     }
                     LiveMetrics::write_files(&reg, &out);
                     thread::sleep(PERIOD);

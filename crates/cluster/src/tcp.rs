@@ -99,7 +99,7 @@ impl TcpCluster {
     pub fn run_stream_opts(cfg: ClusterConfig, st: StreamTrace, opts: TcpOptions) -> TcpRunResult {
         let epoch = Instant::now();
         let wired = wire_sockets(cfg.servers, &opts.net, epoch, None);
-        run_wired(cfg, st, opts, wired, epoch)
+        run_wired(cfg, st, opts, wired)
     }
 
     /// Multi-process form: the servers are external processes (started
@@ -115,7 +115,7 @@ impl TcpCluster {
     ) -> TcpRunResult {
         let epoch = Instant::now();
         let wired = wire_sockets(cfg.servers, &opts.net, epoch, Some(addrs));
-        run_wired(cfg, st, opts, wired, epoch)
+        run_wired(cfg, st, opts, wired)
     }
 }
 

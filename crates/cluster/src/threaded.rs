@@ -75,7 +75,7 @@ impl ThreadedCluster {
             ..TcpOptions::default()
         };
         let wired = wire_channels(cfg.servers, epoch);
-        let r = run_wired(cfg, st, opts, wired, epoch);
+        let r = run_wired(cfg, st, opts, wired);
         ThreadedRunResult {
             stats: r.stats,
             violations: r.violations,

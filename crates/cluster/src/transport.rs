@@ -197,7 +197,7 @@ impl Transport for ChanNode {
         *plock(&self.thread) = Some(t);
     }
     fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        cx_net::clock::ns_since(self.epoch)
     }
     fn shutdown(&self) {
         let links = std::mem::take(&mut *plock(&self.links));

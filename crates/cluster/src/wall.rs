@@ -52,7 +52,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::os::raw::c_int;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-server report shipped inside [`Frame::StopResp`]'s `stats_json`.
 /// JSON (not wire-encoded) deliberately: it reuses the existing serde
@@ -181,9 +181,9 @@ impl MsgPort {
     }
 
     /// How long until the next timer or late send, if one waits.
-    fn until_next(&self) -> Option<Duration> {
-        let next = self.timers.peek_deadline()?.0;
-        Some(Duration::from_nanos(next.saturating_sub(self.now().0)))
+    fn until_next(&mut self) -> Option<Duration> {
+        let next = self.timers.peek_deadline()?;
+        Some(until(&*self.net, next.0))
     }
 }
 
@@ -404,7 +404,7 @@ struct ClientHost {
     /// Clients with no op in flight, to refill.
     idle: Vec<usize>,
     /// The last reply or fired timer: the start of a silence.
-    heard: Instant,
+    heard: SimTime,
     stats: RunStats,
     /// Mid-run connection-drop drill (see
     /// [`TcpOptions::drop_conns_after_ops`]): fires once this many ops are
@@ -443,7 +443,7 @@ impl ClientHost {
 
 impl Node for ClientHost {
     fn on_frames(&mut self, node: NodeId, frames: &mut Vec<Frame>) -> bool {
-        self.heard = Instant::now();
+        self.heard = self.port.now();
         for frame in frames.drain(..) {
             match frame {
                 Frame::Msg {
@@ -473,7 +473,7 @@ impl Node for ClientHost {
     fn on_due(&mut self) -> Option<Duration> {
         self.report.as_ref()?;
         while let Some((at, token)) = self.port.due() {
-            self.heard = Instant::now();
+            self.heard = self.port.now();
             let Endpoint::Proc(p) = at else { continue };
             let c = p.client.0 as usize;
             let (port, stats) = (&mut self.port, &mut self.stats);
@@ -496,10 +496,9 @@ impl Node for ClientHost {
         if let Some(next) = self.port.until_next() {
             return Some(next);
         }
-        let now = Instant::now();
-        let silent_until = self.heard + CLIENT_SILENCE;
-        if now < silent_until {
-            return Some(silent_until - now);
+        let silent = Duration::from_nanos(self.port.now().since(self.heard));
+        if silent < CLIENT_SILENCE {
+            return Some(CLIENT_SILENCE - silent);
         }
         let stuck: Vec<String> = self.clients.in_flight().map(|op| op.to_string()).collect();
         self.stats.ops_stuck += stuck.len() as u64;
@@ -534,14 +533,13 @@ pub(crate) struct Wired {
 }
 
 /// Run `st` to completion over `wired`: host the servers, drive the
-/// clients, drain, stop, and assemble the result. `epoch` is the instant
-/// every in-process transport's `now_ns` counts from.
+/// clients, drain, stop, and assemble the result. The host's transport
+/// is the run's clock: its `now_ns` counts from the run's epoch.
 pub(crate) fn run_wired(
     cfg: ClusterConfig,
     st: StreamTrace,
     opts: TcpOptions,
     wired: Wired,
-    epoch: Instant,
 ) -> TcpRunResult {
     let StreamTrace {
         name: _,
@@ -586,7 +584,7 @@ pub(crate) fn run_wired(
         port: MsgPort::new(Arc::clone(&net), opts.obs.clone(), faults),
         idle: clients.starters().collect(),
         clients,
-        heard: Instant::now(),
+        heard: SimTime(net.now_ns()),
         stats: RunStats::new(cfg.protocol, cfg.servers, processes),
         drill: opts.drop_conns_after_ops,
         ctrl: ctrl_tx,
@@ -602,7 +600,11 @@ pub(crate) fn run_wired(
         Box::new(host) as Box<dyn Node>
     };
     Arc::clone(&net).serve(inbound, Box::new(build));
-    let (mut stats, mut sent) = reported.recv().expect("the client host reports");
+    let (mut stats, mut sent) = reported.recv().unwrap_or_else(|_| {
+        let mut stats = RunStats::new(cfg.protocol, cfg.servers, processes);
+        stats.leftovers = vec!["client host: its loop ended without a report".into()];
+        (stats, MsgCounts::default())
+    });
 
     let FinalState {
         stores,
@@ -651,7 +653,7 @@ pub(crate) fn run_wired(
             for (series, hist) in telem.series() {
                 l.registry.observe_hist(series, hist);
             }
-            let wall = epoch.elapsed().as_secs_f64();
+            let wall = Duration::from_nanos(net.now_ns()).as_secs_f64();
             set_wire_rates(&l.registry, wire, WireTotals::default(), wall);
         }
         if let Some(out) = &l.out {
@@ -682,7 +684,7 @@ pub(crate) fn run_wired(
     TcpRunResult {
         stats,
         violations,
-        wall: epoch.elapsed(),
+        wall: Duration::from_nanos(net.now_ns()),
         reconnects,
         wire,
         telem,
@@ -691,6 +693,7 @@ pub(crate) fn run_wired(
 }
 
 /// What the stop exchange leaves the coordinator holding.
+#[derive(Default)]
 struct FinalState {
     /// One rebuilt store per server that answered `Stop` readably.
     stores: Vec<MetaStore>,
@@ -721,7 +724,9 @@ const STOP_WAIT: Duration = Duration::from_secs(30);
 /// fails to send panics the coordinator: a server that never quiesced,
 /// never answered `Stop`, or answered unreadably becomes a line in
 /// `stats.leftovers`, and in the latter two cases its store is missing
-/// from the returned set (so its rows surface as violations).
+/// from the returned set (so its rows surface as violations). Replies
+/// reach the coordinator through the client host's loop, so once that
+/// has ended no server is drained.
 fn drain_and_stop(
     net: &dyn Transport,
     ctrl_rx: &mpsc::Receiver<(NodeId, Frame)>,
@@ -730,6 +735,11 @@ fn drain_and_stop(
     stats: &mut RunStats,
     sent: &mut MsgCounts,
 ) -> FinalState {
+    if let Err(mpsc::TryRecvError::Disconnected) = ctrl_rx.try_recv() {
+        let line = "servers not drained: the client host's loop has ended";
+        stats.leftovers.push(line.into());
+        return FinalState::default();
+    }
     let server_nodes: Vec<NodeId> = (0..servers).map(NodeId::Server).collect();
     // Every probe round trip doubles as an NTP-style clock-offset sample
     // (`t0` at send, the server's echoed stamp, `t3` at receipt): the
@@ -737,7 +747,7 @@ fn drain_and_stop(
     // and flush-span stamps onto the coordinator's clock. In-process
     // servers share our epoch, so their measured offsets are ~0 — harmless.
     let mut clocks: HashMap<NodeId, ClockSync> = HashMap::new();
-    let mut last_reply: HashMap<NodeId, Instant> = HashMap::new();
+    let mut last_reply: HashMap<NodeId, u64> = HashMap::new();
     // Servers the latest round did not hear "quiesced" from.
     let mut laggards: BTreeSet<NodeId> = BTreeSet::new();
     for round in 0..QUIESCE_ROUNDS {
@@ -757,10 +767,9 @@ fn drain_and_stop(
             net.send(s, Frame::Probe { token, t0_ns });
         }
         laggards.clear();
-        let deadline = Instant::now() + PROBE_WAIT;
+        let deadline = net.now_ns() + PROBE_WAIT.as_nanos() as u64;
         while !pending.is_empty() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Ok((node, frame)) = ctrl_rx.recv_timeout(left) else {
+            let Ok((node, frame)) = ctrl_rx.recv_timeout(until(net, deadline)) else {
                 break;
             };
             let Frame::ProbeResp {
@@ -772,11 +781,12 @@ fn drain_and_stop(
             else {
                 continue;
             };
+            let t3_ns = net.now_ns();
             clocks
                 .entry(node)
                 .or_default()
-                .sample(echo_t0_ns, remote_ns, net.now_ns());
-            last_reply.insert(node, Instant::now());
+                .sample(echo_t0_ns, remote_ns, t3_ns);
+            last_reply.insert(node, t3_ns);
             if pending.get(&node) == Some(&token) {
                 pending.remove(&node);
                 if !quiesced {
@@ -790,8 +800,8 @@ fn drain_and_stop(
         }
     }
     for s in &laggards {
-        let heard = last_reply.get(s).map_or("never".into(), |at| {
-            format!("{:.1} ms ago", at.elapsed().as_secs_f64() * 1e3)
+        let heard = last_reply.get(s).map_or("never".into(), |&at| {
+            format!("{:.1} ms ago", (net.now_ns() - at) as f64 / 1e6)
         });
         stats.leftovers.push(format!(
             "{s}: not quiesced after {QUIESCE_ROUNDS} rounds (last probe reply {heard})"
@@ -808,10 +818,9 @@ fn drain_and_stop(
         clocks,
     };
     let mut awaiting: BTreeSet<NodeId> = server_nodes.iter().copied().collect();
-    let deadline = Instant::now() + STOP_WAIT;
+    let deadline = net.now_ns() + STOP_WAIT.as_nanos() as u64;
     while !awaiting.is_empty() {
-        let left = deadline.saturating_duration_since(Instant::now());
-        let Ok((node, frame)) = ctrl_rx.recv_timeout(left) else {
+        let Ok((node, frame)) = ctrl_rx.recv_timeout(until(net, deadline)) else {
             break;
         };
         let Frame::StopResp {
@@ -867,4 +876,9 @@ fn drain_and_stop(
         ));
     }
     state
+}
+
+/// How long until `deadline_ns` on `net`'s clock; zero once it has passed.
+fn until(net: &dyn Transport, deadline_ns: u64) -> Duration {
+    Duration::from_nanos(deadline_ns.saturating_sub(net.now_ns()))
 }

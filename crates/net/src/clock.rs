@@ -25,6 +25,13 @@
 //! [`cx_obs::correct_ns`].
 
 use cx_obs::{LogHistogram, NetPeerRow};
+use std::time::Instant;
+
+/// Nanoseconds since `epoch`: a run's wall clock, on either carrier. Frame
+/// `sent_ns`, probe stamps, span phases and node-local timers all read it.
+pub fn ns_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_nanos() as u64
+}
 
 /// The probe record for one peer: the running best (min-RTT) offset
 /// estimate and every sample's RTT — the only record of either.

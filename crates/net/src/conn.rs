@@ -534,7 +534,7 @@ impl ConnectionManager {
     /// Nanoseconds since this manager's telemetry epoch — the wall clock
     /// every flush span and probe timestamp is stamped on.
     pub fn now_ns(&self) -> u64 {
-        self.origin.telem.epoch.elapsed().as_nanos() as u64
+        crate::clock::ns_since(self.origin.telem.epoch)
     }
 
     /// A point-in-time copy of the wall-clock wire telemetry: the

@@ -17,7 +17,8 @@
 //! Pop order is identical to a single global heap ordered by `(at, seq)`
 //! — `seq` is the schedule order, so ties break FIFO and the simulation
 //! is bit-deterministic. The unit tests hold the wheel to exactly that
-//! model, step for step.
+//! model, step for step. [`Sim`] and the wall-clock runtime's
+//! [`TimerQueue`] are two faces of the one wheel.
 
 use cx_types::SimTime;
 use std::cmp::Ordering;
@@ -27,39 +28,12 @@ use std::collections::BinaryHeap;
 /// dense indices to servers, disks and client processes.
 pub type NodeIdx = u32;
 
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// BinaryHeap is a max-heap; invert the ordering to pop the earliest event.
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
 /// A deadline queue with the simulator's tie-break: entries pop in
-/// `(deadline, insertion order)`. The wall-clock runtime's nodes use
-/// this so both runtimes fire same-deadline timers in the same order.
+/// `(deadline, insertion order)`. It is [`Sim`]'s own timing wheel, so
+/// the wall-clock runtime's nodes fire same-deadline timers in the order
+/// the DES does.
 pub struct TimerQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    seq: u64,
+    wheel: Wheel<T>,
 }
 
 impl<T> Default for TimerQueue<T> {
@@ -71,36 +45,30 @@ impl<T> Default for TimerQueue<T> {
 impl<T> TimerQueue<T> {
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            wheel: Wheel::new(),
         }
     }
 
     pub fn push(&mut self, deadline: SimTime, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at: deadline,
-            seq,
-            event: item,
-        });
+        self.wheel.push(deadline, 0, item);
     }
 
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+        self.wheel.pop().map(|(at, _, item)| (at, item))
     }
 
-    /// Earliest deadline without popping.
-    pub fn peek_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+    /// Earliest deadline without popping. The wheel's cursor moves up to
+    /// it, which is why this takes `&mut self`.
+    pub fn peek_deadline(&mut self) -> Option<SimTime> {
+        self.wheel.peek()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.wheel.len == 0
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.wheel.len
     }
 }
 
@@ -133,7 +101,7 @@ struct Handle {
     dst: NodeIdx,
 }
 
-// Same inverted (at, seq) ordering as `Scheduled`.
+// BinaryHeap is a max-heap; invert the ordering to pop the earliest handle.
 impl Ord for Handle {
     fn cmp(&self, other: &Self) -> Ordering {
         other
@@ -191,7 +159,9 @@ impl<E> Slab<E> {
 }
 
 /// The timing wheel proper. Invariants:
-/// - `active` holds only handles of the `cursor` bucket;
+/// - `active` holds handles of the `cursor` bucket and, after a peek has
+///   moved the cursor past the caller's clock, of earlier buckets pushed
+///   since: every one of them pops before any ring or overflow handle;
 /// - ring slot `b & RING_MASK` holds only handles of one bucket
 ///   `b ∈ (cursor, cursor + RING_BUCKETS)` (the cursor never skips a
 ///   non-empty bucket, so a slot is fully drained before its number is
@@ -217,6 +187,8 @@ struct Wheel<E> {
     overflow: BinaryHeap<Handle>,
     slab: Slab<E>,
     len: usize,
+    /// Handles pushed so far: the FIFO tie-break.
+    seq: u64,
 }
 
 impl<E> Wheel<E> {
@@ -230,18 +202,22 @@ impl<E> Wheel<E> {
             overflow: BinaryHeap::new(),
             slab: Slab::new(),
             len: 0,
+            seq: 0,
         }
     }
 
     #[inline]
-    fn push(&mut self, at: SimTime, seq: u64, dst: NodeIdx, event: E) {
+    fn push(&mut self, at: SimTime, dst: NodeIdx, event: E) {
+        let seq = self.seq;
+        self.seq += 1;
         let idx = self.slab.insert(event);
         let h = Handle { at, seq, idx, dst };
         self.len += 1;
         let b = bucket_of(at);
         if b <= self.cursor {
             // Keep the drain order exact: insert behind every handle that
-            // pops later (descending, so "greater" keys come first).
+            // pops later (descending, so "greater" keys come first). An
+            // earlier bucket than the cursor's sorts to the back.
             let pos = self.active.partition_point(|x| (x.at, x.seq) > (at, seq));
             self.active.insert(pos, h);
         } else if b < self.cursor + RING_BUCKETS as u64 {
@@ -319,11 +295,17 @@ impl<E> Wheel<E> {
         true
     }
 
-    fn pop(&mut self) -> Option<(SimTime, NodeIdx, E)> {
+    /// Time of the next handle to pop.
+    fn peek(&mut self) -> Option<SimTime> {
         if self.active.is_empty() && !self.advance() {
             return None;
         }
-        let h = self.active.pop().expect("advance refilled");
+        self.active.last().map(|h| h.at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, NodeIdx, E)> {
+        self.peek()?;
+        let h = self.active.pop().expect("peeked");
         self.len -= 1;
         Some((h.at, h.dst, self.slab.take(h.idx)))
     }
@@ -343,7 +325,6 @@ impl<E> Wheel<E> {
 pub struct Sim<E> {
     now: SimTime,
     queue: Wheel<E>,
-    seq: u64,
     processed: u64,
 }
 
@@ -358,7 +339,6 @@ impl<E> Sim<E> {
         Self {
             now: SimTime::ZERO,
             queue: Wheel::new(),
-            seq: 0,
             processed: 0,
         }
     }
@@ -378,10 +358,7 @@ impl<E> Sim<E> {
     /// clamped to `now` (the event still runs after currently queued events
     /// with the same timestamp, preserving causality).
     pub fn schedule_at(&mut self, at: SimTime, dst: NodeIdx, event: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, dst, event);
+        self.queue.push(at.max(self.now), dst, event);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -541,6 +518,33 @@ mod tests {
         assert_eq!(sim.events_processed(), popped.len() as u64);
     }
 
+    struct Scheduled<E> {
+        at: SimTime,
+        seq: u64,
+        event: E,
+    }
+
+    // BinaryHeap is a max-heap; invert the ordering to pop the earliest event.
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Scheduled<E> {}
+
     /// The reference model the wheel is checked against: one global heap
     /// ordered by `(at, seq)`, with the same past-clamping as [`Sim`].
     struct RefSim<E> {
@@ -572,7 +576,11 @@ mod tests {
     /// interleaving of relative schedules (same bucket, near ring, mid
     /// ring, far overflow), absolute schedules (past, cursor bucket, bucket
     /// boundary, near the horizon) and pops whose handlers reschedule;
-    /// every pop and the clock must agree.
+    /// every pop and the clock must agree. A [`TimerQueue`] takes the same
+    /// deadlines (clamped as the heap clamps them) and is peeked at every
+    /// step, so its cursor runs ahead of the clock and later deadlines
+    /// land in buckets it has passed: its every peek and pop must agree
+    /// with the heap too.
     #[test]
     fn wheel_matches_reference_heap_step_for_step() {
         const STEPS: usize = 120_000;
@@ -586,12 +594,23 @@ mod tests {
             seq: 0,
             heap: BinaryHeap::new(),
         };
+        let mut timers: TimerQueue<u64> = TimerQueue::new();
         let mut next_id = 0u64;
         let mut pops = 0usize;
-        let mut both = |wheel: &mut Sim<u64>, heap: &mut RefSim<u64>, at: SimTime, dst: NodeIdx| {
+        let mut every = |wheel: &mut Sim<u64>,
+                         heap: &mut RefSim<u64>,
+                         timers: &mut TimerQueue<u64>,
+                         at: SimTime,
+                         dst: NodeIdx| {
+            timers.push(at.max(heap.now), next_id);
             wheel.schedule_at(at, dst, next_id);
             heap.schedule_at(at, dst, next_id);
             next_id += 1;
+        };
+        let peeks_agree = |timers: &mut TimerQueue<u64>, heap: &RefSim<u64>| {
+            let want = heap.heap.peek().map(|s| s.at);
+            assert_eq!(timers.peek_deadline(), want, "timer peek diverged");
+            assert_eq!(timers.len(), heap.heap.len());
         };
 
         for step in 0..STEPS {
@@ -619,31 +638,39 @@ mod tests {
                 _ => None,
             };
             match schedule_at {
-                Some(at) => both(&mut wheel, &mut heap, at, dst),
+                Some(at) => every(&mut wheel, &mut heap, &mut timers, at, dst),
                 // Pop; the "handler" reschedules relative to the new clock.
                 None => {
                     let got = wheel.pop();
                     assert_eq!(got, heap.pop(), "pop #{pops} diverged");
                     assert_eq!(wheel.now(), heap.now);
+                    let timer = timers.pop();
+                    assert_eq!(timer, got.map(|(at, _, ev)| (at, ev)), "timer pop #{pops}");
                     if let Some((at, dst, ev)) = got {
                         pops += 1;
                         if ev % 3 != 0 {
-                            both(&mut wheel, &mut heap, at + (ev * 7919) % (3 * BUCKET), dst);
+                            let at = at + (ev * 7919) % (3 * BUCKET);
+                            every(&mut wheel, &mut heap, &mut timers, at, dst);
                         }
                         if ev % 11 == 0 {
-                            both(&mut wheel, &mut heap, at + HORIZON + ev % BUCKET, dst + 1);
+                            let at = at + HORIZON + ev % BUCKET;
+                            every(&mut wheel, &mut heap, &mut timers, at, dst + 1);
                         }
                     }
                 }
             }
             assert_eq!(wheel.pending(), heap.heap.len());
+            peeks_agree(&mut timers, &heap);
         }
         while let Some(want) = heap.pop() {
             assert_eq!(wheel.pop(), Some(want));
             assert_eq!(wheel.now(), heap.now);
+            assert_eq!(timers.pop(), Some((want.0, want.2)));
+            peeks_agree(&mut timers, &heap);
             pops += 1;
         }
         assert!(wheel.is_empty());
+        assert!(timers.is_empty());
         assert_eq!(wheel.events_processed(), next_id);
         assert!(pops >= 50_000, "too few compared pops: {pops}");
     }

@@ -6,9 +6,9 @@
 //! (`OpId`, `ObjectId`, token counters), so we use the Fx multiply-xor
 //! hash (the compiler's own table hasher): a few cycles per key, and the
 //! same seed every run. Nothing behavioral may depend on hash-map
-//! iteration order regardless — the determinism suite replays a trace
-//! under both queue backends and compares digests — but a fixed seed
-//! keeps even diagnostics output stable.
+//! iteration order regardless — where order matters the code uses a
+//! `BTreeMap` (DESIGN §5.14) — but a fixed seed keeps even diagnostics
+//! output stable.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -12,7 +12,7 @@ mod counting;
 
 use counting::live;
 use cx_types::{FxBuildHasher, OpId, OpTable, ProcId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 
 /// SplitMix64: a seeded stream without a rand dependency.
@@ -81,16 +81,18 @@ impl Checked {
     }
 
     /// Every model key is found with its value, and the walk yields the
-    /// live set exactly once.
+    /// live set exactly once: each walked pair is the model's, no key
+    /// twice, as many as the model holds. O(live), no sort.
     fn check_all(&self) {
         for (op, v) in &self.model {
             assert_eq!(self.table.get(op), Some(v), "lost {op}");
         }
-        let mut walked: Vec<(OpId, u64)> = self.table.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut want: Vec<(OpId, u64)> = self.model.iter().map(|(k, v)| (*k, *v)).collect();
-        walked.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(walked, want);
+        let mut seen = HashSet::with_capacity(self.model.len());
+        for (op, v) in self.table.iter() {
+            assert_eq!(self.model.get(op), Some(v), "walked {op}");
+            assert!(seen.insert(*op), "walked {op} twice");
+        }
+        assert_eq!(seen.len(), self.model.len());
         assert_eq!(self.table.values().count(), self.model.len());
         assert_eq!(self.table.is_empty(), self.model.is_empty());
     }

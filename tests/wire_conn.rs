@@ -405,27 +405,43 @@ impl<F: FnMut() + Send> Node for OnBatch<F> {
 
 #[test]
 fn an_off_loop_burst_is_written_in_few_flushes() {
-    // One thread sends a burst as fast as the queue takes it: the I/O
-    // thread writes what piled up behind each write, so the burst goes
-    // out in batches, not one write per frame.
+    // One thread sends a burst a chunk at a time, each chunk queued while
+    // the I/O thread is parked in its node (a trigger frame parks it): the
+    // writer takes all that piled up in one gather, so the burst goes out
+    // in batches, not one write per frame, however the two threads are
+    // scheduled.
     let book = Arc::new(AddrBook::new());
-    let (a, _rx_a) =
-        ConnectionManager::start(NodeId::Server(0), Arc::clone(&book), PlaneConfig::default())
-            .unwrap();
-    let (b, rx_b) =
-        ConnectionManager::start(NodeId::Server(1), Arc::clone(&book), PlaneConfig::default())
-            .unwrap();
+    let start = |me| ConnectionManager::start(me, Arc::clone(&book), PlaneConfig::default());
+    let (a, rx_a) = start(NodeId::Server(0)).unwrap();
+    let (b, rx_b) = start(NodeId::Server(1)).unwrap();
+    let (trigger, _rx_t) = start(NodeId::Server(2)).unwrap();
+    book.set(NodeId::Server(0), a.listen_addr());
     book.set(NodeId::Server(1), b.listen_addr());
     a.send(NodeId::Server(1), probe(0)).unwrap();
     recv_n(&rx_b, 1);
+    let (parked, held) = std::sync::mpsc::channel();
+    let (release, released) = std::sync::mpsc::channel();
+    a.serve(rx_a, move || {
+        OnBatch(move || {
+            parked.send(()).unwrap();
+            released.recv().unwrap();
+        })
+    });
 
     const FRAMES: u64 = 20_000;
+    // Within the queue's bound, so the sender never waits on the writer.
+    const CHUNK: u64 = 1_000;
     let before = a.wire_totals();
-    for t in 1..=FRAMES {
-        a.send(NodeId::Server(1), probe(t)).unwrap();
-    }
-    for (i, (_, f)) in recv_n(&rx_b, FRAMES as usize).into_iter().enumerate() {
-        assert_eq!(f, probe(1 + i as u64), "FIFO through the burst");
+    for first in (1..=FRAMES).step_by(CHUNK as usize) {
+        trigger.send(NodeId::Server(0), probe(0)).unwrap();
+        held.recv().unwrap();
+        for t in first..first + CHUNK {
+            a.send(NodeId::Server(1), probe(t)).unwrap();
+        }
+        release.send(()).unwrap();
+        for (i, (_, f)) in recv_n(&rx_b, CHUNK as usize).into_iter().enumerate() {
+            assert_eq!(f, probe(first + i as u64), "FIFO through the burst");
+        }
     }
     let after = a.wire_totals();
     assert_eq!(after.frames - before.frames, FRAMES);
@@ -436,6 +452,7 @@ fn an_off_loop_burst_is_written_in_few_flushes() {
     );
     a.shutdown();
     b.shutdown();
+    trigger.shutdown();
 }
 
 #[test]
