@@ -48,8 +48,8 @@ use std::sync::Mutex;
 /// server, spawns the binary with `--config <path>`, and reads the
 /// `LISTEN <addr>` line the server prints once bound. The server writes no
 /// file of its own: its stats, protocol series and wire telemetry travel
-/// back in its `StopResp`, and reach the coordinator's registry (and the
-/// snapshot files its `LiveMetrics::out` names) from there, once.
+/// back in its `StopResp`, and reach the coordinator's registry from
+/// there, once.
 #[derive(Debug, Clone, Serialize, serde::Deserialize)]
 pub struct NetServerConfig {
     pub cfg: cx_types::ClusterConfig,

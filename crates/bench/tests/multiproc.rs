@@ -1,10 +1,10 @@
 //! The multi-process deployment end to end: one `cx_net_server` OS process
-//! per server, the coordinator connecting out over real TCP, the live
-//! registry publishing `.prom` / `.json` snapshots while the run executes,
-//! and wall-clock tracing on in every process — each stamps op phases on
-//! its own clock and ships its shard back in `StopResp`, and the
-//! coordinator stitches the shards with probe-measured clock offsets.
-//! Every file goes under the test target's tmpdir.
+//! per server, the coordinator connecting out over real TCP, the run's
+//! registry rendered as Prometheus text and as the `cx-obs top` screen once
+//! the run ends, and wall-clock tracing on in every process — each stamps
+//! op phases on its own clock and ships its shard back in `StopResp`, and
+//! the coordinator stitches the shards with probe-measured clock offsets.
+//! The servers' config files go under the test target's tmpdir.
 
 use cx_core::{
     BatchTrigger, ClusterConfig, LiveMetrics, MetricRegistry, MetricsSnapshot, ObsSink, Phase,
@@ -97,14 +97,10 @@ fn spawn_servers(
     (servers, addrs)
 }
 
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
 /// A home2 prefix across four server processes: every op answered and
 /// accounted; the registry's counters equal `RunStats` and each wire
-/// series counts each flush once; the snapshot files the monitor wrote
-/// parse and render as `cx-obs top` renders them; the stitched report
+/// series counts each flush once; the registry's snapshot renders as
+/// Prometheus text and, through its JSON, as `cx-obs top`; the stitched report
 /// keeps its phase accounting, ≥ 99 % of its spans carry a server-side
 /// `Executed` stamp, and the net table renders; every server exits clean.
 #[test]
@@ -124,12 +120,9 @@ fn four_server_processes_answer_every_op_and_stitch_their_spans() {
     let trace = Workload::trace("home2").scale(0.0005).seed(7).stream(&cfg);
     let expected = trace.total_ops_hint;
 
-    // The live exposition: a monitor thread refreshes `<prefix>.prom` /
-    // `.json` while the run executes, and the run writes them once more
-    // at its end.
-    let metrics = dir.join("cx_net_metrics");
-    let mut live = LiveMetrics::new(MetricRegistry::new());
-    live.out = Some(metrics.clone());
+    // The client host publishes each op into the registry; the run adds
+    // its end-of-run totals when it ends.
+    let live = LiveMetrics::new(MetricRegistry::new());
     let registry = live.registry.clone();
     // The coordinator records; each server runs a shard-mode sink and
     // ships its stamps back in `StopResp` for offset-corrected stitching.
@@ -163,6 +156,11 @@ fn four_server_processes_answer_every_op_and_stitch_their_spans() {
         Some(r.stats.ops_total),
         "registry ops_issued must match RunStats"
     );
+    assert_eq!(
+        snap.value("cx_messages_total"),
+        Some(r.stats.total_msgs()),
+        "the run published its end-of-run totals"
+    );
     // One route: the registry took the host's and every server's wire
     // histograms once, merged, so each series counts what `telem` does.
     for (series, hist) in r.telem.series() {
@@ -174,13 +172,13 @@ fn four_server_processes_answer_every_op_and_stitch_their_spans() {
             series.name()
         );
     }
-    let prom = read(&metrics.with_extension("prom"));
+    let prom = snap.to_prometheus_text();
     assert!(
         prom.lines().any(|l| l.starts_with("cx_ops_issued_total ")),
-        "no ops counter in the .prom file:\n{prom}"
+        "no ops counter in the Prometheus text:\n{prom}"
     );
-    let json = read(&metrics.with_extension("json"));
-    let top = MetricsSnapshot::from_json(&json).expect("the snapshot file parses");
+    // What `cx-obs top` reads: the snapshot's JSON.
+    let top = MetricsSnapshot::from_json(&snap.to_json()).expect("the snapshot parses");
     assert!(!top.render_top().is_empty());
 
     let mut report = sink.report().expect("recording sink yields a report");

@@ -124,8 +124,7 @@ impl Transport for Rewrite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::LiveMetrics;
-    use crate::tcp::{wire_sockets, TcpOptions, TcpRunResult};
+    use crate::tcp::{wire_sockets, LiveMetrics, TcpOptions, TcpRunResult};
     use crate::threaded::wire_channels;
     use crate::wall::run_wired;
     use cx_net::PlaneConfig;
@@ -275,8 +274,9 @@ mod tests {
     }
 
     /// A muted client ends the run with a leftover, and its stuck op still
-    /// counts as issued everywhere: `RunStats`, the live registry and the
-    /// recorder's report.
+    /// counts as issued everywhere: `RunStats`, the registry and the
+    /// recorder's report. The run names it once, at its end, in
+    /// `RunStats::stuck_ops` and the registry's in-flight gauge.
     #[test]
     fn a_client_that_hears_nothing_is_a_leftover_not_a_panic() {
         for carrier in [Carrier::Channels, Carrier::Sockets] {
@@ -292,8 +292,17 @@ mod tests {
             let expected = trace.total_ops_hint;
             let res = run_opts(carrier, cfg, trace, Fault::MuteClient(3), opts);
             let s = &res.stats;
-            let issued = registry.snapshot().value("cx_ops_issued_total");
-            assert_eq!(issued, Some(s.ops_total), "{carrier:?}: registry");
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.value("cx_ops_issued_total"),
+                Some(s.ops_total),
+                "{carrier:?}"
+            );
+            // The run's one stuck-op report, made at its end: the recorder
+            // names the muted client's op, and the gauge counts it.
+            let stuck: Vec<String> = s.stuck_ops.iter().map(|o| o.op.to_string()).collect();
+            assert_eq!(stuck, ["op(3/0#0)"], "{carrier:?}: stuck ops");
+            assert_eq!(snap.value("cx_ops_in_flight"), Some(1), "{carrier:?}");
             let report = sink.report().expect("recording");
             assert_eq!(report.ops_issued, s.ops_total, "{carrier:?}: obs report");
             // Client 3 issued its first op and, hearing nothing, no other;

@@ -25,7 +25,6 @@ pub mod des;
 pub mod fault;
 mod faulty;
 pub mod feed;
-mod live;
 mod seed;
 pub mod stats;
 pub mod tcp;
@@ -38,8 +37,9 @@ pub use cx_obs::{MetricRegistry, ObsReport, ObsSink};
 pub use des::{ChaosOutcome, DesCluster};
 pub use fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 pub use feed::OpFeed;
-pub use live::LiveMetrics;
 pub use seed::seed_stores;
 pub use stats::{AckRecord, FaultStats, RecoveryCycle, RunStats};
-pub use tcp::{serve_one, serve_one_opts, ServeOptions, TcpCluster, TcpOptions, TcpRunResult};
+pub use tcp::{
+    serve_one, serve_one_opts, LiveMetrics, ServeOptions, TcpCluster, TcpOptions, TcpRunResult,
+};
 pub use threaded::{ThreadedCluster, ThreadedRunResult};

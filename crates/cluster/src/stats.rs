@@ -271,13 +271,6 @@ impl RunStats {
         }
     }
 
-    /// Fixed-quantile digest (p50/p90/p99/p99.9/max) of the client-visible
-    /// latency histogram — what the figure/table binaries print next to
-    /// the paper-parity mean.
-    pub fn latency_summary(&self) -> cx_obs::HistSummary {
-        self.latency_hist.summary()
-    }
-
     /// Measured conflict ratio over *all* operations (Table II's metric:
     /// "the ratio of the concurrent operations with conflicts ... is less
     /// than 4%" — the paper's denominator is every replayed operation).

@@ -16,17 +16,31 @@
 //!   only their socket addresses and gossips the peer map with a
 //!   [`Frame::Peers`] frame so servers can dial each other.
 
-use crate::live::LiveMetrics;
 use crate::stats::RunStats;
 use crate::wall::{run_wired, NodeIo, ServerNode, Wired};
 use cx_mdstore::Violation;
 use cx_net::{AddrBook, ConnectionManager, Frame, NodeId, PlaneConfig, WireTelemetry, WireTotals};
-use cx_obs::{NetTable, ObsSink};
+use cx_obs::{MetricRegistry, NetTable, ObsSink};
 use cx_types::{ClusterConfig, ServerId};
 use cx_workloads::{SeedEntry, StreamTrace};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// A wall-clock run's metric registry: the client host adds each op to
+/// `registry` as it completes, and the run adds what only its end knows
+/// (message totals, the engines' protocol series, blame, the merged wire
+/// series and whole-run wire rates) once, when it ends. Read it back with
+/// `registry.snapshot()`.
+pub struct LiveMetrics {
+    pub registry: MetricRegistry,
+}
+
+impl LiveMetrics {
+    pub fn new(registry: MetricRegistry) -> Self {
+        Self { registry }
+    }
+}
 
 /// Options for a TCP run.
 pub struct TcpOptions {
@@ -35,7 +49,7 @@ pub struct TcpOptions {
     pub obs: ObsSink,
     /// Wire-plane tuning (reconnect backoff, flush-span recording).
     pub net: PlaneConfig,
-    /// Live metric exposition.
+    /// The registry the run publishes into.
     pub live: Option<LiveMetrics>,
     /// Reconnect drill: after this many completed client operations, drop
     /// the coordinator's connection to every server once, mid-run. The

@@ -7,22 +7,16 @@
 //! its own (`cx-srv<i>`, `cx-host`). Timers run at wall-clock rate, so
 //! tests configure short trigger periods.
 
-use crate::live::LiveMetrics;
-use crate::stats::RunStats;
-use crate::tcp::TcpOptions;
+use crate::tcp::{LiveMetrics, TcpOptions, TcpRunResult};
 use crate::transport::channel_fabric;
 use crate::wall::{run_wired, NodeIo, Wired};
-use cx_mdstore::Violation;
 use cx_types::ClusterConfig;
 use cx_workloads::StreamTrace;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Result of a threaded run.
-pub struct ThreadedRunResult {
-    pub stats: RunStats,
-    pub violations: Vec<Violation>,
-    pub wall: Duration,
-}
+/// Result of a threaded run: what [`run_wired`] builds for either carrier
+/// (its wire fields stay zero and empty on channels).
+pub type ThreadedRunResult = TcpRunResult;
 
 /// The multi-threaded cluster.
 pub struct ThreadedCluster;
@@ -49,10 +43,10 @@ impl ThreadedCluster {
     }
 
     /// Like [`ThreadedCluster::run_stream_obs`], additionally publishing
-    /// live metrics: the client host bumps the registry's atomic counters as
-    /// operations complete, engines contribute their protocol series when
-    /// they stop, and the optional monitor thread keeps the on-disk
-    /// exposition files fresh for `cx-obs top` / Prometheus scraping.
+    /// into `live.registry`: the client host bumps its atomic counters as
+    /// operations complete, and the run adds the engines' protocol series
+    /// and its other end-of-run totals when it ends. Read the result with
+    /// `registry.snapshot()` (Prometheus text, or JSON for `cx-obs top`).
     pub fn run_stream_live(
         cfg: ClusterConfig,
         st: StreamTrace,
@@ -75,12 +69,7 @@ impl ThreadedCluster {
             ..TcpOptions::default()
         };
         let wired = wire_channels(cfg.servers, epoch);
-        let r = run_wired(cfg, st, opts, wired);
-        ThreadedRunResult {
-            stats: r.stats,
-            violations: r.violations,
-            wall: r.wall,
-        }
+        run_wired(cfg, st, opts, wired)
     }
 }
 

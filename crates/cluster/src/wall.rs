@@ -29,7 +29,6 @@
 
 use crate::fault::SharedInjector;
 use crate::feed::{ClientTable, OpFeed};
-use crate::live::{set_wire_rates, sum_wire, LiveMetrics, Monitor};
 use crate::seed::seed_engine;
 use crate::stats::RunStats;
 use crate::tcp::{TcpOptions, TcpRunResult};
@@ -37,7 +36,7 @@ use crate::transport::Transport;
 use cx_mdstore::{GlobalView, Inode, MetaStore};
 use cx_net::conn::{InboundBatches, Node};
 use cx_net::{plock, ClockSync, Frame, NodeId, WireTelemetry, WireTotals};
-use cx_obs::{MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
+use cx_obs::{Gauge, MsgEdge, NetPeerRow, NetTable, ObsSink, OpSpan};
 use cx_protocol::host::{self, flow_node, primary_op, Lateness, MsgCounts, MsgFate, Ports};
 use cx_protocol::{Action, Endpoint, ProtoMetrics, ServerEngine, ServerStats};
 use cx_sim::TimerQueue;
@@ -552,8 +551,8 @@ pub(crate) fn run_wired(
     let NodeIo { net, inbound } = wired.host;
     let faults = wired.faults;
 
-    // Every in-process transport, the host's first: the monitor and the
-    // result sum wire throughput over them, and teardown shuts them all.
+    // Every in-process transport, the host's first: the result sums wire
+    // throughput over them, and teardown shuts them all.
     let mut nets = vec![Arc::clone(&net)];
     // Each node runs on its transport's loop. A server is built, and
     // seeded, on the thread that runs it.
@@ -571,10 +570,6 @@ pub(crate) fn run_wired(
         );
     }
 
-    let monitor = opts
-        .live
-        .as_ref()
-        .and_then(|l| Monitor::spawn(l, nets.clone(), opts.obs.clone()));
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<(NodeId, Frame)>();
     let (report, reported) = mpsc::channel();
     let feed = OpFeed::new(ops, processes, total_ops_hint);
@@ -626,38 +621,34 @@ pub(crate) fn run_wired(
         stats.final_inodes += store.inode_count() as u64;
         stats.final_dentries += store.dentry_count() as u64;
     }
-    // Refresh the hang diagnostics now the run is over: anything still shy
-    // of `Replied` here is genuinely stuck (the watchdog's mid-run
-    // snapshots were transient and are overwritten by this read).
+    // The hang diagnostics, read once the run is over: anything still shy
+    // of `Replied` here is stuck.
     stats.stuck_ops = opts.obs.stuck_report();
     stats.ops_stuck = stats.ops_stuck.max(stats.stuck_ops.len() as u64);
     // Blame attribution runs after the shard absorb in the drain, so the
     // table covers the stitched, offset-corrected span plane.
     stats.blame = opts.obs.blame_table();
-    let wire = sum_wire(&nets);
-    if let Some(l) = &opts.live {
-        if let Some(m) = monitor {
-            m.stop();
-        }
+    let mut wire = WireTotals::default();
+    for conn in nets.iter().filter_map(|n| n.wire()) {
+        wire.add(conn.wire_totals());
+    }
+    if let Some(live) = &opts.live {
         // What only the finished run knows — message totals, the engines'
         // protocol series (reported at stop), blame — joins what the
-        // client host tapped per op, and the exposition files are refreshed
-        // once more so the final snapshot is complete.
-        stats.publish_end_of_run(&l.registry);
+        // client host tapped per op.
+        let reg = &live.registry;
+        stats.publish_end_of_run(reg);
         if net.wire().is_some() {
-            // The merged wire histograms land once, at the end: the series
-            // carry per-flush samples from every node, which no periodic
-            // monitor delta could reconstruct. The rate gauges become
-            // whole-run averages (the monitor's last per-period sample
-            // would be stale).
+            // The wire histograms, merged from every node, and the
+            // whole-run wire rates.
             for (series, hist) in telem.series() {
-                l.registry.observe_hist(series, hist);
+                reg.observe_hist(series, hist);
             }
-            let wall = Duration::from_nanos(net.now_ns()).as_secs_f64();
-            set_wire_rates(&l.registry, wire, WireTotals::default(), wall);
-        }
-        if let Some(out) = &l.out {
-            LiveMetrics::write_files(&l.registry, out);
+            let secs = Duration::from_nanos(net.now_ns()).as_secs_f64();
+            let rate = |n: u64| (n as f64 / secs).round() as u64;
+            reg.set_gauge(Gauge::WireFramesPerSec, rate(wire.frames));
+            reg.set_gauge(Gauge::WireBytesPerSec, rate(wire.bytes));
+            reg.set_gauge(Gauge::WireFlushesPerSec, rate(wire.flushes));
         }
     }
 

@@ -13,12 +13,11 @@
 //! cx-obs net    <run.net.json>           render the per-peer wire table
 //! ```
 //!
-//! `top` reads the one snapshot a wall-clock run writes via
-//! `LiveMetrics::out`; pair it with `watch` for a live view:
-//! `watch -n1 'cx-obs top target/live.metrics.json'`. A multiproc TCP run
-//! writes one snapshot too, the coordinator's: every server's counters,
-//! protocol series and wire histograms reach its registry in the server's
-//! `StopResp`, so that file counts each process once.
+//! `top` reads one snapshot, which a caller wrote with
+//! `MetricRegistry::snapshot().to_json()` once its run ended. A multiproc
+//! TCP run's registry is the coordinator's: every server's counters,
+//! protocol series and wire histograms reach it in the server's
+//! `StopResp`, so its snapshot counts each process once.
 
 use cx_obs::{blame_diff, MetricsSnapshot, NetTable, ObsReport};
 use std::process::ExitCode;

@@ -1,10 +1,10 @@
 //! Typed metric registry: the fixed schema of Cx-specific counters,
 //! gauges and histograms, with Prometheus-text and JSON exposition.
 //!
-//! The registry is a cheap `Arc` handle over atomic counters, so the
-//! threaded runtime's clients and servers can publish concurrently while
-//! a monitor thread snapshots it — the HTTP-less live surface behind
-//! `cx-obs top` and `LiveMetrics::out`. The DES never touches it: a caller
+//! The registry is a cheap `Arc` handle over atomic counters, so a
+//! wall-clock run's client host can publish while another thread reads a
+//! counter, and the run adds its end-of-run totals once it ends; a
+//! snapshot's JSON is what `cx-obs top` reads. The DES never touches it: a caller
 //! may publish a finished run's `RunStats` into one afterwards. Protocol
 //! code never consults the registry, so it cannot perturb a replay (the
 //! golden-digest tests pin this).
@@ -346,8 +346,8 @@ pub struct SeriesRow {
     pub summary: HistSummary,
 }
 
-/// A serializable snapshot of the registry — what `LiveMetrics::out` writes
-/// and `cx-obs top` reads back.
+/// A serializable snapshot of the registry — its JSON is what `cx-obs top`
+/// reads back.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub counters: Vec<CounterRow>,

@@ -90,11 +90,20 @@ pub trait ServerEngine: Send {
     fn stats(&self) -> &ServerStats;
 
     /// The introspection plane's protocol-internal series (conflict
-    /// split, commitment mix, batch occupancy, …). Engines without the
-    /// richer accounting derive what they can from their [`ServerStats`];
-    /// the default is empty.
+    /// split, commitment mix, batch occupancy, …). The default derives
+    /// them from [`ServerStats`] and the log, every conflict counted as
+    /// ordered. SE never commits across servers; 2PC commits each
+    /// cross-server op in a round of its own and CE migrates each to one
+    /// server, but only Cx counts rounds in `ServerStats`, so all three
+    /// report 0 immediate and 0 batched rounds. Cx overrides this with the
+    /// series only it observes.
     fn proto_metrics(&self) -> ProtoMetrics {
-        ProtoMetrics::default()
+        let stats = self.stats();
+        let derived = ProtoMetrics {
+            conflicts_ordered: stats.conflicts,
+            ..ProtoMetrics::default()
+        };
+        derived.with_stats(stats, self.wal())
     }
 
     /// True when the engine implements [`ServerEngine::crash`] and

@@ -320,18 +320,6 @@ impl ServerEngine for CeServer {
         &self.ch.stats
     }
 
-    fn proto_metrics(&self) -> crate::stats::ProtoMetrics {
-        // CE migrates ops to one server instead of committing across two;
-        // every completed migration behaves like an immediate round.
-        crate::stats::ProtoMetrics {
-            conflicts_ordered: self.ch.stats.conflicts,
-            immediate_commitments: self.ch.stats.immediate_commitments,
-            aborts: self.ch.stats.ops_aborted,
-            wal_truncations: self.ch.wal.truncations(),
-            ..Default::default()
-        }
-    }
-
     fn obs_gauges(&self) -> cx_obs::EngineGauges {
         cx_obs::EngineGauges {
             active_objects: self.locks.held() as u64,

@@ -618,14 +618,12 @@ impl ServerEngine for CxServer {
 
     fn proto_metrics(&self) -> ProtoMetrics {
         // Rounds and aborts are counted once, in `ServerStats`, as for the
-        // other engines; `metrics` adds what only Cx observes.
-        ProtoMetrics {
-            immediate_commitments: self.ch.stats.immediate_commitments,
-            batched_commitments: self.ch.stats.lazy_batches,
-            aborts: self.ch.stats.ops_aborted,
-            wal_truncations: self.ch.wal.truncations(),
-            ..self.metrics.clone()
-        }
+        // other engines; `metrics` adds what only Cx observes: the
+        // ordered/disordered conflict split, hints, batch shapes and
+        // resumed commitments.
+        self.metrics
+            .clone()
+            .with_stats(&self.ch.stats, Some(&self.ch.wal))
     }
 
     fn supports_crash(&self) -> bool {

@@ -180,17 +180,6 @@ impl ServerEngine for SeServer {
         &self.ch.stats
     }
 
-    fn proto_metrics(&self) -> crate::stats::ProtoMetrics {
-        // SE serialises cross-server work through synchronous DB writes:
-        // no commitments, no batches — only the conflict count carries over.
-        crate::stats::ProtoMetrics {
-            conflicts_ordered: self.ch.stats.conflicts,
-            aborts: self.ch.stats.ops_aborted,
-            wal_truncations: self.ch.wal.truncations(),
-            ..Default::default()
-        }
-    }
-
     fn obs_gauges(&self) -> cx_obs::EngineGauges {
         let (parked, writebacks) = self.ch.in_flight();
         cx_obs::EngineGauges {

@@ -2,6 +2,7 @@
 
 use cx_obs::registry::{Counter, MetricRegistry, Series};
 use cx_obs::LogHistogram;
+use cx_wal::Wal;
 use serde::{Deserialize, Serialize};
 
 /// Counters every engine maintains. The message counts of Table IV are
@@ -106,11 +107,23 @@ impl ProtoMetrics {
         self.batch_age_ns.merge(&o.batch_age_ns);
     }
 
+    /// Take the series that `stats` and the log count already: the
+    /// commitment rounds, aborts and torn-tail truncations.
+    pub(crate) fn with_stats(self, stats: &ServerStats, wal: Option<&Wal>) -> Self {
+        ProtoMetrics {
+            immediate_commitments: stats.immediate_commitments,
+            batched_commitments: stats.lazy_batches,
+            aborts: stats.ops_aborted,
+            wal_truncations: wal.map_or(0, Wal::truncations),
+            ..self
+        }
+    }
+
     /// Record one commitment round's shape: `ops` in the batch, launched
     /// `immediate`ly or by a lazy trigger, with the oldest member
     /// `oldest_age_ns` old. The round itself is counted in `ServerStats`
-    /// (`immediate_commitments` / `lazy_batches`), which `proto_metrics()`
-    /// copies into this struct.
+    /// (`immediate_commitments` / `lazy_batches`), which
+    /// [`ProtoMetrics::with_stats`] copies into this struct.
     pub fn commitment_round(&mut self, ops: u64, immediate: bool, oldest_age_ns: u64) {
         if !immediate {
             self.batched_ops += ops;

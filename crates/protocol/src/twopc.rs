@@ -385,18 +385,6 @@ impl ServerEngine for TwoPcServer {
         &self.ch.stats
     }
 
-    fn proto_metrics(&self) -> crate::stats::ProtoMetrics {
-        // 2PC commits every cross-server op in its own immediate round and
-        // never batches, so the mix is derived straight from the stats.
-        crate::stats::ProtoMetrics {
-            conflicts_ordered: self.ch.stats.conflicts,
-            immediate_commitments: self.ch.stats.immediate_commitments,
-            aborts: self.ch.stats.ops_aborted,
-            wal_truncations: self.ch.wal.truncations(),
-            ..Default::default()
-        }
-    }
-
     fn obs_gauges(&self) -> cx_obs::EngineGauges {
         cx_obs::EngineGauges {
             active_objects: self.locks.held() as u64,

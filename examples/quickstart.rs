@@ -24,7 +24,7 @@ fn main() {
             "{}: cross-server metadata diverged!",
             protocol.name()
         );
-        let lat = result.stats.latency_summary();
+        let lat = result.stats.latency_hist.summary();
         println!(
             "{:<12} replay {:>7.3} s   latency mean {:>6.2} ms  p50 {:>6.2} ms  p99 {:>6.2} ms   messages {:>7}   conflicts {}",
             protocol.name(),

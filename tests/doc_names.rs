@@ -1,13 +1,35 @@
 //! The docs name only what exists. Every `--bin <x>`, `-p <x>`,
-//! `target/release/<x>` and `tests/<x>.rs` that README.md, DESIGN.md and
-//! the verify skill mention must be a binary, a package or a test suite
-//! of this repo, as its manifests and directories lay them out. A doc
-//! that still names a deleted binary, crate or suite fails here.
+//! `target/release/<x>` and `tests/<x>.rs` that README.md, DESIGN.md, the
+//! verify skill and EXPERIMENTS.md's standing sections (those above its
+//! first `## PR ` heading) mention must be a binary, a package or a test
+//! suite of this repo, as its manifests and directories lay them out. A
+//! doc that still names a deleted binary, crate or suite fails here.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+    "EXPERIMENTS.md",
+];
+
+/// The part of `doc` that still describes the repo: all of it, but for
+/// EXPERIMENTS.md, whose per-PR sections are a dated record of runs.
+fn standing(doc: &str, text: &str) -> String {
+    if doc != "EXPERIMENTS.md" {
+        return text.to_string();
+    }
+    let mut kept = Vec::new();
+    for line in text.lines() {
+        if line.starts_with("## PR ") {
+            break;
+        }
+        kept.push(line);
+    }
+    kept.join("\n")
+}
 
 /// What a doc may name.
 #[derive(Default)]
@@ -141,7 +163,7 @@ fn the_docs_name_only_binaries_packages_and_suites_that_exist() {
             std::fs::read_to_string(root().join(doc)).unwrap_or_else(|e| panic!("read {doc}: {e}"));
         stale.extend(
             names
-                .missing(&text)
+                .missing(&standing(doc, &text))
                 .into_iter()
                 .map(|m| format!("{doc}:{m}")),
         );
@@ -169,4 +191,11 @@ fn each_kind_of_mention_is_checked() {
             "3: tests/gone_suite.rs",
         ]
     );
+}
+
+#[test]
+fn experiments_is_checked_above_its_first_pr_section() {
+    let text = "cargo run --bin gone\n## PR n — a dated run\ncargo run --bin gone_too";
+    assert_eq!(standing("EXPERIMENTS.md", text), "cargo run --bin gone");
+    assert_eq!(standing("README.md", text), text);
 }

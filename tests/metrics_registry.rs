@@ -1,9 +1,9 @@
 //! The metric registry's three contracts, end to end.
 //!
-//! 1. **Cross-checked series**: the Cx-specific counters published into
-//!    the registry equal the `RunStats`/`ServerStats` totals the paper's
-//!    tables are built from, and both expositions (Prometheus text,
-//!    JSON snapshot) carry them.
+//! 1. **Cross-checked series**: every protocol's commitment counters
+//!    published into the registry equal the `RunStats`/`ServerStats`
+//!    totals the paper's tables are built from, and both expositions
+//!    (Prometheus text, JSON snapshot) carry them.
 //! 2. **Zero interference**: publishing into the registry changes
 //!    nothing — the golden home2 digest is identical before and after.
 //! 3. **Wall-clock exactness**: the threaded runtime's client host bumps
@@ -27,39 +27,52 @@ fn home2(protocol: Protocol) -> Experiment {
         .seed(42)
 }
 
-/// The Cx series land in the registry and cross-check against the
-/// aggregated `ServerStats`: every commitment-round metric pairs 1:1
+/// Every protocol's series land in the registry and cross-check against
+/// the aggregated `ServerStats`: every commitment-round metric pairs 1:1
 /// with the counter the engines already kept, and the batch-size
-/// histogram saw exactly one sample per round.
+/// histogram saw exactly one sample per round. Only Cx must see
+/// conflicts and batches on home2.
 #[test]
 fn registry_series_cross_check_run_stats() {
-    let r = home2(Protocol::Cx).run();
-    assert!(r.is_consistent());
+    for protocol in Protocol::ALL {
+        cross_check(protocol);
+    }
+}
+
+fn cross_check(protocol: Protocol) {
+    let name = protocol.name();
+    let r = home2(protocol).run();
+    assert!(r.is_consistent(), "{name}");
     let stats = &r.stats;
     let proto = &stats.proto;
     let srv = &stats.server_stats;
 
-    assert_eq!(proto.immediate_commitments, srv.immediate_commitments);
-    assert_eq!(proto.batched_commitments, srv.lazy_batches);
-    assert_eq!(proto.aborts, srv.ops_aborted);
-    assert_eq!(proto.conflicts_disordered, srv.invalidations);
-    assert!(proto.conflicts_ordered > 0, "home2 must hit conflicts");
+    assert_eq!(
+        proto.immediate_commitments, srv.immediate_commitments,
+        "{name}"
+    );
+    assert_eq!(proto.batched_commitments, srv.lazy_batches, "{name}");
+    assert_eq!(proto.aborts, srv.ops_aborted, "{name}");
+    assert_eq!(proto.conflicts_disordered, srv.invalidations, "{name}");
     assert!(
         proto.conflicts_ordered <= srv.conflicts,
-        "ordered conflicts are a subset of all detected conflicts"
+        "{name}: ordered conflicts are a subset of all detected conflicts"
     );
     assert_eq!(
         proto.batch_size.count,
         proto.immediate_commitments + proto.batched_commitments,
-        "one batch-size sample per commitment round"
+        "{name}: one batch-size sample per commitment round"
     );
-    assert_eq!(proto.batch_age_ns.count, proto.batch_size.count);
-    assert!(proto.batched_ops > 0, "lazy rounds carry ops on home2");
+    assert_eq!(proto.batch_age_ns.count, proto.batch_size.count, "{name}");
+    if protocol == Protocol::Cx {
+        assert!(proto.conflicts_ordered > 0, "home2 must hit conflicts");
+        assert!(proto.batched_ops > 0, "lazy rounds carry ops on home2");
+    }
 
     let reg = MetricRegistry::new();
     stats.publish(&reg);
     let snap = reg.snapshot();
-    for (name, want) in [
+    for (series, want) in [
         ("cx_ops_issued_total", stats.ops_total),
         ("cx_ops_applied_total", stats.ops_applied),
         ("cx_ops_failed_total", stats.ops_failed),
@@ -77,7 +90,7 @@ fn registry_series_cross_check_run_stats() {
         ("cx_aborts_total", proto.aborts),
         ("cx_wal_truncations_total", proto.wal_truncations),
     ] {
-        assert_eq!(snap.value(name), Some(want), "{name}");
+        assert_eq!(snap.value(series), Some(want), "{name}: {series}");
     }
 
     // Both expositions carry the series: Prometheus text line-per-sample…
@@ -152,9 +165,12 @@ fn threaded_registry_totals_match_des() {
         v("cx_ops_applied_total") + v("cx_ops_failed_total"),
         v("cx_ops_issued_total")
     );
-    // The engines' protocol series were folded in at stop: the threaded
-    // run launches commitment rounds too, and each round left exactly
-    // one batch-size sample.
+    // What only the run's end knows was published once it ended: its
+    // message total, and the engines' protocol series, folded in at stop.
+    // The threaded run launches commitment rounds too, and each round
+    // left exactly one batch-size sample.
+    assert!(res.stats.total_msgs() > 0);
+    assert_eq!(v("cx_messages_total"), res.stats.total_msgs());
     assert_eq!(
         v("cx_immediate_commitments_total") + v("cx_batched_commitments_total"),
         snap.series
